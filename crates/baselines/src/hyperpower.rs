@@ -112,10 +112,7 @@ impl HyperPower {
         let mut best_probe_accuracy: Option<f64> = None;
         let mut history = History::new();
         for id in 0..self.trials as u64 {
-            let obs = history.observations();
-            let obs_refs: Vec<(&edgetune_tuner::space::Config, f64)> =
-                obs.iter().map(|(c, s)| (*c, *s)).collect();
-            let mut config = sampler.suggest(&space, &obs_refs);
+            let mut config = sampler.suggest(&space, &history.observations());
             config.set(PARAM_TRAIN_BATCH, f64::from(FIXED_BATCH));
 
             // Probe phase: run a quarter of the budget, then decide.

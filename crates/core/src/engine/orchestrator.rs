@@ -751,7 +751,7 @@ mod chaos_tests {
     use std::time::Duration;
 
     use crate::config::EdgeTuneConfig;
-    use crate::server::EdgeTune;
+    use crate::server::{EdgeTune, TuningReport};
     use edgetune_faults::{FaultPlan, Supervisor};
     use edgetune_tuner::scheduler::SchedulerConfig;
     use edgetune_util::units::Seconds;
@@ -826,6 +826,34 @@ mod chaos_tests {
         let a = EdgeTune::new(config()).run().unwrap();
         let b = EdgeTune::new(config()).run().unwrap();
         assert_eq!(a.to_json().unwrap(), b.to_json().unwrap());
+    }
+
+    #[test]
+    fn a_report_with_failed_trials_round_trips_through_json() {
+        // A failed trial's infinite score is written as `null`; reading
+        // the engine's own output back must restore it, not reject it.
+        let report = EdgeTune::new(quick_config().with_fault_plan(FaultPlan::uniform(0.3)))
+            .run()
+            .unwrap();
+        let failed = |r: &TuningReport| {
+            let records = r.history().records();
+            records.iter().filter(|t| t.outcome.is_failed()).count()
+        };
+        assert!(failed(&report) > 0, "the fault pattern must fire");
+        let json = report.to_json().unwrap();
+        assert!(json.contains("\"score\": null"));
+        let restored = TuningReport::from_json(&json).expect("own output parses");
+        assert_eq!(failed(&restored), failed(&report));
+        assert!(restored
+            .history()
+            .records()
+            .iter()
+            .all(|t| !t.outcome.is_failed() || t.outcome.score == f64::INFINITY));
+        assert_eq!(
+            restored.to_json().unwrap(),
+            json,
+            "and re-serialises to the same bytes"
+        );
     }
 
     #[test]

@@ -18,11 +18,10 @@
 
 use edgetune_util::rng::SeedStream;
 use rand::rngs::StdRng;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::objective::{Metric, TrainMeasurement};
-use crate::sampler::{Sampler, TpeSampler};
+use crate::sampler::{draw_cohort, good_count, ParzenModel, Sampler, MIN_OBSERVATIONS};
 use crate::space::{Config, SearchSpace};
 use crate::trial::TrialOutcome;
 
@@ -339,17 +338,11 @@ pub fn promotion_layers(outcomes: &[TrialOutcome]) -> Vec<u32> {
 // EHVI-style acquisition over the TPE machinery
 // ---------------------------------------------------------------------------
 
-/// Fraction of vector observations treated as the "good" kernel set.
-const GOOD_QUANTILE: f64 = 0.25;
-/// Candidates drawn per suggestion.
-const CANDIDATES: usize = 24;
-/// Vector observations required before the model engages.
-const MIN_OBSERVATIONS: usize = 8;
 /// Cap on retained vector observations (most recent kept).
 const MAX_OBSERVATIONS: usize = 256;
 
 /// Multi-objective TPE: the hypervolume-improvement acquisition of
-/// EHVI/MOTPE layered over [`TpeSampler`]'s Parzen densities.
+/// EHVI/MOTPE layered over [`crate::TpeSampler`]'s Parzen densities.
 ///
 /// Observations arrive through [`Sampler::observe`] (the scalar
 /// observation list of [`Sampler::suggest`] is ignored once enough
@@ -411,7 +404,7 @@ impl ParetoTpeSampler {
     fn split(&self) -> (Vec<usize>, Vec<usize>) {
         let outcomes: Vec<ObjectiveVector> = self.observed.iter().map(|(_, v)| *v).collect();
         let n = outcomes.len();
-        let n_good = ((n as f64 * GOOD_QUANTILE).ceil() as usize).clamp(2, n - 1);
+        let n_good = good_count(n);
 
         // Peel dominance layers (indices, deterministic order).
         let mut remaining: Vec<usize> = (0..n).collect();
@@ -471,56 +464,26 @@ impl ParetoTpeSampler {
 }
 
 impl Sampler for ParetoTpeSampler {
-    fn suggest(&mut self, space: &SearchSpace, _observations: &[(&Config, f64)]) -> Config {
-        if self.observed.len() < MIN_OBSERVATIONS {
-            return space.sample(&mut self.rng);
-        }
-        let (good_idx, bad_idx) = self.split();
+    fn suggest(&mut self, space: &SearchSpace, observations: &[(&Config, f64)]) -> Config {
+        self.suggest_cohort(space, observations, 1)
+            .pop()
+            .expect("a cohort of one")
+    }
 
-        // Per-dimension kernel centres in the TPE working coordinates:
-        // (name, domain, good centres, bad centres, bandwidth).
-        type KernelDim<'a> = (&'a str, &'a crate::space::Domain, Vec<f64>, Vec<f64>, f64);
-        let dims: Vec<KernelDim> = space
-            .iter()
-            .map(|(name, domain)| {
-                let centres = |set: &[usize]| -> Vec<f64> {
-                    set.iter()
-                        .filter_map(|&i| self.observed[i].0.get(name))
-                        .map(|v| TpeSampler::transform(domain, v))
-                        .collect()
-                };
-                let good_c = centres(&good_idx);
-                let bad_c = centres(&bad_idx);
-                let bandwidth =
-                    TpeSampler::extent(domain) / (good_c.len().max(1) as f64).sqrt().max(1.0) * 0.6
-                        + 1e-6;
-                (name, domain, good_c, bad_c, bandwidth)
-            })
-            .collect();
-
-        let mut best: Option<(Config, f64)> = None;
-        for _ in 0..CANDIDATES {
-            let mut config = Config::new();
-            let mut log_ratio = 0.0;
-            for (name, domain, good_c, bad_c, bandwidth) in &dims {
-                let coord = if good_c.is_empty() {
-                    TpeSampler::transform(domain, domain.sample(&mut self.rng))
-                } else {
-                    let centre = good_c[self.rng.gen_range(0..good_c.len())];
-                    centre + edgetune_util::rng::sample_normal(&mut self.rng, 0.0, *bandwidth)
-                };
-                let value = TpeSampler::untransform(domain, coord);
-                let snapped = TpeSampler::transform(domain, value);
-                let l = TpeSampler::density(snapped, good_c, *bandwidth);
-                let g = TpeSampler::density(snapped, bad_c, *bandwidth);
-                log_ratio += l.ln() - g.ln();
-                config.set(*name, value);
-            }
-            if best.as_ref().is_none_or(|(_, r)| log_ratio > *r) {
-                best = Some((config, log_ratio));
-            }
-        }
-        best.expect("at least one candidate").0
+    fn suggest_cohort(
+        &mut self,
+        space: &SearchSpace,
+        _observations: &[(&Config, f64)],
+        n: usize,
+    ) -> Vec<Config> {
+        let model = (self.observed.len() >= MIN_OBSERVATIONS).then(|| {
+            let (good, bad) = self.split();
+            let configs = |set: &[usize]| -> Vec<&Config> {
+                set.iter().map(|&i| &self.observed[i].0).collect()
+            };
+            ParzenModel::fit(space, &configs(&good), &configs(&bad))
+        });
+        draw_cohort(model, space, &mut self.rng, n)
     }
 
     fn observe(&mut self, config: &Config, outcome: &TrialOutcome) {

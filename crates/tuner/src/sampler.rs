@@ -9,6 +9,8 @@
 //! quantile, per-dimension kernel densities `l(x)` / `g(x)` are fitted to
 //! each, and candidates maximising `l(x)/g(x)` are suggested.
 
+use std::collections::HashMap;
+
 use edgetune_util::rng::SeedStream;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -21,6 +23,20 @@ pub trait Sampler: std::fmt::Debug + Send {
     /// Proposes a configuration given `(config, score)` observations so
     /// far (lower score = better).
     fn suggest(&mut self, space: &SearchSpace, observations: &[(&Config, f64)]) -> Config;
+
+    /// Proposes `n` configurations against one unchanging observation
+    /// set — a scheduler's rung-0 cohort or failure refill. Must equal
+    /// `n` successive [`Sampler::suggest`] calls (same configurations,
+    /// same RNG stream position afterwards), which is the default;
+    /// model-based samplers override it to fit their model once.
+    fn suggest_cohort(
+        &mut self,
+        space: &SearchSpace,
+        observations: &[(&Config, f64)],
+        n: usize,
+    ) -> Vec<Config> {
+        (0..n).map(|_| self.suggest(space, observations)).collect()
+    }
 
     /// Notifies the sampler of a completed trial. The default is a no-op;
     /// samplers that model more than the scalar score (e.g. the
@@ -68,10 +84,10 @@ impl WarmStartSampler {
     pub fn seeds_remaining(&self) -> usize {
         self.seeds.len()
     }
-}
 
-impl Sampler for WarmStartSampler {
-    fn suggest(&mut self, space: &SearchSpace, observations: &[(&Config, f64)]) -> Config {
+    /// Pops the next replayable seed, clamped into `space`; seeds from a
+    /// different space shape are discarded on the way.
+    fn next_seed(&mut self, space: &SearchSpace) -> Option<Config> {
         while let Some(seed) = self.seeds.pop_front() {
             let mut clamped = Config::new();
             let mut complete = true;
@@ -85,10 +101,31 @@ impl Sampler for WarmStartSampler {
                 }
             }
             if complete {
-                return clamped;
+                return Some(clamped);
             }
         }
-        self.inner.suggest(space, observations)
+        None
+    }
+}
+
+impl Sampler for WarmStartSampler {
+    fn suggest(&mut self, space: &SearchSpace, observations: &[(&Config, f64)]) -> Config {
+        self.next_seed(space)
+            .unwrap_or_else(|| self.inner.suggest(space, observations))
+    }
+
+    fn suggest_cohort(
+        &mut self,
+        space: &SearchSpace,
+        observations: &[(&Config, f64)],
+        n: usize,
+    ) -> Vec<Config> {
+        let mut cohort: Vec<Config> = std::iter::from_fn(|| self.next_seed(space))
+            .take(n)
+            .collect();
+        let rest = n - cohort.len();
+        cohort.extend(self.inner.suggest_cohort(space, observations, rest));
+        cohort
     }
 
     fn observe(&mut self, config: &Config, outcome: &TrialOutcome) {
@@ -185,29 +222,119 @@ const GOOD_QUANTILE: f64 = 0.25;
 /// Candidates drawn from `l(x)` per suggestion.
 const CANDIDATES: usize = 24;
 /// Observations required before the model engages (random until then).
-const MIN_OBSERVATIONS: usize = 8;
-/// Cap on observations used to fit the densities (most recent first).
+pub(crate) const MIN_OBSERVATIONS: usize = 8;
+/// Cap on observations used to fit the densities: the *first* 128 of
+/// the list `suggest` receives. [`crate::trial::History::observations`]
+/// orders that list highest budget first and oldest first within a
+/// budget, so once 128 top-budget observations exist the model stops
+/// seeing newer evidence.
 const MAX_OBSERVATIONS: usize = 128;
 
-/// Tree-structured Parzen Estimator sampler.
-#[derive(Debug)]
-pub struct TpeSampler {
-    rng: StdRng,
+/// Size of the "good" set among `n` ranked observations (`n` ≥ 3).
+pub(crate) fn good_count(n: usize) -> usize {
+    ((n as f64 * GOOD_QUANTILE).ceil() as usize).clamp(2, n - 1)
 }
 
-impl TpeSampler {
-    /// Creates a seeded TPE sampler.
-    #[must_use]
-    pub fn new(seed: SeedStream) -> Self {
-        TpeSampler {
-            rng: seed.rng("tpe-sampler"),
-        }
+/// One dimension of a fitted [`ParzenModel`].
+#[derive(Debug)]
+struct ParzenDim<'a> {
+    name: &'a str,
+    domain: &'a Domain,
+    /// Kernel centres of the good / bad set in working coordinates.
+    good: Vec<f64>,
+    bad: Vec<f64>,
+    bandwidth: f64,
+    /// `ln l − ln g` by snapped coordinate (`f64::to_bits`). `Choice` and
+    /// `Int` domains snap candidates onto a few distinct values that a
+    /// cohort revisits thousands of times; `Float` candidates never
+    /// repeat, so those dimensions carry no memo.
+    log_ratios: Option<HashMap<u64, f64>>,
+}
+
+/// The density-ratio model of TPE: per-dimension Parzen estimators
+/// `l(x)` over a good and `g(x)` over a bad set of configurations.
+/// Fitted once ([`ParzenModel::fit`], no randomness), then drawn from any
+/// number of times ([`ParzenModel::draw`]). Shared by [`TpeSampler`] and
+/// the multi-objective sampler in [`crate::pareto`], which differ only
+/// in how they rank observations into the two sets.
+#[derive(Debug)]
+pub(crate) struct ParzenModel<'a> {
+    dims: Vec<ParzenDim<'a>>,
+}
+
+impl<'a> ParzenModel<'a> {
+    /// Fits per-dimension kernel centres and bandwidths over `space`.
+    pub(crate) fn fit(space: &'a SearchSpace, good: &[&Config], bad: &[&Config]) -> Self {
+        let dims = space
+            .iter()
+            .map(|(name, domain)| {
+                let centres = |set: &[&Config]| -> Vec<f64> {
+                    set.iter()
+                        .filter_map(|c| c.get(name))
+                        .map(|v| Self::transform(domain, v))
+                        .collect()
+                };
+                let good = centres(good);
+                let bandwidth =
+                    Self::extent(domain) / (good.len().max(1) as f64).sqrt().max(1.0) * 0.6 + 1e-6;
+                ParzenDim {
+                    name,
+                    domain,
+                    bad: centres(bad),
+                    good,
+                    bandwidth,
+                    log_ratios: (!matches!(domain, Domain::Float { .. })).then(HashMap::new),
+                }
+            })
+            .collect();
+        ParzenModel { dims }
     }
 
-    /// Maps a value into the sampler's working coordinates (log space for
-    /// log domains, index space for choices). Shared with the
-    /// multi-objective sampler in [`crate::pareto`].
-    pub(crate) fn transform(domain: &Domain, value: f64) -> f64 {
+    /// Draws [`CANDIDATES`] configurations from `l(x)` and returns the
+    /// one with the best `l/g` ratio.
+    pub(crate) fn draw(&mut self, rng: &mut StdRng) -> Config {
+        let mut best: Option<(Config, f64)> = None;
+        for _ in 0..CANDIDATES {
+            let mut config = Config::new();
+            let mut log_ratio = 0.0;
+            for ParzenDim {
+                name,
+                domain,
+                good,
+                bad,
+                bandwidth,
+                log_ratios,
+            } in &mut self.dims
+            {
+                // Sample around a random good kernel.
+                let coord = if good.is_empty() {
+                    Self::transform(domain, domain.sample(rng))
+                } else {
+                    let centre = good[rng.gen_range(0..good.len())];
+                    centre + edgetune_util::rng::sample_normal(rng, 0.0, *bandwidth)
+                };
+                let value = Self::untransform(domain, coord);
+                let snapped = Self::transform(domain, value);
+                let ratio = || {
+                    Self::density(snapped, good, *bandwidth).ln()
+                        - Self::density(snapped, bad, *bandwidth).ln()
+                };
+                log_ratio += match log_ratios {
+                    Some(memo) => *memo.entry(snapped.to_bits()).or_insert_with(ratio),
+                    None => ratio(),
+                };
+                config.set(*name, value);
+            }
+            if best.as_ref().is_none_or(|(_, r)| log_ratio > *r) {
+                best = Some((config, log_ratio));
+            }
+        }
+        best.expect("at least one candidate").0
+    }
+
+    /// Maps a value into the model's working coordinates (log space for
+    /// log domains, index space for choices).
+    fn transform(domain: &Domain, value: f64) -> f64 {
         match domain {
             Domain::Int { log: true, .. } | Domain::Float { log: true, .. } => {
                 value.max(1e-12).ln()
@@ -220,8 +347,8 @@ impl TpeSampler {
         }
     }
 
-    /// Inverse of [`TpeSampler::transform`], snapped back into the domain.
-    pub(crate) fn untransform(domain: &Domain, coord: f64) -> f64 {
+    /// Inverse of [`ParzenModel::transform`], snapped back into the domain.
+    fn untransform(domain: &Domain, coord: f64) -> f64 {
         match domain {
             Domain::Int { log: true, .. } | Domain::Float { log: true, .. } => {
                 domain.clamp(coord.exp())
@@ -235,7 +362,7 @@ impl TpeSampler {
     }
 
     /// Working-space extent of a domain (bandwidth scale).
-    pub(crate) fn extent(domain: &Domain) -> f64 {
+    fn extent(domain: &Domain) -> f64 {
         match domain {
             Domain::Int { lo, hi, log } => {
                 if *log {
@@ -257,7 +384,7 @@ impl TpeSampler {
     }
 
     /// Parzen density of `coord` under kernels centred at `centres`.
-    pub(crate) fn density(coord: f64, centres: &[f64], bandwidth: f64) -> f64 {
+    fn density(coord: f64, centres: &[f64], bandwidth: f64) -> f64 {
         if centres.is_empty() {
             return 1e-12;
         }
@@ -273,71 +400,69 @@ impl TpeSampler {
     }
 }
 
-impl Sampler for TpeSampler {
-    fn suggest(&mut self, space: &SearchSpace, observations: &[(&Config, f64)]) -> Config {
-        if observations.len() < MIN_OBSERVATIONS {
-            return space.sample(&mut self.rng);
+/// `n` suggestions from one fitted `model` — or uniform draws while the
+/// sampler has too little evidence to fit one (`None`).
+pub(crate) fn draw_cohort(
+    mut model: Option<ParzenModel<'_>>,
+    space: &SearchSpace,
+    rng: &mut StdRng,
+    n: usize,
+) -> Vec<Config> {
+    (0..n)
+        .map(|_| match &mut model {
+            Some(model) => model.draw(rng),
+            None => space.sample(rng),
+        })
+        .collect()
+}
+
+/// Tree-structured Parzen Estimator sampler.
+#[derive(Debug)]
+pub struct TpeSampler {
+    rng: StdRng,
+}
+
+impl TpeSampler {
+    /// Creates a seeded TPE sampler.
+    #[must_use]
+    pub fn new(seed: SeedStream) -> Self {
+        TpeSampler {
+            rng: seed.rng("tpe-sampler"),
         }
-        // Split observations by score quantile into good/bad sets.
+    }
+
+    /// Splits the finite observations by score quantile into a good and
+    /// a bad set and fits the model; `None` below [`MIN_OBSERVATIONS`].
+    fn fit<'a>(space: &'a SearchSpace, observations: &[(&Config, f64)]) -> Option<ParzenModel<'a>> {
         let mut sorted: Vec<&(&Config, f64)> = observations
             .iter()
             .take(MAX_OBSERVATIONS)
             .filter(|(_, s)| s.is_finite())
             .collect();
         if sorted.len() < MIN_OBSERVATIONS {
-            return space.sample(&mut self.rng);
+            return None;
         }
         sorted.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite scores"));
-        let n_good =
-            ((sorted.len() as f64 * GOOD_QUANTILE).ceil() as usize).clamp(2, sorted.len() - 1);
-        let (good, bad) = sorted.split_at(n_good);
+        let ranked: Vec<&Config> = sorted.into_iter().map(|(c, _)| *c).collect();
+        let (good, bad) = ranked.split_at(good_count(ranked.len()));
+        Some(ParzenModel::fit(space, good, bad))
+    }
+}
 
-        // Per-dimension kernel centres in working coordinates:
-        // (name, domain, good centres, bad centres, bandwidth).
-        type Dim<'a> = (&'a str, &'a Domain, Vec<f64>, Vec<f64>, f64);
-        let dims: Vec<Dim<'_>> = space
-            .iter()
-            .map(|(name, domain)| {
-                let centres = |set: &[&(&Config, f64)]| -> Vec<f64> {
-                    set.iter()
-                        .filter_map(|(c, _)| c.get(name))
-                        .map(|v| Self::transform(domain, v))
-                        .collect()
-                };
-                let good_c = centres(good);
-                let bad_c = centres(bad);
-                let bandwidth = Self::extent(domain) / (good_c.len().max(1) as f64).sqrt().max(1.0)
-                    * 0.6
-                    + 1e-6;
-                (name, domain, good_c, bad_c, bandwidth)
-            })
-            .collect();
+impl Sampler for TpeSampler {
+    fn suggest(&mut self, space: &SearchSpace, observations: &[(&Config, f64)]) -> Config {
+        self.suggest_cohort(space, observations, 1)
+            .pop()
+            .expect("a cohort of one")
+    }
 
-        // Draw candidates from l(x) and keep the best l/g ratio.
-        let mut best: Option<(Config, f64)> = None;
-        for _ in 0..CANDIDATES {
-            let mut config = Config::new();
-            let mut log_ratio = 0.0;
-            for (name, domain, good_c, bad_c, bandwidth) in &dims {
-                // Sample around a random good kernel.
-                let coord = if good_c.is_empty() {
-                    Self::transform(domain, domain.sample(&mut self.rng))
-                } else {
-                    let centre = good_c[self.rng.gen_range(0..good_c.len())];
-                    centre + edgetune_util::rng::sample_normal(&mut self.rng, 0.0, *bandwidth)
-                };
-                let value = Self::untransform(domain, coord);
-                let snapped = Self::transform(domain, value);
-                let l = Self::density(snapped, good_c, *bandwidth);
-                let g = Self::density(snapped, bad_c, *bandwidth);
-                log_ratio += l.ln() - g.ln();
-                config.set(*name, value);
-            }
-            if best.as_ref().is_none_or(|(_, r)| log_ratio > *r) {
-                best = Some((config, log_ratio));
-            }
-        }
-        best.expect("at least one candidate").0
+    fn suggest_cohort(
+        &mut self,
+        space: &SearchSpace,
+        observations: &[(&Config, f64)],
+        n: usize,
+    ) -> Vec<Config> {
+        draw_cohort(Self::fit(space, observations), space, &mut self.rng, n)
     }
 
     fn name(&self) -> &'static str {
@@ -485,6 +610,44 @@ mod tests {
         // All-infinite observations must not panic; falls back to random.
         let c = tpe.suggest(&space, &obs);
         assert!(space.validate(&c).is_ok());
+    }
+
+    #[test]
+    fn tpe_models_only_the_first_max_observations() {
+        // Pins the documented cap: the model is fitted to the first
+        // MAX_OBSERVATIONS entries of the list, so later entries — here
+        // far better ones, clustered in the opposite corner — change
+        // nothing. With `History::observations` ordering the list oldest
+        // first within a budget, "later" means "newer".
+        let space = space_2d();
+        let configs: Vec<Config> = (0..MAX_OBSERVATIONS + 64)
+            .map(|i| {
+                let t = if i < MAX_OBSERVATIONS { 0.2 } else { 0.9 };
+                Config::new()
+                    .with("x", t + (i % 7) as f64 * 0.01)
+                    .with("y", t + (i % 5) as f64 * 0.01)
+            })
+            .collect();
+        let obs: Vec<(&Config, f64)> = configs
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                (
+                    c,
+                    if i < MAX_OBSERVATIONS {
+                        1.0 + i as f64
+                    } else {
+                        0.0
+                    },
+                )
+            })
+            .collect();
+        let mut capped = TpeSampler::new(SeedStream::new(5));
+        let mut full = TpeSampler::new(SeedStream::new(5));
+        assert_eq!(
+            full.suggest_cohort(&space, &obs, 6),
+            capped.suggest_cohort(&space, &obs[..MAX_OBSERVATIONS], 6)
+        );
     }
 
     #[test]

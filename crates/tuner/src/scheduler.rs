@@ -161,14 +161,10 @@ impl SuccessiveHalving {
         initial: usize,
         start_iteration: u32,
     ) {
-        // Sample the rung-0 cohort, giving the sampler fresh evidence
-        // after every suggestion.
-        let mut cohort: Vec<Config> = Vec::with_capacity(initial);
-        for _ in 0..initial {
-            let obs = history.observations();
-            let obs_refs: Vec<(&Config, f64)> = obs.iter().map(|(c, s)| (*c, *s)).collect();
-            cohort.push(sampler.suggest(space, &obs_refs));
-        }
+        // Sample the rung-0 cohort. The history cannot change until the
+        // rung runs, so one observation view (and one sampler model fit)
+        // serves the whole cohort.
+        let mut cohort = sampler.suggest_cohort(space, &history.observations(), initial);
 
         // The budget level grows geometrically by η between rungs, as in
         // the paper's §2.2 example (epochs 1 → 2 → 4 → 8 → 16 while the
@@ -213,7 +209,6 @@ impl SuccessiveHalving {
             // promotion is exactly classic successive halving.
             let rung_size = scored.len();
             let keep = ((rung_size as f64 / self.config.eta).ceil() as usize).max(1);
-            let failures = scored.iter().filter(|(_, o)| o.is_failed()).count();
             scored.retain(|(_, o)| !o.is_failed());
             match self.promotion {
                 PromotionRule::ScalarRank => {
@@ -251,12 +246,10 @@ impl SuccessiveHalving {
                 .take(keep)
                 .map(|(config, _)| config)
                 .collect();
-            if failures > 0 {
-                while cohort.len() < keep {
-                    let obs = history.observations();
-                    let obs_refs: Vec<(&Config, f64)> = obs.iter().map(|(c, s)| (*c, *s)).collect();
-                    cohort.push(sampler.suggest(space, &obs_refs));
-                }
+            // Short only when failures were dropped above.
+            if cohort.len() < keep {
+                let refill = keep - cohort.len();
+                cohort.extend(sampler.suggest_cohort(space, &history.observations(), refill));
             }
             iteration = ((f64::from(iteration) * self.config.eta).round() as u32)
                 .min(self.config.max_iteration);
@@ -334,9 +327,7 @@ impl FixedBudgetSearch {
         let mut history = History::new();
         let budget = policy.budget(self.iteration);
         for _ in 0..self.trials {
-            let obs = history.observations();
-            let obs_refs: Vec<(&Config, f64)> = obs.iter().map(|(c, s)| (*c, *s)).collect();
-            let config = sampler.suggest(space, &obs_refs);
+            let config = sampler.suggest(space, &history.observations());
             let id = history.len() as u64;
             let outcome = evaluator.evaluate(id, &config, budget);
             sampler.observe(&config, &outcome);
@@ -470,6 +461,49 @@ mod tests {
                 runtime,
                 Joules::new(runtime.value() * 5.0),
             )
+        }
+    }
+
+    /// A random sampler that records how the scheduler drives it.
+    #[derive(Debug)]
+    struct CountingSampler {
+        inner: RandomSampler,
+        observed: usize,
+        singles: usize,
+        /// Size of every `suggest_cohort` call, in order.
+        cohorts: Vec<usize>,
+    }
+
+    impl CountingSampler {
+        fn new(seed: u64) -> Self {
+            CountingSampler {
+                inner: RandomSampler::new(SeedStream::new(seed)),
+                observed: 0,
+                singles: 0,
+                cohorts: Vec::new(),
+            }
+        }
+    }
+
+    impl Sampler for CountingSampler {
+        fn suggest(&mut self, space: &SearchSpace, observations: &[(&Config, f64)]) -> Config {
+            self.singles += 1;
+            self.inner.suggest(space, observations)
+        }
+        fn suggest_cohort(
+            &mut self,
+            space: &SearchSpace,
+            observations: &[(&Config, f64)],
+            n: usize,
+        ) -> Vec<Config> {
+            self.cohorts.push(n);
+            self.inner.suggest_cohort(space, observations, n)
+        }
+        fn observe(&mut self, _config: &Config, _outcome: &TrialOutcome) {
+            self.observed += 1;
+        }
+        fn name(&self) -> &'static str {
+            "counting"
         }
     }
 
@@ -671,6 +705,64 @@ mod tests {
     }
 
     #[test]
+    fn a_bracket_samples_its_cohort_in_one_call() {
+        // Failure-free: one cohort call per bracket (its rung 0), never a
+        // per-suggestion call — so a model-based sampler fits once per
+        // bracket, whatever the bracket's size.
+        let hb = HyperBand::new(SchedulerConfig::new(8, 2.0, 8));
+        let mut sampler = CountingSampler::new(35);
+        let mut eval = evaluator();
+        let policy = BudgetPolicy::multi_default();
+        let _ = hb.run(&mut sampler, &space(), &policy, &mut eval);
+        let initials: Vec<usize> = hb.bracket_specs().iter().map(|s| s.initial).collect();
+        assert_eq!(sampler.cohorts.len() as u32, hb.brackets());
+        assert_eq!(sampler.cohorts, initials);
+        assert_eq!(sampler.singles, 0);
+    }
+
+    #[test]
+    fn a_rungs_refill_arrives_as_one_cohort_call() {
+        use crate::trial::TrialFailure;
+        // Rung 0 (2 effective epochs under `epoch_default`) loses every
+        // x < 0.75 trial, leaving fewer survivors than the 8 slots of
+        // rung 1: the shortfall is refilled by a single cohort call and
+        // the ladder keeps its 16 → 8 → 4 shape.
+        let sha = SuccessiveHalving::new(SchedulerConfig::new(16, 2.0, 4));
+        let mut sampler = CountingSampler::new(21);
+        let mut eval = |_id: u64, config: &Config, budget: TrialBudget| {
+            let x = config.get("x").unwrap();
+            if budget.effective_epochs() <= 2.0 && x < 0.75 {
+                return TrialOutcome::failed(
+                    TrialFailure::Crash,
+                    Seconds::new(5.0),
+                    Joules::new(1.0),
+                );
+            }
+            TrialOutcome::new(x, 1.0 - x, Seconds::new(10.0), Joules::new(5.0))
+        };
+        let policy = BudgetPolicy::epoch_default();
+        let history = sha.run(&mut sampler, &space(), &policy, &mut eval);
+        let sizes: Vec<usize> = [2.0, 4.0, 8.0]
+            .iter()
+            .map(|epochs| {
+                let at = |r: &&TrialRecord| (r.budget.effective_epochs() - epochs).abs() < 1e-9;
+                history.records().iter().filter(at).count()
+            })
+            .collect();
+        assert_eq!(sizes, vec![16, 8, 4]);
+        let survivors = history.records()[..16]
+            .iter()
+            .filter(|r| !r.outcome.is_failed())
+            .count();
+        assert!(
+            survivors < 8,
+            "the fault pattern must leave slots to refill"
+        );
+        assert_eq!(sampler.cohorts, vec![16, 8 - survivors]);
+        assert_eq!(sampler.singles, 0);
+    }
+
+    #[test]
     fn front_membership_promotes_the_front_a_scalar_rank_would_drop() {
         use crate::pareto::ObjectiveVector;
         use crate::sampler::GridSampler;
@@ -754,27 +846,8 @@ mod tests {
 
     #[test]
     fn scheduler_feeds_every_outcome_to_the_sampler() {
-        #[derive(Debug)]
-        struct CountingSampler {
-            inner: RandomSampler,
-            observed: usize,
-        }
-        impl Sampler for CountingSampler {
-            fn suggest(&mut self, space: &SearchSpace, observations: &[(&Config, f64)]) -> Config {
-                self.inner.suggest(space, observations)
-            }
-            fn observe(&mut self, _config: &Config, _outcome: &TrialOutcome) {
-                self.observed += 1;
-            }
-            fn name(&self) -> &'static str {
-                "counting"
-            }
-        }
         let sha = SuccessiveHalving::new(SchedulerConfig::new(8, 2.0, 4));
-        let mut sampler = CountingSampler {
-            inner: RandomSampler::new(SeedStream::new(33)),
-            observed: 0,
-        };
+        let mut sampler = CountingSampler::new(33);
         let mut eval = evaluator();
         let history = sha.run(
             &mut sampler,
@@ -785,10 +858,7 @@ mod tests {
         assert_eq!(sampler.observed, history.len());
 
         let fixed = FixedBudgetSearch::new(5, 2);
-        let mut sampler = CountingSampler {
-            inner: RandomSampler::new(SeedStream::new(34)),
-            observed: 0,
-        };
+        let mut sampler = CountingSampler::new(34);
         let mut eval = evaluator();
         let history = fixed.run(
             &mut sampler,

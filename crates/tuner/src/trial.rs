@@ -1,7 +1,7 @@
 //! Trial records and tuning history.
 
 use edgetune_util::units::{Joules, Seconds};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Map, Serialize, Value};
 
 use crate::budget::TrialBudget;
 use crate::pareto::ObjectiveVector;
@@ -21,7 +21,7 @@ pub enum TrialFailure {
 }
 
 /// What a trial evaluation reports back to the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TrialOutcome {
     /// Scheduler score — **lower is better** (objective functions convert
     /// maximisation into minimisation).
@@ -90,6 +90,35 @@ impl TrialOutcome {
     #[must_use]
     pub fn is_failed(&self) -> bool {
         self.failure.is_some()
+    }
+}
+
+/// Hand-written only for `score`: JSON has no infinity, so the `+∞` of a
+/// failed or infeasible trial is written as `null`, which `f64` refuses;
+/// here `null` reads back as `f64::INFINITY` and a report containing such
+/// a trial round-trips. Every other field reads as the derive would.
+impl Deserialize for TrialOutcome {
+    fn from_json_value(v: &Value) -> Result<Self, DeError> {
+        fn field<T: Deserialize>(obj: &Map, name: &str) -> Result<T, DeError> {
+            match obj.get(name) {
+                Some(x) => T::from_json_value(x).map_err(|e| e.in_field(name)),
+                None => T::from_json_value(&Value::Null).map_err(|_| DeError::missing_field(name)),
+            }
+        }
+        let obj = v
+            .as_object()
+            .ok_or_else(|| DeError::expected("object", v))?;
+        Ok(TrialOutcome {
+            score: match obj.get("score") {
+                Some(Value::Null) => f64::INFINITY,
+                _ => field(obj, "score")?,
+            },
+            accuracy: field(obj, "accuracy")?,
+            runtime: field(obj, "runtime")?,
+            energy: field(obj, "energy")?,
+            failure: field(obj, "failure")?,
+            vector: field(obj, "vector")?,
+        })
     }
 }
 
@@ -194,7 +223,10 @@ impl History {
     }
 
     /// `(config, score)` observations for model-based samplers, highest
-    /// budget first so the sampler models the most faithful evidence.
+    /// budget first so the sampler models the most faithful evidence, and
+    /// — the sort is stable — *oldest* first within a budget. A sampler
+    /// that reads only a prefix (TPE fits the first 128) therefore stops
+    /// seeing new evidence once that many top-budget trials exist.
     #[must_use]
     pub fn observations(&self) -> Vec<(&Config, f64)> {
         let mut obs: Vec<&TrialRecord> = self.records.iter().collect();
@@ -297,6 +329,19 @@ mod tests {
     }
 
     #[test]
+    fn observations_keep_completion_order_within_a_budget() {
+        let mut h = History::new();
+        for (id, score) in [(0, 5.0), (1, 4.0), (2, 3.0)] {
+            let mut r = record(id, score, 0.5, 1.0, 1.0);
+            r.budget = TrialBudget::new(8.0, 1.0);
+            h.push(r);
+        }
+        h.push(record(1, 9.0, 0.5, 1.0, 1.0)); // budget 2 epochs: last
+        let scores: Vec<f64> = h.observations().iter().map(|(_, s)| *s).collect();
+        assert_eq!(scores, vec![5.0, 4.0, 3.0, 9.0], "oldest first, not newest");
+    }
+
+    #[test]
     fn first_reaching_accuracy_finds_earliest() {
         let mut h = History::new();
         h.push(record(0, 1.0, 0.3, 1.0, 1.0));
@@ -361,13 +406,21 @@ mod tests {
         assert_eq!(failed.accuracy, 0.0);
         let json = serde_json::to_string(&failed).unwrap();
         assert!(json.contains("\"failure\":\"crash\""));
-        // Non-finite scores serialize as `null` (serde_json), so parse a
-        // finite failed outcome to exercise the marker's deserialization.
-        let back: TrialOutcome = serde_json::from_str(
-            r#"{"score":1e9,"accuracy":0.0,"runtime":40.0,"energy":9.0,"failure":"timeout"}"#,
-        )
-        .unwrap();
-        assert_eq!(back.failure, Some(TrialFailure::Timeout));
+        // The infinite score is written as `null` and reads back infinite.
+        assert!(json.contains("\"score\":null"), "{json}");
+        let back: TrialOutcome = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, failed);
+    }
+
+    #[test]
+    fn outcome_deserialization_still_rejects_malformed_input() {
+        let parse = |json: &str| serde_json::from_str::<TrialOutcome>(json);
+        // A missing score is not an infinite one.
+        let err = parse(r#"{"accuracy":0.0,"runtime":1.0,"energy":1.0}"#).unwrap_err();
+        assert!(err.to_string().contains("score"), "{err}");
+        assert!(parse(r#"{"score":"x","accuracy":0.0,"runtime":1.0,"energy":1.0}"#).is_err());
+        assert!(parse(r#"{"score":1.0,"accuracy":null,"runtime":1.0,"energy":1.0}"#).is_err());
+        assert!(parse("[1.0]").is_err());
     }
 
     #[test]
