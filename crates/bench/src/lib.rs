@@ -4,8 +4,8 @@
 //! Each submodule of [`experiments`] reproduces one table or figure from
 //! the evaluation and returns its data as a rendered text table (the
 //! `repro` binary prints them; EXPERIMENTS.md archives paper-vs-measured).
-//! The Criterion benches under `benches/` measure the performance of the
-//! middleware components themselves.
+//! The `perf_baseline` binary measures the performance of the middleware
+//! components themselves; the repo's end-to-end benchmark is `benchmark/`.
 
 pub mod experiments;
 pub mod helpers;

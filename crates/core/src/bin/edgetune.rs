@@ -6,11 +6,10 @@
 //! edgetune --workload sr --budget epoch        # a different trial budget
 //! edgetune --workload ic --device intel        # target a different edge device
 //! edgetune --workload ic --json report.json    # dump the full report as JSON
-//! edgetune --workload ic --trial-workers 4     # real measurement threads
 //! edgetune --workload ic --trial-slots 4       # simulated parallel trial slots
-//! edgetune --workload ic --study-shards 4      # shard the study across engine
-//!                                              # instances; report bytes are
-//!                                              # unchanged
+//! edgetune --workload ic --study-shards 4      # measure each rung on 4 engine
+//!                                              # shards at once; report bytes
+//!                                              # are unchanged
 //! edgetune shard-host --listen 127.0.0.1:7070  # a standing shard-execution
 //!                                              # daemon; pair with
 //!                                              # --shard-exec remote
@@ -69,7 +68,6 @@ struct Args {
     seed: u64,
     initial: usize,
     max_iteration: u32,
-    trial_workers: usize,
     trial_slots: usize,
     study_shards: usize,
     shard_exec: ShardExec,
@@ -169,7 +167,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
         seed: 42,
         initial: 8,
         max_iteration: 10,
-        trial_workers: 1,
         trial_slots: 1,
         study_shards: 1,
         shard_exec: ShardExec::Thread,
@@ -226,11 +223,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad iteration count: {e}"))?;
             }
-            "--trial-workers" => {
-                args.trial_workers = value(&mut argv, "--trial-workers")?
-                    .parse()
-                    .map_err(|e| format!("bad worker count: {e}"))?;
-            }
             "--trial-slots" => {
                 args.trial_slots = value(&mut argv, "--trial-slots")?
                     .parse()
@@ -277,7 +269,7 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
                 println!(
                     "usage: edgetune [--workload ic|sr|nlp|od] [--device NAME] \
                      [--metric runtime|energy] [--budget epoch|dataset|multi] [--seed N] \
-                     [--trials N] [--max-iter N] [--trial-workers N] [--trial-slots N] \
+                     [--trials N] [--max-iter N] [--trial-slots N] \
                      [--study-shards N] [--shard-exec thread|process|remote] \
                      [--shard-hosts HOST:PORT,...] [--fabric-trace FILE] [--cache FILE] \
                      [--json FILE] [--no-pipelining] [--no-cache] \
@@ -844,7 +836,6 @@ fn main() -> ExitCode {
         .with_metric(args.metric)
         .with_budget(args.budget)
         .with_scheduler(SchedulerConfig::new(args.initial, 2.0, args.max_iteration))
-        .with_trial_workers(args.trial_workers)
         .with_trial_slots(args.trial_slots)
         .with_study_shards(args.study_shards)
         .with_seed(args.seed);

@@ -3,7 +3,7 @@
 //! [`EdgeTuneConfig`] is the single builder-style knob surface of the
 //! whole middleware: workload and edge device, objectives, budget and
 //! scheduler shape, sampler choice, the ablation switches (cache,
-//! pipelining), parallelism (real worker threads vs. simulated trial
+//! pipelining), parallelism (real engine shards vs. simulated trial
 //! slots), fault-injection and fault-tolerance policies, and
 //! checkpoint/resume. The [`Engine`](crate::engine::Engine) consumes a
 //! finished configuration; nothing here executes anything.
@@ -24,7 +24,7 @@ use edgetune_workloads::catalog::WorkloadId;
 
 use crate::fabric::FabricPolicy;
 
-/// Where engine shards run when `study_shards > 1`.
+/// Where engine shards measure their slices when `study_shards > 1`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardExec {
     /// Scoped threads of the orchestrator process — the fastest path,
@@ -105,45 +105,40 @@ pub struct EdgeTuneConfig {
     pub pipelining: bool,
     /// Concurrent sweep workers inside the inference server.
     pub inference_workers: usize,
-    /// Real worker threads measuring a rung's trials concurrently. This
-    /// is pure wall-clock engineering: results are merged back in input
-    /// order and every simulated number (makespan, energy, history,
-    /// report JSON) is byte-identical whatever the thread count. Backends
-    /// opt in via
-    /// [`TrainingBackend::parallel_snapshot`](crate::backend::TrainingBackend::parallel_snapshot);
-    /// rungs fall back to sequential execution otherwise.
-    pub trial_workers: usize,
     /// Concurrent *simulated* training-trial slots on the model server
     /// (§3.1: "the model server can parallelize its tuning process").
     /// Trials of one scheduler rung are independent; with `n` slots the
     /// simulated makespan of a rung is its list-scheduled parallel
-    /// length. Unlike [`trial_workers`](EdgeTuneConfig::trial_workers),
+    /// length. Unlike [`study_shards`](EdgeTuneConfig::study_shards),
     /// this knob *changes* the reported makespan — it models a bigger
     /// tuning cluster, not a faster simulation.
     pub trial_slots: usize,
-    /// Engine shards the study's rungs are partitioned across. Each
-    /// shard measures its contiguous slice of every rung on its own
-    /// backend snapshot and forked clock
-    /// ([`StudyCoordinator`](crate::engine::StudyCoordinator)), and the
-    /// per-shard histories are merged back deterministically — like
-    /// [`trial_workers`](EdgeTuneConfig::trial_workers) this is pure
-    /// wall-clock engineering and never changes a reported byte. With
+    /// *How many* of a rung's trials are measured side by side: the
+    /// engine shards every rung is partitioned across. Each shard
+    /// measures its contiguous slice on its own backend snapshot and
+    /// forked clock ([`ShardFabric`](crate::fabric::ShardFabric)), and
+    /// the per-shard histories are merged back deterministically. This
+    /// is pure wall-clock engineering: every simulated number (makespan,
+    /// energy, history, report JSON) is byte-identical whatever the
+    /// count. Backends opt in via
+    /// [`TrainingBackend::parallel_snapshot`](crate::backend::TrainingBackend::parallel_snapshot);
+    /// rungs fall back to sequential execution otherwise. With
     /// checkpointing enabled, each shard also persists its own
     /// checkpoint shard file under a shard manifest.
     pub study_shards: usize,
-    /// How engine shards execute: on scoped threads of this process
-    /// (the default) or in supervised child worker processes
-    /// ([`ShardFabric`](crate::fabric::ShardFabric)). Process mode buys
-    /// crash containment — a dying backend kills one worker, not the
-    /// study — and never changes a reported byte. Ignored unless
+    /// *Where* engine shards measure: on scoped threads of this process
+    /// (the default), in supervised child worker processes, or on
+    /// remote shard hosts. Process and remote placement buy crash
+    /// containment — a dying backend kills one worker, not the study —
+    /// and never change a reported byte. Ignored unless
     /// `study_shards > 1`; backends without a
     /// [`process_spec`](crate::backend::TrainingBackend::process_spec)
-    /// quietly fall back to thread execution.
+    /// quietly measure on the shard threads.
     pub shard_exec: ShardExec,
-    /// Supervision policy of the process shard fabric: retry budget,
-    /// heartbeat deadline, straggler grace, worker-executable override,
-    /// and planted chaos. Only consulted in
-    /// [`ShardExec::Process`] and [`ShardExec::Remote`] modes.
+    /// Supervision policy of the shard fabric: retry budget, heartbeat
+    /// deadline, worker-executable override, and planted chaos. Only
+    /// consulted in [`ShardExec::Process`] and [`ShardExec::Remote`]
+    /// modes.
     pub fabric: FabricPolicy,
     /// `host:port` addresses of standing shard hosts, for
     /// [`ShardExec::Remote`]. Shard `i` dials
@@ -182,8 +177,8 @@ pub struct EdgeTuneConfig {
     pub halt_after_rungs: Option<u32>,
     /// Write the study's Chrome trace-event JSON here after the run, if
     /// set. The trace is a reported artifact: byte-identical for a
-    /// fixed seed whatever the `trial_workers` / `study_shards` counts,
-    /// and recording it never changes a report byte.
+    /// fixed seed whatever the `study_shards` count and `shard_exec`
+    /// placement, and recording it never changes a report byte.
     pub trace_path: Option<PathBuf>,
     /// Configurations replayed by the sampler before its own strategy
     /// engages — the cross-study transfer half of a warm start. Empty
@@ -220,7 +215,6 @@ impl EdgeTuneConfig {
             historical_cache: true,
             pipelining: true,
             inference_workers: 1,
-            trial_workers: 1,
             trial_slots: 1,
             study_shards: 1,
             shard_exec: ShardExec::Thread,
@@ -327,21 +321,6 @@ impl EdgeTuneConfig {
         self
     }
 
-    /// Sets the number of real trial-measuring worker threads (and gives
-    /// the inference server a matching worker pool). Affects wall-clock
-    /// tuning speed only — reports are byte-identical for any count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    #[must_use]
-    pub fn with_trial_workers(mut self, workers: usize) -> Self {
-        assert!(workers >= 1, "need at least one worker");
-        self.trial_workers = workers;
-        self.inference_workers = self.inference_workers.max(workers);
-        self
-    }
-
     /// Sets the number of simulated concurrent trial slots: the modeled
     /// tuning cluster's width, which shrinks the *simulated* makespan of
     /// every rung to its list-scheduled parallel length.
@@ -357,13 +336,11 @@ impl EdgeTuneConfig {
     }
 
     /// Sets the number of engine shards the study is partitioned
-    /// across. Shard-level and work-stealing measurement
-    /// ([`with_trial_workers`](EdgeTuneConfig::with_trial_workers)) are
-    /// mutually exclusive real-parallelism strategies: the engine
-    /// rejects a configuration that enables both. Like `trial_workers`,
-    /// sharding never changes a reported byte; unlike
-    /// [`with_trial_slots`](EdgeTuneConfig::with_trial_slots) it does
-    /// not model a wider cluster.
+    /// across — how many trials of a rung are measured at once.
+    /// Affects wall-clock tuning speed only: sharding never changes a
+    /// reported byte and, unlike
+    /// [`with_trial_slots`](EdgeTuneConfig::with_trial_slots), does not
+    /// model a wider cluster.
     ///
     /// # Panics
     ///
@@ -375,8 +352,8 @@ impl EdgeTuneConfig {
         self
     }
 
-    /// Selects how engine shards execute (threads vs supervised worker
-    /// processes). A no-op unless
+    /// Selects where engine shards measure (threads, supervised worker
+    /// processes, or remote shard hosts). A no-op unless
     /// [`with_study_shards`](EdgeTuneConfig::with_study_shards) asks
     /// for more than one shard.
     #[must_use]
@@ -392,7 +369,7 @@ impl EdgeTuneConfig {
         self
     }
 
-    /// Sets the process shard fabric's supervision policy.
+    /// Sets the shard fabric's supervision policy.
     #[must_use]
     pub fn with_fabric_policy(mut self, policy: FabricPolicy) -> Self {
         self.fabric = policy;
@@ -400,7 +377,7 @@ impl EdgeTuneConfig {
     }
 
     /// Writes the fabric's supervision telemetry trace to `path` after
-    /// the run (process mode only).
+    /// the run.
     #[must_use]
     pub fn with_fabric_trace_path(mut self, path: impl Into<PathBuf>) -> Self {
         self.fabric_trace_path = Some(path.into());
@@ -524,14 +501,13 @@ mod tests {
         assert!(config.hyperband);
         assert!(config.pipelining);
         assert!(config.historical_cache);
-        assert_eq!(config.trial_workers, 1);
         assert_eq!(config.trial_slots, 1);
         assert_eq!(config.study_shards, 1);
         assert_eq!(config.inference_workers, 1);
     }
 
     #[test]
-    fn study_shards_are_a_third_independent_knob() {
+    fn study_shards_and_slots_are_independent_knobs() {
         let config = EdgeTuneConfig::for_workload(WorkloadId::Ic)
             .with_study_shards(4)
             .with_trial_slots(2);
@@ -546,18 +522,6 @@ mod tests {
     #[should_panic(expected = "at least one study shard")]
     fn zero_study_shards_are_rejected() {
         let _ = EdgeTuneConfig::for_workload(WorkloadId::Ic).with_study_shards(0);
-    }
-
-    #[test]
-    fn trial_workers_and_slots_are_independent_knobs() {
-        let config = EdgeTuneConfig::for_workload(WorkloadId::Ic)
-            .with_trial_workers(4)
-            .with_trial_slots(2);
-        assert_eq!(config.trial_workers, 4);
-        assert_eq!(config.trial_slots, 2);
-        // Real threads pull the inference pool up with them; simulated
-        // slots do not.
-        assert_eq!(config.inference_workers, 4);
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! The coordinator/shard split of a sharded study.
 //!
-//! [`StudyCoordinator`] converts the engine's last single-instance
-//! assumption into an explicit plan/execute/merge pipeline. Every rung
-//! of every bracket is partitioned into contiguous [`ShardPlan`]s; each
-//! plan is executed by an [`EngineShard`] — a narrowed engine instance
-//! owning its own backend snapshot and a clock forked from the study
-//! clock — on its own scoped thread
-//! ([`parallel_map_ordered`](edgetune_runtime::parallel_map_ordered)).
-//! The measurements flow back in plan order and are replayed through
-//! the *same* sequential accounting path an unsharded run uses, so the
-//! report is byte-identical for any shard count; the per-shard
-//! histories are stitched back together with
+//! A sharded study is an explicit plan/execute/merge pipeline. Every
+//! rung of every bracket is partitioned into contiguous [`ShardPlan`]s;
+//! each plan is executed by an [`EngineShard`] — a narrowed engine
+//! instance owning its own backend snapshot and a clock forked from the
+//! study clock — under the rung executor
+//! ([`ShardFabric`](crate::fabric::ShardFabric)), which decides where
+//! the shard's slice is actually measured. The measurements flow back
+//! in plan order and are replayed through the *same* sequential
+//! accounting path an unsharded run uses, so the report is
+//! byte-identical for any shard count; [`StudyCoordinator`] splits the
+//! stamped history along the same partition and the per-shard histories
+//! are stitched back together with
 //! [`HistoryMerge`](edgetune_tuner::merge::HistoryMerge)'s
 //! `(simulated start, bracket, trial id)` key.
 //!
@@ -27,7 +28,7 @@
 //! break the trace's byte-identity across shard counts — the same law
 //! `tests/golden_trace.rs` pins for the report.
 
-use edgetune_runtime::{parallel_map_ordered, SharedClock, SimClock};
+use edgetune_runtime::SharedClock;
 use edgetune_tuner::budget::TrialBudget;
 use edgetune_tuner::merge::{ShardHistory, StampedTrial};
 use edgetune_tuner::space::Config;
@@ -48,8 +49,8 @@ pub struct TrialStamp {
 }
 
 /// One shard's contiguous slice of a rung (or of a whole history).
-/// Serialisable because the process fabric ships plans to shard worker
-/// processes over a pipe.
+/// Serialisable because the fabric ships plans to shard workers and
+/// hosts inside their tasks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ShardPlan {
     /// The shard's index in the partition.
@@ -163,8 +164,8 @@ impl EngineShard {
     }
 }
 
-/// Partitions a study across engine shards and stitches the results
-/// back together.
+/// Splits a study's history along the engine shards' partition, for
+/// per-shard checkpoint files and the merged report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StudyCoordinator {
     shards: usize,
@@ -186,39 +187,6 @@ impl StudyCoordinator {
     #[must_use]
     pub fn shards(&self) -> usize {
         self.shards
-    }
-
-    /// Measures one rung across the shards: partitions the trials into
-    /// [`ShardPlan`]s, builds one [`EngineShard`] per plan (snapshot +
-    /// forked clock at `now`), and runs them on scoped threads.
-    /// Measurements return in input order, ready to be replayed through
-    /// the canonical sequential accounting path.
-    ///
-    /// Returns `None` when the backend cannot snapshot itself (e.g.
-    /// under fault injection, where the injector's draw cursor must
-    /// stay strictly sequential) — the caller falls back to sequential
-    /// measurement, keeping chaos runs shard-count-invariant.
-    #[must_use]
-    pub fn measure_rung(
-        &self,
-        backend: &dyn TrainingBackend,
-        now: Seconds,
-        trials: &[(u64, Config, TrialBudget)],
-    ) -> Option<Vec<TrialMeasurement>> {
-        let plans = ShardPlan::partition(trials.len(), self.shards);
-        let mut shards = Vec::with_capacity(plans.len());
-        for plan in &plans {
-            shards.push(EngineShard::new(
-                *plan,
-                backend.parallel_snapshot()?,
-                SharedClock::from_clock(SimClock::at(now)),
-            ));
-        }
-        let slices: Vec<&[(u64, Config, TrialBudget)]> =
-            plans.iter().map(|plan| plan.slice(trials)).collect();
-        let measured =
-            parallel_map_ordered(&slices, shards, |shard, _index, slice| shard.measure(slice));
-        Some(measured.into_iter().flatten().collect())
     }
 
     /// Splits a stamped history into per-shard histories along the same
@@ -261,6 +229,7 @@ impl StudyCoordinator {
 mod tests {
     use super::*;
     use crate::backend::SimTrainingBackend;
+    use edgetune_runtime::SimClock;
     use edgetune_tuner::merge::HistoryMerge;
     use edgetune_tuner::trial::{TrialOutcome, TrialRecord};
     use edgetune_util::rng::SeedStream;
@@ -291,37 +260,6 @@ mod tests {
         let plans = ShardPlan::partition(0, 4);
         assert_eq!(plans.len(), 1);
         assert_eq!(plans[0].len, 0);
-    }
-
-    #[test]
-    fn sharded_measurement_matches_the_sequential_backend() {
-        let backend =
-            || SimTrainingBackend::new(Workload::by_id(WorkloadId::Ic), SeedStream::new(5));
-        let space = backend().search_space();
-        let sampler_seed = SeedStream::new(6);
-        let trials: Vec<(u64, Config, TrialBudget)> = (0..7)
-            .map(|id| {
-                (
-                    id,
-                    space.sample(&mut sampler_seed.rng(&format!("trial-{id}"))),
-                    TrialBudget::new(2.0, 1.0),
-                )
-            })
-            .collect();
-
-        let mut sequential = backend();
-        let expected: Vec<TrialMeasurement> = trials
-            .iter()
-            .map(|(_, config, budget)| sequential.run_trial(config, *budget))
-            .collect();
-
-        for shards in [1, 2, 3, 7] {
-            let primary = backend();
-            let measured = StudyCoordinator::new(shards)
-                .measure_rung(&primary, Seconds::ZERO, &trials)
-                .expect("fault-free sim backend snapshots");
-            assert_eq!(measured, expected, "shards={shards} changed a measurement");
-        }
     }
 
     #[test]

@@ -1,33 +1,31 @@
 //! The onefold evaluator: one training trial coupled to its pipelined
 //! inference request, plus all time accounting.
 //!
-//! Three orthogonal kinds of parallelism meet here:
+//! Two orthogonal kinds of parallelism meet here:
 //!
 //! * **Simulated trial slots** (`trial_slots`) model a tuning cluster:
 //!   a rung's trials are list-scheduled onto `n` slots and the virtual
 //!   clock advances by the rung's makespan instead of the sum of trial
 //!   durations. This *changes* the reported numbers — that is the point.
-//! * **Real worker threads** (`trial_workers`) merely speed up the
-//!   measurement itself: when the backend can snapshot, a rung's raw
-//!   [`TrialMeasurement`]s are precomputed concurrently on scoped
-//!   threads and then replayed through the exact sequential accounting
-//!   path in input order. Cache hits, request sequence numbers, timeline
-//!   entries and every clock reading are byte-identical to a
-//!   single-threaded run, so reports never depend on the thread count.
-//! * **Engine shards** (`study_shards`) replace the work-stealing pool
-//!   with the [`StudyCoordinator`]'s plan/execute/merge pipeline: each
-//!   shard measures a contiguous slice of the rung on its own snapshot
-//!   and forked clock. Like `trial_workers` this only changes wall
-//!   clock, never a reported byte — phase B below is the same either
-//!   way — but it additionally stamps every trial with its simulated
-//!   start and bracket and persists per-shard checkpoint files.
+//! * **Engine shards** (`study_shards`, placed per `shard_exec`) merely
+//!   speed up the measurement itself: when the backend can snapshot, the
+//!   [`ShardFabric`] precomputes a rung's raw [`TrialMeasurement`]s
+//!   concurrently — each shard measuring a contiguous slice on its own
+//!   snapshot and forked clock, on a thread, in a worker process or on a
+//!   remote host — and they are then replayed through the exact
+//!   sequential accounting path in input order. Cache hits, request
+//!   sequence numbers, timeline entries and every clock reading are
+//!   byte-identical to an unsharded run, so reports never depend on the
+//!   shard count or placement. Sharding additionally stamps every trial
+//!   with its simulated start and bracket and persists per-shard
+//!   checkpoint files.
 //!
 //! All simulated time lives on an [`edgetune_runtime::SimClock`]; every
 //! sequential trial advances the clock once, by the exact
 //! `outcome.runtime` sum the trial records (and a replayed checkpoint
 //! record advances by), while simulated-slot rungs advance once by the
 //! rung makespan — so the floating-point trajectory is bit-stable
-//! across threads, shards, and checkpoint resume alike.
+//! across shards, placements, and checkpoint resume alike.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -36,7 +34,7 @@ use std::time::Duration;
 use edgetune_device::profile::WorkProfile;
 use edgetune_device::spec::DeviceSpec;
 use edgetune_faults::{DegradationLadder, DegradationStats, Fallback, Supervisor, TrialFault};
-use edgetune_runtime::{parallel_map_ordered, SimClock};
+use edgetune_runtime::SimClock;
 use edgetune_trace::{Tracer, TrackId};
 use edgetune_tuner::budget::TrialBudget;
 use edgetune_tuner::objective::{TrainMeasurement, TrainObjective};
@@ -77,18 +75,13 @@ pub(crate) struct OnefoldEvaluator<'a> {
     /// scalar reports stay byte-identical (the serde field is skipped
     /// when `None`).
     pub(crate) pareto: bool,
-    /// Real measurement threads (wall-clock only; see the module docs).
-    pub(crate) trial_workers: usize,
     /// Simulated concurrent trial slots (changes the reported makespan).
     pub(crate) trial_slots: usize,
-    /// Engine shards rungs are partitioned across (wall-clock only;
-    /// mutually exclusive with `trial_workers > 1`).
-    pub(crate) study_shards: usize,
-    /// Process shard fabric, when `--shard-exec process` asked for
-    /// worker-process isolation. `None` runs shards on scoped threads.
+    /// The rung executor: how many engine shards a rung is partitioned
+    /// across and where they run (wall-clock only; see the module docs).
     /// The orchestrator keeps ownership so it can export the fabric's
-    /// telemetry after the evaluator is gone.
-    pub(crate) fabric: Option<&'a mut ShardFabric>,
+    /// stats and telemetry after the evaluator is gone.
+    pub(crate) executor: &'a mut ShardFabric,
     /// The study's virtual clock; its final reading is the makespan.
     pub(crate) clock: SimClock,
     pub(crate) stall: Seconds,
@@ -173,8 +166,8 @@ impl OnefoldEvaluator<'_> {
 
     /// The model-server track of one simulated trial slot. Tracks are
     /// keyed to *simulated* structure, never to real threads or shards,
-    /// so the trace stays byte-identical across `trial_workers` and
-    /// `study_shards` (the same law the report obeys).
+    /// so the trace stays byte-identical across `study_shards` and
+    /// `shard_exec` (the same law the report obeys).
     fn model_track(&self, slot: usize) -> TrackId {
         self.tracer
             .track(PROCESS_MODEL, &format!("trial-slot-{slot}"))
@@ -293,7 +286,7 @@ impl OnefoldEvaluator<'_> {
     /// crashes are retried with backoff until success, retry exhaustion,
     /// or the deadline. Returns the successful measurement (with the
     /// wasted time/energy of failed attempts folded in) or the failure to
-    /// record. A `precomputed` measurement (from the real-thread rung
+    /// record. A `precomputed` measurement (from the sharded rung
     /// phase) substitutes for the first backend call.
     fn train_supervised(
         &mut self,
@@ -546,14 +539,13 @@ impl OnefoldEvaluator<'_> {
         });
     }
 
-    /// Phase A of rung execution: measure the rung's trials on real
-    /// scoped worker threads, one backend snapshot per worker. Fills
-    /// `measured` (a recycled scratch buffer) in input order, ready to be
-    /// replayed through the unchanged sequential accounting path, and
-    /// leaves it empty — sequential execution — when threads are not
-    /// requested, cannot help, or would change results (an active fault
-    /// plan makes trial fate order-dependent; a backend without snapshots
-    /// cannot be shared).
+    /// Phase A of rung execution: have the rung executor measure the
+    /// rung's trials side by side. Fills `measured` (a recycled scratch
+    /// buffer) in input order, ready to be replayed through the unchanged
+    /// sequential accounting path, and leaves it empty — sequential
+    /// execution — when parallel measurement cannot help or would change
+    /// results (an active fault plan makes trial fate order-dependent; the
+    /// executor declines a single shard and a backend without snapshots).
     fn measure_rung(
         &mut self,
         trials: &[(u64, Config, TrialBudget)],
@@ -563,61 +555,20 @@ impl OnefoldEvaluator<'_> {
         if trials.len() <= 1 || self.faults_enabled {
             return;
         }
-        if self.study_shards > 1 {
-            // Process-mode phase A: ship each plan to a supervised
-            // worker process. Only when the backend can describe itself
-            // as a `BackendSpec`; otherwise (real datasets, fault
-            // cursors) fall through to the thread path below — same
-            // bytes either way.
-            if let Some(fabric) = self.fabric.as_deref_mut() {
-                if let Some(spec) = self.backend.process_spec() {
-                    // The scope names this exact rung execution — the
-                    // remote transport's idempotency key. `rungs_traced`
-                    // was already bumped for this rung, so it is unique
-                    // across brackets.
-                    let scope = RungScope {
-                        study: self.root_seed,
-                        bracket: self.current_bracket,
-                        rung: self.rungs_traced,
-                    };
-                    let raw = fabric.measure_rung(
-                        scope,
-                        &spec,
-                        self.clock.now(),
-                        trials,
-                        self.study_shards,
-                    );
-                    measured.extend(raw.into_iter().map(Some));
-                    return;
-                }
-            }
-            // Shard-level phase A: the coordinator partitions the rung
-            // into contiguous plans and runs one `EngineShard` (backend
-            // snapshot + forked clock) per plan on its own scoped
-            // thread. Same contract as the work-stealing pool below:
-            // measurements come back in input order and feed the
-            // unchanged phase B.
-            let coordinator = StudyCoordinator::new(self.study_shards);
-            if let Some(raw) = coordinator.measure_rung(&*self.backend, self.clock.now(), trials) {
-                measured.extend(raw.into_iter().map(Some));
-            }
-            return;
+        // The scope names this exact rung execution — a remote host's
+        // idempotency key. `rungs_traced` was already bumped for this
+        // rung, so it is unique across brackets.
+        let scope = RungScope {
+            study: self.root_seed,
+            bracket: self.current_bracket,
+            rung: self.rungs_traced,
+        };
+        if let Some(raw) =
+            self.executor
+                .measure_rung(scope, &*self.backend, self.clock.now(), trials)
+        {
+            measured.extend(raw.into_iter().map(Some));
         }
-        if self.trial_workers <= 1 {
-            return;
-        }
-        let workers = self.trial_workers.min(trials.len());
-        let mut snapshots = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let Some(snapshot) = self.backend.parallel_snapshot() else {
-                return;
-            };
-            snapshots.push(snapshot);
-        }
-        let raw = parallel_map_ordered(trials, snapshots, |backend, _index, trial| {
-            backend.run_trial(&trial.1, trial.2)
-        });
-        measured.extend(raw.into_iter().map(Some));
     }
 }
 
@@ -722,10 +673,11 @@ impl Evaluate for OnefoldEvaluator<'_> {
                 injected_losses: self.resumed_injected_losses + self.inference.injected_losses(),
                 injected_outages: self.resumed_injected_outages + self.inference.injected_outages(),
             };
-            if self.study_shards > 1 && self.stamps.len() == history.len() {
+            let shards = self.executor.shards();
+            if shards > 1 && self.stamps.len() == history.len() {
                 // Sharded layout: one stamped trial file per shard plus
                 // the manifest carrying the study-global state.
-                let coordinator = StudyCoordinator::new(self.study_shards);
+                let coordinator = StudyCoordinator::new(shards);
                 let _ = ShardManifest::save_sharded(
                     path,
                     self.root_seed,
@@ -755,8 +707,8 @@ impl OnefoldEvaluator<'_> {
                 .map(|(id, config, budget)| self.evaluate(id, &config, budget))
                 .collect();
         }
-        // Phase A: real threads precompute the measurements when that is
-        // provably invisible in the results. The buffer is recycled
+        // Phase A: engine shards precompute the measurements when that
+        // is provably invisible in the results. The buffer is recycled
         // scratch (taken out of `self` so `run_one` stays free to borrow
         // it mutably) and is handed back once the rung is accounted.
         let mut measured = std::mem::take(&mut self.scratch.measured);
@@ -880,34 +832,6 @@ mod parallel_tests {
     }
 
     #[test]
-    fn real_threads_change_no_reported_numbers() {
-        // `trial_workers` is wall-clock engineering: the full JSON
-        // artefact must be byte-identical whatever the thread count.
-        let sequential = EdgeTune::new(base()).run().unwrap();
-        let threaded = EdgeTune::new(base().with_trial_workers(4)).run().unwrap();
-        assert_eq!(
-            sequential.to_json().unwrap(),
-            threaded.to_json().unwrap(),
-            "real threads must be invisible in the report"
-        );
-    }
-
-    #[test]
-    fn real_threads_layer_under_simulated_slots() {
-        // Threads and slots compose: the slot-scheduled makespan is the
-        // same whether the measurements came from one thread or four.
-        let unthreaded = EdgeTune::new(base().with_trial_slots(4)).run().unwrap();
-        let threaded = EdgeTune::new(base().with_trial_slots(4).with_trial_workers(4))
-            .run()
-            .unwrap();
-        assert_eq!(
-            unthreaded.to_json().unwrap(),
-            threaded.to_json().unwrap(),
-            "threads must not disturb the slot scheduler"
-        );
-    }
-
-    #[test]
     fn study_shards_change_no_reported_numbers() {
         // Sharded measurement feeds the same phase-B accounting path;
         // the full JSON artefact must be byte-identical for any count.
@@ -926,7 +850,8 @@ mod parallel_tests {
 
     #[test]
     fn shards_layer_under_simulated_slots() {
-        // Shards and slots compose the same way threads and slots do.
+        // Shards and slots compose: the slot-scheduled makespan is the
+        // same whether the measurements came from one shard or two.
         let unsharded = EdgeTune::new(base().with_trial_slots(4)).run().unwrap();
         let sharded = EdgeTune::new(base().with_trial_slots(4).with_study_shards(2))
             .run()
@@ -957,31 +882,6 @@ mod parallel_tests {
             chaos(1).to_json().unwrap(),
             chaos(4).to_json().unwrap(),
             "fault-plan runs must stay deterministic across shard counts"
-        );
-    }
-
-    #[test]
-    fn chaos_runs_refuse_parallel_measurement_but_still_match() {
-        // With a fault plan the backend declines snapshots; the engine
-        // must fall back to sequential measurement and the report must
-        // still not depend on the requested thread count.
-        use edgetune_faults::FaultPlan;
-        let chaos = |workers: usize| {
-            let mut config = base().with_fault_plan(FaultPlan::uniform(0.3));
-            if workers > 1 {
-                config = config.with_trial_workers(workers);
-                // Undo the inference-pool bump so the only difference
-                // under test is the measurement thread count.
-                config.inference_workers = 1;
-            }
-            EdgeTune::new(config).run().unwrap()
-        };
-        let sequential = chaos(1);
-        let threaded = chaos(4);
-        assert_eq!(
-            sequential.to_json().unwrap(),
-            threaded.to_json().unwrap(),
-            "fault-plan runs must serialize measurement and stay deterministic"
         );
     }
 }

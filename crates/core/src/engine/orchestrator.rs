@@ -30,7 +30,7 @@ use crate::config::{EdgeTuneConfig, ShardExec};
 use crate::engine::coordinator::StudyCoordinator;
 use crate::engine::evaluator::OnefoldEvaluator;
 use crate::engine::report::{FaultReport, TuningReport};
-use crate::fabric::{FabricTransport, ShardFabric};
+use crate::fabric::ShardFabric;
 use crate::inference::{InferenceSpace, InferenceTuningServer};
 use crate::timeline::Timeline;
 use crate::trace::{seed_tracer_from_timeline, timeline_from_trace};
@@ -134,13 +134,6 @@ impl<'a> Engine<'a> {
         let space = backend.search_space();
         if space.is_empty() {
             return Err(Error::invalid_config("backend search space is empty"));
-        }
-        if self.config.study_shards > 1 && self.config.trial_workers > 1 {
-            return Err(Error::invalid_config(format!(
-                "study_shards ({}) and trial_workers ({}) are both real thread pools: \
-                 enable at most one of them",
-                self.config.study_shards, self.config.trial_workers
-            )));
         }
         if self.config.shard_exec == ShardExec::Remote && self.config.shard_hosts.is_empty() {
             return Err(Error::invalid_config(
@@ -278,26 +271,13 @@ impl<'a> Engine<'a> {
         let mut sampler = self.config.build_sampler();
         let device_name = self.config.edge_device.name.clone();
 
-        // Under `--shard-exec process|remote` the evaluator hands each
-        // rung's shard slices to the fabric, which runs them in
-        // supervised child processes or on standing shard hosts. The
-        // fabric keeps its own tracer: supervision telemetry (spawns,
-        // heartbeats, crashes, retries, RPC legs) is
-        // wall-clock-dependent and must never leak into the study trace,
-        // whose bytes are an exec-mode-independent contract.
-        let mut fabric = (matches!(
-            self.config.shard_exec,
-            ShardExec::Process | ShardExec::Remote
-        ) && self.config.study_shards > 1)
-            .then(|| {
-                let mut policy = self.config.fabric.clone();
-                if self.config.shard_exec == ShardExec::Remote {
-                    policy.transport = FabricTransport::Remote {
-                        hosts: self.config.shard_hosts.clone(),
-                    };
-                }
-                ShardFabric::new(policy, SeedStream::new(self.config.seed).child("fabric"))
-            });
+        // The evaluator hands each rung to this executor, which measures
+        // its shard slices on threads, in supervised child processes or
+        // on standing shard hosts, per `shard_exec`. It keeps its own
+        // tracer: supervision telemetry (spawns, heartbeats, crashes,
+        // retries) is wall-clock-dependent and must never leak into the
+        // study trace, whose bytes are an exec-mode-independent contract.
+        let mut executor = ShardFabric::new(self.config);
 
         let (history, stamps, makespan, stall, inference_energy, degradation, rungs_completed) = {
             let mut evaluator = OnefoldEvaluator {
@@ -309,10 +289,8 @@ impl<'a> Engine<'a> {
                 tracer,
                 pipelining: self.config.pipelining,
                 pareto: self.config.pareto.is_some(),
-                trial_workers: self.config.trial_workers,
                 trial_slots: self.config.trial_slots,
-                study_shards: self.config.study_shards,
-                fabric: fabric.as_mut(),
+                executor: &mut executor,
                 clock: SimClock::new(),
                 stall: resumed_stall,
                 inference_energy: resumed_inference_energy,
@@ -376,12 +354,11 @@ impl<'a> Engine<'a> {
                 evaluator.rungs_completed,
             )
         };
-        // Export the fabric's process telemetry to its own trace file —
-        // deliberately separate from the study trace so the latter stays
-        // byte-identical across `--shard-exec` modes.
-        let fabric_stats = fabric.as_ref().map(ShardFabric::stats);
-        if let (Some(fabric), Some(path)) = (&fabric, &self.config.fabric_trace_path) {
-            ChromeTrace::from_tracer(fabric.tracer()).write(path)?;
+        // Export the fabric's supervision telemetry to its own trace
+        // file — deliberately separate from the study trace so the
+        // latter stays byte-identical across `--shard-exec` modes.
+        if let Some(path) = &self.config.fabric_trace_path {
+            ChromeTrace::from_tracer(executor.tracer()).write(path)?;
         }
 
         // The report's timeline is a view over the trace — derived, not
@@ -458,7 +435,7 @@ impl<'a> Engine<'a> {
 
         // The frontier is assembled from the *merged* history, so its
         // contents (like every other reported byte) are invariant to the
-        // worker/shard split.
+        // shard split.
         let frontier = match self.config.pareto {
             Some(k) => crate::engine::report::build_frontier(&history, k),
             None => Vec::new(),
@@ -475,7 +452,7 @@ impl<'a> Engine<'a> {
             stall_time: stall,
             inference_energy,
             faults,
-            fabric: fabric_stats,
+            fabric: executor.stats(),
             halted: self
                 .config
                 .halt_after_rungs
@@ -913,7 +890,6 @@ mod shard_tests {
     use crate::server::EdgeTune;
     use edgetune_faults::FaultPlan;
     use edgetune_tuner::scheduler::SchedulerConfig;
-    use edgetune_util::Error;
     use edgetune_workloads::catalog::WorkloadId;
 
     fn quick_config() -> EdgeTuneConfig {
@@ -951,17 +927,6 @@ mod shard_tests {
             baseline.to_json().unwrap(),
             sharded.to_json().unwrap(),
             "per-bracket stamps must keep HyperBand runs shard-invariant"
-        );
-    }
-
-    #[test]
-    fn shards_and_trial_workers_are_mutually_exclusive() {
-        let err = EdgeTune::new(quick_config().with_study_shards(2).with_trial_workers(2))
-            .run()
-            .unwrap_err();
-        assert!(
-            matches!(err, Error::InvalidConfig(_)),
-            "two competing thread pools must be rejected, got {err:?}"
         );
     }
 

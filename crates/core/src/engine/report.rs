@@ -90,8 +90,8 @@ pub struct TuningReport {
     /// whether this slice hit its halt or ran to natural completion.
     #[serde(skip)]
     pub(crate) halted: bool,
-    /// Process-fabric supervision counters when the study ran under
-    /// `--shard-exec process`. Never serialised: fabric telemetry is
+    /// Fabric supervision counters when the study's shards ran under
+    /// `--shard-exec process|remote`. Never serialised: fabric telemetry is
     /// wall-clock-dependent, and the JSON report must stay
     /// byte-identical across execution modes.
     #[serde(skip)]
@@ -193,10 +193,10 @@ impl TuningReport {
         self.halted
     }
 
-    /// Supervision counters from the process fabric, when the study ran
-    /// with `--shard-exec process`. `None` for in-process runs and for
-    /// reports parsed back from JSON (the counters are never
-    /// serialised).
+    /// Supervision counters from the shard fabric, when the study's
+    /// shards ran with `--shard-exec process|remote`. `None` for thread
+    /// placement, for a single shard, and for reports parsed back from
+    /// JSON (the counters are never serialised).
     #[must_use]
     pub fn fabric_stats(&self) -> Option<&FabricStats> {
         self.fabric.as_ref()

@@ -1,53 +1,61 @@
-//! The shard fabric: [`EngineShard`](crate::engine::EngineShard)
-//! execution in supervised child OS processes or on remote shard hosts
-//! over TCP.
+//! The shard fabric: how a rung's trials are measured side by side on
+//! the host, and where.
 //!
-//! Steps one and two of the ROADMAP's remote study fabric. Where the thread-based
-//! [`StudyCoordinator`](crate::engine::StudyCoordinator) runs each
-//! [`ShardPlan`](crate::engine::ShardPlan) on a scoped thread of the
-//! orchestrator process, the fabric spawns a **shard worker** — the
-//! `edgetune` binary re-executing itself with the hidden
-//! `__shard-worker` subcommand — per plan, ships the plan plus a
-//! [`BackendSpec`](crate::backend::BackendSpec) backend snapshot over
-//! the child's stdin as length-prefixed, CRC-checksummed
-//! [frames](edgetune_runtime::frame), and streams heartbeats and the
-//! measured [`TrialMeasurement`](crate::backend::TrialMeasurement)s back
-//! over its stdout.
+//! [`ShardFabric`] is the study's one rung executor. It partitions every
+//! rung into `study_shards` contiguous
+//! [`ShardPlan`](crate::engine::ShardPlan)s, runs one
+//! [`EngineShard`](crate::engine::EngineShard) per plan on a scoped
+//! thread, and hands the measurements back in input order to the
+//! sequential accounting path every execution mode shares. *Where* a
+//! plan's slice is measured is the [`ShardExec`](crate::config::ShardExec)
+//! placement:
 //!
-//! The payoff is crash containment: a worker that is SIGKILL'd, panics,
-//! or hangs can no longer take the orchestrator or a sibling shard with
-//! it. The [`ShardFabric`] supervisor wraps every worker in the `faults`
-//! crate's vocabulary — a heartbeat [`Deadline`](edgetune_faults::Deadline),
-//! a capped-jittered-backoff [`RetryPolicy`](edgetune_faults::RetryPolicy)
-//! on crash or timeout, post-hoc straggler detection, and a
-//! [`DegradationLadder`](edgetune_faults::DegradationLadder) whose
-//! terminal `in_process` rung runs the plan sequentially on the
-//! supervisor's own thread once the retry budget is spent. A study
-//! therefore *cannot* fail because process isolation failed.
+//! * **thread** — directly on the shard's own thread. No frames, no
+//!   serde.
+//! * **process** — in a **shard worker**: the `edgetune` binary
+//!   re-executing itself with the hidden `__shard-worker` subcommand,
+//!   which receives the plan plus a
+//!   [`BackendSpec`](crate::backend::BackendSpec) backend snapshot over
+//!   its stdin as length-prefixed, CRC-checksummed
+//!   [frames](edgetune_runtime::frame) and streams heartbeats and the
+//!   measured [`TrialMeasurement`](crate::backend::TrialMeasurement)s
+//!   back over its stdout.
+//! * **remote** — on a standing [`ShardHost`] daemon
+//!   (`edgetune shard-host --listen ADDR`) over TCP: the coordinator
+//!   dials one host per shard, opens a versioned session with an
+//!   [`edgetune_net`] handshake, and ships the identical task.
+//!
+//! Process and remote placement are one code path. The supervisor opens
+//! a link (the two adapters live in `link`), runs one attempt function
+//! over it, and wraps every attempt in the `faults` crate's vocabulary:
+//! a heartbeat [`Deadline`](edgetune_faults::Deadline), a
+//! capped-jittered-backoff [`RetryPolicy`](edgetune_faults::RetryPolicy)
+//! on crash or timeout, post-hoc straggler detection, and — once the
+//! retry budget is spent — measuring the slice in-process exactly as
+//! thread placement would have. On the serving side a worker process
+//! and a host session run one task loop: decode, replay if the task's
+//! [`RungKey`] and content were already answered, measure under
+//! `catch_unwind`, reply. The payoff is crash containment: a worker
+//! that is SIGKILL'd, panics, or hangs cannot take the orchestrator or
+//! a sibling shard with it, and a study *cannot* fail because isolation
+//! failed.
 //!
 //! The invariant the whole module is built around: a worker rebuilt from
 //! a `BackendSpec` measures bit-identically to the orchestrator's own
 //! backend (JSON `f64` round-trips exactly via shortest-roundtrip
 //! formatting), and measurements are replayed through the same
-//! sequential phase-B accounting path as every other execution mode —
-//! so report and trace bytes are identical across
-//! `--shard-exec thread|process`, across shard counts, and across a
-//! mid-rung kill followed by a successful retry. Fabric telemetry
-//! (spawn/heartbeat/crash/retry instants) goes to a **separate** tracer
+//! sequential phase-B accounting path whatever produced them — so report
+//! and trace bytes are identical across
+//! `--shard-exec thread|process|remote`, across shard counts, and across
+//! a mid-rung kill (of a worker or of a whole shard host) followed by a
+//! retry or the in-process fallback. Fabric telemetry
+//! (spawn/heartbeat/crash/retry events) goes to a **separate** tracer
 //! for exactly that reason.
-//!
-//! The socket transport generalises the same frames to standing
-//! [`ShardHost`] daemons (`edgetune shard-host --listen ADDR`): the
-//! coordinator dials one host per shard, opens a versioned session with
-//! an [`edgetune_net`] handshake, and ships the identical task
-//! vocabulary — plus a [`RungKey`] idempotency key so a host replays a
-//! cached result instead of double-executing when a reconnect resends a
-//! rung it already finished. The same invariant holds across
-//! `--shard-exec thread|process|remote`, including a SIGKILLed shard
-//! host mid-rung (retry budget spends, the ladder degrades to
-//! in-process execution, bytes stay identical).
 
+#[cfg(test)]
+mod fixtures;
 pub mod host;
+mod link;
 pub mod protocol;
 pub mod supervisor;
 pub mod worker;
@@ -56,5 +64,5 @@ pub use host::{HostHandle, HostStats, ShardHost, HOST_SUBCOMMAND};
 pub use protocol::{
     ChaosAction, RungKey, RungScope, ShardHeartbeat, ShardResultMsg, ShardTask, TaskTrial,
 };
-pub use supervisor::{FabricChaos, FabricPolicy, FabricStats, FabricTransport, ShardFabric};
-pub use worker::{serve, worker_main, WORKER_SUBCOMMAND};
+pub use supervisor::{FabricChaos, FabricPolicy, FabricStats, ShardFabric};
+pub use worker::{worker_main, WORKER_SUBCOMMAND};

@@ -103,10 +103,10 @@ pub struct ShardTask {
     /// Planted fault, if the supervisor is chaos-testing itself.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub chaos: Option<ChaosAction>,
-    /// Idempotency key for remote dispatch. Pipe workers ignore it (a
-    /// worker process lives exactly as long as its supervisor's
-    /// attempt, so resends cannot reach a stale execution); shard hosts
-    /// use it to replay cached results on reconnect-and-resend.
+    /// Idempotency key for remote dispatch: shard hosts use it to replay
+    /// cached results on reconnect-and-resend. Tasks for pipe workers
+    /// carry none (a worker process lives exactly as long as its
+    /// supervisor's attempt, so a resend can never find its cache).
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub key: Option<RungKey>,
 }
@@ -155,34 +155,10 @@ pub(crate) fn decode<T: Deserialize>(payload: &[u8]) -> Result<T, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{SimTrainingBackend, TrainingBackend};
-    use edgetune_util::rng::SeedStream;
-    use edgetune_workloads::catalog::{Workload, WorkloadId};
+    use crate::fabric::fixtures::{sample_trials, task_for};
 
     fn sample_task() -> ShardTask {
-        let backend = SimTrainingBackend::new(Workload::by_id(WorkloadId::Ic), SeedStream::new(5));
-        let space = backend.search_space();
-        let spec = backend.process_spec().expect("fault-free backend");
-        let trials = (0..3)
-            .map(|id| TaskTrial {
-                id,
-                config: space.sample(&mut SeedStream::new(6).rng(&format!("trial-{id}"))),
-                budget: TrialBudget::new(2.0, 1.0),
-            })
-            .collect();
-        ShardTask {
-            attempt: 1,
-            plan: ShardPlan {
-                shard: 0,
-                start: 0,
-                len: 3,
-            },
-            spec,
-            now: Seconds::new(40.0),
-            trials,
-            chaos: None,
-            key: None,
-        }
+        task_for(&sample_trials(3), Seconds::new(40.0), None)
     }
 
     #[test]

@@ -1,21 +1,21 @@
-//! The shard worker: what runs inside `edgetune __shard-worker`.
+//! The shard worker: what runs inside `edgetune __shard-worker`, and
+//! the one way any fabric executor measures a task.
 //!
-//! A worker is a tiny frame-driven loop: read a [`ShardTask`] from
-//! stdin, rebuild the backend from its [`BackendSpec`], measure the
-//! slice trial by trial on an [`EngineShard`] (heartbeating after every
-//! trial), send the [`ShardResultMsg`], and wait for the next task or a
-//! clean EOF. The loop is generic over its streams so the protocol is
-//! unit-testable in-process without spawning anything.
+//! `execute_task` rebuilds the backend from the task's
+//! [`BackendSpec`](crate::backend::BackendSpec) and measures the slice
+//! trial by trial on an [`EngineShard`], heartbeating after every trial.
+//! The loop around it — decode, replay-if-keyed, catch panics, answer
+//! with a result or error frame — is the shard host's (`decode_tasks`
+//! feeding `answer_tasks`); a worker process merely runs it on its
+//! own stdin/stdout.
 
-use std::io::{Read, Write};
+use std::sync::Mutex;
 
-use edgetune_runtime::frame::{read_frame, write_frame, FrameKind};
 use edgetune_runtime::{SharedClock, SimClock};
 
 use crate::engine::coordinator::EngineShard;
-use crate::fabric::protocol::{
-    decode, encode, ChaosAction, ShardHeartbeat, ShardResultMsg, ShardTask, WorkerFailure,
-};
+use crate::fabric::host::{answer_tasks, decode_tasks, HostShared};
+use crate::fabric::protocol::{ChaosAction, ShardHeartbeat, ShardResultMsg, ShardTask};
 
 /// The hidden CLI subcommand that turns the binary into a shard worker.
 pub const WORKER_SUBCOMMAND: &str = "__shard-worker";
@@ -42,8 +42,7 @@ fn execute_chaos(action: ChaosAction) {
 
 /// Measures one task's slice trial by trial, calling `heartbeat` after
 /// every trial and firing any planted chaos mid-slice. This is the one
-/// measurement discipline of every fabric transport — the pipe worker
-/// and the shard-host executor both run it, so a rung measures
+/// measurement discipline of every fabric link, so a rung measures
 /// identically whether the task arrived over stdin or a socket.
 ///
 /// # Errors
@@ -85,197 +84,17 @@ pub(crate) fn execute_task(
     })
 }
 
-/// Runs the worker loop over arbitrary streams until EOF.
-///
-/// # Errors
-///
-/// Returns a description of the first protocol or I/O failure. Before
-/// failing on an undecodable task the worker attempts to send a
-/// structured [`WorkerFailure`] frame so the supervisor sees a reason,
-/// not just a dead pipe.
-pub fn serve<R: Read, W: Write>(mut reader: R, mut writer: W) -> Result<(), String> {
-    loop {
-        let frame = match read_frame(&mut reader) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return Ok(()),
-            Err(e) => return Err(format!("reading task frame: {e}")),
-        };
-        if frame.kind != FrameKind::Task {
-            return Err(format!("expected a task frame, got {:?}", frame.kind));
-        }
-        let task: ShardTask = match decode(&frame.payload) {
-            Ok(task) => task,
-            Err(e) => {
-                let failure = WorkerFailure {
-                    message: format!("undecodable task: {e}"),
-                };
-                let _ = write_frame(&mut writer, FrameKind::Error, &encode(&failure));
-                return Err(format!("undecodable task: {e}"));
-            }
-        };
-        let result = execute_task(&task, |heartbeat| {
-            write_frame(&mut writer, FrameKind::Heartbeat, &encode(&heartbeat))
-                .map_err(|e| format!("sending heartbeat: {e}"))
-        })?;
-        write_frame(&mut writer, FrameKind::Result, &encode(&result))
-            .map_err(|e| format!("sending result: {e}"))?;
-    }
-}
-
-/// Entry point for the hidden `__shard-worker` subcommand: serve
-/// stdin/stdout until EOF, then exit. Exit code 0 is a clean shutdown,
-/// 1 a protocol failure (the supervisor treats both the code and a dead
-/// pipe as a crash when no result arrived).
+/// Entry point for the hidden `__shard-worker` subcommand: a worker is
+/// a shard host on stdin/stdout — it runs the host's task loop with a
+/// cache and counters private to the process, until its supervisor
+/// closes stdin. The exit code carries no meaning: the supervisor judges
+/// an attempt by the frames that arrived.
 pub fn worker_main() -> ! {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    match serve(stdin.lock(), stdout.lock()) {
-        Ok(()) => std::process::exit(0),
-        Err(message) => {
-            eprintln!("shard worker: {message}");
-            std::process::exit(1);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::backend::{SimTrainingBackend, TrainingBackend};
-    use crate::engine::coordinator::ShardPlan;
-    use crate::fabric::protocol::TaskTrial;
-    use edgetune_runtime::frame::encode_frame;
-    use edgetune_tuner::budget::TrialBudget;
-    use edgetune_tuner::space::Config;
-    use edgetune_util::rng::SeedStream;
-    use edgetune_util::units::Seconds;
-    use edgetune_workloads::catalog::{Workload, WorkloadId};
-    use std::io::Cursor;
-
-    fn backend() -> SimTrainingBackend {
-        SimTrainingBackend::new(Workload::by_id(WorkloadId::Ic), SeedStream::new(5))
-    }
-
-    fn sample_trials(n: u64) -> Vec<(u64, Config, TrialBudget)> {
-        let space = backend().search_space();
-        (0..n)
-            .map(|id| {
-                (
-                    id,
-                    space.sample(&mut SeedStream::new(6).rng(&format!("trial-{id}"))),
-                    TrialBudget::new(2.0, 1.0),
-                )
-            })
-            .collect()
-    }
-
-    fn task_for(trials: &[(u64, Config, TrialBudget)], now: Seconds) -> ShardTask {
-        ShardTask {
-            attempt: 1,
-            plan: ShardPlan {
-                shard: 0,
-                start: 0,
-                len: trials.len(),
-            },
-            spec: backend().process_spec().unwrap(),
-            now,
-            trials: trials
-                .iter()
-                .map(|(id, config, budget)| TaskTrial {
-                    id: *id,
-                    config: config.clone(),
-                    budget: *budget,
-                })
-                .collect(),
-            chaos: None,
-            key: None,
-        }
-    }
-
-    fn run_worker(input: Vec<u8>) -> (Result<(), String>, Vec<u8>) {
-        let mut output = Vec::new();
-        let result = serve(Cursor::new(input), &mut output);
-        (result, output)
-    }
-
-    #[test]
-    fn worker_measures_exactly_what_the_primary_backend_would() {
-        let trials = sample_trials(4);
-        let now = Seconds::new(123.0);
-        let task = task_for(&trials, now);
-        let input = encode_frame(FrameKind::Task, &encode(&task));
-
-        let (result, output) = run_worker(input);
-        result.unwrap();
-
-        let mut frames = Vec::new();
-        let mut cursor = Cursor::new(&output);
-        while let Some(frame) = read_frame(&mut cursor).unwrap() {
-            frames.push(frame);
-        }
-        // One heartbeat per trial, then the result.
-        assert_eq!(frames.len(), trials.len() + 1);
-        for (i, frame) in frames[..trials.len()].iter().enumerate() {
-            assert_eq!(frame.kind, FrameKind::Heartbeat);
-            let hb: ShardHeartbeat = decode(&frame.payload).unwrap();
-            assert_eq!(hb.completed, i + 1);
-        }
-        assert_eq!(frames[trials.len()].kind, FrameKind::Result);
-        let result: ShardResultMsg = decode(&frames[trials.len()].payload).unwrap();
-
-        let mut shard = EngineShard::new(
-            task.plan,
-            backend().parallel_snapshot().unwrap(),
-            SharedClock::from_clock(SimClock::at(now)),
-        );
-        let expected = shard.measure(&trials);
-        assert_eq!(result.measurements, expected);
-    }
-
-    #[test]
-    fn worker_serves_multiple_tasks_until_eof() {
-        let trials = sample_trials(2);
-        let mut input = Vec::new();
-        for _ in 0..3 {
-            input.extend(encode_frame(
-                FrameKind::Task,
-                &encode(&task_for(&trials, Seconds::ZERO)),
-            ));
-        }
-        let (result, output) = run_worker(input);
-        result.unwrap();
-        let mut cursor = Cursor::new(&output);
-        let mut results = 0;
-        while let Some(frame) = read_frame(&mut cursor).unwrap() {
-            if frame.kind == FrameKind::Result {
-                results += 1;
-            }
-        }
-        assert_eq!(results, 3);
-    }
-
-    #[test]
-    fn undecodable_task_reports_a_structured_failure() {
-        let input = encode_frame(FrameKind::Task, b"{\"not\": \"a task\"}");
-        let (result, output) = run_worker(input);
-        assert!(result.is_err());
-        let frame = read_frame(&mut Cursor::new(&output)).unwrap().unwrap();
-        assert_eq!(frame.kind, FrameKind::Error);
-        let failure: WorkerFailure = decode(&frame.payload).unwrap();
-        assert!(failure.message.contains("undecodable task"));
-    }
-
-    #[test]
-    fn unexpected_frame_kind_is_an_error() {
-        let input = encode_frame(FrameKind::Heartbeat, b"{}");
-        let (result, _) = run_worker(input);
-        assert!(result.unwrap_err().contains("expected a task frame"));
-    }
-
-    #[test]
-    fn empty_input_is_a_clean_shutdown() {
-        let (result, output) = run_worker(Vec::new());
-        result.unwrap();
-        assert!(output.is_empty());
-    }
+    let writer = Mutex::new(std::io::stdout());
+    answer_tasks(
+        decode_tasks(std::io::stdin().lock(), &writer),
+        &writer,
+        &HostShared::default(),
+    );
+    std::process::exit(0);
 }

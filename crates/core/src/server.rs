@@ -19,9 +19,10 @@
 //! in parallel with training, it only extends the tuning makespan when it
 //! outlasts its trial (which the paper argues — and these models confirm —
 //! essentially never happens). Its *energy*, however, is real work done by
-//! the tuning server and is always added. Real worker threads
-//! ([`EdgeTuneConfig::with_trial_workers`]) only change how fast that
-//! simulation is computed, never what it computes.
+//! the tuning server and is always added. Real engine shards
+//! ([`EdgeTuneConfig::with_study_shards`], wherever
+//! [`EdgeTuneConfig::with_shard_exec`] places them) only change how fast
+//! that simulation is computed, never what it computes.
 //!
 //! This module is a façade: configuration lives in [`crate::config`],
 //! execution in [`crate::engine`]. The long-standing public paths
@@ -106,22 +107,22 @@ mod facade_tests {
     }
 
     /// The golden snapshot: the report's JSON artefact is a stability
-    /// contract — byte-identical for a fixed seed whatever the real
-    /// thread count, before and after any internal refactor.
+    /// contract — byte-identical for a fixed seed whatever the engine
+    /// shard count, before and after any internal refactor.
     #[test]
-    fn report_json_is_byte_identical_across_trial_worker_counts() {
+    fn report_json_is_byte_identical_across_study_shard_counts() {
         let baseline = EdgeTune::new(golden_config())
             .run()
             .unwrap()
             .to_json()
             .unwrap();
-        for workers in [1, 4] {
-            let json = EdgeTune::new(golden_config().with_trial_workers(workers))
+        for shards in [1, 4] {
+            let json = EdgeTune::new(golden_config().with_study_shards(shards))
                 .run()
                 .unwrap()
                 .to_json()
                 .unwrap();
-            assert_eq!(baseline, json, "trial_workers={workers} changed the report");
+            assert_eq!(baseline, json, "study_shards={shards} changed the report");
         }
     }
 

@@ -7,11 +7,10 @@
 //!
 //! Determinism contract: tracks are keyed to **simulated** structure
 //! (trial slots, the scheduler, the fault plan), never to real threads
-//! or engine shards. `trial_workers` and `study_shards` are wall-clock
+//! or engine shards. `study_shards` and `shard_exec` are wall-clock
 //! engineering that must not change a reported byte, and the trace is a
 //! reported artifact — `tests/golden_trace.rs` pins its bytes across
-//! worker and shard counts the same way `tests/golden_report.rs` pins
-//! the report.
+//! shard counts the same way `tests/golden_report.rs` pins the report.
 
 use edgetune_trace::{EventKind, TraceEvent, Tracer};
 

@@ -144,7 +144,7 @@ fn help_lists_the_flags() {
         "--workload",
         "--metric",
         "--budget",
-        "--trial-workers",
+        "--study-shards",
         "--json",
     ] {
         assert!(stdout.contains(flag), "missing {flag} in help: {stdout}");

@@ -174,3 +174,11 @@ impl FramedTcpReceiver {
         Ok(read_frame(&mut self.reader)?)
     }
 }
+
+// Code generic over a frame stream (the shard fabric's task loop and
+// attempt reader) runs on the split-off half directly.
+impl std::io::Read for FramedTcpReceiver {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        std::io::Read::read(&mut self.reader, buf)
+    }
+}

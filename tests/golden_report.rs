@@ -1,9 +1,8 @@
 //! Golden-report snapshot tests: the `TuningReport` JSON artefact is a
 //! stability contract. For a fixed seed and configuration it must be
-//! byte-identical across repeated runs, across real measurement-thread
-//! counts (`trial_workers`), across study shard counts (`study_shards`),
-//! and across the façade's public paths — the determinism floor every
-//! engine refactor has to clear.
+//! byte-identical across repeated runs, across study shard counts
+//! (`study_shards`), and across the façade's public paths — the
+//! determinism floor every engine refactor has to clear.
 //!
 //! CI runs this file under a matrix of `EDGETUNE_STUDY_SHARDS` and
 //! `EDGETUNE_GOLDEN_SEED` values, so the byte-identity claims are
@@ -41,36 +40,8 @@ fn json_of(config: EdgeTuneConfig) -> String {
 }
 
 #[test]
-fn report_json_is_byte_identical_across_trial_worker_counts() {
-    // `trial_workers` turns on real scoped-thread rung measurement; the
-    // report must not know or care.
-    let baseline = json_of(golden_config().with_trial_workers(1));
-    let threaded = json_of(golden_config().with_trial_workers(4));
-    assert_eq!(
-        baseline, threaded,
-        "real threads changed the report artefact"
-    );
-}
-
-#[test]
 fn report_json_is_byte_identical_across_repeated_runs() {
     assert_eq!(json_of(golden_config()), json_of(golden_config()));
-}
-
-#[test]
-fn threads_layer_under_simulated_slots_without_changing_json() {
-    // Simulated slots change the makespan by design; adding real threads
-    // underneath must not perturb that result by a single byte.
-    let slots_only = json_of(golden_config().with_trial_slots(4));
-    let slots_and_threads = json_of(golden_config().with_trial_slots(4).with_trial_workers(4));
-    assert_eq!(slots_only, slots_and_threads);
-
-    // And the slot scheduler really is doing something.
-    let sequential = json_of(golden_config());
-    assert_ne!(
-        sequential, slots_only,
-        "4 simulated slots must shrink the reported makespan"
-    );
 }
 
 #[test]
@@ -104,6 +75,13 @@ fn shards_layer_under_simulated_slots_without_changing_json() {
     let slots_only = json_of(golden_config().with_trial_slots(4));
     let slots_and_shards = json_of(golden_config().with_trial_slots(4).with_study_shards(2));
     assert_eq!(slots_only, slots_and_shards);
+
+    // And the slot scheduler really is doing something.
+    let sequential = json_of(golden_config());
+    assert_ne!(
+        sequential, slots_only,
+        "4 simulated slots must shrink the reported makespan"
+    );
 }
 
 #[test]

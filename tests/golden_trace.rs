@@ -1,7 +1,6 @@
 //! Golden-trace snapshot tests: the Chrome trace JSON artefact obeys the
 //! same determinism contract as the report. For a fixed seed the exported
-//! bytes must be identical across repeated runs, across real
-//! measurement-thread counts (`trial_workers`), and across study shard
+//! bytes must be identical across repeated runs and across study shard
 //! counts (`study_shards`) — tracing observes the simulated execution,
 //! never the real one. Turning tracing on must not change a single byte
 //! of the report artefact, and the trace itself must show the paper's
@@ -41,20 +40,9 @@ fn trace_json_is_byte_identical_across_repeated_runs() {
 }
 
 #[test]
-fn trace_json_is_byte_identical_across_trial_worker_counts() {
-    // Real measurement threads only speed up how fast the simulation is
-    // computed; the trace records the simulation, so the bytes must not
-    // move.
-    let baseline = trace_json_of(golden_config().with_trial_workers(1));
-    let threaded = trace_json_of(golden_config().with_trial_workers(4));
-    assert_eq!(
-        baseline, threaded,
-        "real threads changed the trace artefact"
-    );
-}
-
-#[test]
 fn trace_json_is_byte_identical_across_study_shard_counts() {
+    // Engine shards only speed up how fast the simulation is computed;
+    // the trace records the simulation, so the bytes must not move.
     let baseline = trace_json_of(golden_config().with_study_shards(1));
     for shards in [2, 4] {
         let sharded = trace_json_of(golden_config().with_study_shards(shards));
