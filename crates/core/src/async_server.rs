@@ -330,7 +330,7 @@ impl AsyncInferenceServer {
 
     /// The cache's current hit/miss counters, read without cloning the
     /// entry table. This is the single tally both trace counter events
-    /// and checkpoint manifests read, so the numbers can never diverge.
+    /// and study checkpoints read, so the numbers can never diverge.
     #[must_use]
     pub fn cache_stats(&self) -> crate::cache::CacheStats {
         self.cache.lock().stats()

@@ -154,7 +154,7 @@ impl HistoricalCache {
     /// Reinstates hit/miss counters saved out-of-band. The counters are
     /// `#[serde(skip)]` — per-process observability — so a resumed study
     /// that wants its final statistics to match the uninterrupted run's
-    /// must carry them separately (the shard manifest does) and put them
+    /// must carry them separately (the study checkpoint does) and put them
     /// back before handing the cache to the inference server.
     pub fn restore_stats(&mut self, stats: CacheStats) {
         self.stats = stats;
@@ -402,7 +402,7 @@ mod tests {
     #[test]
     fn mid_study_round_trip_preserves_the_stats_tally_via_restore() {
         // Hit/miss counters are #[serde(skip)] by design; a parked
-        // study carries them out-of-band (the shard manifest does) and
+        // study carries them out-of-band (the study checkpoint does) and
         // reinstates them on resume so the final report's tally equals
         // the uninterrupted run's.
         let dir = std::env::temp_dir().join("edgetune-cache-stats-test");

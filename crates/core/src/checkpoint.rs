@@ -9,29 +9,27 @@
 //! trial log the checkpoint records the two fault-injection cursors —
 //! the training backend's draw counter and the inference server's
 //! request sequence — so a resumed run replays the same fate for every
-//! *future* trial and request as the uninterrupted run.
+//! *future* trial and request as the uninterrupted run, and every piece
+//! of study-global state ([`StudyGlobals`]) the trial log alone cannot
+//! reproduce — replayed trials never rerun inference sweeps, and cache
+//! hit/miss counters are `#[serde(skip)]` inside the cache itself — so a
+//! resumed run serialises the exact report bytes of the uninterrupted
+//! run.
 //!
-//! Sharded studies persist a two-level layout instead: a
-//! [`ShardManifest`] at the configured checkpoint path (seed, cursors,
-//! cache, timeline, accumulated stall/energy, and the shard file names)
-//! plus one [`ShardCheckpoint`] per shard holding that shard's stamped
-//! trial slice. The manifest carries every piece of study-global state
-//! the trial log alone cannot reproduce — replayed trials never rerun
-//! inference sweeps, and cache hit/miss counters are `#[serde(skip)]`
-//! inside the cache itself — so a resumed run serialises the exact
-//! report bytes of the uninterrupted run. Resuming merges the
-//! shard files back into one history with
-//! [`HistoryMerge`](edgetune_tuner::merge::HistoryMerge); a manifest
-//! that turns out to be a plain [`StudyCheckpoint`] degrades to
-//! single-shard resume, and (when the degradation ladder is armed) a
-//! torn or missing shard file degrades to a fresh — still
-//! deterministic — start rather than a panic.
+//! There is one layout: a [`StudyCheckpoint`] in one atomically renamed
+//! file at the configured path. The coordinator holds the study's one
+//! history whole — engine shards only measure rung slices and hand the
+//! numbers back — so the file's bytes do not depend on `study_shards`
+//! or `shard_exec`, and a study halted under one shard count resumes
+//! under any other. Every field is required: a file that lacks one (or
+//! is torn, or is some other format) is a structured error, or — when
+//! the degradation ladder is armed — a fresh, still deterministic,
+//! start; never a resume from partial state.
 
 use std::path::Path;
 
 use edgetune_faults::DegradationStats;
 use edgetune_tuner::budget::TrialBudget;
-use edgetune_tuner::merge::{HistoryMerge, ShardHistory, StampedTrial};
 use edgetune_tuner::pareto::ObjectiveVector;
 use edgetune_tuner::space::Config;
 use edgetune_tuner::{History, TrialFailure, TrialOutcome, TrialRecord};
@@ -99,63 +97,75 @@ impl From<&CheckpointTrial> for TrialRecord {
 }
 
 /// A resumable snapshot of a tuning study, written after each completed
-/// rung.
+/// rung: the trial log plus the study's [`StudyGlobals`], field for
+/// field.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StudyCheckpoint {
     /// The seed the interrupted study ran under. Resuming under a
     /// different seed would silently diverge, so loads verify it.
     pub seed: u64,
     trials: Vec<CheckpointTrial>,
-    /// The historical cache at checkpoint time (inference results are
-    /// the expensive part of a rung — no reason to recompute them).
+    // The study's `StudyGlobals`, one required key each.
+    cache: HistoricalCache,
+    fault_cursor: u64,
+    inference_cursor: u64,
+    cache_stats: CacheStats,
+    timeline: Timeline,
+    stall: Seconds,
+    inference_energy: Joules,
+    degradation: DegradationStats,
+    backoff_draws: u64,
+    injected_losses: u64,
+    injected_outages: u64,
+}
+
+/// The study-global state a checkpoint carries beyond the trial log:
+/// everything the orchestrator must reinstate — on top of replaying the
+/// trials — for a resumed run to serialise the same report bytes as the
+/// uninterrupted run. `Default` is the state of a study that has not
+/// started.
+#[derive(Debug, Clone, Default)]
+pub struct StudyGlobals {
+    /// The historical cache (inference results are the expensive part of
+    /// a rung — no reason to recompute them).
     pub cache: HistoricalCache,
+    /// The cache's hit/miss counters, carried separately because they
+    /// are `#[serde(skip)]` inside [`HistoricalCache`]. Read from
+    /// [`AsyncInferenceServer::cache_stats`](crate::async_server::AsyncInferenceServer::cache_stats)
+    /// — the same single tally the trace's cache counter events sample,
+    /// so checkpoints and traces can never disagree about them.
+    pub cache_stats: CacheStats,
+    /// Every timeline span recorded so far. Replayed trials skip
+    /// inference sweeps entirely, so the spans of the completed prefix
+    /// can only come from here.
+    pub timeline: Timeline,
+    /// Accumulated model-server stall time.
+    pub stall: Seconds,
+    /// Accumulated inference-sweep energy.
+    pub inference_energy: Joules,
+    /// Degradation-ladder counters (all zero without an active fault
+    /// plan).
+    pub degradation: DegradationStats,
+    /// Supervisor backoff-jitter draws consumed so far, so retried
+    /// operations after a resume never reuse a jitter value the
+    /// interrupted run already spent.
+    pub backoff_draws: u64,
     /// Training-backend fault-draw cursor: how many trial fates the
     /// injector has already decided.
     pub fault_cursor: u64,
     /// Inference-server request sequence: how many requests have been
     /// submitted (each one's fate is keyed by its sequence number).
     pub inference_cursor: u64,
-    /// The cache's hit/miss counters, carried separately because they
-    /// are `#[serde(skip)]` inside [`HistoricalCache`].
-    #[serde(default)]
-    pub cache_stats: CacheStats,
-    /// Every timeline span recorded so far. Replayed trials skip
-    /// inference sweeps entirely, so the sweep spans of the completed
-    /// prefix can only come from here. Checkpoints written before this
-    /// field existed deserialise with an empty timeline; the
-    /// orchestrator falls back to approximate replay-recorded spans
-    /// for those.
-    #[serde(default)]
-    pub timeline: Timeline,
-    /// Accumulated model-server stall time at checkpoint.
-    #[serde(default)]
-    pub stall: Seconds,
-    /// Accumulated inference-sweep energy at checkpoint.
-    #[serde(default)]
-    pub inference_energy: Joules,
-    /// Degradation-ladder counters at checkpoint (all zero without an
-    /// active fault plan).
-    #[serde(default)]
-    pub degradation: DegradationStats,
-    /// Supervisor backoff-jitter draws consumed so far, so retried
-    /// operations after a resume never reuse a jitter value the
-    /// interrupted run already spent.
-    #[serde(default)]
-    pub backoff_draws: u64,
     /// Inference requests dropped by injected worker deaths so far.
     /// Replayed trials never resubmit their requests, so the prefix's
     /// injected-fault tallies can only come from here.
-    #[serde(default)]
     pub injected_losses: u64,
     /// Inference sweeps delayed by injected device outages so far.
-    #[serde(default)]
     pub injected_outages: u64,
 }
 
 impl StudyCheckpoint {
-    /// Snapshots a study in progress: the trial log plus the
-    /// study-global accounting ([`StudyGlobals`]) that replay alone
-    /// cannot reconstruct.
+    /// Snapshots a study in progress.
     #[must_use]
     pub fn new(seed: u64, history: &History, globals: StudyGlobals) -> Self {
         StudyCheckpoint {
@@ -179,24 +189,26 @@ impl StudyCheckpoint {
         }
     }
 
-    /// Reconstructs the trial history, bit-exact.
+    /// Takes the checkpoint apart into what a resume reinstates: the
+    /// trial log to replay, bit-exact and in execution order, and the
+    /// study-global state.
     #[must_use]
-    pub fn history(&self) -> History {
-        let mut history = History::new();
-        history.extend(self.trials.iter().map(TrialRecord::from));
-        history
-    }
-
-    /// Number of checkpointed trials.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.trials.len()
-    }
-
-    /// True when no trials were checkpointed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.trials.is_empty()
+    pub fn into_parts(self) -> (Vec<TrialRecord>, StudyGlobals) {
+        let trials = self.trials.iter().map(TrialRecord::from).collect();
+        let globals = StudyGlobals {
+            cache: self.cache,
+            cache_stats: self.cache_stats,
+            timeline: self.timeline,
+            stall: self.stall,
+            inference_energy: self.inference_energy,
+            degradation: self.degradation,
+            backoff_draws: self.backoff_draws,
+            fault_cursor: self.fault_cursor,
+            inference_cursor: self.inference_cursor,
+            injected_losses: self.injected_losses,
+            injected_outages: self.injected_outages,
+        };
+        (trials, globals)
     }
 
     /// Writes the checkpoint atomically (`.tmp` sibling + rename), the
@@ -208,7 +220,18 @@ impl StudyCheckpoint {
     pub fn save(&self, path: &Path) -> Result<()> {
         let json = serde_json::to_string_pretty(self)
             .map_err(|e| Error::storage(format!("serialising checkpoint: {e}")))?;
-        write_atomic(path, &json)
+        let file_name = path.file_name().ok_or_else(|| {
+            Error::storage(format!(
+                "checkpoint path {} has no file name",
+                path.display()
+            ))
+        })?;
+        let mut tmp_name = file_name.to_os_string();
+        tmp_name.push(".tmp");
+        let tmp = path.with_file_name(tmp_name);
+        std::fs::write(&tmp, json)?;
+        std::fs::rename(&tmp, path)?;
+        Ok(())
     }
 
     /// Loads a checkpoint written by [`StudyCheckpoint::save`].
@@ -220,336 +243,36 @@ impl StudyCheckpoint {
     /// the historical cache there is no lenient mode here; a corrupt
     /// checkpoint must not silently resume from wrong state).
     pub fn load(path: &Path) -> Result<Self> {
-        let json = std::fs::read_to_string(path)?;
-        serde_json::from_str(&json)
+        Self::parse(&std::fs::read(path)?, path)
+    }
+
+    /// Decodes the bytes found at `path`; anything but a complete
+    /// checkpoint — undecodable text included — is an error naming the
+    /// path.
+    fn parse(bytes: &[u8], path: &Path) -> Result<Self> {
+        std::str::from_utf8(bytes)
+            .map_err(|e| e.to_string())
+            .and_then(|json| serde_json::from_str(json).map_err(|e| e.to_string()))
             .map_err(|e| Error::storage(format!("parsing checkpoint {}: {e}", path.display())))
     }
 }
 
-/// Writes `json` atomically (`.tmp` sibling + rename), the same
-/// crash-safety discipline as [`HistoricalCache::save`].
-fn write_atomic(path: &Path, json: &str) -> Result<()> {
-    let file_name = path.file_name().ok_or_else(|| {
-        Error::storage(format!(
-            "checkpoint path {} has no file name",
-            path.display()
-        ))
-    })?;
-    let mut tmp_name = file_name.to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = path.with_file_name(tmp_name);
-    std::fs::write(&tmp, json)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
-}
-
-/// One trial in shard-checkpoint form: the exact-round-trip
-/// [`CheckpointTrial`] plus the provenance stamps [`HistoryMerge`] keys
-/// on. The start timestamp travels as raw bits for the same reason the
-/// score does.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct StampedCheckpointTrial {
-    #[serde(flatten)]
-    trial: CheckpointTrial,
-    /// `f64::to_bits` of the simulated start timestamp.
-    start_bits: u64,
-    /// Index of the scheduler bracket that ran the trial.
-    bracket: u32,
-}
-
-/// One shard's slice of a sharded study checkpoint, stored as its own
-/// file next to the [`ShardManifest`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardCheckpoint {
-    /// The seed the study ran under (must match the manifest's).
-    pub seed: u64,
-    /// The shard's index in the coordinator's partition.
-    pub shard: usize,
-    trials: Vec<StampedCheckpointTrial>,
-}
-
-impl ShardCheckpoint {
-    fn from_shard(seed: u64, shard: &ShardHistory) -> Self {
-        ShardCheckpoint {
-            seed,
-            shard: shard.shard,
-            trials: shard
-                .trials
-                .iter()
-                .map(|stamped| StampedCheckpointTrial {
-                    trial: CheckpointTrial::from(&stamped.record),
-                    start_bits: stamped.start.value().to_bits(),
-                    bracket: stamped.bracket,
-                })
-                .collect(),
-        }
-    }
-
-    /// Reconstructs the shard's stamped history, bit-exact.
-    #[must_use]
-    pub fn shard_history(&self) -> ShardHistory {
-        ShardHistory {
-            shard: self.shard,
-            trials: self
-                .trials
-                .iter()
-                .map(|stamped| StampedTrial {
-                    record: TrialRecord::from(&stamped.trial),
-                    start: Seconds::new(f64::from_bits(stamped.start_bits)),
-                    bracket: stamped.bracket,
-                })
-                .collect(),
-        }
-    }
-
-    /// Writes the shard file atomically.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Storage`] on I/O or serialisation failure.
-    pub fn save(&self, path: &Path) -> Result<()> {
-        let json = serde_json::to_string_pretty(self)
-            .map_err(|e| Error::storage(format!("serialising shard checkpoint: {e}")))?;
-        write_atomic(path, &json)
-    }
-
-    /// Loads a shard file written by [`ShardCheckpoint::save`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Storage`] when the file is missing, unreadable,
-    /// or not a valid shard checkpoint.
-    pub fn load(path: &Path) -> Result<Self> {
-        let json = std::fs::read_to_string(path)?;
-        serde_json::from_str(&json).map_err(|e| {
-            Error::storage(format!("parsing shard checkpoint {}: {e}", path.display()))
-        })
-    }
-}
-
-/// The root of a sharded study checkpoint: study-global state plus the
-/// names of the per-shard trial files, written at the configured
-/// checkpoint path. Its field shape is disjoint from
-/// [`StudyCheckpoint`]'s, so [`load_resume_state`] can tell the two
-/// formats apart structurally.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardManifest {
-    /// The seed the interrupted study ran under.
-    pub seed: u64,
-    /// Number of shards the study was partitioned into.
-    pub shards: usize,
-    /// Shard file names, siblings of the manifest, indexed by shard.
-    pub shard_files: Vec<String>,
-    /// The historical cache at checkpoint time — study-global: the
-    /// shared cache is the one cross-shard channel, so it lives in the
-    /// manifest, not in any shard.
-    pub cache: HistoricalCache,
-    /// The cache's hit/miss counters, carried separately because they
-    /// are `#[serde(skip)]` inside [`HistoricalCache`]; restoring them
-    /// keeps a resumed run's final cache statistics identical to the
-    /// uninterrupted run's.
-    pub cache_stats: CacheStats,
-    /// Every timeline span recorded so far. Replayed trials skip
-    /// inference sweeps entirely, so the sweep spans of the completed
-    /// prefix can only come from here.
-    pub timeline: Timeline,
-    /// Accumulated model-server stall time at checkpoint.
-    pub stall: Seconds,
-    /// Accumulated inference-sweep energy at checkpoint.
-    pub inference_energy: Joules,
-    /// Degradation-ladder counters at checkpoint (all zero without an
-    /// active fault plan).
-    pub degradation: DegradationStats,
-    /// Supervisor backoff-jitter draws consumed so far, so retried
-    /// operations after a resume never reuse a jitter value the
-    /// interrupted run already spent.
-    pub backoff_draws: u64,
-    /// Training-backend fault-draw cursor.
-    pub fault_cursor: u64,
-    /// Inference-server request sequence.
-    pub inference_cursor: u64,
-    /// Inference requests dropped by injected worker deaths so far.
-    /// Replayed trials never resubmit their requests, so the prefix's
-    /// injected-fault tallies can only come from here.
-    #[serde(default)]
-    pub injected_losses: u64,
-    /// Inference sweeps delayed by injected device outages so far.
-    #[serde(default)]
-    pub injected_outages: u64,
-}
-
-/// The study-global state a [`ShardManifest`] carries beyond the shard
-/// file list: everything the orchestrator must reinstate — on top of
-/// replaying the merged trial log — for a resumed run to serialise the
-/// same report bytes as the uninterrupted run.
-#[derive(Debug, Clone)]
-pub struct StudyGlobals {
-    /// Shared historical cache (the one cross-shard channel).
-    pub cache: HistoricalCache,
-    /// The cache's in-memory hit/miss counters, read from
-    /// [`AsyncInferenceServer::cache_stats`](crate::async_server::AsyncInferenceServer::cache_stats)
-    /// — the same single tally the trace's cache counter events sample,
-    /// so checkpoints and traces can never disagree about them.
-    pub cache_stats: CacheStats,
-    /// All timeline spans recorded so far.
-    pub timeline: Timeline,
-    /// Accumulated model-server stall time.
-    pub stall: Seconds,
-    /// Accumulated inference-sweep energy.
-    pub inference_energy: Joules,
-    /// Degradation-ladder counters.
-    pub degradation: DegradationStats,
-    /// Supervisor backoff-jitter draws consumed.
-    pub backoff_draws: u64,
-    /// Training-backend fault-draw cursor.
-    pub fault_cursor: u64,
-    /// Inference-server request sequence.
-    pub inference_cursor: u64,
-    /// Inference requests dropped by injected worker deaths.
-    pub injected_losses: u64,
-    /// Inference sweeps delayed by injected device outages.
-    pub injected_outages: u64,
-}
-
-impl ShardManifest {
-    /// Writes a complete sharded checkpoint: every shard file first,
-    /// then the manifest, all atomically — a torn write can strand
-    /// fresh shard files behind a stale manifest but never the reverse.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Storage`] on I/O or serialisation failure.
-    pub fn save_sharded(
-        path: &Path,
-        seed: u64,
-        shard_histories: &[ShardHistory],
-        globals: StudyGlobals,
-    ) -> Result<()> {
-        let file_name = path
-            .file_name()
-            .ok_or_else(|| {
-                Error::storage(format!(
-                    "checkpoint path {} has no file name",
-                    path.display()
-                ))
-            })?
-            .to_string_lossy()
-            .into_owned();
-        let mut shard_files = Vec::with_capacity(shard_histories.len());
-        for shard in shard_histories {
-            let name = format!("{}.shard{}", file_name, shard.shard);
-            ShardCheckpoint::from_shard(seed, shard).save(&path.with_file_name(name.as_str()))?;
-            shard_files.push(name);
-        }
-        let manifest = ShardManifest {
-            seed,
-            shards: shard_histories.len(),
-            shard_files,
-            cache: globals.cache,
-            cache_stats: globals.cache_stats,
-            timeline: globals.timeline,
-            stall: globals.stall,
-            inference_energy: globals.inference_energy,
-            degradation: globals.degradation,
-            backoff_draws: globals.backoff_draws,
-            fault_cursor: globals.fault_cursor,
-            inference_cursor: globals.inference_cursor,
-            injected_losses: globals.injected_losses,
-            injected_outages: globals.injected_outages,
-        };
-        let json = serde_json::to_string_pretty(&manifest)
-            .map_err(|e| Error::storage(format!("serialising shard manifest: {e}")))?;
-        write_atomic(path, &json)
-    }
-
-    /// Loads every shard file named by the manifest and merges them
-    /// back into one history in global execution order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Storage`] when a shard file is missing, torn,
-    /// inconsistent with the manifest, or the manifest's shard count
-    /// does not match its file list.
-    pub fn load_shards(&self, manifest_path: &Path) -> Result<History> {
-        if self.shards != self.shard_files.len() {
-            return Err(Error::storage(format!(
-                "shard manifest {} names {} files for {} shards",
-                manifest_path.display(),
-                self.shard_files.len(),
-                self.shards
-            )));
-        }
-        let mut shard_histories = Vec::with_capacity(self.shard_files.len());
-        for name in &self.shard_files {
-            let shard_path = manifest_path.with_file_name(name.as_str());
-            let shard = ShardCheckpoint::load(&shard_path)?;
-            if shard.seed != self.seed {
-                return Err(Error::storage(format!(
-                    "shard file {} was written under seed {}, not {}",
-                    shard_path.display(),
-                    shard.seed,
-                    self.seed
-                )));
-            }
-            shard_histories.push(shard.shard_history());
-        }
-        Ok(HistoryMerge::merge(shard_histories))
-    }
-}
-
-/// What a resume found at the checkpoint path.
-// One resume value exists per study start, so the size skew between
-// `Fresh` and the checkpoint-carrying variants costs nothing in practice.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub enum StudyResume {
-    /// Nothing salvageable: degraded recovery re-runs the study from
-    /// scratch — deterministic, so it still reproduces the exact bytes
-    /// an uninterrupted run would have produced.
-    Fresh,
-    /// A plain single-shard checkpoint.
-    Plain(StudyCheckpoint),
-    /// A sharded checkpoint whose shard files merged cleanly.
-    Sharded {
-        /// The manifest (study-global seed, cursors, cache).
-        manifest: Box<ShardManifest>,
-        /// The merged history, in global execution order.
-        history: History,
-    },
-}
-
-/// Resolves whatever checkpoint state lives at `path`.
-///
-/// Tries the sharded layout first ([`ShardManifest`] + shard files),
-/// then the plain [`StudyCheckpoint`] format — so a manifest clobbered
-/// by a plain checkpoint degrades to single-shard resume. When
-/// `allow_degraded` is set (the degradation ladder is armed), a corrupt
-/// manifest, torn shard file, or missing shard file degrades further to
-/// [`StudyResume::Fresh`] instead of failing the run.
+/// Reads the checkpoint a resume starts from. `None` — re-run the study
+/// from scratch, which is deterministic and so still reproduces the
+/// exact bytes an uninterrupted run would have produced — is returned
+/// only when `allow_degraded` is set (the degradation ladder is armed)
+/// and the content at `path` is not a complete checkpoint.
 ///
 /// # Errors
 ///
-/// Returns [`Error::Storage`] when the path is unreadable, or when the
-/// state is corrupt and `allow_degraded` is off.
-pub fn load_resume_state(path: &Path, allow_degraded: bool) -> Result<StudyResume> {
-    let json = std::fs::read_to_string(path)?;
-    if let Ok(manifest) = serde_json::from_str::<ShardManifest>(&json) {
-        return match manifest.load_shards(path) {
-            Ok(history) => Ok(StudyResume::Sharded {
-                manifest: Box::new(manifest),
-                history,
-            }),
-            Err(_) if allow_degraded => Ok(StudyResume::Fresh),
-            Err(e) => Err(e),
-        };
-    }
-    match serde_json::from_str::<StudyCheckpoint>(&json) {
-        Ok(checkpoint) => Ok(StudyResume::Plain(checkpoint)),
-        Err(_) if allow_degraded => Ok(StudyResume::Fresh),
-        Err(e) => Err(Error::storage(format!(
-            "parsing checkpoint {}: {e}",
-            path.display()
-        ))),
+/// Returns [`Error::Storage`] when the file is missing or unreadable,
+/// or when its content is corrupt and `allow_degraded` is off.
+pub fn load_resume_state(path: &Path, allow_degraded: bool) -> Result<Option<StudyCheckpoint>> {
+    let bytes = std::fs::read(path)?;
+    match StudyCheckpoint::parse(&bytes, path) {
+        Ok(checkpoint) => Ok(Some(checkpoint)),
+        Err(_) if allow_degraded => Ok(None),
+        Err(e) => Err(e),
     }
 }
 
@@ -603,16 +326,9 @@ mod tests {
     ) -> StudyGlobals {
         StudyGlobals {
             cache,
-            cache_stats: CacheStats::default(),
-            timeline: Timeline::new(),
-            stall: Seconds::ZERO,
-            inference_energy: Joules::ZERO,
-            degradation: DegradationStats::default(),
-            backoff_draws: 0,
             fault_cursor,
             inference_cursor,
-            injected_losses: 0,
-            injected_outages: 0,
+            ..StudyGlobals::default()
         }
     }
 
@@ -628,45 +344,23 @@ mod tests {
         assert_eq!(back.seed, 42);
         assert_eq!(back.fault_cursor, 7);
         assert_eq!(back.inference_cursor, 11);
-        assert_eq!(back.history(), history, "bit-exact history round-trip");
-        assert!(back.history().records()[1].outcome.score.is_infinite());
         assert_eq!(back.cache.len(), 1);
-    }
-
-    #[test]
-    fn legacy_checkpoints_without_study_globals_still_load() {
-        // Checkpoints written before the study-global fields existed
-        // must deserialise with zeroed accounting, not fail.
-        let mut history = History::new();
-        history.push(record(0, 1.0));
-        let ckpt = StudyCheckpoint::new(3, &history, globals_with(HistoricalCache::new(), 2, 4));
-        let mut value = serde_json::to_value(&ckpt).unwrap();
-        let obj = value.as_object_mut().unwrap();
-        for field in [
-            "cache_stats",
-            "timeline",
-            "stall",
-            "inference_energy",
-            "degradation",
-            "backoff_draws",
-            "injected_losses",
-            "injected_outages",
-        ] {
-            obj.remove(field);
-        }
-        let back: StudyCheckpoint =
-            serde_json::from_str(&serde_json::to_string(&value).unwrap()).unwrap();
-        assert_eq!(back.history(), history);
-        assert_eq!(back.backoff_draws, 0);
-        assert_eq!(back.stall, Seconds::ZERO);
-        assert!(back.timeline.spans().is_empty());
+        let (trials, _) = back.into_parts();
+        assert_eq!(trials, history.records(), "bit-exact history round-trip");
+        assert!(trials[1].outcome.score.is_infinite());
     }
 
     #[test]
     fn save_load_round_trip_is_atomic() {
         let mut history = History::new();
         history.push(record(0, 2.0));
-        let ckpt = StudyCheckpoint::new(9, &history, globals_with(HistoricalCache::new(), 1, 1));
+        let globals = StudyGlobals {
+            cache_stats: CacheStats { hits: 5, misses: 2 },
+            stall: Seconds::new(1.5),
+            inference_energy: Joules::new(4.0),
+            ..globals_with(sample_cache(), 3, 9)
+        };
+        let ckpt = StudyCheckpoint::new(9, &history, globals);
         let dir = std::env::temp_dir().join("edgetune-checkpoint-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("study.ckpt.json");
@@ -674,6 +368,21 @@ mod tests {
         assert!(!dir.join("study.ckpt.json.tmp").exists());
         let loaded = StudyCheckpoint::load(&path).unwrap();
         assert_eq!(loaded, ckpt);
+        // The resume reader is the same parse, and hands the state back
+        // whole.
+        let resumed = load_resume_state(&path, false).unwrap();
+        assert_eq!(resumed.as_ref(), Some(&ckpt));
+        let (replay, globals) = resumed.unwrap().into_parts();
+        assert_eq!(replay, history.records());
+        assert_eq!(
+            globals.cache_stats,
+            CacheStats { hits: 5, misses: 2 },
+            "serde-skipped counters must survive through the checkpoint"
+        );
+        assert_eq!(globals.stall, Seconds::new(1.5));
+        assert_eq!(globals.inference_energy, Joules::new(4.0));
+        assert_eq!((globals.fault_cursor, globals.inference_cursor), (3, 9));
+        assert_eq!(globals.cache.len(), 1);
         std::fs::remove_file(&path).ok();
     }
 
@@ -687,110 +396,68 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    fn stamped(id: u64, start: f64, bracket: u32) -> StampedTrial {
-        StampedTrial {
-            record: record(id, id as f64),
-            start: Seconds::new(start),
-            bracket,
-        }
-    }
-
-    fn sharded_fixture(dir: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("study.ckpt.json");
-        let shards = vec![
-            ShardHistory {
-                shard: 0,
-                trials: vec![stamped(0, 0.0, 0), stamped(1, 10.0, 0)],
-            },
-            ShardHistory {
-                shard: 1,
-                trials: vec![stamped(2, 5.0, 0), stamped(3, 15.0, 1)],
-            },
-        ];
-        let globals = StudyGlobals {
-            cache: sample_cache(),
-            cache_stats: CacheStats { hits: 5, misses: 2 },
-            timeline: Timeline::new(),
-            stall: Seconds::new(1.5),
-            inference_energy: Joules::new(4.0),
-            degradation: DegradationStats::default(),
-            backoff_draws: 0,
-            fault_cursor: 3,
-            inference_cursor: 9,
-            injected_losses: 0,
-            injected_outages: 0,
-        };
-        ShardManifest::save_sharded(&path, 42, &shards, globals).unwrap();
-        path
-    }
-
     #[test]
-    fn sharded_save_load_round_trips_and_merges_in_execution_order() {
-        let path = sharded_fixture("edgetune-shard-roundtrip-test");
-        match load_resume_state(&path, false).unwrap() {
-            StudyResume::Sharded { manifest, history } => {
-                assert_eq!(manifest.seed, 42);
-                assert_eq!(manifest.shards, 2);
-                assert_eq!(manifest.fault_cursor, 3);
-                assert_eq!(manifest.inference_cursor, 9);
-                assert_eq!(manifest.cache.len(), 1);
-                assert_eq!(
-                    manifest.cache_stats,
-                    CacheStats { hits: 5, misses: 2 },
-                    "serde-skipped counters must survive through the manifest"
-                );
-                assert_eq!(manifest.stall, Seconds::new(1.5));
-                assert_eq!(manifest.inference_energy, Joules::new(4.0));
-                let ids: Vec<u64> = history.records().iter().map(|r| r.id).collect();
-                assert_eq!(ids, vec![0, 2, 1, 3], "merged by (start, bracket, id)");
-            }
-            other => panic!("expected a sharded resume, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn a_plain_checkpoint_at_the_manifest_path_degrades_to_single_shard_resume() {
-        let dir = std::env::temp_dir().join("edgetune-shard-plain-test");
+    fn corrupt_state_degrades_to_fresh_only_when_the_ladder_is_armed() {
+        let dir = std::env::temp_dir().join("edgetune-checkpoint-degrade-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("study.ckpt.json");
         let mut history = History::new();
-        history.push(record(0, 1.5));
-        StudyCheckpoint::new(7, &history, globals_with(HistoricalCache::new(), 1, 2))
-            .save(&path)
-            .unwrap();
-        match load_resume_state(&path, false).unwrap() {
-            StudyResume::Plain(checkpoint) => {
-                assert_eq!(checkpoint.seed, 7);
-                assert_eq!(checkpoint.len(), 1);
-            }
-            other => panic!("expected a plain resume, got {other:?}"),
+        history.push(record(0, 1.0));
+        let ckpt = StudyCheckpoint::new(3, &history, globals_with(sample_cache(), 2, 4));
+        let intact = serde_json::to_value(&ckpt).unwrap();
+
+        let mut corrupt: Vec<(String, Vec<u8>)> = vec![
+            (
+                "torn JSON".into(),
+                b"{\"seed\": 42, \"trials\": [tor".to_vec(),
+            ),
+            ("torn into invalid UTF-8".into(), vec![0xff, 0xfe]),
+            (
+                // What a sharded study left at the path before there was
+                // one layout; its trials lived in sibling files.
+                "a shard manifest".into(),
+                {
+                    let mut manifest = intact.clone();
+                    let obj = manifest.as_object_mut().unwrap();
+                    obj.remove("trials");
+                    obj.insert("shards", serde_json::json!(2));
+                    obj.insert(
+                        "shard_files",
+                        serde_json::json!(["study.ckpt.json.shard0", "study.ckpt.json.shard1"]),
+                    );
+                    serde_json::to_string(&manifest).unwrap().into_bytes()
+                },
+            ),
+        ];
+        // Every key is required: state the trial log cannot reproduce
+        // is never defaulted.
+        for field in intact.as_object().unwrap().keys() {
+            let mut partial = intact.clone();
+            partial.as_object_mut().unwrap().remove(field);
+            corrupt.push((
+                format!("a checkpoint without `{field}`"),
+                serde_json::to_string(&partial).unwrap().into_bytes(),
+            ));
         }
-    }
+        assert_eq!(corrupt.len(), 3 + 13, "seed, trials and eleven globals");
 
-    #[test]
-    fn corrupt_state_degrades_to_fresh_only_when_the_ladder_is_armed() {
-        let dir = std::env::temp_dir().join("edgetune-shard-corrupt-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("study.ckpt.json");
-        std::fs::write(&path, "{\"seed\": 42, \"shard_files\": [tor").unwrap();
-        assert!(matches!(
-            load_resume_state(&path, true).unwrap(),
-            StudyResume::Fresh
-        ));
-        assert!(load_resume_state(&path, false).is_err());
+        for (what, bytes) in corrupt {
+            std::fs::write(&path, bytes).unwrap();
+            assert_eq!(
+                load_resume_state(&path, true).unwrap(),
+                None,
+                "{what} must restart fresh under an armed ladder"
+            );
+            let err = load_resume_state(&path, false).expect_err(&what);
+            assert!(
+                matches!(&err, Error::Storage(msg) if msg.contains("study.ckpt.json")),
+                "{what}: {err:?} must be a storage error naming the path"
+            );
+        }
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn a_missing_shard_file_degrades_to_fresh_not_a_panic() {
-        let path = sharded_fixture("edgetune-shard-missing-test");
-        std::fs::remove_file(path.with_file_name("study.ckpt.json.shard1")).unwrap();
-        assert!(matches!(
-            load_resume_state(&path, true).unwrap(),
-            StudyResume::Fresh
-        ));
-        assert!(load_resume_state(&path, false).is_err());
+        assert!(
+            load_resume_state(&path, true).is_err(),
+            "a missing file is a hard error even under an armed ladder"
+        );
     }
 }

@@ -117,14 +117,14 @@ pub struct EdgeTuneConfig {
     /// engine shards every rung is partitioned across. Each shard
     /// measures its contiguous slice on its own backend snapshot and
     /// forked clock ([`ShardFabric`](crate::fabric::ShardFabric)), and
-    /// the per-shard histories are merged back deterministically. This
-    /// is pure wall-clock engineering: every simulated number (makespan,
-    /// energy, history, report JSON) is byte-identical whatever the
-    /// count. Backends opt in via
+    /// the measurements are accounted in input order on the one
+    /// sequential path. This is pure wall-clock engineering: every
+    /// simulated number (makespan, energy, history, report JSON) and
+    /// every checkpoint byte is identical whatever the count, so a
+    /// study halted under one count resumes under any other. Backends
+    /// opt in via
     /// [`TrainingBackend::parallel_snapshot`](crate::backend::TrainingBackend::parallel_snapshot);
-    /// rungs fall back to sequential execution otherwise. With
-    /// checkpointing enabled, each shard also persists its own
-    /// checkpoint shard file under a shard manifest.
+    /// rungs fall back to sequential execution otherwise.
     pub study_shards: usize,
     /// *Where* engine shards measure: on scoped threads of this process
     /// (the default), in supervised child worker processes, or on

@@ -1,19 +1,17 @@
-//! The coordinator/shard split of a sharded study.
+//! The shard side of a sharded study: the plan a rung is cut into and
+//! the narrowed engine that measures one slice of it.
 //!
-//! A sharded study is an explicit plan/execute/merge pipeline. Every
-//! rung of every bracket is partitioned into contiguous [`ShardPlan`]s;
-//! each plan is executed by an [`EngineShard`] — a narrowed engine
-//! instance owning its own backend snapshot and a clock forked from the
-//! study clock — under the rung executor
+//! Every rung of every bracket is partitioned into contiguous
+//! [`ShardPlan`]s; each plan is executed by an [`EngineShard`] — a
+//! narrowed engine instance owning its own backend snapshot and a clock
+//! forked from the study clock — under the rung executor
 //! ([`ShardFabric`](crate::fabric::ShardFabric)), which decides where
 //! the shard's slice is actually measured. The measurements flow back
 //! in plan order and are replayed through the *same* sequential
-//! accounting path an unsharded run uses, so the report is
-//! byte-identical for any shard count; [`StudyCoordinator`] splits the
-//! stamped history along the same partition and the per-shard histories
-//! are stitched back together with
-//! [`HistoryMerge`](edgetune_tuner::merge::HistoryMerge)'s
-//! `(simulated start, bracket, trial id)` key.
+//! accounting path an unsharded run uses. Shards hold no history of
+//! their own: the coordinator's one trial log is the study's history,
+//! so the report — and every checkpoint — is byte-identical for any
+//! shard count and needs no split or merge.
 //!
 //! The shared `HistoricalCache` inside the
 //! [`AsyncInferenceServer`](crate::async_server::AsyncInferenceServer)
@@ -30,25 +28,12 @@
 
 use edgetune_runtime::SharedClock;
 use edgetune_tuner::budget::TrialBudget;
-use edgetune_tuner::merge::{ShardHistory, StampedTrial};
 use edgetune_tuner::space::Config;
-use edgetune_tuner::History;
 use edgetune_util::units::Seconds;
 
 use crate::backend::{TrainingBackend, TrialMeasurement};
 
-/// The provenance a sharded study records for every trial: where (in
-/// simulated time) and under which bracket it ran. Together with the
-/// trial id this is the merge key that restores global order.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrialStamp {
-    /// Simulated timestamp at which the trial started.
-    pub start: Seconds,
-    /// Index (execution order) of the bracket that ran it.
-    pub bracket: u32,
-}
-
-/// One shard's contiguous slice of a rung (or of a whole history).
+/// One shard's contiguous slice of a rung.
 /// Serialisable because the fabric ships plans to shard workers and
 /// hosts inside their tasks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -164,76 +149,12 @@ impl EngineShard {
     }
 }
 
-/// Splits a study's history along the engine shards' partition, for
-/// per-shard checkpoint files and the merged report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StudyCoordinator {
-    shards: usize,
-}
-
-impl StudyCoordinator {
-    /// Creates a coordinator for `shards` engine shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    #[must_use]
-    pub fn new(shards: usize) -> Self {
-        assert!(shards >= 1, "need at least one shard");
-        StudyCoordinator { shards }
-    }
-
-    /// The configured shard count.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Splits a stamped history into per-shard histories along the same
-    /// contiguous partition the shards execute — the inverse of
-    /// [`HistoryMerge::merge`](edgetune_tuner::merge::HistoryMerge::merge),
-    /// used to assemble the merged report and to write per-shard
-    /// checkpoint files.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stamp ledger does not cover the history.
-    #[must_use]
-    pub fn shard_histories(&self, history: &History, stamps: &[TrialStamp]) -> Vec<ShardHistory> {
-        let records = history.records();
-        assert_eq!(
-            records.len(),
-            stamps.len(),
-            "every recorded trial needs a provenance stamp"
-        );
-        ShardPlan::partition(records.len(), self.shards)
-            .iter()
-            .map(|plan| ShardHistory {
-                shard: plan.shard,
-                trials: plan
-                    .slice(records)
-                    .iter()
-                    .zip(plan.slice(stamps))
-                    .map(|(record, stamp)| StampedTrial {
-                        record: record.clone(),
-                        start: stamp.start,
-                        bracket: stamp.bracket,
-                    })
-                    .collect(),
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::SimTrainingBackend;
     use edgetune_runtime::SimClock;
-    use edgetune_tuner::merge::HistoryMerge;
-    use edgetune_tuner::trial::{TrialOutcome, TrialRecord};
     use edgetune_util::rng::SeedStream;
-    use edgetune_util::units::Joules;
     use edgetune_workloads::catalog::{Workload, WorkloadId};
 
     #[test]
@@ -278,29 +199,5 @@ mod tests {
         );
         assert_eq!(shard.plan(), plan);
         assert_eq!(shard.elapsed(), Seconds::new(100.0));
-    }
-
-    #[test]
-    fn shard_histories_round_trip_through_the_merge() {
-        let mut history = History::new();
-        let mut stamps = Vec::new();
-        for id in 0..9 {
-            history.push(TrialRecord {
-                id,
-                config: Config::new().with("x", id as f64),
-                budget: TrialBudget::new(1.0, 1.0),
-                outcome: TrialOutcome::new(id as f64, 0.5, Seconds::new(20.0), Joules::new(1.0)),
-            });
-            stamps.push(TrialStamp {
-                start: Seconds::new(id as f64 * 20.0),
-                bracket: u32::try_from(id / 4).unwrap(),
-            });
-        }
-        for shards in [1, 2, 4] {
-            let split = StudyCoordinator::new(shards).shard_histories(&history, &stamps);
-            assert_eq!(split.len(), shards.min(9));
-            let merged = HistoryMerge::merge(split);
-            assert_eq!(merged, history, "shards={shards} perturbed the history");
-        }
     }
 }

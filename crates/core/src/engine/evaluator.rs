@@ -15,10 +15,8 @@
 //!   remote host — and they are then replayed through the exact
 //!   sequential accounting path in input order. Cache hits, request
 //!   sequence numbers, timeline entries and every clock reading are
-//!   byte-identical to an unsharded run, so reports never depend on the
-//!   shard count or placement. Sharding additionally stamps every trial
-//!   with its simulated start and bracket and persists per-shard
-//!   checkpoint files.
+//!   byte-identical to an unsharded run, so reports — and the per-rung
+//!   checkpoint — never depend on the shard count or placement.
 //!
 //! All simulated time lives on an [`edgetune_runtime::SimClock`]; every
 //! sequential trial advances the clock once, by the exact
@@ -49,8 +47,7 @@ use edgetune_util::units::{Joules, Seconds};
 use crate::async_server::{AsyncInferenceServer, InferenceReply};
 use crate::backend::{TrainingBackend, TrialMeasurement};
 use crate::cache::CacheKey;
-use crate::checkpoint::{ShardManifest, StudyCheckpoint, StudyGlobals};
-use crate::engine::coordinator::{StudyCoordinator, TrialStamp};
+use crate::checkpoint::{StudyCheckpoint, StudyGlobals};
 use crate::fabric::{RungScope, ShardFabric};
 use crate::inference::fallback_recommendation;
 use crate::trace::{
@@ -113,18 +110,9 @@ pub(crate) struct OnefoldEvaluator<'a> {
     /// Trials restored from a checkpoint, replayed front-to-back instead
     /// of re-executed. Empty on a fresh run.
     pub(crate) replay: VecDeque<TrialRecord>,
-    /// Whether replayed trials should synthesise timeline spans. Plain
-    /// single-shard checkpoints do not persist the timeline, so replay
-    /// reconstructs approximate model-server spans; a shard manifest
-    /// carries the exact recorded spans, in which case the orchestrator
-    /// restores them wholesale and replay must not add duplicates.
-    pub(crate) replay_records_timeline: bool,
     /// Bracket currently executing, set by the scheduler through
-    /// [`Evaluate::on_bracket_start`]; part of every trial's stamp.
+    /// [`Evaluate::on_bracket_start`]; part of every rung's scope.
     pub(crate) current_bracket: u32,
-    /// Provenance ledger, one [`TrialStamp`] per history record in push
-    /// order — what sharded checkpoints and the merged report key on.
-    pub(crate) stamps: Vec<TrialStamp>,
     /// Rungs traced so far — names the scheduler's rung spans.
     pub(crate) rungs_traced: u32,
     /// The currently open bracket span (bracket number, start time); the
@@ -533,10 +521,6 @@ impl OnefoldEvaluator<'_> {
         );
         self.stall += run.stall;
         self.inference_energy += run.sweep_energy;
-        self.stamps.push(TrialStamp {
-            start,
-            bracket: self.current_bracket,
-        });
     }
 
     /// Phase A of rung execution: have the rung executor measure the
@@ -578,27 +562,12 @@ impl Evaluate for OnefoldEvaluator<'_> {
         // re-executed. The scheduler regenerates the identical (id,
         // config) sequence from the shared seed; a mismatch means the
         // checkpoint belongs to a different run, so replay is abandoned
-        // and the trial executes live.
+        // and the trial executes live. A replayed trial emits no spans:
+        // the orchestrator seeded the tracer with the checkpoint's exact
+        // recorded timeline.
         if let Some(front) = self.replay.front() {
             if front.id == id && front.config == *config {
                 let record = self.replay.pop_front().expect("front exists");
-                let start = self.clock.now();
-                if self.replay_records_timeline {
-                    let track = self.model_track(0);
-                    self.tracer.span(
-                        track,
-                        format!("trial-{id}"),
-                        CAT_MODEL,
-                        start,
-                        start + record.outcome.runtime,
-                    );
-                }
-                // Replayed trials reproduce the original clock
-                // trajectory, so their stamps match the original run's.
-                self.stamps.push(TrialStamp {
-                    start,
-                    bracket: self.current_bracket,
-                });
                 self.clock.advance(record.outcome.runtime);
                 return record.outcome;
             }
@@ -656,10 +625,9 @@ impl Evaluate for OnefoldEvaluator<'_> {
         }
         if let Some(path) = self.checkpoint_path {
             // A failed checkpoint write must never kill the study: the
-            // run is still correct, only resumability is lost. Both
-            // layouts carry the same study-global state; cache counters
-            // and the timeline come from their single sources of truth
-            // — the server's tally and the trace.
+            // run is still correct, only resumability is lost. Cache
+            // counters and the timeline come from their single sources
+            // of truth — the server's tally and the trace.
             let globals = StudyGlobals {
                 cache_stats: self.inference.cache_stats(),
                 cache: self.inference.cache_snapshot(),
@@ -673,20 +641,7 @@ impl Evaluate for OnefoldEvaluator<'_> {
                 injected_losses: self.resumed_injected_losses + self.inference.injected_losses(),
                 injected_outages: self.resumed_injected_outages + self.inference.injected_outages(),
             };
-            let shards = self.executor.shards();
-            if shards > 1 && self.stamps.len() == history.len() {
-                // Sharded layout: one stamped trial file per shard plus
-                // the manifest carrying the study-global state.
-                let coordinator = StudyCoordinator::new(shards);
-                let _ = ShardManifest::save_sharded(
-                    path,
-                    self.root_seed,
-                    &coordinator.shard_histories(history, &self.stamps),
-                    globals,
-                );
-            } else {
-                let _ = StudyCheckpoint::new(self.root_seed, history, globals).save(path);
-            }
+            let _ = StudyCheckpoint::new(self.root_seed, history, globals).save(path);
         }
     }
 
@@ -774,7 +729,7 @@ mod parallel_tests {
     use edgetune_workloads::catalog::WorkloadId;
 
     use crate::config::EdgeTuneConfig;
-    use crate::server::EdgeTune;
+    use crate::engine::EdgeTune;
 
     fn base() -> EdgeTuneConfig {
         EdgeTuneConfig::for_workload(WorkloadId::Ic)

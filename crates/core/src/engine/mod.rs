@@ -1,15 +1,16 @@
 //! The tuning engine: orchestration, trial evaluation, and report
-//! assembly behind the [`EdgeTune`](crate::server::EdgeTune) façade.
+//! assembly behind the [`EdgeTune`] job.
 //!
 //! The engine is split along Algorithm 1's seams:
 //!
 //! * [`orchestrator`] — [`Engine`] builds the study (backend, inference
 //!   server, sampler, scheduler, checkpoint/resume wiring), runs it, and
-//!   assembles the final [`TuningReport`].
-//! * [`coordinator`] — the two-tier study layer: [`StudyCoordinator`]
-//!   partitions rungs into [`ShardPlan`]s executed by [`EngineShard`]s
-//!   on scoped threads, and splits/merges stamped histories so sharded
-//!   runs stay byte-identical.
+//!   assembles the final [`TuningReport`]; [`EdgeTune`] is the owned-
+//!   configuration job over it.
+//! * [`coordinator`] — the shard side of a sharded study: the
+//!   [`ShardPlan`]s a rung is partitioned into and the [`EngineShard`]s
+//!   that measure them. Shards only measure; the study's one history
+//!   (and its one checkpoint file) stays with the coordinator.
 //! * [`evaluator`] — the onefold evaluator couples each training trial
 //!   to its pipelined inference request, owns the simulated clock and
 //!   rung accounting, and layers real worker threads *under* the
@@ -22,6 +23,6 @@ pub(crate) mod evaluator;
 pub mod orchestrator;
 pub mod report;
 
-pub use coordinator::{EngineShard, ShardPlan, StudyCoordinator, TrialStamp};
-pub use orchestrator::Engine;
+pub use coordinator::{EngineShard, ShardPlan};
+pub use orchestrator::{EdgeTune, Engine};
 pub use report::{FaultReport, TuningReport};

@@ -5,35 +5,84 @@
 //! [`TuningReport`]: checkpoint restore, cache loading, inference-server
 //! startup, sampler/scheduler wiring, the evaluator's lifetime, and the
 //! final harvest of history, winner, recommendation, and fault counters.
-//! The public [`EdgeTune`](crate::server::EdgeTune) job is a thin façade
-//! over this type.
+//! [`EdgeTune`] is the same thing owning its configuration.
 
 use std::collections::VecDeque;
 
-use edgetune_faults::{DegradationStats, FaultInjector};
+use edgetune_faults::FaultInjector;
 use edgetune_runtime::SimClock;
 use edgetune_trace::{ChromeTrace, Tracer};
-use edgetune_tuner::merge::HistoryMerge;
 use edgetune_tuner::objective::{InferenceObjective, TrainObjective};
 use edgetune_tuner::scheduler::{HyperBand, PromotionRule, SuccessiveHalving};
-use edgetune_tuner::trial::TrialRecord;
 use edgetune_util::rng::SeedStream;
-use edgetune_util::units::{Joules, Seconds};
 use edgetune_util::{Error, Result};
 use edgetune_workloads::catalog::Workload;
 
 use crate::async_server::AsyncInferenceServer;
 use crate::backend::{SimTrainingBackend, TrainingBackend};
 use crate::cache::{CacheKey, HistoricalCache};
-use crate::checkpoint::{load_resume_state, StudyResume};
+use crate::checkpoint::{load_resume_state, StudyCheckpoint, StudyGlobals};
 use crate::config::{EdgeTuneConfig, ShardExec};
-use crate::engine::coordinator::StudyCoordinator;
 use crate::engine::evaluator::OnefoldEvaluator;
 use crate::engine::report::{FaultReport, TuningReport};
 use crate::fabric::ShardFabric;
 use crate::inference::{InferenceSpace, InferenceTuningServer};
-use crate::timeline::Timeline;
 use crate::trace::{seed_tracer_from_timeline, timeline_from_trace};
+
+/// The EdgeTune tuning job (the paper's Model Tuning Server,
+/// Algorithm 1): an [`Engine`] that owns its configuration.
+#[derive(Debug, Clone)]
+pub struct EdgeTune {
+    config: EdgeTuneConfig,
+}
+
+impl EdgeTune {
+    /// Creates a job from a configuration.
+    #[must_use]
+    pub fn new(config: EdgeTuneConfig) -> Self {
+        EdgeTune { config }
+    }
+
+    /// The job's configuration.
+    #[must_use]
+    pub fn config(&self) -> &EdgeTuneConfig {
+        &self.config
+    }
+
+    /// Runs the job with the default simulated backend for the configured
+    /// workload.
+    ///
+    /// # Errors
+    ///
+    /// Propagates configuration and storage errors; see
+    /// [`EdgeTune::run_with_backend`].
+    pub fn run(&self) -> Result<TuningReport> {
+        Engine::new(&self.config).run()
+    }
+
+    /// Runs the job against any training backend (e.g. the real
+    /// `edgetune-nn` one).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] for inconsistent configurations,
+    /// [`Error::Storage`] if the historical cache cannot be written, and
+    /// [`Error::Channel`] if the inference server fails irrecoverably.
+    pub fn run_with_backend(&self, backend: &mut dyn TrainingBackend) -> Result<TuningReport> {
+        Engine::new(&self.config).run_with_backend(backend)
+    }
+
+    /// Runs the job and additionally returns the Chrome trace of every
+    /// span and event the study emitted on the simulated clock — open it
+    /// in `chrome://tracing` or Perfetto to see the Fig. 6 pipelining.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`EdgeTune::run`].
+    pub fn run_traced(&self) -> Result<(TuningReport, ChromeTrace)> {
+        Engine::new(&self.config).run_traced()
+    }
+}
 
 /// The tuning engine: runs one study described by a borrowed
 /// configuration and assembles its [`TuningReport`].
@@ -123,6 +172,29 @@ impl<'a> Engine<'a> {
         Ok((report, trace))
     }
 
+    /// The checkpoint this run resumes from, if it resumes at all.
+    /// `None` when resume is off, nothing was written yet, or the file
+    /// is corrupt and the degradation ladder has rungs to stand on (a
+    /// fresh start is deterministic, so it reproduces the same bytes).
+    fn load_checkpoint(&self) -> Result<Option<StudyCheckpoint>> {
+        let Some(path) = self.config.checkpoint_path.as_ref() else {
+            return Ok(None);
+        };
+        if !self.config.resume || !path.exists() {
+            return Ok(None);
+        }
+        let allow_degraded = !self.config.degradation.steps().is_empty();
+        let checkpoint = load_resume_state(path, allow_degraded)?;
+        match checkpoint.as_ref().map(|found| found.seed) {
+            Some(seed) if seed != self.config.seed => Err(Error::invalid_config(format!(
+                "checkpoint was written under seed {seed}, not {}: resuming would \
+                 silently diverge",
+                self.config.seed
+            ))),
+            _ => Ok(checkpoint),
+        }
+    }
+
     /// The study proper: everything between a validated configuration
     /// and an assembled report, emitting every piece of time accounting
     /// into `tracer` along the way.
@@ -142,99 +214,28 @@ impl<'a> Engine<'a> {
         }
         let faults_enabled = !self.config.fault_plan.is_none();
 
-        // Resume: restore the trial log, cache, and fault cursors from the
-        // checkpoint so the continuation replays the interrupted study.
-        // Sharded runs leave a manifest plus per-shard files; a corrupted
-        // or partial checkpoint degrades (manifest → plain → fresh) when
-        // the degradation ladder has rungs to stand on.
-        let mut replay: VecDeque<TrialRecord> = VecDeque::new();
-        let mut first_seq: u64 = 0;
-        let mut resumed_cache: Option<HistoricalCache> = None;
-        // Study-global accounting restored from the checkpoint: the
-        // exact timeline spans, accumulated stall/energy, degradation
-        // counters, backoff draws, and cache statistics of the
-        // completed prefix — the state replaying the trial log alone
-        // cannot reproduce. Both layouts carry these fields now; plain
-        // checkpoints written before they existed deserialise with an
-        // empty timeline and fall back to approximate replay-recorded
-        // spans.
-        let mut resumed_timeline = Timeline::new();
-        let mut resumed_stall = Seconds::ZERO;
-        let mut resumed_inference_energy = Joules::ZERO;
-        let mut resumed_degradation = DegradationStats::default();
-        let mut resumed_backoff_draws: u64 = 0;
-        let mut resumed_injected_losses: u64 = 0;
-        let mut resumed_injected_outages: u64 = 0;
-        let mut replay_records_timeline = true;
-        if self.config.resume {
-            if let Some(path) = &self.config.checkpoint_path {
-                if path.exists() {
-                    let allow_degraded = !self.config.degradation.steps().is_empty();
-                    let seed_guard = |found: u64| {
-                        if found != self.config.seed {
-                            Err(Error::invalid_config(format!(
-                                "checkpoint was written under seed {}, not {}: resuming would \
-                                 silently diverge",
-                                found, self.config.seed
-                            )))
-                        } else {
-                            Ok(())
-                        }
-                    };
-                    match load_resume_state(path, allow_degraded)? {
-                        StudyResume::Fresh => {}
-                        StudyResume::Plain(checkpoint) => {
-                            seed_guard(checkpoint.seed)?;
-                            backend.set_fault_cursor(checkpoint.fault_cursor);
-                            first_seq = checkpoint.inference_cursor;
-                            replay = checkpoint.history().records().to_vec().into();
-                            let mut cache = checkpoint.cache;
-                            cache.restore_stats(checkpoint.cache_stats);
-                            resumed_cache = Some(cache);
-                            resumed_stall = checkpoint.stall;
-                            resumed_inference_energy = checkpoint.inference_energy;
-                            resumed_degradation = checkpoint.degradation;
-                            resumed_backoff_draws = checkpoint.backoff_draws;
-                            resumed_injected_losses = checkpoint.injected_losses;
-                            resumed_injected_outages = checkpoint.injected_outages;
-                            // A legacy checkpoint (no recorded spans
-                            // despite completed trials) keeps the
-                            // approximate replay-recorded timeline.
-                            if !checkpoint.timeline.spans().is_empty() || replay.is_empty() {
-                                resumed_timeline = checkpoint.timeline;
-                                replay_records_timeline = false;
-                            }
-                        }
-                        StudyResume::Sharded { manifest, history } => {
-                            seed_guard(manifest.seed)?;
-                            backend.set_fault_cursor(manifest.fault_cursor);
-                            first_seq = manifest.inference_cursor;
-                            replay = history.records().to_vec().into();
-                            let mut cache = manifest.cache;
-                            cache.restore_stats(manifest.cache_stats);
-                            resumed_cache = Some(cache);
-                            resumed_timeline = manifest.timeline;
-                            resumed_stall = manifest.stall;
-                            resumed_inference_energy = manifest.inference_energy;
-                            resumed_degradation = manifest.degradation;
-                            resumed_backoff_draws = manifest.backoff_draws;
-                            resumed_injected_losses = manifest.injected_losses;
-                            resumed_injected_outages = manifest.injected_outages;
-                            replay_records_timeline = false;
-                        }
-                    }
-                }
+        // Resume: the checkpoint's trial log is replayed and its
+        // study-global accounting — the state replaying the log alone
+        // cannot reproduce — reinstated whole. Without one the study
+        // starts from nothing but the persistent historical cache.
+        let (replay, resumed) = match self.load_checkpoint()? {
+            Some(checkpoint) => {
+                let (trials, mut globals) = checkpoint.into_parts();
+                globals.cache.restore_stats(globals.cache_stats);
+                backend.set_fault_cursor(globals.fault_cursor);
+                (VecDeque::from(trials), globals)
             }
-        }
-
-        // Historical cache: the checkpoint's snapshot wins on resume, then
-        // the persistent file, else start fresh.
-        let cache = match resumed_cache {
-            Some(cache) => cache,
-            None => match &self.config.cache_path {
-                Some(path) if path.exists() => HistoricalCache::load(path)?,
-                _ => HistoricalCache::new(),
-            },
+            None => {
+                let cache = match &self.config.cache_path {
+                    Some(path) if path.exists() => HistoricalCache::load(path)?,
+                    _ => HistoricalCache::new(),
+                };
+                let fresh = StudyGlobals {
+                    cache,
+                    ..StudyGlobals::default()
+                };
+                (VecDeque::new(), fresh)
+            }
         };
 
         let inference_server = InferenceTuningServer::new(
@@ -252,11 +253,11 @@ impl<'a> Engine<'a> {
         };
         let async_server = AsyncInferenceServer::start_supervised(
             inference_server,
-            cache,
+            resumed.cache,
             self.config.inference_workers,
             self.config.historical_cache,
             inference_faults,
-            first_seq,
+            resumed.inference_cursor,
         );
 
         let mut objective = TrainObjective::inference_aware(self.config.train_metric);
@@ -264,10 +265,10 @@ impl<'a> Engine<'a> {
             objective = objective.with_accuracy_floor(floor);
         }
 
-        // A shard manifest restores the exact recorded spans; seed them
+        // The checkpoint restores the exact recorded spans; seed them
         // into the tracer *before* any live trial so the derived
         // timeline reproduces the uninterrupted run's span sequence.
-        seed_tracer_from_timeline(tracer, &resumed_timeline);
+        seed_tracer_from_timeline(tracer, &resumed.timeline);
         let mut sampler = self.config.build_sampler();
         let device_name = self.config.edge_device.name.clone();
 
@@ -279,7 +280,7 @@ impl<'a> Engine<'a> {
         // study trace, whose bytes are an exec-mode-independent contract.
         let mut executor = ShardFabric::new(self.config);
 
-        let (history, stamps, makespan, stall, inference_energy, degradation, rungs_completed) = {
+        let (history, makespan, stall, inference_energy, degradation, rungs_completed) = {
             let mut evaluator = OnefoldEvaluator {
                 backend,
                 inference: &async_server,
@@ -292,25 +293,23 @@ impl<'a> Engine<'a> {
                 trial_slots: self.config.trial_slots,
                 executor: &mut executor,
                 clock: SimClock::new(),
-                stall: resumed_stall,
-                inference_energy: resumed_inference_energy,
+                stall: resumed.stall,
+                inference_energy: resumed.inference_energy,
                 faults_enabled,
                 supervisor: self.config.supervisor,
                 ladder: &self.config.degradation,
                 reply_timeout: self.config.reply_timeout,
                 supervisor_seed: SeedStream::new(self.config.seed).child("supervisor"),
-                backoff_draws: resumed_backoff_draws,
-                stats: resumed_degradation,
-                resumed_injected_losses,
-                resumed_injected_outages,
+                backoff_draws: resumed.backoff_draws,
+                stats: resumed.degradation,
+                resumed_injected_losses: resumed.injected_losses,
+                resumed_injected_outages: resumed.injected_outages,
                 checkpoint_path: self.config.checkpoint_path.as_ref(),
                 root_seed: self.config.seed,
                 halt_after_rungs: self.config.halt_after_rungs,
                 rungs_completed: 0,
                 replay,
-                replay_records_timeline,
                 current_bracket: 0,
-                stamps: Vec::new(),
                 rungs_traced: 0,
                 bracket_open: None,
                 scratch: Default::default(),
@@ -343,10 +342,8 @@ impl<'a> Engine<'a> {
                     )
             };
             evaluator.finish_trace();
-            let stamps = std::mem::take(&mut evaluator.stamps);
             (
                 history,
-                stamps,
                 evaluator.clock.now(),
                 evaluator.stall,
                 evaluator.inference_energy,
@@ -365,25 +362,13 @@ impl<'a> Engine<'a> {
         // separately recorded, so the two can never disagree.
         let timeline = timeline_from_trace(tracer);
 
-        // Sharded studies hand the report a *merged* history: split the
-        // stamped trial log by the coordinator's plan and interleave it
-        // back by (simulated start, bracket, trial id). The merge is the
-        // identity for a correct implementation — running it on every
-        // sharded study keeps that invariant permanently under test.
-        let history = if self.config.study_shards > 1 && stamps.len() == history.len() {
-            let coordinator = StudyCoordinator::new(self.config.study_shards);
-            HistoryMerge::merge(coordinator.shard_histories(&history, &stamps))
-        } else {
-            history
-        };
-
         // Harvest the inference server's fault counters before shutdown.
         // The live counters only cover post-resume requests — replayed
         // trials never resubmit — so the checkpointed prefix's tallies
         // are added back in.
         let worker_panics = async_server.worker_panics();
-        let injected_losses = resumed_injected_losses + async_server.injected_losses();
-        let injected_outages = resumed_injected_outages + async_server.injected_outages();
+        let injected_losses = resumed.injected_losses + async_server.injected_losses();
+        let injected_outages = resumed.injected_outages + async_server.injected_outages();
 
         // The tuning job's output is the final-rung winner: raw ratio
         // scores are only comparable within one budget level.
@@ -433,7 +418,7 @@ impl<'a> Engine<'a> {
             None
         };
 
-        // The frontier is assembled from the *merged* history, so its
+        // The frontier is assembled from the study's one history, so its
         // contents (like every other reported byte) are invariant to the
         // shard split.
         let frontier = match self.config.pareto {
@@ -466,9 +451,10 @@ mod tests {
     use super::*;
     use crate::backend::{PARAM_GPUS, PARAM_MODEL_HP};
     use crate::config::SamplerKind;
-    use crate::server::EdgeTune;
+    use crate::engine::EdgeTune;
     use edgetune_tuner::scheduler::SchedulerConfig;
     use edgetune_tuner::Metric;
+    use edgetune_util::units::Seconds;
     use edgetune_workloads::catalog::WorkloadId;
 
     fn quick_config() -> EdgeTuneConfig {
@@ -662,7 +648,7 @@ mod tests {
 #[cfg(test)]
 mod ablation_tests {
     use crate::config::EdgeTuneConfig;
-    use crate::server::EdgeTune;
+    use crate::engine::EdgeTune;
     use edgetune_tuner::scheduler::SchedulerConfig;
     use edgetune_util::units::Seconds;
     use edgetune_workloads::catalog::WorkloadId;
@@ -728,7 +714,7 @@ mod chaos_tests {
     use std::time::Duration;
 
     use crate::config::EdgeTuneConfig;
-    use crate::server::{EdgeTune, TuningReport};
+    use crate::engine::{EdgeTune, TuningReport};
     use edgetune_faults::{FaultPlan, Supervisor};
     use edgetune_tuner::scheduler::SchedulerConfig;
     use edgetune_util::units::Seconds;
@@ -887,7 +873,7 @@ mod chaos_tests {
 #[cfg(test)]
 mod shard_tests {
     use crate::config::EdgeTuneConfig;
-    use crate::server::EdgeTune;
+    use crate::engine::EdgeTune;
     use edgetune_faults::FaultPlan;
     use edgetune_tuner::scheduler::SchedulerConfig;
     use edgetune_workloads::catalog::WorkloadId;
@@ -926,7 +912,7 @@ mod shard_tests {
         assert_eq!(
             baseline.to_json().unwrap(),
             sharded.to_json().unwrap(),
-            "per-bracket stamps must keep HyperBand runs shard-invariant"
+            "HyperBand runs must stay shard-invariant across brackets"
         );
     }
 
@@ -947,30 +933,28 @@ mod shard_tests {
     }
 
     #[test]
-    fn sharded_runs_checkpoint_a_manifest_with_shard_files() {
-        let dir = std::env::temp_dir().join("edgetune-shard-manifest-test");
+    fn a_sharded_run_leaves_exactly_one_checkpoint_file() {
+        let dir = std::env::temp_dir().join("edgetune-shard-one-file-test");
+        std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("study.ckpt.json");
-        std::fs::remove_file(&path).ok();
         let _ = EdgeTune::new(
             quick_config()
-                .with_study_shards(2)
+                .with_study_shards(4)
                 .with_checkpoint_path(&path),
         )
         .run()
         .unwrap();
-        assert!(path.exists(), "each rung writes the manifest");
-        let manifest = std::fs::read_to_string(&path).unwrap();
-        assert!(
-            manifest.contains("\"shard_files\""),
-            "a sharded study must leave a manifest, not a plain checkpoint"
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(
+            left,
+            ["study.ckpt.json"],
+            "one checkpoint at the path, no `.shardN` or `.tmp` siblings"
         );
-        for shard in 0..2 {
-            let shard_path = dir.join(format!("study.ckpt.json.shard{shard}"));
-            assert!(shard_path.exists(), "missing {}", shard_path.display());
-            std::fs::remove_file(&shard_path).ok();
-        }
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -978,36 +962,42 @@ mod shard_tests {
         let dir = std::env::temp_dir().join("edgetune-shard-resume-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("study.ckpt.json");
-        std::fs::remove_file(&path).ok();
 
-        let full = EdgeTune::new(quick_config().with_study_shards(4))
+        let full = EdgeTune::new(quick_config()).run().unwrap();
+        // The shards only measure: whatever count halts the study
+        // writes the same checkpoint bytes, and any count resumes it.
+        let mut checkpoints = Vec::new();
+        for (halt_shards, resume_shards) in [(4, 4), (4, 1), (1, 4)] {
+            std::fs::remove_file(&path).ok();
+            let halted = EdgeTune::new(
+                quick_config()
+                    .with_study_shards(halt_shards)
+                    .with_checkpoint_path(&path)
+                    .with_halt_after_rungs(2),
+            )
             .run()
             .unwrap();
-        let halted = EdgeTune::new(
-            quick_config()
-                .with_study_shards(4)
-                .with_checkpoint_path(&path)
-                .with_halt_after_rungs(2),
-        )
-        .run()
-        .unwrap();
-        assert!(halted.history().len() < full.history().len());
-        let resumed = EdgeTune::new(
-            quick_config()
-                .with_study_shards(4)
-                .with_checkpoint_path(&path)
-                .resuming(),
-        )
-        .run()
-        .unwrap();
-        assert_eq!(
-            full.to_json().unwrap(),
-            resumed.to_json().unwrap(),
-            "resume from per-shard checkpoints must reproduce the uninterrupted bytes"
-        );
-        for shard in 0..4 {
-            std::fs::remove_file(dir.join(format!("study.ckpt.json.shard{shard}"))).ok();
+            assert!(halted.history().len() < full.history().len());
+            checkpoints.push(std::fs::read(&path).unwrap());
+            let resumed = EdgeTune::new(
+                quick_config()
+                    .with_study_shards(resume_shards)
+                    .with_checkpoint_path(&path)
+                    .resuming(),
+            )
+            .run()
+            .unwrap();
+            assert_eq!(
+                full.to_json().unwrap(),
+                resumed.to_json().unwrap(),
+                "halted under {halt_shards} shards, resumed under {resume_shards}: \
+                 must reproduce the uninterrupted bytes"
+            );
         }
+        assert!(
+            checkpoints.windows(2).all(|pair| pair[0] == pair[1]),
+            "the rung-2 checkpoint's bytes depend on the shard count"
+        );
         std::fs::remove_file(&path).ok();
     }
 }

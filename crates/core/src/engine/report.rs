@@ -5,9 +5,8 @@
 //! pipelining timeline, cache statistics, and the simulated cost totals.
 //! Its JSON form ([`TuningReport::to_json`]) is a stability contract —
 //! byte-identical for a fixed seed and configuration regardless of how
-//! many real worker threads measured the trials or how many engine
-//! shards the study was split across (a sharded run's history is merged
-//! back into execution order before the report is assembled) — so
+//! many engine shards measured the trials or where they ran (shards
+//! only measure; the study keeps one history, in execution order) — so
 //! snapshot tests can compare runs across refactors and machines.
 
 use edgetune_faults::{DegradationStats, FaultPlan};
@@ -42,11 +41,11 @@ pub struct FaultReport {
     pub failed_trials: u64,
 }
 
-/// Assembles a report frontier from a (merged) history: every healthy
+/// Assembles a report frontier from the study's history: every healthy
 /// vectored trial is offered to a [`ParetoFront`] and the canonical
-/// top-`k` survives. The input history is already merged into execution
-/// order, and the front itself is insertion-order invariant, so the
-/// result is byte-identical whatever the worker/shard split.
+/// top-`k` survives. The history is in execution order and the front
+/// itself is insertion-order invariant, so the result is byte-identical
+/// whatever the shard split.
 pub(crate) fn build_frontier(history: &History, k: usize) -> Vec<FrontPoint> {
     let mut front = ParetoFront::new();
     for record in history.records() {
@@ -297,7 +296,7 @@ mod summary_tests {
     use edgetune_workloads::catalog::WorkloadId;
 
     use crate::config::EdgeTuneConfig;
-    use crate::server::EdgeTune;
+    use crate::engine::EdgeTune;
 
     #[test]
     fn summary_mentions_the_key_outputs() {

@@ -232,12 +232,6 @@ impl ShardFabric {
         }
     }
 
-    /// Plans per rung.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
     /// Cumulative supervision counters, or `None` when the placement
     /// leaves nothing to supervise: thread placement, or a single shard
     /// (which the study measures sequentially).

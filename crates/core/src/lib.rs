@@ -7,7 +7,7 @@
 //! **system parameters** in one joint ("onefold") search whose objective
 //! also accounts for *inference* performance on emulated edge devices:
 //!
-//! * the [`server::EdgeTune`] job (the Model Tuning Server role) runs
+//! * the [`EdgeTune`] job (the Model Tuning Server role) runs
 //!   training trials under a
 //!   multi-fidelity budget (the multi-budget of Algorithm 2) and scores
 //!   them with the §4.4 ratio objectives,
@@ -58,7 +58,6 @@ pub mod fabric;
 pub mod inference;
 pub mod scenario;
 pub mod serve;
-pub mod server;
 pub mod timeline;
 pub mod trace;
 pub mod transfer;
@@ -66,14 +65,14 @@ pub mod transfer;
 /// Convenient re-exports for typical use.
 pub mod prelude {
     pub use crate::inference::{InferenceRecommendation, InferenceSpace};
-    pub use crate::server::{EdgeTune, EdgeTuneConfig, TuningReport};
+    pub use crate::{EdgeTune, EdgeTuneConfig, TuningReport};
     pub use edgetune_faults::{DegradationLadder, FaultPlan, RetryPolicy, Supervisor};
     pub use edgetune_tuner::{BudgetPolicy, Metric, SchedulerConfig};
     pub use edgetune_workloads::WorkloadId;
 }
 
-pub use engine::Engine;
+pub use config::EdgeTuneConfig;
+pub use engine::{EdgeTune, Engine, TuningReport};
 pub use inference::{InferenceRecommendation, InferenceSpace, InferenceTuningServer};
 pub use serve::ScenarioRetuner;
-pub use server::{EdgeTune, EdgeTuneConfig, TuningReport};
 pub use transfer::{TransferIndex, TransferKey};

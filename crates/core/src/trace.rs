@@ -73,7 +73,7 @@ pub fn timeline_from_trace(tracer: &Tracer) -> Timeline {
 
 /// Replays a restored timeline into a tracer — the resume path.
 ///
-/// A shard manifest persists the exact recorded timeline; on resume the
+/// A study checkpoint persists the exact recorded timeline; on resume the
 /// orchestrator seeds the fresh tracer with those spans (on dedicated
 /// "restored" tracks) before any live trial runs, so
 /// [`timeline_from_trace`] reproduces the uninterrupted run's span

@@ -46,7 +46,7 @@ fn json_flag_writes_a_loadable_report() {
         String::from_utf8_lossy(&out.stderr)
     );
     let json = std::fs::read_to_string(&path).expect("report written");
-    let report = edgetune::server::TuningReport::from_json(&json).expect("report parses");
+    let report = edgetune::TuningReport::from_json(&json).expect("report parses");
     assert!(report.best_accuracy() > 0.0);
     std::fs::remove_file(&path).ok();
 }

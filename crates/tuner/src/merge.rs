@@ -14,6 +14,12 @@
 //! trial ids are globally unique, so the key is a total order. Merging
 //! is therefore a pure sort — independent of how many shards there were
 //! or in which order their histories arrive.
+//!
+//! The engine no longer calls this: its shards only measure rung slices
+//! and the coordinator keeps the study's one history, so there is
+//! nothing to merge. The module stays for `benchmark/`
+//! (`tuner.merge.merge_ms`) and `tests/properties.rs` until a benchmark
+//! change retires the metric and the module together.
 
 use std::cmp::Ordering;
 

@@ -195,7 +195,7 @@ fn report_json_round_trips() {
         .run()
         .expect("run succeeds");
     let json = report.to_json().expect("serialises");
-    let restored = edgetune::server::TuningReport::from_json(&json).expect("parses");
+    let restored = edgetune::TuningReport::from_json(&json).expect("parses");
     assert_eq!(restored.best_config(), report.best_config());
     assert_eq!(restored.recommendation(), report.recommendation());
     assert_eq!(restored.tuning_runtime(), report.tuning_runtime());

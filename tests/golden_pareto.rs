@@ -106,23 +106,33 @@ fn scalar_reports_do_not_mention_the_feature() {
 #[test]
 fn pareto_resume_reproduces_the_uninterrupted_bytes() {
     // Halting a pareto study and resuming from the checkpoint must not
-    // lose the objective vectors of the replayed prefix.
+    // lose the objective vectors of the replayed prefix — under the
+    // shard count it halted with or any other.
     let dir = std::env::temp_dir().join("edgetune-golden-pareto-resume");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("study.ckpt.json");
-    std::fs::remove_file(&path).ok();
 
     let full = json_of(pareto_config());
-    let _halted = json_of(
-        pareto_config()
-            .with_checkpoint_path(&path)
-            .with_halt_after_rungs(2),
-    );
-    assert!(path.exists(), "the halted run left a checkpoint");
-    let resumed = json_of(pareto_config().with_checkpoint_path(&path).resuming());
-    assert_eq!(
-        full, resumed,
-        "resume dropped frontier data from the replayed prefix"
-    );
+    for (halt_shards, resume_shards) in [(1, 1), (4, 1), (1, 4)] {
+        std::fs::remove_file(&path).ok();
+        let _halted = json_of(
+            pareto_config()
+                .with_study_shards(halt_shards)
+                .with_checkpoint_path(&path)
+                .with_halt_after_rungs(2),
+        );
+        assert!(path.exists(), "the halted run left a checkpoint");
+        let resumed = json_of(
+            pareto_config()
+                .with_study_shards(resume_shards)
+                .with_checkpoint_path(&path)
+                .resuming(),
+        );
+        assert_eq!(
+            full, resumed,
+            "halted under {halt_shards} shards, resumed under {resume_shards}: \
+             resume dropped frontier data from the replayed prefix"
+        );
+    }
     std::fs::remove_file(&path).ok();
 }

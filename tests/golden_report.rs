@@ -1,8 +1,8 @@
 //! Golden-report snapshot tests: the `TuningReport` JSON artefact is a
 //! stability contract. For a fixed seed and configuration it must be
 //! byte-identical across repeated runs, across study shard counts
-//! (`study_shards`), and across the façade's public paths — the
-//! determinism floor every engine refactor has to clear.
+//! (`study_shards`), and across checkpoint resume — the determinism
+//! floor every engine refactor has to clear.
 //!
 //! CI runs this file under a matrix of `EDGETUNE_STUDY_SHARDS` and
 //! `EDGETUNE_GOLDEN_SEED` values, so the byte-identity claims are
@@ -47,7 +47,7 @@ fn report_json_is_byte_identical_across_repeated_runs() {
 #[test]
 fn report_json_is_byte_identical_across_study_shard_counts() {
     // `study_shards` partitions each rung across engine shards on real
-    // threads; the merged report must be indistinguishable from the
+    // threads; the report must be indistinguishable from the
     // single-shard run for every shard count.
     let baseline = json_of(golden_config().with_study_shards(1));
     for shards in [2, 4] {
@@ -86,46 +86,52 @@ fn shards_layer_under_simulated_slots_without_changing_json() {
 
 #[test]
 fn resume_from_shard_checkpoints_is_byte_identical() {
-    // Halt a sharded study mid-flight, then resume it from the shard
-    // manifest: the final artefact must equal the uninterrupted bytes.
+    // Halt a study mid-flight and resume it: the final artefact must
+    // equal the uninterrupted bytes. The shards only measure, so the
+    // checkpoint's bytes are the same whatever count wrote it, and a
+    // study halted under one count resumes under another.
     let dir = std::env::temp_dir().join(format!("edgetune-golden-shard-resume-{}", golden_seed()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("study.ckpt.json");
-    std::fs::remove_file(&path).ok();
 
-    let full = json_of(golden_config().with_study_shards(4));
-    let _halted = json_of(
-        golden_config()
-            .with_study_shards(4)
-            .with_checkpoint_path(&path)
-            .with_halt_after_rungs(2),
-    );
-    assert!(path.exists(), "the halted run left a shard manifest");
-    let resumed = json_of(
-        golden_config()
-            .with_study_shards(4)
-            .with_checkpoint_path(&path)
-            .resuming(),
-    );
-    assert_eq!(
-        full, resumed,
-        "resume from per-shard checkpoints diverged from the uninterrupted run"
-    );
-    for shard in 0..4 {
-        std::fs::remove_file(dir.join(format!("study.ckpt.json.shard{shard}"))).ok();
+    let full = json_of(golden_config());
+    let mut checkpoints = Vec::new();
+    for (halt_shards, resume_shards) in [(4, 4), (4, 1), (1, 4)] {
+        std::fs::remove_file(&path).ok();
+        let _halted = json_of(
+            golden_config()
+                .with_study_shards(halt_shards)
+                .with_checkpoint_path(&path)
+                .with_halt_after_rungs(2),
+        );
+        checkpoints.push(std::fs::read(&path).expect("the halted run left a checkpoint"));
+        let resumed = json_of(
+            golden_config()
+                .with_study_shards(resume_shards)
+                .with_checkpoint_path(&path)
+                .resuming(),
+        );
+        assert_eq!(
+            full, resumed,
+            "halted under {halt_shards} shards, resumed under {resume_shards}: \
+             diverged from the uninterrupted run"
+        );
     }
+    assert!(
+        checkpoints.windows(2).all(|pair| pair[0] == pair[1]),
+        "the rung-2 checkpoint's bytes depend on the shard count"
+    );
     std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn facade_reexports_preserve_the_public_paths() {
-    // The refactor moved the implementation out of `server`; the
-    // long-standing paths must keep resolving and round-tripping.
-    let report = EdgeTune::new(golden_config()).run().unwrap();
+    // The job and its report live in `engine`; the crate-root paths
+    // users import must keep resolving and round-tripping.
+    let report = edgetune::EdgeTune::new(golden_config()).run().unwrap();
     let json = report.to_json().unwrap();
-    let restored = edgetune::server::TuningReport::from_json(&json).expect("parses");
+    let restored = edgetune::TuningReport::from_json(&json).expect("parses");
     assert_eq!(restored.best_config(), report.best_config());
     assert_eq!(restored.to_json().unwrap(), json);
-    let _ = edgetune::server::SamplerKind::Tpe;
     let _ = edgetune::config::SamplerKind::Tpe;
 }

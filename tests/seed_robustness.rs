@@ -182,27 +182,23 @@ fn checkpoint_resume_reproduces_the_uninterrupted_history() {
 
 #[test]
 fn torn_shard_checkpoints_degrade_instead_of_panicking() {
-    // A power cut mid-write can leave a truncated manifest or rip away a
-    // shard file. With the degradation ladder armed (the default), resume
-    // must fall back — torn manifest restarts fresh, a missing shard file
-    // likewise — and the deterministic engine still reproduces the exact
-    // uninterrupted artefact. It must never panic or error out.
+    // A power cut mid-write can leave a truncated checkpoint, and an
+    // older build's sharded study left a shard manifest at the path
+    // (its trials lived in sibling files). With the degradation ladder
+    // armed (the default) resume restarts fresh, and the deterministic
+    // engine still reproduces the exact uninterrupted artefact; with
+    // the ladder off it is a structured error. Never a panic, never a
+    // resume from partial state.
     let seed = chaos_seed();
     let dir = std::env::temp_dir().join(format!("edgetune-torn-shard-{seed}"));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("study.ckpt.json");
+    std::fs::remove_file(&path).ok();
     let config = || {
         chaos_config(seed, 0.0)
             .with_study_shards(4)
             .with_checkpoint_path(&path)
     };
-    let cleanup = |dir: &std::path::Path, path: &std::path::Path| {
-        for shard in 0..4 {
-            std::fs::remove_file(dir.join(format!("study.ckpt.json.shard{shard}"))).ok();
-        }
-        std::fs::remove_file(path).ok();
-    };
-    cleanup(&dir, &path);
 
     let full = EdgeTune::new(chaos_config(seed, 0.0).with_study_shards(4))
         .run()
@@ -210,30 +206,44 @@ fn torn_shard_checkpoints_degrade_instead_of_panicking() {
         .to_json()
         .unwrap();
 
-    // Torn manifest: truncate it mid-JSON.
     let _ = EdgeTune::new(config().with_halt_after_rungs(2))
         .run()
         .expect("halted run");
-    let manifest = std::fs::read_to_string(&path).expect("manifest written");
-    std::fs::write(&path, &manifest.as_bytes()[..manifest.len() / 2]).expect("tear the manifest");
-    let resumed = EdgeTune::new(config().resuming())
-        .run()
-        .expect("a torn manifest must degrade to a fresh run, not panic");
-    assert_eq!(
-        resumed.to_json().unwrap(),
-        full,
-        "seed {seed}: the degraded restart must still reproduce the artefact"
-    );
-    cleanup(&dir, &path);
+    let intact = std::fs::read_to_string(&path).expect("checkpoint written");
+    let torn = intact.as_bytes()[..intact.len() / 2].to_vec();
+    let mut manifest: serde_json::Value = serde_json::from_str(&intact).expect("valid JSON");
+    let keys = manifest.as_object_mut().expect("an object");
+    keys.remove("trials");
+    keys.insert("shards", serde_json::Value::from(2_u64));
+    let files = r#"["study.ckpt.json.shard0", "study.ckpt.json.shard1"]"#;
+    keys.insert("shard_files", serde_json::from_str(files).unwrap());
+    let manifest = serde_json::to_string_pretty(&manifest)
+        .unwrap()
+        .into_bytes();
 
-    // Missing shard file: the manifest is intact but one shard is gone.
-    let _ = EdgeTune::new(config().with_halt_after_rungs(2))
-        .run()
-        .expect("halted run");
-    std::fs::remove_file(dir.join("study.ckpt.json.shard1")).expect("rip out a shard");
-    let resumed = EdgeTune::new(config().resuming())
-        .run()
-        .expect("a missing shard file must degrade, not panic");
-    assert_eq!(resumed.to_json().unwrap(), full, "seed {seed}");
-    cleanup(&dir, &path);
+    for (what, bytes) in [
+        ("torn checkpoint", torn),
+        ("stale shard manifest", manifest),
+    ] {
+        std::fs::write(&path, &bytes).expect("plant the corrupt state");
+        let strict = EdgeTune::new(
+            config()
+                .with_degradation(DegradationLadder::new(Vec::new()))
+                .resuming(),
+        )
+        .run();
+        assert!(
+            matches!(strict, Err(edgetune_util::Error::Storage(_))),
+            "seed {seed}: a {what} with the ladder off must be a storage error"
+        );
+        let resumed = EdgeTune::new(config().resuming())
+            .run()
+            .unwrap_or_else(|e| panic!("a {what} must degrade to a fresh run: {e}"));
+        assert_eq!(
+            resumed.to_json().unwrap(),
+            full,
+            "seed {seed}: the restart after a {what} must still reproduce the artefact"
+        );
+    }
+    std::fs::remove_file(&path).ok();
 }
