@@ -4,7 +4,7 @@
 //! Model Tuning Server fires a request when a trial *starts* and collects
 //! the answer when the trial *ends*, so inference tuning is pipelined with
 //! training and "does not add any overhead to the main process" (§3.3).
-//! This module provides that middleware plumbing: a dedicated worker
+//! This module provides that middleware plumbing: one dedicated worker
 //! thread owning the [`InferenceTuningServer`] and the
 //! [`HistoricalCache`], fed through crossbeam channels.
 //!
@@ -28,6 +28,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{CacheKey, HistoricalCache};
+use crate::checkpoint::StudyGlobals;
 use crate::inference::{InferenceRecommendation, InferenceTuningServer};
 
 /// The answer to one inference-tuning request.
@@ -126,88 +127,57 @@ impl PendingReply {
 #[derive(Debug)]
 pub struct AsyncInferenceServer {
     tx: Option<Sender<Request>>,
-    workers: Vec<JoinHandle<()>>,
+    worker: Option<JoinHandle<()>>,
     cache: Arc<Mutex<HistoricalCache>>,
     counters: Arc<FaultCounters>,
     next_seq: AtomicU64,
 }
 
 impl AsyncInferenceServer {
-    /// Spawns a single-worker server with the historical cache enabled —
-    /// the paper's configuration.
+    /// Spawns the server with the historical cache enabled — the paper's
+    /// configuration.
     #[must_use]
     pub fn start(server: InferenceTuningServer, cache: HistoricalCache) -> Self {
-        Self::start_with_options(server, cache, 1, true)
+        Self::start_supervised(server, cache, true, None, &StudyGlobals::default())
     }
 
-    /// Spawns the server with explicit options: `workers` concurrent
-    /// sweep threads (useful when the model server parallelises its
-    /// trials) and whether the historical cache is consulted (`caching =
-    /// false` is the ablation of §3.4's look-up feature).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    #[must_use]
-    pub fn start_with_options(
-        server: InferenceTuningServer,
-        cache: HistoricalCache,
-        workers: usize,
-        caching: bool,
-    ) -> Self {
-        Self::start_supervised(server, cache, workers, caching, None, 0)
-    }
-
-    /// Spawns the server with a fault injector and the request-sequence
-    /// cursor to resume from (chaos runs; checkpoint/resume). With
-    /// `faults: None` and `first_seq: 0` this is exactly
-    /// [`AsyncInferenceServer::start_with_options`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
+    /// Spawns the server with explicit options: whether the historical
+    /// cache is consulted (`caching = false` is the ablation of §3.4's
+    /// look-up feature), a fault injector (chaos runs), and the study
+    /// state to pick up from — a resumed server continues the request
+    /// sequence and the injected-fault tallies where `resumed` left
+    /// them.
     #[must_use]
     pub fn start_supervised(
         server: InferenceTuningServer,
         cache: HistoricalCache,
-        workers: usize,
         caching: bool,
         faults: Option<FaultInjector>,
-        first_seq: u64,
+        resumed: &StudyGlobals,
     ) -> Self {
-        assert!(workers >= 1, "need at least one worker");
         let cache = Arc::new(Mutex::new(cache));
-        let counters = Arc::new(FaultCounters::default());
+        let counters = Arc::new(FaultCounters {
+            injected_losses: AtomicU64::new(resumed.injected_losses),
+            injected_outages: AtomicU64::new(resumed.injected_outages),
+            ..FaultCounters::default()
+        });
         let (tx, rx) = unbounded::<Request>();
-        let server = Arc::new(server);
-        let handles = (0..workers)
-            .map(|i| {
-                let rx = rx.clone();
-                let worker_cache = Arc::clone(&cache);
-                let server = Arc::clone(&server);
-                let counters = Arc::clone(&counters);
-                let faults = faults.clone();
-                std::thread::Builder::new()
-                    .name(format!("inference-tuning-server-{i}"))
-                    .spawn(move || {
-                        Self::worker_loop(
-                            &rx,
-                            &server,
-                            &worker_cache,
-                            caching,
-                            faults.as_ref(),
-                            &counters,
-                        );
-                    })
-                    .expect("spawning inference server thread")
-            })
-            .collect();
+        let worker = {
+            let cache = Arc::clone(&cache);
+            let counters = Arc::clone(&counters);
+            std::thread::Builder::new()
+                .name("inference-tuning-server".to_string())
+                .spawn(move || {
+                    Self::worker_loop(&rx, &server, &cache, caching, faults.as_ref(), &counters);
+                })
+                .expect("spawning inference server thread")
+        };
         AsyncInferenceServer {
             tx: Some(tx),
-            workers: handles,
+            worker: Some(worker),
             cache,
             counters,
-            next_seq: AtomicU64::new(first_seq),
+            next_seq: AtomicU64::new(resumed.inference_cursor),
         }
     }
 
@@ -322,6 +292,27 @@ impl AsyncInferenceServer {
         Some(PendingReply { rx: reply_rx })
     }
 
+    /// Closes the request channel and joins the worker, which drains
+    /// what is queued first. Idempotent.
+    fn stop(&mut self) {
+        self.tx = None;
+        if let Some(worker) = self.worker.take() {
+            let _ = worker.join();
+        }
+    }
+
+    /// Writes the server's share of the study state — the cache and its
+    /// counters, the request cursor, the injected-fault tallies — into
+    /// `globals`: the inverse of what
+    /// [`AsyncInferenceServer::start_supervised`] picks up.
+    pub fn record_into(&self, globals: &mut StudyGlobals) {
+        globals.cache = self.cache_snapshot();
+        globals.cache_stats = globals.cache.stats();
+        globals.inference_cursor = self.submitted();
+        globals.injected_losses = self.injected_losses();
+        globals.injected_outages = self.injected_outages();
+    }
+
     /// A snapshot of the historical cache.
     #[must_use]
     pub fn cache_snapshot(&self) -> HistoricalCache {
@@ -368,14 +359,11 @@ impl AsyncInferenceServer {
         self.counters.injected_outages.load(Ordering::Relaxed)
     }
 
-    /// Stops the workers (draining queued requests first) and returns
+    /// Stops the worker (draining queued requests first) and returns
     /// the final cache.
     #[must_use]
     pub fn shutdown(mut self) -> HistoricalCache {
-        self.tx = None; // close the channel; workers drain and exit
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        self.stop();
         let cache = Arc::clone(&self.cache);
         drop(self);
         match Arc::try_unwrap(cache) {
@@ -387,10 +375,7 @@ impl AsyncInferenceServer {
 
 impl Drop for AsyncInferenceServer {
     fn drop(&mut self) {
-        self.tx = None;
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        self.stop();
     }
 }
 
@@ -531,10 +516,9 @@ mod tests {
         AsyncInferenceServer::start_supervised(
             inner,
             HistoricalCache::new(),
-            1,
             true,
             Some(FaultInjector::new(plan, SeedStream::new(77))),
-            0,
+            &StudyGlobals::default(),
         )
     }
 

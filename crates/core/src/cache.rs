@@ -177,15 +177,7 @@ impl HistoricalCache {
     pub fn save(&self, path: &Path) -> Result<()> {
         let json = serde_json::to_string_pretty(self)
             .map_err(|e| Error::storage(format!("serialising cache: {e}")))?;
-        let file_name = path.file_name().ok_or_else(|| {
-            Error::storage(format!("cache path {} has no file name", path.display()))
-        })?;
-        let mut tmp_name = file_name.to_os_string();
-        tmp_name.push(".tmp");
-        let tmp = path.with_file_name(tmp_name);
-        std::fs::write(&tmp, json)?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        edgetune_util::fs::write_atomic(path, json)
     }
 
     /// Loads a cache previously written by [`HistoricalCache::save`].

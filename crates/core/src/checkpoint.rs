@@ -1,30 +1,32 @@
-//! Study checkpoints: serialize tuning progress after each rung so an
-//! interrupted run can resume and finish with the *exact* history an
-//! uninterrupted run would have produced.
+//! Study checkpoints: the evaluator's state at a rung boundary, written
+//! after each live rung so an interrupted run can resume and finish with
+//! the *exact* bytes an uninterrupted run would have produced.
 //!
-//! Determinism is the whole point, so the format is built for exact
-//! round-trips: trial scores are stored as raw IEEE-754 bits
-//! (`f64::to_bits`) because failed trials carry `f64::INFINITY`
-//! penalties, which plain JSON would flatten to `null`. Alongside the
-//! trial log the checkpoint records the two fault-injection cursors —
-//! the training backend's draw counter and the inference server's
-//! request sequence — so a resumed run replays the same fate for every
-//! *future* trial and request as the uninterrupted run, and every piece
-//! of study-global state ([`StudyGlobals`]) the trial log alone cannot
-//! reproduce — replayed trials never rerun inference sweeps, and cache
-//! hit/miss counters are `#[serde(skip)]` inside the cache itself — so a
-//! resumed run serialises the exact report bytes of the uninterrupted
-//! run.
+//! The rule: **a checkpoint is the evaluator's state at a rung boundary;
+//! resume reinstates it.** A [`StudyCheckpoint`] is the seed, the trial
+//! log, and the one [`StudyGlobals`] the evaluator accumulates — stored
+//! as that struct, not as a mirrored field list. On resume the scheduler
+//! and sampler regenerate their own state by re-deriving the trial
+//! stream from the seed; every rung the log answers is *inert* — its
+//! records are checked against the regenerated `(id, config, budget)`
+//! and handed back, and nothing else happens: no clock advance, no
+//! spans, no counters, no checkpoint write. A log that stops matching
+//! the regenerated stream is a checkpoint of some other study and an
+//! [`Error::InvalidConfig`], never a live run on top of foreign state.
+//! Nothing in the globals is re-derived, so resumed bytes are
+//! independent of `trial_slots`, `study_shards` and `shard_exec`.
 //!
-//! There is one layout: a [`StudyCheckpoint`] in one atomically renamed
-//! file at the configured path. The coordinator holds the study's one
-//! history whole — engine shards only measure rung slices and hand the
-//! numbers back — so the file's bytes do not depend on `study_shards`
-//! or `shard_exec`, and a study halted under one shard count resumes
-//! under any other. Every field is required: a file that lacks one (or
-//! is torn, or is some other format) is a structured error, or — when
-//! the degradation ladder is armed — a fresh, still deterministic,
-//! start; never a resume from partial state.
+//! The format is built for exact round-trips: trial scores are stored
+//! as raw IEEE-754 bits (`f64::to_bits`) because failed trials carry
+//! `f64::INFINITY` penalties, which plain JSON would flatten to `null`.
+//!
+//! There is one layout: one atomically renamed file at the configured
+//! path, whose bytes do not depend on `study_shards` or `shard_exec`
+//! (engine shards only measure rung slices and hand the numbers back).
+//! Every key is required: a file that lacks one (or is torn, or is some
+//! other format — a pre-`globals` flat checkpoint included) is a
+//! structured error, or — when the degradation ladder is armed — a
+//! fresh, still deterministic, start; never a resume from partial state.
 
 use std::path::Path;
 
@@ -96,48 +98,40 @@ impl From<&CheckpointTrial> for TrialRecord {
     }
 }
 
-/// A resumable snapshot of a tuning study, written after each completed
-/// rung: the trial log plus the study's [`StudyGlobals`], field for
-/// field.
+/// A resumable snapshot of a tuning study, written after each live
+/// rung: the trial log plus the evaluator's [`StudyGlobals`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StudyCheckpoint {
     /// The seed the interrupted study ran under. Resuming under a
     /// different seed would silently diverge, so loads verify it.
     pub seed: u64,
     trials: Vec<CheckpointTrial>,
-    // The study's `StudyGlobals`, one required key each.
-    cache: HistoricalCache,
-    fault_cursor: u64,
-    inference_cursor: u64,
-    cache_stats: CacheStats,
-    timeline: Timeline,
-    stall: Seconds,
-    inference_energy: Joules,
-    degradation: DegradationStats,
-    backoff_draws: u64,
-    injected_losses: u64,
-    injected_outages: u64,
+    /// The evaluator's state at the rung boundary.
+    pub globals: StudyGlobals,
 }
 
-/// The study-global state a checkpoint carries beyond the trial log:
-/// everything the orchestrator must reinstate — on top of replaying the
-/// trials — for a resumed run to serialise the same report bytes as the
-/// uninterrupted run. `Default` is the state of a study that has not
-/// started.
-#[derive(Debug, Clone, Default)]
+/// The study's resumable state beyond the trial log, defined once: the
+/// evaluator accumulates it, a checkpoint stores it, and a resume
+/// reinstates it — whole, so a resumed run serialises the same report
+/// bytes as the uninterrupted run. `Default` is the state of a study
+/// that has not started.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StudyGlobals {
+    /// The simulated clock: the study's makespan so far. Carried, never
+    /// re-derived from trial runtimes — a rung on `trial_slots > 1`
+    /// advanced it by the rung's makespan, not their sum.
+    pub clock: Seconds,
     /// The historical cache (inference results are the expensive part of
     /// a rung — no reason to recompute them).
     pub cache: HistoricalCache,
     /// The cache's hit/miss counters, carried separately because they
-    /// are `#[serde(skip)]` inside [`HistoricalCache`]. Read from
-    /// [`AsyncInferenceServer::cache_stats`](crate::async_server::AsyncInferenceServer::cache_stats)
+    /// are `#[serde(skip)]` inside [`HistoricalCache`]. Taken from the
+    /// server's cache
+    /// ([`AsyncInferenceServer::record_into`](crate::async_server::AsyncInferenceServer::record_into))
     /// — the same single tally the trace's cache counter events sample,
     /// so checkpoints and traces can never disagree about them.
     pub cache_stats: CacheStats,
-    /// Every timeline span recorded so far. Replayed trials skip
-    /// inference sweeps entirely, so the spans of the completed prefix
-    /// can only come from here.
+    /// Every timeline span recorded so far.
     pub timeline: Timeline,
     /// Accumulated model-server stall time.
     pub stall: Seconds,
@@ -157,8 +151,6 @@ pub struct StudyGlobals {
     /// submitted (each one's fate is keyed by its sequence number).
     pub inference_cursor: u64,
     /// Inference requests dropped by injected worker deaths so far.
-    /// Replayed trials never resubmit their requests, so the prefix's
-    /// injected-fault tallies can only come from here.
     pub injected_losses: u64,
     /// Inference sweeps delayed by injected device outages so far.
     pub injected_outages: u64,
@@ -175,44 +167,21 @@ impl StudyCheckpoint {
                 .iter()
                 .map(CheckpointTrial::from)
                 .collect(),
-            cache: globals.cache,
-            fault_cursor: globals.fault_cursor,
-            inference_cursor: globals.inference_cursor,
-            cache_stats: globals.cache_stats,
-            timeline: globals.timeline,
-            stall: globals.stall,
-            inference_energy: globals.inference_energy,
-            degradation: globals.degradation,
-            backoff_draws: globals.backoff_draws,
-            injected_losses: globals.injected_losses,
-            injected_outages: globals.injected_outages,
+            globals,
         }
     }
 
     /// Takes the checkpoint apart into what a resume reinstates: the
-    /// trial log to replay, bit-exact and in execution order, and the
-    /// study-global state.
+    /// trial log, bit-exact and in execution order, and the evaluator's
+    /// state.
     #[must_use]
     pub fn into_parts(self) -> (Vec<TrialRecord>, StudyGlobals) {
         let trials = self.trials.iter().map(TrialRecord::from).collect();
-        let globals = StudyGlobals {
-            cache: self.cache,
-            cache_stats: self.cache_stats,
-            timeline: self.timeline,
-            stall: self.stall,
-            inference_energy: self.inference_energy,
-            degradation: self.degradation,
-            backoff_draws: self.backoff_draws,
-            fault_cursor: self.fault_cursor,
-            inference_cursor: self.inference_cursor,
-            injected_losses: self.injected_losses,
-            injected_outages: self.injected_outages,
-        };
-        (trials, globals)
+        (trials, self.globals)
     }
 
-    /// Writes the checkpoint atomically (`.tmp` sibling + rename), the
-    /// same crash-safety discipline as [`HistoricalCache::save`].
+    /// Writes the checkpoint atomically
+    /// ([`write_atomic`](edgetune_util::fs::write_atomic)).
     ///
     /// # Errors
     ///
@@ -220,18 +189,7 @@ impl StudyCheckpoint {
     pub fn save(&self, path: &Path) -> Result<()> {
         let json = serde_json::to_string_pretty(self)
             .map_err(|e| Error::storage(format!("serialising checkpoint: {e}")))?;
-        let file_name = path.file_name().ok_or_else(|| {
-            Error::storage(format!(
-                "checkpoint path {} has no file name",
-                path.display()
-            ))
-        })?;
-        let mut tmp_name = file_name.to_os_string();
-        tmp_name.push(".tmp");
-        let tmp = path.with_file_name(tmp_name);
-        std::fs::write(&tmp, json)?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        edgetune_util::fs::write_atomic(path, json)
     }
 
     /// Loads a checkpoint written by [`StudyCheckpoint::save`].
@@ -342,9 +300,9 @@ mod tests {
         let json = serde_json::to_string(&ckpt).unwrap();
         let back: StudyCheckpoint = serde_json::from_str(&json).unwrap();
         assert_eq!(back.seed, 42);
-        assert_eq!(back.fault_cursor, 7);
-        assert_eq!(back.inference_cursor, 11);
-        assert_eq!(back.cache.len(), 1);
+        assert_eq!(back.globals.fault_cursor, 7);
+        assert_eq!(back.globals.inference_cursor, 11);
+        assert_eq!(back.globals.cache.len(), 1);
         let (trials, _) = back.into_parts();
         assert_eq!(trials, history.records(), "bit-exact history round-trip");
         assert!(trials[1].outcome.score.is_infinite());
@@ -355,6 +313,7 @@ mod tests {
         let mut history = History::new();
         history.push(record(0, 2.0));
         let globals = StudyGlobals {
+            clock: Seconds::new(867.25),
             cache_stats: CacheStats { hits: 5, misses: 2 },
             stall: Seconds::new(1.5),
             inference_energy: Joules::new(4.0),
@@ -379,6 +338,7 @@ mod tests {
             CacheStats { hits: 5, misses: 2 },
             "serde-skipped counters must survive through the checkpoint"
         );
+        assert_eq!(globals.clock, Seconds::new(867.25));
         assert_eq!(globals.stall, Seconds::new(1.5));
         assert_eq!(globals.inference_energy, Joules::new(4.0));
         assert_eq!((globals.fault_cursor, globals.inference_cursor), (3, 9));
@@ -429,17 +389,44 @@ mod tests {
                 },
             ),
         ];
-        // Every key is required: state the trial log cannot reproduce
-        // is never defaulted.
-        for field in intact.as_object().unwrap().keys() {
+        // What a pre-`globals` build wrote: the same state, flat.
+        let mut flat = intact.clone();
+        let obj = flat.as_object_mut().unwrap();
+        let nested = obj.remove("globals").unwrap();
+        for (key, value) in nested.as_object().unwrap() {
+            obj.insert(key.clone(), value.clone());
+        }
+        corrupt.push((
+            "a flat pre-`globals` checkpoint".into(),
+            serde_json::to_string(&flat).unwrap().into_bytes(),
+        ));
+        // Every key is required, the nested `globals.*` ones included:
+        // state the trial log cannot reproduce is never defaulted.
+        let top = intact.as_object().unwrap().keys();
+        let nested = intact["globals"].as_object().unwrap().keys();
+        let paths = top
+            .map(|key| (None, key))
+            .chain(nested.map(|key| (Some("globals"), key)));
+        for (parent, field) in paths {
             let mut partial = intact.clone();
-            partial.as_object_mut().unwrap().remove(field);
+            let object = match parent {
+                Some(parent) => &mut partial[parent],
+                None => &mut partial,
+            };
+            object.as_object_mut().unwrap().remove(field);
             corrupt.push((
-                format!("a checkpoint without `{field}`"),
+                format!(
+                    "a checkpoint without `{}{field}`",
+                    parent.map_or("", |_| "globals.")
+                ),
                 serde_json::to_string(&partial).unwrap().into_bytes(),
             ));
         }
-        assert_eq!(corrupt.len(), 3 + 13, "seed, trials and eleven globals");
+        assert_eq!(
+            corrupt.len(),
+            4 + 3 + 12,
+            "seed, trials, globals and the twelve globals, `clock` included"
+        );
 
         for (what, bytes) in corrupt {
             std::fs::write(&path, bytes).unwrap();

@@ -103,8 +103,6 @@ pub struct EdgeTuneConfig {
     /// Pipeline inference tuning with training (Algorithm 1); disabling
     /// it is an ablation that runs every sweep on the critical path.
     pub pipelining: bool,
-    /// Concurrent sweep workers inside the inference server.
-    pub inference_workers: usize,
     /// Concurrent *simulated* training-trial slots on the model server
     /// (§3.1: "the model server can parallelize its tuning process").
     /// Trials of one scheduler rung are independent; with `n` slots the
@@ -164,13 +162,18 @@ pub struct EdgeTuneConfig {
     /// Real-time cap on waiting for one inference reply before the
     /// degradation ladder engages.
     pub reply_timeout: Duration,
-    /// Write a resumable study checkpoint here after every completed
-    /// rung, if set.
+    /// Write a resumable study checkpoint here after every rung the
+    /// study executes, if set.
     pub checkpoint_path: Option<PathBuf>,
-    /// Resume from `checkpoint_path` when it exists: completed trials are
-    /// replayed from the checkpoint instead of re-executed, and the
-    /// fault-injection cursors are restored so the continuation makes the
-    /// same random decisions the uninterrupted run would have made.
+    /// Resume from `checkpoint_path` when it exists. The checkpoint's
+    /// [`StudyGlobals`](crate::checkpoint::StudyGlobals) — clock, cache,
+    /// timeline, accounting, fault cursors — are reinstated as stored;
+    /// only the scheduler's and sampler's own state is re-derived, by
+    /// regenerating the trial stream from the seed and answering every
+    /// checkpointed rung from the trial log (checked record by record,
+    /// with no other effect). A checkpoint whose log does not match the
+    /// regenerated stream belongs to a different study and is an
+    /// [`Error::InvalidConfig`](edgetune_util::Error::InvalidConfig).
     pub resume: bool,
     /// Stop tuning after this many completed rungs, if set — the
     /// controlled "interruption" used to exercise checkpoint/resume.
@@ -214,7 +217,6 @@ impl EdgeTuneConfig {
             cache_path: None,
             historical_cache: true,
             pipelining: true,
-            inference_workers: 1,
             trial_slots: 1,
             study_shards: 1,
             shard_exec: ShardExec::Thread,
@@ -306,18 +308,6 @@ impl EdgeTuneConfig {
     #[must_use]
     pub fn without_pipelining(mut self) -> Self {
         self.pipelining = false;
-        self
-    }
-
-    /// Sets the number of concurrent inference-sweep workers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    #[must_use]
-    pub fn with_inference_workers(mut self, workers: usize) -> Self {
-        assert!(workers >= 1, "need at least one worker");
-        self.inference_workers = workers;
         self
     }
 
@@ -419,7 +409,7 @@ impl EdgeTuneConfig {
         self
     }
 
-    /// Checkpoints the study at `path` after every completed rung.
+    /// Checkpoints the study at `path` after every rung it executes.
     #[must_use]
     pub fn with_checkpoint_path(mut self, path: impl Into<PathBuf>) -> Self {
         self.checkpoint_path = Some(path.into());
@@ -503,7 +493,6 @@ mod tests {
         assert!(config.historical_cache);
         assert_eq!(config.trial_slots, 1);
         assert_eq!(config.study_shards, 1);
-        assert_eq!(config.inference_workers, 1);
     }
 
     #[test]
@@ -513,9 +502,6 @@ mod tests {
             .with_trial_slots(2);
         assert_eq!(config.study_shards, 4);
         assert_eq!(config.trial_slots, 2);
-        // Sharding is measurement-side engineering; it leaves the
-        // inference pool alone.
-        assert_eq!(config.inference_workers, 1);
     }
 
     #[test]

@@ -18,20 +18,23 @@
 //!   byte-identical to an unsharded run, so reports — and the per-rung
 //!   checkpoint — never depend on the shard count or placement.
 //!
-//! All simulated time lives on an [`edgetune_runtime::SimClock`]; every
-//! sequential trial advances the clock once, by the exact
-//! `outcome.runtime` sum the trial records (and a replayed checkpoint
-//! record advances by), while simulated-slot rungs advance once by the
-//! rung makespan — so the floating-point trajectory is bit-stable
-//! across shards, placements, and checkpoint resume alike.
+//! All of the study's resumable state is the one [`StudyGlobals`] this
+//! evaluator accumulates — the simulated clock included: every
+//! sequential trial advances it once, by the exact `outcome.runtime` sum
+//! the trial records, and a simulated-slot rung once, by the rung
+//! makespan. A checkpoint is that struct at a rung boundary and resume
+//! reinstates it, so a rung answered from the resumed trial log is
+//! *inert* (see [`crate::checkpoint`] for the rule): its records are
+//! checked and handed to the scheduler, and nothing here moves. A log
+//! that stops matching is another study's checkpoint and ends the run
+//! with an error.
 
-use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::time::Duration;
 
 use edgetune_device::profile::WorkProfile;
 use edgetune_device::spec::DeviceSpec;
-use edgetune_faults::{DegradationLadder, DegradationStats, Fallback, Supervisor, TrialFault};
+use edgetune_faults::{DegradationLadder, Fallback, Supervisor, TrialFault};
 use edgetune_runtime::SimClock;
 use edgetune_trace::{Tracer, TrackId};
 use edgetune_tuner::budget::TrialBudget;
@@ -43,6 +46,7 @@ use edgetune_tuner::trial::{History, TrialFailure, TrialOutcome, TrialRecord};
 use edgetune_tuner::Metric;
 use edgetune_util::rng::SeedStream;
 use edgetune_util::units::{Joules, Seconds};
+use edgetune_util::{Error, Result};
 
 use crate::async_server::{AsyncInferenceServer, InferenceReply};
 use crate::backend::{TrainingBackend, TrialMeasurement};
@@ -79,10 +83,9 @@ pub(crate) struct OnefoldEvaluator<'a> {
     /// The orchestrator keeps ownership so it can export the fabric's
     /// stats and telemetry after the evaluator is gone.
     pub(crate) executor: &'a mut ShardFabric,
-    /// The study's virtual clock; its final reading is the makespan.
-    pub(crate) clock: SimClock,
-    pub(crate) stall: Seconds,
-    pub(crate) inference_energy: Joules,
+    /// The study's resumable state (see the module docs); its final
+    /// `clock` reading is the makespan.
+    pub(crate) globals: StudyGlobals,
     /// Whether a fault plan is active. With `false` every fault-tolerance
     /// branch below is dead code and the evaluator behaves exactly like
     /// the pre-chaos implementation.
@@ -90,35 +93,30 @@ pub(crate) struct OnefoldEvaluator<'a> {
     pub(crate) supervisor: Supervisor,
     pub(crate) ladder: &'a DegradationLadder,
     pub(crate) reply_timeout: Duration,
-    /// Seed stream for backoff jitter; draws are counted so retried
-    /// operations never share a jitter value.
+    /// Seed stream for backoff jitter; draws are counted (in the
+    /// globals) so retried operations never share a jitter value.
     pub(crate) supervisor_seed: SeedStream,
-    pub(crate) backoff_draws: u64,
-    pub(crate) stats: DegradationStats,
-    /// Injected-fault tallies the resumed prefix already accumulated.
-    /// The live server only counts post-resume injections (replayed
-    /// trials never resubmit requests), so checkpoints written by a
-    /// resumed run add these baselines back in.
-    pub(crate) resumed_injected_losses: u64,
-    pub(crate) resumed_injected_outages: u64,
     /// Checkpointing: where to write, under which root seed, and how many
     /// rungs have completed (the halt criterion).
     pub(crate) checkpoint_path: Option<&'a PathBuf>,
     pub(crate) root_seed: u64,
     pub(crate) halt_after_rungs: Option<u32>,
     pub(crate) rungs_completed: u32,
-    /// Trials restored from a checkpoint, replayed front-to-back instead
-    /// of re-executed. Empty on a fresh run.
-    pub(crate) replay: VecDeque<TrialRecord>,
+    /// The resumed checkpoint's trial log — the history prefix, so trial
+    /// `id` is `resumed[id]`. Empty on a fresh run.
+    pub(crate) resumed: Vec<TrialRecord>,
+    /// Set when the resumed log stopped matching the regenerated trial
+    /// stream; halts the study and becomes the run's error.
+    pub(crate) diverged: Option<Error>,
     /// Bracket currently executing, set by the scheduler through
     /// [`Evaluate::on_bracket_start`]; part of every rung's scope.
     pub(crate) current_bracket: u32,
     /// Rungs traced so far — names the scheduler's rung spans.
     pub(crate) rungs_traced: u32,
-    /// The currently open bracket span (bracket number, start time); the
-    /// next [`Evaluate::on_bracket_start`] or the orchestrator's final
-    /// [`OnefoldEvaluator::finish_trace`] closes it.
-    pub(crate) bracket_open: Option<(u32, Seconds)>,
+    /// Start of the current bracket's span, opened by its first live
+    /// rung; the next [`Evaluate::on_bracket_start`] or the
+    /// orchestrator's final [`OnefoldEvaluator::finish`] closes it.
+    pub(crate) bracket_open: Option<Seconds>,
     /// Recycled per-rung working buffers (see [`RungScratch`]).
     pub(crate) scratch: RungScratch,
 }
@@ -147,8 +145,8 @@ struct TrialRun {
 
 impl OnefoldEvaluator<'_> {
     fn next_backoff(&mut self, attempt: u32) -> Seconds {
-        let draw = self.backoff_draws;
-        self.backoff_draws += 1;
+        let draw = self.globals.backoff_draws;
+        self.globals.backoff_draws += 1;
         self.supervisor.backoff(attempt, self.supervisor_seed, draw)
     }
 
@@ -175,36 +173,58 @@ impl OnefoldEvaluator<'_> {
         self.tracer.instant(track, name, CAT_FAULT, ts);
     }
 
-    /// Closes the currently open bracket span, if any.
-    fn close_bracket_span(&mut self) {
-        if let Some((bracket, start)) = self.bracket_open.take() {
-            let track = self.tracer.track(PROCESS_SCHEDULER, "brackets");
-            self.tracer.span(
-                track,
-                format!("bracket-{bracket}"),
-                CAT_BRACKET,
-                start,
-                self.clock.now(),
-            );
-        }
-    }
-
-    /// Final trace bookkeeping once the scheduler returns: closes the
-    /// last bracket span and, when any fault fired, samples the
-    /// degradation counters one last time. The orchestrator calls this
-    /// before deriving the report's timeline from the trace.
-    pub(crate) fn finish_trace(&mut self) {
-        self.close_bracket_span();
-        if !self.stats.is_empty() {
+    /// Samples the degradation counters onto the faults track, once any
+    /// fault has fired.
+    fn sample_degradation(&self) {
+        if !self.globals.degradation.is_empty() {
             let track = self.tracer.track(PROCESS_FAULTS, "events");
             self.tracer.counter(
                 track,
                 "degradation",
                 CAT_FAULT,
-                self.clock.now(),
-                self.stats.as_counters(),
+                self.globals.clock,
+                self.globals.degradation.as_counters(),
             );
         }
+    }
+
+    /// Closes the currently open bracket span, if any.
+    fn close_bracket_span(&mut self) {
+        if let Some(start) = self.bracket_open.take() {
+            let track = self.tracer.track(PROCESS_SCHEDULER, "brackets");
+            self.tracer.span(
+                track,
+                format!("bracket-{}", self.current_bracket),
+                CAT_BRACKET,
+                start,
+                self.globals.clock,
+            );
+        }
+    }
+
+    /// Ends the study once the scheduler returns `history`: hands back
+    /// the final state and whether the study stopped at its halt
+    /// boundary — or, when the resumed checkpoint turned out to belong
+    /// to a different study, the error, before anything is written on
+    /// top of its foreign state. Final trace bookkeeping happens here:
+    /// the last bracket span is closed and, when any fault fired, the
+    /// degradation counters are sampled one last time.
+    pub(crate) fn finish(mut self, history: &History) -> Result<(StudyGlobals, bool)> {
+        if let Some(err) = self.diverged.take() {
+            return Err(err);
+        }
+        let halted = self.should_halt();
+        if !halted && history.len() < self.resumed.len() {
+            return Err(Error::invalid_config(format!(
+                "the checkpoint belongs to a different study: it logs {} trials, this \
+                 configuration generates {}",
+                self.resumed.len(),
+                history.len()
+            )));
+        }
+        self.close_bracket_span();
+        self.sample_degradation();
+        Ok((self.globals, halted))
     }
 
     /// Walks the degradation ladder after an inference reply was lost.
@@ -222,16 +242,16 @@ impl OnefoldEvaluator<'_> {
                     let mut attempt: u32 = 1;
                     while !self.supervisor.give_up(attempt) {
                         extra += self.next_backoff(attempt);
-                        self.stats.inference_retries += 1;
-                        self.fault_instant(Fallback::Retry.trace_label(), self.clock.now());
+                        self.globals.degradation.inference_retries += 1;
+                        self.fault_instant(Fallback::Retry.trace_label(), self.globals.clock);
                         let Some(pending) = self.inference.try_submit(key.clone(), profile) else {
                             break;
                         };
                         match pending.wait_timeout(self.reply_timeout) {
                             Ok(reply) => return (Some(reply), extra),
                             Err(_) => {
-                                self.stats.worker_losses += 1;
-                                self.fault_instant("worker-loss", self.clock.now());
+                                self.globals.degradation.worker_losses += 1;
+                                self.fault_instant("worker-loss", self.globals.clock);
                                 attempt += 1;
                             }
                         }
@@ -239,8 +259,8 @@ impl OnefoldEvaluator<'_> {
                 }
                 Fallback::StaleCache => {
                     if let Some(recommendation) = self.inference.peek(key) {
-                        self.stats.stale_cache_served += 1;
-                        self.fault_instant(Fallback::StaleCache.trace_label(), self.clock.now());
+                        self.globals.degradation.stale_cache_served += 1;
+                        self.fault_instant(Fallback::StaleCache.trace_label(), self.globals.clock);
                         let reply = InferenceReply {
                             recommendation,
                             runtime: Seconds::ZERO,
@@ -251,8 +271,8 @@ impl OnefoldEvaluator<'_> {
                     }
                 }
                 Fallback::DeviceDefault => {
-                    self.stats.default_recommendations += 1;
-                    self.fault_instant(Fallback::DeviceDefault.trace_label(), self.clock.now());
+                    self.globals.degradation.default_recommendations += 1;
+                    self.fault_instant(Fallback::DeviceDefault.trace_label(), self.globals.clock);
                     let reply = InferenceReply {
                         recommendation: fallback_recommendation(self.device, &profile),
                         runtime: Seconds::ZERO,
@@ -292,7 +312,7 @@ impl OnefoldEvaluator<'_> {
         // privately accumulated elapsed counter. Inside a shard the
         // fork starts at the shard's local time, so deadlines stay
         // consistent with the shard's view of the study.
-        let trial_clock = SimClock::at(self.clock.now());
+        let trial_clock = SimClock::at(self.globals.clock);
         let trial_start = trial_clock.now();
         loop {
             let trial = match precomputed.take() {
@@ -301,7 +321,7 @@ impl OnefoldEvaluator<'_> {
             };
             match trial.injected {
                 Some(TrialFault::Crash) => {
-                    self.stats.trial_crashes += 1;
+                    self.globals.degradation.trial_crashes += 1;
                     paid_runtime += trial.runtime;
                     paid_energy += trial.energy;
                     trial_clock.advance(trial.runtime);
@@ -310,24 +330,24 @@ impl OnefoldEvaluator<'_> {
                         .supervisor
                         .deadline_exceeded_since(&trial_clock, trial_start)
                     {
-                        self.stats.trial_timeouts += 1;
+                        self.globals.degradation.trial_timeouts += 1;
                         self.fault_instant("trial-timeout", trial_clock.now());
                         return Err((TrialFailure::Timeout, paid_runtime, paid_energy));
                     }
                     if self.supervisor.give_up(attempt) {
-                        self.stats.trials_skipped += 1;
+                        self.globals.degradation.trials_skipped += 1;
                         self.fault_instant("trial-skipped", trial_clock.now());
                         return Err((TrialFailure::Crash, paid_runtime, paid_energy));
                     }
                     let backoff = self.next_backoff(attempt);
                     paid_runtime += backoff;
                     trial_clock.advance(backoff);
-                    self.stats.trial_retries += 1;
+                    self.globals.degradation.trial_retries += 1;
                     self.fault_instant("trial-retry", trial_clock.now());
                     attempt += 1;
                 }
                 Some(TrialFault::Straggle { .. }) => {
-                    self.stats.trial_stragglers += 1;
+                    self.globals.degradation.trial_stragglers += 1;
                     self.fault_instant("trial-straggle", trial_clock.now());
                     return Ok((
                         paid_runtime + trial.runtime,
@@ -397,8 +417,8 @@ impl OnefoldEvaluator<'_> {
         let (reply, extra_stall) = match pending.wait_timeout(self.reply_timeout) {
             Ok(reply) => (Some(reply), Seconds::ZERO),
             Err(_) if self.faults_enabled => {
-                self.stats.worker_losses += 1;
-                self.fault_instant("worker-loss", self.clock.now());
+                self.globals.degradation.worker_losses += 1;
+                self.fault_instant("worker-loss", self.globals.clock);
                 self.degrade(&key, profile)
             }
             Err(_) => (None, Seconds::ZERO),
@@ -408,8 +428,8 @@ impl OnefoldEvaluator<'_> {
             // rather than crash the job (legacy behaviour, no marker).
             // Chaos: the ladder ran dry — skip with a penalty score.
             let outcome = if self.faults_enabled {
-                self.stats.trials_skipped += 1;
-                self.fault_instant(Fallback::SkipWithPenalty.trace_label(), self.clock.now());
+                self.globals.degradation.trials_skipped += 1;
+                self.fault_instant(Fallback::SkipWithPenalty.trace_label(), self.globals.clock);
                 TrialOutcome::failed(
                     TrialFailure::InferenceLoss,
                     train_runtime + extra_stall,
@@ -519,8 +539,8 @@ impl OnefoldEvaluator<'_> {
             start,
             self.inference.cache_stats().as_counters(),
         );
-        self.stall += run.stall;
-        self.inference_energy += run.sweep_energy;
+        self.globals.stall += run.stall;
+        self.globals.inference_energy += run.sweep_energy;
     }
 
     /// Phase A of rung execution: have the rung executor measure the
@@ -549,7 +569,7 @@ impl OnefoldEvaluator<'_> {
         };
         if let Some(raw) =
             self.executor
-                .measure_rung(scope, &*self.backend, self.clock.now(), trials)
+                .measure_rung(scope, &*self.backend, self.globals.clock, trials)
         {
             measured.extend(raw.into_iter().map(Some));
         }
@@ -558,40 +578,23 @@ impl OnefoldEvaluator<'_> {
 
 impl Evaluate for OnefoldEvaluator<'_> {
     fn evaluate(&mut self, id: u64, config: &Config, budget: TrialBudget) -> TrialOutcome {
-        // Resume: trials already in the checkpoint are replayed, not
-        // re-executed. The scheduler regenerates the identical (id,
-        // config) sequence from the shared seed; a mismatch means the
-        // checkpoint belongs to a different run, so replay is abandoned
-        // and the trial executes live. A replayed trial emits no spans:
-        // the orchestrator seeded the tracer with the checkpoint's exact
-        // recorded timeline.
-        if let Some(front) = self.replay.front() {
-            if front.id == id && front.config == *config {
-                let record = self.replay.pop_front().expect("front exists");
-                self.clock.advance(record.outcome.runtime);
-                return record.outcome;
-            }
-            self.replay.clear();
-        }
-        let run = self.run_one(config, budget, None);
-        let start = self.clock.now();
-        self.record(id, &run, start, 0);
-        // One advance by the recorded runtime — the same sum a replayed
-        // checkpoint record advances by (`outcome.runtime` is computed as
-        // `train + stall` on every path), so a resumed clock retraces the
-        // original trajectory bit for bit.
-        self.clock.advance(run.outcome.runtime);
-        run.outcome
+        // A lone trial is a rung of one.
+        let mut outcomes = self.evaluate_rung(vec![(id, config.clone(), budget)]);
+        outcomes.pop().expect("a rung answers every trial")
     }
 
     fn evaluate_rung(&mut self, trials: Vec<(u64, Config, TrialBudget)>) -> Vec<TrialOutcome> {
-        // Wrap the whole rung — replayed, sequential, or slot-scheduled
-        // — in a scheduler-track span so the trace shows the rung
-        // structure the multi-fidelity budget imposes.
         let rung_index = self.rungs_traced;
         self.rungs_traced += 1;
+        if let Some(outcomes) = self.answer_from_log(&trials) {
+            return outcomes;
+        }
+        // Wrap the whole live rung — sequential or slot-scheduled — in a
+        // scheduler-track span so the trace shows the rung structure the
+        // multi-fidelity budget imposes.
         let trial_count = trials.len();
-        let rung_start = self.clock.now();
+        let rung_start = self.globals.clock;
+        self.bracket_open.get_or_insert(rung_start);
         let outcomes = self.run_rung(trials);
         let rung_track = self.tracer.track(PROCESS_SCHEDULER, "rungs");
         self.tracer.span_with_args(
@@ -599,7 +602,7 @@ impl Evaluate for OnefoldEvaluator<'_> {
             format!("rung-{rung_index}"),
             CAT_RUNG,
             rung_start,
-            self.clock.now(),
+            self.globals.clock,
             vec![("trials".to_string(), trial_count.to_string())],
         );
         outcomes
@@ -607,61 +610,82 @@ impl Evaluate for OnefoldEvaluator<'_> {
 
     fn on_bracket_start(&mut self, bracket: u32) {
         self.close_bracket_span();
-        self.bracket_open = Some((bracket, self.clock.now()));
         self.current_bracket = bracket;
     }
 
     fn on_rung_complete(&mut self, history: &History) {
         self.rungs_completed += 1;
-        if self.faults_enabled && !self.stats.is_empty() {
-            let track = self.tracer.track(PROCESS_FAULTS, "events");
-            self.tracer.counter(
-                track,
-                "degradation",
-                CAT_FAULT,
-                self.clock.now(),
-                self.stats.as_counters(),
-            );
+        // A rung the resumed log answered (or refused) is only counted.
+        if self.diverged.is_some() || history.len() <= self.resumed.len() {
+            return;
+        }
+        if self.faults_enabled {
+            self.sample_degradation();
         }
         if let Some(path) = self.checkpoint_path {
+            // Bring the shares of the state held elsewhere up to date,
+            // each from its single source of truth: the server's tally,
+            // the backend's cursor, the trace.
+            self.inference.record_into(&mut self.globals);
+            self.globals.fault_cursor = self.backend.fault_cursor();
+            self.globals.timeline = timeline_from_trace(self.tracer);
+            let globals = std::mem::take(&mut self.globals);
+            let checkpoint = StudyCheckpoint::new(self.root_seed, history, globals);
             // A failed checkpoint write must never kill the study: the
-            // run is still correct, only resumability is lost. Cache
-            // counters and the timeline come from their single sources
-            // of truth — the server's tally and the trace.
-            let globals = StudyGlobals {
-                cache_stats: self.inference.cache_stats(),
-                cache: self.inference.cache_snapshot(),
-                timeline: timeline_from_trace(self.tracer),
-                stall: self.stall,
-                inference_energy: self.inference_energy,
-                degradation: self.stats,
-                backoff_draws: self.backoff_draws,
-                fault_cursor: self.backend.fault_cursor(),
-                inference_cursor: self.inference.submitted(),
-                injected_losses: self.resumed_injected_losses + self.inference.injected_losses(),
-                injected_outages: self.resumed_injected_outages + self.inference.injected_outages(),
-            };
-            let _ = StudyCheckpoint::new(self.root_seed, history, globals).save(path);
+            // run is still correct, only resumability is lost.
+            let _ = checkpoint.save(path);
+            self.globals = checkpoint.globals;
         }
     }
 
     fn should_halt(&self) -> bool {
-        self.halt_after_rungs
-            .is_some_and(|rungs| self.rungs_completed >= rungs)
+        self.diverged.is_some()
+            || self
+                .halt_after_rungs
+                .is_some_and(|rungs| self.rungs_completed >= rungs)
     }
 }
 
 impl OnefoldEvaluator<'_> {
-    /// Executes one rung — replay, sequential, or simulated slots.
-    fn run_rung(&mut self, trials: Vec<(u64, Config, TrialBudget)>) -> Vec<TrialOutcome> {
-        // Replayed trials must go through `evaluate`'s front-of-queue
-        // matching one at a time.
-        if !self.replay.is_empty() {
-            return trials
-                .into_iter()
-                .map(|(id, config, budget)| self.evaluate(id, &config, budget))
-                .collect();
+    /// Answers a rung from the resumed trial log, if the log reaches it:
+    /// each record is checked against the `(id, config, budget)` the
+    /// scheduler regenerated and its outcome handed back — nothing else
+    /// is touched. `None` means the log ended before this rung, which
+    /// runs live. A record that does not match, or a log that ends
+    /// inside the rung, sets `diverged`; the placeholder outcomes
+    /// returned then are never reported.
+    fn answer_from_log(
+        &mut self,
+        trials: &[(u64, Config, TrialBudget)],
+    ) -> Option<Vec<TrialOutcome>> {
+        let (first, _, _) = trials.first()?;
+        if *first >= self.resumed.len() as u64 {
+            return None;
         }
+        let answered = trials
+            .iter()
+            .map(|(id, config, budget)| {
+                let logged = self.resumed.get(*id as usize);
+                logged
+                    .filter(|r| r.id == *id && r.config == *config && r.budget == *budget)
+                    .map(|r| r.outcome)
+                    .ok_or_else(|| {
+                        Error::invalid_config(format!(
+                            "the checkpoint belongs to a different study: its log does not \
+                             hold the trial {id} this configuration generates"
+                        ))
+                    })
+            })
+            .collect::<Result<Vec<_>>>();
+        Some(answered.unwrap_or_else(|err| {
+            self.diverged = Some(err);
+            let unreported = TrialOutcome::new(f64::INFINITY, 0.0, Seconds::ZERO, Joules::ZERO);
+            vec![unreported; trials.len()]
+        }))
+    }
+
+    /// Executes one live rung — sequential, or simulated slots.
+    fn run_rung(&mut self, trials: Vec<(u64, Config, TrialBudget)>) -> Vec<TrialOutcome> {
         // Phase A: engine shards precompute the measurements when that
         // is provably invisible in the results. The buffer is recycled
         // scratch (taken out of `self` so `run_one` stays free to borrow
@@ -676,9 +700,10 @@ impl OnefoldEvaluator<'_> {
                 .map(|(index, (id, config, budget))| {
                     let precomputed = measured.get_mut(index).and_then(Option::take);
                     let run = self.run_one(&config, budget, precomputed);
-                    let start = self.clock.now();
-                    self.record(id, &run, start, 0);
-                    self.clock.advance(run.outcome.runtime);
+                    self.record(id, &run, self.globals.clock, 0);
+                    // One advance by the recorded runtime (`outcome.runtime`
+                    // is computed as `train + stall` on every path).
+                    self.globals.clock += run.outcome.runtime;
                     run.outcome
                 })
                 .collect();
@@ -700,7 +725,7 @@ impl OnefoldEvaluator<'_> {
             .collect();
         measured.clear();
         self.scratch.measured = measured;
-        let rung_start = self.clock.now();
+        let rung_start = self.globals.clock;
         let mut loads = std::mem::take(&mut self.scratch.loads);
         loads.clear();
         loads.resize(self.trial_slots, Seconds::ZERO);
@@ -717,7 +742,7 @@ impl OnefoldEvaluator<'_> {
             outcomes.push(run.outcome);
         }
         let makespan = loads.iter().copied().fold(Seconds::ZERO, Seconds::max);
-        self.clock.advance(makespan);
+        self.globals.clock += makespan;
         self.scratch.loads = loads;
         outcomes
     }

@@ -7,10 +7,7 @@
 //! final harvest of history, winner, recommendation, and fault counters.
 //! [`EdgeTune`] is the same thing owning its configuration.
 
-use std::collections::VecDeque;
-
 use edgetune_faults::FaultInjector;
-use edgetune_runtime::SimClock;
 use edgetune_trace::{ChromeTrace, Tracer};
 use edgetune_tuner::objective::{InferenceObjective, TrainObjective};
 use edgetune_tuner::scheduler::{HyperBand, PromotionRule, SuccessiveHalving};
@@ -214,16 +211,15 @@ impl<'a> Engine<'a> {
         }
         let faults_enabled = !self.config.fault_plan.is_none();
 
-        // Resume: the checkpoint's trial log is replayed and its
-        // study-global accounting — the state replaying the log alone
-        // cannot reproduce — reinstated whole. Without one the study
+        // Resume: the checkpoint's state is reinstated whole, and its
+        // trial log answers the rungs it covers. Without one the study
         // starts from nothing but the persistent historical cache.
-        let (replay, resumed) = match self.load_checkpoint()? {
+        let (resumed, mut globals) = match self.load_checkpoint()? {
             Some(checkpoint) => {
                 let (trials, mut globals) = checkpoint.into_parts();
                 globals.cache.restore_stats(globals.cache_stats);
                 backend.set_fault_cursor(globals.fault_cursor);
-                (VecDeque::from(trials), globals)
+                (trials, globals)
             }
             None => {
                 let cache = match &self.config.cache_path {
@@ -234,7 +230,7 @@ impl<'a> Engine<'a> {
                     cache,
                     ..StudyGlobals::default()
                 };
-                (VecDeque::new(), fresh)
+                (Vec::new(), fresh)
             }
         };
 
@@ -253,11 +249,10 @@ impl<'a> Engine<'a> {
         };
         let async_server = AsyncInferenceServer::start_supervised(
             inference_server,
-            resumed.cache,
-            self.config.inference_workers,
+            std::mem::take(&mut globals.cache),
             self.config.historical_cache,
             inference_faults,
-            resumed.inference_cursor,
+            &globals,
         );
 
         let mut objective = TrainObjective::inference_aware(self.config.train_metric);
@@ -268,7 +263,7 @@ impl<'a> Engine<'a> {
         // The checkpoint restores the exact recorded spans; seed them
         // into the tracer *before* any live trial so the derived
         // timeline reproduces the uninterrupted run's span sequence.
-        seed_tracer_from_timeline(tracer, &resumed.timeline);
+        seed_tracer_from_timeline(tracer, &globals.timeline);
         let mut sampler = self.config.build_sampler();
         let device_name = self.config.edge_device.name.clone();
 
@@ -280,77 +275,62 @@ impl<'a> Engine<'a> {
         // study trace, whose bytes are an exec-mode-independent contract.
         let mut executor = ShardFabric::new(self.config);
 
-        let (history, makespan, stall, inference_energy, degradation, rungs_completed) = {
-            let mut evaluator = OnefoldEvaluator {
-                backend,
-                inference: &async_server,
-                device: &self.config.edge_device,
-                inference_metric: self.config.inference_metric,
-                objective,
-                tracer,
-                pipelining: self.config.pipelining,
-                pareto: self.config.pareto.is_some(),
-                trial_slots: self.config.trial_slots,
-                executor: &mut executor,
-                clock: SimClock::new(),
-                stall: resumed.stall,
-                inference_energy: resumed.inference_energy,
-                faults_enabled,
-                supervisor: self.config.supervisor,
-                ladder: &self.config.degradation,
-                reply_timeout: self.config.reply_timeout,
-                supervisor_seed: SeedStream::new(self.config.seed).child("supervisor"),
-                backoff_draws: resumed.backoff_draws,
-                stats: resumed.degradation,
-                resumed_injected_losses: resumed.injected_losses,
-                resumed_injected_outages: resumed.injected_outages,
-                checkpoint_path: self.config.checkpoint_path.as_ref(),
-                root_seed: self.config.seed,
-                halt_after_rungs: self.config.halt_after_rungs,
-                rungs_completed: 0,
-                replay,
-                current_bracket: 0,
-                rungs_traced: 0,
-                bracket_open: None,
-                scratch: Default::default(),
-            };
-            // Pareto mode promotes on front membership (dominance
-            // layers) instead of raw scalar rank; scalar mode keeps the
-            // default rule, so its reports are untouched.
-            let promotion = if self.config.pareto.is_some() {
-                PromotionRule::FrontMembership
-            } else {
-                PromotionRule::ScalarRank
-            };
-            let history = if self.config.hyperband {
-                HyperBand::new(self.config.scheduler)
-                    .with_promotion(promotion)
-                    .run(
-                        sampler.as_mut(),
-                        &space,
-                        &self.config.budget,
-                        &mut evaluator,
-                    )
-            } else {
-                SuccessiveHalving::new(self.config.scheduler)
-                    .with_promotion(promotion)
-                    .run(
-                        sampler.as_mut(),
-                        &space,
-                        &self.config.budget,
-                        &mut evaluator,
-                    )
-            };
-            evaluator.finish_trace();
-            (
-                history,
-                evaluator.clock.now(),
-                evaluator.stall,
-                evaluator.inference_energy,
-                evaluator.stats,
-                evaluator.rungs_completed,
-            )
+        let mut evaluator = OnefoldEvaluator {
+            backend,
+            inference: &async_server,
+            device: &self.config.edge_device,
+            inference_metric: self.config.inference_metric,
+            objective,
+            tracer,
+            pipelining: self.config.pipelining,
+            pareto: self.config.pareto.is_some(),
+            trial_slots: self.config.trial_slots,
+            executor: &mut executor,
+            globals,
+            faults_enabled,
+            supervisor: self.config.supervisor,
+            ladder: &self.config.degradation,
+            reply_timeout: self.config.reply_timeout,
+            supervisor_seed: SeedStream::new(self.config.seed).child("supervisor"),
+            checkpoint_path: self.config.checkpoint_path.as_ref(),
+            root_seed: self.config.seed,
+            halt_after_rungs: self.config.halt_after_rungs,
+            rungs_completed: 0,
+            resumed,
+            diverged: None,
+            current_bracket: 0,
+            rungs_traced: 0,
+            bracket_open: None,
+            scratch: Default::default(),
         };
+        // Pareto mode promotes on front membership (dominance
+        // layers) instead of raw scalar rank; scalar mode keeps the
+        // default rule, so its reports are untouched.
+        let promotion = if self.config.pareto.is_some() {
+            PromotionRule::FrontMembership
+        } else {
+            PromotionRule::ScalarRank
+        };
+        let history = if self.config.hyperband {
+            HyperBand::new(self.config.scheduler)
+                .with_promotion(promotion)
+                .run(
+                    sampler.as_mut(),
+                    &space,
+                    &self.config.budget,
+                    &mut evaluator,
+                )
+        } else {
+            SuccessiveHalving::new(self.config.scheduler)
+                .with_promotion(promotion)
+                .run(
+                    sampler.as_mut(),
+                    &space,
+                    &self.config.budget,
+                    &mut evaluator,
+                )
+        };
+        let (globals, halted) = evaluator.finish(&history)?;
         // Export the fabric's supervision telemetry to its own trace
         // file — deliberately separate from the study trace so the
         // latter stays byte-identical across `--shard-exec` modes.
@@ -362,13 +342,11 @@ impl<'a> Engine<'a> {
         // separately recorded, so the two can never disagree.
         let timeline = timeline_from_trace(tracer);
 
-        // Harvest the inference server's fault counters before shutdown.
-        // The live counters only cover post-resume requests — replayed
-        // trials never resubmit — so the checkpointed prefix's tallies
-        // are added back in.
+        // Harvest the inference server's fault counters before shutdown
+        // (a resumed server started from the checkpointed tallies).
         let worker_panics = async_server.worker_panics();
-        let injected_losses = resumed.injected_losses + async_server.injected_losses();
-        let injected_outages = resumed.injected_outages + async_server.injected_outages();
+        let injected_losses = async_server.injected_losses();
+        let injected_outages = async_server.injected_outages();
 
         // The tuning job's output is the final-rung winner: raw ratio
         // scores are only comparable within one budget level.
@@ -404,7 +382,7 @@ impl<'a> Engine<'a> {
         let faults = if faults_enabled {
             Some(FaultReport {
                 plan: self.config.fault_plan,
-                degradation,
+                degradation: globals.degradation,
                 worker_panics,
                 injected_losses,
                 injected_outages,
@@ -433,15 +411,12 @@ impl<'a> Engine<'a> {
             recommendation,
             timeline,
             cache_stats: final_cache.stats(),
-            makespan,
-            stall_time: stall,
-            inference_energy,
+            makespan: globals.clock,
+            stall_time: globals.stall,
+            inference_energy: globals.inference_energy,
             faults,
             fabric: executor.stats(),
-            halted: self
-                .config
-                .halt_after_rungs
-                .is_some_and(|rungs| rungs_completed >= rungs),
+            halted,
         })
     }
 }
@@ -697,15 +672,6 @@ mod ablation_tests {
         // Synchronous sweeps start after their trial, so nothing
         // overlaps.
         assert!(synchronous.timeline().overlap_fraction() < 0.01);
-    }
-
-    #[test]
-    fn worker_pool_accepts_multiple_workers() {
-        let report = EdgeTune::new(quick_config().with_inference_workers(4))
-            .run()
-            .unwrap();
-        assert!(!report.history().is_empty());
-        assert!(report.recommendation().batch >= 1);
     }
 }
 

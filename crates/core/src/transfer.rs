@@ -198,18 +198,7 @@ impl TransferIndex {
     pub fn save(&self, path: &Path) -> Result<()> {
         let json = serde_json::to_string_pretty(self)
             .map_err(|e| Error::storage(format!("serialising transfer index: {e}")))?;
-        let file_name = path.file_name().ok_or_else(|| {
-            Error::storage(format!(
-                "transfer index path {} has no file name",
-                path.display()
-            ))
-        })?;
-        let mut tmp_name = file_name.to_os_string();
-        tmp_name.push(".tmp");
-        let tmp = path.with_file_name(tmp_name);
-        std::fs::write(&tmp, json)?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        edgetune_util::fs::write_atomic(path, json)
     }
 
     /// Loads an index previously written by [`TransferIndex::save`].

@@ -87,6 +87,26 @@ impl StudyState {
         let initial = (self.cold.initial_configs - saved).max(1);
         SchedulerConfig::new(initial, self.cold.eta, self.cold.max_iteration)
     }
+
+    /// The study's final entry in the service report: its bookkeeping
+    /// plus the harvested report, or why there is none.
+    fn outcome(&self, result: std::result::Result<TuningReport, String>) -> StudyOutcome {
+        let (report, error) = match result {
+            Ok(report) => (Some(report), None),
+            Err(error) => (None, Some(error)),
+        };
+        StudyOutcome {
+            tenant: self.submission.tenant.clone(),
+            study: self.submission.name.clone(),
+            seed: self.submission.seed,
+            slices: self.slices,
+            warm_hits: self.warm_hits,
+            trials_saved: self.trials_saved,
+            evaluated_trials: report.as_ref().map_or(0, |r| r.history().len() as u64),
+            report,
+            error,
+        }
+    }
 }
 
 /// The long-lived study service.
@@ -406,34 +426,19 @@ impl StudyService {
             // study can replay one extra slice past its natural end (a
             // halt boundary coinciding with completion), never more.
             let slice_budget = state.planned_rungs / u64::from(state.submission.rung_quantum) + 2;
-            match outcome {
-                Err(err) => {
-                    let state = &states[idx];
-                    outcomes[idx] = Some(StudyOutcome {
-                        tenant: state.submission.tenant.clone(),
-                        study: state.submission.name.clone(),
-                        seed: state.submission.seed,
-                        slices: state.slices,
-                        warm_hits: state.warm_hits,
-                        trials_saved: state.trials_saved,
-                        evaluated_trials: 0,
-                        report: None,
-                        error: Some(err.to_string()),
-                    });
-                    scheduler.remove(idx);
-                    self.cleanup(&state.submission);
-                }
+            // `Some` once the study is over, one way or another.
+            let finished = match outcome {
+                Err(err) => Some(Err(err.to_string())),
                 Ok(report) if !report.halted() => {
-                    let state = &states[idx];
                     // Harvest failures (an unserialisable report, an
                     // unwritable report path) fail *this study*, not the
                     // whole submission file — and a study whose report
                     // could not be persisted donates nothing.
-                    let harvest = report.to_json().and_then(|json| {
-                        std::fs::write(self.study_path(&state.submission, "report.json"), &json)
-                            .map_err(Error::from)
-                    });
-                    outcomes[idx] = Some(match harvest {
+                    let path = self.study_path(&state.submission, "report.json");
+                    let harvest = report
+                        .to_json()
+                        .and_then(|json| edgetune_util::fs::write_atomic(&path, json));
+                    Some(match harvest {
                         Ok(()) => {
                             let key = self.donor_key(state, &report);
                             self.transfer.record(
@@ -441,55 +446,26 @@ impl StudyService {
                                 self.donation(&report),
                                 report.best().outcome.score,
                             );
-                            StudyOutcome {
-                                tenant: state.submission.tenant.clone(),
-                                study: state.submission.name.clone(),
-                                seed: state.submission.seed,
-                                slices: state.slices,
-                                warm_hits: state.warm_hits,
-                                trials_saved: state.trials_saved,
-                                evaluated_trials: report.history().len() as u64,
-                                report: Some(report),
-                                error: None,
-                            }
+                            Ok(report)
                         }
-                        Err(err) => StudyOutcome {
-                            tenant: state.submission.tenant.clone(),
-                            study: state.submission.name.clone(),
-                            seed: state.submission.seed,
-                            slices: state.slices,
-                            warm_hits: state.warm_hits,
-                            trials_saved: state.trials_saved,
-                            evaluated_trials: 0,
-                            report: None,
-                            error: Some(format!("harvest failed: {err}")),
-                        },
-                    });
-                    scheduler.remove(idx);
-                    self.cleanup(&state.submission);
+                        Err(err) => Err(format!("harvest failed: {err}")),
+                    })
                 }
-                Ok(_) if u64::from(state.slices) > slice_budget => {
-                    let state = &states[idx];
-                    outcomes[idx] = Some(StudyOutcome {
-                        tenant: state.submission.tenant.clone(),
-                        study: state.submission.name.clone(),
-                        seed: state.submission.seed,
-                        slices: state.slices,
-                        warm_hits: state.warm_hits,
-                        trials_saved: state.trials_saved,
-                        evaluated_trials: 0,
-                        report: None,
-                        error: Some("study exceeded its slice budget without completing".into()),
-                    });
-                    scheduler.remove(idx);
-                    self.cleanup(&state.submission);
-                }
+                Ok(_) if u64::from(state.slices) > slice_budget => Some(Err(
+                    "study exceeded its slice budget without completing".into(),
+                )),
                 Ok(_) => {
                     // Parked at the halt boundary; lower its remaining
                     // budget and let the scheduler pick again.
                     let done = u64::from(state.submission.rung_quantum) * u64::from(state.slices);
                     scheduler.update_remaining(idx, state.planned_rungs.saturating_sub(done));
+                    None
                 }
+            };
+            if let Some(result) = finished {
+                outcomes[idx] = Some(state.outcome(result));
+                scheduler.remove(idx);
+                self.cleanup(&state.submission);
             }
         }
 

@@ -385,6 +385,15 @@ fn unwritable_report_path_fails_the_study_not_the_run() {
         solo_json(WorkloadId::Ic, Metric::Runtime, 41, 4, 4),
         "the harvest failure disturbed the sibling study"
     );
+    // Reports are harvested through a `.tmp` sibling renamed into
+    // place; neither the successful nor the failed harvest leaves one.
+    assert!(dir.join("beta.fine.report.json").is_file());
+    let litter: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.ends_with(".tmp"))
+        .collect();
+    assert!(litter.is_empty(), "stray temp files: {litter:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

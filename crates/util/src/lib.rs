@@ -9,6 +9,8 @@
 //!   summaries) used when reporting experiment results,
 //! * [`rng`] — deterministic, hierarchically-derivable random number
 //!   generation so every experiment in the repository is reproducible,
+//! * [`fs`] — the one atomic (`.tmp` sibling + rename) file write every
+//!   persisted artefact goes through,
 //! * [`error`] — the common [`Error`] type returned across the workspace.
 //!
 //! # Examples
@@ -23,6 +25,7 @@
 //! ```
 
 pub mod error;
+pub mod fs;
 pub mod rng;
 pub mod stats;
 pub mod units;

@@ -147,36 +147,174 @@ fn checkpoint_resume_reproduces_the_uninterrupted_history() {
     let dir = std::env::temp_dir().join(format!("edgetune-resume-robustness-{seed}"));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("study.ckpt.json");
-    std::fs::remove_file(&path).ok();
 
-    let full = EdgeTune::new(chaos_config(seed, 0.2))
+    // Four simulated slots advance the clock by each rung's makespan,
+    // not by the sum of its trial runtimes: the resumed clock must be
+    // the stored reading, not a re-derivation.
+    for slots in [1, 4] {
+        std::fs::remove_file(&path).ok();
+        let config = || chaos_config(seed, 0.2).with_trial_slots(slots);
+        let full = EdgeTune::new(config()).run().expect("uninterrupted run");
+        let halted = EdgeTune::new(
+            config()
+                .with_checkpoint_path(&path)
+                .with_halt_after_rungs(2),
+        )
         .run()
-        .expect("uninterrupted run");
-    let halted = EdgeTune::new(
-        chaos_config(seed, 0.2)
-            .with_checkpoint_path(&path)
-            .with_halt_after_rungs(2),
-    )
-    .run()
-    .expect("interrupted run");
-    assert!(
-        halted.history().len() < full.history().len(),
-        "seed {seed}: the interruption must actually cut the study short"
-    );
-    assert!(path.exists(), "the halted run left a checkpoint behind");
-    let resumed = EdgeTune::new(
-        chaos_config(seed, 0.2)
-            .with_checkpoint_path(&path)
-            .resuming(),
-    )
-    .run()
-    .expect("resumed run");
-    assert_eq!(
-        resumed.history(),
-        full.history(),
-        "seed {seed}: resume must reproduce the exact uninterrupted history"
-    );
-    assert_eq!(resumed.best_config(), full.best_config());
+        .expect("interrupted run");
+        assert!(
+            halted.history().len() < full.history().len(),
+            "seed {seed}: the interruption must actually cut the study short"
+        );
+        assert!(path.exists(), "the halted run left a checkpoint behind");
+        let resumed = EdgeTune::new(config().with_checkpoint_path(&path).resuming())
+            .run()
+            .expect("resumed run");
+        assert_eq!(
+            resumed.history(),
+            full.history(),
+            "seed {seed}: resume must reproduce the exact uninterrupted history"
+        );
+        assert_eq!(
+            resumed.to_json().unwrap(),
+            full.to_json().unwrap(),
+            "seed {seed}, {slots} slots: resume must reproduce the uninterrupted report bytes"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// A multi-bracket study (more than five rungs) under `seed`.
+fn bracketed_config(seed: u64) -> EdgeTuneConfig {
+    EdgeTuneConfig::for_workload(WorkloadId::Ic)
+        .with_scheduler(SchedulerConfig::new(8, 2.0, 8))
+        .with_seed(seed)
+}
+
+#[test]
+fn a_resume_interrupted_inside_the_checkpointed_prefix_changes_nothing() {
+    // Rungs answered from the checkpoint's log are inert: a resume that
+    // stops (killed, or halted) before it runs anything live must leave
+    // the checkpoint exactly as it found it, so the next resume still
+    // reproduces the uninterrupted bytes.
+    let seed = chaos_seed();
+    let dir = std::env::temp_dir().join(format!("edgetune-interrupted-replay-{seed}"));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("study.ckpt.json");
+
+    let scalar = || bracketed_config(seed).with_fault_plan(FaultPlan::uniform(0.2));
+    let pareto = || bracketed_config(seed).with_pareto(5);
+    let studies: [(&str, &dyn Fn() -> EdgeTuneConfig); 2] =
+        [("scalar", &scalar), ("pareto", &pareto)];
+    for (what, study) in studies {
+        let full = EdgeTune::new(study()).run().expect("uninterrupted run");
+        for shards in [1, 4] {
+            std::fs::remove_file(&path).ok();
+            let config = || {
+                study()
+                    .with_study_shards(shards)
+                    .with_checkpoint_path(&path)
+            };
+            let _ = EdgeTune::new(config().with_halt_after_rungs(5))
+                .run()
+                .expect("halted at rung 5");
+            let at_rung_5 = std::fs::read(&path).expect("checkpoint written");
+            let inside = EdgeTune::new(config().resuming().with_halt_after_rungs(2))
+                .run()
+                .expect("resumed, halted at rung 2");
+            assert!(inside.halted());
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                at_rung_5,
+                "seed {seed}, {what}, {shards} shards: a resume that only replays \
+                 must not rewrite the checkpoint"
+            );
+            // One live rung on top of the log writes the state of rung 6
+            // — the bytes a study that never stopped wrote there.
+            let _ = EdgeTune::new(config().resuming().with_halt_after_rungs(6))
+                .run()
+                .expect("resumed, halted at rung 6");
+            let resumed_to_6 = std::fs::read(&path).unwrap();
+            let resumed = EdgeTune::new(config().resuming())
+                .run()
+                .expect("resumed to the end");
+            assert_eq!(
+                resumed.to_json().unwrap(),
+                full.to_json().unwrap(),
+                "seed {seed}, {what}, {shards} shards: the third resume must still \
+                 reproduce the uninterrupted report bytes"
+            );
+            std::fs::remove_file(&path).ok();
+            let _ = EdgeTune::new(config().with_halt_after_rungs(6))
+                .run()
+                .expect("halted at rung 6");
+            assert!(
+                std::fs::read(&path).unwrap() == resumed_to_6,
+                "seed {seed}, {what}, {shards} shards: a checkpoint's bytes must not \
+                 depend on how often the study was resumed before it"
+            );
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_checkpoint_of_a_different_study_is_rejected_not_resumed() {
+    // The seed guard cannot tell two studies under one seed apart; the
+    // trial log can. Resuming on another study's checkpoint must be a
+    // structured error — never a live run on top of the foreign cache,
+    // timeline and cursors — and must leave the file alone.
+    let seed = chaos_seed();
+    let dir = std::env::temp_dir().join(format!("edgetune-foreign-checkpoint-{seed}"));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("study.ckpt.json");
+
+    let ours = || bracketed_config(seed).with_checkpoint_path(&path);
+    let foreign = [
+        (
+            "another workload",
+            EdgeTuneConfig::for_workload(WorkloadId::Od)
+                .with_scheduler(SchedulerConfig::new(8, 2.0, 8))
+                .with_seed(seed),
+        ),
+        (
+            "another scheduler shape",
+            bracketed_config(seed).with_scheduler(SchedulerConfig::new(6, 3.0, 9)),
+        ),
+        (
+            "another budget policy",
+            bracketed_config(seed).with_budget(BudgetPolicy::epoch_default()),
+        ),
+    ];
+    for (what, theirs) in foreign {
+        std::fs::remove_file(&path).ok();
+        let _ = EdgeTune::new(theirs.with_checkpoint_path(&path).with_halt_after_rungs(3))
+            .run()
+            .expect("the other study halts");
+        let written = std::fs::read(&path).expect("checkpoint written");
+        for (ladder, config) in [
+            ("armed", ours().resuming()),
+            (
+                "off",
+                ours()
+                    .with_degradation(DegradationLadder::new(Vec::new()))
+                    .resuming(),
+            ),
+        ] {
+            let outcome = EdgeTune::new(config).run();
+            assert!(
+                matches!(outcome, Err(edgetune_util::Error::InvalidConfig(_))),
+                "seed {seed}: resuming on a checkpoint of {what} (ladder {ladder}) must be \
+                 an invalid-config error, got {:?}",
+                outcome.map(|report| report.history().len())
+            );
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                written,
+                "seed {seed}: the rejected checkpoint of {what} must not be modified"
+            );
+        }
+    }
     std::fs::remove_file(&path).ok();
 }
 
