@@ -192,10 +192,13 @@ impl HistoricalCache {
     /// Returns [`Error::Storage`] only when the file cannot be *read*
     /// (missing file, permissions) — never for unparseable content.
     pub fn load(path: &Path) -> Result<Self> {
-        let json = std::fs::read_to_string(path)?;
-        match serde_json::from_str(&json) {
+        let bytes = std::fs::read(path)?;
+        // Bytes torn into invalid UTF-8 are not JSON either: the empty
+        // document fails both parses below, a whole-file tear.
+        let json = std::str::from_utf8(&bytes).unwrap_or_default();
+        match serde_json::from_str(json) {
             Ok(cache) => Ok(cache),
-            Err(_) => Ok(Self::load_lenient(&json)),
+            Err(_) => Ok(Self::load_lenient(json)),
         }
     }
 
@@ -353,10 +356,13 @@ mod tests {
         let dir = std::env::temp_dir().join("edgetune-cache-torn-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.json");
-        std::fs::write(&path, "{\"entries\": {\"a|b|runtime\": {\"dev").unwrap();
-        let loaded = HistoricalCache::load(&path).unwrap();
-        assert!(loaded.is_empty(), "nothing salvageable from a torn prefix");
-        assert!(loaded.corrupt_entries() >= 1);
+        let torn: [&[u8]; 2] = [b"{\"entries\": {\"a|b|runtime\": {\"dev", &[0xff, 0xfe]];
+        for bytes in torn {
+            std::fs::write(&path, bytes).unwrap();
+            let loaded = HistoricalCache::load(&path).unwrap();
+            assert!(loaded.is_empty(), "nothing salvageable from {bytes:?}");
+            assert_eq!(loaded.corrupt_entries(), 1, "one whole-file tear");
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -125,11 +125,11 @@ pub struct StudyGlobals {
     /// a rung — no reason to recompute them).
     pub cache: HistoricalCache,
     /// The cache's hit/miss counters, carried separately because they
-    /// are `#[serde(skip)]` inside [`HistoricalCache`]. Taken from the
-    /// server's cache
-    /// ([`AsyncInferenceServer::record_into`](crate::async_server::AsyncInferenceServer::record_into))
-    /// — the same single tally the trace's cache counter events sample,
-    /// so checkpoints and traces can never disagree about them.
+    /// are `#[serde(skip)]` inside [`HistoricalCache`]. Every
+    /// [`InferenceEndpoint::request`](crate::inference::InferenceEndpoint::request)
+    /// copies them from `cache` — the same single tally the trace's
+    /// cache counter events sample, so checkpoints and traces can never
+    /// disagree about them.
     pub cache_stats: CacheStats,
     /// Every timeline span recorded so far.
     pub timeline: Timeline,
@@ -148,7 +148,7 @@ pub struct StudyGlobals {
     /// injector has already decided.
     pub fault_cursor: u64,
     /// Inference-server request sequence: how many requests have been
-    /// submitted (each one's fate is keyed by its sequence number).
+    /// made (each one's fate is keyed by its sequence number).
     pub inference_cursor: u64,
     /// Inference requests dropped by injected worker deaths so far.
     pub injected_losses: u64,

@@ -9,7 +9,6 @@
 //! finished configuration; nothing here executes anything.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use edgetune_device::spec::DeviceSpec;
 use edgetune_faults::{DegradationLadder, FaultPlan, Supervisor};
@@ -159,9 +158,6 @@ pub struct EdgeTuneConfig {
     pub supervisor: Supervisor,
     /// Ordered fallbacks when an inference reply is lost.
     pub degradation: DegradationLadder,
-    /// Real-time cap on waiting for one inference reply before the
-    /// degradation ladder engages.
-    pub reply_timeout: Duration,
     /// Write a resumable study checkpoint here after every rung the
     /// study executes, if set.
     pub checkpoint_path: Option<PathBuf>,
@@ -227,7 +223,6 @@ impl EdgeTuneConfig {
             fault_plan: FaultPlan::none(),
             supervisor: Supervisor::default(),
             degradation: DegradationLadder::default(),
-            reply_timeout: Duration::from_secs(30),
             checkpoint_path: None,
             resume: false,
             halt_after_rungs: None,
@@ -399,13 +394,6 @@ impl EdgeTuneConfig {
     #[must_use]
     pub fn with_degradation(mut self, ladder: DegradationLadder) -> Self {
         self.degradation = ladder;
-        self
-    }
-
-    /// Sets the real-time cap on waiting for one inference reply.
-    #[must_use]
-    pub fn with_reply_timeout(mut self, timeout: Duration) -> Self {
-        self.reply_timeout = timeout;
         self
     }
 

@@ -13,11 +13,13 @@
 //! so the report — and every checkpoint — is byte-identical for any
 //! shard count and needs no split or merge.
 //!
-//! The shared `HistoricalCache` inside the
-//! [`AsyncInferenceServer`](crate::async_server::AsyncInferenceServer)
-//! is deliberately *not* sharded: it is the one cross-shard channel, so
-//! an architecture tuned by any shard is never re-tuned by another —
-//! Algorithm 1's memoisation survives sharding untouched.
+//! Shards never reach the Inference Tuning Server or its
+//! `HistoricalCache`: asynchrony is accounted, not threaded — each
+//! request is answered at trial start on the evaluator's thread
+//! ([`InferenceEndpoint`](crate::inference::InferenceEndpoint)), in the
+//! sequential replay, and its simulated cost is overlapped with the
+//! trial's. An architecture is therefore swept once whatever the shard
+//! count — Algorithm 1's memoisation survives sharding untouched.
 //!
 //! Shard execution (phase A) is deliberately *untraced*: shards only
 //! precompute raw measurements on wall-clock threads, and every trace

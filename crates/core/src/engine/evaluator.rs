@@ -1,6 +1,12 @@
 //! The onefold evaluator: one training trial coupled to its pipelined
 //! inference request, plus all time accounting.
 //!
+//! Asynchrony is accounted, not threaded: the request is answered at
+//! trial start on the evaluator's thread
+//! ([`InferenceEndpoint::request`]) and its simulated cost is overlapped
+//! with the trial's — only the sweep's excess over its trial stalls the
+//! model server.
+//!
 //! Two orthogonal kinds of parallelism meet here:
 //!
 //! * **Simulated trial slots** (`trial_slots`) model a tuning cluster:
@@ -30,7 +36,6 @@
 //! with an error.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use edgetune_device::profile::WorkProfile;
 use edgetune_device::spec::DeviceSpec;
@@ -48,12 +53,11 @@ use edgetune_util::rng::SeedStream;
 use edgetune_util::units::{Joules, Seconds};
 use edgetune_util::{Error, Result};
 
-use crate::async_server::{AsyncInferenceServer, InferenceReply};
 use crate::backend::{TrainingBackend, TrialMeasurement};
 use crate::cache::CacheKey;
 use crate::checkpoint::{StudyCheckpoint, StudyGlobals};
 use crate::fabric::{RungScope, ShardFabric};
-use crate::inference::fallback_recommendation;
+use crate::inference::{fallback_recommendation, InferenceEndpoint, InferenceReply};
 use crate::trace::{
     timeline_from_trace, CAT_BRACKET, CAT_CACHE, CAT_FAULT, CAT_INFERENCE, CAT_MODEL, CAT_RUNG,
     PROCESS_FAULTS, PROCESS_INFERENCE, PROCESS_MODEL, PROCESS_SCHEDULER,
@@ -62,7 +66,7 @@ use crate::trace::{
 /// Evaluator wiring one training trial to its pipelined inference request.
 pub(crate) struct OnefoldEvaluator<'a> {
     pub(crate) backend: &'a mut dyn TrainingBackend,
-    pub(crate) inference: &'a AsyncInferenceServer,
+    pub(crate) inference: &'a mut InferenceEndpoint,
     pub(crate) device: &'a DeviceSpec,
     pub(crate) inference_metric: Metric,
     pub(crate) objective: TrainObjective,
@@ -92,7 +96,6 @@ pub(crate) struct OnefoldEvaluator<'a> {
     pub(crate) faults_enabled: bool,
     pub(crate) supervisor: Supervisor,
     pub(crate) ladder: &'a DegradationLadder,
-    pub(crate) reply_timeout: Duration,
     /// Seed stream for backoff jitter; draws are counted (in the
     /// globals) so retried operations never share a jitter value.
     pub(crate) supervisor_seed: SeedStream,
@@ -244,12 +247,9 @@ impl OnefoldEvaluator<'_> {
                         extra += self.next_backoff(attempt);
                         self.globals.degradation.inference_retries += 1;
                         self.fault_instant(Fallback::Retry.trace_label(), self.globals.clock);
-                        let Some(pending) = self.inference.try_submit(key.clone(), profile) else {
-                            break;
-                        };
-                        match pending.wait_timeout(self.reply_timeout) {
-                            Ok(reply) => return (Some(reply), extra),
-                            Err(_) => {
+                        match self.inference.request(&mut self.globals, key, profile) {
+                            Some(reply) => return (Some(reply), extra),
+                            None => {
                                 self.globals.degradation.worker_losses += 1;
                                 self.fault_instant("worker-loss", self.globals.clock);
                                 attempt += 1;
@@ -258,28 +258,17 @@ impl OnefoldEvaluator<'_> {
                     }
                 }
                 Fallback::StaleCache => {
-                    if let Some(recommendation) = self.inference.peek(key) {
+                    if let Some(recommendation) = self.globals.cache.peek(key).cloned() {
                         self.globals.degradation.stale_cache_served += 1;
                         self.fault_instant(Fallback::StaleCache.trace_label(), self.globals.clock);
-                        let reply = InferenceReply {
-                            recommendation,
-                            runtime: Seconds::ZERO,
-                            energy: Joules::ZERO,
-                            cache_hit: true,
-                        };
-                        return (Some(reply), extra);
+                        return (Some(InferenceReply::from_history(recommendation)), extra);
                     }
                 }
                 Fallback::DeviceDefault => {
                     self.globals.degradation.default_recommendations += 1;
                     self.fault_instant(Fallback::DeviceDefault.trace_label(), self.globals.clock);
-                    let reply = InferenceReply {
-                        recommendation: fallback_recommendation(self.device, &profile),
-                        runtime: Seconds::ZERO,
-                        energy: Joules::ZERO,
-                        cache_hit: true,
-                    };
-                    return (Some(reply), extra);
+                    let recommendation = fallback_recommendation(self.device, &profile);
+                    return (Some(InferenceReply::from_history(recommendation)), extra);
                 }
                 Fallback::SkipWithPenalty => return (None, extra),
                 // The in-process rung belongs to the shard fabric's
@@ -375,28 +364,27 @@ impl OnefoldEvaluator<'_> {
         precomputed: Option<TrialMeasurement>,
     ) -> TrialRun {
         // (1) Fire the inference request as soon as the architecture is
-        //     known — before training starts (Algorithm 1, line 6).
+        //     known — before training starts (Algorithm 1, line 6). It is
+        //     answered here; the reply is collected after the trial.
         let (arch, profile) = self.backend.architecture(config);
         let key = CacheKey::new(
             self.device.name.clone(),
             arch.clone(),
             self.inference_metric,
         );
-        let pending = self.inference.submit(key.clone(), profile);
+        let pending = self.inference.request(&mut self.globals, &key, profile);
 
         // (2) Run the training trial (supervised when faults are active).
         let (train_runtime, train_energy, accuracy) =
             match self.train_supervised(config, budget, precomputed) {
                 Ok(success) => success,
                 Err((failure, paid_runtime, paid_energy)) => {
-                    // The trial is abandoned; still collect (and account)
-                    // its pipelined sweep so the queue drains and the
-                    // sweep's energy is not silently lost.
-                    let (sweep_runtime, sweep_energy, cache_hit) =
-                        match pending.wait_timeout(self.reply_timeout) {
-                            Ok(reply) => (reply.runtime, reply.energy, reply.cache_hit),
-                            Err(_) => (Seconds::ZERO, Joules::ZERO, true),
-                        };
+                    // The trial is abandoned; still account its pipelined
+                    // sweep so the sweep's energy is not silently lost.
+                    let (sweep_runtime, sweep_energy, cache_hit) = match pending {
+                        Some(reply) => (reply.runtime, reply.energy, reply.cache_hit),
+                        None => (Seconds::ZERO, Joules::ZERO, true),
+                    };
                     return TrialRun {
                         outcome: TrialOutcome::failed(
                             failure,
@@ -414,17 +402,17 @@ impl OnefoldEvaluator<'_> {
             };
 
         // (3) Collect the inference reply, degrading when it is lost.
-        let (reply, extra_stall) = match pending.wait_timeout(self.reply_timeout) {
-            Ok(reply) => (Some(reply), Seconds::ZERO),
-            Err(_) if self.faults_enabled => {
+        let (reply, extra_stall) = match pending {
+            Some(reply) => (Some(reply), Seconds::ZERO),
+            None if self.faults_enabled => {
                 self.globals.degradation.worker_losses += 1;
                 self.fault_instant("worker-loss", self.globals.clock);
                 self.degrade(&key, profile)
             }
-            Err(_) => (None, Seconds::ZERO),
+            None => (None, Seconds::ZERO),
         };
         let Some(reply) = reply else {
-            // Fault-free: the server died — mark the trial infeasible
+            // Fault-free: the sweep panicked — mark the trial infeasible
             // rather than crash the job (legacy behaviour, no marker).
             // Chaos: the ladder ran dry — skip with a penalty score.
             let outcome = if self.faults_enabled {
@@ -523,7 +511,7 @@ impl OnefoldEvaluator<'_> {
             );
         }
         // Cache telemetry rides on its own track: a hit/miss instant per
-        // trial plus a counter sample read from the server's single
+        // trial plus a counter sample read from the cache's single
         // tally (the same numbers checkpoints persist).
         let cache_track = self.tracer.track(PROCESS_INFERENCE, "historical-cache");
         let verdict = if run.cache_hit {
@@ -537,7 +525,7 @@ impl OnefoldEvaluator<'_> {
             "historical-cache",
             CAT_CACHE,
             start,
-            self.inference.cache_stats().as_counters(),
+            self.globals.cache_stats.as_counters(),
         );
         self.globals.stall += run.stall;
         self.globals.inference_energy += run.sweep_energy;
@@ -624,9 +612,8 @@ impl Evaluate for OnefoldEvaluator<'_> {
         }
         if let Some(path) = self.checkpoint_path {
             // Bring the shares of the state held elsewhere up to date,
-            // each from its single source of truth: the server's tally,
-            // the backend's cursor, the trace.
-            self.inference.record_into(&mut self.globals);
+            // each from its single source of truth: the backend's cursor,
+            // the trace.
             self.globals.fault_cursor = self.backend.fault_cursor();
             self.globals.timeline = timeline_from_trace(self.tracer);
             let globals = std::mem::take(&mut self.globals);

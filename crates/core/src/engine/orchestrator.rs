@@ -3,7 +3,7 @@
 //! The engine owns everything between a finished
 //! [`EdgeTuneConfig`](crate::config::EdgeTuneConfig) and a
 //! [`TuningReport`]: checkpoint restore, cache loading, inference-server
-//! startup, sampler/scheduler wiring, the evaluator's lifetime, and the
+//! construction, sampler/scheduler wiring, the evaluator's lifetime, and the
 //! final harvest of history, winner, recommendation, and fault counters.
 //! [`EdgeTune`] is the same thing owning its configuration.
 
@@ -15,7 +15,6 @@ use edgetune_util::rng::SeedStream;
 use edgetune_util::{Error, Result};
 use edgetune_workloads::catalog::Workload;
 
-use crate::async_server::AsyncInferenceServer;
 use crate::backend::{SimTrainingBackend, TrainingBackend};
 use crate::cache::{CacheKey, HistoricalCache};
 use crate::checkpoint::{load_resume_state, StudyCheckpoint, StudyGlobals};
@@ -23,7 +22,7 @@ use crate::config::{EdgeTuneConfig, ShardExec};
 use crate::engine::evaluator::OnefoldEvaluator;
 use crate::engine::report::{FaultReport, TuningReport};
 use crate::fabric::ShardFabric;
-use crate::inference::{InferenceSpace, InferenceTuningServer};
+use crate::inference::{InferenceEndpoint, InferenceSpace, InferenceTuningServer};
 use crate::trace::{seed_tracer_from_timeline, timeline_from_trace};
 
 /// The EdgeTune tuning job (the paper's Model Tuning Server,
@@ -62,9 +61,8 @@ impl EdgeTune {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] for inconsistent configurations,
-    /// [`Error::Storage`] if the historical cache cannot be written, and
-    /// [`Error::Channel`] if the inference server fails irrecoverably.
+    /// Returns [`Error::InvalidConfig`] for inconsistent configurations
+    /// and [`Error::Storage`] if the historical cache cannot be written.
     pub fn run_with_backend(&self, backend: &mut dyn TrainingBackend) -> Result<TuningReport> {
         Engine::new(&self.config).run_with_backend(backend)
     }
@@ -126,9 +124,8 @@ impl<'a> Engine<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] for inconsistent configurations,
-    /// [`Error::Storage`] if the historical cache cannot be written, and
-    /// [`Error::Channel`] if the inference server fails irrecoverably.
+    /// Returns [`Error::InvalidConfig`] for inconsistent configurations
+    /// and [`Error::Storage`] if the historical cache cannot be written.
     pub fn run_with_backend(&self, backend: &mut dyn TrainingBackend) -> Result<TuningReport> {
         let tracer = Tracer::new();
         let report = self.run_inner(backend, &tracer)?;
@@ -214,7 +211,7 @@ impl<'a> Engine<'a> {
         // Resume: the checkpoint's state is reinstated whole, and its
         // trial log answers the rungs it covers. Without one the study
         // starts from nothing but the persistent historical cache.
-        let (resumed, mut globals) = match self.load_checkpoint()? {
+        let (resumed, globals) = match self.load_checkpoint()? {
             Some(checkpoint) => {
                 let (trials, mut globals) = checkpoint.into_parts();
                 globals.cache.restore_stats(globals.cache_stats);
@@ -247,12 +244,10 @@ impl<'a> Engine<'a> {
         } else {
             None
         };
-        let async_server = AsyncInferenceServer::start_supervised(
+        let mut inference = InferenceEndpoint::new(
             inference_server,
-            std::mem::take(&mut globals.cache),
             self.config.historical_cache,
             inference_faults,
-            &globals,
         );
 
         let mut objective = TrainObjective::inference_aware(self.config.train_metric);
@@ -277,7 +272,7 @@ impl<'a> Engine<'a> {
 
         let mut evaluator = OnefoldEvaluator {
             backend,
-            inference: &async_server,
+            inference: &mut inference,
             device: &self.config.edge_device,
             inference_metric: self.config.inference_metric,
             objective,
@@ -290,7 +285,6 @@ impl<'a> Engine<'a> {
             faults_enabled,
             supervisor: self.config.supervisor,
             ladder: &self.config.degradation,
-            reply_timeout: self.config.reply_timeout,
             supervisor_seed: SeedStream::new(self.config.seed).child("supervisor"),
             checkpoint_path: self.config.checkpoint_path.as_ref(),
             root_seed: self.config.seed,
@@ -330,7 +324,7 @@ impl<'a> Engine<'a> {
                     &mut evaluator,
                 )
         };
-        let (globals, halted) = evaluator.finish(&history)?;
+        let (mut globals, halted) = evaluator.finish(&history)?;
         // Export the fabric's supervision telemetry to its own trace
         // file — deliberately separate from the study trace so the
         // latter stays byte-identical across `--shard-exec` modes.
@@ -342,12 +336,6 @@ impl<'a> Engine<'a> {
         // separately recorded, so the two can never disagree.
         let timeline = timeline_from_trace(tracer);
 
-        // Harvest the inference server's fault counters before shutdown
-        // (a resumed server started from the checkpointed tallies).
-        let worker_panics = async_server.worker_panics();
-        let injected_losses = async_server.injected_losses();
-        let injected_outages = async_server.injected_outages();
-
         // The tuning job's output is the final-rung winner: raw ratio
         // scores are only comparable within one budget level.
         let best = history
@@ -355,37 +343,33 @@ impl<'a> Engine<'a> {
             .ok_or_else(|| Error::invalid_config("no trials were executed"))?
             .clone();
 
-        // The winner's recommendation is in the cache by construction.
+        // The winner's recommendation is normally in the cache. It is not
+        // when the study ran `without_historical_cache` (nothing is ever
+        // stored) or, under chaos, when every reply for the winning
+        // architecture was lost: sweep it now, outside the study's
+        // accounting.
         let (best_arch, best_profile) = backend.architecture(&best.config);
         let key = CacheKey::new(&device_name, best_arch, self.config.inference_metric);
-        let mut final_cache = async_server.shutdown();
-        let recommendation = match final_cache.peek(&key) {
+        let recommendation = match globals.cache.peek(&key) {
             Some(rec) => rec.clone(),
             None => {
-                // Only reachable if the worker died mid-run; recompute
-                // synchronously.
-                let server = InferenceTuningServer::new(
-                    self.config.edge_device.clone(),
-                    InferenceSpace::for_device(&self.config.edge_device),
-                    InferenceObjective::new(self.config.inference_metric),
-                )?;
-                let (rec, _) = server.tune(&best_profile);
-                final_cache.store(&key, rec.clone());
+                let (rec, _) = inference.server().tune(&best_profile);
+                globals.cache.store(&key, rec.clone());
                 rec
             }
         };
 
         if let Some(path) = &self.config.cache_path {
-            final_cache.save(path)?;
+            globals.cache.save(path)?;
         }
 
         let faults = if faults_enabled {
             Some(FaultReport {
                 plan: self.config.fault_plan,
                 degradation: globals.degradation,
-                worker_panics,
-                injected_losses,
-                injected_outages,
+                worker_panics: inference.worker_panics(),
+                injected_losses: globals.injected_losses,
+                injected_outages: globals.injected_outages,
                 failed_trials: history
                     .records()
                     .iter()
@@ -410,7 +394,7 @@ impl<'a> Engine<'a> {
             frontier,
             recommendation,
             timeline,
-            cache_stats: final_cache.stats(),
+            cache_stats: globals.cache_stats,
             makespan: globals.clock,
             stall_time: globals.stall,
             inference_energy: globals.inference_energy,
@@ -677,8 +661,6 @@ mod ablation_tests {
 
 #[cfg(test)]
 mod chaos_tests {
-    use std::time::Duration;
-
     use crate::config::EdgeTuneConfig;
     use crate::engine::{EdgeTune, TuningReport};
     use edgetune_faults::{FaultPlan, Supervisor};
@@ -793,7 +775,6 @@ mod chaos_tests {
         let plan = FaultPlan::none().with_worker_panic(1.0);
         let config = quick_config()
             .with_fault_plan(plan)
-            .with_reply_timeout(Duration::from_millis(200))
             .with_supervisor(Supervisor::new(edgetune_faults::RetryPolicy {
                 max_attempts: 2,
                 base_delay: Seconds::new(1.0),

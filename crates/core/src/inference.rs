@@ -7,10 +7,22 @@
 //! runtime or energy), and returns an [`InferenceRecommendation`] the
 //! user can deploy directly — the paper's headline "more useful
 //! information" output.
+//!
+//! [`InferenceEndpoint`] is how a study reaches the server: Algorithm 1's
+//! lines 5–9 — look up history, else sweep and store. Asynchrony is
+//! accounted, not threaded: the request is answered at trial start on the
+//! evaluator's thread and its simulated cost is overlapped with the
+//! trial's (`stall = max(0, sweep − train)`), which is where the paper's
+//! "no overhead to the main process" claim lives. A host thread would
+//! have nothing to hide: a sweep is microseconds of host work and almost
+//! every request is a cache hit.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use edgetune_device::latency::{simulate_inference, CpuAllocation};
 use edgetune_device::profile::WorkProfile;
 use edgetune_device::spec::DeviceSpec;
+use edgetune_faults::FaultInjector;
 use edgetune_util::units::{
     energy_per_item, throughput, Hertz, ItemsPerSecond, Joules, JoulesPerItem, Seconds, Watts,
 };
@@ -21,6 +33,9 @@ use edgetune_tuner::objective::InferenceObjective;
 use edgetune_tuner::sampler::{Sampler, TpeSampler};
 use edgetune_tuner::space::{Config, Domain, SearchSpace};
 use edgetune_util::rng::SeedStream;
+
+use crate::cache::CacheKey;
+use crate::checkpoint::StudyGlobals;
 
 /// The sweep executes on the tuning server's CPUs, which emulate the edge
 /// device this much faster than the device would run (§2.1: devices are
@@ -339,6 +354,164 @@ impl InferenceTuningServer {
     }
 }
 
+/// The answer to one inference-tuning request.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct InferenceReply {
+    /// The deployment recommendation for the requested architecture.
+    pub recommendation: InferenceRecommendation,
+    /// Simulated duration the tuning sweep took (zero on a cache hit).
+    pub runtime: Seconds,
+    /// Simulated energy the tuning sweep consumed (zero on a cache hit).
+    pub energy: Joules,
+    /// Whether the answer came from the historical database.
+    pub cache_hit: bool,
+}
+
+impl InferenceReply {
+    /// An answer no sweep was paid for: a cache hit, or a degraded
+    /// stand-in accounted like one.
+    #[must_use]
+    pub fn from_history(recommendation: InferenceRecommendation) -> Self {
+        InferenceReply {
+            recommendation,
+            runtime: Seconds::ZERO,
+            energy: Joules::ZERO,
+            cache_hit: true,
+        }
+    }
+}
+
+/// The study's one door to the Inference Tuning Server (see the module
+/// docs). It holds no study state: the cache, its counters, the request
+/// sequence and the injected-fault tallies live in the [`StudyGlobals`]
+/// every request is handed, so a checkpoint stores them and a resume
+/// continues them with nothing to copy in or out.
+///
+/// # Examples
+///
+/// ```
+/// use edgetune::cache::CacheKey;
+/// use edgetune::checkpoint::StudyGlobals;
+/// use edgetune::inference::{InferenceEndpoint, InferenceSpace, InferenceTuningServer};
+/// use edgetune_device::{DeviceSpec, WorkProfile};
+/// use edgetune_tuner::objective::InferenceObjective;
+/// use edgetune_tuner::Metric;
+///
+/// let device = DeviceSpec::raspberry_pi_3b();
+/// let space = InferenceSpace::for_device(&device);
+/// let server = InferenceTuningServer::new(device, space, InferenceObjective::new(Metric::Runtime))?;
+/// let mut endpoint = InferenceEndpoint::new(server, true, None);
+/// let mut globals = StudyGlobals::default();
+/// let key = CacheKey::new("Raspberry Pi 3B+", "ResNet/layers=18", Metric::Runtime);
+/// let profile = WorkProfile::new(0.56e9, 3.0e6, 44.8e6);
+/// let first = endpoint.request(&mut globals, &key, profile).expect("no faults, no loss");
+/// assert!(!first.cache_hit);
+/// let again = endpoint.request(&mut globals, &key, profile).expect("no faults, no loss");
+/// assert!(again.cache_hit);
+/// # Ok::<(), edgetune_util::Error>(())
+/// ```
+#[derive(Debug)]
+pub struct InferenceEndpoint {
+    server: InferenceTuningServer,
+    /// Whether the historical cache is consulted (`false` is the
+    /// ablation of §3.4's look-up feature).
+    caching: bool,
+    /// Chaos runs only.
+    faults: Option<FaultInjector>,
+    panics: u64,
+}
+
+impl InferenceEndpoint {
+    /// Wraps `server` for one study.
+    #[must_use]
+    pub fn new(
+        server: InferenceTuningServer,
+        caching: bool,
+        faults: Option<FaultInjector>,
+    ) -> Self {
+        InferenceEndpoint {
+            server,
+            caching,
+            faults,
+            panics: 0,
+        }
+    }
+
+    /// The wrapped server.
+    #[must_use]
+    pub fn server(&self) -> &InferenceTuningServer {
+        &self.server
+    }
+
+    /// Real panics caught (and survived) while answering requests.
+    #[must_use]
+    pub fn worker_panics(&self) -> u64 {
+        self.panics
+    }
+
+    /// Answers one request for `key`'s architecture. `None` is a lost
+    /// reply — an injected worker death, or a real panic in the sweep,
+    /// which is caught and counted instead of ending the study — and the
+    /// caller degrades. Injected faults are keyed by the request's
+    /// sequence number, so chaos is a function of the seed alone.
+    pub fn request(
+        &mut self,
+        globals: &mut StudyGlobals,
+        key: &CacheKey,
+        profile: WorkProfile,
+    ) -> Option<InferenceReply> {
+        let seq = globals.inference_cursor;
+        globals.inference_cursor += 1;
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if self.faults.as_ref().is_some_and(|f| f.worker_panic(seq)) {
+                // Simulated worker death mid-request: no look-up, no
+                // sweep, no answer.
+                globals.injected_losses += 1;
+                return None;
+            }
+            let mut reply = self.answer(globals, key, &profile);
+            if !reply.cache_hit {
+                if let Some(outage) = self.faults.as_ref().and_then(|f| f.device_outage(seq)) {
+                    // Transient device unavailability: the sweep is
+                    // retried once the device returns, so its effective
+                    // runtime stretches by the outage.
+                    reply.runtime += outage;
+                    globals.injected_outages += 1;
+                }
+            }
+            Some(reply)
+        }));
+        globals.cache_stats = globals.cache.stats();
+        outcome.unwrap_or_else(|_| {
+            self.panics += 1;
+            None
+        })
+    }
+
+    fn answer(
+        &self,
+        globals: &mut StudyGlobals,
+        key: &CacheKey,
+        profile: &WorkProfile,
+    ) -> InferenceReply {
+        if !self.caching {
+            globals.cache.note_miss();
+        } else if let Some(hit) = globals.cache.lookup(key) {
+            return InferenceReply::from_history(hit);
+        }
+        let (recommendation, cost) = self.server.tune(profile);
+        if self.caching {
+            globals.cache.store(key, recommendation.clone());
+        }
+        InferenceReply {
+            recommendation,
+            runtime: cost.runtime,
+            energy: cost.energy,
+            cache_hit: false,
+        }
+    }
+}
+
 /// Tunes inference parameters for one architecture across a *set* of
 /// edge devices — the paper's common case where "the tuned model might be
 /// deployed across different edge devices and having these configurations
@@ -391,8 +564,13 @@ pub fn fallback_recommendation(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
     use super::*;
+    use crate::cache::{CacheStats, HistoricalCache};
+    use edgetune_faults::FaultPlan;
     use edgetune_tuner::Metric;
+    use rand::Rng;
 
     fn server(metric: Metric) -> InferenceTuningServer {
         let device = DeviceSpec::raspberry_pi_3b();
@@ -576,5 +754,329 @@ mod tests {
         // The tuned optimum never loses to the fallback on the objective.
         let (tuned, _) = server(Metric::Runtime).tune(&resnet18());
         assert!(tuned.latency_per_item <= fallback.latency_per_item);
+    }
+
+    /// A caching endpoint under `plan` and the fresh study state it serves.
+    fn study(plan: FaultPlan) -> (InferenceEndpoint, StudyGlobals) {
+        let faults = (!plan.is_none()).then(|| FaultInjector::new(plan, SeedStream::new(77)));
+        let endpoint = InferenceEndpoint::new(server(Metric::Runtime), true, faults);
+        (endpoint, StudyGlobals::default())
+    }
+
+    fn key(arch: &str) -> CacheKey {
+        CacheKey::new("Raspberry Pi 3B+", arch, Metric::Runtime)
+    }
+
+    #[test]
+    fn first_request_misses_second_hits() {
+        let (mut endpoint, mut globals) = study(FaultPlan::none());
+        let arch = key("ResNet/layers=18");
+        let first = endpoint.request(&mut globals, &arch, resnet18()).unwrap();
+        assert!(!first.cache_hit);
+        assert!(first.runtime.value() > 0.0);
+        let second = endpoint.request(&mut globals, &arch, resnet18()).unwrap();
+        assert!(
+            second.cache_hit,
+            "same architecture must be served from history"
+        );
+        assert_eq!(second.runtime, Seconds::ZERO);
+        assert_eq!(second.recommendation, first.recommendation);
+    }
+
+    #[test]
+    fn different_architectures_are_tuned_separately() {
+        let (mut endpoint, mut globals) = study(FaultPlan::none());
+        let light = endpoint.request(&mut globals, &key("light"), resnet18());
+        let heavy = WorkProfile::new(8.5e9, 30.0e6, 246.0e6);
+        let heavy = endpoint.request(&mut globals, &key("heavy"), heavy);
+        let (light, heavy) = (light.unwrap(), heavy.unwrap());
+        assert!(!light.cache_hit && !heavy.cache_hit);
+        assert!(heavy.recommendation.throughput.value() < light.recommendation.throughput.value());
+        assert_eq!(globals.cache.len(), 2);
+    }
+
+    #[test]
+    fn injected_worker_death_drops_the_reply_but_not_the_server() {
+        // Every request's worker dies: the requester gets no reply, yet
+        // the endpoint keeps accepting and the process survives.
+        let (mut endpoint, mut globals) = study(FaultPlan::none().with_worker_panic(1.0));
+        assert!(endpoint
+            .request(&mut globals, &key("doomed"), resnet18())
+            .is_none());
+        assert_eq!(globals.injected_losses, 1);
+        assert!(endpoint
+            .request(&mut globals, &key("also-doomed"), resnet18())
+            .is_none());
+        assert_eq!(globals.injected_losses, 2);
+        assert_eq!(globals.inference_cursor, 2);
+        assert_eq!(endpoint.worker_panics(), 0, "injected deaths are not real");
+    }
+
+    #[test]
+    fn injected_outage_stretches_the_sweep_runtime() {
+        let plan = FaultPlan {
+            device_outage: 1.0,
+            outage_duration_s: 30.0,
+            ..FaultPlan::none()
+        };
+        let (mut endpoint, mut globals) = study(plan);
+        let first = endpoint
+            .request(&mut globals, &key("a"), resnet18())
+            .unwrap();
+        assert!(
+            first.runtime.value() >= 30.0,
+            "the outage must extend the sweep: {}",
+            first.runtime
+        );
+        assert_eq!(globals.injected_outages, 1);
+        // Cache hits never touch the device, so they see no outage.
+        let hit = endpoint
+            .request(&mut globals, &key("a"), resnet18())
+            .unwrap();
+        assert!(hit.cache_hit);
+        assert_eq!(hit.runtime, Seconds::ZERO);
+        assert_eq!(globals.injected_outages, 1);
+    }
+
+    #[test]
+    fn globals_cache_stats_match_the_cache_tally() {
+        let (mut endpoint, mut globals) = study(FaultPlan::none());
+        endpoint
+            .request(&mut globals, &key("a"), resnet18())
+            .unwrap();
+        endpoint
+            .request(&mut globals, &key("a"), resnet18())
+            .unwrap();
+        assert_eq!(globals.cache_stats, CacheStats { hits: 1, misses: 1 });
+        assert_eq!(globals.cache.stats(), globals.cache_stats);
+    }
+
+    #[test]
+    fn fault_free_endpoint_reports_zero_fault_counters() {
+        let (mut endpoint, mut globals) = study(FaultPlan::none());
+        endpoint
+            .request(&mut globals, &key("a"), resnet18())
+            .unwrap();
+        assert_eq!(endpoint.worker_panics(), 0);
+        assert_eq!(globals.injected_losses, 0);
+        assert_eq!(globals.injected_outages, 0);
+    }
+
+    #[test]
+    fn requests_populate_the_globals_cache() {
+        let (mut endpoint, mut globals) = study(FaultPlan::none());
+        endpoint
+            .request(&mut globals, &key("a"), resnet18())
+            .unwrap();
+        assert_eq!(globals.cache.len(), 1);
+        assert!(globals.cache.peek(&key("a")).is_some());
+    }
+
+    #[test]
+    fn a_real_panic_in_the_sweep_loses_the_reply_not_the_study() {
+        // An empty space cannot pass `InferenceTuningServer::new`; built
+        // directly, its sweep panics ("space is non-empty").
+        let device = DeviceSpec::raspberry_pi_3b();
+        let broken = InferenceTuningServer {
+            space: InferenceSpace {
+                batches: Vec::new(),
+                cores: vec![1],
+                freqs: vec![device.max_freq],
+            },
+            device,
+            objective: InferenceObjective::new(Metric::Runtime),
+        };
+        let mut endpoint = InferenceEndpoint::new(broken, true, None);
+        let mut globals = StudyGlobals::default();
+        assert!(endpoint
+            .request(&mut globals, &key("a"), resnet18())
+            .is_none());
+        assert_eq!(endpoint.worker_panics(), 1);
+        assert_eq!(globals.inference_cursor, 1);
+        assert_eq!(globals.cache_stats, CacheStats { hits: 0, misses: 1 });
+        assert!(globals.cache.is_empty(), "a sweep that died stores nothing");
+        // The next request is answered as if nothing had happened.
+        endpoint.server = server(Metric::Runtime);
+        let next = endpoint
+            .request(&mut globals, &key("a"), resnet18())
+            .unwrap();
+        assert!(!next.cache_hit);
+        assert_eq!(endpoint.worker_panics(), 1);
+        assert_eq!(globals.inference_cursor, 2);
+    }
+
+    /// Algorithm 1, lines 5–9, written from the pseudocode: the reference
+    /// the properties below hold [`InferenceEndpoint::request`] to.
+    #[derive(Default)]
+    struct Oracle {
+        stored: BTreeMap<usize, InferenceRecommendation>,
+        hits: u64,
+        misses: u64,
+        cursor: u64,
+        losses: u64,
+        outages: u64,
+    }
+
+    impl Oracle {
+        fn request(&mut self, arch: usize, case: &Case, tuned: &[Tuned]) -> Option<InferenceReply> {
+            let seq = self.cursor;
+            self.cursor += 1;
+            if case.faults.worker_panic(seq) {
+                self.losses += 1;
+                return None;
+            }
+            if let Some(known) = self.stored.get(&arch).filter(|_| case.caching) {
+                self.hits += 1;
+                return Some(InferenceReply::from_history(known.clone()));
+            }
+            self.misses += 1;
+            let (recommendation, cost) = tuned[arch].clone();
+            let outage = case.faults.device_outage(seq);
+            self.outages += u64::from(outage.is_some());
+            if case.caching {
+                self.stored.insert(arch, recommendation.clone());
+            }
+            Some(InferenceReply {
+                recommendation,
+                runtime: cost.runtime + outage.unwrap_or(Seconds::ZERO),
+                energy: cost.energy,
+                cache_hit: false,
+            })
+        }
+    }
+
+    type Tuned = (InferenceRecommendation, InferenceTuningCost);
+
+    /// One scripted study: its switches and the architecture (an index
+    /// into [`profiles`]) each request asks for.
+    struct Case {
+        caching: bool,
+        faults: FaultInjector,
+        script: Vec<usize>,
+    }
+
+    impl Case {
+        /// Runs requests `range` of the script against `globals`, on a
+        /// fresh endpoint as a resume builds one.
+        fn run(
+            &self,
+            globals: &mut StudyGlobals,
+            range: std::ops::Range<usize>,
+        ) -> Vec<Option<InferenceReply>> {
+            let faults = (!self.faults.is_none()).then(|| self.faults.clone());
+            let mut endpoint =
+                InferenceEndpoint::new(server(Metric::Runtime), self.caching, faults);
+            let replies = self.script[range]
+                .iter()
+                .map(|&arch| {
+                    endpoint.request(globals, &key(&format!("arch-{arch}")), profiles()[arch])
+                })
+                .collect();
+            assert_eq!(endpoint.worker_panics(), 0);
+            replies
+        }
+    }
+
+    fn profiles() -> [WorkProfile; 4] {
+        [
+            resnet18(),
+            WorkProfile::new(1.3e9, 9.2e6, 94.0e6),
+            WorkProfile::new(3.6e9, 21.8e6, 160.0e6),
+            WorkProfile::new(8.5e9, 30.0e6, 246.0e6),
+        ]
+    }
+
+    /// Seeds × `caching` × loss rate × outage rate, 40 random requests
+    /// each.
+    fn cases() -> Vec<Case> {
+        const RATES: [f64; 3] = [0.0, 0.3, 1.0];
+        let mut cases = Vec::new();
+        for (seed, caching) in (0..6).flat_map(|seed| [(seed, true), (seed, false)]) {
+            for (loss, outage) in RATES.iter().flat_map(|&l| RATES.map(|o| (l, o))) {
+                let plan = FaultPlan::none()
+                    .with_worker_panic(loss)
+                    .with_device_outage(outage);
+                let mut rng = SeedStream::new(seed).rng("script");
+                cases.push(Case {
+                    caching,
+                    faults: FaultInjector::new(plan, SeedStream::new(seed).child("faults")),
+                    script: (0..40)
+                        .map(|_| rng.gen_range(0..profiles().len()))
+                        .collect(),
+                });
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn requests_follow_algorithm_1_under_every_switch_and_fault_rate() {
+        let tuned: Vec<Tuned> = profiles()
+            .iter()
+            .map(|profile| server(Metric::Runtime).tune(profile))
+            .collect();
+        for case in cases() {
+            let plan = *case.faults.plan();
+            let what = format!("caching={} {plan:?}", case.caching);
+            let mut globals = StudyGlobals::default();
+            let replies = case.run(&mut globals, 0..case.script.len());
+            let mut oracle = Oracle::default();
+            for (i, (got, &arch)) in replies.iter().zip(&case.script).enumerate() {
+                let want = oracle.request(arch, &case, &tuned);
+                // Equal replies carry the cost laws too: a hit is free and
+                // sees no outage, a miss costs the sweep plus its outage.
+                assert_eq!(got, &want, "{what}: request {i}");
+            }
+            let sweeps = replies.iter().flatten().filter(|r| !r.cache_hit).count() as u64;
+            let stats = CacheStats {
+                hits: oracle.hits,
+                misses: oracle.misses,
+            };
+            assert_eq!(stats.misses, sweeps, "{what}: misses = sweeps run");
+            assert_eq!(globals.cache_stats, stats, "{what}");
+            assert_eq!(globals.cache.stats(), stats, "{what}");
+            assert_eq!(globals.inference_cursor, case.script.len() as u64, "{what}");
+            assert_eq!(globals.injected_losses, oracle.losses, "{what}");
+            assert_eq!(globals.injected_outages, oracle.outages, "{what}");
+            assert_eq!(globals.cache.len(), oracle.stored.len(), "{what}");
+            for (arch, recommendation) in &oracle.stored {
+                let entry = globals.cache.peek(&key(&format!("arch-{arch}")));
+                assert_eq!(entry, Some(recommendation), "{what}");
+            }
+            if case.caching && plan.worker_panic == 0.0 {
+                let distinct: BTreeSet<usize> = case.script.iter().copied().collect();
+                assert_eq!(sweeps, distinct.len() as u64, "{what}: one sweep each");
+            }
+            // Nothing but the server's five fields moved.
+            let rest = StudyGlobals {
+                cache: HistoricalCache::new(),
+                cache_stats: CacheStats::default(),
+                inference_cursor: 0,
+                injected_losses: 0,
+                injected_outages: 0,
+                ..globals
+            };
+            assert_eq!(rest, StudyGlobals::default(), "{what}");
+        }
+    }
+
+    #[test]
+    fn requests_continue_across_a_checkpoint_round_trip() {
+        for case in cases() {
+            let n = case.script.len();
+            let mut straight = StudyGlobals::default();
+            let replies = case.run(&mut straight, 0..n);
+            for k in [0, 1, n / 2, n] {
+                let mut parked = StudyGlobals::default();
+                let mut resumed_replies = case.run(&mut parked, 0..k);
+                // What a checkpoint stores and the orchestrator reinstates.
+                let json = serde_json::to_string(&parked).unwrap();
+                let mut resumed: StudyGlobals = serde_json::from_str(&json).unwrap();
+                resumed.cache.restore_stats(resumed.cache_stats);
+                resumed_replies.extend(case.run(&mut resumed, k..n));
+                assert_eq!(resumed_replies, replies, "split at {k}");
+                assert_eq!(resumed, straight, "split at {k}");
+            }
+        }
     }
 }

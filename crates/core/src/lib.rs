@@ -11,11 +11,13 @@
 //!   training trials under a
 //!   multi-fidelity budget (the multi-budget of Algorithm 2) and scores
 //!   them with the §4.4 ratio objectives,
-//! * for every candidate architecture it asynchronously consults the
+//! * for every candidate architecture it consults the
 //!   [`inference::InferenceTuningServer`], which searches inference batch
-//!   size / CPU cores / frequency on an emulated edge device
-//!   ([`async_server::AsyncInferenceServer`] runs it on a background
-//!   thread, pipelined with training, per Algorithm 1 / Fig. 6),
+//!   size / CPU cores / frequency on an emulated edge device. The
+//!   asynchrony of Algorithm 1 / Fig. 6 is accounted, not threaded: the
+//!   request is answered at trial start on the evaluator's thread
+//!   ([`inference::InferenceEndpoint`]) and its simulated cost is
+//!   overlapped with the trial's,
 //! * results are memoised in a persistent [`cache::HistoricalCache`]
 //!   keyed by architecture signature, so a structure is never re-tuned,
 //! * the [`batching`] module sizes inference batches for the two serving
@@ -47,7 +49,6 @@
 //! # Ok::<(), edgetune_util::Error>(())
 //! ```
 
-pub mod async_server;
 pub mod backend;
 pub mod batching;
 pub mod cache;
