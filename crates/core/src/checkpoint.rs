@@ -131,7 +131,10 @@ pub struct StudyGlobals {
     /// cache counter events sample, so checkpoints and traces can never
     /// disagree about them.
     pub cache_stats: CacheStats,
-    /// Every timeline span recorded so far.
+    /// Every timeline span recorded so far — accumulated by the
+    /// evaluator like the fields around it (a trial's span, then its
+    /// sweep's), never read back from the tracer. A resumed run's trace
+    /// shows these spans on `restored` tracks, for the reader only.
     pub timeline: Timeline,
     /// Accumulated model-server stall time.
     pub stall: Seconds,

@@ -28,12 +28,14 @@
 //! evaluator accumulates — the simulated clock included: every
 //! sequential trial advances it once, by the exact `outcome.runtime` sum
 //! the trial records, and a simulated-slot rung once, by the rung
-//! makespan. A checkpoint is that struct at a rung boundary and resume
-//! reinstates it, so a rung answered from the resumed trial log is
-//! *inert* (see [`crate::checkpoint`] for the rule): its records are
-//! checked and handed to the scheduler, and nothing here moves. A log
-//! that stops matching is another study's checkpoint and ends the run
-//! with an error.
+//! makespan. The Fig. 6 timeline is part of it: each trial's spans are
+//! recorded into `globals.timeline` as they are emitted to the tracer,
+//! an observer nothing reported reads back. A checkpoint is that struct
+//! at a rung boundary and resume reinstates it, so a rung answered from
+//! the resumed trial log is *inert* (see [`crate::checkpoint`] for the
+//! rule): its records are checked and handed to the scheduler, and
+//! nothing here moves. A log that stops matching is another study's
+//! checkpoint and ends the run with an error.
 
 use std::path::PathBuf;
 
@@ -41,7 +43,7 @@ use edgetune_device::profile::WorkProfile;
 use edgetune_device::spec::DeviceSpec;
 use edgetune_faults::{DegradationLadder, Fallback, Supervisor, TrialFault};
 use edgetune_runtime::SimClock;
-use edgetune_trace::{Tracer, TrackId};
+use edgetune_trace::Tracer;
 use edgetune_tuner::budget::TrialBudget;
 use edgetune_tuner::objective::{TrainMeasurement, TrainObjective};
 use edgetune_tuner::pareto::ObjectiveVector;
@@ -58,9 +60,10 @@ use crate::cache::CacheKey;
 use crate::checkpoint::{StudyCheckpoint, StudyGlobals};
 use crate::fabric::{RungScope, ShardFabric};
 use crate::inference::{fallback_recommendation, InferenceEndpoint, InferenceReply};
+use crate::timeline::Lane;
 use crate::trace::{
-    timeline_from_trace, CAT_BRACKET, CAT_CACHE, CAT_FAULT, CAT_INFERENCE, CAT_MODEL, CAT_RUNG,
-    PROCESS_FAULTS, PROCESS_INFERENCE, PROCESS_MODEL, PROCESS_SCHEDULER,
+    CAT_BRACKET, CAT_CACHE, CAT_FAULT, CAT_INFERENCE, CAT_MODEL, CAT_RUNG, PROCESS_FAULTS,
+    PROCESS_INFERENCE, PROCESS_MODEL, PROCESS_SCHEDULER,
 };
 
 /// Evaluator wiring one training trial to its pipelined inference request.
@@ -70,9 +73,9 @@ pub(crate) struct OnefoldEvaluator<'a> {
     pub(crate) device: &'a DeviceSpec,
     pub(crate) inference_metric: Metric,
     pub(crate) objective: TrainObjective,
-    /// Every piece of time accounting is emitted here as trace events;
-    /// the report's `Timeline` is derived from the trace at the end
-    /// (`crate::trace::timeline_from_trace`), never recorded separately.
+    /// The observer: every piece of time accounting is also emitted
+    /// here as trace events. Write-only — nothing under `engine/` reads
+    /// it back, so the report does not depend on what it holds.
     pub(crate) tracer: &'a Tracer,
     pub(crate) pipelining: bool,
     /// Whether the study runs in Pareto mode: successful trials carry an
@@ -153,19 +156,25 @@ impl OnefoldEvaluator<'_> {
         self.supervisor.backoff(attempt, self.supervisor_seed, draw)
     }
 
-    /// The model-server track of one simulated trial slot. Tracks are
-    /// keyed to *simulated* structure, never to real threads or shards,
-    /// so the trace stays byte-identical across `study_shards` and
-    /// `shard_exec` (the same law the report obeys).
-    fn model_track(&self, slot: usize) -> TrackId {
+    /// Records one server-busy span: into the timeline the study
+    /// reports, and — same label, same exact `Seconds` — onto the
+    /// slot's track of the observing tracer. Tracks are keyed to
+    /// *simulated* structure, never to real threads or shards, so the
+    /// trace stays byte-identical across `study_shards` and `shard_exec`
+    /// (the same law the report obeys).
+    fn busy_span(&mut self, lane: Lane, slot: usize, label: String, start: Seconds, end: Seconds) {
+        let (process, track, category) = match lane {
+            Lane::ModelServer => (PROCESS_MODEL, format!("trial-slot-{slot}"), CAT_MODEL),
+            Lane::InferenceServer => (
+                PROCESS_INFERENCE,
+                format!("sweep-slot-{slot}"),
+                CAT_INFERENCE,
+            ),
+        };
+        let track = self.tracer.track(process, &track);
         self.tracer
-            .track(PROCESS_MODEL, &format!("trial-slot-{slot}"))
-    }
-
-    /// The inference-server track of one simulated trial slot.
-    fn sweep_track(&self, slot: usize) -> TrackId {
-        self.tracer
-            .track(PROCESS_INFERENCE, &format!("sweep-slot-{slot}"))
+            .span(track, label.as_str(), category, start, end);
+        self.globals.timeline.record(lane, label, start, end);
     }
 
     /// Emits a fault-injection / degradation instant on the shared
@@ -479,17 +488,21 @@ impl OnefoldEvaluator<'_> {
         }
     }
 
-    /// Trace/clock accounting for one trial placed at `start` on a
-    /// simulated `slot`. Emission order is part of the report contract:
-    /// the trial span leads and its sweep span follows immediately —
-    /// even though a non-pipelined sweep *starts* later —
-    /// because [`timeline_from_trace`] walks emission order to keep the
-    /// report's timeline JSON byte-identical to the pre-trace recorder.
+    /// Timeline/trace/clock accounting for one trial placed at `start`
+    /// on a simulated `slot`. The order of the two `busy_span` calls is
+    /// the report contract: the trial span leads and its sweep span
+    /// follows immediately — even though a non-pipelined sweep *starts*
+    /// later — which is the order the report's timeline JSON has always
+    /// serialised.
     fn record(&mut self, id: u64, run: &TrialRun, start: Seconds, slot: usize) {
         let busy_end = start + run.train_runtime;
-        let model = self.model_track(slot);
-        self.tracer
-            .span(model, format!("trial-{id}"), CAT_MODEL, start, busy_end);
+        self.busy_span(
+            Lane::ModelServer,
+            slot,
+            format!("trial-{id}"),
+            start,
+            busy_end,
+        );
         if !run.cache_hit && run.sweep_runtime.value() > 0.0 {
             // Summation order matters for the serialised end: the clock
             // advances by one `train + stall` sum, so a non-pipelined
@@ -501,11 +514,10 @@ impl OnefoldEvaluator<'_> {
             } else {
                 (busy_end, start + (run.train_runtime + run.sweep_runtime))
             };
-            let sweep = self.sweep_track(slot);
-            self.tracer.span(
-                sweep,
+            self.busy_span(
+                Lane::InferenceServer,
+                slot,
                 run.arch.clone(),
-                CAT_INFERENCE,
                 sweep_start,
                 sweep_end,
             );
@@ -611,11 +623,9 @@ impl Evaluate for OnefoldEvaluator<'_> {
             self.sample_degradation();
         }
         if let Some(path) = self.checkpoint_path {
-            // Bring the shares of the state held elsewhere up to date,
-            // each from its single source of truth: the backend's cursor,
-            // the trace.
+            // The one share of the state held elsewhere: the backend's
+            // fault cursor.
             self.globals.fault_cursor = self.backend.fault_cursor();
-            self.globals.timeline = timeline_from_trace(self.tracer);
             let globals = std::mem::take(&mut self.globals);
             let checkpoint = StudyCheckpoint::new(self.root_seed, history, globals);
             // A failed checkpoint write must never kill the study: the

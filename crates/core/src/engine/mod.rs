@@ -7,10 +7,10 @@
 //!   server, sampler, scheduler, checkpoint/resume wiring), runs it, and
 //!   assembles the final [`TuningReport`]; [`EdgeTune`] is the owned-
 //!   configuration job over it.
-//! * [`coordinator`] — the shard side of a sharded study: the
+//! * [`shard`] — the shard side of a sharded study: the
 //!   [`ShardPlan`]s a rung is partitioned into and the [`EngineShard`]s
 //!   that measure them. Shards only measure; the study's one history
-//!   (and its one checkpoint file) stays with the coordinator.
+//!   (and its one checkpoint file) stays with the evaluator.
 //! * [`evaluator`] — the onefold evaluator couples each training trial
 //!   to its pipelined inference request, owns the simulated clock and
 //!   rung accounting, and layers real worker threads *under* the
@@ -18,11 +18,11 @@
 //! * [`report`] — the user-facing result types ([`TuningReport`],
 //!   [`FaultReport`]) with their serialisation contract.
 
-pub mod coordinator;
 pub(crate) mod evaluator;
 pub mod orchestrator;
 pub mod report;
+pub mod shard;
 
-pub use coordinator::{EngineShard, ShardPlan};
 pub use orchestrator::{EdgeTune, Engine};
 pub use report::{FaultReport, TuningReport};
+pub use shard::{EngineShard, ShardPlan};

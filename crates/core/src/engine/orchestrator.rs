@@ -23,7 +23,7 @@ use crate::engine::evaluator::OnefoldEvaluator;
 use crate::engine::report::{FaultReport, TuningReport};
 use crate::fabric::ShardFabric;
 use crate::inference::{InferenceEndpoint, InferenceSpace, InferenceTuningServer};
-use crate::trace::{seed_tracer_from_timeline, timeline_from_trace};
+use crate::trace::seed_tracer_from_timeline;
 
 /// The EdgeTune tuning job (the paper's Model Tuning Server,
 /// Algorithm 1): an [`Engine`] that owns its configuration.
@@ -190,8 +190,8 @@ impl<'a> Engine<'a> {
     }
 
     /// The study proper: everything between a validated configuration
-    /// and an assembled report, emitting every piece of time accounting
-    /// into `tracer` along the way.
+    /// and an assembled report. `tracer` observes: the time accounting
+    /// is emitted into it along the way and never read back.
     fn run_inner(
         &self,
         backend: &mut dyn TrainingBackend,
@@ -255,9 +255,8 @@ impl<'a> Engine<'a> {
             objective = objective.with_accuracy_floor(floor);
         }
 
-        // The checkpoint restores the exact recorded spans; seed them
-        // into the tracer *before* any live trial so the derived
-        // timeline reproduces the uninterrupted run's span sequence.
+        // Observer only: show the trials a resumed run inherits on the
+        // trace's `restored` tracks. The report does not depend on it.
         seed_tracer_from_timeline(tracer, &globals.timeline);
         let mut sampler = self.config.build_sampler();
         let device_name = self.config.edge_device.name.clone();
@@ -332,10 +331,6 @@ impl<'a> Engine<'a> {
             ChromeTrace::from_tracer(executor.tracer()).write(path)?;
         }
 
-        // The report's timeline is a view over the trace — derived, not
-        // separately recorded, so the two can never disagree.
-        let timeline = timeline_from_trace(tracer);
-
         // The tuning job's output is the final-rung winner: raw ratio
         // scores are only comparable within one budget level.
         let best = history
@@ -393,7 +388,7 @@ impl<'a> Engine<'a> {
             best,
             frontier,
             recommendation,
-            timeline,
+            timeline: globals.timeline,
             cache_stats: globals.cache_stats,
             makespan: globals.clock,
             stall_time: globals.stall,
@@ -491,20 +486,55 @@ mod tests {
     }
 
     #[test]
-    fn the_trace_shows_inference_sweeps_pipelined_into_trials() {
-        // The paper's Fig. 6 claim, read off the trace itself: at least
-        // one inference-sweep span strictly overlaps a training-trial
-        // span on the simulated clock.
-        let config = quick_config();
-        let engine = Engine::new(&config);
-        let mut backend = engine.default_backend();
-        let tracer = Tracer::new();
-        let report = engine.run_inner(&mut backend, &tracer).unwrap();
-        assert!(
-            crate::trace::has_pipelined_overlap(&tracer.snapshot()),
-            "a pipelined study must overlap sweeps with trials"
-        );
-        assert!((report.timeline().overlap_fraction() - 1.0).abs() < 1e-9);
+    fn the_recorded_timeline_is_the_one_the_trace_shows() {
+        // The evaluator records the timeline and emits the same spans
+        // to the observer: what the report holds must equal, field for
+        // field and in order, what the old read-back derived from the
+        // trace — a late-starting sweep right after its trial included.
+        use edgetune_faults::FaultPlan;
+        let modes: [(&str, EdgeTuneConfig); 5] = [
+            ("default", quick_config()),
+            ("no pipelining", quick_config().without_pipelining()),
+            ("3 trial slots", quick_config().with_trial_slots(3)),
+            ("pareto", quick_config().with_pareto(4)),
+            (
+                "chaos",
+                quick_config().with_fault_plan(FaultPlan::uniform(0.3)),
+            ),
+        ];
+        for (mode, config) in modes {
+            for shards in [1, 4] {
+                let config = config.clone().with_study_shards(shards);
+                let engine = Engine::new(&config);
+                let mut backend = engine.default_backend();
+                let tracer = Tracer::new();
+                let report = engine.run_inner(&mut backend, &tracer).unwrap();
+                assert!(!report.timeline().spans().is_empty());
+                assert_eq!(
+                    report.timeline(),
+                    &crate::trace::tests::timeline_shown_by(&tracer),
+                    "{mode}, {shards} shard(s)"
+                );
+            }
+        }
+        // The non-pipelined order is the contract worth naming: every
+        // sweep sits right after the trial it starts behind.
+        let synchronous = EdgeTune::new(quick_config().without_pipelining())
+            .run()
+            .unwrap();
+        let spans = synchronous.timeline().spans();
+        let sweeps: Vec<usize> = (0..spans.len())
+            .filter(|&i| spans[i].lane == crate::timeline::Lane::InferenceServer)
+            .collect();
+        assert!(!sweeps.is_empty());
+        for i in sweeps {
+            assert_eq!(spans[i - 1].lane, crate::timeline::Lane::ModelServer);
+            assert_eq!(
+                spans[i].start,
+                spans[i - 1].end,
+                "starts when its trial ends"
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! the shard's slice is actually measured. The measurements flow back
 //! in plan order and are replayed through the *same* sequential
 //! accounting path an unsharded run uses. Shards hold no history of
-//! their own: the coordinator's one trial log is the study's history,
+//! their own: the evaluator's one trial log is the study's history,
 //! so the report — and every checkpoint — is byte-identical for any
 //! shard count and needs no split or merge.
 //!

@@ -9,7 +9,7 @@ use edgetune_util::units::Seconds;
 use edgetune_workloads::catalog::{Workload, WorkloadId};
 
 use crate::backend::{SimTrainingBackend, TrainingBackend, TrialMeasurement};
-use crate::engine::coordinator::{EngineShard, ShardPlan};
+use crate::engine::shard::{EngineShard, ShardPlan};
 use crate::fabric::protocol::{RungKey, ShardTask, TaskTrial};
 
 pub(crate) fn backend() -> SimTrainingBackend {

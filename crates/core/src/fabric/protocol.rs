@@ -13,7 +13,7 @@ use edgetune_util::units::Seconds;
 use serde::{Deserialize, Serialize};
 
 use crate::backend::{BackendSpec, TrialMeasurement};
-use crate::engine::coordinator::ShardPlan;
+use crate::engine::shard::ShardPlan;
 
 /// A chaos instruction the supervisor can plant inside a task to test
 /// its own crash containment. The worker executes it right after

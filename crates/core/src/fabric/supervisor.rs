@@ -42,7 +42,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::backend::{BackendSpec, TrainingBackend, TrialMeasurement};
 use crate::config::{EdgeTuneConfig, ShardExec};
-use crate::engine::coordinator::{EngineShard, ShardPlan};
+use crate::engine::shard::{EngineShard, ShardPlan};
 use crate::fabric::link::Dial;
 use crate::fabric::protocol::{
     decode, encode, ChaosAction, RungScope, ShardHeartbeat, ShardResultMsg, ShardTask, TaskTrial,

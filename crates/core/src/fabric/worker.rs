@@ -13,7 +13,7 @@ use std::sync::Mutex;
 
 use edgetune_runtime::{SharedClock, SimClock};
 
-use crate::engine::coordinator::EngineShard;
+use crate::engine::shard::EngineShard;
 use crate::fabric::host::{answer_tasks, decode_tasks, HostShared};
 use crate::fabric::protocol::{ChaosAction, ShardHeartbeat, ShardResultMsg, ShardTask};
 

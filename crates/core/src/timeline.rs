@@ -5,12 +5,12 @@
 //! Model and Inference servers can be inspected and rendered — the
 //! paper's Fig. 6 illustration of the onefold pipeline.
 //!
-//! Since the tracing layer landed, the timeline is a thin *view*: the
-//! engine emits trial/sweep spans to an `edgetune-trace` tracer, and
-//! the report's timeline is derived from that event stream by
-//! `crate::trace::timeline_from_trace` (in emission order, preserving
-//! this type's long-standing byte-stable JSON contract). The type
-//! itself is unchanged so serialized reports stay identical.
+//! The evaluator records it: each trial's span, then its sweep's, go
+//! into the `StudyGlobals::timeline` the study accumulates, the
+//! checkpoint stores and the report receives. The same spans are also
+//! emitted to the `edgetune-trace` tracer, but that is an observer —
+//! nothing here is read back from it. Recording order is the byte-stable
+//! JSON contract.
 
 use edgetune_util::units::Seconds;
 use serde::{Deserialize, Serialize};
@@ -115,19 +115,34 @@ impl Timeline {
     #[must_use]
     pub fn overlap_fraction(&self) -> f64 {
         let inference = self.lane(Lane::InferenceServer);
-        let model = self.lane(Lane::ModelServer);
         let total: f64 = inference.iter().map(|s| s.duration().value()).sum();
         if total == 0.0 {
             return 1.0;
         }
+        // The model server is busy over the *union* of its spans: with
+        // several trial slots they overlap each other, and time two
+        // trials share counts once, not once per trial.
+        let mut model: Vec<(f64, f64)> = self
+            .lane(Lane::ModelServer)
+            .iter()
+            .map(|s| (s.start.value(), s.end.value()))
+            .collect();
+        model.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut busy: Vec<(f64, f64)> = Vec::with_capacity(model.len());
+        for (start, end) in model {
+            match busy.last_mut() {
+                Some(open) if start < open.1 => open.1 = open.1.max(end),
+                _ => busy.push((start, end)),
+            }
+        }
+        // `busy` is disjoint and sorted, so a sweep meets one contiguous
+        // run of it.
         let mut overlapped = 0.0;
-        for i in &inference {
-            for m in &model {
-                let lo = i.start.value().max(m.start.value());
-                let hi = i.end.value().min(m.end.value());
-                if hi > lo {
-                    overlapped += hi - lo;
-                }
+        for sweep in inference {
+            let (start, end) = (sweep.start.value(), sweep.end.value());
+            let first = busy.partition_point(|&(_, hi)| hi <= start);
+            for &(lo, hi) in busy[first..].iter().take_while(|&&(lo, _)| lo < end) {
+                overlapped += hi.min(end) - lo.max(start);
             }
         }
         (overlapped / total).min(1.0)
@@ -200,6 +215,27 @@ mod tests {
         t.record(Lane::ModelServer, "trial-0", s(0.0), s(4.0));
         t.record(Lane::InferenceServer, "arch-a", s(2.0), s(6.0));
         assert!((t.overlap_fraction() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn concurrent_trials_count_model_busy_time_once() {
+        // Two trial slots busy over the same [0, 2]: the model server is
+        // busy for 2 of the sweep's 4 seconds, not 2 + 2.
+        let mut t = Timeline::new();
+        t.record(Lane::ModelServer, "trial-0", s(0.0), s(2.0));
+        t.record(Lane::ModelServer, "trial-1", s(0.0), s(2.0));
+        t.record(Lane::InferenceServer, "arch-a", s(0.0), s(4.0));
+        assert!((t.overlap_fraction() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_sweep_spanning_several_trials_collects_each_share() {
+        let mut t = Timeline::new();
+        t.record(Lane::ModelServer, "trial-0", s(0.0), s(1.0));
+        t.record(Lane::ModelServer, "trial-1", s(2.0), s(3.0));
+        t.record(Lane::ModelServer, "trial-2", s(6.0), s(7.0));
+        t.record(Lane::InferenceServer, "arch-a", s(0.5), s(4.5));
+        assert!((t.overlap_fraction() - 1.5 / 4.0).abs() < 1e-12);
     }
 
     #[test]

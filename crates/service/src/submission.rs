@@ -75,6 +75,10 @@ pub struct StudySubmission {
     #[serde(default)]
     pub chaos_rate: f64,
     /// Emit a per-study Chrome trace into the service work directory.
+    /// Every grant rewrites the file, so for a study that took several
+    /// it holds the final grant's events (rung, bracket, cache and
+    /// fault events included) plus the trials of all earlier grants as
+    /// plain spans on the `restored` tracks.
     #[serde(default)]
     pub trace: bool,
     /// Serving-scenario label carried into the study's

@@ -23,9 +23,9 @@ pub enum EventKind {
     /// A duration beginning at the event's `ts` and ending at `end`.
     ///
     /// The *end time* is stored rather than a duration: in IEEE-754,
-    /// `start + (end - start)` is not guaranteed to equal `end`, and
-    /// views derived from the trace (the core crate's `Timeline`) must
-    /// reproduce the simulation's exact `Seconds` values byte for byte.
+    /// `start + (end - start)` is not guaranteed to equal `end`, and a
+    /// span must show the simulation's exact `Seconds` values (the
+    /// same ones the core crate's `Timeline` records).
     Span {
         /// When the span closed, on the same clock as `ts`.
         end: Seconds,

@@ -14,8 +14,8 @@ use edgetune_util::Error;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
-use crate::event::EventKind;
-use crate::tracer::Tracer;
+use crate::event::{EventKind, TraceEvent};
+use crate::tracer::{Tracer, Track};
 
 /// One entry of the `traceEvents` array.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -63,12 +63,13 @@ impl ChromeTrace {
     /// Builds the export document from a tracer's current contents.
     #[must_use]
     pub fn from_tracer(tracer: &Tracer) -> Self {
-        let tracks = tracer.tracks();
-        let events = tracer.snapshot();
+        tracer.with(Self::build)
+    }
 
+    fn build(tracks: &[Track], events: &[TraceEvent]) -> Self {
         // One pid per distinct process, in track-registration order.
         let mut processes: Vec<&str> = Vec::new();
-        for track in &tracks {
+        for track in tracks {
             if !processes.contains(&track.process.as_str()) {
                 processes.push(&track.process);
             }
@@ -136,13 +137,13 @@ impl ChromeTrace {
         let mut t_min = f64::INFINITY;
         let mut t_max = f64::NEG_INFINITY;
 
-        // The snapshot is in emission order; a *stable* sort by
-        // timestamp keeps that order for ties, so the export is a pure
-        // function of the trace contents.
-        let mut ordered = events;
+        // The log is in emission order; a *stable* sort by timestamp
+        // keeps that order for ties, so the export is a pure function
+        // of the trace contents.
+        let mut ordered: Vec<&TraceEvent> = events.iter().collect();
         ordered.sort_by(|a, b| a.ts.value().total_cmp(&b.ts.value()));
 
-        for event in &ordered {
+        for event in ordered {
             let pid = pid_of(&tracks[event.track.index()].process);
             let tid = (event.track.index() + 1) as u32;
             let ts = event.ts.value() * 1e6;

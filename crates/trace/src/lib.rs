@@ -15,13 +15,12 @@
 //! * events carry a global sequence number assigned at emission, and the
 //!   exporter's only reordering is a *stable* sort by timestamp — ties
 //!   keep emission order;
-//! * spans store their **end time**, not a duration, so downstream views
-//!   (the core crate's `Timeline`) reconstruct the exact `Seconds` values
-//!   the simulation produced with no float round-trip;
-//! * threads that cannot share the tracer's lock cheaply record into a
-//!   local [`TraceSheet`] and merge through [`Tracer::absorb`], which
-//!   orders by (timestamp, sheet rank, local index) — the same
-//!   ordered-merge discipline as the tuner's `HistoryMerge`.
+//! * spans store their **end time**, not a duration, so a span carries
+//!   the exact `Seconds` values the simulation produced with no float
+//!   round-trip.
+//!
+//! The tracer is an observer: producers write to it and the exporter
+//! reads it, but nothing a study reports is computed from it.
 //!
 //! [`ChromeTrace`] exports the collected events as Chrome
 //! `chrome://tracing` / Perfetto trace-event JSON plus a compact
@@ -35,4 +34,4 @@ pub mod tracer;
 pub use event::{monotone_per_track, well_nested, EventKind, TraceEvent, TrackId};
 pub use export::{ChromeEvent, ChromeTrace};
 pub use summary::{span_summary, SpanStat};
-pub use tracer::{SpanGuard, TraceSheet, Tracer, Track};
+pub use tracer::{Tracer, Track};

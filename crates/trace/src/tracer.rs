@@ -1,9 +1,8 @@
-//! The [`Tracer`]: a collector of clock-stamped events, plus the
-//! per-thread [`TraceSheet`] buffer and its deterministic merge.
+//! The [`Tracer`]: a collector of clock-stamped events.
 
-use edgetune_runtime::Clock;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use edgetune_util::units::Seconds;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::event::{EventKind, TraceEvent, TrackId};
@@ -26,11 +25,9 @@ struct TracerInner {
 
 /// Collects trace events behind one mutex.
 ///
-/// The hot paths of the study (phase B accounting, the serving DES loop)
-/// emit from a single thread, so one uncontended `parking_lot` mutex is
-/// cheap; code that genuinely emits from parallel workers records into a
-/// [`TraceSheet`] and merges via [`Tracer::absorb`] instead of taking
-/// this lock per event.
+/// Every producer (phase B accounting, the serving DES loop, the shard
+/// fabric's supervisor) emits from a single thread, so the lock is
+/// uncontended; it exists so emission takes `&self`.
 #[derive(Debug, Default)]
 pub struct Tracer {
     inner: Mutex<TracerInner>,
@@ -43,6 +40,13 @@ impl Tracer {
         Tracer::default()
     }
 
+    /// Every update below leaves `TracerInner` valid at every step, so a
+    /// poisoned lock is recovered: an emitter that panicked must not
+    /// turn every later emission into a panic.
+    fn lock(&self) -> MutexGuard<'_, TracerInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Registers (or finds) the track named `name` under `process`.
     ///
     /// Registration order is the track's id and its sort order in the
@@ -50,7 +54,7 @@ impl Tracer {
     /// deterministic order — which they get for free by registering
     /// lazily from deterministic emission sites.
     pub fn track(&self, process: &str, name: &str) -> TrackId {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         if let Some(index) = inner
             .tracks
             .iter()
@@ -150,88 +154,39 @@ impl Tracer {
         });
     }
 
-    /// Opens a span starting at `clock`'s current time; the span closes
-    /// at the clock's time when the guard drops.
-    #[must_use]
-    pub fn span_guard<'a>(
-        &'a self,
-        clock: &'a dyn Clock,
-        track: TrackId,
-        name: impl Into<String>,
-        category: &str,
-    ) -> SpanGuard<'a> {
-        SpanGuard {
-            tracer: self,
-            clock,
-            track,
-            name: name.into(),
-            category: category.to_string(),
-            start: clock.now(),
-        }
-    }
-
-    /// Records an instant at `clock`'s current time.
-    pub fn instant_now(
-        &self,
-        clock: &dyn Clock,
-        track: TrackId,
-        name: impl Into<String>,
-        category: &str,
-    ) {
-        self.instant(track, name, category, clock.now());
-    }
-
     fn push(&self, mut event: TraceEvent) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         event.seq = inner.next_seq;
         inner.next_seq += 1;
         inner.events.push(event);
     }
 
-    /// Merges thread-local sheets into the global stream.
+    /// Runs `read` over the registered tracks (registration order) and
+    /// the recorded events (emission order) without copying either.
     ///
-    /// Events are interleaved by (timestamp, sheet rank, local index) —
-    /// the same ordered-merge discipline as the tuner's `HistoryMerge` —
-    /// so the resulting sequence numbers are independent of which thread
-    /// finished first.
-    pub fn absorb(&self, sheets: Vec<TraceSheet>) {
-        let mut merged: Vec<(u64, TraceEvent)> = Vec::new();
-        for sheet in sheets {
-            for event in sheet.events {
-                merged.push((sheet.rank, event));
-            }
-        }
-        merged.sort_by(|a, b| {
-            a.1.ts
-                .value()
-                .total_cmp(&b.1.ts.value())
-                .then(a.0.cmp(&b.0))
-                .then(a.1.seq.cmp(&b.1.seq))
-        });
-        let mut inner = self.inner.lock();
-        for (_, mut event) in merged {
-            event.seq = inner.next_seq;
-            inner.next_seq += 1;
-            inner.events.push(event);
-        }
+    /// Not re-entrant: the tracer's lock is held while `read` runs, so
+    /// `read` must not call back into this tracer.
+    pub fn with<R>(&self, read: impl FnOnce(&[Track], &[TraceEvent]) -> R) -> R {
+        let inner = self.lock();
+        read(&inner.tracks, &inner.events)
     }
 
     /// A snapshot of every recorded event, in emission order.
     #[must_use]
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.inner.lock().events.clone()
+        self.with(|_, events| events.to_vec())
     }
 
     /// A snapshot of the registered tracks, in registration order.
     #[must_use]
     pub fn tracks(&self) -> Vec<Track> {
-        self.inner.lock().tracks.clone()
+        self.with(|tracks, _| tracks.to_vec())
     }
 
     /// Number of recorded events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.lock().events.len()
+        self.with(|_, events| events.len())
     }
 
     /// Whether nothing has been recorded yet.
@@ -241,123 +196,9 @@ impl Tracer {
     }
 }
 
-/// RAII span: closes at the clock's current time on drop.
-#[derive(Debug)]
-pub struct SpanGuard<'a> {
-    tracer: &'a Tracer,
-    clock: &'a dyn Clock,
-    track: TrackId,
-    name: String,
-    category: String,
-    start: Seconds,
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        self.tracer.span(
-            self.track,
-            std::mem::take(&mut self.name),
-            &self.category,
-            self.start,
-            self.clock.now(),
-        );
-    }
-}
-
-/// A lock-free per-thread event buffer.
-///
-/// Workers that cannot cheaply share the tracer's mutex record here and
-/// the owner merges the sheets back with [`Tracer::absorb`]. The `rank`
-/// is the sheet's deterministic position (worker index, shard index) —
-/// it breaks timestamp ties in the merge, so the interleave never
-/// depends on thread scheduling.
-#[derive(Debug)]
-pub struct TraceSheet {
-    rank: u64,
-    events: Vec<TraceEvent>,
-}
-
-impl TraceSheet {
-    /// An empty sheet with deterministic merge rank `rank`.
-    #[must_use]
-    pub fn new(rank: u64) -> Self {
-        TraceSheet {
-            rank,
-            events: Vec::new(),
-        }
-    }
-
-    /// The sheet's merge rank.
-    #[must_use]
-    pub fn rank(&self) -> u64 {
-        self.rank
-    }
-
-    /// Records a span on the sheet. Tracks must already be registered on
-    /// the tracer the sheet will be absorbed into.
-    pub fn span(
-        &mut self,
-        track: TrackId,
-        name: impl Into<String>,
-        category: &str,
-        start: Seconds,
-        end: Seconds,
-    ) {
-        assert!(
-            end.value() >= start.value(),
-            "span must not end before it starts"
-        );
-        let seq = self.events.len() as u64;
-        self.events.push(TraceEvent {
-            track,
-            name: name.into(),
-            category: category.to_string(),
-            ts: start,
-            kind: EventKind::Span { end },
-            args: Vec::new(),
-            seq,
-        });
-    }
-
-    /// Records an instant event on the sheet.
-    pub fn instant(
-        &mut self,
-        track: TrackId,
-        name: impl Into<String>,
-        category: &str,
-        ts: Seconds,
-    ) {
-        let seq = self.events.len() as u64;
-        self.events.push(TraceEvent {
-            track,
-            name: name.into(),
-            category: category.to_string(),
-            ts,
-            kind: EventKind::Instant,
-            args: Vec::new(),
-            seq,
-        });
-    }
-
-    /// Number of buffered events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the sheet is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use edgetune_runtime::SimClock;
-
     use super::*;
-    use crate::event::EventKind;
 
     #[test]
     fn track_registration_deduplicates_and_preserves_order() {
@@ -395,54 +236,14 @@ mod tests {
     }
 
     #[test]
-    fn span_guard_closes_at_the_clock_time() {
+    fn a_panic_under_the_lock_does_not_stop_later_emission() {
         let tracer = Tracer::new();
-        let clock = SimClock::at(Seconds::new(10.0));
         let track = tracer.track("engine", "t");
-        {
-            let _guard = tracer.span_guard(&clock, track, "work", "test");
-            clock.advance(Seconds::new(2.5));
-        }
-        let events = tracer.snapshot();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].ts, Seconds::new(10.0));
-        assert_eq!(
-            events[0].kind,
-            EventKind::Span {
-                end: Seconds::new(12.5)
-            }
-        );
-    }
-
-    #[test]
-    fn absorb_merges_by_timestamp_then_rank_then_local_index() {
-        let tracer = Tracer::new();
-        let track = tracer.track("workers", "merged");
-        let mut late = TraceSheet::new(1);
-        late.instant(track, "r1-t2", "test", Seconds::new(2.0));
-        late.instant(track, "r1-t5", "test", Seconds::new(5.0));
-        let mut early = TraceSheet::new(0);
-        early.instant(track, "r0-t2", "test", Seconds::new(2.0));
-        early.instant(track, "r0-t9", "test", Seconds::new(9.0));
-        // Absorb order must not matter: rank, not vec position, ties.
-        tracer.absorb(vec![late, early]);
-        let names: Vec<String> = tracer.snapshot().into_iter().map(|e| e.name).collect();
-        assert_eq!(names, vec!["r0-t2", "r1-t2", "r1-t5", "r0-t9"]);
-        let seqs: Vec<u64> = tracer.snapshot().into_iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn absorb_appends_after_existing_events() {
-        let tracer = Tracer::new();
-        let track = tracer.track("workers", "merged");
-        tracer.instant(track, "before", "test", Seconds::new(100.0));
-        let mut sheet = TraceSheet::new(0);
-        sheet.instant(track, "after", "test", Seconds::new(1.0));
-        tracer.absorb(vec![sheet]);
-        let events = tracer.snapshot();
-        assert_eq!(events[0].name, "before");
-        assert_eq!(events[1].name, "after");
-        assert_eq!(events[1].seq, 1);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            tracer.with(|_, _| panic!("reader panics while holding the lock"))
+        }));
+        assert!(panicked.is_err());
+        tracer.instant(track, "after", "test", Seconds::new(1.0));
+        assert_eq!(tracer.len(), 1);
     }
 }

@@ -24,9 +24,6 @@ pub enum Error {
     /// An I/O or (de)serialization problem, e.g. in the persistent trial
     /// database.
     Storage(String),
-    /// A background component (inference server thread, worker pool)
-    /// disconnected or failed.
-    Channel(String),
 }
 
 impl Error {
@@ -49,11 +46,6 @@ impl Error {
     pub fn storage(msg: impl fmt::Display) -> Self {
         Error::Storage(msg.to_string())
     }
-
-    /// Builds an [`Error::Channel`] from anything displayable.
-    pub fn channel(msg: impl fmt::Display) -> Self {
-        Error::Channel(msg.to_string())
-    }
 }
 
 impl fmt::Display for Error {
@@ -63,7 +55,6 @@ impl fmt::Display for Error {
             Error::NotFound(m) => write!(f, "not found: {m}"),
             Error::Numerical(m) => write!(f, "numerical error: {m}"),
             Error::Storage(m) => write!(f, "storage error: {m}"),
-            Error::Channel(m) => write!(f, "channel error: {m}"),
         }
     }
 }
@@ -95,7 +86,6 @@ mod tests {
     fn constructors_map_to_variants() {
         assert!(matches!(Error::numerical("x"), Error::Numerical(_)));
         assert!(matches!(Error::storage("x"), Error::Storage(_)));
-        assert!(matches!(Error::channel("x"), Error::Channel(_)));
     }
 
     #[test]
