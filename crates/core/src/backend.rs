@@ -17,7 +17,6 @@ use edgetune_nn::layer::{Conv2d, Dense, Flatten, MaxPool2d, Relu, Reshape};
 use edgetune_nn::model::Sequential;
 use edgetune_nn::optim::Sgd;
 use edgetune_nn::train::{fit, FitConfig};
-use edgetune_runtime::SharedClock;
 use edgetune_tuner::budget::TrialBudget;
 use edgetune_tuner::space::{Config, Domain, SearchSpace};
 use edgetune_util::rng::SeedStream;
@@ -32,7 +31,7 @@ use std::sync::Arc;
 pub struct TrialMeasurement {
     /// Validation accuracy the trial reached.
     pub accuracy: f64,
-    /// Wall-clock training time of the trial.
+    /// Modelled training time of the trial, in simulated seconds.
     pub runtime: Seconds,
     /// Energy the trial consumed.
     pub energy: Joules,
@@ -493,21 +492,21 @@ enum NnArchitecture {
 }
 
 /// Rough sustained throughput assumed for the tuning host when modeling
-/// a real training run's cost on the virtual clock (FLOP/s).
+/// a real training run's simulated cost (FLOP/s).
 const NN_HOST_FLOPS: f64 = 2.0e9;
-/// Fixed per-trial setup charge of the real backend on the virtual
-/// clock (process spawn, data load).
+/// Fixed per-trial setup charge of the real backend in simulated time
+/// (process spawn, data load).
 const NN_SETUP_S: f64 = 0.05;
 
 /// Real mini-batch SGD training of a small network on a synthetic
-/// dataset, timed on the workspace clock.
+/// dataset, costed by a model.
 ///
-/// The default [`SharedClock`] is virtual: each trial advances it by a
-/// *modeled* cost (FLOPs at [`NN_HOST_FLOPS`] plus [`NN_SETUP_S`]), so
-/// runtime and energy are deterministic functions of the configuration
-/// and budget — reports stay byte-identical across machines and thread
-/// counts. Opting into [`SharedClock::wall`] via
-/// [`NnTrainingBackend::with_clock`] restores genuine host timing.
+/// The training is real; its reported cost is *modelled* (FLOPs at
+/// [`NN_HOST_FLOPS`] plus [`NN_SETUP_S`]), so runtime and energy are
+/// functions of the configuration and budget alone — a trial reads no
+/// state an earlier trial wrote, and reports stay byte-identical across
+/// machines, shard counts and placements. Host time spent in `fit` is
+/// measured from outside (the benchmark, a trace), never reported here.
 #[derive(Debug, Clone)]
 pub struct NnTrainingBackend {
     // Shared behind `Arc` so rung snapshots copy a handle, not the
@@ -519,7 +518,6 @@ pub struct NnTrainingBackend {
     /// Host power assumed when converting training time to energy (a
     /// RAPL stand-in).
     host_power: Watts,
-    clock: SharedClock,
 }
 
 impl NnTrainingBackend {
@@ -535,7 +533,6 @@ impl NnTrainingBackend {
             seed,
             architecture: NnArchitecture::Mlp,
             host_power: Watts::new(25.0),
-            clock: SharedClock::sim(),
         }
     }
 
@@ -553,7 +550,6 @@ impl NnTrainingBackend {
             seed,
             architecture: NnArchitecture::ConvNet { side },
             host_power: Watts::new(25.0),
-            clock: SharedClock::sim(),
         }
     }
 
@@ -566,20 +562,10 @@ impl NnTrainingBackend {
             seed,
             architecture: NnArchitecture::Mlp,
             host_power: Watts::new(25.0),
-            clock: SharedClock::sim(),
         }
     }
 
-    /// Replaces the backend's clock — pass [`SharedClock::wall`] to time
-    /// trials with the real host clock instead of the deterministic
-    /// modeled cost.
-    #[must_use]
-    pub fn with_clock(mut self, clock: SharedClock) -> Self {
-        self.clock = clock;
-        self
-    }
-
-    /// The modeled virtual-clock cost of one trial: three passes
+    /// The modeled simulated cost of one trial: three passes
     /// (forward + backward + update) over the budgeted samples for the
     /// budgeted epochs at [`NN_HOST_FLOPS`], plus fixed setup.
     fn modeled_runtime(&self, config: &Config, budget: TrialBudget) -> Seconds {
@@ -622,14 +608,10 @@ impl NnTrainingBackend {
     }
 
     /// A copy-on-write snapshot: the datasets travel as shared `Arc`
-    /// handles (no feature/label copies), and the clock is forked so
-    /// concurrent snapshots never interleave their advances on one
-    /// timeline — each trial's elapsed time is a local difference on its
-    /// own fork and thus independent of scheduling.
+    /// handles (no feature/label copies). Trials write nothing back, so
+    /// a snapshot measures exactly what the primary would.
     fn cow_snapshot(&self) -> Self {
-        let mut snapshot = self.clone();
-        snapshot.clock = self.clock.fork();
-        snapshot
+        self.clone()
     }
 }
 
@@ -688,13 +670,6 @@ impl TrainingBackend for NnTrainingBackend {
         let fit_config = FitConfig::new(budget.epochs.ceil().max(1.0) as u32, batch)
             .with_data_fraction(budget.data_fraction);
 
-        // Time the trial on the workspace clock. Under the default
-        // virtual clock the advance is the modeled cost — deterministic
-        // in (config, budget) — while a wall clock advances by itself
-        // during `fit` and ignores the no-op advance, yielding real
-        // host timing. Either way `elapsed` is a local difference, so
-        // forked snapshots report the same numbers as the primary.
-        let start = self.clock.now();
         let report = fit(
             &mut model,
             &mut opt,
@@ -703,12 +678,11 @@ impl TrainingBackend for NnTrainingBackend {
             &fit_config,
             self.seed,
         );
-        self.clock.advance(self.modeled_runtime(config, budget));
-        let elapsed = self.clock.now() - start;
+        let runtime = self.modeled_runtime(config, budget);
         TrialMeasurement {
             accuracy: report.final_val_accuracy(),
-            runtime: elapsed,
-            energy: self.host_power * elapsed,
+            runtime,
+            energy: self.host_power * runtime,
             injected: None,
         }
     }
@@ -856,34 +830,29 @@ mod tests {
     }
 
     #[test]
-    fn nn_wall_clock_opt_in_times_the_real_host() {
-        use edgetune_runtime::SharedClock;
-        let mut backend = NnTrainingBackend::new(seed()).with_clock(SharedClock::wall());
-        let cfg = Config::new()
-            .with(PARAM_HIDDEN, 16.0)
-            .with(PARAM_TRAIN_BATCH, 16.0)
-            .with(PARAM_LR, 0.1);
-        let m = backend.run_trial(&cfg, TrialBudget::new(2.0, 0.5));
-        assert!(m.runtime.value() > 0.0, "real training takes real time");
-        assert!(m.energy.value() > 0.0);
-    }
-
-    #[test]
     fn nn_snapshots_reproduce_the_primary_backend() {
-        let mut primary = NnTrainingBackend::new(seed());
-        let mut snapshot = primary
-            .parallel_snapshot()
-            .expect("the nn backend always snapshots");
         let cfg = Config::new()
             .with(PARAM_HIDDEN, 16.0)
             .with(PARAM_TRAIN_BATCH, 16.0)
             .with(PARAM_LR, 0.1);
         let budget = TrialBudget::new(2.0, 0.5);
-        let from_primary = primary.run_trial(&cfg, budget);
-        let from_snapshot = snapshot.run_trial(&cfg, budget);
-        assert_eq!(from_primary.accuracy, from_snapshot.accuracy);
-        assert_eq!(from_primary.runtime, from_snapshot.runtime);
-        assert_eq!(from_primary.energy, from_snapshot.energy);
+        // The primary has a past — two different trials — before the
+        // snapshot is taken; neither it nor the snapshot may show it.
+        let mut primary = NnTrainingBackend::new(seed());
+        primary.run_trial(
+            &cfg.clone().with(PARAM_HIDDEN, 32.0),
+            TrialBudget::new(1.0, 0.3),
+        );
+        primary.run_trial(
+            &cfg.clone().with(PARAM_HIDDEN, 8.0),
+            TrialBudget::new(3.0, 1.0),
+        );
+        let mut snapshot = primary
+            .parallel_snapshot()
+            .expect("the nn backend always snapshots");
+        let from_fresh = NnTrainingBackend::new(seed()).run_trial(&cfg, budget);
+        assert_eq!(primary.run_trial(&cfg, budget), from_fresh);
+        assert_eq!(snapshot.run_trial(&cfg, budget), from_fresh);
     }
 
     #[test]

@@ -136,10 +136,10 @@ impl MultiStreamScenario {
         MultiStreamScenario { rate, arrivals }
     }
 
-    /// Simulates the queue under a greedy aggregation policy: whenever
-    /// the server is free it takes every queued sample (up to
-    /// `batch_cap`) and runs them as one batch. Returns the mean response
-    /// time (completion − arrival).
+    /// Mean response time (completion − arrival) under the greedy
+    /// aggregation policy — whenever the server is free it takes every
+    /// queued sample (up to `batch_cap`) and runs them as one batch:
+    /// [`simulate_with_timeout`](Self::simulate_with_timeout), no wait.
     ///
     /// # Panics
     ///
@@ -153,61 +153,15 @@ impl MultiStreamScenario {
         batch_cap: u32,
         seed: SeedStream,
     ) -> Seconds {
-        assert!(batch_cap >= 1, "batch cap must be >= 1");
-        // Pre-draw the Poisson arrival times.
-        let mut rng = seed.rng("multi-stream-arrivals");
-        let mut t = 0.0;
-        let arrivals: Vec<f64> = (0..self.arrivals)
-            .map(|_| {
-                t += sample_exponential(&mut rng, self.rate);
-                t
-            })
-            .collect();
-
-        // Memoised per-batch-size service latency.
-        let mut latency_cache: Vec<Option<f64>> = vec![None; batch_cap as usize + 1];
-        let mut service = |size: u32| -> f64 {
-            let slot = &mut latency_cache[size as usize];
-            *slot.get_or_insert_with(|| {
-                simulate_inference(device, alloc, profile, size)
-                    .latency
-                    .value()
-            })
-        };
-
-        let mut response_sum = 0.0;
-        let mut served = 0usize;
-        let mut free_at = 0.0f64;
-        let mut next = 0usize;
-        while next < arrivals.len() {
-            // Server becomes free; batch up everything that has arrived.
-            let start = free_at.max(arrivals[next]);
-            let mut size = 0u32;
-            while next < arrivals.len() && arrivals[next] <= start && size < batch_cap {
-                size += 1;
-                next += 1;
-            }
-            if size == 0 {
-                // Nothing queued at `start` (server was idle): take the
-                // next arrival alone at its arrival time.
-                size = 1;
-                next += 1;
-            }
-            let completion = start + service(size);
-            for &arrival in &arrivals[next - size as usize..next] {
-                response_sum += completion - arrival;
-            }
-            served += size as usize;
-            free_at = completion;
-        }
-        Seconds::new(response_sum / served as f64)
+        self.simulate_with_timeout(device, alloc, profile, batch_cap, Seconds::ZERO, seed)
+            .mean_response
     }
 
     /// Simulates a **batch-or-timeout** policy: the server waits for up
     /// to `max_wait` after the oldest queued sample arrived (or until
     /// `batch_cap` samples are ready, whichever happens first) before
-    /// running the batch. `max_wait = 0` degenerates to the greedy
-    /// policy. Returns full queue statistics.
+    /// running the batch. `max_wait = 0` is the greedy policy, to the
+    /// bit. Returns full queue statistics.
     ///
     /// # Panics
     ///
@@ -308,6 +262,60 @@ mod tests {
         let alloc = CpuAllocation::full(&device);
         let profile = WorkProfile::new(0.56e9, 3.0e6, 44.8e6);
         (device, alloc, profile)
+    }
+
+    /// The greedy policy written on its own, as the reference the
+    /// timeout form's `max_wait = 0` case is held to: whenever the
+    /// server is free it takes every queued sample up to `batch_cap`.
+    fn greedy_mean_response_time(
+        scenario: &MultiStreamScenario,
+        device: &DeviceSpec,
+        alloc: &CpuAllocation,
+        profile: &WorkProfile,
+        batch_cap: u32,
+        seed: SeedStream,
+    ) -> Seconds {
+        // Pre-draw the Poisson arrival times.
+        let mut rng = seed.rng("multi-stream-arrivals");
+        let mut t = 0.0;
+        let arrivals: Vec<f64> = (0..scenario.arrivals)
+            .map(|_| {
+                t += sample_exponential(&mut rng, scenario.rate);
+                t
+            })
+            .collect();
+
+        // Memoised per-batch-size service latency.
+        let mut latency_cache: Vec<Option<f64>> = vec![None; batch_cap as usize + 1];
+        let mut service = |size: u32| -> f64 {
+            let slot = &mut latency_cache[size as usize];
+            *slot.get_or_insert_with(|| {
+                simulate_inference(device, alloc, profile, size)
+                    .latency
+                    .value()
+            })
+        };
+
+        let mut response_sum = 0.0;
+        let mut served = 0usize;
+        let mut free_at = 0.0f64;
+        let mut next = 0usize;
+        while next < arrivals.len() {
+            // Server becomes free; batch up everything that has arrived.
+            let start = free_at.max(arrivals[next]);
+            let mut size = 0u32;
+            while next < arrivals.len() && arrivals[next] <= start && size < batch_cap {
+                size += 1;
+                next += 1;
+            }
+            let completion = start + service(size);
+            for &arrival in &arrivals[next - size as usize..next] {
+                response_sum += completion - arrival;
+            }
+            served += size as usize;
+            free_at = completion;
+        }
+        Seconds::new(response_sum / served as f64)
     }
 
     #[test]
@@ -427,17 +435,35 @@ mod tests {
     #[test]
     fn timeout_zero_matches_the_greedy_policy() {
         let (device, alloc, profile) = setup();
-        let scenario = MultiStreamScenario::new(10.0, 300);
-        let seed = SeedStream::new(4);
-        let greedy = scenario.mean_response_time(&device, &alloc, &profile, 16, seed);
-        let stats =
-            scenario.simulate_with_timeout(&device, &alloc, &profile, 16, Seconds::ZERO, seed);
-        let diff = (stats.mean_response.value() - greedy.value()).abs() / greedy.value();
-        assert!(
-            diff < 0.05,
-            "timeout 0 ≈ greedy: {greedy} vs {}",
-            stats.mean_response
-        );
+        for rate in [0.05, 1.0, 5.0, 10.0, 20.0, 50.0, 200.0] {
+            for arrivals in [1, 2, 37, 300] {
+                let scenario = MultiStreamScenario::new(rate, arrivals);
+                for cap in [1, 2, 8, 16, 64] {
+                    for seed in [2, 4, 9].map(SeedStream::new) {
+                        let greedy = greedy_mean_response_time(
+                            &scenario, &device, &alloc, &profile, cap, seed,
+                        );
+                        let timed = scenario.simulate_with_timeout(
+                            &device,
+                            &alloc,
+                            &profile,
+                            cap,
+                            Seconds::ZERO,
+                            seed,
+                        );
+                        assert_eq!(
+                            timed.mean_response.value().to_bits(),
+                            greedy.value().to_bits(),
+                            "rate {rate}, {arrivals} arrivals, cap {cap}: {greedy} vs {}",
+                            timed.mean_response
+                        );
+                        let delegated =
+                            scenario.mean_response_time(&device, &alloc, &profile, cap, seed);
+                        assert_eq!(delegated, timed.mean_response);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -112,10 +112,10 @@ pub struct EdgeTuneConfig {
     pub trial_slots: usize,
     /// *How many* of a rung's trials are measured side by side: the
     /// engine shards every rung is partitioned across. Each shard
-    /// measures its contiguous slice on its own backend snapshot and
-    /// forked clock ([`ShardFabric`](crate::fabric::ShardFabric)), and
-    /// the measurements are accounted in input order on the one
-    /// sequential path. This is pure wall-clock engineering: every
+    /// measures its contiguous slice on its own backend snapshot
+    /// ([`ShardFabric`](crate::fabric::ShardFabric)), and the
+    /// measurements are accounted in input order on the one sequential
+    /// path. This is pure wall-clock engineering: every
     /// simulated number (makespan, energy, history, report JSON) and
     /// every checkpoint byte is identical whatever the count, so a
     /// study halted under one count resumes under any other. Backends

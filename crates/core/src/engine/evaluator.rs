@@ -10,27 +10,29 @@
 //! Two orthogonal kinds of parallelism meet here:
 //!
 //! * **Simulated trial slots** (`trial_slots`) model a tuning cluster:
-//!   a rung's trials are list-scheduled onto `n` slots and the virtual
+//!   a rung's trials are list-scheduled onto `n` slots and the study
 //!   clock advances by the rung's makespan instead of the sum of trial
 //!   durations. This *changes* the reported numbers — that is the point.
 //! * **Engine shards** (`study_shards`, placed per `shard_exec`) merely
 //!   speed up the measurement itself: when the backend can snapshot, the
 //!   [`ShardFabric`] precomputes a rung's raw [`TrialMeasurement`]s
 //!   concurrently — each shard measuring a contiguous slice on its own
-//!   snapshot and forked clock, on a thread, in a worker process or on a
-//!   remote host — and they are then replayed through the exact
-//!   sequential accounting path in input order. Cache hits, request
-//!   sequence numbers, timeline entries and every clock reading are
+//!   backend snapshot, on a thread, in a worker process or on a remote
+//!   host — and they are then replayed through the exact sequential
+//!   accounting path in input order. Cache hits, request sequence
+//!   numbers, timeline entries and every clock reading are
 //!   byte-identical to an unsharded run, so reports — and the per-rung
 //!   checkpoint — never depend on the shard count or placement.
 //!
 //! All of the study's resumable state is the one [`StudyGlobals`] this
-//! evaluator accumulates — the simulated clock included: every
-//! sequential trial advances it once, by the exact `outcome.runtime` sum
-//! the trial records, and a simulated-slot rung once, by the rung
-//! makespan. The Fig. 6 timeline is part of it: each trial's spans are
-//! recorded into `globals.timeline` as they are emitted to the tracer,
-//! an observer nothing reported reads back. A checkpoint is that struct
+//! evaluator accumulates — simulated time included: it is a `Seconds`
+//! (`globals.clock`) this evaluator, its owner, adds up, and no clock
+//! object exists beside it. Every sequential trial advances it once, by
+//! the exact `outcome.runtime` sum the trial records, and a
+//! simulated-slot rung once, by the rung makespan. The Fig. 6 timeline
+//! is part of it: each trial's spans are recorded into
+//! `globals.timeline` as they are emitted to the tracer, an observer
+//! nothing reported reads back. A checkpoint is that struct
 //! at a rung boundary and resume reinstates it, so a rung answered from
 //! the resumed trial log is *inert* (see [`crate::checkpoint`] for the
 //! rule): its records are checked and handed to the scheduler, and
@@ -42,7 +44,6 @@ use std::path::PathBuf;
 use edgetune_device::profile::WorkProfile;
 use edgetune_device::spec::DeviceSpec;
 use edgetune_faults::{DegradationLadder, Fallback, Supervisor, TrialFault};
-use edgetune_runtime::SimClock;
 use edgetune_trace::Tracer;
 use edgetune_tuner::budget::TrialBudget;
 use edgetune_tuner::objective::{TrainMeasurement, TrainObjective};
@@ -303,15 +304,15 @@ impl OnefoldEvaluator<'_> {
         let mut attempt: u32 = 1;
         let mut paid_runtime = Seconds::ZERO;
         let mut paid_energy = Joules::ZERO;
-        // Clock-domain deadline: the trial forks a clock from the study
-        // clock and pays every crashed attempt's runtime and backoff
-        // into it, so injected hangs advance simulated time and the
-        // deadline is a point on that shared timeline instead of a
-        // privately accumulated elapsed counter. Inside a shard the
-        // fork starts at the shard's local time, so deadlines stay
-        // consistent with the shard's view of the study.
-        let trial_clock = SimClock::at(self.globals.clock);
-        let trial_start = trial_clock.now();
+        // The trial's own time line: it starts at the study clock and
+        // every crashed attempt's runtime and backoff is added to it, so
+        // injected hangs move simulated time and the deadline is checked
+        // on `now - trial_start`. The additions keep this order — the
+        // fault instants are stamped with these exact partial sums, and
+        // `(start + a) + b` is not `start + (a + b)` in `f64`, so
+        // regrouping them would move chaos trace bytes.
+        let trial_start = self.globals.clock;
+        let mut now = trial_start;
         loop {
             let trial = match precomputed.take() {
                 Some(measurement) => measurement,
@@ -322,31 +323,28 @@ impl OnefoldEvaluator<'_> {
                     self.globals.degradation.trial_crashes += 1;
                     paid_runtime += trial.runtime;
                     paid_energy += trial.energy;
-                    trial_clock.advance(trial.runtime);
-                    self.fault_instant("trial-crash", trial_clock.now());
-                    if self
-                        .supervisor
-                        .deadline_exceeded_since(&trial_clock, trial_start)
-                    {
+                    now += trial.runtime;
+                    self.fault_instant("trial-crash", now);
+                    if self.supervisor.deadline_exceeded(now - trial_start) {
                         self.globals.degradation.trial_timeouts += 1;
-                        self.fault_instant("trial-timeout", trial_clock.now());
+                        self.fault_instant("trial-timeout", now);
                         return Err((TrialFailure::Timeout, paid_runtime, paid_energy));
                     }
                     if self.supervisor.give_up(attempt) {
                         self.globals.degradation.trials_skipped += 1;
-                        self.fault_instant("trial-skipped", trial_clock.now());
+                        self.fault_instant("trial-skipped", now);
                         return Err((TrialFailure::Crash, paid_runtime, paid_energy));
                     }
                     let backoff = self.next_backoff(attempt);
                     paid_runtime += backoff;
-                    trial_clock.advance(backoff);
+                    now += backoff;
                     self.globals.degradation.trial_retries += 1;
-                    self.fault_instant("trial-retry", trial_clock.now());
+                    self.fault_instant("trial-retry", now);
                     attempt += 1;
                 }
                 Some(TrialFault::Straggle { .. }) => {
                     self.globals.degradation.trial_stragglers += 1;
-                    self.fault_instant("trial-straggle", trial_clock.now());
+                    self.fault_instant("trial-straggle", now);
                     return Ok((
                         paid_runtime + trial.runtime,
                         paid_energy + trial.energy,

@@ -8,12 +8,12 @@
 //!   assembles the final [`TuningReport`]; [`EdgeTune`] is the owned-
 //!   configuration job over it.
 //! * [`shard`] — the shard side of a sharded study: the
-//!   [`ShardPlan`]s a rung is partitioned into and the [`EngineShard`]s
-//!   that measure them. Shards only measure; the study's one history
-//!   (and its one checkpoint file) stays with the evaluator.
+//!   [`ShardPlan`]s a rung is partitioned into. A shard is a plan plus a
+//!   backend snapshot and only measures; the study's one history (and
+//!   its one checkpoint file) stays with the evaluator.
 //! * [`evaluator`] — the onefold evaluator couples each training trial
-//!   to its pipelined inference request, owns the simulated clock and
-//!   rung accounting, and layers real worker threads *under* the
+//!   to its pipelined inference request, owns simulated time (a
+//!   `Seconds` it adds up in `StudyGlobals`) and rung accounting, and layers real worker threads *under* the
 //!   simulated trial-slot scheduler.
 //! * [`report`] — the user-facing result types ([`TuningReport`],
 //!   [`FaultReport`]) with their serialisation contract.
@@ -25,4 +25,4 @@ pub mod shard;
 
 pub use orchestrator::{EdgeTune, Engine};
 pub use report::{FaultReport, TuningReport};
-pub use shard::{EngineShard, ShardPlan};
+pub use shard::ShardPlan;

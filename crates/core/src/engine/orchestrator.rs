@@ -591,12 +591,18 @@ mod tests {
 
     #[test]
     fn hyperband_mode_runs_more_trials() {
+        // `quick_config` is one successive-halving bracket; the same
+        // study with HyperBand left on runs several.
         let sha = EdgeTune::new(quick_config()).run().unwrap();
-        let hb = EdgeTune::new(quick_config().with_scheduler(SchedulerConfig::new(4, 2.0, 4)))
-            .run()
-            .unwrap();
-        // without_hyperband was only applied to `sha`.
-        let _ = (sha, hb);
+        let mut config = quick_config();
+        config.hyperband = true;
+        let hb = EdgeTune::new(config).run().unwrap();
+        assert!(
+            hb.history().len() > sha.history().len(),
+            "{} vs {}",
+            hb.history().len(),
+            sha.history().len()
+        );
     }
 
     #[test]

@@ -1,17 +1,20 @@
-//! The shard side of a sharded study: the plan a rung is cut into and
-//! the narrowed engine that measures one slice of it.
+//! The shard side of a sharded study: the plan a rung is cut into.
 //!
 //! Every rung of every bracket is partitioned into contiguous
-//! [`ShardPlan`]s; each plan is executed by an [`EngineShard`] — a
-//! narrowed engine instance owning its own backend snapshot and a clock
-//! forked from the study clock — under the rung executor
-//! ([`ShardFabric`](crate::fabric::ShardFabric)), which decides where
-//! the shard's slice is actually measured. The measurements flow back
-//! in plan order and are replayed through the *same* sequential
-//! accounting path an unsharded run uses. Shards hold no history of
-//! their own: the evaluator's one trial log is the study's history,
-//! so the report — and every checkpoint — is byte-identical for any
-//! shard count and needs no split or merge.
+//! [`ShardPlan`]s; a *shard* is one plan plus a backend snapshot
+//! ([`parallel_snapshot`]) — nothing else, and no type of its own. The
+//! rung executor
+//! ([`ShardFabric`](crate::fabric::ShardFabric)) pairs the two and
+//! decides where the plan's slice is actually measured: `run_trial` per
+//! trial, on a thread, in a worker process or on a remote host. A
+//! measurement is a function of (configuration, budget), so a shard
+//! keeps no time of its own; the measurements flow back in plan order
+//! and are replayed through the *same* sequential accounting path an
+//! unsharded run uses, where the evaluator adds their runtimes to the
+//! one study clock. Shards hold no history of their own either: the
+//! evaluator's one trial log is the study's history, so the report —
+//! and every checkpoint — is byte-identical for any shard count and
+//! needs no split or merge.
 //!
 //! Shards never reach the Inference Tuning Server or its
 //! `HistoricalCache`: asynchrony is accounted, not threaded — each
@@ -27,13 +30,8 @@
 //! replays them. Tracing here would key tracks to real threads and
 //! break the trace's byte-identity across shard counts — the same law
 //! `tests/golden_trace.rs` pins for the report.
-
-use edgetune_runtime::SharedClock;
-use edgetune_tuner::budget::TrialBudget;
-use edgetune_tuner::space::Config;
-use edgetune_util::units::Seconds;
-
-use crate::backend::{TrainingBackend, TrialMeasurement};
+//!
+//! [`parallel_snapshot`]: crate::backend::TrainingBackend::parallel_snapshot
 
 /// One shard's contiguous slice of a rung.
 /// Serialisable because the fabric ships plans to shard workers and
@@ -88,76 +86,9 @@ impl ShardPlan {
     }
 }
 
-/// A narrowed engine instance: measures an assigned slice of a rung on
-/// its own backend snapshot, advancing a clock forked from the study
-/// clock so the shard keeps a local simulated timeline.
-pub struct EngineShard {
-    plan: ShardPlan,
-    backend: Box<dyn TrainingBackend + Send>,
-    clock: SharedClock,
-}
-
-impl std::fmt::Debug for EngineShard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EngineShard")
-            .field("plan", &self.plan)
-            .field("clock", &self.clock)
-            .finish_non_exhaustive()
-    }
-}
-
-impl EngineShard {
-    /// Creates a shard from its plan, a backend snapshot, and a clock
-    /// forked from the study clock.
-    #[must_use]
-    pub fn new(
-        plan: ShardPlan,
-        backend: Box<dyn TrainingBackend + Send>,
-        clock: SharedClock,
-    ) -> Self {
-        EngineShard {
-            plan,
-            backend,
-            clock,
-        }
-    }
-
-    /// The shard's assignment.
-    #[must_use]
-    pub fn plan(&self) -> ShardPlan {
-        self.plan
-    }
-
-    /// Measures a slice of trials in order on the shard's snapshot,
-    /// advancing the shard-local clock past each measurement. By the
-    /// snapshot contract
-    /// ([`TrainingBackend::parallel_snapshot`]) every measurement is
-    /// exactly what the primary backend would have produced.
-    pub fn measure(&mut self, trials: &[(u64, Config, TrialBudget)]) -> Vec<TrialMeasurement> {
-        trials
-            .iter()
-            .map(|(_, config, budget)| {
-                let measurement = self.backend.run_trial(config, *budget);
-                self.clock.advance(measurement.runtime);
-                measurement
-            })
-            .collect()
-    }
-
-    /// Simulated time the shard's local clock has reached.
-    #[must_use]
-    pub fn elapsed(&self) -> Seconds {
-        self.clock.now()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::SimTrainingBackend;
-    use edgetune_runtime::SimClock;
-    use edgetune_util::rng::SeedStream;
-    use edgetune_workloads::catalog::{Workload, WorkloadId};
 
     #[test]
     fn partition_is_contiguous_balanced_and_complete() {
@@ -183,23 +114,5 @@ mod tests {
         let plans = ShardPlan::partition(0, 4);
         assert_eq!(plans.len(), 1);
         assert_eq!(plans[0].len, 0);
-    }
-
-    #[test]
-    fn shard_clocks_fork_from_the_study_clock() {
-        let plan = ShardPlan {
-            shard: 0,
-            start: 0,
-            len: 1,
-        };
-        let backend = SimTrainingBackend::new(Workload::by_id(WorkloadId::Ic), SeedStream::new(5));
-        let snapshot = backend.parallel_snapshot().unwrap();
-        let shard = EngineShard::new(
-            plan,
-            snapshot,
-            SharedClock::from_clock(SimClock::at(Seconds::new(100.0))),
-        );
-        assert_eq!(shard.plan(), plan);
-        assert_eq!(shard.elapsed(), Seconds::new(100.0));
     }
 }

@@ -1,7 +1,6 @@
 //! Test fixtures shared by the fabric's unit tests: one small backend,
 //! a deterministic batch of trials, and the task that ships them.
 
-use edgetune_runtime::{SharedClock, SimClock};
 use edgetune_tuner::budget::TrialBudget;
 use edgetune_tuner::space::Config;
 use edgetune_util::rng::SeedStream;
@@ -9,7 +8,7 @@ use edgetune_util::units::Seconds;
 use edgetune_workloads::catalog::{Workload, WorkloadId};
 
 use crate::backend::{SimTrainingBackend, TrainingBackend, TrialMeasurement};
-use crate::engine::shard::{EngineShard, ShardPlan};
+use crate::engine::shard::ShardPlan;
 use crate::fabric::protocol::{RungKey, ShardTask, TaskTrial};
 
 pub(crate) fn backend() -> SimTrainingBackend {
@@ -61,17 +60,16 @@ pub(crate) fn task_for(
 /// plan's slice on a fresh snapshot, in plan order.
 pub(crate) fn expected_measurements(
     trials: &[(u64, Config, TrialBudget)],
-    now: Seconds,
     shards: usize,
 ) -> Vec<TrialMeasurement> {
     let mut out = Vec::new();
     for plan in ShardPlan::partition(trials.len(), shards) {
-        let mut shard = EngineShard::new(
-            plan,
-            backend().parallel_snapshot().expect("fault-free backend"),
-            SharedClock::from_clock(SimClock::at(now)),
+        let mut snapshot = backend().parallel_snapshot().expect("fault-free backend");
+        out.extend(
+            plan.slice(trials)
+                .iter()
+                .map(|(_, config, budget)| snapshot.run_trial(config, *budget)),
         );
-        out.extend(shard.measure(plan.slice(trials)));
     }
     out
 }

@@ -96,7 +96,7 @@ pub struct HostStats {
 type CacheKey = (RungKey, u64);
 
 /// The cache key of a keyed task, `None` for an unkeyed one. The digest
-/// covers the spec, the clock and the trials; `attempt` and `chaos`
+/// covers the spec, the study time and the trials; `attempt` and `chaos`
 /// differ between a task and its resend and are deliberately left out.
 fn cache_key(task: &ShardTask) -> Option<CacheKey> {
     let key = task.key?;
@@ -539,10 +539,7 @@ mod tests {
             assert_eq!(heartbeat.completed, i + 1);
         }
         let results = results_of(&frames);
-        assert_eq!(
-            results[0].measurements,
-            expected_measurements(&trials, now, 1)
-        );
+        assert_eq!(results[0].measurements, expected_measurements(&trials, 1));
         assert_eq!(shared.stats().tasks_executed, 1);
     }
 
@@ -580,13 +577,13 @@ mod tests {
         assert_eq!(results[0], results[1], "the resend replays");
         assert_eq!(
             results[2].measurements,
-            expected_measurements(&trials[1..], Seconds::ZERO, 1),
+            expected_measurements(&trials[1..], 1),
             "the other study gets its own measurements"
         );
         let stats = shared.stats();
         assert_eq!((stats.tasks_executed, stats.cache_hits), (2, 1));
 
-        // Same key and trials, but a different spec or clock: no replay.
+        // Same key and trials, but a different spec or study time: no replay.
         let fresh = HostShared::default();
         let mut respecced = first.clone();
         respecced.spec =

@@ -3,9 +3,9 @@
 //!
 //! [`ShardFabric`] is the study's one rung executor. It partitions every
 //! rung into `study_shards` contiguous
-//! [`ShardPlan`](crate::engine::ShardPlan)s, runs one
-//! [`EngineShard`](crate::engine::EngineShard) per plan on a scoped
-//! thread, and hands the measurements back in input order to the
+//! [`ShardPlan`](crate::engine::ShardPlan)s, pairs each plan with a
+//! backend snapshot on a scoped thread — a shard is that pair, nothing
+//! more — and hands the measurements back in input order to the
 //! sequential accounting path every execution mode shares. *Where* a
 //! plan's slice is measured is the [`ShardExec`](crate::config::ShardExec)
 //! placement:

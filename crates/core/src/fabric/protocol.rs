@@ -96,7 +96,10 @@ pub struct ShardTask {
     pub plan: ShardPlan,
     /// Recipe for rebuilding the backend in the worker process.
     pub spec: BackendSpec,
-    /// Simulated study time the shard clock forks from.
+    /// Simulated study time at which the rung was dispatched. Nothing
+    /// measures with it — a measurement is a function of (spec, trial) —
+    /// but it is part of a shard host's replay digest: two executions of
+    /// one [`RungKey`] at different study times are different tasks.
     pub now: Seconds,
     /// The slice's trials, in order.
     pub trials: Vec<TaskTrial>,

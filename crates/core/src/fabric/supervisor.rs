@@ -2,11 +2,10 @@
 //!
 //! [`ShardFabric::measure_rung`] is the one way a rung's trials are
 //! measured side by side on the host: it partitions the rung into
-//! [`ShardPlan`]s, gives each plan an [`EngineShard`] (backend snapshot
-//! plus a clock forked from the study clock) on its own scoped thread,
-//! and returns the measurements in input order. *How many* plans is
-//! `study_shards`; *where* a plan's slice is measured is
-//! [`ShardExec`]:
+//! [`ShardPlan`]s, pairs each plan with a backend snapshot on its own
+//! scoped thread — that pair is all a shard is — and returns the
+//! measurements in input order. *How many* plans is `study_shards`;
+//! *where* a plan's slice is measured is [`ShardExec`]:
 //!
 //! * `Thread` — the shard measures its slice directly, right there on
 //!   its thread. No frames, no serde, nothing to supervise.
@@ -32,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use edgetune_faults::{Deadline, Fallback, RetryPolicy, Supervisor};
 use edgetune_runtime::frame::{read_frame, write_frame, Frame, FrameKind};
-use edgetune_runtime::{parallel_map_ordered, SharedClock, SimClock};
+use edgetune_runtime::parallel_map_ordered;
 use edgetune_trace::Tracer;
 use edgetune_tuner::budget::TrialBudget;
 use edgetune_tuner::space::Config;
@@ -42,7 +41,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::backend::{BackendSpec, TrainingBackend, TrialMeasurement};
 use crate::config::{EdgeTuneConfig, ShardExec};
-use crate::engine::shard::{EngineShard, ShardPlan};
+use crate::engine::shard::ShardPlan;
 use crate::fabric::link::Dial;
 use crate::fabric::protocol::{
     decode, encode, ChaosAction, RungScope, ShardHeartbeat, ShardResultMsg, ShardTask, TaskTrial,
@@ -248,7 +247,7 @@ impl ShardFabric {
         &self.tracer
     }
 
-    /// Measures one rung, one [`EngineShard`] per [`ShardPlan`] on its
+    /// Measures one rung, one backend snapshot per [`ShardPlan`] on its
     /// own scoped thread. The returned measurements are always the full
     /// rung, in input order, bit-identical to sequential execution: a
     /// supervised shard whose workers exhaust the retry budget is
@@ -262,6 +261,10 @@ impl ShardFabric {
     /// [`process_spec`](TrainingBackend::process_spec) cannot cross a
     /// process boundary; its shards are measured in-process under every
     /// placement — same bytes either way.
+    ///
+    /// `now` is the study time of the dispatch. No measurement depends
+    /// on it; it travels as [`ShardTask::now`] into a shard host's
+    /// replay digest.
     #[must_use]
     pub fn measure_rung(
         &mut self,
@@ -274,17 +277,14 @@ impl ShardFabric {
             return None;
         }
         let plans = ShardPlan::partition(trials.len(), self.shards);
-        let mut engines = Vec::with_capacity(plans.len());
-        for plan in &plans {
-            engines.push(EngineShard::new(
-                *plan,
-                backend.parallel_snapshot()?,
-                SharedClock::from_clock(SimClock::at(now)),
-            ));
-        }
+        let snapshots = plans
+            .iter()
+            .map(|_| backend.parallel_snapshot())
+            .collect::<Option<Vec<_>>>()?;
         let spec = self.dial.as_ref().and_then(|_| backend.process_spec());
-        let runs = parallel_map_ordered(&plans, engines, |engine, _index, plan| {
-            self.run_shard(scope, *plan, spec.as_ref(), now, plan.slice(trials), engine)
+        let runs = parallel_map_ordered(&plans, snapshots, |snapshot, _index, plan| {
+            let slice = plan.slice(trials);
+            self.run_shard(scope, *plan, spec.as_ref(), now, slice, &mut **snapshot)
         });
 
         // Post-hoc straggler detection against the median sibling.
@@ -345,10 +345,11 @@ impl ShardFabric {
 
     /// Runs one shard to completion. A supervised placement (a dial and
     /// a spec to ship) goes attempt → watch → retry under the budget
-    /// first; the direct measurement on `engine` is thread placement's
-    /// whole job and every supervised shard's last resort. Runs on a
-    /// pool thread; must not touch `self.tracer` or `self.stats` (events
-    /// and counters are returned and merged on the calling thread).
+    /// first; `run_trial` over the slice on `snapshot` is thread
+    /// placement's whole job and every supervised shard's last resort.
+    /// Runs on a pool thread; must not touch `self.tracer` or
+    /// `self.stats` (events and counters are returned and merged on the
+    /// calling thread).
     fn run_shard(
         &self,
         scope: RungScope,
@@ -356,7 +357,7 @@ impl ShardFabric {
         spec: Option<&BackendSpec>,
         now: Seconds,
         slice: &[(u64, Config, TrialBudget)],
-        engine: &mut EngineShard,
+        snapshot: &mut dyn TrainingBackend,
     ) -> ShardRun {
         let started = Instant::now();
         let mut events = Vec::new();
@@ -446,7 +447,10 @@ impl ShardFabric {
             }
         }
         ShardRun {
-            measurements: engine.measure(slice),
+            measurements: slice
+                .iter()
+                .map(|(_, config, budget)| snapshot.run_trial(config, *budget))
+                .collect(),
             events,
             stats,
             wall: started.elapsed().as_secs_f64(),
@@ -740,7 +744,7 @@ mod tests {
 
     #[test]
     fn heartbeats_then_a_full_result_complete_the_attempt() {
-        let expected = expected_measurements(&sample_trials(3), Seconds::ZERO, 1);
+        let expected = expected_measurements(&sample_trials(3), 1);
         let script = [
             heartbeat_frame(1),
             heartbeat_frame(2),
@@ -780,7 +784,7 @@ mod tests {
 
     #[test]
     fn a_short_result_fails_the_attempt() {
-        let mut measurements = expected_measurements(&sample_trials(3), Seconds::ZERO, 1);
+        let mut measurements = expected_measurements(&sample_trials(3), 1);
         measurements.pop();
         let (reason, timed_out) = failure(attempt_over(result_frame(measurements), true, 5.0).0);
         assert_eq!(reason, "short result: 2 of 3 measurements");
@@ -829,7 +833,7 @@ mod tests {
         let now = Seconds::new(7.0);
         // Shard 0's first link dies at once and its second answers;
         // shard 1's links always die, so it spends its two attempts.
-        let shard0_result = result_frame(expected_measurements(&trials[..2], now, 1));
+        let shard0_result = result_frame(expected_measurements(&trials[..2], 1));
         let shard0_opens = AtomicU32::new(0);
         let mut fabric = fabric(2, ShardExec::Process, fast_policy(2, 5.0));
         fabric.dial = Some(Dial::Scripted(Box::new(move |shard| {
@@ -847,7 +851,7 @@ mod tests {
         let measured = fabric
             .measure_rung(RungScope::default(), &backend(), now, &trials)
             .expect("the sim backend snapshots");
-        assert_eq!(measured, expected_measurements(&trials, now, 2));
+        assert_eq!(measured, expected_measurements(&trials, 2));
         assert_eq!(
             fabric.stats(),
             Some(FabricStats {
@@ -910,7 +914,7 @@ mod tests {
         let measured = fabric
             .measure_rung(RungScope::default(), &backend(), now, &trials)
             .unwrap();
-        assert_eq!(measured, expected_measurements(&trials, now, 2));
+        assert_eq!(measured, expected_measurements(&trials, 2));
 
         let stats = fabric.stats().unwrap();
         assert_eq!(stats.fallbacks, 2, "every shard fell back");
@@ -946,7 +950,7 @@ mod tests {
         let measured = fabric
             .measure_rung(RungScope::default(), &backend(), now, &trials)
             .unwrap();
-        assert_eq!(measured, expected_measurements(&trials, now, 2));
+        assert_eq!(measured, expected_measurements(&trials, 2));
         let stats = fabric.stats().unwrap();
         assert_eq!(stats.fallbacks, 2);
         assert_eq!(stats.spawns, 4, "two spawn attempts per shard");

@@ -2,8 +2,9 @@
 //! the one way any fabric executor measures a task.
 //!
 //! `execute_task` rebuilds the backend from the task's
-//! [`BackendSpec`](crate::backend::BackendSpec) and measures the slice
-//! trial by trial on an [`EngineShard`], heartbeating after every trial.
+//! [`BackendSpec`](crate::backend::BackendSpec) once — a shard is a plan
+//! plus a backend — and calls `run_trial` per trial, heartbeating after
+//! every trial.
 //! The loop around it — decode, replay-if-keyed, catch panics, answer
 //! with a result or error frame — is the shard host's (`decode_tasks`
 //! feeding `answer_tasks`); a worker process merely runs it on its
@@ -11,9 +12,6 @@
 
 use std::sync::Mutex;
 
-use edgetune_runtime::{SharedClock, SimClock};
-
-use crate::engine::shard::EngineShard;
 use crate::fabric::host::{answer_tasks, decode_tasks, HostShared};
 use crate::fabric::protocol::{ChaosAction, ShardHeartbeat, ShardResultMsg, ShardTask};
 
@@ -53,14 +51,10 @@ pub(crate) fn execute_task(
     task: &ShardTask,
     mut heartbeat: impl FnMut(ShardHeartbeat) -> Result<(), String>,
 ) -> Result<ShardResultMsg, String> {
-    let mut shard = EngineShard::new(
-        task.plan,
-        task.spec.instantiate(),
-        SharedClock::from_clock(SimClock::at(task.now)),
-    );
+    let mut backend = task.spec.instantiate();
     let mut measurements = Vec::with_capacity(task.trials.len());
     for (index, trial) in task.trials.iter().enumerate() {
-        measurements.extend(shard.measure(&[(trial.id, trial.config.clone(), trial.budget)]));
+        measurements.push(backend.run_trial(&trial.config, trial.budget));
         heartbeat(ShardHeartbeat {
             shard: task.plan.shard,
             completed: index + 1,

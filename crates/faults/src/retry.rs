@@ -1,13 +1,12 @@
 //! Retry, backoff, and deadline policies.
 //!
-//! Deadlines live in the workspace's unified time domain: callers either
-//! pass an elapsed duration they tracked themselves
-//! ([`Deadline::exceeded`]) or hand over the [`Clock`] they run on plus
-//! the operation's start time ([`Deadline::exceeded_since`]). Under a
-//! virtual clock both forms are deterministic; under a wall clock they
-//! measure real time — the policy code is identical either way.
+//! A deadline is a limit on an elapsed duration the caller tracked
+//! itself ([`Deadline::exceeded`]). Simulated time is a `Seconds` the
+//! component that owns it adds up (the evaluator sums a supervised
+//! trial's attempts and backoffs); host time is measured from outside
+//! with `Instant` (the shard fabric's heartbeat supervision). The policy
+//! code never learns which of the two it was handed.
 
-use edgetune_runtime::Clock;
 use edgetune_util::rng::SeedStream;
 use edgetune_util::units::Seconds;
 use rand::Rng;
@@ -92,7 +91,7 @@ impl RetryPolicy {
     }
 }
 
-/// A wall-clock budget for one supervised operation.
+/// An elapsed-time budget for one supervised operation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Deadline {
     /// The elapsed-time limit.
@@ -110,15 +109,6 @@ impl Deadline {
     #[must_use]
     pub fn exceeded(&self, elapsed: Seconds) -> bool {
         elapsed > self.limit
-    }
-
-    /// True once `clock` has moved past `start + limit` — the
-    /// clock-domain form of [`Deadline::exceeded`] for callers that track
-    /// an operation's start time on a shared [`Clock`] instead of
-    /// accumulating elapsed time themselves.
-    #[must_use]
-    pub fn exceeded_since(&self, clock: &dyn Clock, start: Seconds) -> bool {
-        self.exceeded(clock.now() - start)
     }
 }
 
@@ -166,14 +156,6 @@ impl Supervisor {
     #[must_use]
     pub fn deadline_exceeded(&self, elapsed: Seconds) -> bool {
         self.deadline.is_some_and(|d| d.exceeded(elapsed))
-    }
-
-    /// True once `clock` moved past `start` + the configured deadline, if
-    /// any (see [`Deadline::exceeded_since`]).
-    #[must_use]
-    pub fn deadline_exceeded_since(&self, clock: &dyn Clock, start: Seconds) -> bool {
-        self.deadline
-            .is_some_and(|d| d.exceeded_since(clock, start))
     }
 }
 
@@ -232,33 +214,6 @@ mod tests {
         let deadline = Deadline::new(Seconds::new(10.0));
         assert!(!deadline.exceeded(Seconds::new(10.0)));
         assert!(deadline.exceeded(Seconds::new(10.001)));
-    }
-
-    #[test]
-    fn deadline_tracks_a_virtual_clock() {
-        use edgetune_runtime::SimClock;
-        let deadline = Deadline::new(Seconds::new(10.0));
-        let clock = SimClock::new();
-        let start = clock.now();
-        clock.advance(Seconds::new(10.0));
-        assert!(
-            !deadline.exceeded_since(&clock, start),
-            "exclusive at the limit, same as the elapsed form"
-        );
-        clock.advance(Seconds::new(0.001));
-        assert!(deadline.exceeded_since(&clock, start));
-    }
-
-    #[test]
-    fn supervisor_deadline_works_in_the_clock_domain() {
-        use edgetune_runtime::SimClock;
-        let supervisor = Supervisor::new(RetryPolicy::default())
-            .with_deadline(Deadline::new(Seconds::new(60.0)));
-        let clock = SimClock::at(Seconds::new(100.0));
-        let start = clock.now();
-        clock.advance(Seconds::new(61.0));
-        assert!(supervisor.deadline_exceeded_since(&clock, start));
-        assert!(!Supervisor::default().deadline_exceeded_since(&clock, Seconds::ZERO));
     }
 
     #[test]

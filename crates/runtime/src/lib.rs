@@ -1,14 +1,11 @@
 //! Execution runtime shared by the whole EdgeTune workspace.
 //!
-//! Two concerns live here, deliberately below every domain crate:
+//! Two concerns live here, deliberately below every domain crate.
+//! Time is not one of them: simulated time is a `Seconds` the component
+//! that owns it adds up (the evaluator's study clock, the serving
+//! loop's makespan), and host time is measured from outside with
+//! `std::time::Instant` — there is no clock object to inject.
 //!
-//! * **One time domain** — the [`Clock`] abstraction with its
-//!   [`SimClock`] (virtual, deterministic, thread-safe) and [`WallClock`]
-//!   (host time) implementations, plus the [`SharedClock`] handle for
-//!   injecting a clock across components. Simulated time is the currency
-//!   every report is denominated in; wall-clock time is an opt-in for
-//!   users who want to *measure* rather than *model*. Keeping both behind
-//!   one trait means no component ever mixes the two domains by accident.
 //! * **Deterministic parallelism** — [`parallel_map_ordered`], a scoped
 //!   worker pool that fans independent work items out over real OS
 //!   threads and merges the results back in input order. Thread
@@ -20,11 +17,9 @@
 //!   pipes, with torn writes and truncation surfacing as clean
 //!   [`FrameError`]s instead of hangs or panics.
 
-pub mod clock;
 pub mod frame;
 pub mod pool;
 
-pub use clock::{Clock, SharedClock, SimClock, WallClock};
 pub use frame::{
     crc32, encode_frame, read_frame, write_frame, Frame, FrameError, FrameKind, MAX_FRAME_LEN,
 };

@@ -7,8 +7,8 @@
 //! merge back **in input order**. Which thread computed which item is
 //! unobservable in the output, so callers get wall-clock scaling without
 //! giving up bit-identical results. The same primitive drives sharded
-//! study execution: the study coordinator hands each engine shard's rung
-//! slice to this pool, one shard per context.
+//! study execution: the shard fabric hands each shard plan's rung slice
+//! to this pool, one backend snapshot per context.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

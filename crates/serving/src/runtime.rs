@@ -12,17 +12,16 @@
 //! scenario optimum and hot-swaps the configuration, recording the switch
 //! in the final [`ServingReport`].
 //!
-//! Simulation time lives on the workspace's unified clock: per-worker
-//! busy-until times are [`Seconds`] and the trace makespan is tracked on
-//! an `edgetune-runtime` [`SimClock`] advanced to each batch completion,
-//! so the serving runtime shares one deterministic time domain with the
-//! tuning engine.
+//! Simulated time is a [`Seconds`] the event loop adds up itself:
+//! per-worker busy-until times and the makespan (the latest batch
+//! completion) are plain values local to one `serve` call, a function of
+//! (configuration, traffic, seed) like every duration the tuning engine
+//! reports.
 
 use edgetune_device::latency::{simulate_inference, CpuAllocation};
 use edgetune_device::profile::WorkProfile;
 use edgetune_device::spec::DeviceSpec;
 use edgetune_faults::{FaultInjector, FaultPlan};
-use edgetune_runtime::SimClock;
 use edgetune_trace::Tracer;
 use edgetune_util::rng::SeedStream;
 use edgetune_util::units::{Hertz, ItemsPerSecond, Joules, JoulesPerItem, Seconds};
@@ -381,9 +380,7 @@ impl ServingRuntime {
         let mut next = 0usize;
         let (mut shed, mut late, mut batches, mut served) = (0u64, 0u64, 0u64, 0u64);
         let mut energy = 0.0f64;
-        // The trace clock: advanced to every batch completion, so its
-        // final reading is the makespan.
-        let clock = SimClock::new();
+        let mut makespan = Seconds::ZERO;
         let (mut depth_sum, mut depth_max) = (0.0f64, 0u64);
         let mut switches: Vec<ConfigSwitch> = Vec::new();
 
@@ -483,7 +480,7 @@ impl ServingRuntime {
                 );
             }
             workers[wi] = Seconds::new(completion);
-            clock.advance_to(Seconds::new(completion));
+            makespan = makespan.max(Seconds::new(completion));
             energy += batch_energy;
             batches += 1;
             served += u64::from(size);
@@ -642,7 +639,6 @@ impl ServingRuntime {
         }
 
         let (mean_response, p50, p95, p99) = response_percentiles(&responses);
-        let makespan = clock.now();
         Ok(ServingReport {
             device: self.device.name.clone(),
             trace: trace_label.to_string(),

@@ -4,9 +4,10 @@
 //! overlap with asynchronous inference sweeps (Algorithm 1, Fig. 6) — and
 //! this crate makes that overlap observable instead of merely asserted.
 //! A [`Tracer`] collects spans, instant events and counter samples, every
-//! one stamped on the workspace's unified [`Clock`](edgetune_runtime::Clock)
-//! domain: a simulated study traces in simulated seconds, a
-//! `WallClock`-driven run traces in host seconds, through the same API.
+//! one stamped with the `Seconds` its emitter passes — the emitter's
+//! time domain: a simulated study traces in the simulated seconds its
+//! evaluator adds up, the shard fabric's own trace in host seconds it
+//! measured with `Instant`, through the same API.
 //!
 //! Determinism is the design constraint. Trace bytes must be identical
 //! for a fixed seed regardless of how many real measurement threads or

@@ -177,6 +177,49 @@ fn sim_backend_trials_are_pure_functions_of_config_and_budget() {
 }
 
 #[test]
+fn nn_backend_trials_are_pure_functions_of_config_and_budget() {
+    // The real-training backend's twin of the law above: a trial on a
+    // backend that has already run others equals, field for field, the
+    // same trial on a fresh backend — the modelled cost reads no state an
+    // earlier trial wrote.
+    let mut seasoned = NnTrainingBackend::new(SeedStream::new(5));
+    let space = seasoned.search_space();
+    let mut rng = SeedStream::new(6).rng("cfg");
+    for _ in 0..10 {
+        let config = space.sample(&mut rng);
+        let budget = TrialBudget::new(3.0, 0.4);
+        let fresh = NnTrainingBackend::new(SeedStream::new(5)).run_trial(&config, budget);
+        assert_eq!(seasoned.run_trial(&config, budget), fresh);
+    }
+}
+
+#[test]
+fn nn_backend_reports_do_not_depend_on_the_shard_count() {
+    // Shard-count invariance at study level on the real-training
+    // backends: every shard measures on its own snapshot, and a snapshot
+    // that has measured before must not report different bytes.
+    let backends: [fn(SeedStream) -> NnTrainingBackend; 2] =
+        [NnTrainingBackend::new, NnTrainingBackend::convnet];
+    for make in backends {
+        let report_under = |shards: usize| {
+            let config = EdgeTuneConfig::for_workload(WorkloadId::Ic)
+                .with_scheduler(SchedulerConfig::new(6, 2.0, 4))
+                .with_seed(42)
+                .with_study_shards(shards);
+            EdgeTune::new(config)
+                .run_with_backend(&mut make(SeedStream::new(42)))
+                .expect("real-training run")
+                .to_json()
+                .expect("serialises")
+        };
+        let unsharded = report_under(1);
+        for shards in [2, 4] {
+            assert_eq!(report_under(shards), unsharded, "{shards} shards");
+        }
+    }
+}
+
+#[test]
 fn different_edge_devices_yield_different_recommendations() {
     let pi = EdgeTune::new(quick(WorkloadId::Ic)).run().expect("pi run");
     let i7 = EdgeTune::new(quick(WorkloadId::Ic).with_edge_device(DeviceSpec::intel_i7_7567u()))
