@@ -177,7 +177,8 @@ pub struct EdgeTuneConfig {
     /// Write the study's Chrome trace-event JSON here after the run, if
     /// set. The trace is a reported artifact: byte-identical for a
     /// fixed seed whatever the `study_shards` count and `shard_exec`
-    /// placement, and recording it never changes a report byte.
+    /// placement, and recording it never changes a report byte. Unset,
+    /// `run()` records no study trace at all.
     pub trace_path: Option<PathBuf>,
     /// Configurations replayed by the sampler before its own strategy
     /// engages — the cross-study transfer half of a warm start. Empty

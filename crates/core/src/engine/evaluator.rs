@@ -31,8 +31,8 @@
 //! the exact `outcome.runtime` sum the trial records, and a
 //! simulated-slot rung once, by the rung makespan. The Fig. 6 timeline
 //! is part of it: each trial's spans are recorded into
-//! `globals.timeline` as they are emitted to the tracer, an observer
-//! nothing reported reads back. A checkpoint is that struct
+//! `globals.timeline` and, when a study trace is being taken, emitted to
+//! the tracer — an observer nothing reported reads back. A checkpoint is that struct
 //! at a rung boundary and resume reinstates it, so a rung answered from
 //! the resumed trial log is *inert* (see [`crate::checkpoint`] for the
 //! rule): its records are checked and handed to the scheduler, and
@@ -74,10 +74,11 @@ pub(crate) struct OnefoldEvaluator<'a> {
     pub(crate) device: &'a DeviceSpec,
     pub(crate) inference_metric: Metric,
     pub(crate) objective: TrainObjective,
-    /// The observer: every piece of time accounting is also emitted
-    /// here as trace events. Write-only — nothing under `engine/` reads
-    /// it back, so the report does not depend on what it holds.
-    pub(crate) tracer: &'a Tracer,
+    /// The observer, present only when someone will read the study
+    /// trace: every piece of time accounting is also emitted here as
+    /// trace events. Write-only — nothing under `engine/` reads it back,
+    /// so the report does not depend on whether it exists.
+    pub(crate) tracer: Option<&'a Tracer>,
     pub(crate) pipelining: bool,
     /// Whether the study runs in Pareto mode: successful trials carry an
     /// [`ObjectiveVector`] alongside the scalar score. Off by default so
@@ -159,22 +160,23 @@ impl OnefoldEvaluator<'_> {
 
     /// Records one server-busy span: into the timeline the study
     /// reports, and — same label, same exact `Seconds` — onto the
-    /// slot's track of the observing tracer. Tracks are keyed to
+    /// slot's track of the observing tracer, if any. Tracks are keyed to
     /// *simulated* structure, never to real threads or shards, so the
     /// trace stays byte-identical across `study_shards` and `shard_exec`
     /// (the same law the report obeys).
     fn busy_span(&mut self, lane: Lane, slot: usize, label: String, start: Seconds, end: Seconds) {
-        let (process, track, category) = match lane {
-            Lane::ModelServer => (PROCESS_MODEL, format!("trial-slot-{slot}"), CAT_MODEL),
-            Lane::InferenceServer => (
-                PROCESS_INFERENCE,
-                format!("sweep-slot-{slot}"),
-                CAT_INFERENCE,
-            ),
-        };
-        let track = self.tracer.track(process, &track);
-        self.tracer
-            .span(track, label.as_str(), category, start, end);
+        if let Some(tracer) = self.tracer {
+            let (process, track, category) = match lane {
+                Lane::ModelServer => (PROCESS_MODEL, format!("trial-slot-{slot}"), CAT_MODEL),
+                Lane::InferenceServer => (
+                    PROCESS_INFERENCE,
+                    format!("sweep-slot-{slot}"),
+                    CAT_INFERENCE,
+                ),
+            };
+            let track = tracer.track(process, &track);
+            tracer.span(track, label.as_str(), category, start, end);
+        }
         self.globals.timeline.record(lane, label, start, end);
     }
 
@@ -182,30 +184,34 @@ impl OnefoldEvaluator<'_> {
     /// faults track. Ladder instants reuse [`Fallback::trace_label`] so
     /// their names match the plan's serde spelling.
     fn fault_instant(&self, name: &str, ts: Seconds) {
-        let track = self.tracer.track(PROCESS_FAULTS, "events");
-        self.tracer.instant(track, name, CAT_FAULT, ts);
+        if let Some(tracer) = self.tracer {
+            let track = tracer.track(PROCESS_FAULTS, "events");
+            tracer.instant(track, name, CAT_FAULT, ts);
+        }
     }
 
     /// Samples the degradation counters onto the faults track, once any
     /// fault has fired.
     fn sample_degradation(&self) {
-        if !self.globals.degradation.is_empty() {
-            let track = self.tracer.track(PROCESS_FAULTS, "events");
-            self.tracer.counter(
-                track,
-                "degradation",
-                CAT_FAULT,
-                self.globals.clock,
-                self.globals.degradation.as_counters(),
-            );
+        if let Some(tracer) = self.tracer {
+            if !self.globals.degradation.is_empty() {
+                let track = tracer.track(PROCESS_FAULTS, "events");
+                tracer.counter(
+                    track,
+                    "degradation",
+                    CAT_FAULT,
+                    self.globals.clock,
+                    self.globals.degradation.as_counters(),
+                );
+            }
         }
     }
 
     /// Closes the currently open bracket span, if any.
     fn close_bracket_span(&mut self) {
-        if let Some(start) = self.bracket_open.take() {
-            let track = self.tracer.track(PROCESS_SCHEDULER, "brackets");
-            self.tracer.span(
+        if let (Some(start), Some(tracer)) = (self.bracket_open.take(), self.tracer) {
+            let track = tracer.track(PROCESS_SCHEDULER, "brackets");
+            tracer.span(
                 track,
                 format!("bracket-{}", self.current_bracket),
                 CAT_BRACKET,
@@ -523,20 +529,22 @@ impl OnefoldEvaluator<'_> {
         // Cache telemetry rides on its own track: a hit/miss instant per
         // trial plus a counter sample read from the cache's single
         // tally (the same numbers checkpoints persist).
-        let cache_track = self.tracer.track(PROCESS_INFERENCE, "historical-cache");
-        let verdict = if run.cache_hit {
-            "cache-hit"
-        } else {
-            "cache-miss"
-        };
-        self.tracer.instant(cache_track, verdict, CAT_CACHE, start);
-        self.tracer.counter(
-            cache_track,
-            "historical-cache",
-            CAT_CACHE,
-            start,
-            self.globals.cache_stats.as_counters(),
-        );
+        if let Some(tracer) = self.tracer {
+            let cache_track = tracer.track(PROCESS_INFERENCE, "historical-cache");
+            let verdict = if run.cache_hit {
+                "cache-hit"
+            } else {
+                "cache-miss"
+            };
+            tracer.instant(cache_track, verdict, CAT_CACHE, start);
+            tracer.counter(
+                cache_track,
+                "historical-cache",
+                CAT_CACHE,
+                start,
+                self.globals.cache_stats.as_counters(),
+            );
+        }
         self.globals.stall += run.stall;
         self.globals.inference_energy += run.sweep_energy;
     }
@@ -594,15 +602,17 @@ impl Evaluate for OnefoldEvaluator<'_> {
         let rung_start = self.globals.clock;
         self.bracket_open.get_or_insert(rung_start);
         let outcomes = self.run_rung(trials);
-        let rung_track = self.tracer.track(PROCESS_SCHEDULER, "rungs");
-        self.tracer.span_with_args(
-            rung_track,
-            format!("rung-{rung_index}"),
-            CAT_RUNG,
-            rung_start,
-            self.globals.clock,
-            vec![("trials".to_string(), trial_count.to_string())],
-        );
+        if let Some(tracer) = self.tracer {
+            let rung_track = tracer.track(PROCESS_SCHEDULER, "rungs");
+            tracer.span_with_args(
+                rung_track,
+                format!("rung-{rung_index}"),
+                CAT_RUNG,
+                rung_start,
+                self.globals.clock,
+                vec![("trials".to_string(), trial_count.to_string())],
+            );
+        }
         outcomes
     }
 

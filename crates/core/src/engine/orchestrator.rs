@@ -127,11 +127,13 @@ impl<'a> Engine<'a> {
     /// Returns [`Error::InvalidConfig`] for inconsistent configurations
     /// and [`Error::Storage`] if the historical cache cannot be written.
     pub fn run_with_backend(&self, backend: &mut dyn TrainingBackend) -> Result<TuningReport> {
+        // A study trace exists only when something will read it.
+        let Some(path) = &self.config.trace_path else {
+            return self.run_inner(backend, None);
+        };
         let tracer = Tracer::new();
-        let report = self.run_inner(backend, &tracer)?;
-        if let Some(path) = &self.config.trace_path {
-            ChromeTrace::from_tracer(&tracer).write(path)?;
-        }
+        let report = self.run_inner(backend, Some(&tracer))?;
+        ChromeTrace::from_tracer(&tracer).write(path)?;
         Ok(report)
     }
 
@@ -158,7 +160,7 @@ impl<'a> Engine<'a> {
         backend: &mut dyn TrainingBackend,
     ) -> Result<(TuningReport, ChromeTrace)> {
         let tracer = Tracer::new();
-        let report = self.run_inner(backend, &tracer)?;
+        let report = self.run_inner(backend, Some(&tracer))?;
         let trace = ChromeTrace::from_tracer(&tracer);
         if let Some(path) = &self.config.trace_path {
             trace.write(path)?;
@@ -190,12 +192,12 @@ impl<'a> Engine<'a> {
     }
 
     /// The study proper: everything between a validated configuration
-    /// and an assembled report. `tracer` observes: the time accounting
-    /// is emitted into it along the way and never read back.
+    /// and an assembled report. `tracer`, when given, observes: the time
+    /// accounting is emitted into it along the way and never read back.
     fn run_inner(
         &self,
         backend: &mut dyn TrainingBackend,
-        tracer: &Tracer,
+        tracer: Option<&Tracer>,
     ) -> Result<TuningReport> {
         let space = backend.search_space();
         if space.is_empty() {
@@ -257,7 +259,9 @@ impl<'a> Engine<'a> {
 
         // Observer only: show the trials a resumed run inherits on the
         // trace's `restored` tracks. The report does not depend on it.
-        seed_tracer_from_timeline(tracer, &globals.timeline);
+        if let Some(tracer) = tracer {
+            seed_tracer_from_timeline(tracer, &globals.timeline);
+        }
         let mut sampler = self.config.build_sampler();
         let device_name = self.config.edge_device.name.clone();
 
@@ -508,7 +512,7 @@ mod tests {
                 let engine = Engine::new(&config);
                 let mut backend = engine.default_backend();
                 let tracer = Tracer::new();
-                let report = engine.run_inner(&mut backend, &tracer).unwrap();
+                let report = engine.run_inner(&mut backend, Some(&tracer)).unwrap();
                 assert!(!report.timeline().spans().is_empty());
                 assert_eq!(
                     report.timeline(),

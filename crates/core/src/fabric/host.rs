@@ -742,13 +742,28 @@ mod tests {
     #[test]
     fn undecodable_spec_in_hello_is_rejected_with_a_reason() {
         let mut handle = ShardHost::bind("127.0.0.1:0").unwrap().spawn().unwrap();
-        let mut conn =
-            FramedTcp::connect(&handle.addr().to_string(), Duration::from_secs(5)).unwrap();
-        client_hello(&mut conn, &Hello::new(11, "not a backend spec")).unwrap();
-        let frame = conn.recv().unwrap().expect("an error frame");
-        assert!(error_of(&frame).contains("backend spec"));
+        // Nesting this deep once overflowed the parser's stack and
+        // aborted the daemon.
+        let deep = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+        for meta in ["not a backend spec", deep.as_str()] {
+            let mut conn =
+                FramedTcp::connect(&handle.addr().to_string(), Duration::from_secs(5)).unwrap();
+            client_hello(&mut conn, &Hello::new(11, meta)).unwrap();
+            let frame = conn.recv().unwrap().expect("an error frame");
+            assert!(error_of(&frame).contains("backend spec"));
+        }
+        // The same daemon still serves a good session.
+        let mut conn = connect(&handle);
+        conn.send(
+            FrameKind::Task,
+            &encode(&task_for(&sample_trials(1), Seconds::ZERO, None)),
+        )
+        .unwrap();
+        assert_eq!(recv_result(&mut conn).measurements.len(), 1);
+        conn.shutdown();
         handle.shutdown();
-        assert_eq!(handle.stats().rejects, 1);
+        assert_eq!(handle.stats().rejects, 2);
+        assert_eq!(handle.stats().sessions, 1);
     }
 
     #[test]

@@ -55,19 +55,70 @@ fn trace_json_is_byte_identical_across_study_shard_counts() {
 
 #[test]
 fn tracing_does_not_change_the_report_bytes() {
-    let plain = EdgeTune::new(golden_config())
-        .run()
-        .expect("plain run completes")
-        .to_json()
-        .expect("report serialises");
-    let (report, _trace) = EdgeTune::new(golden_config())
-        .run_traced()
-        .expect("traced run completes");
-    assert_eq!(
-        plain,
-        report.to_json().expect("report serialises"),
-        "collecting a trace perturbed the report artefact"
-    );
+    // `run()` records no study trace unless `trace_path` asks for one,
+    // so this compares the untraced path with the traced one — and the
+    // trace file `run()` writes with the trace `run_traced()` returns.
+    let dir = std::env::temp_dir().join(format!("edgetune-golden-untraced-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace_file = dir.join("study.trace.json");
+    let checkpoint = dir.join("study.ckpt.json");
+    let halted = dir.join("halted.ckpt.json");
+    for shards in [1, 4] {
+        let base = golden_config().with_study_shards(shards);
+        let modes = [
+            ("default", base.clone()),
+            (
+                "chaos",
+                base.clone().with_fault_plan(FaultPlan::uniform(0.3)),
+            ),
+            ("pareto", base.clone().with_pareto(4)),
+            ("3 trial slots", base.clone().with_trial_slots(3)),
+            ("no pipelining", base.clone().without_pipelining()),
+            // Each run resumes from the checkpoint of a study halted
+            // after two rungs (restored from `halted` first).
+            (
+                "resumed",
+                base.clone().with_checkpoint_path(&checkpoint).resuming(),
+            ),
+        ];
+        // Halting writes the same checkpoint traced or not.
+        let halting = base
+            .with_checkpoint_path(&checkpoint)
+            .with_halt_after_rungs(2);
+        EdgeTune::new(halting.clone()).run_traced().unwrap();
+        let traced_halt = std::fs::read(&checkpoint).unwrap();
+        std::fs::remove_file(&checkpoint).unwrap();
+        EdgeTune::new(halting).run().unwrap();
+        assert_eq!(std::fs::read(&checkpoint).unwrap(), traced_halt, "halt");
+        std::fs::copy(&checkpoint, &halted).unwrap();
+
+        for (mode, config) in modes {
+            let fresh = || {
+                if mode == "resumed" {
+                    std::fs::copy(&halted, &checkpoint).unwrap();
+                }
+            };
+            let context = format!("{mode}, {shards} shard(s)");
+            fresh();
+            let plain = EdgeTune::new(config.clone()).run().unwrap();
+            fresh();
+            std::fs::remove_file(&trace_file).ok();
+            let written = EdgeTune::new(config.clone().with_trace_path(&trace_file))
+                .run()
+                .unwrap();
+            fresh();
+            let (traced, trace) = EdgeTune::new(config).run_traced().unwrap();
+            let bytes = traced.to_json().unwrap();
+            assert_eq!(plain.to_json().unwrap(), bytes, "{context}: untraced run");
+            assert_eq!(written.to_json().unwrap(), bytes, "{context}: trace_path");
+            assert_eq!(
+                std::fs::read_to_string(&trace_file).unwrap(),
+                trace.to_json_pretty(),
+                "{context}: the trace `run()` writes"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
