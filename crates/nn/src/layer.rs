@@ -2,8 +2,15 @@
 //!
 //! Every layer implements [`Layer`]: `forward` caches whatever it needs,
 //! `backward` consumes the gradient w.r.t. its output and returns the
-//! gradient w.r.t. its input, and `visit_params` exposes `(parameter,
-//! gradient)` pairs to the optimizer in a stable order.
+//! gradient w.r.t. its input, `backward_params` is the training form that
+//! computes only the parameter gradients, and `visit_params` exposes
+//! `(parameter, gradient)` pairs to the optimizer in a stable order.
+//!
+//! Kernels are specialised by shape and never by measurement: `Conv2d`
+//! takes contiguous slices when its stride is 1 and accumulates its
+//! weight gradient one output channel at a time. Every specialisation
+//! gives each output the additions of the reference loop in the same
+//! order, so results are bit-identical (see `tests/kernel_properties.rs`).
 
 use edgetune_util::rng::SeedStream;
 use rand::Rng;
@@ -26,6 +33,16 @@ pub trait Layer: std::fmt::Debug + Send {
     ///
     /// Implementations panic if called before `forward`.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+
+    /// The training form of [`Layer::backward`]: accumulates the same
+    /// parameter gradients, bit for bit, and computes no input gradient.
+    /// [`Sequential::backward_params`](crate::model::Sequential::backward_params)
+    /// calls it on a model's first parameterised layer, whose input
+    /// gradient nothing reads. The default runs `backward` and drops the
+    /// result.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let _ = self.backward(grad_out);
+    }
 
     /// Visits every `(parameter, gradient)` pair, in a stable order.
     fn visit_params(&mut self, _visit: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}
@@ -119,20 +136,24 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_params(grad_out);
+        // dx = dy · Wᵀ, the transpose through reused scratch.
         let (inputs, outputs) = (self.inputs(), self.outputs());
+        let wt = ensure_shape(&mut self.scratch_wt, &[outputs, inputs]);
+        self.weight.transpose_into(wt);
+        let mut grad_in = Tensor::zeros(&[grad_out.rows(), inputs]);
+        grad_out.matmul_into(wt, &mut grad_in);
+        grad_in
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
         let input = self.cached_input.as_ref().expect("backward before forward");
-        let batch = input.rows();
-        // dW = xᵀ · dy ; db = Σ_batch dy ; dx = dy · Wᵀ — transposes go
-        // through reused scratch, gradients into their standing buffers.
-        let xt = ensure_shape(&mut self.scratch_xt, &[inputs, batch]);
+        // dW = xᵀ · dy ; db = Σ_batch dy — the transpose through reused
+        // scratch, the gradients into their standing buffers.
+        let xt = ensure_shape(&mut self.scratch_xt, &[input.cols(), input.rows()]);
         input.transpose_into(xt);
         xt.matmul_into(grad_out, &mut self.grad_weight);
         grad_out.sum_rows_into(self.grad_bias.data_mut());
-        let wt = ensure_shape(&mut self.scratch_wt, &[outputs, inputs]);
-        self.weight.transpose_into(wt);
-        let mut grad_in = Tensor::zeros(&[batch, inputs]);
-        grad_out.matmul_into(wt, &mut grad_in);
-        grad_in
     }
 
     fn visit_params(&mut self, visit: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
@@ -169,8 +190,14 @@ impl Relu {
 
 impl Layer for Relu {
     fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        self.mask = Some(input.map(|x| if x > 0.0 { 1.0 } else { 0.0 }));
-        input.map(|x| x.max(0.0))
+        // One pass writes the output and refills the standing mask.
+        let mask = ensure_shape(&mut self.mask, input.shape());
+        let mut out = input.clone();
+        for (o, m) in out.data_mut().iter_mut().zip(mask.data_mut()) {
+            *m = if *o > 0.0 { 1.0 } else { 0.0 };
+            *o = o.max(0.0);
+        }
+        out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -478,10 +505,17 @@ impl Conv2d {
     }
 }
 
-/// Indexing helper for a 4-D NCHW tensor.
-#[inline]
-fn idx4(shape: &[usize], n: usize, c: usize, h: usize, w: usize) -> usize {
-    ((n * shape[1] + c) * shape[2] + h) * shape[3] + w
+/// The shape of one convolution call: kernel side, stride, padding, and
+/// input and output height and width.
+#[derive(Debug, Clone, Copy)]
+struct ConvGeometry {
+    k: usize,
+    stride: usize,
+    padding: usize,
+    ih: usize,
+    iw: usize,
+    oh: usize,
+    ow: usize,
 }
 
 /// Range of output positions `o` (capped to `[0, out_len)`) for which
@@ -505,10 +539,10 @@ fn valid_range(offset: isize, stride: usize, in_len: usize, out_len: usize) -> (
 
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let ishape = input.shape().to_vec();
+        let ishape = input.shape();
         assert_eq!(ishape.len(), 4, "conv2d expects NCHW input");
         let (batch, in_c, ih, iw) = (ishape[0], ishape[1], ishape[2], ishape[3]);
-        let wshape = self.weight.shape().to_vec();
+        let wshape = self.weight.shape();
         assert_eq!(
             in_c, wshape[1],
             "channel mismatch: input {in_c}, weight {}",
@@ -521,38 +555,46 @@ impl Layer for Conv2d {
         let mut out = Tensor::zeros(&[batch, out_c, oh, ow]);
         let xd = input.data();
         let wd = self.weight.data();
-        let bd = self.bias.data().to_vec();
+        let bd = self.bias.data();
         let od = out.data_mut();
         // Output-stationary sweep: seed each output map with its bias,
         // then stream the (ic, ky, kx) weight taps in ascending order
-        // with `ox` innermost. Every output element receives exactly the
-        // additions of the old ox-outer loop in the same order, so the
-        // result is bit-identical — but the inner loop is now a
-        // contiguous, branch-free run the autovectoriser can unroll.
-        // Padding is handled by hoisting the valid oy/ox ranges out of
-        // the inner loops instead of per-element bounds branches.
+        // with `ox` innermost, so every output element receives its
+        // additions in the reference order. Padding is handled by the
+        // valid oy/ox range of each tap, computed once per call; with
+        // stride 1 the inner loop is two contiguous slices zipped, which
+        // the autovectoriser turns into packed multiplies and adds.
+        let tap_ranges = |in_len, out_len| -> Vec<(usize, usize)> {
+            (0..k)
+                .map(|t| valid_range(t as isize - padding as isize, stride, in_len, out_len))
+                .collect()
+        };
+        let (oy_ranges, ox_ranges) = (tap_ranges(ih, oh), tap_ranges(iw, ow));
         for n in 0..batch {
             for oc in 0..out_c {
                 let obase = (n * out_c + oc) * oh * ow;
-                od[obase..obase + oh * ow]
-                    .iter_mut()
-                    .for_each(|o| *o = bd[oc]);
+                od[obase..obase + oh * ow].fill(bd[oc]);
                 for ic in 0..in_c {
                     let xplane = (n * in_c + ic) * ih * iw;
-                    for ky in 0..k {
-                        let kyo = ky as isize - padding as isize;
-                        let (oy_lo, oy_hi) = valid_range(kyo, stride, ih, oh);
-                        for kx in 0..k {
-                            let w = wd[idx4(&wshape, oc, ic, ky, kx)];
-                            let kxo = kx as isize - padding as isize;
-                            let (ox_lo, ox_hi) = valid_range(kxo, stride, iw, ow);
+                    for (ky, &(oy_lo, oy_hi)) in oy_ranges.iter().enumerate() {
+                        for (kx, &(ox_lo, ox_hi)) in ox_ranges.iter().enumerate() {
+                            if ox_lo == ox_hi {
+                                continue;
+                            }
+                            let w = wd[((oc * in_c + ic) * k + ky) * k + kx];
                             for oy in oy_lo..oy_hi {
-                                let iy = ((oy * stride) as isize + kyo) as usize;
-                                let xrow = xplane + iy * iw;
-                                let orow = obase + oy * ow;
-                                for ox in ox_lo..ox_hi {
-                                    let ix = ((ox * stride) as isize + kxo) as usize;
-                                    od[orow + ox] += xd[xrow + ix] * w;
+                                let iy = oy * stride + ky - padding;
+                                let xrow = &xd[xplane + iy * iw..][..iw];
+                                let orow = &mut od[obase + oy * ow..][..ow];
+                                if stride == 1 {
+                                    let xs = &xrow[ox_lo + kx - padding..];
+                                    for (o, &x) in orow[ox_lo..ox_hi].iter_mut().zip(xs) {
+                                        *o += x * w;
+                                    }
+                                } else {
+                                    for ox in ox_lo..ox_hi {
+                                        orow[ox] += xrow[ox * stride + kx - padding] * w;
+                                    }
                                 }
                             }
                         }
@@ -568,59 +610,42 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_params(grad_out);
         let input = self.cached_input.as_ref().expect("backward before forward");
-        let ishape = input.shape().to_vec();
-        let (batch, in_c, ih, iw) = (ishape[0], ishape[1], ishape[2], ishape[3]);
-        let wshape = self.weight.shape().to_vec();
+        let ishape = input.shape();
+        let (in_c, ih, iw) = (ishape[1], ishape[2], ishape[3]);
+        let wshape = self.weight.shape();
         let (out_c, k) = (wshape[0], wshape[2]);
-        let oshape = grad_out.shape().to_vec();
-        let (oh, ow) = (oshape[2], oshape[3]);
-
-        let mut grad_in = Tensor::zeros(&ishape);
-        self.grad_weight.fill_zero();
-        self.grad_bias.fill_zero();
-
-        let xd = input.data();
+        let (oh, ow) = (grad_out.shape()[2], grad_out.shape()[3]);
+        let (stride, padding) = (self.stride, self.padding);
+        let mut grad_in = Tensor::zeros(input.shape());
         let wd = self.weight.data();
         let god = grad_out.data();
         let gid = grad_in.data_mut();
-        let gwd = self.grad_weight.data_mut();
-        let gbd = self.grad_bias.data_mut();
-
-        // The (n, oc, oy, ox) → (ic, ky, kx) nesting is kept exactly as
-        // before: the three gradient buffers accumulate across output
-        // elements, so reordering the outer loops would change the
-        // floating-point addition order. The win here is hoisting the
-        // padding bounds out of the tap loops — `ky`/`kx` iterate only
-        // their valid windows, with no branches inside.
-        let (stride, padding) = (self.stride, self.padding);
-        for n in 0..batch {
-            for oc in 0..out_c {
-                for oy in 0..oh {
-                    let oys = (oy * stride) as isize - padding as isize;
-                    let ky_lo = (-oys).max(0) as usize;
-                    let ky_hi = (ih as isize - oys).clamp(0, k as isize) as usize;
-                    for ox in 0..ow {
-                        let g = god[idx4(&oshape, n, oc, oy, ox)];
-                        if g == 0.0 {
-                            continue;
-                        }
-                        gbd[oc] += g;
-                        let oxs = (ox * stride) as isize - padding as isize;
-                        let kx_lo = (-oxs).max(0) as usize;
-                        let kx_hi = (iw as isize - oxs).clamp(0, k as isize) as usize;
-                        for ic in 0..in_c {
-                            let xplane = (n * in_c + ic) * ih * iw;
-                            for ky in ky_lo..ky_hi {
-                                let iy = (oys + ky as isize) as usize;
-                                let xrow = xplane + iy * iw;
-                                let wrow = ((oc * in_c + ic) * k + ky) * k;
-                                for kx in kx_lo..kx_hi {
-                                    let xi = xrow + (oxs + kx as isize) as usize;
-                                    let wi = wrow + kx;
-                                    gwd[wi] += g * xd[xi];
-                                    gid[xi] += g * wd[wi];
-                                }
+        // Scatter: every nonzero output gradient adds `g · w` onto the
+        // inputs under its window, output elements in ascending
+        // (n, oc, oy, ox) order, with the padding bounds hoisted out of
+        // the tap loops.
+        for (plane, gplane) in god.chunks_exact(oh * ow).enumerate() {
+            let (n, oc) = (plane / out_c, plane % out_c);
+            for (oy, grow) in gplane.chunks_exact(ow).enumerate() {
+                let oys = (oy * stride) as isize - padding as isize;
+                let ky_lo = (-oys).max(0) as usize;
+                let ky_hi = (ih as isize - oys).clamp(0, k as isize) as usize;
+                for (ox, &g) in grow.iter().enumerate() {
+                    if g == 0.0 {
+                        continue;
+                    }
+                    let oxs = (ox * stride) as isize - padding as isize;
+                    let kx_lo = (-oxs).max(0) as usize;
+                    let kx_hi = (iw as isize - oxs).clamp(0, k as isize) as usize;
+                    for ic in 0..in_c {
+                        let xplane = (n * in_c + ic) * ih * iw;
+                        for ky in ky_lo..ky_hi {
+                            let xrow = xplane + (oys + ky as isize) as usize * iw;
+                            let wrow = ((oc * in_c + ic) * k + ky) * k;
+                            for kx in kx_lo..kx_hi {
+                                gid[xrow + (oxs + kx as isize) as usize] += g * wd[wrow + kx];
                             }
                         }
                     }
@@ -628,6 +653,48 @@ impl Layer for Conv2d {
             }
         }
         grad_in
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let input = self.cached_input.as_ref().expect("backward before forward");
+        let ishape = input.shape();
+        let (in_c, ih, iw) = (ishape[1], ishape[2], ishape[3]);
+        let out_c = self.weight.shape()[0];
+        let geo = ConvGeometry {
+            k: self.kernel(),
+            stride: self.stride,
+            padding: self.padding,
+            ih,
+            iw,
+            oh: self.output_size(ih),
+            ow: self.output_size(iw),
+        };
+        assert_eq!(
+            grad_out.shape(),
+            [ishape[0], out_c, geo.oh, geo.ow],
+            "conv2d output gradient does not match the forward output"
+        );
+        let (xd, god) = (input.data(), grad_out.data());
+        let gwd = self.grad_weight.data_mut();
+        let gbd = self.grad_bias.data_mut();
+        // One output channel at a time: the bias and each weight tap see
+        // the additions a scatter over output elements gives them, in the
+        // same (n, oy, ox) order.
+        // The taps skip zero gradients (zero times an infinite input is
+        // NaN). The bias needs no skip: a sum started at +0.0 never
+        // reaches -0.0, so adding ±0.0 leaves its bits unchanged.
+        let taps = geo.k * geo.k;
+        for oc in 0..out_c {
+            let gplanes = || god.chunks_exact(geo.oh * geo.ow).skip(oc).step_by(out_c);
+            gbd[oc] = gplanes().flatten().fold(0.0, |bias, &g| bias + g);
+            for ic in 0..in_c {
+                let xplanes = xd.chunks_exact(geo.ih * geo.iw).skip(ic).step_by(in_c);
+                let planes = xplanes.zip(gplanes());
+                let grad = &mut gwd[(oc * in_c + ic) * taps..][..taps];
+                grad.fill(0.0);
+                weight_taps(grad, geo, planes);
+            }
+        }
     }
 
     fn visit_params(&mut self, visit: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
@@ -641,6 +708,42 @@ impl Layer for Conv2d {
 
     fn param_count(&self) -> usize {
         self.weight.len() + self.bias.len()
+    }
+}
+
+/// Accumulates one (output channel, input channel) pair's weight
+/// gradient: `taps[ky·k + kx] += g · x` for every nonzero output gradient
+/// `g` of each `(input plane, output-gradient plane)` pair, in ascending
+/// (n, oy, ox) order, skipping taps that land in the padding.
+fn weight_taps<'a>(
+    taps: &mut [f32],
+    geo: ConvGeometry,
+    planes: impl Iterator<Item = (&'a [f32], &'a [f32])>,
+) {
+    let (k, ih, iw) = (geo.k, geo.ih as isize, geo.iw);
+    for (xplane, gplane) in planes {
+        for (oy, grow) in gplane.chunks_exact(geo.ow).enumerate() {
+            let y0 = (oy * geo.stride) as isize - geo.padding as isize;
+            for (ox, &g) in grow.iter().enumerate() {
+                if g == 0.0 {
+                    continue;
+                }
+                let x0 = (ox * geo.stride) as isize - geo.padding as isize;
+                for ky in 0..k {
+                    let iy = y0 + ky as isize;
+                    if !(0..ih).contains(&iy) {
+                        continue;
+                    }
+                    let xrow = &xplane[iy as usize * iw..][..iw];
+                    for kx in 0..k {
+                        let ix = x0 + kx as isize;
+                        if (0..iw as isize).contains(&ix) {
+                            taps[ky * k + kx] += g * xrow[ix as usize];
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -685,29 +788,28 @@ impl Layer for MaxPool2d {
         );
         let (oh, ow) = (ih / k, iw / k);
         let mut out = Tensor::zeros(&[batch, c, oh, ow]);
-        let oshape = out.shape().to_vec();
-        self.argmax = vec![0; batch * c * oh * ow];
+        // The argmax buffer is refilled, not reallocated, every call.
+        self.argmax.clear();
+        self.argmax.resize(out.len(), 0);
         let xd = input.data();
-        let od = out.data_mut();
-        for n in 0..batch {
-            for ch in 0..c {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0;
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                let xi = idx4(&ishape, n, ch, oy * k + ky, ox * k + kx);
-                                if xd[xi] > best {
-                                    best = xd[xi];
-                                    best_idx = xi;
-                                }
+        let planes = out.data_mut().chunks_exact_mut(oh * ow);
+        let arg_planes = self.argmax.chunks_exact_mut(oh * ow);
+        for (plane, (oplane, arg_plane)) in planes.zip(arg_planes).enumerate() {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_idx = 0;
+                    for ky in 0..k {
+                        let row = (plane * ih + oy * k + ky) * iw + ox * k;
+                        for (xi, &x) in (row..).zip(&xd[row..row + k]) {
+                            if x > best {
+                                best = x;
+                                best_idx = xi;
                             }
                         }
-                        let oi = idx4(&oshape, n, ch, oy, ox);
-                        od[oi] = best;
-                        self.argmax[oi] = best_idx;
                     }
+                    oplane[oy * ow + ox] = best;
+                    arg_plane[oy * ow + ox] = best_idx;
                 }
             }
         }

@@ -39,18 +39,19 @@ pub fn softmax(logits: &Tensor) -> Tensor {
 pub fn cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
     let (m, n) = (logits.rows(), logits.cols());
     assert_eq!(labels.len(), m, "labels must match batch size");
-    let probs = softmax(logits);
+    // The gradient is built in the softmax output itself: each label's
+    // probability is read for the loss before 1 is subtracted from it,
+    // then every element is scaled by 1/m.
+    let mut grad = softmax(logits);
     let mut loss = 0.0f32;
-    let mut grad = probs.clone();
-    let gd = grad.data_mut();
-    for (i, &label) in labels.iter().enumerate() {
+    for (row, &label) in grad.data_mut().chunks_exact_mut(n).zip(labels) {
         assert!(label < n, "label {label} out of range for {n} classes");
-        let p = probs.at(i, label).max(1e-12);
-        loss -= p.ln();
-        gd[i * n + label] -= 1.0;
+        loss -= row[label].max(1e-12).ln();
+        row[label] -= 1.0;
     }
     let scale = 1.0 / m as f32;
-    (loss * scale, grad.scale(scale))
+    grad.data_mut().iter_mut().for_each(|g| *g *= scale);
+    (loss * scale, grad)
 }
 
 /// Mean squared error.

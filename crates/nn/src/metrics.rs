@@ -2,7 +2,8 @@
 
 use crate::tensor::Tensor;
 
-/// Fraction of rows whose argmax matches the label.
+/// Fraction of rows whose argmax matches the label. A row holding a NaN
+/// makes no prediction and counts as wrong.
 ///
 /// # Panics
 ///
@@ -18,16 +19,19 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f64 {
     let correct = predictions
         .iter()
         .zip(labels)
-        .filter(|(p, l)| p == l)
+        .filter(|&(&p, &l)| p == Some(l))
         .count();
     correct as f64 / labels.len() as f64
 }
 
-/// A confusion matrix over `classes` classes: `counts[actual][predicted]`.
+/// A confusion matrix over `classes` classes: `counts[actual][predicted]`,
+/// plus, per actual class, the samples that made no prediction (a NaN
+/// row), which count as wrong.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     classes: usize,
     counts: Vec<u64>,
+    unpredicted: Vec<u64>,
 }
 
 impl ConfusionMatrix {
@@ -42,6 +46,7 @@ impl ConfusionMatrix {
         ConfusionMatrix {
             classes,
             counts: vec![0; classes * classes],
+            unpredicted: vec![0; classes],
         }
     }
 
@@ -58,10 +63,21 @@ impl ConfusionMatrix {
         self.counts[actual * self.classes + predicted] += 1;
     }
 
-    /// Records a whole batch from logits.
+    /// Records a whole batch from logits. A row holding a NaN makes no
+    /// prediction and is recorded as wrong.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a label is out of range.
     pub fn record_batch(&mut self, logits: &Tensor, labels: &[usize]) {
         for (p, &a) in logits.argmax_rows().into_iter().zip(labels) {
-            self.record(a, p);
+            match p {
+                Some(p) => self.record(a, p),
+                None => {
+                    assert!(a < self.classes, "class out of range");
+                    self.unpredicted[a] += 1;
+                }
+            }
         }
     }
 
@@ -71,10 +87,10 @@ impl ConfusionMatrix {
         self.counts[actual * self.classes + predicted]
     }
 
-    /// Total recorded samples.
+    /// Total recorded samples, including those that made no prediction.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
+        self.counts.iter().sum::<u64>() + self.unpredicted.iter().sum::<u64>()
     }
 
     /// Overall accuracy; `None` when nothing has been recorded.
@@ -91,7 +107,8 @@ impl ConfusionMatrix {
     /// Per-class recall; `None` for classes with no samples.
     #[must_use]
     pub fn recall(&self, class: usize) -> Option<f64> {
-        let row: u64 = (0..self.classes).map(|j| self.count(class, j)).sum();
+        let row =
+            (0..self.classes).map(|j| self.count(class, j)).sum::<u64>() + self.unpredicted[class];
         if row == 0 {
             None
         } else {
@@ -109,6 +126,17 @@ mod tests {
         let logits = Tensor::from_vec(vec![0.9, 0.1, 0.2, 0.8, 0.6, 0.4], &[3, 2]);
         assert!((accuracy(&logits, &[0, 1, 1]) - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(accuracy(&logits, &[0, 1, 0]), 1.0);
+    }
+
+    #[test]
+    fn a_nan_row_is_a_wrong_prediction() {
+        let logits = Tensor::from_vec(vec![0.9, 0.1, f32::NAN, 0.8, 0.2, 0.7], &[3, 2]);
+        assert!((accuracy(&logits, &[0, 1, 1]) - 2.0 / 3.0).abs() < 1e-12);
+        let mut cm = ConfusionMatrix::new(2);
+        cm.record_batch(&logits, &[0, 1, 1]);
+        assert_eq!(cm.total(), 3, "the NaN row is recorded as wrong");
+        assert!((cm.accuracy().unwrap() - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(cm.recall(1), Some(0.5));
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! The [`Sequential`] model container.
 
+use std::borrow::Cow;
+
 use crate::layer::Layer;
 use crate::tensor::Tensor;
 
@@ -78,6 +80,31 @@ impl Sequential {
             g = layer.backward(&g);
         }
         g
+    }
+
+    /// The training form of [`Sequential::backward`]: accumulates every
+    /// parameter gradient, bit for bit the same, and returns nothing.
+    /// Nothing reads the gradient with respect to the model input, so the
+    /// layers in front of the first parameterised layer do not run
+    /// backward, and that layer runs [`Layer::backward_params`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before [`Sequential::forward`].
+    pub fn backward_params(&mut self, grad_out: &Tensor) {
+        let first = self.layers.iter_mut().position(|layer| {
+            let mut has_params = false;
+            layer.visit_params(&mut |_, _| has_params = true);
+            has_params
+        });
+        let Some(first) = first else {
+            return;
+        };
+        let mut g = Cow::Borrowed(grad_out);
+        for layer in self.layers[first + 1..].iter_mut().rev() {
+            g = Cow::Owned(layer.backward(&g));
+        }
+        self.layers[first].backward_params(&g);
     }
 
     /// Visits every `(parameter, gradient)` pair across all layers, in a

@@ -3,16 +3,20 @@
 //! [`Tensor`] is a contiguous row-major array with an explicit shape. It
 //! supports the operations the layer zoo needs — matrix multiplication,
 //! broadcasting row additions, element-wise maps, transposition,
-//! reductions — with shape checking on every operation.
+//! reductions — with shape checking on every operation. Matrix products
+//! pick their routine from the output width (see
+//! [`Tensor::matmul_into`]); every routine is bit-identical to
+//! [`Tensor::matmul_naive`].
 
 use edgetune_util::rng::{sample_normal, SeedStream};
 
-/// Cache-block sizes for [`Tensor::matmul_into`]: output rows × output
-/// columns per tile. The `k` loop is never tiled — splitting it would
-/// reorder floating-point accumulation and break bit-identity with the
-/// naive kernels — so blocking only bounds the `rhs` panel (`k` rows ×
-/// `MATMUL_BLOCK_COLS` columns ≈ 128 KiB at `k = 256`) that each pass
-/// streams, keeping it resident in L2 across a stripe of output rows.
+/// Cache-block sizes for the wide routine of [`Tensor::matmul_into`]:
+/// output rows × output columns per tile. The `k` loop is never tiled —
+/// splitting it would reorder floating-point accumulation and break
+/// bit-identity with the naive kernels — so blocking only bounds the
+/// `rhs` panel (`k` rows × `MATMUL_BLOCK_COLS` columns ≈ 128 KiB at
+/// `k = 256`) that each pass streams, keeping it resident in L2 across a
+/// stripe of output rows.
 const MATMUL_BLOCK_ROWS: usize = 64;
 const MATMUL_BLOCK_COLS: usize = 128;
 
@@ -227,14 +231,17 @@ impl Tensor {
 
     /// Matrix product written into a preallocated `[m, n]` output.
     ///
-    /// The kernel is cache-blocked over output rows and columns only;
-    /// the `k` loop is never split, so every output element accumulates
-    /// its products onto a fresh zero in one ascending-`k` pass and the
-    /// result is bit-identical to [`Tensor::matmul_naive`]
-    /// (proptest-enforced in `tests/kernel_properties.rs`). Rows of
-    /// `rhs` whose `self` coefficient is exactly zero are skipped: the
-    /// `±0.0` products they would add cannot change any value the
-    /// accumulator can reach.
+    /// The routine is chosen by the output width `n`. Up to 32 columns,
+    /// each output row accumulates in a local `[f32; n]` array, small
+    /// enough to stay in registers for the whole `k` loop, and is stored
+    /// once; wider outputs take a loop cache-blocked over output rows and
+    /// columns. Neither splits the `k` loop: every output element
+    /// accumulates its products onto a fresh zero in one ascending-`k`
+    /// pass, with no fused multiply-add, so both routines are
+    /// bit-identical to [`Tensor::matmul_naive`] (proptest-enforced in
+    /// `tests/kernel_properties.rs`). Rows of `rhs` whose `self`
+    /// coefficient is exactly zero are skipped: the `±0.0` products they
+    /// would add cannot change any value the accumulator can reach.
     ///
     /// # Panics
     ///
@@ -253,33 +260,24 @@ impl Tensor {
             "matmul output must be [{m}, {n}], got {:?}",
             out.shape
         );
-        out.data.iter_mut().for_each(|x| *x = 0.0);
-        for ib in (0..m).step_by(MATMUL_BLOCK_ROWS) {
-            let i_end = (ib + MATMUL_BLOCK_ROWS).min(m);
-            for jb in (0..n).step_by(MATMUL_BLOCK_COLS) {
-                let j_end = (jb + MATMUL_BLOCK_COLS).min(n);
-                for i in ib..i_end {
-                    let a_row = &self.data[i * k..(i + 1) * k];
-                    let out_row = &mut out.data[i * n + jb..i * n + j_end];
-                    for (p, &a) in a_row.iter().enumerate() {
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let rhs_row = &rhs.data[p * n + jb..p * n + j_end];
-                        for (o, &b) in out_row.iter_mut().zip(rhs_row) {
-                            *o += a * b;
-                        }
-                    }
+        let (lhs, rhs, out) = (&self.data[..], &rhs.data[..], &mut out.data[..]);
+        macro_rules! by_width {
+            ($($w:literal)*) => {
+                match n {
+                    $($w => matmul_narrow::<$w>(lhs, rhs, out, k),)*
+                    _ => matmul_blocked(lhs, rhs, out, k, n),
                 }
-            }
+            };
         }
+        by_width!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32);
     }
 
     /// Reference matrix product: the textbook `i → j → k` triple loop.
     ///
     /// Deliberately unblocked — the inner loop walks a column of `rhs`
     /// with stride `n`, so this is the cache-hostile baseline the
-    /// blocked kernel is benchmarked (`perf_baseline --hotpath`) and
+    /// blocked kernel is benchmarked against (`perf_baseline --hotpath`)
+    /// and the oracle every [`Tensor::matmul_into`] routine is
     /// proptested against. It keeps the same zero-coefficient skip and
     /// ascending-`k` accumulation, hence bit-identical results.
     ///
@@ -488,18 +486,24 @@ impl Tensor {
         self.sum() / self.data.len() as f32
     }
 
-    /// Index of the maximum element in each row of a 2-D tensor.
+    /// Index of the maximum element in each row of a 2-D tensor (the
+    /// last one on ties), or `None` for a row holding a NaN: a diverged
+    /// model makes no prediction there.
     #[must_use]
-    pub fn argmax_rows(&self) -> Vec<usize> {
-        let (m, n) = (self.rows(), self.cols());
-        (0..m)
-            .map(|i| {
-                let row = &self.data[i * n..(i + 1) * n];
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("NaN in argmax"))
-                    .map(|(idx, _)| idx)
-                    .expect("rows are non-empty")
+    pub fn argmax_rows(&self) -> Vec<Option<usize>> {
+        self.data
+            .chunks_exact(self.cols())
+            .map(|row| {
+                let mut best = 0;
+                for (j, &x) in row.iter().enumerate() {
+                    if x.is_nan() {
+                        return None;
+                    }
+                    if x >= row[best] {
+                        best = j;
+                    }
+                }
+                Some(best)
             })
             .collect()
     }
@@ -573,6 +577,52 @@ impl Tensor {
     /// Sets every element to zero (used to clear gradients).
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|x| *x = 0.0);
+    }
+}
+
+/// The narrow routine of [`Tensor::matmul_into`]: `out` has exactly `N`
+/// columns, so a whole output row lives in one local `[f32; N]`
+/// accumulator across the `k` loop and is stored once.
+fn matmul_narrow<const N: usize>(lhs: &[f32], rhs: &[f32], out: &mut [f32], k: usize) {
+    let (rhs_rows, _) = rhs.as_chunks::<N>();
+    let (out_rows, _) = out.as_chunks_mut::<N>();
+    for (a_row, out_row) in lhs.chunks_exact(k).zip(out_rows) {
+        let mut acc = [0.0f32; N];
+        for (&a, rhs_row) in a_row.iter().zip(rhs_rows) {
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &b) in acc.iter_mut().zip(rhs_row) {
+                *o += a * b;
+            }
+        }
+        *out_row = acc;
+    }
+}
+
+/// The wide routine of [`Tensor::matmul_into`]: accumulates in `out`,
+/// tiled over output rows and columns.
+fn matmul_blocked(lhs: &[f32], rhs: &[f32], out: &mut [f32], k: usize, n: usize) {
+    let m = out.len() / n;
+    out.fill(0.0);
+    for ib in (0..m).step_by(MATMUL_BLOCK_ROWS) {
+        let i_end = (ib + MATMUL_BLOCK_ROWS).min(m);
+        for jb in (0..n).step_by(MATMUL_BLOCK_COLS) {
+            let j_end = (jb + MATMUL_BLOCK_COLS).min(n);
+            for i in ib..i_end {
+                let a_row = &lhs[i * k..(i + 1) * k];
+                let out_row = &mut out[i * n + jb..i * n + j_end];
+                for (p, &a) in a_row.iter().enumerate() {
+                    if a == 0.0 {
+                        continue;
+                    }
+                    let rhs_row = &rhs[p * n + jb..p * n + j_end];
+                    for (o, &b) in out_row.iter_mut().zip(rhs_row) {
+                        *o += a * b;
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -717,7 +767,29 @@ mod tests {
     #[test]
     fn argmax_rows_finds_peaks() {
         let a = Tensor::from_vec(vec![0.1, 0.9, 0.5, 0.6, 0.3, 0.1], &[2, 3]);
-        assert_eq!(a.argmax_rows(), vec![1, 0]);
+        assert_eq!(a.argmax_rows(), vec![Some(1), Some(0)]);
+    }
+
+    #[test]
+    fn argmax_rows_breaks_ties_late_and_refuses_nan_rows() {
+        let a = Tensor::from_vec(
+            vec![
+                0.5,
+                0.5,
+                0.1,
+                0.0,
+                -0.0,
+                -1.0,
+                f32::NEG_INFINITY,
+                f32::NEG_INFINITY,
+                f32::NEG_INFINITY,
+                1.0,
+                f32::NAN,
+                f32::INFINITY,
+            ],
+            &[4, 3],
+        );
+        assert_eq!(a.argmax_rows(), vec![Some(1), Some(1), Some(2), None]);
     }
 
     #[test]

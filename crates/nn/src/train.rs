@@ -154,7 +154,7 @@ pub fn fit(
         for (features, labels) in effective.batches(config.batch, seed, u64::from(epoch)) {
             let logits = model.forward(&features, true);
             let (loss, grad) = cross_entropy(&logits, &labels);
-            model.backward(&grad);
+            model.backward_params(&grad);
             optimizer.step(model, epoch);
             loss_sum += f64::from(loss);
             acc_sum += accuracy(&logits, &labels);

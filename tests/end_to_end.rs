@@ -7,6 +7,7 @@ use edgetune::backend::{NnTrainingBackend, SimTrainingBackend, TrainingBackend, 
 use edgetune::prelude::*;
 use edgetune_device::latency::{simulate_inference, CpuAllocation};
 use edgetune_device::spec::DeviceSpec;
+use edgetune_nn::data::Dataset;
 use edgetune_tuner::budget::TrialBudget;
 use edgetune_util::rng::SeedStream;
 use edgetune_util::units::Seconds;
@@ -217,6 +218,32 @@ fn nn_backend_reports_do_not_depend_on_the_shard_count() {
             assert_eq!(report_under(shards), unsharded, "{shards} shards");
         }
     }
+}
+
+#[test]
+fn a_diverged_nn_trial_scores_low_instead_of_failing_the_study() {
+    // Features scaled by 1e30 make the first SGD step overflow the
+    // weights, so every later forward pass yields NaN logits. Such a
+    // model predicts nothing: its trials score as wrong on every
+    // validation sample, and the study still reports.
+    let seed = SeedStream::new(3);
+    let blobs = Dataset::gaussian_blobs(200, 8, 4, 0.35, seed.child("data"));
+    let scaled = Dataset::new(
+        blobs.features().scale(1e30),
+        blobs.labels().to_vec(),
+        blobs.classes(),
+    );
+    let (train, val) = scaled.split(0.8);
+    let mut backend = NnTrainingBackend::with_dataset(train, val, seed);
+    let report = EdgeTune::new(quick(WorkloadId::Ic))
+        .run_with_backend(&mut backend)
+        .expect("a diverged trial must not fail the study");
+    let records = report.history().records();
+    assert!(!records.is_empty());
+    assert!(
+        records.iter().all(|r| r.outcome.accuracy == 0.0),
+        "NaN logits predict nothing, so no validation sample is right"
+    );
 }
 
 #[test]
