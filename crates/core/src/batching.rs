@@ -176,59 +176,12 @@ impl MultiStreamScenario {
         max_wait: Seconds,
         seed: SeedStream,
     ) -> QueueStats {
-        assert!(batch_cap >= 1, "batch cap must be >= 1");
-        assert!(max_wait.value() >= 0.0, "max wait must be non-negative");
-        let mut rng = seed.rng("multi-stream-arrivals");
-        let mut t = 0.0;
-        let arrivals: Vec<f64> = (0..self.arrivals)
-            .map(|_| {
-                t += sample_exponential(&mut rng, self.rate);
-                t
-            })
-            .collect();
-
-        let mut latency_cache: Vec<Option<f64>> = vec![None; batch_cap as usize + 1];
-        let mut service = |size: u32| -> f64 {
-            let slot = &mut latency_cache[size as usize];
-            *slot.get_or_insert_with(|| {
-                simulate_inference(device, alloc, profile, size)
-                    .latency
-                    .value()
-            })
-        };
-
-        let mut response_sum = 0.0;
-        let mut free_at = 0.0f64;
-        let mut next = 0usize;
-        let mut batches = 0u64;
-        while next < arrivals.len() {
-            let anchor = arrivals[next];
-            let deadline = anchor + max_wait.value();
-            // When would the cap-th sample (counting from the oldest
-            // waiting one) arrive?
-            let fill_time = arrivals
-                .get(next + batch_cap as usize - 1)
-                .copied()
-                .unwrap_or(f64::INFINITY);
-            let start = free_at.max(deadline.min(fill_time)).max(anchor);
-            let mut size = 0u32;
-            while next < arrivals.len() && arrivals[next] <= start && size < batch_cap {
-                size += 1;
-                next += 1;
-            }
-            debug_assert!(size >= 1, "the anchor sample has arrived by `start`");
-            let completion = start + service(size);
-            for &arrival in &arrivals[next - size as usize..next] {
-                response_sum += completion - arrival;
-            }
-            batches += 1;
-            free_at = completion;
-        }
-        QueueStats {
-            mean_response: Seconds::new(response_sum / self.arrivals as f64),
-            batches_served: batches,
-            mean_batch_size: self.arrivals as f64 / batches as f64,
-        }
+        replay(
+            &self.draw_arrivals(seed),
+            batch_cap,
+            max_wait,
+            &mut batch_latency(device, alloc, profile),
+        )
     }
 
     /// The batch cap minimising mean response time among `candidates`.
@@ -241,21 +194,108 @@ impl MultiStreamScenario {
         candidates: &[u32],
         seed: SeedStream,
     ) -> Option<(u32, Seconds)> {
+        let arrivals = self.draw_arrivals(seed);
+        let mut service = batch_latency(device, alloc, profile);
         candidates
             .iter()
             .map(|&cap| {
-                (
-                    cap,
-                    self.mean_response_time(device, alloc, profile, cap, seed),
-                )
+                let stats = replay(&arrivals, cap, Seconds::ZERO, &mut service);
+                (cap, stats.mean_response)
             })
             .min_by(|a, b| a.1.value().partial_cmp(&b.1.value()).expect("finite times"))
+    }
+
+    /// The Poisson arrival times of one run under `seed`. Every candidate
+    /// a sweep compares replays the same draw.
+    pub(crate) fn draw_arrivals(&self, seed: SeedStream) -> Vec<f64> {
+        let mut rng = seed.rng("multi-stream-arrivals");
+        let mut t = 0.0;
+        (0..self.arrivals)
+            .map(|_| {
+                t += sample_exponential(&mut rng, self.rate);
+                t
+            })
+            .collect()
+    }
+}
+
+/// Memoised `simulate_inference` latency per batch size on one
+/// allocation: a sweep's candidates share it, so each size is simulated
+/// once per allocation.
+pub(crate) fn batch_latency<'a>(
+    device: &'a DeviceSpec,
+    alloc: &'a CpuAllocation,
+    profile: &'a WorkProfile,
+) -> impl FnMut(u32) -> f64 + 'a {
+    let mut cache: Vec<Option<f64>> = Vec::new();
+    move |size| {
+        let idx = size as usize;
+        if idx >= cache.len() {
+            cache.resize(idx + 1, None);
+        }
+        *cache[idx].get_or_insert_with(|| {
+            simulate_inference(device, alloc, profile, size)
+                .latency
+                .value()
+        })
+    }
+}
+
+/// The batch-or-timeout queue of
+/// [`MultiStreamScenario::simulate_with_timeout`] over sorted `arrivals`,
+/// with `service(size)` the latency of a batch of `size` samples.
+///
+/// # Panics
+///
+/// Panics if `batch_cap` is zero or `max_wait` is negative.
+pub(crate) fn replay(
+    arrivals: &[f64],
+    batch_cap: u32,
+    max_wait: Seconds,
+    service: &mut impl FnMut(u32) -> f64,
+) -> QueueStats {
+    assert!(batch_cap >= 1, "batch cap must be >= 1");
+    assert!(max_wait.value() >= 0.0, "max wait must be non-negative");
+    let mut response_sum = 0.0;
+    let mut free_at = 0.0f64;
+    let mut next = 0usize;
+    let mut batches = 0u64;
+    while next < arrivals.len() {
+        let anchor = arrivals[next];
+        let deadline = anchor + max_wait.value();
+        // When would the cap-th sample (counting from the oldest
+        // waiting one) arrive?
+        let fill_time = arrivals
+            .get(next + batch_cap as usize - 1)
+            .copied()
+            .unwrap_or(f64::INFINITY);
+        let start = free_at.max(deadline.min(fill_time)).max(anchor);
+        let mut size = 0u32;
+        while next < arrivals.len() && arrivals[next] <= start && size < batch_cap {
+            size += 1;
+            next += 1;
+        }
+        debug_assert!(size >= 1, "the anchor sample has arrived by `start`");
+        let completion = start + service(size);
+        for &arrival in &arrivals[next - size as usize..next] {
+            response_sum += completion - arrival;
+        }
+        batches += 1;
+        free_at = completion;
+    }
+    QueueStats {
+        mean_response: Seconds::new(response_sum / arrivals.len() as f64),
+        batches_served: batches,
+        mean_batch_size: arrivals.len() as f64 / batches as f64,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inference::InferenceSpace;
+    use crate::scenario::{tune_for_scenario, Scenario, ScenarioRecommendation};
+    use rand::Rng;
 
     fn setup() -> (DeviceSpec, CpuAllocation, WorkProfile) {
         let device = DeviceSpec::raspberry_pi_3b();
@@ -316,6 +356,220 @@ mod tests {
             free_at = completion;
         }
         Seconds::new(response_sum / served as f64)
+    }
+
+    /// The per-candidate simulation as it was before sweeps shared their
+    /// arrivals and latencies: every call draws its own arrivals and
+    /// simulates every batch size afresh. The oracle the sweeps are held
+    /// to, bit for bit.
+    fn reference_simulate_with_timeout(
+        scenario: &MultiStreamScenario,
+        device: &DeviceSpec,
+        alloc: &CpuAllocation,
+        profile: &WorkProfile,
+        batch_cap: u32,
+        max_wait: Seconds,
+        seed: SeedStream,
+    ) -> QueueStats {
+        let mut rng = seed.rng("multi-stream-arrivals");
+        let mut t = 0.0;
+        let arrivals: Vec<f64> = (0..scenario.arrivals)
+            .map(|_| {
+                t += sample_exponential(&mut rng, scenario.rate);
+                t
+            })
+            .collect();
+        let mut response_sum = 0.0;
+        let mut free_at = 0.0f64;
+        let mut next = 0usize;
+        let mut batches = 0u64;
+        while next < arrivals.len() {
+            let anchor = arrivals[next];
+            let deadline = anchor + max_wait.value();
+            let fill_time = arrivals
+                .get(next + batch_cap as usize - 1)
+                .copied()
+                .unwrap_or(f64::INFINITY);
+            let start = free_at.max(deadline.min(fill_time)).max(anchor);
+            let mut size = 0u32;
+            while next < arrivals.len() && arrivals[next] <= start && size < batch_cap {
+                size += 1;
+                next += 1;
+            }
+            let completion = start
+                + simulate_inference(device, alloc, profile, size)
+                    .latency
+                    .value();
+            for &arrival in &arrivals[next - size as usize..next] {
+                response_sum += completion - arrival;
+            }
+            batches += 1;
+            free_at = completion;
+        }
+        QueueStats {
+            mean_response: Seconds::new(response_sum / scenario.arrivals as f64),
+            batches_served: batches,
+            mean_batch_size: scenario.arrivals as f64 / batches as f64,
+        }
+    }
+
+    /// [`crate::scenario::tune_for_scenario`] as a loop over
+    /// [`reference_simulate_with_timeout`].
+    fn reference_tune(
+        device: &DeviceSpec,
+        space: &InferenceSpace,
+        profile: &WorkProfile,
+        scenario: &Scenario,
+        seed: SeedStream,
+    ) -> Option<ScenarioRecommendation> {
+        let mut best: Option<ScenarioRecommendation> = None;
+        for &cores in &space.cores {
+            for &freq in &space.freqs {
+                let alloc = CpuAllocation::new(device, cores, freq).unwrap();
+                for &batch in &space.batches {
+                    let response = match scenario {
+                        Scenario::Server(s) => s.response_time(device, &alloc, profile, batch),
+                        Scenario::MultiStream(s) => Some(
+                            reference_simulate_with_timeout(
+                                s,
+                                device,
+                                &alloc,
+                                profile,
+                                batch,
+                                Seconds::ZERO,
+                                seed,
+                            )
+                            .mean_response,
+                        ),
+                    };
+                    let Some(response) = response else { continue };
+                    if best.as_ref().is_none_or(|b| response < b.mean_response) {
+                        best = Some(ScenarioRecommendation {
+                            device: device.name.clone(),
+                            batch,
+                            cores,
+                            freq,
+                            mean_response: response,
+                        });
+                    }
+                }
+            }
+        }
+        best
+    }
+
+    fn assert_same_stats(got: QueueStats, want: QueueStats, context: &str) {
+        assert_eq!(
+            got.mean_response.value().to_bits(),
+            want.mean_response.value().to_bits(),
+            "{context}"
+        );
+        assert_eq!(got.batches_served, want.batches_served, "{context}");
+        assert_eq!(
+            got.mean_batch_size.to_bits(),
+            want.mean_batch_size.to_bits(),
+            "{context}"
+        );
+    }
+
+    #[test]
+    fn shared_sweeps_match_the_per_candidate_reference() {
+        let (device, alloc, profile) = setup();
+        let full = InferenceSpace::for_device(&device);
+        let spaces = [
+            full.clone(),
+            InferenceSpace {
+                batches: vec![64, 1, 16, 4, 100, 2],
+                ..full.clone()
+            },
+            InferenceSpace {
+                batches: vec![8, 8, 1, 32, 1, 8],
+                ..full.clone()
+            },
+            InferenceSpace {
+                batches: vec![16],
+                ..full.clone()
+            },
+        ];
+        let mut rng = SeedStream::new(2024).rng("oracle-rates");
+        for _ in 0..6 {
+            // Log-uniform between 0.05 and 200 arrivals per second.
+            let rate = 0.05 * (200.0f64 / 0.05).powf(rng.gen::<f64>());
+            for arrivals in [1, 2, 37, 400] {
+                let scenario = MultiStreamScenario::new(rate, arrivals);
+                for seed in [3, 11].map(SeedStream::new) {
+                    for space in &spaces {
+                        let context = format!("rate {rate}, {arrivals} arrivals, {space:?}");
+                        let want = space
+                            .batches
+                            .iter()
+                            .map(|&cap| {
+                                let t = reference_simulate_with_timeout(
+                                    &scenario,
+                                    &device,
+                                    &alloc,
+                                    &profile,
+                                    cap,
+                                    Seconds::ZERO,
+                                    seed,
+                                )
+                                .mean_response;
+                                (cap, t)
+                            })
+                            .min_by(|a, b| a.1.value().partial_cmp(&b.1.value()).unwrap())
+                            .unwrap();
+                        let got = scenario
+                            .optimal_batch_cap(&device, &alloc, &profile, &space.batches, seed)
+                            .unwrap();
+                        assert_eq!(got.0, want.0, "{context}");
+                        assert_eq!(
+                            got.1.value().to_bits(),
+                            want.1.value().to_bits(),
+                            "{context}"
+                        );
+
+                        let multi = Scenario::MultiStream(scenario);
+                        let got =
+                            tune_for_scenario(&device, space, &profile, &multi, seed).unwrap();
+                        let want = reference_tune(&device, space, &profile, &multi, seed).unwrap();
+                        assert_eq!(got.device, want.device, "{context}");
+                        assert_eq!(got.batch, want.batch, "{context}");
+                        assert_eq!(got.cores, want.cores, "{context}");
+                        assert_eq!(got.freq, want.freq, "{context}");
+                        assert_eq!(
+                            got.mean_response.value().to_bits(),
+                            want.mean_response.value().to_bits(),
+                            "{context}"
+                        );
+                    }
+                    for cap in [1, 7, 64] {
+                        for wait in [0.0, 0.05, 2.0].map(Seconds::new) {
+                            assert_same_stats(
+                                scenario.simulate_with_timeout(
+                                    &device, &alloc, &profile, cap, wait, seed,
+                                ),
+                                reference_simulate_with_timeout(
+                                    &scenario, &device, &alloc, &profile, cap, wait, seed,
+                                ),
+                                &format!(
+                                    "rate {rate}, {arrivals} arrivals, cap {cap}, wait {wait}"
+                                ),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // The server path is held to the same loop.
+        for period in [0.5, 30.0, 600.0] {
+            let server = Scenario::Server(ServerScenario::new(64, Seconds::new(period)));
+            let seed = SeedStream::new(1);
+            assert_eq!(
+                tune_for_scenario(&device, &full, &profile, &server, seed).ok(),
+                reference_tune(&device, &full, &profile, &server, seed),
+                "server period {period}"
+            );
+        }
     }
 
     #[test]

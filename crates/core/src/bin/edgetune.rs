@@ -135,7 +135,7 @@ fn parse_scenario(value: &str) -> Result<Scenario, String> {
             let period: f64 = period
                 .parse()
                 .map_err(|e| format!("bad period in --scenario: {e}"))?;
-            if samples == 0 || period <= 0.0 {
+            if samples == 0 || !(period > 0.0 && period.is_finite()) {
                 return Err("--scenario server needs samples >= 1 and period > 0".into());
             }
             Ok(Scenario::Server(ServerScenario::new(
@@ -147,7 +147,7 @@ fn parse_scenario(value: &str) -> Result<Scenario, String> {
             let rate: f64 = rate
                 .parse()
                 .map_err(|e| format!("bad rate in --scenario: {e}"))?;
-            if rate <= 0.0 {
+            if !(rate > 0.0 && rate.is_finite()) {
                 return Err("--scenario multistream needs rate > 0".into());
             }
             Ok(Scenario::MultiStream(MultiStreamScenario::new(rate, 400)))
@@ -345,7 +345,7 @@ fn parse_serve_args(argv: impl Iterator<Item = String>) -> Result<ServeArgs, Str
                 args.rate = value(&mut argv, "--rate")?
                     .parse()
                     .map_err(|e| format!("bad rate: {e}"))?;
-                if args.rate <= 0.0 {
+                if !(args.rate > 0.0 && args.rate.is_finite()) {
                     return Err("--rate must be > 0".into());
                 }
             }
@@ -353,7 +353,7 @@ fn parse_serve_args(argv: impl Iterator<Item = String>) -> Result<ServeArgs, Str
                 args.horizon = value(&mut argv, "--horizon")?
                     .parse()
                     .map_err(|e| format!("bad horizon: {e}"))?;
-                if args.horizon <= 0.0 {
+                if !(args.horizon > 0.0 && args.horizon.is_finite()) {
                     return Err("--horizon must be > 0".into());
                 }
             }
@@ -361,7 +361,7 @@ fn parse_serve_args(argv: impl Iterator<Item = String>) -> Result<ServeArgs, Str
                 args.slo = value(&mut argv, "--slo")?
                     .parse()
                     .map_err(|e| format!("bad SLO target: {e}"))?;
-                if args.slo <= 0.0 {
+                if !(args.slo > 0.0 && args.slo.is_finite()) {
                     return Err("--slo must be > 0".into());
                 }
             }

@@ -17,7 +17,7 @@ use edgetune_util::units::{Hertz, Seconds};
 use edgetune_util::{Error, Result};
 use serde::{Deserialize, Serialize};
 
-use crate::batching::{MultiStreamScenario, ServerScenario};
+use crate::batching::{batch_latency, replay, MultiStreamScenario, ServerScenario};
 use crate::inference::InferenceSpace;
 
 /// A deployment traffic pattern (Fig. 8).
@@ -67,24 +67,23 @@ pub fn tune_for_scenario(
     seed: SeedStream,
 ) -> Result<ScenarioRecommendation> {
     space.validate(device)?;
+    // Every multi-stream candidate replays the same arrivals, so they are
+    // drawn once per sweep.
+    let arrivals = match scenario {
+        Scenario::Server(_) => Vec::new(),
+        Scenario::MultiStream(s) => s.draw_arrivals(seed),
+    };
     let mut best: Option<ScenarioRecommendation> = None;
     for &cores in &space.cores {
         for &freq in &space.freqs {
             let alloc = CpuAllocation::new(device, cores, freq)?;
+            let mut service = batch_latency(device, &alloc, profile);
             for &batch in &space.batches {
                 let response = match scenario {
                     Scenario::Server(s) => s.response_time(device, &alloc, profile, batch),
-                    Scenario::MultiStream(s) => Some(
-                        s.simulate_with_timeout(
-                            device,
-                            &alloc,
-                            profile,
-                            batch,
-                            Seconds::ZERO,
-                            seed,
-                        )
-                        .mean_response,
-                    ),
+                    Scenario::MultiStream(_) => {
+                        Some(replay(&arrivals, batch, Seconds::ZERO, &mut service).mean_response)
+                    }
                 };
                 let Some(response) = response else { continue };
                 if best.as_ref().is_none_or(|b| response < b.mean_response) {

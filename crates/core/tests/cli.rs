@@ -150,3 +150,63 @@ fn help_lists_the_flags() {
         assert!(stdout.contains(flag), "missing {flag} in help: {stdout}");
     }
 }
+
+/// Runs the CLI once per argument list and asserts a clean rejection of
+/// each: exit code 1 (not a panic's 101) and `error: <message>` on
+/// stderr. Every case runs before the assertion, so a failure lists them
+/// all.
+fn assert_all_rejected(cases: &[(Vec<String>, String)]) {
+    let mut failures = Vec::new();
+    for (args, message) in cases {
+        let out = edgetune().args(args).output().expect("cli runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        if out.status.code() != Some(1) || !stderr.contains(&format!("error: {message}")) {
+            failures.push(format!("{args:?}: {:?}, stderr {stderr:?}", out.status));
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+fn args(list: &[&str]) -> Vec<String> {
+    list.iter().map(ToString::to_string).collect()
+}
+
+#[test]
+fn non_finite_serving_numbers_are_rejected() {
+    let mut cases = Vec::new();
+    for value in ["nan", "inf"] {
+        for flag in ["--rate", "--horizon", "--slo"] {
+            cases.push((
+                args(&["serve", "--workload", "ic", flag, value]),
+                format!("{flag} must be > 0"),
+            ));
+        }
+    }
+    assert_all_rejected(&cases);
+}
+
+#[test]
+fn non_finite_scenario_numbers_are_rejected() {
+    let mut cases = Vec::new();
+    for value in ["nan", "inf"] {
+        cases.push((
+            args(&[
+                "--workload",
+                "ic",
+                "--scenario",
+                &format!("multistream:{value}"),
+            ]),
+            "--scenario multistream needs rate > 0".to_string(),
+        ));
+        cases.push((
+            args(&[
+                "--workload",
+                "ic",
+                "--scenario",
+                &format!("server:4:{value}"),
+            ]),
+            "--scenario server needs samples >= 1 and period > 0".to_string(),
+        ));
+    }
+    assert_all_rejected(&cases);
+}

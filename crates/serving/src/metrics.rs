@@ -6,7 +6,7 @@
 //! violation accounting, queue behaviour, energy, and every
 //! configuration switch the drift loop performed.
 
-use edgetune_util::stats::percentile;
+use edgetune_util::stats::quantiles;
 use edgetune_util::units::{Hertz, ItemsPerSecond, Joules, JoulesPerItem, Seconds};
 use edgetune_util::{Error, Result};
 use serde::{Deserialize, Serialize};
@@ -178,16 +178,20 @@ impl ServingReport {
     }
 }
 
-/// Computes the response-time percentiles of a served sample; zeros when
-/// nothing was served (fully shed runs).
+/// Computes the mean and the p50/p95/p99 of a served sample; zeros when
+/// nothing was served (fully shed runs). The mean is summed in the
+/// sample's order first; the percentiles are then selected in place, so
+/// `responses` is left reordered.
 #[must_use]
-pub fn response_percentiles(responses: &[f64]) -> (Seconds, Seconds, Seconds, Seconds) {
+pub fn response_percentiles(responses: &mut [f64]) -> (Seconds, Seconds, Seconds, Seconds) {
     if responses.is_empty() {
         return (Seconds::ZERO, Seconds::ZERO, Seconds::ZERO, Seconds::ZERO);
     }
     let mean = responses.iter().sum::<f64>() / responses.len() as f64;
-    let p = |q: f64| Seconds::new(percentile(responses, q).expect("non-empty sample"));
-    (Seconds::new(mean), p(0.50), p(0.95), p(0.99))
+    let [p50, p95, p99] = quantiles(responses, [0.50, 0.95, 0.99])
+        .expect("non-empty sample")
+        .map(Seconds::new);
+    (Seconds::new(mean), p50, p95, p99)
 }
 
 #[cfg(test)]
@@ -253,7 +257,7 @@ mod tests {
 
     #[test]
     fn percentiles_of_empty_sample_are_zero() {
-        let (mean, p50, p95, p99) = response_percentiles(&[]);
+        let (mean, p50, p95, p99) = response_percentiles(&mut []);
         assert_eq!(mean, Seconds::ZERO);
         assert_eq!(p50, Seconds::ZERO);
         assert_eq!(p95, Seconds::ZERO);
@@ -262,8 +266,8 @@ mod tests {
 
     #[test]
     fn percentiles_are_ordered() {
-        let xs: Vec<f64> = (1..=100).map(f64::from).collect();
-        let (mean, p50, p95, p99) = response_percentiles(&xs);
+        let mut xs: Vec<f64> = (1..=100).map(f64::from).collect();
+        let (mean, p50, p95, p99) = response_percentiles(&mut xs);
         assert!((mean.value() - 50.5).abs() < 1e-9);
         assert!(p50 < p95 && p95 < p99);
     }

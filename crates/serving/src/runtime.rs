@@ -313,8 +313,8 @@ impl ServingRuntime {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] when the trace is empty or
-    /// unsorted.
+    /// Returns [`Error::InvalidConfig`] when the trace is empty, unsorted
+    /// or holds a non-finite arrival time.
     pub fn serve_trace(
         &self,
         arrivals: &[f64],
@@ -340,6 +340,9 @@ impl ServingRuntime {
     ) -> Result<ServingReport> {
         if arrivals.is_empty() {
             return Err(Error::invalid_config("cannot serve an empty trace"));
+        }
+        if arrivals.iter().any(|a| !a.is_finite()) {
+            return Err(Error::invalid_config("trace arrival times must be finite"));
         }
         if arrivals.windows(2).any(|w| w[0] > w[1]) {
             return Err(Error::invalid_config(
@@ -638,7 +641,7 @@ impl ServingRuntime {
             }
         }
 
-        let (mean_response, p50, p95, p99) = response_percentiles(&responses);
+        let (mean_response, p50, p95, p99) = response_percentiles(&mut responses);
         Ok(ServingReport {
             device: self.device.name.clone(),
             trace: trace_label.to_string(),
@@ -1045,6 +1048,21 @@ mod tests {
         assert!(rt
             .serve_trace(&[2.0, 1.0], "unsorted", None, SeedStream::new(1))
             .is_err());
+    }
+
+    #[test]
+    fn non_finite_arrivals_are_rejected() {
+        let rt = runtime(RuntimeOptions::new(SloPolicy::new(Seconds::new(1.0))));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for at in 0..3 {
+                let mut trace = vec![0.0, 1.0, 2.0];
+                trace[at] = bad;
+                let err = rt
+                    .serve_trace(&trace, "non-finite", None, SeedStream::new(1))
+                    .expect_err("a non-finite arrival is rejected");
+                assert!(matches!(err, Error::InvalidConfig(_)), "{trace:?}: {err:?}");
+            }
+        }
     }
 
     #[test]

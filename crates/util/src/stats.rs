@@ -35,24 +35,63 @@ pub fn std_dev(samples: &[f64]) -> Option<f64> {
 /// Panics if `q` is outside `[0, 1]` or any sample is NaN.
 #[must_use]
 pub fn percentile(samples: &[f64], q: f64) -> Option<f64> {
+    quantiles(&mut samples.to_vec(), [q]).map(|[p]| p)
+}
+
+/// Linear-interpolated quantiles of a sample, one per entry of the
+/// ascending `qs`, each equal to what [`percentile`] returns for it.
+///
+/// Selects in place instead of sorting: each quantile's lower order
+/// statistic is selected in what is left of the slice above the previous
+/// one, and its upper interpolation neighbour is the minimum of the part
+/// above that. The slice is left reordered. `-0.0` and `0.0` compare
+/// equal, so which of the two is returned where both occur is
+/// unspecified. Returns `None` when the sample is empty.
+///
+/// # Panics
+///
+/// Panics if a `q` is outside `[0, 1]`, `qs` is not ascending, or any
+/// sample is NaN (a single sample is returned as it is).
+#[must_use]
+pub fn quantiles<const N: usize>(samples: &mut [f64], qs: [f64; N]) -> Option<[f64; N]> {
+    for q in qs {
+        assert!(
+            (0.0..=1.0).contains(&q),
+            "quantile must be in [0,1], got {q}"
+        );
+    }
     assert!(
-        (0.0..=1.0).contains(&q),
-        "quantile must be in [0,1], got {q}"
+        qs.windows(2).all(|w| w[0] <= w[1]),
+        "quantiles must be ascending, got {qs:?}"
     );
     if samples.is_empty() {
         return None;
     }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        Some(sorted[lo])
-    } else {
-        let frac = pos - lo as f64;
-        Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-    }
+    let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("NaN in percentile input");
+    let last = (samples.len() - 1) as f64;
+    // `samples[..start]` holds the `start` smallest samples, each order
+    // statistic already selected sits at its sorted index.
+    let mut start = 0;
+    Some(qs.map(|q| {
+        let pos = q * last;
+        let lo = pos.floor() as usize;
+        let hi = pos.ceil() as usize;
+        if lo >= start {
+            samples[start..].select_nth_unstable_by(lo - start, cmp);
+            start = lo + 1;
+        }
+        if lo == hi {
+            samples[lo]
+        } else {
+            let upper = samples[start..]
+                .iter()
+                .copied()
+                .min_by(cmp)
+                .expect("an upper neighbour exists");
+            let frac = pos - lo as f64;
+            samples[lo] * (1.0 - frac) + upper * frac
+        }
+    }))
 }
 
 /// Percent error between an empirical and an estimated value, following
@@ -126,9 +165,7 @@ impl BoxPlot {
         if samples.is_empty() {
             return None;
         }
-        let q1 = percentile(samples, 0.25)?;
-        let median = percentile(samples, 0.5)?;
-        let q3 = percentile(samples, 0.75)?;
+        let [q1, median, q3] = quantiles(&mut samples.to_vec(), [0.25, 0.5, 0.75])?;
         let iqr = q3 - q1;
         let lo_fence = q1 - 1.5 * iqr;
         let hi_fence = q3 + 1.5 * iqr;
@@ -200,6 +237,19 @@ mod tests {
     #[should_panic(expected = "quantile must be in [0,1]")]
     fn percentile_rejects_bad_quantile() {
         let _ = percentile(&[1.0], 1.5);
+    }
+
+    #[test]
+    fn quantiles_select_in_place() {
+        let mut xs = [4.0, 1.0, 3.0, 2.0];
+        assert_eq!(quantiles(&mut xs, [0.0, 0.5, 1.0]), Some([1.0, 2.5, 4.0]));
+        assert_eq!(quantiles(&mut [], [0.5]), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "quantiles must be ascending")]
+    fn quantiles_reject_descending_qs() {
+        let _ = quantiles(&mut [1.0, 2.0], [0.9, 0.1]);
     }
 
     #[test]

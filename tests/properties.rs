@@ -7,6 +7,7 @@ use edgetune_device::multi_gpu::{simulate_gpu_epoch, GpuAllocation};
 use edgetune_device::profile::{Phase, WorkProfile};
 use edgetune_device::spec::DeviceSpec;
 use edgetune_faults::RetryPolicy;
+use edgetune_serving::metrics::response_percentiles;
 use edgetune_serving::{RuntimeOptions, ServingConfig, ServingRuntime, SloPolicy, TrafficProfile};
 use edgetune_trace::{monotone_per_track, well_nested, Tracer};
 use edgetune_tuner::budget::{BudgetPolicy, TrialBudget};
@@ -15,12 +16,13 @@ use edgetune_tuner::pareto::{FrontPoint, ObjectiveVector, ParetoFront};
 use edgetune_tuner::space::{Config, Domain, SearchSpace};
 use edgetune_tuner::trial::{TrialOutcome, TrialRecord};
 use edgetune_util::rng::SeedStream;
-use edgetune_util::stats::{percentile, BoxPlot};
+use edgetune_util::stats::{percentile, quantiles, BoxPlot};
 use edgetune_util::units::Seconds;
 use edgetune_workloads::catalog::Workload;
 use edgetune_workloads::curve::TrainingQuality;
 use edgetune_workloads::WorkloadId;
 use proptest::prelude::*;
+use rand::Rng;
 
 fn workload_strategy() -> impl Strategy<Value = WorkloadId> {
     prop_oneof![
@@ -512,5 +514,136 @@ proptest! {
         let (_report, trace) = EdgeTune::new(config).run_traced().expect("study completes");
         prop_assert!(trace.validate().is_ok(), "{:?}", trace.validate());
         prop_assert!(!trace.trace_events.is_empty());
+    }
+}
+
+// --- quantile selection ---
+//
+// `quantiles` selects order statistics in place instead of sorting. Every
+// function built on it is held, bit for bit, to the full sort it
+// replaced.
+
+/// The full-sort percentile: the reference for `quantiles`, `percentile`,
+/// `BoxPlot::of` and `response_percentiles`.
+fn sorted_percentile(samples: &[f64], q: f64) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
+    let pos = q * (sorted.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    if lo == hi {
+        sorted[lo]
+    } else {
+        let frac = pos - lo as f64;
+        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+    }
+}
+
+const ORACLE_QS: [f64; 6] = [0.0, 0.25, 0.5, 0.95, 0.99, 1.0];
+
+/// Random samples of 1, 2, 3 and 1000 values, half of them drawn from a
+/// handful of distinct values so duplicates straddle every quantile.
+fn oracle_samples() -> Vec<Vec<f64>> {
+    let mut rng = SeedStream::new(31).rng("quantile-oracle");
+    let mut samples = Vec::new();
+    for n in [1, 2, 3, 1000] {
+        for round in 0..8u32 {
+            let distinct = if round % 2 == 0 { 1_000_000 } else { round + 1 };
+            samples.push(
+                (0..n)
+                    .map(|_| f64::from(rng.gen_range(0..distinct)) * 0.37 - 5.0)
+                    .collect(),
+            );
+        }
+    }
+    samples
+}
+
+fn bits<const N: usize>(values: [f64; N]) -> [u64; N] {
+    values.map(f64::to_bits)
+}
+
+#[test]
+fn quantile_selection_matches_the_full_sort() {
+    for samples in oracle_samples() {
+        let want = ORACLE_QS.map(|q| sorted_percentile(&samples, q));
+        let context = format!("{} samples", samples.len());
+        let got = quantiles(&mut samples.clone(), ORACLE_QS).expect("non-empty");
+        assert_eq!(bits(got), bits(want), "{context}");
+        // Repeated quantiles reuse an order statistic already selected.
+        let got = quantiles(&mut samples.clone(), [0.25, 0.25, 0.99, 0.99, 1.0]);
+        assert_eq!(
+            bits(got.expect("non-empty")),
+            bits([want[1], want[1], want[4], want[4], want[5]]),
+            "{context}"
+        );
+        for (q, want) in ORACLE_QS.into_iter().zip(want) {
+            let got = percentile(&samples, q).expect("non-empty");
+            assert_eq!(got.to_bits(), want.to_bits(), "{context}, q {q}");
+        }
+        let bp = BoxPlot::of(&samples).expect("non-empty");
+        assert_eq!(
+            bits([bp.q1, bp.median, bp.q3]),
+            bits([0.25, 0.5, 0.75].map(|q| sorted_percentile(&samples, q))),
+            "{context}"
+        );
+        let mut responses = samples.clone();
+        let (mean, p50, p95, p99) = response_percentiles(&mut responses);
+        let pushed_mean = samples.iter().sum::<f64>() / samples.len() as f64;
+        assert_eq!(
+            bits([mean, p50, p95, p99].map(Seconds::value)),
+            bits([
+                pushed_mean,
+                sorted_percentile(&samples, 0.5),
+                sorted_percentile(&samples, 0.95),
+                sorted_percentile(&samples, 0.99),
+            ]),
+            "{context}"
+        );
+    }
+    // A single sample is returned as it is, NaN included, as the sort did.
+    let got = quantiles(&mut [f64::NAN], [0.5]).expect("non-empty");
+    assert_eq!(
+        got[0].to_bits(),
+        sorted_percentile(&[f64::NAN], 0.5).to_bits()
+    );
+}
+
+#[test]
+fn quantile_selection_still_panics_on_nan() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    fn message(result: std::thread::Result<()>) -> String {
+        let payload = result.expect_err("NaN input must panic");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(ToString::to_string))
+            .unwrap_or_default()
+    }
+    for n in [2, 3, 1000] {
+        for at in [0, n / 2, n - 1] {
+            let mut samples: Vec<f64> = (0..n).map(|i| f64::from(i as u32)).collect();
+            samples[at] = f64::NAN;
+            for name in [
+                "quantiles",
+                "percentile",
+                "BoxPlot::of",
+                "response_percentiles",
+            ] {
+                let mut xs = samples.clone();
+                let got = message(catch_unwind(AssertUnwindSafe(|| match name {
+                    "quantiles" => assert!(quantiles(&mut xs, ORACLE_QS).is_some()),
+                    "percentile" => assert!(percentile(&xs, 0.5).is_some()),
+                    "BoxPlot::of" => assert!(BoxPlot::of(&xs).is_some()),
+                    _ => {
+                        let _ = response_percentiles(&mut xs);
+                    }
+                })));
+                assert!(
+                    got.contains("NaN in percentile input"),
+                    "{name}, {n} samples, NaN at {at}: {got:?}"
+                );
+            }
+        }
     }
 }
