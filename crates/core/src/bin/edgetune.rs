@@ -910,9 +910,11 @@ fn main() -> ExitCode {
     // stdout stays deterministic for a fixed seed.
     if let Some(stats) = report.fabric_stats() {
         eprintln!(
-            "fabric: {} spawns, {} heartbeats, {} crashes ({} timeouts), \
-             {} retries, {} in-process fallbacks, {} stragglers",
+            "fabric: {} shard attempts over {} links, {} heartbeats, \
+             {} crashes ({} timeouts), {} retries, {} in-process fallbacks, \
+             {} stragglers",
             stats.spawns,
+            stats.links,
             stats.heartbeats,
             stats.crashes,
             stats.timeouts,

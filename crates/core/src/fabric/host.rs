@@ -40,7 +40,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use edgetune_net::{accept_hello, BoundedQueue, FramedTcp, NetError, QueuePushError};
@@ -139,6 +139,14 @@ pub(crate) struct HostShared {
 }
 
 impl HostShared {
+    /// The result cache. A session that panicked while holding the lock
+    /// left every entry whole (`get` clones, `insert` finishes its own
+    /// bookkeeping before anything can unwind), so the poison is
+    /// cleared rather than passed on to every later session.
+    fn cache(&self) -> MutexGuard<'_, ResultCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn stats(&self) -> HostStats {
         HostStats {
             sessions: self.counters.sessions.load(Ordering::Relaxed),
@@ -401,7 +409,7 @@ pub(crate) fn answer_tasks<W: Write>(
     for task in tasks {
         let slot = cache_key(&task);
         if let Some(slot) = &slot {
-            let cached = shared.cache.lock().expect("cache mutex poisoned").get(slot);
+            let cached = shared.cache().get(slot);
             if let Some(result) = cached {
                 shared.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
                 let key = slot.0;
@@ -444,11 +452,7 @@ pub(crate) fn answer_tasks<W: Write>(
         // Cache first, send second: if the send dies the rung is still
         // replayable for the reconnect that follows.
         if let Some(slot) = slot {
-            shared
-                .cache
-                .lock()
-                .expect("cache mutex poisoned")
-                .insert(slot, result.clone());
+            shared.cache().insert(slot, result.clone());
         }
         if send_frame(writer, FrameKind::Result, &encode(&result)).is_err() {
             return;
@@ -457,7 +461,7 @@ pub(crate) fn answer_tasks<W: Write>(
 }
 
 fn send_frame<W: Write>(writer: &Mutex<W>, kind: FrameKind, payload: &[u8]) -> Result<(), String> {
-    let mut writer = writer.lock().expect("writer mutex poisoned");
+    let mut writer = writer.lock().unwrap_or_else(PoisonError::into_inner);
     write_frame(&mut *writer, kind, payload).map_err(|e| format!("sending {kind:?} frame: {e}"))
 }
 
@@ -603,6 +607,26 @@ mod tests {
         );
         let stats = fresh.stats();
         assert_eq!((stats.tasks_executed, stats.cache_hits), (3, 0));
+    }
+
+    #[test]
+    fn a_poisoned_cache_lock_still_serves_and_replays_keyed_tasks() {
+        let shared = HostShared::default();
+        let poisoner = catch_unwind(AssertUnwindSafe(|| {
+            let _held = shared.cache.lock();
+            panic!("a session died holding the cache lock");
+        }));
+        assert!(poisoner.is_err());
+        assert!(shared.cache.is_poisoned());
+
+        let trials = sample_trials(2);
+        let task = task_frame(&task_for(&trials, Seconds::ZERO, key()));
+        let results = results_of(&serve([task.clone(), task].concat(), &shared));
+        assert_eq!(results.len(), 2);
+        assert_eq!(results[0].measurements, expected_measurements(&trials, 1));
+        assert_eq!(results[0], results[1], "the resend replays");
+        let stats = shared.stats();
+        assert_eq!((stats.tasks_executed, stats.cache_hits), (1, 1));
     }
 
     #[test]

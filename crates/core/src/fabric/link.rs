@@ -1,13 +1,14 @@
 //! Links: the one thing the supervisor knows about where a shard
 //! attempt runs.
 //!
-//! A [`Link`] is a framed duplex to *something* that answers a
+//! A [`Link`] is a framed duplex to *something* that answers each
 //! [`ShardTask`](crate::fabric::ShardTask) with heartbeats and one
-//! result. The supervisor's attempt function opens one per (rung, shard,
-//! attempt) through a [`Dial`], writes the task, pumps the read half into
-//! its watch loop, and closes it — identically for a child process's
-//! stdin/stdout, a TCP session with a shard host, and the scripted
-//! in-memory link the unit tests substitute.
+//! result. The supervisor opens one link per shard per study through a
+//! [`Dial`], pumps its read half into the watch loop for as long as it
+//! lives, and writes one task per rung to it; an attempt that fails
+//! closes the link and the retry opens a new one — identically for a
+//! child process's stdin/stdout, a TCP session with a shard host, and
+//! the scripted in-memory link the unit tests substitute.
 
 use std::io::{Read, Write};
 use std::path::PathBuf;
@@ -24,9 +25,10 @@ pub(crate) trait Link: Send {
     /// The half tasks are written to.
     fn writer(&mut self) -> &mut dyn Write;
 
-    /// Splits off the half frames come back on, for the attempt's reader
-    /// thread. It must reach end-of-stream once [`close`](Link::close)
-    /// has run, so that thread can be joined.
+    /// Splits off the half frames come back on, for the session's reader
+    /// thread; called once, right after the link opens. It must reach
+    /// end-of-stream once [`close`](Link::close) has run, so that thread
+    /// can be joined.
     fn reader(&mut self) -> Result<Box<dyn Read + Send>, String>;
 
     /// Releases the link. After a `failed` attempt the peer may be hung
@@ -35,17 +37,17 @@ pub(crate) trait Link: Send {
 }
 
 /// What a test scripts in place of a real placement: the link to hand
-/// out for a shard's next attempt, or the reason it cannot be opened.
+/// out when a shard opens one, or the reason it cannot be opened.
 #[cfg(test)]
 pub(crate) type LinkScript = Box<dyn Fn(usize) -> Result<Box<dyn Link>, String> + Send + Sync>;
 
 /// Opens the links of one supervised placement.
 pub(crate) enum Dial {
-    /// Spawn a local `__shard-worker` child per attempt and speak frames
-    /// over its stdin/stdout. `None` when no executable could be found.
+    /// Spawn a local `__shard-worker` child and speak frames over its
+    /// stdin/stdout. `None` when no executable could be found.
     Process { exe: Option<PathBuf> },
-    /// Dial a standing `edgetune shard-host` daemon per attempt and open
-    /// a session with the versioned handshake. Shard `i` uses
+    /// Dial a standing `edgetune shard-host` daemon and open a session
+    /// with the versioned handshake. Shard `i` uses
     /// `hosts[i % hosts.len()]`.
     Remote { hosts: Vec<String> },
     /// Hands out whatever link the test scripted for the shard.
@@ -56,12 +58,13 @@ pub(crate) enum Dial {
 impl Dial {
     /// Whether a resent task can reach an executor that outlived the
     /// attempt it first ran under — a standing host, never a worker
-    /// process — and so is worth keying for replay.
+    /// process, whose link a failed attempt closes — and so is worth
+    /// keying for replay.
     pub(crate) fn outlives_attempts(&self) -> bool {
         matches!(self, Dial::Remote { .. })
     }
 
-    /// Opens a fresh link for one attempt of `shard`. `study` and `spec`
+    /// Opens a fresh link for `shard`. `study` and `spec`
     /// go into the remote session's hello; `connect_timeout` bounds the
     /// dial so a dead address fails fast instead of hanging the rung.
     pub(crate) fn open(

@@ -25,9 +25,11 @@
 //!   dials one host per shard, opens a versioned session with an
 //!   [`edgetune_net`] handshake, and ships the identical task.
 //!
-//! Process and remote placement are one code path. The supervisor opens
-//! a link (the two adapters live in `link`), runs one attempt function
-//! over it, and wraps every attempt in the `faults` crate's vocabulary:
+//! Process and remote placement are one code path. The supervisor keeps
+//! one link per shard per study (the two adapters live in `link`),
+//! reopened only after an attempt on it failed; it runs one attempt
+//! function per rung over it, and wraps every attempt in the `faults`
+//! crate's vocabulary:
 //! a heartbeat [`Deadline`](edgetune_faults::Deadline), a
 //! capped-jittered-backoff [`RetryPolicy`](edgetune_faults::RetryPolicy)
 //! on crash or timeout, post-hoc straggler detection, and — once the

@@ -108,8 +108,9 @@ pub struct ShardTask {
     pub chaos: Option<ChaosAction>,
     /// Idempotency key for remote dispatch: shard hosts use it to replay
     /// cached results on reconnect-and-resend. Tasks for pipe workers
-    /// carry none (a worker process lives exactly as long as its
-    /// supervisor's attempt, so a resend can never find its cache).
+    /// carry none: a worker process serves its shard for the study, but
+    /// a failed attempt kills it, so a resend always reaches a fresh
+    /// process and can never find its cache.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub key: Option<RungKey>,
 }

@@ -10,15 +10,20 @@
 //! * `Thread` — the shard measures its slice directly, right there on
 //!   its thread. No frames, no serde, nothing to supervise.
 //! * `Process` / `Remote` — the thread first tries to have the slice
-//!   measured elsewhere: it opens a link (a `__shard-worker` child's
-//!   pipes, or a TCP session with a shard host), ships the task, and
-//!   watches the frame stream under the `faults` crate's vocabulary — a
-//!   [`Supervisor`] combining the heartbeat [`Deadline`] with a
-//!   capped-jittered-backoff [`RetryPolicy`].
+//!   measured elsewhere: it ships the task over the shard's link (a
+//!   `__shard-worker` child's pipes, or a TCP session with a shard
+//!   host) and watches the frame stream under the `faults` crate's
+//!   vocabulary — a [`Supervisor`] combining the heartbeat [`Deadline`]
+//!   with a capped-jittered-backoff [`RetryPolicy`].
 //!   Once the retry budget is spent it falls back to exactly what
 //!   thread placement does. Whatever a worker does — SIGKILL, panic,
 //!   hang, garbage on the wire — `measure_rung` returns the exact
 //!   measurements direct execution would have produced.
+//!
+//! A shard keeps one link per study: the fabric opens it on the shard's
+//! first attempt, hands it every later rung, and reopens it only after
+//! an attempt on it failed — a failed link is torn down, never reused.
+//! Dropping the fabric closes whatever links are still open.
 //!
 //! Telemetry (spawn/heartbeat/crash/retry/fallback/straggler events,
 //! stamped with wall-clock offsets from the fabric's epoch) accumulates
@@ -26,7 +31,8 @@
 //! bytes must stay identical across `--shard-exec thread|process|remote`.
 
 use std::path::PathBuf;
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use edgetune_faults::{Deadline, Fallback, RetryPolicy, Supervisor};
@@ -42,7 +48,7 @@ use serde::{Deserialize, Serialize};
 use crate::backend::{BackendSpec, TrainingBackend, TrialMeasurement};
 use crate::config::{EdgeTuneConfig, ShardExec};
 use crate::engine::shard::ShardPlan;
-use crate::fabric::link::Dial;
+use crate::fabric::link::{Dial, Link};
 use crate::fabric::protocol::{
     decode, encode, ChaosAction, RungScope, ShardHeartbeat, ShardResultMsg, ShardTask, TaskTrial,
     WorkerFailure,
@@ -102,9 +108,13 @@ impl Default for FabricPolicy {
 /// worker behaved on its first attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct FabricStats {
-    /// Links opened: worker processes spawned or host sessions accepted
-    /// (every attempt counts).
+    /// Shard attempts dispatched: every attempt that reached an open
+    /// link, pooled or freshly opened. (The name predates pooled links.)
     pub spawns: u64,
+    /// Links opened: worker processes spawned or host sessions accepted.
+    /// One per shard for a clean study: a link serves its shard until
+    /// an attempt on it fails, and the shard's next attempt opens anew.
+    pub links: u64,
     /// Heartbeat frames received.
     pub heartbeats: u64,
     /// Worker failures observed (crash, dead pipe, error frame).
@@ -174,6 +184,44 @@ impl AttemptEnd {
     }
 }
 
+/// A shard's open link plus the reader thread pumping its frames into
+/// `rx`, so the supervisor can wait with a timeout. The pump starts when
+/// the link opens and ends with it: the sender dropping (EOF, torn frame,
+/// killed worker) surfaces as a disconnect.
+struct Session {
+    link: Box<dyn Link>,
+    rx: mpsc::Receiver<Frame>,
+    pump: JoinHandle<()>,
+}
+
+impl Session {
+    fn start(mut link: Box<dyn Link>) -> Result<Self, String> {
+        let mut reader = match link.reader() {
+            Ok(reader) => reader,
+            Err(reason) => {
+                link.close(true);
+                return Err(reason);
+            }
+        };
+        let (tx, rx) = mpsc::channel::<Frame>();
+        let pump = std::thread::spawn(move || {
+            while let Ok(Some(frame)) = read_frame(&mut reader) {
+                if tx.send(frame).is_err() {
+                    break;
+                }
+            }
+        });
+        Ok(Session { link, rx, pump })
+    }
+
+    /// Closing ends the read half's stream, so the pump can be joined
+    /// without waiting on the peer.
+    fn close(self, failed: bool) {
+        self.link.close(failed);
+        let _ = self.pump.join();
+    }
+}
+
 /// The rung executor. One instance measures every rung of a study,
 /// accumulating supervision stats and telemetry across rungs.
 pub struct ShardFabric {
@@ -181,6 +229,9 @@ pub struct ShardFabric {
     /// How supervised attempts reach their executor; `None` is thread
     /// placement, where a shard's only step is the direct measurement.
     dial: Option<Dial>,
+    /// One slot per shard index: the shard's open session between its
+    /// attempts, empty before the first and after a failed one.
+    sessions: Vec<Mutex<Option<Session>>>,
     supervisor: Supervisor,
     chaos: Option<FabricChaos>,
     seed: SeedStream,
@@ -222,6 +273,7 @@ impl ShardFabric {
         ShardFabric {
             shards: config.study_shards,
             dial,
+            sessions: (0..config.study_shards).map(|_| Mutex::new(None)).collect(),
             supervisor: policy.supervisor,
             chaos: policy.chaos,
             seed: SeedStream::new(config.seed).child("fabric"),
@@ -326,6 +378,7 @@ impl ShardFabric {
                 }
             }
             self.stats.spawns += run.stats.spawns;
+            self.stats.links += run.stats.links;
             self.stats.heartbeats += run.stats.heartbeats;
             self.stats.crashes += run.stats.crashes;
             self.stats.timeouts += run.stats.timeouts;
@@ -457,10 +510,20 @@ impl ShardFabric {
         }
     }
 
-    /// One supervised attempt, the same for every link: open it, ship
-    /// the task, pump the read half into [`watch`](Self::watch) from a
-    /// reader thread, close it. The legs (open, send, wait for the
-    /// result) are recorded as spans on the fabric tracer.
+    /// The session slot of shard index `shard`.
+    fn slot(&self, shard: usize) -> MutexGuard<'_, Option<Session>> {
+        self.sessions[shard]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// One supervised attempt, the same for every link: take the shard's
+    /// session (opening one if it has none), ship the task, and
+    /// [`watch`](Self::watch) its frames. A finished attempt puts the
+    /// session back for the shard's next rung; a failed one tears it
+    /// down, so a retry always starts on a fresh link. The legs (open,
+    /// send, wait for the result) are recorded as spans on the fabric
+    /// tracer.
     fn run_attempt(
         &self,
         dial: &Dial,
@@ -469,42 +532,44 @@ impl ShardFabric {
         events: &mut Vec<FabricEvent>,
         stats: &mut FabricStats,
     ) -> AttemptEnd {
-        // A dead address must fail within the heartbeat deadline's
-        // order of magnitude, not hang the rung.
-        let connect_timeout = self
-            .supervisor
-            .deadline
-            .map_or(Duration::from_secs(5), |d| {
-                Duration::from_secs_f64(d.limit.value().clamp(0.1, 30.0))
-            });
         let attempt_arg = || vec![("attempt".to_string(), task.attempt.to_string())];
-
-        let open_from = self.offset();
-        let mut link = match dial.open(task.plan.shard, study, &task.spec, connect_timeout) {
-            Ok(link) => link,
-            Err(reason) => return AttemptEnd::failed(reason),
-        };
-        // An opened link is the fabric's unit of spawning: one worker
-        // process, or one accepted host session.
-        stats.spawns += 1;
-        events.push(FabricEvent::span(
-            "spawn",
-            open_from,
-            self.offset(),
-            attempt_arg(),
-        ));
-
-        let send_from = self.offset();
-        let sent = write_frame(&mut link.writer(), FrameKind::Task, &encode(task))
-            .map_err(|e| format!("sending task: {e}"))
-            .and_then(|()| link.reader());
-        let reader = match sent {
-            Ok(reader) => reader,
-            Err(reason) => {
-                link.close(true);
-                return AttemptEnd::failed(reason);
+        let pooled = self.slot(task.plan.shard).take();
+        let mut session = match pooled {
+            Some(session) => session,
+            None => {
+                // A dead address must fail within the heartbeat
+                // deadline's order of magnitude, not hang the rung.
+                let connect_timeout = self
+                    .supervisor
+                    .deadline
+                    .map_or(Duration::from_secs(5), |d| {
+                        Duration::from_secs_f64(d.limit.value().clamp(0.1, 30.0))
+                    });
+                let open_from = self.offset();
+                let session = match dial
+                    .open(task.plan.shard, study, &task.spec, connect_timeout)
+                    .and_then(Session::start)
+                {
+                    Ok(session) => session,
+                    Err(reason) => return AttemptEnd::failed(reason),
+                };
+                stats.links += 1;
+                events.push(FabricEvent::span(
+                    "spawn",
+                    open_from,
+                    self.offset(),
+                    attempt_arg(),
+                ));
+                session
             }
         };
+        stats.spawns += 1;
+
+        let send_from = self.offset();
+        if let Err(e) = write_frame(&mut session.link.writer(), FrameKind::Task, &encode(task)) {
+            session.close(true);
+            return AttemptEnd::failed(format!("sending task: {e}"));
+        }
         events.push(FabricEvent::span(
             "send",
             send_from,
@@ -512,39 +577,25 @@ impl ShardFabric {
             vec![("trials".to_string(), task.trials.len().to_string())],
         ));
 
-        // Reader thread: pump frames into a channel so the supervisor
-        // can wait with a timeout. The sender dropping (EOF, torn frame,
-        // killed worker) surfaces as a disconnect.
-        let (tx, rx) = mpsc::channel::<Frame>();
-        let pump = std::thread::spawn(move || {
-            let mut reader = reader;
-            while let Ok(Some(frame)) = read_frame(&mut reader) {
-                if tx.send(frame).is_err() {
-                    break;
-                }
-            }
-        });
-
         let recv_from = self.offset();
-        let end = self.watch(&rx, task.trials.len(), events, stats);
+        let end = self.watch(&session.rx, task.trials.len(), events, stats);
         events.push(FabricEvent::span(
             "recv",
             recv_from,
             self.offset(),
             attempt_arg(),
         ));
-
-        // Closing ends the read half's stream, so the pump can be joined
-        // without waiting on the peer.
-        link.close(matches!(end, AttemptEnd::Failed { .. }));
-        let _ = pump.join();
+        match end {
+            AttemptEnd::Done(_) => *self.slot(task.plan.shard) = Some(session),
+            AttemptEnd::Failed { .. } => session.close(true),
+        }
         end
     }
 
     /// Watches one attempt's frame stream under the heartbeat deadline.
-    /// Link-agnostic: every attempt pumps its frames into a channel and
-    /// waits here, so a hung host and a hung worker are classified
-    /// identically.
+    /// Link-agnostic: every session pumps its frames into a channel and
+    /// each attempt waits here, so a hung host and a hung worker are
+    /// classified identically.
     fn watch(
         &self,
         rx: &mpsc::Receiver<Frame>,
@@ -616,15 +667,32 @@ impl ShardFabric {
     }
 }
 
+impl Drop for ShardFabric {
+    /// Closes every session still open, however the study ended: a
+    /// worker sees its stdin end, exits and is reaped; a host session is
+    /// shut down. No worker outlives the study.
+    fn drop(&mut self) {
+        for slot in &mut self.sessions {
+            let pooled = slot
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
+            if let Some(session) = pooled {
+                session.close(false);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fabric::fixtures::{backend, expected_measurements, sample_trials, task_for};
-    use crate::fabric::link::Link;
     use edgetune_runtime::frame::encode_frame;
     use edgetune_workloads::catalog::WorkloadId;
     use std::io::{Cursor, Read, Write};
     use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Arc;
 
     fn fabric(shards: usize, exec: ShardExec, policy: FabricPolicy) -> ShardFabric {
         ShardFabric::new(
@@ -650,15 +718,31 @@ mod tests {
         }
     }
 
-    /// An in-memory link: whatever is written disappears, and the read
-    /// half yields pre-encoded frame bytes, then either ends (`hold`
-    /// false — the peer hung up) or stays silent until the link is
-    /// closed (`hold` true — the peer hung).
+    /// An in-memory link: whatever is written collects in `sink`, and
+    /// the read half yields pre-encoded frame bytes, then either ends
+    /// (`hold` false — the peer hung up) or stays silent until the link
+    /// is closed (`hold` true — the peer hung). A logged link reports its
+    /// close to `log`.
     struct ScriptedLink {
         sink: Vec<u8>,
         script: Option<Vec<u8>>,
         hold: bool,
         open: Option<mpsc::Sender<()>>,
+        log: Option<(LinkId, CloseLog)>,
+    }
+
+    /// (shard, how many links that shard had opened before this one).
+    type LinkId = (usize, usize);
+
+    /// Every close of a logged link, in order.
+    type CloseLog = Arc<Mutex<Vec<Closed>>>;
+
+    #[derive(Debug, PartialEq)]
+    struct Closed {
+        link: LinkId,
+        /// Task frames written to the link over its life.
+        tasks: usize,
+        failed: bool,
     }
 
     struct ScriptedReader {
@@ -693,7 +777,21 @@ mod tests {
             }))
         }
 
-        fn close(self: Box<Self>, _failed: bool) {}
+        fn close(self: Box<Self>, failed: bool) {
+            if let Some((link, log)) = &self.log {
+                let mut written = self.sink.as_slice();
+                let mut tasks = 0;
+                while let Ok(Some(frame)) = read_frame(&mut written) {
+                    assert_eq!(frame.kind, FrameKind::Task);
+                    tasks += 1;
+                }
+                log.lock().unwrap().push(Closed {
+                    link: *link,
+                    tasks,
+                    failed,
+                });
+            }
+        }
     }
 
     fn scripted(script: Vec<u8>, hold: bool) -> Box<dyn Link> {
@@ -702,7 +800,47 @@ mod tests {
             script: Some(script),
             hold,
             open: None,
+            log: None,
         })
+    }
+
+    /// A dial whose shard `s` hands out the links `links[s]` scripts, in
+    /// order, each logging its close; a shard that runs out cannot open.
+    fn logged_dial(links: Vec<Vec<(Vec<u8>, bool)>>) -> (Dial, CloseLog) {
+        let log = CloseLog::default();
+        let opened = Mutex::new(vec![0; links.len()]);
+        let handed_out = Arc::clone(&log);
+        let dial = Dial::Scripted(Box::new(move |shard| {
+            let mut opened = opened.lock().unwrap();
+            let nth = opened[shard];
+            opened[shard] += 1;
+            let (script, hold) = links[shard]
+                .get(nth)
+                .cloned()
+                .ok_or("no more scripted links")?;
+            Ok(Box::new(ScriptedLink {
+                sink: Vec::new(),
+                script: Some(script),
+                hold,
+                open: None,
+                log: Some(((shard, nth), Arc::clone(&handed_out))),
+            }) as Box<dyn Link>)
+        }));
+        (dial, log)
+    }
+
+    /// The result frame shard `shard` of a `shards`-way split answers
+    /// `trials` with.
+    fn slice_result(trials: &[(u64, Config, TrialBudget)], shards: usize, shard: usize) -> Vec<u8> {
+        let plan = ShardPlan::partition(trials.len(), shards)[shard];
+        result_frame(expected_measurements(plan.slice(trials), 1))
+    }
+
+    /// The closes logged since the last call, by link.
+    fn closes(log: &CloseLog) -> Vec<Closed> {
+        let mut closes = std::mem::take(&mut *log.lock().unwrap());
+        closes.sort_by_key(|closed| closed.link);
+        closes
     }
 
     fn heartbeat_frame(completed: usize) -> Vec<u8> {
@@ -758,6 +896,7 @@ mod tests {
             stats,
             FabricStats {
                 spawns: 1,
+                links: 1,
                 heartbeats: 3,
                 ..FabricStats::default()
             }
@@ -856,12 +995,174 @@ mod tests {
             fabric.stats(),
             Some(FabricStats {
                 spawns: 4,
+                links: 4,
                 crashes: 3,
                 retries: 2,
                 fallbacks: 1,
                 ..FabricStats::default()
             })
         );
+    }
+
+    /// A `shards`-way process fabric whose links come from `dial`.
+    fn scripted_fabric(shards: usize, dial: Dial, deadline_s: f64) -> ShardFabric {
+        let mut fabric = fabric(shards, ShardExec::Process, fast_policy(2, deadline_s));
+        fabric.dial = Some(dial);
+        fabric
+    }
+
+    fn measure_exactly(fabric: &mut ShardFabric, trials: &[(u64, Config, TrialBudget)]) {
+        let measured = fabric.measure_rung(RungScope::default(), &backend(), Seconds::ZERO, trials);
+        assert_eq!(measured, Some(expected_measurements(trials, fabric.shards)));
+    }
+
+    fn event_count(fabric: &ShardFabric, name: &str) -> usize {
+        fabric
+            .tracer()
+            .snapshot()
+            .iter()
+            .filter(|event| event.name == name)
+            .count()
+    }
+
+    #[test]
+    fn a_shard_keeps_one_link_for_every_rung_of_the_study() {
+        let rungs = [sample_trials(6), sample_trials(4), sample_trials(2)];
+        let answers_every_rung = |shard| {
+            let script = rungs.iter().map(|trials| slice_result(trials, 2, shard));
+            vec![(script.collect::<Vec<_>>().concat(), true)]
+        };
+        let (dial, log) = logged_dial(vec![answers_every_rung(0), answers_every_rung(1)]);
+        let mut fabric = scripted_fabric(2, dial, 5.0);
+        for trials in &rungs {
+            measure_exactly(&mut fabric, trials);
+        }
+        assert_eq!(
+            fabric.stats(),
+            Some(FabricStats {
+                spawns: 6,
+                links: 2,
+                ..FabricStats::default()
+            })
+        );
+        assert_eq!(event_count(&fabric, "spawn"), 2, "one spawn span per link");
+        assert!(closes(&log).is_empty(), "a clean study closes no link");
+    }
+
+    #[test]
+    fn a_pooled_link_that_hung_up_between_rungs_fails_one_attempt_and_is_replaced() {
+        let rungs = [sample_trials(4), sample_trials(2)];
+        // Shard 0's first link answers rung 1, then its peer hangs up;
+        // rung 2 finds it dead and the retry opens a second link.
+        let (dial, log) = logged_dial(vec![
+            vec![
+                (slice_result(&rungs[0], 2, 0), false),
+                (slice_result(&rungs[1], 2, 0), true),
+            ],
+            vec![(
+                [slice_result(&rungs[0], 2, 1), slice_result(&rungs[1], 2, 1)].concat(),
+                true,
+            )],
+        ]);
+        let mut fabric = scripted_fabric(2, dial, 5.0);
+        for trials in &rungs {
+            measure_exactly(&mut fabric, trials);
+        }
+        assert_eq!(
+            fabric.stats(),
+            Some(FabricStats {
+                spawns: 5,
+                links: 3,
+                crashes: 1,
+                retries: 1,
+                ..FabricStats::default()
+            })
+        );
+        assert_eq!(
+            closes(&log),
+            [Closed {
+                link: (0, 0),
+                tasks: 2,
+                failed: true,
+            }]
+        );
+        let crash = fabric
+            .tracer()
+            .snapshot()
+            .into_iter()
+            .find(|event| event.name == "crash")
+            .expect("a crash event");
+        assert!(crash.args.contains(&(
+            "reason".to_string(),
+            "worker pipe closed before result".to_string()
+        )));
+    }
+
+    #[test]
+    fn a_link_that_timed_out_is_never_handed_to_a_later_rung() {
+        let rungs = [sample_trials(4), sample_trials(4)];
+        let answers = |shard: usize| {
+            let script = rungs.iter().map(|trials| slice_result(trials, 2, shard));
+            (script.collect::<Vec<_>>().concat(), true)
+        };
+        // Shard 0's first link heartbeats once and goes silent.
+        let (dial, log) = logged_dial(vec![
+            vec![(heartbeat_frame(1), true), answers(0)],
+            vec![answers(1)],
+        ]);
+        let mut fabric = scripted_fabric(2, dial, 0.1);
+        measure_exactly(&mut fabric, &rungs[0]);
+        assert_eq!(
+            closes(&log),
+            [Closed {
+                link: (0, 0),
+                tasks: 1,
+                failed: true,
+            }],
+            "the timed-out link is closed at once"
+        );
+        measure_exactly(&mut fabric, &rungs[1]);
+        let stats = fabric.stats().unwrap();
+        assert_eq!((stats.timeouts, stats.retries, stats.links), (1, 1, 3));
+        drop(fabric);
+        assert_eq!(
+            closes(&log),
+            [
+                Closed {
+                    link: (0, 1),
+                    tasks: 2,
+                    failed: false,
+                },
+                Closed {
+                    link: (1, 0),
+                    tasks: 2,
+                    failed: false,
+                },
+            ],
+            "rung 2 went to the replacement link"
+        );
+    }
+
+    #[test]
+    fn dropping_the_fabric_closes_every_pooled_link_exactly_once() {
+        let trials = sample_trials(3);
+        let (dial, log) = logged_dial(
+            (0..3)
+                .map(|shard| vec![(slice_result(&trials, 3, shard), true)])
+                .collect(),
+        );
+        let mut fabric = scripted_fabric(3, dial, 5.0);
+        measure_exactly(&mut fabric, &trials);
+        assert!(closes(&log).is_empty());
+        drop(fabric);
+        let expected: Vec<Closed> = (0..3)
+            .map(|shard| Closed {
+                link: (shard, 0),
+                tasks: 1,
+                failed: false,
+            })
+            .collect();
+        assert_eq!(closes(&log), expected);
     }
 
     #[test]

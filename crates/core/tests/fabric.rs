@@ -6,9 +6,11 @@
 //! JSON. The chaos variants plant worker faults (SIGKILL, panic, hang)
 //! or remove the worker executable entirely, and *still* demand
 //! identical bytes: crash containment is only containment if the study
-//! cannot tell anything happened.
+//! cannot tell anything happened. Clean or not, a study that returns
+//! has reaped every worker it started.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 
 use edgetune::config::ShardExec;
 use edgetune::fabric::{ChaosAction, FabricChaos, FabricPolicy};
@@ -38,12 +40,38 @@ fn study(shards: usize) -> EdgeTuneConfig {
         .with_seed(11)
 }
 
+/// One study at a time in this test process, so the child-process
+/// check in [`run`] sees only the workers of the study it follows.
+static ONE_STUDY: Mutex<()> = Mutex::new(());
+
 /// Runs a study and returns its byte-stability surface: the report JSON
 /// and the study trace JSON, plus the report for stats assertions.
+/// Whatever its workers did, the study must have reaped every one of
+/// them by the time it returns.
 fn run(config: &EdgeTuneConfig) -> (String, String, TuningReport) {
+    let _alone = ONE_STUDY.lock().unwrap_or_else(PoisonError::into_inner);
     let (report, trace) = Engine::new(config).run_traced().expect("study runs");
+    if let Some(children) = children() {
+        assert!(children.is_empty(), "the study left children {children:?}");
+    }
     let json = report.to_json().expect("report serialises");
     (json, trace.to_json_pretty(), report)
+}
+
+/// This process's child processes, zombies included — or `None` where
+/// the kernel does not list them (`/proc/<pid>/task/<tid>/children`).
+fn children() -> Option<Vec<String>> {
+    if !Path::new("/proc/thread-self/children").exists() {
+        return None;
+    }
+    let mut children = Vec::new();
+    for task in std::fs::read_dir("/proc/self/task").ok()?.flatten() {
+        // A thread that exited since the listing has no children left.
+        if let Ok(listed) = std::fs::read_to_string(task.path().join("children")) {
+            children.extend(listed.split_whitespace().map(str::to_string));
+        }
+    }
+    Some(children)
 }
 
 #[test]
@@ -64,7 +92,14 @@ fn process_mode_reproduces_thread_bytes_across_shard_counts() {
         assert!(thread_report.fabric_stats().is_none());
         if shards > 1 {
             let stats = proc_report.fabric_stats().expect("fabric engaged");
-            assert!(stats.spawns > 0, "no worker was spawned: {stats:?}");
+            assert_eq!(
+                stats.links, shards as u64,
+                "one worker per shard for the whole study: {stats:?}"
+            );
+            assert!(
+                stats.spawns > stats.links,
+                "no rung reused a link: {stats:?}"
+            );
             assert!(stats.heartbeats > 0, "no heartbeat arrived: {stats:?}");
             assert_eq!(stats.crashes, 0, "clean run crashed: {stats:?}");
         }

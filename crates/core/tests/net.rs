@@ -77,8 +77,12 @@ fn remote_mode_reproduces_thread_bytes_across_shard_counts() {
     let host = spawn_host();
     for shards in [1, 4] {
         let (thread_json, thread_trace, _) = run(&study(shards));
+        let sessions_before = host.stats().sessions;
         let (remote_json, remote_trace, remote_report) =
             run(&remote_study(shards, vec![host.addr().to_string()]));
+        // Every session answered a task before the study returned, and
+        // the host counts a session before answering on it.
+        let sessions = host.stats().sessions - sessions_before;
         assert_eq!(
             thread_json, remote_json,
             "report bytes differ at {shards} shards"
@@ -89,13 +93,19 @@ fn remote_mode_reproduces_thread_bytes_across_shard_counts() {
         );
         if shards > 1 {
             let stats = remote_report.fabric_stats().expect("fabric engaged");
-            assert!(stats.spawns > 0, "no session opened: {stats:?}");
+            assert_eq!(sessions, 4, "one session per shard for the whole study");
+            assert_eq!(stats.links, 4, "{stats:?}");
+            assert!(
+                stats.spawns > stats.links,
+                "no rung reused a link: {stats:?}"
+            );
             assert!(stats.heartbeats > 0, "no heartbeat arrived: {stats:?}");
             assert_eq!(stats.crashes, 0, "clean run crashed: {stats:?}");
         } else {
             // One shard never engages the fabric, exactly like process
             // mode — the flag is safe to leave on.
             assert!(remote_report.fabric_stats().is_none());
+            assert_eq!(sessions, 0);
         }
     }
     assert!(host.stats().tasks_executed > 0);
