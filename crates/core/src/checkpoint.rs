@@ -5,13 +5,15 @@
 //! The rule: **a checkpoint is the evaluator's state at a rung boundary;
 //! resume reinstates it.** A [`StudyCheckpoint`] is the seed, the trial
 //! log, and the one [`StudyGlobals`] the evaluator accumulates — stored
-//! as that struct, not as a mirrored field list. On resume the scheduler
-//! and sampler regenerate their own state by re-deriving the trial
-//! stream from the seed; every rung the log answers is *inert* — its
-//! records are checked against the regenerated `(id, config, budget)`
-//! and handed back, and nothing else happens: no clock advance, no
-//! spans, no counters, no checkpoint write. A log that stops matching
-//! the regenerated stream is a checkpoint of some other study and an
+//! as that struct, not as a mirrored field list. The scheduler and the
+//! sampler are not stored: on resume the study steps through the rungs
+//! the log covers again, and each one is completed from the log — every
+//! regenerated `(id, config, budget)` is checked against its logged
+//! record and the logged outcomes go to `Study::complete`, which
+//! rebuilds the scheduler's and the sampler's state exactly. Such a rung
+//! is *inert*: no clock advance, no spans, no counters, no checkpoint
+//! write. A log that stops matching the regenerated stream, or that
+//! outlasts the study, is a checkpoint of some other study and an
 //! [`Error::InvalidConfig`], never a live run on top of foreign state.
 //! Nothing in the globals is re-derived, so resumed bytes are
 //! independent of `trial_slots`, `study_shards` and `shard_exec`.

@@ -11,7 +11,7 @@
 use std::path::PathBuf;
 
 use edgetune_device::spec::DeviceSpec;
-use edgetune_faults::{DegradationLadder, FaultPlan, Supervisor};
+use edgetune_faults::{DegradationLadder, FaultInjector, FaultPlan, Supervisor};
 use edgetune_tuner::budget::BudgetPolicy;
 use edgetune_tuner::pareto::ParetoTpeSampler;
 use edgetune_tuner::sampler::{GridSampler, RandomSampler, Sampler, TpeSampler, WarmStartSampler};
@@ -19,8 +19,9 @@ use edgetune_tuner::scheduler::SchedulerConfig;
 use edgetune_tuner::space::Config;
 use edgetune_tuner::Metric;
 use edgetune_util::rng::SeedStream;
-use edgetune_workloads::catalog::WorkloadId;
+use edgetune_workloads::catalog::{Workload, WorkloadId};
 
+use crate::backend::SimTrainingBackend;
 use crate::fabric::FabricPolicy;
 
 /// Where engine shards measure their slices when `study_shards > 1`.
@@ -165,14 +166,16 @@ pub struct EdgeTuneConfig {
     /// [`StudyGlobals`](crate::checkpoint::StudyGlobals) — clock, cache,
     /// timeline, accounting, fault cursors — are reinstated as stored;
     /// only the scheduler's and sampler's own state is re-derived, by
-    /// regenerating the trial stream from the seed and answering every
-    /// checkpointed rung from the trial log (checked record by record,
-    /// with no other effect). A checkpoint whose log does not match the
-    /// regenerated stream belongs to a different study and is an
+    /// completing every checkpointed rung from the trial log (checked
+    /// record by record, with no other effect). A checkpoint whose log
+    /// does not match the regenerated stream belongs to a different
+    /// study and is an
     /// [`Error::InvalidConfig`](edgetune_util::Error::InvalidConfig).
     pub resume: bool,
-    /// Stop tuning after this many completed rungs, if set — the
-    /// controlled "interruption" used to exercise checkpoint/resume.
+    /// Stop tuning after this many rungs, if set — the controlled
+    /// "interruption" used to exercise checkpoint/resume. Rungs a resume
+    /// completes from the log count. Must be at least 1; the engine
+    /// rejects 0 with [`Error::InvalidConfig`](edgetune_util::Error::InvalidConfig).
     pub halt_after_rungs: Option<u32>,
     /// Write the study's Chrome trace-event JSON here after the run, if
     /// set. The trace is a reported artifact: byte-identical for a
@@ -412,8 +415,9 @@ impl EdgeTuneConfig {
         self
     }
 
-    /// Halts tuning after `rungs` completed rungs (a controlled
-    /// interruption for checkpoint/resume testing).
+    /// Halts tuning after `rungs` rungs (a controlled interruption for
+    /// checkpoint/resume testing; see
+    /// [`halt_after_rungs`](EdgeTuneConfig::halt_after_rungs)).
     #[must_use]
     pub fn with_halt_after_rungs(mut self, rungs: u32) -> Self {
         self.halt_after_rungs = Some(rungs);
@@ -447,6 +451,19 @@ impl EdgeTuneConfig {
         assert!(k >= 1, "frontier capacity must be >= 1");
         self.pareto = Some(k);
         self
+    }
+
+    /// The default simulated backend for the configured workload, with
+    /// the fault plan's trial faults injected when one is active.
+    #[must_use]
+    pub fn default_backend(&self) -> SimTrainingBackend {
+        let seed = SeedStream::new(self.seed);
+        let backend = SimTrainingBackend::new(Workload::by_id(self.workload), seed.child("trials"));
+        if self.fault_plan.is_none() {
+            return backend;
+        }
+        let faults = FaultInjector::new(self.fault_plan, seed.child("trial-faults"));
+        backend.with_fault_injector(faults)
     }
 
     pub(crate) fn build_sampler(&self) -> Box<dyn Sampler> {

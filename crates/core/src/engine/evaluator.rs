@@ -32,33 +32,27 @@
 //! simulated-slot rung once, by the rung makespan. The Fig. 6 timeline
 //! is part of it: each trial's spans are recorded into
 //! `globals.timeline` and, when a study trace is being taken, emitted to
-//! the tracer — an observer nothing reported reads back. A checkpoint is that struct
-//! at a rung boundary and resume reinstates it, so a rung answered from
-//! the resumed trial log is *inert* (see [`crate::checkpoint`] for the
-//! rule): its records are checked and handed to the scheduler, and
-//! nothing here moves. A log that stops matching is another study's
-//! checkpoint and ends the run with an error.
-
-use std::path::PathBuf;
+//! the tracer — an observer nothing reported reads back. The evaluator
+//! only ever sees live rungs: a rung a resumed checkpoint's log answers
+//! never reaches it (see [`crate::checkpoint`]). It holds no backend; the
+//! running study lends it one per rung.
 
 use edgetune_device::profile::WorkProfile;
-use edgetune_device::spec::DeviceSpec;
-use edgetune_faults::{DegradationLadder, Fallback, Supervisor, TrialFault};
+use edgetune_faults::{Fallback, TrialFault};
 use edgetune_trace::Tracer;
 use edgetune_tuner::budget::TrialBudget;
 use edgetune_tuner::objective::{TrainMeasurement, TrainObjective};
 use edgetune_tuner::pareto::ObjectiveVector;
-use edgetune_tuner::scheduler::Evaluate;
+use edgetune_tuner::scheduler::Rung;
 use edgetune_tuner::space::Config;
-use edgetune_tuner::trial::{History, TrialFailure, TrialOutcome, TrialRecord};
-use edgetune_tuner::Metric;
+use edgetune_tuner::trial::{History, TrialFailure, TrialOutcome};
 use edgetune_util::rng::SeedStream;
 use edgetune_util::units::{Joules, Seconds};
-use edgetune_util::{Error, Result};
 
 use crate::backend::{TrainingBackend, TrialMeasurement};
 use crate::cache::CacheKey;
 use crate::checkpoint::{StudyCheckpoint, StudyGlobals};
+use crate::config::EdgeTuneConfig;
 use crate::fabric::{RungScope, ShardFabric};
 use crate::inference::{fallback_recommendation, InferenceEndpoint, InferenceReply};
 use crate::timeline::Lane;
@@ -68,30 +62,20 @@ use crate::trace::{
 };
 
 /// Evaluator wiring one training trial to its pipelined inference request.
-pub(crate) struct OnefoldEvaluator<'a> {
-    pub(crate) backend: &'a mut dyn TrainingBackend,
-    pub(crate) inference: &'a mut InferenceEndpoint,
-    pub(crate) device: &'a DeviceSpec,
-    pub(crate) inference_metric: Metric,
+#[derive(Debug)]
+pub(crate) struct OnefoldEvaluator {
+    /// The study's own copy of its configuration.
+    pub(crate) config: EdgeTuneConfig,
+    pub(crate) inference: InferenceEndpoint,
     pub(crate) objective: TrainObjective,
     /// The observer, present only when someone will read the study
     /// trace: every piece of time accounting is also emitted here as
     /// trace events. Write-only — nothing under `engine/` reads it back,
     /// so the report does not depend on whether it exists.
-    pub(crate) tracer: Option<&'a Tracer>,
-    pub(crate) pipelining: bool,
-    /// Whether the study runs in Pareto mode: successful trials carry an
-    /// [`ObjectiveVector`] alongside the scalar score. Off by default so
-    /// scalar reports stay byte-identical (the serde field is skipped
-    /// when `None`).
-    pub(crate) pareto: bool,
-    /// Simulated concurrent trial slots (changes the reported makespan).
-    pub(crate) trial_slots: usize,
+    pub(crate) tracer: Option<Tracer>,
     /// The rung executor: how many engine shards a rung is partitioned
     /// across and where they run (wall-clock only; see the module docs).
-    /// The orchestrator keeps ownership so it can export the fabric's
-    /// stats and telemetry after the evaluator is gone.
-    pub(crate) executor: &'a mut ShardFabric,
+    pub(crate) executor: ShardFabric,
     /// The study's resumable state (see the module docs); its final
     /// `clock` reading is the makespan.
     pub(crate) globals: StudyGlobals,
@@ -99,32 +83,10 @@ pub(crate) struct OnefoldEvaluator<'a> {
     /// branch below is dead code and the evaluator behaves exactly like
     /// the pre-chaos implementation.
     pub(crate) faults_enabled: bool,
-    pub(crate) supervisor: Supervisor,
-    pub(crate) ladder: &'a DegradationLadder,
-    /// Seed stream for backoff jitter; draws are counted (in the
-    /// globals) so retried operations never share a jitter value.
-    pub(crate) supervisor_seed: SeedStream,
-    /// Checkpointing: where to write, under which root seed, and how many
-    /// rungs have completed (the halt criterion).
-    pub(crate) checkpoint_path: Option<&'a PathBuf>,
-    pub(crate) root_seed: u64,
-    pub(crate) halt_after_rungs: Option<u32>,
-    pub(crate) rungs_completed: u32,
-    /// The resumed checkpoint's trial log — the history prefix, so trial
-    /// `id` is `resumed[id]`. Empty on a fresh run.
-    pub(crate) resumed: Vec<TrialRecord>,
-    /// Set when the resumed log stopped matching the regenerated trial
-    /// stream; halts the study and becomes the run's error.
-    pub(crate) diverged: Option<Error>,
-    /// Bracket currently executing, set by the scheduler through
-    /// [`Evaluate::on_bracket_start`]; part of every rung's scope.
-    pub(crate) current_bracket: u32,
-    /// Rungs traced so far — names the scheduler's rung spans.
-    pub(crate) rungs_traced: u32,
-    /// Start of the current bracket's span, opened by its first live
-    /// rung; the next [`Evaluate::on_bracket_start`] or the
-    /// orchestrator's final [`OnefoldEvaluator::finish`] closes it.
-    pub(crate) bracket_open: Option<Seconds>,
+    /// The bracket whose span is open, and the span's start: opened by
+    /// the bracket's first live rung, closed by the next bracket's or
+    /// when the study finishes.
+    pub(crate) bracket_open: Option<(u32, Seconds)>,
     /// Recycled per-rung working buffers (see [`RungScratch`]).
     pub(crate) scratch: RungScratch,
 }
@@ -151,11 +113,14 @@ struct TrialRun {
     cache_hit: bool,
 }
 
-impl OnefoldEvaluator<'_> {
+impl OnefoldEvaluator {
+    /// The jittered backoff of a retry. Draws are counted (in the
+    /// globals) so retried operations never share a jitter value.
     fn next_backoff(&mut self, attempt: u32) -> Seconds {
         let draw = self.globals.backoff_draws;
         self.globals.backoff_draws += 1;
-        self.supervisor.backoff(attempt, self.supervisor_seed, draw)
+        let seed = SeedStream::new(self.config.seed).child("supervisor");
+        self.config.supervisor.backoff(attempt, seed, draw)
     }
 
     /// Records one server-busy span: into the timeline the study
@@ -165,7 +130,7 @@ impl OnefoldEvaluator<'_> {
     /// trace stays byte-identical across `study_shards` and `shard_exec`
     /// (the same law the report obeys).
     fn busy_span(&mut self, lane: Lane, slot: usize, label: String, start: Seconds, end: Seconds) {
-        if let Some(tracer) = self.tracer {
+        if let Some(tracer) = &self.tracer {
             let (process, track, category) = match lane {
                 Lane::ModelServer => (PROCESS_MODEL, format!("trial-slot-{slot}"), CAT_MODEL),
                 Lane::InferenceServer => (
@@ -184,7 +149,7 @@ impl OnefoldEvaluator<'_> {
     /// faults track. Ladder instants reuse [`Fallback::trace_label`] so
     /// their names match the plan's serde spelling.
     fn fault_instant(&self, name: &str, ts: Seconds) {
-        if let Some(tracer) = self.tracer {
+        if let Some(tracer) = &self.tracer {
             let track = tracer.track(PROCESS_FAULTS, "events");
             tracer.instant(track, name, CAT_FAULT, ts);
         }
@@ -192,8 +157,8 @@ impl OnefoldEvaluator<'_> {
 
     /// Samples the degradation counters onto the faults track, once any
     /// fault has fired.
-    fn sample_degradation(&self) {
-        if let Some(tracer) = self.tracer {
+    pub(crate) fn sample_degradation(&self) {
+        if let Some(tracer) = &self.tracer {
             if !self.globals.degradation.is_empty() {
                 let track = tracer.track(PROCESS_FAULTS, "events");
                 tracer.counter(
@@ -208,42 +173,17 @@ impl OnefoldEvaluator<'_> {
     }
 
     /// Closes the currently open bracket span, if any.
-    fn close_bracket_span(&mut self) {
-        if let (Some(start), Some(tracer)) = (self.bracket_open.take(), self.tracer) {
+    pub(crate) fn close_bracket_span(&mut self) {
+        if let (Some((bracket, start)), Some(tracer)) = (self.bracket_open.take(), &self.tracer) {
             let track = tracer.track(PROCESS_SCHEDULER, "brackets");
             tracer.span(
                 track,
-                format!("bracket-{}", self.current_bracket),
+                format!("bracket-{bracket}"),
                 CAT_BRACKET,
                 start,
                 self.globals.clock,
             );
         }
-    }
-
-    /// Ends the study once the scheduler returns `history`: hands back
-    /// the final state and whether the study stopped at its halt
-    /// boundary — or, when the resumed checkpoint turned out to belong
-    /// to a different study, the error, before anything is written on
-    /// top of its foreign state. Final trace bookkeeping happens here:
-    /// the last bracket span is closed and, when any fault fired, the
-    /// degradation counters are sampled one last time.
-    pub(crate) fn finish(mut self, history: &History) -> Result<(StudyGlobals, bool)> {
-        if let Some(err) = self.diverged.take() {
-            return Err(err);
-        }
-        let halted = self.should_halt();
-        if !halted && history.len() < self.resumed.len() {
-            return Err(Error::invalid_config(format!(
-                "the checkpoint belongs to a different study: it logs {} trials, this \
-                 configuration generates {}",
-                self.resumed.len(),
-                history.len()
-            )));
-        }
-        self.close_bracket_span();
-        self.sample_degradation();
-        Ok((self.globals, halted))
     }
 
     /// Walks the degradation ladder after an inference reply was lost.
@@ -255,11 +195,12 @@ impl OnefoldEvaluator<'_> {
         profile: WorkProfile,
     ) -> (Option<InferenceReply>, Seconds) {
         let mut extra = Seconds::ZERO;
-        for step in self.ladder.steps() {
-            match step {
+        // Indexed: the retry rung needs `self` mutably.
+        for index in 0..self.config.degradation.steps().len() {
+            match self.config.degradation.steps()[index] {
                 Fallback::Retry => {
                     let mut attempt: u32 = 1;
-                    while !self.supervisor.give_up(attempt) {
+                    while !self.config.supervisor.give_up(attempt) {
                         extra += self.next_backoff(attempt);
                         self.globals.degradation.inference_retries += 1;
                         self.fault_instant(Fallback::Retry.trace_label(), self.globals.clock);
@@ -283,7 +224,8 @@ impl OnefoldEvaluator<'_> {
                 Fallback::DeviceDefault => {
                     self.globals.degradation.default_recommendations += 1;
                     self.fault_instant(Fallback::DeviceDefault.trace_label(), self.globals.clock);
-                    let recommendation = fallback_recommendation(self.device, &profile);
+                    let recommendation =
+                        fallback_recommendation(&self.config.edge_device, &profile);
                     return (Some(InferenceReply::from_history(recommendation)), extra);
                 }
                 Fallback::SkipWithPenalty => return (None, extra),
@@ -303,6 +245,7 @@ impl OnefoldEvaluator<'_> {
     /// phase) substitutes for the first backend call.
     fn train_supervised(
         &mut self,
+        backend: &mut dyn TrainingBackend,
         config: &Config,
         budget: TrialBudget,
         mut precomputed: Option<TrialMeasurement>,
@@ -322,7 +265,7 @@ impl OnefoldEvaluator<'_> {
         loop {
             let trial = match precomputed.take() {
                 Some(measurement) => measurement,
-                None => self.backend.run_trial(config, budget),
+                None => backend.run_trial(config, budget),
             };
             match trial.injected {
                 Some(TrialFault::Crash) => {
@@ -331,12 +274,12 @@ impl OnefoldEvaluator<'_> {
                     paid_energy += trial.energy;
                     now += trial.runtime;
                     self.fault_instant("trial-crash", now);
-                    if self.supervisor.deadline_exceeded(now - trial_start) {
+                    if self.config.supervisor.deadline_exceeded(now - trial_start) {
                         self.globals.degradation.trial_timeouts += 1;
                         self.fault_instant("trial-timeout", now);
                         return Err((TrialFailure::Timeout, paid_runtime, paid_energy));
                     }
-                    if self.supervisor.give_up(attempt) {
+                    if self.config.supervisor.give_up(attempt) {
                         self.globals.degradation.trials_skipped += 1;
                         self.fault_instant("trial-skipped", now);
                         return Err((TrialFailure::Crash, paid_runtime, paid_energy));
@@ -372,6 +315,7 @@ impl OnefoldEvaluator<'_> {
     /// global accounting.
     fn run_one(
         &mut self,
+        backend: &mut dyn TrainingBackend,
         config: &Config,
         budget: TrialBudget,
         precomputed: Option<TrialMeasurement>,
@@ -379,17 +323,17 @@ impl OnefoldEvaluator<'_> {
         // (1) Fire the inference request as soon as the architecture is
         //     known — before training starts (Algorithm 1, line 6). It is
         //     answered here; the reply is collected after the trial.
-        let (arch, profile) = self.backend.architecture(config);
+        let (arch, profile) = backend.architecture(config);
         let key = CacheKey::new(
-            self.device.name.clone(),
+            self.config.edge_device.name.clone(),
             arch.clone(),
-            self.inference_metric,
+            self.config.inference_metric,
         );
         let pending = self.inference.request(&mut self.globals, &key, profile);
 
         // (2) Run the training trial (supervised when faults are active).
         let (train_runtime, train_energy, accuracy) =
-            match self.train_supervised(config, budget, precomputed) {
+            match self.train_supervised(backend, config, budget, precomputed) {
                 Ok(success) => success,
                 Err((failure, paid_runtime, paid_energy)) => {
                     // The trial is abandoned; still account its pipelined
@@ -452,7 +396,7 @@ impl OnefoldEvaluator<'_> {
         // Pipelined: only the sweep's excess over its trial stalls the
         // model server. Synchronous (ablation): the whole sweep sits on
         // the critical path after the trial.
-        let base_stall = if self.pipelining {
+        let base_stall = if self.config.pipelining {
             Seconds::new((reply.runtime.value() - train_runtime.value()).max(0.0))
         } else {
             reply.runtime
@@ -474,7 +418,7 @@ impl OnefoldEvaluator<'_> {
             train_runtime + stall,
             train_energy + reply.energy,
         );
-        if self.pareto {
+        if self.config.pareto.is_some() {
             if let Some(vector) =
                 ObjectiveVector::from_measurement(&measurement, self.objective.metric())
             {
@@ -513,7 +457,7 @@ impl OnefoldEvaluator<'_> {
             // sweep must end at `start + (train + sweep)` — computing
             // `(start + train) + sweep` instead can land one ulp past
             // the next trial's start and fake an overlap.
-            let (sweep_start, sweep_end) = if self.pipelining {
+            let (sweep_start, sweep_end) = if self.config.pipelining {
                 (start, start + run.sweep_runtime)
             } else {
                 (busy_end, start + (run.train_runtime + run.sweep_runtime))
@@ -529,7 +473,7 @@ impl OnefoldEvaluator<'_> {
         // Cache telemetry rides on its own track: a hit/miss instant per
         // trial plus a counter sample read from the cache's single
         // tally (the same numbers checkpoints persist).
-        if let Some(tracer) = self.tracer {
+        if let Some(tracer) = &self.tracer {
             let cache_track = tracer.track(PROCESS_INFERENCE, "historical-cache");
             let verdict = if run.cache_hit {
                 "cache-hit"
@@ -558,84 +502,72 @@ impl OnefoldEvaluator<'_> {
     /// executor declines a single shard and a backend without snapshots).
     fn measure_rung(
         &mut self,
-        trials: &[(u64, Config, TrialBudget)],
+        backend: &dyn TrainingBackend,
+        rung: &Rung,
         measured: &mut Vec<Option<TrialMeasurement>>,
     ) {
         measured.clear();
-        if trials.len() <= 1 || self.faults_enabled {
+        if rung.trials.len() <= 1 || self.faults_enabled {
             return;
         }
         // The scope names this exact rung execution — a remote host's
-        // idempotency key. `rungs_traced` was already bumped for this
-        // rung, so it is unique across brackets.
+        // idempotency key; the rung's ordinal is unique across brackets.
         let scope = RungScope {
-            study: self.root_seed,
-            bracket: self.current_bracket,
-            rung: self.rungs_traced,
+            study: self.config.seed,
+            bracket: rung.bracket,
+            rung: rung.index,
         };
         if let Some(raw) =
             self.executor
-                .measure_rung(scope, &*self.backend, self.globals.clock, trials)
+                .measure_rung(scope, backend, self.globals.clock, &rung.trials)
         {
             measured.extend(raw.into_iter().map(Some));
         }
     }
-}
 
-impl Evaluate for OnefoldEvaluator<'_> {
-    fn evaluate(&mut self, id: u64, config: &Config, budget: TrialBudget) -> TrialOutcome {
-        // A lone trial is a rung of one.
-        let mut outcomes = self.evaluate_rung(vec![(id, config.clone(), budget)]);
-        outcomes.pop().expect("a rung answers every trial")
-    }
-
-    fn evaluate_rung(&mut self, trials: Vec<(u64, Config, TrialBudget)>) -> Vec<TrialOutcome> {
-        let rung_index = self.rungs_traced;
-        self.rungs_traced += 1;
-        if let Some(outcomes) = self.answer_from_log(&trials) {
-            return outcomes;
+    /// Evaluates one live rung, answering in input order, inside a
+    /// scheduler-track rung span; a bracket's first live rung opens the
+    /// bracket's span and closes the previous bracket's.
+    pub(crate) fn evaluate_rung(
+        &mut self,
+        backend: &mut dyn TrainingBackend,
+        rung: &Rung,
+    ) -> Vec<TrialOutcome> {
+        if self
+            .bracket_open
+            .is_some_and(|(bracket, _)| bracket != rung.bracket)
+        {
+            self.close_bracket_span();
         }
-        // Wrap the whole live rung — sequential or slot-scheduled — in a
-        // scheduler-track span so the trace shows the rung structure the
-        // multi-fidelity budget imposes.
-        let trial_count = trials.len();
         let rung_start = self.globals.clock;
-        self.bracket_open.get_or_insert(rung_start);
-        let outcomes = self.run_rung(trials);
-        if let Some(tracer) = self.tracer {
+        self.bracket_open.get_or_insert((rung.bracket, rung_start));
+        let outcomes = self.run_rung(backend, rung);
+        if let Some(tracer) = &self.tracer {
             let rung_track = tracer.track(PROCESS_SCHEDULER, "rungs");
             tracer.span_with_args(
                 rung_track,
-                format!("rung-{rung_index}"),
+                format!("rung-{}", rung.index),
                 CAT_RUNG,
                 rung_start,
                 self.globals.clock,
-                vec![("trials".to_string(), trial_count.to_string())],
+                vec![("trials".to_string(), rung.trials.len().to_string())],
             );
         }
         outcomes
     }
 
-    fn on_bracket_start(&mut self, bracket: u32) {
-        self.close_bracket_span();
-        self.current_bracket = bracket;
-    }
-
-    fn on_rung_complete(&mut self, history: &History) {
-        self.rungs_completed += 1;
-        // A rung the resumed log answered (or refused) is only counted.
-        if self.diverged.is_some() || history.len() <= self.resumed.len() {
-            return;
-        }
+    /// The boundary after a live rung joined `history`: samples the
+    /// degradation counters and writes the checkpoint, if one is kept.
+    pub(crate) fn rung_completed(&mut self, backend: &dyn TrainingBackend, history: &History) {
         if self.faults_enabled {
             self.sample_degradation();
         }
-        if let Some(path) = self.checkpoint_path {
+        if let Some(path) = &self.config.checkpoint_path {
             // The one share of the state held elsewhere: the backend's
             // fault cursor.
-            self.globals.fault_cursor = self.backend.fault_cursor();
+            self.globals.fault_cursor = backend.fault_cursor();
             let globals = std::mem::take(&mut self.globals);
-            let checkpoint = StudyCheckpoint::new(self.root_seed, history, globals);
+            let checkpoint = StudyCheckpoint::new(self.config.seed, history, globals);
             // A failed checkpoint write must never kill the study: the
             // run is still correct, only resumability is lost.
             let _ = checkpoint.save(path);
@@ -643,69 +575,24 @@ impl Evaluate for OnefoldEvaluator<'_> {
         }
     }
 
-    fn should_halt(&self) -> bool {
-        self.diverged.is_some()
-            || self
-                .halt_after_rungs
-                .is_some_and(|rungs| self.rungs_completed >= rungs)
-    }
-}
-
-impl OnefoldEvaluator<'_> {
-    /// Answers a rung from the resumed trial log, if the log reaches it:
-    /// each record is checked against the `(id, config, budget)` the
-    /// scheduler regenerated and its outcome handed back — nothing else
-    /// is touched. `None` means the log ended before this rung, which
-    /// runs live. A record that does not match, or a log that ends
-    /// inside the rung, sets `diverged`; the placeholder outcomes
-    /// returned then are never reported.
-    fn answer_from_log(
-        &mut self,
-        trials: &[(u64, Config, TrialBudget)],
-    ) -> Option<Vec<TrialOutcome>> {
-        let (first, _, _) = trials.first()?;
-        if *first >= self.resumed.len() as u64 {
-            return None;
-        }
-        let answered = trials
-            .iter()
-            .map(|(id, config, budget)| {
-                let logged = self.resumed.get(*id as usize);
-                logged
-                    .filter(|r| r.id == *id && r.config == *config && r.budget == *budget)
-                    .map(|r| r.outcome)
-                    .ok_or_else(|| {
-                        Error::invalid_config(format!(
-                            "the checkpoint belongs to a different study: its log does not \
-                             hold the trial {id} this configuration generates"
-                        ))
-                    })
-            })
-            .collect::<Result<Vec<_>>>();
-        Some(answered.unwrap_or_else(|err| {
-            self.diverged = Some(err);
-            let unreported = TrialOutcome::new(f64::INFINITY, 0.0, Seconds::ZERO, Joules::ZERO);
-            vec![unreported; trials.len()]
-        }))
-    }
-
     /// Executes one live rung — sequential, or simulated slots.
-    fn run_rung(&mut self, trials: Vec<(u64, Config, TrialBudget)>) -> Vec<TrialOutcome> {
+    fn run_rung(&mut self, backend: &mut dyn TrainingBackend, rung: &Rung) -> Vec<TrialOutcome> {
         // Phase A: engine shards precompute the measurements when that
         // is provably invisible in the results. The buffer is recycled
         // scratch (taken out of `self` so `run_one` stays free to borrow
         // it mutably) and is handed back once the rung is accounted.
         let mut measured = std::mem::take(&mut self.scratch.measured);
-        self.measure_rung(&trials, &mut measured);
-        if self.trial_slots <= 1 || trials.len() <= 1 {
+        self.measure_rung(backend, rung, &mut measured);
+        let trials = &rung.trials;
+        if self.config.trial_slots <= 1 || trials.len() <= 1 {
             // Phase B, one slot: the exact sequential accounting path.
             let outcomes = trials
-                .into_iter()
+                .iter()
                 .enumerate()
                 .map(|(index, (id, config, budget))| {
                     let precomputed = measured.get_mut(index).and_then(Option::take);
-                    let run = self.run_one(&config, budget, precomputed);
-                    self.record(id, &run, self.globals.clock, 0);
+                    let run = self.run_one(backend, config, *budget, precomputed);
+                    self.record(*id, &run, self.globals.clock, 0);
                     // One advance by the recorded runtime (`outcome.runtime`
                     // is computed as `train + stall` on every path).
                     self.globals.clock += run.outcome.runtime;
@@ -720,12 +607,12 @@ impl OnefoldEvaluator<'_> {
         // list-scheduled onto `trial_slots` slots; the rung advances
         // the clock by its makespan, not by the sum of trial durations.
         let runs: Vec<(u64, TrialRun)> = trials
-            .into_iter()
+            .iter()
             .enumerate()
             .map(|(index, (id, config, budget))| {
                 let precomputed = measured.get_mut(index).and_then(Option::take);
-                let run = self.run_one(&config, budget, precomputed);
-                (id, run)
+                let run = self.run_one(backend, config, *budget, precomputed);
+                (*id, run)
             })
             .collect();
         measured.clear();
@@ -733,7 +620,7 @@ impl OnefoldEvaluator<'_> {
         let rung_start = self.globals.clock;
         let mut loads = std::mem::take(&mut self.scratch.loads);
         loads.clear();
-        loads.resize(self.trial_slots, Seconds::ZERO);
+        loads.resize(self.config.trial_slots, Seconds::ZERO);
         let mut outcomes = Vec::with_capacity(runs.len());
         for (id, run) in runs {
             let (slot, _) = loads

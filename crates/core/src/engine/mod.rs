@@ -3,14 +3,16 @@
 //!
 //! The engine is split along Algorithm 1's seams:
 //!
-//! * [`orchestrator`] — [`Engine`] builds the study (backend, inference
-//!   server, sampler, scheduler, checkpoint/resume wiring), runs it, and
-//!   assembles the final [`TuningReport`]; [`EdgeTune`] is the owned-
-//!   configuration job over it.
+//! * [`orchestrator`] — [`StudyRun`] is one study as a value: `start`
+//!   builds it (inference server, sampler, scheduler, checkpoint/resume
+//!   wiring), each `step` runs one rung on a borrowed backend, and
+//!   `finish` assembles the [`TuningReport`]. [`Engine`] steps a study
+//!   to its end (or its `halt_after_rungs` bound); [`EdgeTune`] is the
+//!   owned-configuration job over it.
 //! * [`shard`] — the shard side of a sharded study: the
 //!   [`ShardPlan`]s a rung is partitioned into. A shard is a plan plus a
 //!   backend snapshot and only measures; the study's one history (and
-//!   its one checkpoint file) stays with the evaluator.
+//!   its one checkpoint file) stays with the [`StudyRun`].
 //! * [`evaluator`] — the onefold evaluator couples each training trial
 //!   to its pipelined inference request, owns simulated time (a
 //!   `Seconds` it adds up in `StudyGlobals`) and rung accounting, and layers real worker threads *under* the
@@ -23,6 +25,6 @@ pub mod orchestrator;
 pub mod report;
 pub mod shard;
 
-pub use orchestrator::{EdgeTune, Engine};
+pub use orchestrator::{EdgeTune, Engine, StudyRun};
 pub use report::{FaultReport, TuningReport};
 pub use shard::ShardPlan;

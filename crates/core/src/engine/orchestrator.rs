@@ -1,21 +1,25 @@
-//! The [`Engine`]: study construction, execution, and report assembly.
+//! The [`StudyRun`] and the [`Engine`] that drives it: study
+//! construction, execution, and report assembly.
 //!
-//! The engine owns everything between a finished
-//! [`EdgeTuneConfig`](crate::config::EdgeTuneConfig) and a
-//! [`TuningReport`]: checkpoint restore, cache loading, inference-server
-//! construction, sampler/scheduler wiring, the evaluator's lifetime, and the
-//! final harvest of history, winner, recommendation, and fault counters.
-//! [`EdgeTune`] is the same thing owning its configuration.
+//! A [`StudyRun`] is one study as a value: [`StudyRun::start`] restores
+//! the checkpoint and builds the inference server, sampler, scheduler
+//! and evaluator; each [`StudyRun::step`] runs one rung;
+//! [`StudyRun::finish`] assembles the [`TuningReport`]. The caller owns
+//! the loop and lends the training backend to each call: [`Engine`]
+//! steps until the study ends or reaches `halt_after_rungs`, a service
+//! interleaves many studies. [`EdgeTune`] is the engine owning its
+//! configuration.
 
 use edgetune_faults::FaultInjector;
 use edgetune_trace::{ChromeTrace, Tracer};
 use edgetune_tuner::objective::{InferenceObjective, TrainObjective};
-use edgetune_tuner::scheduler::{HyperBand, PromotionRule, SuccessiveHalving};
+use edgetune_tuner::sampler::Sampler;
+use edgetune_tuner::scheduler::{HyperBand, PromotionRule, Rung, Study, SuccessiveHalving};
+use edgetune_tuner::trial::{TrialOutcome, TrialRecord};
 use edgetune_util::rng::SeedStream;
 use edgetune_util::{Error, Result};
-use edgetune_workloads::catalog::Workload;
 
-use crate::backend::{SimTrainingBackend, TrainingBackend};
+use crate::backend::TrainingBackend;
 use crate::cache::{CacheKey, HistoricalCache};
 use crate::checkpoint::{load_resume_state, StudyCheckpoint, StudyGlobals};
 use crate::config::{EdgeTuneConfig, ShardExec};
@@ -37,12 +41,6 @@ impl EdgeTune {
     #[must_use]
     pub fn new(config: EdgeTuneConfig) -> Self {
         EdgeTune { config }
-    }
-
-    /// The job's configuration.
-    #[must_use]
-    pub fn config(&self) -> &EdgeTuneConfig {
-        &self.config
     }
 
     /// Runs the job with the default simulated backend for the configured
@@ -93,20 +91,6 @@ impl<'a> Engine<'a> {
         Engine { config }
     }
 
-    /// The default simulated backend for the configured workload.
-    fn default_backend(&self) -> SimTrainingBackend {
-        let workload = Workload::by_id(self.config.workload);
-        let mut backend =
-            SimTrainingBackend::new(workload, SeedStream::new(self.config.seed).child("trials"));
-        if !self.config.fault_plan.is_none() {
-            backend = backend.with_fault_injector(FaultInjector::new(
-                self.config.fault_plan,
-                SeedStream::new(self.config.seed).child("trial-faults"),
-            ));
-        }
-        backend
-    }
-
     /// Runs the study with the default simulated backend for the
     /// configured workload.
     ///
@@ -115,8 +99,7 @@ impl<'a> Engine<'a> {
     /// Propagates configuration and storage errors; see
     /// [`Engine::run_with_backend`].
     pub fn run(&self) -> Result<TuningReport> {
-        let mut backend = self.default_backend();
-        self.run_with_backend(&mut backend)
+        self.run_with_backend(&mut self.config.default_backend())
     }
 
     /// Runs the study against any training backend (e.g. the real
@@ -127,14 +110,8 @@ impl<'a> Engine<'a> {
     /// Returns [`Error::InvalidConfig`] for inconsistent configurations
     /// and [`Error::Storage`] if the historical cache cannot be written.
     pub fn run_with_backend(&self, backend: &mut dyn TrainingBackend) -> Result<TuningReport> {
-        // A study trace exists only when something will read it.
-        let Some(path) = &self.config.trace_path else {
-            return self.run_inner(backend, None);
-        };
-        let tracer = Tracer::new();
-        let report = self.run_inner(backend, Some(&tracer))?;
-        ChromeTrace::from_tracer(&tracer).write(path)?;
-        Ok(report)
+        let study = StudyRun::start(self.config, backend, false)?;
+        Ok(self.drive(study, backend)?.0)
     }
 
     /// Runs the study with the default backend and returns the report
@@ -145,8 +122,7 @@ impl<'a> Engine<'a> {
     ///
     /// Same failure modes as [`Engine::run`].
     pub fn run_traced(&self) -> Result<(TuningReport, ChromeTrace)> {
-        let mut backend = self.default_backend();
-        self.run_traced_with_backend(&mut backend)
+        self.run_traced_with_backend(&mut self.config.default_backend())
     }
 
     /// Runs the study against any training backend, returning the
@@ -159,61 +135,97 @@ impl<'a> Engine<'a> {
         &self,
         backend: &mut dyn TrainingBackend,
     ) -> Result<(TuningReport, ChromeTrace)> {
-        let tracer = Tracer::new();
-        let report = self.run_inner(backend, Some(&tracer))?;
-        let trace = ChromeTrace::from_tracer(&tracer);
-        if let Some(path) = &self.config.trace_path {
-            trace.write(path)?;
-        }
-        Ok((report, trace))
+        let study = StudyRun::start(self.config, backend, true)?;
+        let (report, trace) = self.drive(study, backend)?;
+        Ok((report, trace.expect("a traced study exports its trace")))
     }
 
-    /// The checkpoint this run resumes from, if it resumes at all.
-    /// `None` when resume is off, nothing was written yet, or the file
-    /// is corrupt and the degradation ladder has rungs to stand on (a
-    /// fresh start is deterministic, so it reproduces the same bytes).
-    fn load_checkpoint(&self) -> Result<Option<StudyCheckpoint>> {
-        let Some(path) = self.config.checkpoint_path.as_ref() else {
-            return Ok(None);
-        };
-        if !self.config.resume || !path.exists() {
-            return Ok(None);
-        }
-        let allow_degraded = !self.config.degradation.steps().is_empty();
-        let checkpoint = load_resume_state(path, allow_degraded)?;
-        match checkpoint.as_ref().map(|found| found.seed) {
-            Some(seed) if seed != self.config.seed => Err(Error::invalid_config(format!(
-                "checkpoint was written under seed {seed}, not {}: resuming would \
-                 silently diverge",
-                self.config.seed
-            ))),
-            _ => Ok(checkpoint),
-        }
-    }
-
-    /// The study proper: everything between a validated configuration
-    /// and an assembled report. `tracer`, when given, observes: the time
-    /// accounting is emitted into it along the way and never read back.
-    fn run_inner(
+    /// Steps `study` until no rung is left or `halt_after_rungs` rungs —
+    /// replayed ones included — have run, then finishes it.
+    fn drive(
         &self,
+        mut study: StudyRun,
         backend: &mut dyn TrainingBackend,
-        tracer: Option<&Tracer>,
-    ) -> Result<TuningReport> {
+    ) -> Result<(TuningReport, Option<ChromeTrace>)> {
+        for _ in 0..self.config.halt_after_rungs.unwrap_or(u32::MAX) {
+            if !study.step(backend)? {
+                break;
+            }
+        }
+        study.finish(backend)
+    }
+}
+
+/// The checkpoint a study resumes from, if it resumes at all. `None`
+/// when resume is off, nothing was written yet, or the file is corrupt
+/// and the degradation ladder has rungs to stand on (a fresh start is
+/// deterministic, so it reproduces the same bytes).
+fn load_checkpoint(config: &EdgeTuneConfig) -> Result<Option<StudyCheckpoint>> {
+    let path = match &config.checkpoint_path {
+        Some(path) if config.resume && path.exists() => path,
+        _ => return Ok(None),
+    };
+    let allow_degraded = !config.degradation.steps().is_empty();
+    let checkpoint = load_resume_state(path, allow_degraded)?;
+    match checkpoint.as_ref().map(|found| found.seed) {
+        Some(seed) if seed != config.seed => Err(Error::invalid_config(format!(
+            "checkpoint was written under seed {seed}, not {}: resuming would \
+             silently diverge",
+            config.seed
+        ))),
+        _ => Ok(checkpoint),
+    }
+}
+
+/// One study in flight: the sampler, the scheduler's [`Study`], and the
+/// evaluator — the study's own configuration, [`StudyGlobals`], the
+/// inference endpoint, the shard fabric (one link per shard for the
+/// whole study) and the optional tracer. The training backend is lent
+/// to every call, so a caller can keep a study next to its backend.
+#[derive(Debug)]
+pub struct StudyRun {
+    sampler: Box<dyn Sampler>,
+    study: Study,
+    eval: OnefoldEvaluator,
+    /// The resumed checkpoint's trial log — the history prefix, so trial
+    /// `id` is `resumed[id]`. Empty on a fresh run.
+    resumed: Vec<TrialRecord>,
+}
+
+impl StudyRun {
+    /// Opens a study of `config` on `backend`, resuming from its
+    /// checkpoint when the configuration asks to. A study trace is
+    /// recorded when `traced` or the configuration's `trace_path` asks
+    /// for one; the time accounting is emitted into it, never read back.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] for inconsistent configurations
+    /// (`halt_after_rungs` of 0 included) or a checkpoint written under
+    /// another seed, and [`Error::Storage`] for unreadable state.
+    pub fn start(
+        config: &EdgeTuneConfig,
+        backend: &mut dyn TrainingBackend,
+        traced: bool,
+    ) -> Result<Self> {
         let space = backend.search_space();
         if space.is_empty() {
             return Err(Error::invalid_config("backend search space is empty"));
         }
-        if self.config.shard_exec == ShardExec::Remote && self.config.shard_hosts.is_empty() {
+        if config.shard_exec == ShardExec::Remote && config.shard_hosts.is_empty() {
             return Err(Error::invalid_config(
                 "--shard-exec remote needs at least one --shard-hosts address",
             ));
         }
-        let faults_enabled = !self.config.fault_plan.is_none();
+        if config.halt_after_rungs == Some(0) {
+            return Err(Error::invalid_config("halt_after_rungs must be ≥ 1"));
+        }
+        let faults_enabled = !config.fault_plan.is_none();
 
         // Resume: the checkpoint's state is reinstated whole, and its
         // trial log answers the rungs it covers. Without one the study
         // starts from nothing but the persistent historical cache.
-        let (resumed, globals) = match self.load_checkpoint()? {
+        let (resumed, globals) = match load_checkpoint(config)? {
             Some(checkpoint) => {
                 let (trials, mut globals) = checkpoint.into_parts();
                 globals.cache.restore_stats(globals.cache_stats);
@@ -221,7 +233,7 @@ impl<'a> Engine<'a> {
                 (trials, globals)
             }
             None => {
-                let cache = match &self.config.cache_path {
+                let cache = match &config.cache_path {
                     Some(path) if path.exists() => HistoricalCache::load(path)?,
                     _ => HistoricalCache::new(),
                 };
@@ -234,106 +246,160 @@ impl<'a> Engine<'a> {
         };
 
         let inference_server = InferenceTuningServer::new(
-            self.config.edge_device.clone(),
-            InferenceSpace::for_device(&self.config.edge_device),
-            InferenceObjective::new(self.config.inference_metric),
+            config.edge_device.clone(),
+            InferenceSpace::for_device(&config.edge_device),
+            InferenceObjective::new(config.inference_metric),
         )?;
-        let inference_faults = if faults_enabled {
-            Some(FaultInjector::new(
-                self.config.fault_plan,
-                SeedStream::new(self.config.seed).child("inference-faults"),
-            ))
-        } else {
-            None
-        };
-        let mut inference = InferenceEndpoint::new(
-            inference_server,
-            self.config.historical_cache,
-            inference_faults,
-        );
+        let inference_faults = faults_enabled.then(|| {
+            FaultInjector::new(
+                config.fault_plan,
+                SeedStream::new(config.seed).child("inference-faults"),
+            )
+        });
+        let inference =
+            InferenceEndpoint::new(inference_server, config.historical_cache, inference_faults);
 
-        let mut objective = TrainObjective::inference_aware(self.config.train_metric);
-        if let Some(floor) = self.config.accuracy_floor {
+        let mut objective = TrainObjective::inference_aware(config.train_metric);
+        if let Some(floor) = config.accuracy_floor {
             objective = objective.with_accuracy_floor(floor);
         }
 
         // Observer only: show the trials a resumed run inherits on the
         // trace's `restored` tracks. The report does not depend on it.
-        if let Some(tracer) = tracer {
+        let tracer = (traced || config.trace_path.is_some()).then(Tracer::new);
+        if let Some(tracer) = &tracer {
             seed_tracer_from_timeline(tracer, &globals.timeline);
         }
-        let mut sampler = self.config.build_sampler();
-        let device_name = self.config.edge_device.name.clone();
 
-        // The evaluator hands each rung to this executor, which measures
-        // its shard slices on threads, in supervised child processes or
-        // on standing shard hosts, per `shard_exec`. It keeps its own
-        // tracer: supervision telemetry (spawns, heartbeats, crashes,
-        // retries) is wall-clock-dependent and must never leak into the
-        // study trace, whose bytes are an exec-mode-independent contract.
-        let mut executor = ShardFabric::new(self.config);
-
-        let mut evaluator = OnefoldEvaluator {
-            backend,
-            inference: &mut inference,
-            device: &self.config.edge_device,
-            inference_metric: self.config.inference_metric,
-            objective,
-            tracer,
-            pipelining: self.config.pipelining,
-            pareto: self.config.pareto.is_some(),
-            trial_slots: self.config.trial_slots,
-            executor: &mut executor,
-            globals,
-            faults_enabled,
-            supervisor: self.config.supervisor,
-            ladder: &self.config.degradation,
-            supervisor_seed: SeedStream::new(self.config.seed).child("supervisor"),
-            checkpoint_path: self.config.checkpoint_path.as_ref(),
-            root_seed: self.config.seed,
-            halt_after_rungs: self.config.halt_after_rungs,
-            rungs_completed: 0,
-            resumed,
-            diverged: None,
-            current_bracket: 0,
-            rungs_traced: 0,
-            bracket_open: None,
-            scratch: Default::default(),
-        };
-        // Pareto mode promotes on front membership (dominance
-        // layers) instead of raw scalar rank; scalar mode keeps the
-        // default rule, so its reports are untouched.
-        let promotion = if self.config.pareto.is_some() {
+        // Pareto mode promotes on front membership (dominance layers)
+        // instead of raw scalar rank; scalar mode keeps the default
+        // rule, so its reports are untouched.
+        let promotion = if config.pareto.is_some() {
             PromotionRule::FrontMembership
         } else {
             PromotionRule::ScalarRank
         };
-        let history = if self.config.hyperband {
-            HyperBand::new(self.config.scheduler)
+        let study = if config.hyperband {
+            HyperBand::new(config.scheduler)
                 .with_promotion(promotion)
-                .run(
-                    sampler.as_mut(),
-                    &space,
-                    &self.config.budget,
-                    &mut evaluator,
-                )
+                .study(space, config.budget)
         } else {
-            SuccessiveHalving::new(self.config.scheduler)
+            SuccessiveHalving::new(config.scheduler)
                 .with_promotion(promotion)
-                .run(
-                    sampler.as_mut(),
-                    &space,
-                    &self.config.budget,
-                    &mut evaluator,
-                )
+                .study(space, config.budget)
         };
-        let (mut globals, halted) = evaluator.finish(&history)?;
+
+        Ok(StudyRun {
+            sampler: config.build_sampler(),
+            study,
+            eval: OnefoldEvaluator {
+                inference,
+                objective,
+                tracer,
+                // Measures each rung's shard slices per `shard_exec`. Its
+                // own tracer keeps wall-clock supervision telemetry out
+                // of the study trace, an exec-mode-independent contract.
+                executor: ShardFabric::new(config),
+                globals,
+                faults_enabled,
+                bracket_open: None,
+                scratch: Default::default(),
+                config: config.clone(),
+            },
+            resumed,
+        })
+    }
+
+    /// Runs the next rung on `backend` and says whether another follows
+    /// (`Ok(false)` after the last rung, and on every later call). A
+    /// rung the resumed log covers is completed from the log and is
+    /// inert: no clock advance, no spans, no checkpoint write. A live
+    /// rung is evaluated and then checkpointed, if the study keeps one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] when the resumed log belongs to a
+    /// different study — a logged trial that does not match the
+    /// regenerated `(id, config, budget)`, or log left over when the
+    /// study ends — before anything is written on top of its state.
+    pub fn step(&mut self, backend: &mut dyn TrainingBackend) -> Result<bool> {
+        let Some(rung) = self.study.next_rung(self.sampler.as_mut()) else {
+            return Ok(false);
+        };
+        let replayed = rung.trials[0].0 < self.resumed.len() as u64;
+        let outcomes = if replayed {
+            self.logged_outcomes(&rung)?
+        } else {
+            self.eval.evaluate_rung(backend, &rung)
+        };
+        self.study.complete(self.sampler.as_mut(), rung, outcomes);
+        if !replayed {
+            self.eval.rung_completed(&*backend, self.study.history());
+        }
+        let (logged, generated) = (self.resumed.len(), self.study.history().len());
+        if self.study.done() && generated < logged {
+            return Err(Error::invalid_config(format!(
+                "the checkpoint belongs to a different study: it logs {logged} trials, this \
+                 configuration generates {generated}"
+            )));
+        }
+        Ok(!self.study.done())
+    }
+
+    /// The resumed log's outcomes for a rung it covers, each record
+    /// checked against the regenerated `(id, config, budget)`.
+    fn logged_outcomes(&self, rung: &Rung) -> Result<Vec<TrialOutcome>> {
+        rung.trials
+            .iter()
+            .map(|(id, config, budget)| {
+                self.resumed
+                    .get(*id as usize)
+                    .filter(|r| r.id == *id && r.config == *config && r.budget == *budget)
+                    .map(|r| r.outcome)
+                    .ok_or_else(|| {
+                        Error::invalid_config(format!(
+                            "the checkpoint belongs to a different study: its log does not \
+                             hold the trial {id} this configuration generates"
+                        ))
+                    })
+            })
+            .collect()
+    }
+
+    /// Ends the study — run to its end or stopped early — and returns
+    /// its report with the exported study trace, if one was recorded
+    /// (and written to `trace_path`, if set). The study's state moves
+    /// into the report; the fabric and the endpoint are dropped here.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] if no trial ran and
+    /// [`Error::Storage`] if the historical cache or a trace cannot be
+    /// written.
+    pub fn finish(
+        mut self,
+        backend: &mut dyn TrainingBackend,
+    ) -> Result<(TuningReport, Option<ChromeTrace>)> {
+        self.eval.close_bracket_span();
+        self.eval.sample_degradation();
+        let history = self.study.into_history();
+        let OnefoldEvaluator {
+            config,
+            inference,
+            tracer,
+            executor,
+            mut globals,
+            faults_enabled,
+            ..
+        } = self.eval;
         // Export the fabric's supervision telemetry to its own trace
         // file — deliberately separate from the study trace so the
         // latter stays byte-identical across `--shard-exec` modes.
-        if let Some(path) = &self.config.fabric_trace_path {
+        if let Some(path) = &config.fabric_trace_path {
             ChromeTrace::from_tracer(executor.tracer()).write(path)?;
         }
+        let fabric = executor.stats();
+        drop(executor);
 
         // The tuning job's output is the final-rung winner: raw ratio
         // scores are only comparable within one budget level.
@@ -348,7 +414,7 @@ impl<'a> Engine<'a> {
         // architecture was lost: sweep it now, outside the study's
         // accounting.
         let (best_arch, best_profile) = backend.architecture(&best.config);
-        let key = CacheKey::new(&device_name, best_arch, self.config.inference_metric);
+        let key = CacheKey::new(&config.edge_device.name, best_arch, config.inference_metric);
         let recommendation = match globals.cache.peek(&key) {
             Some(rec) => rec.clone(),
             None => {
@@ -358,36 +424,32 @@ impl<'a> Engine<'a> {
             }
         };
 
-        if let Some(path) = &self.config.cache_path {
+        if let Some(path) = &config.cache_path {
             globals.cache.save(path)?;
         }
 
-        let faults = if faults_enabled {
-            Some(FaultReport {
-                plan: self.config.fault_plan,
-                degradation: globals.degradation,
-                worker_panics: inference.worker_panics(),
-                injected_losses: globals.injected_losses,
-                injected_outages: globals.injected_outages,
-                failed_trials: history
-                    .records()
-                    .iter()
-                    .filter(|r| r.outcome.is_failed())
-                    .count() as u64,
-            })
-        } else {
-            None
-        };
+        let faults = faults_enabled.then(|| FaultReport {
+            plan: config.fault_plan,
+            degradation: globals.degradation,
+            worker_panics: inference.worker_panics(),
+            injected_losses: globals.injected_losses,
+            injected_outages: globals.injected_outages,
+            failed_trials: history
+                .records()
+                .iter()
+                .filter(|r| r.outcome.is_failed())
+                .count() as u64,
+        });
 
         // The frontier is assembled from the study's one history, so its
         // contents (like every other reported byte) are invariant to the
         // shard split.
-        let frontier = match self.config.pareto {
+        let frontier = match config.pareto {
             Some(k) => crate::engine::report::build_frontier(&history, k),
             None => Vec::new(),
         };
 
-        Ok(TuningReport {
+        let report = TuningReport {
             history,
             best,
             frontier,
@@ -398,9 +460,13 @@ impl<'a> Engine<'a> {
             stall_time: globals.stall,
             inference_energy: globals.inference_energy,
             faults,
-            fabric: executor.stats(),
-            halted,
-        })
+            fabric,
+        };
+        let trace = tracer.map(|tracer| ChromeTrace::from_tracer(&tracer));
+        if let (Some(path), Some(trace)) = (&config.trace_path, &trace) {
+            trace.write(path)?;
+        }
+        Ok((report, trace))
     }
 }
 
@@ -509,16 +575,14 @@ mod tests {
         for (mode, config) in modes {
             for shards in [1, 4] {
                 let config = config.clone().with_study_shards(shards);
-                let engine = Engine::new(&config);
-                let mut backend = engine.default_backend();
-                let tracer = Tracer::new();
-                let report = engine.run_inner(&mut backend, Some(&tracer)).unwrap();
+                let mut backend = config.default_backend();
+                let mut study = StudyRun::start(&config, &mut backend, true).unwrap();
+                while study.step(&mut backend).unwrap() {}
+                let tracer = study.eval.tracer.as_ref().unwrap();
+                let shown = crate::trace::tests::timeline_shown_by(tracer);
+                let (report, _) = study.finish(&mut backend).unwrap();
                 assert!(!report.timeline().spans().is_empty());
-                assert_eq!(
-                    report.timeline(),
-                    &crate::trace::tests::timeline_shown_by(&tracer),
-                    "{mode}, {shards} shard(s)"
-                );
+                assert_eq!(report.timeline(), &shown, "{mode}, {shards} shard(s)");
             }
         }
         // The non-pipelined order is the contract worth naming: every

@@ -82,13 +82,6 @@ pub struct TuningReport {
     /// reports are byte-identical to a build without this feature.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub(crate) frontier: Vec<FrontPoint>,
-    /// Whether the run stopped at a `halt_after_rungs` boundary rather
-    /// than finishing the study. Never serialised — the JSON form stays
-    /// a byte-stability contract over *completed* studies — but a
-    /// service driving studies in rung-quantum slices needs to know
-    /// whether this slice hit its halt or ran to natural completion.
-    #[serde(skip)]
-    pub(crate) halted: bool,
     /// Fabric supervision counters when the study's shards ran under
     /// `--shard-exec process|remote`. Never serialised: fabric telemetry is
     /// wall-clock-dependent, and the JSON report must stay
@@ -182,14 +175,6 @@ impl TuningReport {
     #[must_use]
     pub fn faults(&self) -> Option<&FaultReport> {
         self.faults.as_ref()
-    }
-
-    /// `true` when the run stopped because it reached its configured
-    /// `halt_after_rungs` boundary instead of completing the study.
-    /// Always `false` on reports parsed back from JSON.
-    #[must_use]
-    pub fn halted(&self) -> bool {
-        self.halted
     }
 
     /// Supervision counters from the shard fabric, when the study's

@@ -12,7 +12,7 @@
 //! and are replayed through the *same* sequential accounting path an
 //! unsharded run uses, where the evaluator adds their runtimes to the
 //! one study clock. Shards hold no history of their own either: the
-//! evaluator's one trial log is the study's history, so the report —
+//! study keeps the one trial log, so the report —
 //! and every checkpoint — is byte-identical for any shard count and
 //! needs no split or merge.
 //!

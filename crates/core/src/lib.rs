@@ -73,7 +73,7 @@ pub mod prelude {
 }
 
 pub use config::EdgeTuneConfig;
-pub use engine::{EdgeTune, Engine, TuningReport};
+pub use engine::{EdgeTune, Engine, StudyRun, TuningReport};
 pub use inference::{InferenceRecommendation, InferenceSpace, InferenceTuningServer};
 pub use serve::ScenarioRetuner;
 pub use transfer::{TransferIndex, TransferKey};

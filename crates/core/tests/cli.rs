@@ -75,6 +75,42 @@ fn bad_flags_fail_with_guidance() {
 }
 
 #[test]
+fn halting_after_zero_rungs_is_rejected_before_any_trial_runs() {
+    let dir = std::env::temp_dir().join("edgetune-cli-test-halt-zero");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let (checkpoint, report) = (dir.join("ck.json"), dir.join("report.json"));
+    let out = edgetune()
+        .args([
+            "chaos",
+            "--trials",
+            "4",
+            "--max-iter",
+            "4",
+            "--halt-after-rungs",
+            "0",
+        ])
+        .arg("--checkpoint")
+        .arg(&checkpoint)
+        .arg("--json")
+        .arg(&report)
+        .output()
+        .expect("cli runs");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8(out.stderr).expect("utf8");
+    assert!(
+        stderr.contains("invalid configuration: halt_after_rungs must be ≥ 1"),
+        "{stderr}"
+    );
+    assert!(
+        !checkpoint.exists(),
+        "no rung ran, so none was checkpointed"
+    );
+    assert!(!report.exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn trace_summary_profiles_a_recorded_trace() {
     let path = std::env::temp_dir().join("edgetune-cli-test-summary.trace.json");
     std::fs::remove_file(&path).ok();

@@ -4,18 +4,19 @@
 //! named tenants and drives them all to completion on a shared engine,
 //! three guarantees at a time:
 //!
-//! - **Fairness without preemption.** Studies run one rung-quantum
-//!   slice at a time under the engine's `halt_after_rungs` boundary,
-//!   parking at per-study checkpoints between slices. The
+//! - **Fairness without preemption.** Every admitted study stays
+//!   resident as a running [`StudyRun`](edgetune::StudyRun) next to its
+//!   backend, and a grant steps it one rung-quantum slice. The
 //!   [`FairScheduler`] grants slices by credit-based weighted
 //!   round-robin over tenants, longest-remaining-budget first within a
 //!   tenant — all integer arithmetic, so the grant sequence is a pure
 //!   function of the submission file.
-//! - **Isolation by byte-identity.** Park/resume is byte-exact, so a
-//!   study's final report is independent of what interleaved with it:
-//!   a cold study's JSON equals a solo `edgetune` run of the same
-//!   seed. A tenant's study crashing (fault injection, bad submission)
-//!   is recorded and removed without touching anyone else's bytes.
+//! - **Isolation by byte-identity.** A resident study takes exactly the
+//!   steps a solo run takes, so its final report (and trace) is
+//!   independent of what interleaved with it: a cold study's JSON
+//!   equals a solo `edgetune` run of the same seed. A tenant's study
+//!   crashing (fault injection, bad submission) is recorded and removed
+//!   without touching anyone else's bytes.
 //! - **Cross-study warm starts.** Completed studies donate their best
 //!   configurations to a [`TransferIndex`](edgetune::transfer::TransferIndex)
 //!   keyed by [`TransferKey`](edgetune::transfer::TransferKey)

@@ -1,8 +1,9 @@
 //! Deterministic weighted fair scheduling at rung granularity.
 //!
 //! The service never runs two studies at once — concurrency comes from
-//! *interleaving*: each grant lets one study execute a quantum of rungs
-//! before it is parked at a checkpoint and the scheduler picks again.
+//! *interleaving*: each grant lets one study execute a quantum of rungs,
+//! then the scheduler picks again while the study waits, resident, for
+//! its next grant.
 //! Fairness is classic credit-based weighted round-robin over tenants:
 //! every round, each tenant with runnable work earns its weight in
 //! credits; the richest tenant (ties broken lexicographically by name)
@@ -18,7 +19,7 @@
 
 use std::collections::BTreeMap;
 
-/// A parked study the scheduler can grant time to.
+/// A waiting study the scheduler can grant time to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Entry {
     /// Index into the service's study table.
@@ -85,7 +86,7 @@ impl FairScheduler {
         self.admitted += 1;
     }
 
-    /// Lowers a parked study's remaining rung budget after a slice ran
+    /// Lowers a waiting study's remaining rung budget after a slice ran
     /// (saturating at 1: a study still queued always has work left).
     pub fn update_remaining(&mut self, study: usize, remaining_rungs: u64) {
         for state in self.tenants.values_mut() {
@@ -102,12 +103,6 @@ impl FairScheduler {
         for state in self.tenants.values_mut() {
             state.entries.retain(|e| e.study != study);
         }
-    }
-
-    /// True when no study is runnable.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.tenants.values().all(|t| t.entries.is_empty())
     }
 
     /// Picks the next study to run for one quantum, or `None` when
@@ -231,8 +226,7 @@ mod tests {
         s.remove(0);
         assert_eq!(grants(&mut s, 3), vec![1, 1, 1], "b inherits every round");
         s.remove(1);
-        assert!(s.is_idle());
-        assert_eq!(s.grant(), None);
+        assert_eq!(s.grant(), None, "no study is runnable");
     }
 
     #[test]

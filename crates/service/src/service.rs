@@ -1,14 +1,13 @@
 //! The [`StudyService`]: admission, fair slicing, warm start, harvest.
 //!
 //! One service run drives every admitted study to completion on a
-//! shared engine, interleaving them at rung granularity: a granted
-//! study executes `rung_quantum` rungs under a cumulative
-//! `halt_after_rungs` boundary, parks at its per-study checkpoint, and
-//! the scheduler picks again. Because checkpoint park/resume is
-//! byte-exact (the engine's standing invariant), the interleaving never
-//! changes a study's report — a cold study's bytes equal a solo
-//! `edgetune` run of the same submission, whatever ran in between its
-//! slices.
+//! shared engine, interleaving them at rung granularity. A study stays
+//! resident between grants — its backend next to its [`StudyRun`] — and
+//! a grant is `rung_quantum` calls to [`StudyRun::step`], so it takes
+//! exactly ⌈rungs / `rung_quantum`⌉ grants and replays nothing: a cold
+//! study's report and trace bytes equal a solo `edgetune` run of the
+//! same submission, whatever ran in between. Its per-study checkpoint
+//! is still written after every live rung, for durability only.
 //!
 //! Completed studies donate their best configurations to a
 //! [`TransferIndex`] under a [`TransferKey`]; a study submitted with
@@ -19,9 +18,9 @@
 
 use std::path::PathBuf;
 
-use edgetune::backend::PARAM_MODEL_HP;
+use edgetune::backend::{SimTrainingBackend, PARAM_MODEL_HP};
 use edgetune::transfer::{TransferIndex, TransferKey};
-use edgetune::{EdgeTune, EdgeTuneConfig, TuningReport};
+use edgetune::{EdgeTuneConfig, StudyRun, TuningReport};
 use edgetune_faults::FaultPlan;
 use edgetune_tuner::scheduler::{HyperBand, SchedulerConfig};
 use edgetune_tuner::space::Config;
@@ -70,20 +69,21 @@ struct StudyState {
     metric: Metric,
     /// Cold scheduler shape, exactly what a solo run would use.
     cold: SchedulerConfig,
-    /// Transferred seed configurations (resolved at first grant).
-    warm_seeds: Vec<Config>,
+    /// Transferred configurations seeded at the first grant.
     warm_hits: u64,
     trials_saved: u64,
     slices: u32,
     planned_rungs: u64,
-    started: bool,
+    /// The study's backend and its running study, resident from the
+    /// first grant until the study ends.
+    live: Option<(SimTrainingBackend, StudyRun)>,
 }
 
 impl StudyState {
     /// The scheduler shape actually run: the cold shape, minus the
     /// cohort slots covered by transferred seeds.
     fn effective_scheduler(&self) -> SchedulerConfig {
-        let saved = self.warm_seeds.len().min(self.cold.initial_configs / 2);
+        let saved = (self.warm_hits as usize).min(self.cold.initial_configs / 2);
         let initial = (self.cold.initial_configs - saved).max(1);
         SchedulerConfig::new(initial, self.cold.eta, self.cold.max_iteration)
     }
@@ -114,50 +114,9 @@ impl StudyState {
 pub struct StudyService {
     options: ServiceOptions,
     transfer: TransferIndex,
-    /// Fault-injection hook: `(tenant, study)` → slice index at which
-    /// the study's engine run is replaced by a crash.
+    /// Fault-injection hook: `(tenant, study)` → grant index at which
+    /// the study's steps are replaced by a crash.
     crash_points: std::collections::HashMap<(String, String), u32>,
-}
-
-/// Planned (trials, rungs) of one successive-halving bracket, assuming
-/// no failures and no halt — mirrors `SuccessiveHalving::run_bracket`'s
-/// promotion arithmetic.
-fn planned_bracket(
-    initial: usize,
-    eta: f64,
-    start_iteration: u32,
-    max_iteration: u32,
-) -> (u64, u64) {
-    let mut n = initial;
-    let mut iteration = start_iteration.max(1);
-    let mut trials = 0u64;
-    let mut rungs = 0u64;
-    loop {
-        trials += n as u64;
-        rungs += 1;
-        if n <= 1 || iteration >= max_iteration {
-            return (trials, rungs);
-        }
-        n = ((n as f64 / eta).ceil() as usize).max(1);
-        iteration = ((f64::from(iteration) * eta).round() as u32).min(max_iteration);
-    }
-}
-
-/// Planned (trials, rungs) of a full HyperBand study under `scheduler`.
-fn planned_study(scheduler: SchedulerConfig) -> (u64, u64) {
-    let mut trials = 0u64;
-    let mut rungs = 0u64;
-    for spec in HyperBand::new(scheduler).bracket_specs() {
-        let (t, r) = planned_bracket(
-            spec.initial,
-            scheduler.eta,
-            spec.start_iteration,
-            scheduler.max_iteration,
-        );
-        trials += t;
-        rungs += r;
-    }
-    (trials, rungs)
 }
 
 impl StudyService {
@@ -190,12 +149,6 @@ impl StudyService {
     pub fn inject_crash(&mut self, tenant: &str, study: &str, at_slice: u32) {
         self.crash_points
             .insert((tenant.to_string(), study.to_string()), at_slice);
-    }
-
-    /// The service's transfer index (completed studies donate to it).
-    #[must_use]
-    pub fn transfer_index(&self) -> &TransferIndex {
-        &self.transfer
     }
 
     fn study_path(&self, submission: &StudySubmission, suffix: &str) -> PathBuf {
@@ -244,8 +197,8 @@ impl StudyService {
         )
     }
 
-    /// The engine configuration for one slice of a study.
-    fn slice_config(&self, state: &StudyState) -> EdgeTuneConfig {
+    /// The engine configuration of a study, seeded with `warm_seeds`.
+    fn study_config(&self, state: &StudyState, warm_seeds: Vec<Config>) -> EdgeTuneConfig {
         let s = &state.submission;
         // Exactly the solo CLI construction, so a cold study's report
         // bytes match a solo `edgetune --workload … --seed …` run.
@@ -253,15 +206,9 @@ impl StudyService {
             .with_metric(state.metric)
             .with_scheduler(state.effective_scheduler())
             .with_seed(s.seed)
-            .with_checkpoint_path(self.study_path(s, "ckpt.json"))
-            .with_halt_after_rungs(s.rung_quantum * (state.slices + 1));
-        if state.slices > 0 {
-            config = config.resuming();
-        }
-        if !state.warm_seeds.is_empty() {
-            // Every slice: the resumed sampler re-suggests the whole
-            // stream, so the seeds must be in front each time.
-            config = config.with_warm_start(state.warm_seeds.clone());
+            .with_checkpoint_path(self.study_path(s, "ckpt.json"));
+        if !warm_seeds.is_empty() {
+            config = config.with_warm_start(warm_seeds);
         }
         if s.chaos_rate > 0.0 {
             config = config.with_fault_plan(FaultPlan::uniform(s.chaos_rate));
@@ -270,6 +217,40 @@ impl StudyService {
             config = config.with_trace_path(self.study_path(s, "trace.json"));
         }
         config
+    }
+
+    /// One grant: up to `rung_quantum` steps of the study, starting it
+    /// on its first grant. `Ok(true)` once no rung is left.
+    fn run_grant(&self, state: &mut StudyState) -> Result<bool> {
+        if state.live.is_none() {
+            // First grant: resolve the warm start against whatever has
+            // completed so far.
+            let mut warm_seeds = Vec::new();
+            if state.submission.warm_start {
+                warm_seeds = self
+                    .transfer
+                    .suggest(&self.query_key(state), self.options.warm_top_k);
+                state.warm_hits = warm_seeds.len() as u64;
+                if state.warm_hits > 0 {
+                    let (cold_trials, _) = HyperBand::new(state.cold).planned();
+                    let (warm_trials, warm_rungs) =
+                        HyperBand::new(state.effective_scheduler()).planned();
+                    state.trials_saved = cold_trials.saturating_sub(warm_trials);
+                    state.planned_rungs = warm_rungs;
+                }
+            }
+            let config = self.study_config(state, warm_seeds);
+            let mut backend = config.default_backend();
+            let run = StudyRun::start(&config, &mut backend, false)?;
+            state.live = Some((backend, run));
+        }
+        let (backend, run) = state.live.as_mut().expect("started above");
+        for _ in 0..state.submission.rung_quantum {
+            if !run.step(backend)? {
+                return Ok(true);
+            }
+        }
+        Ok(false)
     }
 
     /// The donor's best configurations, best-first and deduplicated.
@@ -309,6 +290,27 @@ impl StudyService {
             }
         }
         configs
+    }
+
+    /// Persists a finished study's report and donates its best
+    /// configurations. Harvest failures (an unserialisable report, an
+    /// unwritable report path) fail *this study*, not the whole
+    /// submission file — and a study whose report could not be
+    /// persisted donates nothing.
+    fn harvest(
+        &mut self,
+        state: &StudyState,
+        report: TuningReport,
+    ) -> std::result::Result<TuningReport, String> {
+        let path = self.study_path(&state.submission, "report.json");
+        report
+            .to_json()
+            .and_then(|json| edgetune_util::fs::write_atomic(&path, json))
+            .map_err(|err| format!("harvest failed: {err}"))?;
+        let key = self.donor_key(state, &report);
+        self.transfer
+            .record(key, self.donation(&report), report.best().outcome.score);
+        Ok(report)
     }
 
     fn cleanup(&self, submission: &StudySubmission) {
@@ -366,18 +368,17 @@ impl StudyService {
             }
             *room -= 1;
             let cold = SchedulerConfig::new(submission.trials, 2.0, submission.max_iter);
-            let (_, planned_rungs) = planned_study(cold);
+            let (_, planned_rungs) = HyperBand::new(cold).planned();
             let state = StudyState {
                 workload,
                 metric,
                 submission: submission.clone(),
                 cold,
-                warm_seeds: Vec::new(),
                 warm_hits: 0,
                 trials_saved: 0,
                 slices: 0,
                 planned_rungs,
-                started: false,
+                live: None,
             };
             scheduler.enqueue(&submission.tenant, states.len(), planned_rungs);
             states.push(state);
@@ -393,23 +394,6 @@ impl StudyService {
                 study: state.submission.name.clone(),
             });
 
-            // First grant: resolve the warm start against whatever has
-            // completed so far.
-            if !state.started {
-                state.started = true;
-                if state.submission.warm_start {
-                    let key = self.query_key(state);
-                    state.warm_seeds = self.transfer.suggest(&key, self.options.warm_top_k);
-                    state.warm_hits = state.warm_seeds.len() as u64;
-                    if state.warm_hits > 0 {
-                        let (cold_trials, _) = planned_study(state.cold);
-                        let (warm_trials, warm_rungs) = planned_study(state.effective_scheduler());
-                        state.trials_saved = cold_trials.saturating_sub(warm_trials);
-                        state.planned_rungs = warm_rungs;
-                    }
-                }
-            }
-
             let crash_key = (
                 state.submission.tenant.clone(),
                 state.submission.name.clone(),
@@ -417,52 +401,28 @@ impl StudyService {
             let outcome = if self.crash_points.get(&crash_key) == Some(&state.slices) {
                 Err(Error::invalid_config("injected crash"))
             } else {
-                let config = self.slice_config(state);
-                EdgeTune::new(config).run()
+                self.run_grant(state)
             };
             state.slices += 1;
 
-            // Backstop against a park/resume that never converges: a
-            // study can replay one extra slice past its natural end (a
-            // halt boundary coinciding with completion), never more.
-            let slice_budget = state.planned_rungs / u64::from(state.submission.rung_quantum) + 2;
             // `Some` once the study is over, one way or another.
             let finished = match outcome {
                 Err(err) => Some(Err(err.to_string())),
-                Ok(report) if !report.halted() => {
-                    // Harvest failures (an unserialisable report, an
-                    // unwritable report path) fail *this study*, not the
-                    // whole submission file — and a study whose report
-                    // could not be persisted donates nothing.
-                    let path = self.study_path(&state.submission, "report.json");
-                    let harvest = report
-                        .to_json()
-                        .and_then(|json| edgetune_util::fs::write_atomic(&path, json));
-                    Some(match harvest {
-                        Ok(()) => {
-                            let key = self.donor_key(state, &report);
-                            self.transfer.record(
-                                key,
-                                self.donation(&report),
-                                report.best().outcome.score,
-                            );
-                            Ok(report)
-                        }
-                        Err(err) => Err(format!("harvest failed: {err}")),
-                    })
-                }
-                Ok(_) if u64::from(state.slices) > slice_budget => Some(Err(
-                    "study exceeded its slice budget without completing".into(),
-                )),
-                Ok(_) => {
-                    // Parked at the halt boundary; lower its remaining
-                    // budget and let the scheduler pick again.
+                Ok(false) => {
                     let done = u64::from(state.submission.rung_quantum) * u64::from(state.slices);
                     scheduler.update_remaining(idx, state.planned_rungs.saturating_sub(done));
                     None
                 }
+                Ok(true) => {
+                    let (mut backend, run) = state.live.take().expect("a finished study ran");
+                    Some(match run.finish(&mut backend) {
+                        Err(err) => Err(err.to_string()),
+                        Ok((report, _)) => self.harvest(state, report),
+                    })
+                }
             };
             if let Some(result) = finished {
+                state.live = None;
                 outcomes[idx] = Some(state.outcome(result));
                 scheduler.remove(idx);
                 self.cleanup(&state.submission);

@@ -60,8 +60,8 @@ pub struct StudySubmission {
     /// Highest budget level (the CLI's `--max-iter`).
     #[serde(default = "default_max_iter")]
     pub max_iter: u32,
-    /// Rungs executed per scheduling grant before the study is parked
-    /// at a checkpoint and the next study runs.
+    /// Rungs executed per scheduling grant before the scheduler picks
+    /// again; the study stays resident until its next grant.
     #[serde(default = "default_rung_quantum")]
     pub rung_quantum: u32,
     /// Opt into cross-study warm start: seed the sampler with the
@@ -74,11 +74,9 @@ pub struct StudySubmission {
     /// the study fault-free.
     #[serde(default)]
     pub chaos_rate: f64,
-    /// Emit a per-study Chrome trace into the service work directory.
-    /// Every grant rewrites the file, so for a study that took several
-    /// it holds the final grant's events (rung, bracket, cache and
-    /// fault events included) plus the trials of all earlier grants as
-    /// plain spans on the `restored` tracks.
+    /// Emit a per-study Chrome trace into the service work directory,
+    /// written once the study finishes: byte-identical to the trace of
+    /// a solo `edgetune --trace` run of the same study.
     #[serde(default)]
     pub trace: bool,
     /// Serving-scenario label carried into the study's

@@ -1,12 +1,12 @@
 //! End-to-end service laws:
 //!
 //! 1. **Isolation by byte-identity** — a cold study driven by the
-//!    service (sliced, parked, resumed, interleaved with other tenants'
-//!    studies) produces a report byte-identical to a solo `edgetune`
-//!    run of the same submission.
+//!    service (resident across grants, interleaved with other tenants'
+//!    studies) produces a report — and a trace — byte-identical to a
+//!    solo `edgetune` run of the same submission.
 //! 2. **Interleaving-invariance** — changing the schedule (weights,
 //!    rung quanta) changes the grant sequence but never a study's
-//!    bytes.
+//!    bytes, and a study takes exactly ⌈rungs / quantum⌉ grants.
 //! 3. **Warm starts save trials** — a study with a matching
 //!    `TransferKey` donor reports `trials_saved > 0` and evaluates
 //!    fewer trials than its cold twin.
@@ -16,8 +16,8 @@
 use std::path::PathBuf;
 
 use edgetune::{EdgeTune, EdgeTuneConfig};
-use edgetune_service::{ServiceOptions, StudyService, SubmissionFile};
-use edgetune_tuner::scheduler::SchedulerConfig;
+use edgetune_service::{ServiceOptions, ServiceReport, StudyService, SubmissionFile};
+use edgetune_tuner::scheduler::{HyperBand, SchedulerConfig};
 use edgetune_tuner::Metric;
 use edgetune_workloads::catalog::WorkloadId;
 
@@ -77,10 +77,10 @@ fn interleaved_studies_match_solo_runs_byte_for_byte() {
     assert!(report.rejected.is_empty());
     assert_eq!(report.outcomes.len(), 3);
     // The studies genuinely interleaved: more grants than studies means
-    // at least one study parked mid-run and resumed later.
+    // at least one study was set aside mid-run and continued later.
     assert!(
         report.schedule.len() > 3,
-        "expected parked slices, got schedule {:?}",
+        "expected interleaved slices, got schedule {:?}",
         report.schedule
     );
 
@@ -120,36 +120,79 @@ fn interleaved_studies_match_solo_runs_byte_for_byte() {
 
 #[test]
 fn different_interleavings_change_the_schedule_but_not_the_bytes() {
-    let dir_a = work_dir("interleave-a");
-    let dir_b = work_dir("interleave-b");
-    // Interleaving A: equal weights, quantum 2. Interleaving B: alpha
-    // triple-weighted, quantum 1 — different grant order, smaller
-    // slices, more park/resume cycles.
-    let report_a = StudyService::new(ServiceOptions::new(&dir_a))
-        .unwrap()
-        .run(&submissions(1, 2))
-        .unwrap();
-    let report_b = StudyService::new(ServiceOptions::new(&dir_b))
-        .unwrap()
-        .run(&submissions(3, 1))
-        .unwrap();
+    // (alpha's weight, rung quantum): equal weights at quantum 2, alpha
+    // triple-weighted at quantum 1 (the most grants), alpha
+    // double-weighted at quantum 3 — three different grant orders.
+    let interleavings = [(1, 2), (3, 1), (2, 3)];
+    // Every study of `submissions` has this shape, and none fails.
+    let (_, rungs) = HyperBand::new(SchedulerConfig::new(4, 2.0, 4)).planned();
+    let reports: Vec<ServiceReport> = interleavings
+        .iter()
+        .map(|&(weight, quantum)| {
+            let dir = work_dir(&format!("interleave-{weight}-{quantum}"));
+            let report = StudyService::new(ServiceOptions::new(&dir))
+                .unwrap()
+                .run(&submissions(weight, quantum))
+                .unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            // A study is granted until its last rung has run, and not
+            // once more.
+            for outcome in &report.outcomes {
+                assert_eq!(
+                    u64::from(outcome.slices),
+                    rungs.div_ceil(u64::from(quantum)),
+                    "{}/{}: {rungs} rungs at quantum {quantum}",
+                    outcome.tenant,
+                    outcome.study
+                );
+            }
+            let grants: u32 = report.outcomes.iter().map(|o| o.slices).sum();
+            assert_eq!(report.schedule.len(), grants as usize);
+            report
+        })
+        .collect();
 
-    assert_ne!(
-        report_a.schedule, report_b.schedule,
-        "the two interleavings must actually differ for this test to bite"
-    );
-    for (a, b) in report_a.outcomes.iter().zip(&report_b.outcomes) {
-        assert!(b.slices > a.slices, "quantum 1 must park more often");
-        let json_a = a.report.as_ref().unwrap().to_json().unwrap();
-        let json_b = b.report.as_ref().unwrap().to_json().unwrap();
-        assert_eq!(
-            json_a, json_b,
-            "{}/{}: interleaving leaked into the report",
-            a.tenant, a.study
+    let first = &reports[0];
+    for other in &reports[1..] {
+        assert_ne!(
+            first.schedule, other.schedule,
+            "the interleavings must actually differ for this test to bite"
         );
+        for (a, b) in first.outcomes.iter().zip(&other.outcomes) {
+            let json_a = a.report.as_ref().unwrap().to_json().unwrap();
+            let json_b = b.report.as_ref().unwrap().to_json().unwrap();
+            assert_eq!(
+                json_a, json_b,
+                "{}/{}: interleaving leaked into the report",
+                a.tenant, a.study
+            );
+        }
     }
-    std::fs::remove_dir_all(&dir_a).ok();
-    std::fs::remove_dir_all(&dir_b).ok();
+}
+
+#[test]
+fn a_served_trace_is_the_solo_trace() {
+    // The study stays resident across its grants, so its trace records
+    // the whole study live — the bytes a solo traced run writes.
+    let dir = work_dir("served-trace");
+    let mut file = submissions(1, 2);
+    file.studies[0].trace = true;
+    let report = StudyService::new(ServiceOptions::new(&dir))
+        .unwrap()
+        .run(&file)
+        .unwrap();
+    assert!(report.outcome("alpha", "ic-a").unwrap().slices > 1);
+    let served = std::fs::read_to_string(dir.join("alpha.ic-a.trace.json")).unwrap();
+
+    let solo_path = dir.join("solo.trace.json");
+    let config = EdgeTuneConfig::for_workload(WorkloadId::Ic)
+        .with_scheduler(SchedulerConfig::new(4, 2.0, 4))
+        .with_seed(41)
+        .with_trace_path(&solo_path);
+    EdgeTune::new(config).run().expect("solo run");
+    assert_eq!(served, std::fs::read_to_string(&solo_path).unwrap());
+    assert!(!served.contains("\"restored\""), "nothing was replayed");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

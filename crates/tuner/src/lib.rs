@@ -7,9 +7,10 @@
 //! bandit schedulers (successive halving and HyperBand; TPE + HyperBand =
 //! BOHB), and the objective functions of §4.4.
 //!
-//! It is deliberately independent of *what* is being tuned: evaluators are
-//! closures from `(configuration, budget)` to an observed score, so the
-//! same machinery drives the simulated paper workloads, real `edgetune-nn`
+//! It is deliberately independent of *what* is being tuned: a [`Study`]
+//! hands out `(configuration, budget)` trials and takes observed outcomes
+//! back — from a closure, or from a caller that steps it — so the same
+//! machinery drives the simulated paper workloads, real `edgetune-nn`
 //! training, and the plain synthetic functions used in unit tests.
 
 pub mod budget;
@@ -27,7 +28,8 @@ pub use objective::{InferenceObjective, Metric, TrainObjective};
 pub use pareto::{FrontPoint, ObjectiveVector, ParetoFront, ParetoTpeSampler};
 pub use sampler::{GridSampler, RandomSampler, Sampler, TpeSampler};
 pub use scheduler::{
-    BracketSpec, FixedBudgetSearch, HyperBand, PromotionRule, SchedulerConfig, SuccessiveHalving,
+    BracketSpec, FixedBudgetSearch, HyperBand, PromotionRule, Rung, SchedulerConfig, Study,
+    SuccessiveHalving,
 };
 pub use space::{Config, Domain, SearchSpace};
 pub use trial::{History, TrialFailure, TrialOutcome, TrialRecord};

@@ -5,6 +5,12 @@
 //! multi-budget policy into these schedulers yields the paper's onefold
 //! tuning algorithm's core loop; plugging [`crate::TpeSampler`] into
 //! [`HyperBand`] yields BOHB.
+//!
+//! Each scheduler builds a [`Study`], a state machine the caller steps
+//! (the shape of Ray Tune's `TrialScheduler`): [`Study::next_rung`] hands
+//! out a rung, the caller evaluates it however it likes, and
+//! [`Study::complete`] takes it back with its outcomes. Stopping early
+//! is not calling again. The caller keeps the sampler and lends it.
 
 use crate::budget::{BudgetPolicy, TrialBudget};
 use crate::pareto::promotion_layers;
@@ -26,59 +32,6 @@ pub enum PromotionRule {
     /// breaks ties, so the rule degrades to `ScalarRank` exactly when no
     /// vectors exist.
     FrontMembership,
-}
-
-/// Evaluates one trial: `(trial_id, config, budget) → outcome`.
-///
-/// Implemented for any `FnMut` with the same shape, so schedulers can be
-/// driven by closures.
-pub trait Evaluate {
-    /// Runs the trial and reports its outcome.
-    fn evaluate(&mut self, id: u64, config: &Config, budget: TrialBudget) -> TrialOutcome;
-
-    /// Evaluates one scheduler rung — all trials share a budget level and
-    /// have no mutual dependencies, so an implementation may run them in
-    /// parallel ("the model server can parallelize its tuning process",
-    /// §3.1): either by *simulating* concurrent slots (list-scheduling
-    /// the rung and advancing a virtual clock by its makespan) or by
-    /// measuring trials on real worker threads — or both, as the
-    /// `edgetune` engine does. The default runs them sequentially.
-    ///
-    /// Implementations must return outcomes in input order, and real
-    /// parallelism must not leak into the outcomes: for a fixed seed the
-    /// returned numbers must be identical whatever the thread count.
-    fn evaluate_rung(&mut self, trials: Vec<(u64, Config, TrialBudget)>) -> Vec<TrialOutcome> {
-        trials
-            .into_iter()
-            .map(|(id, config, budget)| self.evaluate(id, &config, budget))
-            .collect()
-    }
-
-    /// Called when a scheduler opens a new bracket, before its first
-    /// rung, with the bracket's index in execution order. Evaluators
-    /// that attribute work to brackets (timeline stamps, shard
-    /// checkpoints, merge keys) hook in here. The default does nothing.
-    fn on_bracket_start(&mut self, _bracket: u32) {}
-
-    /// Called after a rung's outcomes were appended to `history` — a
-    /// natural checkpoint boundary. The default does nothing.
-    fn on_rung_complete(&mut self, _history: &History) {}
-
-    /// True when the evaluator wants tuning to stop early (a deadline
-    /// passed, or an injected interruption fired in a chaos run). Checked
-    /// after every rung; the default never halts.
-    fn should_halt(&self) -> bool {
-        false
-    }
-}
-
-impl<F> Evaluate for F
-where
-    F: FnMut(u64, &Config, TrialBudget) -> TrialOutcome,
-{
-    fn evaluate(&mut self, id: u64, config: &Config, budget: TrialBudget) -> TrialOutcome {
-        self(id, config, budget)
-    }
 }
 
 /// Shared scheduler knobs.
@@ -120,6 +73,231 @@ impl SchedulerConfig {
     }
 }
 
+/// One rung a [`Study`] hands out: trials that share a budget level and
+/// have no mutual dependencies, so the caller may evaluate them in
+/// parallel (§3.1) as long as it answers in input order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Rung {
+    /// The bracket the rung belongs to, in execution order (always 0
+    /// under plain successive halving).
+    pub bracket: u32,
+    /// The rung's ordinal within the study, counting every bracket.
+    pub index: u32,
+    /// `(trial id, configuration, budget)` per trial; ids continue from
+    /// the study's history length.
+    pub trials: Vec<(u64, Config, TrialBudget)>,
+}
+
+/// A running search: its brackets, the open bracket's next cohort and
+/// budget level, and the [`History`] of every completed trial.
+#[derive(Debug, Clone)]
+pub struct Study {
+    space: SearchSpace,
+    policy: BudgetPolicy,
+    config: SchedulerConfig,
+    promotion: PromotionRule,
+    /// The brackets not opened yet, in execution order.
+    brackets: std::vec::IntoIter<BracketSpec>,
+    /// The open bracket, the budget level of its next rung, and that
+    /// rung's configurations — empty between brackets.
+    bracket: u32,
+    iteration: u32,
+    cohort: Vec<Config>,
+    /// Rungs handed out so far.
+    rungs: u32,
+    history: History,
+}
+
+impl Study {
+    fn new(
+        space: SearchSpace,
+        policy: BudgetPolicy,
+        config: SchedulerConfig,
+        promotion: PromotionRule,
+        brackets: Vec<BracketSpec>,
+    ) -> Self {
+        Study {
+            space,
+            policy,
+            config,
+            promotion,
+            brackets: brackets.into_iter(),
+            bracket: 0,
+            iteration: 1,
+            cohort: Vec::new(),
+            rungs: 0,
+            history: History::new(),
+        }
+    }
+
+    /// Hands out the next rung, or `None` once every bracket has run;
+    /// each rung must be completed before the next is asked for.
+    /// Opening a bracket samples its whole rung-0 cohort in one
+    /// [`Sampler::suggest_cohort`] call: the history cannot change until
+    /// the rung runs, so one observation view (and one sampler model
+    /// fit) serves the whole cohort.
+    pub fn next_rung(&mut self, sampler: &mut dyn Sampler) -> Option<Rung> {
+        if self.cohort.is_empty() {
+            let spec = self.brackets.next()?;
+            self.cohort =
+                sampler.suggest_cohort(&self.space, &self.history.observations(), spec.initial);
+            self.bracket = spec.index;
+            self.iteration = spec.start_iteration.max(1);
+        }
+        let level = self.iteration.min(self.config.max_iteration);
+        let budget = self.policy.budget(level);
+        let base_id = self.history.len() as u64;
+        let trials = self
+            .cohort
+            .drain(..)
+            .enumerate()
+            .map(|(i, config)| (base_id + i as u64, config, budget))
+            .collect();
+        self.rungs += 1;
+        Some(Rung {
+            bracket: self.bracket,
+            index: self.rungs - 1,
+            trials,
+        })
+    }
+
+    /// Takes a rung back with its outcomes, in input order: each trial
+    /// is appended to the history, then shown to the sampler. Unless
+    /// the bracket ends here, the best `1/η` survivors become the next
+    /// rung's cohort and the budget level grows by η.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an outcome is missing.
+    pub fn complete(&mut self, sampler: &mut dyn Sampler, rung: Rung, outcomes: Vec<TrialOutcome>) {
+        assert_eq!(
+            outcomes.len(),
+            rung.trials.len(),
+            "every trial of the rung needs its outcome"
+        );
+        let base = self.history.len();
+        for ((id, config, budget), outcome) in rung.trials.into_iter().zip(outcomes) {
+            self.history.push(TrialRecord {
+                id,
+                config,
+                budget,
+                outcome,
+            });
+            let record = &self.history.records()[self.history.len() - 1];
+            sampler.observe(&record.config, &record.outcome);
+        }
+        let records = &self.history.records()[base..];
+        if records.len() <= 1 || self.iteration >= self.config.max_iteration {
+            return;
+        }
+        // Trials the fault-tolerance layer abandoned must not poison
+        // promotion: drop them from the pool, then refill the freed
+        // slots with fresh samples so their budget is reallocated
+        // instead of lost. With no failures this is a no-op and the
+        // promotion is exactly classic successive halving.
+        let keep = ((records.len() as f64 / self.config.eta).ceil() as usize).max(1);
+        let mut pool: Vec<usize> = (0..records.len())
+            .filter(|&i| !records[i].outcome.is_failed())
+            .collect();
+        let score = |i: usize| records[i].outcome.score;
+        match self.promotion {
+            PromotionRule::ScalarRank => {
+                pool.sort_by(|&a, &b| score(a).partial_cmp(&score(b)).expect("scores are not NaN"));
+            }
+            PromotionRule::FrontMembership => {
+                // Rank by dominance layer first (front members lead),
+                // scalar score within a layer. The sort is stable, so
+                // equal keys keep evaluation order — deterministic
+                // whatever the worker/shard split, because rungs are
+                // answered in input order.
+                let outcomes: Vec<TrialOutcome> =
+                    pool.iter().map(|&i| records[i].outcome).collect();
+                let layers = promotion_layers(&outcomes);
+                let mut order: Vec<usize> = (0..pool.len()).collect();
+                order.sort_by(|&a, &b| {
+                    layers[a].cmp(&layers[b]).then(
+                        outcomes[a]
+                            .score
+                            .partial_cmp(&outcomes[b].score)
+                            .expect("scores are not NaN"),
+                    )
+                });
+                pool = order.into_iter().map(|k| pool[k]).collect();
+            }
+        }
+        self.cohort = pool
+            .into_iter()
+            .take(keep)
+            .map(|i| records[i].config.clone())
+            .collect();
+        // Short only when failures were dropped above.
+        if self.cohort.len() < keep {
+            let refill = keep - self.cohort.len();
+            let fresh = sampler.suggest_cohort(&self.space, &self.history.observations(), refill);
+            self.cohort.extend(fresh);
+        }
+        // The budget level grows geometrically by η between rungs, as in
+        // the paper's §2.2 example (epochs 1 → 2 → 4 → 8 → 16 while the
+        // cohort halves 16 → 8 → 4 → 2 → 1).
+        self.iteration = ((f64::from(self.iteration) * self.config.eta).round() as u32)
+            .min(self.config.max_iteration);
+    }
+
+    /// True once the last rung has been completed:
+    /// [`Study::next_rung`] would return `None`.
+    #[must_use]
+    pub fn done(&self) -> bool {
+        self.cohort.is_empty() && self.brackets.as_slice().is_empty()
+    }
+
+    /// Every completed trial, in completion order.
+    #[must_use]
+    pub fn history(&self) -> &History {
+        &self.history
+    }
+
+    /// Ends the study, handing its history over.
+    #[must_use]
+    pub fn into_history(self) -> History {
+        self.history
+    }
+
+    /// Drives the study to its end with a closure, one trial at a time,
+    /// and returns the history.
+    pub fn run(
+        mut self,
+        sampler: &mut dyn Sampler,
+        evaluate: &mut dyn FnMut(u64, &Config, TrialBudget) -> TrialOutcome,
+    ) -> History {
+        while let Some(rung) = self.next_rung(sampler) {
+            let outcomes = rung
+                .trials
+                .iter()
+                .map(|(id, config, budget)| evaluate(*id, config, *budget))
+                .collect();
+            self.complete(sampler, rung, outcomes);
+        }
+        self.history
+    }
+}
+
+/// Planned `(trials, rungs)` of one bracket when no trial fails — the
+/// closed form of [`Study::complete`]'s promotion arithmetic.
+fn planned_bracket(spec: BracketSpec, eta: f64, max_iteration: u32) -> (u64, u64) {
+    let mut n = spec.initial;
+    let mut iteration = spec.start_iteration.max(1);
+    let (mut trials, mut rungs) = (0, 0);
+    loop {
+        trials += n as u64;
+        rungs += 1;
+        if n <= 1 || iteration >= max_iteration {
+            return (trials, rungs);
+        }
+        n = ((n as f64 / eta).ceil() as usize).max(1);
+        iteration = ((f64::from(iteration) * eta).round() as u32).min(max_iteration);
+    }
+}
+
 /// Successive halving: evaluate all configurations at the smallest
 /// budget, keep the best `1/η`, grow the budget, repeat.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -145,115 +323,31 @@ impl SuccessiveHalving {
         self
     }
 
-    /// Runs one bracket, starting from `start_iteration` (1-based budget
-    /// level) with `initial` sampled configurations.
-    ///
-    /// Trial ids continue from `history.len()`; every evaluation is
-    /// appended to `history` so model-based samplers see all evidence.
-    #[allow(clippy::too_many_arguments)] // a bracket genuinely has this many independent knobs
-    pub fn run_bracket(
-        &self,
-        sampler: &mut dyn Sampler,
-        space: &SearchSpace,
-        policy: &BudgetPolicy,
-        evaluator: &mut dyn Evaluate,
-        history: &mut History,
-        initial: usize,
-        start_iteration: u32,
-    ) {
-        // Sample the rung-0 cohort. The history cannot change until the
-        // rung runs, so one observation view (and one sampler model fit)
-        // serves the whole cohort.
-        let mut cohort = sampler.suggest_cohort(space, &history.observations(), initial);
-
-        // The budget level grows geometrically by η between rungs, as in
-        // the paper's §2.2 example (epochs 1 → 2 → 4 → 8 → 16 while the
-        // cohort halves 16 → 8 → 4 → 2 → 1).
-        let mut iteration = start_iteration.max(1);
-        loop {
-            let budget = policy.budget(iteration.min(self.config.max_iteration));
-            let base_id = history.len() as u64;
-            let rung: Vec<(u64, Config, TrialBudget)> = cohort
-                .drain(..)
-                .enumerate()
-                .map(|(i, config)| (base_id + i as u64, config, budget))
-                .collect();
-            let outcomes = evaluator.evaluate_rung(rung.clone());
-            assert_eq!(
-                outcomes.len(),
-                rung.len(),
-                "evaluator must answer every trial"
-            );
-            let mut scored: Vec<(Config, TrialOutcome)> = Vec::with_capacity(rung.len());
-            for ((id, config, budget), outcome) in rung.into_iter().zip(outcomes) {
-                history.push(TrialRecord {
-                    id,
-                    config: config.clone(),
-                    budget,
-                    outcome,
-                });
-                sampler.observe(&config, &outcome);
-                scored.push((config, outcome));
-            }
-            evaluator.on_rung_complete(history);
-            if scored.len() <= 1 || iteration >= self.config.max_iteration {
-                break;
-            }
-            if evaluator.should_halt() {
-                break;
-            }
-            // Trials the fault-tolerance layer abandoned must not poison
-            // promotion: drop them from the pool, then refill the freed
-            // slots with fresh samples so their budget is reallocated
-            // instead of lost. With no failures this is a no-op and the
-            // promotion is exactly classic successive halving.
-            let rung_size = scored.len();
-            let keep = ((rung_size as f64 / self.config.eta).ceil() as usize).max(1);
-            scored.retain(|(_, o)| !o.is_failed());
-            match self.promotion {
-                PromotionRule::ScalarRank => {
-                    scored.sort_by(|a, b| {
-                        a.1.score
-                            .partial_cmp(&b.1.score)
-                            .expect("scores are not NaN")
-                    });
-                }
-                PromotionRule::FrontMembership => {
-                    // Rank by dominance layer first (front members lead),
-                    // scalar score within a layer. The sort is stable, so
-                    // equal keys keep evaluation order — deterministic
-                    // whatever the worker/shard split, because
-                    // evaluate_rung answers in input order.
-                    let outcomes: Vec<TrialOutcome> = scored.iter().map(|(_, o)| *o).collect();
-                    let layers = promotion_layers(&outcomes);
-                    let mut indexed: Vec<usize> = (0..scored.len()).collect();
-                    indexed.sort_by(|&a, &b| {
-                        layers[a].cmp(&layers[b]).then(
-                            scored[a]
-                                .1
-                                .score
-                                .partial_cmp(&scored[b].1.score)
-                                .expect("scores are not NaN"),
-                        )
-                    });
-                    let reordered: Vec<(Config, TrialOutcome)> =
-                        indexed.into_iter().map(|i| scored[i].clone()).collect();
-                    scored = reordered;
-                }
-            }
-            cohort = scored
-                .into_iter()
-                .take(keep)
-                .map(|(config, _)| config)
-                .collect();
-            // Short only when failures were dropped above.
-            if cohort.len() < keep {
-                let refill = keep - cohort.len();
-                cohort.extend(sampler.suggest_cohort(space, &history.observations(), refill));
-            }
-            iteration = ((f64::from(iteration) * self.config.eta).round() as u32)
-                .min(self.config.max_iteration);
+    /// The one bracket: every configuration from budget level 1.
+    fn bracket(&self) -> BracketSpec {
+        BracketSpec {
+            index: 0,
+            initial: self.config.initial_configs,
+            start_iteration: 1,
         }
+    }
+
+    /// A study of one successive-halving bracket.
+    #[must_use]
+    pub fn study(&self, space: SearchSpace, policy: BudgetPolicy) -> Study {
+        Study::new(
+            space,
+            policy,
+            self.config,
+            self.promotion,
+            vec![self.bracket()],
+        )
+    }
+
+    /// Planned `(trials, rungs)` of the study when no trial fails.
+    #[must_use]
+    pub fn planned(&self) -> (u64, u64) {
+        planned_bracket(self.bracket(), self.config.eta, self.config.max_iteration)
     }
 
     /// Runs a full successive-halving tuning job and returns its history.
@@ -262,20 +356,9 @@ impl SuccessiveHalving {
         sampler: &mut dyn Sampler,
         space: &SearchSpace,
         policy: &BudgetPolicy,
-        evaluator: &mut dyn Evaluate,
+        evaluate: &mut dyn FnMut(u64, &Config, TrialBudget) -> TrialOutcome,
     ) -> History {
-        let mut history = History::new();
-        evaluator.on_bracket_start(0);
-        self.run_bracket(
-            sampler,
-            space,
-            policy,
-            evaluator,
-            &mut history,
-            self.config.initial_configs,
-            1,
-        );
-        history
+        self.study(space.clone(), *policy).run(sampler, evaluate)
     }
 }
 
@@ -316,29 +399,19 @@ impl FixedBudgetSearch {
         FixedBudgetSearch { trials, iteration }
     }
 
-    /// Runs the search and returns its history.
-    pub fn run(
-        &self,
-        sampler: &mut dyn Sampler,
-        space: &SearchSpace,
-        policy: &BudgetPolicy,
-        evaluator: &mut dyn Evaluate,
-    ) -> History {
-        let mut history = History::new();
-        let budget = policy.budget(self.iteration);
-        for _ in 0..self.trials {
-            let config = sampler.suggest(space, &history.observations());
-            let id = history.len() as u64;
-            let outcome = evaluator.evaluate(id, &config, budget);
-            sampler.observe(&config, &outcome);
-            history.push(TrialRecord {
-                id,
-                config,
-                budget,
-                outcome,
-            });
-        }
-        history
+    /// A study of `trials` one-trial brackets at the fixed level, so each
+    /// configuration is suggested with every earlier outcome in view.
+    #[must_use]
+    pub fn study(&self, space: SearchSpace, policy: BudgetPolicy) -> Study {
+        let brackets = (0..self.trials as u32)
+            .map(|index| BracketSpec {
+                index,
+                initial: 1,
+                start_iteration: self.iteration,
+            })
+            .collect();
+        let config = SchedulerConfig::new(1, 2.0, self.iteration);
+        Study::new(space, policy, config, PromotionRule::default(), brackets)
     }
 }
 
@@ -403,32 +476,37 @@ impl HyperBand {
             .collect()
     }
 
+    /// A study of every bracket, in execution order.
+    #[must_use]
+    pub fn study(&self, space: SearchSpace, policy: BudgetPolicy) -> Study {
+        Study::new(
+            space,
+            policy,
+            self.config,
+            self.promotion,
+            self.bracket_specs(),
+        )
+    }
+
+    /// Planned `(trials, rungs)` of the study when no trial fails — what
+    /// a service admits and schedules a study by.
+    #[must_use]
+    pub fn planned(&self) -> (u64, u64) {
+        self.bracket_specs()
+            .into_iter()
+            .map(|spec| planned_bracket(spec, self.config.eta, self.config.max_iteration))
+            .fold((0, 0), |(trials, rungs), (t, r)| (trials + t, rungs + r))
+    }
+
     /// Runs all brackets and returns the combined history.
     pub fn run(
         &self,
         sampler: &mut dyn Sampler,
         space: &SearchSpace,
         policy: &BudgetPolicy,
-        evaluator: &mut dyn Evaluate,
+        evaluate: &mut dyn FnMut(u64, &Config, TrialBudget) -> TrialOutcome,
     ) -> History {
-        let mut history = History::new();
-        let sha = SuccessiveHalving::new(self.config).with_promotion(self.promotion);
-        for spec in self.bracket_specs() {
-            evaluator.on_bracket_start(spec.index);
-            sha.run_bracket(
-                sampler,
-                space,
-                policy,
-                evaluator,
-                &mut history,
-                spec.initial,
-                spec.start_iteration,
-            );
-            if evaluator.should_halt() {
-                break;
-            }
-        }
-        history
+        self.study(space.clone(), *policy).run(sampler, evaluate)
     }
 }
 
@@ -860,47 +938,35 @@ mod tests {
         let fixed = FixedBudgetSearch::new(5, 2);
         let mut sampler = CountingSampler::new(34);
         let mut eval = evaluator();
-        let history = fixed.run(
-            &mut sampler,
-            &space(),
-            &BudgetPolicy::multi_default(),
-            &mut eval,
-        );
+        let history = fixed
+            .study(space(), BudgetPolicy::multi_default())
+            .run(&mut sampler, &mut eval);
         assert_eq!(sampler.observed, history.len());
     }
 
     #[test]
-    fn should_halt_stops_after_the_current_rung() {
-        struct HaltAfterFirstRung {
-            rungs: u32,
-        }
-        impl Evaluate for HaltAfterFirstRung {
-            fn evaluate(
-                &mut self,
-                _id: u64,
-                config: &Config,
-                _budget: TrialBudget,
-            ) -> TrialOutcome {
-                let truth = (config.get("x").unwrap() - 0.42).abs();
-                TrialOutcome::new(truth, 1.0 - truth, Seconds::new(1.0), Joules::new(1.0))
-            }
-            fn on_rung_complete(&mut self, _history: &History) {
-                self.rungs += 1;
-            }
-            fn should_halt(&self) -> bool {
-                self.rungs >= 1
-            }
-        }
-        let sha = SuccessiveHalving::new(SchedulerConfig::new(8, 2.0, 8));
+    fn stopping_after_one_rung_keeps_its_records() {
+        // Halting is not calling again: the first rung's records stay.
+        let truth = |config: &Config| (config.get("x").unwrap() - 0.42).abs();
+        let mut study = SuccessiveHalving::new(SchedulerConfig::new(8, 2.0, 8))
+            .study(space(), BudgetPolicy::epoch_default());
         let mut sampler = RandomSampler::new(SeedStream::new(22));
-        let mut eval = HaltAfterFirstRung { rungs: 0 };
-        let history = sha.run(
-            &mut sampler,
-            &space(),
-            &BudgetPolicy::epoch_default(),
-            &mut eval,
-        );
-        assert_eq!(history.len(), 8, "only the first rung ran");
+        let rung = study.next_rung(&mut sampler).expect("a first rung");
+        let outcomes = rung
+            .trials
+            .iter()
+            .map(|(_, config, _)| {
+                TrialOutcome::new(
+                    truth(config),
+                    1.0 - truth(config),
+                    Seconds::new(1.0),
+                    Joules::new(1.0),
+                )
+            })
+            .collect();
+        study.complete(&mut sampler, rung, outcomes);
+        assert!(!study.done(), "the bracket has more rungs");
+        assert_eq!(study.into_history().len(), 8, "only the first rung ran");
     }
 
     #[test]
@@ -921,45 +987,39 @@ mod tests {
     }
 
     #[test]
-    fn on_bracket_start_fires_once_per_bracket_with_its_index() {
-        struct BracketCounter {
-            seen: Vec<u32>,
-        }
-        impl Evaluate for BracketCounter {
-            fn evaluate(
-                &mut self,
-                _id: u64,
-                config: &Config,
-                _budget: TrialBudget,
-            ) -> TrialOutcome {
-                let truth = (config.get("x").unwrap() - 0.42).abs();
-                TrialOutcome::new(truth, 1.0 - truth, Seconds::new(1.0), Joules::new(1.0))
+    fn rungs_carry_their_bracket_index() {
+        // Each rung names its bracket and its ordinal in the study.
+        let brackets_of = |mut study: Study, seed: u64| {
+            let mut sampler = RandomSampler::new(SeedStream::new(seed));
+            let mut eval = evaluator();
+            let mut seen: Vec<u32> = Vec::new();
+            let mut rungs = 0;
+            while let Some(rung) = study.next_rung(&mut sampler) {
+                assert_eq!(rung.index, rungs, "rungs are numbered across brackets");
+                rungs += 1;
+                if seen.last() != Some(&rung.bracket) {
+                    seen.push(rung.bracket);
+                }
+                let outcomes = rung
+                    .trials
+                    .iter()
+                    .map(|(id, config, budget)| eval(*id, config, *budget))
+                    .collect();
+                study.complete(&mut sampler, rung, outcomes);
             }
-            fn on_bracket_start(&mut self, bracket: u32) {
-                self.seen.push(bracket);
-            }
-        }
-        let hb = HyperBand::new(SchedulerConfig::new(8, 2.0, 8));
-        let mut sampler = RandomSampler::new(SeedStream::new(23));
-        let mut eval = BracketCounter { seen: Vec::new() };
-        let _ = hb.run(
-            &mut sampler,
-            &space(),
-            &BudgetPolicy::epoch_default(),
-            &mut eval,
+            assert!(study.done());
+            seen
+        };
+        let config = SchedulerConfig::new(8, 2.0, 8);
+        let policy = BudgetPolicy::epoch_default();
+        let hb = HyperBand::new(config).study(space(), policy);
+        assert_eq!(brackets_of(hb, 23), vec![0, 1, 2, 3]);
+        let sha = SuccessiveHalving::new(config).study(space(), policy);
+        assert_eq!(
+            brackets_of(sha, 24),
+            vec![0],
+            "a lone SHA bracket is bracket 0"
         );
-        assert_eq!(eval.seen, vec![0, 1, 2, 3]);
-
-        let sha = SuccessiveHalving::new(SchedulerConfig::new(8, 2.0, 8));
-        let mut sampler = RandomSampler::new(SeedStream::new(24));
-        let mut eval = BracketCounter { seen: Vec::new() };
-        let _ = sha.run(
-            &mut sampler,
-            &space(),
-            &BudgetPolicy::epoch_default(),
-            &mut eval,
-        );
-        assert_eq!(eval.seen, vec![0], "a lone SHA bracket is bracket 0");
     }
 
     #[test]
@@ -968,7 +1028,7 @@ mod tests {
         let mut sampler = RandomSampler::new(SeedStream::new(9));
         let mut eval = evaluator();
         let policy = BudgetPolicy::multi_default();
-        let history = fixed.run(&mut sampler, &space(), &policy, &mut eval);
+        let history = fixed.study(space(), policy).run(&mut sampler, &mut eval);
         assert_eq!(history.len(), 12);
         let expected = policy.budget(8);
         for r in history.records() {
@@ -992,8 +1052,9 @@ mod tests {
         );
         let mut fixed_sampler = RandomSampler::new(SeedStream::new(10));
         let mut eval2 = evaluator();
-        let fixed =
-            FixedBudgetSearch::new(16, 8).run(&mut fixed_sampler, &space(), &policy, &mut eval2);
+        let fixed = FixedBudgetSearch::new(16, 8)
+            .study(space(), policy)
+            .run(&mut fixed_sampler, &mut eval2);
         assert!(
             sha.total_runtime().value() < fixed.total_runtime().value(),
             "SHA {} should be cheaper than fixed {}",

@@ -222,7 +222,7 @@ fn a_resume_interrupted_inside_the_checkpointed_prefix_changes_nothing() {
             let inside = EdgeTune::new(config().resuming().with_halt_after_rungs(2))
                 .run()
                 .expect("resumed, halted at rung 2");
-            assert!(inside.halted());
+            assert!(inside.history().len() < full.history().len());
             assert_eq!(
                 std::fs::read(&path).unwrap(),
                 at_rung_5,
