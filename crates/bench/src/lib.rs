@@ -4,8 +4,7 @@
 //! Each submodule of [`experiments`] reproduces one table or figure from
 //! the evaluation and returns its data as a rendered text table (the
 //! `repro` binary prints them; EXPERIMENTS.md archives paper-vs-measured).
-//! The `perf_baseline` binary measures the performance of the middleware
-//! components themselves; the repo's end-to-end benchmark is `benchmark/`.
+//! The middleware's own performance is measured by `benchmark/`.
 
 pub mod experiments;
 pub mod helpers;

@@ -158,6 +158,20 @@ fn parse_scenario(value: &str) -> Result<Scenario, String> {
     }
 }
 
+/// Parses a count flag's value and refuses zero, which the scheduler
+/// and config constructors would otherwise reject with a panic.
+fn parse_count<T>(text: String, flag: &str, what: &str) -> Result<T, String>
+where
+    T: std::str::FromStr + Default + PartialEq,
+    T::Err: std::fmt::Display,
+{
+    let count: T = text.parse().map_err(|e| format!("bad {what}: {e}"))?;
+    if count == T::default() {
+        return Err(format!("{flag} must be >= 1"));
+    }
+    Ok(count)
+}
+
 fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         workload: WorkloadId::Ic,
@@ -214,24 +228,29 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
                     .map_err(|e| format!("bad seed: {e}"))?;
             }
             "--trials" | "-n" => {
-                args.initial = value(&mut argv, "--trials")?
-                    .parse()
-                    .map_err(|e| format!("bad trial count: {e}"))?;
+                args.initial =
+                    parse_count(value(&mut argv, "--trials")?, "--trials", "trial count")?;
             }
             "--max-iter" => {
-                args.max_iteration = value(&mut argv, "--max-iter")?
-                    .parse()
-                    .map_err(|e| format!("bad iteration count: {e}"))?;
+                args.max_iteration = parse_count(
+                    value(&mut argv, "--max-iter")?,
+                    "--max-iter",
+                    "iteration count",
+                )?;
             }
             "--trial-slots" => {
-                args.trial_slots = value(&mut argv, "--trial-slots")?
-                    .parse()
-                    .map_err(|e| format!("bad slot count: {e}"))?;
+                args.trial_slots = parse_count(
+                    value(&mut argv, "--trial-slots")?,
+                    "--trial-slots",
+                    "slot count",
+                )?;
             }
             "--study-shards" => {
-                args.study_shards = value(&mut argv, "--study-shards")?
-                    .parse()
-                    .map_err(|e| format!("bad shard count: {e}"))?;
+                args.study_shards = parse_count(
+                    value(&mut argv, "--study-shards")?,
+                    "--study-shards",
+                    "shard count",
+                )?;
             }
             "--shard-exec" => {
                 args.shard_exec = ShardExec::parse(&value(&mut argv, "--shard-exec")?)?;
@@ -371,12 +390,8 @@ fn parse_serve_args(argv: impl Iterator<Item = String>) -> Result<ServeArgs, Str
                     .map_err(|e| format!("bad seed: {e}"))?;
             }
             "--workers" => {
-                args.workers = value(&mut argv, "--workers")?
-                    .parse()
-                    .map_err(|e| format!("bad worker count: {e}"))?;
-                if args.workers == 0 {
-                    return Err("--workers must be >= 1".into());
-                }
+                args.workers =
+                    parse_count(value(&mut argv, "--workers")?, "--workers", "worker count")?;
             }
             "--static" => args.static_serving = true,
             "--no-shed" => args.shed = false,
@@ -451,14 +466,15 @@ fn parse_chaos_args(argv: impl Iterator<Item = String>) -> Result<ChaosArgs, Str
                 }
             }
             "--trials" | "-n" => {
-                args.initial = value(&mut argv, "--trials")?
-                    .parse()
-                    .map_err(|e| format!("bad trial count: {e}"))?;
+                args.initial =
+                    parse_count(value(&mut argv, "--trials")?, "--trials", "trial count")?;
             }
             "--max-iter" => {
-                args.max_iteration = value(&mut argv, "--max-iter")?
-                    .parse()
-                    .map_err(|e| format!("bad iteration count: {e}"))?;
+                args.max_iteration = parse_count(
+                    value(&mut argv, "--max-iter")?,
+                    "--max-iter",
+                    "iteration count",
+                )?;
             }
             "--checkpoint" => args.checkpoint = Some(value(&mut argv, "--checkpoint")?),
             "--resume" => args.resume = true,
@@ -742,8 +758,9 @@ fn run_shard_host(mut args: impl Iterator<Item = String>) -> Result<(), String> 
 /// Reads a planted fabric fault from the environment:
 /// `EDGETUNE_FABRIC_KILL`, `EDGETUNE_FABRIC_PANIC` or
 /// `EDGETUNE_FABRIC_HANG`, each naming a shard index. Environment
-/// variables rather than flags so the CI byte-identity matrix runs the
-/// exact same command line with and without chaos.
+/// variables rather than flags so the byte-identity checks
+/// (`.github/cli_matrix.sh`) run the exact same command line with and
+/// without chaos.
 fn fabric_chaos_from_env() -> Result<Option<FabricChaos>, String> {
     let plants = [
         ("EDGETUNE_FABRIC_KILL", ChaosAction::Kill),

@@ -222,6 +222,24 @@ fn non_finite_serving_numbers_are_rejected() {
 }
 
 #[test]
+fn zero_counts_are_rejected() {
+    let mut cases = Vec::new();
+    for flag in ["--trials", "--max-iter", "--trial-slots", "--study-shards"] {
+        cases.push((
+            args(&["--workload", "ic", flag, "0"]),
+            format!("{flag} must be >= 1"),
+        ));
+    }
+    for flag in ["--trials", "--max-iter"] {
+        cases.push((
+            args(&["chaos", "--workload", "ic", flag, "0"]),
+            format!("{flag} must be >= 1"),
+        ));
+    }
+    assert_all_rejected(&cases);
+}
+
+#[test]
 fn non_finite_scenario_numbers_are_rejected() {
     let mut cases = Vec::new();
     for value in ["nan", "inf"] {

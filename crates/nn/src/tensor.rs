@@ -276,9 +276,8 @@ impl Tensor {
     ///
     /// Deliberately unblocked — the inner loop walks a column of `rhs`
     /// with stride `n`, so this is the cache-hostile baseline the
-    /// blocked kernel is benchmarked against (`perf_baseline --hotpath`)
-    /// and the oracle every [`Tensor::matmul_into`] routine is
-    /// proptested against. It keeps the same zero-coefficient skip and
+    /// blocked kernel replaced and the oracle every
+    /// [`Tensor::matmul_into`] routine is proptested against. It keeps the same zero-coefficient skip and
     /// ascending-`k` accumulation, hence bit-identical results.
     ///
     /// # Panics

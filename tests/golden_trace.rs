@@ -10,18 +10,15 @@
 use edgetune::prelude::*;
 use edgetune_trace::{ChromeEvent, ChromeTrace};
 
-fn golden_seed() -> u64 {
-    std::env::var("EDGETUNE_GOLDEN_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1234)
-}
+/// Every claim is checked for each seed, so it holds for more than one
+/// lucky seed.
+const SEEDS: [u64; 2] = [1234, 7];
 
-fn golden_config() -> EdgeTuneConfig {
+fn golden_config(seed: u64) -> EdgeTuneConfig {
     EdgeTuneConfig::for_workload(WorkloadId::Ic)
         .with_scheduler(SchedulerConfig::new(6, 2.0, 6))
         .without_hyperband()
-        .with_seed(golden_seed())
+        .with_seed(seed)
 }
 
 fn trace_json_of(config: EdgeTuneConfig) -> String {
@@ -33,23 +30,28 @@ fn trace_json_of(config: EdgeTuneConfig) -> String {
 
 #[test]
 fn trace_json_is_byte_identical_across_repeated_runs() {
-    assert_eq!(
-        trace_json_of(golden_config()),
-        trace_json_of(golden_config())
-    );
+    for seed in SEEDS {
+        assert_eq!(
+            trace_json_of(golden_config(seed)),
+            trace_json_of(golden_config(seed)),
+            "seed {seed}"
+        );
+    }
 }
 
 #[test]
 fn trace_json_is_byte_identical_across_study_shard_counts() {
     // Engine shards only speed up how fast the simulation is computed;
     // the trace records the simulation, so the bytes must not move.
-    let baseline = trace_json_of(golden_config().with_study_shards(1));
-    for shards in [2, 4] {
-        let sharded = trace_json_of(golden_config().with_study_shards(shards));
-        assert_eq!(
-            baseline, sharded,
-            "{shards} study shards changed the trace artefact"
-        );
+    for seed in SEEDS {
+        let baseline = trace_json_of(golden_config(seed).with_study_shards(1));
+        for shards in [2, 4] {
+            let sharded = trace_json_of(golden_config(seed).with_study_shards(shards));
+            assert_eq!(
+                baseline, sharded,
+                "seed {seed}: {shards} study shards changed the trace artefact"
+            );
+        }
     }
 }
 
@@ -63,8 +65,8 @@ fn tracing_does_not_change_the_report_bytes() {
     let trace_file = dir.join("study.trace.json");
     let checkpoint = dir.join("study.ckpt.json");
     let halted = dir.join("halted.ckpt.json");
-    for shards in [1, 4] {
-        let base = golden_config().with_study_shards(shards);
+    for (seed, shards) in SEEDS.into_iter().flat_map(|seed| [(seed, 1), (seed, 4)]) {
+        let base = golden_config(seed).with_study_shards(shards);
         let modes = [
             ("default", base.clone()),
             (
@@ -89,7 +91,11 @@ fn tracing_does_not_change_the_report_bytes() {
         let traced_halt = std::fs::read(&checkpoint).unwrap();
         std::fs::remove_file(&checkpoint).unwrap();
         EdgeTune::new(halting).run().unwrap();
-        assert_eq!(std::fs::read(&checkpoint).unwrap(), traced_halt, "halt");
+        assert_eq!(
+            std::fs::read(&checkpoint).unwrap(),
+            traced_halt,
+            "seed {seed}, {shards} shard(s): halt"
+        );
         std::fs::copy(&checkpoint, &halted).unwrap();
 
         for (mode, config) in modes {
@@ -98,7 +104,7 @@ fn tracing_does_not_change_the_report_bytes() {
                     std::fs::copy(&halted, &checkpoint).unwrap();
                 }
             };
-            let context = format!("{mode}, {shards} shard(s)");
+            let context = format!("seed {seed}, {mode}, {shards} shard(s)");
             fresh();
             let plain = EdgeTune::new(config.clone()).run().unwrap();
             fresh();
@@ -123,24 +129,26 @@ fn tracing_does_not_change_the_report_bytes() {
 
 #[test]
 fn golden_trace_validates_and_round_trips() {
-    let (_report, trace) = EdgeTune::new(golden_config()).run_traced().unwrap();
-    trace.validate().expect("exported trace is well-formed");
-    let json = trace.to_json_pretty();
-    let back = ChromeTrace::from_json(&json).expect("parses back");
-    assert_eq!(back, trace, "serde round trip is lossless");
-    assert_eq!(
-        back.to_json_pretty(),
-        json,
-        "re-export reproduces the bytes"
-    );
-    // The summary is self-describing and consistent with the stream.
-    let spans: usize = trace
-        .trace_events
-        .iter()
-        .filter(|event| event.ph == "X")
-        .count();
-    assert_eq!(trace.other_data["spans"], spans.to_string());
-    assert_eq!(trace.other_data["format"], "edgetune-trace");
+    for seed in SEEDS {
+        let (_report, trace) = EdgeTune::new(golden_config(seed)).run_traced().unwrap();
+        trace.validate().expect("exported trace is well-formed");
+        let json = trace.to_json_pretty();
+        let back = ChromeTrace::from_json(&json).expect("parses back");
+        assert_eq!(back, trace, "serde round trip is lossless");
+        assert_eq!(
+            back.to_json_pretty(),
+            json,
+            "re-export reproduces the bytes"
+        );
+        // The summary is self-describing and consistent with the stream.
+        let spans: usize = trace
+            .trace_events
+            .iter()
+            .filter(|event| event.ph == "X")
+            .count();
+        assert_eq!(trace.other_data["spans"], spans.to_string());
+        assert_eq!(trace.other_data["format"], "edgetune-trace");
+    }
 }
 
 /// Half-open interval overlap on the viewer's microsecond timeline.
@@ -162,30 +170,33 @@ fn the_trace_shows_an_inference_sweep_overlapping_a_training_trial() {
     // The paper's Fig. 6 claim, read straight off the export: at least
     // one inference-sweep span runs concurrently with a training-trial
     // span on the simulated clock.
-    let (_report, trace) = EdgeTune::new(golden_config()).run_traced().unwrap();
-    let spans_in = |category: &str| -> Vec<&ChromeEvent> {
-        trace
-            .trace_events
-            .iter()
-            .filter(|event| event.ph == "X" && event.cat.as_deref() == Some(category))
-            .collect()
-    };
-    let trials = spans_in("model");
-    let sweeps = spans_in("inference");
-    assert!(
-        !trials.is_empty(),
-        "the trace contains training-trial spans"
-    );
-    assert!(
-        !sweeps.is_empty(),
-        "the trace contains inference-sweep spans"
-    );
-    assert!(
-        sweeps
-            .iter()
-            .any(|sweep| trials.iter().any(|trial| overlaps(sweep, trial))),
-        "no inference sweep overlapped a training trial — pipelining is not visible"
-    );
+    for seed in SEEDS {
+        let (_report, trace) = EdgeTune::new(golden_config(seed)).run_traced().unwrap();
+        let spans_in = |category: &str| -> Vec<&ChromeEvent> {
+            trace
+                .trace_events
+                .iter()
+                .filter(|event| event.ph == "X" && event.cat.as_deref() == Some(category))
+                .collect()
+        };
+        let trials = spans_in("model");
+        let sweeps = spans_in("inference");
+        assert!(
+            !trials.is_empty(),
+            "the trace contains training-trial spans"
+        );
+        assert!(
+            !sweeps.is_empty(),
+            "the trace contains inference-sweep spans"
+        );
+        assert!(
+            sweeps
+                .iter()
+                .any(|sweep| trials.iter().any(|trial| overlaps(sweep, trial))),
+            "seed {seed}: no inference sweep overlapped a training trial — pipelining is \
+             not visible"
+        );
+    }
 }
 
 #[test]
@@ -193,35 +204,39 @@ fn disabling_pipelining_serialises_the_sweeps() {
     // The negative control: without pipelining every sweep waits for its
     // trial, so no sweep may overlap the trial that spawned it... or any
     // other, since the study is sequential.
-    let (_report, trace) = EdgeTune::new(golden_config().without_pipelining())
-        .run_traced()
-        .unwrap();
-    let trials: Vec<&ChromeEvent> = trace
-        .trace_events
-        .iter()
-        .filter(|event| event.ph == "X" && event.cat.as_deref() == Some("model"))
-        .collect();
-    let sweeps: Vec<&ChromeEvent> = trace
-        .trace_events
-        .iter()
-        .filter(|event| event.ph == "X" && event.cat.as_deref() == Some("inference"))
-        .collect();
-    assert!(
-        sweeps
+    for seed in SEEDS {
+        let (_report, trace) = EdgeTune::new(golden_config(seed).without_pipelining())
+            .run_traced()
+            .unwrap();
+        let trials: Vec<&ChromeEvent> = trace
+            .trace_events
             .iter()
-            .all(|sweep| trials.iter().all(|trial| !overlaps(sweep, trial))),
-        "a sweep overlapped a trial even with pipelining disabled"
-    );
+            .filter(|event| event.ph == "X" && event.cat.as_deref() == Some("model"))
+            .collect();
+        let sweeps: Vec<&ChromeEvent> = trace
+            .trace_events
+            .iter()
+            .filter(|event| event.ph == "X" && event.cat.as_deref() == Some("inference"))
+            .collect();
+        assert!(
+            sweeps
+                .iter()
+                .all(|sweep| trials.iter().all(|trial| !overlaps(sweep, trial))),
+            "seed {seed}: a sweep overlapped a trial even with pipelining disabled"
+        );
+    }
 }
 
 #[test]
 fn fault_free_runs_emit_no_fault_events() {
-    let (_report, trace) = EdgeTune::new(golden_config()).run_traced().unwrap();
-    assert!(
-        trace
-            .trace_events
-            .iter()
-            .all(|event| event.cat.as_deref() != Some("fault")),
-        "a clean study must not carry fault-category events"
-    );
+    for seed in SEEDS {
+        let (_report, trace) = EdgeTune::new(golden_config(seed)).run_traced().unwrap();
+        assert!(
+            trace
+                .trace_events
+                .iter()
+                .all(|event| event.cat.as_deref() != Some("fault")),
+            "seed {seed}: a clean study must not carry fault-category events"
+        );
+    }
 }
