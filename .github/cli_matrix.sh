@@ -100,7 +100,7 @@ done
 # Resume restores, it does not re-enact: a resume that stops inside the
 # checkpointed prefix leaves the checkpoint untouched, and the next
 # resume still reproduces the uninterrupted bytes.
-chaos() { edgetune chaos --workload ic --rate 0.2 --seed 7 "$@" >/dev/null; }
+chaos() { edgetune --workload ic --max-iter 8 --fault-rate 0.2 --seed 7 "$@" >/dev/null; }
 chaos --json full.json
 chaos --checkpoint ck.json --halt-after-rungs 5
 cp ck.json ck5.json

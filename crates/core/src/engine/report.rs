@@ -193,66 +193,6 @@ impl TuningReport {
         &self.frontier
     }
 
-    /// A compact human-readable summary of the run — what the CLI and
-    /// examples print.
-    #[must_use]
-    pub fn summary(&self) -> String {
-        let rec = &self.recommendation;
-        let mut summary = format!(
-            "winner {} (accuracy {:.1}%, {} trials)\n\
-             tuning {:.1} min / {:.1} kJ (stall {:.1}s, cache {}h/{}m)\n\
-             deploy on {}: batch {}, {} cores @ {:.2} GHz -> {:.1} items/s, {:.3} J/item",
-            self.best.config,
-            self.best.outcome.accuracy * 100.0,
-            self.history.len(),
-            self.tuning_runtime().as_minutes(),
-            self.tuning_energy().as_kilojoules(),
-            self.stall_time.value(),
-            self.cache_stats.hits,
-            self.cache_stats.misses,
-            rec.device,
-            rec.batch,
-            rec.cores,
-            rec.freq.as_ghz(),
-            rec.throughput.value(),
-            rec.energy_per_item.value(),
-        );
-        if !self.frontier.is_empty() {
-            summary.push_str(&format!(
-                "\npareto frontier: {} configs (accuracy {:.1}%..{:.1}%)",
-                self.frontier.len(),
-                self.frontier
-                    .iter()
-                    .map(|p| p.vector.accuracy)
-                    .fold(f64::INFINITY, f64::min)
-                    * 100.0,
-                self.frontier
-                    .iter()
-                    .map(|p| p.vector.accuracy)
-                    .fold(f64::NEG_INFINITY, f64::max)
-                    * 100.0,
-            ));
-        }
-        if let Some(faults) = &self.faults {
-            let d = &faults.degradation;
-            summary.push_str(&format!(
-                "\nchaos: {} failed trials ({} crashes, {} stragglers, {} timeouts), \
-                 {} retries, {} lost replies \
-                 (stale-cache {}, default-rec {}, skipped {})",
-                faults.failed_trials,
-                d.trial_crashes,
-                d.trial_stragglers,
-                d.trial_timeouts,
-                d.trial_retries,
-                d.worker_losses,
-                d.stale_cache_served,
-                d.default_recommendations,
-                d.trials_skipped,
-            ));
-        }
-        summary
-    }
-
     /// Serialises the full report (history, winner, recommendation,
     /// timeline, statistics) to pretty JSON — the artefact a tuning
     /// service would hand back to its user.
@@ -272,31 +212,5 @@ impl TuningReport {
     /// Returns [`Error::Storage`] if parsing fails.
     pub fn from_json(json: &str) -> Result<Self> {
         serde_json::from_str(json).map_err(|e| Error::storage(format!("parsing report: {e}")))
-    }
-}
-
-#[cfg(test)]
-mod summary_tests {
-    use edgetune_tuner::scheduler::SchedulerConfig;
-    use edgetune_workloads::catalog::WorkloadId;
-
-    use crate::config::EdgeTuneConfig;
-    use crate::engine::EdgeTune;
-
-    #[test]
-    fn summary_mentions_the_key_outputs() {
-        let report = EdgeTune::new(
-            EdgeTuneConfig::for_workload(WorkloadId::Ic)
-                .with_scheduler(SchedulerConfig::new(4, 2.0, 4))
-                .without_hyperband()
-                .with_seed(42),
-        )
-        .run()
-        .unwrap();
-        let summary = report.summary();
-        assert!(summary.contains("winner"), "{summary}");
-        assert!(summary.contains("deploy on Raspberry Pi 3B+"), "{summary}");
-        assert!(summary.contains("items/s"), "{summary}");
-        assert!(summary.contains("J/item"), "{summary}");
     }
 }

@@ -21,6 +21,33 @@ fn default_run_prints_both_outputs() {
     assert!(stdout.contains("winning trial"), "{stdout}");
     assert!(stdout.contains("deployment recommendation"), "{stdout}");
     assert!(stdout.contains("Raspberry Pi 3B+"), "{stdout}");
+    assert!(!stdout.contains("fault report"), "{stdout}");
+}
+
+#[test]
+fn fault_rate_adds_the_fault_report() {
+    let out = edgetune()
+        .args([
+            "--workload",
+            "ic",
+            "--trials",
+            "4",
+            "--max-iter",
+            "4",
+            "--fault-rate",
+            "0.3",
+        ])
+        .output()
+        .expect("cli runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).expect("utf8");
+    assert!(stdout.contains("winning trial"), "{stdout}");
+    assert!(stdout.contains("== fault report =="), "{stdout}");
+    assert!(stdout.contains("trial faults     :"), "{stdout}");
 }
 
 #[test]
@@ -82,11 +109,12 @@ fn halting_after_zero_rungs_is_rejected_before_any_trial_runs() {
     let (checkpoint, report) = (dir.join("ck.json"), dir.join("report.json"));
     let out = edgetune()
         .args([
-            "chaos",
             "--trials",
             "4",
             "--max-iter",
             "4",
+            "--fault-rate",
+            "0.1",
             "--halt-after-rungs",
             "0",
         ])
@@ -182,6 +210,8 @@ fn help_lists_the_flags() {
         "--budget",
         "--study-shards",
         "--json",
+        "--fault-rate",
+        "--halt-after-rungs",
     ] {
         assert!(stdout.contains(flag), "missing {flag} in help: {stdout}");
     }
@@ -232,7 +262,7 @@ fn zero_counts_are_rejected() {
     }
     for flag in ["--trials", "--max-iter"] {
         cases.push((
-            args(&["chaos", "--workload", "ic", flag, "0"]),
+            args(&["--workload", "ic", "--fault-rate", "0.1", flag, "0"]),
             format!("{flag} must be >= 1"),
         ));
     }
@@ -262,5 +292,31 @@ fn non_finite_scenario_numbers_are_rejected() {
             "--scenario server needs samples >= 1 and period > 0".to_string(),
         ));
     }
+    assert_all_rejected(&cases);
+}
+
+#[test]
+fn bad_fault_rates_and_orphan_flags_are_rejected() {
+    let mut cases = Vec::new();
+    for value in ["nan", "-0.1", "1.5"] {
+        cases.push((
+            args(&["--workload", "ic", "--fault-rate", value]),
+            "--fault-rate must be within [0, 1]".to_string(),
+        ));
+    }
+    cases.push((
+        args(&["--trials", "4", "--max-iter", "4", "--resume"]),
+        "--resume needs --checkpoint FILE".to_string(),
+    ));
+    cases.push((
+        args(&["--shard-hosts", "127.0.0.1:9"]),
+        "--shard-hosts needs --shard-exec remote".to_string(),
+    ));
+    // The fault-injected study is the tune command's `--fault-rate`, not
+    // a subcommand of its own.
+    cases.push((
+        args(&["chaos", "--rate", "0.1"]),
+        "unknown flag 'chaos' (try --help)".to_string(),
+    ));
     assert_all_rejected(&cases);
 }

@@ -11,8 +11,8 @@
 //! * [`profile`] — [`WorkProfile`]: the per-sample FLOPs / byte-traffic /
 //!   parameter footprint of a model, produced by `edgetune-workloads`,
 //! * [`latency`] — a roofline latency model with batch/core utilisation,
-//!   dispatch overhead and cache-pressure effects,
-//! * [`energy`] — the power model and a RAPL-style [`EnergyMeter`],
+//!   dispatch overhead and cache-pressure effects, and the power model
+//!   that gives every simulated [`Execution`] its energy,
 //! * [`multi_gpu`] — data-parallel training-step scaling with all-reduce
 //!   communication cost (reproduces Fig. 4),
 //! * [`counters`] — synthetic hardware performance-counter rates for the
@@ -38,14 +38,12 @@
 //! ```
 
 pub mod counters;
-pub mod energy;
 pub mod fidelity;
 pub mod latency;
 pub mod multi_gpu;
 pub mod profile;
 pub mod spec;
 
-pub use energy::EnergyMeter;
 pub use latency::{simulate_inference, simulate_training_epoch, CpuAllocation, Execution};
 pub use profile::WorkProfile;
 pub use spec::{DeviceKind, DeviceSpec};

@@ -151,6 +151,8 @@ impl StudyService {
             .insert((tenant.to_string(), study.to_string()), at_slice);
     }
 
+    /// `{tenant}.{name}.{suffix}` in the work dir. Admission has checked
+    /// both names with [`file_name_part`], so the path stays inside it.
     fn study_path(&self, submission: &StudySubmission, suffix: &str) -> PathBuf {
         self.options.work_dir.join(format!(
             "{}.{}.{suffix}",
@@ -341,16 +343,21 @@ impl StudyService {
         for submission in &file.studies {
             // Unresolvable names reject this study alone — never the
             // whole submission file — and consume no queue room.
-            let ids = submission
-                .workload_id()
-                .and_then(|w| submission.metric_id().map(|m| (w, m)));
+            let ids = file_name_part("tenant", &submission.tenant)
+                .and_then(|()| file_name_part("study", &submission.name))
+                .and_then(|()| {
+                    submission
+                        .workload_id()
+                        .and_then(|w| submission.metric_id().map(|m| (w, m)))
+                        .map_err(|err| err.to_string())
+                });
             let (workload, metric) = match ids {
                 Ok(ids) => ids,
-                Err(err) => {
+                Err(reason) => {
                     rejected.push(RejectedStudy {
                         tenant: submission.tenant.clone(),
                         study: submission.name.clone(),
-                        reason: err.to_string(),
+                        reason,
                     });
                     continue;
                 }
@@ -441,4 +448,19 @@ impl StudyService {
             schedule,
         })
     }
+}
+
+/// Checks that `name` can be one dot-separated part of a file name in the
+/// work dir: non-empty, only `[A-Za-z0-9._-]`, and not starting with `.`
+/// — so no separator or `..` can move a study's files out of the work
+/// dir, and no hidden file can appear in it.
+fn file_name_part(what: &str, name: &str) -> std::result::Result<(), String> {
+    let allowed = |c: char| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-');
+    if name.is_empty() || name.starts_with('.') || !name.chars().all(allowed) {
+        return Err(format!(
+            "{what} name '{name}' must be non-empty, use only [A-Za-z0-9._-], \
+             and not start with '.'"
+        ));
+    }
+    Ok(())
 }

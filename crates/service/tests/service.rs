@@ -465,3 +465,51 @@ fn queue_limit_rejects_overflow_without_failing_the_run() {
     assert_eq!(report.rejected[0].reason, "tenant queue full");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn names_that_would_leave_the_work_dir_are_rejected_at_admission() {
+    let dir = work_dir("path-names");
+    let outside = std::env::temp_dir().join("edgetune-service-escape.s.report.json");
+    std::fs::remove_file(&outside).ok();
+    // `{tenant}.{name}.report.json` under the work dir: a separator, a
+    // leading dot or an empty part would put the file somewhere else.
+    let file = SubmissionFile::from_json(
+        r#"{
+            "tenants": [{"name": "alpha"}, {"name": "../edgetune-service-escape"}],
+            "studies": [
+                {"tenant": "../edgetune-service-escape", "name": "s", "workload": "ic",
+                 "seed": 1, "trials": 2, "max_iter": 2},
+                {"tenant": "alpha", "name": "sub/dir", "workload": "ic", "seed": 2,
+                 "trials": 2, "max_iter": 2},
+                {"tenant": "alpha", "name": ".hidden", "workload": "ic", "seed": 3,
+                 "trials": 2, "max_iter": 2},
+                {"tenant": "alpha", "name": "", "workload": "ic", "seed": 4,
+                 "trials": 2, "max_iter": 2},
+                {"tenant": "alpha", "name": "ok_1.v-2", "workload": "ic", "seed": 41,
+                 "trials": 4, "max_iter": 4}
+            ]
+        }"#,
+    )
+    .unwrap();
+    let report = StudyService::new(ServiceOptions::new(&dir))
+        .unwrap()
+        .run(&file)
+        .expect("bad names reject their studies, not the run");
+
+    let rejected: Vec<&str> = report.rejected.iter().map(|r| r.study.as_str()).collect();
+    assert_eq!(rejected, ["s", "sub/dir", ".hidden", ""]);
+    for r in &report.rejected {
+        assert!(r.reason.contains("must be non-empty"), "{}", r.reason);
+    }
+    assert!(report.rejected[0].reason.starts_with("tenant name"));
+    assert!(report.rejected[1].reason.starts_with("study name"));
+    assert!(!outside.exists(), "a study wrote outside its work dir");
+    assert!(dir.join("alpha.ok_1.v-2.report.json").is_file());
+    let mut written: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    written.sort();
+    assert_eq!(written, ["alpha.ok_1.v-2.report.json", "transfer.json"]);
+    std::fs::remove_dir_all(&dir).ok();
+}
