@@ -1,24 +1,23 @@
 //! The shard host: a standing daemon that executes rungs over TCP.
 //!
 //! `edgetune shard-host --listen ADDR` runs a [`ShardHost`]: an accept
-//! loop that gives every coordinator connection its own session. A
-//! session opens with the [`edgetune_net`] handshake (protocol magic,
+//! loop that gives every coordinator connection its own session thread.
+//! A session opens with the [`edgetune_net`] handshake (protocol magic,
 //! version, study seed, and the serialised [`BackendSpec`] as metadata,
 //! validated up front so a bad spec is rejected with a reason before
-//! any task flows), then runs the fabric's one task loop —
-//! `decode_tasks` feeding `answer_tasks`: [`ShardTask`] in,
+//! any task flows), then runs the fabric's one task loop,
+//! `serve_tasks`: read a [`ShardTask`], answer it with
 //! [`ShardHeartbeat`](crate::fabric::ShardHeartbeat)s and one
-//! [`ShardResultMsg`] per task out. A `__shard-worker` process runs the
-//! very same two halves on its stdin/stdout, back to back on one thread
-//! (a second thread costs a two-millisecond process a measurable
-//! fraction of its life).
+//! [`ShardResultMsg`], read the next. A `__shard-worker` process runs
+//! the very same loop on its stdin/stdout.
 //!
 //! Two disciplines distinguish a host:
 //!
-//! - **Bounded queues.** A session reads ahead: tasks park in a
-//!   [`BoundedQueue`] between the socket reader and an executor thread;
-//!   overflow is rejected with a structured error, never buffered
-//!   without bound.
+//! - **No read-ahead.** A session reads its next task only after it
+//!   answered the last one, so TCP backpressure bounds what a peer can
+//!   park on the host, and a peer that pipelines tasks is answered in
+//!   order. A connection that sends no hello within
+//!   `HANDSHAKE_DEADLINE` is dropped and counted as a reject.
 //! - **Idempotent rungs.** Results are cached under their [`RungKey`]
 //!   plus a digest of what the task asks for, in a host-global LRU-ish
 //!   cache, *before* they are sent. A coordinator that lost the session
@@ -30,8 +29,8 @@
 //! Chaos travels in the task: `Kill` takes the whole process down (for
 //! a daemon, the SIGKILL-the-host scenario the coordinator's fallback
 //! must absorb), `Panic` is caught per task and surfaced as a
-//! structured error frame, `Hang` sleeps the session's executor until
-//! the coordinator's heartbeat deadline gives up on it.
+//! structured error frame, `Hang` sleeps the session thread until the
+//! coordinator's heartbeat deadline gives up on it.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
@@ -43,7 +42,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use edgetune_net::{accept_hello, BoundedQueue, FramedTcp, NetError, QueuePushError};
+use edgetune_net::{accept_hello, FramedTcp, NetError};
 use edgetune_runtime::frame::{read_frame, write_frame, FrameKind};
 
 use crate::backend::BackendSpec;
@@ -53,9 +52,10 @@ use crate::fabric::worker::execute_task;
 /// The CLI subcommand that turns the binary into a shard host.
 pub const HOST_SUBCOMMAND: &str = "shard-host";
 
-/// Per-session work queue bound: how many tasks one coordinator session
-/// may park on the host before pushes are rejected.
-const SESSION_QUEUE_CAP: usize = 16;
+/// How long a connection may stay silent before presenting its hello.
+/// A coordinator sends the hello right after connecting; a peer that
+/// does not is dropped instead of holding a session thread.
+const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(3);
 
 /// Host-global result cache bound (entries). FIFO eviction — reconnect
 /// resends arrive promptly, so only recent rungs need to be replayable.
@@ -70,7 +70,6 @@ struct HostCounters {
     rejects: AtomicU64,
     tasks_executed: AtomicU64,
     cache_hits: AtomicU64,
-    queue_rejections: AtomicU64,
 }
 
 /// A point-in-time snapshot of a host's counters.
@@ -79,14 +78,13 @@ pub struct HostStats {
     /// Sessions whose handshake was accepted.
     pub sessions: u64,
     /// Connections turned away at the handshake (wrong magic/version,
-    /// undecodable hello or backend spec).
+    /// undecodable hello or backend spec, no hello within the handshake
+    /// deadline).
     pub rejects: u64,
     /// Tasks actually measured (cache hits excluded).
     pub tasks_executed: u64,
     /// Tasks answered from the idempotency cache.
     pub cache_hits: u64,
-    /// Task pushes refused because a session queue was full.
-    pub queue_rejections: u64,
 }
 
 /// What a cached result answers: the rung execution's identity plus a
@@ -153,7 +151,6 @@ impl HostShared {
             rejects: self.counters.rejects.load(Ordering::Relaxed),
             tasks_executed: self.counters.tasks_executed.load(Ordering::Relaxed),
             cache_hits: self.counters.cache_hits.load(Ordering::Relaxed),
-            queue_rejections: self.counters.queue_rejections.load(Ordering::Relaxed),
         }
     }
 }
@@ -281,8 +278,9 @@ impl Drop for HostHandle {
     }
 }
 
-/// Serves one coordinator session to completion: handshake, validate
-/// the spec, then answer tasks until the socket closes.
+/// Serves one coordinator session to completion on the calling thread:
+/// handshake, validate the spec, then answer tasks until the socket
+/// closes.
 fn serve_session(stream: TcpStream, shared: &HostShared) {
     let mut conn = match FramedTcp::from_stream(stream) {
         Ok(conn) => conn,
@@ -291,11 +289,21 @@ fn serve_session(stream: TcpStream, shared: &HostShared) {
             return;
         }
     };
-    let hello = match accept_hello(&mut conn) {
+    let hello = match conn
+        .set_recv_timeout(Some(HANDSHAKE_DEADLINE))
+        .and_then(|()| accept_hello(&mut conn))
+    {
         Ok(hello) => hello,
         Err(NetError::Rejected(reason)) => {
             shared.counters.rejects.fetch_add(1, Ordering::Relaxed);
             eprintln!("shard-host: rejected a peer: {reason}");
+            return;
+        }
+        Err(e) if e.is_timeout() => {
+            shared.counters.rejects.fetch_add(1, Ordering::Relaxed);
+            eprintln!(
+                "shard-host: dropped a peer that sent no hello within {HANDSHAKE_DEADLINE:?}"
+            );
             return;
         }
         Err(e) => {
@@ -322,91 +330,34 @@ fn serve_session(stream: TcpStream, shared: &HostShared) {
         conn.peer_addr()
             .map_or_else(|_| "unknown".to_string(), |a| a.to_string())
     );
-    let receiver = match conn.split_recv() {
-        Ok(receiver) => receiver,
-        Err(e) => {
-            eprintln!("shard-host: splitting session socket failed: {e}");
-            return;
-        }
-    };
-    // A session reads ahead: the socket reader parks decoded tasks in a
-    // bounded queue while an executor thread answers them, so a flood
-    // is refused with a reason instead of buffered. The executor
-    // writes heartbeats and results, the reader overflow errors; framed
-    // writes must not tear, hence the mutex.
-    let queue = BoundedQueue::<ShardTask>::new(SESSION_QUEUE_CAP);
-    let writer = Mutex::new(conn);
-    std::thread::scope(|scope| {
-        let executor =
-            scope.spawn(|| answer_tasks(std::iter::from_fn(|| queue.pop()), &writer, shared));
-        enqueue_tasks(decode_tasks(receiver, &writer), &queue, &writer, shared);
-        // The executor drains what was queued and exits.
-        queue.close();
-        let _ = executor.join();
-    });
-    writer
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .shutdown();
-}
-
-/// The reading half of the fabric's one task loop: yields the tasks of a
-/// frame stream until it ends — cleanly, torn, or reset. Anything but a
-/// decodable task frame is answered with an error frame on `writer` and
-/// ends the stream too.
-pub(crate) fn decode_tasks<'a, R: Read + 'a, W: Write>(
-    mut reader: R,
-    writer: &'a Mutex<W>,
-) -> impl Iterator<Item = ShardTask> + 'a {
-    std::iter::from_fn(move || match read_frame(&mut reader) {
-        Ok(Some(frame)) if frame.kind == FrameKind::Task => decode(&frame.payload)
-            .map_err(|e| send_error(writer, format!("undecodable task: {e}")))
-            .ok(),
-        Ok(Some(frame)) => {
-            send_error(writer, format!("unexpected {:?} frame", frame.kind));
-            None
-        }
-        Ok(None) | Err(_) => None,
-    })
-}
-
-/// Parks a session's tasks in its queue; the first one that does not
-/// fit is refused with an error frame and ends the session.
-fn enqueue_tasks<W: Write>(
-    tasks: impl Iterator<Item = ShardTask>,
-    queue: &BoundedQueue<ShardTask>,
-    writer: &Mutex<W>,
-    shared: &HostShared,
-) {
-    for task in tasks {
-        match queue.push(task) {
-            Ok(()) => {}
-            Err(QueuePushError::Full) => {
-                shared
-                    .counters
-                    .queue_rejections
-                    .fetch_add(1, Ordering::Relaxed);
-                send_error(
-                    writer,
-                    format!("work queue full ({SESSION_QUEUE_CAP} tasks queued)"),
-                );
-                return;
-            }
-            Err(QueuePushError::Closed) => return,
-        }
+    // A session idles between rungs for as long as its study needs, so
+    // the handshake deadline goes before the task loop starts.
+    match conn.set_recv_timeout(None).and_then(|()| conn.split_recv()) {
+        Ok(receiver) => serve_tasks(receiver, &mut conn, shared),
+        Err(e) => eprintln!("shard-host: preparing the session socket failed: {e}"),
     }
+    conn.shutdown();
 }
 
-/// The answering half of the fabric's one task loop, run by a host
-/// session's executor thread over its queue and by a worker process
-/// straight over [`decode_tasks`] of its stdin: answers cached keys,
-/// measures the rest, caches keyed results before sending them.
-pub(crate) fn answer_tasks<W: Write>(
-    tasks: impl Iterator<Item = ShardTask>,
-    writer: &Mutex<W>,
-    shared: &HostShared,
-) {
-    for task in tasks {
+/// The fabric's one task loop, run by a host session over its socket
+/// and by a worker process over its stdin/stdout: read a task, answer
+/// it, read the next, until the stream ends — cleanly, torn, or reset.
+/// A keyed task whose result is cached replays; any other is measured
+/// under `catch_unwind`, and a keyed result is cached before it is
+/// sent. Anything but a decodable task frame, and a panicking task,
+/// are answered with an error frame and end the loop.
+pub(crate) fn serve_tasks<R: Read, W: Write>(mut reader: R, writer: &mut W, shared: &HostShared) {
+    loop {
+        let task: ShardTask = match read_frame(&mut reader) {
+            Ok(Some(frame)) if frame.kind == FrameKind::Task => match decode(&frame.payload) {
+                Ok(task) => task,
+                Err(e) => return send_error(writer, format!("undecodable task: {e}")),
+            },
+            Ok(Some(frame)) => {
+                return send_error(writer, format!("unexpected {:?} frame", frame.kind))
+            }
+            Ok(None) | Err(_) => return,
+        };
         let slot = cache_key(&task);
         if let Some(slot) = &slot {
             let cached = shared.cache().get(slot);
@@ -441,8 +392,7 @@ pub(crate) fn answer_tasks<W: Write>(
                     .map(|s| (*s).to_string())
                     .or_else(|| panic.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "opaque panic".to_string());
-                send_error(writer, format!("task execution panicked: {what}"));
-                return;
+                return send_error(writer, format!("task execution panicked: {what}"));
             }
         };
         shared
@@ -460,12 +410,11 @@ pub(crate) fn answer_tasks<W: Write>(
     }
 }
 
-fn send_frame<W: Write>(writer: &Mutex<W>, kind: FrameKind, payload: &[u8]) -> Result<(), String> {
-    let mut writer = writer.lock().unwrap_or_else(PoisonError::into_inner);
-    write_frame(&mut *writer, kind, payload).map_err(|e| format!("sending {kind:?} frame: {e}"))
+fn send_frame<W: Write>(writer: &mut W, kind: FrameKind, payload: &[u8]) -> Result<(), String> {
+    write_frame(writer, kind, payload).map_err(|e| format!("sending {kind:?} frame: {e}"))
 }
 
-fn send_error<W: Write>(writer: &Mutex<W>, message: String) {
+fn send_error<W: Write>(writer: &mut W, message: String) {
     let failure = WorkerFailure { message };
     let _ = send_frame(writer, FrameKind::Error, &encode(&failure));
 }
@@ -523,9 +472,9 @@ mod tests {
     /// Runs the task loop over in-memory streams, as a worker process
     /// does over its stdin/stdout.
     fn serve(input: Vec<u8>, shared: &HostShared) -> Vec<Frame> {
-        let writer = Mutex::new(Vec::new());
-        answer_tasks(decode_tasks(Cursor::new(input), &writer), &writer, shared);
-        frames_of(&writer.into_inner().unwrap())
+        let mut output = Vec::new();
+        serve_tasks(Cursor::new(input), &mut output, shared);
+        frames_of(&output)
     }
 
     #[test]
@@ -647,22 +596,6 @@ mod tests {
         assert!(message.contains("task execution panicked"), "{message}");
         assert!(message.contains("injected worker panic"), "{message}");
         assert_eq!(shared.stats().tasks_executed, 0);
-    }
-
-    #[test]
-    fn tasks_beyond_the_queue_bound_are_rejected_with_an_error_frame() {
-        // No executor runs, so the queue only fills.
-        let task = task_frame(&task_for(&[], Seconds::ZERO, None));
-        let queue = BoundedQueue::new(SESSION_QUEUE_CAP);
-        let writer = Mutex::new(Vec::new());
-        let shared = HostShared::default();
-        let input = Cursor::new(task.repeat(SESSION_QUEUE_CAP + 2));
-        enqueue_tasks(decode_tasks(input, &writer), &queue, &writer, &shared);
-        assert_eq!(queue.len(), SESSION_QUEUE_CAP);
-        let frames = frames_of(&writer.into_inner().unwrap());
-        assert_eq!(frames.len(), 1, "the session ends at the first overflow");
-        assert!(error_of(&frames[0]).contains("work queue full"));
-        assert_eq!(shared.stats().queue_rejections, 1);
     }
 
     #[test]
@@ -788,6 +721,55 @@ mod tests {
         handle.shutdown();
         assert_eq!(handle.stats().rejects, 2);
         assert_eq!(handle.stats().sessions, 1);
+    }
+
+    #[test]
+    fn a_session_answers_pipelined_tasks_in_order() {
+        let mut handle = ShardHost::bind("127.0.0.1:0").unwrap().spawn().unwrap();
+        let mut conn = connect(&handle);
+        // Every task is on the wire before the first answer is read, and
+        // the first one measures long enough for the rest to arrive
+        // behind it; the shard index tells the answers apart.
+        let trials = sample_trials(64);
+        let tasks: Vec<ShardTask> = (0..64)
+            .map(|shard| {
+                let slice = if shard == 0 {
+                    &trials[..]
+                } else {
+                    &trials[..1]
+                };
+                let mut task = task_for(slice, Seconds::ZERO, None);
+                task.plan.shard = shard;
+                task
+            })
+            .collect();
+        for task in &tasks {
+            conn.send(FrameKind::Task, &encode(task)).unwrap();
+        }
+        for task in &tasks {
+            assert_eq!(recv_result(&mut conn).shard, task.plan.shard);
+        }
+        conn.shutdown();
+        handle.shutdown();
+        assert_eq!(handle.stats().tasks_executed, 64);
+    }
+
+    #[test]
+    fn a_peer_that_never_says_hello_is_dropped_at_the_handshake_deadline() {
+        let mut handle = ShardHost::bind("127.0.0.1:0").unwrap().spawn().unwrap();
+        let mut silent = TcpStream::connect(handle.addr()).unwrap();
+        let slack = Duration::from_secs(2);
+        silent
+            .set_read_timeout(Some(HANDSHAKE_DEADLINE + slack))
+            .unwrap();
+        let opened = std::time::Instant::now();
+        // The host closes without a word: end-of-stream, not our timeout.
+        let read = silent.read_to_end(&mut Vec::new());
+        assert!(matches!(read, Ok(0)), "the host kept the peer: {read:?}");
+        assert!(opened.elapsed() < HANDSHAKE_DEADLINE + slack);
+        handle.shutdown();
+        assert_eq!(handle.stats().rejects, 1);
+        assert_eq!(handle.stats().sessions, 0);
     }
 
     #[test]

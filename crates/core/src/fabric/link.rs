@@ -66,7 +66,8 @@ impl Dial {
 
     /// Opens a fresh link for `shard`. `study` and `spec`
     /// go into the remote session's hello; `connect_timeout` bounds the
-    /// dial so a dead address fails fast instead of hanging the rung.
+    /// dial and the wait for the host's answer to the hello, so a dead
+    /// or silent address fails fast instead of hanging the rung.
     pub(crate) fn open(
         &self,
         shard: usize,
@@ -98,7 +99,12 @@ impl Dial {
                     .map_err(|e| format!("connecting to {host}: {e}"))?;
                 let spec_json = serde_json::to_string(spec)
                     .expect("backend specs are plain data and always serialise");
-                client_hello(&mut conn, &Hello::new(study, spec_json))
+                // The session's pump later reads a clone of this socket,
+                // bounded by the heartbeat deadline instead, so the
+                // hello's receive timeout is cleared once it is answered.
+                conn.set_recv_timeout(Some(connect_timeout))
+                    .and_then(|()| client_hello(&mut conn, &Hello::new(study, spec_json)))
+                    .and_then(|_| conn.set_recv_timeout(None))
                     .map_err(|e| format!("handshake with {host}: {e}"))?;
                 Ok(Box::new(TcpLink(conn)))
             }

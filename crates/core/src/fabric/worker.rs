@@ -5,14 +5,13 @@
 //! [`BackendSpec`](crate::backend::BackendSpec) once — a shard is a plan
 //! plus a backend — and calls `run_trial` per trial, heartbeating after
 //! every trial.
-//! The loop around it — decode, replay-if-keyed, catch panics, answer
-//! with a result or error frame — is the shard host's (`decode_tasks`
-//! feeding `answer_tasks`); a worker process merely runs it on its
-//! own stdin/stdout.
+//! The loop around it — read a task, replay it if keyed and cached,
+//! measure it under `catch_unwind` otherwise, answer with a result or
+//! error frame, read the next — is the shard host's `serve_tasks`; a
+//! worker process runs it on its own stdin/stdout, a host session on
+//! its socket.
 
-use std::sync::Mutex;
-
-use crate::fabric::host::{answer_tasks, decode_tasks, HostShared};
+use crate::fabric::host::{serve_tasks, HostShared};
 use crate::fabric::protocol::{ChaosAction, ShardHeartbeat, ShardResultMsg, ShardTask};
 
 /// The hidden CLI subcommand that turns the binary into a shard worker.
@@ -84,10 +83,9 @@ pub(crate) fn execute_task(
 /// closes stdin. The exit code carries no meaning: the supervisor judges
 /// an attempt by the frames that arrived.
 pub fn worker_main() -> ! {
-    let writer = Mutex::new(std::io::stdout());
-    answer_tasks(
-        decode_tasks(std::io::stdin().lock(), &writer),
-        &writer,
+    serve_tasks(
+        std::io::stdin().lock(),
+        &mut std::io::stdout().lock(),
         &HostShared::default(),
     );
     std::process::exit(0);

@@ -196,6 +196,43 @@ fn dead_hosts_degrade_to_in_process_execution() {
 }
 
 #[test]
+fn a_host_that_never_answers_the_hello_degrades_to_in_process_execution() {
+    let (thread_json, thread_trace, _) = run(&study(2));
+    // A listener that is never accepted from: the kernel completes every
+    // connect, then nothing answers the hello. The hello's wait is
+    // bounded like the dial, so each attempt times out and the retry
+    // budget spends into the in-process fallback.
+    let silent = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = silent.local_addr().expect("bound address").to_string();
+    let mut policy = FabricPolicy {
+        supervisor: FabricPolicy::default()
+            .supervisor
+            .with_deadline(Deadline::new(Seconds::new(0.2))),
+        ..FabricPolicy::default()
+    };
+    policy.supervisor.retry.base_delay = Seconds::new(0.001);
+    policy.supervisor.retry.max_delay = Seconds::new(0.002);
+    let config = remote_study(2, vec![addr]).with_fabric_policy(policy);
+    // A hang must fail this test, not stall the suite.
+    let (done, outcome) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(run(&config));
+    });
+    let (remote_json, remote_trace, report) = outcome
+        .recv_timeout(std::time::Duration::from_secs(20))
+        .expect("the study hung on a silent host");
+    drop(silent);
+    assert_eq!(thread_json, remote_json, "fallback changed report bytes");
+    assert_eq!(thread_trace, remote_trace, "fallback changed trace bytes");
+    let stats = report.fabric_stats().expect("fabric engaged");
+    // Every shard of every fabric rung spent its budget at the
+    // handshake; no session ever opened.
+    assert_eq!(stats.fallbacks, 12, "{stats:?}");
+    assert_eq!(stats.crashes, stats.retries + stats.fallbacks, "{stats:?}");
+    assert_eq!(stats.links, 0, "no session could open: {stats:?}");
+}
+
+#[test]
 fn sigkilled_shard_host_degrades_without_disturbing_the_study() {
     let (thread_json, thread_trace, _) = run(&study(4));
     let (mut daemon, addr) = child_host();

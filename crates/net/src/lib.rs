@@ -7,17 +7,17 @@
 //! task protocol stays in the core crate; `edgetune-net` owns only the
 //! connection mechanics:
 //!
-//! * [`FramedTcp`](transport::FramedTcp) — a TCP stream speaking the
-//!   length-prefixed CRC-checked frame codec, with connect and receive
-//!   timeouts so a silent peer can never hang a supervisor.
+//! * [`FramedTcp`] — a TCP stream speaking the length-prefixed
+//!   CRC-checked frame codec, with a bounded connect and an optional
+//!   receive deadline that surfaces a silent peer as a timeout error
+//!   ([`NetError::is_timeout`]). The fabric arms that deadline on both
+//!   sides of the handshake, so neither a coordinator nor a host waits
+//!   forever on a peer that never speaks.
 //! * [`handshake`] — the versioned session opening: an explicit
 //!   protocol magic and version word exchanged *inside* typed frames
 //!   before any task flows, so a mismatched peer is rejected with a
 //!   structured reason instead of surfacing as a CRC failure halfway
 //!   through a task.
-//! * [`BoundedQueue`](queue::BoundedQueue) — the per-session work
-//!   queue discipline: a fixed capacity, overflow rejected explicitly,
-//!   close semantics that wake every waiter.
 //!
 //! Everything here is wall-clock I/O and therefore lives strictly on
 //! the supervision side of the byte-identity line: nothing in this
@@ -28,13 +28,11 @@ use std::fmt;
 use edgetune_runtime::frame::FrameError;
 
 pub mod handshake;
-pub mod queue;
 pub mod transport;
 
 pub use handshake::{
     accept_hello, client_hello, Hello, HelloAck, PROTOCOL_MAGIC, PROTOCOL_VERSION,
 };
-pub use queue::{BoundedQueue, QueuePushError};
 pub use transport::FramedTcp;
 
 /// Everything that can go wrong on a fabric socket.

@@ -6,8 +6,9 @@
 //! a grant is `rung_quantum` calls to [`StudyRun::step`], so it takes
 //! exactly ⌈rungs / `rung_quantum`⌉ grants and replays nothing: a cold
 //! study's report and trace bytes equal a solo `edgetune` run of the
-//! same submission, whatever ran in between. Its per-study checkpoint
-//! is still written after every live rung, for durability only.
+//! same submission, whatever ran in between. A study lives in memory
+//! only: the service writes no checkpoint, and a study cut short by the
+//! process ending is not resumed.
 //!
 //! Completed studies donate their best configurations to a
 //! [`TransferIndex`] under a [`TransferKey`]; a study submitted with
@@ -36,8 +37,8 @@ use crate::submission::{StudySubmission, SubmissionFile};
 /// file).
 #[derive(Debug, Clone)]
 pub struct ServiceOptions {
-    /// Directory for per-study checkpoints, reports, traces, and the
-    /// persistent transfer index.
+    /// Directory for per-study reports and traces, and the persistent
+    /// transfer index.
     pub work_dir: PathBuf,
     /// How many transferred configurations seed a warm-started study.
     pub warm_top_k: usize,
@@ -207,8 +208,7 @@ impl StudyService {
         let mut config = EdgeTuneConfig::for_workload(state.workload)
             .with_metric(state.metric)
             .with_scheduler(state.effective_scheduler())
-            .with_seed(s.seed)
-            .with_checkpoint_path(self.study_path(s, "ckpt.json"));
+            .with_seed(s.seed);
         if !warm_seeds.is_empty() {
             config = config.with_warm_start(warm_seeds);
         }
@@ -313,10 +313,6 @@ impl StudyService {
         self.transfer
             .record(key, self.donation(&report), report.best().outcome.score);
         Ok(report)
-    }
-
-    fn cleanup(&self, submission: &StudySubmission) {
-        std::fs::remove_file(self.study_path(submission, "ckpt.json")).ok();
     }
 
     /// Admits and drives every study in `file` to completion, returning
@@ -432,7 +428,6 @@ impl StudyService {
                 state.live = None;
                 outcomes[idx] = Some(state.outcome(result));
                 scheduler.remove(idx);
-                self.cleanup(&state.submission);
             }
         }
 
