@@ -2,7 +2,8 @@
 # CLI byte-identity checks over the release binaries, at 1 and 4 study
 # shards: process and remote shard placement (clean and with a SIGKILLed
 # worker or daemon) reproduce thread mode's report, trace and stdout;
-# a clean multi-shard study opens one link per shard; every served
+# a clean multi-shard study opens one link per shard and sends fewer
+# heartbeats than tasks; every served
 # study matches its solo run; an interrupted resume reproduces the
 # uninterrupted report; the exported Chrome trace has the expected
 # structure; a rate shift is answered from a pre-computed frontier.
@@ -41,6 +42,16 @@ spawns = sum(e["name"] == "spawn" for e in json.load(open(sys.argv[1]))["traceEv
 want = int(sys.argv[2]) if int(sys.argv[2]) > 1 else 0
 assert spawns == want, f"{spawns} spawn events, want {want}"' "$1" "$shards"
 }
+# A worker heartbeats once per 100 ms of measuring, so a clean study's
+# fast rungs answer with their result frame alone: fewer `heartbeat`
+# instants than task `send` spans (both absent at 1 shard).
+fewer_heartbeats_than_sends() {
+    python3 -c 'import json, sys
+names = [e["name"] for e in json.load(open(sys.argv[1]))["traceEvents"]]
+beats, sends = names.count("heartbeat"), names.count("send")
+fewer = beats < sends if int(sys.argv[2]) > 1 else beats == sends == 0
+assert fewer, f"{beats} heartbeats over {sends} sends"' "$1" "$shards"
+}
 solo() { edgetune --study-shards "$shards" --trials 4 --max-iter 4 "$@" >/dev/null; }
 # Starts a shard-host daemon in the background and sets `addr`.
 start_host() {
@@ -72,6 +83,7 @@ for shards in 1 4; do
     study "s$shards.process" --shard-exec process --fabric-trace "s$shards.process.fabric.json"
     same_as_thread "s$shards.process"
     one_link_per_shard "s$shards.process.fabric.json"
+    fewer_heartbeats_than_sends "s$shards.process.fabric.json"
     EDGETUNE_FABRIC_KILL=0 study "s$shards.process-kill" --shard-exec process
     same_as_thread "s$shards.process-kill"
     ok "$shards shard(s): process placement, clean and SIGKILLed, matches thread mode"
@@ -81,6 +93,7 @@ for shards in 1 4; do
         --fabric-trace "s$shards.remote.fabric.json"
     same_as_thread "s$shards.remote"
     one_link_per_shard "s$shards.remote.fabric.json"
+    fewer_heartbeats_than_sends "s$shards.remote.fabric.json"
     # Kill chaos takes the daemon itself down, so it gets its own.
     start_host "s$shards.kill-host"
     EDGETUNE_FABRIC_KILL=0 study "s$shards.remote-kill" --shard-exec remote --shard-hosts "$addr"

@@ -58,7 +58,7 @@ const TUNE_USAGE: &str = "usage: edgetune [--workload ic|sr|nlp|od] [--device NA
      after N rungs; with --checkpoint FILE, --resume continues it.\n\
      \n\
      --shard-exec process runs each engine shard in a supervised child\n\
-     process (heartbeats, capped retry, in-process fallback); report and\n\
+     process (heartbeat deadline, capped retry, in-process fallback); report and\n\
      trace bytes are identical to thread mode. --shard-exec remote dials\n\
      standing `edgetune shard-host` daemons (--shard-hosts, shard i uses\n\
      host i mod N) under the same supervision and the same bytes.\n\

@@ -201,7 +201,8 @@ impl StudyRun {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] for inconsistent configurations
-    /// (`halt_after_rungs` of 0 included) or a checkpoint written under
+    /// (`halt_after_rungs` of 0 and a fabric deadline or retry delay the
+    /// supervisor cannot wait on included) or a checkpoint written under
     /// another seed, and [`Error::Storage`] for unreadable state.
     pub fn start(
         config: &EdgeTuneConfig,
@@ -220,6 +221,7 @@ impl StudyRun {
         if config.halt_after_rungs == Some(0) {
             return Err(Error::invalid_config("halt_after_rungs must be ≥ 1"));
         }
+        config.fabric.validate()?;
         let faults_enabled = !config.fault_plan.is_none();
 
         // Resume: the checkpoint's state is reinstated whole, and its

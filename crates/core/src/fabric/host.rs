@@ -6,10 +6,12 @@
 //! version, study seed, and the serialised [`BackendSpec`] as metadata,
 //! validated up front so a bad spec is rejected with a reason before
 //! any task flows), then runs the fabric's one task loop,
-//! `serve_tasks`: read a [`ShardTask`], answer it with
-//! [`ShardHeartbeat`](crate::fabric::ShardHeartbeat)s and one
-//! [`ShardResultMsg`], read the next. A `__shard-worker` process runs
-//! the very same loop on its stdin/stdout.
+//! `serve_tasks`: read a [`ShardTask`], answer it with one
+//! [`ShardResultMsg`] — preceded by a
+//! [`ShardHeartbeat`](crate::fabric::ShardHeartbeat) per
+//! [`HEARTBEAT_EVERY`] of measuring, none for a fast slice — read the
+//! next. A `__shard-worker` process runs the very same loop on its
+//! stdin/stdout.
 //!
 //! Two disciplines distinguish a host:
 //!
@@ -47,7 +49,7 @@ use edgetune_runtime::frame::{read_frame, write_frame, FrameKind};
 
 use crate::backend::BackendSpec;
 use crate::fabric::protocol::{decode, encode, RungKey, ShardResultMsg, ShardTask, WorkerFailure};
-use crate::fabric::worker::execute_task;
+use crate::fabric::worker::{execute_task, HEARTBEAT_EVERY};
 
 /// The CLI subcommand that turns the binary into a shard host.
 pub const HOST_SUBCOMMAND: &str = "shard-host";
@@ -379,7 +381,7 @@ pub(crate) fn serve_tasks<R: Read, W: Write>(mut reader: R, writer: &mut W, shar
         // error, and end the session so the coordinator retries
         // immediately instead of waiting out its deadline.
         let measured = catch_unwind(AssertUnwindSafe(|| {
-            execute_task(&task, |heartbeat| {
+            execute_task(&task, HEARTBEAT_EVERY, |heartbeat| {
                 send_frame(writer, FrameKind::Heartbeat, &encode(&heartbeat))
             })
         }));
@@ -424,7 +426,7 @@ mod tests {
     use super::*;
     use crate::backend::{SimTrainingBackend, TrainingBackend};
     use crate::fabric::fixtures::{backend, expected_measurements, sample_trials, task_for};
-    use crate::fabric::protocol::{ChaosAction, RungScope, ShardHeartbeat};
+    use crate::fabric::protocol::{ChaosAction, RungScope};
     use edgetune_net::{client_hello, Hello};
     use edgetune_runtime::frame::{encode_frame, Frame};
     use edgetune_util::rng::SeedStream;
@@ -484,13 +486,9 @@ mod tests {
         let shared = HostShared::default();
         let frames = serve(task_frame(&task_for(&trials, now, None)), &shared);
 
-        // One heartbeat per trial, then the result.
-        assert_eq!(frames.len(), trials.len() + 1);
-        for (i, frame) in frames[..trials.len()].iter().enumerate() {
-            assert_eq!(frame.kind, FrameKind::Heartbeat);
-            let heartbeat: ShardHeartbeat = decode(&frame.payload).unwrap();
-            assert_eq!(heartbeat.completed, i + 1);
-        }
+        // The slice ends long before a heartbeat falls due: the result
+        // frame is the whole answer.
+        assert_eq!(frames.len(), 1);
         let results = results_of(&frames);
         assert_eq!(results[0].measurements, expected_measurements(&trials, 1));
         assert_eq!(shared.stats().tasks_executed, 1);
@@ -588,11 +586,11 @@ mod tests {
 
         let shared = HostShared::default();
         let frames = serve(input, &shared);
-        // The first trial's heartbeat, then the structured failure; the
-        // second task is never executed.
-        assert_eq!(frames.len(), 2);
-        assert_eq!(frames[0].kind, FrameKind::Heartbeat);
-        let message = error_of(&frames[1]);
+        // The structured failure alone — the panic fires right after the
+        // first trial, before a heartbeat falls due; the second task is
+        // never executed.
+        assert_eq!(frames.len(), 1);
+        let message = error_of(&frames[0]);
         assert!(message.contains("task execution panicked"), "{message}");
         assert!(message.contains("injected worker panic"), "{message}");
         assert_eq!(shared.stats().tasks_executed, 0);
@@ -635,7 +633,7 @@ mod tests {
     // cannot race the session thread.
 
     #[test]
-    fn host_executes_a_task_and_streams_heartbeats() {
+    fn host_executes_a_task_over_a_session() {
         let mut handle = ShardHost::bind("127.0.0.1:0").unwrap().spawn().unwrap();
         let trials = sample_trials(3);
         let mut conn = connect(&handle);

@@ -2,15 +2,18 @@
 //! attempt runs.
 //!
 //! A [`Link`] is a framed duplex to *something* that answers each
-//! [`ShardTask`](crate::fabric::ShardTask) with heartbeats and one
-//! result. The supervisor opens one link per shard per study through a
-//! [`Dial`], pumps its read half into the watch loop for as long as it
-//! lives, and writes one task per rung to it; an attempt that fails
-//! closes the link and the retry opens a new one — identically for a
-//! child process's stdin/stdout, a TCP session with a shard host, and
-//! the scripted in-memory link the unit tests substitute.
+//! [`ShardTask`](crate::fabric::ShardTask) with one result frame,
+//! preceded by a heartbeat per
+//! [`HEARTBEAT_EVERY`](crate::fabric::HEARTBEAT_EVERY) of measuring — so
+//! a fast rung's whole answer is that one frame. The supervisor opens
+//! one link per shard per study through a [`Dial`], pumps its read half
+//! into the watch loop for as long as it lives, and writes one task per
+//! rung to it; an attempt that fails closes the link and the retry
+//! opens a new one — identically for a child process's stdin/stdout, a
+//! TCP session with a shard host, and the scripted in-memory link the
+//! unit tests substitute.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::time::Duration;
@@ -128,7 +131,9 @@ impl Link for PipeLink {
 
     fn reader(&mut self) -> Result<Box<dyn Read + Send>, String> {
         let stdout = self.stdout.take().ok_or("worker stdout already taken")?;
-        Ok(Box::new(stdout))
+        // Buffered like the TCP receiver, so a frame costs one `read(2)`
+        // rather than one for its header and one for its payload.
+        Ok(Box::new(BufReader::new(stdout)))
     }
 
     fn close(self: Box<Self>, failed: bool) {

@@ -17,9 +17,10 @@
 //!   which receives the plan plus a
 //!   [`BackendSpec`](crate::backend::BackendSpec) backend snapshot over
 //!   its stdin as length-prefixed, CRC-checksummed
-//!   [frames](edgetune_runtime::frame) and streams heartbeats and the
-//!   measured [`TrialMeasurement`](crate::backend::TrialMeasurement)s
-//!   back over its stdout.
+//!   [frames](edgetune_runtime::frame) and answers with the measured
+//!   [`TrialMeasurement`](crate::backend::TrialMeasurement)s over its
+//!   stdout — preceded by a heartbeat per [`HEARTBEAT_EVERY`] of
+//!   measuring, so a fast rung's answer is its result frame alone.
 //! * **remote** — on a standing [`ShardHost`] daemon
 //!   (`edgetune shard-host --listen ADDR`) over TCP: the coordinator
 //!   dials one host per shard, opens a versioned session with an
@@ -30,7 +31,8 @@
 //! reopened only after an attempt on it failed; it runs one attempt
 //! function per rung over it, and wraps every attempt in the `faults`
 //! crate's vocabulary:
-//! a heartbeat [`Deadline`](edgetune_faults::Deadline), a
+//! a heartbeat [`Deadline`](edgetune_faults::Deadline) (bounding one
+//! trial plus [`HEARTBEAT_EVERY`] of silence), a
 //! capped-jittered-backoff [`RetryPolicy`](edgetune_faults::RetryPolicy)
 //! on crash or timeout, post-hoc straggler detection, and — once the
 //! retry budget is spent — measuring the slice in-process exactly as
@@ -67,4 +69,4 @@ pub use protocol::{
     ChaosAction, RungKey, RungScope, ShardHeartbeat, ShardResultMsg, ShardTask, TaskTrial,
 };
 pub use supervisor::{FabricChaos, FabricPolicy, FabricStats, ShardFabric};
-pub use worker::{worker_main, WORKER_SUBCOMMAND};
+pub use worker::{worker_main, HEARTBEAT_EVERY, WORKER_SUBCOMMAND};

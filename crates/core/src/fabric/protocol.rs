@@ -1,11 +1,16 @@
 //! The fabric's wire vocabulary: what travels inside pipe frames.
 //!
 //! Every message is JSON inside one [frame](edgetune_runtime::frame):
-//! a [`ShardTask`] goes down to the worker, [`ShardHeartbeat`]s and one
-//! [`ShardResultMsg`] come back. JSON keeps the protocol debuggable
-//! (`f64` round-trips exactly through serde's shortest-roundtrip
-//! formatting, which is what makes worker measurements bit-identical to
-//! in-process ones); the frame layer supplies integrity.
+//! a [`ShardTask`] goes down to the worker, one [`ShardResultMsg`] comes
+//! back — after a [`ShardHeartbeat`] per
+//! [`HEARTBEAT_EVERY`](crate::fabric::HEARTBEAT_EVERY) of measuring, so
+//! a slice that finishes sooner sends none. Liveness is "some frame
+//! within the deadline": the supervisor's deadline bounds one trial
+//! plus that interval, never one trial alone. JSON keeps the protocol
+//! debuggable (`f64` round-trips exactly through serde's
+//! shortest-roundtrip formatting, which is what makes worker
+//! measurements bit-identical to in-process ones); the frame layer
+//! supplies integrity.
 
 use edgetune_tuner::budget::TrialBudget;
 use edgetune_tuner::space::Config;
@@ -17,8 +22,9 @@ use crate::engine::shard::ShardPlan;
 
 /// A chaos instruction the supervisor can plant inside a task to test
 /// its own crash containment. The worker executes it right after
-/// measuring (and heartbeating) its first trial — mid-rung, so the
-/// retry path is exercised with real partial progress.
+/// measuring its first trial — mid-rung, so the retry path is exercised
+/// with real partial progress. (A heartbeat precedes it only if the
+/// first trial outlasted the heartbeat interval.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum ChaosAction {
@@ -26,8 +32,8 @@ pub enum ChaosAction {
     Kill,
     /// Panic on the worker's main thread.
     Panic,
-    /// Stop heartbeating and sleep forever, forcing the heartbeat
-    /// deadline to fire.
+    /// Go silent — no heartbeat, no result — and sleep forever, forcing
+    /// the heartbeat deadline to fire.
     Hang,
 }
 
@@ -115,8 +121,10 @@ pub struct ShardTask {
     pub key: Option<RungKey>,
 }
 
-/// Worker → orchestrator: liveness plus progress, sent after every
-/// measured trial.
+/// Worker → orchestrator: liveness plus progress, sent after a measured
+/// trial once [`HEARTBEAT_EVERY`](crate::fabric::HEARTBEAT_EVERY) has
+/// passed since the task started or since the previous heartbeat. The
+/// result frame is the liveness signal of a slice that finishes sooner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardHeartbeat {
     /// The worker's shard index.

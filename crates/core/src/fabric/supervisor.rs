@@ -43,6 +43,7 @@ use edgetune_tuner::budget::TrialBudget;
 use edgetune_tuner::space::Config;
 use edgetune_util::rng::SeedStream;
 use edgetune_util::units::Seconds;
+use edgetune_util::Error;
 use serde::{Deserialize, Serialize};
 
 use crate::backend::{BackendSpec, TrainingBackend, TrialMeasurement};
@@ -53,6 +54,7 @@ use crate::fabric::protocol::{
     decode, encode, ChaosAction, RungScope, ShardHeartbeat, ShardResultMsg, ShardTask, TaskTrial,
     WorkerFailure,
 };
+use crate::fabric::worker::HEARTBEAT_EVERY;
 use crate::trace::{CAT_FABRIC, PROCESS_FABRIC};
 
 /// A shard slower than this multiple of the median sibling wall time is
@@ -77,7 +79,12 @@ pub struct FabricPolicy {
     /// Retry budget (capped jittered backoff) plus the per-frame
     /// heartbeat deadline — a worker silent for longer is treated as
     /// hung, killed, and retried. A shard that spends the budget is
-    /// measured in-process.
+    /// measured in-process. A worker heartbeats at most every
+    /// [`HEARTBEAT_EVERY`] (a faster slice answers with its result
+    /// alone), so the deadline bounds one trial plus that interval:
+    /// [`StudyRun::start`](crate::engine::StudyRun::start) rejects a
+    /// deadline that is not finite or not longer than it, and retry
+    /// delays that are not finite and ≥ 0.
     pub supervisor: Supervisor,
     /// Worker executable override. `None` self-execs
     /// `std::env::current_exe()` — correct for the `edgetune` binary;
@@ -101,6 +108,40 @@ impl Default for FabricPolicy {
             worker_exe: None,
             chaos: None,
         }
+    }
+}
+
+impl FabricPolicy {
+    /// Checks what the supervisor turns into sleeps and timeouts, so a
+    /// study with a policy the fabric cannot honour fails before it
+    /// starts instead of panicking on a shard's thread.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidConfig`] naming the offending field.
+    pub(crate) fn validate(&self) -> edgetune_util::Result<()> {
+        if let Some(deadline) = self.supervisor.deadline {
+            let limit = deadline.limit.value();
+            if !(limit.is_finite() && limit > HEARTBEAT_EVERY.as_secs_f64()) {
+                return Err(Error::invalid_config(format!(
+                    "fabric.supervisor.deadline must be finite and longer than the \
+                     {HEARTBEAT_EVERY:?} heartbeat interval, got {limit} s"
+                )));
+            }
+        }
+        let retry = &self.supervisor.retry;
+        for (field, delay) in [
+            ("base_delay", retry.base_delay),
+            ("max_delay", retry.max_delay),
+        ] {
+            let delay = delay.value();
+            if !(delay.is_finite() && delay >= 0.0) {
+                return Err(Error::invalid_config(format!(
+                    "fabric.supervisor.retry.{field} must be finite and ≥ 0, got {delay} s"
+                )));
+            }
+        }
+        Ok(())
     }
 }
 

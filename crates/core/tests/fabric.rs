@@ -13,11 +13,12 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
 use edgetune::config::ShardExec;
-use edgetune::fabric::{ChaosAction, FabricChaos, FabricPolicy};
+use edgetune::fabric::{ChaosAction, FabricChaos, FabricPolicy, HEARTBEAT_EVERY};
 use edgetune::prelude::*;
 use edgetune::Engine;
 use edgetune_faults::Deadline;
 use edgetune_util::units::Seconds;
+use edgetune_util::Error;
 
 /// The real CLI binary, which dispatches the hidden `__shard-worker`
 /// subcommand. The test harness binary does not, so the policy must
@@ -100,7 +101,12 @@ fn process_mode_reproduces_thread_bytes_across_shard_counts() {
                 stats.spawns > stats.links,
                 "no rung reused a link: {stats:?}"
             );
-            assert!(stats.heartbeats > 0, "no heartbeat arrived: {stats:?}");
+            // Sim rungs finish long before a heartbeat falls due: the
+            // result frame alone answers almost every attempt.
+            assert!(
+                stats.heartbeats < stats.spawns,
+                "more than a heartbeat per attempt: {stats:?}"
+            );
             assert_eq!(stats.crashes, 0, "clean run crashed: {stats:?}");
         }
     }
@@ -162,6 +168,58 @@ fn hung_worker_trips_the_heartbeat_deadline_and_is_retried() {
     let stats = report.fabric_stats().expect("fabric engaged");
     assert!(stats.timeouts > 0, "deadline never fired: {stats:?}");
     assert!(stats.retries > 0, "hang was not retried: {stats:?}");
+}
+
+#[test]
+fn a_deadline_or_backoff_the_supervisor_cannot_wait_on_is_rejected_up_front() {
+    let deadline = |limit: f64| {
+        let mut policy = process_policy();
+        policy.supervisor = policy
+            .supervisor
+            .with_deadline(Deadline::new(Seconds::new(limit)));
+        policy
+    };
+    let delays = |base: f64, max: f64| {
+        let mut policy = process_policy();
+        policy.supervisor.retry.base_delay = Seconds::new(base);
+        policy.supervisor.retry.max_delay = Seconds::new(max);
+        policy
+    };
+    let (deadline_field, base_field, max_field) = (
+        "fabric.supervisor.deadline",
+        "fabric.supervisor.retry.base_delay",
+        "fabric.supervisor.retry.max_delay",
+    );
+    let cases = [
+        (deadline(f64::INFINITY), deadline_field),
+        (deadline(f64::NAN), deadline_field),
+        (deadline(-1.0), deadline_field),
+        // Not longer than the heartbeat interval: a healthy worker may
+        // stay silent that long.
+        (deadline(HEARTBEAT_EVERY.as_secs_f64()), deadline_field),
+        (delays(f64::INFINITY, 0.5), base_field),
+        (delays(f64::NAN, 0.5), base_field),
+        (delays(-0.1, 0.5), base_field),
+        (delays(0.05, f64::INFINITY), max_field),
+        (delays(0.05, f64::NAN), max_field),
+        (delays(0.05, -0.5), max_field),
+    ];
+    for exec in [ShardExec::Process, ShardExec::Remote] {
+        for (policy, field) in &cases {
+            // Nothing listens on the remote address: a rejected study
+            // must not get as far as dialing it.
+            let config = study(4)
+                .with_shard_exec(exec)
+                .with_shard_hosts(vec!["127.0.0.1:9".to_string()])
+                .with_fabric_policy(policy.clone());
+            match Engine::new(&config).run() {
+                Err(Error::InvalidConfig(message)) => {
+                    assert!(message.contains(field), "{exec:?}: {message}");
+                }
+                other => panic!("{exec:?}, {field}: not rejected: {other:?}"),
+            }
+        }
+    }
 }
 
 #[test]
