@@ -28,13 +28,14 @@ const PROBE_FRACTION: f64 = 0.25;
 const PROBE_ACCURACY_MARGIN: f64 = 0.08;
 /// HyperPower's fixed training batch size (framework default).
 const FIXED_BATCH: u32 = 256;
+/// The epoch budget of one sequential BO trial.
+const EPOCHS_PER_TRIAL: f64 = 20.0;
 
 /// The HyperPower baseline runner.
 #[derive(Debug, Clone)]
 pub struct HyperPower {
     workload: WorkloadId,
     trials: usize,
-    epochs_per_trial: f64,
     power_cap: Watts,
     gpus: u32,
     seed: u64,
@@ -52,7 +53,6 @@ impl HyperPower {
         HyperPower {
             workload,
             trials: 4,
-            epochs_per_trial: 20.0,
             power_cap: Watts::new(900.0),
             gpus: 2,
             seed: SeedStream::default().seed(),
@@ -64,14 +64,6 @@ impl HyperPower {
     pub fn with_trials(mut self, trials: usize) -> Self {
         assert!(trials >= 1, "need at least one trial");
         self.trials = trials;
-        self
-    }
-
-    /// Sets the per-trial epoch budget.
-    #[must_use]
-    pub fn with_epochs_per_trial(mut self, epochs: f64) -> Self {
-        assert!(epochs > 0.0, "epochs must be positive");
-        self.epochs_per_trial = epochs;
         self
     }
 
@@ -106,9 +98,9 @@ impl HyperPower {
         );
         let objective = TrainObjective::accuracy_only();
         let mut sampler = TpeSampler::new(SeedStream::new(self.seed).child("hyperpower-sampler"));
-        let budget = TrialBudget::new(self.epochs_per_trial, 1.0);
+        let budget = TrialBudget::new(EPOCHS_PER_TRIAL, 1.0);
 
-        let probe_budget = TrialBudget::new((self.epochs_per_trial * PROBE_FRACTION).max(1.0), 1.0);
+        let probe_budget = TrialBudget::new((EPOCHS_PER_TRIAL * PROBE_FRACTION).max(1.0), 1.0);
         let mut best_probe_accuracy: Option<f64> = None;
         let mut history = History::new();
         for id in 0..self.trials as u64 {

@@ -13,7 +13,6 @@
 //! order, so results are bit-identical (see `tests/kernel_properties.rs`).
 
 use edgetune_util::rng::SeedStream;
-use rand::Rng;
 
 use crate::tensor::Tensor;
 
@@ -22,9 +21,8 @@ use crate::tensor::Tensor;
 /// Layers are stateful: `forward` must be called before `backward`, and
 /// the pair must refer to the same input batch.
 pub trait Layer: std::fmt::Debug + Send {
-    /// Computes the layer output for `input`. When `train` is false,
-    /// train-only behaviour (e.g. dropout) is disabled.
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
+    /// Computes the layer output for `input`.
+    fn forward(&mut self, input: &Tensor) -> Tensor;
 
     /// Propagates `grad_out` (gradient w.r.t. this layer's output) back to
     /// the gradient w.r.t. its input, accumulating parameter gradients.
@@ -115,7 +113,7 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         assert_eq!(
             input.cols(),
             self.inputs(),
@@ -189,7 +187,7 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         // One pass writes the output and refills the standing mask.
         let mask = ensure_shape(&mut self.mask, input.shape());
         let mut out = input.clone();
@@ -207,147 +205,6 @@ impl Layer for Relu {
 
     fn name(&self) -> &'static str {
         "relu"
-    }
-}
-
-/// Logistic sigmoid.
-#[derive(Debug, Default)]
-pub struct Sigmoid {
-    output: Option<Tensor>,
-}
-
-impl Sigmoid {
-    /// Creates a sigmoid activation.
-    #[must_use]
-    pub fn new() -> Self {
-        Sigmoid::default()
-    }
-}
-
-impl Layer for Sigmoid {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let out = input.map(|x| 1.0 / (1.0 + (-x).exp()));
-        self.output = Some(out.clone());
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let y = self.output.as_ref().expect("backward before forward");
-        grad_out.hadamard(&y.map(|v| v * (1.0 - v)))
-    }
-
-    fn name(&self) -> &'static str {
-        "sigmoid"
-    }
-}
-
-/// Hyperbolic tangent.
-#[derive(Debug, Default)]
-pub struct Tanh {
-    output: Option<Tensor>,
-}
-
-impl Tanh {
-    /// Creates a tanh activation.
-    #[must_use]
-    pub fn new() -> Self {
-        Tanh::default()
-    }
-}
-
-impl Layer for Tanh {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let out = input.map(f32::tanh);
-        self.output = Some(out.clone());
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let y = self.output.as_ref().expect("backward before forward");
-        grad_out.hadamard(&y.map(|v| 1.0 - v * v))
-    }
-
-    fn name(&self) -> &'static str {
-        "tanh"
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Dropout
-// ---------------------------------------------------------------------------
-
-/// Inverted dropout: zeroes activations with probability `rate` during
-/// training and rescales the survivors by `1/(1-rate)`; identity at
-/// inference. The paper tunes exactly this `rate` for the YOLO workload
-/// (§5.1).
-#[derive(Debug)]
-pub struct Dropout {
-    rate: f32,
-    seed: SeedStream,
-    invocation: u64,
-    mask: Option<Tensor>,
-}
-
-impl Dropout {
-    /// Creates a dropout layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ rate < 1`.
-    #[must_use]
-    pub fn new(rate: f32, seed: SeedStream) -> Self {
-        assert!(
-            (0.0..1.0).contains(&rate),
-            "dropout rate must be in [0,1), got {rate}"
-        );
-        Dropout {
-            rate,
-            seed,
-            invocation: 0,
-            mask: None,
-        }
-    }
-
-    /// The configured drop probability.
-    #[must_use]
-    pub fn rate(&self) -> f32 {
-        self.rate
-    }
-}
-
-impl Layer for Dropout {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if !train || self.rate == 0.0 {
-            self.mask = None;
-            return input.clone();
-        }
-        let mut rng = self.seed.rng_indexed("dropout", self.invocation);
-        self.invocation += 1;
-        let keep = 1.0 - self.rate;
-        let mask_data: Vec<f32> = (0..input.len())
-            .map(|_| {
-                if rng.gen::<f32>() < keep {
-                    1.0 / keep
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let mask = Tensor::from_vec(mask_data, input.shape());
-        let out = input.hadamard(&mask);
-        self.mask = Some(mask);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        match &self.mask {
-            Some(mask) => grad_out.hadamard(mask),
-            None => grad_out.clone(),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "dropout"
     }
 }
 
@@ -371,7 +228,7 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         let shape = input.shape().to_vec();
         assert!(shape.len() >= 2, "flatten expects a batch dimension");
         let batch = shape[0];
@@ -420,7 +277,7 @@ impl Reshape {
 }
 
 impl Layer for Reshape {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         let batch = input.shape()[0];
         let expected: usize = self.sample_shape.iter().product();
         let actual: usize = input.shape()[1..].iter().product();
@@ -538,7 +395,7 @@ fn valid_range(offset: isize, stride: usize, in_len: usize, out_len: usize) -> (
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         let ishape = input.shape();
         assert_eq!(ishape.len(), 4, "conv2d expects NCHW input");
         let (batch, in_c, ih, iw) = (ishape[0], ishape[1], ishape[2], ishape[3]);
@@ -777,7 +634,7 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         let ishape = input.shape().to_vec();
         assert_eq!(ishape.len(), 4, "maxpool expects NCHW input");
         let (batch, c, ih, iw) = (ishape[0], ishape[1], ishape[2], ishape[3]);
@@ -843,7 +700,7 @@ mod tests {
     /// Finite-difference check: analytic input gradient must match the
     /// numeric one.
     fn check_input_gradient(layer: &mut dyn Layer, input: &Tensor, tol: f32) {
-        let out = layer.forward(input, true);
+        let out = layer.forward(input);
         // Loss = sum(out) so dL/dout = 1 everywhere.
         let grad_out = Tensor::full(out.shape(), 1.0);
         let analytic = layer.backward(&grad_out);
@@ -853,8 +710,8 @@ mod tests {
             plus.data_mut()[i] += eps;
             let mut minus = input.clone();
             minus.data_mut()[i] -= eps;
-            let f_plus = layer.forward(&plus, true).sum();
-            let f_minus = layer.forward(&minus, true).sum();
+            let f_plus = layer.forward(&plus).sum();
+            let f_minus = layer.forward(&minus).sum();
             let numeric = (f_plus - f_minus) / (2.0 * eps);
             let a = analytic.data()[i];
             assert!(
@@ -876,7 +733,7 @@ mod tests {
             }
         });
         let x = Tensor::from_vec(vec![1.0, 1.0], &[1, 2]);
-        let y = d.forward(&x, true);
+        let y = d.forward(&x);
         assert_eq!(y.data(), &[4.5, 5.5]);
     }
 
@@ -891,7 +748,7 @@ mod tests {
     fn dense_weight_gradient_matches_finite_differences() {
         let mut d = Dense::new(2, 2, seed());
         let x = Tensor::randn(&[3, 2], 1.0, seed().child("x"));
-        let out = d.forward(&x, true);
+        let out = d.forward(&x);
         let grad_out = Tensor::full(out.shape(), 1.0);
         let _ = d.backward(&grad_out);
         let mut analytic_w = Vec::new();
@@ -904,7 +761,7 @@ mod tests {
                     p.data_mut()[0] += delta;
                 }
             });
-            let l = d.forward(&x, true).sum();
+            let l = d.forward(&x).sum();
             d.visit_params(&mut |p, _| {
                 if p.shape() == [2, 2] {
                     p.data_mut()[0] -= delta;
@@ -924,71 +781,17 @@ mod tests {
     fn relu_masks_negatives() {
         let mut r = Relu::new();
         let x = Tensor::from_vec(vec![-1.0, 2.0], &[1, 2]);
-        let y = r.forward(&x, true);
+        let y = r.forward(&x);
         assert_eq!(y.data(), &[0.0, 2.0]);
         let g = r.backward(&Tensor::full(&[1, 2], 1.0));
         assert_eq!(g.data(), &[0.0, 1.0]);
     }
 
     #[test]
-    fn sigmoid_gradients_match_finite_differences() {
-        let mut s = Sigmoid::new();
-        let x = Tensor::randn(&[2, 3], 1.0, seed());
-        check_input_gradient(&mut s, &x, 1e-3);
-    }
-
-    #[test]
-    fn tanh_gradients_match_finite_differences() {
-        let mut t = Tanh::new();
-        let x = Tensor::randn(&[2, 3], 0.5, seed());
-        check_input_gradient(&mut t, &x, 1e-2);
-    }
-
-    #[test]
-    fn dropout_is_identity_at_inference() {
-        let mut d = Dropout::new(0.5, seed());
-        let x = Tensor::full(&[4, 4], 1.0);
-        let y = d.forward(&x, false);
-        assert_eq!(y, x);
-    }
-
-    #[test]
-    fn dropout_preserves_expectation_in_training() {
-        let mut d = Dropout::new(0.5, seed());
-        let x = Tensor::full(&[64, 64], 1.0);
-        let y = d.forward(&x, true);
-        let m = y.mean();
-        assert!(
-            (m - 1.0).abs() < 0.1,
-            "inverted dropout keeps E[x]: mean={m}"
-        );
-        // Some elements must be dropped, survivors scaled by 2.
-        assert!(y.data().contains(&0.0));
-        assert!(y.data().iter().any(|&v| (v - 2.0).abs() < 1e-6));
-    }
-
-    #[test]
-    fn dropout_backward_uses_same_mask() {
-        let mut d = Dropout::new(0.3, seed());
-        let x = Tensor::full(&[8, 8], 1.0);
-        let y = d.forward(&x, true);
-        let g = d.backward(&Tensor::full(&[8, 8], 1.0));
-        for (yv, gv) in y.data().iter().zip(g.data()) {
-            assert_eq!(yv, gv, "mask must match between forward and backward");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "dropout rate")]
-    fn dropout_rejects_rate_one() {
-        let _ = Dropout::new(1.0, seed());
-    }
-
-    #[test]
     fn flatten_round_trips_shape() {
         let mut f = Flatten::new();
         let x = Tensor::randn(&[2, 3, 4, 4], 1.0, seed());
-        let y = f.forward(&x, true);
+        let y = f.forward(&x);
         assert_eq!(y.shape(), &[2, 48]);
         let g = f.backward(&y);
         assert_eq!(g.shape(), x.shape());
@@ -998,14 +801,14 @@ mod tests {
     fn conv2d_output_shape() {
         let mut c = Conv2d::new(3, 8, 3, 1, 1, seed());
         let x = Tensor::randn(&[2, 3, 8, 8], 1.0, seed().child("x"));
-        let y = c.forward(&x, true);
+        let y = c.forward(&x);
         assert_eq!(
             y.shape(),
             &[2, 8, 8, 8],
             "same-padding 3x3 keeps spatial dims"
         );
         let mut s = Conv2d::new(3, 4, 3, 2, 0, seed());
-        let y2 = s.forward(&x, true);
+        let y2 = s.forward(&x);
         assert_eq!(y2.shape(), &[2, 4, 3, 3]);
     }
 
@@ -1024,7 +827,7 @@ mod tests {
             vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0],
             &[1, 1, 3, 3],
         );
-        let y = c.forward(&x, true);
+        let y = c.forward(&x);
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.data(), &[12.0, 16.0, 24.0, 28.0]);
     }
@@ -1053,7 +856,7 @@ mod tests {
             ],
             &[1, 1, 4, 4],
         );
-        let y = p.forward(&x, true);
+        let y = p.forward(&x);
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.data(), &[6.0, 8.0, 14.0, 16.0]);
         let g = p.backward(&Tensor::full(&[1, 1, 2, 2], 1.0));
@@ -1082,7 +885,7 @@ mod tests {
     fn reshape_inverts_flatten() {
         let mut r = Reshape::new(vec![1, 4, 4]);
         let x = Tensor::randn(&[3, 16], 1.0, seed());
-        let y = r.forward(&x, true);
+        let y = r.forward(&x);
         assert_eq!(y.shape(), &[3, 1, 4, 4]);
         assert_eq!(y.data(), x.data(), "reshape preserves values");
         let g = r.backward(&y);
@@ -1093,7 +896,7 @@ mod tests {
     #[should_panic(expected = "features per sample")]
     fn reshape_rejects_mismatched_width() {
         let mut r = Reshape::new(vec![1, 4, 4]);
-        let _ = r.forward(&Tensor::zeros(&[2, 10]), true);
+        let _ = r.forward(&Tensor::zeros(&[2, 10]));
     }
 
     #[test]
@@ -1101,7 +904,6 @@ mod tests {
         assert_eq!(Dense::new(1, 1, seed()).name(), "dense");
         assert_eq!(Conv2d::new(1, 1, 1, 1, 0, seed()).name(), "conv2d");
         assert_eq!(MaxPool2d::new(2).name(), "maxpool2d");
-        assert_eq!(Dropout::new(0.1, seed()).name(), "dropout");
         assert_eq!(Flatten::new().name(), "flatten");
         assert_eq!(Reshape::new(vec![1, 2, 2]).name(), "reshape");
     }

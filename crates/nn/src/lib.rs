@@ -3,9 +3,9 @@
 //! The EdgeTune paper trains its workloads with PyTorch; PyTorch does not
 //! exist here, so this crate is the training substrate: dense and
 //! convolutional layers with full forward/backward passes, stochastic
-//! gradient descent with momentum and weight decay, cross-entropy and MSE
-//! losses, synthetic datasets, and a training loop that reports per-epoch
-//! loss and accuracy. It is small but *real* — gradients are computed
+//! gradient descent with momentum, cross-entropy and MSE losses,
+//! synthetic datasets, and a training loop that reports per-epoch loss
+//! and accuracy. It is small but *real* — gradients are computed
 //! analytically and models genuinely learn — which lets the tuning stack
 //! drive actual training through the same `TrainingBackend` interface it
 //! uses for the simulated paper workloads.
@@ -34,8 +34,6 @@
 //! assert!(report.final_val_accuracy() > 0.5);
 //! ```
 
-pub mod adam;
-pub mod batchnorm;
 pub mod checkpoint;
 pub mod data;
 pub mod layer;
@@ -46,7 +44,5 @@ pub mod optim;
 pub mod tensor;
 pub mod train;
 
-pub use adam::Adam;
-pub use batchnorm::BatchNorm1d;
 pub use model::Sequential;
 pub use tensor::Tensor;

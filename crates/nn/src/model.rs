@@ -20,7 +20,7 @@ use crate::tensor::Tensor;
 ///     .with(Relu::new())
 ///     .with(Dense::new(8, 2, SeedStream::new(2)));
 /// let x = Tensor::zeros(&[3, 4]);
-/// let y = model.forward(&x, false);
+/// let y = model.forward(&x);
 /// assert_eq!(y.shape(), &[3, 2]);
 /// ```
 #[derive(Debug, Default)]
@@ -60,10 +60,10 @@ impl Sequential {
     }
 
     /// Runs the forward pass through every layer.
-    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    pub fn forward(&mut self, input: &Tensor) -> Tensor {
         let mut x = input.clone();
         for layer in &mut self.layers {
-            x = layer.forward(&x, train);
+            x = layer.forward(&x);
         }
         x
     }
@@ -136,7 +136,7 @@ mod tests {
             .with(Relu::new())
             .with(Dense::new(4, 3, SeedStream::new(2)));
         assert_eq!(m.depth(), 3);
-        let y = m.forward(&Tensor::zeros(&[5, 2]), false);
+        let y = m.forward(&Tensor::zeros(&[5, 2]));
         assert_eq!(y.shape(), &[5, 3]);
     }
 
@@ -146,7 +146,7 @@ mod tests {
             .with(Dense::new(3, 4, SeedStream::new(1)))
             .with(Relu::new());
         let x = Tensor::randn(&[2, 3], 1.0, SeedStream::new(9));
-        let y = m.forward(&x, true);
+        let y = m.forward(&x);
         let g = m.backward(&Tensor::full(y.shape(), 1.0));
         assert_eq!(g.shape(), x.shape());
     }

@@ -1,50 +1,22 @@
-//! Optimizers and learning-rate schedules.
+//! The SGD optimizer.
 
 use crate::model::Sequential;
 use crate::tensor::Tensor;
 
-/// A learning-rate schedule.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LrSchedule {
-    /// Constant learning rate.
-    Constant,
-    /// Multiply the rate by `gamma` every `every` epochs.
-    StepDecay {
-        /// Epoch interval between decays.
-        every: u32,
-        /// Multiplicative decay factor.
-        gamma: f32,
-    },
-}
-
-impl LrSchedule {
-    /// The multiplier applied to the base learning rate at `epoch`
-    /// (0-indexed).
-    #[must_use]
-    pub fn factor(&self, epoch: u32) -> f32 {
-        match self {
-            LrSchedule::Constant => 1.0,
-            LrSchedule::StepDecay { every, gamma } => gamma.powi((epoch / every) as i32),
-        }
-    }
-}
-
-/// Stochastic gradient descent with momentum and decoupled weight decay.
+/// Stochastic gradient descent with momentum.
 ///
 /// # Examples
 ///
 /// ```
 /// use edgetune_nn::optim::Sgd;
 ///
-/// let opt = Sgd::new(0.01).with_momentum(0.9).with_weight_decay(1e-4);
+/// let opt = Sgd::new(0.01).with_momentum(0.9);
 /// assert_eq!(opt.learning_rate(), 0.01);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Sgd {
     lr: f32,
     momentum: f32,
-    weight_decay: f32,
-    schedule: LrSchedule,
     velocities: Vec<Tensor>,
 }
 
@@ -60,8 +32,6 @@ impl Sgd {
         Sgd {
             lr,
             momentum: 0.0,
-            weight_decay: 0.0,
-            schedule: LrSchedule::Constant,
             velocities: Vec::new(),
         }
     }
@@ -78,25 +48,6 @@ impl Sgd {
         self
     }
 
-    /// Enables decoupled L2 weight decay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight_decay` is negative.
-    #[must_use]
-    pub fn with_weight_decay(mut self, weight_decay: f32) -> Self {
-        assert!(weight_decay >= 0.0, "weight decay must be >= 0");
-        self.weight_decay = weight_decay;
-        self
-    }
-
-    /// Sets the learning-rate schedule.
-    #[must_use]
-    pub fn with_schedule(mut self, schedule: LrSchedule) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
     /// The base learning rate.
     #[must_use]
     pub fn learning_rate(&self) -> f32 {
@@ -105,10 +56,9 @@ impl Sgd {
 
     /// Applies one update step to every parameter of `model` using the
     /// gradients accumulated by the latest backward pass.
-    pub fn step(&mut self, model: &mut Sequential, epoch: u32) {
-        let lr = self.lr * self.schedule.factor(epoch);
+    pub fn step(&mut self, model: &mut Sequential) {
+        let lr = self.lr;
         let momentum = self.momentum;
-        let weight_decay = self.weight_decay;
         let velocities = &mut self.velocities;
         let mut index = 0;
         model.visit_params(&mut |param, grad| {
@@ -121,9 +71,6 @@ impl Sgd {
                 param.shape(),
                 "parameter {index} changed shape between steps"
             );
-            if weight_decay > 0.0 {
-                param.axpy_self(-lr * weight_decay);
-            }
             if momentum > 0.0 {
                 // v = momentum * v + grad ; p -= lr * v — all in place:
                 // the old clone-per-tensor sequence allocated four
@@ -158,10 +105,10 @@ mod tests {
         let y = Tensor::from_vec(vec![2.0], &[1, 1]);
         let mut last = f32::INFINITY;
         for _ in 0..50 {
-            let pred = model.forward(&x, true);
+            let pred = model.forward(&x);
             let (loss, grad) = mse(&pred, &y);
             model.backward(&grad);
-            opt.step(&mut model, 0);
+            opt.step(&mut model);
             assert!(
                 loss <= last + 1e-4,
                 "loss must not increase: {last} -> {loss}"
@@ -183,11 +130,11 @@ mod tests {
             let y = Tensor::from_vec(vec![2.0], &[1, 1]);
             let mut loss = 0.0;
             for _ in 0..30 {
-                let pred = model.forward(&x, true);
+                let pred = model.forward(&x);
                 let (l, grad) = mse(&pred, &y);
                 loss = l;
                 model.backward(&grad);
-                opt.step(&mut model, 0);
+                opt.step(&mut model);
             }
             loss
         };
@@ -195,44 +142,6 @@ mod tests {
             run(0.6) < run(0.0),
             "momentum should reach lower loss in same steps"
         );
-    }
-
-    #[test]
-    fn weight_decay_shrinks_parameters() {
-        let mut model = one_param_model();
-        // Zero gradient path: forward/backward with zero grad, decay only.
-        let x = Tensor::from_vec(vec![0.0], &[1, 1]);
-        let mut opt = Sgd::new(0.1).with_weight_decay(1.0);
-        let initial_norm: f32 = {
-            let mut n = 0.0;
-            model.visit_params(&mut |p, _| n += p.norm());
-            n
-        };
-        for _ in 0..10 {
-            let pred = model.forward(&x, true);
-            let (_, grad) = mse(&pred, &pred.clone());
-            model.backward(&grad);
-            opt.step(&mut model, 0);
-        }
-        let final_norm: f32 = {
-            let mut n = 0.0;
-            model.visit_params(&mut |p, _| n += p.norm());
-            n
-        };
-        assert!(final_norm < initial_norm, "{initial_norm} -> {final_norm}");
-    }
-
-    #[test]
-    fn step_decay_schedule() {
-        let s = LrSchedule::StepDecay {
-            every: 10,
-            gamma: 0.5,
-        };
-        assert_eq!(s.factor(0), 1.0);
-        assert_eq!(s.factor(9), 1.0);
-        assert_eq!(s.factor(10), 0.5);
-        assert_eq!(s.factor(25), 0.25);
-        assert_eq!(LrSchedule::Constant.factor(100), 1.0);
     }
 
     #[test]

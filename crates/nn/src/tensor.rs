@@ -544,17 +544,6 @@ impl Tensor {
         }
     }
 
-    /// In-place scaled self-add: `self += alpha * self`, element-wise.
-    ///
-    /// Replaces the `axpy(alpha, &self.clone())` pattern (decoupled
-    /// weight decay) without the clone; the per-element arithmetic is
-    /// unchanged.
-    pub fn axpy_self(&mut self, alpha: f32) {
-        for a in &mut self.data {
-            *a += alpha * *a;
-        }
-    }
-
     /// Momentum velocity update: `self = momentum * self + grad`.
     ///
     /// Matches, bit for bit, the allocation-heavy sequence it replaced
@@ -847,12 +836,6 @@ mod tests {
         let mut b = a.clone();
         b.add_row_assign(&[1.0, 2.0, 3.0]);
         assert_eq!(b, a.add_row(&[1.0, 2.0, 3.0]));
-
-        let mut d = a.clone();
-        d.axpy_self(-0.5);
-        let mut reference = a.clone();
-        reference.axpy(-0.5, &a.clone());
-        assert_eq!(d, reference);
     }
 
     #[test]

@@ -108,18 +108,17 @@ impl FitReport {
     }
 }
 
-/// Evaluates classification accuracy of `model` on a dataset (no
-/// training-mode behaviour such as dropout).
+/// Evaluates classification accuracy of `model` on a dataset.
 #[must_use]
 pub fn evaluate(model: &mut Sequential, data: &Dataset) -> f64 {
-    let logits = model.forward(data.features(), false);
+    let logits = model.forward(data.features());
     accuracy(&logits, data.labels())
 }
 
 /// Runs inference on a feature batch, returning logits.
 #[must_use]
 pub fn predict(model: &mut Sequential, features: &Tensor) -> Tensor {
-    model.forward(features, false)
+    model.forward(features)
 }
 
 /// Trains `model` on `train` with cross-entropy + SGD, validating on
@@ -152,10 +151,10 @@ pub fn fit(
         let mut acc_sum = 0.0f64;
         let mut batches = 0usize;
         for (features, labels) in effective.batches(config.batch, seed, u64::from(epoch)) {
-            let logits = model.forward(&features, true);
+            let logits = model.forward(&features);
             let (loss, grad) = cross_entropy(&logits, &labels);
             model.backward_params(&grad);
-            optimizer.step(model, epoch);
+            optimizer.step(model);
             loss_sum += f64::from(loss);
             acc_sum += accuracy(&logits, &labels);
             batches += 1;

@@ -356,7 +356,7 @@ proptest! {
             x = with_specials(&x, seed + 2);
         }
         let (mut conv, weight, bias) = conv_with_params(in_c, out_c, k, stride, padding, seed + 1);
-        let got = conv.forward(&x, true);
+        let got = conv.forward(&x);
         let want = conv2d_reference(&x, &weight, &bias, stride, padding);
         assert_bits_equal(&got, &want);
     }
@@ -375,14 +375,14 @@ proptest! {
         let side = conv_side(k, padding, pick);
         let mut x = sparsify(&Tensor::randn(&[2, in_c, side, side], 1.0, SeedStream::new(seed)));
         let (mut conv, weight, _) = conv_with_params(in_c, out_c, k, stride, padding, seed + 1);
-        let out_shape = conv.forward(&x, true).shape().to_vec();
+        let out_shape = conv.forward(&x).shape().to_vec();
         // Mostly zero, as behind a max-pool.
         let mut g = Tensor::randn(&out_shape, 1.0, SeedStream::new(seed + 2))
             .map(|v| if v > 0.7 { v } else { 0.0 });
         if specials == 1 {
             x = with_specials(&x, seed + 3);
             g = with_specials(&g, seed + 4);
-            let _ = conv.forward(&x, true);
+            let _ = conv.forward(&x);
         }
         let want = conv2d_backward_reference(&x, &weight, &g, stride, padding);
         let grad_in = conv.backward(&g);
@@ -412,7 +412,7 @@ proptest! {
         }
         let dy = tensor(batch, hidden, seed + 2);
         let mut dense = Dense::new(8, hidden, SeedStream::new(seed + 3));
-        let _ = dense.forward(&x, true);
+        let _ = dense.forward(&x);
         let _ = dense.backward(&dy);
         let full = param_grads(|v| dense.visit_params(v));
         dense.visit_params(&mut |_, g| g.data_mut().fill(f32::NAN));
@@ -420,7 +420,7 @@ proptest! {
         assert_all_bits_equal(&param_grads(|v| dense.visit_params(v)), &full);
 
         for (mut model, width) in models(hidden, hidden_index + 1, seed + 4) {
-            let logits = model.forward(&tensor(batch, width, seed + 5), true);
+            let logits = model.forward(&tensor(batch, width, seed + 5));
             let grad = tensor(batch, logits.cols(), seed + 6);
             let _ = model.backward(&grad);
             let full = param_grads(|v| model.visit_params(v));

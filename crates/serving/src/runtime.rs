@@ -42,6 +42,8 @@ use crate::traffic::TrafficProfile;
 const TRACE_CATEGORY: &str = "serving";
 /// Process grouping of all serving tracks in exported traces.
 const TRACE_PROCESS: &str = "serving-runtime";
+/// Ceiling the adaptive batcher may grow the batch cap to.
+const MAX_CAP: u32 = 128;
 
 /// A deployable serving configuration — the runtime-facing face of a
 /// tuning recommendation.
@@ -124,8 +126,6 @@ pub struct RuntimeOptions {
     pub slo: SloPolicy,
     /// When false, the batch cap stays pinned at the tuned value.
     pub adaptive: bool,
-    /// Ceiling for the adaptive batch cap.
-    pub max_cap: u32,
     /// Parallel inference workers (device replicas behind the queue).
     pub workers: u32,
     /// Drift detection; `None` disables online re-tuning.
@@ -149,7 +149,6 @@ impl RuntimeOptions {
         RuntimeOptions {
             slo,
             adaptive: true,
-            max_cap: 128,
             workers: 1,
             drift: Some(DriftConfig::default_for_rate()),
             faults: None,
@@ -191,21 +190,6 @@ impl RuntimeOptions {
     pub fn with_workers(mut self, workers: u32) -> Self {
         assert!(workers >= 1, "need at least one worker");
         self.workers = workers;
-        self
-    }
-
-    /// Sets the adaptive-cap ceiling.
-    #[must_use]
-    pub fn with_max_cap(mut self, max_cap: u32) -> Self {
-        assert!(max_cap >= 1, "cap ceiling must be >= 1");
-        self.max_cap = max_cap;
-        self
-    }
-
-    /// Overrides the drift-detector configuration.
-    #[must_use]
-    pub fn with_drift(mut self, drift: DriftConfig) -> Self {
-        self.drift = Some(drift);
         self
     }
 
@@ -355,7 +339,7 @@ impl ServingRuntime {
 
         let mut config = self.config;
         let mut alloc = CpuAllocation::new(&self.device, config.cores, config.freq)?;
-        let mut policy = BatchPolicy::new(config.batch_cap, self.options.max_cap, config.max_wait);
+        let mut policy = BatchPolicy::new(config.batch_cap, MAX_CAP, config.max_wait);
         if !self.options.adaptive {
             policy = policy.pinned();
         }
@@ -966,6 +950,99 @@ mod tests {
         assert!(tuner.0.get() >= 1, "no feasible point: stage two must pay");
         assert!(!report.switches.is_empty());
         assert_eq!(report.switches[0].source, SwitchSource::Retune);
+    }
+
+    #[test]
+    fn an_energy_budget_below_every_frontier_entry_escalates_to_the_tuner() {
+        let slo = SloPolicy::new(Seconds::new(4.0));
+        let traffic = TrafficProfile::RateShift {
+            initial_rate: 5.0,
+            shifted_rate: 20.0,
+            at: Seconds::new(60.0),
+        };
+        let serve = |budget: f64| {
+            let options = RuntimeOptions::new(slo).with_energy_budget(JoulesPerItem::new(budget));
+            let tuner = CountingTuner(std::cell::Cell::new(0));
+            let report = runtime(options)
+                .with_selector(frontier())
+                .serve(
+                    &traffic,
+                    Seconds::new(240.0),
+                    Some(&tuner),
+                    SeedStream::new(4),
+                )
+                .unwrap();
+            (report, tuner.0.get())
+        };
+        // The frontier's entries cost 0.2 and 0.5 J/item.
+        let (starved, retunes) = serve(0.1);
+        assert!(retunes >= 1, "no entry fits the budget: stage two must pay");
+        assert!(!starved.switches.is_empty());
+        assert_eq!(starved.switches[0].source, SwitchSource::Retune);
+        // Control: a budget every entry fits keeps the frontier answer.
+        let (roomy, retunes) = serve(1.0);
+        assert_eq!(roomy.switches[0].source, SwitchSource::Frontier);
+        assert_eq!(retunes, 0);
+    }
+
+    /// Periodic arrivals spaced wider than one batch's wait plus service:
+    /// the queue is always empty when a request lands, so each response
+    /// is exactly the batch-close wait plus the batch-1 service time.
+    #[test]
+    fn periodic_arrivals_pay_exactly_the_batch_window() {
+        let device = pi();
+        let alloc = CpuAllocation::new(&device, device.cores, device.max_freq).unwrap();
+        let service = simulate_inference(&device, &alloc, &resnet18(), 1)
+            .latency
+            .value();
+        let wait = 0.05;
+        let period = 2.0 * (wait + service);
+        let arrivals: Vec<f64> = (0..50).map(|k| f64::from(k) * period).collect();
+        let slo = SloPolicy::new(Seconds::new(10.0)).without_shedding();
+        let serve = |config: ServingConfig| {
+            ServingRuntime::new(
+                device.clone(),
+                resnet18(),
+                config,
+                RuntimeOptions::new(slo).static_serving(),
+            )
+            .unwrap()
+            .serve_trace(&arrivals, "periodic", None, SeedStream::new(1))
+            .unwrap()
+        };
+        let close = |got: Seconds, want: f64| (got.value() - want).abs() < 1e-9;
+
+        let greedy = serve(ServingConfig::new(1, device.cores, device.max_freq));
+        assert!(
+            close(greedy.p50_response, service),
+            "{}",
+            greedy.p50_response
+        );
+        assert!(
+            close(greedy.p99_response, service),
+            "{}",
+            greedy.p99_response
+        );
+        assert_eq!(greedy.mean_batch_size, 1.0);
+
+        // Cap 2 never fills (the next request is a period away), so every
+        // batch closes on its timeout.
+        let windowed = serve(
+            ServingConfig::new(2, device.cores, device.max_freq).with_max_wait(Seconds::new(wait)),
+        );
+        assert_eq!(windowed.served, 50);
+        assert_eq!(windowed.mean_batch_size, 1.0);
+        for response in [
+            windowed.p50_response,
+            windowed.p99_response,
+            windowed.mean_response,
+        ] {
+            assert!(
+                close(response, wait + service),
+                "{response} vs {}",
+                wait + service
+            );
+        }
     }
 
     #[test]

@@ -122,12 +122,6 @@ impl TrainObjective {
         self.metric
     }
 
-    /// Whether the inference factor participates.
-    #[must_use]
-    pub fn is_inference_aware(&self) -> bool {
-        self.inference_aware
-    }
-
     /// Scores a measurement; **lower is better**. Returns `+∞` for
     /// infeasible trials (zero/negative accuracy, below the floor, or —
     /// for inference-aware scoring — a missing inference estimate).

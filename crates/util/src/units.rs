@@ -189,12 +189,6 @@ impl Seconds {
     pub fn as_minutes(self) -> f64 {
         self.value() / 60.0
     }
-
-    /// This duration expressed in milliseconds.
-    #[must_use]
-    pub fn as_millis(self) -> f64 {
-        self.value() * 1e3
-    }
 }
 
 impl Joules {
