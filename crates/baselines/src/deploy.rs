@@ -8,12 +8,10 @@
 //! parameters EdgeTune recommends — HyperPower itself outputs none — so
 //! the differences reflect the chosen architectures.
 
-use edgetune::inference::{InferenceRecommendation, InferenceSpace, InferenceTuningServer};
+use edgetune::inference::InferenceRecommendation;
 use edgetune_device::latency::{simulate_inference, CpuAllocation};
 use edgetune_device::profile::WorkProfile;
 use edgetune_device::spec::DeviceSpec;
-use edgetune_tuner::objective::InferenceObjective;
-use edgetune_tuner::Metric;
 use edgetune_util::units::{energy_per_item, throughput, ItemsPerSecond, JoulesPerItem};
 use edgetune_util::Result;
 
@@ -45,43 +43,12 @@ pub fn deploy_with(
     })
 }
 
-/// Deploys `profile` naively: single-sample inference on all cores at max
-/// frequency — what a user does with a tuner that gives no inference
-/// guidance.
-#[must_use]
-pub fn deploy_default(device: &DeviceSpec, profile: &WorkProfile) -> Deployment {
-    let alloc = CpuAllocation::full(device);
-    let exec = simulate_inference(device, &alloc, profile, 1);
-    Deployment {
-        throughput: throughput(1.0, exec.latency),
-        energy_per_item: energy_per_item(exec.energy, 1.0),
-    }
-}
-
-/// Tunes inference parameters for `profile` from scratch and deploys with
-/// the optimum (what EdgeTune's recommendation achieves).
-///
-/// # Errors
-///
-/// Propagates inference-space validation errors.
-pub fn deploy_tuned(
-    device: &DeviceSpec,
-    profile: &WorkProfile,
-    metric: Metric,
-) -> Result<(Deployment, InferenceRecommendation)> {
-    let server = InferenceTuningServer::new(
-        device.clone(),
-        InferenceSpace::for_device(device),
-        InferenceObjective::new(metric),
-    )?;
-    let (recommendation, _) = server.tune(profile);
-    let deployment = deploy_with(device, profile, &recommendation)?;
-    Ok((deployment, recommendation))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edgetune::inference::{fallback_recommendation, InferenceSpace, InferenceTuningServer};
+    use edgetune_tuner::objective::InferenceObjective;
+    use edgetune_tuner::Metric;
 
     fn device() -> DeviceSpec {
         DeviceSpec::raspberry_pi_3b()
@@ -91,10 +58,31 @@ mod tests {
         WorkProfile::new(0.56e9, 3.0e6, 44.8e6)
     }
 
+    /// EdgeTune's recommendation for `profile` under `metric`.
+    fn tuned(profile: &WorkProfile, metric: Metric) -> InferenceRecommendation {
+        let device = device();
+        let space = InferenceSpace::for_device(&device);
+        let server =
+            InferenceTuningServer::new(device, space, InferenceObjective::new(metric)).unwrap();
+        server.tune(profile).0
+    }
+
+    /// What a user deploys with no inference guidance: single-sample
+    /// inference on all cores at max frequency.
+    fn naive(profile: &WorkProfile) -> Deployment {
+        deploy_with(
+            &device(),
+            profile,
+            &fallback_recommendation(&device(), profile),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn tuned_deployment_beats_default() {
-        let (tuned, rec) = deploy_tuned(&device(), &resnet18(), Metric::Runtime).unwrap();
-        let naive = deploy_default(&device(), &resnet18());
+        let rec = tuned(&resnet18(), Metric::Runtime);
+        let tuned = deploy_with(&device(), &resnet18(), &rec).unwrap();
+        let naive = naive(&resnet18());
         assert!(
             tuned.throughput.value() > naive.throughput.value(),
             "recommendation must beat single-sample default: {tuned:?} vs {naive:?}"
@@ -104,14 +92,15 @@ mod tests {
 
     #[test]
     fn energy_tuned_deployment_cuts_energy() {
-        let (tuned, _) = deploy_tuned(&device(), &resnet18(), Metric::Energy).unwrap();
-        let naive = deploy_default(&device(), &resnet18());
+        let rec = tuned(&resnet18(), Metric::Energy);
+        let tuned = deploy_with(&device(), &resnet18(), &rec).unwrap();
+        let naive = naive(&resnet18());
         assert!(tuned.energy_per_item.value() < naive.energy_per_item.value());
     }
 
     #[test]
     fn deploy_with_matches_recommendation_estimates() {
-        let (_, rec) = deploy_tuned(&device(), &resnet18(), Metric::Runtime).unwrap();
+        let rec = tuned(&resnet18(), Metric::Runtime);
         let deployment = deploy_with(&device(), &resnet18(), &rec).unwrap();
         assert!((deployment.throughput.value() - rec.throughput.value()).abs() < 1e-9);
         assert!((deployment.energy_per_item.value() - rec.energy_per_item.value()).abs() < 1e-9);
@@ -119,8 +108,8 @@ mod tests {
 
     #[test]
     fn heavier_profile_deploys_slower() {
-        let light = deploy_default(&device(), &resnet18());
-        let heavy = deploy_default(&device(), &WorkProfile::new(8.5e9, 30.0e6, 246.0e6));
+        let light = naive(&resnet18());
+        let heavy = naive(&WorkProfile::new(8.5e9, 30.0e6, 246.0e6));
         assert!(heavy.throughput.value() < light.throughput.value());
     }
 }

@@ -3,11 +3,12 @@
 //! The Model Tuning Server is generic over a [`TrainingBackend`]. The
 //! default [`SimTrainingBackend`] drives the calibrated workload models on
 //! the emulated Titan RTX node (the substitution DESIGN.md documents for
-//! the paper's PyTorch+CUDA stack); [`NnTrainingBackend`] runs *real*
+//! the paper's PyTorch+CUDA stack). It always trains there, as the
+//! paper's evaluation does, so its one system parameter is the GPU count
+//! and its spec need not name the node; [`NnTrainingBackend`] runs *real*
 //! gradient-descent training with `edgetune-nn`, proving the middleware is
 //! not tied to the simulation.
 
-use edgetune_device::latency::{simulate_training_epoch, CpuAllocation};
 use edgetune_device::multi_gpu::{simulate_gpu_epoch, GpuAllocation};
 use edgetune_device::profile::WorkProfile;
 use edgetune_device::spec::DeviceSpec;
@@ -97,11 +98,9 @@ pub trait TrainingBackend: Send {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BackendSpec {
     workload: Workload,
-    trainer: Trainer,
     seed: u64,
     tune_system_params: bool,
-    tune_learning_rate: bool,
-    fixed_units: u32,
+    fixed_gpus: u32,
 }
 
 impl BackendSpec {
@@ -110,16 +109,9 @@ impl BackendSpec {
     #[must_use]
     pub fn instantiate(&self) -> Box<dyn TrainingBackend + Send> {
         Box::new(SimTrainingBackend {
-            shared: Arc::new(SimBackendShared {
-                workload: self.workload.clone(),
-                trainer: self.trainer.clone(),
-            }),
-            seed: SeedStream::new(self.seed),
             tune_system_params: self.tune_system_params,
-            tune_learning_rate: self.tune_learning_rate,
-            fixed_units: self.fixed_units,
-            faults: None,
-            fault_draws: 0,
+            fixed_gpus: self.fixed_gpus,
+            ..SimTrainingBackend::new(self.workload.clone(), SeedStream::new(self.seed))
         })
     }
 }
@@ -140,27 +132,16 @@ pub const PARAM_MODEL_HP: &str = "model_hp";
 pub const PARAM_TRAIN_BATCH: &str = "train_batch";
 /// Name of the GPU-count system parameter.
 pub const PARAM_GPUS: &str = "gpus";
-/// Name of the CPU-core-count system parameter (CPU-trainer mode).
-pub const PARAM_CORES: &str = "cores";
-/// Name of the learning-rate training hyperparameter (optional).
-pub const PARAM_LEARNING_RATE: &str = "lr";
-
-/// Which node the Model Tuning Server trains on (§3.2: it "can be
-/// executed using both CPUs or GPUs", the GPU path being much faster).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum Trainer {
-    Gpu(DeviceSpec),
-    Cpu(DeviceSpec),
-}
 
 /// The immutable bulk of a [`SimTrainingBackend`] — the workload's
-/// calibration tables and the trainer's device spec. Shared between the
-/// primary backend and every rung snapshot through an `Arc`, so taking a
-/// snapshot copies a handle instead of deep-cloning the tables.
-#[derive(Debug, Clone, PartialEq)]
+/// calibration tables and the Titan RTX node it trains on. Shared
+/// between the primary backend and every rung snapshot through an `Arc`,
+/// so taking a snapshot copies a handle instead of deep-cloning the
+/// tables.
+#[derive(Debug)]
 struct SimBackendShared {
     workload: Workload,
-    trainer: Trainer,
+    node: DeviceSpec,
 }
 
 /// Simulated training of one paper workload on the emulated trainer node.
@@ -169,8 +150,7 @@ pub struct SimTrainingBackend {
     shared: Arc<SimBackendShared>,
     seed: SeedStream,
     tune_system_params: bool,
-    tune_learning_rate: bool,
-    fixed_units: u32,
+    fixed_gpus: u32,
     faults: Option<FaultInjector>,
     fault_draws: u64,
 }
@@ -183,12 +163,11 @@ impl SimTrainingBackend {
         SimTrainingBackend {
             shared: Arc::new(SimBackendShared {
                 workload,
-                trainer: Trainer::Gpu(DeviceSpec::titan_rtx_node()),
+                node: DeviceSpec::titan_rtx_node(),
             }),
             seed,
             tune_system_params: true,
-            tune_learning_rate: false,
-            fixed_units: 1,
+            fixed_gpus: 1,
             faults: None,
             fault_draws: 0,
         }
@@ -203,52 +182,17 @@ impl SimTrainingBackend {
         self
     }
 
-    /// Adds the learning rate (log-uniform over 0.01..=1.0) to the search
-    /// space. §2.3.2 lists it among the training hyperparameters; the
-    /// evaluation's default space tunes the batch size only, so this is
-    /// opt-in.
-    #[must_use]
-    pub fn with_learning_rate_tuning(mut self) -> Self {
-        self.tune_learning_rate = true;
-        self
-    }
-
-    /// Trains on a CPU device instead of the GPU node (§3.2). The tuned
-    /// system parameter becomes the core count.
-    #[must_use]
-    pub fn with_cpu_trainer(mut self, device: DeviceSpec) -> Self {
-        Arc::make_mut(&mut self.shared).trainer = Trainer::Cpu(device);
-        self
-    }
-
     /// Fixes the GPU allocation instead of tuning it — how the
     /// hyperparameter-only baselines (Tune, HyperPower) operate.
     #[must_use]
     pub fn with_fixed_gpus(mut self, gpus: u32) -> Self {
         assert!(
-            gpus >= 1 && gpus <= self.trainer_units(),
+            gpus >= 1 && gpus <= self.shared.node.cores,
             "gpus must be within the node's range"
         );
         self.tune_system_params = false;
-        self.fixed_units = gpus;
+        self.fixed_gpus = gpus;
         self
-    }
-
-    fn trainer_spec(&self) -> &DeviceSpec {
-        match &self.shared.trainer {
-            Trainer::Gpu(spec) | Trainer::Cpu(spec) => spec,
-        }
-    }
-
-    fn trainer_units(&self) -> u32 {
-        self.trainer_spec().cores
-    }
-
-    fn system_param_name(&self) -> &'static str {
-        match self.shared.trainer {
-            Trainer::Gpu(_) => PARAM_GPUS,
-            Trainer::Cpu(_) => PARAM_CORES,
-        }
     }
 
     /// The workload being tuned.
@@ -264,20 +208,14 @@ impl SimTrainingBackend {
         self.clone()
     }
 
-    /// Whether system parameters are part of the search space.
-    #[must_use]
-    pub fn tunes_system_params(&self) -> bool {
-        self.tune_system_params
-    }
-
-    fn units_of(&self, config: &Config) -> u32 {
+    fn gpus_of(&self, config: &Config) -> u32 {
         if self.tune_system_params {
             config
-                .get(self.system_param_name())
-                .map_or(self.fixed_units, |g| g as u32)
-                .clamp(1, self.trainer_units())
+                .get(PARAM_GPUS)
+                .map_or(self.fixed_gpus, |g| g as u32)
+                .clamp(1, self.shared.node.cores)
         } else {
-            self.fixed_units
+            self.fixed_gpus
         }
     }
 }
@@ -294,12 +232,9 @@ impl TrainingBackend for SimTrainingBackend {
             .with(PARAM_TRAIN_BATCH, Domain::int_log(32, 512));
         if self.tune_system_params {
             space = space.with(
-                self.system_param_name(),
-                Domain::int(1, i64::from(self.trainer_units())),
+                PARAM_GPUS,
+                Domain::int(1, i64::from(self.shared.node.cores)),
             );
-        }
-        if self.tune_learning_rate {
-            space = space.with(PARAM_LEARNING_RATE, Domain::float_log(0.01, 1.0));
         }
         space
     }
@@ -333,32 +268,32 @@ impl TrainingBackend for SimTrainingBackend {
             .get(PARAM_TRAIN_BATCH)
             .map_or(128, |b| b as u32)
             .max(1);
-        let units = self.units_of(config);
+        let gpus = self.gpus_of(config);
 
         let profile = self.shared.workload.profile(hp);
         let samples = self
             .shared
             .workload
             .samples_at_fraction(budget.data_fraction);
-        let spec = self.trainer_spec();
+        let node = &self.shared.node;
 
         // Out-of-memory check: the *per-device* training working set
         // (weights + gradients + optimizer state + saved activations for
         // the device's share of the batch) must fit device memory. This
         // is the real-world coupling between batch size and GPU count
         // that only a joint (onefold) search can navigate.
-        let per_device_batch = batch.div_ceil(units);
+        let per_device_batch = batch.div_ceil(gpus);
         let working_set = profile.working_set(
             per_device_batch,
             edgetune_device::profile::Phase::ForwardTraining,
         );
-        if working_set > spec.dram_bytes {
+        if working_set > node.dram_bytes {
             // The trial crashes during setup/first iteration: the setup
             // cost is paid, nothing is learned. This is a *natural*
             // failure — deterministic in the configuration, so it is not
             // marked as injected and retrying it would be pointless.
             let overhead = Seconds::new(TRIAL_OVERHEAD_S);
-            let overhead_power = spec.idle_power + spec.core_power * (0.25 * f64::from(units));
+            let overhead_power = node.idle_power + node.core_power * (0.25 * f64::from(gpus));
             return TrialMeasurement {
                 accuracy: 0.0,
                 runtime: overhead,
@@ -367,23 +302,13 @@ impl TrainingBackend for SimTrainingBackend {
             };
         }
 
-        let epoch = match &self.shared.trainer {
-            Trainer::Gpu(node) => {
-                let alloc =
-                    GpuAllocation::new(node, units).expect("gpu count clamped to the node's range");
-                simulate_gpu_epoch(node, &alloc, &profile, batch, samples)
-            }
-            Trainer::Cpu(device) => {
-                let alloc = CpuAllocation::new(device, units, device.max_freq)
-                    .expect("core count clamped to the device's range");
-                simulate_training_epoch(device, &alloc, &profile, batch, samples)
-            }
-        };
+        let alloc = GpuAllocation::new(node, gpus).expect("gpu count clamped to the node's range");
+        let epoch = simulate_gpu_epoch(node, &alloc, &profile, batch, samples);
         let mut training = epoch.repeat(budget.epochs);
         // Per-trial setup: host + allocated-but-idle units for the load
         // phase.
         let overhead = Seconds::new(TRIAL_OVERHEAD_S);
-        let overhead_power = spec.idle_power + spec.core_power * (0.25 * f64::from(units));
+        let overhead_power = node.idle_power + node.core_power * (0.25 * f64::from(gpus));
         training.latency += overhead;
         training.energy += overhead_power * overhead;
 
@@ -410,15 +335,9 @@ impl TrainingBackend for SimTrainingBackend {
             None => {}
         }
 
-        let mut quality = TrainingQuality::from_batch(batch);
-        if self.tune_learning_rate {
-            if let Some(lr) = config.get(PARAM_LEARNING_RATE) {
-                quality = quality.with_learning_rate(lr.max(1e-6));
-            }
-        }
         let accuracy = self.shared.workload.simulated_accuracy(
             hp,
-            &quality,
+            &TrainingQuality::from_batch(batch),
             budget.epochs,
             budget.data_fraction,
             self.seed,
@@ -459,11 +378,9 @@ impl TrainingBackend for SimTrainingBackend {
         }
         Some(BackendSpec {
             workload: self.shared.workload.clone(),
-            trainer: self.shared.trainer.clone(),
             seed: self.seed.seed(),
             tune_system_params: self.tune_system_params,
-            tune_learning_rate: self.tune_learning_rate,
-            fixed_units: self.fixed_units,
+            fixed_gpus: self.fixed_gpus,
         })
     }
 }
@@ -724,7 +641,6 @@ mod tests {
     #[test]
     fn fixed_gpus_removes_system_params() {
         let backend = sim().with_fixed_gpus(8);
-        assert!(!backend.tunes_system_params());
         assert!(backend.search_space().domain(PARAM_GPUS).is_none());
         // And any gpus value in the config is ignored.
         let mut b = backend;
@@ -990,69 +906,6 @@ mod tests {
 }
 
 #[cfg(test)]
-mod cpu_trainer_tests {
-    use super::*;
-    use edgetune_workloads::WorkloadId;
-
-    fn seed() -> SeedStream {
-        SeedStream::new(31)
-    }
-
-    #[test]
-    fn cpu_trainer_tunes_cores_instead_of_gpus() {
-        let backend = SimTrainingBackend::new(Workload::by_id(WorkloadId::Ic), seed())
-            .with_cpu_trainer(DeviceSpec::intel_i7_7567u());
-        let space = backend.search_space();
-        assert!(space.domain(PARAM_CORES).is_some());
-        assert!(space.domain(PARAM_GPUS).is_none());
-    }
-
-    #[test]
-    fn gpu_training_is_far_faster_than_cpu_training() {
-        // §3.2: the model tuning server "performs significantly better
-        // when used with GPUs".
-        let workload = Workload::by_id(WorkloadId::Ic);
-        let config = Config::new()
-            .with(PARAM_MODEL_HP, 18.0)
-            .with(PARAM_TRAIN_BATCH, 128.0)
-            .with(PARAM_GPUS, 1.0)
-            .with(PARAM_CORES, 4.0);
-        let budget = TrialBudget::new(1.0, 0.2);
-        let mut gpu = SimTrainingBackend::new(workload.clone(), seed());
-        let mut cpu = SimTrainingBackend::new(workload, seed())
-            .with_cpu_trainer(DeviceSpec::intel_i7_7567u());
-        let gpu_m = gpu.run_trial(&config, budget);
-        let cpu_m = cpu.run_trial(&config, budget);
-        assert!(
-            cpu_m.runtime.value() > gpu_m.runtime.value() * 5.0,
-            "GPU should dominate: {} vs {}",
-            gpu_m.runtime,
-            cpu_m.runtime
-        );
-        // And both produce the same accuracy for the same configuration —
-        // the trainer only changes cost.
-        assert!((cpu_m.accuracy - gpu_m.accuracy).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cpu_trainer_scales_with_cores() {
-        let workload = Workload::by_id(WorkloadId::Ic);
-        let mut backend = SimTrainingBackend::new(workload, seed())
-            .with_cpu_trainer(DeviceSpec::intel_i7_7567u());
-        let budget = TrialBudget::new(1.0, 0.1);
-        let base = Config::new()
-            .with(PARAM_MODEL_HP, 18.0)
-            .with(PARAM_TRAIN_BATCH, 128.0);
-        let one = backend.run_trial(&base.clone().with(PARAM_CORES, 1.0), budget);
-        let four = backend.run_trial(&base.with(PARAM_CORES, 4.0), budget);
-        assert!(
-            four.runtime < one.runtime,
-            "more cores should help batched training"
-        );
-    }
-}
-
-#[cfg(test)]
 mod convnet_tests {
     use super::*;
     use edgetune_util::rng::SeedStream;
@@ -1148,63 +1001,5 @@ mod oom_tests {
             report.best_accuracy() > 0.0,
             "winner cannot be an OOM trial"
         );
-    }
-}
-
-#[cfg(test)]
-mod lr_tests {
-    use super::*;
-    use edgetune_util::rng::SeedStream;
-    use edgetune_workloads::WorkloadId;
-
-    #[test]
-    fn learning_rate_tuning_is_opt_in_and_affects_accuracy() {
-        let base = SimTrainingBackend::new(Workload::by_id(WorkloadId::Ic), SeedStream::new(3));
-        assert!(base.search_space().domain(PARAM_LEARNING_RATE).is_none());
-        let mut with_lr = base.clone().with_learning_rate_tuning();
-        assert!(with_lr.search_space().domain(PARAM_LEARNING_RATE).is_some());
-
-        let budget = TrialBudget::new(6.0, 0.5);
-        let cfg = |lr: f64| {
-            Config::new()
-                .with(PARAM_MODEL_HP, 18.0)
-                .with(PARAM_TRAIN_BATCH, 128.0)
-                .with(PARAM_GPUS, 1.0)
-                .with(PARAM_LEARNING_RATE, lr)
-        };
-        let good = with_lr.run_trial(&cfg(0.1), budget);
-        let bad = with_lr.run_trial(&cfg(0.0001), budget);
-        assert!(
-            good.accuracy > bad.accuracy + 0.1,
-            "a sane learning rate must clearly beat a vanishing one: {} vs {}",
-            good.accuracy,
-            bad.accuracy
-        );
-        // The learning rate changes the outcome, not the trial cost.
-        assert_eq!(good.runtime, bad.runtime);
-    }
-
-    #[test]
-    fn tuner_finds_a_working_learning_rate() {
-        use crate::prelude::*;
-        let mut backend =
-            SimTrainingBackend::new(Workload::by_id(WorkloadId::Ic), SeedStream::new(4))
-                .with_learning_rate_tuning();
-        let report = EdgeTune::new(
-            EdgeTuneConfig::for_workload(WorkloadId::Ic)
-                .with_scheduler(SchedulerConfig::new(8, 2.0, 10))
-                .with_seed(4),
-        )
-        .run_with_backend(&mut backend)
-        .expect("run succeeds");
-        let lr = report
-            .best_config()
-            .get(PARAM_LEARNING_RATE)
-            .expect("lr tuned");
-        assert!(
-            (0.01..=1.0).contains(&lr),
-            "winner's learning rate in domain: {lr}"
-        );
-        assert!(report.best_accuracy() > 0.6, "a good lr region was found");
     }
 }

@@ -8,7 +8,8 @@
 //! * **Multi-stream** — single-sample queries arrive randomly following a
 //!   Poisson distribution; aggregating them into batches can improve the
 //!   overall mean response time ([`MultiStreamScenario`], a discrete-event
-//!   simulation).
+//!   simulation of the greedy policy: whenever the server is free it runs
+//!   every queued sample, up to the batch cap, as one batch).
 //!
 //! Both report mean response time per candidate batch size so the
 //! Inference Tuning Server can pick the optimum for the deployment's
@@ -138,8 +139,7 @@ impl MultiStreamScenario {
 
     /// Mean response time (completion − arrival) under the greedy
     /// aggregation policy — whenever the server is free it takes every
-    /// queued sample (up to `batch_cap`) and runs them as one batch:
-    /// [`simulate_with_timeout`](Self::simulate_with_timeout), no wait.
+    /// queued sample (up to `batch_cap`) and runs them as one batch.
     ///
     /// # Panics
     ///
@@ -153,35 +153,12 @@ impl MultiStreamScenario {
         batch_cap: u32,
         seed: SeedStream,
     ) -> Seconds {
-        self.simulate_with_timeout(device, alloc, profile, batch_cap, Seconds::ZERO, seed)
-            .mean_response
-    }
-
-    /// Simulates a **batch-or-timeout** policy: the server waits for up
-    /// to `max_wait` after the oldest queued sample arrived (or until
-    /// `batch_cap` samples are ready, whichever happens first) before
-    /// running the batch. `max_wait = 0` is the greedy policy, to the
-    /// bit. Returns full queue statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_cap` is zero or `max_wait` is negative.
-    #[must_use]
-    pub fn simulate_with_timeout(
-        &self,
-        device: &DeviceSpec,
-        alloc: &CpuAllocation,
-        profile: &WorkProfile,
-        batch_cap: u32,
-        max_wait: Seconds,
-        seed: SeedStream,
-    ) -> QueueStats {
         replay(
             &self.draw_arrivals(seed),
             batch_cap,
-            max_wait,
             &mut batch_latency(device, alloc, profile),
         )
+        .mean_response
     }
 
     /// The batch cap minimising mean response time among `candidates`.
@@ -199,7 +176,7 @@ impl MultiStreamScenario {
         candidates
             .iter()
             .map(|&cap| {
-                let stats = replay(&arrivals, cap, Seconds::ZERO, &mut service);
+                let stats = replay(&arrivals, cap, &mut service);
                 (cap, stats.mean_response)
             })
             .min_by(|a, b| a.1.value().partial_cmp(&b.1.value()).expect("finite times"))
@@ -241,35 +218,27 @@ pub(crate) fn batch_latency<'a>(
     }
 }
 
-/// The batch-or-timeout queue of
-/// [`MultiStreamScenario::simulate_with_timeout`] over sorted `arrivals`,
-/// with `service(size)` the latency of a batch of `size` samples.
+/// The greedy queue of [`MultiStreamScenario::mean_response_time`] over
+/// sorted `arrivals`, with `service(size)` the latency of a batch of
+/// `size` samples.
 ///
 /// # Panics
 ///
-/// Panics if `batch_cap` is zero or `max_wait` is negative.
+/// Panics if `batch_cap` is zero.
 pub(crate) fn replay(
     arrivals: &[f64],
     batch_cap: u32,
-    max_wait: Seconds,
     service: &mut impl FnMut(u32) -> f64,
 ) -> QueueStats {
     assert!(batch_cap >= 1, "batch cap must be >= 1");
-    assert!(max_wait.value() >= 0.0, "max wait must be non-negative");
     let mut response_sum = 0.0;
     let mut free_at = 0.0f64;
     let mut next = 0usize;
     let mut batches = 0u64;
     while next < arrivals.len() {
-        let anchor = arrivals[next];
-        let deadline = anchor + max_wait.value();
-        // When would the cap-th sample (counting from the oldest
-        // waiting one) arrive?
-        let fill_time = arrivals
-            .get(next + batch_cap as usize - 1)
-            .copied()
-            .unwrap_or(f64::INFINITY);
-        let start = free_at.max(deadline.min(fill_time)).max(anchor);
+        // The server takes the oldest waiting sample as soon as both
+        // are ready, and everything else that has arrived by then.
+        let start = free_at.max(arrivals[next]);
         let mut size = 0u32;
         while next < arrivals.len() && arrivals[next] <= start && size < batch_cap {
             size += 1;
@@ -304,9 +273,9 @@ mod tests {
         (device, alloc, profile)
     }
 
-    /// The greedy policy written on its own, as the reference the
-    /// timeout form's `max_wait = 0` case is held to: whenever the
-    /// server is free it takes every queued sample up to `batch_cap`.
+    /// The greedy policy written on its own, as the reference
+    /// [`MultiStreamScenario::mean_response_time`] is held to: whenever
+    /// the server is free it takes every queued sample up to `batch_cap`.
     fn greedy_mean_response_time(
         scenario: &MultiStreamScenario,
         device: &DeviceSpec,
@@ -362,13 +331,12 @@ mod tests {
     /// arrivals and latencies: every call draws its own arrivals and
     /// simulates every batch size afresh. The oracle the sweeps are held
     /// to, bit for bit.
-    fn reference_simulate_with_timeout(
+    fn reference_simulate(
         scenario: &MultiStreamScenario,
         device: &DeviceSpec,
         alloc: &CpuAllocation,
         profile: &WorkProfile,
         batch_cap: u32,
-        max_wait: Seconds,
         seed: SeedStream,
     ) -> QueueStats {
         let mut rng = seed.rng("multi-stream-arrivals");
@@ -384,13 +352,7 @@ mod tests {
         let mut next = 0usize;
         let mut batches = 0u64;
         while next < arrivals.len() {
-            let anchor = arrivals[next];
-            let deadline = anchor + max_wait.value();
-            let fill_time = arrivals
-                .get(next + batch_cap as usize - 1)
-                .copied()
-                .unwrap_or(f64::INFINITY);
-            let start = free_at.max(deadline.min(fill_time)).max(anchor);
+            let start = free_at.max(arrivals[next]);
             let mut size = 0u32;
             while next < arrivals.len() && arrivals[next] <= start && size < batch_cap {
                 size += 1;
@@ -414,7 +376,7 @@ mod tests {
     }
 
     /// [`crate::scenario::tune_for_scenario`] as a loop over
-    /// [`reference_simulate_with_timeout`].
+    /// [`reference_simulate`].
     fn reference_tune(
         device: &DeviceSpec,
         space: &InferenceSpace,
@@ -430,16 +392,8 @@ mod tests {
                     let response = match scenario {
                         Scenario::Server(s) => s.response_time(device, &alloc, profile, batch),
                         Scenario::MultiStream(s) => Some(
-                            reference_simulate_with_timeout(
-                                s,
-                                device,
-                                &alloc,
-                                profile,
-                                batch,
-                                Seconds::ZERO,
-                                seed,
-                            )
-                            .mean_response,
+                            reference_simulate(s, device, &alloc, profile, batch, seed)
+                                .mean_response,
                         ),
                     };
                     let Some(response) = response else { continue };
@@ -504,14 +458,8 @@ mod tests {
                             .batches
                             .iter()
                             .map(|&cap| {
-                                let t = reference_simulate_with_timeout(
-                                    &scenario,
-                                    &device,
-                                    &alloc,
-                                    &profile,
-                                    cap,
-                                    Seconds::ZERO,
-                                    seed,
+                                let t = reference_simulate(
+                                    &scenario, &device, &alloc, &profile, cap, seed,
                                 )
                                 .mean_response;
                                 (cap, t)
@@ -543,19 +491,15 @@ mod tests {
                         );
                     }
                     for cap in [1, 7, 64] {
-                        for wait in [0.0, 0.05, 2.0].map(Seconds::new) {
-                            assert_same_stats(
-                                scenario.simulate_with_timeout(
-                                    &device, &alloc, &profile, cap, wait, seed,
-                                ),
-                                reference_simulate_with_timeout(
-                                    &scenario, &device, &alloc, &profile, cap, wait, seed,
-                                ),
-                                &format!(
-                                    "rate {rate}, {arrivals} arrivals, cap {cap}, wait {wait}"
-                                ),
-                            );
-                        }
+                        assert_same_stats(
+                            replay(
+                                &scenario.draw_arrivals(seed),
+                                cap,
+                                &mut batch_latency(&device, &alloc, &profile),
+                            ),
+                            reference_simulate(&scenario, &device, &alloc, &profile, cap, seed),
+                            &format!("rate {rate}, {arrivals} arrivals, cap {cap}"),
+                        );
                     }
                 }
             }
@@ -687,7 +631,7 @@ mod tests {
     }
 
     #[test]
-    fn timeout_zero_matches_the_greedy_policy() {
+    fn mean_response_time_matches_the_greedy_reference() {
         let (device, alloc, profile) = setup();
         for rate in [0.05, 1.0, 5.0, 10.0, 20.0, 50.0, 200.0] {
             for arrivals in [1, 2, 37, 300] {
@@ -697,23 +641,12 @@ mod tests {
                         let greedy = greedy_mean_response_time(
                             &scenario, &device, &alloc, &profile, cap, seed,
                         );
-                        let timed = scenario.simulate_with_timeout(
-                            &device,
-                            &alloc,
-                            &profile,
-                            cap,
-                            Seconds::ZERO,
-                            seed,
-                        );
+                        let got = scenario.mean_response_time(&device, &alloc, &profile, cap, seed);
                         assert_eq!(
-                            timed.mean_response.value().to_bits(),
+                            got.value().to_bits(),
                             greedy.value().to_bits(),
-                            "rate {rate}, {arrivals} arrivals, cap {cap}: {greedy} vs {}",
-                            timed.mean_response
+                            "rate {rate}, {arrivals} arrivals, cap {cap}: {greedy} vs {got}"
                         );
-                        let delegated =
-                            scenario.mean_response_time(&device, &alloc, &profile, cap, seed);
-                        assert_eq!(delegated, timed.mean_response);
                     }
                 }
             }
@@ -721,34 +654,13 @@ mod tests {
     }
 
     #[test]
-    fn waiting_longer_builds_larger_batches() {
-        let (device, alloc, profile) = setup();
-        let scenario = MultiStreamScenario::new(5.0, 400);
-        let seed = SeedStream::new(9);
-        let quick =
-            scenario.simulate_with_timeout(&device, &alloc, &profile, 32, Seconds::new(0.01), seed);
-        let patient =
-            scenario.simulate_with_timeout(&device, &alloc, &profile, 32, Seconds::new(2.0), seed);
-        assert!(
-            patient.mean_batch_size > quick.mean_batch_size,
-            "a longer window must aggregate more: {} vs {}",
-            quick.mean_batch_size,
-            patient.mean_batch_size
-        );
-        assert!(patient.batches_served < quick.batches_served);
-    }
-
-    #[test]
     fn batch_cap_bounds_every_batch() {
         let (device, alloc, profile) = setup();
         let scenario = MultiStreamScenario::new(50.0, 500);
-        let stats = scenario.simulate_with_timeout(
-            &device,
-            &alloc,
-            &profile,
+        let stats = replay(
+            &scenario.draw_arrivals(SeedStream::new(2)),
             8,
-            Seconds::new(10.0),
-            SeedStream::new(2),
+            &mut batch_latency(&device, &alloc, &profile),
         );
         assert!(stats.mean_batch_size <= 8.0 + 1e-9);
         assert!(stats.batches_served >= (500 / 8) as u64);

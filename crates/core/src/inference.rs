@@ -6,7 +6,8 @@
 //! device, applies the user's inference objective (minimise per-item
 //! runtime or energy), and returns an [`InferenceRecommendation`] the
 //! user can deploy directly — the paper's headline "more useful
-//! information" output.
+//! information" output. The exhaustive sweep is the server's only
+//! search: §3.1 notes grid search suits a space this small.
 //!
 //! [`InferenceEndpoint`] is how a study reaches the server: Algorithm 1's
 //! lines 5–9 — look up history, else sweep and store. Asynchrony is
@@ -19,7 +20,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use edgetune_device::latency::{simulate_inference, CpuAllocation};
+use edgetune_device::latency::{simulate_inference, CpuAllocation, Execution};
 use edgetune_device::profile::WorkProfile;
 use edgetune_device::spec::DeviceSpec;
 use edgetune_faults::FaultInjector;
@@ -30,9 +31,6 @@ use edgetune_util::{Error, Result};
 use serde::{Deserialize, Serialize};
 
 use edgetune_tuner::objective::InferenceObjective;
-use edgetune_tuner::sampler::{Sampler, TpeSampler};
-use edgetune_tuner::space::{Config, Domain, SearchSpace};
-use edgetune_util::rng::SeedStream;
 
 use crate::cache::CacheKey;
 use crate::checkpoint::StudyGlobals;
@@ -90,30 +88,6 @@ impl InferenceSpace {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// This space as a generic tuner [`SearchSpace`] (every dimension is
-    /// an explicit choice), used by the model-based search path.
-    #[must_use]
-    pub fn as_search_space(&self) -> SearchSpace {
-        SearchSpace::new()
-            .with(
-                "batch",
-                Domain::choice(
-                    self.batches
-                        .iter()
-                        .map(|&b| f64::from(b))
-                        .collect::<Vec<_>>(),
-                ),
-            )
-            .with(
-                "cores",
-                Domain::choice(self.cores.iter().map(|&c| f64::from(c)).collect::<Vec<_>>()),
-            )
-            .with(
-                "freq_ghz",
-                Domain::choice(self.freqs.iter().map(|f| f.as_ghz()).collect::<Vec<_>>()),
-            )
     }
 
     /// Validates the space against a device.
@@ -177,8 +151,6 @@ pub struct InferenceTuningCost {
     pub runtime: Seconds,
     /// Energy consumed by the sweep on the tuning server.
     pub energy: Joules,
-    /// Total emulated edge-device time covered by the sweep.
-    pub emulated_time: Seconds,
     /// Number of configurations measured.
     pub configs: usize,
 }
@@ -230,7 +202,7 @@ impl InferenceTuningServer {
     /// Returns the recommendation and the cost of producing it.
     #[must_use]
     pub fn tune(&self, profile: &WorkProfile) -> (InferenceRecommendation, InferenceTuningCost) {
-        let mut best: Option<(f64, InferenceRecommendation)> = None;
+        let mut best: Option<(f64, u32, u32, Hertz, Execution)> = None;
         let mut emulated = Seconds::ZERO;
         let mut configs = 0usize;
         for &batch in &self.space.batches {
@@ -244,113 +216,43 @@ impl InferenceTuningServer {
                     let latency_per_item = exec.latency / f64::from(batch);
                     let e_per_item = energy_per_item(exec.energy, f64::from(batch));
                     let score = self.objective.score(latency_per_item, e_per_item);
-                    if best.as_ref().is_none_or(|(s, _)| score < *s) {
-                        best = Some((
-                            score,
-                            InferenceRecommendation {
-                                device: self.device.name.clone(),
-                                batch,
-                                cores,
-                                freq,
-                                latency_per_item,
-                                energy_per_item: e_per_item,
-                                throughput: throughput(f64::from(batch), exec.latency),
-                            },
-                        ));
+                    if best.as_ref().is_none_or(|(s, ..)| score < *s) {
+                        best = Some((score, batch, cores, freq, exec));
                     }
                 }
             }
         }
-        let (_, recommendation) = best.expect("space is non-empty by construction");
+        let (_, batch, cores, freq, exec) = best.expect("space is non-empty by construction");
         let runtime = emulated / EMULATION_SPEEDUP;
         let energy = Watts::new(EMULATION_HOST_POWER_W) * runtime;
         (
-            recommendation,
+            recommendation(&self.device, batch, cores, freq, &exec),
             InferenceTuningCost {
                 runtime,
                 energy,
-                emulated_time: emulated,
                 configs,
             },
         )
     }
 }
 
-impl InferenceTuningServer {
-    /// Model-based alternative to the exhaustive sweep: a TPE sampler
-    /// proposes `trials` configurations and only those are measured —
-    /// §3.1 notes the inference server may run its own search algorithm
-    /// (e.g. BOHB) instead of grid search when the space is larger.
-    ///
-    /// Measured configurations are deduplicated, so the cost is at most
-    /// `trials` distinct measurements. Returns the best configuration
-    /// found and the cost of finding it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trials` is zero.
-    #[must_use]
-    pub fn tune_with_model(
-        &self,
-        profile: &WorkProfile,
-        trials: usize,
-        seed: SeedStream,
-    ) -> (InferenceRecommendation, InferenceTuningCost) {
-        assert!(trials >= 1, "need at least one trial");
-        let space = self.space.as_search_space();
-        let mut sampler = TpeSampler::new(seed.child("inference-tpe"));
-        let mut history: Vec<(Config, f64)> = Vec::new();
-        let mut measured: std::collections::HashMap<String, f64> = std::collections::HashMap::new();
-        let mut best: Option<(f64, InferenceRecommendation)> = None;
-        let mut emulated = Seconds::ZERO;
-        for _ in 0..trials {
-            let obs: Vec<(&Config, f64)> = history.iter().map(|(c, s)| (c, *s)).collect();
-            let config = sampler.suggest(&space, &obs);
-            let key = config.key();
-            let score = if let Some(&cached) = measured.get(&key) {
-                cached
-            } else {
-                let batch = config.get("batch").expect("set by sampler") as u32;
-                let cores = config.get("cores").expect("set by sampler") as u32;
-                let freq = Hertz::from_ghz(config.get("freq_ghz").expect("set by sampler"));
-                let alloc = CpuAllocation::new(&self.device, cores, freq)
-                    .expect("space validated at construction");
-                let exec = simulate_inference(&self.device, &alloc, profile, batch);
-                emulated += exec.latency;
-                let latency_per_item = exec.latency / f64::from(batch);
-                let e_per_item = energy_per_item(exec.energy, f64::from(batch));
-                let score = self.objective.score(latency_per_item, e_per_item);
-                if best.as_ref().is_none_or(|(s, _)| score < *s) {
-                    best = Some((
-                        score,
-                        InferenceRecommendation {
-                            device: self.device.name.clone(),
-                            batch,
-                            cores,
-                            freq,
-                            latency_per_item,
-                            energy_per_item: e_per_item,
-                            throughput: throughput(f64::from(batch), exec.latency),
-                        },
-                    ));
-                }
-                measured.insert(key, score);
-                score
-            };
-            history.push((config, score));
-        }
-        let (_, recommendation) = best.expect("at least one trial measured");
-        let runtime = emulated / EMULATION_SPEEDUP;
-        let energy = Watts::new(EMULATION_HOST_POWER_W) * runtime;
-        (
-            recommendation,
-            InferenceTuningCost {
-                runtime,
-                energy,
-                emulated_time: emulated,
-                configs: measured.len(),
-            },
-        )
+/// The recommendation deploying `batch` on `cores` at `freq`, its
+/// estimates read off `exec`, that batch's simulated execution.
+fn recommendation(
+    device: &DeviceSpec,
+    batch: u32,
+    cores: u32,
+    freq: Hertz,
+    exec: &Execution,
+) -> InferenceRecommendation {
+    InferenceRecommendation {
+        device: device.name.clone(),
+        batch,
+        cores,
+        freq,
+        latency_per_item: exec.latency / f64::from(batch),
+        energy_per_item: energy_per_item(exec.energy, f64::from(batch)),
+        throughput: throughput(f64::from(batch), exec.latency),
     }
 }
 
@@ -512,34 +414,6 @@ impl InferenceEndpoint {
     }
 }
 
-/// Tunes inference parameters for one architecture across a *set* of
-/// edge devices — the paper's common case where "the tuned model might be
-/// deployed across different edge devices and having these configurations
-/// suggested can assist users to take the most out of their tuned models"
-/// (§1). Each device gets its own sweep over its own space.
-///
-/// # Errors
-///
-/// Returns the first device whose default space fails validation (does
-/// not happen for catalog devices).
-pub fn recommend_across(
-    devices: &[DeviceSpec],
-    profile: &WorkProfile,
-    objective: InferenceObjective,
-) -> Result<Vec<(InferenceRecommendation, InferenceTuningCost)>> {
-    devices
-        .iter()
-        .map(|device| {
-            let server = InferenceTuningServer::new(
-                device.clone(),
-                InferenceSpace::for_device(device),
-                objective,
-            )?;
-            Ok(server.tune(profile))
-        })
-        .collect()
-}
-
 /// The conservative device-model default recommendation the degradation
 /// ladder falls back to when the inference server cannot answer: batch 1,
 /// all cores, maximum frequency — never optimal, always deployable — with
@@ -551,15 +425,7 @@ pub fn fallback_recommendation(
 ) -> InferenceRecommendation {
     let alloc = CpuAllocation::full(device);
     let exec = simulate_inference(device, &alloc, profile, 1);
-    InferenceRecommendation {
-        device: device.name.clone(),
-        batch: 1,
-        cores: device.cores,
-        freq: device.max_freq,
-        latency_per_item: exec.latency,
-        energy_per_item: energy_per_item(exec.energy, 1.0),
-        throughput: throughput(1.0, exec.latency),
-    }
+    recommendation(device, 1, device.cores, device.max_freq, &exec)
 }
 
 #[cfg(test)]
@@ -570,6 +436,7 @@ mod tests {
     use crate::cache::{CacheStats, HistoricalCache};
     use edgetune_faults::FaultPlan;
     use edgetune_tuner::Metric;
+    use edgetune_util::rng::SeedStream;
     use rand::Rng;
 
     fn server(metric: Metric) -> InferenceTuningServer {
@@ -658,70 +525,6 @@ mod tests {
         let heavy = WorkProfile::new(1.3e9, 9.2e6, 94.0e6);
         let (heavy_rec, _) = s.tune(&heavy);
         assert!(heavy_rec.throughput.value() < light.throughput.value());
-    }
-
-    #[test]
-    fn model_based_search_measures_fewer_configs_for_similar_quality() {
-        let s = server(Metric::Runtime);
-        let profile = resnet18();
-        let (grid_rec, grid_cost) = s.tune(&profile);
-        let (tpe_rec, tpe_cost) =
-            s.tune_with_model(&profile, 30, edgetune_util::rng::SeedStream::new(4));
-        assert!(
-            tpe_cost.configs < grid_cost.configs,
-            "model-based search must measure fewer configs: {} vs {}",
-            tpe_cost.configs,
-            grid_cost.configs
-        );
-        assert!(tpe_cost.runtime < grid_cost.runtime);
-        // Quality within 2x of the true optimum on its own metric.
-        assert!(
-            tpe_rec.latency_per_item.value() <= grid_rec.latency_per_item.value() * 2.0,
-            "model-based optimum should be competitive: {} vs {}",
-            tpe_rec.latency_per_item,
-            grid_rec.latency_per_item
-        );
-    }
-
-    #[test]
-    fn model_based_search_is_deterministic() {
-        let s = server(Metric::Energy);
-        let profile = resnet18();
-        let seed = edgetune_util::rng::SeedStream::new(9);
-        let (a, _) = s.tune_with_model(&profile, 20, seed);
-        let (b, _) = s.tune_with_model(&profile, 20, seed);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn as_search_space_mirrors_the_grid() {
-        let device = DeviceSpec::raspberry_pi_3b();
-        let space = InferenceSpace::for_device(&device);
-        let generic = space.as_search_space();
-        assert_eq!(generic.len(), 3);
-        assert_eq!(generic.grid(100).len(), space.len());
-    }
-
-    #[test]
-    fn recommend_across_covers_every_device() {
-        let devices = [
-            DeviceSpec::armv7_board(),
-            DeviceSpec::raspberry_pi_3b(),
-            DeviceSpec::intel_i7_7567u(),
-        ];
-        let recs = recommend_across(
-            &devices,
-            &resnet18(),
-            InferenceObjective::new(Metric::Runtime),
-        )
-        .unwrap();
-        assert_eq!(recs.len(), 3);
-        for (device, (rec, cost)) in devices.iter().zip(&recs) {
-            assert_eq!(rec.device, device.name);
-            assert!(cost.configs > 0);
-        }
-        // The laptop CPU dominates the boards on throughput.
-        assert!(recs[2].0.throughput.value() > recs[1].0.throughput.value());
     }
 
     #[test]

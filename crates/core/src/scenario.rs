@@ -82,7 +82,7 @@ pub fn tune_for_scenario(
                 let response = match scenario {
                     Scenario::Server(s) => s.response_time(device, &alloc, profile, batch),
                     Scenario::MultiStream(_) => {
-                        Some(replay(&arrivals, batch, Seconds::ZERO, &mut service).mean_response)
+                        Some(replay(&arrivals, batch, &mut service).mean_response)
                     }
                 };
                 let Some(response) = response else { continue };

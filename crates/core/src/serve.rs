@@ -52,7 +52,6 @@ pub struct ScenarioRetuner {
     device: DeviceSpec,
     space: InferenceSpace,
     profile: WorkProfile,
-    arrivals: usize,
 }
 
 impl ScenarioRetuner {
@@ -63,20 +62,7 @@ impl ScenarioRetuner {
             device,
             space,
             profile,
-            arrivals: RETUNE_ARRIVALS,
         }
-    }
-
-    /// Overrides the number of arrivals simulated per re-tune.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `arrivals` is zero.
-    #[must_use]
-    pub fn with_arrivals(mut self, arrivals: usize) -> Self {
-        assert!(arrivals >= 1, "need at least one simulated arrival");
-        self.arrivals = arrivals;
-        self
     }
 
     /// Tunes a deployable configuration for an explicit scenario (the
@@ -104,7 +90,7 @@ impl ScenarioRetuner {
             if !(rate > 0.0 && rate.is_finite()) {
                 continue;
             }
-            let scenario = Scenario::MultiStream(MultiStreamScenario::new(rate, self.arrivals));
+            let scenario = Scenario::MultiStream(MultiStreamScenario::new(rate, RETUNE_ARRIVALS));
             let Ok(config) = self.recommend(&scenario, seed.child_indexed("frontier", i as u64))
             else {
                 continue;
@@ -150,7 +136,7 @@ impl OnlineTuner for ScenarioRetuner {
             return None;
         }
         let scenario =
-            Scenario::MultiStream(MultiStreamScenario::new(estimated_rate, self.arrivals));
+            Scenario::MultiStream(MultiStreamScenario::new(estimated_rate, RETUNE_ARRIVALS));
         self.recommend(&scenario, seed).ok()
     }
 }
@@ -210,7 +196,7 @@ mod tests {
 
     #[test]
     fn precomputed_frontier_covers_its_rate_ladder() {
-        let r = retuner().with_arrivals(100);
+        let r = retuner();
         let rates = frontier_rates(5.0, 4);
         let selector = r.precompute_frontier(&rates, SeedStream::new(6));
         assert_eq!(selector.len(), 4, "every rung in the ladder is tunable");

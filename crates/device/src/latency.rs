@@ -291,30 +291,6 @@ pub fn simulate_inference(
     simulate_batch(device, alloc, profile, batch, Phase::Inference)
 }
 
-/// Simulates one full *training* epoch (forward + backward over every
-/// batch) of `samples` samples on a CPU device.
-///
-/// GPU training goes through [`crate::multi_gpu::simulate_gpu_epoch`]
-/// instead.
-///
-/// # Panics
-///
-/// Panics if `batch` is zero.
-#[must_use]
-pub fn simulate_training_epoch(
-    device: &DeviceSpec,
-    alloc: &CpuAllocation,
-    profile: &WorkProfile,
-    batch: u32,
-    samples: u64,
-) -> Execution {
-    assert!(batch >= 1, "batch must contain at least one sample");
-    let iterations = (samples as f64 / f64::from(batch)).ceil();
-    let fwd = simulate_batch(device, alloc, profile, batch, Phase::ForwardTraining);
-    let bwd = simulate_batch(device, alloc, profile, batch, Phase::Backward);
-    fwd.then(bwd).repeat(iterations)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,19 +423,6 @@ mod tests {
             t_thrash < t_ok,
             "thrashing batch should lose throughput: {t_ok} vs {t_thrash}"
         );
-    }
-
-    #[test]
-    fn training_epoch_scales_with_samples_and_exceeds_inference() {
-        let dev = DeviceSpec::intel_i7_7567u();
-        let a = alloc(&dev, 4);
-        let p = resnet18_profile();
-        let small = simulate_training_epoch(&dev, &a, &p, 32, 1_000);
-        let large = simulate_training_epoch(&dev, &a, &p, 32, 10_000);
-        assert!(large.latency.value() > small.latency.value() * 8.0);
-        // Forward+backward must cost more than inference of the same data.
-        let inf = simulate_inference(&dev, &a, &p, 32).repeat((1_000f64 / 32.0).ceil());
-        assert!(small.latency > inf.latency);
     }
 
     #[test]

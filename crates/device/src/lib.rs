@@ -44,6 +44,6 @@ pub mod multi_gpu;
 pub mod profile;
 pub mod spec;
 
-pub use latency::{simulate_inference, simulate_training_epoch, CpuAllocation, Execution};
+pub use latency::{simulate_inference, CpuAllocation, Execution};
 pub use profile::WorkProfile;
 pub use spec::{DeviceKind, DeviceSpec};

@@ -1,15 +1,15 @@
 //! Adaptive batch formation and SLO-aware admission control.
 //!
-//! The serving queue is batch-or-timeout, like the tuning-time simulator
-//! in the core crate, but its batch cap is a *live* control variable: an
-//! AIMD-style controller grows the cap when observed response times creep
-//! toward the SLO target (larger batches amortise dispatch and drain
-//! backlog faster on the roofline model) and relaxes it back toward the
-//! tuned batch size when the system is comfortably under target (small
-//! batches minimise per-request latency at light load). Admission control
-//! sheds requests that can no longer meet their deadline even if served
-//! alone immediately — graceful degradation instead of unbounded queueing
-//! collapse under overload.
+//! The serving queue is batch-or-timeout (the tuning-time simulator in
+//! the core crate is its zero-window case), and its batch cap is a *live*
+//! control variable: an AIMD-style controller grows the cap when observed
+//! response times creep toward the SLO target (larger batches amortise
+//! dispatch and drain backlog faster on the roofline model) and relaxes
+//! it back toward the tuned batch size when the system is comfortably
+//! under target (small batches minimise per-request latency at light
+//! load). Admission control sheds requests that can no longer meet their
+//! deadline even if served alone immediately — graceful degradation
+//! instead of unbounded queueing collapse under overload.
 
 use edgetune_util::units::Seconds;
 use serde::{Deserialize, Serialize};

@@ -308,28 +308,35 @@ fn staircase_area(pts: &[[f64; 3]], ry: f64, rz: f64) -> f64 {
 /// after every vectored trial.
 #[must_use]
 pub fn promotion_layers(outcomes: &[TrialOutcome]) -> Vec<u32> {
+    let (vectored, vectors): (Vec<usize>, Vec<ObjectiveVector>) = outcomes
+        .iter()
+        .enumerate()
+        .filter_map(|(i, o)| o.vector.map(|v| (i, v)))
+        .unzip();
     let mut layers = vec![u32::MAX; outcomes.len()];
-    let mut remaining: Vec<usize> = (0..outcomes.len())
-        .filter(|&i| outcomes[i].vector.is_some())
-        .collect();
-    let mut layer = 0u32;
+    for (layer, front) in (0u32..).zip(dominance_layers(&vectors)) {
+        for k in front {
+            layers[vectored[k]] = layer;
+        }
+    }
+    layers
+}
+
+/// Peels `vectors` into dominance layers: the indices of the Pareto
+/// front, then of the front of what remains, and so on. Each layer lists
+/// its indices in ascending order.
+fn dominance_layers(vectors: &[ObjectiveVector]) -> Vec<Vec<usize>> {
+    let mut layers = Vec::new();
+    let mut remaining: Vec<usize> = (0..vectors.len()).collect();
     while !remaining.is_empty() {
         let front: Vec<usize> = remaining
             .iter()
             .copied()
-            .filter(|&i| {
-                let vi = outcomes[i].vector.expect("filtered to Some");
-                !remaining
-                    .iter()
-                    .any(|&j| outcomes[j].vector.expect("filtered to Some").dominates(&vi))
-            })
+            .filter(|&i| !remaining.iter().any(|&j| vectors[j].dominates(&vectors[i])))
             .collect();
         debug_assert!(!front.is_empty(), "a finite set always has a front");
-        for &i in &front {
-            layers[i] = layer;
-        }
         remaining.retain(|i| !front.contains(i));
-        layer += 1;
+        layers.push(front);
     }
     layers
 }
@@ -406,24 +413,13 @@ impl ParetoTpeSampler {
         let n = outcomes.len();
         let n_good = good_count(n);
 
-        // Peel dominance layers (indices, deterministic order).
-        let mut remaining: Vec<usize> = (0..n).collect();
+        let reference = self.reference();
         let mut ordered: Vec<usize> = Vec::with_capacity(n);
-        while !remaining.is_empty() {
-            let front: Vec<usize> = remaining
-                .iter()
-                .copied()
-                .filter(|&i| {
-                    !remaining
-                        .iter()
-                        .any(|&j| outcomes[j].dominates(&outcomes[i]))
-                })
-                .collect();
+        for front in dominance_layers(&outcomes) {
             // Inside a layer, order by hypervolume contribution against
             // the shared reference (largest first): when the front alone
             // overflows the quantile, the kept subset is the one EHVI
             // values most. Ties fall back to the canonical cost order.
-            let reference = self.reference();
             let mut layer_front = ParetoFront::new();
             for &i in &front {
                 layer_front.insert(FrontPoint {
@@ -456,7 +452,6 @@ impl ParetoTpeSampler {
             for &(i, _) in &scored_front {
                 ordered.push(i);
             }
-            remaining.retain(|i| !front.contains(i));
         }
         let bad = ordered.split_off(n_good);
         (ordered, bad)

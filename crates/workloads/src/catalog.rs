@@ -233,7 +233,7 @@ impl Workload {
     /// Simulated final validation accuracy of a training trial.
     ///
     /// * `model_hp` — the architecture hyperparameter value,
-    /// * `quality` — batch size / learning-rate quality of the trial,
+    /// * `quality` — batch-size quality of the trial,
     /// * `epochs` — number of epochs actually run,
     /// * `data_fraction` — fraction of the training data used,
     /// * `seed` — noise seed (same seed → same accuracy).

@@ -5,7 +5,7 @@
 //! saturating exponential in effective epochs,
 //!
 //! ```text
-//! acc = a_max(hp) · (1 − exp(−rate(hp) · epochs · q(batch, lr))) · frac^γ + ε
+//! acc = a_max(hp) · (1 − exp(−rate(hp) · epochs · q(batch))) · frac^γ + ε
 //! ```
 //!
 //! whose three factors encode the phenomena the paper's budget study
@@ -16,9 +16,8 @@
 //! * the *data-fraction cap* `frac^γ` (γ ≈ 0.35) makes dataset-only
 //!   budgets plateau around 40–50% of the asymptote, the Fig. 12b
 //!   behaviour,
-//! * the batch/learning-rate quality factor `q` penalises extreme batch
-//!   sizes, so batch 1024 needs more epochs to a target accuracy
-//!   (Fig. 3a),
+//! * the batch-quality factor `q` penalises extreme batch sizes, so
+//!   batch 1024 needs more epochs to a target accuracy (Fig. 3a),
 //! * `ε` is small seeded noise, reproducible per (workload, config).
 
 use edgetune_util::rng::{sample_normal, SeedStream};
@@ -32,19 +31,13 @@ const NOISE_SIGMA: f64 = 0.010;
 const OPTIMAL_BATCH: f64 = 96.0;
 /// Log-width of the batch-quality bell.
 const BATCH_QUALITY_WIDTH: f64 = 1.55; // ≈ ln(4.7)
-/// Learning rate at which the quality factor peaks.
-const OPTIMAL_LR: f64 = 0.1;
-/// Log-width of the learning-rate-quality bell.
-const LR_QUALITY_WIDTH: f64 = 1.35;
 
-/// Training-method quality of a trial: how well its batch size (and
-/// optionally learning rate) convert epochs into learning progress.
+/// Training-method quality of a trial: how well its batch size converts
+/// epochs into learning progress.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TrainingQuality {
     /// Mini-batch size of the trial.
     pub batch: u32,
-    /// Learning rate, if it is part of the search space.
-    pub learning_rate: Option<f64>,
 }
 
 impl TrainingQuality {
@@ -56,33 +49,14 @@ impl TrainingQuality {
     #[must_use]
     pub fn from_batch(batch: u32) -> Self {
         assert!(batch >= 1, "batch must be >= 1");
-        TrainingQuality {
-            batch,
-            learning_rate: None,
-        }
-    }
-
-    /// Adds a learning rate to the quality model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not strictly positive.
-    #[must_use]
-    pub fn with_learning_rate(mut self, lr: f64) -> Self {
-        assert!(lr > 0.0, "learning rate must be > 0");
-        self.learning_rate = Some(lr);
-        self
+        TrainingQuality { batch }
     }
 
     /// The multiplicative epoch-effectiveness factor in `(0, 1]`.
     #[must_use]
     pub fn factor(&self) -> f64 {
         let b = f64::from(self.batch.max(1));
-        let batch_term = log_bell(b, OPTIMAL_BATCH, BATCH_QUALITY_WIDTH);
-        let lr_term = self
-            .learning_rate
-            .map_or(1.0, |lr| log_bell(lr, OPTIMAL_LR, LR_QUALITY_WIDTH));
-        batch_term * lr_term
+        log_bell(b, OPTIMAL_BATCH, BATCH_QUALITY_WIDTH)
     }
 }
 
@@ -341,15 +315,6 @@ mod tests {
             "batch 1024 should significantly slow convergence: {q1024}"
         );
         assert!(q96 > 0.99);
-    }
-
-    #[test]
-    fn learning_rate_quality_peaks_at_point_one() {
-        let base = q(96);
-        let good = base.with_learning_rate(0.1).factor();
-        let high = base.with_learning_rate(3.0).factor();
-        let low = base.with_learning_rate(1e-4).factor();
-        assert!(good > high && good > low);
     }
 
     #[test]
