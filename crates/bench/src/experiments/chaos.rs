@@ -2,7 +2,8 @@
 //!
 //! Beyond the paper's figures: sweeps a uniform fault rate over the same
 //! IC study and reports how the fault-tolerance layer (retries with
-//! backoff, degradation ladder, budget reallocation) bends the cost
+//! backoff, stale-cache and device-default fallbacks, budget
+//! reallocation) bends the cost
 //! curve instead of breaking the study. The fault-free row is the
 //! baseline; every chaos row must still produce a deployable winner —
 //! graceful degradation, not collapse.

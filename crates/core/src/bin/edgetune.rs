@@ -526,8 +526,8 @@ fn run_tune(argv: Vec<String>) -> Result<(), String> {
         println!("== fault report ==");
         println!("failed trials    : {}", faults.failed_trials);
         println!(
-            "trial faults     : {} crashes, {} stragglers, {} timeouts",
-            d.trial_crashes, d.trial_stragglers, d.trial_timeouts
+            "trial faults     : {} crashes, {} stragglers",
+            d.trial_crashes, d.trial_stragglers
         );
         println!(
             "trial recovery   : {} retries, {} skipped with penalty",

@@ -27,8 +27,15 @@
 //! (engine shards only measure rung slices and hand the numbers back).
 //! Every key is required: a file that lacks one (or is torn, or is some
 //! other format — a pre-`globals` flat checkpoint included) is a
-//! structured error, or — when the degradation ladder is armed — a
-//! fresh, still deterministic, start; never a resume from partial state.
+//! structured error to [`StudyCheckpoint::load`], and a fresh, still
+//! deterministic, start to a resume ([`load_resume_state`]); never a
+//! resume from partial state.
+
+// Decoding untrusted bytes must not panic: a malformed input is an error.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
 
 use std::path::Path;
 
@@ -142,10 +149,10 @@ pub struct StudyGlobals {
     pub stall: Seconds,
     /// Accumulated inference-sweep energy.
     pub inference_energy: Joules,
-    /// Degradation-ladder counters (all zero without an active fault
+    /// Fault and fallback counters (all zero without an active fault
     /// plan).
     pub degradation: DegradationStats,
-    /// Supervisor backoff-jitter draws consumed so far, so retried
+    /// Retry backoff-jitter draws consumed so far, so retried
     /// operations after a resume never reuse a jitter value the
     /// interrupted run already spent.
     pub backoff_draws: u64,
@@ -220,23 +227,17 @@ impl StudyCheckpoint {
     }
 }
 
-/// Reads the checkpoint a resume starts from. `None` — re-run the study
-/// from scratch, which is deterministic and so still reproduces the
-/// exact bytes an uninterrupted run would have produced — is returned
-/// only when `allow_degraded` is set (the degradation ladder is armed)
-/// and the content at `path` is not a complete checkpoint.
+/// Reads the checkpoint a resume starts from. `None` — the content at
+/// `path` is not a complete checkpoint — means re-run the study from
+/// scratch, which is deterministic and so still reproduces the exact
+/// bytes an uninterrupted run would have produced.
 ///
 /// # Errors
 ///
-/// Returns [`Error::Storage`] when the file is missing or unreadable,
-/// or when its content is corrupt and `allow_degraded` is off.
-pub fn load_resume_state(path: &Path, allow_degraded: bool) -> Result<Option<StudyCheckpoint>> {
+/// Returns [`Error::Storage`] when the file is missing or unreadable.
+pub fn load_resume_state(path: &Path) -> Result<Option<StudyCheckpoint>> {
     let bytes = std::fs::read(path)?;
-    match StudyCheckpoint::parse(&bytes, path) {
-        Ok(checkpoint) => Ok(Some(checkpoint)),
-        Err(_) if allow_degraded => Ok(None),
-        Err(e) => Err(e),
-    }
+    Ok(StudyCheckpoint::parse(&bytes, path).ok())
 }
 
 #[cfg(test)]
@@ -334,7 +335,7 @@ mod tests {
         assert_eq!(loaded, ckpt);
         // The resume reader is the same parse, and hands the state back
         // whole.
-        let resumed = load_resume_state(&path, false).unwrap();
+        let resumed = load_resume_state(&path).unwrap();
         assert_eq!(resumed.as_ref(), Some(&ckpt));
         let (replay, globals) = resumed.unwrap().into_parts();
         assert_eq!(replay, history.records());
@@ -362,7 +363,7 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_state_degrades_to_fresh_only_when_the_ladder_is_armed() {
+    fn corrupt_state_restarts_fresh_and_a_missing_file_is_an_error() {
         let dir = std::env::temp_dir().join("edgetune-checkpoint-degrade-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("study.ckpt.json");
@@ -436,11 +437,11 @@ mod tests {
         for (what, bytes) in corrupt {
             std::fs::write(&path, bytes).unwrap();
             assert_eq!(
-                load_resume_state(&path, true).unwrap(),
+                load_resume_state(&path).unwrap(),
                 None,
-                "{what} must restart fresh under an armed ladder"
+                "{what} must restart fresh"
             );
-            let err = load_resume_state(&path, false).expect_err(&what);
+            let err = StudyCheckpoint::load(&path).expect_err(&what);
             assert!(
                 matches!(&err, Error::Storage(msg) if msg.contains("study.ckpt.json")),
                 "{what}: {err:?} must be a storage error naming the path"
@@ -448,8 +449,8 @@ mod tests {
         }
         std::fs::remove_file(&path).ok();
         assert!(
-            load_resume_state(&path, true).is_err(),
-            "a missing file is a hard error even under an armed ladder"
+            load_resume_state(&path).is_err(),
+            "a missing file is a hard error"
         );
     }
 }

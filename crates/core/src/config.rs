@@ -4,14 +4,13 @@
 //! whole middleware: workload and edge device, objectives, budget and
 //! scheduler shape, sampler choice, the ablation switches (cache,
 //! pipelining), parallelism (real engine shards vs. simulated trial
-//! slots), fault-injection and fault-tolerance policies, and
-//! checkpoint/resume. The [`Engine`](crate::engine::Engine) consumes a
+//! slots), fault injection, and checkpoint/resume. The [`Engine`](crate::engine::Engine) consumes a
 //! finished configuration; nothing here executes anything.
 
 use std::path::PathBuf;
 
 use edgetune_device::spec::DeviceSpec;
-use edgetune_faults::{DegradationLadder, FaultInjector, FaultPlan, Supervisor};
+use edgetune_faults::{FaultInjector, FaultPlan};
 use edgetune_tuner::budget::BudgetPolicy;
 use edgetune_tuner::pareto::ParetoTpeSampler;
 use edgetune_tuner::sampler::{GridSampler, RandomSampler, Sampler, TpeSampler, WarmStartSampler};
@@ -152,13 +151,12 @@ pub struct EdgeTuneConfig {
     pub seed: u64,
     /// Fault-injection plan for chaos runs. [`FaultPlan::none`] (the
     /// default) injects nothing and leaves every code path and report
-    /// byte-identical to a fault-free build.
+    /// byte-identical to a fault-free build. Injected faults meet the
+    /// study's one built-in tolerance policy: crashed trials are retried
+    /// under [`RetryPolicy::default`](edgetune_faults::RetryPolicy), and
+    /// a lost inference reply is retried, then served from a stale cache
+    /// entry, then answered with the device-model default.
     pub fault_plan: FaultPlan,
-    /// Retry/backoff/deadline policy the fault-tolerance layer applies to
-    /// crashed trials and lost inference replies.
-    pub supervisor: Supervisor,
-    /// Ordered fallbacks when an inference reply is lost.
-    pub degradation: DegradationLadder,
     /// Write a resumable study checkpoint here after every rung the
     /// study executes, if set.
     pub checkpoint_path: Option<PathBuf>,
@@ -225,8 +223,6 @@ impl EdgeTuneConfig {
             fabric_trace_path: None,
             seed: SeedStream::default().seed(),
             fault_plan: FaultPlan::none(),
-            supervisor: Supervisor::default(),
-            degradation: DegradationLadder::default(),
             checkpoint_path: None,
             resume: false,
             halt_after_rungs: None,
@@ -384,20 +380,6 @@ impl EdgeTuneConfig {
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
-        self
-    }
-
-    /// Sets the retry/deadline policy of the fault-tolerance layer.
-    #[must_use]
-    pub fn with_supervisor(mut self, supervisor: Supervisor) -> Self {
-        self.supervisor = supervisor;
-        self
-    }
-
-    /// Sets the degradation ladder for lost inference replies.
-    #[must_use]
-    pub fn with_degradation(mut self, ladder: DegradationLadder) -> Self {
-        self.degradation = ladder;
         self
     }
 

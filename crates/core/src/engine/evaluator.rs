@@ -38,7 +38,7 @@
 //! running study lends it one per rung.
 
 use edgetune_device::profile::WorkProfile;
-use edgetune_faults::{Fallback, TrialFault};
+use edgetune_faults::{RetryPolicy, TrialFault};
 use edgetune_trace::Tracer;
 use edgetune_tuner::budget::TrialBudget;
 use edgetune_tuner::objective::{TrainMeasurement, TrainObjective};
@@ -114,13 +114,14 @@ struct TrialRun {
 }
 
 impl OnefoldEvaluator {
-    /// The jittered backoff of a retry. Draws are counted (in the
-    /// globals) so retried operations never share a jitter value.
+    /// The jittered backoff of a retry under the built-in
+    /// [`RetryPolicy::default`]. Draws are counted (in the globals) so
+    /// retried operations never share a jitter value.
     fn next_backoff(&mut self, attempt: u32) -> Seconds {
         let draw = self.globals.backoff_draws;
         self.globals.backoff_draws += 1;
         let seed = SeedStream::new(self.config.seed).child("supervisor");
-        self.config.supervisor.backoff(attempt, seed, draw)
+        RetryPolicy::default().delay(attempt, seed, draw)
     }
 
     /// Records one server-busy span: into the timeline the study
@@ -146,8 +147,7 @@ impl OnefoldEvaluator {
     }
 
     /// Emits a fault-injection / degradation instant on the shared
-    /// faults track. Ladder instants reuse [`Fallback::trace_label`] so
-    /// their names match the plan's serde spelling.
+    /// faults track.
     fn fault_instant(&self, name: &str, ts: Seconds) {
         if let Some(tracer) = &self.tracer {
             let track = tracer.track(PROCESS_FAULTS, "events");
@@ -186,60 +186,39 @@ impl OnefoldEvaluator {
         }
     }
 
-    /// Walks the degradation ladder after an inference reply was lost.
-    /// Returns the salvaged reply (if any rung produced one) and the
-    /// extra stall time the recovery cost.
-    fn degrade(
-        &mut self,
-        key: &CacheKey,
-        profile: WorkProfile,
-    ) -> (Option<InferenceReply>, Seconds) {
+    /// Recovers a lost inference reply by the built-in policy, in
+    /// order: resubmit under [`RetryPolicy::default`], serve a stale
+    /// cache entry, or fall back to the device-model default — which
+    /// always answers. Returns the reply and the extra stall time the
+    /// recovery cost.
+    fn degrade(&mut self, key: &CacheKey, profile: WorkProfile) -> (InferenceReply, Seconds) {
         let mut extra = Seconds::ZERO;
-        // Indexed: the retry rung needs `self` mutably.
-        for index in 0..self.config.degradation.steps().len() {
-            match self.config.degradation.steps()[index] {
-                Fallback::Retry => {
-                    let mut attempt: u32 = 1;
-                    while !self.config.supervisor.give_up(attempt) {
-                        extra += self.next_backoff(attempt);
-                        self.globals.degradation.inference_retries += 1;
-                        self.fault_instant(Fallback::Retry.trace_label(), self.globals.clock);
-                        match self.inference.request(&mut self.globals, key, profile) {
-                            Some(reply) => return (Some(reply), extra),
-                            None => {
-                                self.globals.degradation.worker_losses += 1;
-                                self.fault_instant("worker-loss", self.globals.clock);
-                                attempt += 1;
-                            }
-                        }
-                    }
-                }
-                Fallback::StaleCache => {
-                    if let Some(recommendation) = self.globals.cache.peek(key).cloned() {
-                        self.globals.degradation.stale_cache_served += 1;
-                        self.fault_instant(Fallback::StaleCache.trace_label(), self.globals.clock);
-                        return (Some(InferenceReply::from_history(recommendation)), extra);
-                    }
-                }
-                Fallback::DeviceDefault => {
-                    self.globals.degradation.default_recommendations += 1;
-                    self.fault_instant(Fallback::DeviceDefault.trace_label(), self.globals.clock);
-                    let recommendation =
-                        fallback_recommendation(&self.config.edge_device, &profile);
-                    return (Some(InferenceReply::from_history(recommendation)), extra);
-                }
-                Fallback::SkipWithPenalty => return (None, extra),
-                // The in-process rung belongs to the shard fabric's
-                // ladder; it has no meaning for a lost inference reply.
-                Fallback::InProcess => {}
+        let mut attempt: u32 = 1;
+        while !RetryPolicy::default().exhausted(attempt) {
+            extra += self.next_backoff(attempt);
+            self.globals.degradation.inference_retries += 1;
+            self.fault_instant("retry", self.globals.clock);
+            if let Some(reply) = self.inference.request(&mut self.globals, key, profile) {
+                return (reply, extra);
             }
+            self.globals.degradation.worker_losses += 1;
+            self.fault_instant("worker-loss", self.globals.clock);
+            attempt += 1;
         }
-        (None, extra)
+        if let Some(recommendation) = self.globals.cache.peek(key).cloned() {
+            self.globals.degradation.stale_cache_served += 1;
+            self.fault_instant("stale_cache", self.globals.clock);
+            return (InferenceReply::from_history(recommendation), extra);
+        }
+        self.globals.degradation.default_recommendations += 1;
+        self.fault_instant("device_default", self.globals.clock);
+        let recommendation = fallback_recommendation(&self.config.edge_device, &profile);
+        (InferenceReply::from_history(recommendation), extra)
     }
 
-    /// Runs the training side of one trial under the supervisor: injected
-    /// crashes are retried with backoff until success, retry exhaustion,
-    /// or the deadline. Returns the successful measurement (with the
+    /// Runs the training side of one trial under the built-in retry
+    /// policy: injected crashes are retried with backoff until success
+    /// or retry exhaustion. Returns the successful measurement (with the
     /// wasted time/energy of failed attempts folded in) or the failure to
     /// record. A `precomputed` measurement (from the sharded rung
     /// phase) substitutes for the first backend call.
@@ -254,14 +233,12 @@ impl OnefoldEvaluator {
         let mut paid_runtime = Seconds::ZERO;
         let mut paid_energy = Joules::ZERO;
         // The trial's own time line: it starts at the study clock and
-        // every crashed attempt's runtime and backoff is added to it, so
-        // injected hangs move simulated time and the deadline is checked
-        // on `now - trial_start`. The additions keep this order — the
-        // fault instants are stamped with these exact partial sums, and
-        // `(start + a) + b` is not `start + (a + b)` in `f64`, so
-        // regrouping them would move chaos trace bytes.
-        let trial_start = self.globals.clock;
-        let mut now = trial_start;
+        // every crashed attempt's runtime and backoff is added to it. The
+        // additions keep this order — the fault instants are stamped with
+        // these exact partial sums, and `(start + a) + b` is not
+        // `start + (a + b)` in `f64`, so regrouping them would move chaos
+        // trace bytes.
+        let mut now = self.globals.clock;
         loop {
             let trial = match precomputed.take() {
                 Some(measurement) => measurement,
@@ -274,12 +251,7 @@ impl OnefoldEvaluator {
                     paid_energy += trial.energy;
                     now += trial.runtime;
                     self.fault_instant("trial-crash", now);
-                    if self.config.supervisor.deadline_exceeded(now - trial_start) {
-                        self.globals.degradation.trial_timeouts += 1;
-                        self.fault_instant("trial-timeout", now);
-                        return Err((TrialFailure::Timeout, paid_runtime, paid_energy));
-                    }
-                    if self.config.supervisor.give_up(attempt) {
+                    if RetryPolicy::default().exhausted(attempt) {
                         self.globals.degradation.trials_skipped += 1;
                         self.fault_instant("trial-skipped", now);
                         return Err((TrialFailure::Crash, paid_runtime, paid_energy));
@@ -360,38 +332,30 @@ impl OnefoldEvaluator {
 
         // (3) Collect the inference reply, degrading when it is lost.
         let (reply, extra_stall) = match pending {
-            Some(reply) => (Some(reply), Seconds::ZERO),
+            Some(reply) => (reply, Seconds::ZERO),
             None if self.faults_enabled => {
                 self.globals.degradation.worker_losses += 1;
                 self.fault_instant("worker-loss", self.globals.clock);
                 self.degrade(&key, profile)
             }
-            None => (None, Seconds::ZERO),
-        };
-        let Some(reply) = reply else {
-            // Fault-free: the sweep panicked — mark the trial infeasible
-            // rather than crash the job (legacy behaviour, no marker).
-            // Chaos: the ladder ran dry — skip with a penalty score.
-            let outcome = if self.faults_enabled {
-                self.globals.degradation.trials_skipped += 1;
-                self.fault_instant(Fallback::SkipWithPenalty.trace_label(), self.globals.clock);
-                TrialOutcome::failed(
-                    TrialFailure::InferenceLoss,
-                    train_runtime + extra_stall,
-                    train_energy,
-                )
-            } else {
-                TrialOutcome::new(f64::INFINITY, accuracy, train_runtime, train_energy)
-            };
-            return TrialRun {
-                outcome,
-                arch,
-                train_runtime,
-                sweep_runtime: Seconds::ZERO,
-                sweep_energy: Joules::ZERO,
-                stall: extra_stall,
-                cache_hit: true,
-            };
+            None => {
+                // Fault-free: the sweep panicked — mark the trial
+                // infeasible rather than crash the job (no marker).
+                return TrialRun {
+                    outcome: TrialOutcome::new(
+                        f64::INFINITY,
+                        accuracy,
+                        train_runtime,
+                        train_energy,
+                    ),
+                    arch,
+                    train_runtime,
+                    sweep_runtime: Seconds::ZERO,
+                    sweep_energy: Joules::ZERO,
+                    stall: Seconds::ZERO,
+                    cache_hit: true,
+                };
+            }
         };
         // Pipelined: only the sweep's excess over its trial stalls the
         // model server. Synchronous (ablation): the whole sweep sits on

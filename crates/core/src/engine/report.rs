@@ -22,7 +22,7 @@ use crate::inference::InferenceRecommendation;
 use crate::timeline::Timeline;
 
 /// What the fault-tolerance layer observed during a chaos run: the plan
-/// that was injected, every ladder rung exercised, and the failure
+/// that was injected, every fallback taken, and the failure
 /// counters of both servers. Present in a [`TuningReport`] only when a
 /// fault plan was active, so fault-free reports are unchanged.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]

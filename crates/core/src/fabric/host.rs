@@ -34,6 +34,12 @@
 //! structured error frame, `Hang` sleeps the session thread until the
 //! coordinator's heartbeat deadline gives up on it.
 
+// Decoding untrusted bytes must not panic: a malformed input is an error.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hasher;

@@ -29,10 +29,8 @@
 //! Process and remote placement are one code path. The supervisor keeps
 //! one link per shard per study (the two adapters live in `link`),
 //! reopened only after an attempt on it failed; it runs one attempt
-//! function per rung over it, and wraps every attempt in the `faults`
-//! crate's vocabulary:
-//! a heartbeat [`Deadline`](edgetune_faults::Deadline) (bounding one
-//! trial plus [`HEARTBEAT_EVERY`] of silence), a
+//! function per rung over it, and wraps every attempt in a heartbeat
+//! deadline (bounding one trial plus [`HEARTBEAT_EVERY`] of silence), a
 //! capped-jittered-backoff [`RetryPolicy`](edgetune_faults::RetryPolicy)
 //! on crash or timeout, post-hoc straggler detection, and — once the
 //! retry budget is spent — measuring the slice in-process exactly as

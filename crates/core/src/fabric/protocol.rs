@@ -12,6 +12,12 @@
 //! measurements bit-identical to in-process ones); the frame layer
 //! supplies integrity.
 
+// Decoding untrusted bytes must not panic: a malformed input is an error.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use edgetune_tuner::budget::TrialBudget;
 use edgetune_tuner::space::Config;
 use edgetune_util::units::Seconds;
@@ -152,6 +158,7 @@ pub struct WorkerFailure {
 }
 
 /// Serialises a message for a frame payload.
+#[allow(clippy::expect_used)] // the serialising side: it handles no untrusted bytes
 pub(crate) fn encode<T: Serialize>(message: &T) -> Vec<u8> {
     serde_json::to_string(message)
         .expect("fabric messages are plain data and always serialise")

@@ -12,9 +12,9 @@
 //! * `Process` / `Remote` — the thread first tries to have the slice
 //!   measured elsewhere: it ships the task over the shard's link (a
 //!   `__shard-worker` child's pipes, or a TCP session with a shard
-//!   host) and watches the frame stream under the `faults` crate's
-//!   vocabulary — a [`Supervisor`] combining the heartbeat [`Deadline`]
-//!   with a capped-jittered-backoff [`RetryPolicy`].
+//!   host) and watches the frame stream under a heartbeat deadline,
+//!   retrying a failed attempt under a capped-jittered-backoff
+//!   [`RetryPolicy`].
 //!   Once the retry budget is spent it falls back to exactly what
 //!   thread placement does. Whatever a worker does — SIGKILL, panic,
 //!   hang, garbage on the wire — `measure_rung` returns the exact
@@ -35,7 +35,7 @@ use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use edgetune_faults::{Deadline, Fallback, RetryPolicy, Supervisor};
+use edgetune_faults::RetryPolicy;
 use edgetune_runtime::frame::{read_frame, write_frame, Frame, FrameKind};
 use edgetune_runtime::parallel_map_ordered;
 use edgetune_trace::Tracer;
@@ -76,16 +76,18 @@ pub struct FabricChaos {
 /// placement. Thread placement has nothing to supervise and ignores it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FabricPolicy {
-    /// Retry budget (capped jittered backoff) plus the per-frame
-    /// heartbeat deadline — a worker silent for longer is treated as
-    /// hung, killed, and retried. A shard that spends the budget is
-    /// measured in-process. A worker heartbeats at most every
-    /// [`HEARTBEAT_EVERY`] (a faster slice answers with its result
+    /// Retry budget (capped jittered backoff) for failed attempts. A
+    /// shard that spends it is measured in-process.
+    /// [`StudyRun::start`](crate::engine::StudyRun::start) rejects retry
+    /// delays that are not finite and ≥ 0.
+    pub retry: RetryPolicy,
+    /// The per-frame heartbeat deadline: a worker silent for longer is
+    /// treated as hung, killed, and retried. A worker heartbeats at most
+    /// every [`HEARTBEAT_EVERY`] (a faster slice answers with its result
     /// alone), so the deadline bounds one trial plus that interval:
     /// [`StudyRun::start`](crate::engine::StudyRun::start) rejects a
-    /// deadline that is not finite or not longer than it, and retry
-    /// delays that are not finite and ≥ 0.
-    pub supervisor: Supervisor,
+    /// deadline that is not finite or not longer than it.
+    pub deadline: Seconds,
     /// Worker executable override. `None` self-execs
     /// `std::env::current_exe()` — correct for the `edgetune` binary;
     /// tests point it at the real CLI binary or at impostors.
@@ -97,14 +99,14 @@ pub struct FabricPolicy {
 impl Default for FabricPolicy {
     fn default() -> Self {
         FabricPolicy {
-            supervisor: Supervisor::new(RetryPolicy {
+            retry: RetryPolicy {
                 max_attempts: 3,
                 base_delay: Seconds::new(0.05),
                 multiplier: 2.0,
                 max_delay: Seconds::new(0.5),
                 jitter: 0.5,
-            })
-            .with_deadline(Deadline::new(Seconds::new(30.0))),
+            },
+            deadline: Seconds::new(30.0),
             worker_exe: None,
             chaos: None,
         }
@@ -112,7 +114,7 @@ impl Default for FabricPolicy {
 }
 
 impl FabricPolicy {
-    /// Checks what the supervisor turns into sleeps and timeouts, so a
+    /// Checks what the fabric turns into sleeps and timeouts, so a
     /// study with a policy the fabric cannot honour fails before it
     /// starts instead of panicking on a shard's thread.
     ///
@@ -120,24 +122,21 @@ impl FabricPolicy {
     ///
     /// [`Error::InvalidConfig`] naming the offending field.
     pub(crate) fn validate(&self) -> edgetune_util::Result<()> {
-        if let Some(deadline) = self.supervisor.deadline {
-            let limit = deadline.limit.value();
-            if !(limit.is_finite() && limit > HEARTBEAT_EVERY.as_secs_f64()) {
-                return Err(Error::invalid_config(format!(
-                    "fabric.supervisor.deadline must be finite and longer than the \
-                     {HEARTBEAT_EVERY:?} heartbeat interval, got {limit} s"
-                )));
-            }
+        let limit = self.deadline.value();
+        if !(limit.is_finite() && limit > HEARTBEAT_EVERY.as_secs_f64()) {
+            return Err(Error::invalid_config(format!(
+                "fabric.deadline must be finite and longer than the \
+                 {HEARTBEAT_EVERY:?} heartbeat interval, got {limit} s"
+            )));
         }
-        let retry = &self.supervisor.retry;
         for (field, delay) in [
-            ("base_delay", retry.base_delay),
-            ("max_delay", retry.max_delay),
+            ("base_delay", self.retry.base_delay),
+            ("max_delay", self.retry.max_delay),
         ] {
             let delay = delay.value();
             if !(delay.is_finite() && delay >= 0.0) {
                 return Err(Error::invalid_config(format!(
-                    "fabric.supervisor.retry.{field} must be finite and ≥ 0, got {delay} s"
+                    "fabric.retry.{field} must be finite and ≥ 0, got {delay} s"
                 )));
             }
         }
@@ -273,7 +272,9 @@ pub struct ShardFabric {
     /// One slot per shard index: the shard's open session between its
     /// attempts, empty before the first and after a failed one.
     sessions: Vec<Mutex<Option<Session>>>,
-    supervisor: Supervisor,
+    retry: RetryPolicy,
+    /// The heartbeat deadline (`StudyRun::start` validated it finite).
+    deadline: Duration,
     chaos: Option<FabricChaos>,
     seed: SeedStream,
     tracer: Tracer,
@@ -285,7 +286,8 @@ impl std::fmt::Debug for ShardFabric {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardFabric")
             .field("shards", &self.shards)
-            .field("supervisor", &self.supervisor)
+            .field("retry", &self.retry)
+            .field("deadline", &self.deadline)
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
@@ -315,7 +317,9 @@ impl ShardFabric {
             shards: config.study_shards,
             dial,
             sessions: (0..config.study_shards).map(|_| Mutex::new(None)).collect(),
-            supervisor: policy.supervisor,
+            retry: policy.retry,
+            deadline: Duration::try_from_secs_f64(policy.deadline.value().max(0.0))
+                .unwrap_or(Duration::MAX),
             chaos: policy.chaos,
             seed: SeedStream::new(config.seed).child("fabric"),
             tracer: Tracer::new(),
@@ -457,7 +461,7 @@ impl ShardFabric {
         let mut events = Vec::new();
         let mut stats = FabricStats::default();
         if let (Some(dial), Some(spec)) = (&self.dial, spec) {
-            // The backoff jitter stream is supervisor-local by
+            // The backoff jitter stream is fabric-local by
             // construction: it derives from the fabric's own seed child,
             // never from the study's trial streams, so however many
             // reconnects happen the study bytes cannot move.
@@ -513,17 +517,17 @@ impl ShardFabric {
                                 ("reason".to_string(), reason),
                             ],
                         ));
-                        if self.supervisor.give_up(attempt) {
+                        if self.retry.exhausted(attempt) {
                             stats.fallbacks += 1;
                             events.push(FabricEvent::instant(
-                                Fallback::InProcess.trace_label(),
+                                "in_process",
                                 self.offset(),
                                 vec![("after_attempts".to_string(), attempt.to_string())],
                             ));
                             break;
                         }
                         stats.retries += 1;
-                        let delay = self.supervisor.backoff(attempt, shard_seed, draw);
+                        let delay = self.retry.delay(attempt, shard_seed, draw);
                         draw += 1;
                         events.push(FabricEvent::instant(
                             "retry",
@@ -581,11 +585,8 @@ impl ShardFabric {
                 // A dead address must fail within the heartbeat
                 // deadline's order of magnitude, not hang the rung.
                 let connect_timeout = self
-                    .supervisor
                     .deadline
-                    .map_or(Duration::from_secs(5), |d| {
-                        Duration::from_secs_f64(d.limit.value().clamp(0.1, 30.0))
-                    });
+                    .clamp(Duration::from_millis(100), Duration::from_secs(30));
                 let open_from = self.offset();
                 let session = match dial
                     .open(task.plan.shard, study, &task.spec, connect_timeout)
@@ -644,16 +645,8 @@ impl ShardFabric {
         events: &mut Vec<FabricEvent>,
         stats: &mut FabricStats,
     ) -> AttemptEnd {
-        let timeout = self
-            .supervisor
-            .deadline
-            .map(|d| Duration::from_secs_f64(d.limit.value().max(0.0)));
         loop {
-            let received = match timeout {
-                Some(timeout) => rx.recv_timeout(timeout),
-                None => rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected),
-            };
-            match received {
+            match rx.recv_timeout(self.deadline) {
                 Ok(frame) => match frame.kind {
                     FrameKind::Heartbeat => {
                         if let Ok(heartbeat) = decode::<ShardHeartbeat>(&frame.payload) {
@@ -747,14 +740,14 @@ mod tests {
 
     fn fast_policy(max_attempts: u32, deadline_s: f64) -> FabricPolicy {
         FabricPolicy {
-            supervisor: Supervisor::new(RetryPolicy {
+            retry: RetryPolicy {
                 max_attempts,
                 base_delay: Seconds::new(0.005),
                 multiplier: 1.0,
                 max_delay: Seconds::new(0.01),
                 jitter: 0.0,
-            })
-            .with_deadline(Deadline::new(Seconds::new(deadline_s))),
+            },
+            deadline: Seconds::new(deadline_s),
             ..FabricPolicy::default()
         }
     }
@@ -1302,7 +1295,7 @@ mod tests {
     #[test]
     fn default_policy_is_bounded_and_armed() {
         let policy = FabricPolicy::default();
-        assert!(policy.supervisor.retry.max_attempts >= 2);
-        assert!(policy.supervisor.deadline.is_some());
+        assert!(policy.retry.max_attempts >= 2);
+        assert!(policy.validate().is_ok(), "the default deadline is armed");
     }
 }

@@ -414,8 +414,8 @@ impl InferenceEndpoint {
     }
 }
 
-/// The conservative device-model default recommendation the degradation
-/// ladder falls back to when the inference server cannot answer: batch 1,
+/// The conservative device-model default recommendation a lost
+/// inference reply falls back to when no stale cache entry exists: batch 1,
 /// all cores, maximum frequency — never optimal, always deployable — with
 /// latency/energy/throughput estimated from the device model.
 #[must_use]

@@ -30,9 +30,9 @@ pub const CAT_RUNG: &str = "rung";
 pub const CAT_BRACKET: &str = "bracket";
 /// Category of historical-cache counters and hit/miss instants.
 pub const CAT_CACHE: &str = "cache";
-/// Category of fault-injection and degradation-ladder events.
+/// Category of fault-injection and fallback events.
 pub const CAT_FAULT: &str = "fault";
-/// Category of serving-runtime batch spans and shed/outage instants.
+/// Category of serving-runtime batch spans and shed/re-tune instants.
 pub const CAT_SERVING: &str = "serving";
 /// Category of shard-fabric supervision instants
 /// (spawn/heartbeat/crash/retry), recorded on the fabric's own tracer.

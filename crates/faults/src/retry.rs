@@ -1,11 +1,9 @@
-//! Retry, backoff, and deadline policies.
+//! Retry with capped, jittered exponential backoff.
 //!
-//! A deadline is a limit on an elapsed duration the caller tracked
-//! itself ([`Deadline::exceeded`]). Simulated time is a `Seconds` the
-//! component that owns it adds up (the evaluator sums a supervised
-//! trial's attempts and backoffs); host time is measured from outside
-//! with `Instant` (the shard fabric's heartbeat supervision). The policy
-//! code never learns which of the two it was handed.
+//! The delays are plain `Seconds`: the evaluator adds them to simulated
+//! time (a crashed trial's backoff, a lost reply's resubmission), the
+//! shard fabric sleeps them on the host. The policy never learns which
+//! of the two it was handed.
 
 use edgetune_util::rng::SeedStream;
 use edgetune_util::units::Seconds;
@@ -47,15 +45,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (one attempt, immediate give-up).
-    #[must_use]
-    pub fn no_retries() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// True when `attempt` (1-based) exhausted the budget.
     #[must_use]
     pub fn exhausted(&self, attempt: u32) -> bool {
@@ -88,74 +77,6 @@ impl RetryPolicy {
             .rng_indexed("jitter", u64::from(attempt))
             .gen::<f64>();
         Seconds::new(base.value() * (1.0 - jitter * u))
-    }
-}
-
-/// An elapsed-time budget for one supervised operation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Deadline {
-    /// The elapsed-time limit.
-    pub limit: Seconds,
-}
-
-impl Deadline {
-    /// A deadline of `limit` seconds.
-    #[must_use]
-    pub fn new(limit: Seconds) -> Self {
-        Deadline { limit }
-    }
-
-    /// True once `elapsed` passed the limit.
-    #[must_use]
-    pub fn exceeded(&self, elapsed: Seconds) -> bool {
-        elapsed > self.limit
-    }
-}
-
-/// Retry + deadline policy for one supervised component.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct Supervisor {
-    /// Retry/backoff schedule.
-    pub retry: RetryPolicy,
-    /// Optional per-operation deadline (a trial running longer than this
-    /// is treated as hung and failed).
-    pub deadline: Option<Deadline>,
-}
-
-impl Supervisor {
-    /// A supervisor with the given retry policy and no deadline.
-    #[must_use]
-    pub fn new(retry: RetryPolicy) -> Self {
-        Supervisor {
-            retry,
-            deadline: None,
-        }
-    }
-
-    /// Adds a per-operation deadline.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Deadline) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// True when `attempt` (1-based) exhausted the retry budget.
-    #[must_use]
-    pub fn give_up(&self, attempt: u32) -> bool {
-        self.retry.exhausted(attempt)
-    }
-
-    /// The backoff to wait after `attempt` failures (see
-    /// [`RetryPolicy::delay`]).
-    #[must_use]
-    pub fn backoff(&self, attempt: u32, seed: SeedStream, draw: u64) -> Seconds {
-        self.retry.delay(attempt, seed, draw)
-    }
-
-    /// True once `elapsed` passed the configured deadline, if any.
-    #[must_use]
-    pub fn deadline_exceeded(&self, elapsed: Seconds) -> bool {
-        self.deadline.is_some_and(|d| d.exceeded(elapsed))
     }
 }
 
@@ -206,23 +127,5 @@ mod tests {
         assert!(!policy.exhausted(1));
         assert!(!policy.exhausted(2));
         assert!(policy.exhausted(3));
-        assert!(RetryPolicy::no_retries().exhausted(1));
-    }
-
-    #[test]
-    fn deadline_is_exclusive_at_the_limit() {
-        let deadline = Deadline::new(Seconds::new(10.0));
-        assert!(!deadline.exceeded(Seconds::new(10.0)));
-        assert!(deadline.exceeded(Seconds::new(10.001)));
-    }
-
-    #[test]
-    fn supervisor_combines_retry_and_deadline() {
-        let supervisor = Supervisor::new(RetryPolicy::default())
-            .with_deadline(Deadline::new(Seconds::new(60.0)));
-        assert!(!supervisor.give_up(2));
-        assert!(supervisor.give_up(3));
-        assert!(supervisor.deadline_exceeded(Seconds::new(61.0)));
-        assert!(!Supervisor::default().deadline_exceeded(Seconds::new(1e9)));
     }
 }

@@ -9,6 +9,12 @@
 //! turned away with a *reason*, before any task bytes flow, instead of
 //! tripping a checksum failure mid-task.
 
+// Decoding untrusted bytes must not panic: a malformed input is an error.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use std::io::{Read, Write};
 
 use edgetune_runtime::frame::{read_frame, write_frame, FrameKind};
@@ -71,6 +77,7 @@ pub struct HandshakeReject {
     pub reason: String,
 }
 
+#[allow(clippy::expect_used)] // the serialising side: it handles no untrusted bytes
 fn encode<T: Serialize>(message: &T) -> Vec<u8> {
     serde_json::to_string(message)
         .expect("handshake messages are plain data and always serialise")

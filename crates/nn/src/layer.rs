@@ -900,7 +900,7 @@ mod tests {
     }
 
     #[test]
-    fn layer_names() {
+    fn every_layer_reports_its_name() {
         assert_eq!(Dense::new(1, 1, seed()).name(), "dense");
         assert_eq!(Conv2d::new(1, 1, 1, 1, 0, seed()).name(), "conv2d");
         assert_eq!(MaxPool2d::new(2).name(), "maxpool2d");

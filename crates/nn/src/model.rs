@@ -114,19 +114,12 @@ impl Sequential {
             layer.visit_params(visit);
         }
     }
-
-    /// Layer names front-to-back (useful for debugging/architecture
-    /// signatures).
-    #[must_use]
-    pub fn layer_names(&self) -> Vec<&'static str> {
-        self.layers.iter().map(|l| l.name()).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::{Dense, Flatten, Relu};
+    use crate::layer::{Dense, Relu};
     use edgetune_util::rng::SeedStream;
 
     #[test]
@@ -168,12 +161,6 @@ mod tests {
         let mut shapes = Vec::new();
         m.visit_params(&mut |p, _| shapes.push(p.shape().to_vec()));
         assert_eq!(shapes, vec![vec![2, 3], vec![1, 3], vec![3, 1], vec![1, 1]]);
-    }
-
-    #[test]
-    fn layer_names_report_architecture() {
-        let m = Sequential::new().with(Flatten::new()).with(Relu::new());
-        assert_eq!(m.layer_names(), vec!["flatten", "relu"]);
     }
 
     #[test]

@@ -16,6 +16,12 @@
 //! (lengths above [`MAX_FRAME_LEN`] are rejected before any read).
 //! Checksums are CRC-32 (IEEE), computed over the payload only.
 
+// Decoding untrusted bytes must not panic: a malformed input is an error.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -127,6 +133,7 @@ impl From<std::io::Error> for FrameError {
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) lookup table,
 /// built at compile time so the codec carries no external dependency.
+#[allow(clippy::indexing_slicing)] // const-evaluated: a bad index fails the build
 const CRC32_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -153,7 +160,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
         let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
-        crc = (crc >> 8) ^ CRC32_TABLE[idx];
+        #[allow(clippy::indexing_slicing)] // `idx` is masked to 0..=255, the table's length
+        let entry = CRC32_TABLE[idx];
+        crc = (crc >> 8) ^ entry;
     }
     !crc
 }
@@ -195,8 +204,8 @@ pub fn write_frame<W: Write>(w: &mut W, kind: FrameKind, payload: &[u8]) -> Resu
 /// partial read is always [`FrameError::Truncated`].
 fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<bool, FrameError> {
     let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
+    while let Some(rest) = buf.get_mut(filled..).filter(|rest| !rest.is_empty()) {
+        match r.read(rest) {
             Ok(0) => {
                 if filled == 0 {
                     return Ok(false);

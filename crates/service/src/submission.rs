@@ -9,6 +9,12 @@
 //! scheduler shape — lives in the [`StudySubmission`]; the service adds
 //! nothing non-deterministic on top.
 
+// Decoding untrusted bytes must not panic: a malformed input is an error.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use edgetune_tuner::Metric;
 use edgetune_util::{Error, Result};
 use edgetune_workloads::catalog::WorkloadId;

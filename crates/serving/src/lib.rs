@@ -63,7 +63,7 @@ pub mod selector;
 pub mod traffic;
 
 pub use drift::{DriftConfig, DriftDetector};
-pub use metrics::{ConfigSwitch, ServingFaultSummary, ServingReport, SwitchSource};
+pub use metrics::{ConfigSwitch, ServingReport, SwitchSource};
 pub use queue::{AdaptiveBatcher, BatchPolicy, SloPolicy};
 pub use runtime::{OnlineTuner, RuntimeOptions, ServingConfig, ServingRuntime};
 pub use selector::{ConfigSelector, FrontierEntry};

@@ -61,20 +61,6 @@ pub struct ConfigSwitch {
     pub source: SwitchSource,
 }
 
-/// What fault injection did to one serving run. Only present when the
-/// run served under a fault plan, so fault-free reports stay
-/// byte-identical to the pre-chaos format.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ServingFaultSummary {
-    /// Injected transient device outages.
-    pub outages: u64,
-    /// Total worker downtime the outages added.
-    pub downtime: Seconds,
-    /// Drift re-tunes that were injected to fail (the runtime kept the
-    /// current configuration and re-armed the detector instead).
-    pub retune_failures: u64,
-}
-
 /// Everything one serving run measured.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServingReport {
@@ -127,9 +113,6 @@ pub struct ServingReport {
     pub final_batch_cap: u32,
     /// Every drift-triggered configuration swap, in order.
     pub switches: Vec<ConfigSwitch>,
-    /// Fault-injection accounting; absent on fault-free runs.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub faults: Option<ServingFaultSummary>,
 }
 
 impl ServingReport {
@@ -235,7 +218,6 @@ mod tests {
                 predicted_mean_response: Some(Seconds::new(0.3)),
                 source: SwitchSource::default(),
             }],
-            faults: None,
         }
     }
 
@@ -278,15 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_free_reports_serialise_without_a_faults_key() {
-        let json = report().to_json().unwrap();
-        assert!(
-            !json.contains("\"faults\""),
-            "no-op runs keep the old shape"
-        );
-    }
-
-    #[test]
     fn retune_switches_serialise_without_a_source_key() {
         let json = report().to_json().unwrap();
         assert!(
@@ -304,18 +277,5 @@ mod tests {
         let back = ServingReport::from_json(&json).unwrap();
         assert_eq!(back, r);
         assert_eq!(back.switches[0].source, SwitchSource::Frontier);
-    }
-
-    #[test]
-    fn fault_summaries_round_trip() {
-        let mut r = report();
-        r.faults = Some(ServingFaultSummary {
-            outages: 3,
-            downtime: Seconds::new(1.5),
-            retune_failures: 1,
-        });
-        let back = ServingReport::from_json(&r.to_json().unwrap()).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(back.faults.unwrap().outages, 3);
     }
 }

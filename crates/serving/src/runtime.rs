@@ -21,7 +21,6 @@
 use edgetune_device::latency::{simulate_inference, CpuAllocation};
 use edgetune_device::profile::WorkProfile;
 use edgetune_device::spec::DeviceSpec;
-use edgetune_faults::{FaultInjector, FaultPlan};
 use edgetune_trace::Tracer;
 use edgetune_util::rng::SeedStream;
 use edgetune_util::units::{Hertz, ItemsPerSecond, Joules, JoulesPerItem, Seconds};
@@ -29,9 +28,7 @@ use edgetune_util::{Error, Result};
 use serde::{Deserialize, Serialize};
 
 use crate::drift::{DriftConfig, DriftDetector};
-use crate::metrics::{
-    response_percentiles, ConfigSwitch, ServingFaultSummary, ServingReport, SwitchSource,
-};
+use crate::metrics::{response_percentiles, ConfigSwitch, ServingReport, SwitchSource};
 use crate::queue::{AdaptiveBatcher, BatchPolicy, SloPolicy};
 use crate::selector::ConfigSelector;
 use crate::traffic::TrafficProfile;
@@ -130,10 +127,6 @@ pub struct RuntimeOptions {
     pub workers: u32,
     /// Drift detection; `None` disables online re-tuning.
     pub drift: Option<DriftConfig>,
-    /// Fault plan for chaos serving; `None` (the default) serves
-    /// fault-free and keeps reports byte-identical to pre-chaos runs.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub faults: Option<FaultPlan>,
     /// Per-item energy budget stage-one frontier selection must respect;
     /// `None` leaves energy unconstrained. A stage-two re-tune optimises
     /// its own objective and ignores this.
@@ -151,7 +144,6 @@ impl RuntimeOptions {
             adaptive: true,
             workers: 1,
             drift: Some(DriftConfig::default_for_rate()),
-            faults: None,
             energy_budget: None,
         }
     }
@@ -160,15 +152,6 @@ impl RuntimeOptions {
     #[must_use]
     pub fn with_energy_budget(mut self, budget: JoulesPerItem) -> Self {
         self.energy_budget = Some(budget);
-        self
-    }
-
-    /// Serves under `plan`: transient device outages stall workers and
-    /// injected re-tune failures leave the current configuration in
-    /// place. The report gains a [`ServingFaultSummary`].
-    #[must_use]
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
         self
     }
 
@@ -275,7 +258,7 @@ impl ServingRuntime {
     }
 
     /// Like [`ServingRuntime::serve`], additionally emitting per-worker
-    /// batch spans and shed/outage/re-tune events into `tracer` (pass
+    /// batch spans and shed/re-tune events into `tracer` (pass
     /// `None` to trace nothing). Tracing never changes the report.
     ///
     /// # Errors
@@ -353,14 +336,6 @@ impl ServingRuntime {
         // Memoised per-batch-size (latency, energy), invalidated on
         // configuration switches.
         let mut cache: Vec<Option<(f64, f64)>> = Vec::new();
-        // Fault decisions are keyed by batch index / re-tune attempt, so
-        // the chaos schedule is a pure function of (plan, seed).
-        let injector = self
-            .options
-            .faults
-            .filter(|plan| !plan.is_none())
-            .map(|plan| FaultInjector::new(plan, seed.child("serving-faults")));
-        let (mut outages, mut outage_downtime, mut retune_failures) = (0u64, 0.0f64, 0u64);
 
         let mut workers = vec![Seconds::ZERO; self.options.workers as usize];
         let mut responses: Vec<f64> = Vec::with_capacity(n);
@@ -377,25 +352,6 @@ impl ServingRuntime {
             for (i, &t) in workers.iter().enumerate() {
                 if t < workers[wi] {
                     wi = i;
-                }
-            }
-            // A transient device outage stalls the dispatched worker; the
-            // batch waits it out (and may shed its expired head below).
-            if let Some(inj) = injector.as_ref() {
-                if let Some(down) = inj.device_outage(batches) {
-                    if let Some(tracer) = tracer {
-                        let track = tracer.track(TRACE_PROCESS, &format!("worker-{wi}"));
-                        tracer.instant_with_args(
-                            track,
-                            "device-outage",
-                            TRACE_CATEGORY,
-                            workers[wi],
-                            vec![("downtime_s".to_string(), down.value().to_string())],
-                        );
-                    }
-                    workers[wi] += down;
-                    outages += 1;
-                    outage_downtime += down.value();
                 }
             }
             let wf = workers[wi].value();
@@ -548,28 +504,6 @@ impl ServingRuntime {
                             continue;
                         }
                     }
-                    let attempt = switches.len() as u64 + retune_failures;
-                    if injector
-                        .as_ref()
-                        .is_some_and(|inj| inj.retune_failure(attempt))
-                    {
-                        // Injected re-tune failure: keep serving (and
-                        // shedding) on the current configuration, re-arm
-                        // on the estimate to avoid a re-tune storm.
-                        retune_failures += 1;
-                        if let Some(tracer) = tracer {
-                            let track = tracer.track(TRACE_PROCESS, "retune");
-                            tracer.instant_with_args(
-                                track,
-                                "retune-failure",
-                                TRACE_CATEGORY,
-                                Seconds::new(completion),
-                                vec![("estimated_rate".to_string(), est.to_string())],
-                            );
-                        }
-                        det.rearm(est, completion);
-                        continue;
-                    }
                     let retune_seed = seed.child_indexed("retune", switches.len() as u64);
                     match tuner.retune(est, retune_seed) {
                         Some(new_config) => {
@@ -667,11 +601,6 @@ impl ServingRuntime {
             },
             final_batch_cap: batcher.cap(),
             switches,
-            faults: injector.as_ref().map(|_| ServingFaultSummary {
-                outages,
-                downtime: Seconds::new(outage_downtime),
-                retune_failures,
-            }),
         })
     }
 
@@ -1184,94 +1113,6 @@ mod tests {
         );
         edgetune_trace::well_nested(&events).expect("per-worker batch spans are disjoint");
         edgetune_trace::monotone_per_track(&events).expect("each worker's spans are ordered");
-    }
-
-    #[test]
-    fn an_all_zero_fault_plan_is_a_strict_no_op() {
-        let slo = SloPolicy::new(Seconds::new(2.0));
-        let traffic = TrafficProfile::Poisson { rate: 5.0 };
-        let clean = runtime(RuntimeOptions::new(slo))
-            .serve(&traffic, Seconds::new(60.0), None, SeedStream::new(11))
-            .unwrap();
-        let chaos = runtime(RuntimeOptions::new(slo).with_faults(FaultPlan::none()))
-            .serve(&traffic, Seconds::new(60.0), None, SeedStream::new(11))
-            .unwrap();
-        assert_eq!(clean, chaos);
-        assert_eq!(clean.to_json().unwrap(), chaos.to_json().unwrap());
-        assert!(clean.faults.is_none());
-    }
-
-    #[test]
-    fn chaos_serving_is_deterministic_per_seed() {
-        let slo = SloPolicy::new(Seconds::new(2.0));
-        let options = RuntimeOptions::new(slo).with_faults(FaultPlan::uniform(0.3));
-        let traffic = TrafficProfile::Poisson { rate: 5.0 };
-        let a = runtime(options)
-            .serve(&traffic, Seconds::new(30.0), None, SeedStream::new(12))
-            .unwrap();
-        let b = runtime(options)
-            .serve(&traffic, Seconds::new(30.0), None, SeedStream::new(12))
-            .unwrap();
-        assert_eq!(a, b);
-        assert!(a.faults.is_some(), "an active plan reports its summary");
-    }
-
-    #[test]
-    fn injected_outages_stall_workers_and_are_accounted() {
-        let slo = SloPolicy::new(Seconds::new(2.0));
-        let traffic = TrafficProfile::Poisson { rate: 2.0 };
-        let clean = runtime(RuntimeOptions::new(slo))
-            .serve(&traffic, Seconds::new(120.0), None, SeedStream::new(13))
-            .unwrap();
-        let plan = FaultPlan {
-            device_outage: 0.5,
-            outage_duration_s: 2.0,
-            ..FaultPlan::none()
-        };
-        let chaos = runtime(RuntimeOptions::new(slo).with_faults(plan))
-            .serve(&traffic, Seconds::new(120.0), None, SeedStream::new(13))
-            .unwrap();
-        let summary = chaos.faults.expect("plan was active");
-        assert!(summary.outages > 0, "a 50% outage rate must fire");
-        assert!(
-            (summary.downtime.value() - summary.outages as f64 * 2.0).abs() < 1e-9,
-            "downtime is outages x duration"
-        );
-        assert!(chaos.served > 0, "the run degrades, it does not collapse");
-        assert_eq!(chaos.requests, chaos.served + chaos.shed);
-        assert!(
-            chaos.slo_violation_rate > clean.slo_violation_rate,
-            "2 s outages against a 2 s deadline must cost violations: {} vs {}",
-            chaos.slo_violation_rate,
-            clean.slo_violation_rate
-        );
-    }
-
-    #[test]
-    fn injected_retune_failures_suppress_config_switches() {
-        let slo = SloPolicy::new(Seconds::new(4.0));
-        let traffic = TrafficProfile::RateShift {
-            initial_rate: 5.0,
-            shifted_rate: 20.0,
-            at: Seconds::new(60.0),
-        };
-        let plan = FaultPlan::none().with_retune_failure(1.0);
-        let report = runtime(RuntimeOptions::new(slo).with_faults(plan))
-            .serve(
-                &traffic,
-                Seconds::new(240.0),
-                Some(&StepTuner),
-                SeedStream::new(4),
-            )
-            .unwrap();
-        assert!(
-            report.switches.is_empty(),
-            "every re-tune was injected to fail"
-        );
-        assert!(
-            report.faults.expect("plan was active").retune_failures >= 1,
-            "the sustained shift must have attempted a re-tune"
-        );
     }
 
     #[test]

@@ -140,30 +140,6 @@ impl BudgetPolicy {
         }
     }
 
-    /// The iteration level at which the policy stops growing (both
-    /// dimensions at their caps).
-    #[must_use]
-    pub fn saturation_iteration(&self) -> u32 {
-        match *self {
-            BudgetPolicy::Epoch {
-                epochs_per_iteration,
-                max_epochs,
-            } => (max_epochs / epochs_per_iteration).ceil() as u32,
-            BudgetPolicy::Dataset {
-                fraction_per_iteration,
-            } => (1.0 / fraction_per_iteration).ceil() as u32,
-            BudgetPolicy::Multi {
-                min_epochs,
-                max_epochs,
-                min_fraction,
-            } => {
-                let by_epochs = (max_epochs / min_epochs).ceil() as u32;
-                let by_fraction = (1.0 / min_fraction).ceil() as u32;
-                by_epochs.max(by_fraction)
-            }
-        }
-    }
-
     /// Short display name matching the paper's legends.
     #[must_use]
     pub fn name(&self) -> &'static str {
@@ -247,13 +223,6 @@ mod tests {
     fn effective_epochs_multiplies_dimensions() {
         assert_eq!(TrialBudget::new(4.0, 0.5).effective_epochs(), 2.0);
         assert_eq!(TrialBudget::new(1.0, 1.0).effective_epochs(), 1.0);
-    }
-
-    #[test]
-    fn saturation_iterations() {
-        assert_eq!(BudgetPolicy::epoch_default().saturation_iteration(), 8);
-        assert_eq!(BudgetPolicy::dataset_default().saturation_iteration(), 10);
-        assert_eq!(BudgetPolicy::multi_default().saturation_iteration(), 10);
     }
 
     #[test]

@@ -79,12 +79,6 @@ impl WarmStartSampler {
         }
     }
 
-    /// Seed configurations not yet replayed.
-    #[must_use]
-    pub fn seeds_remaining(&self) -> usize {
-        self.seeds.len()
-    }
-
     /// Pops the next replayable seed, clamped into `space`; seeds from a
     /// different space shape are discarded on the way.
     fn next_seed(&mut self, space: &SearchSpace) -> Option<Config> {
@@ -673,10 +667,8 @@ mod tests {
             Box::new(RandomSampler::new(SeedStream::new(4))),
         );
         let mut cold = RandomSampler::new(SeedStream::new(4));
-        assert_eq!(warm.seeds_remaining(), 2);
         assert_eq!(warm.suggest(&space, &[]), seeds[0]);
         assert_eq!(warm.suggest(&space, &[]), seeds[1]);
-        assert_eq!(warm.seeds_remaining(), 0);
         // After the seeds are spent, the inner stream is untouched by the
         // warm prefix: it yields exactly what a cold sampler would.
         assert_eq!(warm.suggest(&space, &[]), cold.suggest(&space, &[]));

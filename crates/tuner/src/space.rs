@@ -341,16 +341,6 @@ impl Config {
         self.values.get(name).copied()
     }
 
-    /// Reads a parameter, erroring when absent.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NotFound`] when the parameter is not set.
-    pub fn require(&self, name: &str) -> Result<f64> {
-        self.get(name)
-            .ok_or_else(|| Error::not_found(format!("parameter '{name}'")))
-    }
-
     /// Parameter names in sorted order.
     pub fn keys(&self) -> impl Iterator<Item = &str> {
         self.values.keys().map(String::as_str)
@@ -503,13 +493,6 @@ mod tests {
         assert_eq!(a.key(), b.key());
         assert_eq!(a.key(), "a=1,b=2");
         assert_eq!(a.to_string(), "{a=1,b=2}");
-    }
-
-    #[test]
-    fn config_require_errors_on_missing() {
-        let c = Config::new().with("x", 1.0);
-        assert_eq!(c.require("x").unwrap(), 1.0);
-        assert!(c.require("y").is_err());
     }
 
     #[test]

@@ -13,11 +13,6 @@ use crate::space::Config;
 pub enum TrialFailure {
     /// The training process crashed and exhausted its retry budget.
     Crash,
-    /// The trial exceeded its deadline and was treated as hung.
-    Timeout,
-    /// The inference side never produced a recommendation and the
-    /// degradation ladder had no fallback left.
-    InferenceLoss,
 }
 
 /// What a trial evaluation reports back to the scheduler.

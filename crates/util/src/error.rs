@@ -16,9 +16,6 @@ pub enum Error {
     /// A user-supplied configuration is invalid (bad range, unknown
     /// parameter, inconsistent shapes, ...).
     InvalidConfig(String),
-    /// A referenced entity (parameter, device, workload, cache entry) does
-    /// not exist.
-    NotFound(String),
     /// A numerical routine failed to produce a finite/usable value.
     Numerical(String),
     /// An I/O or (de)serialization problem, e.g. in the persistent trial
@@ -30,11 +27,6 @@ impl Error {
     /// Builds an [`Error::InvalidConfig`] from anything displayable.
     pub fn invalid_config(msg: impl fmt::Display) -> Self {
         Error::InvalidConfig(msg.to_string())
-    }
-
-    /// Builds an [`Error::NotFound`] from anything displayable.
-    pub fn not_found(msg: impl fmt::Display) -> Self {
-        Error::NotFound(msg.to_string())
     }
 
     /// Builds an [`Error::Numerical`] from anything displayable.
@@ -52,7 +44,6 @@ impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Error::InvalidConfig(m) => write!(f, "invalid configuration: {m}"),
-            Error::NotFound(m) => write!(f, "not found: {m}"),
             Error::Numerical(m) => write!(f, "numerical error: {m}"),
             Error::Storage(m) => write!(f, "storage error: {m}"),
         }
@@ -78,7 +69,7 @@ mod tests {
             e.to_string(),
             "invalid configuration: batch size must be > 0"
         );
-        let e = Error::not_found("device 'tpu'");
+        let e = Error::storage("device 'tpu'");
         assert!(e.to_string().contains("device 'tpu'"));
     }
 

@@ -178,13 +178,8 @@ unit!(
 );
 
 impl Seconds {
-    /// Builds a duration from minutes, the unit the paper's figures use.
-    #[must_use]
-    pub fn from_minutes(minutes: f64) -> Self {
-        Seconds::new(minutes * 60.0)
-    }
-
-    /// This duration expressed in minutes.
+    /// This duration expressed in minutes, the unit the paper's figures
+    /// use.
     #[must_use]
     pub fn as_minutes(self) -> f64 {
         self.value() / 60.0
@@ -192,13 +187,8 @@ impl Seconds {
 }
 
 impl Joules {
-    /// Builds an energy from kilojoules, the unit the paper's figures use.
-    #[must_use]
-    pub fn from_kilojoules(kj: f64) -> Self {
-        Joules::new(kj * 1e3)
-    }
-
-    /// This energy expressed in kilojoules.
+    /// This energy expressed in kilojoules, the unit the paper's figures
+    /// use.
     #[must_use]
     pub fn as_kilojoules(self) -> f64 {
         self.value() / 1e3
@@ -307,15 +297,13 @@ mod tests {
 
     #[test]
     fn minutes_round_trip() {
-        let t = Seconds::from_minutes(2.5);
-        assert!((t.value() - 150.0).abs() < 1e-12);
+        let t = Seconds::new(150.0);
         assert!((t.as_minutes() - 2.5).abs() < 1e-12);
     }
 
     #[test]
     fn kilojoules_round_trip() {
-        let e = Joules::from_kilojoules(1.5);
-        assert!((e.value() - 1500.0).abs() < 1e-9);
+        let e = Joules::new(1500.0);
         assert!((e.as_kilojoules() - 1.5).abs() < 1e-12);
     }
 

@@ -1,11 +1,11 @@
 //! Golden bytes of serving: the CRC-32 of `ServingReport::to_json()` for
-//! five serving runs, two seeds each, and the JSON of
+//! four serving runs, two seeds each, and the JSON of
 //! `tune_for_scenario` recommendations for one server and three
 //! multi-stream scenarios.
 //!
 //! The runs cover every path a report's numbers come through: the pure
 //! event loop (Poisson), drift-triggered live re-tunes (on/off), shedding
-//! after a rate shift, stage-one frontier switches, and fault injection.
+//! after a rate shift, and stage-one frontier switches.
 //! Each run asserts that it exercised its path, so a pinned CRC cannot
 //! silently stop covering it. The expected values were captured before
 //! scenario sweeps shared their arrivals and batch latencies and before
@@ -18,7 +18,6 @@ use edgetune::serve::{frontier_rates, ScenarioRetuner};
 use edgetune::InferenceSpace;
 use edgetune_device::profile::WorkProfile;
 use edgetune_device::spec::DeviceSpec;
-use edgetune_faults::FaultPlan;
 use edgetune_runtime::frame::crc32;
 use edgetune_serving::{
     RuntimeOptions, ServingReport, ServingRuntime, SloPolicy, SwitchSource, TrafficProfile,
@@ -28,7 +27,7 @@ use edgetune_util::units::Seconds;
 use edgetune_workloads::catalog::Workload;
 use edgetune_workloads::WorkloadId;
 
-/// The five serving runs.
+/// The four serving runs.
 #[derive(Debug, Clone, Copy)]
 enum Run {
     /// Steady Poisson traffic at the tuned rate.
@@ -40,8 +39,6 @@ enum Run {
     Shift,
     /// A shift answered from a pre-computed frontier.
     Frontier,
-    /// On/off traffic under injected outages and re-tune failures.
-    Chaos,
 }
 
 fn setup() -> (DeviceSpec, WorkProfile, ScenarioRetuner) {
@@ -69,7 +66,7 @@ fn serve(run: Run, seed: u64) -> ServingReport {
     };
     let (traffic, horizon) = match run {
         Run::Poisson => (TrafficProfile::Poisson { rate: 10.0 }, 300.0),
-        Run::OnOff | Run::Chaos => (on_off, 200.0),
+        Run::OnOff => (on_off, 200.0),
         Run::Shift => (shift, 150.0),
         // A milder shift, so a frontier point meets the deadline at the
         // new rate.
@@ -86,10 +83,7 @@ fn serve(run: Run, seed: u64) -> ServingReport {
     let config = retuner
         .recommend(&scenario, seed.child("offline"))
         .expect("the design rate is tunable");
-    let mut options = RuntimeOptions::new(SloPolicy::new(Seconds::new(4.0)));
-    if let Run::Chaos = run {
-        options = options.with_faults(FaultPlan::uniform(0.2));
-    }
+    let options = RuntimeOptions::new(SloPolicy::new(Seconds::new(4.0)));
     let mut runtime = ServingRuntime::new(device, profile, config, options).expect("deployable");
     if let Run::Frontier = run {
         let rates = frontier_rates(traffic.design_rate(), 6);
@@ -112,7 +106,6 @@ fn serve(run: Run, seed: u64) -> ServingReport {
             .switches
             .iter()
             .any(|s| s.source == SwitchSource::Frontier),
-        Run::Chaos => report.faults.is_some_and(|f| f.outages > 0),
     };
     assert!(covered, "{run:?} did not exercise its path: {report:?}");
     report
@@ -129,8 +122,6 @@ fn serving_reports_are_pinned() {
         (Run::Shift, 7, 1_026_095_446),
         (Run::Frontier, 42, 53_908_692),
         (Run::Frontier, 7, 4_217_848),
-        (Run::Chaos, 42, 3_187_213_255),
-        (Run::Chaos, 7, 768_197_562),
     ];
     let mut moved = Vec::new();
     for (run, seed, want) in pinned {

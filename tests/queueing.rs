@@ -8,6 +8,10 @@
 //! Each load is run under several seeds. The bound is a number of
 //! standard errors of the mean over those runs, so it tightens where the
 //! queue is calm and widens only as far as its own variance does.
+//!
+//! Beyond cap 1 and one server there is no closed form, so the runtime
+//! is also held to a reference discrete-event simulation written straight
+//! from its batching and dispatch rules, to 1e-9 relative.
 
 use edgetune::batching::MultiStreamScenario;
 use edgetune_device::latency::{simulate_inference, CpuAllocation};
@@ -15,7 +19,7 @@ use edgetune_device::profile::WorkProfile;
 use edgetune_device::spec::DeviceSpec;
 use edgetune_serving::{RuntimeOptions, ServingConfig, ServingRuntime, SloPolicy, TrafficProfile};
 use edgetune_util::rng::SeedStream;
-use edgetune_util::stats::{mean, std_dev};
+use edgetune_util::stats::{mean, percentile, std_dev};
 use edgetune_util::units::Seconds;
 
 /// Utilisations ρ = λs the oracle is checked at.
@@ -100,5 +104,81 @@ fn serving_runtime_is_an_md1_queue() {
             })
             .collect();
         assert_pollaczek_khinchine("ServingRuntime", service, rho, &runs);
+    }
+}
+
+/// The serving runtime's event loop re-derived from its rules, for caps
+/// above 1, several workers and a batch window, where no closed form
+/// exists. Returns (served, batches, makespan, mean, p99, energy).
+fn reference_des(
+    (device, profile): (&DeviceSpec, &WorkProfile),
+    arrivals: &[f64],
+    (workers, cap, max_wait): (usize, usize, f64),
+) -> (u64, u64, f64, f64, f64, f64) {
+    let alloc = CpuAllocation::full(device);
+    let (mut free, mut responses) = (vec![0.0f64; workers], Vec::new());
+    let (mut next, mut batches, mut makespan, mut energy) = (0, 0u64, 0.0f64, 0.0f64);
+    while next < arrivals.len() {
+        // The oldest waiting request anchors the batch; it closes at the
+        // cap-th arrival or when the window runs out, whichever is first.
+        let anchor = arrivals[next];
+        let fill = arrivals
+            .get(next + cap - 1)
+            .copied()
+            .unwrap_or(f64::INFINITY);
+        // The earliest-free worker takes it (lowest index on a tie).
+        let w = (0..workers).fold(0, |best, i| if free[i] < free[best] { i } else { best });
+        let start = fill.min(anchor + max_wait).max(free[w]);
+        let first = next;
+        while next < arrivals.len() && arrivals[next] <= start && next - first < cap {
+            next += 1;
+        }
+        let run = simulate_inference(device, &alloc, profile, (next - first) as u32);
+        let done = start + run.latency.value();
+        responses.extend(arrivals[first..next].iter().map(|a| done - a));
+        (free[w], makespan, batches) = (done, makespan.max(done), batches + 1);
+        energy += run.energy.value();
+    }
+    let mean_response = responses.iter().sum::<f64>() / responses.len() as f64;
+    let p99 = percentile(&responses, 0.99).unwrap();
+    (next as u64, batches, makespan, mean_response, p99, energy)
+}
+
+#[test]
+fn serving_runtime_matches_a_reference_des() {
+    let (device, profile, service) = setup();
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs());
+    let slo = SloPolicy::new(Seconds::new(60.0)).without_shedding();
+    for (workers, cap, max_wait) in [1u32, 2]
+        .into_iter()
+        .flat_map(|w| [1u32, 4].map(|c| (w, c)))
+        .flat_map(|(w, c)| [0.0, service / 2.0].map(|m| (w, c, m)))
+    {
+        let config = ServingConfig::new(cap, device.cores, device.max_freq)
+            .with_max_wait(Seconds::new(max_wait));
+        let options = RuntimeOptions::new(slo)
+            .static_serving()
+            .with_workers(workers);
+        let runtime = ServingRuntime::new(device.clone(), profile, config, options).unwrap();
+        let rate = 0.8 * f64::from(workers) / service;
+        for seed in (0..3).map(SeedStream::new) {
+            let arrivals =
+                TrafficProfile::Poisson { rate }.generate(Seconds::new(3_000.0 / rate), seed);
+            let got = runtime
+                .serve_trace(&arrivals, "poisson", None, seed)
+                .unwrap();
+            let shape = (workers as usize, cap as usize, max_wait);
+            let want = reference_des((&device, &profile), &arrivals, shape);
+            let cell = format!("workers {workers}, cap {cap}, max_wait {max_wait}");
+            assert_eq!((got.served, got.batches), (want.0, want.1), "{cell}");
+            for (what, got, want) in [
+                ("makespan", got.makespan.value(), want.2),
+                ("mean_response", got.mean_response.value(), want.3),
+                ("p99_response", got.p99_response.value(), want.4),
+                ("energy", got.energy.value(), want.5),
+            ] {
+                assert!(close(got, want), "{cell}: {what} {got} vs {want}");
+            }
+        }
     }
 }

@@ -3,6 +3,7 @@
 //! independent seeds (a compressed version of the claims in
 //! `paper_claims.rs`).
 
+use edgetune::checkpoint::StudyCheckpoint;
 use edgetune::prelude::*;
 use edgetune_baselines::TuneBaseline;
 use edgetune_tuner::budget::BudgetPolicy;
@@ -292,28 +293,18 @@ fn a_checkpoint_of_a_different_study_is_rejected_not_resumed() {
                 .run()
                 .expect("the other study halts");
             let written = std::fs::read(&path).expect("checkpoint written");
-            for (ladder, config) in [
-                ("armed", ours().resuming()),
-                (
-                    "off",
-                    ours()
-                        .with_degradation(DegradationLadder::new(Vec::new()))
-                        .resuming(),
-                ),
-            ] {
-                let outcome = EdgeTune::new(config).run();
-                assert!(
-                    matches!(outcome, Err(edgetune_util::Error::InvalidConfig(_))),
-                    "seed {seed}: resuming on a checkpoint of {what} (ladder {ladder}) must be \
-                     an invalid-config error, got {:?}",
-                    outcome.map(|report| report.history().len())
-                );
-                assert_eq!(
-                    std::fs::read(&path).unwrap(),
-                    written,
-                    "seed {seed}: the rejected checkpoint of {what} must not be modified"
-                );
-            }
+            let outcome = EdgeTune::new(ours().resuming()).run();
+            assert!(
+                matches!(outcome, Err(edgetune_util::Error::InvalidConfig(_))),
+                "seed {seed}: resuming on a checkpoint of {what} must be an invalid-config \
+                 error, got {:?}",
+                outcome.map(|report| report.history().len())
+            );
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                written,
+                "seed {seed}: the rejected checkpoint of {what} must not be modified"
+            );
         }
         std::fs::remove_file(&path).ok();
     }
@@ -323,11 +314,10 @@ fn a_checkpoint_of_a_different_study_is_rejected_not_resumed() {
 fn torn_shard_checkpoints_degrade_instead_of_panicking() {
     // A power cut mid-write can leave a truncated checkpoint, and an
     // older build's sharded study left a shard manifest at the path
-    // (its trials lived in sibling files). With the degradation ladder
-    // armed (the default) resume restarts fresh, and the deterministic
-    // engine still reproduces the exact uninterrupted artefact; with
-    // the ladder off it is a structured error. Never a panic, never a
-    // resume from partial state.
+    // (its trials lived in sibling files). Resume restarts fresh, and
+    // the deterministic engine still reproduces the exact uninterrupted
+    // artefact; loading it as a checkpoint is a structured error. Never
+    // a panic, never a resume from partial state.
     for seed in CHAOS_SEEDS {
         let dir = std::env::temp_dir().join(format!("edgetune-torn-shard-{seed}"));
         std::fs::create_dir_all(&dir).expect("temp dir");
@@ -365,15 +355,12 @@ fn torn_shard_checkpoints_degrade_instead_of_panicking() {
             ("stale shard manifest", manifest),
         ] {
             std::fs::write(&path, &bytes).expect("plant the corrupt state");
-            let strict = EdgeTune::new(
-                config()
-                    .with_degradation(DegradationLadder::new(Vec::new()))
-                    .resuming(),
-            )
-            .run();
             assert!(
-                matches!(strict, Err(edgetune_util::Error::Storage(_))),
-                "seed {seed}: a {what} with the ladder off must be a storage error"
+                matches!(
+                    StudyCheckpoint::load(&path),
+                    Err(edgetune_util::Error::Storage(_))
+                ),
+                "seed {seed}: loading a {what} must be a storage error"
             );
             let resumed = EdgeTune::new(config().resuming())
                 .run()
