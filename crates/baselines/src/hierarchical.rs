@@ -10,11 +10,11 @@
 
 use edgetune::backend::{SimTrainingBackend, TrainingBackend, PARAM_GPUS};
 use edgetune_tuner::budget::BudgetPolicy;
-use edgetune_tuner::objective::{TrainMeasurement, TrainObjective};
+use edgetune_tuner::objective::TrainObjective;
 use edgetune_tuner::sampler::TpeSampler;
 use edgetune_tuner::scheduler::{SchedulerConfig, SuccessiveHalving};
 use edgetune_tuner::space::Config;
-use edgetune_tuner::trial::{History, TrialOutcome, TrialRecord};
+use edgetune_tuner::trial::{History, TrialRecord};
 use edgetune_tuner::Metric;
 use edgetune_util::rng::SeedStream;
 use edgetune_workloads::catalog::{Workload, WorkloadId};
@@ -115,15 +115,7 @@ impl HierarchicalTuner {
         let mut sampler = TpeSampler::new(SeedStream::new(self.seed).child("hier-sampler"));
         let mut evaluator =
             |_id: u64, config: &Config, budget: edgetune_tuner::budget::TrialBudget| {
-                let m = backend.run_trial(config, budget);
-                let score = objective.score(&TrainMeasurement {
-                    accuracy: m.accuracy,
-                    train_time: m.runtime,
-                    train_energy: m.energy,
-                    inference_time: None,
-                    inference_energy: None,
-                });
-                TrialOutcome::new(score, m.accuracy, m.runtime, m.energy)
+                crate::train_only_outcome(&objective, &backend.run_trial(config, budget))
             };
         let phase1 = SuccessiveHalving::new(self.scheduler).run(
             &mut sampler,
@@ -141,19 +133,13 @@ impl HierarchicalTuner {
         for (id, gpus) in (1..=8u32).enumerate() {
             let mut config = hyper.best_config().clone();
             config.set(PARAM_GPUS, f64::from(gpus));
-            let m = backend2.run_trial(&config, budget);
-            let score = objective.score(&TrainMeasurement {
-                accuracy: m.accuracy,
-                train_time: m.runtime,
-                train_energy: m.energy,
-                inference_time: None,
-                inference_energy: None,
-            });
+            let outcome =
+                crate::train_only_outcome(&objective, &backend2.run_trial(&config, budget));
             phase2.push(TrialRecord {
                 id: id as u64,
                 config,
                 budget,
-                outcome: TrialOutcome::new(score, m.accuracy, m.runtime, m.energy),
+                outcome,
             });
         }
         let system = BaselineReport::new(phase2);

@@ -10,7 +10,7 @@
 
 use edgetune::backend::{SimTrainingBackend, TrainingBackend, PARAM_MODEL_HP, PARAM_TRAIN_BATCH};
 use edgetune_tuner::budget::TrialBudget;
-use edgetune_tuner::objective::{TrainMeasurement, TrainObjective};
+use edgetune_tuner::objective::TrainObjective;
 use edgetune_tuner::sampler::{Sampler, TpeSampler};
 use edgetune_tuner::space::{Domain, SearchSpace};
 use edgetune_tuner::trial::{History, TrialOutcome, TrialRecord};
@@ -127,15 +127,7 @@ impl HyperPower {
             } else {
                 // Training resumes from the probe checkpoint, so a kept
                 // trial costs exactly one full budget, not probe + full.
-                let m = backend.run_trial(&config, budget);
-                let score = objective.score(&TrainMeasurement {
-                    accuracy: m.accuracy,
-                    train_time: m.runtime,
-                    train_energy: m.energy,
-                    inference_time: None,
-                    inference_energy: None,
-                });
-                TrialOutcome::new(score, m.accuracy, m.runtime, m.energy)
+                crate::train_only_outcome(&objective, &backend.run_trial(&config, budget))
             };
             history.push(TrialRecord {
                 id,

@@ -24,3 +24,20 @@ pub use hierarchical::HierarchicalTuner;
 pub use hyperpower::HyperPower;
 pub use report::BaselineReport;
 pub use tune::TuneBaseline;
+
+use edgetune::backend::TrialMeasurement;
+use edgetune_tuner::objective::{TrainMeasurement, TrainObjective};
+use edgetune_tuner::trial::TrialOutcome;
+
+/// Scores one trial of a baseline: none of them measures an inference
+/// side, so the objective sees the accuracy and the training cost only.
+fn train_only_outcome(objective: &TrainObjective, m: &TrialMeasurement) -> TrialOutcome {
+    let score = objective.score(&TrainMeasurement {
+        accuracy: m.accuracy,
+        train_time: m.runtime,
+        train_energy: m.energy,
+        inference_time: None,
+        inference_energy: None,
+    });
+    TrialOutcome::new(score, m.accuracy, m.runtime, m.energy)
+}

@@ -15,10 +15,9 @@
 
 use edgetune::backend::{SimTrainingBackend, TrainingBackend};
 use edgetune_tuner::budget::BudgetPolicy;
-use edgetune_tuner::objective::{TrainMeasurement, TrainObjective};
+use edgetune_tuner::objective::TrainObjective;
 use edgetune_tuner::sampler::TpeSampler;
 use edgetune_tuner::scheduler::{HyperBand, SchedulerConfig};
-use edgetune_tuner::trial::TrialOutcome;
 use edgetune_util::rng::SeedStream;
 use edgetune_workloads::catalog::{Workload, WorkloadId};
 
@@ -80,15 +79,7 @@ impl TuneBaseline {
             |_id: u64,
              config: &edgetune_tuner::space::Config,
              budget: edgetune_tuner::budget::TrialBudget| {
-                let m = backend.run_trial(config, budget);
-                let score = objective.score(&TrainMeasurement {
-                    accuracy: m.accuracy,
-                    train_time: m.runtime,
-                    train_energy: m.energy,
-                    inference_time: None,
-                    inference_energy: None,
-                });
-                TrialOutcome::new(score, m.accuracy, m.runtime, m.energy)
+                crate::train_only_outcome(&objective, &backend.run_trial(config, budget))
             };
         let history = HyperBand::new(self.scheduler).run(
             &mut sampler,

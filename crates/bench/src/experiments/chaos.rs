@@ -12,18 +12,15 @@ use edgetune::prelude::*;
 
 use crate::table::{num, Table};
 
-/// Uniform per-component fault rates swept by the experiment.
+/// Fault rates swept by the experiment (each applies to every fault kind).
 const RATES: [f64; 4] = [0.0, 0.1, 0.2, 0.3];
 
 fn config(seed: u64, rate: f64) -> EdgeTuneConfig {
-    let mut config = EdgeTuneConfig::for_workload(WorkloadId::Ic)
+    EdgeTuneConfig::for_workload(WorkloadId::Ic)
         .with_scheduler(SchedulerConfig::new(8, 2.0, 8))
         .without_hyperband()
-        .with_seed(seed);
-    if rate > 0.0 {
-        config = config.with_fault_plan(FaultPlan::uniform(rate));
-    }
-    config
+        .with_seed(seed)
+        .with_fault_rate(rate)
 }
 
 /// Runs the fault-rate sweep and renders the degradation table.

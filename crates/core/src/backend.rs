@@ -12,7 +12,7 @@
 use edgetune_device::multi_gpu::{simulate_gpu_epoch, GpuAllocation};
 use edgetune_device::profile::WorkProfile;
 use edgetune_device::spec::DeviceSpec;
-use edgetune_faults::{FaultInjector, TrialFault};
+use edgetune_faults::{FaultInjector, TrialFault, STRAGGLER_SLOWDOWN};
 use edgetune_nn::data::Dataset;
 use edgetune_nn::layer::{Conv2d, Dense, Flatten, MaxPool2d, Relu, Reshape};
 use edgetune_nn::model::Sequential;
@@ -325,12 +325,12 @@ impl TrainingBackend for SimTrainingBackend {
                     injected,
                 };
             }
-            Some(TrialFault::Straggle { slowdown }) => {
+            Some(TrialFault::Straggle) => {
                 // Co-location interference: the device is busy for
-                // `slowdown` times longer at the same power draw, but the
-                // trial still completes and learns normally.
-                training.latency = training.latency * slowdown;
-                training.energy = training.energy * slowdown;
+                // `STRAGGLER_SLOWDOWN` times longer at the same power
+                // draw, but the trial still completes and learns normally.
+                training.latency = training.latency * STRAGGLER_SLOWDOWN;
+                training.energy = training.energy * STRAGGLER_SLOWDOWN;
             }
             None => {}
         }
@@ -773,12 +773,8 @@ mod tests {
 
     #[test]
     fn sim_snapshots_exist_only_without_fault_injection() {
-        use edgetune_faults::FaultPlan;
         assert!(sim().parallel_snapshot().is_some());
-        let chaotic = sim().with_fault_injector(FaultInjector::new(
-            FaultPlan::uniform(0.4),
-            seed().child("faults"),
-        ));
+        let chaotic = sim().with_fault_injector(FaultInjector::new(0.4, seed().child("faults")));
         assert!(
             chaotic.parallel_snapshot().is_none(),
             "fault draws are order-dependent, so parallel execution must be refused"
@@ -845,9 +841,8 @@ mod tests {
 
     #[test]
     fn injected_crash_pays_setup_but_learns_nothing() {
-        use edgetune_faults::FaultPlan;
-        let injector =
-            FaultInjector::new(FaultPlan::none().with_trial_crash(1.0), SeedStream::new(40));
+        // At rate 1 every draw is below the rate: every trial crashes.
+        let injector = FaultInjector::new(1.0, SeedStream::new(40));
         let mut backend = sim().with_fault_injector(injector);
         let m = backend.run_trial(&config(18.0, 128.0, 1.0), TrialBudget::new(2.0, 0.5));
         assert_eq!(m.injected, Some(TrialFault::Crash));
@@ -860,27 +855,25 @@ mod tests {
 
     #[test]
     fn injected_straggler_slows_but_still_learns() {
-        use edgetune_faults::FaultPlan;
-        let plan = FaultPlan {
-            trial_straggler: 1.0,
-            straggler_slowdown: 3.0,
-            ..FaultPlan::none()
-        };
-        let injector = FaultInjector::new(plan, SeedStream::new(41));
+        // The first seed whose first trial draw straggles.
+        let injector = (41..)
+            .map(|seed| FaultInjector::new(0.5, SeedStream::new(seed)))
+            .find(|f| f.trial_fault(0) == Some(TrialFault::Straggle))
+            .unwrap();
         let mut backend = sim().with_fault_injector(injector);
         let cfg = config(18.0, 128.0, 1.0);
         let budget = TrialBudget::new(2.0, 0.5);
         let slow = backend.run_trial(&cfg, budget);
         let healthy = sim().run_trial(&cfg, budget);
-        assert!(matches!(slow.injected, Some(TrialFault::Straggle { .. })));
-        assert!((slow.runtime.value() - healthy.runtime.value() * 3.0).abs() < 1e-6);
+        assert_eq!(slow.injected, Some(TrialFault::Straggle));
+        let slowed = healthy.runtime.value() * STRAGGLER_SLOWDOWN;
+        assert!((slow.runtime.value() - slowed).abs() < 1e-6);
         assert_eq!(slow.accuracy, healthy.accuracy, "stragglers still learn");
     }
 
     #[test]
     fn fault_cursor_restores_the_same_fates() {
-        use edgetune_faults::FaultPlan;
-        let injector = || FaultInjector::new(FaultPlan::uniform(0.4), SeedStream::new(42));
+        let injector = || FaultInjector::new(0.4, SeedStream::new(42));
         let cfg = config(18.0, 128.0, 1.0);
         let budget = TrialBudget::new(1.0, 0.2);
         let mut full = sim().with_fault_injector(injector());

@@ -62,9 +62,8 @@ const TUNE_USAGE: &str = "usage: edgetune [--workload ic|sr|nlp|od] [--device NA
      trace bytes are identical to thread mode. --shard-exec remote dials\n\
      standing `edgetune shard-host` daemons (--shard-hosts, shard i uses\n\
      host i mod N) under the same supervision and the same bytes.\n\
-     EDGETUNE_FABRIC_KILL, EDGETUNE_FABRIC_PANIC or\n\
-     EDGETUNE_FABRIC_HANG=<shard> plant a fault in that shard's first\n\
-     attempt to exercise crash containment.\n\
+     EDGETUNE_FABRIC_KILL=<shard> kills that shard's first attempt to\n\
+     exercise crash containment.\n\
      \n\
      subcommands (each answers --help):\n  \
      edgetune serve          serve the tuned configuration under live traffic\n  \
@@ -199,7 +198,7 @@ struct TuneArgs {
     checkpoint: Option<String>,
     resume: bool,
     halt_after_rungs: Option<u32>,
-    fault_rate: Option<f64>,
+    fault_rate: f64,
     pareto: Option<usize>,
 }
 
@@ -285,7 +284,7 @@ fn parse_tune_args(argv: Vec<String>) -> Result<TuneArgs, String> {
         checkpoint: None,
         resume: false,
         halt_after_rungs: None,
-        fault_rate: None,
+        fault_rate: 0.0,
         pareto: None,
     };
     let mut flags = Flags::new(argv, TUNE_USAGE);
@@ -338,7 +337,7 @@ fn parse_tune_args(argv: Vec<String>) -> Result<TuneArgs, String> {
                 if !(0.0..=1.0).contains(&rate) {
                     return Err("--fault-rate must be within [0, 1]".into());
                 }
-                args.fault_rate = Some(rate);
+                args.fault_rate = rate;
             }
             "--pareto" => args.pareto = Some(flags.count("--pareto", "frontier size")?),
             other => {
@@ -428,9 +427,7 @@ fn run_tune(argv: Vec<String>) -> Result<(), String> {
     if let Some(rungs) = args.halt_after_rungs {
         config = config.with_halt_after_rungs(rungs);
     }
-    if let Some(rate) = args.fault_rate {
-        config = config.with_fault_plan(FaultPlan::uniform(rate));
-    }
+    config = config.with_fault_rate(args.fault_rate);
     if !args.pipelining {
         config = config.without_pipelining();
     }
@@ -753,26 +750,21 @@ fn run_shard_host(argv: Vec<String>) -> Result<(), String> {
 }
 
 /// Reads a planted fabric fault from the environment:
-/// `EDGETUNE_FABRIC_KILL`, `EDGETUNE_FABRIC_PANIC` or
-/// `EDGETUNE_FABRIC_HANG`, each naming a shard index. Environment
-/// variables rather than flags so the byte-identity checks
-/// (`.github/cli_matrix.sh`) run the exact same command line with and
-/// without chaos.
+/// `EDGETUNE_FABRIC_KILL` names the shard whose first attempt is killed.
+/// An environment variable rather than a flag so the byte-identity
+/// checks (`.github/cli_matrix.sh`) run the exact same command line with
+/// and without chaos.
 fn fabric_chaos_from_env() -> Result<Option<FabricChaos>, String> {
-    let plants = [
-        ("EDGETUNE_FABRIC_KILL", ChaosAction::Kill),
-        ("EDGETUNE_FABRIC_PANIC", ChaosAction::Panic),
-        ("EDGETUNE_FABRIC_HANG", ChaosAction::Hang),
-    ];
-    for (name, action) in plants {
-        if let Ok(text) = std::env::var(name) {
-            let shard = text
-                .parse()
-                .map_err(|e| format!("bad shard index in {name}: {e}"))?;
-            return Ok(Some(FabricChaos { shard, action }));
-        }
-    }
-    Ok(None)
+    let Ok(text) = std::env::var("EDGETUNE_FABRIC_KILL") else {
+        return Ok(None);
+    };
+    let shard = text
+        .parse()
+        .map_err(|e| format!("bad shard index in EDGETUNE_FABRIC_KILL: {e}"))?;
+    Ok(Some(FabricChaos {
+        shard,
+        action: ChaosAction::Kill,
+    }))
 }
 
 fn main() -> ExitCode {

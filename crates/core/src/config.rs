@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 
 use edgetune_device::spec::DeviceSpec;
-use edgetune_faults::{FaultInjector, FaultPlan};
+use edgetune_faults::FaultInjector;
 use edgetune_tuner::budget::BudgetPolicy;
 use edgetune_tuner::pareto::ParetoTpeSampler;
 use edgetune_tuner::sampler::{GridSampler, RandomSampler, Sampler, TpeSampler, WarmStartSampler};
@@ -149,14 +149,18 @@ pub struct EdgeTuneConfig {
     pub fabric_trace_path: Option<PathBuf>,
     /// Root randomness seed.
     pub seed: u64,
-    /// Fault-injection plan for chaos runs. [`FaultPlan::none`] (the
-    /// default) injects nothing and leaves every code path and report
-    /// byte-identical to a fault-free build. Injected faults meet the
-    /// study's one built-in tolerance policy: crashed trials are retried
-    /// under [`RetryPolicy::default`](edgetune_faults::RetryPolicy), and
-    /// a lost inference reply is retried, then served from a stale cache
-    /// entry, then answered with the device-model default.
-    pub fault_plan: FaultPlan,
+    /// Fault rate of a chaos run: the per-event probability in `[0, 1]`
+    /// of every fault kind (trial crash, trial straggle, lost inference
+    /// reply, device outage). Zero (the default) injects nothing and
+    /// leaves every code path and report byte-identical to a fault-free
+    /// build; `StudyRun::start` rejects a rate outside `[0, 1]` with
+    /// [`Error::InvalidConfig`](edgetune_util::Error::InvalidConfig).
+    /// Injected faults meet the study's one built-in tolerance policy:
+    /// crashed trials are retried under
+    /// [`RetryPolicy::default`](edgetune_faults::RetryPolicy), and a lost
+    /// inference reply is retried, then served from a stale cache entry,
+    /// then answered with the device-model default.
+    pub fault_rate: f64,
     /// Write a resumable study checkpoint here after every rung the
     /// study executes, if set.
     pub checkpoint_path: Option<PathBuf>,
@@ -222,7 +226,7 @@ impl EdgeTuneConfig {
             shard_hosts: Vec::new(),
             fabric_trace_path: None,
             seed: SeedStream::default().seed(),
-            fault_plan: FaultPlan::none(),
+            fault_rate: 0.0,
             checkpoint_path: None,
             resume: false,
             halt_after_rungs: None,
@@ -376,10 +380,10 @@ impl EdgeTuneConfig {
         self
     }
 
-    /// Enables fault injection under `plan` (a chaos run).
+    /// Injects every fault kind at `rate` (a chaos run; 0 is off).
     #[must_use]
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
+    pub fn with_fault_rate(mut self, rate: f64) -> Self {
+        self.fault_rate = rate;
         self
     }
 
@@ -436,15 +440,15 @@ impl EdgeTuneConfig {
     }
 
     /// The default simulated backend for the configured workload, with
-    /// the fault plan's trial faults injected when one is active.
+    /// trial faults injected when the fault rate is positive.
     #[must_use]
     pub fn default_backend(&self) -> SimTrainingBackend {
         let seed = SeedStream::new(self.seed);
         let backend = SimTrainingBackend::new(Workload::by_id(self.workload), seed.child("trials"));
-        if self.fault_plan.is_none() {
+        if self.fault_rate <= 0.0 {
             return backend;
         }
-        let faults = FaultInjector::new(self.fault_plan, seed.child("trial-faults"));
+        let faults = FaultInjector::new(self.fault_rate, seed.child("trial-faults"));
         backend.with_fault_injector(faults)
     }
 

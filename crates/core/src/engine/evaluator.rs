@@ -79,9 +79,9 @@ pub(crate) struct OnefoldEvaluator {
     /// The study's resumable state (see the module docs); its final
     /// `clock` reading is the makespan.
     pub(crate) globals: StudyGlobals,
-    /// Whether a fault plan is active. With `false` every fault-tolerance
-    /// branch below is dead code and the evaluator behaves exactly like
-    /// the pre-chaos implementation.
+    /// Whether the fault rate is positive. With `false` every
+    /// fault-tolerance branch below is dead code and the evaluator
+    /// behaves exactly like the pre-chaos implementation.
     pub(crate) faults_enabled: bool,
     /// The bracket whose span is open, and the span's start: opened by
     /// the bracket's first live rung, closed by the next bracket's or
@@ -263,7 +263,7 @@ impl OnefoldEvaluator {
                     self.fault_instant("trial-retry", now);
                     attempt += 1;
                 }
-                Some(TrialFault::Straggle { .. }) => {
+                Some(TrialFault::Straggle) => {
                     self.globals.degradation.trial_stragglers += 1;
                     self.fault_instant("trial-straggle", now);
                     return Ok((
@@ -462,7 +462,7 @@ impl OnefoldEvaluator {
     /// buffer) in input order, ready to be replayed through the unchanged
     /// sequential accounting path, and leaves it empty — sequential
     /// execution — when parallel measurement cannot help or would change
-    /// results (an active fault plan makes trial fate order-dependent; the
+    /// results (fault injection makes trial fate order-dependent; the
     /// executor declines a single shard and a backend without snapshots).
     fn measure_rung(
         &mut self,
@@ -701,23 +701,18 @@ mod parallel_tests {
 
     #[test]
     fn chaos_runs_fall_back_to_sequential_measurement_under_sharding() {
-        // With a fault plan the backend declines snapshots, so sharded
-        // measurement degrades to the sequential path and chaos runs
-        // stay shard-count-invariant.
-        use edgetune_faults::FaultPlan;
+        // Under fault injection the backend declines snapshots, so
+        // sharded measurement degrades to the sequential path and chaos
+        // runs stay shard-count-invariant.
         let chaos = |shards: usize| {
-            EdgeTune::new(
-                base()
-                    .with_fault_plan(FaultPlan::uniform(0.3))
-                    .with_study_shards(shards),
-            )
-            .run()
-            .unwrap()
+            EdgeTune::new(base().with_fault_rate(0.3).with_study_shards(shards))
+                .run()
+                .unwrap()
         };
         assert_eq!(
             chaos(1).to_json().unwrap(),
             chaos(4).to_json().unwrap(),
-            "fault-plan runs must stay deterministic across shard counts"
+            "chaos runs must stay deterministic across shard counts"
         );
     }
 }

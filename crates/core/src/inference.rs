@@ -434,7 +434,7 @@ mod tests {
 
     use super::*;
     use crate::cache::{CacheStats, HistoricalCache};
-    use edgetune_faults::FaultPlan;
+    use edgetune_faults::OUTAGE_S;
     use edgetune_tuner::Metric;
     use edgetune_util::rng::SeedStream;
     use rand::Rng;
@@ -559,9 +559,9 @@ mod tests {
         assert!(tuned.latency_per_item <= fallback.latency_per_item);
     }
 
-    /// A caching endpoint under `plan` and the fresh study state it serves.
-    fn study(plan: FaultPlan) -> (InferenceEndpoint, StudyGlobals) {
-        let faults = (!plan.is_none()).then(|| FaultInjector::new(plan, SeedStream::new(77)));
+    /// A caching endpoint under `faults` and the fresh study state it
+    /// serves.
+    fn study(faults: Option<FaultInjector>) -> (InferenceEndpoint, StudyGlobals) {
         let endpoint = InferenceEndpoint::new(server(Metric::Runtime), true, faults);
         (endpoint, StudyGlobals::default())
     }
@@ -572,7 +572,7 @@ mod tests {
 
     #[test]
     fn first_request_misses_second_hits() {
-        let (mut endpoint, mut globals) = study(FaultPlan::none());
+        let (mut endpoint, mut globals) = study(None);
         let arch = key("ResNet/layers=18");
         let first = endpoint.request(&mut globals, &arch, resnet18()).unwrap();
         assert!(!first.cache_hit);
@@ -588,7 +588,7 @@ mod tests {
 
     #[test]
     fn different_architectures_are_tuned_separately() {
-        let (mut endpoint, mut globals) = study(FaultPlan::none());
+        let (mut endpoint, mut globals) = study(None);
         let light = endpoint.request(&mut globals, &key("light"), resnet18());
         let heavy = WorkProfile::new(8.5e9, 30.0e6, 246.0e6);
         let heavy = endpoint.request(&mut globals, &key("heavy"), heavy);
@@ -602,7 +602,7 @@ mod tests {
     fn injected_worker_death_drops_the_reply_but_not_the_server() {
         // Every request's worker dies: the requester gets no reply, yet
         // the endpoint keeps accepting and the process survives.
-        let (mut endpoint, mut globals) = study(FaultPlan::none().with_worker_panic(1.0));
+        let (mut endpoint, mut globals) = study(Some(FaultInjector::new(1.0, SeedStream::new(77))));
         assert!(endpoint
             .request(&mut globals, &key("doomed"), resnet18())
             .is_none());
@@ -617,17 +617,18 @@ mod tests {
 
     #[test]
     fn injected_outage_stretches_the_sweep_runtime() {
-        let plan = FaultPlan {
-            device_outage: 1.0,
-            outage_duration_s: 30.0,
-            ..FaultPlan::none()
-        };
-        let (mut endpoint, mut globals) = study(plan);
+        // The first seed whose request 0 keeps its worker but meets an
+        // outage, and whose request 1 (the hit) keeps its worker too.
+        let faults = (77..)
+            .map(|seed| FaultInjector::new(0.5, SeedStream::new(seed)))
+            .find(|f| !f.worker_panic(0) && f.device_outage(0).is_some() && !f.worker_panic(1))
+            .unwrap();
+        let (mut endpoint, mut globals) = study(Some(faults));
         let first = endpoint
             .request(&mut globals, &key("a"), resnet18())
             .unwrap();
         assert!(
-            first.runtime.value() >= 30.0,
+            first.runtime.value() >= OUTAGE_S,
             "the outage must extend the sweep: {}",
             first.runtime
         );
@@ -643,7 +644,7 @@ mod tests {
 
     #[test]
     fn globals_cache_stats_match_the_cache_tally() {
-        let (mut endpoint, mut globals) = study(FaultPlan::none());
+        let (mut endpoint, mut globals) = study(None);
         endpoint
             .request(&mut globals, &key("a"), resnet18())
             .unwrap();
@@ -656,7 +657,7 @@ mod tests {
 
     #[test]
     fn fault_free_endpoint_reports_zero_fault_counters() {
-        let (mut endpoint, mut globals) = study(FaultPlan::none());
+        let (mut endpoint, mut globals) = study(None);
         endpoint
             .request(&mut globals, &key("a"), resnet18())
             .unwrap();
@@ -667,7 +668,7 @@ mod tests {
 
     #[test]
     fn requests_populate_the_globals_cache() {
-        let (mut endpoint, mut globals) = study(FaultPlan::none());
+        let (mut endpoint, mut globals) = study(None);
         endpoint
             .request(&mut globals, &key("a"), resnet18())
             .unwrap();
@@ -754,6 +755,7 @@ mod tests {
     /// into [`profiles`]) each request asks for.
     struct Case {
         caching: bool,
+        rate: f64,
         faults: FaultInjector,
         script: Vec<usize>,
     }
@@ -766,7 +768,7 @@ mod tests {
             globals: &mut StudyGlobals,
             range: std::ops::Range<usize>,
         ) -> Vec<Option<InferenceReply>> {
-            let faults = (!self.faults.is_none()).then(|| self.faults.clone());
+            let faults = (self.rate > 0.0).then(|| self.faults.clone());
             let mut endpoint =
                 InferenceEndpoint::new(server(Metric::Runtime), self.caching, faults);
             let replies = self.script[range]
@@ -789,20 +791,17 @@ mod tests {
         ]
     }
 
-    /// Seeds × `caching` × loss rate × outage rate, 40 random requests
-    /// each.
+    /// Seeds × `caching` × fault rate, 40 random requests each.
     fn cases() -> Vec<Case> {
-        const RATES: [f64; 3] = [0.0, 0.3, 1.0];
+        const RATES: [f64; 5] = [0.0, 0.1, 0.3, 0.6, 1.0];
         let mut cases = Vec::new();
         for (seed, caching) in (0..6).flat_map(|seed| [(seed, true), (seed, false)]) {
-            for (loss, outage) in RATES.iter().flat_map(|&l| RATES.map(|o| (l, o))) {
-                let plan = FaultPlan::none()
-                    .with_worker_panic(loss)
-                    .with_device_outage(outage);
+            for rate in RATES {
                 let mut rng = SeedStream::new(seed).rng("script");
                 cases.push(Case {
                     caching,
-                    faults: FaultInjector::new(plan, SeedStream::new(seed).child("faults")),
+                    rate,
+                    faults: FaultInjector::new(rate, SeedStream::new(seed).child("faults")),
                     script: (0..40)
                         .map(|_| rng.gen_range(0..profiles().len()))
                         .collect(),
@@ -819,8 +818,7 @@ mod tests {
             .map(|profile| server(Metric::Runtime).tune(profile))
             .collect();
         for case in cases() {
-            let plan = *case.faults.plan();
-            let what = format!("caching={} {plan:?}", case.caching);
+            let what = format!("caching={} rate={}", case.caching, case.rate);
             let mut globals = StudyGlobals::default();
             let replies = case.run(&mut globals, 0..case.script.len());
             let mut oracle = Oracle::default();
@@ -846,7 +844,7 @@ mod tests {
                 let entry = globals.cache.peek(&key(&format!("arch-{arch}")));
                 assert_eq!(entry, Some(recommendation), "{what}");
             }
-            if case.caching && plan.worker_panic == 0.0 {
+            if case.caching && case.rate == 0.0 {
                 let distinct: BTreeSet<usize> = case.script.iter().copied().collect();
                 assert_eq!(sweeps, distinct.len() as u64, "{what}: one sweep each");
             }

@@ -67,7 +67,7 @@ pub mod transfer;
 pub mod prelude {
     pub use crate::inference::{InferenceRecommendation, InferenceSpace};
     pub use crate::{EdgeTune, EdgeTuneConfig, TuningReport};
-    pub use edgetune_faults::{FaultPlan, RetryPolicy};
+    pub use edgetune_faults::RetryPolicy;
     pub use edgetune_tuner::{BudgetPolicy, Metric, SchedulerConfig};
     pub use edgetune_workloads::WorkloadId;
 }

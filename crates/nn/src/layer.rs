@@ -45,9 +45,6 @@ pub trait Layer: std::fmt::Debug + Send {
     /// Visits every `(parameter, gradient)` pair, in a stable order.
     fn visit_params(&mut self, _visit: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}
 
-    /// A short human-readable layer name.
-    fn name(&self) -> &'static str;
-
     /// Total number of trainable scalars.
     fn param_count(&self) -> usize {
         0
@@ -159,10 +156,6 @@ impl Layer for Dense {
         visit(&mut self.bias, &mut self.grad_bias);
     }
 
-    fn name(&self) -> &'static str {
-        "dense"
-    }
-
     fn param_count(&self) -> usize {
         self.weight.len() + self.bias.len()
     }
@@ -202,10 +195,6 @@ impl Layer for Relu {
         let mask = self.mask.as_ref().expect("backward before forward");
         grad_out.hadamard(mask)
     }
-
-    fn name(&self) -> &'static str {
-        "relu"
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -240,10 +229,6 @@ impl Layer for Flatten {
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let shape = self.input_shape.as_ref().expect("backward before forward");
         grad_out.reshape(shape)
-    }
-
-    fn name(&self) -> &'static str {
-        "flatten"
     }
 }
 
@@ -294,10 +279,6 @@ impl Layer for Reshape {
         let batch = grad_out.shape()[0];
         let features: usize = grad_out.shape()[1..].iter().product();
         grad_out.reshape(&[batch, features])
-    }
-
-    fn name(&self) -> &'static str {
-        "reshape"
     }
 }
 
@@ -559,10 +540,6 @@ impl Layer for Conv2d {
         visit(&mut self.bias, &mut self.grad_bias);
     }
 
-    fn name(&self) -> &'static str {
-        "conv2d"
-    }
-
     fn param_count(&self) -> usize {
         self.weight.len() + self.bias.len()
     }
@@ -682,10 +659,6 @@ impl Layer for MaxPool2d {
             gid[self.argmax[oi]] += g;
         }
         grad_in
-    }
-
-    fn name(&self) -> &'static str {
-        "maxpool2d"
     }
 }
 
@@ -897,14 +870,5 @@ mod tests {
     fn reshape_rejects_mismatched_width() {
         let mut r = Reshape::new(vec![1, 4, 4]);
         let _ = r.forward(&Tensor::zeros(&[2, 10]));
-    }
-
-    #[test]
-    fn every_layer_reports_its_name() {
-        assert_eq!(Dense::new(1, 1, seed()).name(), "dense");
-        assert_eq!(Conv2d::new(1, 1, 1, 1, 0, seed()).name(), "conv2d");
-        assert_eq!(MaxPool2d::new(2).name(), "maxpool2d");
-        assert_eq!(Flatten::new().name(), "flatten");
-        assert_eq!(Reshape::new(vec![1, 2, 2]).name(), "reshape");
     }
 }

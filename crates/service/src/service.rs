@@ -22,7 +22,6 @@ use std::path::PathBuf;
 use edgetune::backend::{SimTrainingBackend, PARAM_MODEL_HP};
 use edgetune::transfer::{TransferIndex, TransferKey};
 use edgetune::{EdgeTuneConfig, StudyRun, TuningReport};
-use edgetune_faults::FaultPlan;
 use edgetune_tuner::scheduler::{HyperBand, SchedulerConfig};
 use edgetune_tuner::space::Config;
 use edgetune_tuner::Metric;
@@ -208,12 +207,10 @@ impl StudyService {
         let mut config = EdgeTuneConfig::for_workload(state.workload)
             .with_metric(state.metric)
             .with_scheduler(state.effective_scheduler())
-            .with_seed(s.seed);
+            .with_seed(s.seed)
+            .with_fault_rate(s.chaos_rate);
         if !warm_seeds.is_empty() {
             config = config.with_warm_start(warm_seeds);
-        }
-        if s.chaos_rate > 0.0 {
-            config = config.with_fault_plan(FaultPlan::uniform(s.chaos_rate));
         }
         if s.trace {
             config = config.with_trace_path(self.study_path(s, "trace.json"));

@@ -451,6 +451,7 @@ impl ServingRuntime {
                         .selector
                         .as_ref()
                         .and_then(|s| s.select(est, slo.target, self.options.energy_budget));
+                    let mut pick = None;
                     if let Some(entry) = frontier_pick {
                         let new_config = entry.config;
                         if let Some(tracer) = tracer {
@@ -476,85 +477,66 @@ impl ServingRuntime {
                             det.rearm(est, completion);
                             continue;
                         }
-                        if let Ok(new_alloc) =
-                            CpuAllocation::new(&self.device, new_config.cores, new_config.freq)
-                        {
-                            switches.push(ConfigSwitch {
-                                at: Seconds::new(completion),
-                                estimated_rate: est,
-                                from_batch: config.batch_cap,
-                                to_batch: new_config.batch_cap,
-                                from_cores: config.cores,
-                                to_cores: new_config.cores,
-                                from_freq: config.freq,
-                                to_freq: new_config.freq,
-                                predicted_mean_response: new_config.predicted_mean_response,
-                                source: SwitchSource::Frontier,
-                            });
-                            alloc = new_alloc;
-                            cache.clear();
-                            batcher.rebase(new_config.batch_cap);
-                            let rate = if new_config.tuned_rate > 0.0 {
-                                new_config.tuned_rate
-                            } else {
-                                est
-                            };
-                            det.rearm(rate, completion);
-                            config = new_config;
+                        pick = CpuAllocation::new(&self.device, new_config.cores, new_config.freq)
+                            .ok()
+                            .map(|a| (new_config, a, SwitchSource::Frontier));
+                    }
+                    // A frontier pick the device rejects falls through to
+                    // a live re-tune.
+                    if pick.is_none() {
+                        let retune_seed = seed.child_indexed("retune", switches.len() as u64);
+                        let Some(new_config) = tuner.retune(est, retune_seed) else {
+                            // No stable configuration for the new rate:
+                            // keep serving (and shedding) on the current
+                            // one, but re-arm on the estimate to avoid
+                            // re-tune storms.
+                            det.rearm(est, completion);
                             continue;
+                        };
+                        pick = CpuAllocation::new(&self.device, new_config.cores, new_config.freq)
+                            .ok()
+                            .map(|a| (new_config, a, SwitchSource::Retune));
+                        if let (Some(tracer), Some(_)) = (tracer, &pick) {
+                            let track = tracer.track(TRACE_PROCESS, "retune");
+                            tracer.instant_with_args(
+                                track,
+                                "config-switch",
+                                TRACE_CATEGORY,
+                                Seconds::new(completion),
+                                vec![
+                                    ("estimated_rate".to_string(), est.to_string()),
+                                    ("to_batch".to_string(), new_config.batch_cap.to_string()),
+                                ],
+                            );
                         }
                     }
-                    let retune_seed = seed.child_indexed("retune", switches.len() as u64);
-                    match tuner.retune(est, retune_seed) {
-                        Some(new_config) => {
-                            if let Ok(new_alloc) =
-                                CpuAllocation::new(&self.device, new_config.cores, new_config.freq)
-                            {
-                                if let Some(tracer) = tracer {
-                                    let track = tracer.track(TRACE_PROCESS, "retune");
-                                    tracer.instant_with_args(
-                                        track,
-                                        "config-switch",
-                                        TRACE_CATEGORY,
-                                        Seconds::new(completion),
-                                        vec![
-                                            ("estimated_rate".to_string(), est.to_string()),
-                                            (
-                                                "to_batch".to_string(),
-                                                new_config.batch_cap.to_string(),
-                                            ),
-                                        ],
-                                    );
-                                }
-                                switches.push(ConfigSwitch {
-                                    at: Seconds::new(completion),
-                                    estimated_rate: est,
-                                    from_batch: config.batch_cap,
-                                    to_batch: new_config.batch_cap,
-                                    from_cores: config.cores,
-                                    to_cores: new_config.cores,
-                                    from_freq: config.freq,
-                                    to_freq: new_config.freq,
-                                    predicted_mean_response: new_config.predicted_mean_response,
-                                    source: SwitchSource::Retune,
-                                });
-                                alloc = new_alloc;
-                                cache.clear();
-                                batcher.rebase(new_config.batch_cap);
-                                let rate = if new_config.tuned_rate > 0.0 {
-                                    new_config.tuned_rate
-                                } else {
-                                    est
-                                };
-                                det.rearm(rate, completion);
-                                config = new_config;
-                            }
-                        }
-                        // No stable configuration for the new rate: keep
-                        // serving (and shedding) on the current one, but
-                        // re-arm on the estimate to avoid re-tune storms.
-                        None => det.rearm(est, completion),
-                    }
+                    // A re-tune whose allocation the device rejects
+                    // changes nothing, not even the detector.
+                    let Some((new_config, new_alloc, source)) = pick else {
+                        continue;
+                    };
+                    switches.push(ConfigSwitch {
+                        at: Seconds::new(completion),
+                        estimated_rate: est,
+                        from_batch: config.batch_cap,
+                        to_batch: new_config.batch_cap,
+                        from_cores: config.cores,
+                        to_cores: new_config.cores,
+                        from_freq: config.freq,
+                        to_freq: new_config.freq,
+                        predicted_mean_response: new_config.predicted_mean_response,
+                        source,
+                    });
+                    alloc = new_alloc;
+                    cache.clear();
+                    batcher.rebase(new_config.batch_cap);
+                    let rate = if new_config.tuned_rate > 0.0 {
+                        new_config.tuned_rate
+                    } else {
+                        est
+                    };
+                    det.rearm(rate, completion);
+                    config = new_config;
                 }
             }
         }

@@ -69,10 +69,7 @@ fn tracing_does_not_change_the_report_bytes() {
         let base = golden_config(seed).with_study_shards(shards);
         let modes = [
             ("default", base.clone()),
-            (
-                "chaos",
-                base.clone().with_fault_plan(FaultPlan::uniform(0.3)),
-            ),
+            ("chaos", base.clone().with_fault_rate(0.3)),
             ("pareto", base.clone().with_pareto(4)),
             ("3 trial slots", base.clone().with_trial_slots(3)),
             ("no pipelining", base.clone().without_pipelining()),

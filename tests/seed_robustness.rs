@@ -73,14 +73,11 @@ fn pipelining_holds_for_every_seed() {
 const CHAOS_SEEDS: [u64; 3] = [42, 7, 1234];
 
 fn chaos_config(seed: u64, rate: f64) -> EdgeTuneConfig {
-    let mut config = EdgeTuneConfig::for_workload(WorkloadId::Ic)
+    EdgeTuneConfig::for_workload(WorkloadId::Ic)
         .with_scheduler(SchedulerConfig::new(8, 2.0, 8))
         .without_hyperband()
-        .with_seed(seed);
-    if rate > 0.0 {
-        config = config.with_fault_plan(FaultPlan::uniform(rate));
-    }
-    config
+        .with_seed(seed)
+        .with_fault_rate(rate)
 }
 
 #[test]
@@ -123,17 +120,21 @@ fn ten_percent_failures_still_produce_a_valid_winner() {
 }
 
 #[test]
-fn a_disabled_fault_plan_is_a_strict_no_op() {
+fn a_zero_fault_rate_is_a_strict_no_op() {
     for seed in CHAOS_SEEDS {
-        let plain = EdgeTune::new(chaos_config(seed, 0.0)).run().expect("plain");
-        let noop = EdgeTune::new(chaos_config(seed, 0.0).with_fault_plan(FaultPlan::none()))
+        let never_set = EdgeTuneConfig::for_workload(WorkloadId::Ic)
+            .with_scheduler(SchedulerConfig::new(8, 2.0, 8))
+            .without_hyperband()
+            .with_seed(seed);
+        let plain = EdgeTune::new(never_set).run().expect("plain");
+        let noop = EdgeTune::new(chaos_config(seed, 0.0))
             .run()
-            .expect("no-op plan");
+            .expect("zero rate");
         let json = plain.to_json().unwrap();
         assert_eq!(
             json,
             noop.to_json().unwrap(),
-            "seed {seed}: FaultPlan::none() must leave the report byte-identical"
+            "seed {seed}: a zero fault rate must leave the report byte-identical"
         );
         assert!(!json.contains("\"faults\""));
         assert!(!json.contains("\"failure\""));
@@ -202,7 +203,7 @@ fn a_resume_interrupted_inside_the_checkpointed_prefix_changes_nothing() {
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("study.ckpt.json");
 
-        let scalar = || bracketed_config(seed).with_fault_plan(FaultPlan::uniform(0.2));
+        let scalar = || bracketed_config(seed).with_fault_rate(0.2);
         let pareto = || bracketed_config(seed).with_pareto(5);
         let studies: [(&str, &dyn Fn() -> EdgeTuneConfig); 2] =
             [("scalar", &scalar), ("pareto", &pareto)];
