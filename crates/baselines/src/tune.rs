@@ -89,20 +89,6 @@ impl TuneBaseline {
         );
         crate::report::BaselineReport::new(history)
     }
-
-    /// The architecture profile the baseline's winner selects (for
-    /// deployment comparison).
-    #[must_use]
-    pub fn winning_architecture(
-        &self,
-        report: &crate::report::BaselineReport,
-    ) -> (String, edgetune_device::WorkProfile) {
-        let workload = Workload::by_id(self.workload);
-        let backend =
-            SimTrainingBackend::new(workload, SeedStream::new(self.seed).child("tune-trials"))
-                .with_fixed_gpus(self.gpus);
-        backend.architecture(report.best_config())
-    }
 }
 
 #[cfg(test)]
@@ -155,15 +141,5 @@ mod tests {
             energy_gain > 0.25,
             "EdgeTune should tune much cheaper (paper: ≈53%): gain={energy_gain:.3}"
         );
-    }
-
-    #[test]
-    fn winning_architecture_is_consistent_with_config() {
-        let baseline = quick();
-        let report = baseline.run();
-        let (sig, profile) = baseline.winning_architecture(&report);
-        let hp = report.best_config().get(PARAM_MODEL_HP).unwrap();
-        assert!(sig.contains(&format!("layers={hp}")));
-        assert!(profile.flops_per_sample > 0.0);
     }
 }

@@ -444,13 +444,7 @@ impl NnTrainingBackend {
     pub fn new(seed: SeedStream) -> Self {
         let data = Dataset::gaussian_blobs(600, 8, 4, 0.35, seed.child("data"));
         let (train, val) = data.split(0.8);
-        NnTrainingBackend {
-            train: Arc::new(train),
-            val: Arc::new(val),
-            seed,
-            architecture: NnArchitecture::Mlp,
-            host_power: Watts::new(25.0),
-        }
+        NnTrainingBackend::with_dataset(train, val, seed)
     }
 
     /// Creates a convolutional backend over procedural tiny images — the

@@ -213,7 +213,7 @@ impl StudyCheckpoint {
     /// the historical cache there is no lenient mode here; a corrupt
     /// checkpoint must not silently resume from wrong state).
     pub fn load(path: &Path) -> Result<Self> {
-        Self::parse(&std::fs::read(path)?, path)
+        Self::parse(&read(path)?, path)
     }
 
     /// Decodes the bytes found at `path`; anything but a complete
@@ -236,8 +236,14 @@ impl StudyCheckpoint {
 ///
 /// Returns [`Error::Storage`] when the file is missing or unreadable.
 pub fn load_resume_state(path: &Path) -> Result<Option<StudyCheckpoint>> {
-    let bytes = std::fs::read(path)?;
+    let bytes = read(path)?;
     Ok(StudyCheckpoint::parse(&bytes, path).ok())
+}
+
+/// Reads the checkpoint file at `path`; an error names the path.
+fn read(path: &Path) -> Result<Vec<u8>> {
+    std::fs::read(path)
+        .map_err(|e| Error::storage(format!("reading checkpoint {}: {e}", path.display())))
 }
 
 #[cfg(test)]

@@ -358,13 +358,6 @@ impl EdgeTuneConfig {
         self
     }
 
-    /// Sets the shard fabric's supervision policy.
-    #[must_use]
-    pub fn with_fabric_policy(mut self, policy: FabricPolicy) -> Self {
-        self.fabric = policy;
-        self
-    }
-
     /// Writes the fabric's supervision telemetry trace to `path` after
     /// the run.
     #[must_use]

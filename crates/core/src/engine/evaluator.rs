@@ -628,8 +628,8 @@ mod parallel_tests {
         assert_eq!(sequential.best_config(), parallel.best_config());
         // Resource time is identical; simulated wall time shrinks.
         assert_eq!(
-            sequential.trial_resource_time(),
-            parallel.trial_resource_time(),
+            sequential.history().total_runtime(),
+            parallel.history().total_runtime(),
             "parallelism must not change the work done"
         );
         assert!(
@@ -646,7 +646,8 @@ mod parallel_tests {
     fn sequential_makespan_equals_resource_time() {
         let report = EdgeTune::new(base()).run().unwrap();
         assert!(
-            (report.tuning_runtime().value() - report.trial_resource_time().value()).abs() < 1e-6,
+            (report.tuning_runtime().value() - report.history().total_runtime().value()).abs()
+                < 1e-6,
             "one slot: makespan == sum of trial durations"
         );
     }
@@ -655,7 +656,7 @@ mod parallel_tests {
     fn parallel_makespan_is_bounded_by_theory() {
         // makespan >= resource_time / slots and >= longest trial.
         let report = EdgeTune::new(base().with_trial_slots(3)).run().unwrap();
-        let lower_bound = report.trial_resource_time().value() / 3.0;
+        let lower_bound = report.history().total_runtime().value() / 3.0;
         assert!(report.tuning_runtime().value() >= lower_bound - 1e-6);
         let longest = report
             .history()
@@ -664,7 +665,7 @@ mod parallel_tests {
             .map(|r| r.outcome.runtime.value())
             .fold(0.0f64, f64::max);
         assert!(report.tuning_runtime().value() >= longest - 1e-6);
-        assert!(report.tuning_runtime() <= report.trial_resource_time());
+        assert!(report.tuning_runtime() <= report.history().total_runtime());
     }
 
     #[test]

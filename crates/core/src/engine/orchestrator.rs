@@ -10,6 +10,8 @@
 //! interleaves many studies. [`EdgeTune`] is the engine owning its
 //! configuration.
 
+use std::path::Path;
+
 use edgetune_faults::FaultInjector;
 use edgetune_trace::{ChromeTrace, Tracer};
 use edgetune_tuner::objective::{InferenceObjective, TrainObjective};
@@ -156,6 +158,27 @@ impl<'a> Engine<'a> {
     }
 }
 
+/// Rejects a checkpoint path no write can succeed at: a directory, or a
+/// file in a directory that does not exist. A bare file name's directory
+/// is the working directory.
+fn check_checkpoint_path(path: &Path) -> Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    let problem = if path.is_dir() {
+        "is a directory"
+    } else if !dir.is_dir() {
+        "is in a directory that does not exist"
+    } else {
+        return Ok(());
+    };
+    Err(Error::storage(format!(
+        "checkpoint path {} {problem}",
+        path.display()
+    )))
+}
+
 /// The checkpoint a study resumes from, if it resumes at all. `None`
 /// when resume is off, nothing was written yet, or the file is corrupt
 /// (a fresh start is deterministic, so it reproduces the same bytes).
@@ -221,6 +244,9 @@ impl StudyRun {
             return Err(Error::invalid_config("halt_after_rungs must be ≥ 1"));
         }
         config.fabric.validate()?;
+        if let Some(path) = &config.checkpoint_path {
+            check_checkpoint_path(path)?;
+        }
         if !(0.0..=1.0).contains(&config.fault_rate) {
             return Err(Error::invalid_config(format!(
                 "fault_rate must be within [0, 1], got {}",
@@ -708,6 +734,25 @@ mod tests {
                 .unwrap();
             assert!(!report.history().is_empty(), "{kind:?}");
         }
+    }
+
+    #[test]
+    fn an_unwritable_checkpoint_path_is_rejected_before_any_rung() {
+        let dir = std::env::temp_dir();
+        let orphan = dir.join("edgetune-no-such-dir").join("ck.json");
+        for (path, resume) in [(&orphan, false), (&dir, false), (&dir, true)] {
+            let mut config = quick_config().with_checkpoint_path(path);
+            config.resume = resume;
+            let mut backend = config.default_backend();
+            match StudyRun::start(&config, &mut backend, false) {
+                Err(Error::Storage(message)) => {
+                    assert!(message.contains(&path.display().to_string()), "{message}");
+                }
+                other => panic!("{}: not rejected: {other:?}", path.display()),
+            }
+        }
+        // A bare file name lives in the working directory, which exists.
+        check_checkpoint_path(Path::new("ck.json")).unwrap();
     }
 }
 

@@ -133,13 +133,6 @@ impl TuningReport {
         self.makespan
     }
 
-    /// Total *resource* time consumed by trials (the sum of their
-    /// durations, independent of how many ran concurrently).
-    #[must_use]
-    pub fn trial_resource_time(&self) -> Seconds {
-        self.history.total_runtime()
-    }
-
     /// Total tuning energy: training trials plus the inference server's
     /// sweeps (Fig. 13/14's "tuning energy").
     #[must_use]

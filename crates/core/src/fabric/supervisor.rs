@@ -729,13 +729,12 @@ mod tests {
     use std::sync::Arc;
 
     fn fabric(shards: usize, exec: ShardExec, policy: FabricPolicy) -> ShardFabric {
-        ShardFabric::new(
-            &EdgeTuneConfig::for_workload(WorkloadId::Ic)
-                .with_study_shards(shards)
-                .with_shard_exec(exec)
-                .with_fabric_policy(policy)
-                .with_seed(9),
-        )
+        let mut config = EdgeTuneConfig::for_workload(WorkloadId::Ic)
+            .with_study_shards(shards)
+            .with_shard_exec(exec)
+            .with_seed(9);
+        config.fabric = policy;
+        ShardFabric::new(&config)
     }
 
     fn fast_policy(max_attempts: u32, deadline_s: f64) -> FabricPolicy {

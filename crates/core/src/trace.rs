@@ -32,8 +32,6 @@ pub const CAT_BRACKET: &str = "bracket";
 pub const CAT_CACHE: &str = "cache";
 /// Category of fault-injection and fallback events.
 pub const CAT_FAULT: &str = "fault";
-/// Category of serving-runtime batch spans and shed/re-tune instants.
-pub const CAT_SERVING: &str = "serving";
 /// Category of shard-fabric supervision instants
 /// (spawn/heartbeat/crash/retry), recorded on the fabric's own tracer.
 pub const CAT_FABRIC: &str = "fabric";
@@ -70,6 +68,7 @@ pub fn seed_tracer_from_timeline(tracer: &Tracer, timeline: &Timeline) {
 
 #[cfg(test)]
 pub(crate) mod tests {
+    use edgetune_trace::EventKind;
     use edgetune_tuner::scheduler::SchedulerConfig;
     use edgetune_util::units::Seconds;
     use edgetune_workloads::catalog::WorkloadId;
@@ -92,7 +91,7 @@ pub(crate) mod tests {
                 CAT_INFERENCE => Lane::InferenceServer,
                 _ => continue,
             };
-            if let Some(end) = event.span_end() {
+            if let EventKind::Span { end } = event.kind {
                 timeline.record(lane, event.name, event.ts, end);
             }
         }

@@ -296,6 +296,30 @@ fn non_finite_scenario_numbers_are_rejected() {
 }
 
 #[test]
+fn unwritable_checkpoint_paths_are_rejected() {
+    let dir = std::env::temp_dir().display().to_string();
+    let orphan = "/nonexistent/dir/ck.json";
+    let study = ["--trials", "2", "--max-iter", "2", "--checkpoint"];
+    let cases = [
+        (
+            args(&[&study[..], &[orphan]].concat()),
+            format!(
+                "storage error: checkpoint path {orphan} is in a directory that does not exist"
+            ),
+        ),
+        (
+            args(&[&study[..], &[&dir]].concat()),
+            format!("storage error: checkpoint path {dir} is a directory"),
+        ),
+        (
+            args(&[&study[..], &[&dir, "--resume"]].concat()),
+            format!("storage error: checkpoint path {dir} is a directory"),
+        ),
+    ];
+    assert_all_rejected(&cases);
+}
+
+#[test]
 fn bad_fault_rates_and_orphan_flags_are_rejected() {
     let mut cases = Vec::new();
     for value in ["nan", "-0.1", "1.5"] {

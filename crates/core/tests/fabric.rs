@@ -40,6 +40,13 @@ fn study(shards: usize) -> EdgeTuneConfig {
         .with_seed(11)
 }
 
+/// [`study`] with its shards measured in worker processes under `policy`.
+fn process_study(shards: usize, policy: FabricPolicy) -> EdgeTuneConfig {
+    let mut config = study(shards).with_shard_exec(ShardExec::Process);
+    config.fabric = policy;
+    config
+}
+
 /// One study at a time in this test process, so the child-process
 /// check in [`run`] sees only the workers of the study it follows.
 static ONE_STUDY: Mutex<()> = Mutex::new(());
@@ -78,9 +85,7 @@ fn children() -> Option<Vec<String>> {
 fn process_mode_reproduces_thread_bytes_across_shard_counts() {
     for shards in [1, 4] {
         let (thread_json, thread_trace, thread_report) = run(&study(shards));
-        let (proc_json, proc_trace, proc_report) = run(&study(shards)
-            .with_shard_exec(ShardExec::Process)
-            .with_fabric_policy(process_policy()));
+        let (proc_json, proc_trace, proc_report) = run(&process_study(shards, process_policy()));
         assert_eq!(
             thread_json, proc_json,
             "report bytes differ at {shards} shards"
@@ -119,9 +124,7 @@ fn sigkilled_worker_is_retried_without_disturbing_the_study() {
         shard: 0,
         action: ChaosAction::Kill,
     });
-    let (proc_json, proc_trace, report) = run(&study(4)
-        .with_shard_exec(ShardExec::Process)
-        .with_fabric_policy(policy));
+    let (proc_json, proc_trace, report) = run(&process_study(4, policy));
     assert_eq!(thread_json, proc_json, "kill chaos changed report bytes");
     assert_eq!(thread_trace, proc_trace, "kill chaos changed trace bytes");
     let stats = report.fabric_stats().expect("fabric engaged");
@@ -138,9 +141,7 @@ fn panicking_worker_is_retried_without_disturbing_the_study() {
         shard: 1,
         action: ChaosAction::Panic,
     });
-    let (proc_json, proc_trace, report) = run(&study(2)
-        .with_shard_exec(ShardExec::Process)
-        .with_fabric_policy(policy));
+    let (proc_json, proc_trace, report) = run(&process_study(2, policy));
     assert_eq!(thread_json, proc_json, "panic chaos changed report bytes");
     assert_eq!(thread_trace, proc_trace, "panic chaos changed trace bytes");
     let stats = report.fabric_stats().expect("fabric engaged");
@@ -157,9 +158,7 @@ fn hung_worker_trips_the_heartbeat_deadline_and_is_retried() {
         shard: 0,
         action: ChaosAction::Hang,
     });
-    let (proc_json, proc_trace, report) = run(&study(2)
-        .with_shard_exec(ShardExec::Process)
-        .with_fabric_policy(policy));
+    let (proc_json, proc_trace, report) = run(&process_study(2, policy));
     assert_eq!(thread_json, proc_json, "hang chaos changed report bytes");
     assert_eq!(thread_trace, proc_trace, "hang chaos changed trace bytes");
     let stats = report.fabric_stats().expect("fabric engaged");
@@ -203,10 +202,10 @@ fn a_deadline_or_backoff_the_supervisor_cannot_wait_on_is_rejected_up_front() {
         for (policy, field) in &cases {
             // Nothing listens on the remote address: a rejected study
             // must not get as far as dialing it.
-            let config = study(4)
+            let mut config = study(4)
                 .with_shard_exec(exec)
-                .with_shard_hosts(vec!["127.0.0.1:9".to_string()])
-                .with_fabric_policy(policy.clone());
+                .with_shard_hosts(vec!["127.0.0.1:9".to_string()]);
+            config.fabric = policy.clone();
             match Engine::new(&config).run() {
                 Err(Error::InvalidConfig(message)) => {
                     assert!(message.contains(field), "{exec:?}: {message}");
@@ -224,9 +223,7 @@ fn exhausted_retry_budget_degrades_to_in_process_execution() {
     // ladder's terminal rung runs each slice on the supervising thread.
     let mut policy = process_policy();
     policy.worker_exe = Some(PathBuf::from("/nonexistent/edgetune-worker"));
-    let (proc_json, proc_trace, report) = run(&study(4)
-        .with_shard_exec(ShardExec::Process)
-        .with_fabric_policy(policy));
+    let (proc_json, proc_trace, report) = run(&process_study(4, policy));
     assert_eq!(thread_json, proc_json, "fallback changed report bytes");
     assert_eq!(thread_trace, proc_trace, "fallback changed trace bytes");
     let stats = report.fabric_stats().expect("fabric engaged");

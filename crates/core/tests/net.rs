@@ -159,8 +159,9 @@ fn hung_host_forces_reconnect_and_resend_without_disturbing_the_study() {
         shard: 0,
         action: ChaosAction::Hang,
     });
-    let (remote_json, remote_trace, report) =
-        run(&remote_study(2, vec![host.addr().to_string()]).with_fabric_policy(policy));
+    let mut config = remote_study(2, vec![host.addr().to_string()]);
+    config.fabric = policy;
+    let (remote_json, remote_trace, report) = run(&config);
     assert_eq!(
         thread_json, remote_json,
         "forced reconnect changed report bytes"
@@ -188,8 +189,9 @@ fn dead_hosts_degrade_to_in_process_execution() {
     let mut policy = FabricPolicy::default();
     policy.retry.base_delay = Seconds::new(0.005);
     policy.retry.max_delay = Seconds::new(0.01);
-    let (remote_json, remote_trace, report) =
-        run(&remote_study(4, vec![dead_addr]).with_fabric_policy(policy));
+    let mut config = remote_study(4, vec![dead_addr]);
+    config.fabric = policy;
+    let (remote_json, remote_trace, report) = run(&config);
     assert_eq!(thread_json, remote_json, "fallback changed report bytes");
     assert_eq!(thread_trace, remote_trace, "fallback changed trace bytes");
     let stats = report.fabric_stats().expect("fabric engaged");
@@ -212,7 +214,8 @@ fn a_host_that_never_answers_the_hello_degrades_to_in_process_execution() {
     };
     policy.retry.base_delay = Seconds::new(0.001);
     policy.retry.max_delay = Seconds::new(0.002);
-    let config = remote_study(2, vec![addr]).with_fabric_policy(policy);
+    let mut config = remote_study(2, vec![addr]);
+    config.fabric = policy;
     // A hang must fail this test, not stall the suite.
     let (done, outcome) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
@@ -246,8 +249,9 @@ fn sigkilled_shard_host_degrades_without_disturbing_the_study() {
         shard: 0,
         action: ChaosAction::Kill,
     });
-    let (remote_json, remote_trace, report) =
-        run(&remote_study(4, vec![addr]).with_fabric_policy(policy));
+    let mut config = remote_study(4, vec![addr]);
+    config.fabric = policy;
+    let (remote_json, remote_trace, report) = run(&config);
     let _ = daemon.kill();
     let _ = daemon.wait();
     assert_eq!(thread_json, remote_json, "host kill changed report bytes");

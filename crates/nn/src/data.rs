@@ -76,40 +76,6 @@ impl Dataset {
         }
     }
 
-    /// Two interleaved spirals — a classic non-linearly-separable 2-D
-    /// problem that a linear model cannot solve but a small MLP can.
-    #[must_use]
-    pub fn two_spirals(samples: usize, noise: f64, seed: SeedStream) -> Self {
-        let mut rng = seed.rng("spirals");
-        let per_class = samples / 2;
-        let mut data = Vec::with_capacity(per_class * 2 * 2);
-        let mut labels = Vec::with_capacity(per_class * 2);
-        // Interleave the classes so that prefix splits/fractions stay
-        // class-balanced.
-        for i in 0..per_class {
-            for class in 0..2usize {
-                let t = 0.5 + 3.0 * (i as f64 / per_class as f64) * std::f64::consts::PI;
-                let dir = if class == 0 { 1.0 } else { -1.0 };
-                let x = dir * t.cos() * t / 10.0 + sample_normal(&mut rng, 0.0, noise);
-                let y = dir * t.sin() * t / 10.0 + sample_normal(&mut rng, 0.0, noise);
-                data.push(x as f32);
-                data.push(y as f32);
-                labels.push(class);
-            }
-        }
-        let n = labels.len();
-        let raw = Dataset {
-            features: Tensor::from_vec(data, &[n, 2]),
-            labels,
-            classes: 2,
-        };
-        // Shuffle so that prefix splits cover all spiral radii instead of
-        // leaving the outer (extrapolation) region to validation.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.shuffle(&mut rng);
-        raw.subset(&order)
-    }
-
     /// Tiny procedural "images": `side × side` single-channel patterns
     /// (one oriented gradient per class, plus noise), flattened row-major.
     /// Serves as a CIFAR10 stand-in for exercising convolutional models.
@@ -275,14 +241,6 @@ mod tests {
         assert_eq!(a, b);
         let c = Dataset::gaussian_blobs(50, 3, 2, 0.2, SeedStream::new(78));
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn spirals_are_two_balanced_classes() {
-        let d = Dataset::two_spirals(100, 0.01, seed());
-        assert_eq!(d.classes(), 2);
-        assert_eq!(d.feature_width(), 2);
-        assert_eq!(d.labels().iter().filter(|&&l| l == 0).count(), 50);
     }
 
     #[test]

@@ -10,8 +10,20 @@ use crate::tensor::Tensor;
 /// ```
 /// use edgetune_nn::optim::Sgd;
 ///
-/// let opt = Sgd::new(0.01).with_momentum(0.9);
-/// assert_eq!(opt.learning_rate(), 0.01);
+/// use edgetune_nn::layer::Dense;
+/// use edgetune_nn::loss::cross_entropy;
+/// use edgetune_nn::model::Sequential;
+/// use edgetune_nn::tensor::Tensor;
+/// use edgetune_util::rng::SeedStream;
+///
+/// let mut model = Sequential::new().with(Dense::new(2, 2, SeedStream::new(1)));
+/// let mut opt = Sgd::new(0.1).with_momentum(0.9);
+/// let x = Tensor::from_vec(vec![1.0, -1.0], &[1, 2]);
+/// let loss = |model: &mut Sequential| cross_entropy(&model.forward(&x), &[0]);
+/// let (before, grad) = loss(&mut model);
+/// model.backward(&grad);
+/// opt.step(&mut model);
+/// assert!(loss(&mut model).0 < before);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Sgd {
@@ -46,12 +58,6 @@ impl Sgd {
         assert!((0.0..1.0).contains(&momentum), "momentum must be in [0,1)");
         self.momentum = momentum;
         self
-    }
-
-    /// The base learning rate.
-    #[must_use]
-    pub fn learning_rate(&self) -> f32 {
-        self.lr
     }
 
     /// Applies one update step to every parameter of `model` using the

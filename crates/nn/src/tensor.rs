@@ -28,7 +28,7 @@ const MATMUL_BLOCK_COLS: usize = 128;
 /// use edgetune_nn::tensor::Tensor;
 ///
 /// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-/// let b = Tensor::eye(2);
+/// let b = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]);
 /// let c = a.matmul(&b);
 /// assert_eq!(c.data(), a.data());
 /// ```
@@ -61,16 +61,6 @@ impl Tensor {
             shape: shape.to_vec(),
             data: vec![value; len],
         }
-    }
-
-    /// The identity matrix of size `n × n`.
-    #[must_use]
-    pub fn eye(n: usize) -> Self {
-        let mut t = Tensor::zeros(&[n, n]);
-        for i in 0..n {
-            t.data[i * n + i] = 1.0;
-        }
-        t
     }
 
     /// Builds a tensor from raw data.
@@ -409,19 +399,6 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if `row.len()` differs from the column count.
-    #[must_use]
-    pub fn add_row(&self, row: &[f32]) -> Tensor {
-        let mut out = self.clone();
-        out.add_row_assign(row);
-        out
-    }
-
-    /// In-place version of [`Tensor::add_row`]: adds the row vector to
-    /// every row of `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len()` differs from the column count.
     pub fn add_row_assign(&mut self, row: &[f32]) {
         let (m, n) = (self.rows(), self.cols());
         assert_eq!(row.len(), n, "row length mismatch");
@@ -535,7 +512,7 @@ impl Tensor {
     /// Momentum velocity update: `self = momentum * self + grad`.
     ///
     /// Matches, bit for bit, the allocation-heavy sequence it replaced
-    /// (`fill_zero` + `axpy(momentum, snapshot)` + `axpy(1.0, grad)`):
+    /// (zero a buffer, then `axpy(momentum, snapshot)` + `axpy(1.0, grad)`):
     /// each element is computed as `(0.0 + momentum * v) + g`. The
     /// leading `0.0 +` is load-bearing — it maps a `-0.0` product to
     /// `+0.0` exactly as accumulating onto a zeroed buffer did.
@@ -548,11 +525,6 @@ impl Tensor {
         for (v, &g) in self.data.iter_mut().zip(&grad.data) {
             *v = (0.0 + momentum * *v) + g;
         }
-    }
-
-    /// Sets every element to zero (used to clear gradients).
-    pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|x| *x = 0.0);
     }
 }
 
@@ -618,17 +590,20 @@ fn checked_len(shape: &[usize]) -> usize {
 mod tests {
     use super::*;
 
+    /// The `n × n` identity matrix.
+    fn eye(n: usize) -> Tensor {
+        let mut data = vec![0.0; n * n];
+        data.iter_mut().step_by(n + 1).for_each(|x| *x = 1.0);
+        Tensor::from_vec(data, &[n, n])
+    }
+
     #[test]
-    fn zeros_full_eye() {
+    fn zeros_and_full() {
         let z = Tensor::zeros(&[2, 3]);
         assert_eq!(z.len(), 6);
         assert!(z.data().iter().all(|&x| x == 0.0));
         let f = Tensor::full(&[2, 2], 3.0);
         assert_eq!(f.sum(), 12.0);
-        let i = Tensor::eye(3);
-        assert_eq!(i.sum(), 3.0);
-        assert_eq!(i.at(1, 1), 1.0);
-        assert_eq!(i.at(0, 1), 0.0);
     }
 
     #[test]
@@ -643,8 +618,8 @@ mod tests {
     #[test]
     fn matmul_identity_is_noop() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        assert_eq!(a.matmul(&Tensor::eye(2)).data(), a.data());
-        assert_eq!(Tensor::eye(2).matmul(&a).data(), a.data());
+        assert_eq!(a.matmul(&eye(2)).data(), a.data());
+        assert_eq!(eye(2).matmul(&a).data(), a.data());
     }
 
     #[test]
@@ -665,7 +640,7 @@ mod tests {
     #[test]
     fn matmul_into_reuses_the_buffer() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        let b = Tensor::eye(2);
+        let b = eye(2);
         let mut out = Tensor::full(&[2, 2], 9.9);
         let before = out.data().as_ptr();
         a.matmul_into(&b, &mut out);
@@ -729,9 +704,9 @@ mod tests {
 
     #[test]
     fn add_row_broadcasts() {
-        let a = Tensor::zeros(&[2, 3]);
-        let out = a.add_row(&[1.0, 2.0, 3.0]);
-        assert_eq!(out.data(), &[1.0, 2.0, 3.0, 1.0, 2.0, 3.0]);
+        let mut a = Tensor::zeros(&[2, 3]);
+        a.add_row_assign(&[1.0, 2.0, 3.0]);
+        assert_eq!(a.data(), &[1.0, 2.0, 3.0, 1.0, 2.0, 3.0]);
     }
 
     #[test]
@@ -821,10 +796,6 @@ mod tests {
         let mut sums = vec![0.0; 3];
         a.sum_rows_into(&mut sums);
         assert_eq!(sums, a.sum_rows());
-
-        let mut b = a.clone();
-        b.add_row_assign(&[1.0, 2.0, 3.0]);
-        assert_eq!(b, a.add_row(&[1.0, 2.0, 3.0]));
     }
 
     #[test]
@@ -836,10 +807,8 @@ mod tests {
         let start = Tensor::from_vec(vec![2.0, -0.0, -1.0], &[1, 3]);
         let momentum = 0.9;
 
-        let mut old = start.clone();
-        let snapshot = old.clone();
-        old.fill_zero();
-        old.axpy(momentum, &snapshot);
+        let mut old = Tensor::zeros(&[1, 3]);
+        old.axpy(momentum, &start);
         old.axpy(1.0, &grad);
 
         let mut new = start.clone();
@@ -850,13 +819,11 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_fill_zero() {
+    fn axpy_accumulates() {
         let mut a = Tensor::full(&[1, 2], 1.0);
         let b = Tensor::full(&[1, 2], 2.0);
         a.axpy(0.5, &b);
         assert_eq!(a.data(), &[2.0, 2.0]);
-        a.fill_zero();
-        assert_eq!(a.data(), &[0.0, 0.0]);
     }
 
     #[test]

@@ -3,56 +3,23 @@
 //! The serving configuration is tuned for a specific arrival rate; when
 //! the live rate departs from it for long enough, the tuned batch size,
 //! core count and frequency are no longer the scenario optimum and the
-//! runtime should re-tune. The detector maintains a windowed estimate of
-//! the arrival rate and signals drift only after `patience` consecutive
-//! windows deviate by more than `threshold` — a sustained shift, not a
-//! transient burst.
+//! runtime should re-tune. The detector maintains a 15 s windowed
+//! estimate of the arrival rate and signals drift only after 2
+//! consecutive windows deviate by more than ±50 % — a sustained shift,
+//! not a transient burst.
 
 use edgetune_util::units::Seconds;
-use serde::{Deserialize, Serialize};
 
-/// Tuning knobs of the drift detector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DriftConfig {
-    /// Length of one rate-measurement window.
-    pub window: Seconds,
-    /// Relative deviation from the tuned rate that flags a window
-    /// (e.g. 0.5 = ±50%).
-    pub threshold: f64,
-    /// Consecutive deviating windows required before drift is signalled.
-    pub patience: u32,
-}
-
-impl DriftConfig {
-    /// Creates a detector configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is not positive, the threshold is not
-    /// positive, or the patience is zero.
-    #[must_use]
-    pub fn new(window: Seconds, threshold: f64, patience: u32) -> Self {
-        assert!(window.value() > 0.0, "window must be positive");
-        assert!(threshold > 0.0, "threshold must be positive");
-        assert!(patience >= 1, "patience must be >= 1");
-        DriftConfig {
-            window,
-            threshold,
-            patience,
-        }
-    }
-
-    /// A reasonable default: 15 s windows, ±50% deviation, 2 windows.
-    #[must_use]
-    pub fn default_for_rate() -> Self {
-        DriftConfig::new(Seconds::new(15.0), 0.5, 2)
-    }
-}
+/// Length of one rate-measurement window.
+const WINDOW: Seconds = Seconds::new(15.0);
+/// Relative deviation from the tuned rate that flags a window (±50 %).
+const THRESHOLD: f64 = 0.5;
+/// Consecutive deviating windows required before drift is signalled.
+const PATIENCE: u32 = 2;
 
 /// Windowed arrival-rate estimator with sustained-deviation detection.
 #[derive(Debug, Clone)]
 pub struct DriftDetector {
-    config: DriftConfig,
     tuned_rate: f64,
     window_start: f64,
     count: u64,
@@ -68,10 +35,9 @@ impl DriftDetector {
     ///
     /// Panics if `tuned_rate` is not positive.
     #[must_use]
-    pub fn new(config: DriftConfig, tuned_rate: f64) -> Self {
+    pub fn new(tuned_rate: f64) -> Self {
         assert!(tuned_rate > 0.0, "tuned rate must be positive");
         DriftDetector {
-            config,
             tuned_rate,
             window_start: 0.0,
             count: 0,
@@ -91,17 +57,17 @@ impl DriftDetector {
     /// the estimate is the mean rate over the deviating windows. The
     /// caller is expected to re-tune and then [`DriftDetector::rearm`].
     pub fn observe(&mut self, t: f64) -> Option<f64> {
-        let w = self.config.window.value();
+        let w = WINDOW.value();
         let mut signal = None;
         while t >= self.window_start + w {
             let rate = self.count as f64 / w;
             self.window_start += w;
             self.count = 0;
             let deviation = (rate - self.tuned_rate).abs() / self.tuned_rate;
-            if deviation > self.config.threshold {
+            if deviation > THRESHOLD {
                 self.consecutive += 1;
                 self.deviating_sum += rate;
-                if self.consecutive >= self.config.patience {
+                if self.consecutive >= PATIENCE {
                     let est = self.deviating_sum / f64::from(self.consecutive);
                     if est > 0.0 {
                         signal = Some(est);
@@ -136,10 +102,6 @@ impl DriftDetector {
 mod tests {
     use super::*;
 
-    fn detector(rate: f64) -> DriftDetector {
-        DriftDetector::new(DriftConfig::new(Seconds::new(10.0), 0.5, 2), rate)
-    }
-
     /// Feeds a constant-rate arrival train over `[from, to)`; returns the
     /// first drift signal.
     fn feed(d: &mut DriftDetector, rate: f64, from: f64, to: f64) -> Option<f64> {
@@ -157,15 +119,15 @@ mod tests {
 
     #[test]
     fn steady_traffic_never_signals() {
-        let mut d = detector(10.0);
+        let mut d = DriftDetector::new(10.0);
         assert_eq!(feed(&mut d, 10.0, 0.0, 300.0), None);
     }
 
     #[test]
     fn sustained_shift_signals_with_a_usable_estimate() {
-        let mut d = detector(10.0);
-        assert_eq!(feed(&mut d, 10.0, 0.0, 100.0), None);
-        let est = feed(&mut d, 40.0, 100.0, 200.0).expect("4x shift must be detected");
+        let mut d = DriftDetector::new(10.0);
+        assert_eq!(feed(&mut d, 10.0, 0.0, 90.0), None);
+        let est = feed(&mut d, 40.0, 90.0, 200.0).expect("4x shift must be detected");
         assert!(
             (est / 40.0 - 1.0).abs() < 0.3,
             "estimate {est} should be near 40"
@@ -174,16 +136,16 @@ mod tests {
 
     #[test]
     fn a_single_deviating_window_is_forgiven() {
-        let mut d = detector(10.0);
-        assert_eq!(feed(&mut d, 10.0, 0.0, 50.0), None);
-        // One 10 s burst window, then back to normal: patience 2 holds.
-        assert_eq!(feed(&mut d, 40.0, 50.0, 60.0), None);
+        let mut d = DriftDetector::new(10.0);
+        assert_eq!(feed(&mut d, 10.0, 0.0, 45.0), None);
+        // One 15 s burst window, then back to normal: patience 2 holds.
+        assert_eq!(feed(&mut d, 40.0, 45.0, 60.0), None);
         assert_eq!(feed(&mut d, 10.0, 60.0, 150.0), None);
     }
 
     #[test]
     fn rearm_resets_the_reference() {
-        let mut d = detector(10.0);
+        let mut d = DriftDetector::new(10.0);
         let est = feed(&mut d, 40.0, 0.0, 100.0).expect("shift detected");
         d.rearm(est, 100.0);
         assert_eq!(
@@ -195,15 +157,9 @@ mod tests {
 
     #[test]
     fn rate_drop_is_also_drift() {
-        let mut d = detector(20.0);
-        assert_eq!(feed(&mut d, 20.0, 0.0, 50.0), None);
-        let est = feed(&mut d, 2.0, 50.0, 150.0).expect("10x drop must be detected");
+        let mut d = DriftDetector::new(20.0);
+        assert_eq!(feed(&mut d, 20.0, 0.0, 45.0), None);
+        let est = feed(&mut d, 2.0, 45.0, 150.0).expect("10x drop must be detected");
         assert!(est < 5.0, "estimate {est} should be near 2");
-    }
-
-    #[test]
-    #[should_panic(expected = "patience must be >= 1")]
-    fn zero_patience_rejected() {
-        let _ = DriftConfig::new(Seconds::new(1.0), 0.5, 0);
     }
 }

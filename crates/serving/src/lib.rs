@@ -62,7 +62,7 @@ pub mod runtime;
 pub mod selector;
 pub mod traffic;
 
-pub use drift::{DriftConfig, DriftDetector};
+pub use drift::DriftDetector;
 pub use metrics::{ConfigSwitch, ServingReport, SwitchSource};
 pub use queue::{AdaptiveBatcher, BatchPolicy, SloPolicy};
 pub use runtime::{OnlineTuner, RuntimeOptions, ServingConfig, ServingRuntime};

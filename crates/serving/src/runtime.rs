@@ -27,15 +27,13 @@ use edgetune_util::units::{Hertz, ItemsPerSecond, Joules, JoulesPerItem, Seconds
 use edgetune_util::{Error, Result};
 use serde::{Deserialize, Serialize};
 
-use crate::drift::{DriftConfig, DriftDetector};
+use crate::drift::DriftDetector;
 use crate::metrics::{response_percentiles, ConfigSwitch, ServingReport, SwitchSource};
 use crate::queue::{AdaptiveBatcher, BatchPolicy, SloPolicy};
 use crate::selector::ConfigSelector;
 use crate::traffic::TrafficProfile;
 
-/// Category stamped on every serving trace event (matches the core
-/// crate's `CAT_SERVING`; spelled out here because the dependency runs
-/// the other way).
+/// Category stamped on every serving trace event.
 const TRACE_CATEGORY: &str = "serving";
 /// Process grouping of all serving tracks in exported traces.
 const TRACE_PROCESS: &str = "serving-runtime";
@@ -125,13 +123,8 @@ pub struct RuntimeOptions {
     pub adaptive: bool,
     /// Parallel inference workers (device replicas behind the queue).
     pub workers: u32,
-    /// Drift detection; `None` disables online re-tuning.
-    pub drift: Option<DriftConfig>,
-    /// Per-item energy budget stage-one frontier selection must respect;
-    /// `None` leaves energy unconstrained. A stage-two re-tune optimises
-    /// its own objective and ignores this.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub energy_budget: Option<JoulesPerItem>,
+    /// Drift detection; `false` disables online re-tuning.
+    pub drift: bool,
 }
 
 impl RuntimeOptions {
@@ -143,16 +136,8 @@ impl RuntimeOptions {
             slo,
             adaptive: true,
             workers: 1,
-            drift: Some(DriftConfig::default_for_rate()),
-            energy_budget: None,
+            drift: true,
         }
-    }
-
-    /// Caps the per-item energy stage-one frontier selection may pick.
-    #[must_use]
-    pub fn with_energy_budget(mut self, budget: JoulesPerItem) -> Self {
-        self.energy_budget = Some(budget);
-        self
     }
 
     /// Freezes the deployed configuration: no adaptive cap, no drift
@@ -160,7 +145,7 @@ impl RuntimeOptions {
     #[must_use]
     pub fn static_serving(mut self) -> Self {
         self.adaptive = false;
-        self.drift = None;
+        self.drift = false;
         self
     }
 
@@ -179,7 +164,7 @@ impl RuntimeOptions {
     /// Disables drift detection (adaptive batching may stay on).
     #[must_use]
     pub fn without_drift(mut self) -> Self {
-        self.drift = None;
+        self.drift = false;
         self
     }
 }
@@ -327,12 +312,8 @@ impl ServingRuntime {
             policy = policy.pinned();
         }
         let mut batcher = AdaptiveBatcher::new(policy);
-        let mut detector = match (self.options.drift, tuner.is_some()) {
-            (Some(d), true) if config.tuned_rate > 0.0 => {
-                Some(DriftDetector::new(d, config.tuned_rate))
-            }
-            _ => None,
-        };
+        let mut detector = (self.options.drift && tuner.is_some() && config.tuned_rate > 0.0)
+            .then(|| DriftDetector::new(config.tuned_rate));
         // Memoised per-batch-size (latency, energy), invalidated on
         // configuration switches.
         let mut cache: Vec<Option<(f64, f64)>> = Vec::new();
@@ -450,7 +431,7 @@ impl ServingRuntime {
                     let frontier_pick = self
                         .selector
                         .as_ref()
-                        .and_then(|s| s.select(est, slo.target, self.options.energy_budget));
+                        .and_then(|s| s.select(est, slo.target, None));
                     let mut pick = None;
                     if let Some(entry) = frontier_pick {
                         let new_config = entry.config;
@@ -861,39 +842,6 @@ mod tests {
         assert!(tuner.0.get() >= 1, "no feasible point: stage two must pay");
         assert!(!report.switches.is_empty());
         assert_eq!(report.switches[0].source, SwitchSource::Retune);
-    }
-
-    #[test]
-    fn an_energy_budget_below_every_frontier_entry_escalates_to_the_tuner() {
-        let slo = SloPolicy::new(Seconds::new(4.0));
-        let traffic = TrafficProfile::RateShift {
-            initial_rate: 5.0,
-            shifted_rate: 20.0,
-            at: Seconds::new(60.0),
-        };
-        let serve = |budget: f64| {
-            let options = RuntimeOptions::new(slo).with_energy_budget(JoulesPerItem::new(budget));
-            let tuner = CountingTuner(std::cell::Cell::new(0));
-            let report = runtime(options)
-                .with_selector(frontier())
-                .serve(
-                    &traffic,
-                    Seconds::new(240.0),
-                    Some(&tuner),
-                    SeedStream::new(4),
-                )
-                .unwrap();
-            (report, tuner.0.get())
-        };
-        // The frontier's entries cost 0.2 and 0.5 J/item.
-        let (starved, retunes) = serve(0.1);
-        assert!(retunes >= 1, "no entry fits the budget: stage two must pay");
-        assert!(!starved.switches.is_empty());
-        assert_eq!(starved.switches[0].source, SwitchSource::Retune);
-        // Control: a budget every entry fits keeps the frontier answer.
-        let (roomy, retunes) = serve(1.0);
-        assert_eq!(roomy.switches[0].source, SwitchSource::Frontier);
-        assert_eq!(retunes, 0);
     }
 
     /// Periodic arrivals spaced wider than one batch's wait plus service:

@@ -60,17 +60,6 @@ pub struct TraceEvent {
     pub seq: u64,
 }
 
-impl TraceEvent {
-    /// The span's end time, if this event is a span.
-    #[must_use]
-    pub fn span_end(&self) -> Option<Seconds> {
-        match self.kind {
-            EventKind::Span { end } => Some(end),
-            _ => None,
-        }
-    }
-}
-
 /// Checks that the spans of every track are *well nested*: any two spans
 /// on one track are either disjoint or one contains the other. Returns
 /// the first violation as a human-readable message.

@@ -63,14 +63,6 @@ impl SchedulerConfig {
             max_iteration,
         }
     }
-
-    /// The paper's running example (§2.2): 16 trials starting at the
-    /// minimum budget, η = 2, budget levels 1 → 2 → 4 → 8 → 16 with
-    /// cohorts 16 → 8 → 4 → 2 → 1.
-    #[must_use]
-    pub fn paper_example() -> Self {
-        SchedulerConfig::new(16, 2.0, 16)
-    }
 }
 
 /// One rung a [`Study`] hands out: trials that share a budget level and
@@ -591,7 +583,7 @@ mod tests {
         // on the minimal budget ... 8 trials with 2 epochs, then 4 trials
         // with 4 epochs, 2 trials with 8 epochs and a final iteration
         // containing only one trial with 16 epochs."
-        let sha = SuccessiveHalving::new(SchedulerConfig::paper_example());
+        let sha = SuccessiveHalving::new(SchedulerConfig::new(16, 2.0, 16));
         let mut sampler = RandomSampler::new(SeedStream::new(1));
         let policy = BudgetPolicy::Epoch {
             epochs_per_iteration: 1.0,
@@ -710,7 +702,7 @@ mod tests {
     fn multi_budget_costs_less_than_epoch_budget_at_equal_schedule() {
         // The headline property of §4.3: the same scheduler spends less
         // trial runtime under multi-budget while still ranking configs.
-        let sha = SuccessiveHalving::new(SchedulerConfig::paper_example());
+        let sha = SuccessiveHalving::new(SchedulerConfig::new(16, 2.0, 16));
         let run = |policy: BudgetPolicy| {
             let mut sampler = RandomSampler::new(SeedStream::new(6));
             let mut eval = evaluator();

@@ -250,21 +250,6 @@ impl Workload {
             .accuracy(model_hp, quality, epochs, data_fraction, seed)
     }
 
-    /// Per-epoch validation-accuracy trajectory of a training run; see
-    /// [`crate::curve::LearningCurve::accuracy_trajectory`].
-    #[must_use]
-    pub fn accuracy_trajectory(
-        &self,
-        model_hp: f64,
-        quality: &TrainingQuality,
-        epochs: u32,
-        data_fraction: f64,
-        seed: SeedStream,
-    ) -> Vec<f64> {
-        self.curve
-            .accuracy_trajectory(model_hp, quality, epochs, data_fraction, seed)
-    }
-
     /// Epochs needed to reach `target` accuracy under a training
     /// configuration; `None` when unreachable. See
     /// [`crate::curve::LearningCurve::epochs_to_accuracy`].

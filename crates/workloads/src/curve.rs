@@ -188,28 +188,6 @@ impl LearningCurve {
         (a_max * progress * cap + noise).clamp(0.02, 0.99)
     }
 
-    /// The full per-epoch validation-accuracy trajectory of a training
-    /// run (`epochs` integer points), as a monitoring dashboard or a
-    /// median-stopping rule would observe it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epochs` is zero or `data_fraction` is outside `(0, 1]`.
-    #[must_use]
-    pub fn accuracy_trajectory(
-        &self,
-        model_hp: f64,
-        quality: &TrainingQuality,
-        epochs: u32,
-        data_fraction: f64,
-        seed: SeedStream,
-    ) -> Vec<f64> {
-        assert!(epochs >= 1, "need at least one epoch");
-        (1..=epochs)
-            .map(|e| self.accuracy(model_hp, quality, f64::from(e), data_fraction, seed))
-            .collect()
-    }
-
     /// Inverse of the (noise-free) curve: epochs needed to reach
     /// `target` accuracy, or `None` when the configuration can never get
     /// there (asymptote × data cap below target).
@@ -366,13 +344,16 @@ mod tests {
     fn trajectory_is_monotone_and_ends_at_the_final_accuracy() {
         let c = LearningCurve::image_classification();
         let quality = q(128);
-        let traj = c.accuracy_trajectory(18.0, &quality, 20, 1.0, seed());
-        assert_eq!(traj.len(), 20);
+        let traj: Vec<f64> = (1..=20)
+            .map(|e| c.accuracy(18.0, &quality, f64::from(e), 1.0, seed()))
+            .collect();
         for w in traj.windows(2) {
             assert!(w[1] >= w[0] - 0.04, "trajectory must not collapse: {w:?}");
         }
-        let final_acc = c.accuracy(18.0, &quality, 20.0, 1.0, seed());
-        assert_eq!(*traj.last().unwrap(), final_acc);
+        assert!(
+            *traj.last().unwrap() > traj[0],
+            "20 epochs beat 1: {traj:?}"
+        );
     }
 
     #[test]

@@ -11,13 +11,16 @@
 //!
 //! Beyond cap 1 and one server there is no closed form, so the runtime
 //! is also held to a reference discrete-event simulation written straight
-//! from its batching and dispatch rules, to 1e-9 relative.
+//! from its batching and dispatch rules, to 1e-9 relative, and its trace
+//! to two identities no rule can bend: work conservation and Little's
+//! law.
 
 use edgetune::batching::MultiStreamScenario;
 use edgetune_device::latency::{simulate_inference, CpuAllocation};
 use edgetune_device::profile::WorkProfile;
 use edgetune_device::spec::DeviceSpec;
 use edgetune_serving::{RuntimeOptions, ServingConfig, ServingRuntime, SloPolicy, TrafficProfile};
+use edgetune_trace::{EventKind, Tracer};
 use edgetune_util::rng::SeedStream;
 use edgetune_util::stats::{mean, percentile, std_dev};
 use edgetune_util::units::Seconds;
@@ -144,41 +147,129 @@ fn reference_des(
     (next as u64, batches, makespan, mean_response, p99, energy)
 }
 
-#[test]
-fn serving_runtime_matches_a_reference_des() {
-    let (device, profile, service) = setup();
-    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs());
+/// Relative agreement the exact oracles below are held to.
+fn close(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-9 * a.abs().max(b.abs())
+}
+
+/// The oracles' cells: workers {1, 2} × cap {1, 4} × max-wait {0, s/2},
+/// each a static, no-shed runtime at 80 % load, with the Poisson
+/// arrivals of three seeds.
+fn cells(
+    (device, profile, service): &(DeviceSpec, WorkProfile, f64),
+) -> impl Iterator<Item = ((u32, u32, f64), ServingRuntime, SeedStream, Vec<f64>)> + '_ {
     let slo = SloPolicy::new(Seconds::new(60.0)).without_shedding();
-    for (workers, cap, max_wait) in [1u32, 2]
+    [1u32, 2]
         .into_iter()
         .flat_map(|w| [1u32, 4].map(|c| (w, c)))
-        .flat_map(|(w, c)| [0.0, service / 2.0].map(|m| (w, c, m)))
-    {
-        let config = ServingConfig::new(cap, device.cores, device.max_freq)
-            .with_max_wait(Seconds::new(max_wait));
-        let options = RuntimeOptions::new(slo)
-            .static_serving()
-            .with_workers(workers);
-        let runtime = ServingRuntime::new(device.clone(), profile, config, options).unwrap();
-        let rate = 0.8 * f64::from(workers) / service;
-        for seed in (0..3).map(SeedStream::new) {
-            let arrivals =
-                TrafficProfile::Poisson { rate }.generate(Seconds::new(3_000.0 / rate), seed);
-            let got = runtime
-                .serve_trace(&arrivals, "poisson", None, seed)
-                .unwrap();
-            let shape = (workers as usize, cap as usize, max_wait);
-            let want = reference_des((&device, &profile), &arrivals, shape);
-            let cell = format!("workers {workers}, cap {cap}, max_wait {max_wait}");
-            assert_eq!((got.served, got.batches), (want.0, want.1), "{cell}");
-            for (what, got, want) in [
-                ("makespan", got.makespan.value(), want.2),
-                ("mean_response", got.mean_response.value(), want.3),
-                ("p99_response", got.p99_response.value(), want.4),
-                ("energy", got.energy.value(), want.5),
-            ] {
-                assert!(close(got, want), "{cell}: {what} {got} vs {want}");
-            }
+        .flat_map(move |(w, c)| [0.0, service / 2.0].map(|m| (w, c, m)))
+        .flat_map(move |(workers, cap, max_wait)| {
+            let config = ServingConfig::new(cap, device.cores, device.max_freq)
+                .with_max_wait(Seconds::new(max_wait));
+            let options = RuntimeOptions::new(slo)
+                .static_serving()
+                .with_workers(workers);
+            let runtime = ServingRuntime::new(device.clone(), *profile, config, options).unwrap();
+            let rate = 0.8 * f64::from(workers) / service;
+            (0..3).map(SeedStream::new).map(move |seed| {
+                let arrivals =
+                    TrafficProfile::Poisson { rate }.generate(Seconds::new(3_000.0 / rate), seed);
+                ((workers, cap, max_wait), runtime.clone(), seed, arrivals)
+            })
+        })
+}
+
+#[test]
+fn serving_runtime_matches_a_reference_des() {
+    let setup = setup();
+    let (device, profile, _) = &setup;
+    for ((workers, cap, max_wait), runtime, seed, arrivals) in cells(&setup) {
+        let got = runtime
+            .serve_trace(&arrivals, "poisson", None, seed)
+            .unwrap();
+        let shape = (workers as usize, cap as usize, max_wait);
+        let want = reference_des((device, profile), &arrivals, shape);
+        let cell = format!("workers {workers}, cap {cap}, max_wait {max_wait}");
+        assert_eq!((got.served, got.batches), (want.0, want.1), "{cell}");
+        for (what, got, want) in [
+            ("makespan", got.makespan.value(), want.2),
+            ("mean_response", got.mean_response.value(), want.3),
+            ("p99_response", got.p99_response.value(), want.4),
+            ("energy", got.energy.value(), want.5),
+        ] {
+            assert!(close(got, want), "{cell}: {what} {got} vs {want}");
         }
+    }
+}
+
+/// Two identities any run must satisfy, read off its trace: the workers
+/// were busy for exactly the device model's service time of the batches
+/// they ran (work conservation), and the time-averaged number of
+/// requests in the system equals arrival rate × mean response (Little's
+/// law).
+#[test]
+fn serving_runtime_conserves_work_and_obeys_littles_law() {
+    let setup = setup();
+    let (device, profile, _) = &setup;
+    let alloc = CpuAllocation::full(device);
+    for ((workers, cap, max_wait), runtime, seed, arrivals) in cells(&setup) {
+        let tracer = Tracer::new();
+        let report = runtime
+            .serve_trace_traced(&arrivals, "poisson", None, seed, Some(&tracer))
+            .unwrap();
+        let cell = format!("workers {workers}, cap {cap}, max_wait {max_wait}");
+        // Each batch span: (start, end, size).
+        let batches: Vec<(f64, f64, u32)> = tracer
+            .snapshot()
+            .into_iter()
+            .filter_map(|event| match event.kind {
+                EventKind::Span { end } => {
+                    let size = event.args.iter().find(|(key, _)| key == "size")?;
+                    Some((event.ts.value(), end.value(), size.1.parse().ok()?))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            batches.len() as u64,
+            report.batches,
+            "{cell}: one span per batch"
+        );
+
+        let sizes: u64 = batches.iter().map(|&(_, _, size)| u64::from(size)).sum();
+        assert_eq!(sizes, report.served, "{cell}: batch sizes sum to served");
+        assert!(
+            batches
+                .iter()
+                .all(|&(_, _, size)| (1..=cap).contains(&size)),
+            "{cell}"
+        );
+        let busy: f64 = batches.iter().map(|&(start, end, _)| end - start).sum();
+        let work: f64 = batches
+            .iter()
+            .map(|&(_, _, size)| {
+                simulate_inference(device, &alloc, profile, size)
+                    .latency
+                    .value()
+            })
+            .sum();
+        assert!(close(busy, work), "{cell}: busy {busy} s, service {work} s");
+
+        // Over [0, T], T the last departure, every request arrives and
+        // departs: ∫ N(t) dt sums each arrival's and departure's
+        // remaining time, with opposite signs.
+        let horizon = report.makespan.value();
+        let in_system: f64 = arrivals.iter().map(|a| horizon - a).sum::<f64>()
+            - batches
+                .iter()
+                .map(|&(_, end, size)| f64::from(size) * (horizon - end))
+                .sum::<f64>();
+        let mean_in_system = in_system / horizon;
+        let rate = arrivals.len() as f64 / horizon;
+        let little = rate * report.mean_response.value();
+        assert!(
+            close(mean_in_system, little),
+            "{cell}: L = {mean_in_system}, lambda W = {little}"
+        );
     }
 }
