@@ -59,7 +59,6 @@ impl HierarchicalReport {
 pub struct HierarchicalTuner {
     workload: WorkloadId,
     scheduler: SchedulerConfig,
-    metric: Metric,
     default_gpus: u32,
     seed: u64,
 }
@@ -71,7 +70,6 @@ impl HierarchicalTuner {
         HierarchicalTuner {
             workload,
             scheduler: SchedulerConfig::new(8, 2.0, 8),
-            metric: Metric::Runtime,
             default_gpus: 1,
             seed: SeedStream::default().seed(),
         }
@@ -82,13 +80,6 @@ impl HierarchicalTuner {
     #[must_use]
     pub fn with_scheduler(mut self, scheduler: SchedulerConfig) -> Self {
         self.scheduler = scheduler;
-        self
-    }
-
-    /// Sets the training metric.
-    #[must_use]
-    pub fn with_metric(mut self, metric: Metric) -> Self {
-        self.metric = metric;
         self
     }
 
@@ -103,7 +94,7 @@ impl HierarchicalTuner {
     #[must_use]
     pub fn run(&self) -> HierarchicalReport {
         let workload = Workload::by_id(self.workload);
-        let objective = TrainObjective::training_only(self.metric);
+        let objective = TrainObjective::training_only(Metric::Runtime);
 
         // ---- Phase 1: hyperparameters, system frozen ----
         let mut backend = SimTrainingBackend::new(

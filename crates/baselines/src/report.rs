@@ -34,12 +34,6 @@ impl BaselineReport {
         &self.history
     }
 
-    /// The winning trial (final-rung best).
-    #[must_use]
-    pub fn best(&self) -> &TrialRecord {
-        &self.best
-    }
-
     /// The winning configuration.
     #[must_use]
     pub fn best_config(&self) -> &Config {
@@ -77,13 +71,13 @@ mod tests {
         for (id, score) in [(0u64, 3.0), (1, 1.0), (2, 2.0)] {
             history.push(TrialRecord {
                 id,
-                config: Config::new().with("x", id as f64),
+                config: Config::from_iter([("x", id as f64)]),
                 budget: TrialBudget::new(1.0, 1.0),
                 outcome: TrialOutcome::new(score, 0.5, Seconds::new(10.0), Joules::new(100.0)),
             });
         }
         let report = BaselineReport::new(history);
-        assert_eq!(report.best().id, 1);
+        assert_eq!(report.best.id, 1);
         assert_eq!(report.best_config().get("x"), Some(1.0));
         assert_eq!(report.tuning_runtime(), Seconds::new(30.0));
         assert_eq!(report.tuning_energy(), Joules::new(300.0));

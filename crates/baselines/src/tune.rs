@@ -26,7 +26,6 @@ use edgetune_workloads::catalog::{Workload, WorkloadId};
 pub struct TuneBaseline {
     workload: WorkloadId,
     scheduler: SchedulerConfig,
-    gpus: u32,
     seed: u64,
 }
 
@@ -38,7 +37,6 @@ impl TuneBaseline {
         TuneBaseline {
             workload,
             scheduler: SchedulerConfig::new(8, 2.0, 8),
-            gpus: 8,
             seed: SeedStream::default().seed(),
         }
     }
@@ -48,13 +46,6 @@ impl TuneBaseline {
     #[must_use]
     pub fn with_scheduler(mut self, scheduler: SchedulerConfig) -> Self {
         self.scheduler = scheduler;
-        self
-    }
-
-    /// Overrides the fixed GPU allocation.
-    #[must_use]
-    pub fn with_gpus(mut self, gpus: u32) -> Self {
-        self.gpus = gpus;
         self
     }
 
@@ -71,7 +62,7 @@ impl TuneBaseline {
         let workload = Workload::by_id(self.workload);
         let mut backend =
             SimTrainingBackend::new(workload, SeedStream::new(self.seed).child("tune-trials"))
-                .with_fixed_gpus(self.gpus);
+                .with_fixed_gpus(8);
         let space = backend.search_space();
         let objective = TrainObjective::accuracy_only();
         let mut sampler = TpeSampler::new(SeedStream::new(self.seed).child("tune-sampler"));

@@ -46,18 +46,6 @@ impl Table {
         self.notes.push(note.into());
     }
 
-    /// Number of data rows.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no rows have been added.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with aligned columns.
     #[must_use]
     pub fn render(&self) -> String {
@@ -132,8 +120,7 @@ mod tests {
         let lines: Vec<&str> = out.lines().collect();
         assert!(lines[3].ends_with('1'), "{out}");
         assert!(lines[4].ends_with("22"), "{out}");
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

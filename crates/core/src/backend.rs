@@ -195,12 +195,6 @@ impl SimTrainingBackend {
         self
     }
 
-    /// The workload being tuned.
-    #[must_use]
-    pub fn workload(&self) -> &Workload {
-        &self.shared.workload
-    }
-
     /// A copy-on-write snapshot: the calibration tables travel as a
     /// shared `Arc` handle, so the copy is a few pointer bumps no matter
     /// how large the workload's tables are.
@@ -617,10 +611,11 @@ mod tests {
     }
 
     fn config(hp: f64, batch: f64, gpus: f64) -> Config {
-        Config::new()
-            .with(PARAM_MODEL_HP, hp)
-            .with(PARAM_TRAIN_BATCH, batch)
-            .with(PARAM_GPUS, gpus)
+        Config::from_iter([
+            (PARAM_MODEL_HP, hp),
+            (PARAM_TRAIN_BATCH, batch),
+            (PARAM_GPUS, gpus),
+        ])
     }
 
     #[test]
@@ -698,10 +693,11 @@ mod tests {
     #[test]
     fn nn_backend_actually_learns() {
         let mut backend = NnTrainingBackend::new(seed());
-        let cfg = Config::new()
-            .with(PARAM_HIDDEN, 32.0)
-            .with(PARAM_TRAIN_BATCH, 16.0)
-            .with(PARAM_LR, 0.1);
+        let cfg = Config::from_iter([
+            (PARAM_HIDDEN, 32.0),
+            (PARAM_TRAIN_BATCH, 16.0),
+            (PARAM_LR, 0.1),
+        ]);
         let m = backend.run_trial(&cfg, TrialBudget::new(8.0, 1.0));
         assert!(
             m.accuracy > 0.7,
@@ -715,10 +711,11 @@ mod tests {
     #[test]
     fn nn_backend_budget_cuts_cost() {
         let mut backend = NnTrainingBackend::new(seed());
-        let cfg = Config::new()
-            .with(PARAM_HIDDEN, 16.0)
-            .with(PARAM_TRAIN_BATCH, 16.0)
-            .with(PARAM_LR, 0.1);
+        let cfg = Config::from_iter([
+            (PARAM_HIDDEN, 16.0),
+            (PARAM_TRAIN_BATCH, 16.0),
+            (PARAM_LR, 0.1),
+        ]);
         let cheap = backend.run_trial(&cfg, TrialBudget::new(1.0, 0.2));
         let full = backend.run_trial(&cfg, TrialBudget::new(10.0, 1.0));
         assert!(full.runtime > cheap.runtime);
@@ -727,10 +724,11 @@ mod tests {
 
     #[test]
     fn nn_runtime_is_deterministic_on_the_virtual_clock() {
-        let cfg = Config::new()
-            .with(PARAM_HIDDEN, 16.0)
-            .with(PARAM_TRAIN_BATCH, 16.0)
-            .with(PARAM_LR, 0.1);
+        let cfg = Config::from_iter([
+            (PARAM_HIDDEN, 16.0),
+            (PARAM_TRAIN_BATCH, 16.0),
+            (PARAM_LR, 0.1),
+        ]);
         let budget = TrialBudget::new(2.0, 0.5);
         let a = NnTrainingBackend::new(seed()).run_trial(&cfg, budget);
         let b = NnTrainingBackend::new(seed()).run_trial(&cfg, budget);
@@ -741,22 +739,22 @@ mod tests {
 
     #[test]
     fn nn_snapshots_reproduce_the_primary_backend() {
-        let cfg = Config::new()
-            .with(PARAM_HIDDEN, 16.0)
-            .with(PARAM_TRAIN_BATCH, 16.0)
-            .with(PARAM_LR, 0.1);
+        let cfg = Config::from_iter([
+            (PARAM_HIDDEN, 16.0),
+            (PARAM_TRAIN_BATCH, 16.0),
+            (PARAM_LR, 0.1),
+        ]);
         let budget = TrialBudget::new(2.0, 0.5);
         // The primary has a past — two different trials — before the
         // snapshot is taken; neither it nor the snapshot may show it.
+        let with_hidden = |hidden| {
+            let mut c = cfg.clone();
+            c.set(PARAM_HIDDEN, hidden);
+            c
+        };
         let mut primary = NnTrainingBackend::new(seed());
-        primary.run_trial(
-            &cfg.clone().with(PARAM_HIDDEN, 32.0),
-            TrialBudget::new(1.0, 0.3),
-        );
-        primary.run_trial(
-            &cfg.clone().with(PARAM_HIDDEN, 8.0),
-            TrialBudget::new(3.0, 1.0),
-        );
+        primary.run_trial(&with_hidden(32.0), TrialBudget::new(1.0, 0.3));
+        primary.run_trial(&with_hidden(8.0), TrialBudget::new(3.0, 1.0));
         let mut snapshot = primary
             .parallel_snapshot()
             .expect("the nn backend always snapshots");
@@ -817,7 +815,7 @@ mod tests {
     #[test]
     fn nn_architecture_signature_uses_hidden_width() {
         let backend = NnTrainingBackend::new(seed());
-        let (sig, profile) = backend.architecture(&Config::new().with(PARAM_HIDDEN, 32.0));
+        let (sig, profile) = backend.architecture(&Config::from_iter([(PARAM_HIDDEN, 32.0)]));
         assert!(sig.contains("hidden=32"));
         assert!(profile.flops_per_sample > 0.0);
     }
@@ -900,10 +898,11 @@ mod convnet_tests {
     #[test]
     fn convnet_backend_actually_learns_images() {
         let mut backend = NnTrainingBackend::convnet(SeedStream::new(5));
-        let cfg = Config::new()
-            .with(PARAM_HIDDEN, 4.0)
-            .with(PARAM_TRAIN_BATCH, 16.0)
-            .with(PARAM_LR, 0.05);
+        let cfg = Config::from_iter([
+            (PARAM_HIDDEN, 4.0),
+            (PARAM_TRAIN_BATCH, 16.0),
+            (PARAM_LR, 0.05),
+        ]);
         let m = backend.run_trial(&cfg, TrialBudget::new(6.0, 1.0));
         assert!(
             m.accuracy > 0.6,
@@ -918,7 +917,7 @@ mod convnet_tests {
         let backend = NnTrainingBackend::convnet(SeedStream::new(5));
         let space = backend.search_space();
         assert!(space.domain(PARAM_HIDDEN).is_some());
-        let (sig, profile) = backend.architecture(&Config::new().with(PARAM_HIDDEN, 4.0));
+        let (sig, profile) = backend.architecture(&Config::from_iter([(PARAM_HIDDEN, 4.0)]));
         assert!(sig.contains("convnet/channels=4"));
         assert!(profile.flops_per_sample > 0.0);
         assert!(profile.param_bytes > 0.0);
@@ -927,8 +926,8 @@ mod convnet_tests {
     #[test]
     fn wider_convnets_cost_more() {
         let backend = NnTrainingBackend::convnet(SeedStream::new(5));
-        let (_, narrow) = backend.architecture(&Config::new().with(PARAM_HIDDEN, 2.0));
-        let (_, wide) = backend.architecture(&Config::new().with(PARAM_HIDDEN, 8.0));
+        let (_, narrow) = backend.architecture(&Config::from_iter([(PARAM_HIDDEN, 2.0)]));
+        let (_, wide) = backend.architecture(&Config::from_iter([(PARAM_HIDDEN, 8.0)]));
         assert!(wide.flops_per_sample > narrow.flops_per_sample);
         assert!(wide.param_bytes > narrow.param_bytes);
     }
@@ -946,10 +945,11 @@ mod oom_tests {
         // 24 GB GPU cannot hold the training working set.
         let mut backend =
             SimTrainingBackend::new(Workload::by_id(WorkloadId::Od), SeedStream::new(1));
-        let oom_config = Config::new()
-            .with(PARAM_MODEL_HP, 0.3)
-            .with(PARAM_TRAIN_BATCH, 512.0)
-            .with(PARAM_GPUS, 1.0);
+        let oom_config = Config::from_iter([
+            (PARAM_MODEL_HP, 0.3),
+            (PARAM_TRAIN_BATCH, 512.0),
+            (PARAM_GPUS, 1.0),
+        ]);
         let m = backend.run_trial(&oom_config, TrialBudget::new(2.0, 0.2));
         assert_eq!(m.accuracy, 0.0, "an OOM trial learns nothing");
         assert!(
@@ -965,10 +965,11 @@ mod oom_tests {
         // batch × GPU interaction the onefold search exploits.
         let mut backend =
             SimTrainingBackend::new(Workload::by_id(WorkloadId::Od), SeedStream::new(1));
-        let sharded = Config::new()
-            .with(PARAM_MODEL_HP, 0.3)
-            .with(PARAM_TRAIN_BATCH, 512.0)
-            .with(PARAM_GPUS, 8.0);
+        let sharded = Config::from_iter([
+            (PARAM_MODEL_HP, 0.3),
+            (PARAM_TRAIN_BATCH, 512.0),
+            (PARAM_GPUS, 8.0),
+        ]);
         let m = backend.run_trial(&sharded, TrialBudget::new(2.0, 0.2));
         assert!(m.accuracy > 0.0, "sharded batch must train: {}", m.accuracy);
     }

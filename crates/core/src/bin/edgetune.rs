@@ -169,7 +169,7 @@ impl Common {
     /// Reads `flag` when it is a shared one; `Ok(false)` when it is not.
     fn read(&mut self, flag: &str, flags: &mut Flags) -> Result<bool, String> {
         match flag {
-            "--workload" | "-w" => self.workload = parse_workload(&flags.value("--workload")?)?,
+            "--workload" | "-w" => self.workload = flags.value("--workload")?.parse()?,
             "--device" | "-d" => self.device = Some(device_by_name(&flags.value("--device")?)?),
             "--seed" | "-s" => self.seed = flags.parse("--seed", "seed")?,
             "--json" => self.json = Some(flags.value("--json")?),
@@ -212,16 +212,6 @@ struct ServeArgs {
     static_serving: bool,
     shed: bool,
     frontier: Option<usize>,
-}
-
-fn parse_workload(value: &str) -> Result<WorkloadId, String> {
-    match value.to_lowercase().as_str() {
-        "ic" => Ok(WorkloadId::Ic),
-        "sr" => Ok(WorkloadId::Sr),
-        "nlp" => Ok(WorkloadId::Nlp),
-        "od" => Ok(WorkloadId::Od),
-        other => Err(format!("unknown workload '{other}' (ic|sr|nlp|od)")),
-    }
 }
 
 fn device_by_name(name: &str) -> Result<DeviceSpec, String> {
@@ -291,11 +281,7 @@ fn parse_tune_args(argv: Vec<String>) -> Result<TuneArgs, String> {
     while let Some(arg) = flags.next() {
         match arg.as_str() {
             "--metric" | "-m" => {
-                args.metric = match flags.value("--metric")?.to_lowercase().as_str() {
-                    "runtime" => Metric::Runtime,
-                    "energy" => Metric::Energy,
-                    other => return Err(format!("unknown metric '{other}' (runtime|energy)")),
-                }
+                args.metric = flags.value("--metric")?.parse()?;
             }
             "--budget" | "-b" => {
                 args.budget = match flags.value("--budget")?.to_lowercase().as_str() {

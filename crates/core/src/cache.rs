@@ -81,10 +81,6 @@ pub struct HistoricalCache {
     /// state: a freshly-loaded cache starts counting from zero.
     #[serde(skip)]
     stats: CacheStats,
-    /// Entries (or whole files) skipped by a corruption-tolerant load;
-    /// per-process observability like `stats`.
-    #[serde(skip)]
-    corrupt_entries: u64,
 }
 
 impl HistoricalCache {
@@ -133,18 +129,6 @@ impl HistoricalCache {
         self.entries.insert(Self::key_string(key), recommendation)
     }
 
-    /// Number of stored entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is stored.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Hit/miss statistics.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
@@ -158,13 +142,6 @@ impl HistoricalCache {
     /// back before handing the cache to the inference server.
     pub fn restore_stats(&mut self, stats: CacheStats) {
         self.stats = stats;
-    }
-
-    /// Entries skipped as unparseable by the last [`HistoricalCache::load`]
-    /// (a whole-file tear counts as one).
-    #[must_use]
-    pub fn corrupt_entries(&self) -> u64 {
-        self.corrupt_entries
     }
 
     /// Serialises the cache to a JSON file, atomically: the bytes go to a
@@ -184,8 +161,7 @@ impl HistoricalCache {
     ///
     /// Tolerates corruption: a file torn by a non-atomic writer (or
     /// hand-edited into invalid shape) does not fail the run. Entries
-    /// that still parse are salvaged; the rest are skipped and counted in
-    /// [`HistoricalCache::corrupt_entries`].
+    /// that still parse are salvaged; the rest are skipped.
     ///
     /// # Errors
     ///
@@ -205,25 +181,25 @@ impl HistoricalCache {
     /// Salvages whatever entries still parse from a corrupt cache file.
     fn load_lenient(json: &str) -> Self {
         let mut cache = HistoricalCache::new();
+        // Torn mid-write, the document itself is not JSON.
         let Ok(value) = serde_json::from_str::<serde_json::Value>(json) else {
-            // Torn mid-write: the document itself is not JSON.
-            cache.corrupt_entries = 1;
             return cache;
         };
-        match value.get("entries").and_then(serde_json::Value::as_object) {
-            Some(entries) => {
-                for (key, entry) in entries {
-                    match serde_json::from_value::<InferenceRecommendation>(entry.clone()) {
-                        Ok(rec) => {
-                            cache.entries.insert(key.clone(), rec);
-                        }
-                        Err(_) => cache.corrupt_entries += 1,
-                    }
-                }
+        let entries = value.get("entries").and_then(serde_json::Value::as_object);
+        for (key, entry) in entries.into_iter().flatten() {
+            if let Ok(rec) = serde_json::from_value::<InferenceRecommendation>(entry.clone()) {
+                cache.entries.insert(key.clone(), rec);
             }
-            None => cache.corrupt_entries = 1,
         }
         cache
+    }
+}
+
+#[cfg(test)]
+impl HistoricalCache {
+    /// Number of stored recommendations.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
     }
 }
 
@@ -333,7 +309,7 @@ mod tests {
     }
 
     #[test]
-    fn load_salvages_good_entries_and_counts_corrupt_ones() {
+    fn load_salvages_good_entries() {
         let mut cache = HistoricalCache::new();
         cache.store(&key("good"), rec(8));
         let mut json: serde_json::Value =
@@ -346,7 +322,6 @@ mod tests {
         std::fs::write(&path, serde_json::to_string(&json).unwrap()).unwrap();
         let loaded = HistoricalCache::load(&path).unwrap();
         assert_eq!(loaded.len(), 1, "the good entry survives");
-        assert_eq!(loaded.corrupt_entries(), 1, "the bad entry is counted");
         assert!(loaded.peek(&key("good")).is_some());
         std::fs::remove_file(&path).ok();
     }
@@ -360,8 +335,7 @@ mod tests {
         for bytes in torn {
             std::fs::write(&path, bytes).unwrap();
             let loaded = HistoricalCache::load(&path).unwrap();
-            assert!(loaded.is_empty(), "nothing salvageable from {bytes:?}");
-            assert_eq!(loaded.corrupt_entries(), 1, "one whole-file tear");
+            assert_eq!(loaded.len(), 0, "nothing salvageable from {bytes:?}");
         }
         std::fs::remove_file(&path).ok();
     }
@@ -430,6 +404,6 @@ mod tests {
     fn empty_cache_ratio_is_zero() {
         let cache = HistoricalCache::new();
         assert_eq!(cache.stats().hit_ratio(), 0.0);
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
     }
 }

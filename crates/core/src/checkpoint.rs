@@ -257,7 +257,7 @@ mod tests {
     fn record(id: u64, score: f64) -> TrialRecord {
         TrialRecord {
             id,
-            config: Config::new().with("batch", 8.0).with("lr", 0.01),
+            config: Config::from_iter([("batch", 8.0), ("lr", 0.01)]),
             budget: TrialBudget::new(4.0, 1.0),
             outcome: TrialOutcome::new(score, 0.8, Seconds::new(12.0), Joules::new(30.0)),
         }
@@ -266,7 +266,7 @@ mod tests {
     fn failed_record(id: u64) -> TrialRecord {
         TrialRecord {
             id,
-            config: Config::new().with("batch", 16.0),
+            config: Config::from_iter([("batch", 16.0)]),
             budget: TrialBudget::new(2.0, 1.0),
             outcome: TrialOutcome::failed(TrialFailure::Crash, Seconds::new(3.0), Joules::new(7.0)),
         }

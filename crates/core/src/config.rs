@@ -92,8 +92,6 @@ pub struct EdgeTuneConfig {
     /// Use HyperBand brackets (BOHB-style) instead of one
     /// successive-halving bracket.
     pub hyperband: bool,
-    /// Trials below this accuracy are infeasible, if set.
-    pub accuracy_floor: Option<f64>,
     /// Load/save the historical inference cache at this path, if set.
     pub cache_path: Option<PathBuf>,
     /// Consult the historical cache (§3.4); disabling it is an ablation
@@ -215,7 +213,6 @@ impl EdgeTuneConfig {
             scheduler: SchedulerConfig::new(8, 2.0, 8),
             sampler: SamplerKind::Tpe,
             hyperband: true,
-            accuracy_floor: None,
             cache_path: None,
             historical_cache: true,
             pipelining: true,
@@ -277,13 +274,6 @@ impl EdgeTuneConfig {
     #[must_use]
     pub fn without_hyperband(mut self) -> Self {
         self.hyperband = false;
-        self
-    }
-
-    /// Requires trials to reach at least this accuracy.
-    #[must_use]
-    pub fn with_accuracy_floor(mut self, floor: f64) -> Self {
-        self.accuracy_floor = Some(floor);
         self
     }
 

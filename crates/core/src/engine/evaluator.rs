@@ -584,7 +584,9 @@ impl OnefoldEvaluator {
         let rung_start = self.globals.clock;
         let mut loads = std::mem::take(&mut self.scratch.loads);
         loads.clear();
-        loads.resize(self.config.trial_slots, Seconds::ZERO);
+        // The scheduler takes the first least-loaded slot, so it never
+        // reaches a slot past the rung's size: more would only cost memory.
+        loads.resize(self.config.trial_slots.min(runs.len()), Seconds::ZERO);
         let mut outcomes = Vec::with_capacity(runs.len());
         for (id, run) in runs {
             let (slot, _) = loads

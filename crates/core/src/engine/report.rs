@@ -147,12 +147,6 @@ impl TuningReport {
         self.stall_time
     }
 
-    /// Energy consumed by inference sweeps alone.
-    #[must_use]
-    pub fn inference_energy(&self) -> Joules {
-        self.inference_energy
-    }
-
     /// The Fig. 6-style pipelining timeline.
     #[must_use]
     pub fn timeline(&self) -> &Timeline {

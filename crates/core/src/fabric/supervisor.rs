@@ -269,8 +269,10 @@ pub struct ShardFabric {
     /// How supervised attempts reach their executor; `None` is thread
     /// placement, where a shard's only step is the direct measurement.
     dial: Option<Dial>,
-    /// One slot per shard index: the shard's open session between its
-    /// attempts, empty before the first and after a failed one.
+    /// One slot per shard index a rung has used: the shard's open session
+    /// between its attempts, empty before the first and after a failed
+    /// one. A rung never has more plans than trials, so the slots grow
+    /// with the rungs, not with `shards`.
     sessions: Vec<Mutex<Option<Session>>>,
     retry: RetryPolicy,
     /// The heartbeat deadline (`StudyRun::start` validated it finite).
@@ -316,7 +318,7 @@ impl ShardFabric {
         ShardFabric {
             shards: config.study_shards,
             dial,
-            sessions: (0..config.study_shards).map(|_| Mutex::new(None)).collect(),
+            sessions: Vec::new(),
             retry: policy.retry,
             deadline: Duration::try_from_secs_f64(policy.deadline.value().max(0.0))
                 .unwrap_or(Duration::MAX),
@@ -374,6 +376,9 @@ impl ShardFabric {
             return None;
         }
         let plans = ShardPlan::partition(trials.len(), self.shards);
+        if self.sessions.len() < plans.len() {
+            self.sessions.resize_with(plans.len(), || Mutex::new(None));
+        }
         let snapshots = plans
             .iter()
             .map(|_| backend.parallel_snapshot())
@@ -895,7 +900,10 @@ mod tests {
     /// Runs one attempt of a three-trial task over a link scripted with
     /// `script`, returning how it ended and the stats it left.
     fn attempt_over(script: Vec<u8>, hold: bool, deadline_s: f64) -> (AttemptEnd, FabricStats) {
-        let fabric = fabric(2, ShardExec::Process, fast_policy(1, deadline_s));
+        let mut fabric = fabric(2, ShardExec::Process, fast_policy(1, deadline_s));
+        // `measure_rung` grows the session slots; a lone attempt needs
+        // shard 0's.
+        fabric.sessions.push(Mutex::new(None));
         let script = std::sync::Mutex::new(Some(script));
         let dial = Dial::Scripted(Box::new(move |_shard| {
             Ok(scripted(script.lock().unwrap().take().unwrap(), hold))
@@ -1052,7 +1060,7 @@ mod tests {
     fn event_count(fabric: &ShardFabric, name: &str) -> usize {
         fabric
             .tracer()
-            .snapshot()
+            .with(|_, events| events.to_vec())
             .iter()
             .filter(|event| event.name == name)
             .count()
@@ -1121,7 +1129,7 @@ mod tests {
         );
         let crash = fabric
             .tracer()
-            .snapshot()
+            .with(|_, events| events.to_vec())
             .into_iter()
             .find(|event| event.name == "crash")
             .expect("a crash event");
@@ -1213,7 +1221,7 @@ mod tests {
                 .expect("fault-free sim backend snapshots");
             assert_eq!(measured, expected, "shards={shards} changed a measurement");
             assert_eq!(fabric.stats(), None);
-            assert!(fabric.tracer().snapshot().is_empty());
+            assert!(fabric.tracer().with(|_, events| events.is_empty()));
         }
     }
 
@@ -1255,7 +1263,7 @@ mod tests {
 
         let names: Vec<String> = fabric
             .tracer()
-            .snapshot()
+            .with(|_, events| events.to_vec())
             .into_iter()
             .map(|e| e.name)
             .collect();

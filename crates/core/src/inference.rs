@@ -183,18 +183,6 @@ impl InferenceTuningServer {
         })
     }
 
-    /// The target device.
-    #[must_use]
-    pub fn device(&self) -> &DeviceSpec {
-        &self.device
-    }
-
-    /// The search space.
-    #[must_use]
-    pub fn space(&self) -> &InferenceSpace {
-        &self.space
-    }
-
     /// Exhaustively tunes inference parameters for one architecture
     /// (grid search: the paper notes grid is sensible here because the
     /// inference space is small, §3.1).
@@ -506,11 +494,11 @@ mod tests {
         let (rec, _) = s.tune(&resnet18());
         // Re-scan manually and compare.
         let mut best = f64::INFINITY;
-        for &b in &s.space().batches {
-            for &c in &s.space().cores {
-                for &f in &s.space().freqs {
-                    let alloc = CpuAllocation::new(s.device(), c, f).unwrap();
-                    let exec = simulate_inference(s.device(), &alloc, &resnet18(), b);
+        for &b in &s.space.batches {
+            for &c in &s.space.cores {
+                for &f in &s.space.freqs {
+                    let alloc = CpuAllocation::new(&s.device, c, f).unwrap();
+                    let exec = simulate_inference(&s.device, &alloc, &resnet18(), b);
                     best = best.min(exec.latency.value() / f64::from(b));
                 }
             }
@@ -698,7 +686,7 @@ mod tests {
         assert_eq!(endpoint.worker_panics(), 1);
         assert_eq!(globals.inference_cursor, 1);
         assert_eq!(globals.cache_stats, CacheStats { hits: 0, misses: 1 });
-        assert!(globals.cache.is_empty(), "a sweep that died stores nothing");
+        assert_eq!(globals.cache.len(), 0, "a sweep that died stores nothing");
         // The next request is answered as if nothing had happened.
         endpoint.server = server(Metric::Runtime);
         let next = endpoint

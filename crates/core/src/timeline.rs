@@ -61,12 +61,6 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// An empty timeline.
-    #[must_use]
-    pub fn new() -> Self {
-        Timeline::default()
-    }
-
     /// Records a span.
     ///
     /// # Panics
@@ -191,7 +185,7 @@ mod tests {
 
     #[test]
     fn records_and_measures_spans() {
-        let mut t = Timeline::new();
+        let mut t = Timeline::default();
         t.record(Lane::ModelServer, "trial-0", s(0.0), s(10.0));
         t.record(Lane::InferenceServer, "arch-a", s(0.0), s(4.0));
         assert_eq!(t.spans().len(), 2);
@@ -203,7 +197,7 @@ mod tests {
 
     #[test]
     fn full_overlap_when_inference_hides_behind_training() {
-        let mut t = Timeline::new();
+        let mut t = Timeline::default();
         t.record(Lane::ModelServer, "trial-0", s(0.0), s(10.0));
         t.record(Lane::InferenceServer, "arch-a", s(1.0), s(5.0));
         assert!((t.overlap_fraction() - 1.0).abs() < 1e-12);
@@ -211,7 +205,7 @@ mod tests {
 
     #[test]
     fn partial_overlap_is_measured() {
-        let mut t = Timeline::new();
+        let mut t = Timeline::default();
         t.record(Lane::ModelServer, "trial-0", s(0.0), s(4.0));
         t.record(Lane::InferenceServer, "arch-a", s(2.0), s(6.0));
         assert!((t.overlap_fraction() - 0.5).abs() < 1e-12);
@@ -221,7 +215,7 @@ mod tests {
     fn concurrent_trials_count_model_busy_time_once() {
         // Two trial slots busy over the same [0, 2]: the model server is
         // busy for 2 of the sweep's 4 seconds, not 2 + 2.
-        let mut t = Timeline::new();
+        let mut t = Timeline::default();
         t.record(Lane::ModelServer, "trial-0", s(0.0), s(2.0));
         t.record(Lane::ModelServer, "trial-1", s(0.0), s(2.0));
         t.record(Lane::InferenceServer, "arch-a", s(0.0), s(4.0));
@@ -230,7 +224,7 @@ mod tests {
 
     #[test]
     fn a_sweep_spanning_several_trials_collects_each_share() {
-        let mut t = Timeline::new();
+        let mut t = Timeline::default();
         t.record(Lane::ModelServer, "trial-0", s(0.0), s(1.0));
         t.record(Lane::ModelServer, "trial-1", s(2.0), s(3.0));
         t.record(Lane::ModelServer, "trial-2", s(6.0), s(7.0));
@@ -240,14 +234,14 @@ mod tests {
 
     #[test]
     fn empty_inference_lane_counts_as_fully_overlapped() {
-        let mut t = Timeline::new();
+        let mut t = Timeline::default();
         t.record(Lane::ModelServer, "trial-0", s(0.0), s(4.0));
         assert_eq!(t.overlap_fraction(), 1.0);
     }
 
     #[test]
     fn ascii_render_shows_both_lanes() {
-        let mut t = Timeline::new();
+        let mut t = Timeline::default();
         t.record(Lane::ModelServer, "trial-0", s(0.0), s(10.0));
         t.record(Lane::InferenceServer, "arch-a", s(0.0), s(5.0));
         let art = t.render_ascii(20);
@@ -260,7 +254,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "end before it starts")]
     fn rejects_negative_spans() {
-        let mut t = Timeline::new();
+        let mut t = Timeline::default();
         t.record(Lane::ModelServer, "bad", s(5.0), s(1.0));
     }
 }

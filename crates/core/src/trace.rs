@@ -84,8 +84,8 @@ pub(crate) mod tests {
     /// report's timeline used to be computed; the tests hold what the
     /// evaluator records against it.
     pub(crate) fn timeline_shown_by(tracer: &Tracer) -> Timeline {
-        let mut timeline = Timeline::new();
-        for event in tracer.snapshot() {
+        let mut timeline = Timeline::default();
+        for event in tracer.with(|_, events| events.to_vec()) {
             let lane = match event.category.as_str() {
                 CAT_MODEL => Lane::ModelServer,
                 CAT_INFERENCE => Lane::InferenceServer,
@@ -100,7 +100,7 @@ pub(crate) mod tests {
 
     #[test]
     fn seeding_shows_a_timeline_on_the_restored_tracks_exactly() {
-        let mut original = Timeline::new();
+        let mut original = Timeline::default();
         original.record(
             Lane::ModelServer,
             "trial-0",
@@ -122,9 +122,10 @@ pub(crate) mod tests {
         let tracer = Tracer::new();
         seed_tracer_from_timeline(&tracer, &original);
         assert_eq!(timeline_shown_by(&tracer), original);
-        let tracks = tracer.tracks();
-        assert_eq!(tracks.len(), 2, "one restored track per server");
-        assert!(tracks.iter().all(|track| track.name == "restored"));
+        tracer.with(|tracks, _| {
+            assert_eq!(tracks.len(), 2, "one restored track per server");
+            assert!(tracks.iter().all(|track| track.name == "restored"));
+        });
     }
 
     #[test]

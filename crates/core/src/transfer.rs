@@ -125,18 +125,6 @@ impl TransferIndex {
         TransferIndex::default()
     }
 
-    /// Number of donor studies recorded.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when no study has completed yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
     /// Records a completed study. Configurations must be best-first;
     /// empty donations are dropped (nothing to transfer).
     pub fn record(&mut self, key: TransferKey, configs: Vec<Config>, best_score: f64) {
@@ -229,7 +217,7 @@ mod tests {
     }
 
     fn config(x: f64) -> Config {
-        Config::new().with("lr", x).with("layers", 18.0)
+        Config::from_iter([("lr", x), ("layers", 18.0)])
     }
 
     #[test]
@@ -356,7 +344,7 @@ mod tests {
     fn empty_donations_are_dropped() {
         let mut index = TransferIndex::new();
         index.record(key("pi", "ResNet/layers=18", "batch"), vec![], 1.0);
-        assert!(index.is_empty());
+        assert!(index.records.is_empty());
     }
 
     #[test]

@@ -344,3 +344,41 @@ fn bad_fault_rates_and_orphan_flags_are_rejected() {
     ));
     assert_all_rejected(&cases);
 }
+
+/// Runs a small study with `flag value` and returns its stdout and JSON
+/// report, failing on a non-zero exit.
+fn study_with(flag: &str, value: &str) -> (Vec<u8>, Vec<u8>) {
+    let path = std::env::temp_dir().join(format!("edgetune-cli-{}-{value}.json", &flag[2..]));
+    let out = edgetune()
+        .args(["--max-iter", "4", flag, value, "--json"])
+        .arg(&path)
+        .output()
+        .expect("cli runs");
+    assert!(
+        out.status.success(),
+        "{flag} {value}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let report = std::fs::read(&path).expect("report written");
+    std::fs::remove_file(&path).ok();
+    (out.stdout, report)
+}
+
+#[test]
+fn a_huge_slot_count_runs_like_one_slot_per_trial() {
+    // Slots past a rung's size are never used, so none is allocated.
+    assert_eq!(
+        study_with("--trial-slots", "100000000000"),
+        study_with("--trial-slots", "64")
+    );
+}
+
+#[test]
+fn a_huge_shard_count_runs_like_a_few_shards() {
+    // A rung never has more shard plans than trials, so no shard slot is
+    // allocated beyond them.
+    assert_eq!(
+        study_with("--study-shards", "100000000000"),
+        study_with("--study-shards", "4")
+    );
+}

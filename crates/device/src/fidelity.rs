@@ -151,7 +151,7 @@ pub fn precision_study(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edgetune_util::stats::{percentile, BoxPlot};
+    use edgetune_util::stats::{quantiles, BoxPlot};
 
     fn profile() -> WorkProfile {
         WorkProfile::new(0.56e9, 3.0e6, 44.8e6)
@@ -211,8 +211,8 @@ mod tests {
             SeedStream::new(3),
         );
         assert!(thpt.len() >= 90);
-        let med_t = percentile(&thpt, 0.5).unwrap();
-        let med_e = percentile(&energy, 0.5).unwrap();
+        let [med_t] = quantiles(&mut thpt.clone(), [0.5]).unwrap();
+        let [med_e] = quantiles(&mut energy.clone(), [0.5]).unwrap();
         // Paper: "the error ... is small (at most 20% in our experiments)"
         // for the bulk of configurations.
         assert!(

@@ -135,42 +135,6 @@ pub struct Execution {
 }
 
 impl Execution {
-    /// An execution that took no time and consumed no energy.
-    #[must_use]
-    pub fn zero() -> Self {
-        Execution {
-            latency: Seconds::ZERO,
-            energy: Joules::ZERO,
-            avg_power: Watts::ZERO,
-            utilization: 0.0,
-        }
-    }
-
-    /// Accumulates another execution that happened *after* this one
-    /// (latencies add; energy adds; power and utilisation are re-averaged
-    /// over the combined duration).
-    #[must_use]
-    pub fn then(self, next: Execution) -> Execution {
-        let latency = self.latency + next.latency;
-        let energy = self.energy + next.energy;
-        let total = latency.value();
-        let (avg_power, utilization) = if total > 0.0 {
-            (
-                Watts::new(energy.value() / total),
-                (self.utilization * self.latency.value() + next.utilization * next.latency.value())
-                    / total,
-            )
-        } else {
-            (Watts::ZERO, 0.0)
-        };
-        Execution {
-            latency,
-            energy,
-            avg_power,
-            utilization,
-        }
-    }
-
     /// Scales the execution as if it were repeated `n` times back-to-back.
     #[must_use]
     pub fn repeat(self, n: f64) -> Execution {
@@ -426,40 +390,16 @@ mod tests {
     }
 
     #[test]
-    fn execution_then_and_repeat_compose() {
+    fn execution_repeat_scales_time_and_energy() {
         let a = Execution {
-            latency: Seconds::new(1.0),
-            energy: Joules::new(10.0),
-            avg_power: Watts::new(10.0),
-            utilization: 1.0,
+            latency: Seconds::new(4.0),
+            energy: Joules::new(16.0),
+            avg_power: Watts::new(4.0),
+            utilization: 0.625,
         };
-        let b = Execution {
-            latency: Seconds::new(3.0),
-            energy: Joules::new(6.0),
-            avg_power: Watts::new(2.0),
-            utilization: 0.5,
-        };
-        let c = a.then(b);
-        assert_eq!(c.latency, Seconds::new(4.0));
-        assert_eq!(c.energy, Joules::new(16.0));
-        assert!((c.avg_power.value() - 4.0).abs() < 1e-12);
-        assert!((c.utilization - (1.0 * 1.0 + 0.5 * 3.0) / 4.0).abs() < 1e-12);
-        let d = c.repeat(2.0);
+        let d = a.repeat(2.0);
         assert_eq!(d.latency, Seconds::new(8.0));
         assert_eq!(d.energy, Joules::new(32.0));
-    }
-
-    #[test]
-    fn zero_execution_is_identity_for_then() {
-        let a = Execution {
-            latency: Seconds::new(1.0),
-            energy: Joules::new(5.0),
-            avg_power: Watts::new(5.0),
-            utilization: 0.8,
-        };
-        let z = Execution::zero().then(a);
-        assert_eq!(z.latency, a.latency);
-        assert_eq!(z.energy, a.energy);
     }
 
     #[test]

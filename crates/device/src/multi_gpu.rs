@@ -58,12 +58,6 @@ impl GpuAllocation {
         }
         Ok(GpuAllocation { gpus })
     }
-
-    /// Number of allocated GPUs.
-    #[must_use]
-    pub fn gpus(&self) -> u32 {
-        self.gpus
-    }
 }
 
 /// Per-GPU compute efficiency as a function of the *per-GPU* batch size.
@@ -168,7 +162,7 @@ mod tests {
         let n = node();
         assert!(GpuAllocation::new(&n, 0).is_err());
         assert!(GpuAllocation::new(&n, 9).is_err());
-        assert_eq!(GpuAllocation::new(&n, 8).unwrap().gpus(), 8);
+        assert_eq!(GpuAllocation::new(&n, 8).unwrap().gpus, 8);
         let cpu = DeviceSpec::raspberry_pi_3b();
         assert!(GpuAllocation::new(&cpu, 1).is_err());
     }

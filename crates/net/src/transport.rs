@@ -170,17 +170,6 @@ pub struct FramedTcpReceiver {
     reader: BufReader<TcpStream>,
 }
 
-impl FramedTcpReceiver {
-    /// Receives the next frame (see [`FramedTcp::recv`]).
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Io`] or [`NetError::Frame`].
-    pub fn recv(&mut self) -> Result<Option<Frame>, NetError> {
-        Ok(read_frame(&mut self.reader)?)
-    }
-}
-
 // Code generic over a frame stream (the shard fabric's task loop and
 // attempt reader) runs on the split-off half directly.
 impl std::io::Read for FramedTcpReceiver {

@@ -11,7 +11,7 @@ use std::time::Duration;
 use edgetune_net::{
     accept_hello, client_hello, FramedTcp, Hello, NetError, PROTOCOL_MAGIC, PROTOCOL_VERSION,
 };
-use edgetune_runtime::frame::{encode_frame, FrameError, FrameKind};
+use edgetune_runtime::frame::{encode_frame, read_frame, FrameError, FrameKind};
 
 /// Binds a fresh loopback listener, runs `server` against the first
 /// accepted connection on a thread, and hands the client stream to the
@@ -167,7 +167,7 @@ fn split_receiver_sees_frames_while_the_send_half_stays_usable() {
     let mut receiver = client.split_recv().expect("split");
     let reader = std::thread::spawn(move || {
         let mut kinds = Vec::new();
-        while let Ok(Some(frame)) = receiver.recv() {
+        while let Ok(Some(frame)) = read_frame(&mut receiver) {
             let done = frame.kind == FrameKind::Result;
             kinds.push(frame.kind);
             if done {

@@ -69,11 +69,11 @@ impl Dataset {
                 data.push(sample_normal(&mut rng, centre, noise) as f32);
             }
         }
-        Dataset {
-            features: Tensor::from_vec(data, &[samples, features]),
+        Dataset::new(
+            Tensor::from_vec(data, &[samples, features]),
             labels,
             classes,
-        }
+        )
     }
 
     /// Tiny procedural "images": `side × side` single-channel patterns
@@ -104,23 +104,18 @@ impl Dataset {
                 }
             }
         }
-        Dataset {
-            features: Tensor::from_vec(data, &[samples, side * side]),
+        Dataset::new(
+            Tensor::from_vec(data, &[samples, side * side]),
             labels,
             classes,
-        }
+        )
     }
 
     /// Number of samples.
     #[must_use]
+    #[allow(clippy::len_without_is_empty)] // no caller needs an `is_empty`
     pub fn len(&self) -> usize {
         self.labels.len()
-    }
-
-    /// True when the dataset has no samples.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
     }
 
     /// Feature width per sample.

@@ -683,8 +683,8 @@ mod tests {
             plus.data_mut()[i] += eps;
             let mut minus = input.clone();
             minus.data_mut()[i] -= eps;
-            let f_plus = layer.forward(&plus).sum();
-            let f_minus = layer.forward(&minus).sum();
+            let f_plus = layer.forward(&plus).data().iter().sum::<f32>();
+            let f_minus = layer.forward(&minus).data().iter().sum::<f32>();
             let numeric = (f_plus - f_minus) / (2.0 * eps);
             let a = analytic.data()[i];
             assert!(
@@ -734,7 +734,7 @@ mod tests {
                     p.data_mut()[0] += delta;
                 }
             });
-            let l = d.forward(&x).sum();
+            let l: f32 = d.forward(&x).data().iter().sum();
             d.visit_params(&mut |p, _| {
                 if p.shape() == [2, 2] {
                     p.data_mut()[0] -= delta;

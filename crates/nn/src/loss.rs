@@ -54,7 +54,7 @@ pub fn cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
     (loss * scale, grad)
 }
 
-/// Mean squared error.
+/// Mean squared error, the optimiser tests' regression loss.
 ///
 /// Returns `(mean_loss, grad_wrt_prediction)` for same-shape prediction
 /// and target tensors.
@@ -62,13 +62,16 @@ pub fn cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
 /// # Panics
 ///
 /// Panics on shape mismatch.
-#[must_use]
-pub fn mse(prediction: &Tensor, target: &Tensor) -> (f32, Tensor) {
+#[cfg(test)]
+pub(crate) fn mse(prediction: &Tensor, target: &Tensor) -> (f32, Tensor) {
     assert_eq!(prediction.shape(), target.shape(), "mse shape mismatch");
-    let diff = prediction.sub(target);
+    let diff: Vec<f32> = (prediction.data().iter().zip(target.data()))
+        .map(|(p, t)| p - t)
+        .collect();
     let n = diff.len() as f32;
-    let loss = diff.data().iter().map(|d| d * d).sum::<f32>() / n;
-    (loss, diff.scale(2.0 / n))
+    let loss = diff.iter().map(|d| d * d).sum::<f32>() / n;
+    let grad = diff.iter().map(|d| d * 2.0 / n).collect();
+    (loss, Tensor::from_vec(grad, prediction.shape()))
 }
 
 #[cfg(test)]

@@ -42,23 +42,6 @@ impl Sequential {
         self
     }
 
-    /// Appends a boxed layer.
-    pub fn push(&mut self, layer: Box<dyn Layer>) {
-        self.layers.push(layer);
-    }
-
-    /// Number of layers.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Total trainable scalar count.
-    #[must_use]
-    pub fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.param_count()).sum()
-    }
-
     /// Runs the forward pass through every layer.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
         let mut x = input.clone();
@@ -128,7 +111,7 @@ mod tests {
             .with(Dense::new(2, 4, SeedStream::new(1)))
             .with(Relu::new())
             .with(Dense::new(4, 3, SeedStream::new(2)));
-        assert_eq!(m.depth(), 3);
+        assert_eq!(m.layers.len(), 3);
         let y = m.forward(&Tensor::zeros(&[5, 2]));
         assert_eq!(y.shape(), &[5, 3]);
     }
@@ -150,7 +133,8 @@ mod tests {
             .with(Dense::new(2, 3, SeedStream::new(1))) // 2*3+3 = 9
             .with(Relu::new())
             .with(Dense::new(3, 1, SeedStream::new(2))); // 3*1+1 = 4
-        assert_eq!(m.param_count(), 13);
+        let params: usize = m.layers.iter().map(|l| l.param_count()).sum();
+        assert_eq!(params, 13);
     }
 
     #[test]
@@ -161,12 +145,5 @@ mod tests {
         let mut shapes = Vec::new();
         m.visit_params(&mut |p, _| shapes.push(p.shape().to_vec()));
         assert_eq!(shapes, vec![vec![2, 3], vec![1, 3], vec![3, 1], vec![1, 1]]);
-    }
-
-    #[test]
-    fn push_appends_boxed_layers() {
-        let mut m = Sequential::new();
-        m.push(Box::new(Relu::new()));
-        assert_eq!(m.depth(), 1);
     }
 }

@@ -53,16 +53,6 @@ impl Tensor {
         }
     }
 
-    /// A tensor filled with `value`.
-    #[must_use]
-    pub fn full(shape: &[usize], value: f32) -> Self {
-        let len = checked_len(shape);
-        Tensor {
-            shape: shape.to_vec(),
-            data: vec![value; len],
-        }
-    }
-
     /// Builds a tensor from raw data.
     ///
     /// # Panics
@@ -113,14 +103,9 @@ impl Tensor {
 
     /// Total number of elements.
     #[must_use]
+    #[allow(clippy::len_without_is_empty)] // no caller needs an `is_empty`
     pub fn len(&self) -> usize {
         self.data.len()
-    }
-
-    /// True when the tensor has zero elements (never, by construction).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// Read-only view of the underlying data.
@@ -154,21 +139,6 @@ impl Tensor {
     pub fn cols(&self) -> usize {
         assert_eq!(self.shape.len(), 2, "cols() requires a 2-D tensor");
         self.shape[1]
-    }
-
-    /// Element access for a 2-D tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of bounds or the tensor is not 2-D.
-    #[must_use]
-    pub fn at(&self, row: usize, col: usize) -> f32 {
-        let c = self.cols();
-        assert!(
-            row < self.rows() && col < c,
-            "index ({row},{col}) out of bounds"
-        );
-        self.data[row * c + col]
     }
 
     /// Reshapes to a new shape with the same number of elements.
@@ -302,18 +272,6 @@ impl Tensor {
         }
     }
 
-    /// Transpose of a 2-D tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not 2-D.
-    #[must_use]
-    pub fn transpose(&self) -> Tensor {
-        let mut out = Tensor::zeros(&[self.cols(), self.rows()]);
-        self.transpose_into(&mut out);
-        out
-    }
-
     /// Transpose written into a preallocated `[cols, rows]` output.
     ///
     /// # Panics
@@ -331,46 +289,6 @@ impl Tensor {
             for (j, &v) in self.data[i * n..(i + 1) * n].iter().enumerate() {
                 out.data[j * m + i] = v;
             }
-        }
-    }
-
-    /// Element-wise sum of two same-shape tensors.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    #[must_use]
-    pub fn add(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(self.shape, rhs.shape, "add shape mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Tensor {
-            shape: self.shape.clone(),
-            data,
-        }
-    }
-
-    /// Element-wise difference.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    #[must_use]
-    pub fn sub(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(self.shape, rhs.shape, "sub shape mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a - b)
-            .collect();
-        Tensor {
-            shape: self.shape.clone(),
-            data,
         }
     }
 
@@ -409,17 +327,8 @@ impl Tensor {
         }
     }
 
-    /// Sums each column of a 2-D tensor, producing a length-`cols` vector.
-    #[must_use]
-    pub fn sum_rows(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.cols()];
-        self.sum_rows_into(&mut out);
-        out
-    }
-
     /// Column sums written into a preallocated length-`cols` slice
-    /// (zeroed first, then accumulated row by row — the same order as
-    /// [`Tensor::sum_rows`]).
+    /// (zeroed first, then accumulated row by row).
     ///
     /// # Panics
     ///
@@ -433,27 +342,6 @@ impl Tensor {
                 *o += v;
             }
         }
-    }
-
-    /// Applies `f` to every element, returning a new tensor.
-    #[must_use]
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor {
-            shape: self.shape.clone(),
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Multiplies every element by a scalar.
-    #[must_use]
-    pub fn scale(&self, s: f32) -> Tensor {
-        self.map(|x| x * s)
-    }
-
-    /// Sum of all elements.
-    #[must_use]
-    pub fn sum(&self) -> f32 {
-        self.data.iter().sum()
     }
 
     /// Index of the maximum element in each row of a 2-D tensor (the
@@ -587,6 +475,19 @@ fn checked_len(shape: &[usize]) -> usize {
 }
 
 #[cfg(test)]
+impl Tensor {
+    /// A tensor of `shape` filled with `value`.
+    pub(crate) fn full(shape: &[usize], value: f32) -> Self {
+        Tensor::from_vec(vec![value; checked_len(shape)], shape)
+    }
+
+    /// Element `(row, col)` of a 2-D tensor.
+    pub(crate) fn at(&self, row: usize, col: usize) -> f32 {
+        self.data[row * self.cols() + col]
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -603,7 +504,7 @@ mod tests {
         assert_eq!(z.len(), 6);
         assert!(z.data().iter().all(|&x| x == 0.0));
         let f = Tensor::full(&[2, 2], 3.0);
-        assert_eq!(f.sum(), 12.0);
+        assert_eq!(f.data().iter().sum::<f32>(), 12.0);
     }
 
     #[test]
@@ -685,21 +586,19 @@ mod tests {
     #[test]
     fn transpose_round_trip() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        let t = a.transpose();
-        assert_eq!(t.shape(), &[3, 2]);
-        assert_eq!(t.at(0, 1), 4.0);
-        assert_eq!(t.transpose(), a);
+        let mut t = Tensor::zeros(&[3, 2]);
+        a.transpose_into(&mut t);
+        assert_eq!(t.data(), &[1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
+        let mut back = Tensor::zeros(&[2, 3]);
+        t.transpose_into(&mut back);
+        assert_eq!(back, a);
     }
 
     #[test]
     fn elementwise_ops() {
         let a = Tensor::from_vec(vec![1.0, 2.0], &[1, 2]);
         let b = Tensor::from_vec(vec![3.0, 5.0], &[1, 2]);
-        assert_eq!(a.add(&b).data(), &[4.0, 7.0]);
-        assert_eq!(b.sub(&a).data(), &[2.0, 3.0]);
         assert_eq!(a.hadamard(&b).data(), &[3.0, 10.0]);
-        assert_eq!(a.scale(2.0).data(), &[2.0, 4.0]);
-        assert_eq!(a.map(|x| x + 1.0).data(), &[2.0, 3.0]);
     }
 
     #[test]
@@ -712,7 +611,9 @@ mod tests {
     #[test]
     fn sum_rows_collapses_batch() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        assert_eq!(a.sum_rows(), vec![4.0, 6.0]);
+        let mut sums = vec![0.0; 2];
+        a.sum_rows_into(&mut sums);
+        assert_eq!(sums, vec![4.0, 6.0]);
     }
 
     #[test]
@@ -773,7 +674,7 @@ mod tests {
         assert_eq!(a, b, "same seed must reproduce");
         let c = Tensor::randn(&[10, 10], 1.0, SeedStream::new(6));
         assert_ne!(a, c);
-        let m = a.sum() / a.data().len() as f32;
+        let m = a.data().iter().sum::<f32>() / a.data().len() as f32;
         assert!(m.abs() < 0.2, "mean should be near 0: {m}");
     }
 
@@ -791,11 +692,13 @@ mod tests {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
         let mut t = Tensor::zeros(&[3, 2]);
         a.transpose_into(&mut t);
-        assert_eq!(t, a.transpose());
+        let transposed: Vec<f32> = (0..6).map(|i| a.at(i % 2, i / 2)).collect();
+        assert_eq!(t.data(), &transposed[..]);
 
         let mut sums = vec![0.0; 3];
         a.sum_rows_into(&mut sums);
-        assert_eq!(sums, a.sum_rows());
+        let column = |j| (0..2).map(|i| a.at(i, j)).sum::<f32>();
+        assert_eq!(sums, (0..3).map(column).collect::<Vec<_>>());
     }
 
     #[test]

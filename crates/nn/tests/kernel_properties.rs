@@ -329,7 +329,7 @@ proptest! {
         let a = tensor(m, k, seed);
         let b = tensor(k, n, seed + 1);
         // Stale contents must not leak into the result.
-        let mut out = Tensor::full(&[m, n], f32::NAN);
+        let mut out = Tensor::from_vec(vec![f32::NAN; m * n], &[m, n]);
         a.matmul_into(&b, &mut out);
         assert_bits_equal(&out, &a.matmul(&b));
     }
@@ -377,8 +377,10 @@ proptest! {
         let (mut conv, weight, _) = conv_with_params(in_c, out_c, k, stride, padding, seed + 1);
         let out_shape = conv.forward(&x).shape().to_vec();
         // Mostly zero, as behind a max-pool.
-        let mut g = Tensor::randn(&out_shape, 1.0, SeedStream::new(seed + 2))
-            .map(|v| if v > 0.7 { v } else { 0.0 });
+        let mut g = Tensor::randn(&out_shape, 1.0, SeedStream::new(seed + 2));
+        for v in g.data_mut() {
+            *v = if *v > 0.7 { *v } else { 0.0 };
+        }
         if specials == 1 {
             x = with_specials(&x, seed + 3);
             g = with_specials(&g, seed + 4);

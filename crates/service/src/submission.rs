@@ -120,16 +120,7 @@ impl StudySubmission {
     ///
     /// Returns [`Error::InvalidConfig`] for an unknown workload name.
     pub fn workload_id(&self) -> Result<WorkloadId> {
-        match self.workload.to_lowercase().as_str() {
-            "ic" => Ok(WorkloadId::Ic),
-            "sr" => Ok(WorkloadId::Sr),
-            "nlp" => Ok(WorkloadId::Nlp),
-            "od" => Ok(WorkloadId::Od),
-            other => Err(Error::invalid_config(format!(
-                "study {}/{}: unknown workload '{other}' (ic|sr|nlp|od)",
-                self.tenant, self.name
-            ))),
-        }
+        self.workload.parse().map_err(|e| self.invalid(e))
     }
 
     /// The parsed objective metric.
@@ -138,14 +129,12 @@ impl StudySubmission {
     ///
     /// Returns [`Error::InvalidConfig`] for an unknown metric name.
     pub fn metric_id(&self) -> Result<Metric> {
-        match self.metric.to_lowercase().as_str() {
-            "runtime" => Ok(Metric::Runtime),
-            "energy" => Ok(Metric::Energy),
-            other => Err(Error::invalid_config(format!(
-                "study {}/{}: unknown metric '{other}' (runtime|energy)",
-                self.tenant, self.name
-            ))),
-        }
+        self.metric.parse().map_err(|e| self.invalid(e))
+    }
+
+    /// A configuration error about this study.
+    fn invalid(&self, message: String) -> Error {
+        Error::invalid_config(format!("study {}/{}: {message}", self.tenant, self.name))
     }
 }
 
@@ -211,10 +200,7 @@ impl SubmissionFile {
         let mut study_names = std::collections::HashSet::new();
         for study in &self.studies {
             if !names.contains(study.tenant.as_str()) {
-                return Err(Error::invalid_config(format!(
-                    "study {}/{}: tenant not declared",
-                    study.tenant, study.name
-                )));
+                return Err(study.invalid("tenant not declared".into()));
             }
             if !study_names.insert((study.tenant.as_str(), study.name.as_str())) {
                 return Err(Error::invalid_config(format!(
@@ -223,16 +209,10 @@ impl SubmissionFile {
                 )));
             }
             if !(0.0..=1.0).contains(&study.chaos_rate) {
-                return Err(Error::invalid_config(format!(
-                    "study {}/{}: chaos_rate must be within [0, 1]",
-                    study.tenant, study.name
-                )));
+                return Err(study.invalid("chaos_rate must be within [0, 1]".into()));
             }
             if study.trials == 0 || study.max_iter == 0 || study.rung_quantum == 0 {
-                return Err(Error::invalid_config(format!(
-                    "study {}/{}: trials, max_iter, and rung_quantum must be >= 1",
-                    study.tenant, study.name
-                )));
+                return Err(study.invalid("trials, max_iter, and rung_quantum must be >= 1".into()));
             }
             // Unknown workload/metric names are deliberately *not* a
             // file-level error: one tenant's typo must not sink every

@@ -46,12 +46,6 @@ impl DriftDetector {
         }
     }
 
-    /// The rate the detector is currently armed against.
-    #[must_use]
-    pub fn tuned_rate(&self) -> f64 {
-        self.tuned_rate
-    }
-
     /// Feeds one arrival (timestamps must be non-decreasing). Returns
     /// `Some(estimated_rate)` the moment sustained drift is established;
     /// the estimate is the mean rate over the deviating windows. The

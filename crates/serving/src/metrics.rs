@@ -22,14 +22,10 @@ pub enum SwitchSource {
     Frontier,
 }
 
-impl SwitchSource {
-    /// True for the default (re-tune) source — the serde skip predicate
-    /// that keeps re-tune switches byte-identical to pre-frontier
-    /// reports.
-    #[must_use]
-    pub fn is_retune(&self) -> bool {
-        matches!(self, SwitchSource::Retune)
-    }
+/// True for the default (re-tune) source — the serde skip predicate that
+/// keeps re-tune switches byte-identical to pre-frontier reports.
+fn is_retune(source: &SwitchSource) -> bool {
+    matches!(source, SwitchSource::Retune)
 }
 
 /// One drift-triggered configuration hot-swap.
@@ -57,7 +53,7 @@ pub struct ConfigSwitch {
     /// How the switch was decided. Defaults to [`SwitchSource::Retune`]
     /// (and is skipped for re-tunes) so reports from runs without a
     /// frontier selector keep their exact pre-frontier bytes.
-    #[serde(default, skip_serializing_if = "SwitchSource::is_retune")]
+    #[serde(default, skip_serializing_if = "is_retune")]
     pub source: SwitchSource,
 }
 
@@ -124,16 +120,6 @@ impl ServingReport {
     pub fn to_json(&self) -> Result<String> {
         serde_json::to_string_pretty(self)
             .map_err(|e| Error::storage(format!("serialising serving report: {e}")))
-    }
-
-    /// Reads a report previously produced by [`ServingReport::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Storage`] if parsing fails.
-    pub fn from_json(json: &str) -> Result<Self> {
-        serde_json::from_str(json)
-            .map_err(|e| Error::storage(format!("parsing serving report: {e}")))
     }
 
     /// A one-paragraph human summary (the JSON carries the detail).
@@ -225,7 +211,7 @@ mod tests {
     fn json_round_trip_preserves_everything() {
         let r = report();
         let json = r.to_json().unwrap();
-        let back = ServingReport::from_json(&json).unwrap();
+        let back: ServingReport = serde_json::from_str(&json).unwrap();
         assert_eq!(r, back);
     }
 
@@ -255,11 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn from_json_rejects_garbage() {
-        assert!(ServingReport::from_json("not json").is_err());
-    }
-
-    #[test]
     fn retune_switches_serialise_without_a_source_key() {
         let json = report().to_json().unwrap();
         assert!(
@@ -274,7 +255,7 @@ mod tests {
         r.switches[0].source = SwitchSource::Frontier;
         let json = r.to_json().unwrap();
         assert!(json.contains("\"Frontier\""));
-        let back = ServingReport::from_json(&json).unwrap();
+        let back: ServingReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, r);
         assert_eq!(back.switches[0].source, SwitchSource::Frontier);
     }

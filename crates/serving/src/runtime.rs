@@ -119,12 +119,12 @@ pub trait OnlineTuner {
 pub struct RuntimeOptions {
     /// The latency SLO served under.
     pub slo: SloPolicy,
-    /// When false, the batch cap stays pinned at the tuned value.
+    /// Adaptive serving: the batch cap follows the load, and drift
+    /// detection re-tunes through the tuner, if one is given. When false
+    /// the tuned configuration is served as it is.
     pub adaptive: bool,
     /// Parallel inference workers (device replicas behind the queue).
     pub workers: u32,
-    /// Drift detection; `false` disables online re-tuning.
-    pub drift: bool,
 }
 
 impl RuntimeOptions {
@@ -136,7 +136,6 @@ impl RuntimeOptions {
             slo,
             adaptive: true,
             workers: 1,
-            drift: true,
         }
     }
 
@@ -145,7 +144,6 @@ impl RuntimeOptions {
     #[must_use]
     pub fn static_serving(mut self) -> Self {
         self.adaptive = false;
-        self.drift = false;
         self
     }
 
@@ -158,13 +156,6 @@ impl RuntimeOptions {
     pub fn with_workers(mut self, workers: u32) -> Self {
         assert!(workers >= 1, "need at least one worker");
         self.workers = workers;
-        self
-    }
-
-    /// Disables drift detection (adaptive batching may stay on).
-    #[must_use]
-    pub fn without_drift(mut self) -> Self {
-        self.drift = false;
         self
     }
 }
@@ -212,18 +203,6 @@ impl ServingRuntime {
     pub fn with_selector(mut self, selector: ConfigSelector) -> Self {
         self.selector = Some(selector);
         self
-    }
-
-    /// The installed frontier selector, if any.
-    #[must_use]
-    pub fn selector(&self) -> Option<&ConfigSelector> {
-        self.selector.as_ref()
-    }
-
-    /// The currently deployed configuration.
-    #[must_use]
-    pub fn config(&self) -> &ServingConfig {
-        &self.config
     }
 
     /// Generates `traffic` over `horizon` and serves it.
@@ -312,7 +291,7 @@ impl ServingRuntime {
             policy = policy.pinned();
         }
         let mut batcher = AdaptiveBatcher::new(policy);
-        let mut detector = (self.options.drift && tuner.is_some() && config.tuned_rate > 0.0)
+        let mut detector = (self.options.adaptive && tuner.is_some() && config.tuned_rate > 0.0)
             .then(|| DriftDetector::new(config.tuned_rate));
         // Memoised per-batch-size (latency, energy), invalidated on
         // configuration switches.
@@ -673,7 +652,7 @@ mod tests {
     #[test]
     fn adaptive_cap_grows_under_overload() {
         let slo = SloPolicy::new(Seconds::new(3.0));
-        let rt = runtime(RuntimeOptions::new(slo).without_drift());
+        let rt = runtime(RuntimeOptions::new(slo));
         let report = rt
             .serve(
                 &TrafficProfile::Poisson { rate: 20.0 },
@@ -960,10 +939,10 @@ mod tests {
         let slo = SloPolicy::new(Seconds::new(2.0));
         let overload = TrafficProfile::Poisson { rate: 40.0 };
         let seed = SeedStream::new(6);
-        let one = runtime(RuntimeOptions::new(slo).without_drift())
+        let one = runtime(RuntimeOptions::new(slo))
             .serve(&overload, Seconds::new(60.0), None, seed)
             .unwrap();
-        let two = runtime(RuntimeOptions::new(slo).without_drift().with_workers(2))
+        let two = runtime(RuntimeOptions::new(slo).with_workers(2))
             .serve(&overload, Seconds::new(60.0), None, seed)
             .unwrap();
         assert!(
@@ -1032,7 +1011,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(plain, traced, "tracing must be invisible in the report");
-        let events = tracer.snapshot();
+        let events = tracer.with(|_, events| events.to_vec());
         assert_eq!(
             events
                 .iter()

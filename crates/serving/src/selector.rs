@@ -59,22 +59,11 @@ impl ConfigSelector {
         ConfigSelector { entries }
     }
 
-    /// The frontier in canonical order.
-    #[must_use]
-    pub fn entries(&self) -> &[FrontierEntry] {
-        &self.entries
-    }
-
     /// Number of frontier points held.
     #[must_use]
+    #[allow(clippy::len_without_is_empty)] // no caller needs an `is_empty`
     pub fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// True when the frontier is empty (selection always escalates).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// The best feasible pre-computed configuration for an estimated
@@ -220,7 +209,7 @@ mod tests {
     #[test]
     fn an_empty_selector_always_escalates() {
         let selector = ConfigSelector::default();
-        assert!(selector.is_empty());
+        assert!(selector.entries.is_empty());
         assert!(selector.select(1.0, Seconds::new(10.0), None).is_none());
     }
 }

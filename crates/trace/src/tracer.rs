@@ -170,30 +170,6 @@ impl Tracer {
         let inner = self.lock();
         read(&inner.tracks, &inner.events)
     }
-
-    /// A snapshot of every recorded event, in emission order.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.with(|_, events| events.to_vec())
-    }
-
-    /// A snapshot of the registered tracks, in registration order.
-    #[must_use]
-    pub fn tracks(&self) -> Vec<Track> {
-        self.with(|tracks, _| tracks.to_vec())
-    }
-
-    /// Number of recorded events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.with(|_, events| events.len())
-    }
-
-    /// Whether nothing has been recorded yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -208,7 +184,7 @@ mod tests {
         let again = tracer.track("engine", "trial-slot-0");
         assert_eq!(a, again);
         assert_ne!(a, b);
-        let tracks = tracer.tracks();
+        let tracks = tracer.with(|tracks, _| tracks.to_vec());
         assert_eq!(tracks.len(), 2);
         assert_eq!(tracks[a.index()].name, "trial-slot-0");
         assert_eq!(tracks[b.index()].process, "inference");
@@ -220,7 +196,7 @@ mod tests {
         let track = tracer.track("engine", "t");
         tracer.span(track, "a", "test", Seconds::new(5.0), Seconds::new(6.0));
         tracer.instant(track, "b", "test", Seconds::new(1.0));
-        let events = tracer.snapshot();
+        let events = tracer.with(|_, events| events.to_vec());
         assert_eq!(events[0].seq, 0);
         assert_eq!(events[0].name, "a");
         assert_eq!(events[1].seq, 1);
@@ -244,6 +220,6 @@ mod tests {
         }));
         assert!(panicked.is_err());
         tracer.instant(track, "after", "test", Seconds::new(1.0));
-        assert_eq!(tracer.len(), 1);
+        assert_eq!(tracer.with(|_, events| events.len()), 1);
     }
 }

@@ -28,8 +28,7 @@ pub use objective::{InferenceObjective, Metric, TrainObjective};
 pub use pareto::{FrontPoint, ObjectiveVector, ParetoFront, ParetoTpeSampler};
 pub use sampler::{GridSampler, RandomSampler, Sampler, TpeSampler};
 pub use scheduler::{
-    BracketSpec, FixedBudgetSearch, HyperBand, PromotionRule, Rung, SchedulerConfig, Study,
-    SuccessiveHalving,
+    BracketSpec, HyperBand, PromotionRule, Rung, SchedulerConfig, Study, SuccessiveHalving,
 };
 pub use space::{Config, Domain, SearchSpace};
 pub use trial::{History, TrialFailure, TrialOutcome, TrialRecord};

@@ -134,11 +134,11 @@ mod tests {
 
     #[test]
     fn merging_no_shards_or_empty_shards_yields_an_empty_history() {
-        assert!(HistoryMerge::merge(Vec::new()).is_empty());
+        assert!(HistoryMerge::merge(Vec::new()).records().is_empty());
         let empty = ShardHistory {
             shard: 0,
             trials: Vec::new(),
         };
-        assert!(HistoryMerge::merge(vec![empty]).is_empty());
+        assert!(HistoryMerge::merge(vec![empty]).records().is_empty());
     }
 }

@@ -32,6 +32,19 @@ impl std::fmt::Display for Metric {
     }
 }
 
+/// Parses a metric name, case-insensitively: `runtime` or `energy`.
+impl std::str::FromStr for Metric {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Self, String> {
+        match name.to_lowercase().as_str() {
+            "runtime" => Ok(Metric::Runtime),
+            "energy" => Ok(Metric::Energy),
+            other => Err(format!("unknown metric '{other}' (runtime|energy)")),
+        }
+    }
+}
+
 /// Everything a training trial measured, handed to the objective.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TrainMeasurement {
@@ -48,19 +61,12 @@ pub struct TrainMeasurement {
     pub inference_energy: Option<JoulesPerItem>,
 }
 
-/// Base of the graded penalty applied to trials below the accuracy
-/// floor: huge enough to lose to any feasible trial, but still *ranked*
-/// by accuracy so multi-fidelity scheduling stays informative when a
-/// whole low-budget rung is infeasible.
-pub const INFEASIBLE_PENALTY: f64 = 1e12;
-
 /// The Model Tuning Server's objective function.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TrainObjective {
     metric: Metric,
     inference_aware: bool,
     accuracy_only: bool,
-    accuracy_floor: Option<f64>,
 }
 
 impl TrainObjective {
@@ -71,7 +77,6 @@ impl TrainObjective {
             metric,
             inference_aware: true,
             accuracy_only: false,
-            accuracy_floor: None,
         }
     }
 
@@ -82,7 +87,6 @@ impl TrainObjective {
             metric,
             inference_aware: false,
             accuracy_only: false,
-            accuracy_floor: None,
         }
     }
 
@@ -96,24 +100,7 @@ impl TrainObjective {
             metric: Metric::Runtime,
             inference_aware: false,
             accuracy_only: true,
-            accuracy_floor: None,
         }
-    }
-
-    /// Marks trials below an accuracy threshold as infeasible (the
-    /// "threshold" optimisation-function option of §3.3).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `floor` is in `(0, 1)`.
-    #[must_use]
-    pub fn with_accuracy_floor(mut self, floor: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&floor) && floor > 0.0,
-            "floor must be in (0,1)"
-        );
-        self.accuracy_floor = Some(floor);
-        self
     }
 
     /// The metric being optimised.
@@ -123,17 +110,12 @@ impl TrainObjective {
     }
 
     /// Scores a measurement; **lower is better**. Returns `+∞` for
-    /// infeasible trials (zero/negative accuracy, below the floor, or —
+    /// infeasible trials (zero/negative accuracy, or —
     /// for inference-aware scoring — a missing inference estimate).
     #[must_use]
     pub fn score(&self, m: &TrainMeasurement) -> f64 {
         if m.accuracy <= 0.0 {
             return f64::INFINITY;
-        }
-        if let Some(floor) = self.accuracy_floor {
-            if m.accuracy < floor {
-                return INFEASIBLE_PENALTY * (1.0 + floor - m.accuracy);
-            }
         }
         if self.accuracy_only {
             return 1.0 - m.accuracy;
@@ -173,12 +155,6 @@ impl InferenceObjective {
     #[must_use]
     pub fn new(metric: Metric) -> Self {
         InferenceObjective { metric }
-    }
-
-    /// The metric being optimised.
-    #[must_use]
-    pub fn metric(&self) -> Metric {
-        self.metric
     }
 
     /// Scores a per-item latency/energy pair; lower is better.
@@ -245,20 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn accuracy_floor_applies_graded_penalty() {
-        let obj = TrainObjective::inference_aware(Metric::Runtime).with_accuracy_floor(0.8);
-        let below = obj.score(&measurement(0.79));
-        let lower = obj.score(&measurement(0.40));
-        let above = obj.score(&measurement(0.81));
-        assert!(
-            below >= INFEASIBLE_PENALTY,
-            "below-floor trials are heavily penalised"
-        );
-        assert!(lower > below, "penalty still ranks by accuracy");
-        assert!(above < INFEASIBLE_PENALTY, "feasible trials always win");
-    }
-
-    #[test]
     fn zero_accuracy_is_infeasible() {
         let obj = TrainObjective::training_only(Metric::Energy);
         assert!(obj.score(&measurement(0.0)).is_infinite());
@@ -272,7 +234,7 @@ mod tests {
         let en = JoulesPerItem::new(0.6);
         assert_eq!(t.score(lat, en), 0.02);
         assert_eq!(e.score(lat, en), 0.6);
-        assert_eq!(t.metric(), Metric::Runtime);
+        assert_eq!(t.metric, Metric::Runtime);
     }
 
     #[test]

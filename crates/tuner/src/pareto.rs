@@ -131,7 +131,7 @@ pub struct FrontPoint {
 ///
 /// The front is **insertion-order invariant**: dominance is transitive,
 /// so whichever order points arrive in, the surviving set is exactly the
-/// non-dominated subset of all insertions, and [`ParetoFront::points`]
+/// non-dominated subset of all insertions, and [`ParetoFront::top`]
 /// returns it in a canonical order (cost view lexicographic, then config
 /// key, then trial id). Duplicated coordinates dominate in neither
 /// direction and therefore coexist.
@@ -145,18 +145,6 @@ impl ParetoFront {
     #[must_use]
     pub fn new() -> Self {
         ParetoFront::default()
-    }
-
-    /// Number of points on the front.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True when nothing has been inserted (or everything was dominated).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
     }
 
     /// Offers a point to the front. Returns `true` when it joins (it is
@@ -178,12 +166,6 @@ impl ParetoFront {
                 .then(a.trial.cmp(&b.trial))
         });
         true
-    }
-
-    /// The front in canonical order.
-    #[must_use]
-    pub fn points(&self) -> &[FrontPoint] {
-        &self.points
     }
 
     /// The first `k` points of the canonical order — the deterministic
@@ -364,12 +346,6 @@ impl ParetoTpeSampler {
         }
     }
 
-    /// Number of vector observations retained.
-    #[must_use]
-    pub fn observations(&self) -> usize {
-        self.observed.len()
-    }
-
     /// Reference point for hypervolume bookkeeping: slightly beyond the
     /// worst observed value on every cost axis, so every observation
     /// contributes.
@@ -498,7 +474,7 @@ mod tests {
 
     fn point(acc: f64, train: f64, inf: f64, trial: u64) -> FrontPoint {
         FrontPoint {
-            config: Config::new().with("x", trial as f64),
+            config: Config::from_iter([("x", trial as f64)]),
             vector: vector(acc, train, inf),
             trial,
         }
@@ -551,8 +527,8 @@ mod tests {
         assert!(front.insert(point(0.9, 20.0, 2.0, 1))); // trade-off: stays
         assert!(!front.insert(point(0.7, 15.0, 1.5, 2))); // dominated by 0
         assert!(front.insert(point(0.95, 5.0, 0.5, 3))); // dominates both
-        assert_eq!(front.len(), 1);
-        assert_eq!(front.points()[0].trial, 3);
+        assert_eq!(front.points.len(), 1);
+        assert_eq!(front.top(usize::MAX)[0].trial, 3);
         assert!(front.is_mutually_non_dominated());
     }
 
@@ -697,7 +673,7 @@ mod tests {
     #[test]
     fn pareto_tpe_ignores_failed_and_degraded_outcomes() {
         let mut sampler = ParetoTpeSampler::new(SeedStream::new(1));
-        let config = Config::new().with("x", 0.5);
+        let config = Config::from_iter([("x", 0.5)]);
         sampler.observe(
             &config,
             &TrialOutcome::failed(
@@ -710,10 +686,10 @@ mod tests {
             &config,
             &TrialOutcome::new(1.0, 0.5, Seconds::new(1.0), Joules::new(1.0)),
         );
-        assert_eq!(sampler.observations(), 0);
+        assert_eq!(sampler.observed.len(), 0);
         let vectored = TrialOutcome::new(1.0, 0.5, Seconds::new(1.0), Joules::new(1.0))
             .with_vector(vector(0.5, 1.0, 1.0));
         sampler.observe(&config, &vectored);
-        assert_eq!(sampler.observations(), 1);
+        assert_eq!(sampler.observed.len(), 1);
     }
 }

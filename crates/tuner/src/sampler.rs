@@ -594,11 +594,7 @@ mod tests {
         let space = space_2d();
         let mut tpe = TpeSampler::new(SeedStream::new(8));
         let configs: Vec<Config> = (0..12)
-            .map(|i| {
-                Config::new()
-                    .with("x", f64::from(i) / 12.0)
-                    .with("y", f64::from(i) / 12.0)
-            })
+            .map(|i| Config::from_iter([("x", f64::from(i) / 12.0), ("y", f64::from(i) / 12.0)]))
             .collect();
         let obs: Vec<(&Config, f64)> = configs.iter().map(|c| (c, f64::INFINITY)).collect();
         // All-infinite observations must not panic; falls back to random.
@@ -617,9 +613,10 @@ mod tests {
         let configs: Vec<Config> = (0..MAX_OBSERVATIONS + 64)
             .map(|i| {
                 let t = if i < MAX_OBSERVATIONS { 0.2 } else { 0.9 };
-                Config::new()
-                    .with("x", t + (i % 7) as f64 * 0.01)
-                    .with("y", t + (i % 5) as f64 * 0.01)
+                Config::from_iter([
+                    ("x", t + (i % 7) as f64 * 0.01),
+                    ("y", t + (i % 5) as f64 * 0.01),
+                ])
             })
             .collect();
         let obs: Vec<(&Config, f64)> = configs
@@ -659,8 +656,8 @@ mod tests {
     fn warm_start_replays_seeds_then_delegates() {
         let space = space_2d();
         let seeds = vec![
-            Config::new().with("x", 0.1).with("y", 0.2),
-            Config::new().with("x", 0.3).with("y", 0.4),
+            Config::from_iter([("x", 0.1), ("y", 0.2)]),
+            Config::from_iter([("x", 0.3), ("y", 0.4)]),
         ];
         let mut warm = WarmStartSampler::new(
             seeds.clone(),
@@ -677,7 +674,7 @@ mod tests {
     #[test]
     fn warm_start_clamps_out_of_domain_seeds() {
         let space = space_2d();
-        let seeds = vec![Config::new().with("x", 7.0).with("y", -3.0)];
+        let seeds = vec![Config::from_iter([("x", 7.0), ("y", -3.0)])];
         let mut warm =
             WarmStartSampler::new(seeds, Box::new(RandomSampler::new(SeedStream::new(4))));
         let c = warm.suggest(&space, &[]);
@@ -692,12 +689,12 @@ mod tests {
         // A transferred config missing a dimension must be discarded, not
         // half-filled with random values.
         let seeds = vec![
-            Config::new().with("x", 0.5),
-            Config::new().with("x", 0.6).with("y", 0.6),
+            Config::from_iter([("x", 0.5)]),
+            Config::from_iter([("x", 0.6), ("y", 0.6)]),
         ];
         let mut warm =
             WarmStartSampler::new(seeds, Box::new(RandomSampler::new(SeedStream::new(4))));
         let first = warm.suggest(&space, &[]);
-        assert_eq!(first, Config::new().with("x", 0.6).with("y", 0.6));
+        assert_eq!(first, Config::from_iter([("x", 0.6), ("y", 0.6)]));
     }
 }

@@ -336,12 +336,6 @@ impl SuccessiveHalving {
         )
     }
 
-    /// Planned `(trials, rungs)` of the study when no trial fails.
-    #[must_use]
-    pub fn planned(&self) -> (u64, u64) {
-        planned_bracket(self.bracket(), self.config.eta, self.config.max_iteration)
-    }
-
     /// Runs a full successive-halving tuning job and returns its history.
     pub fn run(
         &self,
@@ -365,46 +359,6 @@ pub struct BracketSpec {
     pub initial: usize,
     /// 1-based budget level the bracket starts at.
     pub start_iteration: u32,
-}
-
-/// Fixed-budget search: every sampled configuration is evaluated once at
-/// the same (typically maximal) budget — the wasteful strategy §2.2
-/// contrasts multi-fidelity methods against ("the majority of trials
-/// waste precious resources").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FixedBudgetSearch {
-    trials: usize,
-    iteration: u32,
-}
-
-impl FixedBudgetSearch {
-    /// Creates a fixed-budget search of `trials` configurations, each at
-    /// budget level `iteration`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trials` or `iteration` is zero.
-    #[must_use]
-    pub fn new(trials: usize, iteration: u32) -> Self {
-        assert!(trials >= 1, "need at least one trial");
-        assert!(iteration >= 1, "iteration levels are 1-based");
-        FixedBudgetSearch { trials, iteration }
-    }
-
-    /// A study of `trials` one-trial brackets at the fixed level, so each
-    /// configuration is suggested with every earlier outcome in view.
-    #[must_use]
-    pub fn study(&self, space: SearchSpace, policy: BudgetPolicy) -> Study {
-        let brackets = (0..self.trials as u32)
-            .map(|index| BracketSpec {
-                index,
-                initial: 1,
-                start_iteration: self.iteration,
-            })
-            .collect();
-        let config = SchedulerConfig::new(1, 2.0, self.iteration);
-        Study::new(space, policy, config, PromotionRule::default(), brackets)
-    }
 }
 
 /// HyperBand: several successive-halving brackets that trade off
@@ -512,6 +466,21 @@ mod tests {
 
     fn space() -> SearchSpace {
         SearchSpace::new().with("x", Domain::float(0.0, 1.0))
+    }
+
+    /// Fixed-budget search, the wasteful strategy §2.2 contrasts
+    /// multi-fidelity methods against: `trials` one-trial brackets, every
+    /// configuration evaluated once at budget level `iteration`.
+    fn fixed_budget(trials: u32, iteration: u32, policy: BudgetPolicy) -> Study {
+        let brackets = (0..trials)
+            .map(|index| BracketSpec {
+                index,
+                initial: 1,
+                start_iteration: iteration,
+            })
+            .collect();
+        let config = SchedulerConfig::new(1, 2.0, iteration);
+        Study::new(space(), policy, config, PromotionRule::default(), brackets)
     }
 
     /// Synthetic trial: true quality is |x − 0.42|; low budgets observe a
@@ -678,7 +647,7 @@ mod tests {
                 - BudgetPolicy::multi_default().budget(1).effective_epochs())
             .abs()
                 < 1e-9));
-        assert!(history.best().is_some());
+        assert!(history.winner().is_some());
     }
 
     #[test]
@@ -693,7 +662,7 @@ mod tests {
             &BudgetPolicy::multi_default(),
             &mut eval,
         );
-        let best = history.best().unwrap();
+        let best = history.winner().unwrap();
         let err = (best.config.get("x").unwrap() - 0.42).abs();
         assert!(err < 0.15, "best x should be near optimum: err={err}");
     }
@@ -927,12 +896,10 @@ mod tests {
         );
         assert_eq!(sampler.observed, history.len());
 
-        let fixed = FixedBudgetSearch::new(5, 2);
         let mut sampler = CountingSampler::new(34);
         let mut eval = evaluator();
-        let history = fixed
-            .study(space(), BudgetPolicy::multi_default())
-            .run(&mut sampler, &mut eval);
+        let history =
+            fixed_budget(5, 2, BudgetPolicy::multi_default()).run(&mut sampler, &mut eval);
         assert_eq!(sampler.observed, history.len());
     }
 
@@ -1016,11 +983,10 @@ mod tests {
 
     #[test]
     fn fixed_budget_evaluates_every_trial_at_the_same_level() {
-        let fixed = FixedBudgetSearch::new(12, 8);
         let mut sampler = RandomSampler::new(SeedStream::new(9));
         let mut eval = evaluator();
         let policy = BudgetPolicy::multi_default();
-        let history = fixed.study(space(), policy).run(&mut sampler, &mut eval);
+        let history = fixed_budget(12, 8, policy).run(&mut sampler, &mut eval);
         assert_eq!(history.len(), 12);
         let expected = policy.budget(8);
         for r in history.records() {
@@ -1044,9 +1010,7 @@ mod tests {
         );
         let mut fixed_sampler = RandomSampler::new(SeedStream::new(10));
         let mut eval2 = evaluator();
-        let fixed = FixedBudgetSearch::new(16, 8)
-            .study(space(), policy)
-            .run(&mut fixed_sampler, &mut eval2);
+        let fixed = fixed_budget(16, 8, policy).run(&mut fixed_sampler, &mut eval2);
         assert!(
             sha.total_runtime().value() < fixed.total_runtime().value(),
             "SHA {} should be cheaper than fixed {}",

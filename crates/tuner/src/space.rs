@@ -233,12 +233,6 @@ impl SearchSpace {
         self
     }
 
-    /// Number of parameters.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.params.len()
-    }
-
     /// True when the space has no parameters.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -323,16 +317,9 @@ impl Config {
         Config::default()
     }
 
-    /// Sets a parameter value (builder-style variant: [`Config::with`]).
+    /// Sets a parameter value.
     pub fn set(&mut self, name: impl Into<String>, value: f64) {
         self.values.insert(name.into(), value);
-    }
-
-    /// Builder-style [`Config::set`].
-    #[must_use]
-    pub fn with(mut self, name: impl Into<String>, value: f64) -> Self {
-        self.set(name, value);
-        self
     }
 
     /// Reads a parameter value.
@@ -344,18 +331,6 @@ impl Config {
     /// Parameter names in sorted order.
     pub fn keys(&self) -> impl Iterator<Item = &str> {
         self.values.keys().map(String::as_str)
-    }
-
-    /// Number of assigned parameters.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True when no parameters are assigned.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
     }
 
     /// A canonical string key (sorted `name=value` pairs) for caching and
@@ -377,10 +352,10 @@ impl fmt::Display for Config {
     }
 }
 
-impl FromIterator<(String, f64)> for Config {
-    fn from_iter<T: IntoIterator<Item = (String, f64)>>(iter: T) -> Self {
+impl<K: Into<String>> FromIterator<(K, f64)> for Config {
+    fn from_iter<T: IntoIterator<Item = (K, f64)>>(iter: T) -> Self {
         Config {
-            values: iter.into_iter().collect(),
+            values: iter.into_iter().map(|(k, v)| (k.into(), v)).collect(),
         }
     }
 }
@@ -464,11 +439,12 @@ mod tests {
         let mut r = rng();
         let c = space.sample(&mut r);
         assert!(space.validate(&c).is_ok());
-        let bad = Config::new().with("layers", 18.0).with("batch", 7.0);
+        let bad = Config::from_iter([("layers", 18.0), ("batch", 7.0)]);
         assert!(space.validate(&bad).is_err());
-        let missing = Config::new().with("layers", 18.0);
+        let missing = Config::from_iter([("layers", 18.0)]);
         assert!(space.validate(&missing).is_err());
-        let extra = c.clone().with("bogus", 1.0);
+        let mut extra = c.clone();
+        extra.set("bogus", 1.0);
         assert!(space.validate(&extra).is_err());
     }
 
@@ -488,8 +464,8 @@ mod tests {
 
     #[test]
     fn config_key_is_canonical() {
-        let a = Config::new().with("b", 2.0).with("a", 1.0);
-        let b = Config::new().with("a", 1.0).with("b", 2.0);
+        let a = Config::from_iter([("b", 2.0), ("a", 1.0)]);
+        let b = Config::from_iter([("a", 1.0), ("b", 2.0)]);
         assert_eq!(a.key(), b.key());
         assert_eq!(a.key(), "a=1,b=2");
         assert_eq!(a.to_string(), "{a=1,b=2}");

@@ -156,30 +156,9 @@ impl History {
 
     /// Number of completed trials.
     #[must_use]
+    #[allow(clippy::len_without_is_empty)] // no caller needs an `is_empty`
     pub fn len(&self) -> usize {
         self.records.len()
-    }
-
-    /// True when no trials have completed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// The record with the lowest score across the whole history.
-    ///
-    /// Beware: raw scores are only comparable *within* one budget level
-    /// (a 2-epoch trial trivially has a lower time×accuracy ratio than a
-    /// converged one); use [`History::winner`] for the tuning job's
-    /// output.
-    #[must_use]
-    pub fn best(&self) -> Option<&TrialRecord> {
-        self.records.iter().min_by(|a, b| {
-            a.outcome
-                .score
-                .partial_cmp(&b.outcome.score)
-                .expect("scores are not NaN by construction")
-        })
     }
 
     /// The *winning trial*: the best-scoring record among those evaluated
@@ -260,19 +239,10 @@ mod tests {
     fn record(id: u64, score: f64, accuracy: f64, runtime: f64, energy: f64) -> TrialRecord {
         TrialRecord {
             id,
-            config: Config::new().with("x", id as f64),
+            config: Config::from_iter([("x", id as f64)]),
             budget: TrialBudget::new(id as f64 + 1.0, 1.0),
             outcome: TrialOutcome::new(score, accuracy, Seconds::new(runtime), Joules::new(energy)),
         }
-    }
-
-    #[test]
-    fn best_is_lowest_score() {
-        let mut h = History::new();
-        h.push(record(0, 5.0, 0.5, 10.0, 100.0));
-        h.push(record(1, 2.0, 0.8, 10.0, 100.0));
-        h.push(record(2, 9.0, 0.9, 10.0, 100.0));
-        assert_eq!(h.best().unwrap().id, 1);
     }
 
     #[test]
@@ -283,7 +253,6 @@ mod tests {
         h.push(record(0, 0.1, 0.2, 1.0, 1.0)); // cheap rung, tiny score
         h.push(record(1, 5.0, 0.7, 10.0, 10.0));
         h.push(record(2, 7.0, 0.9, 20.0, 20.0)); // top budget, higher raw score
-        assert_eq!(h.best().unwrap().id, 0, "raw best is the cheap trial");
         assert_eq!(h.winner().unwrap().id, 2, "winner comes from the top rung");
         assert!(History::new().winner().is_none());
     }
@@ -349,8 +318,8 @@ mod tests {
     #[test]
     fn empty_history() {
         let h = History::new();
-        assert!(h.is_empty());
-        assert!(h.best().is_none());
+        assert_eq!(h.len(), 0);
+        assert!(h.winner().is_none());
         assert_eq!(h.total_runtime(), Seconds::ZERO);
     }
 

@@ -66,7 +66,7 @@ fn sampler_twins(space: &SearchSpace, seed: u64, observed: &[Config]) -> Vec<Box
     let mut rng = SeedStream::new(seed).rng("warm-seeds");
     let warm_seeds = vec![
         space.sample(&mut rng),
-        Config::new().with("elsewhere", 1.0),
+        Config::from_iter([("elsewhere", 1.0)]),
         space.sample(&mut rng),
     ];
     vec![

@@ -5,7 +5,7 @@
 
 use edgetune_tuner::budget::BudgetPolicy;
 use edgetune_tuner::sampler::RandomSampler;
-use edgetune_tuner::scheduler::{HyperBand, SchedulerConfig, Study, SuccessiveHalving};
+use edgetune_tuner::scheduler::{HyperBand, SchedulerConfig, Study};
 use edgetune_tuner::space::{Domain, SearchSpace};
 use edgetune_tuner::trial::TrialOutcome;
 use edgetune_util::rng::SeedStream;
@@ -46,9 +46,6 @@ proptest! {
         let space = SearchSpace::new().with("x", Domain::float(0.0, 1.0));
         let policy = BudgetPolicy::multi_default();
         let config = SchedulerConfig::new(initial, eta, max_iteration);
-
-        let sha = SuccessiveHalving::new(config);
-        prop_assert_eq!(sha.planned(), driven(sha.study(space.clone(), policy), seed));
 
         let hb = HyperBand::new(config);
         prop_assert_eq!(hb.planned(), driven(hb.study(space, policy), seed));

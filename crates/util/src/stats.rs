@@ -2,44 +2,13 @@
 //!
 //! Figure 15 of the paper reports percent error as a box-and-whiskers plot;
 //! [`BoxPlot`] computes the same five-number summary (plus outliers) from a
-//! sample. [`Summary`] provides the mean/std/percentile views used in the
-//! other figures and in EXPERIMENTS.md.
+//! sample; [`quantiles`] provides the other figures' percentiles.
 
 use serde::{Deserialize, Serialize};
 
-/// Mean of a sample; `None` when the sample is empty.
-#[must_use]
-pub fn mean(samples: &[f64]) -> Option<f64> {
-    if samples.is_empty() {
-        None
-    } else {
-        Some(samples.iter().sum::<f64>() / samples.len() as f64)
-    }
-}
-
-/// Population standard deviation of a sample; `None` when the sample is
-/// empty.
-#[must_use]
-pub fn std_dev(samples: &[f64]) -> Option<f64> {
-    let m = mean(samples)?;
-    let var = samples.iter().map(|x| (x - m).powi(2)).sum::<f64>() / samples.len() as f64;
-    Some(var.sqrt())
-}
-
-/// Linear-interpolated percentile (`q` in `[0, 1]`) of a sample.
-///
-/// Returns `None` when the sample is empty.
-///
-/// # Panics
-///
-/// Panics if `q` is outside `[0, 1]` or any sample is NaN.
-#[must_use]
-pub fn percentile(samples: &[f64], q: f64) -> Option<f64> {
-    quantiles(&mut samples.to_vec(), [q]).map(|[p]| p)
-}
-
 /// Linear-interpolated quantiles of a sample, one per entry of the
-/// ascending `qs`, each equal to what [`percentile`] returns for it.
+/// ascending `qs`: quantile `q` lies at position `q · (n − 1)` of the
+/// sorted sample, between its two neighbouring order statistics.
 ///
 /// Selects in place instead of sorting: each quantile's lower order
 /// statistic is selected in what is left of the slice above the previous
@@ -107,39 +76,6 @@ pub fn percent_error(empirical: f64, estimated: f64) -> f64 {
     ((empirical - estimated).abs() / empirical.abs()) * 100.0
 }
 
-/// Mean/std/min/max summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    /// Number of samples.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Population standard deviation.
-    pub std_dev: f64,
-    /// Smallest sample.
-    pub min: f64,
-    /// Largest sample.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Summarises a non-empty sample; `None` when empty.
-    #[must_use]
-    pub fn of(samples: &[f64]) -> Option<Self> {
-        let mean = mean(samples)?;
-        let std_dev = std_dev(samples)?;
-        let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        Some(Summary {
-            count: samples.len(),
-            mean,
-            std_dev,
-            min,
-            max,
-        })
-    }
-}
-
 /// Five-number summary with Tukey outliers, mirroring the paper's
 /// box-and-whiskers plots (Fig. 15).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -190,12 +126,6 @@ impl BoxPlot {
             outliers,
         })
     }
-
-    /// Interquartile range.
-    #[must_use]
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
 }
 
 #[cfg(test)]
@@ -203,40 +133,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_std_of_known_sample() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert_eq!(mean(&xs), Some(5.0));
-        assert!((std_dev(&xs).unwrap() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_sample_yields_none() {
-        assert_eq!(mean(&[]), None);
-        assert_eq!(std_dev(&[]), None);
-        assert_eq!(percentile(&[], 0.5), None);
-        assert!(Summary::of(&[]).is_none());
         assert!(BoxPlot::of(&[]).is_none());
     }
 
     #[test]
     fn percentiles_interpolate() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&xs, 0.0), Some(1.0));
-        assert_eq!(percentile(&xs, 1.0), Some(4.0));
-        assert_eq!(percentile(&xs, 0.5), Some(2.5));
+        let mut xs = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(quantiles(&mut xs, [0.0]), Some([1.0]));
+        assert_eq!(quantiles(&mut xs, [1.0]), Some([4.0]));
+        assert_eq!(quantiles(&mut xs, [0.5]), Some([2.5]));
     }
 
     #[test]
     fn percentile_is_order_invariant() {
-        let a = [3.0, 1.0, 2.0];
-        let b = [1.0, 2.0, 3.0];
-        assert_eq!(percentile(&a, 0.5), percentile(&b, 0.5));
+        let mut a = [3.0, 1.0, 2.0];
+        let mut b = [1.0, 2.0, 3.0];
+        assert_eq!(quantiles(&mut a, [0.5]), quantiles(&mut b, [0.5]));
     }
 
     #[test]
     #[should_panic(expected = "quantile must be in [0,1]")]
     fn percentile_rejects_bad_quantile() {
-        let _ = percentile(&[1.0], 1.5);
+        let _ = quantiles(&mut [1.0], [1.5]);
     }
 
     #[test]
@@ -265,15 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_fields() {
-        let s = Summary::of(&[1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(s.count, 3);
-        assert_eq!(s.mean, 2.0);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
-    }
-
-    #[test]
     fn boxplot_identifies_outliers() {
         let mut xs: Vec<f64> = (1..=11).map(f64::from).collect();
         xs.push(100.0); // clear outlier
@@ -281,14 +191,14 @@ mod tests {
         assert_eq!(bp.outliers, vec![100.0]);
         assert!(bp.whisker_high <= 11.0);
         assert!(bp.q1 < bp.median && bp.median < bp.q3);
-        assert!(bp.iqr() > 0.0);
+        assert!(bp.q3 - bp.q1 > 0.0);
     }
 
     #[test]
     fn boxplot_of_constant_sample() {
         let bp = BoxPlot::of(&[5.0; 10]).unwrap();
         assert_eq!(bp.median, 5.0);
-        assert_eq!(bp.iqr(), 0.0);
+        assert_eq!(bp.q3 - bp.q1, 0.0);
         assert!(bp.outliers.is_empty());
         assert_eq!(bp.whisker_low, 5.0);
         assert_eq!(bp.whisker_high, 5.0);

@@ -45,12 +45,6 @@ macro_rules! unit {
                 self.0
             }
 
-            /// Returns `true` if the value is finite (not NaN or infinite).
-            #[must_use]
-            pub fn is_finite(self) -> bool {
-                self.0.is_finite()
-            }
-
             /// Component-wise maximum.
             #[must_use]
             pub fn max(self, other: Self) -> Self {
@@ -61,12 +55,6 @@ macro_rules! unit {
             #[must_use]
             pub fn min(self, other: Self) -> Self {
                 Self(self.0.min(other.0))
-            }
-
-            /// Absolute value.
-            #[must_use]
-            pub fn abs(self) -> Self {
-                Self(self.0.abs())
             }
         }
 
@@ -326,7 +314,6 @@ mod tests {
         assert_eq!(t / 2.0, Seconds::new(1.25));
         assert_eq!(t.max(Seconds::new(9.0)), Seconds::new(9.0));
         assert_eq!(t.min(Seconds::new(1.0)), Seconds::new(1.0));
-        assert_eq!(Seconds::new(-4.0).abs(), Seconds::new(4.0));
     }
 
     #[test]
@@ -350,7 +337,5 @@ mod tests {
     #[test]
     fn zero_constant() {
         assert_eq!(Seconds::ZERO.value(), 0.0);
-        assert!(Seconds::ZERO.is_finite());
-        assert!(!Seconds::new(f64::NAN).is_finite());
     }
 }

@@ -49,6 +49,21 @@ impl std::fmt::Display for WorkloadId {
     }
 }
 
+/// Parses a workload code, case-insensitively: `ic`, `sr`, `nlp` or `od`.
+impl std::str::FromStr for WorkloadId {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Self, String> {
+        match name.to_lowercase().as_str() {
+            "ic" => Ok(WorkloadId::Ic),
+            "sr" => Ok(WorkloadId::Sr),
+            "nlp" => Ok(WorkloadId::Nlp),
+            "od" => Ok(WorkloadId::Od),
+            other => Err(format!("unknown workload '{other}' (ic|sr|nlp|od)")),
+        }
+    }
+}
+
 /// Dataset descriptor, with the sizes of Table 1.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DatasetSpec {

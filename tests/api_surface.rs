@@ -1,438 +1,248 @@
-//! The public-API ratchet: every `pub` item has a caller.
+//! The public-API ratchet: every `pub` item has a caller outside tests.
 //!
-//! The test collects each `pub` `fn`, `const`, `static`, `struct`,
-//! `enum`, `trait` and `type` name defined in the non-test code of
-//! `crates/*/src`. It fails on any name that occurs as a word nowhere in
-//! the non-test code of `crates/*/src`, `src/`, `examples/` and
-//! `benchmark/src` beyond its own definitions, unless
-//! `tests/api_surface.allow` lists the name with a reason. An allow
-//! entry whose name has gained a caller, or lost its definition, fails
-//! too, so the list only shrinks.
-//!
-//! Non-test code is the source with two things removed:
-//! - comments, so doc links and doctests are not callers;
-//! - each item that follows a `#[cfg(test)]`: a `mod x;` line together
-//!   with the file it includes, or the next field, variant, statement
-//!   or brace-balanced block.
-//!
-//! String literals stay, because a serde attribute names its default
-//! function in one.
-//!
-//! The scan is name-level, not name-resolved: items that share a name
-//! (`new`, `run`, `winning_architecture`) count each other's uses, and a
-//! `pub use` re-export counts as a use of what it re-exports, so a dead
-//! item with a shared or re-exported name passes. A pass means "no dead
-//! item with a name of its own", not "every item is used".
+//! rustc decides. The test copies the workspace to `target/api_surface/`,
+//! tags each `pub` `fn`/`const`/`static`/`struct`/`enum`/`trait`/`type` of
+//! `crates/*/src` with `#[deprecated(note = "api_surface_N")]
+//! #[allow(api_surface_N)]`, and `cargo check`s the workspace's libraries,
+//! binaries and examples, and `benchmark/`. Each warning "use of deprecated
+//! …: api_surface_N" is a name-resolved use of item N; "unknown lint" says
+//! N was compiled (test code is not). Uses in a `pub use`, and a type's in
+//! its own crate's `impl`s of it, do not count (read from rustfmt layout).
+//! Paths in strings (serde attributes) are not seen: keep such helpers
+//! private. Fields, variants and trait methods are not swept. An unused
+//! item fails unless `tests/api_surface.allow` lists it as `Type::name
+//! reason` (`module::name` if free); a bad or stale entry fails too.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
-/// Item kinds whose `pub` names the ratchet collects.
+const TAG: &str = "api_surface_";
 const KINDS: [&str; 7] = ["fn", "const", "static", "struct", "enum", "trait", "type"];
+const MODULE_FILES: [&str; 4] = ["mod", "lib", "main", "src"];
+const MANIFESTS: [&str; 2] = ["Cargo.toml", "Cargo.lock"];
 
-/// One source file with comments and test items blanked out (newlines
-/// kept).
-struct Source {
-    path: PathBuf,
-    /// The non-test code, string literals included.
-    text: String,
-    /// Module files a `#[cfg(test)] mod x;` in this file includes.
-    test_modules: Vec<PathBuf>,
+/// A tagged item: its allow-list key, name, whether it is a type, and
+/// where it is defined (`file:line`).
+struct Item(String, String, bool, String);
+
+/// Lines that hide uses: a `pub use` item (no names), or an `impl` block
+/// with its trait's and self type's names. File, first and last line.
+type Block = (PathBuf, usize, usize, Vec<String>);
+
+fn ident(s: &str) -> &str {
+    let end = s.find(|c: char| !(c.is_alphanumeric() || "_$".contains(c)));
+    &s[..end.unwrap_or(s.len())]
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Class {
-    Code,
-    Str,
-    Comment,
+fn indent(line: &str) -> &str {
+    &line[..line.len() - line.trim_start().len()]
 }
 
-fn is_ident(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
+/// The kind and name of the `pub` item a line declares, if any.
+fn pub_item(line: &str) -> Option<(&'static str, String)> {
+    let mut rest = line.trim_start().strip_prefix("pub ")?;
+    for qualifier in ["const ", "async ", "unsafe ", "extern \"C\" "] {
+        let next = rest.strip_prefix(qualifier).unwrap_or(rest);
+        if qualifier != "const " || next.starts_with("fn ") || next.starts_with("unsafe ") {
+            rest = next;
+        }
+    }
+    let word = rest.split(' ').next();
+    let kind = KINDS.into_iter().find(|k| word == Some(k))?;
+    let rest = rest[kind.len()..].trim_start();
+    let name = ident(rest.strip_prefix("mut ").unwrap_or(rest));
+    (!name.is_empty()).then(|| (kind, name.to_string()))
 }
 
-/// Marks each byte of `src` as code, string literal or comment.
-fn classify(src: &[u8]) -> Vec<Class> {
-    let n = src.len();
-    let mut class = vec![Class::Code; n];
-    let at = |i: usize| src.get(i).copied().unwrap_or(0);
-    let mut i = 0;
-    while i < n {
-        let c = src[i];
-        let start = i;
-        let kind = if c == b'/' && at(i + 1) == b'/' {
-            while i < n && src[i] != b'\n' {
-                i += 1;
-            }
-            Class::Comment
-        } else if c == b'/' && at(i + 1) == b'*' {
-            let mut depth = 0;
-            loop {
-                if i >= n {
-                    break;
-                } else if src[i] == b'/' && at(i + 1) == b'*' {
-                    depth += 1;
-                    i += 2;
-                } else if src[i] == b'*' && at(i + 1) == b'/' {
-                    depth -= 1;
-                    i += 2;
-                    if depth == 0 {
-                        break;
-                    }
-                } else {
-                    i += 1;
-                }
-            }
-            Class::Comment
-        } else if c == b'"' {
-            i += 1;
-            while i < n && src[i] != b'"' {
-                i += if src[i] == b'\\' { 2 } else { 1 };
-            }
-            i += 1;
-            Class::Str
-        } else if (c == b'r' || c == b'b') && (start == 0 || !is_ident(src[start - 1])) {
-            // r"…", r#"…"#, br"…" or b"…"; anything else is an identifier.
-            let mut j = i + usize::from(c == b'b');
-            let raw = at(j) == b'r';
-            j += usize::from(raw);
-            let hashes = src[j.min(n)..].iter().take_while(|&&b| b == b'#').count();
-            if at(j + hashes) != b'"' || (!raw && hashes > 0) {
-                i += 1;
-                continue;
-            }
-            i = j + hashes + 1;
-            loop {
-                if i >= n {
-                    break;
-                } else if raw
-                    && src[i] == b'"'
-                    && src[i + 1..].iter().take(hashes).all(|&b| b == b'#')
-                {
-                    i += 1 + hashes;
-                    break;
-                } else if !raw && src[i] == b'\\' {
-                    i += 2;
-                } else if !raw && src[i] == b'"' {
-                    i += 1;
-                    break;
-                } else {
-                    i += 1;
-                }
-            }
-            Class::Str
-        } else if c == b'\'' {
-            // A char literal ('x', '\n', '—'), else a lifetime.
-            let width = match at(i + 1) {
-                b'\\' => 0,
-                b if b < 0x80 => 1,
-                b if b < 0xE0 => 2,
-                b if b < 0xF0 => 3,
-                _ => 4,
-            };
-            if width == 0 {
-                i += 3;
-                while i < n && src[i] != b'\'' {
-                    i += 1;
-                }
-                i += 1;
-            } else if at(i + 1 + width) == b'\'' {
-                i += width + 2;
-            } else {
-                i += 1;
-                continue;
-            }
-            Class::Str
+/// An `impl` line's header without generics (`impl<T> A<T> for B` gives
+/// `A for B`), if the line opens an `impl`.
+fn impl_header(line: &str) -> Option<String> {
+    let mut depth = 0;
+    let code = line.trim_start().trim_start_matches("unsafe ").chars();
+    let flat = code.filter(|&c| {
+        depth += i32::from(c == '<') - i32::from(c == '>');
+        depth == 0 && c != '>'
+    });
+    flat.collect::<String>()
+        .strip_prefix("impl ")
+        .map(str::to_string)
+}
+
+/// The `pub use` items and `impl` blocks of a rustfmt-formatted file.
+fn blocks_of(file: &Path, text: &str) -> Vec<Block> {
+    let lines: Vec<&str> = text.lines().collect();
+    let mut blocks = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        let (end, names) = if line.trim_start().starts_with("pub use ") {
+            ((i..lines.len()).find(|&j| lines[j].contains(';')), vec![])
+        } else if let Some(header) = impl_header(line) {
+            let close = format!("{}}}", indent(line));
+            let end = (i..lines.len()).find(|&j| lines[j] == close);
+            let end = if line.ends_with('}') { Some(i) } else { end };
+            let last = |path: &str| Some(ident(path.trim().rsplit("::").next()?).to_string());
+            (end, header.split(" for ").filter_map(last).collect())
         } else {
-            i += 1;
             continue;
         };
-        let end = i.min(n);
-        class[start..end].fill(kind);
+        blocks.push((file.to_path_buf(), i + 1, end.unwrap_or(i) + 1, names));
     }
-    class
+    blocks
 }
 
-/// The end of the item that starts at `from`: after its `;`, its `,`
-/// (a field, variant or match arm) or its brace-balanced block, or at an
-/// unmatched `}` that closes the enclosing block.
-fn item_end(src: &[u8], class: &[Class], from: usize) -> usize {
-    let (mut depth, mut angle, mut i) = (0i32, 0i32, from);
-    let code = |i: usize| class[i] == Class::Code;
-    // Further attributes on the same item.
-    loop {
-        while i < src.len() && src[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        if i + 1 < src.len() && src[i] == b'#' && src[i + 1] == b'[' {
-            let mut d = 0;
-            while i < src.len() {
-                if code(i) && src[i] == b'[' {
-                    d += 1;
-                } else if code(i) && src[i] == b']' {
-                    d -= 1;
-                    if d == 0 {
-                        i += 1;
-                        break;
-                    }
-                }
-                i += 1;
-            }
-        } else {
-            break;
-        }
-    }
-    while i < src.len() {
-        if !code(i) {
-            i += 1;
-            continue;
-        }
-        match src[i] {
-            b'(' | b'[' => depth += 1,
-            b')' | b']' => depth -= 1,
-            b'<' if depth == 0 => angle += 1,
-            b'>' if depth == 0 && angle > 0 && !matches!(src[i - 1], b'-' | b'=') => angle -= 1,
-            b';' if depth == 0 => return i + 1,
-            b',' if depth == 0 && angle == 0 => return i + 1,
-            b'}' if depth == 0 => return i,
-            b'{' if depth == 0 => {
-                let mut d = 0;
-                while i < src.len() {
-                    if code(i) && src[i] == b'{' {
-                        d += 1;
-                    } else if code(i) && src[i] == b'}' {
-                        d -= 1;
-                        if d == 0 {
-                            return i + 1;
-                        }
-                    }
-                    i += 1;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    src.len()
-}
-
-/// Blanks `range` of `out`, keeping newlines so positions stay put.
-fn blank(out: &mut [u8], range: std::ops::Range<usize>) {
-    for b in &mut out[range] {
-        if *b != b'\n' {
-            *b = b' ';
-        }
-    }
-}
-
-/// The identifier-like words of `text`.
-fn words(text: &str) -> impl Iterator<Item = &str> {
-    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-        .filter(|w| !w.is_empty())
-}
-
-/// The word just after the `mod` keyword of a `mod x;` item.
-fn declared_module(item: &str) -> Option<&str> {
-    let item = item.trim();
-    if !item.ends_with(';') {
-        return None;
-    }
-    let mut words = words(item);
-    words.find(|w| *w == "mod")?;
-    words.next()
-}
-
-fn read_source(path: &Path) -> Source {
-    let raw = fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    let src = raw.as_bytes();
-    let class = classify(src);
-    let mut text = src.to_vec();
-    let mut test_modules = Vec::new();
-    for (i, &c) in class.iter().enumerate() {
-        if c == Class::Comment {
-            blank(&mut text, i..i + 1);
-        }
-    }
-    // Items gated on `cfg(test)`.
-    const GATE: &[u8] = b"#[cfg(test)]";
-    let mut i = 0;
-    while let Some(off) = text[i..].windows(GATE.len()).position(|w| w == GATE) {
-        let start = i + off;
-        if class[start] != Class::Code {
-            i = start + 1;
-            continue;
-        }
-        let end = item_end(src, &class, start + GATE.len());
-        let item = String::from_utf8_lossy(&text[start + GATE.len()..end]).into_owned();
-        if let Some(module) = declared_module(&item) {
-            let dir = path.parent().expect("a source file has a directory");
-            let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
-            let base = if matches!(stem, "mod" | "lib" | "main") {
-                dir.to_path_buf()
-            } else {
-                dir.join(stem)
-            };
-            test_modules.push(base.join(format!("{module}.rs")));
-            test_modules.push(base.join(module));
-        }
-        blank(&mut text, start..end);
-        i = end;
-    }
-    Source {
-        path: path.to_path_buf(),
-        text: String::from_utf8_lossy(&text).into_owned(),
-        test_modules,
-    }
-}
-
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    let entries = fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
-    let mut paths: Vec<PathBuf> = entries
-        .map(|e| e.expect("a directory entry").path())
-        .collect();
+/// Every file under `dir`, in order, skipping `target` directories.
+fn files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let entries = fs::read_dir(dir).into_iter().flatten();
+    let mut paths: Vec<PathBuf> = entries.map(|e| e.expect("an entry").path()).collect();
     paths.sort();
     for path in paths {
-        if path.is_dir() {
-            rust_files(&path, out);
-        } else if path.extension().is_some_and(|x| x == "rs") {
+        if path.is_dir() && !path.ends_with("target") {
+            files(&path, out);
+        } else if path.is_file() {
             out.push(path);
         }
     }
 }
 
-/// Every non-test source file the ratchet reads, each with whether it
-/// may define collected items (`crates/*/src`).
-fn sources(root: &Path) -> Vec<(Source, bool)> {
-    let mut defining = Vec::new();
-    let crates = fs::read_dir(root.join("crates")).expect("crates/ is readable");
-    let mut crates: Vec<PathBuf> = crates.map(|e| e.expect("a crate entry").path()).collect();
-    crates.sort();
-    for krate in crates {
-        if krate.join("src").is_dir() {
-            rust_files(&krate.join("src"), &mut defining);
-        }
+/// Tags every `pub` item of a `crates/*/src` file. An item's key starts
+/// with its `impl` block's self type, else its module (a `mod.rs`'s
+/// directory, a `lib.rs`'s crate).
+fn tag(rel: &Path, text: &str, blocks: &[Block], items: &mut Vec<Item>) -> String {
+    let mut module = rel.with_extension("");
+    while MODULE_FILES.iter().any(|s| module.ends_with(s)) {
+        module.pop();
     }
-    let mut using = Vec::new();
-    for dir in ["src", "examples", "benchmark/src"] {
-        rust_files(&root.join(dir), &mut using);
-    }
-    let all: Vec<(Source, bool)> = defining
-        .iter()
-        .map(|p| (read_source(p), true))
-        .chain(using.iter().map(|p| (read_source(p), false)))
-        .collect();
-    let gated: Vec<PathBuf> = all
-        .iter()
-        .flat_map(|(s, _)| s.test_modules.clone())
-        .collect();
-    all.into_iter()
-        .filter(|(s, _)| !gated.iter().any(|g| s.path.starts_with(g)))
-        .collect()
-}
-
-/// The `pub` item names `code` defines. `pub(crate)` and narrower are
-/// the compiler's to check: their next word is `crate`, `super`, … and
-/// not an item kind.
-fn pub_items(code: &str) -> Vec<String> {
-    let toks: Vec<&str> = words(code).collect();
-    let mut names = Vec::new();
-    for (i, _) in toks.iter().enumerate().filter(|(_, t)| **t == "pub") {
-        let mut j = i + 1;
-        while let Some(&t) = toks.get(j) {
-            let const_fn = t == "const"
-                && toks
-                    .get(j + 1)
-                    .is_some_and(|n| ["fn", "unsafe", "async", "extern"].contains(n));
-            if const_fn || ["unsafe", "async", "extern"].contains(&t) {
-                j += 1;
-            } else {
-                break;
-            }
-        }
-        let Some(&kind) = toks.get(j) else { continue };
-        if !KINDS.contains(&kind) {
+    let module = module.file_name().and_then(|s| s.to_str()).unwrap_or("");
+    let mut tagged = String::with_capacity(text.len() * 2);
+    for (i, line) in text.split_inclusive('\n').enumerate() {
+        let Some((kind, name)) = pub_item(line) else {
+            tagged += line;
             continue;
-        }
-        j += 1;
-        if kind == "static" && toks.get(j) == Some(&"mut") {
-            j += 1;
-        }
-        if let Some(name) = toks.get(j) {
-            names.push((*name).to_string());
-        }
+        };
+        let own = blocks.iter().rfind(|b| b.1 <= i && i < b.2);
+        let parent = own.and_then(|b| b.3.last()).map_or(module, String::as_str);
+        let is_type = ["struct", "enum", "trait", "type"].contains(&kind);
+        let at = format!("{}:{}", rel.display(), i + 1);
+        let id = items.len();
+        items.push(Item(format!("{parent}::{name}"), name, is_type, at));
+        tagged += indent(line);
+        tagged += &format!("#[deprecated(note = \"{TAG}{id}\")] #[allow({TAG}{id})] ");
+        tagged += line.trim_start();
     }
-    names
+    tagged
 }
 
-/// The allow list: one `Path::name reason` per line, `#` lines and blank
-/// lines ignored. Keyed by the last path segment.
-fn allow_list(root: &Path) -> Vec<(String, String, String)> {
-    let text = fs::read_to_string(root.join("tests/api_surface.allow"))
-        .expect("tests/api_surface.allow is readable");
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| {
-            let (path, reason) = l.split_once(char::is_whitespace).unwrap_or((l, ""));
-            let name = path.rsplit("::").next().unwrap_or(path).to_string();
-            (name, path.to_string(), reason.trim().to_string())
-        })
-        .collect()
+/// Copies the sources to `copy`, tagged. A file is written only when its
+/// bytes change, so cargo rechecks only what changed since the last run.
+fn tagged_copy(root: &Path, copy: &Path) -> (Vec<Item>, Vec<Block>) {
+    let mut sources = Vec::new();
+    for manifest in MANIFESTS {
+        sources.extend([root.join(manifest), root.join("benchmark").join(manifest)]);
+    }
+    for dir in ["crates", "vendor", "src", "examples", "benchmark/src"] {
+        files(&root.join(dir), &mut sources);
+    }
+    let (mut items, mut blocks, mut kept) = (Vec::new(), Vec::new(), BTreeSet::new());
+    for path in &sources {
+        let rel = path.strip_prefix(root).expect("a source under the root");
+        let mut bytes = fs::read(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        if rel.extension().is_some_and(|x| x == "rs") && !rel.starts_with("vendor") {
+            let text = String::from_utf8(bytes).expect("UTF-8 source");
+            let file_blocks = blocks_of(rel, &text);
+            let in_src = rel.starts_with("crates") && rel.iter().nth(2) == Some("src".as_ref());
+            let tagged = in_src.then(|| tag(rel, &text, &file_blocks, &mut items));
+            bytes = tagged.unwrap_or(text).into_bytes();
+            blocks.extend(file_blocks);
+        }
+        let target = copy.join(rel);
+        if fs::read(&target).ok().as_ref() != Some(&bytes) {
+            fs::create_dir_all(target.parent().expect("a directory")).expect("copy directory");
+            fs::write(&target, bytes).expect("copy written");
+        }
+        kept.insert(target);
+    }
+    let mut stale = Vec::new();
+    files(copy, &mut stale);
+    for path in stale.iter().filter(|p| !kept.contains(*p)) {
+        fs::remove_file(path).expect("stale copy removed");
+    }
+    (items, blocks)
+}
+
+/// Runs `cargo check` in `dir` and returns each tag warning as (file
+/// relative to `copy`, line, item id, whether it is a use).
+fn check(copy: &Path, dir: &Path, targets: &[&str]) -> Vec<(PathBuf, usize, usize, bool)> {
+    let output = Command::new(env!("CARGO"))
+        .current_dir(dir)
+        .args(["check", "--offline", "--locked", "--color", "never"])
+        .args(["--message-format", "short"])
+        .args(targets)
+        .env("CARGO_TARGET_DIR", copy.join("target"))
+        .env_remove("RUSTFLAGS")
+        .env_remove("CARGO_ENCODED_RUSTFLAGS")
+        .env_remove("CARGO_BUILD_RUSTFLAGS")
+        .output()
+        .expect("cargo runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "cargo check in {dir:?}:\n{stderr}");
+    let parse = |line: &str| {
+        let (place, message) = line.split_once(": warning: ")?;
+        let id = ident(message.rsplit_once(TAG)?.1).parse().ok()?;
+        let mut place = place.rsplitn(3, ':').skip(1);
+        let row = place.next()?.parse().ok()?;
+        let file = dir.join(place.next()?);
+        let file = file.strip_prefix(copy).ok()?.to_path_buf();
+        Some((file, row, id, message.starts_with("use of deprecated")))
+    };
+    stderr.lines().filter_map(parse).collect()
 }
 
 #[test]
 fn every_public_name_has_a_caller() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let sources = sources(root);
-    let mut defined: HashMap<String, (usize, PathBuf)> = HashMap::new();
-    for (source, _) in sources.iter().filter(|(_, defines)| *defines) {
-        for name in pub_items(&source.text) {
-            defined.entry(name).or_insert((0, source.path.clone())).0 += 1;
+    let copy = root.join("target/api_surface");
+    let (items, blocks) = tagged_copy(root, &copy);
+    let workspace = ["--workspace", "--lib", "--bins", "--examples"];
+    let mut warnings = check(&copy, &copy, &workspace);
+    warnings.extend(check(&copy, &copy.join("benchmark"), &["--bins"]));
+    let (mut compiled, mut used) = (BTreeSet::new(), BTreeSet::new());
+    for (file, line, id, is_use) in warnings {
+        let Item(_, name, is_type, at) = &items[id];
+        let same_crate = file.iter().take(2).eq(Path::new(at).iter().take(2));
+        let around = |b: &&Block| b.0 == file && b.1 <= line && line <= b.2;
+        let hides = |b: &Block| b.3.is_empty() || *is_type && same_crate && b.3.contains(name);
+        if !is_use {
+            compiled.insert(id);
+        } else if !blocks.iter().filter(around).any(hides) {
+            used.insert(id);
         }
     }
-    let mut counts: HashMap<&str, usize> = HashMap::new();
-    for (source, _) in &sources {
-        for word in words(&source.text) {
-            *counts.entry(word).or_default() += 1;
-        }
-    }
-    let callers = |name: &str| counts.get(name).copied().unwrap_or(0) - defined[name].0;
-
-    let allow = allow_list(root);
-    let mut problems = Vec::new();
-    let mut allowed = HashSet::new();
-    for (name, path, reason) in &allow {
-        allowed.insert(name.as_str());
-        if reason.is_empty() {
-            problems.push(format!("allow entry `{path}` gives no reason"));
-        } else if !defined.contains_key(name) {
-            problems.push(format!(
-                "allow entry `{path}` names no `pub` item: delete the entry"
-            ));
-        } else if callers(name) > 0 {
-            problems.push(format!(
-                "allow entry `{path}` now has a caller: delete the entry"
-            ));
-        }
-    }
-    let mut dead: Vec<(&String, &PathBuf)> = defined
-        .iter()
-        .filter(|(name, _)| callers(name) == 0 && !allowed.contains(name.as_str()))
-        .map(|(name, (_, path))| (name, path))
+    assert!(!compiled.is_empty(), "no tagged item was compiled");
+    let unused: BTreeMap<&str, &str> = (compiled.difference(&used))
+        .map(|&id| (items[id].0.as_str(), items[id].3.as_str()))
         .collect();
-    dead.sort();
-    for (name, path) in dead {
-        let path = path.strip_prefix(root).unwrap_or(path);
-        problems.push(format!(
-            "`{name}` ({}) has no caller outside tests: delete it, or list it in tests/api_surface.allow with a reason",
-            path.display()
-        ));
+
+    let allow = fs::read_to_string(root.join("tests/api_surface.allow")).expect("the allow list");
+    let (mut problems, mut allowed) = (Vec::new(), BTreeSet::new());
+    let entries = allow.lines().filter(|l| !l.starts_with('#'));
+    for entry in entries.filter(|l| !l.is_empty()) {
+        let (key, reason) = entry.split_once(' ').unwrap_or((entry, ""));
+        allowed.insert(key);
+        let fault = if reason.trim().is_empty() {
+            "gives no reason"
+        } else if !items.iter().any(|item| item.0 == key) {
+            "names no `pub` item: delete it"
+        } else if !unused.contains_key(key) {
+            "has a caller now: delete it"
+        } else {
+            continue;
+        };
+        problems.push(format!("allow entry `{key}` {fault}"));
     }
-    assert!(
-        problems.is_empty(),
-        "{} API surface problem(s):\n{}",
-        problems.len(),
-        problems.join("\n")
-    );
+    for (key, at) in unused.iter().filter(|(key, _)| !allowed.contains(*key)) {
+        problems.push(format!("`{key}` ({at}) has no caller outside tests"));
+    }
+    let report = problems.join("\n");
+    assert!(report.is_empty(), "delete or allow-list:\n{report}");
 }

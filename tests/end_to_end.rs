@@ -8,6 +8,7 @@ use edgetune::prelude::*;
 use edgetune_device::latency::{simulate_inference, CpuAllocation};
 use edgetune_device::spec::DeviceSpec;
 use edgetune_nn::data::Dataset;
+use edgetune_nn::tensor::Tensor;
 use edgetune_tuner::budget::TrialBudget;
 use edgetune_util::rng::SeedStream;
 use edgetune_util::units::Seconds;
@@ -23,7 +24,10 @@ fn quick(workload: WorkloadId) -> EdgeTuneConfig {
 fn every_workload_tunes_end_to_end() {
     for workload in WorkloadId::all() {
         let report = EdgeTune::new(quick(workload)).run().expect("run succeeds");
-        assert!(!report.history().is_empty(), "{workload}: no trials");
+        assert!(
+            !report.history().records().is_empty(),
+            "{workload}: no trials"
+        );
         assert!(
             report.best_accuracy() > 0.1,
             "{workload}: implausible accuracy"
@@ -228,8 +232,12 @@ fn a_diverged_nn_trial_scores_low_instead_of_failing_the_study() {
     // validation sample, and the study still reports.
     let seed = SeedStream::new(3);
     let blobs = Dataset::gaussian_blobs(200, 8, 4, 0.35, seed.child("data"));
+    let features = blobs.features();
     let scaled = Dataset::new(
-        blobs.features().scale(1e30),
+        Tensor::from_vec(
+            features.data().iter().map(|x| x * 1e30).collect(),
+            features.shape(),
+        ),
         blobs.labels().to_vec(),
         blobs.classes(),
     );

@@ -16,7 +16,7 @@ use edgetune_tuner::pareto::{FrontPoint, ObjectiveVector, ParetoFront};
 use edgetune_tuner::space::{Config, Domain, SearchSpace};
 use edgetune_tuner::trial::{TrialOutcome, TrialRecord};
 use edgetune_util::rng::SeedStream;
-use edgetune_util::stats::{percentile, quantiles, BoxPlot};
+use edgetune_util::stats::{quantiles, BoxPlot};
 use edgetune_util::units::Seconds;
 use edgetune_workloads::catalog::Workload;
 use edgetune_workloads::curve::TrainingQuality;
@@ -50,8 +50,8 @@ proptest! {
         let alloc = CpuAllocation::new(&device, cores, device.max_freq).expect("valid cores");
         let profile = WorkProfile::new(flops, act, params);
         let exec = simulate_inference(&device, &alloc, &profile, batch);
-        prop_assert!(exec.latency.value() > 0.0 && exec.latency.is_finite());
-        prop_assert!(exec.energy.value() > 0.0 && exec.energy.is_finite());
+        prop_assert!(exec.latency.value() > 0.0 && exec.latency.value().is_finite());
+        prop_assert!(exec.energy.value() > 0.0 && exec.energy.value().is_finite());
         prop_assert!((0.0..=1.0).contains(&exec.utilization));
         // Energy is power integrated over latency.
         let p = exec.energy.value() / exec.latency.value();
@@ -217,8 +217,8 @@ proptest! {
         a in -100.0f64..100.0,
         b in -100.0f64..100.0,
     ) {
-        let c1 = Config::new().with("x", a).with("y", b);
-        let c2 = Config::new().with("y", b).with("x", a);
+        let c1 = Config::from_iter([("x", a), ("y", b)]);
+        let c2 = Config::from_iter([("y", b), ("x", a)]);
         prop_assert_eq!(c1.key(), c2.key());
     }
 
@@ -276,7 +276,7 @@ proptest! {
             .map(|i| StampedTrial {
                 record: TrialRecord {
                     id: i as u64,
-                    config: Config::new().with("x", i as f64),
+                    config: Config::from_iter([("x", i as f64)]),
                     budget: TrialBudget::new(1.0, 1.0),
                     outcome: TrialOutcome::new(
                         i as f64,
@@ -333,7 +333,7 @@ proptest! {
             .iter()
             .enumerate()
             .map(|(i, &(acc, train, infer))| FrontPoint {
-                config: Config::new().with("x", i as f64),
+                config: Config::from_iter([("x", i as f64)]),
                 vector: ObjectiveVector::new(acc, train, infer),
                 trial: i as u64,
             })
@@ -345,8 +345,8 @@ proptest! {
         }
 
         // Every surviving pair is mutually non-dominated.
-        for (i, a) in forward.points().iter().enumerate() {
-            for (j, b) in forward.points().iter().enumerate() {
+        for (i, a) in forward.top(usize::MAX).iter().enumerate() {
+            for (j, b) in forward.top(usize::MAX).iter().enumerate() {
                 if i != j {
                     prop_assert!(!a.vector.dominates(&b.vector),
                         "front point {i} dominates {j}");
@@ -355,10 +355,10 @@ proptest! {
         }
         // Every dropped candidate is dominated by some survivor.
         for p in &points {
-            let survived = forward.points().iter().any(|q| q.trial == p.trial);
+            let survived = forward.top(usize::MAX).iter().any(|q| q.trial == p.trial);
             if !survived {
                 prop_assert!(
-                    forward.points().iter().any(|q| q.vector.dominates(&p.vector)),
+                    forward.top(usize::MAX).iter().any(|q| q.vector.dominates(&p.vector)),
                     "trial {} was dropped but nothing dominates it", p.trial
                 );
             }
@@ -379,7 +379,7 @@ proptest! {
         for p in shuffled {
             backward.insert(p);
         }
-        prop_assert_eq!(forward.points(), backward.points(),
+        prop_assert_eq!(forward.top(usize::MAX), backward.top(usize::MAX),
             "insertion order changed the canonical front");
     }
 
@@ -391,14 +391,14 @@ proptest! {
         let mut front = ParetoFront::new();
         for (i, &(acc, train, infer)) in coords.iter().enumerate() {
             front.insert(FrontPoint {
-                config: Config::new().with("x", i as f64),
+                config: Config::from_iter([("x", i as f64)]),
                 vector: ObjectiveVector::new(acc, train, infer),
                 trial: i as u64,
             });
         }
         let top = front.top(k);
         prop_assert!(top.len() <= k);
-        prop_assert_eq!(top, &front.points()[..top.len()]);
+        prop_assert_eq!(top, &front.top(usize::MAX)[..top.len()]);
         // Hypervolume against a reference dominating every sample range
         // is finite and non-negative.
         let hv = front.hypervolume([1.0, 101.0, 11.0]);
@@ -416,8 +416,9 @@ proptest! {
         // sit inside the box when the adjacent sample lies beyond its
         // fence — but both always stay within the fences and the sample
         // range.
-        let lo_fence = bp.q1 - 1.5 * bp.iqr();
-        let hi_fence = bp.q3 + 1.5 * bp.iqr();
+        let iqr = bp.q3 - bp.q1;
+        let lo_fence = bp.q1 - 1.5 * iqr;
+        let hi_fence = bp.q3 + 1.5 * iqr;
         prop_assert!(bp.whisker_low >= lo_fence - 1e-9);
         prop_assert!(bp.whisker_high <= hi_fence + 1e-9);
         prop_assert!(bp.whisker_low <= bp.whisker_high);
@@ -435,8 +436,7 @@ proptest! {
         q2 in 0.0f64..=1.0,
     ) {
         let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
-        let p_lo = percentile(&samples, lo).expect("non-empty");
-        let p_hi = percentile(&samples, hi).expect("non-empty");
+        let [p_lo, p_hi] = quantiles(&mut samples.clone(), [lo, hi]).expect("non-empty");
         prop_assert!(p_lo <= p_hi);
     }
 }
@@ -472,7 +472,7 @@ proptest! {
             .expect("serving completes");
         prop_assert_eq!(plain, traced, "tracing changed the serving report");
 
-        let events = tracer.snapshot();
+        let events = tracer.with(|_, events| events.to_vec());
         prop_assert!(well_nested(&events).is_ok(), "{:?}", well_nested(&events));
         prop_assert!(
             monotone_per_track(&events).is_ok(),
@@ -523,8 +523,8 @@ proptest! {
 // function built on it is held, bit for bit, to the full sort it
 // replaced.
 
-/// The full-sort percentile: the reference for `quantiles`, `percentile`,
-/// `BoxPlot::of` and `response_percentiles`.
+/// The full-sort percentile: the reference for `quantiles`, `BoxPlot::of`
+/// and `response_percentiles`.
 fn sorted_percentile(samples: &[f64], q: f64) -> f64 {
     let mut sorted = samples.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
@@ -578,8 +578,8 @@ fn quantile_selection_matches_the_full_sort() {
             "{context}"
         );
         for (q, want) in ORACLE_QS.into_iter().zip(want) {
-            let got = percentile(&samples, q).expect("non-empty");
-            assert_eq!(got.to_bits(), want.to_bits(), "{context}, q {q}");
+            let got = quantiles(&mut samples.clone(), [q]).expect("non-empty");
+            assert_eq!(got[0].to_bits(), want.to_bits(), "{context}, q {q}");
         }
         let bp = BoxPlot::of(&samples).expect("non-empty");
         assert_eq!(
@@ -624,16 +624,10 @@ fn quantile_selection_still_panics_on_nan() {
         for at in [0, n / 2, n - 1] {
             let mut samples: Vec<f64> = (0..n).map(|i| f64::from(i as u32)).collect();
             samples[at] = f64::NAN;
-            for name in [
-                "quantiles",
-                "percentile",
-                "BoxPlot::of",
-                "response_percentiles",
-            ] {
+            for name in ["quantiles", "BoxPlot::of", "response_percentiles"] {
                 let mut xs = samples.clone();
                 let got = message(catch_unwind(AssertUnwindSafe(|| match name {
                     "quantiles" => assert!(quantiles(&mut xs, ORACLE_QS).is_some()),
-                    "percentile" => assert!(percentile(&xs, 0.5).is_some()),
                     "BoxPlot::of" => assert!(BoxPlot::of(&xs).is_some()),
                     _ => {
                         let _ = response_percentiles(&mut xs);

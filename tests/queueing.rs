@@ -22,7 +22,7 @@ use edgetune_device::spec::DeviceSpec;
 use edgetune_serving::{RuntimeOptions, ServingConfig, ServingRuntime, SloPolicy, TrafficProfile};
 use edgetune_trace::{EventKind, Tracer};
 use edgetune_util::rng::SeedStream;
-use edgetune_util::stats::{mean, percentile, std_dev};
+use edgetune_util::stats::quantiles;
 use edgetune_util::units::Seconds;
 
 /// Utilisations ρ = λs the oracle is checked at.
@@ -50,11 +50,11 @@ fn setup() -> (DeviceSpec, WorkProfile, f64) {
 /// [`STANDARD_ERRORS`] standard errors of the M/D/1 mean response.
 fn assert_pollaczek_khinchine(path: &str, service: f64, rho: f64, runs: &[f64]) {
     let want = service + rho * service / (2.0 * (1.0 - rho));
-    let got = mean(runs).expect("one run per seed");
-    // `std_dev` is the population form: divide by n − 1, not n, for the
-    // standard error of the mean.
-    let standard_error =
-        std_dev(runs).expect("one run per seed") / (runs.len() as f64 - 1.0).sqrt();
+    let n = runs.len() as f64;
+    let got = runs.iter().sum::<f64>() / n;
+    // The sample variance (n − 1) over n gives the standard error.
+    let variance = runs.iter().map(|x| (x - got).powi(2)).sum::<f64>() / (n - 1.0);
+    let standard_error = (variance / n).sqrt();
     assert!(
         (got - want).abs() <= STANDARD_ERRORS * standard_error,
         "{path} at rho {rho}: mean response {got} s, Pollaczek-Khinchine {want} s, \
@@ -143,7 +143,7 @@ fn reference_des(
         energy += run.energy.value();
     }
     let mean_response = responses.iter().sum::<f64>() / responses.len() as f64;
-    let p99 = percentile(&responses, 0.99).unwrap();
+    let [p99] = quantiles(&mut responses, [0.99]).unwrap();
     (next as u64, batches, makespan, mean_response, p99, energy)
 }
 
@@ -220,7 +220,7 @@ fn serving_runtime_conserves_work_and_obeys_littles_law() {
         let cell = format!("workers {workers}, cap {cap}, max_wait {max_wait}");
         // Each batch span: (start, end, size).
         let batches: Vec<(f64, f64, u32)> = tracer
-            .snapshot()
+            .with(|_, events| events.to_vec())
             .into_iter()
             .filter_map(|event| match event.kind {
                 EventKind::Span { end } => {

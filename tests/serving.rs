@@ -105,7 +105,7 @@ fn serving_reports_are_deterministic_and_round_trip() {
     assert_eq!(a, b, "same seed must reproduce the serving run exactly");
     let json = a.to_json().unwrap();
     assert_eq!(json, b.to_json().unwrap());
-    let back = edgetune_serving::ServingReport::from_json(&json).unwrap();
+    let back: edgetune_serving::ServingReport = serde_json::from_str(&json).unwrap();
     assert_eq!(a, back);
 }
 
