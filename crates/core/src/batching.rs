@@ -11,9 +11,9 @@
 //!   simulation of the greedy policy: whenever the server is free it runs
 //!   every queued sample, up to the batch cap, as one batch).
 //!
-//! Both report mean response time per candidate batch size so the
-//! Inference Tuning Server can pick the optimum for the deployment's
-//! traffic pattern.
+//! [`tune_for_scenario`](crate::scenario::tune_for_scenario) sweeps each
+//! candidate batch size's mean response time under either model to pick
+//! the optimum for the deployment's traffic pattern.
 
 use edgetune_device::latency::{simulate_inference, CpuAllocation};
 use edgetune_device::profile::WorkProfile;
@@ -78,29 +78,6 @@ impl ServerScenario {
             Some(Seconds::new(total))
         }
     }
-
-    /// The sub-batch size minimising response time among `candidates`
-    /// (only stable ones qualify).
-    #[must_use]
-    pub fn optimal_batch(
-        &self,
-        device: &DeviceSpec,
-        alloc: &CpuAllocation,
-        profile: &WorkProfile,
-        candidates: &[u32],
-    ) -> Option<(u32, Seconds)> {
-        candidates
-            .iter()
-            .filter_map(|&b| {
-                self.response_time(device, alloc, profile, b)
-                    .map(|t| (b, t))
-            })
-            .min_by(|a, b| {
-                a.1.value()
-                    .partial_cmp(&b.1.value())
-                    .expect("finite latencies")
-            })
-    }
 }
 
 /// Statistics of one simulated multi-stream run.
@@ -135,51 +112,6 @@ impl MultiStreamScenario {
         assert!(rate > 0.0, "arrival rate must be positive");
         assert!(arrivals >= 1, "need at least one arrival");
         MultiStreamScenario { rate, arrivals }
-    }
-
-    /// Mean response time (completion − arrival) under the greedy
-    /// aggregation policy — whenever the server is free it takes every
-    /// queued sample (up to `batch_cap`) and runs them as one batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_cap` is zero.
-    #[must_use]
-    pub fn mean_response_time(
-        &self,
-        device: &DeviceSpec,
-        alloc: &CpuAllocation,
-        profile: &WorkProfile,
-        batch_cap: u32,
-        seed: SeedStream,
-    ) -> Seconds {
-        replay(
-            &self.draw_arrivals(seed),
-            batch_cap,
-            &mut batch_latency(device, alloc, profile),
-        )
-        .mean_response
-    }
-
-    /// The batch cap minimising mean response time among `candidates`.
-    #[must_use]
-    pub fn optimal_batch_cap(
-        &self,
-        device: &DeviceSpec,
-        alloc: &CpuAllocation,
-        profile: &WorkProfile,
-        candidates: &[u32],
-        seed: SeedStream,
-    ) -> Option<(u32, Seconds)> {
-        let arrivals = self.draw_arrivals(seed);
-        let mut service = batch_latency(device, alloc, profile);
-        candidates
-            .iter()
-            .map(|&cap| {
-                let stats = replay(&arrivals, cap, &mut service);
-                (cap, stats.mean_response)
-            })
-            .min_by(|a, b| a.1.value().partial_cmp(&b.1.value()).expect("finite times"))
     }
 
     /// The Poisson arrival times of one run under `seed`. Every candidate
@@ -218,9 +150,10 @@ pub(crate) fn batch_latency<'a>(
     }
 }
 
-/// The greedy queue of [`MultiStreamScenario::mean_response_time`] over
-/// sorted `arrivals`, with `service(size)` the latency of a batch of
-/// `size` samples.
+/// The greedy aggregation queue of a multi-stream run over sorted
+/// `arrivals`: whenever the server is free it takes every queued sample
+/// (up to `batch_cap`) and runs them as one batch, whose latency is
+/// `service(size)`.
 ///
 /// # Panics
 ///
@@ -273,10 +206,9 @@ mod tests {
         (device, alloc, profile)
     }
 
-    /// The greedy policy written on its own, as the reference
-    /// [`MultiStreamScenario::mean_response_time`] is held to: whenever
-    /// the server is free it takes every queued sample up to `batch_cap`.
-    fn greedy_mean_response_time(
+    /// The greedy queue's mean response time for one batch cap, as the
+    /// program computes it.
+    fn mean_response(
         scenario: &MultiStreamScenario,
         device: &DeviceSpec,
         alloc: &CpuAllocation,
@@ -284,53 +216,24 @@ mod tests {
         batch_cap: u32,
         seed: SeedStream,
     ) -> Seconds {
-        // Pre-draw the Poisson arrival times.
-        let mut rng = seed.rng("multi-stream-arrivals");
-        let mut t = 0.0;
-        let arrivals: Vec<f64> = (0..scenario.arrivals)
-            .map(|_| {
-                t += sample_exponential(&mut rng, scenario.rate);
-                t
-            })
-            .collect();
-
-        // Memoised per-batch-size service latency.
-        let mut latency_cache: Vec<Option<f64>> = vec![None; batch_cap as usize + 1];
-        let mut service = |size: u32| -> f64 {
-            let slot = &mut latency_cache[size as usize];
-            *slot.get_or_insert_with(|| {
-                simulate_inference(device, alloc, profile, size)
-                    .latency
-                    .value()
-            })
-        };
-
-        let mut response_sum = 0.0;
-        let mut served = 0usize;
-        let mut free_at = 0.0f64;
-        let mut next = 0usize;
-        while next < arrivals.len() {
-            // Server becomes free; batch up everything that has arrived.
-            let start = free_at.max(arrivals[next]);
-            let mut size = 0u32;
-            while next < arrivals.len() && arrivals[next] <= start && size < batch_cap {
-                size += 1;
-                next += 1;
-            }
-            let completion = start + service(size);
-            for &arrival in &arrivals[next - size as usize..next] {
-                response_sum += completion - arrival;
-            }
-            served += size as usize;
-            free_at = completion;
-        }
-        Seconds::new(response_sum / served as f64)
+        let service = &mut batch_latency(device, alloc, profile);
+        replay(&scenario.draw_arrivals(seed), batch_cap, service).mean_response
     }
 
-    /// The per-candidate simulation as it was before sweeps shared their
-    /// arrivals and latencies: every call draws its own arrivals and
-    /// simulates every batch size afresh. The oracle the sweeps are held
-    /// to, bit for bit.
+    /// The one-point space on `setup`'s full allocation, sweeping only
+    /// `batches`.
+    fn full_allocation(device: &DeviceSpec, batches: &[u32]) -> InferenceSpace {
+        InferenceSpace {
+            batches: batches.to_vec(),
+            cores: vec![device.cores],
+            freqs: vec![device.max_freq],
+        }
+    }
+
+    /// The greedy policy written on its own: whenever the server is free
+    /// it takes every queued sample up to `batch_cap`, and every call
+    /// draws its own arrivals and simulates every batch size afresh. The
+    /// oracle [`replay`] and the sweeps are held to, bit for bit.
     fn reference_simulate(
         scenario: &MultiStreamScenario,
         device: &DeviceSpec,
@@ -454,28 +357,6 @@ mod tests {
                 for seed in [3, 11].map(SeedStream::new) {
                     for space in &spaces {
                         let context = format!("rate {rate}, {arrivals} arrivals, {space:?}");
-                        let want = space
-                            .batches
-                            .iter()
-                            .map(|&cap| {
-                                let t = reference_simulate(
-                                    &scenario, &device, &alloc, &profile, cap, seed,
-                                )
-                                .mean_response;
-                                (cap, t)
-                            })
-                            .min_by(|a, b| a.1.value().partial_cmp(&b.1.value()).unwrap())
-                            .unwrap();
-                        let got = scenario
-                            .optimal_batch_cap(&device, &alloc, &profile, &space.batches, seed)
-                            .unwrap();
-                        assert_eq!(got.0, want.0, "{context}");
-                        assert_eq!(
-                            got.1.value().to_bits(),
-                            want.1.value().to_bits(),
-                            "{context}"
-                        );
-
                         let multi = Scenario::MultiStream(scenario);
                         let got =
                             tune_for_scenario(&device, space, &profile, &multi, seed).unwrap();
@@ -536,9 +417,9 @@ mod tests {
         // 64-sample queries every 100 ms cannot be served by a Pi.
         let scenario = ServerScenario::new(64, Seconds::new(0.1));
         assert_eq!(scenario.response_time(&device, &alloc, &profile, 16), None);
-        assert!(scenario
-            .optimal_batch(&device, &alloc, &profile, &[1, 8, 16, 32, 64])
-            .is_none());
+        let space = full_allocation(&device, &[1, 8, 16, 32, 64]);
+        let server = Scenario::Server(scenario);
+        assert!(tune_for_scenario(&device, &space, &profile, &server, SeedStream::new(1)).is_err());
     }
 
     #[test]
@@ -546,12 +427,17 @@ mod tests {
         let (device, alloc, profile) = setup();
         let scenario = ServerScenario::new(32, Seconds::new(60.0));
         let candidates = [1, 2, 4, 8, 16, 32];
-        let (best, best_t) = scenario
-            .optimal_batch(&device, &alloc, &profile, &candidates)
+        let space = full_allocation(&device, &candidates);
+        let server = Scenario::Server(scenario);
+        let best = tune_for_scenario(&device, &space, &profile, &server, SeedStream::new(1))
             .expect("stable at 60s period");
         for &c in &candidates {
             if let Some(t) = scenario.response_time(&device, &alloc, &profile, c) {
-                assert!(best_t <= t, "batch {best} must be optimal");
+                assert!(
+                    best.mean_response <= t,
+                    "batch {} must be optimal",
+                    best.batch
+                );
             }
         }
     }
@@ -582,8 +468,8 @@ mod tests {
                 .value();
         let scenario = MultiStreamScenario::new(single_thpt * 2.0, 400);
         let seed = SeedStream::new(5);
-        let single = scenario.mean_response_time(&device, &alloc, &profile, 1, seed);
-        let batched = scenario.mean_response_time(&device, &alloc, &profile, 32, seed);
+        let single = mean_response(&scenario, &device, &alloc, &profile, 1, seed);
+        let batched = mean_response(&scenario, &device, &alloc, &profile, 32, seed);
         assert!(
             batched.value() < single.value() * 0.5,
             "aggregation must tame the backlog: {single} vs {batched}"
@@ -596,8 +482,8 @@ mod tests {
         // Very light traffic: every sample is served alone either way.
         let scenario = MultiStreamScenario::new(0.05, 100);
         let seed = SeedStream::new(6);
-        let single = scenario.mean_response_time(&device, &alloc, &profile, 1, seed);
-        let capped = scenario.mean_response_time(&device, &alloc, &profile, 16, seed);
+        let single = mean_response(&scenario, &device, &alloc, &profile, 1, seed);
+        let capped = mean_response(&scenario, &device, &alloc, &profile, 16, seed);
         let ratio = capped.value() / single.value();
         assert!(
             (ratio - 1.0).abs() < 0.05,
@@ -609,8 +495,8 @@ mod tests {
     fn multi_stream_is_reproducible() {
         let (device, alloc, profile) = setup();
         let scenario = MultiStreamScenario::new(5.0, 200);
-        let a = scenario.mean_response_time(&device, &alloc, &profile, 8, SeedStream::new(7));
-        let b = scenario.mean_response_time(&device, &alloc, &profile, 8, SeedStream::new(7));
+        let a = mean_response(&scenario, &device, &alloc, &profile, 8, SeedStream::new(7));
+        let b = mean_response(&scenario, &device, &alloc, &profile, 8, SeedStream::new(7));
         assert_eq!(a, b);
     }
 
@@ -620,13 +506,13 @@ mod tests {
         let scenario = MultiStreamScenario::new(20.0, 300);
         let seed = SeedStream::new(8);
         let candidates = [1, 4, 16, 64];
-        let (cap, t) = scenario
-            .optimal_batch_cap(&device, &alloc, &profile, &candidates, seed)
-            .unwrap();
-        assert!(candidates.contains(&cap));
+        let space = full_allocation(&device, &candidates);
+        let multi = Scenario::MultiStream(scenario);
+        let best = tune_for_scenario(&device, &space, &profile, &multi, seed).unwrap();
+        assert!(candidates.contains(&best.batch));
         for &c in &candidates {
-            let other = scenario.mean_response_time(&device, &alloc, &profile, c, seed);
-            assert!(t.value() <= other.value() + 1e-12);
+            let other = mean_response(&scenario, &device, &alloc, &profile, c, seed);
+            assert!(best.mean_response.value() <= other.value() + 1e-12);
         }
     }
 
@@ -638,10 +524,10 @@ mod tests {
                 let scenario = MultiStreamScenario::new(rate, arrivals);
                 for cap in [1, 2, 8, 16, 64] {
                     for seed in [2, 4, 9].map(SeedStream::new) {
-                        let greedy = greedy_mean_response_time(
-                            &scenario, &device, &alloc, &profile, cap, seed,
-                        );
-                        let got = scenario.mean_response_time(&device, &alloc, &profile, cap, seed);
+                        let greedy =
+                            reference_simulate(&scenario, &device, &alloc, &profile, cap, seed)
+                                .mean_response;
+                        let got = mean_response(&scenario, &device, &alloc, &profile, cap, seed);
                         assert_eq!(
                             got.value().to_bits(),
                             greedy.value().to_bits(),
@@ -671,6 +557,6 @@ mod tests {
     fn zero_cap_rejected() {
         let (device, alloc, profile) = setup();
         let scenario = MultiStreamScenario::new(1.0, 10);
-        let _ = scenario.mean_response_time(&device, &alloc, &profile, 0, SeedStream::new(1));
+        let _ = mean_response(&scenario, &device, &alloc, &profile, 0, SeedStream::new(1));
     }
 }

@@ -23,10 +23,13 @@
 //! edgetune trace-summary study.trace.json --top 5   # spans by self time
 //! ```
 //!
-//! Every subcommand returns `Result<(), String>`; `main` prints a failure
-//! once, as `error: <message>`, and exits 1.
+//! Every subcommand returns `Result<(), String>` and appends its stdout
+//! text to a buffer; `main` writes that buffer, then prints a failure
+//! once, as `error: <message>`, and exits 1. A reader that closes stdout
+//! early (`| head`) ends the output quietly; files are written anyway.
 
 use std::fmt::Display;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 use std::str::FromStr;
 
@@ -76,6 +79,27 @@ const SERVE_USAGE: &str = "usage: edgetune serve [--workload ic|sr|nlp|od] [--de
 const TRACE_SUMMARY_USAGE: &str = "usage: edgetune trace-summary FILE [--top N]";
 const SHARD_HOST_USAGE: &str = "usage: edgetune shard-host [--listen ADDR]";
 
+/// Appends one formatted line to a subcommand's stdout text.
+macro_rules! outln {
+    ($out:expr; $($arg:tt)*) => {{
+        *$out += &format!($($arg)*);
+        $out.push('\n');
+    }};
+}
+
+/// Writes `text` to stdout. A broken pipe means the reader wanted no
+/// more, so it ends the output without an error.
+fn write_stdout(text: &str) -> Result<(), String> {
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(format!("writing stdout: {e}")),
+        _ => Ok(()),
+    }
+}
+
 /// One subcommand's arguments, read flag by flag: the one place a
 /// flag's value is fetched and parsed, and `--help` is answered.
 struct Flags {
@@ -95,8 +119,14 @@ impl Flags {
     fn next(&mut self) -> Option<String> {
         let arg = self.argv.next()?;
         if arg == "--help" || arg == "-h" {
-            println!("{}", self.usage);
-            std::process::exit(0);
+            let code = match write_stdout(&format!("{}\n", self.usage)) {
+                Ok(()) => 0,
+                Err(err) => {
+                    eprintln!("error: {err}");
+                    1
+                }
+            };
+            std::process::exit(code);
         }
         Some(arg)
     }
@@ -146,64 +176,12 @@ fn unknown_flag(flag: &str) -> String {
     format!("unknown flag '{flag}' (try --help)")
 }
 
-/// The flags the tune and serve commands share.
-struct Common {
+struct ServeArgs {
     workload: WorkloadId,
-    device: Option<DeviceSpec>,
+    device: DeviceSpec,
     seed: u64,
     json: Option<String>,
     trace: Option<String>,
-}
-
-impl Common {
-    fn new() -> Self {
-        Common {
-            workload: WorkloadId::Ic,
-            device: None,
-            seed: 42,
-            json: None,
-            trace: None,
-        }
-    }
-
-    /// Reads `flag` when it is a shared one; `Ok(false)` when it is not.
-    fn read(&mut self, flag: &str, flags: &mut Flags) -> Result<bool, String> {
-        match flag {
-            "--workload" | "-w" => self.workload = flags.value("--workload")?.parse()?,
-            "--device" | "-d" => self.device = Some(device_by_name(&flags.value("--device")?)?),
-            "--seed" | "-s" => self.seed = flags.parse("--seed", "seed")?,
-            "--json" => self.json = Some(flags.value("--json")?),
-            "--trace" => self.trace = Some(flags.value("--trace")?),
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-}
-
-struct TuneArgs {
-    common: Common,
-    metric: Metric,
-    budget: BudgetPolicy,
-    initial: usize,
-    max_iteration: u32,
-    trial_slots: usize,
-    study_shards: usize,
-    shard_exec: ShardExec,
-    shard_hosts: Vec<String>,
-    fabric_trace: Option<String>,
-    cache: Option<String>,
-    pipelining: bool,
-    historical_cache: bool,
-    scenario: Option<Scenario>,
-    checkpoint: Option<String>,
-    resume: bool,
-    halt_after_rungs: Option<u32>,
-    fault_rate: f64,
-    pareto: Option<usize>,
-}
-
-struct ServeArgs {
-    common: Common,
     traffic: String,
     rate: f64,
     horizon: f64,
@@ -255,96 +233,109 @@ fn parse_scenario(value: &str) -> Result<Scenario, String> {
     }
 }
 
-fn parse_tune_args(argv: Vec<String>) -> Result<TuneArgs, String> {
-    let mut args = TuneArgs {
-        common: Common::new(),
-        metric: Metric::Runtime,
-        budget: BudgetPolicy::multi_default(),
-        initial: 8,
-        max_iteration: 10,
-        trial_slots: 1,
-        study_shards: 1,
-        shard_exec: ShardExec::Thread,
-        shard_hosts: Vec::new(),
-        fabric_trace: None,
-        cache: None,
-        pipelining: true,
-        historical_cache: true,
-        scenario: None,
-        checkpoint: None,
-        resume: false,
-        halt_after_rungs: None,
-        fault_rate: 0.0,
-        pareto: None,
-    };
+/// The tune command's flags: the study they configure, from the CLI's
+/// defaults, and the two flags only the command reads (`--json` and
+/// `--scenario`).
+fn parse_tune_args(
+    argv: Vec<String>,
+) -> Result<(EdgeTuneConfig, Option<String>, Option<Scenario>), String> {
+    let mut config = EdgeTuneConfig::for_workload(WorkloadId::Ic)
+        .with_scheduler(SchedulerConfig::new(8, 2.0, 10))
+        .with_seed(42);
+    let (mut json, mut scenario) = (None, None);
     let mut flags = Flags::new(argv, TUNE_USAGE);
     while let Some(arg) = flags.next() {
-        match arg.as_str() {
-            "--metric" | "-m" => {
-                args.metric = flags.value("--metric")?.parse()?;
+        config = match arg.as_str() {
+            "--workload" | "-w" => {
+                config.workload = flags.value("--workload")?.parse()?;
+                config
             }
+            "--device" | "-d" => {
+                config.with_edge_device(device_by_name(&flags.value("--device")?)?)
+            }
+            "--seed" | "-s" => config.with_seed(flags.parse("--seed", "seed")?),
+            "--json" => {
+                json = Some(flags.value("--json")?);
+                config
+            }
+            "--trace" => config.with_trace_path(flags.value("--trace")?),
+            "--metric" | "-m" => config.with_metric(flags.value("--metric")?.parse()?),
             "--budget" | "-b" => {
-                args.budget = match flags.value("--budget")?.to_lowercase().as_str() {
+                config.with_budget(match flags.value("--budget")?.to_lowercase().as_str() {
                     "epoch" | "epochs" => BudgetPolicy::epoch_default(),
                     "dataset" => BudgetPolicy::dataset_default(),
                     "multi" | "multi-budget" => BudgetPolicy::multi_default(),
                     other => return Err(format!("unknown budget '{other}' (epoch|dataset|multi)")),
-                }
+                })
             }
-            "--trials" | "-n" => args.initial = flags.count("--trials", "trial count")?,
-            "--max-iter" => args.max_iteration = flags.count("--max-iter", "iteration count")?,
-            "--trial-slots" => args.trial_slots = flags.count("--trial-slots", "slot count")?,
-            "--study-shards" => args.study_shards = flags.count("--study-shards", "shard count")?,
-            "--shard-exec" => args.shard_exec = ShardExec::parse(&flags.value("--shard-exec")?)?,
+            "--trials" | "-n" => {
+                config.scheduler.initial_configs = flags.count("--trials", "trial count")?;
+                config
+            }
+            "--max-iter" => {
+                config.scheduler.max_iteration = flags.count("--max-iter", "iteration count")?;
+                config
+            }
+            "--trial-slots" => config.with_trial_slots(flags.count("--trial-slots", "slot count")?),
+            "--study-shards" => {
+                config.with_study_shards(flags.count("--study-shards", "shard count")?)
+            }
+            "--shard-exec" => {
+                config.with_shard_exec(ShardExec::parse(&flags.value("--shard-exec")?)?)
+            }
             "--shard-hosts" => {
-                args.shard_hosts = flags
+                let hosts: Vec<String> = flags
                     .value("--shard-hosts")?
                     .split(',')
                     .map(str::trim)
                     .filter(|host| !host.is_empty())
                     .map(str::to_string)
                     .collect();
-                if args.shard_hosts.is_empty() {
+                if hosts.is_empty() {
                     return Err("--shard-hosts needs at least one host:port address".into());
                 }
+                config.with_shard_hosts(hosts)
             }
-            "--fabric-trace" => args.fabric_trace = Some(flags.value("--fabric-trace")?),
-            "--cache" => args.cache = Some(flags.value("--cache")?),
-            "--no-pipelining" => args.pipelining = false,
-            "--no-cache" => args.historical_cache = false,
-            "--scenario" => args.scenario = Some(parse_scenario(&flags.value("--scenario")?)?),
-            "--checkpoint" => args.checkpoint = Some(flags.value("--checkpoint")?),
-            "--resume" => args.resume = true,
+            "--fabric-trace" => config.with_fabric_trace_path(flags.value("--fabric-trace")?),
+            "--cache" => config.with_cache_path(flags.value("--cache")?),
+            "--no-pipelining" => config.without_pipelining(),
+            "--no-cache" => config.without_historical_cache(),
+            "--scenario" => {
+                scenario = Some(parse_scenario(&flags.value("--scenario")?)?);
+                config
+            }
+            "--checkpoint" => config.with_checkpoint_path(flags.value("--checkpoint")?),
+            "--resume" => config.resuming(),
             "--halt-after-rungs" => {
-                args.halt_after_rungs = Some(flags.parse("--halt-after-rungs", "rung count")?);
+                config.with_halt_after_rungs(flags.parse("--halt-after-rungs", "rung count")?)
             }
             "--fault-rate" => {
                 let rate: f64 = flags.parse("--fault-rate", "fault rate")?;
                 if !(0.0..=1.0).contains(&rate) {
                     return Err("--fault-rate must be within [0, 1]".into());
                 }
-                args.fault_rate = rate;
+                config.with_fault_rate(rate)
             }
-            "--pareto" => args.pareto = Some(flags.count("--pareto", "frontier size")?),
-            other => {
-                if !args.common.read(other, &mut flags)? {
-                    return Err(unknown_flag(other));
-                }
-            }
-        }
+            "--pareto" => config.with_pareto(flags.count("--pareto", "frontier size")?),
+            other => return Err(unknown_flag(other)),
+        };
     }
-    if args.resume && args.checkpoint.is_none() {
+    if config.resume && config.checkpoint_path.is_none() {
         return Err("--resume needs --checkpoint FILE".into());
     }
-    if !args.shard_hosts.is_empty() && args.shard_exec != ShardExec::Remote {
+    if !config.shard_hosts.is_empty() && config.shard_exec != ShardExec::Remote {
         return Err("--shard-hosts needs --shard-exec remote".into());
     }
-    Ok(args)
+    Ok((config, json, scenario))
 }
 
 fn parse_serve_args(argv: Vec<String>) -> Result<ServeArgs, String> {
     let mut args = ServeArgs {
-        common: Common::new(),
+        workload: WorkloadId::Ic,
+        device: DeviceSpec::raspberry_pi_3b(),
+        seed: 42,
+        json: None,
+        trace: None,
         traffic: "poisson".to_string(),
         rate: 10.0,
         horizon: 120.0,
@@ -357,6 +348,11 @@ fn parse_serve_args(argv: Vec<String>) -> Result<ServeArgs, String> {
     let mut flags = Flags::new(argv, SERVE_USAGE);
     while let Some(arg) = flags.next() {
         match arg.as_str() {
+            "--workload" | "-w" => args.workload = flags.value("--workload")?.parse()?,
+            "--device" | "-d" => args.device = device_by_name(&flags.value("--device")?)?,
+            "--seed" | "-s" => args.seed = flags.parse("--seed", "seed")?,
+            "--json" => args.json = Some(flags.value("--json")?),
+            "--trace" => args.trace = Some(flags.value("--trace")?),
             "--traffic" | "-t" => {
                 let traffic = flags.value("--traffic")?.to_lowercase();
                 match traffic.as_str() {
@@ -375,11 +371,7 @@ fn parse_serve_args(argv: Vec<String>) -> Result<ServeArgs, String> {
             "--static" => args.static_serving = true,
             "--no-shed" => args.shed = false,
             "--frontier" => args.frontier = Some(flags.count("--frontier", "frontier size")?),
-            other => {
-                if !args.common.read(other, &mut flags)? {
-                    return Err(unknown_flag(other));
-                }
-            }
+            other => return Err(unknown_flag(other)),
         }
     }
     Ok(args)
@@ -387,65 +379,28 @@ fn parse_serve_args(argv: Vec<String>) -> Result<ServeArgs, String> {
 
 /// The tune command: one study, its report on stdout, and optionally
 /// its JSON, trace and scenario recommendation.
-fn run_tune(argv: Vec<String>) -> Result<(), String> {
-    let args = parse_tune_args(argv)?;
-    let common = &args.common;
-    let mut config = EdgeTuneConfig::for_workload(common.workload)
-        .with_metric(args.metric)
-        .with_budget(args.budget)
-        .with_scheduler(SchedulerConfig::new(args.initial, 2.0, args.max_iteration))
-        .with_trial_slots(args.trial_slots)
-        .with_study_shards(args.study_shards)
-        .with_seed(common.seed)
-        .with_shard_exec(args.shard_exec);
-    if let Some(device) = &common.device {
-        config = config.with_edge_device(device.clone());
-    }
-    if let Some(path) = &args.cache {
-        config = config.with_cache_path(path);
-    }
-    if let Some(path) = &args.checkpoint {
-        config = config.with_checkpoint_path(path);
-    }
-    if args.resume {
-        config = config.resuming();
-    }
-    if let Some(rungs) = args.halt_after_rungs {
-        config = config.with_halt_after_rungs(rungs);
-    }
-    config = config.with_fault_rate(args.fault_rate);
-    if !args.pipelining {
-        config = config.without_pipelining();
-    }
-    if !args.historical_cache {
-        config = config.without_historical_cache();
-    }
-    if let Some(path) = &common.trace {
-        config = config.with_trace_path(path);
-    }
-    if let Some(k) = args.pareto {
-        config = config.with_pareto(k);
-    }
-    if !args.shard_hosts.is_empty() {
-        config = config.with_shard_hosts(args.shard_hosts.clone());
-    }
-    if let Some(path) = &args.fabric_trace {
-        config = config.with_fabric_trace_path(path);
-    }
+fn run_tune(argv: Vec<String>, out: &mut String) -> Result<(), String> {
+    let (mut config, json, scenario) = parse_tune_args(argv)?;
     config.fabric.chaos = fabric_chaos_from_env()?;
 
+    let (workload, seed) = (config.workload, config.seed);
     let edge_device = config.edge_device.clone();
+    let trace = config.trace_path.clone();
+    let fabric_trace = config.fabric_trace_path.clone();
     eprintln!(
         "tuning {} for {} ({} objective, {} budget, seed {})...",
-        common.workload,
+        workload,
         edge_device.name,
-        args.metric,
+        config.train_metric,
         config.budget.name(),
-        common.seed
+        seed
     );
     let report = EdgeTune::new(config).run().map_err(|e| e.to_string())?;
-    if let Some(path) = &common.trace {
-        eprintln!("chrome trace written to {path} (open in chrome://tracing or Perfetto)");
+    if let Some(path) = &trace {
+        eprintln!(
+            "chrome trace written to {} (open in chrome://tracing or Perfetto)",
+            path.display()
+        );
     }
     // Fabric counters are wall-clock noise, so they go to stderr —
     // stdout stays deterministic for a fixed seed.
@@ -464,36 +419,36 @@ fn run_tune(argv: Vec<String>) -> Result<(), String> {
             stats.stragglers,
         );
     }
-    if let Some(path) = &args.fabric_trace {
-        eprintln!("fabric telemetry trace written to {path}");
+    if let Some(path) = &fabric_trace {
+        eprintln!("fabric telemetry trace written to {}", path.display());
     }
 
-    println!("== winning trial ==");
-    println!("configuration : {}", report.best_config());
-    println!("accuracy      : {:.1}%", report.best_accuracy() * 100.0);
-    println!("trials run    : {}", report.history().len());
-    println!(
+    outln!(out; "== winning trial ==");
+    outln!(out; "configuration : {}", report.best_config());
+    outln!(out; "accuracy      : {:.1}%", report.best_accuracy() * 100.0);
+    outln!(out; "trials run    : {}", report.history().len());
+    outln!(out;
         "tuning cost   : {:.1} min, {:.1} kJ (stall {:.1} s)",
         report.tuning_runtime().as_minutes(),
         report.tuning_energy().as_kilojoules(),
         report.stall_time().value(),
     );
     let rec = report.recommendation();
-    println!("== deployment recommendation ==");
-    println!("device        : {}", rec.device);
-    println!("batch/cores   : {} / {}", rec.batch, rec.cores);
-    println!("frequency     : {:.2} GHz", rec.freq.as_ghz());
-    println!("throughput    : {:.1} items/s", rec.throughput.value());
-    println!("energy        : {:.3} J/item", rec.energy_per_item.value());
+    outln!(out; "== deployment recommendation ==");
+    outln!(out; "device        : {}", rec.device);
+    outln!(out; "batch/cores   : {} / {}", rec.batch, rec.cores);
+    outln!(out; "frequency     : {:.2} GHz", rec.freq.as_ghz());
+    outln!(out; "throughput    : {:.1} items/s", rec.throughput.value());
+    outln!(out; "energy        : {:.3} J/item", rec.energy_per_item.value());
 
     if !report.frontier().is_empty() {
-        println!("== pareto frontier ==");
-        println!(
+        outln!(out; "== pareto frontier ==");
+        outln!(out;
             "{:>5} {:>9} {:>12} {:>12}  configuration",
             "trial", "accuracy", "train-cost", "infer-cost"
         );
         for point in report.frontier() {
-            println!(
+            outln!(out;
                 "{:>5} {:>8.1}% {:>12.2} {:>12.4}  {}",
                 point.trial,
                 point.vector.accuracy * 100.0,
@@ -506,29 +461,29 @@ fn run_tune(argv: Vec<String>) -> Result<(), String> {
 
     if let Some(faults) = report.faults() {
         let d = &faults.degradation;
-        println!("== fault report ==");
-        println!("failed trials    : {}", faults.failed_trials);
-        println!(
+        outln!(out; "== fault report ==");
+        outln!(out; "failed trials    : {}", faults.failed_trials);
+        outln!(out;
             "trial faults     : {} crashes, {} stragglers",
             d.trial_crashes, d.trial_stragglers
         );
-        println!(
+        outln!(out;
             "trial recovery   : {} retries, {} skipped with penalty",
             d.trial_retries, d.trials_skipped
         );
-        println!(
+        outln!(out;
             "inference faults : {} lost replies, {} injected losses, {} outages, {} real panics",
             d.worker_losses, faults.injected_losses, faults.injected_outages, faults.worker_panics
         );
-        println!(
+        outln!(out;
             "inference rescue : {} retries, {} stale-cache answers, {} default recommendations",
             d.inference_retries, d.stale_cache_served, d.default_recommendations
         );
     }
 
-    if let Some(scenario) = &args.scenario {
+    if let Some(scenario) = &scenario {
         use edgetune::backend::PARAM_MODEL_HP;
-        let workload = Workload::by_id(common.workload);
+        let workload = Workload::by_id(workload);
         let hp = report
             .best_config()
             .get(PARAM_MODEL_HP)
@@ -538,17 +493,17 @@ fn run_tune(argv: Vec<String>) -> Result<(), String> {
             &InferenceSpace::for_device(&edge_device),
             &workload.profile(hp),
             scenario,
-            SeedStream::new(common.seed).child("scenario"),
+            SeedStream::new(seed).child("scenario"),
         )
         .map_err(|e| format!("scenario tuning failed: {e}"))?;
-        println!("== scenario recommendation ==");
-        println!("scenario      : {scenario:?}");
-        println!("batch/cores   : {} / {}", rec.batch, rec.cores);
-        println!("frequency     : {:.2} GHz", rec.freq.as_ghz());
-        println!("mean response : {:.3} s", rec.mean_response.value());
+        outln!(out; "== scenario recommendation ==");
+        outln!(out; "scenario      : {scenario:?}");
+        outln!(out; "batch/cores   : {} / {}", rec.batch, rec.cores);
+        outln!(out; "frequency     : {:.2} GHz", rec.freq.as_ghz());
+        outln!(out; "mean response : {:.3} s", rec.mean_response.value());
     }
 
-    if let Some(path) = &common.json {
+    if let Some(path) = &json {
         let json = report.to_json().map_err(|e| e.to_string())?;
         std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("report written to {path}");
@@ -583,20 +538,16 @@ fn traffic_for(trace: &str, rate: f64, horizon: f64) -> TrafficProfile {
     }
 }
 
-fn run_serve(argv: Vec<String>) -> Result<(), String> {
+fn run_serve(argv: Vec<String>, out: &mut String) -> Result<(), String> {
     let args = parse_serve_args(argv)?;
-    let device = args
-        .common
-        .device
-        .clone()
-        .unwrap_or_else(DeviceSpec::raspberry_pi_3b);
-    let workload = Workload::by_id(args.common.workload);
+    let device = args.device;
+    let workload = Workload::by_id(args.workload);
     let profile = workload.profile(workload.model_hp_values[0]);
     let space = InferenceSpace::for_device(&device);
     let retuner = ScenarioRetuner::new(device.clone(), space, profile);
 
     let traffic = traffic_for(&args.traffic, args.rate, args.horizon);
-    let seed = SeedStream::new(args.common.seed);
+    let seed = SeedStream::new(args.seed);
     eprintln!(
         "tuning the initial configuration for {} at {:.1} items/s...",
         device.name,
@@ -638,7 +589,7 @@ fn run_serve(argv: Vec<String>) -> Result<(), String> {
         runtime = runtime.with_selector(selector);
     }
     let tuner = (!args.static_serving).then_some(&retuner as &dyn edgetune_serving::OnlineTuner);
-    let tracer = args.common.trace.as_ref().map(|_| Tracer::new());
+    let tracer = args.trace.as_ref().map(|_| Tracer::new());
     let report = runtime
         .serve_traced(
             &traffic,
@@ -648,7 +599,7 @@ fn run_serve(argv: Vec<String>) -> Result<(), String> {
             tracer.as_ref(),
         )
         .map_err(|e| e.to_string())?;
-    if let (Some(path), Some(tracer)) = (&args.common.trace, &tracer) {
+    if let (Some(path), Some(tracer)) = (&args.trace, &tracer) {
         ChromeTrace::from_tracer(tracer)
             .write(path)
             .map_err(|e| e.to_string())?;
@@ -657,8 +608,8 @@ fn run_serve(argv: Vec<String>) -> Result<(), String> {
 
     eprintln!("{}", report.summary());
     let json = report.to_json().map_err(|e| e.to_string())?;
-    println!("{json}");
-    if let Some(path) = &args.common.json {
+    outln!(out; "{json}");
+    if let Some(path) = &args.json {
         std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("serving report written to {path}");
     }
@@ -670,7 +621,7 @@ fn run_serve(argv: Vec<String>) -> Result<(), String> {
 /// duration minus the spans nested directly inside it on its track), so
 /// the hot accounting paths show up by themselves instead of being
 /// buried under their enclosing rung/bracket spans.
-fn run_trace_summary(argv: Vec<String>) -> Result<(), String> {
+fn run_trace_summary(argv: Vec<String>, out: &mut String) -> Result<(), String> {
     let mut flags = Flags::new(argv, TRACE_SUMMARY_USAGE);
     let mut file: Option<String> = None;
     let mut top = 10usize;
@@ -690,13 +641,13 @@ fn run_trace_summary(argv: Vec<String>) -> Result<(), String> {
     let stats = edgetune_trace::span_summary(&trace);
     let spans: u64 = stats.iter().map(|s| s.count).sum();
     let busy_us: f64 = stats.iter().map(|s| s.self_us).sum();
-    println!(
+    outln!(out;
         "{} spans, {} distinct names, {:.3} ms total self time",
         spans,
         stats.len(),
         busy_us / 1e3
     );
-    println!(
+    outln!(out;
         "{:<32} {:>7} {:>12} {:>12} {:>7}",
         "span", "count", "total(ms)", "self(ms)", "self%"
     );
@@ -706,7 +657,7 @@ fn run_trace_summary(argv: Vec<String>) -> Result<(), String> {
         } else {
             0.0
         };
-        println!(
+        outln!(out;
             "{:<32} {:>7} {:>12.3} {:>12.3} {:>6.1}%",
             stat.name,
             stat.count,
@@ -755,16 +706,18 @@ fn fabric_chaos_from_env() -> Result<Option<FabricChaos>, String> {
 
 fn main() -> ExitCode {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut out = String::new();
     let result = match argv.first().map(String::as_str) {
         // Shard workers speak length-prefixed frames on stdin/stdout and
         // must never touch the normal CLI surface.
         Some(fabric::WORKER_SUBCOMMAND) => fabric::worker_main(),
         Some(fabric::HOST_SUBCOMMAND) => run_shard_host(argv.split_off(1)),
-        Some("serve") => run_serve(argv.split_off(1)),
-        Some("trace-summary") => run_trace_summary(argv.split_off(1)),
-        _ => run_tune(argv),
+        Some("serve") => run_serve(argv.split_off(1), &mut out),
+        Some("trace-summary") => run_trace_summary(argv.split_off(1), &mut out),
+        _ => run_tune(argv, &mut out),
     };
-    match result {
+    let written = write_stdout(&out);
+    match result.and(written) {
         Ok(()) => ExitCode::SUCCESS,
         Err(err) => {
             eprintln!("error: {err}");

@@ -222,9 +222,11 @@ impl StudyRun {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] for inconsistent configurations
-    /// (`halt_after_rungs` of 0, a fault rate outside `[0, 1]` and a
-    /// fabric deadline or retry delay the supervisor cannot wait on
-    /// included) or a checkpoint written under another seed, and
+    /// (`halt_after_rungs` of 0, a fault rate outside `[0, 1]`, a
+    /// scheduler shape whose rungs cannot be held or whose planned trial
+    /// count overflows, and a fabric deadline or retry delay the
+    /// supervisor cannot wait on included) or a checkpoint written under
+    /// another seed, and
     /// [`Error::Storage`] for unreadable state.
     pub fn start(
         config: &EdgeTuneConfig,
@@ -253,6 +255,24 @@ impl StudyRun {
                 config.fault_rate
             )));
         }
+        // Pareto mode promotes on front membership (dominance layers)
+        // instead of raw scalar rank; scalar mode keeps the default
+        // rule, so its reports are untouched.
+        let promotion = if config.pareto.is_some() {
+            PromotionRule::FrontMembership
+        } else {
+            PromotionRule::ScalarRank
+        };
+        let study = if config.hyperband {
+            HyperBand::new(config.scheduler)
+                .with_promotion(promotion)
+                .study(space, config.budget)
+        } else {
+            SuccessiveHalving::new(config.scheduler)
+                .with_promotion(promotion)
+                .study(space, config.budget)
+        };
+        study.check_shape()?;
         let faults_enabled = config.fault_rate > 0.0;
 
         // Resume: the checkpoint's state is reinstated whole, and its
@@ -300,24 +320,6 @@ impl StudyRun {
         if let Some(tracer) = &tracer {
             seed_tracer_from_timeline(tracer, &globals.timeline);
         }
-
-        // Pareto mode promotes on front membership (dominance layers)
-        // instead of raw scalar rank; scalar mode keeps the default
-        // rule, so its reports are untouched.
-        let promotion = if config.pareto.is_some() {
-            PromotionRule::FrontMembership
-        } else {
-            PromotionRule::ScalarRank
-        };
-        let study = if config.hyperband {
-            HyperBand::new(config.scheduler)
-                .with_promotion(promotion)
-                .study(space, config.budget)
-        } else {
-            SuccessiveHalving::new(config.scheduler)
-                .with_promotion(promotion)
-                .study(space, config.budget)
-        };
 
         Ok(StudyRun {
             sampler: config.build_sampler(),

@@ -382,3 +382,61 @@ fn a_huge_shard_count_runs_like_a_few_shards() {
         study_with("--study-shards", "4")
     );
 }
+
+/// Serves a short run with `--workers value` and returns its stdout and
+/// trace, failing on a non-zero exit.
+fn served_with_workers(value: &str) -> (Vec<u8>, Vec<u8>) {
+    let path = std::env::temp_dir().join(format!("edgetune-cli-workers-{value}.trace.json"));
+    let out = edgetune()
+        .args(["serve", "--horizon", "5", "--workers", value, "--trace"])
+        .arg(&path)
+        .output()
+        .expect("cli runs");
+    assert!(
+        out.status.success(),
+        "--workers {value}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let trace = std::fs::read(&path).expect("trace written");
+    std::fs::remove_file(&path).ok();
+    (out.stdout, trace)
+}
+
+#[test]
+fn a_huge_worker_count_serves_like_a_few_workers() {
+    // A run never has more batches than requests, so no worker is
+    // allocated beyond them.
+    assert_eq!(served_with_workers("4294967295"), served_with_workers("64"));
+}
+
+#[test]
+fn a_trial_count_past_memory_is_rejected() {
+    let trials = usize::MAX.to_string();
+    assert_all_rejected(&[(
+        args(&["--trials", &trials, "--max-iter", "2"]),
+        format!("invalid configuration: a rung of {trials} trials cannot be held in memory"),
+    )]);
+}
+
+#[test]
+fn a_closed_stdout_ends_the_output_quietly() {
+    use std::process::Stdio;
+    for command in [&["--max-iter", "2"][..], &["serve", "--horizon", "5"]] {
+        let path = std::env::temp_dir().join(format!("edgetune-cli-closed-{}.json", command[0]));
+        let mut child = edgetune()
+            .args(command)
+            .arg("--json")
+            .arg(&path)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("cli runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("cli exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{command:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{command:?}: {stderr}");
+        assert!(path.exists(), "{command:?}: --json still written");
+        std::fs::remove_file(&path).ok();
+    }
+}

@@ -44,11 +44,6 @@ pub trait Layer: std::fmt::Debug + Send {
 
     /// Visits every `(parameter, gradient)` pair, in a stable order.
     fn visit_params(&mut self, _visit: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}
-
-    /// Total number of trainable scalars.
-    fn param_count(&self) -> usize {
-        0
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -154,10 +149,6 @@ impl Layer for Dense {
     fn visit_params(&mut self, visit: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
         visit(&mut self.weight, &mut self.grad_weight);
         visit(&mut self.bias, &mut self.grad_bias);
-    }
-
-    fn param_count(&self) -> usize {
-        self.weight.len() + self.bias.len()
     }
 }
 
@@ -539,10 +530,6 @@ impl Layer for Conv2d {
         visit(&mut self.weight, &mut self.grad_weight);
         visit(&mut self.bias, &mut self.grad_bias);
     }
-
-    fn param_count(&self) -> usize {
-        self.weight.len() + self.bias.len()
-    }
 }
 
 /// Accumulates one (output channel, input channel) pair's weight
@@ -847,11 +834,15 @@ mod tests {
 
     #[test]
     fn param_counts() {
-        let d = Dense::new(10, 5, seed());
-        assert_eq!(d.param_count(), 55);
-        let c = Conv2d::new(3, 8, 3, 1, 1, seed());
-        assert_eq!(c.param_count(), 3 * 8 * 9 + 8);
-        assert_eq!(Relu::new().param_count(), 0);
+        let count = |layer: &mut dyn Layer| {
+            let mut scalars = 0;
+            layer.visit_params(&mut |p, _| scalars += p.len());
+            scalars
+        };
+        assert_eq!(count(&mut Dense::new(10, 5, seed())), 55);
+        let mut c = Conv2d::new(3, 8, 3, 1, 1, seed());
+        assert_eq!(count(&mut c), 3 * 8 * 9 + 8);
+        assert_eq!(count(&mut Relu::new()), 0);
     }
 
     #[test]

@@ -34,7 +34,6 @@
 //! assert!(report.final_val_accuracy() > 0.5);
 //! ```
 
-pub mod checkpoint;
 pub mod data;
 pub mod layer;
 pub mod loss;

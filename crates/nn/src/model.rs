@@ -129,11 +129,12 @@ mod tests {
 
     #[test]
     fn param_count_sums_layers() {
-        let m = Sequential::new()
+        let mut m = Sequential::new()
             .with(Dense::new(2, 3, SeedStream::new(1))) // 2*3+3 = 9
             .with(Relu::new())
             .with(Dense::new(3, 1, SeedStream::new(2))); // 3*1+1 = 4
-        let params: usize = m.layers.iter().map(|l| l.param_count()).sum();
+        let mut params = 0;
+        m.visit_params(&mut |p, _| params += p.len());
         assert_eq!(params, 13);
     }
 

@@ -22,9 +22,6 @@ pub struct FitConfig {
     /// Fraction of the training data to use (the dataset budget), in
     /// `(0, 1]`.
     pub data_fraction: f64,
-    /// Stop early when validation accuracy has not improved for this
-    /// many consecutive epochs (`None` = never stop early).
-    pub early_stop_patience: Option<u32>,
 }
 
 impl FitConfig {
@@ -41,7 +38,6 @@ impl FitConfig {
             epochs,
             batch,
             data_fraction: 1.0,
-            early_stop_patience: None,
         }
     }
 
@@ -57,20 +53,6 @@ impl FitConfig {
             "fraction must be in (0,1]"
         );
         self.data_fraction = fraction;
-        self
-    }
-
-    /// Enables early stopping: training ends once validation accuracy
-    /// has not improved for `patience` consecutive epochs (the
-    /// "early-stop" technique of the paper's §2.2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `patience` is zero.
-    #[must_use]
-    pub fn with_early_stopping(mut self, patience: u32) -> Self {
-        assert!(patience >= 1, "patience must be >= 1");
-        self.early_stop_patience = Some(patience);
         self
     }
 }
@@ -131,8 +113,6 @@ pub fn fit(
         train
     };
     let mut report = FitReport::default();
-    let mut best_val = f64::NEG_INFINITY;
-    let mut epochs_since_best = 0u32;
     for epoch in 0..config.epochs {
         let mut loss_sum = 0.0f64;
         let mut acc_sum = 0.0f64;
@@ -152,17 +132,6 @@ pub fn fit(
             train_accuracy: acc_sum / batches.max(1) as f64,
             val_accuracy,
         });
-        if let Some(patience) = config.early_stop_patience {
-            if val_accuracy > best_val {
-                best_val = val_accuracy;
-                epochs_since_best = 0;
-            } else {
-                epochs_since_best += 1;
-                if epochs_since_best >= patience {
-                    break;
-                }
-            }
-        }
     }
     report
 }
@@ -286,24 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn early_stopping_truncates_saturated_training() {
-        // An easy task saturates quickly; with patience 2 the loop must
-        // end well before the requested 60 epochs.
-        let data = Dataset::gaussian_blobs(200, 4, 2, 0.15, seed());
-        let (train, val) = data.split(0.8);
-        let mut model = mlp(4, 16, 2);
-        let mut opt = Sgd::new(0.1).with_momentum(0.9);
-        let cfg = FitConfig::new(60, 16).with_early_stopping(2);
-        let report = fit(&mut model, &mut opt, &train, &val, &cfg, seed());
-        assert!(
-            report.epochs.len() < 60,
-            "early stopping should fire: ran {} epochs",
-            report.epochs.len()
-        );
-        assert!(report.final_val_accuracy() > 0.9);
-    }
-
-    #[test]
     fn without_early_stopping_all_epochs_run() {
         let data = Dataset::gaussian_blobs(100, 4, 2, 0.2, seed());
         let (train, val) = data.split(0.8);
@@ -318,11 +269,5 @@ mod tests {
             seed(),
         );
         assert_eq!(report.epochs.len(), 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "patience")]
-    fn zero_patience_rejected() {
-        let _ = FitConfig::new(5, 8).with_early_stopping(0);
     }
 }

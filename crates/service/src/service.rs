@@ -252,22 +252,11 @@ impl StudyService {
         Ok(false)
     }
 
-    /// The donor's best configurations, best-first and deduplicated.
-    /// A Pareto study donates its frontier first — every point on the
-    /// front is a defensible winner under *some* trade-off, so all of
-    /// them are worth seeding a future study with — then pads with the
-    /// scalar top-k as before. Scalar studies are unchanged.
+    /// The donor's best configurations by score, best-first and
+    /// deduplicated.
     fn donation(&self, report: &TuningReport) -> Vec<Config> {
         let mut seen = std::collections::HashSet::new();
         let mut configs = Vec::new();
-        for point in report.frontier() {
-            if configs.len() >= self.options.warm_top_k {
-                return configs;
-            }
-            if seen.insert(point.config.key()) {
-                configs.push(point.config.clone());
-            }
-        }
         let mut records: Vec<_> = report
             .history()
             .records()

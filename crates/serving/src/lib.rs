@@ -9,7 +9,7 @@
 //!   Poisson (the paper's multi-stream scenario, §3.4), fixed-frequency
 //!   server queries, bursty on/off (MMPP), diurnal ramps and step
 //!   rate-shifts for drift experiments,
-//! * [`queue`] — batch-or-timeout aggregation with an AIMD-adaptive batch
+//! * [`queue`] — greedy aggregation with an AIMD-adaptive batch
 //!   cap and deadline-based load shedding,
 //! * [`drift`] — windowed arrival-rate estimation that flags sustained
 //!   departures from the tuned rate,
@@ -64,7 +64,7 @@ pub mod traffic;
 
 pub use drift::DriftDetector;
 pub use metrics::{ConfigSwitch, ServingReport, SwitchSource};
-pub use queue::{AdaptiveBatcher, BatchPolicy, SloPolicy};
+pub use queue::{AdaptiveBatcher, SloPolicy};
 pub use runtime::{OnlineTuner, RuntimeOptions, ServingConfig, ServingRuntime};
 pub use selector::{ConfigSelector, FrontierEntry};
 pub use traffic::TrafficProfile;

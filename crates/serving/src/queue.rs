@@ -1,15 +1,16 @@
 //! Adaptive batch formation and SLO-aware admission control.
 //!
-//! The serving queue is batch-or-timeout (the tuning-time simulator in
-//! the core crate is its zero-window case), and its batch cap is a *live*
-//! control variable: an AIMD-style controller grows the cap when observed
-//! response times creep toward the SLO target (larger batches amortise
-//! dispatch and drain backlog faster on the roofline model) and relaxes
-//! it back toward the tuned batch size when the system is comfortably
-//! under target (small batches minimise per-request latency at light
-//! load). Admission control sheds requests that can no longer meet their
-//! deadline even if served alone immediately — graceful degradation
-//! instead of unbounded queueing collapse under overload.
+//! The serving queue is greedy — a free worker takes every queued request
+//! up to the batch cap, the policy the tuning-time simulator in the core
+//! crate models — and its batch cap is a *live* control variable: an
+//! AIMD-style controller grows the cap when observed response times creep
+//! toward the SLO target (larger batches amortise dispatch and drain
+//! backlog faster on the roofline model) and relaxes it back toward the
+//! tuned batch size when the system is comfortably under target (small
+//! batches minimise per-request latency at light load). Admission control
+//! sheds requests that can no longer meet their deadline even if served
+//! alone immediately — graceful degradation instead of unbounded queueing
+//! collapse under overload.
 
 use edgetune_util::units::Seconds;
 use serde::{Deserialize, Serialize};
@@ -54,64 +55,44 @@ impl SloPolicy {
     }
 }
 
-/// Batch-formation policy: the tuned operating point plus the bounds the
-/// adaptive controller may move within.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BatchPolicy {
-    /// The tuned (recommended) batch cap — the controller's resting point.
-    pub base_cap: u32,
-    /// Hard ceiling the adaptive cap never exceeds.
-    pub max_cap: u32,
-    /// Batch-or-timeout window measured from the oldest queued request.
-    pub max_wait: Seconds,
-    /// When false the cap stays pinned at `base_cap` (static serving).
-    pub adaptive: bool,
-}
-
-impl BatchPolicy {
-    /// An adaptive policy resting at `base_cap`, free to grow to
-    /// `max_cap`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base_cap` is zero or `max_wait` is negative.
-    #[must_use]
-    pub fn new(base_cap: u32, max_cap: u32, max_wait: Seconds) -> Self {
-        assert!(base_cap >= 1, "batch cap must be >= 1");
-        assert!(max_wait.value() >= 0.0, "max wait must be non-negative");
-        BatchPolicy {
-            base_cap,
-            max_cap: max_cap.max(base_cap),
-            max_wait,
-            adaptive: true,
-        }
-    }
-
-    /// The same policy with the cap frozen at `base_cap`.
-    #[must_use]
-    pub fn pinned(mut self) -> Self {
-        self.adaptive = false;
-        self
-    }
-}
-
-/// The live batch-cap controller.
+/// The live batch-cap controller: it rests at the tuned cap and moves
+/// up to a hard ceiling under load.
 #[derive(Debug, Clone)]
 pub struct AdaptiveBatcher {
-    policy: BatchPolicy,
+    /// The tuned (recommended) batch cap — the controller's resting point.
+    base_cap: u32,
+    /// Hard ceiling the adaptive cap never exceeds.
+    max_cap: u32,
+    /// When false the cap stays pinned at `base_cap` (static serving).
+    adaptive: bool,
     cap: u32,
     ewma_response: Option<f64>,
 }
 
 impl AdaptiveBatcher {
-    /// Starts the controller at the policy's tuned batch cap.
+    /// An adaptive controller starting at the tuned `base_cap`, free to
+    /// grow to `max_cap`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base_cap` is zero.
     #[must_use]
-    pub fn new(policy: BatchPolicy) -> Self {
+    pub fn new(base_cap: u32, max_cap: u32) -> Self {
+        assert!(base_cap >= 1, "batch cap must be >= 1");
         AdaptiveBatcher {
-            cap: policy.base_cap,
+            base_cap,
+            max_cap: max_cap.max(base_cap),
+            adaptive: true,
+            cap: base_cap,
             ewma_response: None,
-            policy,
         }
+    }
+
+    /// The same controller with the cap frozen at `base_cap`.
+    #[must_use]
+    pub fn pinned(mut self) -> Self {
+        self.adaptive = false;
+        self
     }
 
     /// The current batch cap.
@@ -120,15 +101,9 @@ impl AdaptiveBatcher {
         self.cap
     }
 
-    /// The batch-or-timeout window.
-    #[must_use]
-    pub fn max_wait(&self) -> Seconds {
-        self.policy.max_wait
-    }
-
     /// Feeds one completed batch into the controller: its mean response
     /// time and the backlog present at completion. Adjusts the cap when
-    /// the policy is adaptive.
+    /// the controller is adaptive.
     pub fn observe(&mut self, mean_response: Seconds, backlog: usize, slo: &SloPolicy) {
         let smoothed = match self.ewma_response {
             None => mean_response.value(),
@@ -137,7 +112,7 @@ impl AdaptiveBatcher {
             }
         };
         self.ewma_response = Some(smoothed);
-        if !self.policy.adaptive {
+        if !self.adaptive {
             return;
         }
         let target = slo.target.value();
@@ -145,9 +120,9 @@ impl AdaptiveBatcher {
         let relaxed =
             smoothed < SHRINK_THRESHOLD * target && backlog < (self.cap as usize).div_ceil(2);
         if pressed {
-            self.cap = (self.cap.saturating_mul(2)).min(self.policy.max_cap);
-        } else if relaxed && self.cap > self.policy.base_cap {
-            self.cap = (self.cap / 2).max(self.policy.base_cap);
+            self.cap = (self.cap.saturating_mul(2)).min(self.max_cap);
+        } else if relaxed && self.cap > self.base_cap {
+            self.cap = (self.cap / 2).max(self.base_cap);
         }
     }
 
@@ -155,8 +130,8 @@ impl AdaptiveBatcher {
     /// drift-triggered configuration switch).
     pub fn rebase(&mut self, base_cap: u32) {
         assert!(base_cap >= 1, "batch cap must be >= 1");
-        self.policy.base_cap = base_cap;
-        self.policy.max_cap = self.policy.max_cap.max(base_cap);
+        self.base_cap = base_cap;
+        self.max_cap = self.max_cap.max(base_cap);
         self.cap = base_cap;
         self.ewma_response = None;
     }
@@ -172,7 +147,7 @@ mod tests {
 
     #[test]
     fn pressure_grows_the_cap_toward_the_ceiling() {
-        let mut b = AdaptiveBatcher::new(BatchPolicy::new(4, 64, Seconds::ZERO));
+        let mut b = AdaptiveBatcher::new(4, 64);
         for _ in 0..10 {
             b.observe(Seconds::new(0.9), 100, &slo());
         }
@@ -181,7 +156,7 @@ mod tests {
 
     #[test]
     fn calm_traffic_relaxes_back_to_the_tuned_cap() {
-        let mut b = AdaptiveBatcher::new(BatchPolicy::new(4, 64, Seconds::ZERO));
+        let mut b = AdaptiveBatcher::new(4, 64);
         for _ in 0..6 {
             b.observe(Seconds::new(0.95), 100, &slo());
         }
@@ -194,7 +169,7 @@ mod tests {
 
     #[test]
     fn pinned_policy_never_moves() {
-        let mut b = AdaptiveBatcher::new(BatchPolicy::new(8, 64, Seconds::ZERO).pinned());
+        let mut b = AdaptiveBatcher::new(8, 64).pinned();
         for _ in 0..10 {
             b.observe(Seconds::new(10.0), 1000, &slo());
         }
@@ -203,14 +178,14 @@ mod tests {
 
     #[test]
     fn backlog_alone_triggers_growth() {
-        let mut b = AdaptiveBatcher::new(BatchPolicy::new(2, 32, Seconds::ZERO));
+        let mut b = AdaptiveBatcher::new(2, 32);
         b.observe(Seconds::new(0.01), 50, &slo());
         assert_eq!(b.cap(), 4, "a deep queue must grow the cap");
     }
 
     #[test]
     fn rebase_moves_the_resting_point() {
-        let mut b = AdaptiveBatcher::new(BatchPolicy::new(2, 64, Seconds::ZERO));
+        let mut b = AdaptiveBatcher::new(2, 64);
         b.rebase(16);
         assert_eq!(b.cap(), 16);
         for _ in 0..20 {
@@ -221,8 +196,9 @@ mod tests {
 
     #[test]
     fn max_cap_never_below_base() {
-        let p = BatchPolicy::new(32, 8, Seconds::ZERO);
-        assert_eq!(p.max_cap, 32);
+        let mut b = AdaptiveBatcher::new(32, 8);
+        b.observe(Seconds::new(0.9), 100, &slo());
+        assert_eq!(b.cap(), 32, "pressure cannot push the cap below its base");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! pool executing inference batches on an emulated edge device (per-batch
 //! latency and energy come from the `edgetune-device` roofline and power
 //! models — the same physics the tuner optimised against). Requests flow
-//! through the adaptive batch-or-timeout queue of [`crate::queue`], are
+//! through the greedy, adaptively capped queue of [`crate::queue`], are
 //! shed by deadline-based admission control when they can no longer meet
 //! the SLO, and feed the [`crate::drift`] detector; on sustained
 //! arrival-rate drift the runtime asks its [`OnlineTuner`] for a fresh
@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::drift::DriftDetector;
 use crate::metrics::{response_percentiles, ConfigSwitch, ServingReport, SwitchSource};
-use crate::queue::{AdaptiveBatcher, BatchPolicy, SloPolicy};
+use crate::queue::{AdaptiveBatcher, SloPolicy};
 use crate::selector::ConfigSelector;
 use crate::traffic::TrafficProfile;
 
@@ -50,8 +50,6 @@ pub struct ServingConfig {
     pub cores: u32,
     /// DVFS frequency.
     pub freq: Hertz,
-    /// Batch-or-timeout window.
-    pub max_wait: Seconds,
     /// Arrival rate this configuration was tuned for (0 when unknown —
     /// disables drift detection).
     pub tuned_rate: f64,
@@ -60,7 +58,7 @@ pub struct ServingConfig {
 }
 
 impl ServingConfig {
-    /// A greedy (no-wait) configuration with unknown tuned rate.
+    /// A configuration with unknown tuned rate.
     ///
     /// # Panics
     ///
@@ -72,17 +70,9 @@ impl ServingConfig {
             batch_cap,
             cores,
             freq,
-            max_wait: Seconds::ZERO,
             tuned_rate: 0.0,
             predicted_mean_response: None,
         }
-    }
-
-    /// Sets the batch-or-timeout window.
-    #[must_use]
-    pub fn with_max_wait(mut self, max_wait: Seconds) -> Self {
-        self.max_wait = max_wait;
-        self
     }
 
     /// Records the arrival rate the configuration was tuned for,
@@ -286,18 +276,19 @@ impl ServingRuntime {
 
         let mut config = self.config;
         let mut alloc = CpuAllocation::new(&self.device, config.cores, config.freq)?;
-        let mut policy = BatchPolicy::new(config.batch_cap, MAX_CAP, config.max_wait);
+        let mut batcher = AdaptiveBatcher::new(config.batch_cap, MAX_CAP);
         if !self.options.adaptive {
-            policy = policy.pinned();
+            batcher = batcher.pinned();
         }
-        let mut batcher = AdaptiveBatcher::new(policy);
         let mut detector = (self.options.adaptive && tuner.is_some() && config.tuned_rate > 0.0)
             .then(|| DriftDetector::new(config.tuned_rate));
         // Memoised per-batch-size (latency, energy), invalidated on
         // configuration switches.
         let mut cache: Vec<Option<(f64, f64)>> = Vec::new();
 
-        let mut workers = vec![Seconds::ZERO; self.options.workers as usize];
+        // Each batch goes to the first earliest-free worker, so no worker
+        // past the batch count (at most one batch per request) is reached.
+        let mut workers = vec![Seconds::ZERO; (self.options.workers as usize).min(n)];
         let mut responses: Vec<f64> = Vec::with_capacity(n);
         let mut next = 0usize;
         let (mut shed, mut late, mut batches, mut served) = (0u64, 0u64, 0u64, 0u64);
@@ -323,15 +314,8 @@ impl ServingRuntime {
                 if next >= n {
                     break 'serve;
                 }
-                let cap = batcher.cap();
                 let anchor = arrivals[next];
-                let fill = arrivals
-                    .get(next + cap as usize - 1)
-                    .copied()
-                    .unwrap_or(f64::INFINITY);
-                let start = wf
-                    .max(anchor)
-                    .max((anchor + batcher.max_wait().value()).min(fill));
+                let start = wf.max(anchor);
                 if slo.shed {
                     let min_service = self.service(&alloc, 1, &mut cache).0;
                     let slack = (deadline - min_service).max(0.0);
@@ -823,9 +807,10 @@ mod tests {
         assert_eq!(report.switches[0].source, SwitchSource::Retune);
     }
 
-    /// Periodic arrivals spaced wider than one batch's wait plus service:
-    /// the queue is always empty when a request lands, so each response
-    /// is exactly the batch-close wait plus the batch-1 service time.
+    /// Periodic arrivals spaced wider than one batch's service: the queue
+    /// is always empty when a request lands and a greedy batch closes at
+    /// once (its window is zero), so each response is exactly the batch-1
+    /// service time.
     #[test]
     fn periodic_arrivals_pay_exactly_the_batch_window() {
         let device = pi();
@@ -833,54 +818,22 @@ mod tests {
         let service = simulate_inference(&device, &alloc, &resnet18(), 1)
             .latency
             .value();
-        let wait = 0.05;
-        let period = 2.0 * (wait + service);
+        let period = 2.0 * service;
         let arrivals: Vec<f64> = (0..50).map(|k| f64::from(k) * period).collect();
         let slo = SloPolicy::new(Seconds::new(10.0)).without_shedding();
-        let serve = |config: ServingConfig| {
-            ServingRuntime::new(
-                device.clone(),
-                resnet18(),
-                config,
-                RuntimeOptions::new(slo).static_serving(),
-            )
-            .unwrap()
-            .serve_trace(&arrivals, "periodic", None, SeedStream::new(1))
-            .unwrap()
-        };
-        let close = |got: Seconds, want: f64| (got.value() - want).abs() < 1e-9;
-
-        let greedy = serve(ServingConfig::new(1, device.cores, device.max_freq));
-        assert!(
-            close(greedy.p50_response, service),
-            "{}",
-            greedy.p50_response
-        );
-        assert!(
-            close(greedy.p99_response, service),
-            "{}",
-            greedy.p99_response
-        );
-        assert_eq!(greedy.mean_batch_size, 1.0);
-
-        // Cap 2 never fills (the next request is a period away), so every
-        // batch closes on its timeout.
-        let windowed = serve(
-            ServingConfig::new(2, device.cores, device.max_freq).with_max_wait(Seconds::new(wait)),
-        );
-        assert_eq!(windowed.served, 50);
-        assert_eq!(windowed.mean_batch_size, 1.0);
-        for response in [
-            windowed.p50_response,
-            windowed.p99_response,
-            windowed.mean_response,
-        ] {
-            assert!(
-                close(response, wait + service),
-                "{response} vs {}",
-                wait + service
-            );
-        }
+        let report = ServingRuntime::new(
+            device.clone(),
+            resnet18(),
+            ServingConfig::new(1, device.cores, device.max_freq),
+            RuntimeOptions::new(slo).static_serving(),
+        )
+        .unwrap()
+        .serve_trace(&arrivals, "periodic", None, SeedStream::new(1))
+        .unwrap();
+        let close = |got: Seconds| (got.value() - service).abs() < 1e-9;
+        assert!(close(report.p50_response), "{}", report.p50_response);
+        assert!(close(report.p99_response), "{}", report.p99_response);
+        assert_eq!(report.mean_batch_size, 1.0);
     }
 
     #[test]

@@ -457,10 +457,6 @@ impl Sampler for ParetoTpeSampler {
             }
         }
     }
-
-    fn name(&self) -> &'static str {
-        "pareto-tpe"
-    }
 }
 
 #[cfg(test)]

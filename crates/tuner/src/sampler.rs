@@ -44,9 +44,6 @@ pub trait Sampler: std::fmt::Debug + Send {
     /// full [`TrialOutcome`] — including its objective vector — instead
     /// of just the `(config, score)` pairs `suggest` receives.
     fn observe(&mut self, _config: &Config, _outcome: &TrialOutcome) {}
-
-    /// Short strategy name ("grid", "random", "tpe").
-    fn name(&self) -> &'static str;
 }
 
 // ---------------------------------------------------------------------------
@@ -125,10 +122,6 @@ impl Sampler for WarmStartSampler {
     fn observe(&mut self, config: &Config, outcome: &TrialOutcome) {
         self.inner.observe(config, outcome);
     }
-
-    fn name(&self) -> &'static str {
-        "warm-start"
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -171,10 +164,6 @@ impl Sampler for GridSampler {
         self.cursor += 1;
         config
     }
-
-    fn name(&self) -> &'static str {
-        "grid"
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -200,10 +189,6 @@ impl RandomSampler {
 impl Sampler for RandomSampler {
     fn suggest(&mut self, space: &SearchSpace, _observations: &[(&Config, f64)]) -> Config {
         space.sample(&mut self.rng)
-    }
-
-    fn name(&self) -> &'static str {
-        "random"
     }
 }
 
@@ -458,10 +443,6 @@ impl Sampler for TpeSampler {
     ) -> Vec<Config> {
         draw_cohort(Self::fit(space, observations), space, &mut self.rng, n)
     }
-
-    fn name(&self) -> &'static str {
-        "tpe"
-    }
 }
 
 #[cfg(test)]
@@ -638,17 +619,6 @@ mod tests {
         assert_eq!(
             full.suggest_cohort(&space, &obs, 6),
             capped.suggest_cohort(&space, &obs[..MAX_OBSERVATIONS], 6)
-        );
-    }
-
-    #[test]
-    fn sampler_names() {
-        assert_eq!(GridSampler::new(3).name(), "grid");
-        assert_eq!(RandomSampler::new(SeedStream::new(1)).name(), "random");
-        assert_eq!(TpeSampler::new(SeedStream::new(1)).name(), "tpe");
-        assert_eq!(
-            WarmStartSampler::new(vec![], Box::new(GridSampler::new(3))).name(),
-            "warm-start"
         );
     }
 

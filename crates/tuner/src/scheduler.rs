@@ -12,6 +12,8 @@
 //! [`Study::complete`] takes it back with its outcomes. Stopping early
 //! is not calling again. The caller keeps the sampler and lends it.
 
+use edgetune_util::{Error, Result};
+
 use crate::budget::{BudgetPolicy, TrialBudget};
 use crate::pareto::promotion_layers;
 use crate::sampler::Sampler;
@@ -120,6 +122,32 @@ impl Study {
             rungs: 0,
             history: History::new(),
         }
+    }
+
+    /// Checks that the study can run as planned: every bracket's rung-0
+    /// cohort fits in a `Vec` and the planned trial count in a `u64`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] for a shape that fails either.
+    pub fn check_shape(&self) -> Result<()> {
+        // A rung holds one `(id, configuration, budget)` per trial.
+        let cohort_cap = isize::MAX as usize / std::mem::size_of::<(u64, Config, TrialBudget)>();
+        let mut trials = 0u64;
+        for &spec in self.brackets.as_slice() {
+            if spec.initial > cohort_cap {
+                return Err(Error::invalid_config(format!(
+                    "a rung of {} trials cannot be held in memory",
+                    spec.initial
+                )));
+            }
+            let (planned, _) = planned_bracket(spec, self.config.eta, self.config.max_iteration);
+            trials = trials.saturating_add(planned);
+        }
+        if trials == u64::MAX {
+            return Err(Error::invalid_config("the planned trial count overflows"));
+        }
+        Ok(())
     }
 
     /// Hands out the next rung, or `None` once every bracket has run;
@@ -274,13 +302,14 @@ impl Study {
 }
 
 /// Planned `(trials, rungs)` of one bracket when no trial fails — the
-/// closed form of [`Study::complete`]'s promotion arithmetic.
+/// closed form of [`Study::complete`]'s promotion arithmetic. The trial
+/// count saturates at `u64::MAX`.
 fn planned_bracket(spec: BracketSpec, eta: f64, max_iteration: u32) -> (u64, u64) {
     let mut n = spec.initial;
     let mut iteration = spec.start_iteration.max(1);
-    let (mut trials, mut rungs) = (0, 0);
+    let (mut trials, mut rungs) = (0u64, 0);
     loop {
-        trials += n as u64;
+        trials = trials.saturating_add(n as u64);
         rungs += 1;
         if n <= 1 || iteration >= max_iteration {
             return (trials, rungs);
@@ -441,7 +470,9 @@ impl HyperBand {
         self.bracket_specs()
             .into_iter()
             .map(|spec| planned_bracket(spec, self.config.eta, self.config.max_iteration))
-            .fold((0, 0), |(trials, rungs), (t, r)| (trials + t, rungs + r))
+            .fold((0, 0), |(trials, rungs), (t, r)| {
+                (trials.saturating_add(t), rungs + r)
+            })
     }
 
     /// Runs all brackets and returns the combined history.
@@ -540,9 +571,6 @@ mod tests {
         }
         fn observe(&mut self, _config: &Config, _outcome: &TrialOutcome) {
             self.observed += 1;
-        }
-        fn name(&self) -> &'static str {
-            "counting"
         }
     }
 

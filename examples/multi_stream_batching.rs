@@ -1,14 +1,21 @@
-//! The Batching component's two serving scenarios (paper §3.4, Fig. 8):
+//! The Batching component's two serving scenarios (paper §3.4, Fig. 8),
+//! and the deployment each one plans:
 //!
 //! * a **server** receiving queries of N samples at a fixed frequency —
 //!   how should each query be split into sub-batches?
 //! * a **multi-stream** of single-sample queries arriving as a Poisson
 //!   process — up to which size should samples be aggregated?
 //!
+//! For each scenario the example prints the mean response of every
+//! candidate batch size on the device's full allocation (a one-point
+//! space per candidate), then the joint batch × cores × frequency optimum
+//! `tune_for_scenario` picks for the deployment.
+//!
 //! Run with: `cargo run --release --example multi_stream_batching`
 
 use edgetune::batching::{MultiStreamScenario, ServerScenario};
-use edgetune_device::latency::CpuAllocation;
+use edgetune::inference::InferenceSpace;
+use edgetune::scenario::{tune_for_scenario, Scenario};
 use edgetune_device::spec::DeviceSpec;
 use edgetune_util::rng::SeedStream;
 use edgetune_util::units::Seconds;
@@ -17,44 +24,50 @@ use edgetune_workloads::WorkloadId;
 
 fn main() {
     let device = DeviceSpec::raspberry_pi_3b();
-    let alloc = CpuAllocation::full(&device);
     let profile = Workload::by_id(WorkloadId::Ic).profile(18.0);
-    let candidates = [1u32, 2, 4, 8, 16, 32, 64];
-
-    // --- Scenario 1: fixed-frequency server ---
-    println!("== server scenario: 64-sample queries every 30 s ==");
-    let server = ServerScenario::new(64, Seconds::new(30.0));
-    for &batch in &candidates {
-        match server.response_time(&device, &alloc, &profile, batch) {
-            Some(t) => println!("  sub-batch {batch:>3}: response {:>7.2} s", t.value()),
-            None => println!("  sub-batch {batch:>3}: UNSTABLE (backlog grows)"),
-        }
-    }
-    if let Some((batch, t)) = server.optimal_batch(&device, &alloc, &profile, &candidates) {
-        println!(
-            "  -> optimal split: sub-batches of {batch} ({:.2} s per query)\n",
-            t.value()
-        );
-    }
-
-    // --- Scenario 2: Poisson multi-stream ---
+    let space = InferenceSpace::for_device(&device);
     let seed = SeedStream::new(42);
-    for rate in [2.0f64, 10.0, 25.0] {
-        println!("== multi-stream scenario: Poisson arrivals at {rate} samples/s ==");
-        let scenario = MultiStreamScenario::new(rate, 600);
-        for &cap in &candidates {
-            let t = scenario.mean_response_time(&device, &alloc, &profile, cap, seed);
-            println!("  batch cap {cap:>3}: mean response {:>8.3} s", t.value());
+
+    let server = ServerScenario::new(64, Seconds::new(30.0));
+    let mut scenarios = vec![(
+        "server: 64-sample queries every 30 s".to_string(),
+        Scenario::Server(server),
+    )];
+    for rate in [0.2f64, 2.0, 10.0, 25.0] {
+        scenarios.push((
+            format!("multi-stream: Poisson arrivals at {rate} samples/s"),
+            Scenario::MultiStream(MultiStreamScenario::new(rate, 600)),
+        ));
+    }
+
+    for (label, scenario) in &scenarios {
+        println!("== {label} ==");
+        for batch in [1u32, 2, 4, 8, 16, 32, 64] {
+            let point = InferenceSpace {
+                batches: vec![batch],
+                cores: vec![device.cores],
+                freqs: vec![device.max_freq],
+            };
+            match tune_for_scenario(&device, &point, &profile, scenario, seed) {
+                Ok(rec) => println!(
+                    "  batch {batch:>3}: mean response {:>8.3} s",
+                    rec.mean_response.value()
+                ),
+                Err(_) => println!("  batch {batch:>3}: UNSTABLE (backlog grows)"),
+            }
         }
-        if let Some((cap, t)) =
-            scenario.optimal_batch_cap(&device, &alloc, &profile, &candidates, seed)
-        {
-            println!(
-                "  -> optimal aggregation cap: {cap} ({:.3} s mean response)\n",
-                t.value()
-            );
+        match tune_for_scenario(&device, &space, &profile, scenario, seed) {
+            Ok(rec) => println!(
+                "  -> deploy batch {}, {} cores @ {:.2} GHz: mean response {:.3} s\n",
+                rec.batch,
+                rec.cores,
+                rec.freq.as_ghz(),
+                rec.mean_response.value()
+            ),
+            Err(err) => println!("  -> infeasible ({err})\n"),
         }
     }
-    println!("higher arrival rates need larger aggregation caps — the sweet spot the");
-    println!("Inference Tuning Server's Batching subcomponent finds automatically.");
+    println!("the optimal batch size depends on the traffic pattern — higher arrival");
+    println!("rates need larger aggregation caps, the sweet spot the Inference Tuning");
+    println!("Server's Batching subcomponent finds automatically.");
 }

@@ -1,17 +1,20 @@
-//! The public-API ratchet: every `pub` item has a caller outside tests.
+//! The public-API ratchet: every `pub` item has a caller in a program.
 //!
-//! rustc decides. The test copies the workspace to `target/api_surface/`,
-//! tags each `pub` `fn`/`const`/`static`/`struct`/`enum`/`trait`/`type` of
-//! `crates/*/src` with `#[deprecated(note = "api_surface_N")]
-//! #[allow(api_surface_N)]`, and `cargo check`s the workspace's libraries,
-//! binaries and examples, and `benchmark/`. Each warning "use of deprecated
-//! …: api_surface_N" is a name-resolved use of item N; "unknown lint" says
-//! N was compiled (test code is not). Uses in a `pub use`, and a type's in
-//! its own crate's `impl`s of it, do not count (read from rustfmt layout).
-//! Paths in strings (serde attributes) are not seen: keep such helpers
-//! private. Fields, variants and trait methods are not swept. An unused
-//! item fails unless `tests/api_surface.allow` lists it as `Type::name
-//! reason` (`module::name` if free); a bad or stale entry fails too.
+//! rustc decides. The test copies the workspace's libraries and binaries
+//! to `target/api_surface/`, tags each `pub` `fn`/`const`/`static`/
+//! `struct`/`enum`/`trait`/`type` of `crates/*/src`, and each `fn` a `pub
+//! trait` declares (keyed `Trait::name`), with `#[deprecated(note =
+//! "api_surface_N")] #[allow(api_surface_N)]`, and `cargo check`s the
+//! workspace's libraries and binaries, and `benchmark/`. Each warning "use
+//! of deprecated …: api_surface_N" is a name-resolved use of item N;
+//! "unknown lint" says N was compiled (test and example code is not: only
+//! programs are callers, and an `impl` of a trait method is no use). Uses
+//! in a `pub use`, and a type's in its own crate's `impl`s of it, do not
+//! count (read from rustfmt layout). Paths in strings (serde attributes)
+//! are not seen: keep such helpers private. Fields and variants are not
+//! swept. An unused item fails unless `tests/api_surface.allow` lists it
+//! as `Type::name reason` (`module::name` if free); a bad or stale entry
+//! fails too.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -115,17 +118,34 @@ fn tag(rel: &Path, text: &str, blocks: &[Block], items: &mut Vec<Item>) -> Strin
     }
     let module = module.file_name().and_then(|s| s.to_str()).unwrap_or("");
     let mut tagged = String::with_capacity(text.len() * 2);
+    // The open `pub trait` block: its name, method indent and closing line.
+    let mut open_trait: Option<(String, String, String)> = None;
     for (i, line) in text.split_inclusive('\n').enumerate() {
-        let Some((kind, name)) = pub_item(line) else {
+        if open_trait.as_ref().is_some_and(|t| line.trim_end() == t.2) {
+            open_trait = None;
+        }
+        let method = open_trait.as_ref().and_then(|(owner, methods, _)| {
+            let name = ident(line.strip_prefix(methods.as_str())?.strip_prefix("fn ")?);
+            Some((format!("{owner}::{name}"), name.to_string(), false))
+        });
+        let item = method.or_else(|| {
+            let (kind, name) = pub_item(line)?;
+            let own = blocks.iter().rfind(|b| b.1 <= i && i < b.2);
+            let parent = own.and_then(|b| b.3.last()).map_or(module, String::as_str);
+            if kind == "trait" && line.trim_end().ends_with('{') {
+                let methods = format!("{}    ", indent(line));
+                open_trait = Some((name.clone(), methods, format!("{}}}", indent(line))));
+            }
+            let is_type = ["struct", "enum", "trait", "type"].contains(&kind);
+            Some((format!("{parent}::{name}"), name, is_type))
+        });
+        let Some((key, name, is_type)) = item else {
             tagged += line;
             continue;
         };
-        let own = blocks.iter().rfind(|b| b.1 <= i && i < b.2);
-        let parent = own.and_then(|b| b.3.last()).map_or(module, String::as_str);
-        let is_type = ["struct", "enum", "trait", "type"].contains(&kind);
         let at = format!("{}:{}", rel.display(), i + 1);
         let id = items.len();
-        items.push(Item(format!("{parent}::{name}"), name, is_type, at));
+        items.push(Item(key, name, is_type, at));
         tagged += indent(line);
         tagged += &format!("#[deprecated(note = \"{TAG}{id}\")] #[allow({TAG}{id})] ");
         tagged += line.trim_start();
@@ -140,7 +160,7 @@ fn tagged_copy(root: &Path, copy: &Path) -> (Vec<Item>, Vec<Block>) {
     for manifest in MANIFESTS {
         sources.extend([root.join(manifest), root.join("benchmark").join(manifest)]);
     }
-    for dir in ["crates", "vendor", "src", "examples", "benchmark/src"] {
+    for dir in ["crates", "vendor", "src", "benchmark/src"] {
         files(&root.join(dir), &mut sources);
     }
     let (mut items, mut blocks, mut kept) = (Vec::new(), Vec::new(), BTreeSet::new());
@@ -203,7 +223,7 @@ fn every_public_name_has_a_caller() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let copy = root.join("target/api_surface");
     let (items, blocks) = tagged_copy(root, &copy);
-    let workspace = ["--workspace", "--lib", "--bins", "--examples"];
+    let workspace = ["--workspace", "--lib", "--bins"];
     let mut warnings = check(&copy, &copy, &workspace);
     warnings.extend(check(&copy, &copy.join("benchmark"), &["--bins"]));
     let (mut compiled, mut used) = (BTreeSet::new(), BTreeSet::new());
@@ -241,7 +261,7 @@ fn every_public_name_has_a_caller() {
         problems.push(format!("allow entry `{key}` {fault}"));
     }
     for (key, at) in unused.iter().filter(|(key, _)| !allowed.contains(*key)) {
-        problems.push(format!("`{key}` ({at}) has no caller outside tests"));
+        problems.push(format!("`{key}` ({at}) has no caller in a program"));
     }
     let report = problems.join("\n");
     assert!(report.is_empty(), "delete or allow-list:\n{report}");

@@ -16,6 +16,8 @@
 //! law.
 
 use edgetune::batching::MultiStreamScenario;
+use edgetune::inference::InferenceSpace;
+use edgetune::scenario::{tune_for_scenario, Scenario};
 use edgetune_device::latency::{simulate_inference, CpuAllocation};
 use edgetune_device::profile::WorkProfile;
 use edgetune_device::spec::DeviceSpec;
@@ -65,13 +67,19 @@ fn assert_pollaczek_khinchine(path: &str, service: f64, rho: f64, runs: &[f64]) 
 #[test]
 fn multi_stream_scenario_is_an_md1_queue() {
     let (device, profile, service) = setup();
-    let alloc = CpuAllocation::full(&device);
+    // Cap 1 on the full allocation: the one point `setup` timed.
+    let space = InferenceSpace {
+        batches: vec![1],
+        cores: vec![device.cores],
+        freqs: vec![device.max_freq],
+    };
     for rho in LOADS {
-        let scenario = MultiStreamScenario::new(rho / service, ARRIVALS);
+        let scenario = Scenario::MultiStream(MultiStreamScenario::new(rho / service, ARRIVALS));
         let runs: Vec<f64> = (0..SEEDS)
             .map(|seed| {
-                scenario
-                    .mean_response_time(&device, &alloc, &profile, 1, SeedStream::new(seed))
+                tune_for_scenario(&device, &space, &profile, &scenario, SeedStream::new(seed))
+                    .unwrap()
+                    .mean_response
                     .value()
             })
             .collect();
@@ -111,27 +119,22 @@ fn serving_runtime_is_an_md1_queue() {
 }
 
 /// The serving runtime's event loop re-derived from its rules, for caps
-/// above 1, several workers and a batch window, where no closed form
-/// exists. Returns (served, batches, makespan, mean, p99, energy).
+/// above 1 and several workers, where no closed form exists. Returns
+/// (served, batches, makespan, mean, p99, energy).
 fn reference_des(
     (device, profile): (&DeviceSpec, &WorkProfile),
     arrivals: &[f64],
-    (workers, cap, max_wait): (usize, usize, f64),
+    (workers, cap): (usize, usize),
 ) -> (u64, u64, f64, f64, f64, f64) {
     let alloc = CpuAllocation::full(device);
     let (mut free, mut responses) = (vec![0.0f64; workers], Vec::new());
     let (mut next, mut batches, mut makespan, mut energy) = (0, 0u64, 0.0f64, 0.0f64);
     while next < arrivals.len() {
-        // The oldest waiting request anchors the batch; it closes at the
-        // cap-th arrival or when the window runs out, whichever is first.
-        let anchor = arrivals[next];
-        let fill = arrivals
-            .get(next + cap - 1)
-            .copied()
-            .unwrap_or(f64::INFINITY);
-        // The earliest-free worker takes it (lowest index on a tie).
+        // The earliest-free worker (lowest index on a tie) takes the
+        // oldest waiting request and every other one that has arrived by
+        // then, up to the cap.
         let w = (0..workers).fold(0, |best, i| if free[i] < free[best] { i } else { best });
-        let start = fill.min(anchor + max_wait).max(free[w]);
+        let start = arrivals[next].max(free[w]);
         let first = next;
         while next < arrivals.len() && arrivals[next] <= start && next - first < cap {
             next += 1;
@@ -152,20 +155,18 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * a.abs().max(b.abs())
 }
 
-/// The oracles' cells: workers {1, 2} × cap {1, 4} × max-wait {0, s/2},
-/// each a static, no-shed runtime at 80 % load, with the Poisson
-/// arrivals of three seeds.
+/// The oracles' cells: workers {1, 2} × cap {1, 4}, each a static,
+/// no-shed runtime at 80 % load, with the Poisson arrivals of three
+/// seeds.
 fn cells(
     (device, profile, service): &(DeviceSpec, WorkProfile, f64),
-) -> impl Iterator<Item = ((u32, u32, f64), ServingRuntime, SeedStream, Vec<f64>)> + '_ {
+) -> impl Iterator<Item = ((u32, u32), ServingRuntime, SeedStream, Vec<f64>)> + '_ {
     let slo = SloPolicy::new(Seconds::new(60.0)).without_shedding();
     [1u32, 2]
         .into_iter()
         .flat_map(|w| [1u32, 4].map(|c| (w, c)))
-        .flat_map(move |(w, c)| [0.0, service / 2.0].map(|m| (w, c, m)))
-        .flat_map(move |(workers, cap, max_wait)| {
-            let config = ServingConfig::new(cap, device.cores, device.max_freq)
-                .with_max_wait(Seconds::new(max_wait));
+        .flat_map(move |(workers, cap)| {
+            let config = ServingConfig::new(cap, device.cores, device.max_freq);
             let options = RuntimeOptions::new(slo)
                 .static_serving()
                 .with_workers(workers);
@@ -174,7 +175,7 @@ fn cells(
             (0..3).map(SeedStream::new).map(move |seed| {
                 let arrivals =
                     TrafficProfile::Poisson { rate }.generate(Seconds::new(3_000.0 / rate), seed);
-                ((workers, cap, max_wait), runtime.clone(), seed, arrivals)
+                ((workers, cap), runtime.clone(), seed, arrivals)
             })
         })
 }
@@ -183,13 +184,13 @@ fn cells(
 fn serving_runtime_matches_a_reference_des() {
     let setup = setup();
     let (device, profile, _) = &setup;
-    for ((workers, cap, max_wait), runtime, seed, arrivals) in cells(&setup) {
+    for ((workers, cap), runtime, seed, arrivals) in cells(&setup) {
         let got = runtime
             .serve_trace(&arrivals, "poisson", None, seed)
             .unwrap();
-        let shape = (workers as usize, cap as usize, max_wait);
+        let shape = (workers as usize, cap as usize);
         let want = reference_des((device, profile), &arrivals, shape);
-        let cell = format!("workers {workers}, cap {cap}, max_wait {max_wait}");
+        let cell = format!("workers {workers}, cap {cap}");
         assert_eq!((got.served, got.batches), (want.0, want.1), "{cell}");
         for (what, got, want) in [
             ("makespan", got.makespan.value(), want.2),
@@ -212,12 +213,12 @@ fn serving_runtime_conserves_work_and_obeys_littles_law() {
     let setup = setup();
     let (device, profile, _) = &setup;
     let alloc = CpuAllocation::full(device);
-    for ((workers, cap, max_wait), runtime, seed, arrivals) in cells(&setup) {
+    for ((workers, cap), runtime, seed, arrivals) in cells(&setup) {
         let tracer = Tracer::new();
         let report = runtime
             .serve_trace_traced(&arrivals, "poisson", None, seed, Some(&tracer))
             .unwrap();
-        let cell = format!("workers {workers}, cap {cap}, max_wait {max_wait}");
+        let cell = format!("workers {workers}, cap {cap}");
         // Each batch span: (start, end, size).
         let batches: Vec<(f64, f64, u32)> = tracer
             .with(|_, events| events.to_vec())
