@@ -23,6 +23,5 @@ pub mod fig15;
 pub mod fig16;
 pub mod fig17;
 pub mod frontier;
-pub mod serving;
 pub mod table1;
 pub mod table2;

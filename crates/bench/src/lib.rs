@@ -15,8 +15,8 @@ pub mod table;
 pub fn experiment_names() -> Vec<&'static str> {
     vec![
         "table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig9", "fig10",
-        "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "ablation", "serving",
-        "frontier", "chaos",
+        "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "ablation", "frontier",
+        "chaos",
     ]
 }
 
@@ -46,7 +46,6 @@ pub fn run_experiment(name: &str, seed: u64) -> Result<String, String> {
         "fig16" => Ok(fig16::run(seed)),
         "fig17" => Ok(fig17::run(seed)),
         "ablation" => Ok(ablation::run(seed)),
-        "serving" => Ok(serving::run(seed)),
         "frontier" => Ok(frontier::run(seed)),
         "chaos" => Ok(chaos::run(seed)),
         other => Err(format!(

@@ -35,7 +35,7 @@ use std::str::FromStr;
 
 use edgetune::batching::{MultiStreamScenario, ServerScenario};
 use edgetune::config::ShardExec;
-use edgetune::fabric::{self, ChaosAction, FabricChaos};
+use edgetune::fabric;
 use edgetune::prelude::*;
 use edgetune::scenario::{tune_for_scenario, Scenario};
 use edgetune::serve::{frontier_rates, ScenarioRetuner};
@@ -65,8 +65,6 @@ const TUNE_USAGE: &str = "usage: edgetune [--workload ic|sr|nlp|od] [--device NA
      trace bytes are identical to thread mode. --shard-exec remote dials\n\
      standing `edgetune shard-host` daemons (--shard-hosts, shard i uses\n\
      host i mod N) under the same supervision and the same bytes.\n\
-     EDGETUNE_FABRIC_KILL=<shard> kills that shard's first attempt to\n\
-     exercise crash containment.\n\
      \n\
      subcommands (each answers --help):\n  \
      edgetune serve          serve the tuned configuration under live traffic\n  \
@@ -380,8 +378,7 @@ fn parse_serve_args(argv: Vec<String>) -> Result<ServeArgs, String> {
 /// The tune command: one study, its report on stdout, and optionally
 /// its JSON, trace and scenario recommendation.
 fn run_tune(argv: Vec<String>, out: &mut String) -> Result<(), String> {
-    let (mut config, json, scenario) = parse_tune_args(argv)?;
-    config.fabric.chaos = fabric_chaos_from_env()?;
+    let (config, json, scenario) = parse_tune_args(argv)?;
 
     let (workload, seed) = (config.workload, config.seed);
     let edge_device = config.edge_device.clone();
@@ -684,24 +681,6 @@ fn run_shard_host(argv: Vec<String>) -> Result<(), String> {
     }
     let host = fabric::ShardHost::bind(&listen).map_err(|e| format!("binding {listen}: {e}"))?;
     host.run().map_err(|e| e.to_string())
-}
-
-/// Reads a planted fabric fault from the environment:
-/// `EDGETUNE_FABRIC_KILL` names the shard whose first attempt is killed.
-/// An environment variable rather than a flag so the byte-identity
-/// checks (`.github/cli_matrix.sh`) run the exact same command line with
-/// and without chaos.
-fn fabric_chaos_from_env() -> Result<Option<FabricChaos>, String> {
-    let Ok(text) = std::env::var("EDGETUNE_FABRIC_KILL") else {
-        return Ok(None);
-    };
-    let shard = text
-        .parse()
-        .map_err(|e| format!("bad shard index in EDGETUNE_FABRIC_KILL: {e}"))?;
-    Ok(Some(FabricChaos {
-        shard,
-        action: ChaosAction::Kill,
-    }))
 }
 
 fn main() -> ExitCode {

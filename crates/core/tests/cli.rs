@@ -1,6 +1,10 @@
 //! End-to-end tests of the `edgetune` CLI binary.
 
+mod common;
+
 use std::process::Command;
+
+use edgetune_trace::ChromeTrace;
 
 fn edgetune() -> Command {
     Command::new(env!("CARGO_BIN_EXE_edgetune"))
@@ -439,4 +443,129 @@ fn a_closed_stdout_ends_the_output_quietly() {
         assert!(path.exists(), "{command:?}: --json still written");
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// An empty scratch directory for one test, as a string that joins
+/// into a command line.
+fn scratch(name: &str) -> String {
+    let dir = std::env::temp_dir().join(format!("edgetune-cli-{name}"));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let dir = dir.to_str().expect("utf8 path").to_string();
+    assert!(!dir.contains(char::is_whitespace), "{dir:?} splits");
+    dir
+}
+
+/// Runs the CLI on the whitespace-separated `command`, fails on a
+/// non-zero exit, and returns its stdout.
+fn succeed(command: &str) -> Vec<u8> {
+    let out = edgetune()
+        .args(command.split_whitespace())
+        .output()
+        .expect("cli runs");
+    assert!(
+        out.status.success(),
+        "{command}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out.stdout
+}
+
+fn read(path: &str) -> Vec<u8> {
+    std::fs::read(path).unwrap_or_else(|e| panic!("reading {path}: {e}"))
+}
+
+/// The `spawn` spans of a `--fabric-trace` file: one per link opened.
+fn spawn_spans(path: &str) -> usize {
+    let json = String::from_utf8(read(path)).expect("utf8 trace");
+    let trace = ChromeTrace::from_json(&json).expect("fabric trace parses");
+    trace
+        .trace_events
+        .iter()
+        .filter(|e| e.name == "spawn")
+        .count()
+}
+
+#[test]
+fn process_and_remote_placement_write_thread_bytes() {
+    let dir = scratch("placement");
+    // A 4-shard study placed by `--shard-exec {exec} {hosts}`: its
+    // stdout, `--json` and `--trace` bytes, and the spans of its
+    // `--fabric-trace`.
+    let study = |exec: &str, hosts: &str| {
+        let [json, trace, fabric] =
+            ["json", "trace", "fabric"].map(|f| format!("{dir}/{exec}.{f}"));
+        let stdout = succeed(&format!(
+            "--workload ic --trials 4 --max-iter 4 --seed 1234 --study-shards 4 --json {json} \
+             --trace {trace} --fabric-trace {fabric} --shard-exec {exec} {hosts}"
+        ));
+        ([stdout, read(&json), read(&trace)], spawn_spans(&fabric))
+    };
+    let (thread, _) = study("thread", "");
+    let daemon = common::child_host();
+    for (exec, hosts) in [
+        ("process", String::new()),
+        ("remote", format!("--shard-hosts {}", daemon.addr)),
+    ] {
+        let (bytes, spawns) = study(exec, &hosts);
+        for (output, (want, got)) in ["stdout", "--json", "--trace"]
+            .iter()
+            .zip(thread.iter().zip(&bytes))
+        {
+            assert!(want == got, "{exec} placement changed the {output} bytes");
+        }
+        // Byte identity alone would pass a CLI that ignored the flag and
+        // ran threads: the fabric's own trace shows one link per shard.
+        assert_eq!(spawns, 4, "{exec} placement");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_interrupted_chaos_resume_reproduces_the_uninterrupted_report() {
+    let dir = scratch("resume");
+    let [full, resumed, trace, ck] =
+        ["full.json", "resumed.json", "resumed.trace", "ck.json"].map(|f| format!("{dir}/{f}"));
+    let chaos = |flags: &str| {
+        succeed(&format!(
+            "--workload ic --max-iter 8 --fault-rate 0.2 --seed 7 {flags}"
+        ))
+    };
+    chaos(&format!("--json {full}"));
+    chaos(&format!("--checkpoint {ck} --halt-after-rungs 5"));
+    let halted = read(&ck);
+    // Resume restores, it does not re-enact: stopping inside the
+    // checkpointed prefix writes nothing new.
+    chaos(&format!("--checkpoint {ck} --resume --halt-after-rungs 2"));
+    assert!(
+        read(&ck) == halted,
+        "a resume inside the prefix rewrote the checkpoint"
+    );
+    chaos(&format!(
+        "--checkpoint {ck} --resume --json {resumed} --trace {trace}"
+    ));
+    assert!(
+        read(&resumed) == read(&full),
+        "the resumed report differs from the uninterrupted one"
+    );
+    let trace = String::from_utf8(read(&trace)).expect("utf8 trace");
+    assert!(trace.contains("\"restored\""), "no restored tracks");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_rate_shift_is_answered_from_the_frontier_only_with_one() {
+    let dir = scratch("frontier");
+    let serve = |flags: &str| {
+        let json = format!("{dir}/serving.json");
+        succeed(&format!(
+            "serve --workload ic --traffic shift --rate 5 --slo 4 --seed 42 --json {json} {flags}"
+        ));
+        String::from_utf8(read(&json)).expect("utf8 report")
+    };
+    let frontier = serve("--frontier 6");
+    assert!(frontier.contains("\"source\": \"Frontier\""), "{frontier}");
+    let retune = serve("");
+    assert!(!retune.contains("Frontier"), "{retune}");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -8,10 +8,9 @@
 //! coordinator at dead addresses, or SIGKILL the host outright, and
 //! *still* demand identical bytes.
 
-use std::io::BufRead;
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+mod common;
 
+use common::child_host;
 use edgetune::config::ShardExec;
 use edgetune::fabric::{ChaosAction, FabricChaos, FabricPolicy, HostHandle, ShardHost};
 use edgetune::prelude::*;
@@ -47,28 +46,6 @@ fn spawn_host() -> HostHandle {
         .expect("bind loopback")
         .spawn()
         .expect("spawn host")
-}
-
-/// The real `edgetune shard-host` daemon as a child process, plus the
-/// address parsed from its one stdout line.
-fn child_host() -> (Child, String) {
-    let mut child = Command::new(PathBuf::from(env!("CARGO_BIN_EXE_edgetune")))
-        .args(["shard-host", "--listen", "127.0.0.1:0"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn shard-host daemon");
-    let stdout = child.stdout.take().expect("stdout was piped");
-    let mut lines = std::io::BufReader::new(stdout).lines();
-    let banner = lines
-        .next()
-        .expect("a listening banner")
-        .expect("readable stdout");
-    let addr = banner
-        .strip_prefix("shard-host listening on ")
-        .unwrap_or_else(|| panic!("unparseable banner: {banner}"))
-        .to_string();
-    (child, addr)
 }
 
 #[test]
@@ -238,7 +215,7 @@ fn a_host_that_never_answers_the_hello_degrades_to_in_process_execution() {
 #[test]
 fn sigkilled_shard_host_degrades_without_disturbing_the_study() {
     let (thread_json, thread_trace, _) = run(&study(4));
-    let (mut daemon, addr) = child_host();
+    let daemon = child_host();
     // Kill chaos SIGKILLs the *daemon* mid-rung. Every later attempt is
     // refused, the budget spends, and in-process execution delivers the
     // exact same measurements.
@@ -249,11 +226,9 @@ fn sigkilled_shard_host_degrades_without_disturbing_the_study() {
         shard: 0,
         action: ChaosAction::Kill,
     });
-    let mut config = remote_study(4, vec![addr]);
+    let mut config = remote_study(4, vec![daemon.addr.clone()]);
     config.fabric = policy;
     let (remote_json, remote_trace, report) = run(&config);
-    let _ = daemon.kill();
-    let _ = daemon.wait();
     assert_eq!(thread_json, remote_json, "host kill changed report bytes");
     assert_eq!(thread_trace, remote_trace, "host kill changed trace bytes");
     let stats = report.fabric_stats().expect("fabric engaged");

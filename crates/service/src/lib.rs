@@ -15,8 +15,8 @@
 //!   steps a solo run takes, so its final report (and trace) is
 //!   independent of what interleaved with it: a cold study's JSON
 //!   equals a solo `edgetune` run of the same seed. A tenant's study
-//!   crashing (fault injection, bad submission) is recorded and removed
-//!   without touching anyone else's bytes.
+//!   failing (say, a rung too large to hold in memory) is recorded and
+//!   removed without touching anyone else's bytes.
 //! - **Cross-study warm starts.** Completed studies donate their best
 //!   configurations to a [`TransferIndex`](edgetune::transfer::TransferIndex)
 //!   keyed by [`TransferKey`](edgetune::transfer::TransferKey)

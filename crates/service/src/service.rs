@@ -114,9 +114,6 @@ impl StudyState {
 pub struct StudyService {
     options: ServiceOptions,
     transfer: TransferIndex,
-    /// Fault-injection hook: `(tenant, study)` → grant index at which
-    /// the study's steps are replaced by a crash.
-    crash_points: std::collections::HashMap<(String, String), u32>,
 }
 
 impl StudyService {
@@ -135,20 +132,7 @@ impl StudyService {
         } else {
             TransferIndex::new()
         };
-        Ok(StudyService {
-            options,
-            transfer,
-            crash_points: std::collections::HashMap::new(),
-        })
-    }
-
-    /// Fault-injection hook: crash `tenant`'s `study` at its
-    /// `at_slice`-th scheduling grant (0-based). The crash is recorded
-    /// as the study's failure; every other study must be unaffected —
-    /// the isolation property the service tests pin.
-    pub fn inject_crash(&mut self, tenant: &str, study: &str, at_slice: u32) {
-        self.crash_points
-            .insert((tenant.to_string(), study.to_string()), at_slice);
+        Ok(StudyService { options, transfer })
     }
 
     /// `{tenant}.{name}.{suffix}` in the work dir. Admission has checked
@@ -302,8 +286,9 @@ impl StudyService {
     }
 
     /// Admits and drives every study in `file` to completion, returning
-    /// the service report. Studies that fail (e.g. crashed by fault
-    /// injection) are recorded and removed without disturbing the rest.
+    /// the service report. Studies that fail (e.g. a rung too large to
+    /// hold in memory) are recorded and removed without disturbing the
+    /// rest.
     ///
     /// # Errors
     ///
@@ -383,15 +368,7 @@ impl StudyService {
                 study: state.submission.name.clone(),
             });
 
-            let crash_key = (
-                state.submission.tenant.clone(),
-                state.submission.name.clone(),
-            );
-            let outcome = if self.crash_points.get(&crash_key) == Some(&state.slices) {
-                Err(Error::invalid_config("injected crash"))
-            } else {
-                self.run_grant(state)
-            };
+            let outcome = self.run_grant(state);
             state.slices += 1;
 
             // `Some` once the study is over, one way or another.

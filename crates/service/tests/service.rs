@@ -10,10 +10,12 @@
 //! 3. **Warm starts save trials** — a study with a matching
 //!    `TransferKey` donor reports `trials_saved > 0` and evaluates
 //!    fewer trials than its cold twin.
-//! 4. **Crash containment** — an injected crash fails one study and
-//!    leaves every other study's bytes untouched.
+//! 4. **Failure containment** — a study that fails at its first grant
+//!    (a rung too large to hold in memory) fails alone and leaves every
+//!    other study's bytes untouched.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
 use edgetune::{EdgeTune, EdgeTuneConfig};
 use edgetune_service::{ServiceOptions, ServiceReport, StudyService, SubmissionFile};
@@ -66,6 +68,89 @@ fn submissions(alpha_weight: u32, quantum: u32) -> SubmissionFile {
         }}"#
     ))
     .expect("valid submission file")
+}
+
+/// The `edgetune` binary next to this package's `edgetune-service`: a
+/// workspace build puts both in the same target directory.
+fn edgetune_binary() -> PathBuf {
+    let service = PathBuf::from(env!("CARGO_BIN_EXE_edgetune-service"));
+    let path = service.with_file_name(format!("edgetune{}", std::env::consts::EXE_SUFFIX));
+    assert!(
+        path.exists(),
+        "{} is missing: build the workspace (`cargo test` at its root) first",
+        path.display()
+    );
+    path
+}
+
+/// Runs `program` on the whitespace-separated `command`, failing on a
+/// non-zero exit.
+fn succeed(program: &Path, command: &str) {
+    let out = Command::new(program)
+        .args(command.split_whitespace())
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{} {command}: {}",
+        program.display(),
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
+fn the_served_binary_matches_the_cli_solo_runs() {
+    // Only the two binaries show that the CLI's defaults and the
+    // service's `study_config` build the same study.
+    let edgetune = edgetune_binary();
+    let dir = work_dir("binaries");
+    std::fs::create_dir_all(&dir).unwrap();
+    let dir = dir.to_str().expect("utf8 path");
+    assert!(!dir.contains(char::is_whitespace), "{dir:?} splits");
+    std::fs::write(
+        format!("{dir}/studies.json"),
+        r#"{
+            "tenants": [{"name": "alpha", "weight": 2}, {"name": "beta"}],
+            "studies": [
+                {"tenant": "alpha", "name": "ic-a", "workload": "ic", "seed": 41,
+                 "trials": 4, "max_iter": 4, "rung_quantum": 2, "trace": true},
+                {"tenant": "alpha", "name": "sr-a", "workload": "sr", "seed": 43,
+                 "trials": 4, "max_iter": 4, "rung_quantum": 2},
+                {"tenant": "beta", "name": "ic-b", "workload": "ic", "seed": 7,
+                 "metric": "energy", "trials": 4, "max_iter": 4, "rung_quantum": 2}
+            ]
+        }"#,
+    )
+    .unwrap();
+    succeed(
+        Path::new(env!("CARGO_BIN_EXE_edgetune-service")),
+        &format!("serve-studies --file {dir}/studies.json --work-dir {dir}/served"),
+    );
+
+    let read = |path: &str| std::fs::read(path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    for (study, flags) in [
+        ("alpha.ic-a", "--workload ic --seed 41"),
+        ("alpha.sr-a", "--workload sr --seed 43"),
+        ("beta.ic-b", "--workload ic --metric energy --seed 7"),
+    ] {
+        let [json, trace] = ["json", "trace"].map(|f| format!("{dir}/{study}.{f}"));
+        succeed(
+            &edgetune,
+            &format!("--trials 4 --max-iter 4 {flags} --json {json} --trace {trace}"),
+        );
+        assert!(
+            read(&format!("{dir}/served/{study}.report.json")) == read(&json),
+            "{study}: the served report differs from the solo run"
+        );
+        // Only `ic-a` asked the service for its trace.
+        if study == "alpha.ic-a" {
+            assert!(
+                read(&format!("{dir}/served/{study}.trace.json")) == read(&trace),
+                "{study}: the served trace differs from the solo run"
+            );
+        }
+    }
+    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
@@ -257,18 +342,39 @@ fn warm_start_saves_trials_against_the_cold_twin() {
 }
 
 #[test]
-fn an_injected_crash_fails_one_study_and_spares_the_rest() {
-    let dir = work_dir("crash-isolation");
-    let mut service = StudyService::new(ServiceOptions::new(&dir)).unwrap();
-    // Crash alpha's second study mid-flight, on its second slice.
-    service.inject_crash("alpha", "sr-a", 1);
-    let report = service.run(&submissions(1, 2)).unwrap();
+fn a_failing_study_fails_alone_and_spares_the_rest() {
+    let dir = work_dir("failure-isolation");
+    // A rung of `u64::MAX` trials cannot be allocated, so `sr-a` fails
+    // at its first grant while its tenant's and the other tenant's
+    // studies run around it.
+    let file = SubmissionFile::from_json(
+        r#"{
+            "tenants": [{"name": "alpha"}, {"name": "beta"}],
+            "studies": [
+                {"tenant": "alpha", "name": "ic-a", "workload": "ic", "seed": 41,
+                 "trials": 4, "max_iter": 4, "rung_quantum": 2},
+                {"tenant": "alpha", "name": "sr-a", "workload": "sr", "seed": 43,
+                 "trials": 18446744073709551615, "max_iter": 4, "rung_quantum": 2},
+                {"tenant": "beta", "name": "ic-b", "workload": "ic", "seed": 7,
+                 "metric": "energy", "trials": 4, "max_iter": 4, "rung_quantum": 2}
+            ]
+        }"#,
+    )
+    .unwrap();
+    let report = StudyService::new(ServiceOptions::new(&dir))
+        .unwrap()
+        .run(&file)
+        .unwrap();
 
-    let crashed = report.outcome("alpha", "sr-a").unwrap();
-    assert!(crashed.report.is_none());
+    let failed = report.outcome("alpha", "sr-a").unwrap();
+    assert!(failed.report.is_none());
+    assert_eq!(failed.slices, 1, "the study fails at its first grant");
     assert_eq!(
-        crashed.error.as_deref(),
-        Some("invalid configuration: injected crash")
+        failed.error.as_deref(),
+        Some(
+            "invalid configuration: a rung of 18446744073709551615 trials \
+             cannot be held in memory"
+        )
     );
 
     for (tenant, study, workload, metric, seed) in [
@@ -285,7 +391,7 @@ fn an_injected_crash_fails_one_study_and_spares_the_rest() {
         assert_eq!(
             served,
             solo_json(workload, metric, seed, 4, 4),
-            "{tenant}/{study} was disturbed by the crash"
+            "{tenant}/{study} was disturbed by the failure"
         );
     }
     std::fs::remove_dir_all(&dir).ok();
