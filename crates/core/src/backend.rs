@@ -25,6 +25,7 @@ use edgetune_util::units::{Joules, Seconds, Watts};
 use edgetune_workloads::catalog::Workload;
 use edgetune_workloads::curve::TrainingQuality;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// What one training trial reports back.
@@ -409,15 +410,38 @@ const NN_HOST_FLOPS: f64 = 2.0e9;
 /// (process spawn, data load).
 const NN_SETUP_S: f64 = 0.05;
 
+/// What `fit` reads of one trial besides the backend's own datasets,
+/// seed and architecture: two trials with equal keys train bit-identical
+/// models.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct FitKey {
+    hidden: usize,
+    batch: usize,
+    /// Bits of the `f32` learning rate.
+    lr: u32,
+    /// `ceil(epochs)`, at least 1.
+    epochs: u32,
+    /// Bits of the dataset budget.
+    data_fraction: u64,
+}
+
 /// Real mini-batch SGD training of a small network on a synthetic
 /// dataset, costed by a model.
 ///
 /// The training is real; its reported cost is *modelled* (FLOPs at
 /// [`NN_HOST_FLOPS`] plus [`NN_SETUP_S`]), so runtime and energy are
-/// functions of the configuration and budget alone — a trial reads no
-/// state an earlier trial wrote, and reports stay byte-identical across
-/// machines, shard counts and placements. Host time spent in `fit` is
-/// measured from outside (the benchmark, a trace), never reported here.
+/// functions of the configuration and budget alone, and reports stay
+/// byte-identical across machines, shard counts and placements. Host
+/// time spent in `fit` is measured from outside (the benchmark, a
+/// trace), never reported here.
+///
+/// The accuracy is a pure function of the five values `fit` reads
+/// (hidden width, batch, learning rate, whole epochs, data fraction), so
+/// each instance memoises it by them and a repeated key skips `fit`:
+/// HyperBand brackets re-draw the same grid points. A memo entry is the
+/// only state a trial reads that an earlier trial wrote, and it holds the
+/// bits a fresh backend would train. The memo starts empty in every
+/// constructor, a clone copies it, and nothing shares it.
 #[derive(Debug, Clone)]
 pub struct NnTrainingBackend {
     // Shared behind `Arc` so rung snapshots copy a handle, not the
@@ -429,6 +453,8 @@ pub struct NnTrainingBackend {
     /// Host power assumed when converting training time to energy (a
     /// RAPL stand-in).
     host_power: Watts,
+    /// Final validation accuracy of every `fit` this instance has run.
+    accuracies: HashMap<FitKey, f64>,
 }
 
 impl NnTrainingBackend {
@@ -455,6 +481,7 @@ impl NnTrainingBackend {
             seed,
             architecture: NnArchitecture::ConvNet { side },
             host_power: Watts::new(25.0),
+            accuracies: HashMap::new(),
         }
     }
 
@@ -467,6 +494,7 @@ impl NnTrainingBackend {
             seed,
             architecture: NnArchitecture::Mlp,
             host_power: Watts::new(25.0),
+            accuracies: HashMap::new(),
         }
     }
 
@@ -512,9 +540,29 @@ impl NnTrainingBackend {
         }
     }
 
+    /// Trains the model `key` names from scratch and returns its final
+    /// validation accuracy.
+    fn train(&self, key: FitKey) -> f64 {
+        let mut model = self.build_model(key.hidden);
+        let mut opt = Sgd::new(f32::from_bits(key.lr)).with_momentum(0.9);
+        let fit_config = FitConfig::new(key.epochs, key.batch)
+            .with_data_fraction(f64::from_bits(key.data_fraction));
+        fit(
+            &mut model,
+            &mut opt,
+            &self.train,
+            &self.val,
+            &fit_config,
+            self.seed,
+        )
+        .final_val_accuracy()
+    }
+
     /// A copy-on-write snapshot: the datasets travel as shared `Arc`
-    /// handles (no feature/label copies). Trials write nothing back, so
-    /// a snapshot measures exactly what the primary would.
+    /// handles (no feature/label copies), the memo as a copy. Trials
+    /// write back only memo entries, which hold what a fresh backend
+    /// would train, so a snapshot measures exactly what the primary
+    /// would.
     fn cow_snapshot(&self) -> Self {
         self.clone()
     }
@@ -569,23 +617,24 @@ impl TrainingBackend for NnTrainingBackend {
             .map_or(16, |b| b as usize)
             .max(1);
         let lr = config.get(PARAM_LR).unwrap_or(0.1).max(1e-5) as f32;
-
-        let mut model = self.build_model(hidden);
-        let mut opt = Sgd::new(lr).with_momentum(0.9);
-        let fit_config = FitConfig::new(budget.epochs.ceil().max(1.0) as u32, batch)
-            .with_data_fraction(budget.data_fraction);
-
-        let report = fit(
-            &mut model,
-            &mut opt,
-            &self.train,
-            &self.val,
-            &fit_config,
-            self.seed,
-        );
+        let key = FitKey {
+            hidden,
+            batch,
+            lr: lr.to_bits(),
+            epochs: budget.epochs.ceil().max(1.0) as u32,
+            data_fraction: budget.data_fraction.to_bits(),
+        };
+        let accuracy = match self.accuracies.get(&key) {
+            Some(&accuracy) => accuracy,
+            None => {
+                let accuracy = self.train(key);
+                self.accuracies.insert(key, accuracy);
+                accuracy
+            }
+        };
         let runtime = self.modeled_runtime(config, budget);
         TrialMeasurement {
-            accuracy: report.final_val_accuracy(),
+            accuracy,
             runtime,
             energy: self.host_power * runtime,
             injected: None,
@@ -930,6 +979,78 @@ mod convnet_tests {
         let (_, wide) = backend.architecture(&Config::from_iter([(PARAM_HIDDEN, 8.0)]));
         assert!(wide.flops_per_sample > narrow.flops_per_sample);
         assert!(wide.param_bytes > narrow.param_bytes);
+    }
+}
+
+#[cfg(test)]
+mod memo_tests {
+    use super::*;
+    use edgetune_util::rng::SeedStream;
+
+    /// Both real architectures, never run, each with a configuration and
+    /// a budget that train fast.
+    fn backends() -> [(NnTrainingBackend, Config, TrialBudget); 2] {
+        let config = |hidden| {
+            Config::from_iter([
+                (PARAM_HIDDEN, hidden),
+                (PARAM_TRAIN_BATCH, 16.0),
+                (PARAM_LR, 0.05),
+            ])
+        };
+        [
+            (
+                NnTrainingBackend::new(SeedStream::new(3)),
+                config(16.0),
+                TrialBudget::new(2.0, 0.5),
+            ),
+            (
+                NnTrainingBackend::convnet(SeedStream::new(3)),
+                config(2.0),
+                TrialBudget::new(2.0, 0.25),
+            ),
+        ]
+    }
+
+    #[test]
+    fn a_memo_hit_measures_what_a_fresh_clone_trains() {
+        for (fresh, cfg, budget) in backends() {
+            let mut warm = fresh.clone();
+            let trained = warm.run_trial(&cfg, budget);
+            let hit = warm.run_trial(&cfg, budget);
+            assert_eq!(warm.accuracies.len(), 1, "the repeat trains nothing");
+            assert_eq!(hit, trained);
+            assert_eq!(hit, fresh.clone().run_trial(&cfg, budget));
+            assert!(fresh.accuracies.is_empty(), "a clone shares no memo");
+        }
+    }
+
+    #[test]
+    fn each_value_fit_reads_keys_its_own_entry() {
+        for (mut backend, cfg, budget) in backends() {
+            let with = |name: &str, value: f64| {
+                let mut changed = cfg.clone();
+                changed.set(name, value);
+                changed
+            };
+            let hidden = cfg.get(PARAM_HIDDEN).unwrap();
+            let (epochs, fraction) = (budget.epochs, budget.data_fraction);
+            let trials = [
+                (cfg.clone(), budget),
+                (with(PARAM_HIDDEN, 2.0 * hidden), budget),
+                (with(PARAM_TRAIN_BATCH, 8.0), budget),
+                (with(PARAM_LR, 0.1), budget),
+                (cfg.clone(), TrialBudget::new(epochs + 1.0, fraction)),
+                (cfg.clone(), TrialBudget::new(epochs, fraction / 2.0)),
+            ];
+            for (n, (config, budget)) in trials.iter().enumerate() {
+                backend.run_trial(config, *budget);
+                assert_eq!(backend.accuracies.len(), n + 1, "trial {n} is a new key");
+            }
+            // Only whole epochs reach `fit`: half an epoch less is the
+            // first trial's key.
+            backend.run_trial(&cfg, TrialBudget::new(epochs - 0.5, fraction));
+            assert_eq!(backend.accuracies.len(), trials.len());
+        }
     }
 }
 

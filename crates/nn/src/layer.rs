@@ -59,11 +59,9 @@ pub struct Dense {
     grad_weight: Tensor,
     grad_bias: Tensor,
     cached_input: Option<Tensor>,
-    // Scratch for the backward-pass transposes, reused across steps so
-    // the optimiser loop stops allocating two tensors per layer per
-    // batch. `scratch_xt` tracks the batch size (the final batch of an
-    // epoch may be smaller); `scratch_wt` has the fixed shape [out, in].
-    scratch_xt: Option<Tensor>,
+    // Scratch for the backward-pass transpose `Wᵀ` (shape [out, in]),
+    // reused across steps so the optimiser loop does not allocate it per
+    // layer per batch.
     scratch_wt: Option<Tensor>,
 }
 
@@ -86,7 +84,6 @@ impl Dense {
             grad_weight: Tensor::zeros(&[inputs, outputs]),
             grad_bias: Tensor::zeros(&[1, outputs]),
             cached_input: None,
-            scratch_xt: None,
             scratch_wt: None,
         }
     }
@@ -138,11 +135,32 @@ impl Layer for Dense {
 
     fn backward_params(&mut self, grad_out: &Tensor) {
         let input = self.cached_input.as_ref().expect("backward before forward");
-        // dW = xᵀ · dy ; db = Σ_batch dy — the transpose through reused
-        // scratch, the gradients into their standing buffers.
-        let xt = ensure_shape(&mut self.scratch_xt, &[input.cols(), input.rows()]);
-        input.transpose_into(xt);
-        xt.matmul_into(grad_out, &mut self.grad_weight);
+        // dW = xᵀ · dy, read straight from the cached input: each batch
+        // row adds `x[b][i] · dy[b]` to weight row `i`, in ascending `b`.
+        // That is `matmul_naive(xᵀ, dy)`'s order of additions, zero-`x`
+        // skip included, so no transpose is materialised. db = Σ_batch dy.
+        let (inputs, outputs) = (self.inputs(), self.outputs());
+        assert_eq!(
+            grad_out.shape(),
+            [input.rows(), outputs],
+            "dense gradient must be [batch, outputs]"
+        );
+        let grad_weight = self.grad_weight.data_mut();
+        grad_weight.fill(0.0);
+        for (x_row, dy_row) in input
+            .data()
+            .chunks_exact(inputs)
+            .zip(grad_out.data().chunks_exact(outputs))
+        {
+            for (&a, dw_row) in x_row.iter().zip(grad_weight.chunks_exact_mut(outputs)) {
+                if a == 0.0 {
+                    continue;
+                }
+                for (o, &d) in dw_row.iter_mut().zip(dy_row) {
+                    *o += a * d;
+                }
+            }
+        }
         grad_out.sum_rows_into(self.grad_bias.data_mut());
     }
 

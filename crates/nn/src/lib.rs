@@ -4,8 +4,8 @@
 //! exist here, so this crate is the training substrate: dense and
 //! convolutional layers with full forward/backward passes, stochastic
 //! gradient descent with momentum, cross-entropy and MSE losses,
-//! synthetic datasets, and a training loop that reports per-epoch loss
-//! and accuracy. It is small but *real* — gradients are computed
+//! synthetic datasets, and a training loop that reports the per-epoch
+//! training loss and the final validation accuracy. It is small but *real* — gradients are computed
 //! analytically and models genuinely learn — which lets the tuning stack
 //! drive actual training through the same `TrainingBackend` interface it
 //! uses for the simulated paper workloads.

@@ -42,13 +42,14 @@ impl Sequential {
         self
     }
 
-    /// Runs the forward pass through every layer.
+    /// Runs the forward pass through every layer. The first layer reads
+    /// `input` in place; only an empty model copies it.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mut x = input.clone();
+        let mut x = Cow::Borrowed(input);
         for layer in &mut self.layers {
-            x = layer.forward(&x);
+            x = Cow::Owned(layer.forward(&x));
         }
-        x
+        x.into_owned()
     }
 
     /// Runs the backward pass, accumulating parameter gradients, and

@@ -2,7 +2,8 @@
 //!
 //! [`fit`] runs mini-batch SGD over a dataset for a number of epochs and a
 //! dataset *fraction* — the two budget dimensions the paper's multi-budget
-//! trials control (Algorithm 2) — and reports per-epoch loss/accuracy.
+//! trials control (Algorithm 2) — and reports the per-epoch training loss
+//! and the validation accuracy of the trained model.
 
 use edgetune_util::rng::SeedStream;
 
@@ -57,29 +58,20 @@ impl FitConfig {
     }
 }
 
-/// Metrics of one epoch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EpochReport {
-    /// Mean training loss over the epoch's batches.
-    pub train_loss: f64,
-    /// Training accuracy over the epoch's batches.
-    pub train_accuracy: f64,
-    /// Validation accuracy after the epoch.
-    pub val_accuracy: f64,
-}
-
-/// Full report of a [`fit`] run.
+/// Report of a [`fit`] run.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FitReport {
-    /// Per-epoch metrics, in order.
-    pub epochs: Vec<EpochReport>,
+    /// Mean training loss over each epoch's batches, in epoch order.
+    pub train_loss: Vec<f64>,
+    val_accuracy: f64,
 }
 
 impl FitReport {
-    /// Validation accuracy after the final epoch (0 if no epochs ran).
+    /// Validation accuracy after the final epoch (0 in the default,
+    /// empty report).
     #[must_use]
     pub fn final_val_accuracy(&self) -> f64 {
-        self.epochs.last().map_or(0.0, |e| e.val_accuracy)
+        self.val_accuracy
     }
 }
 
@@ -90,8 +82,8 @@ pub fn evaluate(model: &mut Sequential, data: &Dataset) -> f64 {
     accuracy(&logits, data.labels())
 }
 
-/// Trains `model` on `train` with cross-entropy + SGD, validating on
-/// `val` after each epoch.
+/// Trains `model` on `train` with cross-entropy + SGD, then validates on
+/// `val` once, after the last epoch.
 ///
 /// The dataset fraction of `config` is applied as a prefix subset before
 /// the first epoch, mirroring the paper's dataset-budget semantics.
@@ -115,7 +107,6 @@ pub fn fit(
     let mut report = FitReport::default();
     for epoch in 0..config.epochs {
         let mut loss_sum = 0.0f64;
-        let mut acc_sum = 0.0f64;
         let mut batches = 0usize;
         for (features, labels) in effective.batches(config.batch, seed, u64::from(epoch)) {
             let logits = model.forward(&features);
@@ -123,16 +114,11 @@ pub fn fit(
             model.backward_params(&grad);
             optimizer.step(model);
             loss_sum += f64::from(loss);
-            acc_sum += accuracy(&logits, &labels);
             batches += 1;
         }
-        let val_accuracy = evaluate(model, val);
-        report.epochs.push(EpochReport {
-            train_loss: loss_sum / batches.max(1) as f64,
-            train_accuracy: acc_sum / batches.max(1) as f64,
-            val_accuracy,
-        });
+        report.train_loss.push(loss_sum / batches.max(1) as f64);
     }
+    report.val_accuracy = evaluate(model, val);
     report
 }
 
@@ -187,8 +173,8 @@ mod tests {
             &FitConfig::new(10, 16),
             seed(),
         );
-        let first = report.epochs.first().unwrap().train_loss;
-        let last = report.epochs.last().unwrap().train_loss;
+        let first = report.train_loss[0];
+        let last = *report.train_loss.last().unwrap();
         assert!(last < first, "loss should fall: {first} -> {last}");
     }
 
@@ -268,6 +254,6 @@ mod tests {
             &FitConfig::new(7, 16),
             seed(),
         );
-        assert_eq!(report.epochs.len(), 7);
+        assert_eq!(report.train_loss.len(), 7);
     }
 }

@@ -1,8 +1,9 @@
 //! Bit-identity properties of the hot-path kernels.
 //!
 //! Every matmul routine (`[f32; n]` register rows up to 32 output
-//! columns, the cache-blocked loop beyond) and the restructured
-//! convolution must be *bit-identical* — not merely close — to
+//! columns, the cache-blocked loop beyond), the dense layer's
+//! transpose-free gradients and the restructured convolution must be
+//! *bit-identical* — not merely close — to
 //! straightforward reference loops: trial results feed the golden
 //! suites, which pin exact bytes. Routines may only regroup output
 //! elements, never reorder the additions into one, and these properties
@@ -68,6 +69,31 @@ fn assert_bits_equal(a: &Tensor, b: &Tensor) {
     for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
         assert!(same_value(*x, *y), "element {i} differs: {x} vs {y}");
     }
+}
+
+/// Reference transpose of a 2-D tensor.
+fn transpose(t: &Tensor) -> Tensor {
+    let (rows, cols) = (t.rows(), t.cols());
+    let mut data = vec![0.0; rows * cols];
+    for i in 0..rows {
+        for j in 0..cols {
+            data[j * rows + i] = t.data()[i * cols + j];
+        }
+    }
+    Tensor::from_vec(data, &[cols, rows])
+}
+
+/// Reference column sums of a 2-D tensor as a `[1, cols]` row, each
+/// accumulated onto zero in ascending row order.
+fn column_sums(t: &Tensor) -> Tensor {
+    let cols = t.cols();
+    let mut sums = vec![0.0f32; cols];
+    for row in t.data().chunks_exact(cols) {
+        for (s, &v) in sums.iter_mut().zip(row) {
+            *s += v;
+        }
+    }
+    Tensor::from_vec(sums, &[1, cols])
 }
 
 /// Reference convolution: the pre-refactor per-output-element loop with
@@ -397,6 +423,40 @@ proptest! {
         conv.visit_params(&mut |_, g| g.data_mut().fill(f32::NAN));
         conv.backward_params(&g);
         assert_all_bits_equal(&param_grads(|v| conv.visit_params(v)), &grads);
+    }
+
+    #[test]
+    fn dense_gradients_match_naive_matmul_oracles(
+        inputs_index in 0usize..3,
+        hidden_index in 0usize..4,
+        batch in 1usize..40,
+        specials in 0usize..2,
+        seed in 0u64..200,
+    ) {
+        // dW = xᵀ·dy and db = Σ_batch dy from `backward_params`, and
+        // dx = dy·Wᵀ from `backward`, against the naive matmul over
+        // test-local transposes.
+        let inputs = [1, 8, 32][inputs_index];
+        let hidden = [2, 8, 33, 64][hidden_index];
+        let mut x = sparsify(&tensor(batch, inputs, seed));
+        let mut dy = tensor(batch, hidden, seed + 1);
+        if specials == 1 {
+            x = with_specials(&x, seed + 2);
+            dy = with_specials(&dy, seed + 3);
+        }
+        let mut dense = Dense::new(inputs, hidden, SeedStream::new(seed + 4));
+        let mut weight = None;
+        dense.visit_params(&mut |p, _| {
+            weight.get_or_insert_with(|| p.clone());
+        });
+        let weight = weight.expect("dense has a weight");
+        let _ = dense.forward(&x);
+        dense.backward_params(&dy);
+        let grads = param_grads(|v| dense.visit_params(v));
+        assert_bits_equal(&grads[0], &transpose(&x).matmul_naive(&dy));
+        assert_bits_equal(&grads[1], &column_sums(&dy));
+        let dx = dense.backward(&dy);
+        assert_bits_equal(&dx, &dy.matmul_naive(&transpose(&weight)));
     }
 
     #[test]
