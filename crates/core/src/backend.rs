@@ -23,7 +23,7 @@ use edgetune_tuner::space::{Config, Domain, SearchSpace};
 use edgetune_util::rng::SeedStream;
 use edgetune_util::units::{Joules, Seconds, Watts};
 use edgetune_workloads::catalog::Workload;
-use edgetune_workloads::curve::TrainingQuality;
+use edgetune_workloads::curve::{NoiseLabels, TrainingQuality};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -143,9 +143,17 @@ pub const PARAM_GPUS: &str = "gpus";
 struct SimBackendShared {
     workload: Workload,
     node: DeviceSpec,
+    /// `Workload::arch_signature` of each of the workload's model-hp
+    /// values, by the value's bits, so a trial formats none.
+    signatures: Vec<(u64, String)>,
 }
 
 /// Simulated training of one paper workload on the emulated trainer node.
+///
+/// Each instance memoises the pieces of its accuracy-noise labels
+/// ([`NoiseLabels`]). The memo starts empty in [`SimTrainingBackend::new`],
+/// a clone copies it, and nothing shares it; it holds only what a fresh
+/// backend would compute, so it never changes a measurement.
 #[derive(Debug, Clone)]
 pub struct SimTrainingBackend {
     shared: Arc<SimBackendShared>,
@@ -154,6 +162,7 @@ pub struct SimTrainingBackend {
     fixed_gpus: u32,
     faults: Option<FaultInjector>,
     fault_draws: u64,
+    noise_labels: NoiseLabels,
 }
 
 impl SimTrainingBackend {
@@ -161,16 +170,23 @@ impl SimTrainingBackend {
     /// GPU count part of the search space (EdgeTune's onefold setting).
     #[must_use]
     pub fn new(workload: Workload, seed: SeedStream) -> Self {
+        let signatures = workload
+            .model_hp_values
+            .iter()
+            .map(|&hp| (hp.to_bits(), workload.arch_signature(hp)))
+            .collect();
         SimTrainingBackend {
             shared: Arc::new(SimBackendShared {
                 workload,
                 node: DeviceSpec::titan_rtx_node(),
+                signatures,
             }),
             seed,
             tune_system_params: true,
             fixed_gpus: 1,
             faults: None,
             fault_draws: 0,
+            noise_labels: NoiseLabels::default(),
         }
     }
 
@@ -197,8 +213,9 @@ impl SimTrainingBackend {
     }
 
     /// A copy-on-write snapshot: the calibration tables travel as a
-    /// shared `Arc` handle, so the copy is a few pointer bumps no matter
-    /// how large the workload's tables are.
+    /// shared `Arc` handle, so the copy is a few pointer bumps plus the
+    /// small noise-label memo, no matter how large the workload's tables
+    /// are.
     fn cow_snapshot(&self) -> Self {
         self.clone()
     }
@@ -238,10 +255,16 @@ impl TrainingBackend for SimTrainingBackend {
         let hp = config
             .get(PARAM_MODEL_HP)
             .unwrap_or(self.shared.workload.model_hp_values[0]);
-        (
-            self.shared.workload.arch_signature(hp),
-            self.shared.workload.profile(hp),
-        )
+        let signature = match self
+            .shared
+            .signatures
+            .iter()
+            .find(|(bits, _)| *bits == hp.to_bits())
+        {
+            Some((_, signature)) => signature.clone(),
+            None => self.shared.workload.arch_signature(hp),
+        };
+        (signature, self.shared.workload.profile(hp))
     }
 
     fn run_trial(&mut self, config: &Config, budget: TrialBudget) -> TrialMeasurement {
@@ -331,6 +354,7 @@ impl TrainingBackend for SimTrainingBackend {
         }
 
         let accuracy = self.shared.workload.simulated_accuracy(
+            &mut self.noise_labels,
             hp,
             &TrainingQuality::from_batch(batch),
             budget.epochs,
@@ -699,6 +723,38 @@ mod tests {
         assert_eq!(prof_a, prof_b);
         let (sig_c, _) = backend.architecture(&config(50.0, 64.0, 1.0));
         assert_ne!(sig_a, sig_c);
+    }
+
+    #[test]
+    fn sim_architecture_signatures_match_the_workload_on_and_off_the_table() {
+        let backend = sim();
+        let workload = Workload::image_classification();
+        // 18 and 50 are model-hp values (the table); 26 and -0 are not.
+        for hp in [18.0, 50.0, 26.0, -0.0] {
+            let (signature, profile) = backend.architecture(&config(hp, 64.0, 1.0));
+            assert_eq!(signature, workload.arch_signature(hp));
+            assert_eq!(profile, workload.profile(hp));
+        }
+    }
+
+    #[test]
+    fn a_warm_sim_backend_measures_like_a_fresh_one() {
+        let mut warm = sim();
+        let trials: Vec<(Config, TrialBudget)> = [18.0, 34.0, 50.0]
+            .into_iter()
+            .flat_map(|hp| {
+                [(2.0, 0.1), (6.0, 0.1 * 3.0), (10.0, 1.0)].map(|(epochs, fraction)| {
+                    (config(hp, 96.0, 2.0), TrialBudget::new(epochs, fraction))
+                })
+            })
+            .collect();
+        let first: Vec<TrialMeasurement> =
+            trials.iter().map(|(c, b)| warm.run_trial(c, *b)).collect();
+        for ((cfg, budget), measured) in trials.iter().zip(&first).rev() {
+            assert_eq!(&warm.run_trial(cfg, *budget), measured);
+            assert_eq!(&sim().run_trial(cfg, *budget), measured);
+            assert_eq!(&warm.clone().run_trial(cfg, *budget), measured);
+        }
     }
 
     #[test]

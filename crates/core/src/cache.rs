@@ -90,16 +90,29 @@ impl HistoricalCache {
         HistoricalCache::default()
     }
 
-    fn key_string(key: &CacheKey) -> String {
-        format!("{}|{}|{}", key.device, key.arch, key.metric)
+    /// Calls `f` with `key`'s entry key, `"<device>|<arch>|<metric>"`,
+    /// spelled in a stack buffer so that looking a key up allocates
+    /// nothing; a key too long for the buffer is spelled on the heap.
+    fn with_entry_key<R>(key: &CacheKey, f: impl FnOnce(&str) -> R) -> R {
+        let pieces = [&key.device, "|", &key.arch, "|", key.metric.name()];
+        let mut buf = [0u8; 128];
+        let mut len = 0;
+        for piece in pieces {
+            let Some(slot) = buf.get_mut(len..len + piece.len()) else {
+                return f(&pieces.concat());
+            };
+            slot.copy_from_slice(piece.as_bytes());
+            len += piece.len();
+        }
+        f(std::str::from_utf8(&buf[..len]).expect("joined from whole strings"))
     }
 
     /// Looks up a recommendation, recording hit/miss.
     pub fn lookup(&mut self, key: &CacheKey) -> Option<InferenceRecommendation> {
-        match self.entries.get(&Self::key_string(key)) {
+        match Self::with_entry_key(key, |k| self.entries.get(k).cloned()) {
             Some(rec) => {
                 self.stats.hits += 1;
-                Some(rec.clone())
+                Some(rec)
             }
             None => {
                 self.stats.misses += 1;
@@ -117,7 +130,7 @@ impl HistoricalCache {
     /// Peeks without touching statistics.
     #[must_use]
     pub fn peek(&self, key: &CacheKey) -> Option<&InferenceRecommendation> {
-        self.entries.get(&Self::key_string(key))
+        Self::with_entry_key(key, |k| self.entries.get(k))
     }
 
     /// Stores a recommendation, returning any previous entry.
@@ -126,7 +139,10 @@ impl HistoricalCache {
         key: &CacheKey,
         recommendation: InferenceRecommendation,
     ) -> Option<InferenceRecommendation> {
-        self.entries.insert(Self::key_string(key), recommendation)
+        Self::with_entry_key(key, |k| match self.entries.get_mut(k) {
+            Some(entry) => Some(std::mem::replace(entry, recommendation)),
+            None => self.entries.insert(k.to_owned(), recommendation),
+        })
     }
 
     /// Hit/miss statistics.
@@ -284,6 +300,68 @@ mod tests {
         assert_eq!(loaded.len(), 2);
         assert_eq!(loaded.lookup(&key("ResNet/layers=50")).unwrap().batch, 4);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A cache file exactly as `save` wrote it while entry keys were
+    /// still formatted per call.
+    const SAVED: &str = r#"{
+  "entries": {
+    "Raspberry Pi 3B+|ResNet/layers=18|runtime": {
+      "device": "Raspberry Pi 3B+",
+      "batch": 8,
+      "cores": 2,
+      "freq": 1400000000.0,
+      "latency_per_item": 0.05,
+      "energy_per_item": 0.3,
+      "throughput": 20.0
+    }
+  }
+}"#;
+
+    #[test]
+    fn save_writes_device_arch_metric_entry_keys() {
+        let mut cache = HistoricalCache::new();
+        let _ = cache.lookup(&key("ResNet/layers=18"));
+        cache.store(&key("ResNet/layers=18"), rec(8));
+        let _ = cache.lookup(&key("ResNet/layers=18"));
+        let dir = std::env::temp_dir().join("edgetune-cache-bytes-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.json");
+        cache.save(&path).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), SAVED);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_saved_file_loads_and_hits() {
+        let dir = std::env::temp_dir().join("edgetune-cache-saved-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.json");
+        std::fs::write(&path, SAVED).unwrap();
+        let mut loaded = HistoricalCache::load(&path).unwrap();
+        assert_eq!(loaded.lookup(&key("ResNet/layers=18")), Some(rec(8)));
+        let energy = CacheKey::new("Raspberry Pi 3B+", "ResNet/layers=18", Metric::Energy);
+        assert!(loaded.lookup(&energy).is_none());
+        assert_eq!(loaded.stats(), CacheStats { hits: 1, misses: 1 });
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn keys_at_and_past_the_stack_buffer_work_alike() {
+        // Entry keys of 128 bytes (the buffer's size) and of 129.
+        for arch_len in [34, 35] {
+            let mut cache = HistoricalCache::new();
+            let device = "d".repeat(85);
+            let arch = format!("é{}", "a".repeat(arch_len - 2));
+            let key = CacheKey::new(device.as_str(), arch.as_str(), Metric::Runtime);
+            assert!(cache.store(&key, rec(8)).is_none());
+            assert_eq!(cache.store(&key, rec(16)), Some(rec(8)));
+            assert_eq!(cache.peek(&key), Some(&rec(16)));
+            assert_eq!(cache.lookup(&key), Some(rec(16)));
+            let entry_key = format!("{device}|{arch}|runtime");
+            assert_eq!(entry_key.len(), 94 + arch_len);
+            assert_eq!(cache.entries.keys().collect::<Vec<_>>(), [&entry_key]);
+        }
     }
 
     #[test]

@@ -295,10 +295,12 @@ impl OnefoldEvaluator {
         // (1) Fire the inference request as soon as the architecture is
         //     known — before training starts (Algorithm 1, line 6). It is
         //     answered here; the reply is collected after the trial.
+        //     The key owns the architecture signature; the trial's
+        //     record takes it back once the key is done with.
         let (arch, profile) = backend.architecture(config);
         let key = CacheKey::new(
             self.config.edge_device.name.clone(),
-            arch.clone(),
+            arch,
             self.config.inference_metric,
         );
         let pending = self.inference.request(&mut self.globals, &key, profile);
@@ -320,7 +322,7 @@ impl OnefoldEvaluator {
                             paid_runtime,
                             paid_energy + sweep_energy,
                         ),
-                        arch,
+                        arch: key.arch,
                         train_runtime: paid_runtime,
                         sweep_runtime,
                         sweep_energy,
@@ -348,7 +350,7 @@ impl OnefoldEvaluator {
                         train_runtime,
                         train_energy,
                     ),
-                    arch,
+                    arch: key.arch,
                     train_runtime,
                     sweep_runtime: Seconds::ZERO,
                     sweep_energy: Joules::ZERO,
@@ -391,7 +393,7 @@ impl OnefoldEvaluator {
         }
         TrialRun {
             outcome,
-            arch,
+            arch: key.arch,
             train_runtime,
             sweep_runtime: reply.runtime,
             sweep_energy: reply.energy,

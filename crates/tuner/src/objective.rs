@@ -23,12 +23,20 @@ pub enum Metric {
     Energy,
 }
 
+impl Metric {
+    /// The metric's name: `runtime` or `energy`.
+    #[must_use]
+    pub const fn name(self) -> &'static str {
+        match self {
+            Metric::Runtime => "runtime",
+            Metric::Energy => "energy",
+        }
+    }
+}
+
 impl std::fmt::Display for Metric {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Metric::Runtime => write!(f, "runtime"),
-            Metric::Energy => write!(f, "energy"),
-        }
+        f.write_str(self.name())
     }
 }
 

@@ -61,7 +61,14 @@ impl SeedStream {
     /// Builds a concrete RNG for a labelled subsystem.
     #[must_use]
     pub fn rng(self, label: &str) -> StdRng {
-        StdRng::seed_from_u64(self.child(label).seed)
+        self.rng_hashed(LabelHash::new().write_str(label))
+    }
+
+    /// [`SeedStream::rng`] for a label already fed to a [`LabelHash`]:
+    /// the same stream, whichever pieces the label was fed in.
+    #[must_use]
+    pub fn rng_hashed(self, label: LabelHash) -> StdRng {
+        StdRng::seed_from_u64(mix(self.seed, label.0))
     }
 
     /// Builds a concrete RNG for the `index`-th element of a labelled
@@ -79,14 +86,62 @@ impl Default for SeedStream {
     }
 }
 
-/// FNV-1a hash of a label string; stable across runs and platforms.
-fn hash_label(label: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in label.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Streaming FNV-1a over a label's bytes; stable across runs and
+/// platforms. Bytes fed in pieces hash as their concatenation does, so a
+/// caller can keep the state after a label's fixed head and feed only
+/// the varying rest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LabelHash(u64);
+
+impl LabelHash {
+    /// The hash of the empty label.
+    #[must_use]
+    pub const fn new() -> Self {
+        LabelHash(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    /// Feeds `text`'s bytes.
+    #[must_use]
+    pub fn write_str(self, text: &str) -> Self {
+        self.write_bytes(text.as_bytes())
+    }
+
+    /// Feeds the decimal digits of `n`, the bytes `format!("{n}")`
+    /// spells, without formatting.
+    #[must_use]
+    pub fn write_decimal(self, mut n: u32) -> Self {
+        let mut digits = [0u8; 10];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.write_bytes(&digits[start..])
+    }
+
+    fn write_bytes(self, bytes: &[u8]) -> Self {
+        let mut h = self.0;
+        for b in bytes {
+            h ^= u64::from(*b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        LabelHash(h)
+    }
+}
+
+impl Default for LabelHash {
+    fn default() -> Self {
+        LabelHash::new()
+    }
+}
+
+/// FNV-1a hash of a label string.
+fn hash_label(label: &str) -> u64 {
+    LabelHash::new().write_str(label).0
 }
 
 /// SplitMix64 finalizer combining two 64-bit values.
@@ -158,6 +213,50 @@ mod tests {
         let s = SeedStream::new(99);
         assert_eq!(s.child("a").child("b"), s.child("a").child("b"));
         assert_ne!(s.child("a").child("b"), s.child("b").child("a"));
+    }
+
+    /// The FNV-1a published test vectors, so the streaming rewrite is
+    /// held to the hash itself and not only to its own pieces.
+    #[test]
+    fn label_hash_matches_fnv1a_test_vectors() {
+        assert_eq!(hash_label(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(hash_label("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(hash_label("foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    /// Label text with `|`, digits, a sign and multi-byte characters.
+    const ALPHABET: [char; 8] = ['R', '|', 'e', '7', '0', '.', '-', 'é'];
+
+    proptest::proptest! {
+        /// A label fed in pieces, decimal digits among them, hashes and
+        /// seeds as its whole text does.
+        #[test]
+        fn label_hash_fed_in_pieces_equals_the_whole(
+            picks in proptest::collection::vec(0usize..ALPHABET.len(), 0..40),
+            cut_a in 0usize..41,
+            cut_b in 0usize..41,
+            n in 0u32..=u32::MAX,
+        ) {
+            let text: String = picks.iter().map(|&i| ALPHABET[i]).collect();
+            let bounds: Vec<usize> =
+                (0..=text.len()).filter(|&i| text.is_char_boundary(i)).collect();
+            let a = bounds[cut_a % bounds.len()];
+            let b = bounds[cut_b % bounds.len()].max(a);
+            for n in [n, 0, 1, 9, 10, u32::MAX] {
+                let pieces = LabelHash::new()
+                    .write_str(&text[..a])
+                    .write_str(&text[a..b])
+                    .write_decimal(n)
+                    .write_str(&text[b..]);
+                let whole = format!("{}{n}{}", &text[..b], &text[b..]);
+                proptest::prop_assert_eq!(pieces.0, hash_label(&whole));
+                let stream = SeedStream::new(42).child("accuracy-noise");
+                proptest::prop_assert_eq!(
+                    stream.rng_hashed(pieces).gen::<u64>(),
+                    stream.rng(&whole).gen::<u64>()
+                );
+            }
+        }
     }
 
     #[test]

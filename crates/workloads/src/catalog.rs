@@ -4,7 +4,7 @@ use edgetune_device::profile::WorkProfile;
 use edgetune_util::rng::SeedStream;
 use serde::{Deserialize, Serialize};
 
-use crate::curve::{LearningCurve, TrainingQuality};
+use crate::curve::{LearningCurve, NoiseLabels, TrainingQuality};
 
 /// Workload identifiers, matching the paper's Table 1 IDs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -247,6 +247,7 @@ impl Workload {
 
     /// Simulated final validation accuracy of a training trial.
     ///
+    /// * `labels` — the caller's memo of noise-label pieces,
     /// * `model_hp` — the architecture hyperparameter value,
     /// * `quality` — batch-size quality of the trial,
     /// * `epochs` — number of epochs actually run,
@@ -255,6 +256,7 @@ impl Workload {
     #[must_use]
     pub fn simulated_accuracy(
         &self,
+        labels: &mut NoiseLabels,
         model_hp: f64,
         quality: &TrainingQuality,
         epochs: f64,
@@ -262,7 +264,7 @@ impl Workload {
         seed: SeedStream,
     ) -> f64 {
         self.curve
-            .accuracy(model_hp, quality, epochs, data_fraction, seed)
+            .accuracy(labels, model_hp, quality, epochs, data_fraction, seed)
     }
 
     /// Epochs needed to reach `target` accuracy under a training
@@ -345,6 +347,47 @@ mod tests {
         // And much heavier than the IC workload.
         let ic = Workload::image_classification();
         assert!(od.profile(0.3).flops_per_sample > 5.0 * ic.profile(50.0).flops_per_sample);
+    }
+
+    /// `simulated_accuracy` bits at seed 42, pinned when the noise label
+    /// was still formatted whole per trial: the label's bytes, and so the
+    /// noise, must not move.
+    #[test]
+    fn simulated_accuracy_bits_are_pinned() {
+        #[rustfmt::skip]
+        let pinned: [(WorkloadId, u32, f64, f64, u64); 12] = [
+            (WorkloadId::Ic, 32, 2.0, 0.1, 0x3fc2_af28_1109_08eb),
+            (WorkloadId::Ic, 96, 6.0, 0.1 * 3.0, 0x3fe0_3447_2e3e_dc08),
+            (WorkloadId::Ic, 512, 10.0, 1.0, 0x3fe7_dad8_c840_f3c9),
+            (WorkloadId::Sr, 32, 2.0, 0.1, 0x3fc4_7434_4b55_f301),
+            (WorkloadId::Sr, 96, 6.0, 0.1 * 3.0, 0x3fde_93f8_752c_1c12),
+            (WorkloadId::Sr, 512, 10.0, 1.0, 0x3fe6_63ad_f684_ae71),
+            (WorkloadId::Nlp, 32, 2.0, 0.1, 0x3fc5_908d_279f_0588),
+            (WorkloadId::Nlp, 96, 6.0, 0.1 * 3.0, 0x3fe0_4a49_f374_1dc7),
+            (WorkloadId::Nlp, 512, 10.0, 1.0, 0x3fe8_55d1_171a_5271),
+            (WorkloadId::Od, 32, 2.0, 0.1, 0x3fa6_1424_b9de_3e1b),
+            (WorkloadId::Od, 96, 6.0, 0.1 * 3.0, 0x3fc9_48eb_82ad_52d2),
+            (WorkloadId::Od, 512, 10.0, 1.0, 0x3fd2_b413_3fce_6b79),
+        ];
+        let mut warm = NoiseLabels::default();
+        for _ in 0..2 {
+            for (id, batch, epochs, fraction, bits) in pinned {
+                let w = Workload::by_id(id);
+                let accuracy = w.simulated_accuracy(
+                    &mut warm,
+                    w.model_hp_values[1],
+                    &TrainingQuality::from_batch(batch),
+                    epochs,
+                    fraction,
+                    SeedStream::new(42),
+                );
+                assert_eq!(
+                    accuracy.to_bits(),
+                    bits,
+                    "{id:?} batch {batch} epochs {epochs} fraction {fraction}: {accuracy}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -19,8 +19,15 @@
 //! * the batch-quality factor `q` penalises extreme batch sizes, so
 //!   batch 1024 needs more epochs to a target accuracy (Fig. 3a),
 //! * `ε` is small seeded noise, reproducible per (workload, config).
+//!
+//! The noise seed is the FNV-1a of the label
+//! `"{kind}|hp{model_hp}|b{batch}|e{epochs:.3}|f{data_fraction:.4}"`.
+//! [`NoiseLabels`] feeds it in memoised pieces, so a trial formats no
+//! text: a study has few model-hp values and fewer budgets.
 
-use edgetune_util::rng::{sample_normal, SeedStream};
+use std::collections::HashMap;
+
+use edgetune_util::rng::{sample_normal, LabelHash, SeedStream};
 use serde::{Deserialize, Serialize};
 
 /// Exponent of the data-fraction accuracy cap (`frac^γ`).
@@ -67,12 +74,67 @@ fn log_bell(value: f64, opt: f64, width: f64) -> f64 {
 }
 
 /// Which analytic accuracy family a workload follows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 enum CurveKind {
     Resnet,
     M5,
     Rnn,
     Yolo,
+}
+
+impl CurveKind {
+    /// The kind's spelling in accuracy-noise labels. It is the `Debug`
+    /// spelling the labels were first written with, kept as a literal so
+    /// renaming a variant cannot move the noise.
+    const fn label(self) -> &'static str {
+        match self {
+            CurveKind::Resnet => "Resnet",
+            CurveKind::M5 => "M5",
+            CurveKind::Rnn => "Rnn",
+            CurveKind::Yolo => "Yolo",
+        }
+    }
+}
+
+/// The memoised pieces of accuracy-noise labels (see the module docs).
+/// Each piece is formatted by the label's own spec the first time it is
+/// needed and reused after:
+///
+/// * the hash state after `"{kind}|hp{model_hp}|b"`, once per kind and
+///   model-hp value;
+/// * the text `"|e{epochs:.3}|f{data_fraction:.4}"`, once per budget.
+///
+/// The batch digits between them are fed without formatting. A memo
+/// holds only what a fresh one would compute, so which trials warmed it
+/// never changes a label.
+#[derive(Debug, Clone, Default)]
+pub struct NoiseLabels {
+    heads: HashMap<(CurveKind, u64), LabelHash>,
+    tails: HashMap<(u64, u64), Box<str>>,
+}
+
+impl NoiseLabels {
+    /// The hashed label of one trial.
+    fn label(
+        &mut self,
+        kind: CurveKind,
+        model_hp: f64,
+        batch: u32,
+        epochs: f64,
+        data_fraction: f64,
+    ) -> LabelHash {
+        let head = *self
+            .heads
+            .entry((kind, model_hp.to_bits()))
+            .or_insert_with(|| {
+                LabelHash::new().write_str(&format!("{}|hp{model_hp}|b", kind.label()))
+            });
+        let tail = self
+            .tails
+            .entry((epochs.to_bits(), data_fraction.to_bits()))
+            .or_insert_with(|| format!("|e{epochs:.3}|f{data_fraction:.4}").into());
+        head.write_decimal(batch).write_str(tail)
+    }
 }
 
 /// A calibrated learning curve for one workload family.
@@ -155,7 +217,8 @@ impl LearningCurve {
         }
     }
 
-    /// Simulated validation accuracy (see module docs for the formula).
+    /// Simulated validation accuracy (see module docs for the formula),
+    /// its noise label fed from `labels`.
     ///
     /// # Panics
     ///
@@ -164,6 +227,7 @@ impl LearningCurve {
     #[must_use]
     pub fn accuracy(
         &self,
+        labels: &mut NoiseLabels,
         model_hp: f64,
         quality: &TrainingQuality,
         epochs: f64,
@@ -179,11 +243,8 @@ impl LearningCurve {
         let effective = epochs * quality.factor();
         let progress = 1.0 - (-rate * effective).exp();
         let cap = data_fraction.powf(FRACTION_CAP_EXPONENT);
-        let key = format!(
-            "{:?}|hp{model_hp}|b{}|e{epochs:.3}|f{data_fraction:.4}",
-            self.kind, quality.batch
-        );
-        let mut rng = seed.child("accuracy-noise").rng(&key);
+        let label = labels.label(self.kind, model_hp, quality.batch, epochs, data_fraction);
+        let mut rng = seed.child("accuracy-noise").rng_hashed(label);
         let noise = sample_normal(&mut rng, 0.0, NOISE_SIGMA);
         (a_max * progress * cap + noise).clamp(0.02, 0.99)
     }
@@ -232,12 +293,82 @@ mod tests {
         TrainingQuality::from_batch(batch)
     }
 
+    /// `c.accuracy` from a fresh noise-label memo.
+    fn accuracy(
+        c: &LearningCurve,
+        model_hp: f64,
+        quality: &TrainingQuality,
+        epochs: f64,
+        data_fraction: f64,
+        seed: SeedStream,
+    ) -> f64 {
+        let labels = &mut NoiseLabels::default();
+        c.accuracy(labels, model_hp, quality, epochs, data_fraction, seed)
+    }
+
+    const KINDS: [CurveKind; 4] = [
+        CurveKind::Resnet,
+        CurveKind::M5,
+        CurveKind::Rnn,
+        CurveKind::Yolo,
+    ];
+
+    /// The noise label as it was first written: the whole text formatted
+    /// per trial, then hashed.
+    fn formatted_label(
+        kind: CurveKind,
+        model_hp: f64,
+        batch: u32,
+        epochs: f64,
+        data_fraction: f64,
+    ) -> LabelHash {
+        LabelHash::new().write_str(&format!(
+            "{kind:?}|hp{model_hp}|b{batch}|e{epochs:.3}|f{data_fraction:.4}"
+        ))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(16))]
+
+        /// Memoised pieces hash the very bytes the formatted label does,
+        /// from a fresh memo and from one warmed by every other input.
+        #[test]
+        fn noise_labels_hash_the_formatted_label(
+            hp in -1e3f64..1e3,
+            batch in 0u32..=u32::MAX,
+            epochs in 0.0f64..1e3,
+            fraction in 1e-9f64..=1.0,
+        ) {
+            let hps = [hp, 18.5, 1e15, 1.234_567_890_123e17, -0.0];
+            let batches = [0, 1, u32::MAX, batch];
+            let epochs = [0.5, 1e-3, 1e20, epochs];
+            let fractions = [1e-9, 0.1 * 3.0, 1.0, fraction];
+            let mut warm = NoiseLabels::default();
+            for kind in KINDS {
+                for &h in &hps {
+                    for &b in &batches {
+                        for &e in &epochs {
+                            for &f in &fractions {
+                                let expected = formatted_label(kind, h, b, e, f);
+                                proptest::prop_assert_eq!(warm.label(kind, h, b, e, f), expected);
+                                proptest::prop_assert_eq!(
+                                    NoiseLabels::default().label(kind, h, b, e, f),
+                                    expected
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn accuracy_increases_with_epochs_up_to_noise() {
         let c = LearningCurve::image_classification();
-        let a2 = c.accuracy(18.0, &q(128), 2.0, 1.0, seed());
-        let a10 = c.accuracy(18.0, &q(128), 10.0, 1.0, seed());
-        let a30 = c.accuracy(18.0, &q(128), 30.0, 1.0, seed());
+        let a2 = accuracy(&c, 18.0, &q(128), 2.0, 1.0, seed());
+        let a10 = accuracy(&c, 18.0, &q(128), 10.0, 1.0, seed());
+        let a30 = accuracy(&c, 18.0, &q(128), 30.0, 1.0, seed());
         assert!(a10 > a2);
         assert!(
             a30 >= a10 - 0.03,
@@ -249,7 +380,7 @@ mod tests {
     fn resnet18_reaches_target_80_with_enough_epochs() {
         // The paper tunes IC to ≥80% accuracy (§2.3).
         let c = LearningCurve::image_classification();
-        let acc = c.accuracy(18.0, &q(128), 20.0, 1.0, seed());
+        let acc = accuracy(&c, 18.0, &q(128), 20.0, 1.0, seed());
         assert!(acc > 0.8, "acc={acc}");
     }
 
@@ -257,7 +388,7 @@ mod tests {
     fn dataset_fraction_caps_accuracy_like_fig12b() {
         let c = LearningCurve::image_classification();
         // Fully converged on 10% of the data: plateau well below target.
-        let acc = c.accuracy(18.0, &q(128), 100.0, 0.1, seed());
+        let acc = accuracy(&c, 18.0, &q(128), 100.0, 0.1, seed());
         assert!(
             (0.25..=0.50).contains(&acc),
             "10% data should cap near 40%: {acc}"
@@ -267,14 +398,14 @@ mod tests {
     #[test]
     fn deeper_resnet_higher_ceiling_slower_convergence() {
         let c = LearningCurve::image_classification();
-        let early18 = c.accuracy(18.0, &q(128), 3.0, 1.0, seed());
-        let early50 = c.accuracy(50.0, &q(128), 3.0, 1.0, seed());
+        let early18 = accuracy(&c, 18.0, &q(128), 3.0, 1.0, seed());
+        let early50 = accuracy(&c, 50.0, &q(128), 3.0, 1.0, seed());
         assert!(
             early18 > early50,
             "shallow converges faster: {early18} vs {early50}"
         );
-        let late18 = c.accuracy(18.0, &q(128), 60.0, 1.0, seed());
-        let late50 = c.accuracy(50.0, &q(128), 60.0, 1.0, seed());
+        let late18 = accuracy(&c, 18.0, &q(128), 60.0, 1.0, seed());
+        let late50 = accuracy(&c, 50.0, &q(128), 60.0, 1.0, seed());
         assert!(
             late50 > late18 - 0.02,
             "deep catches up: {late18} vs {late50}"
@@ -298,27 +429,27 @@ mod tests {
     #[test]
     fn yolo_dropout_optimum_is_interior() {
         let c = LearningCurve::object_detection();
-        let a1 = c.accuracy(0.1, &q(64), 40.0, 1.0, seed());
-        let a3 = c.accuracy(0.3, &q(64), 40.0, 1.0, seed());
-        let a5 = c.accuracy(0.5, &q(64), 40.0, 1.0, seed());
+        let a1 = accuracy(&c, 0.1, &q(64), 40.0, 1.0, seed());
+        let a3 = accuracy(&c, 0.3, &q(64), 40.0, 1.0, seed());
+        let a5 = accuracy(&c, 0.5, &q(64), 40.0, 1.0, seed());
         assert!(a3 > a1 && a3 > a5, "dropout 0.3 should win: {a1} {a3} {a5}");
     }
 
     #[test]
     fn rnn_stride_trades_accuracy() {
         let c = LearningCurve::natural_language_processing();
-        let s1 = c.accuracy(1.0, &q(64), 40.0, 1.0, seed());
-        let s32 = c.accuracy(32.0, &q(64), 40.0, 1.0, seed());
+        let s1 = accuracy(&c, 1.0, &q(64), 40.0, 1.0, seed());
+        let s32 = accuracy(&c, 32.0, &q(64), 40.0, 1.0, seed());
         assert!(s1 > s32, "stride 32 loses information: {s1} vs {s32}");
     }
 
     #[test]
     fn noise_is_reproducible_and_config_dependent() {
         let c = LearningCurve::speech_recognition();
-        let a = c.accuracy(64.0, &q(64), 5.0, 0.5, seed());
-        let b = c.accuracy(64.0, &q(64), 5.0, 0.5, seed());
+        let a = accuracy(&c, 64.0, &q(64), 5.0, 0.5, seed());
+        let b = accuracy(&c, 64.0, &q(64), 5.0, 0.5, seed());
         assert_eq!(a, b, "same seed and config must reproduce exactly");
-        let other = c.accuracy(64.0, &q(64), 5.0, 0.5, SeedStream::new(124));
+        let other = accuracy(&c, 64.0, &q(64), 5.0, 0.5, SeedStream::new(124));
         assert_ne!(a, other);
     }
 
@@ -327,7 +458,7 @@ mod tests {
         let c = LearningCurve::image_classification();
         for epochs in [0.0, 1.0, 1000.0] {
             for frac in [0.01, 0.5, 1.0] {
-                let a = c.accuracy(50.0, &q(1), epochs, frac, seed());
+                let a = accuracy(&c, 50.0, &q(1), epochs, frac, seed());
                 assert!((0.0..=1.0).contains(&a), "acc={a}");
             }
         }
@@ -337,7 +468,7 @@ mod tests {
     #[should_panic(expected = "data fraction")]
     fn rejects_zero_fraction() {
         let c = LearningCurve::image_classification();
-        let _ = c.accuracy(18.0, &q(32), 1.0, 0.0, seed());
+        let _ = accuracy(&c, 18.0, &q(32), 1.0, 0.0, seed());
     }
 
     #[test]
@@ -345,7 +476,7 @@ mod tests {
         let c = LearningCurve::image_classification();
         let quality = q(128);
         let traj: Vec<f64> = (1..=20)
-            .map(|e| c.accuracy(18.0, &quality, f64::from(e), 1.0, seed()))
+            .map(|e| accuracy(&c, 18.0, &quality, f64::from(e), 1.0, seed()))
             .collect();
         for w in traj.windows(2) {
             assert!(w[1] >= w[0] - 0.04, "trajectory must not collapse: {w:?}");
@@ -362,7 +493,7 @@ mod tests {
         let quality = q(128);
         let epochs = c.epochs_to_accuracy(18.0, &quality, 1.0, 0.8).unwrap();
         // Running that many epochs should land at the target (± noise).
-        let acc = c.accuracy(18.0, &quality, epochs, 1.0, seed());
+        let acc = accuracy(&c, 18.0, &quality, epochs, 1.0, seed());
         assert!((acc - 0.8).abs() < 0.05, "epochs={epochs}, acc={acc}");
     }
 

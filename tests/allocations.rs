@@ -1,9 +1,8 @@
-//! Allocation ceiling: the heap allocations a traced study costs per
-//! trial must not creep back up. The global allocator below counts every
+//! Allocation ceilings: the heap allocations a study costs per trial
+//! must not creep back up. The global allocator below counts every
 //! `alloc` and `realloc` made by the thread that enabled counting; the
-//! test harness's own threads keep their counters off, so the figure is
-//! the study's alone. This file holds one test so no other test's
-//! allocations can land on the counted thread.
+//! test harness's own threads and every other test's thread keep their
+//! counters off, so each figure is its study's alone.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -55,10 +54,34 @@ fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (value, counted)
 }
 
-/// When this ceiling was set the study measured 74 allocations per trial
-/// (3891 over 52 trials), in debug and release builds alike; the ceiling
-/// leaves 10 % headroom on that.
-const ALLOCS_PER_TRIAL_CEILING: u64 = 81;
+/// When this ceiling was set the traced IC study measured 66 allocations
+/// per trial (3448 over 52 trials), in debug and release builds alike;
+/// the ceiling leaves 10 % headroom on that.
+const ALLOCS_PER_TRIAL_CEILING: u64 = 72;
+
+/// Initial configurations of the sweep study.
+const SWEEP_CONFIGS: usize = 729;
+
+/// When this ceiling was set the sweep study measured 8.1 allocations per
+/// trial (8757 over 1080 trials), in debug and release builds alike; the
+/// ceiling leaves 10 % headroom on that, rounded up.
+const SWEEP_ALLOCS_PER_TRIAL_CEILING: u64 = 9;
+
+/// Allocations per trial of a study, run traced or not, and the totals.
+fn allocations_per_trial(config: EdgeTuneConfig, traced: bool) -> (u64, u64, u64) {
+    let (report, allocs) = allocations_of(|| {
+        let study = EdgeTune::new(config);
+        if traced {
+            study.run_traced().map(|(report, _trace)| report)
+        } else {
+            study.run()
+        }
+        .expect("study completes")
+    });
+    let trials = report.history().len() as u64;
+    assert!(trials > 0, "the study ran no trials");
+    (allocs / trials, allocs, trials)
+}
 
 #[test]
 fn a_traced_study_stays_under_its_allocation_ceiling() {
@@ -66,14 +89,28 @@ fn a_traced_study_stays_under_its_allocation_ceiling() {
         .with_metric(Metric::Runtime)
         .with_scheduler(SchedulerConfig::new(8, 2.0, 8))
         .with_seed(42);
-    let ((report, _trace), allocs) =
-        allocations_of(|| EdgeTune::new(config).run_traced().expect("study completes"));
-    let trials = report.history().len() as u64;
-    assert!(trials > 0, "the study ran no trials");
-    let per_trial = allocs / trials;
+    let (per_trial, allocs, trials) = allocations_per_trial(config, true);
     assert!(
         per_trial <= ALLOCS_PER_TRIAL_CEILING,
         "{per_trial} allocations per trial ({allocs} over {trials} trials), \
          ceiling {ALLOCS_PER_TRIAL_CEILING}"
+    );
+}
+
+/// A plain single-bracket sweep: the simulated backend's per-trial path
+/// with little else around it (the shape of the benchmark's
+/// `study-sweep`, sized for a debug build).
+#[test]
+fn a_sweep_study_stays_under_its_allocation_ceiling() {
+    let config = EdgeTuneConfig::for_workload(WorkloadId::Ic)
+        .with_metric(Metric::Runtime)
+        .with_scheduler(SchedulerConfig::new(SWEEP_CONFIGS, 3.0, 16))
+        .without_hyperband()
+        .with_seed(42);
+    let (per_trial, allocs, trials) = allocations_per_trial(config, false);
+    assert!(
+        per_trial <= SWEEP_ALLOCS_PER_TRIAL_CEILING,
+        "{per_trial} allocations per trial ({allocs} over {trials} trials), \
+         ceiling {SWEEP_ALLOCS_PER_TRIAL_CEILING}"
     );
 }

@@ -19,7 +19,7 @@ use edgetune_util::rng::SeedStream;
 use edgetune_util::stats::{quantiles, BoxPlot};
 use edgetune_util::units::Seconds;
 use edgetune_workloads::catalog::Workload;
-use edgetune_workloads::curve::TrainingQuality;
+use edgetune_workloads::curve::{NoiseLabels, TrainingQuality};
 use edgetune_workloads::WorkloadId;
 use proptest::prelude::*;
 use rand::Rng;
@@ -133,8 +133,9 @@ proptest! {
         let hp = w.model_hp_values[hp_idx.min(w.model_hp_values.len() - 1)];
         let quality = TrainingQuality::from_batch(batch);
         let seed = SeedStream::new(1);
-        let a1 = w.simulated_accuracy(hp, &quality, epochs, frac, seed);
-        let a2 = w.simulated_accuracy(hp, &quality, epochs * 2.0, frac, seed);
+        let mut labels = NoiseLabels::default();
+        let a1 = w.simulated_accuracy(&mut labels, hp, &quality, epochs, frac, seed);
+        let a2 = w.simulated_accuracy(&mut labels, hp, &quality, epochs * 2.0, frac, seed);
         // Each call draws independent N(0, 1%) noise, so the
         // difference has σ√2 ≈ 1.41%; allow 4σ of the difference.
         prop_assert!(a2 >= a1 - 0.06, "acc fell: {a1} -> {a2}");
@@ -150,8 +151,9 @@ proptest! {
         let hp = w.model_hp_values[0];
         let quality = TrainingQuality::from_batch(128);
         let seed = SeedStream::new(2);
-        let partial = w.simulated_accuracy(hp, &quality, 200.0, frac, seed);
-        let full = w.simulated_accuracy(hp, &quality, 200.0, 1.0, seed);
+        let mut labels = NoiseLabels::default();
+        let partial = w.simulated_accuracy(&mut labels, hp, &quality, 200.0, frac, seed);
+        let full = w.simulated_accuracy(&mut labels, hp, &quality, 200.0, 1.0, seed);
         prop_assert!(full >= partial - 0.04, "{partial} vs {full}");
     }
 
@@ -164,7 +166,14 @@ proptest! {
         let hp = w.model_hp_values[0];
         let quality = TrainingQuality::from_batch(96);
         if let Some(epochs) = w.epochs_to_accuracy(hp, &quality, 1.0, target) {
-            let acc = w.simulated_accuracy(hp, &quality, epochs, 1.0, SeedStream::new(3));
+            let acc = w.simulated_accuracy(
+                &mut NoiseLabels::default(),
+                hp,
+                &quality,
+                epochs,
+                1.0,
+                SeedStream::new(3),
+            );
             prop_assert!((acc - target).abs() < 0.05, "target {target}, got {acc}");
         }
     }
