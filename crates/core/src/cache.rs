@@ -107,18 +107,16 @@ impl HistoricalCache {
         f(std::str::from_utf8(&buf[..len]).expect("joined from whole strings"))
     }
 
-    /// Looks up a recommendation, recording hit/miss.
-    pub fn lookup(&mut self, key: &CacheKey) -> Option<InferenceRecommendation> {
-        match Self::with_entry_key(key, |k| self.entries.get(k).cloned()) {
-            Some(rec) => {
-                self.stats.hits += 1;
-                Some(rec)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+    /// Looks up a recommendation, recording hit/miss. A hit lends the
+    /// stored entry; the caller copies what it reads.
+    pub fn lookup(&mut self, key: &CacheKey) -> Option<&InferenceRecommendation> {
+        let found = Self::with_entry_key(key, |k| self.entries.get(k));
+        if found.is_some() {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
         }
+        found
     }
 
     /// Records a miss without a lookup — used when caching is disabled
@@ -339,7 +337,7 @@ mod tests {
         let path = dir.join("cache.json");
         std::fs::write(&path, SAVED).unwrap();
         let mut loaded = HistoricalCache::load(&path).unwrap();
-        assert_eq!(loaded.lookup(&key("ResNet/layers=18")), Some(rec(8)));
+        assert_eq!(loaded.lookup(&key("ResNet/layers=18")), Some(&rec(8)));
         let energy = CacheKey::new("Raspberry Pi 3B+", "ResNet/layers=18", Metric::Energy);
         assert!(loaded.lookup(&energy).is_none());
         assert_eq!(loaded.stats(), CacheStats { hits: 1, misses: 1 });
@@ -357,7 +355,7 @@ mod tests {
             assert!(cache.store(&key, rec(8)).is_none());
             assert_eq!(cache.store(&key, rec(16)), Some(rec(8)));
             assert_eq!(cache.peek(&key), Some(&rec(16)));
-            assert_eq!(cache.lookup(&key), Some(rec(16)));
+            assert_eq!(cache.lookup(&key), Some(&rec(16)));
             let entry_key = format!("{device}|{arch}|runtime");
             assert_eq!(entry_key.len(), 94 + arch_len);
             assert_eq!(cache.entries.keys().collect::<Vec<_>>(), [&entry_key]);

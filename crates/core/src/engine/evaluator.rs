@@ -205,15 +205,20 @@ impl OnefoldEvaluator {
             self.fault_instant("worker-loss", self.globals.clock);
             attempt += 1;
         }
-        if let Some(recommendation) = self.globals.cache.peek(key).cloned() {
+        if let Some(reply) = self
+            .globals
+            .cache
+            .peek(key)
+            .map(InferenceReply::from_history)
+        {
             self.globals.degradation.stale_cache_served += 1;
             self.fault_instant("stale_cache", self.globals.clock);
-            return (InferenceReply::from_history(recommendation), extra);
+            return (reply, extra);
         }
         self.globals.degradation.default_recommendations += 1;
         self.fault_instant("device_default", self.globals.clock);
         let recommendation = fallback_recommendation(&self.config.edge_device, &profile);
-        (InferenceReply::from_history(recommendation), extra)
+        (InferenceReply::from_history(&recommendation), extra)
     }
 
     /// Runs the training side of one trial under the built-in retry
@@ -374,8 +379,8 @@ impl OnefoldEvaluator {
             accuracy,
             train_time: train_runtime,
             train_energy,
-            inference_time: Some(reply.recommendation.latency_per_item),
-            inference_energy: Some(reply.recommendation.energy_per_item),
+            inference_time: Some(reply.latency_per_item),
+            inference_energy: Some(reply.energy_per_item),
         };
         let score = self.objective.score(&measurement);
         let mut outcome = TrialOutcome::new(

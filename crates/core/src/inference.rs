@@ -244,11 +244,14 @@ fn recommendation(
     }
 }
 
-/// The answer to one inference-tuning request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The answer to one inference-tuning request: what the trial's
+/// objective reads of the recommendation, and what the answer cost.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct InferenceReply {
-    /// The deployment recommendation for the requested architecture.
-    pub recommendation: InferenceRecommendation,
+    /// Per-item inference latency of the recommended deployment.
+    pub latency_per_item: Seconds,
+    /// Per-item inference energy of the recommended deployment.
+    pub energy_per_item: JoulesPerItem,
     /// Simulated duration the tuning sweep took (zero on a cache hit).
     pub runtime: Seconds,
     /// Simulated energy the tuning sweep consumed (zero on a cache hit).
@@ -261,12 +264,24 @@ impl InferenceReply {
     /// An answer no sweep was paid for: a cache hit, or a degraded
     /// stand-in accounted like one.
     #[must_use]
-    pub fn from_history(recommendation: InferenceRecommendation) -> Self {
+    pub fn from_history(recommendation: &InferenceRecommendation) -> Self {
+        InferenceReply::swept(recommendation, Seconds::ZERO, Joules::ZERO, true)
+    }
+
+    /// An answer for `recommendation` whose sweep took `runtime` and
+    /// consumed `energy`.
+    fn swept(
+        recommendation: &InferenceRecommendation,
+        runtime: Seconds,
+        energy: Joules,
+        cache_hit: bool,
+    ) -> Self {
         InferenceReply {
-            recommendation,
-            runtime: Seconds::ZERO,
-            energy: Joules::ZERO,
-            cache_hit: true,
+            latency_per_item: recommendation.latency_per_item,
+            energy_per_item: recommendation.energy_per_item,
+            runtime,
+            energy,
+            cache_hit,
         }
     }
 }
@@ -390,15 +405,11 @@ impl InferenceEndpoint {
             return InferenceReply::from_history(hit);
         }
         let (recommendation, cost) = self.server.tune(profile);
+        let reply = InferenceReply::swept(&recommendation, cost.runtime, cost.energy, false);
         if self.caching {
-            globals.cache.store(key, recommendation.clone());
+            globals.cache.store(key, recommendation);
         }
-        InferenceReply {
-            recommendation,
-            runtime: cost.runtime,
-            energy: cost.energy,
-            cache_hit: false,
-        }
+        reply
     }
 }
 
@@ -571,7 +582,8 @@ mod tests {
             "same architecture must be served from history"
         );
         assert_eq!(second.runtime, Seconds::ZERO);
-        assert_eq!(second.recommendation, first.recommendation);
+        assert_eq!(second.latency_per_item, first.latency_per_item);
+        assert_eq!(second.energy_per_item, first.energy_per_item);
     }
 
     #[test]
@@ -582,7 +594,7 @@ mod tests {
         let heavy = endpoint.request(&mut globals, &key("heavy"), heavy);
         let (light, heavy) = (light.unwrap(), heavy.unwrap());
         assert!(!light.cache_hit && !heavy.cache_hit);
-        assert!(heavy.recommendation.throughput.value() < light.recommendation.throughput.value());
+        assert!(heavy.latency_per_item > light.latency_per_item);
         assert_eq!(globals.cache.len(), 2);
     }
 
@@ -719,21 +731,23 @@ mod tests {
             }
             if let Some(known) = self.stored.get(&arch).filter(|_| case.caching) {
                 self.hits += 1;
-                return Some(InferenceReply::from_history(known.clone()));
+                return Some(InferenceReply::from_history(known));
             }
             self.misses += 1;
             let (recommendation, cost) = tuned[arch].clone();
             let outage = case.faults.device_outage(seq);
             self.outages += u64::from(outage.is_some());
-            if case.caching {
-                self.stored.insert(arch, recommendation.clone());
-            }
-            Some(InferenceReply {
-                recommendation,
+            let reply = InferenceReply {
+                latency_per_item: recommendation.latency_per_item,
+                energy_per_item: recommendation.energy_per_item,
                 runtime: cost.runtime + outage.unwrap_or(Seconds::ZERO),
                 energy: cost.energy,
                 cache_hit: false,
-            })
+            };
+            if case.caching {
+                self.stored.insert(arch, recommendation);
+            }
+            Some(reply)
         }
     }
 
