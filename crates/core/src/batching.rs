@@ -128,32 +128,15 @@ impl MultiStreamScenario {
     }
 }
 
-/// Memoised `simulate_inference` latency per batch size on one
-/// allocation: a sweep's candidates share it, so each size is simulated
-/// once per allocation.
-pub(crate) fn batch_latency<'a>(
-    device: &'a DeviceSpec,
-    alloc: &'a CpuAllocation,
-    profile: &'a WorkProfile,
-) -> impl FnMut(u32) -> f64 + 'a {
-    let mut cache: Vec<Option<f64>> = Vec::new();
-    move |size| {
-        let idx = size as usize;
-        if idx >= cache.len() {
-            cache.resize(idx + 1, None);
-        }
-        *cache[idx].get_or_insert_with(|| {
-            simulate_inference(device, alloc, profile, size)
-                .latency
-                .value()
-        })
-    }
-}
-
 /// The greedy aggregation queue of a multi-stream run over sorted
 /// `arrivals`: whenever the server is free it takes every queued sample
 /// (up to `batch_cap`) and runs them as one batch, whose latency is
 /// `service(size)`.
+///
+/// Also returns whether the cap ever *bound*: some batch stopped at the
+/// cap while a further sample was already waiting at its start. A cap
+/// that never bound forms every batch as an unlimited one would, so each
+/// larger cap replays the same trajectory, bit for bit.
 ///
 /// # Panics
 ///
@@ -162,12 +145,13 @@ pub(crate) fn replay(
     arrivals: &[f64],
     batch_cap: u32,
     service: &mut impl FnMut(u32) -> f64,
-) -> QueueStats {
+) -> (QueueStats, bool) {
     assert!(batch_cap >= 1, "batch cap must be >= 1");
     let mut response_sum = 0.0;
     let mut free_at = 0.0f64;
     let mut next = 0usize;
     let mut batches = 0u64;
+    let mut bound = false;
     while next < arrivals.len() {
         // The server takes the oldest waiting sample as soon as both
         // are ready, and everything else that has arrived by then.
@@ -178,6 +162,7 @@ pub(crate) fn replay(
             next += 1;
         }
         debug_assert!(size >= 1, "the anchor sample has arrived by `start`");
+        bound |= size == batch_cap && next < arrivals.len() && arrivals[next] <= start;
         let completion = start + service(size);
         for &arrival in &arrivals[next - size as usize..next] {
             response_sum += completion - arrival;
@@ -185,11 +170,12 @@ pub(crate) fn replay(
         batches += 1;
         free_at = completion;
     }
-    QueueStats {
+    let stats = QueueStats {
         mean_response: Seconds::new(response_sum / arrivals.len() as f64),
         batches_served: batches,
         mean_batch_size: arrivals.len() as f64 / batches as f64,
-    }
+    };
+    (stats, bound)
 }
 
 #[cfg(test)]
@@ -197,6 +183,7 @@ mod tests {
     use super::*;
     use crate::inference::InferenceSpace;
     use crate::scenario::{tune_for_scenario, Scenario, ScenarioRecommendation};
+    use crate::serve::ScenarioRetuner;
     use rand::Rng;
 
     fn setup() -> (DeviceSpec, CpuAllocation, WorkProfile) {
@@ -204,6 +191,19 @@ mod tests {
         let alloc = CpuAllocation::full(&device);
         let profile = WorkProfile::new(0.56e9, 3.0e6, 44.8e6);
         (device, alloc, profile)
+    }
+
+    /// The `simulate_inference` latency of each batch size on `alloc`.
+    fn latency<'a>(
+        device: &'a DeviceSpec,
+        alloc: &'a CpuAllocation,
+        profile: &'a WorkProfile,
+    ) -> impl FnMut(u32) -> f64 + 'a {
+        |size| {
+            simulate_inference(device, alloc, profile, size)
+                .latency
+                .value()
+        }
     }
 
     /// The greedy queue's mean response time for one batch cap, as the
@@ -216,8 +216,10 @@ mod tests {
         batch_cap: u32,
         seed: SeedStream,
     ) -> Seconds {
-        let service = &mut batch_latency(device, alloc, profile);
-        replay(&scenario.draw_arrivals(seed), batch_cap, service).mean_response
+        let service = &mut latency(device, alloc, profile);
+        replay(&scenario.draw_arrivals(seed), batch_cap, service)
+            .0
+            .mean_response
     }
 
     /// The one-point space on `setup`'s full allocation, sweeping only
@@ -233,7 +235,9 @@ mod tests {
     /// The greedy policy written on its own: whenever the server is free
     /// it takes every queued sample up to `batch_cap`, and every call
     /// draws its own arrivals and simulates every batch size afresh. The
-    /// oracle [`replay`] and the sweeps are held to, bit for bit.
+    /// oracle [`replay`] and the sweeps are held to, bit for bit. Also
+    /// returns whether more samples than the cap were ever waiting when
+    /// a batch started.
     fn reference_simulate(
         scenario: &MultiStreamScenario,
         device: &DeviceSpec,
@@ -241,7 +245,7 @@ mod tests {
         profile: &WorkProfile,
         batch_cap: u32,
         seed: SeedStream,
-    ) -> QueueStats {
+    ) -> (QueueStats, bool) {
         let mut rng = seed.rng("multi-stream-arrivals");
         let mut t = 0.0;
         let arrivals: Vec<f64> = (0..scenario.arrivals)
@@ -254,8 +258,11 @@ mod tests {
         let mut free_at = 0.0f64;
         let mut next = 0usize;
         let mut batches = 0u64;
+        let mut overflowed = false;
         while next < arrivals.len() {
             let start = free_at.max(arrivals[next]);
+            let waiting = arrivals[next..].iter().take_while(|&&a| a <= start).count();
+            overflowed |= waiting > batch_cap as usize;
             let mut size = 0u32;
             while next < arrivals.len() && arrivals[next] <= start && size < batch_cap {
                 size += 1;
@@ -271,11 +278,12 @@ mod tests {
             batches += 1;
             free_at = completion;
         }
-        QueueStats {
+        let stats = QueueStats {
             mean_response: Seconds::new(response_sum / scenario.arrivals as f64),
             batches_served: batches,
             mean_batch_size: scenario.arrivals as f64 / batches as f64,
-        }
+        };
+        (stats, overflowed)
     }
 
     /// [`crate::scenario::tune_for_scenario`] as a loop over
@@ -296,6 +304,7 @@ mod tests {
                         Scenario::Server(s) => s.response_time(device, &alloc, profile, batch),
                         Scenario::MultiStream(s) => Some(
                             reference_simulate(s, device, &alloc, profile, batch, seed)
+                                .0
                                 .mean_response,
                         ),
                     };
@@ -315,7 +324,9 @@ mod tests {
         best
     }
 
-    fn assert_same_stats(got: QueueStats, want: QueueStats, context: &str) {
+    fn assert_same_replay(got: (QueueStats, bool), want: (QueueStats, bool), context: &str) {
+        let ((got, got_bound), (want, want_bound)) = (got, want);
+        assert_eq!(got_bound, want_bound, "{context}: cap bound");
         assert_eq!(
             got.mean_response.value().to_bits(),
             want.mean_response.value().to_bits(),
@@ -372,11 +383,11 @@ mod tests {
                         );
                     }
                     for cap in [1, 7, 64] {
-                        assert_same_stats(
+                        assert_same_replay(
                             replay(
                                 &scenario.draw_arrivals(seed),
                                 cap,
-                                &mut batch_latency(&device, &alloc, &profile),
+                                &mut latency(&device, &alloc, &profile),
                             ),
                             reference_simulate(&scenario, &device, &alloc, &profile, cap, seed),
                             &format!("rate {rate}, {arrivals} arrivals, cap {cap}"),
@@ -394,6 +405,46 @@ mod tests {
                 reference_tune(&device, &full, &profile, &server, seed),
                 "server period {period}"
             );
+        }
+    }
+
+    /// The sweeps that read tabled latencies and skip the caps above one
+    /// that never bound, held to the per-candidate reference bit for bit
+    /// from light to heavy traffic, on the full space and on an unsorted
+    /// batch list.
+    #[test]
+    fn table_backed_pruned_sweeps_match_the_per_candidate_reference() {
+        let (device, _, profile) = setup();
+        let full = InferenceSpace::for_device(&device);
+        let unsorted = InferenceSpace {
+            batches: vec![64, 1, 100, 8],
+            ..full.clone()
+        };
+        for space in [full, unsorted] {
+            let retuner = ScenarioRetuner::new(device.clone(), space.clone(), profile);
+            // Log-spaced from 0.2 to 60 arrivals per second; a short run
+            // leaves the big caps idle while the small ones bind.
+            let rates = (0..8).map(|step| 0.2 * 300.0f64.powf(f64::from(step) / 7.0));
+            for (rate, arrivals) in rates.flat_map(|rate| [(rate, 37), (rate, 400)]) {
+                let scenario = Scenario::MultiStream(MultiStreamScenario::new(rate, arrivals));
+                for seed in (0..8).map(SeedStream::new) {
+                    let context = format!(
+                        "rate {rate}, {arrivals} arrivals, {seed:?}, batches {:?}",
+                        space.batches
+                    );
+                    let want = reference_tune(&device, &space, &profile, &scenario, seed)
+                        .map(|r| (r.batch, r.cores, r.freq, r.mean_response.value().to_bits()));
+                    let got = tune_for_scenario(&device, &space, &profile, &scenario, seed)
+                        .ok()
+                        .map(|r| (r.batch, r.cores, r.freq, r.mean_response.value().to_bits()));
+                    assert_eq!(got, want, "{context}");
+                    let got = retuner.recommend(&scenario, seed).ok().map(|c| {
+                        let response = c.predicted_mean_response.unwrap().value();
+                        (c.batch_cap, c.cores, c.freq, response.to_bits())
+                    });
+                    assert_eq!(got, want, "{context}");
+                }
+            }
         }
     }
 
@@ -526,6 +577,7 @@ mod tests {
                     for seed in [2, 4, 9].map(SeedStream::new) {
                         let greedy =
                             reference_simulate(&scenario, &device, &alloc, &profile, cap, seed)
+                                .0
                                 .mean_response;
                         let got = mean_response(&scenario, &device, &alloc, &profile, cap, seed);
                         assert_eq!(
@@ -543,10 +595,10 @@ mod tests {
     fn batch_cap_bounds_every_batch() {
         let (device, alloc, profile) = setup();
         let scenario = MultiStreamScenario::new(50.0, 500);
-        let stats = replay(
+        let (stats, _) = replay(
             &scenario.draw_arrivals(SeedStream::new(2)),
             8,
-            &mut batch_latency(&device, &alloc, &profile),
+            &mut latency(&device, &alloc, &profile),
         );
         assert!(stats.mean_batch_size <= 8.0 + 1e-9);
         assert!(stats.batches_served >= (500 / 8) as u64);

@@ -9,7 +9,7 @@
 //! batch size under the scenario's queueing model and returns a
 //! [`ScenarioRecommendation`].
 
-use edgetune_device::latency::CpuAllocation;
+use edgetune_device::latency::{simulate_inference, CpuAllocation};
 use edgetune_device::profile::WorkProfile;
 use edgetune_device::spec::DeviceSpec;
 use edgetune_util::rng::SeedStream;
@@ -17,7 +17,7 @@ use edgetune_util::units::{Hertz, Seconds};
 use edgetune_util::{Error, Result};
 use serde::{Deserialize, Serialize};
 
-use crate::batching::{batch_latency, replay, MultiStreamScenario, ServerScenario};
+use crate::batching::{replay, MultiStreamScenario, ServerScenario};
 use crate::inference::InferenceSpace;
 
 /// A deployment traffic pattern (Fig. 8).
@@ -66,6 +66,74 @@ pub fn tune_for_scenario(
     scenario: &Scenario,
     seed: SeedStream,
 ) -> Result<ScenarioRecommendation> {
+    let arrivals = match scenario {
+        Scenario::Server(_) => 0,
+        Scenario::MultiStream(s) => s.arrivals,
+    };
+    let table = latency_table(device, space, profile, arrivals);
+    sweep(device, space, profile, scenario, seed, &table)
+}
+
+/// The `simulate_inference` latency of batch sizes 1..=`width` on every
+/// (cores, freq) allocation of a space, one row per allocation in sweep
+/// order.
+#[derive(Debug, Clone)]
+pub(crate) struct LatencyTable {
+    width: usize,
+    rows: Vec<f64>,
+}
+
+/// Tables the latencies a sweep of `space` over `arrivals` multi-stream
+/// arrivals reads: no batch outgrows its cap or the arrivals it is drawn
+/// from. An invalid space gets an empty table, as the sweep rejects it
+/// before reading.
+pub(crate) fn latency_table(
+    device: &DeviceSpec,
+    space: &InferenceSpace,
+    profile: &WorkProfile,
+    arrivals: usize,
+) -> LatencyTable {
+    if space.validate(device).is_err() {
+        return LatencyTable {
+            width: 0,
+            rows: Vec::new(),
+        };
+    }
+    let max_cap = space.batches.iter().max().map_or(0, |&cap| cap as usize);
+    let width = max_cap.min(arrivals);
+    let mut rows = Vec::with_capacity(space.cores.len() * space.freqs.len() * width);
+    for &cores in &space.cores {
+        for &freq in &space.freqs {
+            let alloc = CpuAllocation::new(device, cores, freq)
+                .expect("a validated space has valid allocations");
+            rows.extend((1..=width as u32).map(|size| {
+                simulate_inference(device, &alloc, profile, size)
+                    .latency
+                    .value()
+            }));
+        }
+    }
+    LatencyTable { width, rows }
+}
+
+/// The sweep behind [`tune_for_scenario`] and the
+/// [`ScenarioRetuner`](crate::serve::ScenarioRetuner): every
+/// (cores, freq) allocation in order, every batch size under it, with
+/// latencies read from `table` (a batch past it, which only a scenario
+/// with more arrivals than the table was built for forms, is simulated
+/// on the spot).
+///
+/// A multi-stream candidate whose cap never bound ties with every larger
+/// cap on its allocation, and the strict `<` never picks a tie, so those
+/// are skipped.
+pub(crate) fn sweep(
+    device: &DeviceSpec,
+    space: &InferenceSpace,
+    profile: &WorkProfile,
+    scenario: &Scenario,
+    seed: SeedStream,
+    table: &LatencyTable,
+) -> Result<ScenarioRecommendation> {
     space.validate(device)?;
     // Every multi-stream candidate replays the same arrivals, so they are
     // drawn once per sweep.
@@ -73,32 +141,54 @@ pub fn tune_for_scenario(
         Scenario::Server(_) => Vec::new(),
         Scenario::MultiStream(s) => s.draw_arrivals(seed),
     };
-    let mut best: Option<ScenarioRecommendation> = None;
+    // (batch, cores, freq, response) of the best candidate so far.
+    let mut best: Option<(u32, u32, Hertz, Seconds)> = None;
+    let mut index = 0;
     for &cores in &space.cores {
         for &freq in &space.freqs {
             let alloc = CpuAllocation::new(device, cores, freq)?;
-            let mut service = batch_latency(device, &alloc, profile);
+            // The smallest cap on this allocation that never bound: every
+            // cap above it ties with it.
+            let mut unbound: Option<u32> = None;
             for &batch in &space.batches {
                 let response = match scenario {
                     Scenario::Server(s) => s.response_time(device, &alloc, profile, batch),
                     Scenario::MultiStream(_) => {
-                        Some(replay(&arrivals, batch, &mut service).mean_response)
+                        if unbound.is_some_and(|cap| batch > cap) {
+                            continue;
+                        }
+                        let row = &table.rows[index * table.width..][..table.width];
+                        let service = &mut |size: u32| match row.get(size as usize - 1) {
+                            Some(&latency) => latency,
+                            None => simulate_inference(device, &alloc, profile, size)
+                                .latency
+                                .value(),
+                        };
+                        let (stats, bound) = replay(&arrivals, batch, service);
+                        if !bound {
+                            unbound = Some(batch);
+                        }
+                        Some(stats.mean_response)
                     }
                 };
                 let Some(response) = response else { continue };
-                if best.as_ref().is_none_or(|b| response < b.mean_response) {
-                    best = Some(ScenarioRecommendation {
-                        device: device.name.clone(),
-                        batch,
-                        cores,
-                        freq,
-                        mean_response: response,
-                    });
+                if best.is_none_or(|(.., b)| response < b) {
+                    best = Some((batch, cores, freq, response));
                 }
             }
+            index += 1;
         }
     }
-    best.ok_or_else(|| Error::numerical("no stable configuration for the scenario's arrival rate"))
+    let (batch, cores, freq, mean_response) = best.ok_or_else(|| {
+        Error::numerical("no stable configuration for the scenario's arrival rate")
+    })?;
+    Ok(ScenarioRecommendation {
+        device: device.name.clone(),
+        batch,
+        cores,
+        freq,
+        mean_response,
+    })
 }
 
 #[cfg(test)]

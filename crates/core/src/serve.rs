@@ -3,8 +3,10 @@
 //! `edgetune-serving` is deliberately ignorant of the tuner: its runtime
 //! asks an [`OnlineTuner`] for a fresh configuration when traffic drifts.
 //! This module provides that implementation — [`ScenarioRetuner`]
-//! re-invokes [`tune_for_scenario`] against the estimated arrival rate and
-//! converts the [`ScenarioRecommendation`] into a deployable
+//! runs the sweep of
+//! [`tune_for_scenario`](crate::scenario::tune_for_scenario) against
+//! the estimated arrival rate, reading latencies from a table it builds
+//! once, and converts the [`ScenarioRecommendation`] into a deployable
 //! [`ServingConfig`] — plus the conversion helper the CLI and examples use
 //! to deploy an offline recommendation.
 
@@ -18,7 +20,7 @@ use edgetune_util::Result;
 
 use crate::batching::MultiStreamScenario;
 use crate::inference::InferenceSpace;
-use crate::scenario::{tune_for_scenario, Scenario, ScenarioRecommendation};
+use crate::scenario::{latency_table, sweep, LatencyTable, Scenario, ScenarioRecommendation};
 
 /// Arrivals simulated per online re-tune: enough to average the queueing
 /// behaviour without stalling the serving loop.
@@ -52,16 +54,21 @@ pub struct ScenarioRetuner {
     device: DeviceSpec,
     space: InferenceSpace,
     profile: WorkProfile,
+    /// The latencies its sweeps read, built once.
+    latencies: LatencyTable,
 }
 
 impl ScenarioRetuner {
-    /// Creates a re-tuner sweeping `space` for `profile` on `device`.
+    /// Creates a re-tuner sweeping `space` for `profile` on `device`, and
+    /// tables the latencies its sweeps read.
     #[must_use]
     pub fn new(device: DeviceSpec, space: InferenceSpace, profile: WorkProfile) -> Self {
+        let latencies = latency_table(&device, &space, &profile, RETUNE_ARRIVALS);
         ScenarioRetuner {
             device,
             space,
             profile,
+            latencies,
         }
     }
 
@@ -70,10 +77,18 @@ impl ScenarioRetuner {
     ///
     /// # Errors
     ///
-    /// Propagates [`tune_for_scenario`] errors (invalid space, or no
-    /// stable configuration for a server scenario).
+    /// Propagates the errors of
+    /// [`tune_for_scenario`](crate::scenario::tune_for_scenario) (invalid
+    /// space, or no stable configuration for a server scenario).
     pub fn recommend(&self, scenario: &Scenario, seed: SeedStream) -> Result<ServingConfig> {
-        let rec = tune_for_scenario(&self.device, &self.space, &self.profile, scenario, seed)?;
+        let rec = sweep(
+            &self.device,
+            &self.space,
+            &self.profile,
+            scenario,
+            seed,
+            &self.latencies,
+        )?;
         Ok(config_from_recommendation(&rec, scenario_rate(scenario)))
     }
 
@@ -144,6 +159,7 @@ impl OnlineTuner for ScenarioRetuner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::tune_for_scenario;
     use edgetune_util::units::Seconds;
     use edgetune_workloads::catalog::Workload;
     use edgetune_workloads::WorkloadId;
@@ -191,6 +207,26 @@ mod tests {
         assert_eq!(
             r.retune(12.0, SeedStream::new(4)),
             r.retune(12.0, SeedStream::new(4))
+        );
+    }
+
+    #[test]
+    fn batches_past_the_table_are_simulated() {
+        // Two thousand arrivals at 200/s form batches of more than a
+        // re-tune's 400 samples, which the table does not hold.
+        let r = retuner();
+        let space = InferenceSpace {
+            batches: vec![1, 1_000],
+            ..r.space
+        };
+        let r = ScenarioRetuner::new(r.device, space, r.profile);
+        let scenario = Scenario::MultiStream(MultiStreamScenario::new(200.0, 2_000));
+        let seed = SeedStream::new(9);
+        let rec = tune_for_scenario(&r.device, &r.space, &r.profile, &scenario, seed).unwrap();
+        assert_eq!(rec.batch, 1_000);
+        assert_eq!(
+            r.recommend(&scenario, seed).unwrap(),
+            config_from_recommendation(&rec, 200.0)
         );
     }
 

@@ -8,6 +8,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use edgetune::prelude::*;
+use edgetune::ScenarioRetuner;
+use edgetune_device::spec::DeviceSpec;
+use edgetune_serving::OnlineTuner;
+use edgetune_util::rng::SeedStream;
+use edgetune_workloads::catalog::Workload;
 
 struct CountingAllocator;
 
@@ -74,6 +79,15 @@ const SWEEP_ALLOCS_PER_TRIAL_CEILING: u64 = 8;
 /// One allocation per number or key written would be thousands.
 const SWEEP_REPORT_JSON_ALLOCS_CEILING: u64 = 20;
 
+/// Allocations one `ScenarioRetuner::retune` may make on the Pi's full
+/// inference space (72 candidates). When this ceiling was set a re-tune
+/// measured 2 at every rate, in debug and release builds alike: the
+/// arrival draw and the recommendation's device name, whatever the size
+/// of the space. Before the retuner tabled its latencies a re-tune made
+/// 16, 61 and 76 at the rates below (a latency memo grown per
+/// allocation, a device name per improvement).
+const RETUNE_ALLOCS_CEILING: u64 = 2;
+
 /// The plain single-bracket sweep: the simulated backend's per-trial
 /// path with little else around it (the shape of the benchmark's
 /// `study-sweep`, sized for a debug build).
@@ -138,4 +152,24 @@ fn a_sweep_report_serialises_without_an_allocation_per_value() {
         "{allocs} allocations for {} bytes of report JSON, ceiling {SWEEP_REPORT_JSON_ALLOCS_CEILING}",
         json.len()
     );
+}
+
+/// A re-tune reads its latencies from the retuner's table and builds one
+/// recommendation: it allocates a constant, not per allocation or
+/// candidate.
+#[test]
+fn a_retune_stays_under_its_allocation_ceiling() {
+    let device = DeviceSpec::raspberry_pi_3b();
+    let workload = Workload::by_id(WorkloadId::Ic);
+    let profile = workload.profile(workload.model_hp_values[0]);
+    let space = InferenceSpace::for_device(&device);
+    let retuner = ScenarioRetuner::new(device, space, profile);
+    for rate in [0.5, 10.0, 40.0] {
+        let (config, allocs) = allocations_of(|| retuner.retune(rate, SeedStream::new(42)));
+        assert!(config.is_some(), "{rate}/s is tunable");
+        assert!(
+            allocs <= RETUNE_ALLOCS_CEILING,
+            "{allocs} allocations re-tuning for {rate}/s, ceiling {RETUNE_ALLOCS_CEILING}"
+        );
+    }
 }

@@ -120,15 +120,17 @@ fn serving_runtime_is_an_md1_queue() {
 
 /// The serving runtime's event loop re-derived from its rules, for caps
 /// above 1 and several workers, where no closed form exists. Returns
-/// (served, batches, makespan, mean, p99, energy).
+/// (served, batches, makespan, mean, p99, energy, mean queue depth, max
+/// queue depth).
 fn reference_des(
     (device, profile): (&DeviceSpec, &WorkProfile),
     arrivals: &[f64],
     (workers, cap): (usize, usize),
-) -> (u64, u64, f64, f64, f64, f64) {
+) -> (u64, u64, f64, f64, f64, f64, f64, u64) {
     let alloc = CpuAllocation::full(device);
     let (mut free, mut responses) = (vec![0.0f64; workers], Vec::new());
     let (mut next, mut batches, mut makespan, mut energy) = (0, 0u64, 0.0f64, 0.0f64);
+    let (mut depth_sum, mut depth_max) = (0.0f64, 0u64);
     while next < arrivals.len() {
         // The earliest-free worker (lowest index on a tie) takes the
         // oldest waiting request and every other one that has arrived by
@@ -144,10 +146,25 @@ fn reference_des(
         responses.extend(arrivals[first..next].iter().map(|a| done - a));
         (free[w], makespan, batches) = (done, makespan.max(done), batches + 1);
         energy += run.energy.value();
+        // The backlog at completion: every request not yet taken that
+        // has arrived by then, counted one by one.
+        let backlog = arrivals[next..].iter().take_while(|&&a| a <= done).count() as u64;
+        (depth_sum, depth_max) = (depth_sum + backlog as f64, depth_max.max(backlog));
     }
     let mean_response = responses.iter().sum::<f64>() / responses.len() as f64;
     let [p99] = quantiles(&mut responses, [0.99]).unwrap();
-    (next as u64, batches, makespan, mean_response, p99, energy)
+    let mean_depth = depth_sum / batches as f64;
+    let served = next as u64;
+    (
+        served,
+        batches,
+        makespan,
+        mean_response,
+        p99,
+        energy,
+        mean_depth,
+        depth_max,
+    )
 }
 
 /// Relative agreement the exact oracles below are held to.
@@ -192,6 +209,11 @@ fn serving_runtime_matches_a_reference_des() {
         let want = reference_des((device, profile), &arrivals, shape);
         let cell = format!("workers {workers}, cap {cap}");
         assert_eq!((got.served, got.batches), (want.0, want.1), "{cell}");
+        assert_eq!(
+            (got.mean_queue_depth.to_bits(), got.max_queue_depth),
+            (want.6.to_bits(), want.7),
+            "{cell}: queue depth"
+        );
         for (what, got, want) in [
             ("makespan", got.makespan.value(), want.2),
             ("mean_response", got.mean_response.value(), want.3),
