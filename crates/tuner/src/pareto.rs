@@ -16,6 +16,8 @@
 //! quantile), so candidates maximising `l(x)/g(x)` are exactly those
 //! expected to improve the dominated hypervolume.
 
+use std::collections::VecDeque;
+
 use edgetune_util::rng::SeedStream;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -330,7 +332,7 @@ const MAX_OBSERVATIONS: usize = 256;
 #[derive(Debug)]
 pub struct ParetoTpeSampler {
     rng: StdRng,
-    observed: Vec<(Config, ObjectiveVector)>,
+    observed: VecDeque<(Config, ObjectiveVector)>,
 }
 
 impl ParetoTpeSampler {
@@ -342,7 +344,7 @@ impl ParetoTpeSampler {
             // below MIN_OBSERVATIONS both draw the same random stream, so
             // a Pareto study explores the same opening cohort.
             rng: seed.rng("tpe-sampler"),
-            observed: Vec::new(),
+            observed: VecDeque::new(),
         }
     }
 
@@ -450,9 +452,9 @@ impl Sampler for ParetoTpeSampler {
         }
         if let Some(vector) = outcome.vector {
             if vector.costs().iter().all(|c| c.is_finite()) {
-                self.observed.push((config.clone(), vector));
+                self.observed.push_back((config.clone(), vector));
                 if self.observed.len() > MAX_OBSERVATIONS {
-                    self.observed.remove(0);
+                    self.observed.pop_front();
                 }
             }
         }

@@ -223,10 +223,12 @@ struct ParzenDim<'a> {
     good: Vec<f64>,
     bad: Vec<f64>,
     bandwidth: f64,
-    /// `ln l − ln g` by snapped coordinate (`f64::to_bits`). `Choice` and
-    /// `Int` domains snap candidates onto a few distinct values that a
-    /// cohort revisits thousands of times; `Float` candidates never
-    /// repeat, so those dimensions carry no memo.
+    /// `ln l − ln g` by domain value (`f64::to_bits`; the snapped
+    /// coordinate is a function of the value, so a hit skips
+    /// [`ParzenModel::transform`] too). `Choice` and `Int` domains snap
+    /// candidates onto a few distinct values that a cohort revisits
+    /// thousands of times; `Float` candidates never repeat, so those
+    /// dimensions carry no memo.
     log_ratios: Option<HashMap<u64, f64>>,
 }
 
@@ -239,12 +241,17 @@ struct ParzenDim<'a> {
 #[derive(Debug)]
 pub(crate) struct ParzenModel<'a> {
     dims: Vec<ParzenDim<'a>>,
+    /// The candidate being drawn and the best one so far, one value per
+    /// dimension: every draw reuses them, so a suggestion builds only the
+    /// winner's [`Config`].
+    row: Vec<f64>,
+    best: Vec<f64>,
 }
 
 impl<'a> ParzenModel<'a> {
     /// Fits per-dimension kernel centres and bandwidths over `space`.
     pub(crate) fn fit(space: &'a SearchSpace, good: &[&Config], bad: &[&Config]) -> Self {
-        let dims = space
+        let dims: Vec<ParzenDim<'a>> = space
             .iter()
             .map(|(name, domain)| {
                 let centres = |set: &[&Config]| -> Vec<f64> {
@@ -266,24 +273,30 @@ impl<'a> ParzenModel<'a> {
                 }
             })
             .collect();
-        ParzenModel { dims }
+        ParzenModel {
+            row: vec![0.0; dims.len()],
+            best: vec![0.0; dims.len()],
+            dims,
+        }
     }
 
-    /// Draws [`CANDIDATES`] configurations from `l(x)` and returns the
-    /// one with the best `l/g` ratio.
+    /// Draws [`CANDIDATES`] candidates from `l(x)` as rows of values and
+    /// returns the one with the best `l/g` ratio (the first, on a tie).
     pub(crate) fn draw(&mut self, rng: &mut StdRng) -> Config {
-        let mut best: Option<(Config, f64)> = None;
-        for _ in 0..CANDIDATES {
-            let mut config = Config::new();
+        let mut best_ratio = 0.0;
+        for candidate in 0..CANDIDATES {
             let mut log_ratio = 0.0;
-            for ParzenDim {
-                name,
-                domain,
-                good,
-                bad,
-                bandwidth,
-                log_ratios,
-            } in &mut self.dims
+            for (
+                ParzenDim {
+                    domain,
+                    good,
+                    bad,
+                    bandwidth,
+                    log_ratios,
+                    ..
+                },
+                slot,
+            ) in self.dims.iter_mut().zip(&mut self.row)
             {
                 // Sample around a random good kernel.
                 let coord = if good.is_empty() {
@@ -293,22 +306,27 @@ impl<'a> ParzenModel<'a> {
                     centre + edgetune_util::rng::sample_normal(rng, 0.0, *bandwidth)
                 };
                 let value = Self::untransform(domain, coord);
-                let snapped = Self::transform(domain, value);
                 let ratio = || {
+                    let snapped = Self::transform(domain, value);
                     Self::density(snapped, good, *bandwidth).ln()
                         - Self::density(snapped, bad, *bandwidth).ln()
                 };
                 log_ratio += match log_ratios {
-                    Some(memo) => *memo.entry(snapped.to_bits()).or_insert_with(ratio),
+                    Some(memo) => *memo.entry(value.to_bits()).or_insert_with(ratio),
                     None => ratio(),
                 };
-                config.set(*name, value);
+                *slot = value;
             }
-            if best.as_ref().is_none_or(|(_, r)| log_ratio > *r) {
-                best = Some((config, log_ratio));
+            if candidate == 0 || log_ratio > best_ratio {
+                best_ratio = log_ratio;
+                std::mem::swap(&mut self.row, &mut self.best);
             }
         }
-        best.expect("at least one candidate").0
+        let mut config = Config::new();
+        for (dim, &value) in self.dims.iter().zip(&self.best) {
+            config.set(dim.name, value);
+        }
+        config
     }
 
     /// Maps a value into the model's working coordinates (log space for
@@ -448,6 +466,7 @@ impl Sampler for TpeSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
 
     fn space_2d() -> SearchSpace {
         SearchSpace::new()
@@ -620,6 +639,158 @@ mod tests {
             full.suggest_cohort(&space, &obs, 6),
             capped.suggest_cohort(&space, &obs[..MAX_OBSERVATIONS], 6)
         );
+    }
+
+    /// The draw as first written, the oracle of [`ParzenModel::draw`]:
+    /// one `Config` per candidate, the memo keyed by snapped coordinate.
+    fn reference_draw(
+        model: &ParzenModel<'_>,
+        memos: &mut [Option<HashMap<u64, f64>>],
+        rng: &mut StdRng,
+    ) -> Config {
+        let mut best: Option<(Config, f64)> = None;
+        for _ in 0..CANDIDATES {
+            let mut config = Config::new();
+            let mut log_ratio = 0.0;
+            for (
+                ParzenDim {
+                    name,
+                    domain,
+                    good,
+                    bad,
+                    bandwidth,
+                    ..
+                },
+                log_ratios,
+            ) in model.dims.iter().zip(memos.iter_mut())
+            {
+                let coord = if good.is_empty() {
+                    ParzenModel::transform(domain, domain.sample(rng))
+                } else {
+                    let centre = good[rng.gen_range(0..good.len())];
+                    centre + edgetune_util::rng::sample_normal(rng, 0.0, *bandwidth)
+                };
+                let value = ParzenModel::untransform(domain, coord);
+                let snapped = ParzenModel::transform(domain, value);
+                let ratio = || {
+                    ParzenModel::density(snapped, good, *bandwidth).ln()
+                        - ParzenModel::density(snapped, bad, *bandwidth).ln()
+                };
+                log_ratio += match log_ratios {
+                    Some(memo) => *memo.entry(snapped.to_bits()).or_insert_with(ratio),
+                    None => ratio(),
+                };
+                config.set(*name, value);
+            }
+            if best.as_ref().is_none_or(|(_, r)| log_ratio > *r) {
+                best = Some((config, log_ratio));
+            }
+        }
+        best.expect("at least one candidate").0
+    }
+
+    /// A domain of any kind the model handles: `Choice` (sometimes with
+    /// a repeated value), `Int` and `Float`, linear and log.
+    fn random_domain(rng: &mut StdRng) -> Domain {
+        match rng.gen_range(0..5) {
+            0 => {
+                let mut values: Vec<f64> = (0..rng.gen_range(1..6))
+                    .map(|_| f64::from(rng.gen_range(-20..20)) * 0.5)
+                    .collect();
+                if rng.gen_bool(0.5) {
+                    let at = rng.gen_range(0..=values.len());
+                    values.insert(at, values[rng.gen_range(0..values.len())]);
+                }
+                Domain::choice(values)
+            }
+            1 => {
+                let lo = rng.gen_range(-50..50);
+                Domain::int(lo, lo + rng.gen_range(0..200))
+            }
+            2 => {
+                let lo = rng.gen_range(1..64);
+                Domain::int_log(lo, lo + rng.gen_range(0..2000))
+            }
+            3 => {
+                let lo = rng.gen_range(-100.0..100.0);
+                Domain::float(lo, lo + rng.gen_range(0.0..50.0))
+            }
+            _ => {
+                let lo = rng.gen_range(1e-4..1.0);
+                Domain::float_log(lo, lo * rng.gen_range(1.0..1e4))
+            }
+        }
+    }
+
+    /// A config's values by bits, so `-0.0` and `0.0` differ.
+    fn bits(config: &Config) -> Vec<(&str, u64)> {
+        config
+            .keys()
+            .map(|k| (k, config.get(k).expect("key exists").to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn draws_match_the_one_config_per_candidate_reference() {
+        let mut gen = SeedStream::new(49).rng("draw-oracle");
+        for case in 0..200 {
+            let space = (0..gen.gen_range(1..=6)).fold(SearchSpace::new(), |space, i| {
+                space.with(format!("p{i}"), random_domain(&mut gen))
+            });
+            // A dimension may be missing from every good or every bad
+            // config (an empty kernel set: uniform draws, or a ratio that
+            // ties across candidates), or from some of them.
+            let mut share = || [0.0, 0.5, 1.0, 1.0][gen.gen_range(0..4)];
+            let presence: Vec<[f64; 2]> = space.iter().map(|_| [share(), share()]).collect();
+            let mut set = |side: usize| -> Vec<Config> {
+                (0..gen.gen_range(2..=128))
+                    .map(|_| {
+                        let mut config = Config::new();
+                        for ((name, domain), p) in space.iter().zip(&presence) {
+                            let value = domain.sample(&mut gen);
+                            if gen.gen_bool(p[side]) {
+                                config.set(name, value);
+                            }
+                        }
+                        config
+                    })
+                    .collect()
+            };
+            let (good, bad) = (set(0), set(1));
+            let good: Vec<&Config> = good.iter().collect();
+            let bad: Vec<&Config> = bad.iter().collect();
+            let n = gen.gen_range(1..=64);
+            let seed = SeedStream::new(gen.gen());
+
+            let mut model = ParzenModel::fit(&space, &good, &bad);
+            let mut memos: Vec<Option<HashMap<u64, f64>>> = space
+                .iter()
+                .map(|(_, d)| (!matches!(d, Domain::Float { .. })).then(HashMap::new))
+                .collect();
+            let mut want_rng = seed.rng("draw");
+            let want: Vec<Config> = (0..n)
+                .map(|_| reference_draw(&model, &mut memos, &mut want_rng))
+                .collect();
+            let want_next = want_rng.next_u64();
+
+            let mut rng = seed.rng("draw");
+            let drawn: Vec<Config> = (0..n).map(|_| model.draw(&mut rng)).collect();
+            let mut cohort_rng = seed.rng("draw");
+            let cohort = draw_cohort(
+                Some(ParzenModel::fit(&space, &good, &bad)),
+                &space,
+                &mut cohort_rng,
+                n,
+            );
+            for (what, got, mut got_rng) in [("draw", drawn, rng), ("cohort", cohort, cohort_rng)] {
+                let context = format!("case {case}, {what}, space {space:?}");
+                assert_eq!(got.len(), n, "{context}");
+                for (got, want) in got.iter().zip(&want) {
+                    assert_eq!(bits(got), bits(want), "{context}");
+                }
+                assert_eq!(got_rng.next_u64(), want_next, "{context}: RNG position");
+            }
+        }
     }
 
     #[test]

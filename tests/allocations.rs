@@ -7,10 +7,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use edgetune::backend::{SimTrainingBackend, TrainingBackend};
 use edgetune::prelude::*;
 use edgetune::ScenarioRetuner;
 use edgetune_device::spec::DeviceSpec;
 use edgetune_serving::OnlineTuner;
+use edgetune_tuner::sampler::{Sampler, TpeSampler};
+use edgetune_tuner::space::Config;
 use edgetune_util::rng::SeedStream;
 use edgetune_workloads::catalog::Workload;
 
@@ -59,10 +62,30 @@ fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (value, counted)
 }
 
-/// When this ceiling was set the traced IC study measured 66 allocations
-/// per trial (3448 over 52 trials), in debug and release builds alike;
-/// the ceiling leaves 10 % headroom on that.
-const ALLOCS_PER_TRIAL_CEILING: u64 = 72;
+/// When this ceiling was set the traced IC study measured 40.7
+/// allocations per trial (2114 over 52 trials), in debug and release
+/// builds alike; the ceiling leaves 10 % headroom on that, rounded up.
+/// Before a TPE suggestion built only its winning `Config` it measured
+/// 65.3.
+const ALLOCS_PER_TRIAL_CEILING: u64 = 45;
+
+/// Suggestions of the TPE cohort row.
+const TPE_COHORT: usize = 1000;
+
+/// Allocations per TPE suggestion on the IC space (3 dimensions). When
+/// this ceiling was set a suggestion measured 4.05, in debug and release
+/// builds alike: its one `Config` (a map node and a name per dimension),
+/// plus the model fit spread over the cohort. Before the candidates were
+/// drawn as rows of numbers it measured 96.05, a `Config` per candidate.
+const TPE_ALLOCS_PER_SUGGESTION_CEILING: u64 = 5;
+
+/// When this ceiling was set the BOHB study below (96 trials a bracket,
+/// η = 3, max-iter 27, where TPE engages after the first bracket)
+/// measured 7.2 allocations per trial (10 058 over 1392 trials), in debug
+/// and release builds alike; the ceiling leaves 10 % headroom on that,
+/// rounded up. Before a TPE suggestion built only its winning `Config` it
+/// measured 27.8.
+const BOHB_ALLOCS_PER_TRIAL_CEILING: u64 = 8;
 
 /// Initial configurations of the sweep study.
 const SWEEP_CONFIGS: usize = 729;
@@ -126,6 +149,43 @@ fn a_traced_study_stays_under_its_allocation_ceiling() {
         per_trial <= ALLOCS_PER_TRIAL_CEILING,
         "{per_trial} allocations per trial ({allocs} over {trials} trials), \
          ceiling {ALLOCS_PER_TRIAL_CEILING}"
+    );
+}
+
+#[test]
+fn a_bohb_study_stays_under_its_allocation_ceiling() {
+    let config = EdgeTuneConfig::for_workload(WorkloadId::Ic)
+        .with_metric(Metric::Runtime)
+        .with_scheduler(SchedulerConfig::new(96, 3.0, 27))
+        .with_seed(42);
+    let (per_trial, allocs, trials) = allocations_per_trial(config, false);
+    assert!(
+        per_trial <= BOHB_ALLOCS_PER_TRIAL_CEILING,
+        "{per_trial} allocations per trial ({allocs} over {trials} trials), \
+         ceiling {BOHB_ALLOCS_PER_TRIAL_CEILING}"
+    );
+}
+
+/// A TPE suggestion draws its candidates as numbers and builds one
+/// `Config`, the winner's.
+#[test]
+fn a_tpe_suggestion_builds_one_config() {
+    let workload = Workload::by_id(WorkloadId::Ic);
+    let space = SimTrainingBackend::new(workload, SeedStream::new(42)).search_space();
+    let mut rng = SeedStream::new(42).rng("observations");
+    let observed: Vec<Config> = (0..128).map(|_| space.sample(&mut rng)).collect();
+    let observations: Vec<(&Config, f64)> = observed
+        .iter()
+        .map(|c| (c, c.keys().filter_map(|k| c.get(k)).map(f64::ln).sum()))
+        .collect();
+    let mut tpe = TpeSampler::new(SeedStream::new(42));
+    let (cohort, allocs) = allocations_of(|| tpe.suggest_cohort(&space, &observations, TPE_COHORT));
+    assert_eq!(cohort.len(), TPE_COHORT);
+    let per_suggestion = allocs / TPE_COHORT as u64;
+    assert!(
+        per_suggestion <= TPE_ALLOCS_PER_SUGGESTION_CEILING,
+        "{per_suggestion} allocations per suggestion ({allocs} over {TPE_COHORT}), \
+         ceiling {TPE_ALLOCS_PER_SUGGESTION_CEILING}"
     );
 }
 
