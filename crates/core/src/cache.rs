@@ -41,12 +41,12 @@ impl CacheKey {
     }
 }
 
-/// Hit/miss statistics of a cache.
+/// The hit/miss tally of a study's inference requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CacheStats {
-    /// Lookups that found an entry.
+    /// Requests answered from the cache.
     pub hits: u64,
-    /// Lookups that found nothing.
+    /// Requests that ran a sweep instead.
     pub misses: u64,
 }
 
@@ -73,14 +73,11 @@ impl CacheStats {
     }
 }
 
-/// The historical results store.
+/// The historical results store: entries, saved and loaded. A study
+/// tallies its hits and misses itself (`StudyGlobals::cache_stats`).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct HistoricalCache {
     entries: HashMap<String, InferenceRecommendation>,
-    /// Hit/miss counters are per-process observability, not durable
-    /// state: a freshly-loaded cache starts counting from zero.
-    #[serde(skip)]
-    stats: CacheStats,
 }
 
 impl HistoricalCache {
@@ -107,27 +104,10 @@ impl HistoricalCache {
         f(std::str::from_utf8(&buf[..len]).expect("joined from whole strings"))
     }
 
-    /// Looks up a recommendation, recording hit/miss. A hit lends the
-    /// stored entry; the caller copies what it reads.
-    pub fn lookup(&mut self, key: &CacheKey) -> Option<&InferenceRecommendation> {
-        let found = Self::with_entry_key(key, |k| self.entries.get(k));
-        if found.is_some() {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-        }
-        found
-    }
-
-    /// Records a miss without a lookup — used when caching is disabled
-    /// so the statistics still reflect how many sweeps were computed.
-    pub fn note_miss(&mut self) {
-        self.stats.misses += 1;
-    }
-
-    /// Peeks without touching statistics.
+    /// Looks up a recommendation. A hit lends the stored entry; the
+    /// caller copies what it reads.
     #[must_use]
-    pub fn peek(&self, key: &CacheKey) -> Option<&InferenceRecommendation> {
+    pub fn lookup(&self, key: &CacheKey) -> Option<&InferenceRecommendation> {
         Self::with_entry_key(key, |k| self.entries.get(k))
     }
 
@@ -141,21 +121,6 @@ impl HistoricalCache {
             Some(entry) => Some(std::mem::replace(entry, recommendation)),
             None => self.entries.insert(k.to_owned(), recommendation),
         })
-    }
-
-    /// Hit/miss statistics.
-    #[must_use]
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Reinstates hit/miss counters saved out-of-band. The counters are
-    /// `#[serde(skip)]` — per-process observability — so a resumed study
-    /// that wants its final statistics to match the uninterrupted run's
-    /// must carry them separately (the study checkpoint does) and put them
-    /// back before handing the cache to the inference server.
-    pub fn restore_stats(&mut self, stats: CacheStats) {
-        self.stats = stats;
     }
 
     /// Serialises the cache to a JSON file, atomically: the bytes go to a
@@ -245,9 +210,6 @@ mod tests {
         cache.store(&key("ResNet/layers=18"), rec(8));
         let hit = cache.lookup(&key("ResNet/layers=18")).unwrap();
         assert_eq!(hit.batch, 8);
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().misses, 1);
-        assert!((cache.stats().hit_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -263,8 +225,8 @@ mod tests {
         let mut cache = HistoricalCache::new();
         cache.store(&key("a"), rec(8));
         let other = CacheKey::new("ARMv7 rev 4 board", "a", Metric::Runtime);
-        assert!(cache.peek(&other).is_none());
-        assert!(cache.peek(&key("a")).is_some());
+        assert!(cache.lookup(&other).is_none());
+        assert!(cache.lookup(&key("a")).is_some());
     }
 
     #[test]
@@ -277,15 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_touch_stats() {
-        let mut cache = HistoricalCache::new();
-        cache.store(&key("a"), rec(8));
-        let _ = cache.peek(&key("a"));
-        let _ = cache.peek(&key("b"));
-        assert_eq!(cache.stats(), CacheStats::default());
-    }
-
-    #[test]
     fn save_load_round_trip() {
         let mut cache = HistoricalCache::new();
         cache.store(&key("ResNet/layers=18"), rec(8));
@@ -294,7 +247,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.json");
         cache.save(&path).unwrap();
-        let mut loaded = HistoricalCache::load(&path).unwrap();
+        let loaded = HistoricalCache::load(&path).unwrap();
         assert_eq!(loaded.len(), 2);
         assert_eq!(loaded.lookup(&key("ResNet/layers=50")).unwrap().batch, 4);
         std::fs::remove_file(&path).ok();
@@ -319,9 +272,7 @@ mod tests {
     #[test]
     fn save_writes_device_arch_metric_entry_keys() {
         let mut cache = HistoricalCache::new();
-        let _ = cache.lookup(&key("ResNet/layers=18"));
         cache.store(&key("ResNet/layers=18"), rec(8));
-        let _ = cache.lookup(&key("ResNet/layers=18"));
         let dir = std::env::temp_dir().join("edgetune-cache-bytes-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.json");
@@ -336,11 +287,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.json");
         std::fs::write(&path, SAVED).unwrap();
-        let mut loaded = HistoricalCache::load(&path).unwrap();
+        let loaded = HistoricalCache::load(&path).unwrap();
         assert_eq!(loaded.lookup(&key("ResNet/layers=18")), Some(&rec(8)));
         let energy = CacheKey::new("Raspberry Pi 3B+", "ResNet/layers=18", Metric::Energy);
         assert!(loaded.lookup(&energy).is_none());
-        assert_eq!(loaded.stats(), CacheStats { hits: 1, misses: 1 });
         std::fs::remove_file(&path).ok();
     }
 
@@ -354,7 +304,6 @@ mod tests {
             let key = CacheKey::new(device.as_str(), arch.as_str(), Metric::Runtime);
             assert!(cache.store(&key, rec(8)).is_none());
             assert_eq!(cache.store(&key, rec(16)), Some(rec(8)));
-            assert_eq!(cache.peek(&key), Some(&rec(16)));
             assert_eq!(cache.lookup(&key), Some(&rec(16)));
             let entry_key = format!("{device}|{arch}|runtime");
             assert_eq!(entry_key.len(), 94 + arch_len);
@@ -398,7 +347,7 @@ mod tests {
         std::fs::write(&path, serde_json::to_string(&json).unwrap()).unwrap();
         let loaded = HistoricalCache::load(&path).unwrap();
         assert_eq!(loaded.len(), 1, "the good entry survives");
-        assert!(loaded.peek(&key("good")).is_some());
+        assert!(loaded.lookup(&key("good")).is_some());
         std::fs::remove_file(&path).ok();
     }
 
@@ -440,7 +389,7 @@ mod tests {
         study_b.store(&key("M5/width=64"), rec(4));
         study_b.save(&path).unwrap();
 
-        let mut resumed_a = HistoricalCache::load(&path).unwrap();
+        let resumed_a = HistoricalCache::load(&path).unwrap();
         assert_eq!(resumed_a.len(), 2);
         assert_eq!(resumed_a.lookup(&key("ResNet/layers=18")).unwrap().batch, 8);
         assert_eq!(resumed_a.lookup(&key("M5/width=64")).unwrap().batch, 4);
@@ -448,38 +397,9 @@ mod tests {
     }
 
     #[test]
-    fn mid_study_round_trip_preserves_the_stats_tally_via_restore() {
-        // Hit/miss counters are #[serde(skip)] by design; a parked
-        // study carries them out-of-band (the study checkpoint does) and
-        // reinstates them on resume so the final report's tally equals
-        // the uninterrupted run's.
-        let dir = std::env::temp_dir().join("edgetune-cache-stats-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.json");
-
-        let mut cache = HistoricalCache::new();
-        let _ = cache.lookup(&key("a")); // miss
-        cache.store(&key("a"), rec(8));
-        let _ = cache.lookup(&key("a")); // hit
-        let parked_stats = cache.stats();
-        cache.save(&path).unwrap();
-
-        let mut resumed = HistoricalCache::load(&path).unwrap();
-        assert_eq!(
-            resumed.stats(),
-            CacheStats::default(),
-            "a freshly-loaded cache counts from zero"
-        );
-        resumed.restore_stats(parked_stats);
-        let _ = resumed.lookup(&key("a")); // hit
-        assert_eq!(resumed.stats(), CacheStats { hits: 2, misses: 1 });
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn empty_cache_ratio_is_zero() {
-        let cache = HistoricalCache::new();
-        assert_eq!(cache.stats().hit_ratio(), 0.0);
-        assert_eq!(cache.len(), 0);
+        assert_eq!(HistoricalCache::new().len(), 0);
+        assert_eq!(CacheStats::default().hit_ratio(), 0.0);
+        assert_eq!(CacheStats { hits: 1, misses: 3 }.hit_ratio(), 0.25);
     }
 }

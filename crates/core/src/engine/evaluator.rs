@@ -208,7 +208,7 @@ impl OnefoldEvaluator {
         if let Some(reply) = self
             .globals
             .cache
-            .peek(key)
+            .lookup(key)
             .map(InferenceReply::from_history)
         {
             self.globals.degradation.stale_cache_served += 1;

@@ -6,9 +6,9 @@
 //! * [`orchestrator`] — [`StudyRun`] is one study as a value: `start`
 //!   builds it (inference server, sampler, scheduler, checkpoint/resume
 //!   wiring), each `step` runs one rung on a borrowed backend, and
-//!   `finish` assembles the [`TuningReport`]. [`Engine`] steps a study
-//!   to its end (or its `halt_after_rungs` bound); [`EdgeTune`] is the
-//!   owned-configuration job over it.
+//!   `finish` assembles the [`TuningReport`]. [`EdgeTune`] steps a
+//!   study to its end (or its `halt_after_rungs` bound); [`Engine`] is
+//!   the same traced run over a borrowed configuration.
 //! * [`shard`] — the shard side of a sharded study: the
 //!   [`ShardPlan`]s a rung is partitioned into. A shard is a plan plus a
 //!   backend snapshot and only measures; the study's one history (and

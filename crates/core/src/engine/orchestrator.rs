@@ -1,14 +1,14 @@
-//! The [`StudyRun`] and the [`Engine`] that drives it: study
-//! construction, execution, and report assembly.
+//! The [`StudyRun`] and the jobs that drive it: study construction,
+//! execution, and report assembly.
 //!
 //! A [`StudyRun`] is one study as a value: [`StudyRun::start`] restores
 //! the checkpoint and builds the inference server, sampler, scheduler
 //! and evaluator; each [`StudyRun::step`] runs one rung;
 //! [`StudyRun::finish`] assembles the [`TuningReport`]. The caller owns
-//! the loop and lends the training backend to each call: [`Engine`]
-//! steps until the study ends or reaches `halt_after_rungs`, a service
-//! interleaves many studies. [`EdgeTune`] is the engine owning its
-//! configuration.
+//! the loop and lends the training backend to each call: [`EdgeTune`]
+//! (and [`Engine`], its traced run over a borrowed configuration) steps
+//! until the study ends or reaches `halt_after_rungs`, a service
+//! interleaves many studies.
 
 use std::path::Path;
 
@@ -32,7 +32,7 @@ use crate::inference::{InferenceEndpoint, InferenceSpace, InferenceTuningServer}
 use crate::trace::seed_tracer_from_timeline;
 
 /// The EdgeTune tuning job (the paper's Model Tuning Server,
-/// Algorithm 1): an [`Engine`] that owns its configuration.
+/// Algorithm 1): a study that owns its configuration.
 #[derive(Debug, Clone)]
 pub struct EdgeTune {
     config: EdgeTuneConfig,
@@ -53,7 +53,7 @@ impl EdgeTune {
     /// Propagates configuration and storage errors; see
     /// [`EdgeTune::run_with_backend`].
     pub fn run(&self) -> Result<TuningReport> {
-        Engine::new(&self.config).run()
+        self.run_with_backend(&mut self.config.default_backend())
     }
 
     /// Runs the job against any training backend (e.g. the real
@@ -64,7 +64,7 @@ impl EdgeTune {
     /// Returns [`Error::InvalidConfig`] for inconsistent configurations
     /// and [`Error::Storage`] if the historical cache cannot be written.
     pub fn run_with_backend(&self, backend: &mut dyn TrainingBackend) -> Result<TuningReport> {
-        Engine::new(&self.config).run_with_backend(backend)
+        Ok(drive(&self.config, backend, false)?.0)
     }
 
     /// Runs the job and additionally returns the Chrome trace of every
@@ -75,12 +75,12 @@ impl EdgeTune {
     ///
     /// Same failure modes as [`EdgeTune::run`].
     pub fn run_traced(&self) -> Result<(TuningReport, ChromeTrace)> {
-        Engine::new(&self.config).run_traced()
+        Engine::new(&self.config).run_traced_with_backend(&mut self.config.default_backend())
     }
 }
 
-/// The tuning engine: runs one study described by a borrowed
-/// configuration and assembles its [`TuningReport`].
+/// The tuning engine: runs one traced study described by a borrowed
+/// configuration on a borrowed backend.
 #[derive(Debug)]
 pub struct Engine<'a> {
     config: &'a EdgeTuneConfig,
@@ -93,69 +93,36 @@ impl<'a> Engine<'a> {
         Engine { config }
     }
 
-    /// Runs the study with the default simulated backend for the
-    /// configured workload.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration and storage errors; see
-    /// [`Engine::run_with_backend`].
-    pub fn run(&self) -> Result<TuningReport> {
-        self.run_with_backend(&mut self.config.default_backend())
-    }
-
-    /// Runs the study against any training backend (e.g. the real
-    /// `edgetune-nn` one).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] for inconsistent configurations
-    /// and [`Error::Storage`] if the historical cache cannot be written.
-    pub fn run_with_backend(&self, backend: &mut dyn TrainingBackend) -> Result<TuningReport> {
-        let study = StudyRun::start(self.config, backend, false)?;
-        Ok(self.drive(study, backend)?.0)
-    }
-
-    /// Runs the study with the default backend and returns the report
-    /// together with the Chrome trace of everything that happened on
-    /// the simulated clock.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Engine::run`].
-    pub fn run_traced(&self) -> Result<(TuningReport, ChromeTrace)> {
-        self.run_traced_with_backend(&mut self.config.default_backend())
-    }
-
     /// Runs the study against any training backend, returning the
     /// report and the Chrome trace.
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`Engine::run_with_backend`].
+    /// Same failure modes as [`EdgeTune::run_with_backend`].
     pub fn run_traced_with_backend(
         &self,
         backend: &mut dyn TrainingBackend,
     ) -> Result<(TuningReport, ChromeTrace)> {
-        let study = StudyRun::start(self.config, backend, true)?;
-        let (report, trace) = self.drive(study, backend)?;
+        let (report, trace) = drive(self.config, backend, true)?;
         Ok((report, trace.expect("a traced study exports its trace")))
     }
+}
 
-    /// Steps `study` until no rung is left or `halt_after_rungs` rungs —
-    /// replayed ones included — have run, then finishes it.
-    fn drive(
-        &self,
-        mut study: StudyRun,
-        backend: &mut dyn TrainingBackend,
-    ) -> Result<(TuningReport, Option<ChromeTrace>)> {
-        for _ in 0..self.config.halt_after_rungs.unwrap_or(u32::MAX) {
-            if !study.step(backend)? {
-                break;
-            }
+/// Opens a study of `config` on `backend` and steps it until no rung is
+/// left or `halt_after_rungs` rungs — replayed ones included — have run,
+/// then finishes it.
+fn drive(
+    config: &EdgeTuneConfig,
+    backend: &mut dyn TrainingBackend,
+    traced: bool,
+) -> Result<(TuningReport, Option<ChromeTrace>)> {
+    let mut study = StudyRun::start(config, backend, traced)?;
+    for _ in 0..config.halt_after_rungs.unwrap_or(u32::MAX) {
+        if !study.step(backend)? {
+            break;
         }
-        study.finish(backend)
     }
+    study.finish(backend)
 }
 
 /// Rejects a checkpoint path no write can succeed at: a directory, or a
@@ -280,8 +247,7 @@ impl StudyRun {
         // starts from nothing but the persistent historical cache.
         let (resumed, globals) = match load_checkpoint(config)? {
             Some(checkpoint) => {
-                let (trials, mut globals) = checkpoint.into_parts();
-                globals.cache.restore_stats(globals.cache_stats);
+                let (trials, globals) = checkpoint.into_parts();
                 backend.set_fault_cursor(globals.fault_cursor);
                 (trials, globals)
             }
@@ -447,7 +413,7 @@ impl StudyRun {
         // accounting.
         let (best_arch, best_profile) = backend.architecture(&best.config);
         let key = CacheKey::new(&config.edge_device.name, best_arch, config.inference_metric);
-        let recommendation = match globals.cache.peek(&key) {
+        let recommendation = match globals.cache.lookup(&key) {
             Some(rec) => rec.clone(),
             None => {
                 let (rec, _) = inference.server().tune(&best_profile);
@@ -536,7 +502,9 @@ mod tests {
     #[test]
     fn engine_and_facade_agree() {
         let config = quick_config();
-        let from_engine = Engine::new(&config).run().unwrap();
+        let (from_engine, _) = Engine::new(&config)
+            .run_traced_with_backend(&mut config.default_backend())
+            .unwrap();
         let from_facade = EdgeTune::new(config).run().unwrap();
         assert_eq!(
             from_engine.to_json().unwrap(),

@@ -386,7 +386,6 @@ impl InferenceEndpoint {
             }
             Some(reply)
         }));
-        globals.cache_stats = globals.cache.stats();
         outcome.unwrap_or_else(|_| {
             self.panics += 1;
             None
@@ -399,11 +398,13 @@ impl InferenceEndpoint {
         key: &CacheKey,
         profile: &WorkProfile,
     ) -> InferenceReply {
-        if !self.caching {
-            globals.cache.note_miss();
-        } else if let Some(hit) = globals.cache.lookup(key) {
-            return InferenceReply::from_history(hit);
+        if self.caching {
+            if let Some(hit) = globals.cache.lookup(key) {
+                globals.cache_stats.hits += 1;
+                return InferenceReply::from_history(hit);
+            }
         }
+        globals.cache_stats.misses += 1;
         let (recommendation, cost) = self.server.tune(profile);
         let reply = InferenceReply::swept(&recommendation, cost.runtime, cost.energy, false);
         if self.caching {
@@ -644,6 +645,8 @@ mod tests {
 
     #[test]
     fn globals_cache_stats_match_the_cache_tally() {
+        // The tally lives in the globals alone, so a checkpoint carries
+        // it and a resume continues it.
         let (mut endpoint, mut globals) = study(None);
         endpoint
             .request(&mut globals, &key("a"), resnet18())
@@ -652,7 +655,15 @@ mod tests {
             .request(&mut globals, &key("a"), resnet18())
             .unwrap();
         assert_eq!(globals.cache_stats, CacheStats { hits: 1, misses: 1 });
-        assert_eq!(globals.cache.stats(), globals.cache_stats);
+        let json = serde_json::to_string(&globals).unwrap();
+        let mut resumed: StudyGlobals = serde_json::from_str(&json).unwrap();
+        assert_eq!(resumed, globals);
+        for arch in ["a", "b"] {
+            endpoint
+                .request(&mut resumed, &key(arch), resnet18())
+                .unwrap();
+        }
+        assert_eq!(resumed.cache_stats, CacheStats { hits: 2, misses: 2 });
     }
 
     #[test]
@@ -673,7 +684,7 @@ mod tests {
             .request(&mut globals, &key("a"), resnet18())
             .unwrap();
         assert_eq!(globals.cache.len(), 1);
-        assert!(globals.cache.peek(&key("a")).is_some());
+        assert!(globals.cache.lookup(&key("a")).is_some());
     }
 
     #[test]
@@ -836,14 +847,18 @@ mod tests {
                 misses: oracle.misses,
             };
             assert_eq!(stats.misses, sweeps, "{what}: misses = sweeps run");
+            assert_eq!(
+                stats.hits + stats.misses,
+                replies.iter().flatten().count() as u64,
+                "{what}: one tally per answered request"
+            );
             assert_eq!(globals.cache_stats, stats, "{what}");
-            assert_eq!(globals.cache.stats(), stats, "{what}");
             assert_eq!(globals.inference_cursor, case.script.len() as u64, "{what}");
             assert_eq!(globals.injected_losses, oracle.losses, "{what}");
             assert_eq!(globals.injected_outages, oracle.outages, "{what}");
             assert_eq!(globals.cache.len(), oracle.stored.len(), "{what}");
             for (arch, recommendation) in &oracle.stored {
-                let entry = globals.cache.peek(&key(&format!("arch-{arch}")));
+                let entry = globals.cache.lookup(&key(&format!("arch-{arch}")));
                 assert_eq!(entry, Some(recommendation), "{what}");
             }
             if case.caching && case.rate == 0.0 {
@@ -875,7 +890,6 @@ mod tests {
                 // What a checkpoint stores and the orchestrator reinstates.
                 let json = serde_json::to_string(&parked).unwrap();
                 let mut resumed: StudyGlobals = serde_json::from_str(&json).unwrap();
-                resumed.cache.restore_stats(resumed.cache_stats);
                 resumed_replies.extend(case.run(&mut resumed, k..n));
                 assert_eq!(resumed_replies, replies, "split at {k}");
                 assert_eq!(resumed, straight, "split at {k}");

@@ -554,6 +554,30 @@ fn an_interrupted_chaos_resume_reproduces_the_uninterrupted_report() {
 }
 
 #[test]
+fn a_checkpoint_with_raw_bits_scores_resumes_as_a_fresh_start() {
+    let dir = scratch("raw-bits");
+    let [full, resumed, ck] =
+        ["full.json", "resumed.json", "ck.json"].map(|f| format!("{dir}/{f}"));
+    let study = |flags: &str| {
+        succeed(&format!(
+            "--workload ic --trials 2 --max-iter 2 --fault-rate 0.5 --seed 3 {flags}"
+        ))
+    };
+    // This study's checkpoint after its first rung, as `save` wrote it
+    // while trial scores travelled as raw bits (`checkpoint::tests`
+    // reads the same file).
+    std::fs::write(&ck, include_str!("fixtures/raw-bits-checkpoint.json")).expect("fixture");
+    let stdout = study(&format!("--json {full}"));
+    let resumed_stdout = study(&format!("--checkpoint {ck} --resume --json {resumed}"));
+    assert!(
+        read(&resumed) == read(&full),
+        "the resumed report differs from the uninterrupted one"
+    );
+    assert!(resumed_stdout == stdout, "the resumed stdout differs");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn a_rate_shift_is_answered_from_the_frontier_only_with_one() {
     let dir = scratch("frontier");
     let serve = |flags: &str| {

@@ -15,7 +15,6 @@ use std::sync::{Mutex, PoisonError};
 use edgetune::config::ShardExec;
 use edgetune::fabric::{ChaosAction, FabricChaos, FabricPolicy, HEARTBEAT_EVERY};
 use edgetune::prelude::*;
-use edgetune::Engine;
 use edgetune_util::units::Seconds;
 use edgetune_util::Error;
 
@@ -57,7 +56,9 @@ static ONE_STUDY: Mutex<()> = Mutex::new(());
 /// them by the time it returns.
 fn run(config: &EdgeTuneConfig) -> (String, String, TuningReport) {
     let _alone = ONE_STUDY.lock().unwrap_or_else(PoisonError::into_inner);
-    let (report, trace) = Engine::new(config).run_traced().expect("study runs");
+    let (report, trace) = EdgeTune::new(config.clone())
+        .run_traced()
+        .expect("study runs");
     if let Some(children) = children() {
         assert!(children.is_empty(), "the study left children {children:?}");
     }
@@ -206,7 +207,7 @@ fn a_deadline_or_backoff_the_supervisor_cannot_wait_on_is_rejected_up_front() {
                 .with_shard_exec(exec)
                 .with_shard_hosts(vec!["127.0.0.1:9".to_string()]);
             config.fabric = policy.clone();
-            match Engine::new(&config).run() {
+            match EdgeTune::new(config).run() {
                 Err(Error::InvalidConfig(message)) => {
                     assert!(message.contains(field), "{exec:?}: {message}");
                 }

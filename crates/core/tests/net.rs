@@ -14,7 +14,6 @@ use common::child_host;
 use edgetune::config::ShardExec;
 use edgetune::fabric::{ChaosAction, FabricChaos, FabricPolicy, HostHandle, ShardHost};
 use edgetune::prelude::*;
-use edgetune::Engine;
 use edgetune_util::units::Seconds;
 
 fn study(shards: usize) -> EdgeTuneConfig {
@@ -33,7 +32,9 @@ fn remote_study(shards: usize, hosts: Vec<String>) -> EdgeTuneConfig {
 /// Runs a study and returns its byte-stability surface: the report JSON
 /// and the study trace JSON, plus the report for stats assertions.
 fn run(config: &EdgeTuneConfig) -> (String, String, TuningReport) {
-    let (report, trace) = Engine::new(config).run_traced().expect("study runs");
+    let (report, trace) = EdgeTune::new(config.clone())
+        .run_traced()
+        .expect("study runs");
     let json = report.to_json().expect("report serialises");
     (json, trace.to_json_pretty(), report)
 }
@@ -238,7 +239,7 @@ fn sigkilled_shard_host_degrades_without_disturbing_the_study() {
 
 #[test]
 fn remote_mode_without_hosts_is_an_invalid_config() {
-    let err = Engine::new(&study(4).with_shard_exec(ShardExec::Remote))
+    let err = EdgeTune::new(study(4).with_shard_exec(ShardExec::Remote))
         .run()
         .expect_err("must be rejected");
     assert!(

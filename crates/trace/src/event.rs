@@ -56,8 +56,6 @@ pub struct TraceEvent {
     pub kind: EventKind,
     /// Free-form string arguments rendered in the viewer's detail pane.
     pub args: Vec<(String, String)>,
-    /// Global emission sequence number; the total order over all tracks.
-    pub seq: u64,
 }
 
 /// Checks that the spans of every track are *well nested*: any two spans
@@ -114,12 +112,11 @@ pub fn well_nested(events: &[TraceEvent]) -> Result<(), String> {
 }
 
 /// Checks that span start times never move backwards within one track
-/// when visited in emission (sequence) order.
+/// when `events` is visited in order — a tracer's log is in emission
+/// order.
 pub fn monotone_per_track(events: &[TraceEvent]) -> Result<(), String> {
     let mut last_start: Vec<(TrackId, Seconds)> = Vec::new();
-    let mut ordered: Vec<&TraceEvent> = events.iter().collect();
-    ordered.sort_by_key(|event| event.seq);
-    for event in ordered {
+    for event in events {
         if !matches!(event.kind, EventKind::Span { .. }) {
             continue;
         }
@@ -150,17 +147,16 @@ pub fn monotone_per_track(events: &[TraceEvent]) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn span(track: u32, seq: u64, start: f64, end: f64) -> TraceEvent {
+    fn span(track: u32, n: u64, start: f64, end: f64) -> TraceEvent {
         TraceEvent {
             track: TrackId(track),
-            name: format!("s{seq}"),
+            name: format!("s{n}"),
             category: "test".to_string(),
             ts: Seconds::new(start),
             kind: EventKind::Span {
                 end: Seconds::new(end),
             },
             args: Vec::new(),
-            seq,
         }
     }
 

@@ -13,9 +13,9 @@
 //! for a fixed seed regardless of how many real measurement threads or
 //! engine shards the run used, so:
 //!
-//! * events carry a global sequence number assigned at emission, and the
-//!   exporter's only reordering is a *stable* sort by timestamp — ties
-//!   keep emission order;
+//! * the log holds events in emission order, and the exporter's only
+//!   reordering is a *stable* sort by timestamp — ties keep emission
+//!   order;
 //! * spans store their **end time**, not a duration, so a span carries
 //!   the exact `Seconds` values the simulation produced with no float
 //!   round-trip.

@@ -20,7 +20,6 @@ pub struct Track {
 struct TracerInner {
     tracks: Vec<Track>,
     events: Vec<TraceEvent>,
-    next_seq: u64,
 }
 
 /// Collects trace events behind one mutex.
@@ -105,7 +104,6 @@ impl Tracer {
             ts: start,
             kind: EventKind::Span { end },
             args,
-            seq: 0,
         });
     }
 
@@ -130,7 +128,6 @@ impl Tracer {
             ts,
             kind: EventKind::Instant,
             args,
-            seq: 0,
         });
     }
 
@@ -150,15 +147,11 @@ impl Tracer {
             ts,
             kind: EventKind::Counter { values },
             args: Vec::new(),
-            seq: 0,
         });
     }
 
-    fn push(&self, mut event: TraceEvent) {
-        let mut inner = self.lock();
-        event.seq = inner.next_seq;
-        inner.next_seq += 1;
-        inner.events.push(event);
+    fn push(&self, event: TraceEvent) {
+        self.lock().events.push(event);
     }
 
     /// Runs `read` over the registered tracks (registration order) and
@@ -191,16 +184,20 @@ mod tests {
     }
 
     #[test]
-    fn sequence_numbers_follow_emission_order() {
+    fn the_log_keeps_emission_order_not_time_order() {
         let tracer = Tracer::new();
         let track = tracer.track("engine", "t");
+        let other = tracer.track("engine", "u");
         tracer.span(track, "a", "test", Seconds::new(5.0), Seconds::new(6.0));
-        tracer.instant(track, "b", "test", Seconds::new(1.0));
-        let events = tracer.with(|_, events| events.to_vec());
-        assert_eq!(events[0].seq, 0);
-        assert_eq!(events[0].name, "a");
-        assert_eq!(events[1].seq, 1);
-        assert_eq!(events[1].name, "b");
+        tracer.instant(other, "b", "test", Seconds::new(1.0));
+        tracer.counter(track, "c", "test", Seconds::new(3.0), Vec::new());
+        let names = tracer.with(|_, events| {
+            events
+                .iter()
+                .map(|event| event.name.clone())
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(names, ["a", "b", "c"]);
     }
 
     #[test]

@@ -45,11 +45,15 @@ impl TrialOutcome {
     ///
     /// # Panics
     ///
-    /// Panics if `score` is NaN (infinite scores are allowed: they mark
-    /// failed/infeasible trials).
+    /// Panics unless `score` is finite or `+∞` (the mark of a
+    /// failed/infeasible trial). JSON writes `+∞` as `null` and reads
+    /// `null` back as `+∞`, so every score this admits round-trips.
     #[must_use]
     pub fn new(score: f64, accuracy: f64, runtime: Seconds, energy: Joules) -> Self {
-        assert!(!score.is_nan(), "trial score must not be NaN");
+        assert!(
+            score.is_finite() || score == f64::INFINITY,
+            "trial score must be finite or +∞, not {score}"
+        );
         TrialOutcome {
             score,
             accuracy,
@@ -327,10 +331,14 @@ mod tests {
     fn infinite_score_marks_failed_trials_but_nan_is_rejected() {
         let r = TrialOutcome::new(f64::INFINITY, 0.0, Seconds::ZERO, Joules::ZERO);
         assert!(r.score.is_infinite());
-        let caught = std::panic::catch_unwind(|| {
-            TrialOutcome::new(f64::NAN, 0.0, Seconds::ZERO, Joules::ZERO)
-        });
-        assert!(caught.is_err());
+        // `-∞` is rejected too: JSON would write it as `null` and read
+        // it back as `+∞`.
+        for score in [f64::NAN, f64::NEG_INFINITY] {
+            let caught = std::panic::catch_unwind(|| {
+                TrialOutcome::new(score, 0.0, Seconds::ZERO, Joules::ZERO)
+            });
+            assert!(caught.is_err(), "{score} was admitted");
+        }
     }
 
     #[test]
