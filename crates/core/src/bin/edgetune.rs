@@ -404,8 +404,7 @@ fn run_tune(argv: Vec<String>, out: &mut String) -> Result<(), String> {
     if let Some(stats) = report.fabric_stats() {
         eprintln!(
             "fabric: {} shard attempts over {} links, {} heartbeats, \
-             {} crashes ({} timeouts), {} retries, {} in-process fallbacks, \
-             {} stragglers",
+             {} crashes ({} timeouts), {} retries, {} in-process fallbacks",
             stats.spawns,
             stats.links,
             stats.heartbeats,
@@ -413,7 +412,6 @@ fn run_tune(argv: Vec<String>, out: &mut String) -> Result<(), String> {
             stats.timeouts,
             stats.retries,
             stats.fallbacks,
-            stats.stragglers,
         );
     }
     if let Some(path) = &fabric_trace {

@@ -7,7 +7,7 @@
 //! validated up front so a bad spec is rejected with a reason before
 //! any task flows), then runs the fabric's one task loop,
 //! `serve_tasks`: read a [`ShardTask`], answer it with one
-//! [`ShardResultMsg`] — preceded by a
+//! [`ShardResultMsg`](crate::fabric::ShardResultMsg) — preceded by a
 //! [`ShardHeartbeat`](crate::fabric::ShardHeartbeat) per
 //! [`HEARTBEAT_EVERY`] of measuring, none for a fast slice — read the
 //! next. A `__shard-worker` process runs the very same loop on its
@@ -54,7 +54,7 @@ use edgetune_net::{accept_hello, FramedTcp, NetError};
 use edgetune_runtime::frame::{read_frame, write_frame, FrameKind};
 
 use crate::backend::BackendSpec;
-use crate::fabric::protocol::{decode, encode, RungKey, ShardResultMsg, ShardTask, WorkerFailure};
+use crate::fabric::protocol::{decode, encode, RungKey, ShardTask, WorkerFailure};
 use crate::fabric::worker::{execute_task, HEARTBEAT_EVERY};
 
 /// The CLI subcommand that turns the binary into a shard host.
@@ -111,20 +111,22 @@ fn cache_key(task: &ShardTask) -> Option<CacheKey> {
     Some((key, hasher.finish()))
 }
 
-/// The keyed result cache making reconnect-and-resend idempotent.
+/// The keyed result cache making reconnect-and-resend idempotent. It
+/// keeps each result as the payload it was sent as, so a replay sends
+/// the same bytes again without decoding or encoding anything.
 #[derive(Default)]
 struct ResultCache {
-    entries: HashMap<CacheKey, ShardResultMsg>,
+    entries: HashMap<CacheKey, Arc<Vec<u8>>>,
     order: VecDeque<CacheKey>,
 }
 
 impl ResultCache {
-    fn get(&self, key: &CacheKey) -> Option<ShardResultMsg> {
+    fn get(&self, key: &CacheKey) -> Option<Arc<Vec<u8>>> {
         self.entries.get(key).cloned()
     }
 
-    fn insert(&mut self, key: CacheKey, result: ShardResultMsg) {
-        if self.entries.insert(key, result).is_none() {
+    fn insert(&mut self, key: CacheKey, payload: Arc<Vec<u8>>) {
+        if self.entries.insert(key, payload).is_none() {
             self.order.push_back(key);
             if self.order.len() > RESULT_CACHE_CAP {
                 if let Some(evicted) = self.order.pop_front() {
@@ -146,7 +148,7 @@ pub(crate) struct HostShared {
 
 impl HostShared {
     /// The result cache. A session that panicked while holding the lock
-    /// left every entry whole (`get` clones, `insert` finishes its own
+    /// left every entry whole (`get` shares, `insert` finishes its own
     /// bookkeeping before anything can unwind), so the poison is
     /// cleared rather than passed on to every later session.
     fn cache(&self) -> MutexGuard<'_, ResultCache> {
@@ -369,14 +371,14 @@ pub(crate) fn serve_tasks<R: Read, W: Write>(mut reader: R, writer: &mut W, shar
         let slot = cache_key(&task);
         if let Some(slot) = &slot {
             let cached = shared.cache().get(slot);
-            if let Some(result) = cached {
+            if let Some(payload) = cached {
                 shared.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
                 let key = slot.0;
                 eprintln!(
                     "shard-host: replaying cached rung (study {}, bracket {}, rung {}, shard {})",
                     key.study, key.bracket, key.rung, key.shard
                 );
-                if send_frame(writer, FrameKind::Result, &encode(&result)).is_err() {
+                if send_frame(writer, FrameKind::Result, &payload).is_err() {
                     return;
                 }
                 continue;
@@ -409,10 +411,11 @@ pub(crate) fn serve_tasks<R: Read, W: Write>(mut reader: R, writer: &mut W, shar
             .fetch_add(1, Ordering::Relaxed);
         // Cache first, send second: if the send dies the rung is still
         // replayable for the reconnect that follows.
+        let payload = Arc::new(encode(&result));
         if let Some(slot) = slot {
-            shared.cache().insert(slot, result.clone());
+            shared.cache().insert(slot, Arc::clone(&payload));
         }
-        if send_frame(writer, FrameKind::Result, &encode(&result)).is_err() {
+        if send_frame(writer, FrameKind::Result, &payload).is_err() {
             return;
         }
     }
@@ -432,7 +435,7 @@ mod tests {
     use super::*;
     use crate::backend::{SimTrainingBackend, TrainingBackend};
     use crate::fabric::fixtures::{backend, expected_measurements, sample_trials, task_for};
-    use crate::fabric::protocol::{ChaosAction, RungScope};
+    use crate::fabric::protocol::{ChaosAction, RungScope, ShardResultMsg};
     use edgetune_net::{client_hello, Hello};
     use edgetune_runtime::frame::{encode_frame, Frame};
     use edgetune_util::rng::SeedStream;
@@ -787,10 +790,7 @@ mod tests {
         for shard in 0..=RESULT_CACHE_CAP {
             cache.insert(
                 (scope.key_for(shard), 0),
-                ShardResultMsg {
-                    shard,
-                    measurements: Vec::new(),
-                },
+                Arc::new(shard.to_le_bytes().to_vec()),
             );
         }
         assert!(

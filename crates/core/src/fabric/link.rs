@@ -6,33 +6,64 @@
 //! preceded by a heartbeat per
 //! [`HEARTBEAT_EVERY`](crate::fabric::HEARTBEAT_EVERY) of measuring — so
 //! a fast rung's whole answer is that one frame. The supervisor opens
-//! one link per shard per study through a [`Dial`], pumps its read half
-//! into the watch loop for as long as it lives, and writes one task per
-//! rung to it; an attempt that fails closes the link and the retry
-//! opens a new one — identically for a child process's stdin/stdout, a
-//! TCP session with a shard host, and the scripted in-memory link the
-//! unit tests substitute.
+//! one link per shard per study through a [`Dial`], sends one task per
+//! rung on it and reads the answer back itself, each read bounded by
+//! what is left of the shard's heartbeat deadline; an attempt that
+//! fails closes the link and the retry opens a new one — identically
+//! for a child process's socket, a TCP session with a shard host, and
+//! the scripted in-memory link the unit tests substitute.
+//!
+//! A worker child's stdin and stdout are both one end of a Unix socket
+//! pair: unlike a pipe, a socket can be read with a timeout. The parent
+//! keeps the other end and closes the child's copy right after the
+//! spawn, so a dead worker reads as end-of-stream, not as silence.
 
-use std::io::{BufReader, Read, Write};
+use std::io::BufReader;
+use std::os::fd::OwnedFd;
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-use edgetune_net::{client_hello, FramedTcp, Hello};
+use edgetune_net::{client_hello, FramedTcp, Hello, NetError};
+use edgetune_runtime::frame::{read_frame, write_frame, Frame, FrameKind};
 
 use crate::backend::BackendSpec;
 use crate::fabric::worker::WORKER_SUBCOMMAND;
 
+/// What one [`Link::recv`] ended as.
+pub(crate) enum Recv {
+    /// A whole, checksum-verified frame.
+    Frame(Frame),
+    /// Nothing arrived within the wait.
+    Silent,
+    /// The stream ended, tore or failed: the peer is gone.
+    Ended,
+}
+
+impl Recv {
+    /// Classifies a frame read: a timed-out read is silence, anything
+    /// else that is not a frame is the end of the link.
+    fn of(read: Result<Option<Frame>, NetError>) -> Self {
+        match read {
+            Ok(Some(frame)) => Recv::Frame(frame),
+            Err(e) if e.is_timeout() => Recv::Silent,
+            Ok(None) | Err(_) => Recv::Ended,
+        }
+    }
+}
+
 /// One open, framed connection to a shard executor.
 pub(crate) trait Link: Send {
-    /// The half tasks are written to.
-    fn writer(&mut self) -> &mut dyn Write;
+    /// Sends one frame and flushes it.
+    fn send(&mut self, kind: FrameKind, payload: &[u8]) -> Result<(), String>;
 
-    /// Splits off the half frames come back on, for the session's reader
-    /// thread; called once, right after the link opens. It must reach
-    /// end-of-stream once [`close`](Link::close) has run, so that thread
-    /// can be joined.
-    fn reader(&mut self) -> Result<Box<dyn Read + Send>, String>;
+    /// Reads the next frame, each read of the stream waiting at most
+    /// `wait` (non-zero) for the peer. A frame that has already arrived
+    /// is returned at once, however short the wait. A read that timed
+    /// out may have consumed part of a frame, so the supervisor closes a
+    /// link it found silent.
+    fn recv(&mut self, wait: Duration) -> Recv;
 
     /// Releases the link. After a `failed` attempt the peer may be hung
     /// or half-dead and is torn down rather than waited for.
@@ -46,8 +77,9 @@ pub(crate) type LinkScript = Box<dyn Fn(usize) -> Result<Box<dyn Link>, String> 
 
 /// Opens the links of one supervised placement.
 pub(crate) enum Dial {
-    /// Spawn a local `__shard-worker` child and speak frames over its
-    /// stdin/stdout. `None` when no executable could be found.
+    /// Spawn a local `__shard-worker` child and speak frames over a
+    /// socket pair on its stdin/stdout. `None` when no executable could
+    /// be found.
     Process { exe: Option<PathBuf> },
     /// Dial a standing `edgetune shard-host` daemon and open a session
     /// with the versioned handshake. Shard `i` uses
@@ -81,19 +113,27 @@ impl Dial {
         match self {
             Dial::Process { exe } => {
                 let exe = exe.as_ref().ok_or("no worker executable available")?;
-                let mut child = Command::new(exe)
+                let (ours, theirs) =
+                    UnixStream::pair().map_err(|e| format!("opening a socket pair: {e}"))?;
+                let theirs_too = theirs
+                    .try_clone()
+                    .map_err(|e| format!("opening a socket pair: {e}"))?;
+                // The command owns the child's two descriptors and is a
+                // temporary: they close at the end of this statement, so
+                // once the worker exits nothing holds its end open.
+                let child = Command::new(exe)
                     .arg(WORKER_SUBCOMMAND)
-                    .stdin(Stdio::piped())
-                    .stdout(Stdio::piped())
+                    .stdin(Stdio::from(OwnedFd::from(theirs)))
+                    .stdout(Stdio::from(OwnedFd::from(theirs_too)))
                     .stderr(Stdio::null())
                     .spawn()
                     .map_err(|e| format!("spawn failed: {e}"))?;
-                let stdin = child.stdin.take().expect("stdin was piped");
-                let stdout = child.stdout.take();
-                Ok(Box::new(PipeLink {
+                Ok(Box::new(WorkerLink {
                     child,
-                    stdin,
-                    stdout,
+                    // Buffered like the TCP receiver, so a frame costs one
+                    // `read(2)` rather than one for its header and one for
+                    // its payload.
+                    socket: BufReader::new(ours),
                 }))
             }
             Dial::Remote { hosts } => {
@@ -102,14 +142,10 @@ impl Dial {
                     .map_err(|e| format!("connecting to {host}: {e}"))?;
                 let spec_json = serde_json::to_string(spec)
                     .expect("backend specs are plain data and always serialise");
-                // The session's pump later reads a clone of this socket,
-                // bounded by the heartbeat deadline instead, so the
-                // hello's receive timeout is cleared once it is answered.
                 conn.set_recv_timeout(Some(connect_timeout))
                     .and_then(|()| client_hello(&mut conn, &Hello::new(study, spec_json)))
-                    .and_then(|_| conn.set_recv_timeout(None))
                     .map_err(|e| format!("handshake with {host}: {e}"))?;
-                Ok(Box::new(TcpLink(conn)))
+                Ok(Box::new(HostLink(conn)))
             }
             #[cfg(test)]
             Dial::Scripted(script) => script(shard),
@@ -117,33 +153,33 @@ impl Dial {
     }
 }
 
-/// A worker child process: tasks down its stdin, frames up its stdout.
-struct PipeLink {
+/// A worker child process, spoken to over its end of a socket pair.
+struct WorkerLink {
     child: Child,
-    stdin: ChildStdin,
-    stdout: Option<ChildStdout>,
+    socket: BufReader<UnixStream>,
 }
 
-impl Link for PipeLink {
-    fn writer(&mut self) -> &mut dyn Write {
-        &mut self.stdin
+impl Link for WorkerLink {
+    fn send(&mut self, kind: FrameKind, payload: &[u8]) -> Result<(), String> {
+        write_frame(self.socket.get_mut(), kind, payload).map_err(|e| e.to_string())
     }
 
-    fn reader(&mut self) -> Result<Box<dyn Read + Send>, String> {
-        let stdout = self.stdout.take().ok_or("worker stdout already taken")?;
-        // Buffered like the TCP receiver, so a frame costs one `read(2)`
-        // rather than one for its header and one for its payload.
-        Ok(Box::new(BufReader::new(stdout)))
+    fn recv(&mut self, wait: Duration) -> Recv {
+        Recv::of(
+            self.socket
+                .get_ref()
+                .set_read_timeout(Some(wait))
+                .map_err(NetError::from)
+                .and_then(|()| Ok(read_frame(&mut self.socket)?)),
+        )
     }
 
     fn close(self: Box<Self>, failed: bool) {
-        let PipeLink {
-            mut child, stdin, ..
-        } = *self;
-        // The worker's loop exits on stdin EOF; a failed one may never
-        // get there, so it is killed. Either way it is reaped so nothing
-        // zombifies.
-        drop(stdin);
+        let WorkerLink { mut child, socket } = *self;
+        // The worker's loop exits when its stdin ends; a failed one may
+        // never get there, so it is killed. Either way it is reaped so
+        // nothing zombifies.
+        drop(socket);
         if failed {
             let _ = child.kill();
         }
@@ -152,26 +188,72 @@ impl Link for PipeLink {
 }
 
 /// A session with a shard host, past the handshake.
-struct TcpLink(FramedTcp);
+struct HostLink(FramedTcp);
 
-impl Link for TcpLink {
-    fn writer(&mut self) -> &mut dyn Write {
-        &mut self.0
+impl Link for HostLink {
+    fn send(&mut self, kind: FrameKind, payload: &[u8]) -> Result<(), String> {
+        self.0.send(kind, payload).map_err(|e| e.to_string())
     }
 
-    fn reader(&mut self) -> Result<Box<dyn Read + Send>, String> {
-        // Split right after the handshake, while the host is guaranteed
-        // silent: bytes already buffered on this half would not transfer.
-        let receiver = self
-            .0
-            .split_recv()
-            .map_err(|e| format!("splitting the session socket: {e}"))?;
-        Ok(Box::new(receiver))
+    fn recv(&mut self, wait: Duration) -> Recv {
+        Recv::of(
+            self.0
+                .set_recv_timeout(Some(wait))
+                .and_then(|()| self.0.recv()),
+        )
     }
 
     fn close(self: Box<Self>, _failed: bool) {
-        // Shutdown unblocks the reader (both halves clone one socket),
-        // so it can be joined without waiting on the peer.
         self.0.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use edgetune_runtime::frame::encode_frame;
+    use std::io::Write;
+    use std::time::Instant;
+
+    /// A worker link whose "worker" is the test, holding the other end.
+    fn socket_link() -> (WorkerLink, UnixStream) {
+        let (ours, theirs) = UnixStream::pair().unwrap();
+        let child = Command::new("true").spawn().unwrap();
+        let link = WorkerLink {
+            child,
+            socket: BufReader::new(ours),
+        };
+        (link, theirs)
+    }
+
+    #[test]
+    fn a_frame_that_already_arrived_is_read_within_the_shortest_wait() {
+        let (mut link, mut peer) = socket_link();
+        peer.write_all(&encode_frame(FrameKind::Heartbeat, b"{}"))
+            .unwrap();
+        peer.write_all(&encode_frame(FrameKind::Result, b"{}"))
+            .unwrap();
+        for kind in [FrameKind::Heartbeat, FrameKind::Result] {
+            assert!(matches!(
+                link.recv(Duration::from_millis(1)),
+                Recv::Frame(frame) if frame.kind == kind
+            ));
+        }
+        let started = Instant::now();
+        assert!(matches!(link.recv(Duration::from_millis(20)), Recv::Silent));
+        assert!(started.elapsed() >= Duration::from_millis(15));
+        drop(peer);
+        assert!(matches!(link.recv(Duration::from_secs(5)), Recv::Ended));
+        Box::new(link).close(false);
+    }
+
+    #[test]
+    fn a_torn_frame_ends_the_link() {
+        let (mut link, mut peer) = socket_link();
+        let frame = encode_frame(FrameKind::Result, b"measurements");
+        peer.write_all(&frame[..frame.len() - 3]).unwrap();
+        drop(peer);
+        assert!(matches!(link.recv(Duration::from_secs(5)), Recv::Ended));
+        Box::new(link).close(true);
     }
 }

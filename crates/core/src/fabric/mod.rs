@@ -4,37 +4,39 @@
 //! [`ShardFabric`] is the study's one rung executor. It partitions every
 //! rung into `study_shards` contiguous
 //! [`ShardPlan`](crate::engine::ShardPlan)s, pairs each plan with a
-//! backend snapshot on a scoped thread — a shard is that pair, nothing
-//! more — and hands the measurements back in input order to the
-//! sequential accounting path every execution mode shares. *Where* a
-//! plan's slice is measured is the [`ShardExec`](crate::config::ShardExec)
-//! placement:
+//! backend snapshot — a shard is that pair, nothing more — and hands
+//! the measurements back in input order to the sequential accounting
+//! path every execution mode shares. *Where* a plan's slice is measured
+//! is the [`ShardExec`](crate::config::ShardExec) placement:
 //!
-//! * **thread** — directly on the shard's own thread. No frames, no
-//!   serde.
+//! * **thread** — directly, each shard on a scoped thread of its own.
+//!   No frames, no serde.
 //! * **process** — in a **shard worker**: the `edgetune` binary
 //!   re-executing itself with the hidden `__shard-worker` subcommand,
-//!   which receives the plan plus a
-//!   [`BackendSpec`](crate::backend::BackendSpec) backend snapshot over
-//!   its stdin as length-prefixed, CRC-checksummed
-//!   [frames](edgetune_runtime::frame) and answers with the measured
-//!   [`TrialMeasurement`](crate::backend::TrialMeasurement)s over its
-//!   stdout — preceded by a heartbeat per [`HEARTBEAT_EVERY`] of
-//!   measuring, so a fast rung's answer is its result frame alone.
+//!   whose stdin and stdout are one end of a Unix socket pair. It
+//!   receives the plan plus a
+//!   [`BackendSpec`](crate::backend::BackendSpec) backend snapshot as
+//!   length-prefixed, CRC-checksummed [frames](edgetune_runtime::frame)
+//!   and answers with the measured
+//!   [`TrialMeasurement`](crate::backend::TrialMeasurement)s — preceded
+//!   by a heartbeat per [`HEARTBEAT_EVERY`] of measuring, so a fast
+//!   rung's answer is its result frame alone.
 //! * **remote** — on a standing [`ShardHost`] daemon
 //!   (`edgetune shard-host --listen ADDR`) over TCP: the coordinator
 //!   dials one host per shard, opens a versioned session with an
 //!   [`edgetune_net`] handshake, and ships the identical task.
 //!
-//! Process and remote placement are one code path. The supervisor keeps
-//! one link per shard per study (the two adapters live in `link`),
-//! reopened only after an attempt on it failed; it runs one attempt
-//! function per rung over it, and wraps every attempt in a heartbeat
-//! deadline (bounding one trial plus [`HEARTBEAT_EVERY`] of silence), a
-//! capped-jittered-backoff [`RetryPolicy`](edgetune_faults::RetryPolicy)
-//! on crash or timeout, post-hoc straggler detection, and — once the
-//! retry budget is spent — measuring the slice in-process exactly as
-//! thread placement would have. On the serving side a worker process
+//! Process and remote placement are one code path, and it runs on the
+//! calling thread: no thread is started per rung or per link. The
+//! supervisor keeps one link per shard per study (the two adapters live
+//! in `link`), reopened only after an attempt on it failed. Per rung it
+//! sends every shard's task, then reads each link in shard order under
+//! that shard's heartbeat deadline (bounding one trial plus
+//! [`HEARTBEAT_EVERY`] of silence); failed shards are retried in rounds
+//! under a capped-jittered-backoff
+//! [`RetryPolicy`](edgetune_faults::RetryPolicy), and a shard that spends
+//! the budget is measured in-process exactly as thread placement would
+//! have. On the serving side a worker process
 //! and a host session run one task loop: decode, replay if the task's
 //! [`RungKey`] and content were already answered, measure under
 //! `catch_unwind`, reply. The payoff is crash containment: a worker

@@ -1,4 +1,4 @@
-//! The fabric's wire vocabulary: what travels inside pipe frames.
+//! The fabric's wire vocabulary: what travels inside frames.
 //!
 //! Every message is JSON inside one [frame](edgetune_runtime::frame):
 //! a [`ShardTask`] goes down to the worker, one [`ShardResultMsg`] comes
@@ -119,7 +119,7 @@ pub struct ShardTask {
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub chaos: Option<ChaosAction>,
     /// Idempotency key for remote dispatch: shard hosts use it to replay
-    /// cached results on reconnect-and-resend. Tasks for pipe workers
+    /// cached results on reconnect-and-resend. Tasks for worker processes
     /// carry none: a worker process serves its shard for the study, but
     /// a failed attempt kills it, so a resend always reaches a fresh
     /// process and can never find its cache.

@@ -2,41 +2,47 @@
 //!
 //! [`ShardFabric::measure_rung`] is the one way a rung's trials are
 //! measured side by side on the host: it partitions the rung into
-//! [`ShardPlan`]s, pairs each plan with a backend snapshot on its own
-//! scoped thread — that pair is all a shard is — and returns the
-//! measurements in input order. *How many* plans is `study_shards`;
-//! *where* a plan's slice is measured is [`ShardExec`]:
+//! [`ShardPlan`]s, pairs each plan with a backend snapshot — that pair
+//! is all a shard is — and returns the measurements in input order.
+//! *How many* plans is `study_shards`; *where* a plan's slice is
+//! measured is [`ShardExec`]:
 //!
-//! * `Thread` — the shard measures its slice directly, right there on
-//!   its thread. No frames, no serde, nothing to supervise.
-//! * `Process` / `Remote` — the thread first tries to have the slice
-//!   measured elsewhere: it ships the task over the shard's link (a
-//!   `__shard-worker` child's pipes, or a TCP session with a shard
-//!   host) and watches the frame stream under a heartbeat deadline,
-//!   retrying a failed attempt under a capped-jittered-backoff
-//!   [`RetryPolicy`].
-//!   Once the retry budget is spent it falls back to exactly what
-//!   thread placement does. Whatever a worker does — SIGKILL, panic,
-//!   hang, garbage on the wire — `measure_rung` returns the exact
-//!   measurements direct execution would have produced.
+//! * `Thread` — each shard measures its slice directly on a scoped
+//!   thread of its own. No frames, no serde, nothing to supervise.
+//! * `Process` / `Remote` — the slices are measured elsewhere and the
+//!   calling thread supervises them all: it sends every shard's task
+//!   over the shard's link (a `__shard-worker` child's socket, or a TCP
+//!   session with a shard host), then reads the links in shard order,
+//!   each under its shard's heartbeat deadline. Failed shards are
+//!   retried in rounds under a capped-jittered-backoff [`RetryPolicy`];
+//!   a shard that spends the budget falls back to exactly what thread
+//!   placement does, on the calling thread. Whatever a worker does —
+//!   SIGKILL, panic, hang, garbage on the wire — `measure_rung` returns
+//!   the exact measurements direct execution would have produced.
+//!
+//! A shard's deadline runs from its send, or from the last frame read
+//! off its link if that is later, and a read waits only for what is
+//! left of it (at least 1 ms). What a worker sent while a
+//! sibling was being read waits in its socket and is read at once, so
+//! shards that hang together time out together: reading the links in
+//! turn never adds their deadlines up.
 //!
 //! A shard keeps one link per study: the fabric opens it on the shard's
 //! first attempt, hands it every later rung, and reopens it only after
 //! an attempt on it failed — a failed link is torn down, never reused.
 //! Dropping the fabric closes whatever links are still open.
 //!
-//! Telemetry (spawn/heartbeat/crash/retry/fallback/straggler events,
-//! stamped with wall-clock offsets from the fabric's epoch) accumulates
-//! on the fabric's **own** tracer, never the study tracer: study trace
-//! bytes must stay identical across `--shard-exec thread|process|remote`.
+//! Telemetry (spawn/send/recv spans and heartbeat/result/crash/retry/
+//! fallback instants, stamped with wall-clock offsets from the fabric's
+//! epoch) goes to the fabric's **own** tracer, never the study tracer:
+//! study trace bytes must stay identical across
+//! `--shard-exec thread|process|remote`.
 
 use std::path::PathBuf;
-use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use edgetune_faults::RetryPolicy;
-use edgetune_runtime::frame::{read_frame, write_frame, Frame, FrameKind};
+use edgetune_runtime::frame::FrameKind;
 use edgetune_runtime::parallel_map_ordered;
 use edgetune_trace::Tracer;
 use edgetune_tuner::budget::TrialBudget;
@@ -49,7 +55,7 @@ use serde::{Deserialize, Serialize};
 use crate::backend::{BackendSpec, TrainingBackend, TrialMeasurement};
 use crate::config::{EdgeTuneConfig, ShardExec};
 use crate::engine::shard::ShardPlan;
-use crate::fabric::link::{Dial, Link};
+use crate::fabric::link::{Dial, Link, Recv};
 use crate::fabric::protocol::{
     decode, encode, ChaosAction, RungScope, ShardHeartbeat, ShardResultMsg, ShardTask, TaskTrial,
     WorkerFailure,
@@ -57,9 +63,10 @@ use crate::fabric::protocol::{
 use crate::fabric::worker::HEARTBEAT_EVERY;
 use crate::trace::{CAT_FABRIC, PROCESS_FABRIC};
 
-/// A shard slower than this multiple of the median sibling wall time is
-/// flagged as a straggler (telemetry only — its result is still used).
-const STRAGGLER_GRACE: f64 = 4.0;
+/// The shortest wait a link read is given. What is left of a deadline
+/// may be nothing, and a socket read timeout cannot be zero; a frame
+/// that has already arrived is read within it.
+const MIN_WAIT: Duration = Duration::from_millis(1);
 
 /// A planted fault for chaos-testing the fabric's own containment: the
 /// targeted shard executes `action` mid-rung on its **first** attempt,
@@ -157,7 +164,7 @@ pub struct FabricStats {
     pub links: u64,
     /// Heartbeat frames received.
     pub heartbeats: u64,
-    /// Worker failures observed (crash, dead pipe, error frame).
+    /// Worker failures observed (crash, dead link, error frame).
     pub crashes: u64,
     /// Heartbeat deadlines that fired (a subset of `crashes`).
     pub timeouts: u64,
@@ -165,47 +172,6 @@ pub struct FabricStats {
     pub retries: u64,
     /// Shards that exhausted the budget and ran in-process.
     pub fallbacks: u64,
-    /// Shards flagged as stragglers.
-    pub stragglers: u64,
-}
-
-/// One telemetry event, recorded off-thread and emitted onto the fabric
-/// tracer in deterministic shard order afterwards. Instants mark what
-/// happened; spans (`until` set) additionally cover how long an RPC leg
-/// took.
-struct FabricEvent {
-    name: String,
-    offset: Seconds,
-    until: Option<Seconds>,
-    args: Vec<(String, String)>,
-}
-
-impl FabricEvent {
-    fn instant(name: &str, offset: Seconds, args: Vec<(String, String)>) -> Self {
-        FabricEvent {
-            name: name.to_string(),
-            offset,
-            until: None,
-            args,
-        }
-    }
-
-    fn span(name: &str, offset: Seconds, until: Seconds, args: Vec<(String, String)>) -> Self {
-        FabricEvent {
-            name: name.to_string(),
-            offset,
-            until: Some(until),
-            args,
-        }
-    }
-}
-
-/// One supervised shard's outcome.
-struct ShardRun {
-    measurements: Vec<TrialMeasurement>,
-    events: Vec<FabricEvent>,
-    stats: FabricStats,
-    wall: f64,
 }
 
 /// Everything a worker attempt can end as.
@@ -224,44 +190,6 @@ impl AttemptEnd {
     }
 }
 
-/// A shard's open link plus the reader thread pumping its frames into
-/// `rx`, so the supervisor can wait with a timeout. The pump starts when
-/// the link opens and ends with it: the sender dropping (EOF, torn frame,
-/// killed worker) surfaces as a disconnect.
-struct Session {
-    link: Box<dyn Link>,
-    rx: mpsc::Receiver<Frame>,
-    pump: JoinHandle<()>,
-}
-
-impl Session {
-    fn start(mut link: Box<dyn Link>) -> Result<Self, String> {
-        let mut reader = match link.reader() {
-            Ok(reader) => reader,
-            Err(reason) => {
-                link.close(true);
-                return Err(reason);
-            }
-        };
-        let (tx, rx) = mpsc::channel::<Frame>();
-        let pump = std::thread::spawn(move || {
-            while let Ok(Some(frame)) = read_frame(&mut reader) {
-                if tx.send(frame).is_err() {
-                    break;
-                }
-            }
-        });
-        Ok(Session { link, rx, pump })
-    }
-
-    /// Closing ends the read half's stream, so the pump can be joined
-    /// without waiting on the peer.
-    fn close(self, failed: bool) {
-        self.link.close(failed);
-        let _ = self.pump.join();
-    }
-}
-
 /// The rung executor. One instance measures every rung of a study,
 /// accumulating supervision stats and telemetry across rungs.
 pub struct ShardFabric {
@@ -269,11 +197,11 @@ pub struct ShardFabric {
     /// How supervised attempts reach their executor; `None` is thread
     /// placement, where a shard's only step is the direct measurement.
     dial: Option<Dial>,
-    /// One slot per shard index a rung has used: the shard's open session
+    /// One slot per shard index a rung has used: the shard's open link
     /// between its attempts, empty before the first and after a failed
     /// one. A rung never has more plans than trials, so the slots grow
     /// with the rungs, not with `shards`.
-    sessions: Vec<Mutex<Option<Session>>>,
+    links: Vec<Option<Box<dyn Link>>>,
     retry: RetryPolicy,
     /// The heartbeat deadline (`StudyRun::start` validated it finite).
     deadline: Duration,
@@ -318,7 +246,7 @@ impl ShardFabric {
         ShardFabric {
             shards: config.study_shards,
             dial,
-            sessions: Vec::new(),
+            links: Vec::new(),
             retry: policy.retry,
             deadline: Duration::try_from_secs_f64(policy.deadline.value().max(0.0))
                 .unwrap_or(Duration::MAX),
@@ -346,11 +274,11 @@ impl ShardFabric {
         &self.tracer
     }
 
-    /// Measures one rung, one backend snapshot per [`ShardPlan`] on its
-    /// own scoped thread. The returned measurements are always the full
-    /// rung, in input order, bit-identical to sequential execution: a
-    /// supervised shard whose workers exhaust the retry budget is
-    /// measured by its own thread after all.
+    /// Measures one rung, one backend snapshot per [`ShardPlan`]. The
+    /// returned measurements are always the full rung, in input order,
+    /// bit-identical to sequential execution: a supervised shard whose
+    /// workers exhaust the retry budget is measured on its snapshot after
+    /// all.
     ///
     /// Returns `None` — the caller measures sequentially — for a single
     /// shard, and when the backend cannot snapshot itself (e.g. under
@@ -358,7 +286,7 @@ impl ShardFabric {
     /// strictly sequential), which keeps chaos runs shard-count-invariant.
     /// A backend that snapshots but has no
     /// [`process_spec`](TrainingBackend::process_spec) cannot cross a
-    /// process boundary; its shards are measured in-process under every
+    /// process boundary; its shards are measured on threads under every
     /// placement — same bytes either way.
     ///
     /// `now` is the study time of the dispatch. No measurement depends
@@ -376,107 +304,44 @@ impl ShardFabric {
             return None;
         }
         let plans = ShardPlan::partition(trials.len(), self.shards);
-        if self.sessions.len() < plans.len() {
-            self.sessions.resize_with(plans.len(), || Mutex::new(None));
-        }
         let snapshots = plans
             .iter()
             .map(|_| backend.parallel_snapshot())
             .collect::<Option<Vec<_>>>()?;
-        let spec = self.dial.as_ref().and_then(|_| backend.process_spec());
-        let runs = parallel_map_ordered(&plans, snapshots, |snapshot, _index, plan| {
-            let slice = plan.slice(trials);
-            self.run_shard(scope, *plan, spec.as_ref(), now, slice, &mut **snapshot)
-        });
-
-        // Post-hoc straggler detection against the median sibling.
-        let mut walls: Vec<f64> = runs.iter().map(|run| run.wall).collect();
-        walls.sort_by(f64::total_cmp);
-        let median = walls[walls.len() / 2];
-
-        let mut measurements = Vec::with_capacity(trials.len());
-        for (shard, mut run) in runs.into_iter().enumerate() {
-            if run.wall > median * STRAGGLER_GRACE && run.wall - median > 0.05 {
-                run.stats.stragglers += 1;
-                run.events.push(FabricEvent::instant(
-                    "straggler",
-                    self.offset(),
-                    vec![
-                        ("wall_s".to_string(), format!("{:.3}", run.wall)),
-                        ("median_s".to_string(), format!("{median:.3}")),
-                    ],
-                ));
-            }
-            let track = self.tracer.track(PROCESS_FABRIC, &format!("shard-{shard}"));
-            for event in run.events {
-                match event.until {
-                    Some(until) => self.tracer.span_with_args(
-                        track,
-                        event.name,
-                        CAT_FABRIC,
-                        event.offset,
-                        until,
-                        event.args,
-                    ),
-                    None => self.tracer.instant_with_args(
-                        track,
-                        event.name,
-                        CAT_FABRIC,
-                        event.offset,
-                        event.args,
-                    ),
-                }
-            }
-            self.stats.spawns += run.stats.spawns;
-            self.stats.links += run.stats.links;
-            self.stats.heartbeats += run.stats.heartbeats;
-            self.stats.crashes += run.stats.crashes;
-            self.stats.timeouts += run.stats.timeouts;
-            self.stats.retries += run.stats.retries;
-            self.stats.fallbacks += run.stats.fallbacks;
-            self.stats.stragglers += run.stats.stragglers;
-            measurements.extend(run.measurements);
+        if let Some(spec) = self.dial.as_ref().and_then(|_| backend.process_spec()) {
+            return Some(self.supervise(scope, &plans, spec, now, trials, snapshots));
         }
-        Some(measurements)
+        let slices = parallel_map_ordered(&plans, snapshots, |snapshot, _index, plan| {
+            measure_directly(&mut **snapshot, plan.slice(trials))
+        });
+        Some(slices.into_iter().flatten().collect())
     }
 
-    /// Wall-clock offset since the fabric was created, the timestamp
-    /// domain of its telemetry.
-    fn offset(&self) -> Seconds {
-        Seconds::new(self.epoch.elapsed().as_secs_f64())
-    }
-
-    /// Runs one shard to completion. A supervised placement (a dial and
-    /// a spec to ship) goes attempt → watch → retry under the budget
-    /// first; `run_trial` over the slice on `snapshot` is thread
-    /// placement's whole job and every supervised shard's last resort.
-    /// Runs on a pool thread; must not touch `self.tracer` or
-    /// `self.stats` (events and counters are returned and merged on the
-    /// calling thread).
-    fn run_shard(
-        &self,
+    /// Has `plans` measured elsewhere, supervised from the calling
+    /// thread. Each round sends the task of every shard still pending,
+    /// then reads their answers in shard order; the shards that failed
+    /// sleep the longest backoff any of them drew and go again, until
+    /// each has answered or spent the retry budget. A spent shard is
+    /// measured on its snapshot, as thread placement would have.
+    fn supervise(
+        &mut self,
         scope: RungScope,
-        plan: ShardPlan,
-        spec: Option<&BackendSpec>,
+        plans: &[ShardPlan],
+        spec: BackendSpec,
         now: Seconds,
-        slice: &[(u64, Config, TrialBudget)],
-        snapshot: &mut dyn TrainingBackend,
-    ) -> ShardRun {
-        let started = Instant::now();
-        let mut events = Vec::new();
-        let mut stats = FabricStats::default();
-        if let (Some(dial), Some(spec)) = (&self.dial, spec) {
-            // The backoff jitter stream is fabric-local by
-            // construction: it derives from the fabric's own seed child,
-            // never from the study's trial streams, so however many
-            // reconnects happen the study bytes cannot move.
-            let shard_seed = self.seed.child_indexed("shard", plan.shard as u64);
-            let mut task = ShardTask {
+        trials: &[(u64, Config, TrialBudget)],
+        mut snapshots: Vec<Box<dyn TrainingBackend + Send>>,
+    ) -> Vec<TrialMeasurement> {
+        let keyed = self.dial.as_ref().is_some_and(Dial::outlives_attempts);
+        let mut tasks: Vec<ShardTask> = plans
+            .iter()
+            .map(|&plan| ShardTask {
                 attempt: 1,
                 plan,
                 spec: spec.clone(),
                 now,
-                trials: slice
+                trials: plan
+                    .slice(trials)
                     .iter()
                     .map(|(id, config, budget)| TaskTrial {
                         id: *id,
@@ -490,235 +355,253 @@ impl ShardFabric {
                     .chaos
                     .filter(|c| c.shard == plan.shard)
                     .map(|c| c.action),
-                key: dial.outlives_attempts().then(|| scope.key_for(plan.shard)),
-            };
-            let mut draw: u64 = 0;
-            loop {
-                let attempt = task.attempt;
-                match self.run_attempt(dial, scope.study, &task, &mut events, &mut stats) {
+                key: keyed.then(|| scope.key_for(plan.shard)),
+            })
+            .collect();
+        let mut measured: Vec<Vec<TrialMeasurement>> = plans.iter().map(|_| Vec::new()).collect();
+        let mut pending: Vec<usize> = (0..plans.len()).collect();
+        let mut spent = Vec::new();
+        let mut attempt = 1;
+        loop {
+            let sent: Vec<_> = pending
+                .iter()
+                .map(|&shard| self.send(scope.study, &tasks[shard]))
+                .collect();
+            let mut failed = Vec::new();
+            let mut backoff: f64 = 0.0;
+            for (&shard, sent) in pending.iter().zip(sent) {
+                let end = match sent {
+                    Ok((link, sent_at)) => self.collect(&tasks[shard], link, sent_at),
+                    Err(reason) => AttemptEnd::failed(reason),
+                };
+                let attempt_arg = ("attempt".to_string(), attempt.to_string());
+                match end {
                     AttemptEnd::Done(measurements) => {
-                        events.push(FabricEvent::instant(
-                            "result",
-                            self.offset(),
-                            vec![("attempt".to_string(), attempt.to_string())],
-                        ));
-                        return ShardRun {
-                            measurements,
-                            events,
-                            stats,
-                            wall: started.elapsed().as_secs_f64(),
-                        };
+                        self.instant(shard, "result", vec![attempt_arg]);
+                        measured[shard] = measurements;
                     }
                     AttemptEnd::Failed { reason, timed_out } => {
-                        stats.crashes += 1;
-                        if timed_out {
-                            stats.timeouts += 1;
-                        }
-                        events.push(FabricEvent::instant(
+                        self.stats.crashes += 1;
+                        self.stats.timeouts += u64::from(timed_out);
+                        self.instant(
+                            shard,
                             "crash",
-                            self.offset(),
-                            vec![
-                                ("attempt".to_string(), attempt.to_string()),
-                                ("reason".to_string(), reason),
-                            ],
-                        ));
+                            vec![attempt_arg.clone(), ("reason".to_string(), reason)],
+                        );
                         if self.retry.exhausted(attempt) {
-                            stats.fallbacks += 1;
-                            events.push(FabricEvent::instant(
-                                "in_process",
-                                self.offset(),
-                                vec![("after_attempts".to_string(), attempt.to_string())],
-                            ));
-                            break;
+                            spent.push(shard);
+                            continue;
                         }
-                        stats.retries += 1;
-                        let delay = self.retry.delay(attempt, shard_seed, draw);
-                        draw += 1;
-                        events.push(FabricEvent::instant(
+                        self.stats.retries += 1;
+                        // The backoff jitter stream is fabric-local by
+                        // construction: it derives from the fabric's own
+                        // seed child, never from the study's trial
+                        // streams, so however many reconnects happen the
+                        // study bytes cannot move.
+                        let shard_seed = self.seed.child_indexed("shard", shard as u64);
+                        let delay = self
+                            .retry
+                            .delay(attempt, shard_seed, u64::from(attempt - 1))
+                            .value();
+                        self.instant(
+                            shard,
                             "retry",
-                            self.offset(),
                             vec![
-                                ("attempt".to_string(), attempt.to_string()),
-                                ("backoff_s".to_string(), format!("{:.3}", delay.value())),
+                                attempt_arg,
+                                ("backoff_s".to_string(), format!("{delay:.3}")),
                             ],
-                        ));
-                        std::thread::sleep(Duration::from_secs_f64(delay.value().max(0.0)));
-                        task.attempt += 1;
-                        task.chaos = None;
+                        );
+                        backoff = backoff.max(delay);
+                        failed.push(shard);
                     }
                 }
             }
+            if failed.is_empty() {
+                break;
+            }
+            std::thread::sleep(Duration::from_secs_f64(backoff.max(0.0)));
+            attempt += 1;
+            for &shard in &failed {
+                tasks[shard].attempt = attempt;
+                tasks[shard].chaos = None;
+            }
+            pending = failed;
         }
-        ShardRun {
-            measurements: slice
-                .iter()
-                .map(|(_, config, budget)| snapshot.run_trial(config, *budget))
-                .collect(),
-            events,
-            stats,
-            wall: started.elapsed().as_secs_f64(),
+        for shard in spent {
+            self.stats.fallbacks += 1;
+            self.instant(
+                shard,
+                "in_process",
+                vec![(
+                    "after_attempts".to_string(),
+                    tasks[shard].attempt.to_string(),
+                )],
+            );
+            measured[shard] = measure_directly(&mut *snapshots[shard], plans[shard].slice(trials));
         }
+        measured.into_iter().flatten().collect()
     }
 
-    /// The session slot of shard index `shard`.
-    fn slot(&self, shard: usize) -> MutexGuard<'_, Option<Session>> {
-        self.sessions[shard]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// One supervised attempt, the same for every link: take the shard's
-    /// session (opening one if it has none), ship the task, and
-    /// [`watch`](Self::watch) its frames. A finished attempt puts the
-    /// session back for the shard's next rung; a failed one tears it
-    /// down, so a retry always starts on a fresh link. The legs (open,
-    /// send, wait for the result) are recorded as spans on the fabric
-    /// tracer.
-    fn run_attempt(
-        &self,
-        dial: &Dial,
-        study: u64,
-        task: &ShardTask,
-        events: &mut Vec<FabricEvent>,
-        stats: &mut FabricStats,
-    ) -> AttemptEnd {
-        let attempt_arg = || vec![("attempt".to_string(), task.attempt.to_string())];
-        let pooled = self.slot(task.plan.shard).take();
-        let mut session = match pooled {
-            Some(session) => session,
+    /// Sends `task` over its shard's link, opening one if the shard has
+    /// none: the link and when the task left it, or why it could not
+    /// leave (a link the send failed on is torn down). Opening and
+    /// sending are recorded as spans.
+    fn send(&mut self, study: u64, task: &ShardTask) -> Result<(Box<dyn Link>, Instant), String> {
+        let shard = task.plan.shard;
+        if self.links.len() <= shard {
+            self.links.resize_with(shard + 1, || None);
+        }
+        let mut link = match self.links[shard].take() {
+            Some(link) => link,
             None => {
+                let dial = self.dial.as_ref().ok_or("thread placement has no links")?;
                 // A dead address must fail within the heartbeat
                 // deadline's order of magnitude, not hang the rung.
                 let connect_timeout = self
                     .deadline
                     .clamp(Duration::from_millis(100), Duration::from_secs(30));
                 let open_from = self.offset();
-                let session = match dial
-                    .open(task.plan.shard, study, &task.spec, connect_timeout)
-                    .and_then(Session::start)
-                {
-                    Ok(session) => session,
-                    Err(reason) => return AttemptEnd::failed(reason),
-                };
-                stats.links += 1;
-                events.push(FabricEvent::span(
-                    "spawn",
-                    open_from,
-                    self.offset(),
-                    attempt_arg(),
-                ));
-                session
+                let link = dial.open(shard, study, &task.spec, connect_timeout)?;
+                self.stats.links += 1;
+                self.span(shard, "spawn", open_from, attempt_arg(task));
+                link
             }
         };
-        stats.spawns += 1;
-
+        self.stats.spawns += 1;
         let send_from = self.offset();
-        if let Err(e) = write_frame(&mut session.link.writer(), FrameKind::Task, &encode(task)) {
-            session.close(true);
-            return AttemptEnd::failed(format!("sending task: {e}"));
+        if let Err(e) = link.send(FrameKind::Task, &encode(task)) {
+            link.close(true);
+            return Err(format!("sending task: {e}"));
         }
-        events.push(FabricEvent::span(
+        self.span(
+            shard,
             "send",
             send_from,
-            self.offset(),
             vec![("trials".to_string(), task.trials.len().to_string())],
-        ));
+        );
+        Ok((link, Instant::now()))
+    }
 
+    /// Reads the answer to `task`, sent on `link` at `since`, one frame
+    /// at a time: each read waits for what is left of the heartbeat
+    /// deadline, and every frame read restarts it. A finished attempt
+    /// puts the link back for the shard's next rung; a failed one tears
+    /// it down, so a retry always starts on a fresh link.
+    fn collect(
+        &mut self,
+        task: &ShardTask,
+        mut link: Box<dyn Link>,
+        mut since: Instant,
+    ) -> AttemptEnd {
+        let shard = task.plan.shard;
         let recv_from = self.offset();
-        let end = self.watch(&session.rx, task.trials.len(), events, stats);
-        events.push(FabricEvent::span(
-            "recv",
-            recv_from,
-            self.offset(),
-            attempt_arg(),
-        ));
+        let end = loop {
+            let wait = self.deadline.saturating_sub(since.elapsed()).max(MIN_WAIT);
+            let frame = match link.recv(wait) {
+                Recv::Frame(frame) => frame,
+                Recv::Silent => {
+                    break AttemptEnd::Failed {
+                        reason: "heartbeat deadline exceeded".to_string(),
+                        timed_out: true,
+                    }
+                }
+                Recv::Ended => break AttemptEnd::failed("worker pipe closed before result"),
+            };
+            since = Instant::now();
+            match frame.kind {
+                FrameKind::Heartbeat => match decode::<ShardHeartbeat>(&frame.payload) {
+                    Ok(heartbeat) => {
+                        self.stats.heartbeats += 1;
+                        self.instant(
+                            shard,
+                            "heartbeat",
+                            vec![("completed".to_string(), heartbeat.completed.to_string())],
+                        );
+                    }
+                    Err(e) => break AttemptEnd::failed(format!("undecodable heartbeat: {e}")),
+                },
+                FrameKind::Result => {
+                    break match decode::<ShardResultMsg>(&frame.payload) {
+                        Ok(result) if result.measurements.len() == task.trials.len() => {
+                            AttemptEnd::Done(result.measurements)
+                        }
+                        Ok(result) => AttemptEnd::failed(format!(
+                            "short result: {} of {} measurements",
+                            result.measurements.len(),
+                            task.trials.len()
+                        )),
+                        Err(e) => AttemptEnd::failed(format!("undecodable result: {e}")),
+                    };
+                }
+                FrameKind::Error => {
+                    break AttemptEnd::failed(
+                        decode::<WorkerFailure>(&frame.payload).map_or_else(
+                            |e| format!("undecodable error frame: {e}"),
+                            |f| f.message,
+                        ),
+                    );
+                }
+                FrameKind::Task | FrameKind::Hello | FrameKind::HelloAck => {
+                    break AttemptEnd::failed(format!(
+                        "worker sent an unexpected {:?} frame",
+                        frame.kind
+                    ));
+                }
+            }
+        };
+        self.span(shard, "recv", recv_from, attempt_arg(task));
         match end {
-            AttemptEnd::Done(_) => *self.slot(task.plan.shard) = Some(session),
-            AttemptEnd::Failed { .. } => session.close(true),
+            AttemptEnd::Done(_) => self.links[shard] = Some(link),
+            AttemptEnd::Failed { .. } => link.close(true),
         }
         end
     }
 
-    /// Watches one attempt's frame stream under the heartbeat deadline.
-    /// Link-agnostic: every session pumps its frames into a channel and
-    /// each attempt waits here, so a hung host and a hung worker are
-    /// classified identically.
-    fn watch(
-        &self,
-        rx: &mpsc::Receiver<Frame>,
-        expected: usize,
-        events: &mut Vec<FabricEvent>,
-        stats: &mut FabricStats,
-    ) -> AttemptEnd {
-        loop {
-            match rx.recv_timeout(self.deadline) {
-                Ok(frame) => match frame.kind {
-                    FrameKind::Heartbeat => {
-                        if let Ok(heartbeat) = decode::<ShardHeartbeat>(&frame.payload) {
-                            stats.heartbeats += 1;
-                            events.push(FabricEvent::instant(
-                                "heartbeat",
-                                self.offset(),
-                                vec![("completed".to_string(), heartbeat.completed.to_string())],
-                            ));
-                        }
-                    }
-                    FrameKind::Result => match decode::<ShardResultMsg>(&frame.payload) {
-                        Ok(result) if result.measurements.len() == expected => {
-                            return AttemptEnd::Done(result.measurements);
-                        }
-                        Ok(result) => {
-                            return AttemptEnd::failed(format!(
-                                "short result: {} of {} measurements",
-                                result.measurements.len(),
-                                expected
-                            ));
-                        }
-                        Err(e) => {
-                            return AttemptEnd::failed(format!("undecodable result: {e}"));
-                        }
-                    },
-                    FrameKind::Error => {
-                        let reason = decode::<WorkerFailure>(&frame.payload).map_or_else(
-                            |e| format!("undecodable error frame: {e}"),
-                            |f| f.message,
-                        );
-                        return AttemptEnd::failed(reason);
-                    }
-                    FrameKind::Task | FrameKind::Hello | FrameKind::HelloAck => {
-                        return AttemptEnd::failed(format!(
-                            "worker sent an unexpected {:?} frame",
-                            frame.kind
-                        ));
-                    }
-                },
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    return AttemptEnd::Failed {
-                        reason: "heartbeat deadline exceeded".to_string(),
-                        timed_out: true,
-                    };
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return AttemptEnd::failed("worker pipe closed before result");
-                }
-            }
-        }
+    /// Wall-clock offset since the fabric was created, the timestamp
+    /// domain of its telemetry.
+    fn offset(&self) -> Seconds {
+        Seconds::new(self.epoch.elapsed().as_secs_f64())
+    }
+
+    /// Records an instant, now, on shard `shard`'s telemetry track.
+    fn instant(&self, shard: usize, name: &str, args: Vec<(String, String)>) {
+        let track = self.tracer.track(PROCESS_FABRIC, &format!("shard-{shard}"));
+        self.tracer
+            .instant_with_args(track, name, CAT_FABRIC, self.offset(), args);
+    }
+
+    /// Records a span from `from` until now on shard `shard`'s track.
+    fn span(&self, shard: usize, name: &str, from: Seconds, args: Vec<(String, String)>) {
+        let track = self.tracer.track(PROCESS_FABRIC, &format!("shard-{shard}"));
+        self.tracer
+            .span_with_args(track, name, CAT_FABRIC, from, self.offset(), args);
     }
 }
 
+/// A telemetry argument naming `task`'s attempt.
+fn attempt_arg(task: &ShardTask) -> Vec<(String, String)> {
+    vec![("attempt".to_string(), task.attempt.to_string())]
+}
+
+/// Measures `slice` on `snapshot`, in order: thread placement's whole
+/// job and every supervised shard's last resort.
+fn measure_directly(
+    snapshot: &mut dyn TrainingBackend,
+    slice: &[(u64, Config, TrialBudget)],
+) -> Vec<TrialMeasurement> {
+    slice
+        .iter()
+        .map(|(_, config, budget)| snapshot.run_trial(config, *budget))
+        .collect()
+}
+
 impl Drop for ShardFabric {
-    /// Closes every session still open, however the study ended: a
-    /// worker sees its stdin end, exits and is reaped; a host session is
-    /// shut down. No worker outlives the study.
+    /// Closes every link still open, however the study ended: a worker
+    /// sees its stdin end, exits and is reaped; a host session is shut
+    /// down. No worker outlives the study.
     fn drop(&mut self) {
-        for slot in &mut self.sessions {
-            let pooled = slot
-                .get_mut()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take();
-            if let Some(session) = pooled {
-                session.close(false);
-            }
+        for link in self.links.drain(..).flatten() {
+            link.close(false);
         }
     }
 }
@@ -727,11 +610,12 @@ impl Drop for ShardFabric {
 mod tests {
     use super::*;
     use crate::fabric::fixtures::{backend, expected_measurements, sample_trials, task_for};
-    use edgetune_runtime::frame::encode_frame;
+    use edgetune_runtime::frame::{encode_frame, read_frame, write_frame};
     use edgetune_workloads::catalog::WorkloadId;
-    use std::io::{Cursor, Read, Write};
+    use std::io::Cursor;
     use std::sync::atomic::{AtomicU32, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
+    use std::thread::ThreadId;
 
     fn fabric(shards: usize, exec: ShardExec, policy: FabricPolicy) -> ShardFabric {
         let mut config = EdgeTuneConfig::for_workload(WorkloadId::Ic)
@@ -756,24 +640,30 @@ mod tests {
         }
     }
 
-    /// An in-memory link: whatever is written collects in `sink`, and
-    /// the read half yields pre-encoded frame bytes, then either ends
-    /// (`hold` false — the peer hung up) or stays silent until the link
-    /// is closed (`hold` true — the peer hung). A logged link reports its
-    /// close to `log`.
+    /// An in-memory link: whatever is sent collects in `sink`, and reads
+    /// yield pre-encoded frame bytes at once, then either end (`hold`
+    /// false — the peer hung up) or find nothing for the whole wait
+    /// (`hold` true — the peer hung). A logged link reports the thread of
+    /// every send and read, and its close, to `log`.
     struct ScriptedLink {
         sink: Vec<u8>,
-        script: Option<Vec<u8>>,
+        script: Cursor<Vec<u8>>,
         hold: bool,
-        open: Option<mpsc::Sender<()>>,
-        log: Option<(LinkId, CloseLog)>,
+        log: Option<(LinkId, SharedLog)>,
     }
 
     /// (shard, how many links that shard had opened before this one).
     type LinkId = (usize, usize);
 
-    /// Every close of a logged link, in order.
-    type CloseLog = Arc<Mutex<Vec<Closed>>>;
+    /// What logged links saw, in order.
+    #[derive(Default)]
+    struct LinkLog {
+        closes: Vec<Closed>,
+        /// The thread of every send and read.
+        threads: Vec<ThreadId>,
+    }
+
+    type SharedLog = Arc<Mutex<LinkLog>>;
 
     #[derive(Debug, PartialEq)]
     struct Closed {
@@ -783,36 +673,33 @@ mod tests {
         failed: bool,
     }
 
-    struct ScriptedReader {
-        script: Cursor<Vec<u8>>,
-        closed: Option<mpsc::Receiver<()>>,
-    }
-
-    impl Read for ScriptedReader {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            let n = self.script.read(buf)?;
-            if n == 0 {
-                if let Some(closed) = self.closed.take() {
-                    // Blocks until `close` drops the sender.
-                    let _ = closed.recv();
-                }
+    impl ScriptedLink {
+        fn note_thread(&self) {
+            if let Some((_, log)) = &self.log {
+                log.lock()
+                    .unwrap()
+                    .threads
+                    .push(std::thread::current().id());
             }
-            Ok(n)
         }
     }
 
     impl Link for ScriptedLink {
-        fn writer(&mut self) -> &mut dyn Write {
-            &mut self.sink
+        fn send(&mut self, kind: FrameKind, payload: &[u8]) -> Result<(), String> {
+            self.note_thread();
+            write_frame(&mut self.sink, kind, payload).map_err(|e| e.to_string())
         }
 
-        fn reader(&mut self) -> Result<Box<dyn Read + Send>, String> {
-            let (open, closed) = mpsc::channel();
-            self.open = Some(open);
-            Ok(Box::new(ScriptedReader {
-                script: Cursor::new(self.script.take().ok_or("reader already taken")?),
-                closed: self.hold.then_some(closed),
-            }))
+        fn recv(&mut self, wait: Duration) -> Recv {
+            self.note_thread();
+            match read_frame(&mut self.script) {
+                Ok(Some(frame)) => Recv::Frame(frame),
+                _ if self.hold => {
+                    std::thread::sleep(wait);
+                    Recv::Silent
+                }
+                _ => Recv::Ended,
+            }
         }
 
         fn close(self: Box<Self>, failed: bool) {
@@ -823,7 +710,7 @@ mod tests {
                     assert_eq!(frame.kind, FrameKind::Task);
                     tasks += 1;
                 }
-                log.lock().unwrap().push(Closed {
+                log.lock().unwrap().closes.push(Closed {
                     link: *link,
                     tasks,
                     failed,
@@ -835,17 +722,17 @@ mod tests {
     fn scripted(script: Vec<u8>, hold: bool) -> Box<dyn Link> {
         Box::new(ScriptedLink {
             sink: Vec::new(),
-            script: Some(script),
+            script: Cursor::new(script),
             hold,
-            open: None,
             log: None,
         })
     }
 
     /// A dial whose shard `s` hands out the links `links[s]` scripts, in
-    /// order, each logging its close; a shard that runs out cannot open.
-    fn logged_dial(links: Vec<Vec<(Vec<u8>, bool)>>) -> (Dial, CloseLog) {
-        let log = CloseLog::default();
+    /// order, each logging to the returned log; a shard that runs out
+    /// cannot open.
+    fn logged_dial(links: Vec<Vec<(Vec<u8>, bool)>>) -> (Dial, SharedLog) {
+        let log = SharedLog::default();
         let opened = Mutex::new(vec![0; links.len()]);
         let handed_out = Arc::clone(&log);
         let dial = Dial::Scripted(Box::new(move |shard| {
@@ -858,9 +745,8 @@ mod tests {
                 .ok_or("no more scripted links")?;
             Ok(Box::new(ScriptedLink {
                 sink: Vec::new(),
-                script: Some(script),
+                script: Cursor::new(script),
                 hold,
-                open: None,
                 log: Some(((shard, nth), Arc::clone(&handed_out))),
             }) as Box<dyn Link>)
         }));
@@ -875,8 +761,8 @@ mod tests {
     }
 
     /// The closes logged since the last call, by link.
-    fn closes(log: &CloseLog) -> Vec<Closed> {
-        let mut closes = std::mem::take(&mut *log.lock().unwrap());
+    fn closes(log: &SharedLog) -> Vec<Closed> {
+        let mut closes = std::mem::take(&mut log.lock().unwrap().closes);
         closes.sort_by_key(|closed| closed.link);
         closes
     }
@@ -901,17 +787,16 @@ mod tests {
     /// `script`, returning how it ended and the stats it left.
     fn attempt_over(script: Vec<u8>, hold: bool, deadline_s: f64) -> (AttemptEnd, FabricStats) {
         let mut fabric = fabric(2, ShardExec::Process, fast_policy(1, deadline_s));
-        // `measure_rung` grows the session slots; a lone attempt needs
-        // shard 0's.
-        fabric.sessions.push(Mutex::new(None));
-        let script = std::sync::Mutex::new(Some(script));
-        let dial = Dial::Scripted(Box::new(move |_shard| {
+        let script = Mutex::new(Some(script));
+        fabric.dial = Some(Dial::Scripted(Box::new(move |_shard| {
             Ok(scripted(script.lock().unwrap().take().unwrap(), hold))
-        }));
+        })));
         let task = task_for(&sample_trials(3), Seconds::ZERO, None);
-        let mut stats = FabricStats::default();
-        let end = fabric.run_attempt(&dial, 11, &task, &mut Vec::new(), &mut stats);
-        (end, stats)
+        let end = match fabric.send(11, &task) {
+            Ok((link, sent_at)) => fabric.collect(&task, link, sent_at),
+            Err(reason) => AttemptEnd::failed(reason),
+        };
+        (end, fabric.stats)
     }
 
     fn failure(end: AttemptEnd) -> (String, bool) {
@@ -1294,6 +1179,84 @@ mod tests {
         assert_eq!(stats.fallbacks, 2);
         assert_eq!(stats.spawns, 4, "two spawn attempts per shard");
         assert!(stats.crashes >= 4);
+        assert_eq!(stats.timeouts, 0, "a dead worker reads as end-of-stream");
+    }
+
+    #[test]
+    fn an_undecodable_heartbeat_fails_the_attempt() {
+        let script = encode_frame(FrameKind::Heartbeat, b"not json");
+        let (end, stats) = attempt_over(script, true, 5.0);
+        let (reason, timed_out) = failure(end);
+        assert!(reason.starts_with("undecodable heartbeat: "), "{reason}");
+        assert!(!timed_out);
+        assert_eq!(
+            stats.heartbeats, 0,
+            "a heartbeat that does not decode is no sign of life"
+        );
+    }
+
+    #[test]
+    fn a_supervised_rung_stays_on_the_calling_thread() {
+        let trials = sample_trials(8);
+        // Every shard's first link hangs up at once; its second answers.
+        let (dial, log) = logged_dial(
+            (0..4)
+                .map(|shard| vec![(Vec::new(), false), (slice_result(&trials, 4, shard), true)])
+                .collect(),
+        );
+        let mut fabric = scripted_fabric(4, dial, 5.0);
+        measure_exactly(&mut fabric, &trials);
+        let stats = fabric.stats().unwrap();
+        assert_eq!((stats.spawns, stats.retries), (8, 4));
+        let threads = std::mem::take(&mut log.lock().unwrap().threads);
+        // A send and a read per attempt, two attempts per shard.
+        assert_eq!(threads.len(), 16);
+        let caller = std::thread::current().id();
+        assert!(
+            threads.iter().all(|&thread| thread == caller),
+            "a link was used off the calling thread: {threads:?}"
+        );
+    }
+
+    #[test]
+    fn shards_that_hang_together_time_out_together() {
+        let trials = sample_trials(4);
+        let deadline = 0.4;
+        // Both shards' first links go silent; their second ones answer.
+        let (dial, _log) = logged_dial(
+            (0..2)
+                .map(|shard| vec![(Vec::new(), true), (slice_result(&trials, 2, shard), true)])
+                .collect(),
+        );
+        let mut fabric = scripted_fabric(2, dial, deadline);
+        let started = Instant::now();
+        measure_exactly(&mut fabric, &trials);
+        let took = started.elapsed().as_secs_f64();
+        let stats = fabric.stats().unwrap();
+        assert_eq!((stats.timeouts, stats.retries, stats.fallbacks), (2, 2, 0));
+        assert!(took >= deadline, "the deadline never ran out: {took} s");
+        // Read in turn, two deadlines would add up to 0.8 s.
+        assert!(took < deadline + 0.2, "the hung shards took {took} s");
+    }
+
+    #[test]
+    fn frames_a_shard_sent_while_a_sibling_was_read_are_consumed() {
+        let trials = sample_trials(4);
+        // Shard 0 hangs for the whole deadline; shard 1 answered at once,
+        // so by the time it is read its own deadline has run out too.
+        let (dial, _log) = logged_dial(vec![
+            vec![(Vec::new(), true)],
+            vec![(slice_result(&trials, 2, 1), true)],
+        ]);
+        let mut fabric = fabric(2, ShardExec::Process, fast_policy(1, 0.2));
+        fabric.dial = Some(dial);
+        measure_exactly(&mut fabric, &trials);
+        let stats = fabric.stats().unwrap();
+        assert_eq!(
+            (stats.timeouts, stats.fallbacks),
+            (1, 1),
+            "only the hung shard timed out"
+        );
     }
 
     #[test]

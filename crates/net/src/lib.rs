@@ -1,7 +1,7 @@
 //! Socket transport for the EdgeTune shard fabric.
 //!
 //! The process fabric (ROADMAP step 1) ships [`frame`](edgetune_runtime::frame)-coded
-//! messages over a child's stdin/stdout pipes. This crate promotes the
+//! messages over a socket on a child's stdin/stdout. This crate promotes the
 //! same codec to TCP so shards can live on remote engines (step 2),
 //! without knowing anything about what the frames *carry* — the shard
 //! task protocol stays in the core crate; `edgetune-net` owns only the
@@ -12,7 +12,9 @@
 //!   receive deadline that surfaces a silent peer as a timeout error
 //!   ([`NetError::is_timeout`]). The fabric arms that deadline on both
 //!   sides of the handshake, so neither a coordinator nor a host waits
-//!   forever on a peer that never speaks.
+//!   forever on a peer that never speaks, and a coordinator re-arms it
+//!   before every read with what is left of the shard's heartbeat
+//!   deadline.
 //! * [`handshake`] — the versioned session opening: an explicit
 //!   protocol magic and version word exchanged *inside* typed frames
 //!   before any task flows, so a mismatched peer is rejected with a

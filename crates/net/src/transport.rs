@@ -1,4 +1,4 @@
-//! Framed TCP: the pipe frame codec over a socket.
+//! Framed TCP: the frame codec over a TCP socket.
 //!
 //! [`FramedTcp`] is a thin, explicit wrapper around [`TcpStream`] that
 //! speaks the [`frame`](edgetune_runtime::frame) codec and owns the two

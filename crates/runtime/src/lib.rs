@@ -12,9 +12,9 @@
 //!   interleaving affects wall-clock duration only; the returned vector
 //!   is bit-identical to a sequential map, which is what lets the tuning
 //!   engine scale with cores while reports stay byte-identical per seed.
-//! * **Pipe framing** — the [`frame`] codec: length-prefixed,
+//! * **Stream framing** — the [`frame`] codec: length-prefixed,
 //!   CRC-checksummed message frames for processes talking over raw
-//!   pipes, with torn writes and truncation surfacing as clean
+//!   sockets, with torn writes and truncation surfacing as clean
 //!   [`FrameError`]s instead of hangs or panics.
 
 pub mod frame;
