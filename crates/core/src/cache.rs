@@ -8,7 +8,7 @@
 //! signature* — training-only hyperparameters never enter it, which is
 //! what lets results be reused across trials (§3.1 "Objective").
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::path::Path;
 
 use edgetune_tuner::Metric;
@@ -75,9 +75,10 @@ impl CacheStats {
 
 /// The historical results store: entries, saved and loaded. A study
 /// tallies its hits and misses itself (`StudyGlobals::cache_stats`).
+/// Entries are kept in key order, the order they are saved in.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct HistoricalCache {
-    entries: HashMap<String, InferenceRecommendation>,
+    entries: BTreeMap<String, InferenceRecommendation>,
 }
 
 impl HistoricalCache {
@@ -348,6 +349,34 @@ mod tests {
         let loaded = HistoricalCache::load(&path).unwrap();
         assert_eq!(loaded.len(), 1, "the good entry survives");
         assert!(loaded.lookup(&key("good")).is_some());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn an_entry_whose_latency_is_out_of_range_is_skipped_not_served() {
+        let mut cache = HistoricalCache::new();
+        cache.store(&key("good"), rec(8));
+        cache.store(&key("huge"), rec(4));
+        let json = serde_json::to_string_pretty(&cache).unwrap().replacen(
+            "\"latency_per_item\": 0.05",
+            "\"latency_per_item\": 1e400",
+            1,
+        );
+        // Entries are written in key order: "…|good|…" before "…|huge|…".
+        let err = serde_json::from_str::<HistoricalCache>(&json).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "entries: Raspberry Pi 3B+|good|runtime: latency_per_item: number out of range for f64"
+        );
+        let dir = std::env::temp_dir().join("edgetune-cache-out-of-range-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.json");
+        std::fs::write(&path, json).unwrap();
+        let loaded = HistoricalCache::load(&path).unwrap();
+        // A miss: the study re-tunes the architecture.
+        assert!(loaded.lookup(&key("good")).is_none());
+        assert_eq!(loaded.lookup(&key("huge")), Some(&rec(4)));
+        assert_eq!(loaded.len(), 1);
         std::fs::remove_file(&path).ok();
     }
 

@@ -342,6 +342,28 @@ mod tests {
     }
 
     #[test]
+    fn a_score_past_the_f64_range_is_an_error_naming_it_and_a_fresh_start() {
+        let mut history = History::new();
+        history.push(record(0, 1.25));
+        let ckpt = StudyCheckpoint::new(5, &history, globals_with(sample_cache(), 0, 0));
+        let json =
+            serde_json::to_string(&ckpt)
+                .unwrap()
+                .replacen("\"score\":1.25", "\"score\":-1e400", 1);
+        let dir = std::env::temp_dir().join("edgetune-checkpoint-out-of-range-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("study.ckpt.json");
+        std::fs::write(&path, json).unwrap();
+        let err = StudyCheckpoint::load(&path).unwrap_err().to_string();
+        assert!(
+            err.contains("trials: outcome: score: number out of range"),
+            "{err}"
+        );
+        assert_eq!(load_resume_state(&path).unwrap(), None, "a fresh start");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn corrupt_checkpoints_are_rejected_not_salvaged() {
         let dir = std::env::temp_dir().join("edgetune-checkpoint-corrupt-test");
         std::fs::create_dir_all(&dir).unwrap();

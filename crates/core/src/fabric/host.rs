@@ -341,9 +341,13 @@ fn serve_session(stream: TcpStream, shared: &HostShared) {
             .map_or_else(|_| "unknown".to_string(), |a| a.to_string())
     );
     // A session idles between rungs for as long as its study needs, so
-    // the handshake deadline goes before the task loop starts.
-    match conn.set_recv_timeout(None).and_then(|()| conn.split_recv()) {
-        Ok(receiver) => serve_tasks(receiver, &mut conn, shared),
+    // the handshake deadline goes before the task loop starts, which
+    // reads on through the buffer holding any task sent with the hello.
+    match conn.set_recv_timeout(None) {
+        Ok(()) => {
+            let (reader, writer) = conn.halves();
+            serve_tasks(reader, writer, shared);
+        }
         Err(e) => eprintln!("shard-host: preparing the session socket failed: {e}"),
     }
     conn.shutdown();
@@ -659,6 +663,27 @@ mod tests {
         assert_eq!(stats.sessions, 1);
         assert_eq!(stats.tasks_executed, 1);
         assert_eq!(stats.cache_hits, 0);
+    }
+
+    #[test]
+    fn a_task_written_with_the_hello_in_one_write_is_answered() {
+        let mut handle = ShardHost::bind("127.0.0.1:0").unwrap().spawn().unwrap();
+        let trials = sample_trials(2);
+        let spec = serde_json::to_string(&backend().process_spec().unwrap()).unwrap();
+        let mut bytes = Vec::new();
+        edgetune_net::send_hello(&mut bytes, &Hello::new(11, spec)).unwrap();
+        bytes.extend(task_frame(&task_for(&trials, Seconds::ZERO, None)));
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        stream.write_all(&bytes).unwrap();
+        let mut conn = FramedTcp::from_stream(stream).unwrap();
+        // A host that lost the task would wait for it forever.
+        conn.set_recv_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        edgetune_net::hello_answer(&mut conn).unwrap();
+        assert_eq!(recv_result(&mut conn).measurements.len(), 2);
+        conn.shutdown();
+        handle.shutdown();
+        assert_eq!(handle.stats().tasks_executed, 1);
     }
 
     #[test]

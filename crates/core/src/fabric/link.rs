@@ -25,7 +25,7 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-use edgetune_net::{client_hello, FramedTcp, Hello, NetError};
+use edgetune_net::{hello_answer, send_hello, FramedTcp, Hello, NetError};
 use edgetune_runtime::frame::{read_frame, write_frame, Frame, FrameKind};
 
 use crate::backend::BackendSpec;
@@ -39,15 +39,21 @@ pub(crate) enum Recv {
     Silent,
     /// The stream ended, tore or failed: the peer is gone.
     Ended,
+    /// The peer did not accept the session's opening: why.
+    Refused(String),
 }
 
 impl Recv {
-    /// Classifies a frame read: a timed-out read is silence, anything
-    /// else that is not a frame is the end of the link.
+    /// Classifies a frame read: a timed-out read is silence, a session
+    /// opening the host did not accept is refused, and anything else that
+    /// is not a frame is the end of the link.
     fn of(read: Result<Option<Frame>, NetError>) -> Self {
         match read {
             Ok(Some(frame)) => Recv::Frame(frame),
             Err(e) if e.is_timeout() => Recv::Silent,
+            Err(e @ (NetError::Rejected(_) | NetError::Protocol(_))) => {
+                Recv::Refused(e.to_string())
+            }
             Ok(None) | Err(_) => Recv::Ended,
         }
     }
@@ -99,10 +105,10 @@ impl Dial {
         matches!(self, Dial::Remote { .. })
     }
 
-    /// Opens a fresh link for `shard`. `study` and `spec`
-    /// go into the remote session's hello; `connect_timeout` bounds the
-    /// dial and the wait for the host's answer to the hello, so a dead
-    /// or silent address fails fast instead of hanging the rung.
+    /// Opens a fresh link for `shard`. `study` and `spec` go into the
+    /// remote session's hello; `connect_timeout` bounds the dial, so a
+    /// dead address fails fast. The link's first [`Link::recv`] reads the
+    /// host's answer, so the shards of a rung wait for silent hosts together.
     pub(crate) fn open(
         &self,
         shard: usize,
@@ -142,10 +148,12 @@ impl Dial {
                     .map_err(|e| format!("connecting to {host}: {e}"))?;
                 let spec_json = serde_json::to_string(spec)
                     .expect("backend specs are plain data and always serialise");
-                conn.set_recv_timeout(Some(connect_timeout))
-                    .and_then(|()| client_hello(&mut conn, &Hello::new(study, spec_json)))
+                send_hello(&mut conn, &Hello::new(study, spec_json))
                     .map_err(|e| format!("handshake with {host}: {e}"))?;
-                Ok(Box::new(HostLink(conn)))
+                Ok(Box::new(HostLink {
+                    conn,
+                    accepted: false,
+                }))
             }
             #[cfg(test)]
             Dial::Scripted(script) => script(shard),
@@ -187,24 +195,28 @@ impl Link for WorkerLink {
     }
 }
 
-/// A session with a shard host, past the handshake.
-struct HostLink(FramedTcp);
+/// A session with a shard host, `accepted` once the answer to its hello
+/// has been read.
+struct HostLink {
+    conn: FramedTcp,
+    accepted: bool,
+}
 
 impl Link for HostLink {
     fn send(&mut self, kind: FrameKind, payload: &[u8]) -> Result<(), String> {
-        self.0.send(kind, payload).map_err(|e| e.to_string())
+        self.conn.send(kind, payload).map_err(|e| e.to_string())
     }
 
     fn recv(&mut self, wait: Duration) -> Recv {
-        Recv::of(
-            self.0
-                .set_recv_timeout(Some(wait))
-                .and_then(|()| self.0.recv()),
-        )
+        let mut ready = self.conn.set_recv_timeout(Some(wait));
+        if !self.accepted {
+            ready = ready.and_then(|()| hello_answer(&mut self.conn).map(|_| self.accepted = true));
+        }
+        Recv::of(ready.and_then(|()| self.conn.recv()))
     }
 
     fn close(self: Box<Self>, _failed: bool) {
-        self.0.shutdown();
+        self.conn.shutdown();
     }
 }
 
@@ -245,6 +257,47 @@ mod tests {
         drop(peer);
         assert!(matches!(link.recv(Duration::from_secs(5)), Recv::Ended));
         Box::new(link).close(false);
+    }
+
+    /// A host link whose "host" is the test: what it writes first is the
+    /// answer to the hello.
+    fn host_link(answer: &[u8]) -> (HostLink, std::net::TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let conn = FramedTcp::connect(&addr, Duration::from_secs(5)).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        peer.write_all(answer).unwrap();
+        let link = HostLink {
+            conn,
+            accepted: false,
+        };
+        (link, peer)
+    }
+
+    #[test]
+    fn a_host_link_reads_the_answer_to_its_hello_before_any_frame() {
+        let ack = serde_json::to_string(&edgetune_net::HelloAck {
+            magic: edgetune_net::PROTOCOL_MAGIC,
+            version: edgetune_net::PROTOCOL_VERSION,
+        })
+        .unwrap();
+        let mut answer = encode_frame(FrameKind::HelloAck, ack.as_bytes());
+        answer.extend(encode_frame(FrameKind::Result, b"{}"));
+        let (mut link, _peer) = host_link(&answer);
+        assert!(matches!(
+            link.recv(Duration::from_secs(5)),
+            Recv::Frame(frame) if frame.kind == FrameKind::Result
+        ));
+
+        let reject = serde_json::to_string(&edgetune_net::handshake::HandshakeReject {
+            reason: "protocol version mismatch".to_string(),
+        })
+        .unwrap();
+        let (mut link, _peer) = host_link(&encode_frame(FrameKind::Error, reject.as_bytes()));
+        assert!(matches!(
+            link.recv(Duration::from_secs(5)),
+            Recv::Refused(reason) if reason.contains("version mismatch")
+        ));
     }
 
     #[test]

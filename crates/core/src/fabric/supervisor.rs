@@ -506,6 +506,7 @@ impl ShardFabric {
                     }
                 }
                 Recv::Ended => break AttemptEnd::failed("worker pipe closed before result"),
+                Recv::Refused(reason) => break AttemptEnd::failed(reason),
             };
             since = Instant::now();
             match frame.kind {
@@ -1237,6 +1238,38 @@ mod tests {
         assert!(took >= deadline, "the deadline never ran out: {took} s");
         // Read in turn, two deadlines would add up to 0.8 s.
         assert!(took < deadline + 0.2, "the hung shards took {took} s");
+    }
+
+    #[test]
+    fn shards_dialing_a_silent_host_time_out_together_each_round() {
+        // A listener nobody accepts from: the kernel completes every
+        // connect, and no hello is ever answered.
+        let silent = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let trials = sample_trials(4);
+        let deadline = 0.3;
+        let mut fabric = fabric(2, ShardExec::Remote, fast_policy(2, deadline));
+        fabric.dial = Some(Dial::Remote {
+            hosts: vec![silent.local_addr().unwrap().to_string()],
+        });
+        let started = Instant::now();
+        measure_exactly(&mut fabric, &trials);
+        let took = started.elapsed().as_secs_f64();
+        let stats = fabric.stats().unwrap();
+        assert_eq!(
+            (stats.links, stats.timeouts, stats.fallbacks),
+            (4, 4, 2),
+            "{stats:?}"
+        );
+        // Two rounds of one deadline each; waited for shard by shard,
+        // the hellos would take four.
+        assert!(
+            took >= 2.0 * deadline,
+            "the deadline never ran out: {took} s"
+        );
+        assert!(
+            took < 2.0 * deadline + 0.25,
+            "the silent host took {took} s"
+        );
     }
 
     #[test]

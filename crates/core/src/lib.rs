@@ -63,6 +63,9 @@ pub mod timeline;
 pub mod trace;
 pub mod transfer;
 
+#[cfg(test)]
+mod round_trip;
+
 /// Convenient re-exports for typical use.
 pub mod prelude {
     pub use crate::inference::{InferenceRecommendation, InferenceSpace};

@@ -201,6 +201,42 @@ fn trace_summary_rejects_missing_or_bad_input() {
         .output()
         .expect("cli runs");
     assert!(!out.status.success());
+
+    let trace = r#"{"traceEvents": [{"name": "trial", "ph": "X", "ts": 1.5, "dur": 2.0, "pid": 1, "tid": 1}], "displayTimeUnit": "ms", "otherData": {}}"#;
+    let dir = std::env::temp_dir().join("edgetune-cli-bad-trace");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let intact = dir.join("intact.json");
+    std::fs::write(&intact, trace).expect("write trace");
+    let out = edgetune()
+        .args(["trace-summary", intact.to_str().expect("utf8 path")])
+        .output()
+        .expect("cli runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let bad = [
+        ("truncated", &trace[..trace.len() / 2], "parsing"),
+        (
+            "huge-ts",
+            &trace.replace("1.5", "1e400")[..],
+            "ts: number out of range",
+        ),
+    ];
+    for (name, text, message) in bad {
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, text).expect("write trace");
+        let out = edgetune()
+            .args(["trace-summary", path.to_str().expect("utf8 path")])
+            .output()
+            .expect("cli runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{name}: {stderr}");
+        assert!(stderr.contains(message), "{name}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -568,6 +604,33 @@ fn a_checkpoint_with_raw_bits_scores_resumes_as_a_fresh_start() {
     // reads the same file).
     std::fs::write(&ck, include_str!("fixtures/raw-bits-checkpoint.json")).expect("fixture");
     let stdout = study(&format!("--json {full}"));
+    let resumed_stdout = study(&format!("--checkpoint {ck} --resume --json {resumed}"));
+    assert!(
+        read(&resumed) == read(&full),
+        "the resumed report differs from the uninterrupted one"
+    );
+    assert!(resumed_stdout == stdout, "the resumed stdout differs");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_checkpoint_with_an_out_of_range_score_resumes_as_a_fresh_start() {
+    let dir = scratch("out-of-range");
+    let [full, resumed, ck] =
+        ["full.json", "resumed.json", "ck.json"].map(|f| format!("{dir}/{f}"));
+    let study = |flags: &str| {
+        succeed(&format!(
+            "--workload ic --trials 9 --max-iter 9 --seed 5 {flags}"
+        ))
+    };
+    let stdout = study(&format!("--json {full}"));
+    study(&format!("--checkpoint {ck} --halt-after-rungs 1"));
+    // `-1e400` reads as -∞ to a JSON parser: a score no trial can have,
+    // which would rank first and steer the sampler.
+    let halted = String::from_utf8(read(&ck)).expect("utf8 checkpoint");
+    let at = halted.find("\"score\": ").expect("a scored trial") + "\"score\": ".len();
+    let end = at + halted[at..].find(',').expect("more fields");
+    std::fs::write(&ck, format!("{}-1e400{}", &halted[..at], &halted[end..])).expect("tamper");
     let resumed_stdout = study(&format!("--checkpoint {ck} --resume --json {resumed}"));
     assert!(
         read(&resumed) == read(&full),

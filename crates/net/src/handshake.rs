@@ -95,12 +95,31 @@ fn decode<T: Deserialize>(payload: &[u8], what: &str) -> Result<T, NetError> {
 ///
 /// # Errors
 ///
+/// As [`send_hello`], then as [`hello_answer`].
+pub fn client_hello<S: Read + Write>(stream: &mut S, hello: &Hello) -> Result<HelloAck, NetError> {
+    send_hello(stream, hello)?;
+    hello_answer(stream)
+}
+
+/// Client side, first half: sends `hello`. Frames may follow it before
+/// the server's verdict is read with [`hello_answer`].
+///
+/// # Errors
+///
+/// The underlying I/O and frame errors.
+pub fn send_hello<S: Write>(stream: &mut S, hello: &Hello) -> Result<(), NetError> {
+    Ok(write_frame(stream, FrameKind::Hello, &encode(hello))?)
+}
+
+/// Client side, second half: reads the server's verdict on the hello.
+///
+/// # Errors
+///
 /// [`NetError::Rejected`] when the server turned the session away (with
 /// its reason), [`NetError::Protocol`] when the server answered with
 /// something other than an ack or a rejection, or the underlying
 /// I/O and frame errors.
-pub fn client_hello<S: Read + Write>(stream: &mut S, hello: &Hello) -> Result<HelloAck, NetError> {
-    write_frame(stream, FrameKind::Hello, &encode(hello))?;
+pub fn hello_answer<S: Read>(stream: &mut S) -> Result<HelloAck, NetError> {
     let frame = read_frame(stream)?
         .ok_or_else(|| NetError::Protocol("connection closed during handshake".to_string()))?;
     match frame.kind {

@@ -33,7 +33,8 @@ pub mod handshake;
 pub mod transport;
 
 pub use handshake::{
-    accept_hello, client_hello, Hello, HelloAck, PROTOCOL_MAGIC, PROTOCOL_VERSION,
+    accept_hello, client_hello, hello_answer, send_hello, Hello, HelloAck, PROTOCOL_MAGIC,
+    PROTOCOL_VERSION,
 };
 pub use transport::FramedTcp;
 

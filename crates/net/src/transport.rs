@@ -118,24 +118,12 @@ impl FramedTcp {
         Ok(read_frame(&mut self.reader)?)
     }
 
-    /// Splits off an independently-owned receive half (sharing the same
-    /// underlying socket), so a reader thread can block on frames while
-    /// another thread keeps the send half.
-    ///
-    /// Split **before** the peer can have more frames in flight: bytes
-    /// already buffered on this side (from an earlier `recv`) do not
-    /// transfer to the new half. In the fabric's session discipline the
-    /// split happens right after the handshake, when the peer is
-    /// guaranteed silent.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Io`] when the socket cannot be duplicated.
-    pub fn split_recv(&self) -> Result<FramedTcpReceiver, NetError> {
-        let stream = self.reader.get_ref().try_clone()?;
-        Ok(FramedTcpReceiver {
-            reader: BufReader::new(stream),
-        })
+    /// The stream's two buffered halves, borrowed together, for a loop
+    /// that reads frames and answers them on the same socket. Bytes the
+    /// reader has already buffered (a frame the peer sent right behind
+    /// its hello) stay in it.
+    pub fn halves(&mut self) -> (&mut BufReader<TcpStream>, &mut BufWriter<TcpStream>) {
+        (&mut self.reader, &mut self.writer)
     }
 
     /// Shuts both directions down, waking any thread blocked on the
@@ -160,20 +148,5 @@ impl Write for FramedTcp {
 
     fn flush(&mut self) -> std::io::Result<()> {
         self.writer.flush()
-    }
-}
-
-/// The receive half split off a [`FramedTcp`] for a dedicated reader
-/// thread.
-#[derive(Debug)]
-pub struct FramedTcpReceiver {
-    reader: BufReader<TcpStream>,
-}
-
-// Code generic over a frame stream (the shard fabric's task loop and
-// attempt reader) runs on the split-off half directly.
-impl std::io::Read for FramedTcpReceiver {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        std::io::Read::read(&mut self.reader, buf)
     }
 }

@@ -11,7 +11,7 @@ use std::time::Duration;
 use edgetune_net::{
     accept_hello, client_hello, FramedTcp, Hello, NetError, PROTOCOL_MAGIC, PROTOCOL_VERSION,
 };
-use edgetune_runtime::frame::{encode_frame, read_frame, FrameError, FrameKind};
+use edgetune_runtime::frame::{encode_frame, FrameError, FrameKind};
 
 /// Binds a fresh loopback listener, runs `server` against the first
 /// accepted connection on a thread, and hands the client stream to the
@@ -150,35 +150,4 @@ fn connecting_to_a_dead_port_fails_fast() {
         "connect failure took too long: {:?}",
         start.elapsed()
     );
-}
-
-#[test]
-fn split_receiver_sees_frames_while_the_send_half_stays_usable() {
-    let (mut client, server) = with_server(|stream| {
-        let mut framed = FramedTcp::from_stream(stream).expect("wrap accepted stream");
-        // Echo one frame back for every frame received, then close.
-        while let Ok(Some(frame)) = framed.recv() {
-            framed.send(frame.kind, &frame.payload).expect("echo");
-            if frame.kind == FrameKind::Result {
-                break;
-            }
-        }
-    });
-    let mut receiver = client.split_recv().expect("split");
-    let reader = std::thread::spawn(move || {
-        let mut kinds = Vec::new();
-        while let Ok(Some(frame)) = read_frame(&mut receiver) {
-            let done = frame.kind == FrameKind::Result;
-            kinds.push(frame.kind);
-            if done {
-                break;
-            }
-        }
-        kinds
-    });
-    client.send(FrameKind::Heartbeat, b"one").expect("send");
-    client.send(FrameKind::Result, b"two").expect("send");
-    let kinds = reader.join().expect("reader thread");
-    assert_eq!(kinds, vec![FrameKind::Heartbeat, FrameKind::Result]);
-    server.join().expect("server thread");
 }

@@ -303,4 +303,103 @@ mod tests {
         let json = r#"{"tenants": [{"name": "a", "weight": 0}], "studies": []}"#;
         assert!(SubmissionFile::from_json(json).is_err());
     }
+
+    /// A seeded source of awkward values (splitmix64), for the one
+    /// persisted type the `edgetune` crate's round-trip oracle cannot
+    /// reach.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// At least 1, reaching for the type's maximum.
+        fn positive(&mut self, max: u64) -> u64 {
+            [1, max, 1 + self.below(max)][self.below(3) as usize]
+        }
+
+        fn string(&mut self) -> String {
+            const PIECES: [&str; 11] = [
+                "a", "\"", "\\", "\n", "\u{0}", "\u{1f}", "\u{7f}", "é", "\u{2028}", "😀", "/",
+            ];
+            (0..self.below(4))
+                .map(|_| PIECES[self.below(PIECES.len() as u64) as usize])
+                .collect()
+        }
+
+        /// A rate in `[0, 1]`, edges included.
+        fn rate(&mut self) -> f64 {
+            let edges = [0.0, -0.0, 5e-324, 1.0, 0.1 + 0.2];
+            match self.below(2) {
+                0 => edges[self.below(edges.len() as u64) as usize],
+                _ => (self.next() >> 11) as f64 / (1u64 << 53) as f64,
+            }
+        }
+
+        fn file(&mut self) -> SubmissionFile {
+            let tenants: Vec<TenantSpec> = (0..1 + self.below(3))
+                .map(|i| TenantSpec {
+                    name: format!("{i}{}", self.string()),
+                    weight: self.positive(u64::from(u32::MAX)) as u32,
+                    queue_limit: self.positive(u64::MAX) as usize,
+                })
+                .collect();
+            let studies = (0..self.below(4))
+                .map(|i| StudySubmission {
+                    tenant: tenants[self.below(tenants.len() as u64) as usize]
+                        .name
+                        .clone(),
+                    name: format!("{i}{}", self.string()),
+                    workload: self.string(),
+                    metric: self.string(),
+                    seed: [0, u64::MAX, self.next()][self.below(3) as usize],
+                    trials: self.positive(u64::MAX) as usize,
+                    max_iter: self.positive(u64::from(u32::MAX)) as u32,
+                    rung_quantum: self.positive(u64::from(u32::MAX)) as u32,
+                    warm_start: self.below(2) == 0,
+                    chaos_rate: self.rate(),
+                    trace: self.below(2) == 0,
+                    scenario: self.string(),
+                })
+                .collect();
+            SubmissionFile { tenants, studies }
+        }
+    }
+
+    /// The round-trip laws of `edgetune`'s oracle: the file reads back
+    /// to itself, floats compared by their bits; writing is idempotent;
+    /// and `chaos_rate`, its one float, refuses `1e400`, `-1e400` and
+    /// `null`, naming the field.
+    #[test]
+    fn submission_files_round_trip() {
+        let write = |file: &SubmissionFile| serde_json::to_string_pretty(file).unwrap();
+        for seed in 0..24 {
+            let file = Gen(seed).file();
+            let text = write(&file);
+            let back = SubmissionFile::from_json(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+            assert_eq!(format!("{back:?}"), format!("{file:?}"), "{text}");
+            assert_eq!(write(&back), text);
+            for study in 0..file.studies.len() {
+                for spelling in ["1e400", "-1e400", "null"] {
+                    let mut document: serde_json::Value = serde_json::from_str(&text).unwrap();
+                    document["studies"].as_array_mut().unwrap()[study]["chaos_rate"] =
+                        serde_json::Value::Null;
+                    let spliced = serde_json::to_string(&document)
+                        .unwrap()
+                        .replace("\"chaos_rate\":null", &format!("\"chaos_rate\":{spelling}"));
+                    let err = SubmissionFile::from_json(&spliced).unwrap_err();
+                    assert!(err.to_string().contains("studies: chaos_rate: "), "{err}");
+                }
+            }
+        }
+    }
 }

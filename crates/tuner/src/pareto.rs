@@ -49,13 +49,16 @@ impl ObjectiveVector {
     ///
     /// # Panics
     ///
-    /// Panics if any component is NaN (infinities are allowed — they mark
-    /// infeasible axes and lose every dominance comparison they should).
+    /// Panics unless every component is finite. A persisted float is
+    /// finite, so every vector this admits round-trips through JSON, and
+    /// the derived reader, which refuses `null` and out-of-range
+    /// literals, admits nothing else. An infeasible trial carries no
+    /// vector at all ([`ObjectiveVector::from_measurement`]).
     #[must_use]
     pub fn new(accuracy: f64, train_cost: f64, inference_cost: f64) -> Self {
         assert!(
-            !accuracy.is_nan() && !train_cost.is_nan() && !inference_cost.is_nan(),
-            "objective vector must not contain NaN"
+            accuracy.is_finite() && train_cost.is_finite() && inference_cost.is_finite(),
+            "objective vector must be finite, not ({accuracy}, {train_cost}, {inference_cost})"
         );
         ObjectiveVector {
             accuracy,
@@ -350,24 +353,16 @@ impl ParetoTpeSampler {
 
     /// Reference point for hypervolume bookkeeping: slightly beyond the
     /// worst observed value on every cost axis, so every observation
-    /// contributes.
+    /// contributes. Only [`ParetoTpeSampler::split`] asks, with at least
+    /// `MIN_OBSERVATIONS` observed, and every vector is finite.
     fn reference(&self) -> [f64; 3] {
         let mut r = [f64::NEG_INFINITY; 3];
         for (_, v) in &self.observed {
-            let c = v.costs();
-            for i in 0..3 {
-                if c[i].is_finite() {
-                    r[i] = r[i].max(c[i]);
-                }
+            for (r, c) in r.iter_mut().zip(v.costs()) {
+                *r = r.max(c);
             }
         }
-        r.map(|x| {
-            if x.is_finite() {
-                x + x.abs() * 0.1 + 1e-9
-            } else {
-                1.0
-            }
-        })
+        r.map(|x| x + x.abs() * 0.1 + 1e-9)
     }
 
     /// Splits the retained observations into (good, bad) index sets of
@@ -451,11 +446,9 @@ impl Sampler for ParetoTpeSampler {
             return;
         }
         if let Some(vector) = outcome.vector {
-            if vector.costs().iter().all(|c| c.is_finite()) {
-                self.observed.push_back((config.clone(), vector));
-                if self.observed.len() > MAX_OBSERVATIONS {
-                    self.observed.pop_front();
-                }
+            self.observed.push_back((config.clone(), vector));
+            if self.observed.len() > MAX_OBSERVATIONS {
+                self.observed.pop_front();
             }
         }
     }
@@ -493,9 +486,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must not contain NaN")]
+    #[should_panic(expected = "must be finite")]
     fn nan_components_are_rejected() {
         let _ = vector(f64::NAN, 1.0, 1.0);
+    }
+
+    #[test]
+    fn infinite_components_are_rejected() {
+        for inf in [f64::INFINITY, f64::NEG_INFINITY] {
+            for axis in 0..3 {
+                let mut c = [0.5, 1.0, 1.0];
+                c[axis] = inf;
+                let made = std::panic::catch_unwind(|| vector(c[0], c[1], c[2]));
+                assert!(made.is_err(), "{c:?} was admitted");
+            }
+        }
     }
 
     #[test]

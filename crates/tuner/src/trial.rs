@@ -92,10 +92,10 @@ impl TrialOutcome {
     }
 }
 
-/// Hand-written only for `score`: JSON has no infinity, so the `+∞` of a
-/// failed or infeasible trial is written as `null`, which `f64` refuses;
-/// here `null` reads back as `f64::INFINITY` and a report containing such
-/// a trial round-trips. Every other field reads as the derive would.
+/// Hand-written only for `score`, the one persisted float that may be
+/// `+∞` (a failed or infeasible trial), written as `null`: here `null`
+/// reads back as `+∞`, and any other spelling as `f64` reads it, which
+/// refuses `-1e400`, so this admits exactly [`TrialOutcome::new`]'s domain.
 impl Deserialize for TrialOutcome {
     fn from_json_value(v: &Value) -> Result<Self, DeError> {
         fn field<T: Deserialize>(obj: &Map, name: &str) -> Result<T, DeError> {
