@@ -141,6 +141,9 @@ impl MultiStreamScenario {
 /// # Panics
 ///
 /// Panics if `batch_cap` is zero.
+// Kept out of line: where codegen inlined it into a re-tune's sweep, the
+// serve-des benchmark ran 15–20 % slower (2 vCPUs, release).
+#[inline(never)]
 pub(crate) fn replay(
     arrivals: &[f64],
     batch_cap: u32,

@@ -130,8 +130,9 @@ pub struct EdgeTuneConfig {
     /// [`process_spec`](crate::backend::TrainingBackend::process_spec)
     /// quietly measure on the shard threads.
     pub shard_exec: ShardExec,
-    /// Supervision policy of the shard fabric: retry budget, heartbeat
-    /// deadline, worker-executable override, and planted chaos. Only
+    /// Supervision policy of the shard fabric: heartbeat deadline,
+    /// worker-executable override, and planted chaos (the retry budget
+    /// is built in). Only
     /// consulted in [`ShardExec::Process`] and [`ShardExec::Remote`]
     /// modes.
     pub fabric: FabricPolicy,

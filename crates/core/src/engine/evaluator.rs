@@ -11,25 +11,27 @@
 //!
 //! * **Simulated trial slots** (`trial_slots`) model a tuning cluster:
 //!   a rung's trials are list-scheduled onto `n` slots and the study
-//!   clock advances by the rung's makespan instead of the sum of trial
+//!   clock ends the rung at its makespan instead of the sum of trial
 //!   durations. This *changes* the reported numbers — that is the point.
 //! * **Engine shards** (`study_shards`, placed per `shard_exec`) merely
-//!   speed up the measurement itself: when the backend can snapshot, the
-//!   [`ShardFabric`] precomputes a rung's raw [`TrialMeasurement`]s
+//!   speed up the measurement itself: the [`ShardFabric`] alone decides
+//!   whether a rung's raw [`TrialMeasurement`]s are precomputed
 //!   concurrently — each shard measuring a contiguous slice on its own
 //!   backend snapshot, on a thread, in a worker process or on a remote
-//!   host — and they are then replayed through the exact sequential
-//!   accounting path in input order. Cache hits, request sequence
-//!   numbers, timeline entries and every clock reading are
-//!   byte-identical to an unsharded run, so reports — and the per-rung
-//!   checkpoint — never depend on the shard count or placement.
+//!   host — and they are then replayed through the one accounting loop
+//!   in input order. Cache hits, request sequence numbers, timeline
+//!   entries and every clock reading are byte-identical to an unsharded
+//!   run, so reports — and the per-rung checkpoint — never depend on the
+//!   shard count or placement.
 //!
-//! All of the study's resumable state is the one [`StudyGlobals`] this
-//! evaluator accumulates — simulated time included: it is a `Seconds`
-//! (`globals.clock`) this evaluator, its owner, adds up, and no clock
-//! object exists beside it. Every sequential trial advances it once, by
-//! the exact `outcome.runtime` sum the trial records, and a
-//! simulated-slot rung once, by the rung makespan. The Fig. 6 timeline
+//! A rung runs one way, whatever its slot count: each trial, in input
+//! order, takes the first least-loaded slot, and runs and is recorded
+//! with the study clock at that slot's free time. All of the study's
+//! resumable state is the one [`StudyGlobals`] this evaluator
+//! accumulates — simulated time included: it is a `Seconds`
+//! (`globals.clock`) this evaluator, its owner, sets, and no clock object
+//! exists beside it. With one slot every trial advances it once, by the
+//! exact `outcome.runtime` the trial records. The Fig. 6 timeline
 //! is part of it: each trial's spans are recorded into
 //! `globals.timeline` and, when a study trace is being taken, emitted to
 //! the tracer — an observer nothing reported reads back. The evaluator
@@ -87,19 +89,9 @@ pub(crate) struct OnefoldEvaluator {
     /// the bracket's first live rung, closed by the next bracket's or
     /// when the study finishes.
     pub(crate) bracket_open: Option<(u32, Seconds)>,
-    /// Recycled per-rung working buffers (see [`RungScratch`]).
-    pub(crate) scratch: RungScratch,
-}
-
-/// Per-rung working buffers the evaluator recycles across rungs: the
-/// phase-A measurement slots and the simulated-slot load table. A rung
-/// `mem::take`s a buffer (so `self` stays free to borrow), fills it, and
-/// hands it back when done — steady-state rung execution then reuses one
-/// allocation per buffer instead of churning a fresh `Vec` per rung.
-#[derive(Debug, Default)]
-pub(crate) struct RungScratch {
-    measured: Vec<Option<TrialMeasurement>>,
-    loads: Vec<Seconds>,
+    /// The simulated slots' free times during a rung, recycled across
+    /// rungs so steady-state rung execution allocates no table.
+    pub(crate) slot_free: Vec<Seconds>,
 }
 
 /// Everything one trial produced, before timeline/clock accounting.
@@ -464,38 +456,6 @@ impl OnefoldEvaluator {
         self.globals.inference_energy += run.sweep_energy;
     }
 
-    /// Phase A of rung execution: have the rung executor measure the
-    /// rung's trials side by side. Fills `measured` (a recycled scratch
-    /// buffer) in input order, ready to be replayed through the unchanged
-    /// sequential accounting path, and leaves it empty — sequential
-    /// execution — when parallel measurement cannot help or would change
-    /// results (fault injection makes trial fate order-dependent; the
-    /// executor declines a single shard and a backend without snapshots).
-    fn measure_rung(
-        &mut self,
-        backend: &dyn TrainingBackend,
-        rung: &Rung,
-        measured: &mut Vec<Option<TrialMeasurement>>,
-    ) {
-        measured.clear();
-        if rung.trials.len() <= 1 || self.faults_enabled {
-            return;
-        }
-        // The scope names this exact rung execution — a remote host's
-        // idempotency key; the rung's ordinal is unique across brackets.
-        let scope = RungScope {
-            study: self.config.seed,
-            bracket: rung.bracket,
-            rung: rung.index,
-        };
-        if let Some(raw) =
-            self.executor
-                .measure_rung(scope, backend, self.globals.clock, &rung.trials)
-        {
-            measured.extend(raw.into_iter().map(Some));
-        }
-    }
-
     /// Evaluates one live rung, answering in input order, inside a
     /// scheduler-track rung span; a bracket's first live rung opens the
     /// bracket's span and closes the previous bracket's.
@@ -546,69 +506,56 @@ impl OnefoldEvaluator {
         }
     }
 
-    /// Executes one live rung — sequential, or simulated slots.
+    /// Executes one live rung: list-schedules its trials, in input
+    /// order, onto `min(trial_slots, trials)` simulated slots. Each trial
+    /// takes the first least-loaded slot, runs with the study clock set
+    /// to that slot's free time — so its fault instants are stamped from
+    /// its own start — and frees the slot at `start + outcome.runtime`.
+    /// The rung leaves the clock at the latest free time: with one slot,
+    /// one advance per trial by exactly the runtime it records.
     fn run_rung(&mut self, backend: &mut dyn TrainingBackend, rung: &Rung) -> Vec<TrialOutcome> {
-        // Phase A: engine shards precompute the measurements when that
-        // is provably invisible in the results. The buffer is recycled
-        // scratch (taken out of `self` so `run_one` stays free to borrow
-        // it mutably) and is handed back once the rung is accounted.
-        let mut measured = std::mem::take(&mut self.scratch.measured);
-        self.measure_rung(backend, rung, &mut measured);
         let trials = &rung.trials;
-        if self.config.trial_slots <= 1 || trials.len() <= 1 {
-            // Phase B, one slot: the exact sequential accounting path.
-            let outcomes = trials
+        // Phase A: the fabric measures the rung side by side when that is
+        // provably invisible in the results, or declines. The scope names
+        // this exact rung execution — a remote host's idempotency key;
+        // the rung's ordinal is unique across brackets.
+        let scope = RungScope {
+            study: self.config.seed,
+            bracket: rung.bracket,
+            rung: rung.index,
+        };
+        let mut measured = self
+            .executor
+            .measure_rung(scope, backend, self.globals.clock, trials)
+            .map(Vec::into_iter);
+        // Phase B: the one accounting loop. The slot table is recycled
+        // (taken out of `self` so `run_one` stays free to borrow it); the
+        // scheduler never reaches a slot past the rung's size.
+        let mut free = std::mem::take(&mut self.slot_free);
+        free.clear();
+        free.resize(
+            self.config.trial_slots.min(trials.len()),
+            self.globals.clock,
+        );
+        let mut outcomes = Vec::with_capacity(trials.len());
+        for (id, config, budget) in trials {
+            let (slot, &start) = free
                 .iter()
                 .enumerate()
-                .map(|(index, (id, config, budget))| {
-                    let precomputed = measured.get_mut(index).and_then(Option::take);
-                    let run = self.run_one(backend, config, *budget, precomputed);
-                    self.record(*id, &run, self.globals.clock, 0);
-                    // One advance by the recorded runtime (`outcome.runtime`
-                    // is computed as `train + stall` on every path).
-                    self.globals.clock += run.outcome.runtime;
-                    run.outcome
-                })
-                .collect();
-            measured.clear();
-            self.scratch.measured = measured;
-            return outcomes;
-        }
-        // Phase B, simulated parallel slots: the rung's trials are
-        // list-scheduled onto `trial_slots` slots; the rung advances
-        // the clock by its makespan, not by the sum of trial durations.
-        let runs: Vec<(u64, TrialRun)> = trials
-            .iter()
-            .enumerate()
-            .map(|(index, (id, config, budget))| {
-                let precomputed = measured.get_mut(index).and_then(Option::take);
-                let run = self.run_one(backend, config, *budget, precomputed);
-                (*id, run)
-            })
-            .collect();
-        measured.clear();
-        self.scratch.measured = measured;
-        let rung_start = self.globals.clock;
-        let mut loads = std::mem::take(&mut self.scratch.loads);
-        loads.clear();
-        // The scheduler takes the first least-loaded slot, so it never
-        // reaches a slot past the rung's size: more would only cost memory.
-        loads.resize(self.config.trial_slots.min(runs.len()), Seconds::ZERO);
-        let mut outcomes = Vec::with_capacity(runs.len());
-        for (id, run) in runs {
-            let (slot, _) = loads
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.value().partial_cmp(&b.1.value()).expect("finite loads"))
-                .expect("at least one worker");
-            let start = rung_start + loads[slot];
-            self.record(id, &run, start, slot);
-            loads[slot] = (start + run.train_runtime + run.stall) - rung_start;
+                .min_by(|a, b| a.1.value().partial_cmp(&b.1.value()).expect("finite times"))
+                .expect("at least one slot");
+            self.globals.clock = start;
+            let precomputed = measured.as_mut().and_then(Iterator::next);
+            let run = self.run_one(backend, config, *budget, precomputed);
+            self.record(*id, &run, start, slot);
+            // `outcome.runtime` is computed as `train + stall` on every path.
+            free[slot] = start + run.outcome.runtime;
             outcomes.push(run.outcome);
         }
-        let makespan = loads.iter().copied().fold(Seconds::ZERO, Seconds::max);
-        self.globals.clock += makespan;
-        self.scratch.loads = loads;
+        if let Some(latest) = free.iter().copied().reduce(Seconds::max) {
+            self.globals.clock = latest;
+        }
+        self.slot_free = free;
         outcomes
     }
 }

@@ -191,8 +191,8 @@ impl StudyRun {
     /// Returns [`Error::InvalidConfig`] for inconsistent configurations
     /// (`halt_after_rungs` of 0, a fault rate outside `[0, 1]`, a
     /// scheduler shape whose rungs cannot be held or whose planned trial
-    /// count overflows, and a fabric deadline or retry delay the
-    /// supervisor cannot wait on included) or a checkpoint written under
+    /// count overflows, and a fabric deadline the supervisor cannot
+    /// wait on included) or a checkpoint written under
     /// another seed, and
     /// [`Error::Storage`] for unreadable state.
     pub fn start(
@@ -301,7 +301,7 @@ impl StudyRun {
                 globals,
                 faults_enabled,
                 bracket_open: None,
-                scratch: Default::default(),
+                slot_free: Vec::new(),
                 config: config.clone(),
             },
             resumed,
@@ -768,8 +768,12 @@ mod ablation_tests {
 
 #[cfg(test)]
 mod chaos_tests {
+    use std::collections::BTreeMap;
+
     use crate::config::EdgeTuneConfig;
-    use crate::engine::{EdgeTune, TuningReport};
+    use crate::engine::{EdgeTune, StudyRun, TuningReport};
+    use crate::trace::{CAT_FAULT, CAT_MODEL};
+    use edgetune_trace::EventKind;
     use edgetune_tuner::scheduler::SchedulerConfig;
     use edgetune_util::Error;
     use edgetune_workloads::catalog::WorkloadId;
@@ -953,6 +957,70 @@ mod chaos_tests {
         .unwrap_err();
         assert!(matches!(err, Error::InvalidConfig(_)));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A trial's slot track and its fault instants, as (name, offset
+    /// from the trial's span start).
+    type TrialFaults = (String, Vec<(String, f64)>);
+
+    /// Every trial's [`TrialFaults`], by span label, read off the study
+    /// tracer in emission order: the fault instants emitted since the
+    /// previous trial span belong to the next one.
+    fn fault_instants_by_trial(config: EdgeTuneConfig) -> BTreeMap<String, TrialFaults> {
+        let mut backend = config.default_backend();
+        let mut study = StudyRun::start(&config, &mut backend, true).unwrap();
+        while study.step(&mut backend).unwrap() {}
+        let tracer = study.eval.tracer.as_ref().unwrap();
+        let (tracks, events) = tracer.with(|tracks, events| (tracks.to_vec(), events.to_vec()));
+        let mut pending = Vec::new();
+        let mut trials = BTreeMap::new();
+        for event in events {
+            match (event.category.as_str(), event.kind) {
+                (CAT_FAULT, EventKind::Instant) => pending.push((event.name, event.ts)),
+                (CAT_MODEL, EventKind::Span { .. }) => {
+                    let faults = pending
+                        .drain(..)
+                        .map(|(name, ts)| (name, ts.value() - event.ts.value()))
+                        .collect();
+                    let track = tracks[event.track.index()].name.clone();
+                    trials.insert(event.name, (track, faults));
+                }
+                _ => {}
+            }
+        }
+        assert!(pending.is_empty(), "fault instants after the last trial");
+        trials
+    }
+
+    #[test]
+    fn slots_change_when_a_trial_runs_not_what_happens_inside_it() {
+        let chaos = quick_config().with_fault_rate(0.3);
+        let one = fault_instants_by_trial(chaos.clone());
+        let three = fault_instants_by_trial(chaos.with_trial_slots(3));
+        assert_eq!(
+            one.keys().collect::<Vec<_>>(),
+            three.keys().collect::<Vec<_>>()
+        );
+        for (trial, (_, faults)) in &one {
+            let (_, slotted) = &three[trial];
+            let names = |faults: &[(String, f64)]| -> Vec<String> {
+                faults.iter().map(|(name, _)| name.clone()).collect()
+            };
+            assert_eq!(names(faults), names(slotted), "{trial}: fault instants");
+            for ((name, x), (_, y)) in faults.iter().zip(slotted) {
+                assert!(
+                    (x - y).abs() <= 1e-9,
+                    "{trial}: {name} at +{x} s on one slot, +{y} s on three"
+                );
+            }
+        }
+        // The seed puts a fault on a slot other than the first.
+        assert!(
+            three
+                .values()
+                .any(|(track, faults)| track != "trial-slot-0" && !faults.is_empty()),
+            "no fault fired on a later slot"
+        );
     }
 }
 

@@ -619,6 +619,16 @@ mod tests {
         assert!(error_of(&frames[0]).contains("undecodable task"));
         let frames = serve(encode_frame(FrameKind::Heartbeat, b"{}"), &shared);
         assert!(error_of(&frames[0]).contains("unexpected Heartbeat frame"));
+        // A budget `TrialBudget::new` refuses makes no task either.
+        let task = String::from_utf8(encode(&task_for(&sample_trials(1), Seconds::ZERO, None)))
+            .expect("the writer writes UTF-8");
+        let refused = task.replace(r#""epochs":2.0"#, r#""epochs":-1"#);
+        assert_ne!(refused, task);
+        let frames = serve(encode_frame(FrameKind::Task, refused.as_bytes()), &shared);
+        let message = error_of(&frames[0]);
+        assert!(message.starts_with("undecodable task: "), "{message}");
+        assert!(message.contains("budget: epochs: "), "{message}");
+        assert_eq!(shared.stats().tasks_executed, 0);
     }
 
     fn connect(handle: &HostHandle) -> FramedTcp {

@@ -1,12 +1,15 @@
 //! The shard fabric: how a rung's trials are measured side by side on
 //! the host, and where.
 //!
-//! [`ShardFabric`] is the study's one rung executor. It partitions every
-//! rung into `study_shards` contiguous
-//! [`ShardPlan`](crate::engine::ShardPlan)s, pairs each plan with a
-//! backend snapshot — a shard is that pair, nothing more — and hands
-//! the measurements back in input order to the sequential accounting
-//! path every execution mode shares. *Where* a plan's slice is measured
+//! [`ShardFabric`] is the study's one rung executor, and the one place
+//! that decides whether a rung is measured side by side: only a rung
+//! that splits into at least two plans, on a backend that snapshots
+//! itself for each, is (a backend under fault injection declines, so
+//! chaos runs stay sequential). It partitions such a rung into
+//! `study_shards` contiguous [`ShardPlan`](crate::engine::ShardPlan)s,
+//! pairs each plan with a backend snapshot — a shard is that pair,
+//! nothing more — and hands the measurements back in input order to the
+//! one accounting loop every execution mode shares. *Where* a plan's slice is measured
 //! is the [`ShardExec`](crate::config::ShardExec) placement:
 //!
 //! * **thread** — directly, each shard on a scoped thread of its own.
@@ -33,10 +36,10 @@
 //! sends every shard's task, then reads each link in shard order under
 //! that shard's heartbeat deadline (bounding one trial plus
 //! [`HEARTBEAT_EVERY`] of silence); failed shards are retried in rounds
-//! under a capped-jittered-backoff
-//! [`RetryPolicy`](edgetune_faults::RetryPolicy), and a shard that spends
-//! the budget is measured in-process exactly as thread placement would
-//! have. On the serving side a worker process
+//! under a built-in capped-jittered-backoff
+//! [`RetryPolicy`](edgetune_faults::RetryPolicy) no program configures,
+//! and a shard that spends the budget is measured in-process exactly as
+//! thread placement would have. On the serving side a worker process
 //! and a host session run one task loop: decode, replay if the task's
 //! [`RungKey`] and content were already answered, measure under
 //! `catch_unwind`, reply. The payoff is crash containment: a worker
@@ -48,7 +51,7 @@
 //! a `BackendSpec` measures bit-identically to the orchestrator's own
 //! backend (JSON `f64` round-trips exactly via shortest-roundtrip
 //! formatting), and measurements are replayed through the same
-//! sequential phase-B accounting path whatever produced them — so report
+//! phase-B accounting loop whatever produced them — so report
 //! and trace bytes are identical across
 //! `--shard-exec thread|process|remote`, across shard counts, and across
 //! a mid-rung kill (of a worker or of a whole shard host) followed by a

@@ -1,9 +1,10 @@
 //! The rung executor: partition, place, supervise, degrade.
 //!
 //! [`ShardFabric::measure_rung`] is the one way a rung's trials are
-//! measured side by side on the host: it partitions the rung into
-//! [`ShardPlan`]s, pairs each plan with a backend snapshot — that pair
-//! is all a shard is — and returns the measurements in input order.
+//! measured side by side on the host, and the one place that decides
+//! whether they are: it partitions the rung into [`ShardPlan`]s, pairs
+//! each plan with a backend snapshot — that pair is all a shard is — and
+//! returns the measurements in input order, or declines the rung.
 //! *How many* plans is `study_shards`; *where* a plan's slice is
 //! measured is [`ShardExec`]:
 //!
@@ -14,9 +15,10 @@
 //!   over the shard's link (a `__shard-worker` child's socket, or a TCP
 //!   session with a shard host), then reads the links in shard order,
 //!   each under its shard's heartbeat deadline. Failed shards are
-//!   retried in rounds under a capped-jittered-backoff [`RetryPolicy`];
-//!   a shard that spends the budget falls back to exactly what thread
-//!   placement does, on the calling thread. Whatever a worker does —
+//!   retried in rounds under a built-in capped-jittered-backoff
+//!   [`RetryPolicy`] (three attempts, 50 ms then 100 ms apart before
+//!   jitter); a shard that spends the budget falls back to exactly what
+//!   thread placement does, on the calling thread. Whatever a worker does —
 //!   SIGKILL, panic, hang, garbage on the wire — `measure_rung` returns
 //!   the exact measurements direct execution would have produced.
 //!
@@ -43,7 +45,6 @@ use std::time::{Duration, Instant};
 
 use edgetune_faults::RetryPolicy;
 use edgetune_runtime::frame::FrameKind;
-use edgetune_runtime::parallel_map_ordered;
 use edgetune_trace::Tracer;
 use edgetune_tuner::budget::TrialBudget;
 use edgetune_tuner::space::Config;
@@ -79,15 +80,24 @@ pub struct FabricChaos {
     pub action: ChaosAction,
 }
 
+/// The built-in retry budget (capped jittered backoff) for a failed
+/// shard attempt: three attempts, the retries 50 ms then 100 ms apart
+/// before jitter. A shard that spends it is measured in-process. No
+/// program chooses another; unit tests shorten it on the fabric.
+const FABRIC_RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 3,
+    base_delay: Seconds::new(0.05),
+    multiplier: 2.0,
+    max_delay: Seconds::new(0.5),
+    jitter: 0.5,
+};
+
 /// How the fabric supervises the workers of a `Process` or `Remote`
 /// placement. Thread placement has nothing to supervise and ignores it.
+/// Failed attempts are retried under a built-in budget (see the module
+/// docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FabricPolicy {
-    /// Retry budget (capped jittered backoff) for failed attempts. A
-    /// shard that spends it is measured in-process.
-    /// [`StudyRun::start`](crate::engine::StudyRun::start) rejects retry
-    /// delays that are not finite and ≥ 0.
-    pub retry: RetryPolicy,
     /// The per-frame heartbeat deadline: a worker silent for longer is
     /// treated as hung, killed, and retried. A worker heartbeats at most
     /// every [`HEARTBEAT_EVERY`] (a faster slice answers with its result
@@ -106,13 +116,6 @@ pub struct FabricPolicy {
 impl Default for FabricPolicy {
     fn default() -> Self {
         FabricPolicy {
-            retry: RetryPolicy {
-                max_attempts: 3,
-                base_delay: Seconds::new(0.05),
-                multiplier: 2.0,
-                max_delay: Seconds::new(0.5),
-                jitter: 0.5,
-            },
             deadline: Seconds::new(30.0),
             worker_exe: None,
             chaos: None,
@@ -121,13 +124,12 @@ impl Default for FabricPolicy {
 }
 
 impl FabricPolicy {
-    /// Checks what the fabric turns into sleeps and timeouts, so a
-    /// study with a policy the fabric cannot honour fails before it
-    /// starts instead of panicking on a shard's thread.
+    /// Checks the deadline the fabric turns into timeouts, so a study
+    /// with a policy the fabric cannot honour fails before it starts.
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidConfig`] naming the offending field.
+    /// [`Error::InvalidConfig`] naming `fabric.deadline`.
     pub(crate) fn validate(&self) -> edgetune_util::Result<()> {
         let limit = self.deadline.value();
         if !(limit.is_finite() && limit > HEARTBEAT_EVERY.as_secs_f64()) {
@@ -135,17 +137,6 @@ impl FabricPolicy {
                 "fabric.deadline must be finite and longer than the \
                  {HEARTBEAT_EVERY:?} heartbeat interval, got {limit} s"
             )));
-        }
-        for (field, delay) in [
-            ("base_delay", self.retry.base_delay),
-            ("max_delay", self.retry.max_delay),
-        ] {
-            let delay = delay.value();
-            if !(delay.is_finite() && delay >= 0.0) {
-                return Err(Error::invalid_config(format!(
-                    "fabric.retry.{field} must be finite and ≥ 0, got {delay} s"
-                )));
-            }
         }
         Ok(())
     }
@@ -202,6 +193,7 @@ pub struct ShardFabric {
     /// one. A rung never has more plans than trials, so the slots grow
     /// with the rungs, not with `shards`.
     links: Vec<Option<Box<dyn Link>>>,
+    /// `FABRIC_RETRY`; a field only so unit tests can shorten it.
     retry: RetryPolicy,
     /// The heartbeat deadline (`StudyRun::start` validated it finite).
     deadline: Duration,
@@ -247,7 +239,7 @@ impl ShardFabric {
             shards: config.study_shards,
             dial,
             links: Vec::new(),
-            retry: policy.retry,
+            retry: FABRIC_RETRY,
             deadline: Duration::try_from_secs_f64(policy.deadline.value().max(0.0))
                 .unwrap_or(Duration::MAX),
             chaos: policy.chaos,
@@ -280,9 +272,10 @@ impl ShardFabric {
     /// workers exhaust the retry budget is measured on its snapshot after
     /// all.
     ///
-    /// Returns `None` — the caller measures sequentially — for a single
-    /// shard, and when the backend cannot snapshot itself (e.g. under
-    /// fault injection, where the injector's draw cursor must stay
+    /// Returns `None` — the caller measures sequentially — unless the
+    /// rung splits into at least two plans (two shards and two trials)
+    /// and the backend snapshots itself once per plan. A backend under
+    /// fault injection declines (its injector's draw cursor must stay
     /// strictly sequential), which keeps chaos runs shard-count-invariant.
     /// A backend that snapshots but has no
     /// [`process_spec`](TrainingBackend::process_spec) cannot cross a
@@ -300,7 +293,7 @@ impl ShardFabric {
         now: Seconds,
         trials: &[(u64, Config, TrialBudget)],
     ) -> Option<Vec<TrialMeasurement>> {
-        if self.shards <= 1 {
+        if self.shards.min(trials.len()) < 2 {
             return None;
         }
         let plans = ShardPlan::partition(trials.len(), self.shards);
@@ -311,10 +304,25 @@ impl ShardFabric {
         if let Some(spec) = self.dial.as_ref().and_then(|_| backend.process_spec()) {
             return Some(self.supervise(scope, &plans, spec, now, trials, snapshots));
         }
-        let slices = parallel_map_ordered(&plans, snapshots, |snapshot, _index, plan| {
-            measure_directly(&mut **snapshot, plan.slice(trials))
-        });
-        Some(slices.into_iter().flatten().collect())
+        // One scoped thread per plan, each on its own snapshot, joined
+        // in plan order: the measurements come back in input order.
+        Some(std::thread::scope(|threads| {
+            let shards: Vec<_> = plans
+                .iter()
+                .zip(snapshots)
+                .map(|(plan, mut snapshot)| {
+                    threads.spawn(move || measure_directly(&mut *snapshot, plan.slice(trials)))
+                })
+                .collect();
+            shards
+                .into_iter()
+                .flat_map(|shard| {
+                    shard
+                        .join()
+                        .unwrap_or_else(|e| std::panic::resume_unwind(e))
+                })
+                .collect()
+        }))
     }
 
     /// Has `plans` measured elsewhere, supervised from the calling
@@ -627,18 +635,24 @@ mod tests {
         ShardFabric::new(&config)
     }
 
-    fn fast_policy(max_attempts: u32, deadline_s: f64) -> FabricPolicy {
+    /// The default policy with a `deadline_s` heartbeat deadline.
+    fn with_deadline(deadline_s: f64) -> FabricPolicy {
         FabricPolicy {
-            retry: RetryPolicy {
-                max_attempts,
-                base_delay: Seconds::new(0.005),
-                multiplier: 1.0,
-                max_delay: Seconds::new(0.01),
-                jitter: 0.0,
-            },
             deadline: Seconds::new(deadline_s),
             ..FabricPolicy::default()
         }
+    }
+
+    /// `fabric`, allowed `max_attempts` per shard, retried 5 ms apart.
+    fn fast(mut fabric: ShardFabric, max_attempts: u32) -> ShardFabric {
+        fabric.retry = RetryPolicy {
+            max_attempts,
+            base_delay: Seconds::new(0.005),
+            multiplier: 1.0,
+            max_delay: Seconds::new(0.01),
+            jitter: 0.0,
+        };
+        fabric
     }
 
     /// An in-memory link: whatever is sent collects in `sink`, and reads
@@ -787,7 +801,7 @@ mod tests {
     /// Runs one attempt of a three-trial task over a link scripted with
     /// `script`, returning how it ended and the stats it left.
     fn attempt_over(script: Vec<u8>, hold: bool, deadline_s: f64) -> (AttemptEnd, FabricStats) {
-        let mut fabric = fabric(2, ShardExec::Process, fast_policy(1, deadline_s));
+        let mut fabric = fast(fabric(2, ShardExec::Process, with_deadline(deadline_s)), 1);
         let script = Mutex::new(Some(script));
         fabric.dial = Some(Dial::Scripted(Box::new(move |_shard| {
             Ok(scripted(script.lock().unwrap().take().unwrap(), hold))
@@ -901,7 +915,7 @@ mod tests {
         // shard 1's links always die, so it spends its two attempts.
         let shard0_result = result_frame(expected_measurements(&trials[..2], 1));
         let shard0_opens = AtomicU32::new(0);
-        let mut fabric = fabric(2, ShardExec::Process, fast_policy(2, 5.0));
+        let mut fabric = fast(fabric(2, ShardExec::Process, with_deadline(5.0)), 2);
         fabric.dial = Some(Dial::Scripted(Box::new(move |shard| {
             let answers = shard == 0 && shard0_opens.fetch_add(1, Ordering::Relaxed) == 1;
             Ok(scripted(
@@ -933,7 +947,10 @@ mod tests {
 
     /// A `shards`-way process fabric whose links come from `dial`.
     fn scripted_fabric(shards: usize, dial: Dial, deadline_s: f64) -> ShardFabric {
-        let mut fabric = fabric(shards, ShardExec::Process, fast_policy(2, deadline_s));
+        let mut fabric = fast(
+            fabric(shards, ShardExec::Process, with_deadline(deadline_s)),
+            2,
+        );
         fabric.dial = Some(dial);
         fabric
     }
@@ -1126,15 +1143,24 @@ mod tests {
         assert!(sharded
             .measure_rung(RungScope::default(), &chaotic, Seconds::ZERO, &trials)
             .is_none());
+        // A one-trial rung splits into one plan, however many shards.
+        assert!(sharded
+            .measure_rung(
+                RungScope::default(),
+                &backend(),
+                Seconds::ZERO,
+                &trials[..1]
+            )
+            .is_none());
     }
 
     #[test]
     fn missing_worker_exe_degrades_to_in_process_execution() {
         let trials = sample_trials(5);
         let now = Seconds::new(7.0);
-        let mut policy = fast_policy(2, 5.0);
+        let mut policy = with_deadline(5.0);
         policy.worker_exe = Some(PathBuf::from("/nonexistent/edgetune-worker"));
-        let mut fabric = fabric(2, ShardExec::Process, policy);
+        let mut fabric = fast(fabric(2, ShardExec::Process, policy), 2);
 
         let measured = fabric
             .measure_rung(RungScope::default(), &backend(), now, &trials)
@@ -1168,9 +1194,9 @@ mod tests {
         }
         let trials = sample_trials(4);
         let now = Seconds::ZERO;
-        let mut policy = fast_policy(2, 5.0);
+        let mut policy = with_deadline(5.0);
         policy.worker_exe = Some(PathBuf::from("/bin/false"));
-        let mut fabric = fabric(2, ShardExec::Process, policy);
+        let mut fabric = fast(fabric(2, ShardExec::Process, policy), 2);
 
         let measured = fabric
             .measure_rung(RungScope::default(), &backend(), now, &trials)
@@ -1247,7 +1273,7 @@ mod tests {
         let silent = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let trials = sample_trials(4);
         let deadline = 0.3;
-        let mut fabric = fabric(2, ShardExec::Remote, fast_policy(2, deadline));
+        let mut fabric = fast(fabric(2, ShardExec::Remote, with_deadline(deadline)), 2);
         fabric.dial = Some(Dial::Remote {
             hosts: vec![silent.local_addr().unwrap().to_string()],
         });
@@ -1281,7 +1307,7 @@ mod tests {
             vec![(Vec::new(), true)],
             vec![(slice_result(&trials, 2, 1), true)],
         ]);
-        let mut fabric = fabric(2, ShardExec::Process, fast_policy(1, 0.2));
+        let mut fabric = fast(fabric(2, ShardExec::Process, with_deadline(0.2)), 1);
         fabric.dial = Some(dial);
         measure_exactly(&mut fabric, &trials);
         let stats = fabric.stats().unwrap();
@@ -1294,8 +1320,10 @@ mod tests {
 
     #[test]
     fn default_policy_is_bounded_and_armed() {
-        let policy = FabricPolicy::default();
-        assert!(policy.retry.max_attempts >= 2);
-        assert!(policy.validate().is_ok(), "the default deadline is armed");
+        const { assert!(FABRIC_RETRY.max_attempts >= 2) };
+        assert!(
+            FabricPolicy::default().validate().is_ok(),
+            "the default deadline is armed"
+        );
     }
 }

@@ -10,13 +10,17 @@
 //! 3. A persisted float is finite: `1e400` or `-1e400` spliced into any
 //!    float of `write(v)`, or `null` where a number is required, is an
 //!    error naming the object keys down to that float.
+//! 4. A persisted budget is one [`TrialBudget::new`] would build: each
+//!    of [`REFUSED_BUDGETS`] spliced into its field of any budget of
+//!    `write(v)` is an error naming the object keys down to that field.
 //!
 //! The generated values reach for the edges: `±0.0`, the smallest
 //! subnormal, `f64::MAX`, `0.1 + 0.2` and random bit patterns; `+∞`
 //! where a trial score allows it; strings of quotes, backslashes,
 //! control and non-BMP characters; empty and one-element collections;
-//! and ids of `u64::MAX`. The service's submission file has its own
-//! generator, in `edgetune-service`.
+//! and ids of `u64::MAX`. A budget is drawn admissible, subnormal
+//! epochs and a fraction of exactly `1.0` included. The service's
+//! submission file has its own generator, in `edgetune-service`.
 
 use std::fmt::Debug;
 use std::io::Cursor;
@@ -64,6 +68,16 @@ const EDGE_FLOATS: [f64; 10] = [
     1e21,
     1e-7,
     -1.5,
+];
+
+/// Values [`TrialBudget::new`] refuses, by field.
+const REFUSED_BUDGETS: [(&str, &str); 6] = [
+    ("epochs", "0"),
+    ("epochs", "-1"),
+    ("epochs", "-5e-324"),
+    ("data_fraction", "0"),
+    ("data_fraction", "1.0000000000000002"),
+    ("data_fraction", "1.7976931348623157e308"),
 ];
 
 /// String pieces a writer must escape, or must not.
@@ -140,11 +154,21 @@ impl Gen {
             .collect()
     }
 
+    /// An admissible budget: any positive epochs, and a fraction in
+    /// `(0, 1]`.
     fn budget(&mut self) -> TrialBudget {
-        TrialBudget {
-            epochs: self.float(),
-            data_fraction: self.float(),
-        }
+        let epochs = loop {
+            let x = self.float().abs();
+            if x > 0.0 {
+                break x;
+            }
+        };
+        let data_fraction = match self.below(3) {
+            0 => 1.0,
+            1 => [5e-324, 1e-7, 0.1 + 0.2][self.below(3)],
+            _ => 1.0 - self.0.gen::<f64>(),
+        };
+        TrialBudget::new(epochs, data_fraction)
     }
 
     fn vector(&mut self) -> ObjectiveVector {
@@ -452,15 +476,26 @@ impl<T: Debug> Persisted<T> {
                 if spelling == "null" && nullable {
                     continue;
                 }
-                let spliced = splice(&document, path, spelling);
-                match (self.read)(&spliced) {
-                    Ok(_) => panic!("{spelling} at {keys:?} was read: {spliced}"),
-                    Err(e) => assert!(
-                        e.contains(&keys.join(": ")),
-                        "the error for {spelling} at {keys:?} does not name it: {e}"
-                    ),
+                self.refuses(&document, path, &keys, spelling);
+            }
+            if let [.., "budget", field] = keys[..] {
+                for (_, spelling) in REFUSED_BUDGETS.iter().filter(|(f, _)| *f == field) {
+                    self.refuses(&document, path, &keys, spelling);
                 }
             }
+        }
+    }
+
+    /// Holds that `document` with `spelling` at `path` does not read,
+    /// and that the error names `keys`.
+    fn refuses(&self, document: &Value, path: &[Step], keys: &[&str], spelling: &str) {
+        let spliced = splice(document, path, spelling);
+        match (self.read)(&spliced) {
+            Ok(_) => panic!("{spelling} at {keys:?} was read: {spliced}"),
+            Err(e) => assert!(
+                e.contains(&keys.join(": ")),
+                "the error for {spelling} at {keys:?} does not name it: {e}"
+            ),
         }
     }
 

@@ -164,11 +164,7 @@ fn dead_hosts_degrade_to_in_process_execution() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         listener.local_addr().expect("bound address").to_string()
     };
-    let mut policy = FabricPolicy::default();
-    policy.retry.base_delay = Seconds::new(0.005);
-    policy.retry.max_delay = Seconds::new(0.01);
-    let mut config = remote_study(4, vec![dead_addr]);
-    config.fabric = policy;
+    let config = remote_study(4, vec![dead_addr]);
     let (remote_json, remote_trace, report) = run(&config);
     assert_eq!(thread_json, remote_json, "fallback changed report bytes");
     assert_eq!(thread_trace, remote_trace, "fallback changed trace bytes");
@@ -186,12 +182,10 @@ fn a_host_that_never_answers_the_hello_degrades_to_in_process_execution() {
     // budget spends into the in-process fallback.
     let silent = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = silent.local_addr().expect("bound address").to_string();
-    let mut policy = FabricPolicy {
+    let policy = FabricPolicy {
         deadline: Seconds::new(0.2),
         ..FabricPolicy::default()
     };
-    policy.retry.base_delay = Seconds::new(0.001);
-    policy.retry.max_delay = Seconds::new(0.002);
     let mut config = remote_study(2, vec![addr]);
     config.fabric = policy;
     // A hang must fail this test, not stall the suite.
@@ -221,13 +215,13 @@ fn sigkilled_shard_host_degrades_without_disturbing_the_study() {
     // Kill chaos SIGKILLs the *daemon* mid-rung. Every later attempt is
     // refused, the budget spends, and in-process execution delivers the
     // exact same measurements.
-    let mut policy = FabricPolicy::default();
-    policy.retry.base_delay = Seconds::new(0.005);
-    policy.retry.max_delay = Seconds::new(0.01);
-    policy.chaos = Some(FabricChaos {
-        shard: 0,
-        action: ChaosAction::Kill,
-    });
+    let policy = FabricPolicy {
+        chaos: Some(FabricChaos {
+            shard: 0,
+            action: ChaosAction::Kill,
+        }),
+        ..FabricPolicy::default()
+    };
     let mut config = remote_study(4, vec![daemon.addr.clone()]);
     config.fabric = policy;
     let (remote_json, remote_trace, report) = run(&config);

@@ -14,10 +14,14 @@
 //!   `epochs = min(min_epochs·it, max_epochs)`,
 //!   `frac = min(min_frac·it, 1)`).
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// The resources one training trial is allowed to consume.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+///
+/// Its reader admits exactly what [`TrialBudget::new`] does: a persisted
+/// budget whose epochs are not positive, or whose fraction is outside
+/// `(0, 1]`, is an error naming the field, never a panic.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TrialBudget {
     /// Number of epochs to run.
     pub epochs: f64,
@@ -51,6 +55,29 @@ impl TrialBudget {
     #[must_use]
     pub fn effective_epochs(&self) -> f64 {
         self.epochs * self.data_fraction
+    }
+}
+
+impl Deserialize for TrialBudget {
+    fn from_json_value(v: &Value) -> Result<Self, DeError> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| DeError::expected("object", v))?;
+        let field = |name: &str, admits: fn(f64) -> bool, domain: &str| {
+            let x = match obj.get(name) {
+                Some(x) => f64::from_json_value(x).map_err(|e| e.in_field(name))?,
+                None => return Err(DeError::missing_field(name)),
+            };
+            if admits(x) {
+                Ok(x)
+            } else {
+                Err(DeError::new(format!("{x} is not {domain}")).in_field(name))
+            }
+        };
+        Ok(TrialBudget {
+            epochs: field("epochs", |x| x > 0.0, "positive")?,
+            data_fraction: field("data_fraction", |x| x > 0.0 && x <= 1.0, "in (0, 1]")?,
+        })
     }
 }
 
@@ -160,6 +187,33 @@ impl std::fmt::Display for BudgetPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_persisted_budget_is_one_new_would_build() {
+        let read = |text: &str| serde_json::from_str::<TrialBudget>(text);
+        assert_eq!(
+            read(r#"{"epochs": 5e-324, "data_fraction": 1.0}"#).unwrap(),
+            TrialBudget::new(5e-324, 1.0)
+        );
+        for (field, spelling) in [
+            ("epochs", "0"),
+            ("epochs", "-1"),
+            ("epochs", "-5e-324"),
+            ("data_fraction", "0"),
+            ("data_fraction", "1.0000000000000002"),
+            ("data_fraction", "1.7976931348623157e308"),
+        ] {
+            let text = if field == "epochs" {
+                format!(r#"{{"epochs": {spelling}, "data_fraction": 0.5}}"#)
+            } else {
+                format!(r#"{{"epochs": 2.0, "data_fraction": {spelling}}}"#)
+            };
+            let error = read(&text).expect_err(&text).to_string();
+            assert!(error.starts_with(&format!("{field}: ")), "{text}: {error}");
+        }
+        let missing = read(r#"{"epochs": 2.0}"#).unwrap_err().to_string();
+        assert!(missing.contains("data_fraction"), "{missing}");
+    }
 
     #[test]
     fn epoch_policy_grows_epochs_on_full_data() {
