@@ -102,7 +102,7 @@ mod tests {
     fn deploy_with_matches_recommendation_estimates() {
         let rec = tuned(&resnet18(), Metric::Runtime);
         let deployment = deploy_with(&device(), &resnet18(), &rec).unwrap();
-        assert!((deployment.throughput.value() - rec.throughput.value()).abs() < 1e-9);
+        assert!((deployment.throughput.value() - rec.throughput().value()).abs() < 1e-9);
         assert!((deployment.energy_per_item.value() - rec.energy_per_item.value()).abs() < 1e-9);
     }
 

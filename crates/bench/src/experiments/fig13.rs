@@ -30,7 +30,7 @@ pub fn cell(policy: BudgetPolicy, workload: WorkloadId, seed: u64) -> Cell {
     Cell {
         tuning_min: report.tuning_runtime().as_minutes(),
         tuning_kj: report.tuning_energy().as_kilojoules(),
-        throughput: rec.throughput.value(),
+        throughput: rec.throughput().value(),
         j_per_item: rec.energy_per_item.value(),
     }
 }

@@ -61,7 +61,7 @@ pub fn compare(workload: WorkloadId, seed: u64) -> Row {
         hp_kj: hp_report.tuning_energy().as_kilojoules(),
         et_kj: et_report.tuning_energy().as_kilojoules(),
         hp_thpt: hp_deploy.throughput.value(),
-        et_thpt: rec.throughput.value(),
+        et_thpt: rec.throughput().value(),
         hp_j: hp_deploy.energy_per_item.value(),
         et_j: rec.energy_per_item.value(),
     }

@@ -22,7 +22,7 @@ use edgetune_tuner::budget::TrialBudget;
 use edgetune_tuner::space::{Config, Domain, SearchSpace};
 use edgetune_util::rng::SeedStream;
 use edgetune_util::units::{Joules, Seconds, Watts};
-use edgetune_workloads::catalog::Workload;
+use edgetune_workloads::catalog::{Workload, WorkloadId};
 use edgetune_workloads::curve::{NoiseLabels, TrainingQuality};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -95,10 +95,12 @@ pub trait TrainingBackend: Send {
 /// A self-contained, serialisable recipe for rebuilding a training
 /// backend in another process. Only backends whose behaviour is a pure
 /// function of plain data can offer one — today that is
-/// [`SimTrainingBackend`] without a fault injector.
+/// [`SimTrainingBackend`] of a catalogue workload without a fault
+/// injector. The workload travels as its id, so a host can only be
+/// handed a workload its catalogue holds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BackendSpec {
-    workload: Workload,
+    workload: WorkloadId,
     seed: u64,
     tune_system_params: bool,
     fixed_gpus: u32,
@@ -112,7 +114,7 @@ impl BackendSpec {
         Box::new(SimTrainingBackend {
             tune_system_params: self.tune_system_params,
             fixed_gpus: self.fixed_gpus,
-            ..SimTrainingBackend::new(self.workload.clone(), SeedStream::new(self.seed))
+            ..SimTrainingBackend::new(Workload::by_id(self.workload), SeedStream::new(self.seed))
         })
     }
 }
@@ -391,12 +393,14 @@ impl TrainingBackend for SimTrainingBackend {
     fn process_spec(&self) -> Option<BackendSpec> {
         // Same rule as `parallel_snapshot`: an attached injector makes
         // trial fate depend on the shared draw cursor, so the backend
-        // must not be replicated across processes.
-        if self.faults.is_some() {
+        // must not be replicated across processes. Nor may a workload
+        // the catalogue does not hold, which its id would not rebuild.
+        let workload = &self.shared.workload;
+        if self.faults.is_some() || *workload != Workload::by_id(workload.id) {
             return None;
         }
         Some(BackendSpec {
-            workload: self.shared.workload.clone(),
+            workload: workload.id,
             seed: self.seed.seed(),
             tune_system_params: self.tune_system_params,
             fixed_gpus: self.fixed_gpus,
@@ -673,7 +677,6 @@ impl TrainingBackend for NnTrainingBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edgetune_workloads::WorkloadId;
 
     fn seed() -> SeedStream {
         SeedStream::new(31)
@@ -1113,7 +1116,6 @@ mod memo_tests {
 #[cfg(test)]
 mod oom_tests {
     use super::*;
-    use edgetune_util::rng::SeedStream;
     use edgetune_workloads::WorkloadId;
 
     #[test]

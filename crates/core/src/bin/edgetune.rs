@@ -417,6 +417,10 @@ fn run_tune(argv: Vec<String>, out: &mut String) -> Result<(), String> {
     if let Some(path) = &fabric_trace {
         eprintln!("fabric telemetry trace written to {}", path.display());
     }
+    match report.skipped_cache_entries() {
+        0 => {}
+        n => eprintln!("cache: skipped {n} entries that are not a deployment for their key"),
+    }
 
     outln!(out; "== winning trial ==");
     outln!(out; "configuration : {}", report.best_config());
@@ -433,7 +437,7 @@ fn run_tune(argv: Vec<String>, out: &mut String) -> Result<(), String> {
     outln!(out; "device        : {}", rec.device);
     outln!(out; "batch/cores   : {} / {}", rec.batch, rec.cores);
     outln!(out; "frequency     : {:.2} GHz", rec.freq.as_ghz());
-    outln!(out; "throughput    : {:.1} items/s", rec.throughput.value());
+    outln!(out; "throughput    : {:.1} items/s", rec.throughput().value());
     outln!(out; "energy        : {:.3} J/item", rec.energy_per_item.value());
 
     if !report.frontier().is_empty() {

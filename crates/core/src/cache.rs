@@ -13,7 +13,7 @@ use std::path::Path;
 
 use edgetune_tuner::Metric;
 use edgetune_util::{Error, Result};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Refusal, Serialize};
 
 use crate::inference::InferenceRecommendation;
 
@@ -75,8 +75,11 @@ impl CacheStats {
 
 /// The historical results store: entries, saved and loaded. A study
 /// tallies its hits and misses itself (`StudyGlobals::cache_stats`).
-/// Entries are kept in key order, the order they are saved in.
+/// Entries are kept in key order, the order they are saved in. Its
+/// reader refuses an entry stored under another device's key, so a hit
+/// is only ever served to the device it was tuned for.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[serde(check = "Self::admits")]
 pub struct HistoricalCache {
     entries: BTreeMap<String, InferenceRecommendation>,
 }
@@ -137,42 +140,54 @@ impl HistoricalCache {
         edgetune_util::fs::write_atomic(path, json)
     }
 
-    /// Loads a cache previously written by [`HistoricalCache::save`].
+    /// Loads a cache previously written by [`HistoricalCache::save`],
+    /// with the number of entries it skipped.
     ///
     /// Tolerates corruption: a file torn by a non-atomic writer (or
-    /// hand-edited into invalid shape) does not fail the run. Entries
-    /// that still parse are salvaged; the rest are skipped.
+    /// hand-edited) does not fail the run. An entry is kept when its
+    /// recommendation reads and names its key's device; any other is
+    /// skipped, so a hit is always a deployment the server could have
+    /// recommended.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Storage`] only when the file cannot be *read*
     /// (missing file, permissions) — never for unparseable content.
-    pub fn load(path: &Path) -> Result<Self> {
+    pub fn load(path: &Path) -> Result<(Self, usize)> {
         let bytes = std::fs::read(path)?;
         // Bytes torn into invalid UTF-8 are not JSON either: the empty
-        // document fails both parses below, a whole-file tear.
+        // document fails the parse below, a whole-file tear.
         let json = std::str::from_utf8(&bytes).unwrap_or_default();
-        match serde_json::from_str(json) {
-            Ok(cache) => Ok(cache),
-            Err(_) => Ok(Self::load_lenient(json)),
-        }
-    }
-
-    /// Salvages whatever entries still parse from a corrupt cache file.
-    fn load_lenient(json: &str) -> Self {
-        let mut cache = HistoricalCache::new();
-        // Torn mid-write, the document itself is not JSON.
+        let (mut cache, mut skipped) = (HistoricalCache::new(), 0);
         let Ok(value) = serde_json::from_str::<serde_json::Value>(json) else {
-            return cache;
+            return Ok((cache, skipped));
         };
         let entries = value.get("entries").and_then(serde_json::Value::as_object);
         for (key, entry) in entries.into_iter().flatten() {
-            if let Ok(rec) = serde_json::from_value::<InferenceRecommendation>(entry.clone()) {
-                cache.entries.insert(key.clone(), rec);
+            match InferenceRecommendation::from_json_value(entry) {
+                Ok(rec) if keyed_by(key, &rec) => {
+                    cache.entries.insert(key.clone(), rec);
+                }
+                _ => skipped += 1,
             }
         }
-        cache
+        Ok((cache, skipped))
     }
+
+    /// The reader's check: every entry is stored under its own device.
+    fn admits(&self) -> std::result::Result<(), Refusal> {
+        let stray = self.entries.iter().find(|(key, rec)| !keyed_by(key, rec));
+        stray.map_or(Ok(()), |(key, rec)| {
+            let why = format!("{key}: device: {:?} is not its key's", rec.device);
+            Err(("entries", why))
+        })
+    }
+}
+
+/// Whether entry key `key`, `"<device>|<arch>|<metric>"`, names `rec`'s
+/// device (a catalogue device name holds no `|`).
+fn keyed_by(key: &str, rec: &InferenceRecommendation) -> bool {
+    key.split('|').next() == Some(rec.device.as_str())
 }
 
 #[cfg(test)]
@@ -186,7 +201,7 @@ impl HistoricalCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edgetune_util::units::{Hertz, ItemsPerSecond, JoulesPerItem, Seconds};
+    use edgetune_util::units::{Hertz, JoulesPerItem, Seconds};
 
     fn rec(batch: u32) -> InferenceRecommendation {
         InferenceRecommendation {
@@ -196,7 +211,6 @@ mod tests {
             freq: Hertz::from_ghz(1.4),
             latency_per_item: Seconds::new(0.05),
             energy_per_item: JoulesPerItem::new(0.3),
-            throughput: ItemsPerSecond::new(20.0),
         }
     }
 
@@ -248,14 +262,15 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.json");
         cache.save(&path).unwrap();
-        let loaded = HistoricalCache::load(&path).unwrap();
+        let loaded = HistoricalCache::load(&path).unwrap().0;
         assert_eq!(loaded.len(), 2);
         assert_eq!(loaded.lookup(&key("ResNet/layers=50")).unwrap().batch, 4);
         std::fs::remove_file(&path).ok();
     }
 
     /// A cache file exactly as `save` wrote it while entry keys were
-    /// still formatted per call.
+    /// still formatted per call and a recommendation stored its
+    /// throughput.
     const SAVED: &str = r#"{
   "entries": {
     "Raspberry Pi 3B+|ResNet/layers=18|runtime": {
@@ -278,7 +293,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.json");
         cache.save(&path).unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), SAVED);
+        let without_throughput = SAVED.replace(",\n      \"throughput\": 20.0", "");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), without_throughput);
         std::fs::remove_file(&path).ok();
     }
 
@@ -288,7 +304,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.json");
         std::fs::write(&path, SAVED).unwrap();
-        let loaded = HistoricalCache::load(&path).unwrap();
+        let loaded = HistoricalCache::load(&path).unwrap().0;
         assert_eq!(loaded.lookup(&key("ResNet/layers=18")), Some(&rec(8)));
         let energy = CacheKey::new("Raspberry Pi 3B+", "ResNet/layers=18", Metric::Energy);
         assert!(loaded.lookup(&energy).is_none());
@@ -346,9 +362,41 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.json");
         std::fs::write(&path, serde_json::to_string(&json).unwrap()).unwrap();
-        let loaded = HistoricalCache::load(&path).unwrap();
+        let (loaded, skipped) = HistoricalCache::load(&path).unwrap();
         assert_eq!(loaded.len(), 1, "the good entry survives");
+        assert_eq!(skipped, 1);
         assert!(loaded.lookup(&key("good")).is_some());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn an_entry_no_deployment_could_have_is_skipped_not_served() {
+        let mut cache = HistoricalCache::new();
+        cache.store(&key("good"), rec(8));
+        let bad: [(&str, &str); 7] = [
+            ("\"batch\": 8", "\"batch\": 0"),
+            ("\"cores\": 2", "\"cores\": 0"),
+            ("\"cores\": 2", "\"cores\": 99"),
+            ("1400000000.0", "-1000000000.0"),
+            ("1400000000.0", "1500000000.0"),
+            ("\"energy_per_item\": 0.3", "\"energy_per_item\": -5"),
+            (
+                "\"device\": \"Raspberry Pi 3B+\"",
+                "\"device\": \"ARMv7 rev 4 board\"",
+            ),
+        ];
+        let dir = std::env::temp_dir().join("edgetune-cache-impossible-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.json");
+        for (from, to) in bad {
+            let json = serde_json::to_string_pretty(&cache).unwrap();
+            let tampered = json.replacen(from, to, 1);
+            assert_ne!(tampered, json, "{from}");
+            assert!(serde_json::from_str::<HistoricalCache>(&tampered).is_err());
+            std::fs::write(&path, tampered).unwrap();
+            let (loaded, skipped) = HistoricalCache::load(&path).unwrap();
+            assert_eq!((loaded.len(), skipped), (0, 1), "{to}");
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -372,7 +420,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.json");
         std::fs::write(&path, json).unwrap();
-        let loaded = HistoricalCache::load(&path).unwrap();
+        let loaded = HistoricalCache::load(&path).unwrap().0;
         // A miss: the study re-tunes the architecture.
         assert!(loaded.lookup(&key("good")).is_none());
         assert_eq!(loaded.lookup(&key("huge")), Some(&rec(4)));
@@ -388,7 +436,7 @@ mod tests {
         let torn: [&[u8]; 2] = [b"{\"entries\": {\"a|b|runtime\": {\"dev", &[0xff, 0xfe]];
         for bytes in torn {
             std::fs::write(&path, bytes).unwrap();
-            let loaded = HistoricalCache::load(&path).unwrap();
+            let loaded = HistoricalCache::load(&path).unwrap().0;
             assert_eq!(loaded.len(), 0, "nothing salvageable from {bytes:?}");
         }
         std::fs::remove_file(&path).ok();
@@ -409,7 +457,7 @@ mod tests {
         study_a.store(&key("ResNet/layers=18"), rec(8));
         study_a.save(&path).unwrap();
 
-        let mut study_b = HistoricalCache::load(&path).unwrap();
+        let mut study_b = HistoricalCache::load(&path).unwrap().0;
         assert_eq!(
             study_b.lookup(&key("ResNet/layers=18")).unwrap().batch,
             8,
@@ -418,7 +466,7 @@ mod tests {
         study_b.store(&key("M5/width=64"), rec(4));
         study_b.save(&path).unwrap();
 
-        let resumed_a = HistoricalCache::load(&path).unwrap();
+        let resumed_a = HistoricalCache::load(&path).unwrap().0;
         assert_eq!(resumed_a.len(), 2);
         assert_eq!(resumed_a.lookup(&key("ResNet/layers=18")).unwrap().batch, 8);
         assert_eq!(resumed_a.lookup(&key("M5/width=64")).unwrap().batch, 4);

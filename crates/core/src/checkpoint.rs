@@ -188,7 +188,7 @@ mod tests {
     use edgetune_tuner::pareto::ObjectiveVector;
     use edgetune_tuner::space::Config;
     use edgetune_tuner::{Metric, TrialFailure, TrialOutcome};
-    use edgetune_util::units::{Hertz, ItemsPerSecond, JoulesPerItem};
+    use edgetune_util::units::{Hertz, JoulesPerItem};
 
     fn record(id: u64, score: f64) -> TrialRecord {
         TrialRecord {
@@ -219,7 +219,6 @@ mod tests {
                 freq: Hertz::from_ghz(1.4),
                 latency_per_item: Seconds::new(0.05),
                 energy_per_item: JoulesPerItem::new(0.3),
-                throughput: ItemsPerSecond::new(20.0),
             },
         );
         cache

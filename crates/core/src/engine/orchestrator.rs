@@ -178,6 +178,8 @@ pub struct StudyRun {
     /// The resumed checkpoint's trial log — the history prefix, so trial
     /// `id` is `resumed[id]`. Empty on a fresh run.
     resumed: Vec<TrialRecord>,
+    /// Entries the historical cache file held that its load skipped.
+    skipped_cache_entries: usize,
 }
 
 impl StudyRun {
@@ -245,22 +247,22 @@ impl StudyRun {
         // Resume: the checkpoint's state is reinstated whole, and its
         // trial log answers the rungs it covers. Without one the study
         // starts from nothing but the persistent historical cache.
-        let (resumed, globals) = match load_checkpoint(config)? {
+        let (resumed, globals, skipped_cache_entries) = match load_checkpoint(config)? {
             Some(checkpoint) => {
                 let (trials, globals) = checkpoint.into_parts();
                 backend.set_fault_cursor(globals.fault_cursor);
-                (trials, globals)
+                (trials, globals, 0)
             }
             None => {
-                let cache = match &config.cache_path {
+                let (cache, skipped) = match &config.cache_path {
                     Some(path) if path.exists() => HistoricalCache::load(path)?,
-                    _ => HistoricalCache::new(),
+                    _ => (HistoricalCache::new(), 0),
                 };
                 let fresh = StudyGlobals {
                     cache,
                     ..StudyGlobals::default()
                 };
-                (Vec::new(), fresh)
+                (Vec::new(), fresh, skipped)
             }
         };
 
@@ -305,6 +307,7 @@ impl StudyRun {
                 config: config.clone(),
             },
             resumed,
+            skipped_cache_entries,
         })
     }
 
@@ -459,6 +462,7 @@ impl StudyRun {
             inference_energy: globals.inference_energy,
             faults,
             fabric,
+            skipped_cache_entries: self.skipped_cache_entries,
         };
         let trace = tracer.map(|tracer| ChromeTrace::from_tracer(&tracer));
         if let (Some(path), Some(trace)) = (&config.trace_path, &trace) {
@@ -494,7 +498,7 @@ mod tests {
         assert!(report.tuning_runtime().value() > 0.0);
         assert!(report.tuning_energy().value() > 0.0);
         assert!(report.recommendation().batch >= 1);
-        assert!(report.recommendation().throughput.value() > 0.0);
+        assert!(report.recommendation().throughput().value() > 0.0);
         assert!(report.best_config().get(PARAM_MODEL_HP).is_some());
         assert!(report.best_config().get(PARAM_GPUS).is_some());
     }

@@ -90,6 +90,9 @@ pub struct TuningReport {
     /// byte-identical across execution modes.
     #[serde(skip)]
     pub(crate) fabric: Option<FabricStats>,
+    /// Entries the `--cache` file held that the study skipped.
+    #[serde(skip)]
+    pub(crate) skipped_cache_entries: usize,
 }
 
 impl TuningReport {
@@ -173,6 +176,13 @@ impl TuningReport {
     #[must_use]
     pub fn fabric_stats(&self) -> Option<&FabricStats> {
         self.fabric.as_ref()
+    }
+
+    /// How many entries of the `--cache` file the study skipped (see
+    /// `HistoricalCache::load`); zero after a resume and when parsed.
+    #[must_use]
+    pub fn skipped_cache_entries(&self) -> usize {
+        self.skipped_cache_entries
     }
 
     /// The study's Pareto frontier — empty unless the run was configured

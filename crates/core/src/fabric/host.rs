@@ -628,6 +628,16 @@ mod tests {
         let message = error_of(&frames[0]);
         assert!(message.starts_with("undecodable task: "), "{message}");
         assert!(message.contains("budget: epochs: "), "{message}");
+        // Nor does a workload the catalogue does not hold.
+        let unknown = task.replace(r#""workload":"Ic""#, r#""workload":"Asr""#);
+        assert_ne!(unknown, task);
+        let frames = serve(encode_frame(FrameKind::Task, unknown.as_bytes()), &shared);
+        let message = error_of(&frames[0]);
+        assert!(message.starts_with("undecodable task: "), "{message}");
+        assert!(
+            message.contains("spec: workload: unknown variant `Asr`"),
+            "{message}"
+        );
         assert_eq!(shared.stats().tasks_executed, 0);
     }
 

@@ -28,7 +28,7 @@ use edgetune_util::units::{
     energy_per_item, throughput, Hertz, ItemsPerSecond, Joules, JoulesPerItem, Seconds, Watts,
 };
 use edgetune_util::{Error, Result};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Refusal, Serialize};
 
 use edgetune_tuner::objective::InferenceObjective;
 
@@ -103,29 +103,20 @@ impl InferenceSpace {
         if self.batches.contains(&0) {
             return Err(Error::invalid_config("batch size 0 in inference space"));
         }
-        for &c in &self.cores {
-            if !device.supports_cores(c) {
-                return Err(Error::invalid_config(format!(
-                    "{} cores unsupported on {}",
-                    c, device.name
-                )));
-            }
-        }
-        for &f in &self.freqs {
-            if f < device.min_freq || f > device.max_freq {
-                return Err(Error::invalid_config(format!(
-                    "frequency {:.2} GHz outside {}'s DVFS range",
-                    f.as_ghz(),
-                    device.name
-                )));
+        for &cores in &self.cores {
+            for &freq in &self.freqs {
+                CpuAllocation::new(device, cores, freq)?;
             }
         }
         Ok(())
     }
 }
 
-/// The deployment recommendation returned to the user.
+/// The deployment recommendation returned to the user. Its reader admits
+/// exactly what the server can recommend, so a tampered cache entry is
+/// an error naming the field, never served.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(check = "Self::admits")]
 pub struct InferenceRecommendation {
     /// Edge device the recommendation targets.
     pub device: String,
@@ -139,8 +130,44 @@ pub struct InferenceRecommendation {
     pub latency_per_item: Seconds,
     /// Estimated per-item inference energy at the optimum.
     pub energy_per_item: JoulesPerItem,
+}
+
+impl InferenceRecommendation {
     /// Estimated throughput at the optimum.
-    pub throughput: ItemsPerSecond,
+    #[must_use]
+    pub fn throughput(&self) -> ItemsPerSecond {
+        throughput(1.0, self.latency_per_item)
+    }
+
+    /// The reader's check: `recommendation`'s domain — a catalogue
+    /// device, a deployment [`InferenceSpace::validate`] admits, and
+    /// positive per-item estimates.
+    fn admits(&self) -> std::result::Result<(), Refusal> {
+        let Some(device) = DeviceSpec::catalog()
+            .into_iter()
+            .find(|d| d.name == self.device)
+        else {
+            return Err(("device", format!("{:?} is not a known device", self.device)));
+        };
+        let (latency, energy) = (self.latency_per_item.value(), self.energy_per_item.value());
+        let refusal = if self.batch == 0 {
+            ("batch", "batch size 0".to_string())
+        } else if let Err(e) = CpuAllocation::new(&device, self.cores, self.freq) {
+            let field = if device.supports_cores(self.cores) {
+                "freq"
+            } else {
+                "cores"
+            };
+            (field, e.to_string())
+        } else if latency <= 0.0 {
+            ("latency_per_item", format!("{latency} is not positive"))
+        } else if energy <= 0.0 {
+            ("energy_per_item", format!("{energy} is not positive"))
+        } else {
+            return Ok(());
+        };
+        Err(refusal)
+    }
 }
 
 /// Cost of one inference-tuning run (it executes on the tuning server's
@@ -240,7 +267,6 @@ fn recommendation(
         freq,
         latency_per_item: exec.latency / f64::from(batch),
         energy_per_item: energy_per_item(exec.energy, f64::from(batch)),
-        throughput: throughput(f64::from(batch), exec.latency),
     }
 }
 
@@ -417,7 +443,7 @@ impl InferenceEndpoint {
 /// The conservative device-model default recommendation a lost
 /// inference reply falls back to when no stale cache entry exists: batch 1,
 /// all cores, maximum frequency — never optimal, always deployable — with
-/// latency/energy/throughput estimated from the device model.
+/// latency and energy estimated from the device model.
 #[must_use]
 pub fn fallback_recommendation(
     device: &DeviceSpec,
@@ -484,7 +510,7 @@ mod tests {
             "batching amortises dispatch: batch={}",
             rec.batch
         );
-        assert!(rec.throughput.value() > 0.0);
+        assert!(rec.throughput().value() > 0.0);
         assert!(cost.configs == 72);
         assert!(cost.runtime.value() > 0.0);
     }
@@ -497,7 +523,7 @@ mod tests {
         // cores/frequency as the runtime optimum and never beats its
         // throughput.
         assert!(rec_en.energy_per_item.value() <= rec_rt.energy_per_item.value());
-        assert!(rec_en.throughput.value() <= rec_rt.throughput.value() * 1.001);
+        assert!(rec_en.throughput().value() <= rec_rt.throughput().value() * 1.001);
     }
 
     #[test]
@@ -524,7 +550,7 @@ mod tests {
         let (light, _) = s.tune(&resnet18());
         let heavy = WorkProfile::new(1.3e9, 9.2e6, 94.0e6);
         let (heavy_rec, _) = s.tune(&heavy);
-        assert!(heavy_rec.throughput.value() < light.throughput.value());
+        assert!(heavy_rec.throughput().value() < light.throughput().value());
     }
 
     #[test]
@@ -553,7 +579,7 @@ mod tests {
         assert_eq!(fallback.cores, device.cores);
         assert_eq!(fallback.freq, device.max_freq);
         assert!(fallback.latency_per_item.value() > 0.0);
-        assert!(fallback.throughput.value() > 0.0);
+        assert!(fallback.throughput().value() > 0.0);
         // The tuned optimum never loses to the fallback on the objective.
         let (tuned, _) = server(Metric::Runtime).tune(&resnet18());
         assert!(tuned.latency_per_item <= fallback.latency_per_item);

@@ -10,22 +10,26 @@
 //! 3. A persisted float is finite: `1e400` or `-1e400` spliced into any
 //!    float of `write(v)`, or `null` where a number is required, is an
 //!    error naming the object keys down to that float.
-//! 4. A persisted budget is one [`TrialBudget::new`] would build: each
-//!    of [`REFUSED_BUDGETS`] spliced into its field of any budget of
-//!    `write(v)` is an error naming the object keys down to that field.
+//! 4. A persisted value is one the program could have built: each of
+//!    [`REFUSED`] spliced into its field of any budget, recommendation
+//!    or timeline span of `write(v)` is an error naming the object keys
+//!    down to that field.
 //!
 //! The generated values reach for the edges: `±0.0`, the smallest
 //! subnormal, `f64::MAX`, `0.1 + 0.2` and random bit patterns; `+∞`
 //! where a trial score allows it; strings of quotes, backslashes,
 //! control and non-BMP characters; empty and one-element collections;
-//! and ids of `u64::MAX`. A budget is drawn admissible, subnormal
-//! epochs and a fraction of exactly `1.0` included. The service's
-//! submission file has its own generator, in `edgetune-service`.
+//! and ids of `u64::MAX`. Budgets, recommendations and backend specs
+//! are drawn admissible: subnormal epochs and a fraction of exactly
+//! `1.0`, a DVFS range's own ends, and only catalogue devices and
+//! workloads. The service's submission file has its own generator, in
+//! `edgetune-service`.
 
 use std::fmt::Debug;
 use std::io::Cursor;
 use std::path::PathBuf;
 
+use edgetune_device::spec::DeviceSpec;
 use edgetune_faults::{DegradationStats, TrialFault};
 use edgetune_net::{accept_hello, hello_answer, send_hello, Hello, HelloAck};
 use edgetune_runtime::frame::{encode_frame, read_frame, FrameKind};
@@ -35,7 +39,7 @@ use edgetune_tuner::{
     Config, History, Metric, TrialBudget, TrialFailure, TrialOutcome, TrialRecord,
 };
 use edgetune_util::rng::SeedStream;
-use edgetune_util::units::{Hertz, ItemsPerSecond, Joules, JoulesPerItem, Seconds};
+use edgetune_util::units::{Hertz, Joules, JoulesPerItem, Seconds};
 use edgetune_workloads::catalog::{Workload, WorkloadId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -70,15 +74,41 @@ const EDGE_FLOATS: [f64; 10] = [
     -1.5,
 ];
 
-/// Values [`TrialBudget::new`] refuses, by field.
-const REFUSED_BUDGETS: [(&str, &str); 6] = [
-    ("epochs", "0"),
-    ("epochs", "-1"),
-    ("epochs", "-5e-324"),
-    ("data_fraction", "0"),
-    ("data_fraction", "1.0000000000000002"),
-    ("data_fraction", "1.7976931348623157e308"),
+/// Values a checked reader refuses, by the type and field
+/// [`checked_field`] finds them at.
+const REFUSED: [(&str, &str, &str); 15] = [
+    ("budget", "epochs", "0"),
+    ("budget", "epochs", "-1"),
+    ("budget", "epochs", "-5e-324"),
+    ("budget", "data_fraction", "0"),
+    ("budget", "data_fraction", "1.0000000000000002"),
+    ("budget", "data_fraction", "1.7976931348623157e308"),
+    ("recommendation", "device", "\"Nokia 3310\""),
+    ("recommendation", "batch", "0"),
+    ("recommendation", "cores", "0"),
+    ("recommendation", "cores", "99"),
+    // Below and above every catalogue device's DVFS range.
+    ("recommendation", "freq", "1e8"),
+    ("recommendation", "freq", "1e10"),
+    ("recommendation", "latency_per_item", "0"),
+    ("recommendation", "energy_per_item", "-5"),
+    // Before every start `Gen::timeline` draws.
+    ("span", "end", "-1.7976931348623157e308"),
 ];
+
+/// The checked type and field the object keys `keys` lead to: a
+/// budget's, a recommendation's (a report's or a cache entry's) or a
+/// timeline span's.
+fn checked_field<'a>(keys: &[&'a str]) -> Option<(&'static str, &'a str)> {
+    match *keys {
+        [.., "budget", field] => Some(("budget", field)),
+        [.., "recommendation", field] | [.., "entries", _, field] => {
+            Some(("recommendation", field))
+        }
+        [.., "spans", field] => Some(("span", field)),
+        _ => None,
+    }
+}
 
 /// String pieces a writer must escape, or must not.
 const PIECES: [&str; 13] = [
@@ -154,15 +184,20 @@ impl Gen {
             .collect()
     }
 
+    /// A positive finite float.
+    fn positive(&mut self) -> f64 {
+        loop {
+            let x = self.float().abs();
+            if x > 0.0 {
+                return x;
+            }
+        }
+    }
+
     /// An admissible budget: any positive epochs, and a fraction in
     /// `(0, 1]`.
     fn budget(&mut self) -> TrialBudget {
-        let epochs = loop {
-            let x = self.float().abs();
-            if x > 0.0 {
-                break x;
-            }
-        };
+        let epochs = self.positive();
         let data_fraction = match self.below(3) {
             0 => 1.0,
             1 => [5e-324, 1e-7, 0.1 + 0.2][self.below(3)],
@@ -207,25 +242,37 @@ impl Gen {
         history
     }
 
+    /// An admissible recommendation: a catalogue device, any batch, and
+    /// cores and a frequency (its ends included) the device supports.
     fn recommendation(&mut self) -> InferenceRecommendation {
+        let devices = DeviceSpec::catalog();
+        let device = &devices[self.below(devices.len())];
+        let (min, max) = (device.min_freq.value(), device.max_freq.value());
+        let freq = match self.below(3) {
+            0 => min,
+            1 => max,
+            _ => min + (max - min) * self.0.gen::<f64>(),
+        };
         InferenceRecommendation {
-            device: self.string(),
-            batch: self.0.gen(),
-            cores: self.0.gen(),
-            freq: Hertz::new(self.float()),
-            latency_per_item: self.seconds(),
-            energy_per_item: JoulesPerItem::new(self.float()),
-            throughput: ItemsPerSecond::new(self.float()),
+            device: device.name.clone(),
+            batch: self.0.gen_range(1..=u32::MAX),
+            cores: self.0.gen_range(1..=device.cores),
+            freq: Hertz::new(freq),
+            latency_per_item: Seconds::new(self.positive()),
+            energy_per_item: JoulesPerItem::new(self.positive()),
         }
     }
 
+    /// Spans that start above `f64::MIN`, so an end of `f64::MIN` is
+    /// before each.
     fn timeline(&mut self) -> Timeline {
         let mut timeline = Timeline::default();
         for _ in 0..self.count() {
             let lane = [Lane::ModelServer, Lane::InferenceServer][self.below(2)];
             let (a, b) = (self.float(), self.float());
-            let label = self.string();
-            timeline.record(lane, label, Seconds::new(a.min(b)), Seconds::new(a.max(b)));
+            let [start, end] =
+                [a.min(b), a.max(b)].map(|x| Seconds::new(x.max(f64::MIN.next_up())));
+            timeline.record(lane, self.string(), start, end);
         }
         timeline
     }
@@ -246,8 +293,9 @@ impl Gen {
     fn cache(&mut self) -> HistoricalCache {
         let mut cache = HistoricalCache::new();
         for _ in 0..self.count() {
-            let key = CacheKey::new(self.string(), self.string(), self.metric());
-            cache.store(&key, self.recommendation());
+            let recommendation = self.recommendation();
+            let key = CacheKey::new(&recommendation.device, self.string(), self.metric());
+            cache.store(&key, recommendation);
         }
         cache
     }
@@ -300,6 +348,7 @@ impl Gen {
                 trial: g.id(),
             }),
             fabric: None,
+            skipped_cache_entries: 0,
         }
     }
 
@@ -356,13 +405,7 @@ impl Gen {
     }
 
     fn spec(&mut self) -> BackendSpec {
-        let mut workload = Workload::by_id(WorkloadId::all()[self.below(4)]);
-        workload.task = self.string();
-        workload.model = self.string();
-        workload.model_hp_name = self.string();
-        workload.model_hp_values = self.vec(Self::float);
-        workload.dataset.name = self.string();
-        workload.dataset.size_bytes = self.id();
+        let workload = Workload::by_id(WorkloadId::all()[self.below(4)]);
         let backend = SimTrainingBackend::new(workload, SeedStream::new(self.id()));
         let backend = if self.below(2) == 0 {
             backend.with_fixed_gpus(1)
@@ -461,9 +504,9 @@ impl<T: Debug> Persisted<T> {
         assert_eq!((self.write)(&back), text, "writing is not idempotent");
 
         let document: Value = serde_json::from_str(&text).expect("the writer writes JSON");
-        let mut floats = Vec::new();
-        self.float_paths(&document, &mut Vec::new(), &mut floats);
-        for path in &floats {
+        let mut leaves = Vec::new();
+        self.leaf_paths(&document, &mut Vec::new(), &mut leaves);
+        for (path, float) in &leaves {
             let keys: Vec<&str> = path
                 .iter()
                 .filter_map(|step| match step {
@@ -473,13 +516,12 @@ impl<T: Debug> Persisted<T> {
                 .collect();
             let nullable = keys.last().is_some_and(|key| self.nullable.contains(key));
             for spelling in ["1e400", "-1e400", "null"] {
-                if spelling == "null" && nullable {
-                    continue;
+                if *float && !(spelling == "null" && nullable) {
+                    self.refuses(&document, path, &keys, spelling);
                 }
-                self.refuses(&document, path, &keys, spelling);
             }
-            if let [.., "budget", field] = keys[..] {
-                for (_, spelling) in REFUSED_BUDGETS.iter().filter(|(f, _)| *f == field) {
+            if let Some(checked) = checked_field(&keys) {
+                for (.., spelling) in REFUSED.iter().filter(|(t, f, _)| (*t, *f) == checked) {
                     self.refuses(&document, path, &keys, spelling);
                 }
             }
@@ -499,14 +541,14 @@ impl<T: Debug> Persisted<T> {
         }
     }
 
-    /// Collects the path of every float in `value`.
-    fn float_paths(&self, value: &Value, path: &mut Vec<Step>, out: &mut Vec<Vec<Step>>) {
+    /// Collects the path of every scalar in `value`, and whether it is
+    /// a float.
+    fn leaf_paths(&self, value: &Value, path: &mut Vec<Step>, out: &mut Vec<(Vec<Step>, bool)>) {
         match value {
-            Value::Number(Number::F64(_)) => out.push(path.clone()),
             Value::Array(items) => {
                 for (i, item) in items.iter().enumerate() {
                     path.push(Step::Index(i));
-                    self.float_paths(item, path, out);
+                    self.leaf_paths(item, path, out);
                     path.pop();
                 }
             }
@@ -514,12 +556,12 @@ impl<T: Debug> Persisted<T> {
                 for (key, item) in map.iter() {
                     if !self.opaque.contains(&key.as_str()) {
                         path.push(Step::Key(key.clone()));
-                        self.float_paths(item, path, out);
+                        self.leaf_paths(item, path, out);
                         path.pop();
                     }
                 }
             }
-            _ => {}
+            leaf => out.push((path.clone(), matches!(leaf, Value::Number(Number::F64(_))))),
         }
     }
 }

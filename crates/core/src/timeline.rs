@@ -13,7 +13,7 @@
 //! JSON contract.
 
 use edgetune_util::units::Seconds;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Refusal, Serialize};
 
 /// Which server a span belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -33,8 +33,10 @@ impl std::fmt::Display for Lane {
     }
 }
 
-/// One span of activity on a lane.
+/// One span of activity on a lane. Its reader admits what
+/// [`Timeline::record`] does.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(check = "Self::admits")]
 pub struct Span {
     /// Which server was busy.
     pub lane: Lane,
@@ -52,6 +54,16 @@ impl Span {
     pub fn duration(&self) -> Seconds {
         self.end - self.start
     }
+
+    /// The domain [`Timeline::record`] builds and the reader admits.
+    fn admits(&self) -> Result<(), Refusal> {
+        let (start, end) = (self.start.value(), self.end.value());
+        if end >= start {
+            return Ok(());
+        }
+        let why = format!("span must not end before it starts: {end} < {start}");
+        Err(("end", why))
+    }
 }
 
 /// The recorded timeline of one tuning run.
@@ -67,13 +79,14 @@ impl Timeline {
     ///
     /// Panics if `end < start`.
     pub fn record(&mut self, lane: Lane, label: impl Into<String>, start: Seconds, end: Seconds) {
-        assert!(end >= start, "span must not end before it starts");
-        self.spans.push(Span {
+        let span = Span {
             lane,
             label: label.into(),
             start,
             end,
-        });
+        };
+        span.admits().unwrap_or_else(|(_, why)| panic!("{why}"));
+        self.spans.push(span);
     }
 
     /// All spans in recording order.

@@ -625,18 +625,85 @@ fn a_checkpoint_with_an_out_of_range_score_resumes_as_a_fresh_start() {
     };
     let stdout = study(&format!("--json {full}"));
     study(&format!("--checkpoint {ck} --halt-after-rungs 1"));
-    // `-1e400` reads as -∞ to a JSON parser: a score no trial can have,
-    // which would rank first and steer the sampler.
     let halted = String::from_utf8(read(&ck)).expect("utf8 checkpoint");
-    let at = halted.find("\"score\": ").expect("a scored trial") + "\"score\": ".len();
-    let end = at + halted[at..].find(',').expect("more fields");
-    std::fs::write(&ck, format!("{}-1e400{}", &halted[..at], &halted[end..])).expect("tamper");
-    let resumed_stdout = study(&format!("--checkpoint {ck} --resume --json {resumed}"));
+    // `-1e400` reads as -∞ to a JSON parser: a score no trial can have,
+    // which would rank first and steer the sampler. A cache entry on 99
+    // of the Pi's 4 cores is a deployment no sweep can recommend.
+    for (key, value) in [("score", "-1e400"), ("cores", "99")] {
+        let label = format!("\"{key}\": ");
+        let at = halted.find(&label).expect("the key is in the checkpoint") + label.len();
+        let end = at + halted[at..].find(',').expect("more fields");
+        std::fs::write(&ck, format!("{}{value}{}", &halted[..at], &halted[end..])).expect("tamper");
+        let resumed_stdout = study(&format!("--checkpoint {ck} --resume --json {resumed}"));
+        assert!(
+            read(&resumed) == read(&full),
+            "with {key} {value}, the resumed report differs from the uninterrupted one"
+        );
+        assert!(
+            resumed_stdout == stdout,
+            "with {key} {value}, the resumed stdout differs"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_cache_entry_no_deployment_could_have_is_skipped_not_served() {
+    let dir = scratch("impossible-cache");
+    let study = |cache: &str| {
+        let json = format!("{dir}/{cache}.report");
+        let out = edgetune()
+            .args("--workload ic --trials 9 --max-iter 9 --seed 5".split_whitespace())
+            .args(["--cache", &format!("{dir}/{cache}"), "--json", &json])
+            .output()
+            .expect("cli runs");
+        let stderr = String::from_utf8(out.stderr).expect("utf8 stderr");
+        assert!(out.status.success(), "{stderr}");
+        (
+            out.stdout,
+            read(&json),
+            read(&format!("{dir}/{cache}")),
+            stderr,
+        )
+    };
+    study("saved.json");
+    let saved = String::from_utf8(read(&format!("{dir}/saved.json"))).expect("utf8 cache");
+    let mut cache: serde_json::Value = serde_json::from_str(&saved).expect("the cache parses");
+    let entries = cache["entries"].as_object_mut().expect("entries");
+    let key = "Raspberry Pi 3B+|ResNet/layers=50|runtime";
+    let entry = entries.get_mut(key).expect("the layers=50 entry");
+    // Batch 0 on 99 of the Pi's 4 cores at -1 Hz, spending -5 J an item:
+    // served, it would rank ResNet-50 first.
+    entry["batch"] = serde_json::json!(0);
+    entry["cores"] = serde_json::json!(99);
+    entry["freq"] = serde_json::json!(-1.0);
+    entry["energy_per_item"] = serde_json::json!(-5.0);
+    let write = |name: &str, cache: &serde_json::Value| {
+        let text = serde_json::to_string_pretty(cache).expect("a cache serialises");
+        std::fs::write(format!("{dir}/{name}"), text).expect("cache file");
+    };
+    write("tampered.json", &cache);
+    cache["entries"]
+        .as_object_mut()
+        .expect("entries")
+        .remove(key);
+    write("without.json", &cache);
+
+    let tampered = study("tampered.json");
+    let without = study("without.json");
+    for (output, want, got) in [
+        ("stdout", &without.0, &tampered.0),
+        ("--json", &without.1, &tampered.1),
+        ("rewritten --cache", &without.2, &tampered.2),
+    ] {
+        assert!(want == got, "the tampered entry changed the {output} bytes");
+    }
     assert!(
-        read(&resumed) == read(&full),
-        "the resumed report differs from the uninterrupted one"
+        tampered.3.contains("cache: skipped 1 entries"),
+        "{}",
+        tampered.3
     );
-    assert!(resumed_stdout == stdout, "the resumed stdout differs");
+    assert!(!without.3.contains("cache: skipped"), "{}", without.3);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -65,7 +65,7 @@ const POWER_FREQ_EXPONENT: f64 = 2.8;
 /// A validated allocation of CPU resources on a device: how many cores and
 /// at which DVFS frequency a kernel will run. These are exactly the
 /// *inference system parameters* EdgeTune tunes (§3.4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuAllocation {
     cores: u32,
     freq: Hertz,

@@ -28,8 +28,9 @@ pub const PROTOCOL_MAGIC: u32 = 0x4554_4E31;
 
 /// The fabric's protocol version. Bumped whenever the task vocabulary
 /// or the session discipline changes incompatibly (2: the backend spec
-/// no longer carries the trainer's device spec).
-pub const PROTOCOL_VERSION: u16 = 2;
+/// no longer carries the trainer's device spec; 3: it names its
+/// workload by id).
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Client → server: the session opening.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]

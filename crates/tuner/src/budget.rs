@@ -14,14 +14,15 @@
 //!   `epochs = min(min_epochs·it, max_epochs)`,
 //!   `frac = min(min_frac·it, 1)`).
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Refusal, Serialize};
 
 /// The resources one training trial is allowed to consume.
 ///
 /// Its reader admits exactly what [`TrialBudget::new`] does: a persisted
 /// budget whose epochs are not positive, or whose fraction is outside
 /// `(0, 1]`, is an error naming the field, never a panic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(check = "Self::admits")]
 pub struct TrialBudget {
     /// Number of epochs to run.
     pub epochs: f64,
@@ -38,14 +39,26 @@ impl TrialBudget {
     /// `(0, 1]`.
     #[must_use]
     pub fn new(epochs: f64, data_fraction: f64) -> Self {
-        assert!(epochs > 0.0, "epochs must be positive, got {epochs}");
-        assert!(
-            data_fraction > 0.0 && data_fraction <= 1.0,
-            "data fraction must be in (0,1], got {data_fraction}"
-        );
-        TrialBudget {
+        let budget = TrialBudget {
             epochs,
             data_fraction,
+        };
+        budget.admits().unwrap_or_else(|(_, why)| panic!("{why}"));
+        budget
+    }
+
+    /// The domain [`TrialBudget::new`] builds and the reader admits; a
+    /// refusal names the field.
+    fn admits(&self) -> Result<(), Refusal> {
+        let (epochs, fraction) = (self.epochs, self.data_fraction);
+        let (epochs_ok, fraction_ok) = (epochs > 0.0, fraction > 0.0 && fraction <= 1.0);
+        if !epochs_ok {
+            Err(("epochs", format!("epochs must be positive, got {epochs}")))
+        } else if !fraction_ok {
+            let why = format!("data fraction must be in (0,1], got {fraction}");
+            Err(("data_fraction", why))
+        } else {
+            Ok(())
         }
     }
 
@@ -55,29 +68,6 @@ impl TrialBudget {
     #[must_use]
     pub fn effective_epochs(&self) -> f64 {
         self.epochs * self.data_fraction
-    }
-}
-
-impl Deserialize for TrialBudget {
-    fn from_json_value(v: &Value) -> Result<Self, DeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", v))?;
-        let field = |name: &str, admits: fn(f64) -> bool, domain: &str| {
-            let x = match obj.get(name) {
-                Some(x) => f64::from_json_value(x).map_err(|e| e.in_field(name))?,
-                None => return Err(DeError::missing_field(name)),
-            };
-            if admits(x) {
-                Ok(x)
-            } else {
-                Err(DeError::new(format!("{x} is not {domain}")).in_field(name))
-            }
-        };
-        Ok(TrialBudget {
-            epochs: field("epochs", |x| x > 0.0, "positive")?,
-            data_fraction: field("data_fraction", |x| x > 0.0 && x <= 1.0, "in (0, 1]")?,
-        })
     }
 }
 

@@ -1,7 +1,7 @@
 //! Trial records and tuning history.
 
 use edgetune_util::units::{Joules, Seconds};
-use serde::{DeError, Deserialize, Map, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::budget::TrialBudget;
 use crate::pareto::ObjectiveVector;
@@ -16,10 +16,15 @@ pub enum TrialFailure {
 }
 
 /// What a trial evaluation reports back to the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TrialOutcome {
     /// Scheduler score — **lower is better** (objective functions convert
-    /// maximisation into minimisation).
+    /// maximisation into minimisation). The one persisted float that may
+    /// be `+∞` (a failed or infeasible trial), written as `null`: `null`
+    /// reads back as `+∞`, and any other spelling as `f64` reads it,
+    /// which refuses `-1e400`, so the reader admits exactly
+    /// [`TrialOutcome::new`]'s domain.
+    #[serde(null = "f64::INFINITY")]
     pub score: f64,
     /// Model accuracy reached by the trial.
     pub accuracy: f64,
@@ -89,35 +94,6 @@ impl TrialOutcome {
     #[must_use]
     pub fn is_failed(&self) -> bool {
         self.failure.is_some()
-    }
-}
-
-/// Hand-written only for `score`, the one persisted float that may be
-/// `+∞` (a failed or infeasible trial), written as `null`: here `null`
-/// reads back as `+∞`, and any other spelling as `f64` reads it, which
-/// refuses `-1e400`, so this admits exactly [`TrialOutcome::new`]'s domain.
-impl Deserialize for TrialOutcome {
-    fn from_json_value(v: &Value) -> Result<Self, DeError> {
-        fn field<T: Deserialize>(obj: &Map, name: &str) -> Result<T, DeError> {
-            match obj.get(name) {
-                Some(x) => T::from_json_value(x).map_err(|e| e.in_field(name)),
-                None => T::from_json_value(&Value::Null).map_err(|_| DeError::missing_field(name)),
-            }
-        }
-        let obj = v
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", v))?;
-        Ok(TrialOutcome {
-            score: match obj.get("score") {
-                Some(Value::Null) => f64::INFINITY,
-                _ => field(obj, "score")?,
-            },
-            accuracy: field(obj, "accuracy")?,
-            runtime: field(obj, "runtime")?,
-            energy: field(obj, "energy")?,
-            failure: field(obj, "failure")?,
-            vector: field(obj, "vector")?,
-        })
     }
 }
 

@@ -65,7 +65,7 @@ impl std::str::FromStr for WorkloadId {
 }
 
 /// Dataset descriptor, with the sizes of Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetSpec {
     /// Dataset name.
     pub name: String,
@@ -79,7 +79,7 @@ pub struct DatasetSpec {
 
 /// One evaluation workload: task, model family, dataset, cost and
 /// learning-curve models.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Which workload this is.
     pub id: WorkloadId,

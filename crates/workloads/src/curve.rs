@@ -28,7 +28,6 @@
 use std::collections::HashMap;
 
 use edgetune_util::rng::{sample_normal, LabelHash, SeedStream};
-use serde::{Deserialize, Serialize};
 
 /// Exponent of the data-fraction accuracy cap (`frac^γ`).
 const FRACTION_CAP_EXPONENT: f64 = 0.35;
@@ -41,7 +40,7 @@ const BATCH_QUALITY_WIDTH: f64 = 1.55; // ≈ ln(4.7)
 
 /// Training-method quality of a trial: how well its batch size converts
 /// epochs into learning progress.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainingQuality {
     /// Mini-batch size of the trial.
     pub batch: u32,
@@ -74,7 +73,7 @@ fn log_bell(value: f64, opt: f64, width: f64) -> f64 {
 }
 
 /// Which analytic accuracy family a workload follows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum CurveKind {
     Resnet,
     M5,
@@ -138,7 +137,7 @@ impl NoiseLabels {
 }
 
 /// A calibrated learning curve for one workload family.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LearningCurve {
     kind: CurveKind,
 }

@@ -54,7 +54,7 @@ fn main() -> Result<(), edgetune_util::Error> {
             rec.batch,
             rec.cores,
             rec.freq.as_ghz(),
-            rec.throughput.value(),
+            rec.throughput().value(),
             rec.energy_per_item.value(),
             cost.runtime.value(),
         );

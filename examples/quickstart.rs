@@ -32,7 +32,7 @@ fn main() -> Result<(), edgetune_util::Error> {
     println!("batch size    : {}", rec.batch);
     println!("CPU cores     : {}", rec.cores);
     println!("frequency     : {:.2} GHz", rec.freq.as_ghz());
-    println!("throughput    : {:.1} img/s", rec.throughput.value());
+    println!("throughput    : {:.1} img/s", rec.throughput().value());
     println!("energy        : {:.3} J/img", rec.energy_per_item.value());
 
     println!("\n== pipelining ==");

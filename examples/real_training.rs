@@ -45,7 +45,7 @@ fn main() -> Result<(), edgetune_util::Error> {
         rec.batch,
         rec.cores,
         rec.freq.as_ghz(),
-        rec.throughput.value()
+        rec.throughput().value()
     );
     Ok(())
 }

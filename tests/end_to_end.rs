@@ -34,7 +34,7 @@ fn every_workload_tunes_end_to_end() {
         );
         assert!(report.tuning_runtime().value() > 0.0);
         assert!(
-            report.recommendation().throughput.value() > 0.0,
+            report.recommendation().throughput().value() > 0.0,
             "{workload}: no usable recommendation"
         );
     }
@@ -58,9 +58,9 @@ fn recommendation_is_executable_on_the_edge_device() {
     let exec = simulate_inference(&device, &alloc, &profile, rec.batch);
     let throughput = f64::from(rec.batch) / exec.latency.value();
     assert!(
-        (throughput - rec.throughput.value()).abs() / rec.throughput.value() < 1e-9,
+        (throughput - rec.throughput().value()).abs() / rec.throughput().value() < 1e-9,
         "promised {} img/s, reproduced {throughput}",
-        rec.throughput
+        rec.throughput()
     );
 }
 
@@ -262,7 +262,7 @@ fn different_edge_devices_yield_different_recommendations() {
         .expect("i7 run");
     assert_ne!(pi.recommendation().device, i7.recommendation().device);
     assert!(
-        i7.recommendation().throughput.value() > pi.recommendation().throughput.value(),
+        i7.recommendation().throughput().value() > pi.recommendation().throughput().value(),
         "the laptop CPU should out-run the Pi"
     );
 }
@@ -288,11 +288,6 @@ fn data_structures_serde_round_trip() {
     let json = serde_json::to_string(&device).expect("device serialises");
     let device2: DeviceSpec = serde_json::from_str(&json).expect("device parses");
     assert_eq!(device, device2);
-
-    let workload = Workload::by_id(WorkloadId::Od);
-    let json = serde_json::to_string(&workload).expect("workload serialises");
-    let workload2: Workload = serde_json::from_str(&json).expect("workload parses");
-    assert_eq!(workload, workload2);
 
     let report = EdgeTune::new(quick(WorkloadId::Ic))
         .run()

@@ -7,7 +7,9 @@
 //! bytes, so a matmul, convolution or backward-pass rewrite that moves a
 //! single bit of any trial's accuracy fails here. The expected values
 //! were captured before the kernels were specialised by shape and must
-//! never be edited to make a kernel change pass.
+//! never be edited to make a kernel change pass. They were re-pinned
+//! once, when the report's recommendation stopped storing `throughput`:
+//! each new report is the old one without that key.
 //!
 //! The grid sampler makes the trained configurations independent of the
 //! seed; the seed still decides the data, the initial weights and with
@@ -51,7 +53,7 @@ fn report_crc(backend: fn(SeedStream) -> NnTrainingBackend, seed: u64) -> u32 {
 
 #[test]
 fn mlp_study_reports_are_pinned() {
-    for (seed, want) in [(42, 1_716_561_168), (7, 3_143_735_252)] {
+    for (seed, want) in [(42, 1_604_986_055), (7, 1_284_438_747)] {
         let got = report_crc(NnTrainingBackend::new, seed);
         assert_eq!(got, want, "MLP study, seed {seed}: report CRC moved");
     }
@@ -59,7 +61,7 @@ fn mlp_study_reports_are_pinned() {
 
 #[test]
 fn overlapping_mlp_study_reports_are_pinned() {
-    for (seed, want) in [(42, 2_838_965_793), (7, 3_670_811_549)] {
+    for (seed, want) in [(42, 4_233_010_067), (7, 2_453_657_338)] {
         let got = report_crc(overlapping_mlp, seed);
         assert_eq!(
             got, want,
@@ -70,7 +72,7 @@ fn overlapping_mlp_study_reports_are_pinned() {
 
 #[test]
 fn convnet_study_reports_are_pinned() {
-    for (seed, want) in [(42, 4_283_493_771), (7, 1_840_509_765)] {
+    for (seed, want) in [(42, 889_421_397), (7, 3_509_442_351)] {
         let got = report_crc(NnTrainingBackend::convnet, seed);
         assert_eq!(got, want, "convnet study, seed {seed}: report CRC moved");
     }

@@ -61,7 +61,7 @@ fn claim_multi_budget_efficiency() {
     // And the deployments are equivalent ("there are different possible
     // optimal solutions, and we run enough trials").
     let ratio =
-        multi.recommendation().throughput.value() / epoch.recommendation().throughput.value();
+        multi.recommendation().throughput().value() / epoch.recommendation().throughput().value();
     assert!(
         (0.5..=2.0).contains(&ratio),
         "deployments comparable: {ratio}"
@@ -89,7 +89,7 @@ fn claim_hyperpower_tradeoff() {
         let hp_deploy =
             deploy_with(&device, &hp_profile, et.recommendation()).expect("valid deployment");
         assert!(
-            et.recommendation().throughput.value() >= hp_deploy.throughput.value() * 0.999,
+            et.recommendation().throughput().value() >= hp_deploy.throughput.value() * 0.999,
             "{workload}: EdgeTune deployment must not lose on throughput"
         );
     }
@@ -109,7 +109,7 @@ fn claim_hyperpower_tradeoff() {
         edgetune_baselines::deploy::deploy_with(&device, &hp_profile, et.recommendation())
             .expect("valid deployment");
     let throughput_gain =
-        et.recommendation().throughput.value() / hp_deploy.throughput.value() - 1.0;
+        et.recommendation().throughput().value() / hp_deploy.throughput.value() - 1.0;
     assert!(
         throughput_gain >= 0.12,
         "IC throughput gain {throughput_gain:.2} below the paper's 12%"
@@ -167,7 +167,7 @@ fn claim_objectives_pull_in_their_direction() {
             <= runtime.recommendation().energy_per_item.value() + 1e-9
     );
     assert!(
-        runtime.recommendation().throughput.value()
-            >= energy.recommendation().throughput.value() - 1e-9
+        runtime.recommendation().throughput().value()
+            >= energy.recommendation().throughput().value() - 1e-9
     );
 }
