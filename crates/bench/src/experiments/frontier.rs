@@ -19,7 +19,7 @@ use std::cell::Cell;
 
 use edgetune::batching::MultiStreamScenario;
 use edgetune::scenario::Scenario;
-use edgetune::serve::{frontier_rates, ScenarioRetuner};
+use edgetune::scenario::{frontier_rates, ScenarioRetuner};
 use edgetune::InferenceSpace;
 use edgetune_device::spec::DeviceSpec;
 use edgetune_serving::{

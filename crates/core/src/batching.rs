@@ -11,7 +11,7 @@
 //!   simulation of the greedy policy: whenever the server is free it runs
 //!   every queued sample, up to the batch cap, as one batch).
 //!
-//! [`tune_for_scenario`](crate::scenario::tune_for_scenario) sweeps each
+//! A [`ScenarioRetuner`](crate::scenario::ScenarioRetuner) sweeps each
 //! candidate batch size's mean response time under either model to pick
 //! the optimum for the deployment's traffic pattern.
 
@@ -185,8 +185,9 @@ pub(crate) fn replay(
 mod tests {
     use super::*;
     use crate::inference::InferenceSpace;
-    use crate::scenario::{tune_for_scenario, Scenario, ScenarioRecommendation};
-    use crate::serve::ScenarioRetuner;
+    use crate::scenario::{Scenario, ScenarioRetuner};
+    use edgetune_serving::ServingConfig;
+    use edgetune_util::units::Hertz;
     use rand::Rng;
 
     fn setup() -> (DeviceSpec, CpuAllocation, WorkProfile) {
@@ -225,14 +226,33 @@ mod tests {
             .mean_response
     }
 
-    /// The one-point space on `setup`'s full allocation, sweeping only
-    /// `batches`.
-    fn full_allocation(device: &DeviceSpec, batches: &[u32]) -> InferenceSpace {
-        InferenceSpace {
+    /// The retuner of the one-point space on `setup`'s full allocation,
+    /// sweeping only `batches`.
+    fn full_allocation(
+        device: &DeviceSpec,
+        profile: &WorkProfile,
+        batches: &[u32],
+    ) -> ScenarioRetuner {
+        let space = InferenceSpace {
             batches: batches.to_vec(),
             cores: vec![device.cores],
             freqs: vec![device.max_freq],
-        }
+        };
+        ScenarioRetuner::new(device.clone(), space, *profile)
+    }
+
+    /// A sweep's answer: batch, cores, frequency and the bits of the
+    /// predicted mean response.
+    type Point = (u32, u32, Hertz, u64);
+
+    fn point(config: ServingConfig) -> Point {
+        let response = config.predicted_mean_response.expect("a sweep predicts");
+        (
+            config.batch_cap,
+            config.cores,
+            config.freq,
+            response.value().to_bits(),
+        )
     }
 
     /// The greedy policy written on its own: whenever the server is free
@@ -289,7 +309,7 @@ mod tests {
         (stats, overflowed)
     }
 
-    /// [`crate::scenario::tune_for_scenario`] as a loop over
+    /// [`ScenarioRetuner::recommend`] as a loop over
     /// [`reference_simulate`].
     fn reference_tune(
         device: &DeviceSpec,
@@ -297,8 +317,8 @@ mod tests {
         profile: &WorkProfile,
         scenario: &Scenario,
         seed: SeedStream,
-    ) -> Option<ScenarioRecommendation> {
-        let mut best: Option<ScenarioRecommendation> = None;
+    ) -> Option<Point> {
+        let mut best: Option<(u32, u32, Hertz, Seconds)> = None;
         for &cores in &space.cores {
             for &freq in &space.freqs {
                 let alloc = CpuAllocation::new(device, cores, freq).unwrap();
@@ -312,19 +332,13 @@ mod tests {
                         ),
                     };
                     let Some(response) = response else { continue };
-                    if best.as_ref().is_none_or(|b| response < b.mean_response) {
-                        best = Some(ScenarioRecommendation {
-                            device: device.name.clone(),
-                            batch,
-                            cores,
-                            freq,
-                            mean_response: response,
-                        });
+                    if best.is_none_or(|(.., b)| response < b) {
+                        best = Some((batch, cores, freq, response));
                     }
                 }
             }
         }
-        best
+        best.map(|(batch, cores, freq, response)| (batch, cores, freq, response.value().to_bits()))
     }
 
     fn assert_same_replay(got: (QueueStats, bool), want: (QueueStats, bool), context: &str) {
@@ -362,6 +376,10 @@ mod tests {
                 ..full.clone()
             },
         ];
+        let retuners: Vec<_> = spaces
+            .iter()
+            .map(|space| ScenarioRetuner::new(device.clone(), space.clone(), profile))
+            .collect();
         let mut rng = SeedStream::new(2024).rng("oracle-rates");
         for _ in 0..6 {
             // Log-uniform between 0.05 and 200 arrivals per second.
@@ -369,21 +387,12 @@ mod tests {
             for arrivals in [1, 2, 37, 400] {
                 let scenario = MultiStreamScenario::new(rate, arrivals);
                 for seed in [3, 11].map(SeedStream::new) {
-                    for space in &spaces {
+                    for (space, retuner) in spaces.iter().zip(&retuners) {
                         let context = format!("rate {rate}, {arrivals} arrivals, {space:?}");
                         let multi = Scenario::MultiStream(scenario);
-                        let got =
-                            tune_for_scenario(&device, space, &profile, &multi, seed).unwrap();
-                        let want = reference_tune(&device, space, &profile, &multi, seed).unwrap();
-                        assert_eq!(got.device, want.device, "{context}");
-                        assert_eq!(got.batch, want.batch, "{context}");
-                        assert_eq!(got.cores, want.cores, "{context}");
-                        assert_eq!(got.freq, want.freq, "{context}");
-                        assert_eq!(
-                            got.mean_response.value().to_bits(),
-                            want.mean_response.value().to_bits(),
-                            "{context}"
-                        );
+                        let got = point(retuner.recommend(&multi, seed).unwrap());
+                        let want = reference_tune(&device, space, &profile, &multi, seed);
+                        assert_eq!(Some(got), want, "{context}");
                     }
                     for cap in [1, 7, 64] {
                         assert_same_replay(
@@ -404,7 +413,7 @@ mod tests {
             let server = Scenario::Server(ServerScenario::new(64, Seconds::new(period)));
             let seed = SeedStream::new(1);
             assert_eq!(
-                tune_for_scenario(&device, &full, &profile, &server, seed).ok(),
+                retuners[0].recommend(&server, seed).ok().map(point),
                 reference_tune(&device, &full, &profile, &server, seed),
                 "server period {period}"
             );
@@ -435,16 +444,8 @@ mod tests {
                         "rate {rate}, {arrivals} arrivals, {seed:?}, batches {:?}",
                         space.batches
                     );
-                    let want = reference_tune(&device, &space, &profile, &scenario, seed)
-                        .map(|r| (r.batch, r.cores, r.freq, r.mean_response.value().to_bits()));
-                    let got = tune_for_scenario(&device, &space, &profile, &scenario, seed)
-                        .ok()
-                        .map(|r| (r.batch, r.cores, r.freq, r.mean_response.value().to_bits()));
-                    assert_eq!(got, want, "{context}");
-                    let got = retuner.recommend(&scenario, seed).ok().map(|c| {
-                        let response = c.predicted_mean_response.unwrap().value();
-                        (c.batch_cap, c.cores, c.freq, response.to_bits())
-                    });
+                    let want = reference_tune(&device, &space, &profile, &scenario, seed);
+                    let got = retuner.recommend(&scenario, seed).ok().map(point);
                     assert_eq!(got, want, "{context}");
                 }
             }
@@ -471,9 +472,9 @@ mod tests {
         // 64-sample queries every 100 ms cannot be served by a Pi.
         let scenario = ServerScenario::new(64, Seconds::new(0.1));
         assert_eq!(scenario.response_time(&device, &alloc, &profile, 16), None);
-        let space = full_allocation(&device, &[1, 8, 16, 32, 64]);
+        let retuner = full_allocation(&device, &profile, &[1, 8, 16, 32, 64]);
         let server = Scenario::Server(scenario);
-        assert!(tune_for_scenario(&device, &space, &profile, &server, SeedStream::new(1)).is_err());
+        assert!(retuner.recommend(&server, SeedStream::new(1)).is_err());
     }
 
     #[test]
@@ -481,17 +482,15 @@ mod tests {
         let (device, alloc, profile) = setup();
         let scenario = ServerScenario::new(32, Seconds::new(60.0));
         let candidates = [1, 2, 4, 8, 16, 32];
-        let space = full_allocation(&device, &candidates);
+        let retuner = full_allocation(&device, &profile, &candidates);
         let server = Scenario::Server(scenario);
-        let best = tune_for_scenario(&device, &space, &profile, &server, SeedStream::new(1))
+        let best = retuner
+            .recommend(&server, SeedStream::new(1))
             .expect("stable at 60s period");
+        let response = best.predicted_mean_response.unwrap();
         for &c in &candidates {
             if let Some(t) = scenario.response_time(&device, &alloc, &profile, c) {
-                assert!(
-                    best.mean_response <= t,
-                    "batch {} must be optimal",
-                    best.batch
-                );
+                assert!(response <= t, "batch {} must be optimal", best.batch_cap);
             }
         }
     }
@@ -560,13 +559,14 @@ mod tests {
         let scenario = MultiStreamScenario::new(20.0, 300);
         let seed = SeedStream::new(8);
         let candidates = [1, 4, 16, 64];
-        let space = full_allocation(&device, &candidates);
+        let retuner = full_allocation(&device, &profile, &candidates);
         let multi = Scenario::MultiStream(scenario);
-        let best = tune_for_scenario(&device, &space, &profile, &multi, seed).unwrap();
-        assert!(candidates.contains(&best.batch));
+        let best = retuner.recommend(&multi, seed).unwrap();
+        assert!(candidates.contains(&best.batch_cap));
+        let response = best.predicted_mean_response.unwrap();
         for &c in &candidates {
             let other = mean_response(&scenario, &device, &alloc, &profile, c, seed);
-            assert!(best.mean_response.value() <= other.value() + 1e-12);
+            assert!(response.value() <= other.value() + 1e-12);
         }
     }
 

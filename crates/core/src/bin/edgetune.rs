@@ -37,8 +37,7 @@ use edgetune::batching::{MultiStreamScenario, ServerScenario};
 use edgetune::config::ShardExec;
 use edgetune::fabric;
 use edgetune::prelude::*;
-use edgetune::scenario::{tune_for_scenario, Scenario};
-use edgetune::serve::{frontier_rates, ScenarioRetuner};
+use edgetune::scenario::{frontier_rates, Scenario, ScenarioRetuner};
 use edgetune_device::spec::DeviceSpec;
 use edgetune_serving::{RuntimeOptions, ServingRuntime, SloPolicy, TrafficProfile};
 use edgetune_trace::{ChromeTrace, Tracer};
@@ -383,12 +382,13 @@ fn run_tune(argv: Vec<String>, out: &mut String) -> Result<(), String> {
     let (workload, seed) = (config.workload, config.seed);
     let edge_device = config.edge_device.clone();
     let trace = config.trace_path.clone();
+    let cache = config.cache_path.clone();
     let fabric_trace = config.fabric_trace_path.clone();
     eprintln!(
         "tuning {} for {} ({} objective, {} budget, seed {})...",
         workload,
         edge_device.name,
-        config.train_metric,
+        config.inference_metric,
         config.budget.name(),
         seed
     );
@@ -417,9 +417,12 @@ fn run_tune(argv: Vec<String>, out: &mut String) -> Result<(), String> {
     if let Some(path) = &fabric_trace {
         eprintln!("fabric telemetry trace written to {}", path.display());
     }
-    match report.skipped_cache_entries() {
-        0 => {}
-        n => eprintln!("cache: skipped {n} entries that are not a deployment for their key"),
+    if let (n @ 1.., Some(path)) = (report.skipped_cache_entries(), &cache) {
+        eprintln!(
+            "cache: skipped {n} unreadable item(s) of {}: an entry that is not a deployment \
+             for its key, or the whole file if it does not parse",
+            path.display()
+        );
     }
 
     outln!(out; "== winning trial ==");
@@ -487,19 +490,18 @@ fn run_tune(argv: Vec<String>, out: &mut String) -> Result<(), String> {
             .best_config()
             .get(PARAM_MODEL_HP)
             .unwrap_or_else(|| workload.model_hp_values[0]);
-        let rec = tune_for_scenario(
-            &edge_device,
-            &InferenceSpace::for_device(&edge_device),
-            &workload.profile(hp),
-            scenario,
-            SeedStream::new(seed).child("scenario"),
-        )
-        .map_err(|e| format!("scenario tuning failed: {e}"))?;
+        let space = InferenceSpace::for_device(&edge_device);
+        let config = ScenarioRetuner::new(edge_device, space, workload.profile(hp))
+            .recommend(scenario, SeedStream::new(seed).child("scenario"))
+            .map_err(|e| format!("scenario tuning failed: {e}"))?;
+        let response = config
+            .predicted_mean_response
+            .map_or(f64::NAN, |s| s.value());
         outln!(out; "== scenario recommendation ==");
         outln!(out; "scenario      : {scenario:?}");
-        outln!(out; "batch/cores   : {} / {}", rec.batch, rec.cores);
-        outln!(out; "frequency     : {:.2} GHz", rec.freq.as_ghz());
-        outln!(out; "mean response : {:.3} s", rec.mean_response.value());
+        outln!(out; "batch/cores   : {} / {}", config.batch_cap, config.cores);
+        outln!(out; "frequency     : {:.2} GHz", config.freq.as_ghz());
+        outln!(out; "mean response : {response:.3} s");
     }
 
     if let Some(path) = &json {
@@ -589,14 +591,9 @@ fn run_serve(argv: Vec<String>, out: &mut String) -> Result<(), String> {
     }
     let tuner = (!args.static_serving).then_some(&retuner as &dyn edgetune_serving::OnlineTuner);
     let tracer = args.trace.as_ref().map(|_| Tracer::new());
+    let arrivals = traffic.generate(Seconds::new(args.horizon), seed);
     let report = runtime
-        .serve_traced(
-            &traffic,
-            Seconds::new(args.horizon),
-            tuner,
-            seed,
-            tracer.as_ref(),
-        )
+        .serve_trace_traced(&arrivals, traffic.name(), tuner, seed, tracer.as_ref())
         .map_err(|e| e.to_string())?;
     if let (Some(path), Some(tracer)) = (&args.trace, &tracer) {
         ChromeTrace::from_tracer(tracer)

@@ -141,13 +141,15 @@ impl HistoricalCache {
     }
 
     /// Loads a cache previously written by [`HistoricalCache::save`],
-    /// with the number of entries it skipped.
+    /// with the number of items it skipped.
     ///
     /// Tolerates corruption: a file torn by a non-atomic writer (or
     /// hand-edited) does not fail the run. An entry is kept when its
     /// recommendation reads and names its key's device; any other is
     /// skipped, so a hit is always a deployment the server could have
-    /// recommended.
+    /// recommended. A document that does not parse (torn, or not UTF-8)
+    /// loads empty and counts as one skipped item, so the loss is
+    /// reported, not silent.
     ///
     /// # Errors
     ///
@@ -160,7 +162,7 @@ impl HistoricalCache {
         let json = std::str::from_utf8(&bytes).unwrap_or_default();
         let (mut cache, mut skipped) = (HistoricalCache::new(), 0);
         let Ok(value) = serde_json::from_str::<serde_json::Value>(json) else {
-            return Ok((cache, skipped));
+            return Ok((cache, 1));
         };
         let entries = value.get("entries").and_then(serde_json::Value::as_object);
         for (key, entry) in entries.into_iter().flatten() {
@@ -373,11 +375,15 @@ mod tests {
     fn an_entry_no_deployment_could_have_is_skipped_not_served() {
         let mut cache = HistoricalCache::new();
         cache.store(&key("good"), rec(8));
-        let bad: [(&str, &str); 7] = [
+        let bad: [(&str, &str); 10] = [
             ("\"batch\": 8", "\"batch\": 0"),
+            ("\"batch\": 8", "\"batch\": 1000000000"),
             ("\"cores\": 2", "\"cores\": 0"),
+            ("\"cores\": 2", "\"cores\": 3"),
             ("\"cores\": 2", "\"cores\": 99"),
             ("1400000000.0", "-1000000000.0"),
+            // Inside the Pi's DVFS range, but not one of its three points.
+            ("1400000000.0", "1200000000.0"),
             ("1400000000.0", "1500000000.0"),
             ("\"energy_per_item\": 0.3", "\"energy_per_item\": -5"),
             (
@@ -436,8 +442,9 @@ mod tests {
         let torn: [&[u8]; 2] = [b"{\"entries\": {\"a|b|runtime\": {\"dev", &[0xff, 0xfe]];
         for bytes in torn {
             std::fs::write(&path, bytes).unwrap();
-            let loaded = HistoricalCache::load(&path).unwrap().0;
+            let (loaded, skipped) = HistoricalCache::load(&path).unwrap();
             assert_eq!(loaded.len(), 0, "nothing salvageable from {bytes:?}");
+            assert_eq!(skipped, 1, "the torn document is reported");
         }
         std::fs::remove_file(&path).ok();
     }

@@ -79,9 +79,8 @@ pub struct EdgeTuneConfig {
     pub workload: WorkloadId,
     /// The edge device inference is tuned for.
     pub edge_device: DeviceSpec,
-    /// Metric of the Model Tuning Server's ratio objective.
-    pub train_metric: Metric,
-    /// Metric of the Inference Tuning Server's objective.
+    /// The one metric both §4.4 objectives use: the Model Tuning
+    /// Server's ratio objective and the Inference Tuning Server's.
     pub inference_metric: Metric,
     /// Budget policy for training trials.
     pub budget: BudgetPolicy,
@@ -208,7 +207,6 @@ impl EdgeTuneConfig {
         EdgeTuneConfig {
             workload,
             edge_device: DeviceSpec::raspberry_pi_3b(),
-            train_metric: Metric::Runtime,
             inference_metric: Metric::Runtime,
             budget: BudgetPolicy::multi_default(),
             scheduler: SchedulerConfig::new(8, 2.0, 8),
@@ -245,7 +243,6 @@ impl EdgeTuneConfig {
     /// the §5.4 comparison).
     #[must_use]
     pub fn with_metric(mut self, metric: Metric) -> Self {
-        self.train_metric = metric;
         self.inference_metric = metric;
         self
     }

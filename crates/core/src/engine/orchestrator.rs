@@ -280,7 +280,7 @@ impl StudyRun {
         let inference =
             InferenceEndpoint::new(inference_server, config.historical_cache, inference_faults);
 
-        let objective = TrainObjective::inference_aware(config.train_metric);
+        let objective = TrainObjective::inference_aware(config.inference_metric);
 
         // Observer only: show the trials a resumed run inherits on the
         // trace's `restored` tracks. The report does not depend on it.

@@ -140,8 +140,10 @@ impl InferenceRecommendation {
     }
 
     /// The reader's check: `recommendation`'s domain — a catalogue
-    /// device, a deployment [`InferenceSpace::validate`] admits, and
-    /// positive per-item estimates.
+    /// device, a point of its [`InferenceSpace::for_device`] grid (the
+    /// only space a program's server sweeps, and where
+    /// [`fallback_recommendation`]'s deployment lies too), and positive
+    /// per-item estimates.
     fn admits(&self) -> std::result::Result<(), Refusal> {
         let Some(device) = DeviceSpec::catalog()
             .into_iter()
@@ -149,16 +151,21 @@ impl InferenceRecommendation {
         else {
             return Err(("device", format!("{:?} is not a known device", self.device)));
         };
+        let grid = InferenceSpace::for_device(&device);
         let (latency, energy) = (self.latency_per_item.value(), self.energy_per_item.value());
-        let refusal = if self.batch == 0 {
-            ("batch", "batch size 0".to_string())
-        } else if let Err(e) = CpuAllocation::new(&device, self.cores, self.freq) {
-            let field = if device.supports_cores(self.cores) {
-                "freq"
-            } else {
-                "cores"
-            };
-            (field, e.to_string())
+        let refusal = if !grid.batches.contains(&self.batch) {
+            (
+                "batch",
+                format!("{} is not in the device's grid", self.batch),
+            )
+        } else if !grid.cores.contains(&self.cores) {
+            (
+                "cores",
+                format!("{} is not in the device's grid", self.cores),
+            )
+        } else if !grid.freqs.contains(&self.freq) {
+            let hz = self.freq.value();
+            ("freq", format!("{hz} Hz is not in the device's grid"))
         } else if latency <= 0.0 {
             ("latency_per_item", format!("{latency} is not positive"))
         } else if energy <= 0.0 {

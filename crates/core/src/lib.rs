@@ -23,9 +23,10 @@
 //! * the [`batching`] module sizes inference batches for the two serving
 //!   scenarios of Fig. 8 (fixed-frequency N-sample queries and Poisson
 //!   multi-stream arrivals),
-//! * the [`serve`] module deploys tuned configurations into the
-//!   `edgetune-serving` runtime and re-tunes them online when the live
-//!   arrival rate drifts ([`serve::ScenarioRetuner`]),
+//! * the [`scenario`] module's [`scenario::ScenarioRetuner`] fits a
+//!   deployment to a traffic pattern's mean response, and re-tunes it
+//!   online in the `edgetune-serving` runtime when the live arrival rate
+//!   drifts,
 //! * the user receives the winning configuration **plus** deployment
 //!   recommendations ([`inference::InferenceRecommendation`]).
 //!
@@ -58,7 +59,6 @@ pub mod engine;
 pub mod fabric;
 pub mod inference;
 pub mod scenario;
-pub mod serve;
 pub mod timeline;
 pub mod trace;
 pub mod transfer;
@@ -78,5 +78,5 @@ pub mod prelude {
 pub use config::EdgeTuneConfig;
 pub use engine::{EdgeTune, Engine, StudyRun, TuningReport};
 pub use inference::{InferenceRecommendation, InferenceSpace, InferenceTuningServer};
-pub use serve::ScenarioRetuner;
+pub use scenario::ScenarioRetuner;
 pub use transfer::{TransferIndex, TransferKey};

@@ -21,8 +21,8 @@
 //! control and non-BMP characters; empty and one-element collections;
 //! and ids of `u64::MAX`. Budgets, recommendations and backend specs
 //! are drawn admissible: subnormal epochs and a fraction of exactly
-//! `1.0`, a DVFS range's own ends, and only catalogue devices and
-//! workloads. The service's submission file has its own generator, in
+//! `1.0`, only points of a device's inference grid, and only catalogue
+//! devices and workloads. The service's submission file has its own generator, in
 //! `edgetune-service`.
 
 use std::fmt::Debug;
@@ -39,7 +39,7 @@ use edgetune_tuner::{
     Config, History, Metric, TrialBudget, TrialFailure, TrialOutcome, TrialRecord,
 };
 use edgetune_util::rng::SeedStream;
-use edgetune_util::units::{Hertz, Joules, JoulesPerItem, Seconds};
+use edgetune_util::units::{Joules, JoulesPerItem, Seconds};
 use edgetune_workloads::catalog::{Workload, WorkloadId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,7 +53,7 @@ use crate::fabric::protocol::{
     decode, encode, ChaosAction, RungKey, ShardHeartbeat, ShardResultMsg, ShardTask, TaskTrial,
     WorkerFailure,
 };
-use crate::inference::InferenceRecommendation;
+use crate::inference::{InferenceRecommendation, InferenceSpace};
 use crate::timeline::{Lane, Timeline};
 use crate::transfer::{TransferIndex, TransferKey};
 
@@ -76,7 +76,7 @@ const EDGE_FLOATS: [f64; 10] = [
 
 /// Values a checked reader refuses, by the type and field
 /// [`checked_field`] finds them at.
-const REFUSED: [(&str, &str, &str); 15] = [
+const REFUSED: [(&str, &str, &str); 18] = [
     ("budget", "epochs", "0"),
     ("budget", "epochs", "-1"),
     ("budget", "epochs", "-5e-324"),
@@ -85,11 +85,17 @@ const REFUSED: [(&str, &str, &str); 15] = [
     ("budget", "data_fraction", "1.7976931348623157e308"),
     ("recommendation", "device", "\"Nokia 3310\""),
     ("recommendation", "batch", "0"),
+    ("recommendation", "batch", "1000000000"),
     ("recommendation", "cores", "0"),
+    // Within every catalogue device's cores, in no device's grid.
+    ("recommendation", "cores", "3"),
     ("recommendation", "cores", "99"),
     // Below and above every catalogue device's DVFS range.
     ("recommendation", "freq", "1e8"),
     ("recommendation", "freq", "1e10"),
+    // Inside the ARMv7's and the Pi's ranges, but no device's grid point
+    // (1.2 GHz is the i7's lowest).
+    ("recommendation", "freq", "1.1e9"),
     ("recommendation", "latency_per_item", "0"),
     ("recommendation", "energy_per_item", "-5"),
     // Before every start `Gen::timeline` draws.
@@ -247,17 +253,12 @@ impl Gen {
     fn recommendation(&mut self) -> InferenceRecommendation {
         let devices = DeviceSpec::catalog();
         let device = &devices[self.below(devices.len())];
-        let (min, max) = (device.min_freq.value(), device.max_freq.value());
-        let freq = match self.below(3) {
-            0 => min,
-            1 => max,
-            _ => min + (max - min) * self.0.gen::<f64>(),
-        };
+        let grid = InferenceSpace::for_device(device);
         InferenceRecommendation {
             device: device.name.clone(),
-            batch: self.0.gen_range(1..=u32::MAX),
-            cores: self.0.gen_range(1..=device.cores),
-            freq: Hertz::new(freq),
+            batch: grid.batches[self.below(grid.batches.len())],
+            cores: grid.cores[self.below(grid.cores.len())],
+            freq: grid.freqs[self.below(grid.freqs.len())],
             latency_per_item: Seconds::new(self.positive()),
             energy_per_item: JoulesPerItem::new(self.positive()),
         }

@@ -92,17 +92,19 @@ fn bad_flags_fail_with_guidance() {
     let stderr = String::from_utf8(out.stderr).expect("utf8");
     assert!(stderr.contains("unknown workload"), "{stderr}");
 
-    let out = edgetune()
-        .args(["--device", "tpu"])
-        .output()
-        .expect("cli runs");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8(out.stderr).expect("utf8");
-    assert!(stderr.contains("unknown device"), "{stderr}");
-    assert!(
-        stderr.contains("Titan RTX node"),
-        "catalog listed: {stderr}"
-    );
+    for device in ["tpu", ""] {
+        let out = edgetune()
+            .args(["--device", device])
+            .output()
+            .expect("cli runs");
+        assert!(!out.status.success());
+        let stderr = String::from_utf8(out.stderr).expect("utf8");
+        assert!(stderr.contains("unknown device"), "{device:?}: {stderr}");
+        assert!(
+            stderr.contains("Titan RTX node"),
+            "catalog listed: {stderr}"
+        );
+    }
 }
 
 #[test]
@@ -699,11 +701,36 @@ fn a_cache_entry_no_deployment_could_have_is_skipped_not_served() {
         assert!(want == got, "the tampered entry changed the {output} bytes");
     }
     assert!(
-        tampered.3.contains("cache: skipped 1 entries"),
+        tampered.3.contains("cache: skipped 1 unreadable item(s)"),
         "{}",
         tampered.3
     );
     assert!(!without.3.contains("cache: skipped"), "{}", without.3);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_torn_cache_file_is_reported_not_silently_emptied() {
+    let dir = scratch("torn-cache");
+    let cache = format!("{dir}/cache.json");
+    let study = || {
+        let out = edgetune()
+            .args("--workload ic --trials 4 --max-iter 4 --seed 5".split_whitespace())
+            .args(["--cache", &cache])
+            .output()
+            .expect("cli runs");
+        let stderr = String::from_utf8(out.stderr).expect("utf8 stderr");
+        assert!(out.status.success(), "{stderr}");
+        stderr
+    };
+    let fresh = study();
+    assert!(!fresh.contains("cache: skipped"), "{fresh}");
+    let saved = read(&cache);
+    assert!(saved.len() > 300, "{} bytes saved", saved.len());
+    std::fs::write(&cache, &saved[..300]).expect("tear the cache");
+    let torn = study();
+    let line = format!("cache: skipped 1 unreadable item(s) of {cache}");
+    assert!(torn.contains(&line), "{torn}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

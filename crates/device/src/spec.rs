@@ -198,7 +198,9 @@ impl DeviceSpec {
         ]
     }
 
-    /// Looks a device up by (case-insensitive) name prefix.
+    /// Looks a device up by name, case-insensitively: the device named
+    /// exactly `name`, or else the one device whose name starts with it.
+    /// An empty name, or a prefix of several names, finds none.
     ///
     /// # Examples
     ///
@@ -210,10 +212,16 @@ impl DeviceSpec {
     /// ```
     #[must_use]
     pub fn by_name(name: &str) -> Option<DeviceSpec> {
+        // Every name starts with the empty name, so it is never unique.
         let needle = name.to_lowercase();
-        DeviceSpec::catalog()
+        let mut matches: Vec<DeviceSpec> = DeviceSpec::catalog()
             .into_iter()
-            .find(|d| d.name.to_lowercase().starts_with(&needle))
+            .filter(|d| d.name.to_lowercase().starts_with(&needle))
+            .collect();
+        if let Some(exact) = matches.iter().position(|d| d.name.to_lowercase() == needle) {
+            return Some(matches.swap_remove(exact));
+        }
+        (matches.len() == 1).then(|| matches.swap_remove(0))
     }
 }
 
@@ -271,6 +279,7 @@ mod tests {
         assert!(DeviceSpec::by_name("TITAN").is_some());
         assert!(DeviceSpec::by_name("intel").is_some());
         assert!(DeviceSpec::by_name("tpu").is_none());
+        assert!(DeviceSpec::by_name("").is_none());
     }
 
     #[test]

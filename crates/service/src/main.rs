@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! edgetune-service serve-studies --file studies.json [--work-dir DIR]
-//!                                [--warm-k N] [--json FILE]
+//!                                [--json FILE]
 //! ```
 //!
 //! Reads a script-driven submission file (tenants + studies), drives
@@ -19,7 +19,6 @@ use edgetune_service::{ServiceOptions, StudyService, SubmissionFile};
 struct ServeStudiesArgs {
     file: String,
     work_dir: String,
-    warm_k: usize,
     json: Option<String>,
 }
 
@@ -29,7 +28,6 @@ fn parse_serve_studies_args(
     let mut args = ServeStudiesArgs {
         file: String::new(),
         work_dir: "edgetune-studies".to_string(),
-        warm_k: 3,
         json: None,
     };
     let mut argv = argv;
@@ -41,16 +39,11 @@ fn parse_serve_studies_args(
         match arg.as_str() {
             "--file" | "-f" => args.file = value(&mut argv, "--file")?,
             "--work-dir" => args.work_dir = value(&mut argv, "--work-dir")?,
-            "--warm-k" => {
-                args.warm_k = value(&mut argv, "--warm-k")?
-                    .parse()
-                    .map_err(|e| format!("bad warm-k: {e}"))?;
-            }
             "--json" => args.json = Some(value(&mut argv, "--json")?),
             "--help" | "-h" => {
                 println!(
                     "usage: edgetune-service serve-studies --file FILE [--work-dir DIR] \
-                     [--warm-k N] [--json FILE]"
+                     [--json FILE]"
                 );
                 std::process::exit(0);
             }
@@ -71,8 +64,8 @@ fn run_serve_studies(args: &ServeStudiesArgs) -> Result<(), String> {
         file.tenants.len(),
         args.work_dir
     );
-    let options = ServiceOptions::new(&args.work_dir).with_warm_top_k(args.warm_k);
-    let mut service = StudyService::new(options).map_err(|e| e.to_string())?;
+    let mut service =
+        StudyService::new(ServiceOptions::new(&args.work_dir)).map_err(|e| e.to_string())?;
     let report = service.run(&file).map_err(|e| e.to_string())?;
     eprintln!("{}", report.summary());
     let json = report.to_json().map_err(|e| e.to_string())?;
@@ -103,6 +96,6 @@ fn main() -> ExitCode {
             }
         };
     }
-    eprintln!("usage: edgetune-service serve-studies --file FILE [--work-dir DIR] [--warm-k N] [--json FILE]");
+    eprintln!("usage: edgetune-service serve-studies --file FILE [--work-dir DIR] [--json FILE]");
     ExitCode::FAILURE
 }

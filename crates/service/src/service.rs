@@ -13,7 +13,7 @@
 //! Completed studies donate their best configurations to a
 //! [`TransferIndex`] under a [`TransferKey`]; a study submitted with
 //! `warm_start` queries the index at its first grant, seeds its sampler
-//! with the top-k transferred configurations, and shrinks its
+//! with the top [`WARM_TOP_K`] transferred configurations, and shrinks its
 //! exploration cohort accordingly (`warm_hits` / `trials_saved` in the
 //! [`ServiceReport`](crate::report::ServiceReport)).
 
@@ -32,6 +32,10 @@ use crate::report::{RejectedStudy, ScheduleGrant, ServiceReport, StudyOutcome};
 use crate::scheduler::FairScheduler;
 use crate::submission::{StudySubmission, SubmissionFile};
 
+/// How many transferred configurations seed a warm-started study, and how
+/// many a completed study donates.
+const WARM_TOP_K: usize = 3;
+
 /// Service-level knobs (everything study-level lives in the submission
 /// file).
 #[derive(Debug, Clone)]
@@ -39,25 +43,15 @@ pub struct ServiceOptions {
     /// Directory for per-study reports and traces, and the persistent
     /// transfer index.
     pub work_dir: PathBuf,
-    /// How many transferred configurations seed a warm-started study.
-    pub warm_top_k: usize,
 }
 
 impl ServiceOptions {
-    /// Options rooted at a work directory, with the default top-k of 3.
+    /// Options rooted at a work directory.
     #[must_use]
     pub fn new(work_dir: impl Into<PathBuf>) -> Self {
         ServiceOptions {
             work_dir: work_dir.into(),
-            warm_top_k: 3,
         }
-    }
-
-    /// Sets how many transferred configurations seed a warm start.
-    #[must_use]
-    pub fn with_warm_top_k(mut self, k: usize) -> Self {
-        self.warm_top_k = k;
-        self
     }
 }
 
@@ -210,9 +204,7 @@ impl StudyService {
             // completed so far.
             let mut warm_seeds = Vec::new();
             if state.submission.warm_start {
-                warm_seeds = self
-                    .transfer
-                    .suggest(&self.query_key(state), self.options.warm_top_k);
+                warm_seeds = self.transfer.suggest(&self.query_key(state), WARM_TOP_K);
                 state.warm_hits = warm_seeds.len() as u64;
                 if state.warm_hits > 0 {
                     let (cold_trials, _) = HyperBand::new(state.cold).planned();
@@ -254,7 +246,7 @@ impl StudyService {
                 .then(a.id.cmp(&b.id))
         });
         for record in records {
-            if configs.len() >= self.options.warm_top_k {
+            if configs.len() >= WARM_TOP_K {
                 break;
             }
             if seen.insert(record.config.key()) {

@@ -1,10 +1,9 @@
 //! The serving report: what a deployment actually delivered.
 //!
-//! Mirrors the tuning-side reports (`TuningReport`,
-//! `ScenarioRecommendation`) in spirit and serialisation: one JSON
-//! artefact with the measured throughput, response-time percentiles, SLO
-//! violation accounting, queue behaviour, energy, and every
-//! configuration switch the drift loop performed.
+//! Mirrors the tuning-side report (`TuningReport`) in spirit and
+//! serialisation: one JSON artefact with the measured throughput,
+//! response-time percentiles, SLO violation accounting, queue behaviour,
+//! energy, and every configuration switch the drift loop performed.
 
 use edgetune_util::stats::quantiles;
 use edgetune_util::units::{Hertz, ItemsPerSecond, Joules, JoulesPerItem, Seconds};

@@ -93,8 +93,8 @@ impl ServingConfig {
 
 /// Re-tunes the serving configuration online when traffic drifts.
 ///
-/// The core crate implements this by re-invoking its scenario tuner
-/// (`tune_for_scenario`) against the estimated arrival rate; tests may
+/// The core crate implements this by re-running its scenario tuner
+/// (`ScenarioRetuner`) at the estimated arrival rate; tests may
 /// supply stubs. Returning `None` means no better configuration exists
 /// (e.g. the drifted rate exceeds every configuration's capacity) and
 /// the runtime keeps serving — degraded but shedding — on the current
@@ -208,26 +208,8 @@ impl ServingRuntime {
         tuner: Option<&dyn OnlineTuner>,
         seed: SeedStream,
     ) -> Result<ServingReport> {
-        self.serve_traced(traffic, horizon, tuner, seed, None)
-    }
-
-    /// Like [`ServingRuntime::serve`], additionally emitting per-worker
-    /// batch spans and shed/re-tune events into `tracer` (pass
-    /// `None` to trace nothing). Tracing never changes the report.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`ServingRuntime::serve`].
-    pub fn serve_traced(
-        &self,
-        traffic: &TrafficProfile,
-        horizon: Seconds,
-        tuner: Option<&dyn OnlineTuner>,
-        seed: SeedStream,
-        tracer: Option<&Tracer>,
-    ) -> Result<ServingReport> {
         let arrivals = traffic.generate(horizon, seed);
-        self.serve_trace_traced(&arrivals, traffic.name(), tuner, seed, tracer)
+        self.serve_trace_traced(&arrivals, traffic.name(), tuner, seed, None)
     }
 
     /// Serves a pre-generated trace of sorted arrival times.
@@ -246,7 +228,9 @@ impl ServingRuntime {
         self.serve_trace_traced(arrivals, trace_label, tuner, seed, None)
     }
 
-    /// Like [`ServingRuntime::serve_trace`], with optional tracing.
+    /// Like [`ServingRuntime::serve_trace`], additionally emitting
+    /// per-worker batch spans and shed/re-tune events into `tracer` (pass
+    /// `None` to trace nothing). Tracing never changes the report.
     ///
     /// # Errors
     ///
@@ -972,14 +956,10 @@ mod tests {
             .serve(&traffic, Seconds::new(60.0), None, SeedStream::new(42))
             .unwrap();
         let tracer = Tracer::new();
+        let seed = SeedStream::new(42);
+        let arrivals = traffic.generate(Seconds::new(60.0), seed);
         let traced = rt
-            .serve_traced(
-                &traffic,
-                Seconds::new(60.0),
-                None,
-                SeedStream::new(42),
-                Some(&tracer),
-            )
+            .serve_trace_traced(&arrivals, traffic.name(), None, seed, Some(&tracer))
             .unwrap();
         assert_eq!(plain, traced, "tracing must be invisible in the report");
         let events = tracer.with(|_, events| events.to_vec());

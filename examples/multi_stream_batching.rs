@@ -9,24 +9,44 @@
 //! For each scenario the example prints the mean response of every
 //! candidate batch size on the device's full allocation (a one-point
 //! space per candidate), then the joint batch × cores × frequency optimum
-//! `tune_for_scenario` picks for the deployment.
+//! a `ScenarioRetuner` picks for the deployment.
 //!
 //! Run with: `cargo run --release --example multi_stream_batching`
 
 use edgetune::batching::{MultiStreamScenario, ServerScenario};
 use edgetune::inference::InferenceSpace;
-use edgetune::scenario::{tune_for_scenario, Scenario};
+use edgetune::scenario::{Scenario, ScenarioRetuner};
 use edgetune_device::spec::DeviceSpec;
+use edgetune_serving::ServingConfig;
 use edgetune_util::rng::SeedStream;
 use edgetune_util::units::Seconds;
 use edgetune_workloads::catalog::Workload;
 use edgetune_workloads::WorkloadId;
 
+/// The mean response a recommendation predicts, in seconds.
+fn mean_response(config: &ServingConfig) -> f64 {
+    config
+        .predicted_mean_response
+        .map_or(f64::NAN, |s| s.value())
+}
+
 fn main() {
     let device = DeviceSpec::raspberry_pi_3b();
     let profile = Workload::by_id(WorkloadId::Ic).profile(18.0);
-    let space = InferenceSpace::for_device(&device);
+    let retuner =
+        ScenarioRetuner::new(device.clone(), InferenceSpace::for_device(&device), profile);
     let seed = SeedStream::new(42);
+    let points: Vec<(u32, ScenarioRetuner)> = [1u32, 2, 4, 8, 16, 32, 64]
+        .into_iter()
+        .map(|batch| {
+            let point = InferenceSpace {
+                batches: vec![batch],
+                cores: vec![device.cores],
+                freqs: vec![device.max_freq],
+            };
+            (batch, ScenarioRetuner::new(device.clone(), point, profile))
+        })
+        .collect();
 
     let server = ServerScenario::new(64, Seconds::new(30.0));
     let mut scenarios = vec![(
@@ -42,27 +62,22 @@ fn main() {
 
     for (label, scenario) in &scenarios {
         println!("== {label} ==");
-        for batch in [1u32, 2, 4, 8, 16, 32, 64] {
-            let point = InferenceSpace {
-                batches: vec![batch],
-                cores: vec![device.cores],
-                freqs: vec![device.max_freq],
-            };
-            match tune_for_scenario(&device, &point, &profile, scenario, seed) {
-                Ok(rec) => println!(
+        for (batch, point) in &points {
+            match point.recommend(scenario, seed) {
+                Ok(config) => println!(
                     "  batch {batch:>3}: mean response {:>8.3} s",
-                    rec.mean_response.value()
+                    mean_response(&config)
                 ),
                 Err(_) => println!("  batch {batch:>3}: UNSTABLE (backlog grows)"),
             }
         }
-        match tune_for_scenario(&device, &space, &profile, scenario, seed) {
-            Ok(rec) => println!(
+        match retuner.recommend(scenario, seed) {
+            Ok(config) => println!(
                 "  -> deploy batch {}, {} cores @ {:.2} GHz: mean response {:.3} s\n",
-                rec.batch,
-                rec.cores,
-                rec.freq.as_ghz(),
-                rec.mean_response.value()
+                config.batch_cap,
+                config.cores,
+                config.freq.as_ghz(),
+                mean_response(&config)
             ),
             Err(err) => println!("  -> infeasible ({err})\n"),
         }

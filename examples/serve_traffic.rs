@@ -6,8 +6,7 @@
 //! Run with: `cargo run --release --example serve_traffic`
 
 use edgetune::batching::MultiStreamScenario;
-use edgetune::scenario::Scenario;
-use edgetune::serve::ScenarioRetuner;
+use edgetune::scenario::{Scenario, ScenarioRetuner};
 use edgetune::InferenceSpace;
 use edgetune_device::spec::DeviceSpec;
 use edgetune_serving::{OnlineTuner, RuntimeOptions, ServingRuntime, SloPolicy, TrafficProfile};

@@ -1,7 +1,6 @@
 //! Golden bytes of serving: the CRC-32 of `ServingReport::to_json()` for
-//! four serving runs, two seeds each, and the JSON of
-//! `tune_for_scenario` recommendations for one server and three
-//! multi-stream scenarios.
+//! four serving runs, two seeds each, and the JSON of `ScenarioRetuner`
+//! recommendations for one server and three multi-stream scenarios.
 //!
 //! The runs cover every path a report's numbers come through: the pure
 //! event loop (Poisson), drift-triggered live re-tunes (on/off), shedding
@@ -13,8 +12,7 @@
 //! to make a change pass.
 
 use edgetune::batching::{MultiStreamScenario, ServerScenario};
-use edgetune::scenario::{tune_for_scenario, Scenario};
-use edgetune::serve::{frontier_rates, ScenarioRetuner};
+use edgetune::scenario::{frontier_rates, Scenario, ScenarioRetuner};
 use edgetune::InferenceSpace;
 use edgetune_device::profile::WorkProfile;
 use edgetune_device::spec::DeviceSpec;
@@ -23,9 +21,10 @@ use edgetune_serving::{
     RuntimeOptions, ServingReport, ServingRuntime, SloPolicy, SwitchSource, TrafficProfile,
 };
 use edgetune_util::rng::SeedStream;
-use edgetune_util::units::Seconds;
+use edgetune_util::units::{Hertz, Seconds};
 use edgetune_workloads::catalog::Workload;
 use edgetune_workloads::WorkloadId;
+use serde::Serialize;
 
 /// The four serving runs.
 #[derive(Debug, Clone, Copy)]
@@ -138,10 +137,20 @@ fn serving_reports_are_pinned() {
     );
 }
 
+/// A scenario recommendation spelled as the pinned strings spell it: the
+/// device, then the operating point and its predicted mean response.
+#[derive(Serialize)]
+struct Recommendation {
+    device: String,
+    batch: u32,
+    cores: u32,
+    freq: Hertz,
+    mean_response: Seconds,
+}
+
 #[test]
 fn scenario_recommendations_are_pinned() {
-    let (device, profile, _) = setup();
-    let space = InferenceSpace::for_device(&device);
+    let (device, _, retuner) = setup();
     let scenarios = [
         Scenario::Server(ServerScenario::new(64, Seconds::new(30.0))),
         Scenario::MultiStream(MultiStreamScenario::new(0.2, 400)),
@@ -171,8 +180,16 @@ fn scenario_recommendations_are_pinned() {
     let mut moved = Vec::new();
     for (seed, wants) in pinned {
         for (scenario, want) in scenarios.iter().zip(wants) {
-            let rec = tune_for_scenario(&device, &space, &profile, scenario, SeedStream::new(seed))
+            let config = retuner
+                .recommend(scenario, SeedStream::new(seed))
                 .expect("every pinned scenario is tunable");
+            let rec = Recommendation {
+                device: device.name.clone(),
+                batch: config.batch_cap,
+                cores: config.cores,
+                freq: config.freq,
+                mean_response: config.predicted_mean_response.expect("a sweep predicts"),
+            };
             let got = serde_json::to_string(&rec).expect("recommendation serialises");
             if got != want {
                 moved.push(format!(

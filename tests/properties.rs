@@ -476,8 +476,9 @@ proptest! {
             .serve(&traffic, Seconds::new(30.0), None, SeedStream::new(seed))
             .expect("serving completes");
         let tracer = Tracer::new();
+        let arrivals = traffic.generate(Seconds::new(30.0), SeedStream::new(seed));
         let traced = runtime
-            .serve_traced(&traffic, Seconds::new(30.0), None, SeedStream::new(seed), Some(&tracer))
+            .serve_trace_traced(&arrivals, traffic.name(), None, SeedStream::new(seed), Some(&tracer))
             .expect("serving completes");
         prop_assert_eq!(plain, traced, "tracing changed the serving report");
 

@@ -17,7 +17,7 @@
 
 use edgetune::batching::MultiStreamScenario;
 use edgetune::inference::InferenceSpace;
-use edgetune::scenario::{tune_for_scenario, Scenario};
+use edgetune::scenario::{Scenario, ScenarioRetuner};
 use edgetune_device::latency::{simulate_inference, CpuAllocation};
 use edgetune_device::profile::WorkProfile;
 use edgetune_device::spec::DeviceSpec;
@@ -73,13 +73,16 @@ fn multi_stream_scenario_is_an_md1_queue() {
         cores: vec![device.cores],
         freqs: vec![device.max_freq],
     };
+    let retuner = ScenarioRetuner::new(device, space, profile);
     for rho in LOADS {
         let scenario = Scenario::MultiStream(MultiStreamScenario::new(rho / service, ARRIVALS));
         let runs: Vec<f64> = (0..SEEDS)
             .map(|seed| {
-                tune_for_scenario(&device, &space, &profile, &scenario, SeedStream::new(seed))
+                retuner
+                    .recommend(&scenario, SeedStream::new(seed))
                     .unwrap()
-                    .mean_response
+                    .predicted_mean_response
+                    .unwrap()
                     .value()
             })
             .collect();

@@ -4,8 +4,7 @@
 //! off under drift.
 
 use edgetune::batching::MultiStreamScenario;
-use edgetune::scenario::{tune_for_scenario, Scenario};
-use edgetune::serve::ScenarioRetuner;
+use edgetune::scenario::{Scenario, ScenarioRetuner};
 use edgetune::InferenceSpace;
 use edgetune_device::spec::DeviceSpec;
 use edgetune_serving::{OnlineTuner, RuntimeOptions, ServingRuntime, SloPolicy, TrafficProfile};
@@ -36,17 +35,16 @@ fn profile() -> edgetune_device::profile::WorkProfile {
 
 #[test]
 fn serving_matches_the_tuner_prediction_under_poisson_traffic() {
-    let (device, _) = setup();
-    let space = InferenceSpace::for_device(&device);
+    let (device, retuner) = setup();
     let rate = 10.0;
     let scenario = Scenario::MultiStream(MultiStreamScenario::new(rate, 2000));
-    let rec = tune_for_scenario(&device, &space, &profile(), &scenario, SeedStream::new(11))
+    let config = retuner
+        .recommend(&scenario, SeedStream::new(11))
         .expect("10 items/s is tunable on a Pi");
 
     // Deploy exactly the recommended configuration with every serving-side
     // behaviour that the tuning-time simulator does not model disabled:
     // pinned batch cap, no shedding, no drift, a single worker.
-    let config = edgetune::serve::config_from_recommendation(&rec, rate);
     let options =
         RuntimeOptions::new(SloPolicy::new(Seconds::new(60.0)).without_shedding()).static_serving();
     let runtime = ServingRuntime::new(device, profile(), config, options).unwrap();
@@ -60,7 +58,7 @@ fn serving_matches_the_tuner_prediction_under_poisson_traffic() {
         .unwrap();
 
     assert_eq!(report.shed, 0);
-    let predicted = rec.mean_response.value();
+    let predicted = config.predicted_mean_response.unwrap().value();
     let measured = report.mean_response.value();
     let rel = (measured - predicted).abs() / predicted;
     assert!(
