@@ -20,10 +20,9 @@ use edgetune_device::profile::WorkProfile;
 use edgetune_device::spec::DeviceSpec;
 use edgetune_util::rng::{sample_exponential, SeedStream};
 use edgetune_util::units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// Fixed-frequency queries of `N` samples each (Fig. 8, top).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerScenario {
     /// Samples per query.
     pub samples_per_query: u32,
@@ -81,7 +80,7 @@ impl ServerScenario {
 }
 
 /// Statistics of one simulated multi-stream run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueStats {
     /// Mean response time (completion − arrival) over all samples.
     pub mean_response: Seconds,
@@ -93,7 +92,7 @@ pub struct QueueStats {
 
 /// Poisson single-sample arrivals aggregated into batches (Fig. 8,
 /// bottom).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiStreamScenario {
     /// Mean arrival rate in samples per second.
     pub rate: f64,

@@ -420,7 +420,7 @@ fn run_tune(argv: Vec<String>, out: &mut String) -> Result<(), String> {
     if let (n @ 1.., Some(path)) = (report.skipped_cache_entries(), &cache) {
         eprintln!(
             "cache: skipped {n} unreadable item(s) of {}: an entry that is not a deployment \
-             for its key, or the whole file if it does not parse",
+             for its key, or the whole file if it is not a cache",
             path.display()
         );
     }

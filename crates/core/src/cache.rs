@@ -18,7 +18,7 @@ use serde::{Deserialize, Refusal, Serialize};
 use crate::inference::InferenceRecommendation;
 
 /// A cache key: device × architecture signature × inference metric.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// Target device name.
     pub device: String,
@@ -147,9 +147,10 @@ impl HistoricalCache {
     /// hand-edited) does not fail the run. An entry is kept when its
     /// recommendation reads and names its key's device; any other is
     /// skipped, so a hit is always a deployment the server could have
-    /// recommended. A document that does not parse (torn, or not UTF-8)
-    /// loads empty and counts as one skipped item, so the loss is
-    /// reported, not silent.
+    /// recommended. A document that does not parse (torn, or not UTF-8),
+    /// or parses but is not a cache (no `entries` object: `{}`, `[]`,
+    /// `{"entries": []}`), loads empty and counts as one skipped item, so
+    /// the loss is reported, not silent.
     ///
     /// # Errors
     ///
@@ -164,8 +165,10 @@ impl HistoricalCache {
         let Ok(value) = serde_json::from_str::<serde_json::Value>(json) else {
             return Ok((cache, 1));
         };
-        let entries = value.get("entries").and_then(serde_json::Value::as_object);
-        for (key, entry) in entries.into_iter().flatten() {
+        let Some(entries) = value.get("entries").and_then(serde_json::Value::as_object) else {
+            return Ok((cache, 1));
+        };
+        for (key, entry) in entries {
             match InferenceRecommendation::from_json_value(entry) {
                 Ok(rec) if keyed_by(key, &rec) => {
                     cache.entries.insert(key.clone(), rec);
@@ -445,6 +448,24 @@ mod tests {
             let (loaded, skipped) = HistoricalCache::load(&path).unwrap();
             assert_eq!(loaded.len(), 0, "nothing salvageable from {bytes:?}");
             assert_eq!(skipped, 1, "the torn document is reported");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_document_that_is_not_a_cache_is_reported() {
+        let dir = std::env::temp_dir().join("edgetune-cache-not-a-cache-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.json");
+        for (document, skipped) in [
+            ("{\"entries\": []}", 1),
+            ("[]", 1),
+            ("{}", 1),
+            ("{\"entries\": {}}", 0),
+        ] {
+            std::fs::write(&path, document).unwrap();
+            let (loaded, n) = HistoricalCache::load(&path).unwrap();
+            assert_eq!((loaded.len(), n), (0, skipped), "{document}");
         }
         std::fs::remove_file(&path).ok();
     }

@@ -51,7 +51,6 @@ use edgetune_tuner::space::Config;
 use edgetune_util::rng::SeedStream;
 use edgetune_util::units::Seconds;
 use edgetune_util::Error;
-use serde::{Deserialize, Serialize};
 
 use crate::backend::{BackendSpec, TrainingBackend, TrialMeasurement};
 use crate::config::{EdgeTuneConfig, ShardExec};
@@ -72,7 +71,7 @@ const MIN_WAIT: Duration = Duration::from_millis(1);
 /// A planted fault for chaos-testing the fabric's own containment: the
 /// targeted shard executes `action` mid-rung on its **first** attempt,
 /// so the run exercises crash → retry → clean completion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FabricChaos {
     /// Shard index the fault is planted in.
     pub shard: usize,
@@ -144,7 +143,7 @@ impl FabricPolicy {
 
 /// What the fabric did, over the whole study. All zeros when every
 /// worker behaved on its first attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FabricStats {
     /// Shard attempts dispatched: every attempt that reached an open
     /// link, pooled or freshly opened. (The name predates pooled links.)

@@ -45,7 +45,7 @@ const EMULATION_SPEEDUP: f64 = 32.0;
 const EMULATION_HOST_POWER_W: f64 = 45.0;
 
 /// The inference-side search space: batch sizes × cores × frequencies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InferenceSpace {
     /// Candidate inference batch sizes (the paper sweeps 1..=100).
     pub batches: Vec<u32>,
@@ -179,7 +179,7 @@ impl InferenceRecommendation {
 
 /// Cost of one inference-tuning run (it executes on the tuning server's
 /// CPUs, in parallel with training).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InferenceTuningCost {
     /// Wall-clock duration of the sweep *on the tuning server*.
     pub runtime: Seconds,
@@ -279,7 +279,7 @@ fn recommendation(
 
 /// The answer to one inference-tuning request: what the trial's
 /// objective reads of the recommendation, and what the answer cost.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InferenceReply {
     /// Per-item inference latency of the recommended deployment.
     pub latency_per_item: Seconds,

@@ -31,7 +31,8 @@ use std::path::PathBuf;
 
 use edgetune_device::spec::DeviceSpec;
 use edgetune_faults::{DegradationStats, TrialFault};
-use edgetune_net::{accept_hello, hello_answer, send_hello, Hello, HelloAck};
+use edgetune_net::handshake::HandshakeReject;
+use edgetune_net::{accept_hello, hello_answer, send_hello, Hello, HelloAck, NetError};
 use edgetune_runtime::frame::{encode_frame, read_frame, FrameKind};
 use edgetune_trace::{ChromeEvent, ChromeTrace};
 use edgetune_tuner::pareto::{FrontPoint, ObjectiveVector};
@@ -715,6 +716,17 @@ fn hellos_and_their_acks_round_trip_through_the_frame_codec() {
         magic: g.0.gen(),
         version: g.0.gen(),
     });
+    // A host turns a session away with a rejection in an `Error` frame;
+    // the coordinator reads its reason back.
+    persisted(to_string::<HandshakeReject>, |text| {
+        let wire = encode_frame(FrameKind::Error, text.as_bytes());
+        match hello_answer(&mut wire.as_slice()) {
+            Err(NetError::Rejected(reason)) => Ok(HandshakeReject { reason }),
+            Err(e) => Err(e.to_string()),
+            Ok(ack) => Err(format!("a rejection read as {ack:?}")),
+        }
+    })
+    .holds_for(|g| HandshakeReject { reason: g.string() });
 }
 
 #[test]

@@ -19,7 +19,6 @@ use edgetune_serving::{ConfigSelector, FrontierEntry, OnlineTuner, ServingConfig
 use edgetune_util::rng::SeedStream;
 use edgetune_util::units::{Hertz, JoulesPerItem, Seconds};
 use edgetune_util::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 use crate::batching::{replay, MultiStreamScenario, ServerScenario};
 use crate::inference::InferenceSpace;
@@ -31,11 +30,8 @@ const RETUNE_ARRIVALS: usize = 400;
 
 /// A deployment traffic pattern (Fig. 8).
 ///
-/// Serialisable so that tuning requests and recommendations can carry
-/// the scenario they were produced for (CLI `--scenario`, serving
-/// reports). `Eq` is not derived: both variants carry `f64` timing
-/// fields.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// `Eq` is not derived: both variants carry `f64` timing fields.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Scenario {
     /// Fixed-frequency queries of N samples each.
     Server(ServerScenario),
@@ -338,18 +334,6 @@ mod tests {
             "light load favours immediate service: {}",
             config.batch_cap
         );
-    }
-
-    #[test]
-    fn scenario_serialises_round_trip() {
-        for scenario in [
-            Scenario::Server(ServerScenario::new(64, Seconds::new(30.0))),
-            Scenario::MultiStream(MultiStreamScenario::new(12.5, 400)),
-        ] {
-            let json = serde_json::to_string(&scenario).unwrap();
-            let back: Scenario = serde_json::from_str(&json).unwrap();
-            assert_eq!(scenario, back);
-        }
     }
 
     #[test]

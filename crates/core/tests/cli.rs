@@ -727,10 +727,13 @@ fn a_torn_cache_file_is_reported_not_silently_emptied() {
     assert!(!fresh.contains("cache: skipped"), "{fresh}");
     let saved = read(&cache);
     assert!(saved.len() > 300, "{} bytes saved", saved.len());
-    std::fs::write(&cache, &saved[..300]).expect("tear the cache");
-    let torn = study();
     let line = format!("cache: skipped 1 unreadable item(s) of {cache}");
-    assert!(torn.contains(&line), "{torn}");
+    // A torn file, and a JSON document that is no cache.
+    for bad in [&saved[..300], b"{}"] {
+        std::fs::write(&cache, bad).expect("spoil the cache");
+        let spoiled = study();
+        assert!(spoiled.contains(&line), "{spoiled}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

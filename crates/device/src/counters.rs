@@ -12,13 +12,11 @@
 //! deterministic function of the modelled instruction/byte streams, and
 //! only the memory-bound events inherit the phase's memory factor.
 
-use serde::{Deserialize, Serialize};
-
 use crate::profile::{Phase, WorkProfile};
 use crate::spec::DeviceSpec;
 
 /// The hardware events of the paper's Fig. 1, in its display order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // names mirror Linux `perf` event identifiers
 pub enum CounterEvent {
     L1DcacheLoadMisses,
@@ -126,7 +124,7 @@ impl std::fmt::Display for CounterEvent {
 }
 
 /// One sampled event with its synthesised rate (events per second).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CounterSample {
     /// Which event.
     pub event: CounterEvent,
@@ -135,7 +133,7 @@ pub struct CounterSample {
 }
 
 /// Magnitude bucket used by Fig. 1's legend (events per time unit).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RateBucket {
     /// More than 1e8 events per time unit.
     Over1e8,

@@ -28,7 +28,6 @@
 
 use edgetune_util::units::{Hertz, Joules, Seconds, Watts};
 use edgetune_util::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 use crate::profile::{Phase, WorkProfile};
 use crate::spec::DeviceSpec;
@@ -122,7 +121,7 @@ impl CpuAllocation {
 }
 
 /// The outcome of simulating one kernel/batch execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Execution {
     /// Wall-clock latency of the execution.
     pub latency: Seconds,

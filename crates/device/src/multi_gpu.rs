@@ -16,7 +16,6 @@
 
 use edgetune_util::units::Seconds;
 use edgetune_util::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 use crate::latency::Execution;
 use crate::profile::{Phase, WorkProfile};
@@ -31,7 +30,7 @@ const GPU_BATCH_HALF_SATURATION: f64 = 48.0;
 const GPU_BASELINE_POWER_FRACTION: f64 = 0.40;
 
 /// A validated multi-GPU allocation on a GPU node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GpuAllocation {
     gpus: u32,
 }

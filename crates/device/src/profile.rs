@@ -8,10 +8,8 @@
 //! memory, which is why forward-phase counters mispredict inference
 //! (Fig. 1); the [`Phase`] multipliers encode that asymmetry.
 
-use serde::{Deserialize, Serialize};
-
 /// Which phase of the DNN lifecycle a kernel belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// The forward pass *during training*: weights are resident and
     /// mutable, activations are saved for the backward pass.
@@ -60,7 +58,7 @@ impl std::fmt::Display for Phase {
 }
 
 /// Per-sample computational footprint of a model architecture.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkProfile {
     /// Forward-pass FLOPs for one sample.
     pub flops_per_sample: f64,

@@ -10,11 +10,10 @@
 //! model structure.
 
 use edgetune_util::units::{Hertz, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Whether a device is a CPU platform (edge targets, laptop) or a GPU node
 /// (the tuning server's trainer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     /// A (multi-core) CPU platform; the only kind edge devices come in —
     /// the paper notes edge targets "typically do not contain any GPU
@@ -37,7 +36,7 @@ impl std::fmt::Display for DeviceKind {
 ///
 /// All fields are public: this is a passive, C-struct-spirit description
 /// consumed by the latency/energy models.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSpec {
     /// Human-readable platform name.
     pub name: String,

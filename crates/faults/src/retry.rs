@@ -8,7 +8,6 @@
 use edgetune_util::rng::SeedStream;
 use edgetune_util::units::Seconds;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Exponential backoff with deterministic jitter, capped.
 ///
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// `base_delay * multiplier`, and so on up to `max_delay`. Jitter only
 /// ever shortens a delay (`delay = base * (1 - jitter * u)`, `u ∈ [0,1)`),
 /// so every delay is bounded by the cap and the jitter-free schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts allowed, including the first (so `3` = two retries).
     pub max_attempts: u32,

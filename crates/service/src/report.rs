@@ -3,10 +3,10 @@
 
 use edgetune::TuningReport;
 use edgetune_util::{Error, Result};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One study's fate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct StudyOutcome {
     /// Owning tenant.
     pub tenant: String,
@@ -26,15 +26,15 @@ pub struct StudyOutcome {
     pub evaluated_trials: u64,
     /// The engine's report — byte-identical to a solo run of the same
     /// submission for cold studies. `None` when the study failed.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub report: Option<TuningReport>,
     /// Why the study failed, when it did.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub error: Option<String>,
 }
 
 /// A submission turned away at admission.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct RejectedStudy {
     /// Owning tenant.
     pub tenant: String,
@@ -46,7 +46,7 @@ pub struct RejectedStudy {
 
 /// One scheduler grant, in execution order — the audit trail that makes
 /// fairness inspectable and interleaving regressions diffable.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ScheduleGrant {
     /// Tenant granted this slice.
     pub tenant: String,
@@ -55,7 +55,7 @@ pub struct ScheduleGrant {
 }
 
 /// The outcome of one `serve-studies` run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ServiceReport {
     /// Per-study outcomes, in submission order.
     pub outcomes: Vec<StudyOutcome>,

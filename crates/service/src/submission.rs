@@ -15,6 +15,8 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
 )]
 
+use std::collections::HashSet;
+
 use edgetune_tuner::Metric;
 use edgetune_util::{Error, Result};
 use edgetune_workloads::catalog::WorkloadId;
@@ -22,6 +24,7 @@ use serde::{Deserialize, Serialize};
 
 /// A named tenant and its admission-control knobs.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(check = "Self::admits")]
 pub struct TenantSpec {
     /// Tenant name — the fair-share identity and the deterministic
     /// tie-break (lexicographic) between equally credited tenants.
@@ -37,6 +40,19 @@ pub struct TenantSpec {
     pub queue_limit: usize,
 }
 
+impl TenantSpec {
+    /// The reader's domain: a weight of at least 1.
+    fn admits(&self) -> std::result::Result<(), serde::Refusal> {
+        if self.weight == 0 {
+            return Err((
+                "weight",
+                format!("tenant {}: weight must be >= 1", self.name),
+            ));
+        }
+        Ok(())
+    }
+}
+
 fn default_weight() -> u32 {
     1
 }
@@ -47,6 +63,7 @@ fn default_queue_limit() -> usize {
 
 /// One tenant-submitted study.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(check = "Self::admits")]
 pub struct StudySubmission {
     /// Owning tenant (must be declared in the file's `tenants`).
     pub tenant: String,
@@ -134,13 +151,41 @@ impl StudySubmission {
 
     /// A configuration error about this study.
     fn invalid(&self, message: String) -> Error {
-        Error::invalid_config(format!("study {}/{}: {message}", self.tenant, self.name))
+        Error::invalid_config(self.about(message))
+    }
+
+    fn about(&self, message: impl std::fmt::Display) -> String {
+        format!("study {}/{}: {message}", self.tenant, self.name)
+    }
+
+    /// The reader's domain: a chaos rate in `[0, 1]`, and at least one
+    /// trial, budget level and rung per grant. Unknown workload and
+    /// metric names are deliberately *not* refused: one tenant's typo
+    /// must not sink every other tenant's studies, so the service
+    /// rejects such a study alone, at admission.
+    fn admits(&self) -> std::result::Result<(), serde::Refusal> {
+        if !(0.0..=1.0).contains(&self.chaos_rate) {
+            return Err(("chaos_rate", self.about("chaos_rate must be within [0, 1]")));
+        }
+        let zero = [
+            ("trials", self.trials == 0),
+            ("max_iter", self.max_iter == 0),
+            ("rung_quantum", self.rung_quantum == 0),
+        ];
+        if let Some((key, _)) = zero.into_iter().find(|(_, zero)| *zero) {
+            return Err((
+                key,
+                self.about("trials, max_iter, and rung_quantum must be >= 1"),
+            ));
+        }
+        Ok(())
     }
 }
 
 /// The script-driven submission file: tenants plus their studies in
 /// admission order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(check = "Self::admits")]
 pub struct SubmissionFile {
     /// Declared tenants.
     pub tenants: Vec<TenantSpec>,
@@ -149,22 +194,24 @@ pub struct SubmissionFile {
 }
 
 impl SubmissionFile {
-    /// Parses a submission file from JSON and validates its internal
-    /// references: tenant names unique, every study owned by a declared
-    /// tenant, study names unique per tenant, chaos rates in range.
-    /// Per-study workload/metric names are *not* checked here — the
-    /// service rejects studies with unknown names at admission, so one
-    /// bad study never invalidates the whole file.
+    /// Parses a submission file from JSON. Its reader admits only a file
+    /// the service can run: tenant names unique, every study owned by a
+    /// declared tenant, study names unique per tenant, each tenant and
+    /// study in its own domain. Per-study workload/metric names are
+    /// *not* checked here — the service rejects studies with unknown
+    /// names at admission, so one bad study never invalidates the whole
+    /// file.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Storage`] for unparseable JSON and
-    /// [`Error::InvalidConfig`] for inconsistent contents.
+    /// Returns [`Error::Storage`] for text that is not JSON and
+    /// [`Error::InvalidConfig`] for a document the reader refuses: a
+    /// missing or mistyped field, or inconsistent contents.
     pub fn from_json(json: &str) -> Result<Self> {
-        let file: SubmissionFile = serde_json::from_str(json)
+        let document: serde_json::Value = serde_json::from_str(json)
             .map_err(|e| Error::storage(format!("parsing submission file: {e}")))?;
-        file.validate()?;
-        Ok(file)
+        Self::from_json_value(&document)
+            .map_err(|e| Error::invalid_config(format!("submission file: {e}")))
     }
 
     /// Reads and parses a submission file from disk.
@@ -178,46 +225,28 @@ impl SubmissionFile {
         Self::from_json(&json)
     }
 
-    fn validate(&self) -> Result<()> {
+    /// The reader's domain: the file's references are consistent.
+    fn admits(&self) -> std::result::Result<(), serde::Refusal> {
         if self.tenants.is_empty() {
-            return Err(Error::invalid_config("submission file declares no tenants"));
+            return Err(("tenants", "submission file declares no tenants".into()));
         }
-        let mut names = std::collections::HashSet::new();
+        let mut names = HashSet::new();
         for tenant in &self.tenants {
-            if tenant.weight == 0 {
-                return Err(Error::invalid_config(format!(
-                    "tenant {}: weight must be >= 1",
-                    tenant.name
-                )));
-            }
             if !names.insert(tenant.name.as_str()) {
-                return Err(Error::invalid_config(format!(
-                    "tenant {} declared twice",
-                    tenant.name
-                )));
+                return Err(("tenants", format!("tenant {} declared twice", tenant.name)));
             }
         }
-        let mut study_names = std::collections::HashSet::new();
+        let mut study_names = HashSet::new();
         for study in &self.studies {
             if !names.contains(study.tenant.as_str()) {
-                return Err(study.invalid("tenant not declared".into()));
+                return Err(("studies", study.about("tenant not declared")));
             }
             if !study_names.insert((study.tenant.as_str(), study.name.as_str())) {
-                return Err(Error::invalid_config(format!(
-                    "study {}/{} submitted twice",
-                    study.tenant, study.name
-                )));
+                return Err((
+                    "studies",
+                    format!("study {}/{} submitted twice", study.tenant, study.name),
+                ));
             }
-            if !(0.0..=1.0).contains(&study.chaos_rate) {
-                return Err(study.invalid("chaos_rate must be within [0, 1]".into()));
-            }
-            if study.trials == 0 || study.max_iter == 0 || study.rung_quantum == 0 {
-                return Err(study.invalid("trials, max_iter, and rung_quantum must be >= 1".into()));
-            }
-            // Unknown workload/metric names are deliberately *not* a
-            // file-level error: one tenant's typo must not sink every
-            // other tenant's studies. The service rejects such studies
-            // individually at admission.
         }
         Ok(())
     }
@@ -375,10 +404,48 @@ mod tests {
         }
     }
 
+    /// Law 4's values: a key path into a written file, what to put
+    /// there (`None` appends a copy of the first study), and the keys
+    /// and phrase its refusal names.
+    const REFUSED: [(&str, &str, Option<&str>, &str, &str); 5] = [
+        (
+            "tenants",
+            "weight",
+            Some("0"),
+            "tenants: weight: ",
+            "weight must be >= 1",
+        ),
+        (
+            "studies",
+            "chaos_rate",
+            Some("1.5"),
+            "studies: chaos_rate: ",
+            "within [0, 1]",
+        ),
+        (
+            "studies",
+            "trials",
+            Some("0"),
+            "studies: trials: ",
+            "must be >= 1",
+        ),
+        (
+            "studies",
+            "tenant",
+            Some("\"undeclared\""),
+            "studies: ",
+            "tenant not declared",
+        ),
+        ("studies", "name", None, "studies: ", "submitted twice"),
+    ];
+
     /// The round-trip laws of `edgetune`'s oracle: the file reads back
     /// to itself, floats compared by their bits; writing is idempotent;
-    /// and `chaos_rate`, its one float, refuses `1e400`, `-1e400` and
-    /// `null`, naming the field.
+    /// `chaos_rate`, its one float, refuses `1e400`, `-1e400` and
+    /// `null`, naming the field; and each of [`REFUSED`] spliced into
+    /// the first tenant or study is refused as a configuration error
+    /// naming its keys (tenant names start with a digit, so none is
+    /// `undeclared`).
     #[test]
     fn submission_files_round_trip() {
         let write = |file: &SubmissionFile| serde_json::to_string_pretty(file).unwrap();
@@ -399,6 +466,25 @@ mod tests {
                     let err = SubmissionFile::from_json(&spliced).unwrap_err();
                     assert!(err.to_string().contains("studies: chaos_rate: "), "{err}");
                 }
+            }
+            for (list, key, value, keys, phrase) in REFUSED {
+                let mut document: serde_json::Value = serde_json::from_str(&text).unwrap();
+                let items = document[list].as_array_mut().unwrap();
+                if items.is_empty() {
+                    continue;
+                }
+                match value {
+                    Some(value) => items[0][key] = serde_json::from_str(value).unwrap(),
+                    None => items.push(items[0].clone()),
+                }
+                let spliced = serde_json::to_string(&document).unwrap();
+                let err = SubmissionFile::from_json(&spliced).unwrap_err();
+                assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
+                let err = err.to_string();
+                assert!(
+                    err.contains(keys) && err.contains(phrase),
+                    "{err}: {spliced}"
+                );
             }
         }
     }

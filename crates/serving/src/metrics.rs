@@ -8,27 +8,26 @@
 use edgetune_util::stats::quantiles;
 use edgetune_util::units::{Hertz, ItemsPerSecond, Joules, JoulesPerItem, Seconds};
 use edgetune_util::{Error, Result};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How a drift-triggered configuration switch was decided.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum SwitchSource {
     /// Stage two: a full online re-tune produced the new configuration.
-    #[default]
     Retune,
     /// Stage one: the new configuration was looked up on a pre-computed
     /// Pareto frontier — no tuning trials were spent.
     Frontier,
 }
 
-/// True for the default (re-tune) source — the serde skip predicate that
+/// True for the re-tune source — the serde skip predicate that
 /// keeps re-tune switches byte-identical to pre-frontier reports.
 fn is_retune(source: &SwitchSource) -> bool {
     matches!(source, SwitchSource::Retune)
 }
 
 /// One drift-triggered configuration hot-swap.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ConfigSwitch {
     /// Serving-clock time of the swap.
     pub at: Seconds,
@@ -49,15 +48,15 @@ pub struct ConfigSwitch {
     /// The re-tuner's predicted mean response under the new
     /// configuration, when it reported one.
     pub predicted_mean_response: Option<Seconds>,
-    /// How the switch was decided. Defaults to [`SwitchSource::Retune`]
-    /// (and is skipped for re-tunes) so reports from runs without a
-    /// frontier selector keep their exact pre-frontier bytes.
-    #[serde(default, skip_serializing_if = "is_retune")]
+    /// How the switch was decided. Not written for
+    /// [`SwitchSource::Retune`], so reports from runs without a frontier
+    /// selector keep their exact pre-frontier bytes.
+    #[serde(skip_serializing_if = "is_retune")]
     pub source: SwitchSource,
 }
 
 /// Everything one serving run measured.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServingReport {
     /// Edge device the traffic was served on.
     pub device: String,
@@ -201,17 +200,9 @@ mod tests {
                 from_freq: Hertz::from_ghz(1.0),
                 to_freq: Hertz::from_ghz(1.4),
                 predicted_mean_response: Some(Seconds::new(0.3)),
-                source: SwitchSource::default(),
+                source: SwitchSource::Retune,
             }],
         }
-    }
-
-    #[test]
-    fn json_round_trip_preserves_everything() {
-        let r = report();
-        let json = r.to_json().unwrap();
-        let back: ServingReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(r, back);
     }
 
     #[test]
@@ -253,9 +244,8 @@ mod tests {
         let mut r = report();
         r.switches[0].source = SwitchSource::Frontier;
         let json = r.to_json().unwrap();
-        assert!(json.contains("\"Frontier\""));
-        let back: ServingReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(back.switches[0].source, SwitchSource::Frontier);
+        let back: serde_json::Value = serde_json::from_str(&json).unwrap();
+        assert_eq!(back["switches"][0]["source"].as_str(), Some("Frontier"));
+        assert_eq!(serde_json::to_string_pretty(&back).unwrap(), json);
     }
 }

@@ -13,7 +13,6 @@
 //! collapse under overload.
 
 use edgetune_util::units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// Smoothing factor of the controller's response-time EWMA.
 const RESPONSE_EWMA_ALPHA: f64 = 0.2;
@@ -25,7 +24,7 @@ const GROW_THRESHOLD: f64 = 0.7;
 const SHRINK_THRESHOLD: f64 = 0.25;
 
 /// The latency service-level objective the runtime serves under.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloPolicy {
     /// Per-request response-time target (the p99 objective); requests
     /// completing later count as violations.

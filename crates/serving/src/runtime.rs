@@ -25,7 +25,6 @@ use edgetune_trace::Tracer;
 use edgetune_util::rng::SeedStream;
 use edgetune_util::units::{Hertz, ItemsPerSecond, Joules, JoulesPerItem, Seconds};
 use edgetune_util::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 use crate::drift::DriftDetector;
 use crate::metrics::{response_percentiles, ConfigSwitch, ServingReport, SwitchSource};
@@ -42,7 +41,7 @@ const MAX_CAP: u32 = 128;
 
 /// A deployable serving configuration — the runtime-facing face of a
 /// tuning recommendation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServingConfig {
     /// Batch aggregation cap (the tuned inference batch size).
     pub batch_cap: u32,
@@ -105,7 +104,7 @@ pub trait OnlineTuner {
 }
 
 /// Runtime behaviour switches.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RuntimeOptions {
     /// The latency SLO served under.
     pub slo: SloPolicy,

@@ -15,13 +15,12 @@
 use std::cmp::Ordering;
 
 use edgetune_util::units::{JoulesPerItem, Seconds};
-use serde::{Deserialize, Serialize};
 
 use crate::runtime::ServingConfig;
 
 /// One pre-computed frontier configuration together with the operating
 /// envelope its tuning study predicted for it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrontierEntry {
     /// The deployable configuration.
     pub config: ServingConfig,
@@ -37,7 +36,7 @@ pub struct FrontierEntry {
 /// Construction sorts into a canonical order (capacity, then energy,
 /// then batch cap), so selection is a pure function of the *set* of
 /// entries — insertion order never shows in a report.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConfigSelector {
     entries: Vec<FrontierEntry>,
 }

@@ -12,10 +12,9 @@
 
 use edgetune_util::rng::{sample_exponential, SeedStream};
 use edgetune_util::units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// A synthetic arrival pattern for single-sample inference requests.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TrafficProfile {
     /// Memoryless single-sample arrivals at a constant mean rate
     /// (the Fig. 8 multi-stream scenario).
@@ -384,19 +383,6 @@ mod tests {
             assert!(a.iter().all(|&t| (0.0..60.0).contains(&t)), "{p}");
             assert!(is_sorted(&a), "{p}");
         }
-    }
-
-    #[test]
-    fn profile_round_trips_through_json() {
-        let p = TrafficProfile::OnOff {
-            on_rate: 30.0,
-            off_rate: 1.0,
-            mean_on: Seconds::new(4.0),
-            mean_off: Seconds::new(8.0),
-        };
-        let json = serde_json::to_string(&p).unwrap();
-        let back: TrafficProfile = serde_json::from_str(&json).unwrap();
-        assert_eq!(p, back);
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! The trace event model: tracks, spans, instants and counters.
 
 use edgetune_util::units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// Identifies one track — a horizontal row in a trace viewer. Tracks are
 /// registered on the [`Tracer`](crate::Tracer) in a deterministic order;
 /// the id is the registration index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TrackId(pub(crate) u32);
 
 impl TrackId {
@@ -18,7 +17,7 @@ impl TrackId {
 }
 
 /// What kind of event happened at a timestamp.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
     /// A duration beginning at the event's `ts` and ending at `end`.
     ///
@@ -41,7 +40,7 @@ pub enum EventKind {
 }
 
 /// One recorded event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// The track the event belongs to.
     pub track: TrackId,

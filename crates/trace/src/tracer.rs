@@ -3,12 +3,11 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use edgetune_util::units::Seconds;
-use serde::{Deserialize, Serialize};
 
 use crate::event::{EventKind, TraceEvent, TrackId};
 
 /// One named track, grouped under a named process in the exported trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Track {
     /// Process (top-level group) the track renders under.
     pub process: String,

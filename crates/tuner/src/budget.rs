@@ -72,7 +72,7 @@ impl TrialBudget {
 }
 
 /// A policy mapping iteration levels (1-based) to trial budgets.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BudgetPolicy {
     /// Epoch-based: `epochs = min(epochs_per_iteration · it, max_epochs)`,
     /// full dataset.

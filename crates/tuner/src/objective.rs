@@ -54,7 +54,7 @@ impl std::str::FromStr for Metric {
 }
 
 /// Everything a training trial measured, handed to the objective.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainMeasurement {
     /// Accuracy the trial reached.
     pub accuracy: f64,
@@ -70,7 +70,7 @@ pub struct TrainMeasurement {
 }
 
 /// The Model Tuning Server's objective function.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainObjective {
     metric: Metric,
     inference_aware: bool,
@@ -153,7 +153,7 @@ impl TrainObjective {
 /// The Inference Tuning Server's objective: minimise per-item inference
 /// runtime or energy (§4.4: "defined only in terms of inference
 /// performance").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InferenceObjective {
     metric: Metric,
 }

@@ -140,7 +140,7 @@ pub struct FrontPoint {
 /// returns it in a canonical order (cost view lexicographic, then config
 /// key, then trial id). Duplicated coordinates dominate in neither
 /// direction and therefore coexist.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ParetoFront {
     points: Vec<FrontPoint>,
 }

@@ -13,7 +13,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// The domain of one tunable parameter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Domain {
     /// An integer range `lo..=hi`; `log` samples uniformly in log space
     /// (e.g. batch sizes).
@@ -205,7 +205,7 @@ fn spaced(lo: f64, hi: f64, count: usize, log: bool) -> Vec<f64> {
 }
 
 /// A named collection of parameter domains.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SearchSpace {
     params: Vec<(String, Domain)>,
 }

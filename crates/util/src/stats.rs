@@ -4,8 +4,6 @@
 //! [`BoxPlot`] computes the same five-number summary (plus outliers) from a
 //! sample; [`quantiles`] provides the other figures' percentiles.
 
-use serde::{Deserialize, Serialize};
-
 /// Linear-interpolated quantiles of a sample, one per entry of the
 /// ascending `qs`: quantile `q` lies at position `q · (n − 1)` of the
 /// sorted sample, between its two neighbouring order statistics.
@@ -78,7 +76,7 @@ pub fn percent_error(empirical: f64, estimated: f64) -> f64 {
 
 /// Five-number summary with Tukey outliers, mirroring the paper's
 /// box-and-whiskers plots (Fig. 15).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoxPlot {
     /// First quartile (25th percentile).
     pub q1: f64,

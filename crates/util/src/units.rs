@@ -18,7 +18,6 @@ macro_rules! unit {
     ($(#[$meta:meta])* $name:ident, $suffix:expr) => {
         $(#[$meta])*
         #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-        #[serde(transparent)]
         pub struct $name(f64);
 
         impl $name {

@@ -282,13 +282,8 @@ fn report_json_round_trips() {
 
 #[test]
 fn data_structures_serde_round_trip() {
-    // The cross-crate data structures a tuning service would persist or
-    // ship over RPC must survive serialisation unchanged.
-    let device = DeviceSpec::titan_rtx_node();
-    let json = serde_json::to_string(&device).expect("device serialises");
-    let device2: DeviceSpec = serde_json::from_str(&json).expect("device parses");
-    assert_eq!(device, device2);
-
+    // The cross-crate data structures a checkpoint persists must survive
+    // serialisation unchanged.
     let report = EdgeTune::new(quick(WorkloadId::Ic))
         .run()
         .expect("run succeeds");
